@@ -58,38 +58,62 @@ pub struct MatvecStats {
 // ---------------------------------------------------------------------
 
 /// Row-wise distributed CSR matrix (Scenario 1).
+///
+/// What one product costs the machine — flops per processor and, under
+/// [`DataArrayLayout::ElementBlock`], the remote `a`/`col` traffic — is
+/// fixed by the matrix and the layout, so it is worked out once here and
+/// every product charges the stored figures.
 #[derive(Debug, Clone)]
 pub struct RowwiseCsr {
     matrix: CsrMatrix,
     /// Ownership of rows (and, by alignment, of `q`): BLOCK by default,
     /// or irregular cuts from a partitioner.
     row_desc: ArrayDescriptor,
-    layout: DataArrayLayout,
+    flops: Vec<usize>,
+    traffic: Vec<Vec<usize>>,
+    remote_data_words: usize,
 }
 
 impl RowwiseCsr {
-    /// `ALIGN A(:,*) WITH p(:)` + `DISTRIBUTE p(BLOCK)`: block rows.
-    pub fn block(matrix: CsrMatrix, np: usize, layout: DataArrayLayout) -> Self {
+    fn new(matrix: CsrMatrix, row_desc: ArrayDescriptor, layout: DataArrayLayout) -> Self {
         assert!(matrix.is_square(), "CG matrices are square");
-        let n = matrix.n_rows();
+        let row_ptr = matrix.row_ptr();
+        let flops = (0..row_desc.np())
+            .map(|p| {
+                let nnz: usize = row_desc
+                    .local_runs(p)
+                    .map(|rows| row_ptr[rows.end] - row_ptr[rows.start])
+                    .sum();
+                2 * nnz
+            })
+            .collect();
+        let traffic = remote_data_traffic(&matrix, &row_desc, layout);
+        let remote_data_words = traffic.iter().flatten().sum();
         RowwiseCsr {
             matrix,
-            row_desc: ArrayDescriptor::block(n, np),
-            layout,
+            row_desc,
+            flops,
+            traffic,
+            remote_data_words,
         }
+    }
+
+    /// `ALIGN A(:,*) WITH p(:)` + `DISTRIBUTE p(BLOCK)`: block rows.
+    pub fn block(matrix: CsrMatrix, np: usize, layout: DataArrayLayout) -> Self {
+        let n = matrix.n_rows();
+        Self::new(matrix, ArrayDescriptor::block(n, np), layout)
     }
 
     /// Rows distributed by explicit cut points (e.g. from
     /// `CG_BALANCED_PARTITIONER_1`). Data arrays follow the rows
     /// (RowAligned), as the SPARSE_MATRIX trio binding requires.
     pub fn with_row_cuts(matrix: CsrMatrix, np: usize, row_cuts: Vec<usize>) -> Self {
-        assert!(matrix.is_square());
         let n = matrix.n_rows();
-        RowwiseCsr {
+        Self::new(
             matrix,
-            row_desc: ArrayDescriptor::new(n, np, DistSpec::IrregularCuts(row_cuts)),
-            layout: DataArrayLayout::RowAligned,
-        }
+            ArrayDescriptor::new(n, np, DistSpec::IrregularCuts(row_cuts)),
+            DataArrayLayout::RowAligned,
+        )
     }
 
     pub fn matrix(&self) -> &CsrMatrix {
@@ -105,45 +129,16 @@ impl RowwiseCsr {
     }
 
     /// Flops each processor performs (2 per stored element of its rows).
-    pub fn flops_per_proc(&self) -> Vec<usize> {
-        (0..self.np())
-            .map(|p| {
-                2 * self
-                    .row_desc
-                    .global_indices(p)
-                    .iter()
-                    .map(|&r| self.matrix.row_nnz(r))
-                    .sum::<usize>()
-            })
-            .collect()
+    pub fn flops_per_proc(&self) -> &[usize] {
+        &self.flops
     }
 
     /// The remote `a`/`col` traffic matrix under ElementBlock layout:
     /// `m[s][d]` = words processor `s` (owner of an nz block) must ship
     /// to `d` (owner of the enclosing row). Each missing element costs
-    /// two words (`a(k)` and `col(k)`).
-    pub fn remote_data_traffic(&self) -> Vec<Vec<usize>> {
-        let np = self.np();
-        let mut m = vec![vec![0usize; np]; np];
-        if self.layout == DataArrayLayout::RowAligned {
-            return m;
-        }
-        let nz = self.matrix.nnz();
-        if nz == 0 {
-            return m;
-        }
-        let data_desc = ArrayDescriptor::block(nz, np);
-        let row_ptr = self.matrix.row_ptr();
-        for r in 0..self.matrix.n_rows() {
-            let row_owner = self.row_desc.owner(r);
-            for k in row_ptr[r]..row_ptr[r + 1] {
-                let holder = data_desc.owner(k);
-                if holder != row_owner {
-                    m[holder][row_owner] += 2; // a(k) + col(k)
-                }
-            }
-        }
-        m
+    /// two words (`a(k)` and `col(k)`). All zero under RowAligned.
+    pub fn remote_data_traffic(&self) -> &[Vec<usize>] {
+        &self.traffic
     }
 
     /// `q = Aᵀ p` under the *row-wise* layout — the operation BiCG needs.
@@ -169,15 +164,15 @@ impl RowwiseCsr {
 
         // Local phase: partial q over owned rows (parallel — each
         // processor reads only its own block of p).
-        machine.compute_all(&self.flops_per_proc(), "s1t-local-partial");
+        machine.compute_all(&self.flops, "s1t-local-partial");
 
         // Merge phase: vector-length sum of the NP partials.
         machine.allreduce(n, "s1t-merge-q");
-        machine.compute_all(&vec![n; self.np()], "s1t-merge-combine");
+        machine.compute_uniform(n, "s1t-merge-combine");
 
         let mut q_global = self
             .matrix
-            .matvec_transpose(&p.to_global())
+            .matvec_transpose(p.global_or_gathered(&mut Vec::new()))
             .expect("validated dims");
         machine.corrupt_slice(&mut q_global);
         let q = DistVector::from_global(self.row_desc.clone(), &q_global);
@@ -195,40 +190,87 @@ impl RowwiseCsr {
     /// distribution; the result `q` is too ("no communication is needed
     /// to rearrange the distribution of the results").
     pub fn matvec(&self, machine: &mut Machine, p: &DistVector) -> (DistVector, MatvecStats) {
+        let mut q = DistVector::zeros(self.row_desc.clone());
+        let stats = self.matvec_into(machine, p, &mut q, &mut Vec::new());
+        (q, stats)
+    }
+
+    /// [`RowwiseCsr::matvec`] into a `q` that already exists (laid out as
+    /// the rows are; its old contents are overwritten). Allocates nothing
+    /// once `scratch` has grown: the replicated `p` of phase 1 is `p`'s
+    /// own storage when that is in global order, and only a cyclic `p` is
+    /// gathered — into `scratch`, which the caller keeps between products.
+    pub fn matvec_into(
+        &self,
+        machine: &mut Machine,
+        p: &DistVector,
+        q: &mut DistVector,
+        scratch: &mut Vec<f64>,
+    ) -> MatvecStats {
         assert_eq!(p.len(), self.matrix.n_cols(), "operand length mismatch");
         assert_eq!(machine.np(), self.np(), "machine size mismatch");
+        assert!(
+            q.descriptor().same_layout(&self.row_desc),
+            "result must be aligned with the rows"
+        );
         let t0 = machine.elapsed();
 
         // Phase 1: all-to-all broadcast of p.
-        let p_global = p.allgather(machine, "s1-bcast-p");
-        let broadcast_words = p.len();
+        let p_global = p.allgather(machine, "s1-bcast-p", scratch);
 
         // Phase 2: remote a/col fetches (ElementBlock only).
-        let traffic = self.remote_data_traffic();
-        let remote_data_words: usize = traffic.iter().map(|r| r.iter().sum::<usize>()).sum();
-        if remote_data_words > 0 {
-            machine.exchange(&traffic, "s1-fetch-acol");
+        if self.remote_data_words > 0 {
+            machine.exchange(&self.traffic, "s1-fetch-acol");
         }
 
         // Phase 3: local row dot-products (parallel FORALL over rows).
-        machine.compute_all(&self.flops_per_proc(), "s1-local-matvec");
+        machine.compute_all(&self.flops, "s1-local-matvec");
 
-        // Real arithmetic, laid out as q aligned with rows. The bulk
-        // result passes through the fault layer so an armed corruption
-        // damages one element of q, as a flipped bit in a local
-        // row-block product would.
-        let mut q_global = self.matrix.matvec(&p_global).expect("validated dims");
-        machine.corrupt_slice(&mut q_global);
-        let q = DistVector::from_global(self.row_desc.clone(), &q_global);
+        // Real arithmetic, written where q lives: rows are contiguous
+        // blocks in rank order, so q's storage is the global result. The
+        // bulk result passes through the fault layer so an armed
+        // corruption damages one element of q, as a flipped bit in a
+        // local row-block product would.
+        let out = q
+            .as_global_mut()
+            .expect("row blocks in rank order are global order");
+        self.matrix
+            .matvec_rows_into(0..self.matrix.n_rows(), p_global, out);
+        machine.corrupt_slice(out);
 
-        let stats = MatvecStats {
-            broadcast_words,
-            remote_data_words,
+        MatvecStats {
+            broadcast_words: p.len(),
+            remote_data_words: self.remote_data_words,
             temp_storage_words: p.len(), // the replicated copy of p
             time: machine.elapsed() - t0,
-        };
-        (q, stats)
+        }
     }
+}
+
+/// See [`RowwiseCsr::remote_data_traffic`].
+fn remote_data_traffic(
+    matrix: &CsrMatrix,
+    row_desc: &ArrayDescriptor,
+    layout: DataArrayLayout,
+) -> Vec<Vec<usize>> {
+    let np = row_desc.np();
+    let mut m = vec![vec![0usize; np]; np];
+    let nz = matrix.nnz();
+    if layout == DataArrayLayout::RowAligned || nz == 0 {
+        return m;
+    }
+    let data_desc = ArrayDescriptor::block(nz, np);
+    let row_ptr = matrix.row_ptr();
+    for r in 0..matrix.n_rows() {
+        let row_owner = row_desc.owner(r);
+        for k in row_ptr[r]..row_ptr[r + 1] {
+            let holder = data_desc.owner(k);
+            if holder != row_owner {
+                m[holder][row_owner] += 2; // a(k) + col(k)
+            }
+        }
+    }
+    m
 }
 
 // ---------------------------------------------------------------------
@@ -240,27 +282,43 @@ impl RowwiseCsr {
 pub struct ColwiseCsc {
     matrix: CscMatrix,
     col_desc: ArrayDescriptor,
+    /// Flops per processor of one product, fixed at construction.
+    flops: Vec<usize>,
 }
 
 impl ColwiseCsc {
-    /// `ALIGN A(*,:) WITH p(:)` + `DISTRIBUTE p(BLOCK)`: block columns.
-    pub fn block(matrix: CscMatrix, np: usize) -> Self {
+    fn new(matrix: CscMatrix, col_desc: ArrayDescriptor) -> Self {
         assert!(matrix.is_square());
-        let n = matrix.n_cols();
+        let col_ptr = matrix.col_ptr();
+        let flops = (0..col_desc.np())
+            .map(|p| {
+                let nnz: usize = col_desc
+                    .local_runs(p)
+                    .map(|cols| col_ptr[cols.end] - col_ptr[cols.start])
+                    .sum();
+                2 * nnz
+            })
+            .collect();
         ColwiseCsc {
             matrix,
-            col_desc: ArrayDescriptor::block(n, np),
+            col_desc,
+            flops,
         }
+    }
+
+    /// `ALIGN A(*,:) WITH p(:)` + `DISTRIBUTE p(BLOCK)`: block columns.
+    pub fn block(matrix: CscMatrix, np: usize) -> Self {
+        let n = matrix.n_cols();
+        Self::new(matrix, ArrayDescriptor::block(n, np))
     }
 
     /// Columns distributed by explicit cut points.
     pub fn with_col_cuts(matrix: CscMatrix, np: usize, col_cuts: Vec<usize>) -> Self {
-        assert!(matrix.is_square());
         let n = matrix.n_cols();
-        ColwiseCsc {
+        Self::new(
             matrix,
-            col_desc: ArrayDescriptor::new(n, np, DistSpec::IrregularCuts(col_cuts)),
-        }
+            ArrayDescriptor::new(n, np, DistSpec::IrregularCuts(col_cuts)),
+        )
     }
 
     pub fn matrix(&self) -> &CscMatrix {
@@ -276,17 +334,8 @@ impl ColwiseCsc {
     }
 
     /// Flops per processor over its columns.
-    pub fn flops_per_proc(&self) -> Vec<usize> {
-        (0..self.np())
-            .map(|p| {
-                2 * self
-                    .col_desc
-                    .global_indices(p)
-                    .iter()
-                    .map(|&c| self.matrix.col_nnz(c))
-                    .sum::<usize>()
-            })
-            .collect()
+    pub fn flops_per_proc(&self) -> &[usize] {
+        &self.flops
     }
 
     /// The paper's serial Scenario 2 code: element-wise multiplications
@@ -310,10 +359,13 @@ impl ColwiseCsc {
         machine.allgather(words_each, "s2-merge-q");
 
         // Serial compute: dependencies forbid parallel execution.
-        let total_flops: usize = self.flops_per_proc().iter().sum();
+        let total_flops: usize = self.flops.iter().sum();
         machine.compute_serial(total_flops, "s2-serial-matvec");
 
-        let q_global = self.matrix.matvec(&p.to_global()).expect("validated dims");
+        let q_global = self
+            .matrix
+            .matvec(p.global_or_gathered(&mut Vec::new()))
+            .expect("validated dims");
         let q = DistVector::from_global(p.descriptor().clone(), &q_global);
 
         let stats = MatvecStats {
@@ -343,34 +395,36 @@ impl ColwiseCsc {
         let np = self.np();
 
         // Parallel local phase over columns (p is aligned: local reads).
-        machine.compute_all(&self.flops_per_proc(), "s2-local-partial");
+        machine.compute_all(&self.flops, "s2-local-partial");
 
-        // Really compute the per-processor partials.
-        let p_global = p.to_global();
-        let mut partials: Vec<Vec<f64>> = vec![vec![0.0; n]; np];
+        // Really compute the per-processor partials, and SUM them as they
+        // complete: one length-n partial, zeroed per processor and added
+        // into q in rank order — the sum the NP×n temporary would give,
+        // bit for bit, without holding it.
+        let mut gathered = Vec::new();
+        let p_global = p.global_or_gathered(&mut gathered);
+        let mut q_global = vec![0.0; n];
+        let mut partial = vec![0.0; n];
         for proc in 0..np {
-            let part = &mut partials[proc];
-            for &j in &self.col_desc.global_indices(proc) {
+            partial.fill(0.0);
+            for j in self.col_desc.local_runs(proc).flatten() {
                 let pj = p_global[j];
                 if pj == 0.0 {
                     continue;
                 }
                 for (r, v) in self.matrix.col(j) {
-                    part[r] += v * pj;
+                    partial[r] += v * pj;
                 }
+            }
+            for (qi, &v) in q_global.iter_mut().zip(&partial) {
+                *qi += v;
             }
         }
 
         // SUM merge of NP vectors of length n.
         machine.allreduce(n, "s2-sum-merge");
-        machine.compute_all(&vec![n * np / np.max(1); np], "s2-sum-combine");
+        machine.compute_uniform(n * np / np.max(1), "s2-sum-combine");
 
-        let mut q_global = vec![0.0; n];
-        for part in &partials {
-            for (qi, &v) in q_global.iter_mut().zip(part.iter()) {
-                *qi += v;
-            }
-        }
         let q = DistVector::from_global(p.descriptor().clone(), &q_global);
 
         let stats = MatvecStats {
@@ -397,11 +451,12 @@ impl ColwiseCsc {
         assert_eq!(p.len(), n, "operand length mismatch");
         assert_eq!(machine.np(), self.np(), "machine size mismatch");
         let t0 = machine.elapsed();
-        let p_global = p.allgather(machine, "s2t-bcast-p");
-        machine.compute_all(&self.flops_per_proc(), "s2t-local-dots");
+        let mut gathered = Vec::new();
+        let p_global = p.allgather(machine, "s2t-bcast-p", &mut gathered);
+        machine.compute_all(&self.flops, "s2t-local-dots");
         let q_global = self
             .matrix
-            .matvec_transpose(&p_global)
+            .matvec_transpose(p_global)
             .expect("validated dims");
         let q = DistVector::from_global(self.col_desc.clone(), &q_global);
         let stats = MatvecStats {
@@ -429,13 +484,14 @@ pub fn dense_rowwise_matvec(
     let np = machine.np();
     let n = a.n_rows();
     let t0 = machine.elapsed();
-    let p_global = p.allgather(machine, "dense-s1-bcast-p");
+    let mut gathered = Vec::new();
+    let p_global = p.allgather(machine, "dense-s1-bcast-p", &mut gathered);
     let rows = ArrayDescriptor::block(n, np);
     let flops: Vec<usize> = (0..np)
         .map(|pr| 2 * a.n_cols() * rows.local_len(pr))
         .collect();
     machine.compute_all(&flops, "dense-s1-local");
-    let q_global = a.matvec(&p_global).expect("validated dims");
+    let q_global = a.matvec(p_global).expect("validated dims");
     let q = DistVector::from_global(rows, &q_global);
     let stats = MatvecStats {
         broadcast_words: p.len(),
@@ -461,7 +517,9 @@ pub fn dense_colwise_matvec_serial(
     let words_each = n.div_ceil(np);
     machine.allgather(words_each, "dense-s2-merge-q");
     machine.compute_serial(2 * n * a.n_cols(), "dense-s2-serial");
-    let q_global = a.matvec(&p.to_global()).expect("validated dims");
+    let q_global = a
+        .matvec(p.global_or_gathered(&mut Vec::new()))
+        .expect("validated dims");
     let q = DistVector::from_global(p.descriptor().clone(), &q_global);
     let stats = MatvecStats {
         broadcast_words: n,
@@ -698,6 +756,6 @@ mod tests {
             let mean = v.iter().sum::<usize>() as f64 / v.len() as f64;
             max / mean
         };
-        assert!(imb(&fb) <= imb(&fn_), "{} vs {}", imb(&fb), imb(&fn_));
+        assert!(imb(fb) <= imb(fn_), "{} vs {}", imb(fb), imb(fn_));
     }
 }

@@ -32,33 +32,51 @@ use hpf_machine::Machine;
 #[derive(Debug, Clone, PartialEq)]
 pub struct DistVector {
     desc: ArrayDescriptor,
-    local: Vec<Vec<f64>>,
+    /// Every local part back to back, processor 0 first.
+    data: Vec<f64>,
+    /// Processor `p` holds `data[offsets[p]..offsets[p + 1]]`.
+    offsets: Vec<usize>,
+    /// Processor-major order *is* global order (the contiguous layouts:
+    /// `Block`, `BlockK`, `IrregularCuts`), so `data` is the global array.
+    global_order: bool,
 }
 
 impl DistVector {
-    /// Distribute a global vector according to `desc`.
-    pub fn from_global(desc: ArrayDescriptor, global: &[f64]) -> Self {
-        assert_eq!(desc.len(), global.len(), "descriptor/data length mismatch");
-        let local = (0..desc.np())
-            .map(|p| desc.global_indices(p).iter().map(|&g| global[g]).collect())
-            .collect();
-        DistVector { desc, local }
+    /// A vector under `desc` with every element set to `value`.
+    pub fn constant(desc: ArrayDescriptor, value: f64) -> Self {
+        let mut offsets = Vec::with_capacity(desc.np() + 1);
+        offsets.push(0);
+        // Global order: the runs, processor by processor, count up from 0
+        // and stop at n (which a replicated layout overshoots).
+        let mut next = 0;
+        let mut global_order = true;
+        for p in 0..desc.np() {
+            for run in desc.local_runs(p) {
+                global_order &= run.is_empty() || run.start == next;
+                next += run.len();
+            }
+            offsets.push(next);
+        }
+        global_order &= next == desc.len();
+        DistVector {
+            desc,
+            data: vec![value; next],
+            offsets,
+            global_order,
+        }
     }
 
     /// All-zero distributed vector.
     pub fn zeros(desc: ArrayDescriptor) -> Self {
-        let local = (0..desc.np())
-            .map(|p| vec![0.0; desc.local_len(p)])
-            .collect();
-        DistVector { desc, local }
+        Self::constant(desc, 0.0)
     }
 
-    /// Constant-filled distributed vector.
-    pub fn constant(desc: ArrayDescriptor, value: f64) -> Self {
-        let local = (0..desc.np())
-            .map(|p| vec![value; desc.local_len(p)])
-            .collect();
-        DistVector { desc, local }
+    /// Distribute a global vector according to `desc`.
+    pub fn from_global(desc: ArrayDescriptor, global: &[f64]) -> Self {
+        assert_eq!(desc.len(), global.len(), "descriptor/data length mismatch");
+        let mut v = Self::zeros(desc);
+        v.copy_from_global(global);
+        v
     }
 
     pub fn descriptor(&self) -> &ArrayDescriptor {
@@ -75,30 +93,65 @@ impl DistVector {
 
     /// Local part of processor `p`.
     pub fn local(&self, p: usize) -> &[f64] {
-        &self.local[p]
+        &self.data[self.offsets[p]..self.offsets[p + 1]]
     }
 
     /// Mutable local part of processor `p`.
-    pub fn local_mut(&mut self, p: usize) -> &mut Vec<f64> {
-        &mut self.local[p]
+    pub fn local_mut(&mut self, p: usize) -> &mut [f64] {
+        &mut self.data[self.offsets[p]..self.offsets[p + 1]]
+    }
+
+    /// The whole vector in global order, when that is how it is stored
+    /// (the contiguous layouts) — a replicated copy for free.
+    pub(crate) fn as_global(&self) -> Option<&[f64]> {
+        self.global_order.then_some(&self.data[..])
+    }
+
+    /// Mutable counterpart of `as_global`.
+    pub(crate) fn as_global_mut(&mut self) -> Option<&mut [f64]> {
+        self.global_order.then_some(&mut self.data[..])
+    }
+
+    /// Write the vector in global order into `out` (does not charge the
+    /// machine). Contiguous layouts copy one slice per processor; only
+    /// the cyclic ones walk their blocks.
+    fn copy_to_global(&self, out: &mut [f64]) {
+        assert_eq!(out.len(), self.len(), "global buffer length mismatch");
+        for p in 0..self.desc.np() {
+            let mut at = self.offsets[p];
+            for run in self.desc.local_runs(p) {
+                let len = run.len();
+                out[run].copy_from_slice(&self.data[at..at + len]);
+                at += len;
+            }
+        }
+    }
+
+    /// Overwrite the vector from a global array (the inverse of
+    /// `copy_to_global`).
+    fn copy_from_global(&mut self, global: &[f64]) {
+        assert_eq!(global.len(), self.len(), "global buffer length mismatch");
+        for p in 0..self.desc.np() {
+            let mut at = self.offsets[p];
+            for run in self.desc.local_runs(p) {
+                let len = run.len();
+                self.data[at..at + len].copy_from_slice(&global[run]);
+                at += len;
+            }
+        }
     }
 
     /// Gather the vector back to a global array (test/inspection path;
     /// does not charge the machine).
     pub fn to_global(&self) -> Vec<f64> {
         let mut out = vec![0.0; self.desc.len()];
-        for p in 0..self.desc.np() {
-            for (off, &g) in self.desc.global_indices(p).iter().enumerate() {
-                out[g] = self.local[p][off];
-            }
-        }
+        self.copy_to_global(&mut out);
         out
     }
 
     /// Read one global element (owner lookup; free, for tests).
     pub fn get(&self, i: usize) -> f64 {
-        let p = self.desc.owner(i);
-        self.local[p][self.desc.local_offset(i)]
+        self.local(self.desc.owner(i))[self.desc.local_offset(i)]
     }
 
     fn assert_aligned(&self, other: &DistVector, op: &str) {
@@ -109,12 +162,11 @@ impl DistVector {
         );
     }
 
-    /// Per-processor local lengths (the flop distribution of element-wise
-    /// ops).
-    fn local_flops(&self, per_element: usize) -> Vec<usize> {
-        (0..self.desc.np())
-            .map(|p| per_element * self.local[p].len())
-            .collect()
+    /// Charge an element-wise phase: `per_element` flops for every
+    /// element a processor holds.
+    fn charge_elementwise(&self, machine: &mut Machine, per_element: usize, label: &str) {
+        let offsets = &self.offsets;
+        machine.compute_each(|p| per_element * (offsets[p + 1] - offsets[p]), label);
     }
 
     // ------------------------------------------------------------------
@@ -125,52 +177,39 @@ impl DistVector {
     /// `x = x + alpha*p` / `r = r - alpha*q` lines.
     pub fn axpy(&mut self, machine: &mut Machine, alpha: f64, x: &DistVector) {
         self.assert_aligned(x, "axpy");
-        for p in 0..self.desc.np() {
-            for (s, &v) in self.local[p].iter_mut().zip(x.local[p].iter()) {
-                *s += alpha * v;
-            }
+        for (s, &v) in self.data.iter_mut().zip(&x.data) {
+            *s += alpha * v;
         }
-        let flops = self.local_flops(2);
-        machine.compute_all(&flops, "saxpy");
+        self.charge_elementwise(machine, 2, "saxpy");
     }
 
     /// `self = beta * self + x` — the SAYPX of the paper's
     /// `p = beta*p + r` line.
     pub fn aypx(&mut self, machine: &mut Machine, beta: f64, x: &DistVector) {
         self.assert_aligned(x, "aypx");
-        for p in 0..self.desc.np() {
-            for (s, &v) in self.local[p].iter_mut().zip(x.local[p].iter()) {
-                *s = beta * *s + v;
-            }
+        for (s, &v) in self.data.iter_mut().zip(&x.data) {
+            *s = beta * *s + v;
         }
-        let flops = self.local_flops(2);
-        machine.compute_all(&flops, "saypx");
+        self.charge_elementwise(machine, 2, "saypx");
     }
 
     /// `self = alpha * self`.
     pub fn scale(&mut self, machine: &mut Machine, alpha: f64) {
-        for p in 0..self.desc.np() {
-            for s in self.local[p].iter_mut() {
-                *s *= alpha;
-            }
+        for s in &mut self.data {
+            *s *= alpha;
         }
-        let flops = self.local_flops(1);
-        machine.compute_all(&flops, "scale");
+        self.charge_elementwise(machine, 1, "scale");
     }
 
     /// Element-wise copy (aligned, communication-free).
     pub fn copy_from(&mut self, other: &DistVector) {
         self.assert_aligned(other, "copy");
-        for p in 0..self.desc.np() {
-            self.local[p].clone_from(&other.local[p]);
-        }
+        self.data.copy_from_slice(&other.data);
     }
 
     /// Set every element to `v` (HPF `q = 0.0` style array assignment).
     pub fn fill(&mut self, v: f64) {
-        for part in &mut self.local {
-            part.iter_mut().for_each(|x| *x = v);
-        }
+        self.data.fill(v);
     }
 
     /// Element-wise combine with an arbitrary function (aligned).
@@ -183,13 +222,10 @@ impl DistVector {
         f: impl Fn(f64, f64) -> f64,
     ) {
         self.assert_aligned(other, "zip_apply");
-        for p in 0..self.desc.np() {
-            for (s, &v) in self.local[p].iter_mut().zip(other.local[p].iter()) {
-                *s = f(*s, v);
-            }
+        for (s, &v) in self.data.iter_mut().zip(&other.data) {
+            *s = f(*s, v);
         }
-        let flops = self.local_flops(flops_per_element);
-        machine.compute_all(&flops, label);
+        self.charge_elementwise(machine, flops_per_element, label);
     }
 
     // ------------------------------------------------------------------
@@ -205,50 +241,68 @@ impl DistVector {
     /// `t_startup * log N_P` on the hypercube.
     pub fn dot(&self, machine: &mut Machine, other: &DistVector) -> f64 {
         self.assert_aligned(other, "dot");
-        let mut partials = Vec::with_capacity(self.desc.np());
-        for p in 0..self.desc.np() {
-            let s: f64 = self.local[p]
-                .iter()
-                .zip(other.local[p].iter())
-                .map(|(a, b)| a * b)
-                .sum();
-            partials.push(s);
-        }
-        let flops = self.local_flops(2);
-        machine.compute_all(&flops, "dot-local");
+        // Deterministic merge order: one partial sum per processor, added
+        // in processor rank order.
+        let merged: f64 = (0..self.desc.np())
+            .map(|p| -> f64 {
+                self.local(p)
+                    .iter()
+                    .zip(other.local(p))
+                    .map(|(a, b)| a * b)
+                    .sum()
+            })
+            .sum();
+        self.charge_elementwise(machine, 2, "dot-local");
         machine.allreduce(1, "dot-merge");
-        // Deterministic merge order: processor rank order. The merged
-        // scalar passes through the fault layer: an armed corruption
-        // (bit flip, crash) lands here, exactly where a real machine
-        // would deliver a damaged reduction result.
-        machine.corrupt_scalar(partials.iter().sum())
+        // The merged scalar passes through the fault layer: an armed
+        // corruption (bit flip, crash) lands here, exactly where a real
+        // machine would deliver a damaged reduction result.
+        machine.corrupt_scalar(merged)
     }
 
     /// HPF `SUM(self)` intrinsic: local sums + scalar merge.
     pub fn sum(&self, machine: &mut Machine) -> f64 {
         let mut total = 0.0;
         for p in 0..self.desc.np() {
-            total += self.local[p].iter().sum::<f64>();
+            total += self.local(p).iter().sum::<f64>();
         }
-        let flops = self.local_flops(1);
-        machine.compute_all(&flops, "sum-local");
+        self.charge_elementwise(machine, 1, "sum-local");
         machine.allreduce(1, "sum-merge");
         machine.corrupt_scalar(total)
     }
 
     /// Euclidean norm via `DOT_PRODUCT` (plus one scalar sqrt).
     pub fn norm2(&self, machine: &mut Machine) -> f64 {
-        self.dot(machine, &self.clone()).sqrt()
+        self.dot(machine, self).sqrt()
     }
 
     /// Replicate the whole vector on every processor via an all-to-all
     /// broadcast (allgather) — the operation Scenario 1's matvec needs.
-    /// Returns the replicated global array and charges
-    /// `t_startup*log NP + t_word*(NP-1)*n/NP`.
-    pub fn allgather(&self, machine: &mut Machine, label: &str) -> Vec<f64> {
+    /// Charges `t_startup*log NP + t_word*(NP-1)*n/NP` and returns the
+    /// replicated global array: the vector's own storage when that is
+    /// already in global order, else gathered into `scratch`.
+    pub fn allgather<'a>(
+        &'a self,
+        machine: &mut Machine,
+        label: &str,
+        scratch: &'a mut Vec<f64>,
+    ) -> &'a [f64] {
         let words_each = self.desc.len().div_ceil(self.desc.np().max(1));
         machine.allgather(words_each, label);
-        self.to_global()
+        self.global_or_gathered(scratch)
+    }
+
+    /// The vector in global order without charging the machine: borrowed
+    /// when stored that way, else gathered into `scratch`.
+    pub(crate) fn global_or_gathered<'a>(&'a self, scratch: &'a mut Vec<f64>) -> &'a [f64] {
+        match self.as_global() {
+            Some(stored) => stored,
+            None => {
+                scratch.resize(self.len(), 0.0);
+                self.copy_to_global(scratch);
+                scratch
+            }
+        }
     }
 
     /// `!HPF$ REDISTRIBUTE` at the data level: move this vector to a new
@@ -269,8 +323,15 @@ impl DistVector {
             return;
         }
         hpf_dist::redistribute::redistribute(machine, &self.desc, &to, label);
-        self.local = hpf_dist::redistribute::permute_local_data(&self.desc, &to, &self.local);
-        self.desc = to;
+        let local: Vec<Vec<f64>> = (0..self.desc.np())
+            .map(|p| self.local(p).to_vec())
+            .collect();
+        let moved = hpf_dist::redistribute::permute_local_data(&self.desc, &to, &local);
+        let mut out = Self::zeros(to);
+        for (p, part) in moved.iter().enumerate() {
+            out.local_mut(p).copy_from_slice(part);
+        }
+        *self = out;
     }
 }
 
@@ -384,8 +445,14 @@ mod tests {
         let mut m = machine(4);
         let d = ArrayDescriptor::block(32, 4);
         let v = DistVector::from_global(d, &vec_of(32, |i| i as f64));
-        let g = v.allgather(&mut m, "bcast-p");
-        assert_eq!(g, vec_of(32, |i| i as f64));
+        let want = vec_of(32, |i| i as f64);
+        let mut scratch = Vec::new();
+        assert_eq!(v.allgather(&mut m, "bcast-p", &mut scratch), want);
+        // A block layout is its own replicated copy; a cyclic one gathers.
+        assert!(scratch.is_empty());
+        let c = DistVector::from_global(ArrayDescriptor::cyclic(32, 4), &want);
+        let mut quiet = machine(4);
+        assert_eq!(c.allgather(&mut quiet, "bcast-p", &mut scratch), want);
         assert_eq!(m.trace().count(EventKind::AllGather), 1);
         assert!(m.trace().with_label("bcast-p").next().unwrap().words == 32);
     }

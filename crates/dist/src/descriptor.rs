@@ -182,28 +182,30 @@ impl ArrayDescriptor {
 
     /// Global indices owned by processor `p`, in local-storage order.
     pub fn global_indices(&self, p: usize) -> Vec<usize> {
+        self.local_runs(p).flatten().collect()
+    }
+
+    /// The maximal runs of consecutive global indices processor `p`
+    /// holds, in local-storage order: one run for the contiguous layouts,
+    /// one per owned block for the cyclic ones. Builds nothing.
+    pub fn local_runs(&self, p: usize) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
         assert!(p < self.np);
-        match &self.spec {
-            DistSpec::Block | DistSpec::BlockK(_) => {
-                let bs = self.block_size();
-                ((p * bs).min(self.n)..((p + 1) * bs).min(self.n)).collect()
-            }
-            DistSpec::Cyclic => (p..self.n).step_by(self.np).collect(),
-            DistSpec::CyclicK(k) => {
-                let blocks = self.n.div_ceil(*k);
-                let mut out = Vec::with_capacity(self.local_len(p));
-                let mut b = p;
-                while b < blocks {
-                    let start = b * k;
-                    let end = ((b + 1) * k).min(self.n);
-                    out.extend(start..end);
-                    b += self.np;
-                }
-                out
-            }
-            DistSpec::Replicated => (0..self.n).collect(),
-            DistSpec::IrregularCuts(cuts) => (cuts[p]..cuts[p + 1]).collect(),
-        }
+        let contiguous = self.contiguous_range(p);
+        let k = match self.spec {
+            DistSpec::CyclicK(k) => k,
+            _ => 1,
+        };
+        // A contiguous layout is walked as the single "block" `p`.
+        let blocks = match contiguous {
+            Some(_) => p + 1,
+            None => self.n.div_ceil(k),
+        };
+        (p..blocks)
+            .step_by(self.np)
+            .map(move |b| match &contiguous {
+                Some(r) => r.clone(),
+                None => b * k..((b + 1) * k).min(self.n),
+            })
     }
 
     /// Contiguous global range `[start, end)` owned by `p`, if the layout
@@ -234,6 +236,16 @@ impl ArrayDescriptor {
         }
         if self.spec == other.spec {
             return true;
+        }
+        // Two layouts that tile `0..n` in rank order agree exactly when
+        // every processor's range does (an empty range sits where its
+        // predecessor ends, in either form). `Replicated` overlaps
+        // instead of tiling, so it takes the walk.
+        let tiles = |d: &ArrayDescriptor| {
+            !matches!(d.spec, DistSpec::Replicated) && d.contiguous_range(0).is_some()
+        };
+        if tiles(self) && tiles(other) {
+            return (0..self.np).all(|p| self.contiguous_range(p) == other.contiguous_range(p));
         }
         (0..self.n).all(|i| self.owner(i) == other.owner(i))
     }
@@ -343,6 +355,34 @@ mod tests {
         assert!(!a.same_layout(&c));
         let cuts = ArrayDescriptor::new(12, 4, DistSpec::IrregularCuts(vec![0, 3, 6, 9, 12]));
         assert!(a.same_layout(&cuts));
+    }
+
+    #[test]
+    fn same_layout_compares_ranges_not_forms() {
+        let block = ArrayDescriptor::block(10, 4); // 0..3, 3..6, 6..9, 9..10
+        let cuts = |c: Vec<usize>| ArrayDescriptor::new(10, 4, DistSpec::IrregularCuts(c));
+        assert!(block.same_layout(&cuts(vec![0, 3, 6, 9, 10])));
+        assert!(!block.same_layout(&cuts(vec![0, 3, 6, 8, 10])));
+        let a = cuts(vec![0, 5, 5, 5, 10]);
+        let b = cuts(vec![0, 5, 7, 7, 10]);
+        assert!(!a.same_layout(&b));
+        // A replicated array overlaps instead of tiling: owner walk.
+        let rep = ArrayDescriptor::replicated(10, 2);
+        let all_on_zero = ArrayDescriptor::new(10, 2, DistSpec::IrregularCuts(vec![0, 10, 10]));
+        assert!(rep.same_layout(&all_on_zero));
+    }
+
+    #[test]
+    fn local_runs_cover_global_indices_in_storage_order() {
+        let d = ArrayDescriptor::new(11, 3, DistSpec::CyclicK(2));
+        let runs: Vec<_> = d.local_runs(1).collect();
+        assert_eq!(runs, vec![2..4, 8..10]);
+        assert_eq!(d.global_indices(2), vec![4, 5, 10]);
+        let b = ArrayDescriptor::block(10, 4);
+        assert_eq!(b.local_runs(3).collect::<Vec<_>>(), vec![9..10]);
+        let c = ArrayDescriptor::cyclic(5, 8); // n < NP
+        assert_eq!(c.local_runs(6).count(), 0);
+        assert_eq!(c.local_runs(4).collect::<Vec<_>>(), vec![4..5]);
     }
 
     #[test]

@@ -493,15 +493,44 @@ impl Machine {
         label: &str,
         proc_times: Vec<f64>,
     ) {
-        if !self.tracing {
-            // Sink-only recording: let the sink veto via its cheap
-            // pre-filter before we pay for the span-path join below.
-            match &self.sink {
-                None => return,
-                Some(sink) if !sink.wants(kind) => return,
-                Some(_) => {}
-            }
+        if self.will_record(kind) {
+            self.push_event(
+                kind,
+                participants,
+                words,
+                payload,
+                hops,
+                flops,
+                time,
+                start,
+                label,
+                proc_times,
+            );
         }
+    }
+
+    /// Will an event of `kind` be kept — by the trace, or by a sink whose
+    /// cheap pre-filter wants it? Asked once per operation, before
+    /// anything is built for the event (the span-path join, the label
+    /// clone, per-processor times).
+    fn will_record(&self, kind: EventKind) -> bool {
+        self.tracing || self.sink.as_ref().is_some_and(|sink| sink.wants(kind))
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn push_event(
+        &mut self,
+        kind: EventKind,
+        participants: usize,
+        words: usize,
+        payload: usize,
+        hops: usize,
+        flops: usize,
+        time: f64,
+        start: f64,
+        label: &str,
+        proc_times: Vec<f64>,
+    ) {
         let event = Event {
             kind,
             participants,
@@ -554,41 +583,53 @@ impl Machine {
             self.np,
             "one flop count per processor"
         );
+        self.compute_each(|p| flops_per_proc[p], label)
+    }
+
+    /// [`Machine::compute_all`] with the flop count of processor `p`
+    /// given by `flops_of(p)`, for callers that can compute the counts
+    /// without building a vector of them.
+    pub fn compute_each(&mut self, flops_of: impl Fn(usize) -> usize, label: &str) -> f64 {
         self.begin_op();
         // The phase begins at the earliest participant's clock; together
         // with `proc_times` that places each processor's slice on the
         // reconstructed timeline.
         let start = self.clocks.iter().cloned().fold(f64::INFINITY, f64::min);
+        let record = self.will_record(EventKind::Compute);
         let mut max_t: f64 = 0.0;
         let mut total = 0usize;
-        let mut per_proc = Vec::with_capacity(self.np);
-        for (p, &f) in flops_per_proc.iter().enumerate() {
+        let mut per_proc = Vec::with_capacity(if record { self.np } else { 0 });
+        for p in 0..self.np {
+            let f = flops_of(p);
             self.stats[p].flops += f as u64;
             let t = self.cost.flops(f) * self.skew_factor(p);
             self.clocks[p] += t;
             max_t = max_t.max(t);
             total += f;
-            per_proc.push(t);
+            if record {
+                per_proc.push(t);
+            }
         }
-        self.record_at(
-            EventKind::Compute,
-            self.np,
-            0,
-            0,
-            0,
-            total,
-            max_t,
-            start,
-            label,
-            per_proc,
-        );
+        if record {
+            self.push_event(
+                EventKind::Compute,
+                self.np,
+                0,
+                0,
+                0,
+                total,
+                max_t,
+                start,
+                label,
+                per_proc,
+            );
+        }
         max_t
     }
 
     /// Charge a uniform compute phase of `flops_each` on every processor.
     pub fn compute_uniform(&mut self, flops_each: usize, label: &str) -> f64 {
-        let v = vec![flops_each; self.np];
-        self.compute_all(&v, label)
+        self.compute_each(|_| flops_each, label)
     }
 
     /// Charge a *serial* compute phase: the work cannot be parallelised

@@ -12,7 +12,9 @@
 //! The stack is thread-local, so concurrent solves on worker threads
 //! (the `hpf-service` pool) each carry their own paths with zero
 //! synchronisation. The fast path — no spans entered — is a single
-//! thread-local borrow returning an empty string.
+//! thread-local borrow returning an empty string. Entering a span with a
+//! literal name, or an iteration span ([`enter_iter`]), allocates
+//! nothing: text is only built when a path is asked for.
 //!
 //! ```
 //! use hpf_machine::span;
@@ -27,10 +29,29 @@
 //! assert_eq!(span::current_path(), "solve");
 //! ```
 
+use std::borrow::Cow;
 use std::cell::RefCell;
+use std::fmt::Write;
+
+/// One entry of the stack. Iteration spans keep their number and are
+/// formatted (`iter=<k>`) only where a path is built.
+#[derive(Debug)]
+enum Segment {
+    Text(Cow<'static, str>),
+    Iter(usize),
+}
 
 thread_local! {
-    static STACK: RefCell<Vec<String>> = const { RefCell::new(Vec::new()) };
+    static STACK: RefCell<Vec<Segment>> = const { RefCell::new(Vec::new()) };
+}
+
+fn push(segment: Segment) -> ScopeGuard {
+    let depth = STACK.with(|s| {
+        let mut s = s.borrow_mut();
+        s.push(segment);
+        s.len()
+    });
+    ScopeGuard { depth }
 }
 
 /// A named span segment, ready to be entered. Mostly useful when a span
@@ -38,16 +59,16 @@ thread_local! {
 /// case use the free function [`enter`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Span {
-    segment: String,
+    segment: Cow<'static, str>,
 }
 
 impl Span {
     /// Create a span with one path segment. Slashes are replaced by `:`
     /// so a segment can never fake extra path levels.
-    pub fn new(segment: impl Into<String>) -> Self {
+    pub fn new(segment: impl Into<Cow<'static, str>>) -> Self {
         let mut segment = segment.into();
         if segment.contains('/') {
-            segment = segment.replace('/', ":");
+            segment = Cow::Owned(segment.replace('/', ":"));
         }
         Span { segment }
     }
@@ -59,12 +80,7 @@ impl Span {
     /// Push this span onto the current thread's stack; it pops when the
     /// returned guard drops.
     pub fn enter(self) -> ScopeGuard {
-        let depth = STACK.with(|s| {
-            let mut s = s.borrow_mut();
-            s.push(self.segment);
-            s.len()
-        });
-        ScopeGuard { depth }
+        push(Segment::Text(self.segment))
     }
 }
 
@@ -86,14 +102,46 @@ impl Drop for ScopeGuard {
 }
 
 /// Enter a span scope: `let _g = span::enter("solve");`.
-pub fn enter(segment: impl Into<String>) -> ScopeGuard {
+pub fn enter(segment: impl Into<Cow<'static, str>>) -> ScopeGuard {
     Span::new(segment).enter()
+}
+
+/// Enter the span of solver iteration `k`; its path segment reads
+/// `iter=<k>`, exactly as `enter(format!("iter={k}"))` would.
+pub fn enter_iter(k: usize) -> ScopeGuard {
+    push(Segment::Iter(k))
 }
 
 /// The current span path — segments joined with `/`, empty when no span
 /// is active. This is the string stamped on every traced [`crate::Event`].
 pub fn current_path() -> String {
-    STACK.with(|s| s.borrow().join("/"))
+    STACK.with(|s| {
+        let stack = s.borrow();
+        // Exact size up front, as `join` had: one allocation, no slack
+        // kept alive in a stored trace.
+        let len: usize = stack
+            .iter()
+            .map(|seg| match seg {
+                Segment::Text(t) => t.len() + 1,
+                Segment::Iter(k) => "iter=".len() + decimal_digits(*k) + 1,
+            })
+            .sum();
+        let mut path = String::with_capacity(len.saturating_sub(1));
+        for (i, seg) in stack.iter().enumerate() {
+            if i > 0 {
+                path.push('/');
+            }
+            match seg {
+                Segment::Text(t) => path.push_str(t),
+                Segment::Iter(k) => write!(path, "iter={k}").expect("writing to a String"),
+            }
+        }
+        path
+    })
+}
+
+fn decimal_digits(k: usize) -> usize {
+    k.checked_ilog10().map_or(1, |d| d as usize + 1)
 }
 
 /// Number of active spans on this thread.
@@ -107,9 +155,10 @@ pub fn depth() -> usize {
 /// so head-sampled-out jobs pay no allocation per machine operation.
 pub fn current_trace() -> Option<u64> {
     STACK.with(|s| {
-        s.borrow()
-            .iter()
-            .find_map(|seg| u64::from_str_radix(seg.strip_prefix("trace=")?, 16).ok())
+        s.borrow().iter().find_map(|seg| match seg {
+            Segment::Text(t) => u64::from_str_radix(t.strip_prefix("trace=")?, 16).ok(),
+            Segment::Iter(_) => None,
+        })
     })
 }
 
@@ -152,6 +201,29 @@ mod tests {
             assert_eq!(depth(), 3);
         }
         assert_eq!(current_path(), "solve");
+    }
+
+    #[test]
+    fn iteration_spans_read_like_formatted_ones() {
+        let _a = enter("solve");
+        let by_number = {
+            let _i = enter_iter(12);
+            let _m = enter("matvec");
+            current_path()
+        };
+        let by_text = {
+            let _i = enter(format!("iter={}", 12));
+            let _m = enter("matvec");
+            current_path()
+        };
+        assert_eq!(by_number, "solve/iter=12/matvec");
+        assert_eq!(by_number, by_text);
+        let _i = enter_iter(3);
+        assert_eq!(current_trace(), None);
+        for k in [0, 9, 10, 99, 100, 12_345] {
+            let _k = enter_iter(k);
+            assert!(current_path().ends_with(&format!("/iter=3/iter={k}")));
+        }
     }
 
     #[test]

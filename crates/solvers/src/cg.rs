@@ -38,6 +38,57 @@ pub(crate) fn check_breakdown(what: &'static str, v: f64) -> Result<(), SolverEr
     }
 }
 
+/// The CG update fused with the reduction that reads its result: one
+/// pass does `x += alpha*p`, `r -= alpha*q` and `r·r` (a partial sum per
+/// processor, merged in rank order). Arithmetic and bits are those of
+/// `x.axpy(alpha, p); r.axpy(-alpha, q); r.dot(r)`, and the machine is
+/// charged those same four operations one by one under the spans the
+/// separate calls ran in — `saxpy`, `saxpy` under `axpy`; `dot-local`,
+/// `dot-merge` under `dot` — before the merged scalar passes through the
+/// fault layer, as [`DistVector::dot`]'s does. A fused kernel may save
+/// memory traffic, never simulated cost.
+pub(crate) fn update_x_r_and_dot_rr(
+    machine: &mut Machine,
+    alpha: f64,
+    x: &mut DistVector,
+    p: &DistVector,
+    r: &mut DistVector,
+    q: &DistVector,
+) -> f64 {
+    for other in [p, &*r, q] {
+        assert!(
+            x.descriptor().same_layout(other.descriptor()),
+            "axpy: operands must be aligned (identical layouts); \
+             realign with ALIGN/REDISTRIBUTE first"
+        );
+    }
+    let np = x.descriptor().np();
+    let neg_alpha = -alpha;
+    let merged: f64 = (0..np)
+        .map(|proc| -> f64 {
+            let xr = x.local_mut(proc).iter_mut().zip(r.local_mut(proc));
+            let pq = p.local(proc).iter().zip(q.local(proc));
+            xr.zip(pq)
+                .map(|((xi, ri), (&pi, &qi))| {
+                    *xi += alpha * pi;
+                    *ri += neg_alpha * qi;
+                    *ri * *ri
+                })
+                .sum()
+        })
+        .sum();
+    let flops = |proc: usize| 2 * x.local(proc).len();
+    {
+        let _s = span::enter("axpy");
+        machine.compute_each(flops, "saxpy");
+        machine.compute_each(flops, "saxpy");
+    }
+    let _s = span::enter("dot");
+    machine.compute_each(flops, "dot-local");
+    machine.allreduce(1, "dot-merge");
+    machine.corrupt_scalar(merged)
+}
+
 pub(crate) fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b.iter()).map(|(x, y)| x * y).sum()
 }
@@ -203,13 +254,17 @@ pub fn cg_distributed_with_observer<A: DistOperator + ?Sized>(
         return Ok((x, stats));
     }
 
+    // q and the product's scratch live as long as the solve: a
+    // steady-state iteration allocates nothing.
+    let mut q = DistVector::zeros(desc);
+    let mut scratch = Vec::new();
     let mut mark = MachineMark::take(machine);
     for k in 0..max_iters {
-        let _iter_span = span::enter(format!("iter={k}"));
-        let q = {
+        let _iter_span = span::enter_iter(k);
+        {
             let _s = span::enter("matvec");
-            a.apply(machine, &p)
-        };
+            a.apply_into(machine, &p, &mut q, &mut scratch);
+        }
         stats.matvecs += 1;
         let pq = {
             let _s = span::enter("dot");
@@ -218,16 +273,9 @@ pub fn cg_distributed_with_observer<A: DistOperator + ?Sized>(
         stats.dots += 1;
         check_breakdown("p.Ap", pq)?;
         let alpha = rho / pq;
-        {
-            let _s = span::enter("axpy");
-            x.axpy(machine, alpha, &p); // x = x + alpha p
-            r.axpy(machine, -alpha, &q); // r = r - alpha q
-        }
+        // x = x + alpha p, r = r - alpha q and rho = r.r in one pass.
+        let rho_new = update_x_r_and_dot_rr(machine, alpha, &mut x, &p, &mut r, &q);
         stats.axpys += 2;
-        let rho_new = {
-            let _s = span::enter("dot");
-            r.dot(machine, &r)
-        };
         stats.dots += 1;
         stats.iterations += 1;
         stats.residual_norm = rho_new.sqrt();

@@ -7,7 +7,7 @@
 //! storage distribution optimisations made on the basis of row access
 //! vs. column access will be negated with the use of BiCG").
 
-use crate::cg::check_breakdown;
+use crate::cg::{check_breakdown, update_x_r_and_dot_rr};
 use crate::error::SolverError;
 use crate::observer::{IterObserver, IterSample, MachineMark, NullObserver};
 use crate::operator::DistOperator;
@@ -69,7 +69,7 @@ pub fn bicg_distributed_with_observer<A: DistOperator + ?Sized>(
 
     let mut mark = MachineMark::take(machine);
     for k in 0..max_iters {
-        let _iter_span = span::enter(format!("iter={k}"));
+        let _iter_span = span::enter_iter(k);
         check_breakdown("rho", rho)?;
         let q = {
             let _s = span::enter("matvec");
@@ -176,7 +176,7 @@ pub fn bicgstab_distributed_with_observer<A: DistOperator + ?Sized>(
 
     let mut mark = MachineMark::take(machine);
     for k in 0..max_iters {
-        let _iter_span = span::enter(format!("iter={k}"));
+        let _iter_span = span::enter_iter(k);
         check_breakdown("rho", rho)?;
         let v = {
             let _s = span::enter("matvec");
@@ -350,8 +350,7 @@ where
     let b = DistVector::from_global(desc.clone(), b_global);
     let mut x = DistVector::zeros(desc.clone());
     let mut r = b.clone();
-    let precondition = |machine: &mut Machine, r: &DistVector| m.apply(machine, r);
-    let mut z = precondition(machine, &r);
+    let mut z = m.apply(machine, &r);
     let mut p = z.clone();
     let b_norm = b.dot(machine, &b).sqrt();
     stats.dots += 1;
@@ -365,13 +364,16 @@ where
         return Ok((x, stats));
     }
 
+    // q, z and the product's scratch live as long as the solve.
+    let mut q = DistVector::zeros(desc);
+    let mut scratch = Vec::new();
     let mut mark = MachineMark::take(machine);
     for k in 0..max_iters {
-        let _iter_span = span::enter(format!("iter={k}"));
-        let q = {
+        let _iter_span = span::enter_iter(k);
+        {
             let _s = span::enter("matvec");
-            a.apply(machine, &p)
-        };
+            a.apply_into(machine, &p, &mut q, &mut scratch);
+        }
         stats.matvecs += 1;
         let pq = {
             let _s = span::enter("dot");
@@ -380,17 +382,11 @@ where
         stats.dots += 1;
         check_breakdown("p.Ap", pq)?;
         let alpha = rho / pq;
-        {
-            let _s = span::enter("axpy");
-            x.axpy(machine, alpha, &p);
-            r.axpy(machine, -alpha, &q);
-        }
+        // x = x + alpha p, r = r - alpha q and r.r in one pass.
+        let rr = update_x_r_and_dot_rr(machine, alpha, &mut x, &p, &mut r, &q);
         stats.axpys += 2;
         stats.iterations += 1;
-        stats.residual_norm = {
-            let _s = span::enter("dot");
-            r.dot(machine, &r).sqrt()
-        };
+        stats.residual_norm = rr.sqrt();
         stats.dots += 1;
         let (d_flops, d_words) = mark.delta(machine);
         let sim_time = machine.elapsed();
@@ -412,10 +408,10 @@ where
             stats.converged = true;
             return Ok((x, stats));
         }
-        z = {
+        {
             let _s = span::enter("precondition");
-            precondition(machine, &r)
-        };
+            m.apply_into(machine, &r, &mut z);
+        }
         let rho_new = r.dot(machine, &z);
         stats.dots += 1;
         check_breakdown("rho", rho)?;
@@ -519,7 +515,7 @@ pub fn gmres_distributed_with_observer<A: DistOperator + ?Sized>(
             if stats.iterations >= max_iters {
                 break;
             }
-            let _iter_span = span::enter(format!("iter={}", stats.iterations));
+            let _iter_span = span::enter_iter(stats.iterations);
             let mut w = {
                 let _s = span::enter("matvec");
                 a.apply(machine, &v[j])

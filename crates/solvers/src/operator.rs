@@ -72,6 +72,24 @@ pub trait DistOperator {
     fn dim(&self) -> usize;
     /// `q = A p`, charging the machine.
     fn apply(&self, machine: &mut Machine, p: &DistVector) -> DistVector;
+    /// `q = A p` into a `q` the solve keeps from one iteration to the
+    /// next (overwritten; same descriptor as [`DistOperator::descriptor`]).
+    /// `scratch` is a buffer the solve owns and lends to every product —
+    /// operators are shared and immutable, so whatever a product must
+    /// build (a gathered copy of a cyclic `p`) lives there. Charges the
+    /// machine exactly as [`DistOperator::apply`] does, which is also the
+    /// default implementation; operators that can write in place
+    /// override it and make `apply` the wrapper.
+    fn apply_into(
+        &self,
+        machine: &mut Machine,
+        p: &DistVector,
+        q: &mut DistVector,
+        scratch: &mut Vec<f64>,
+    ) {
+        let _ = scratch;
+        *q = self.apply(machine, p);
+    }
     /// `q = Aᵀ p`, charging the machine — needed by distributed BiCG.
     /// Per the paper's §2.1, the cost of this direction is layout-
     /// dependent: cheap through a column layout, expensive through a row
@@ -89,6 +107,15 @@ impl DistOperator for RowwiseCsr {
     }
     fn apply(&self, machine: &mut Machine, p: &DistVector) -> DistVector {
         self.matvec(machine, p).0
+    }
+    fn apply_into(
+        &self,
+        machine: &mut Machine,
+        p: &DistVector,
+        q: &mut DistVector,
+        scratch: &mut Vec<f64>,
+    ) {
+        self.matvec_into(machine, p, q, scratch);
     }
     fn apply_transpose(&self, machine: &mut Machine, p: &DistVector) -> DistVector {
         self.matvec_transpose(machine, p).0

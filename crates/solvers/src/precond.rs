@@ -25,6 +25,12 @@ use hpf_machine::Machine;
 pub trait DistPreconditioner {
     /// Apply `M⁻¹` to a residual, returning `z` on the same descriptor.
     fn apply(&self, machine: &mut Machine, r: &DistVector) -> DistVector;
+    /// Apply `M⁻¹` into a `z` the solve keeps between iterations
+    /// (overwritten). Defaults to [`DistPreconditioner::apply`];
+    /// preconditioners that can write in place override it.
+    fn apply_into(&self, machine: &mut Machine, r: &DistVector, z: &mut DistVector) {
+        *z = self.apply(machine, r);
+    }
     /// Short name for telemetry and report rows.
     fn name(&self) -> &'static str;
 }
@@ -58,9 +64,13 @@ impl JacobiPreconditioner {
 
 impl DistPreconditioner for JacobiPreconditioner {
     fn apply(&self, machine: &mut Machine, r: &DistVector) -> DistVector {
-        let mut z = r.clone();
-        z.zip_apply(machine, &self.inv_diag, 1, "jacobi-apply", |ri, di| ri * di);
+        let mut z = DistVector::zeros(r.descriptor().clone());
+        self.apply_into(machine, r, &mut z);
         z
+    }
+    fn apply_into(&self, machine: &mut Machine, r: &DistVector, z: &mut DistVector) {
+        z.copy_from(r);
+        z.zip_apply(machine, &self.inv_diag, 1, "jacobi-apply", |ri, di| ri * di);
     }
     fn name(&self) -> &'static str {
         "jacobi"

@@ -232,27 +232,30 @@ fn protected_cg_core<A: DistOperator + ?Sized>(
     let mut rec = RecoveryStats::default();
     let mut monitor = ResidualMonitor::new(stop);
 
-    // z = M^-1 r, identity when unpreconditioned (then z is just a copy
-    // of r).
-    let precondition = |machine: &mut Machine, r: &DistVector| -> DistVector {
-        match precond {
-            Some(m) => {
-                let _s = span::enter("precondition");
-                m.apply(machine, r)
-            }
-            None => r.clone(),
+    // z = M^-1 r, kept for the whole solve. Unpreconditioned, z *is* r:
+    // nothing is stored and every use reads r instead.
+    fn z_or_r<'a>(z: &'a Option<DistVector>, r: &'a DistVector) -> &'a DistVector {
+        z.as_ref().unwrap_or(r)
+    }
+    let precondition = |machine: &mut Machine, r: &DistVector, z: &mut Option<DistVector>| {
+        if let (Some(m), Some(z)) = (precond, z.as_mut()) {
+            let _s = span::enter("precondition");
+            m.apply_into(machine, r, z);
         }
     };
 
     let b = DistVector::from_global(desc.clone(), b_global);
     let mut x = DistVector::zeros(desc.clone());
     let mut r = b.clone();
-    let mut z = precondition(machine, &r);
-    let mut p = z.clone();
+    let mut z = precond.map(|m| {
+        let _s = span::enter("precondition");
+        m.apply(machine, &r)
+    });
+    let mut p = z_or_r(&z, &r).clone();
 
     let b_norm = b.dot(machine, &b).sqrt();
     stats.dots += 1;
-    let mut rho = r.dot(machine, &z);
+    let mut rho = r.dot(machine, z_or_r(&z, &r));
     stats.dots += 1;
     let mut res = r.dot(machine, &r).sqrt();
     stats.dots += 1;
@@ -343,10 +346,10 @@ fn protected_cg_core<A: DistOperator + ?Sized>(
             obs.on_restart(k);
             rec.residual_replacements += 1;
             r = r_true;
-            z = precondition(machine, &r);
-            rho = r.dot(machine, &z);
+            precondition(machine, &r, &mut z);
+            rho = r.dot(machine, z_or_r(&z, &r));
             stats.dots += 1;
-            p = z.clone();
+            p.copy_from(z_or_r(&z, &r));
             res = res_true;
             stats.residual_norm = res;
             since_improve = 0;
@@ -363,13 +366,16 @@ fn protected_cg_core<A: DistOperator + ?Sized>(
         }};
     }
 
+    // q and the product's scratch live as long as the solve.
+    let mut q = DistVector::zeros(desc.clone());
+    let mut scratch = Vec::new();
     let mut mark = MachineMark::take(machine);
     while k < max_iters {
-        let _iter_span = span::enter(format!("iter={k}"));
-        let q = {
+        let _iter_span = span::enter_iter(k);
+        {
             let _s = span::enter("matvec");
-            a.apply(machine, &p)
-        };
+            a.apply_into(machine, &p, &mut q, &mut scratch);
+        }
         stats.matvecs += 1;
         let pq = {
             let _s = span::enter("dot");
@@ -395,8 +401,8 @@ fn protected_cg_core<A: DistOperator + ?Sized>(
         // checkpointing alone).
         let (rho_new, res_new) = match precond {
             Some(_) => {
-                z = precondition(machine, &r);
-                let rho_new = r.dot(machine, &z);
+                precondition(machine, &r, &mut z);
+                let rho_new = r.dot(machine, z_or_r(&z, &r));
                 stats.dots += 1;
                 let res_new = r.dot(machine, &r).sqrt();
                 stats.dots += 1;
@@ -405,7 +411,6 @@ fn protected_cg_core<A: DistOperator + ?Sized>(
             None => {
                 let rho_new = r.dot(machine, &r);
                 stats.dots += 1;
-                z = r.clone();
                 (rho_new, rho_new.abs().sqrt())
             }
         };
@@ -476,10 +481,10 @@ fn protected_cg_core<A: DistOperator + ?Sized>(
                 rec.residual_replacements += 1;
                 obs.on_restart(k);
                 r = r_true;
-                z = precondition(machine, &r);
-                rho = r.dot(machine, &z);
+                precondition(machine, &r, &mut z);
+                rho = r.dot(machine, z_or_r(&z, &r));
                 stats.dots += 1;
-                p = z.clone();
+                p.copy_from(z_or_r(&z, &r));
                 res = res_true;
                 stats.residual_norm = res;
                 since_improve = 0;
@@ -537,7 +542,7 @@ fn protected_cg_core<A: DistOperator + ?Sized>(
         check_breakdown("rho", rho)?;
         let beta = rho_new / rho;
         rho = rho_new;
-        p.aypx(machine, beta, &z);
+        p.aypx(machine, beta, z_or_r(&z, &r));
         stats.axpys += 1;
 
         if k.is_multiple_of(checkpoint_interval) {

@@ -3,11 +3,14 @@
 //! with the dense direct baseline, and respect their structural
 //! contracts (op counts, storage, honesty of `converged`).
 
+use hpf_core::{ColwiseCsc, DataArrayLayout, DistVector, RowwiseCsr};
+use hpf_dist::{ArrayDescriptor, DistSpec};
+use hpf_machine::{CostModel, FaultPlan, Machine, Topology};
 use hpf_solvers::{
-    bicg, bicgstab, cg, cgs, direct, gmres, pcg, residual_history, JacobiPrec, Method,
-    SerialOperator, StopCriterion,
+    bicg, bicgstab, cg, cgs, direct, gmres, pcg, residual_history, ColwiseOperator, CscVariant,
+    DistOperator, JacobiPrec, Method, SerialOperator, StopCriterion,
 };
-use hpf_sparse::{gen, CsrMatrix};
+use hpf_sparse::{gen, CscMatrix, CsrMatrix};
 use proptest::prelude::*;
 
 // Thin helper re-exported through the test to keep the public API clean.
@@ -151,5 +154,67 @@ proptest! {
         }
         prop_assert_eq!(SerialOperator::dim(&a), n);
         prop_assert_eq!(SerialOperator::diagonal(&a), SerialOperator::diagonal(&d));
+    }
+
+    /// `apply_into` into a dirty `q` is `apply`, bit for bit and event for
+    /// event: every operator layout (empty processor blocks, n < NP) times
+    /// every operand layout, with and without a corruption armed for the
+    /// product.
+    #[test]
+    fn apply_into_dirty_q_equals_apply(
+        n in 1usize..40,
+        np in 1usize..9,
+        seed in any::<u64>(),
+        armed in any::<bool>(),
+    ) {
+        let a = gen::random_spd(n, 3, seed);
+        // Cut points drawn from the seed; repeats leave processors empty.
+        let mut cuts: Vec<usize> = (1..np)
+            .map(|i| (seed.rotate_left(7 * i as u32) % (n as u64 + 1)) as usize)
+            .collect();
+        cuts.sort_unstable();
+        cuts.insert(0, 0);
+        cuts.push(n);
+        let operators: Vec<Box<dyn DistOperator>> = vec![
+            Box::new(RowwiseCsr::block(a.clone(), np, DataArrayLayout::RowAligned)),
+            Box::new(RowwiseCsr::block(a.clone(), np, DataArrayLayout::ElementBlock)),
+            Box::new(RowwiseCsr::with_row_cuts(a.clone(), np, cuts)),
+            Box::new(ColwiseOperator {
+                inner: ColwiseCsc::block(CscMatrix::from_csr(&a), np),
+                variant: CscVariant::Temp2d,
+            }),
+        ];
+        let x: Vec<f64> = (0..n).map(|i| ((i * 7 + 1) % 9) as f64 - 4.0).collect();
+        let mut scratch = Vec::new();
+        for op in &operators {
+            let own = op.descriptor();
+            let operands = [
+                own.clone(),
+                ArrayDescriptor::cyclic(n, np),
+                ArrayDescriptor::new(n, np, DistSpec::CyclicK(1 + (seed % 3) as usize)),
+            ];
+            for desc in operands {
+                let p = DistVector::from_global(desc, &x);
+                let machine = || {
+                    let mut m = Machine::new(np, Topology::Hypercube, CostModel::mpp_1995());
+                    if armed {
+                        m.set_fault_plan(FaultPlan::new().with_bit_flip(0, 0, 40, seed as usize));
+                    }
+                    m
+                };
+                let mut m1 = machine();
+                let want = op.apply(&mut m1, &p);
+                let mut m2 = machine();
+                let mut q = DistVector::constant(own.clone(), f64::NAN);
+                op.apply_into(&mut m2, &p, &mut q, &mut scratch);
+                let bits = |v: &DistVector| -> Vec<u64> {
+                    v.to_global().iter().map(|f| f.to_bits()).collect()
+                };
+                prop_assert_eq!(bits(&q), bits(&want));
+                prop_assert_eq!(q.descriptor(), want.descriptor());
+                prop_assert_eq!(m2.trace().to_jsonl(), m1.trace().to_jsonl());
+                prop_assert_eq!(m2.elapsed().to_bits(), m1.elapsed().to_bits());
+            }
+        }
     }
 }

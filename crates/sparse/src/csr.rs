@@ -203,14 +203,30 @@ impl CsrMatrix {
             )));
         }
         let mut q = vec![0.0; self.n_rows];
-        for j in 0..self.n_rows {
-            let mut acc = 0.0;
-            for k in self.row_ptr[j]..self.row_ptr[j + 1] {
-                acc += self.values[k] * p[self.col_idx[k]];
-            }
-            q[j] = acc;
-        }
+        self.matvec_rows_into(0..self.n_rows, p, &mut q);
         Ok(q)
+    }
+
+    /// The one CSR product kernel: `out[i] = (A p)[rows.start + i]` for
+    /// the rows in `rows`, overwriting `out` (which need not be zeroed).
+    /// Each row accumulates left to right from `0.0`, so any split of
+    /// the rows among callers gives the same bits as one whole product.
+    ///
+    /// Panics if `p` is not `n_cols` long, `rows` leaves the matrix, or
+    /// `out` is not `rows.len()` long.
+    pub fn matvec_rows_into(&self, rows: std::ops::Range<usize>, p: &[f64], out: &mut [f64]) {
+        assert_eq!(p.len(), self.n_cols, "matvec: operand length");
+        assert_eq!(out.len(), rows.len(), "matvec: result length");
+        let ends = &self.row_ptr[rows.start + 1..=rows.end];
+        let mut lo = self.row_ptr[rows.start];
+        for (qj, &hi) in out.iter_mut().zip(ends) {
+            let mut acc = 0.0;
+            for (&a, &c) in self.values[lo..hi].iter().zip(&self.col_idx[lo..hi]) {
+                acc += a * p[c];
+            }
+            *qj = acc;
+            lo = hi;
+        }
     }
 
     /// `q = Aᵀ p` without forming the transpose (scatter order; this is
