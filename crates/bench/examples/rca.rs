@@ -6,11 +6,12 @@
 //! crash / bit-flip storm, retries disabled) whose terminal bad
 //! outcomes must each produce exactly one post-mortem whose top-ranked
 //! root cause names the injected fault class on >= 90% of jobs. The
-//! run asserts the <3% overhead band, attribution accuracy, and dump
-//! exactness, writes `e30_postmortems.json` / `e30_postmortem.json` /
-//! `e30_trace.jsonl` next to `BENCH_30.json` under `HPF_BENCH_DIR`,
-//! so a non-zero exit means a band or the regression gate was
-//! breached.
+//! run asserts the recorder's cost rules (recorder-on time per request
+//! no worse than the committed baseline's, at most 150 ns per ringed
+//! event), attribution accuracy, and dump exactness, writes
+//! `e30_postmortems.json` / `e30_postmortem.json` / `e30_trace.jsonl`
+//! next to `BENCH_30.json` under `HPF_BENCH_DIR`, so a non-zero exit
+//! means a rule or the regression gate was breached.
 //!
 //! The acceptance run is `REQUESTS = 600` (the default); CI smoke may
 //! shrink it via `HPF_E30_REQUESTS`.

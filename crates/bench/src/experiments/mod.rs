@@ -20,6 +20,88 @@ pub mod telemetry_exp;
 pub mod vector_ops;
 
 use crate::table::Table;
+use hpf_obs::RegressionGate;
+
+/// What a tap (E29's event bus, E30's flight recorder) costs a clean
+/// closed-loop workload, from the best wall time of alternating reps
+/// with the tap off and on, stated with both denominators: wall time
+/// per request on either side, and the difference spread over the
+/// events the tap handled. The on/off ratio is kept for the record; it
+/// stopped being the rule when the off side stopped building events.
+pub(crate) struct TapCost {
+    pub best_off_s: f64,
+    pub best_on_s: f64,
+    pub events: u64,
+    pub on_us_per_request: f64,
+    pub off_us_per_request: f64,
+    pub ns_per_event: f64,
+    pub ratio: f64,
+}
+
+impl TapCost {
+    /// Reps a side: nine at full scale, because the rules judge a
+    /// difference of two minima, which needs each side to have met the
+    /// host at its fastest, and on a shared host single reps of
+    /// unchanged code spread ±10%; three at smoke scale.
+    pub fn reps(full_scale: bool) -> usize {
+        if full_scale {
+            9
+        } else {
+            3
+        }
+    }
+
+    pub fn new(best_off_s: f64, best_on_s: f64, requests: usize, events: u64) -> Self {
+        TapCost {
+            best_off_s,
+            best_on_s,
+            events,
+            on_us_per_request: 1e6 * best_on_s / requests as f64,
+            off_us_per_request: 1e6 * best_off_s / requests as f64,
+            ns_per_event: 1e9 * (best_on_s - best_off_s) / events.max(1) as f64,
+            ratio: best_on_s / best_off_s.max(1e-9),
+        }
+    }
+
+    pub fn overhead_pct(&self) -> f64 {
+        100.0 * (self.ratio - 1.0)
+    }
+
+    /// The full-scale rules: tap-on time per request no worse than the
+    /// committed baseline's `on_series` (beyond the 25% that best-of-9
+    /// wall times spread on a shared host), and at most `budget_ns` per
+    /// event.
+    pub fn assert_within(
+        &self,
+        what: &str,
+        gate: &RegressionGate,
+        bench: u32,
+        on_series: &str,
+        budget_ns: f64,
+    ) {
+        let committed = gate
+            .baseline(bench)
+            .unwrap_or_else(|e| panic!("E{bench} baseline: {e}"))
+            .and_then(|b| b.get(on_series));
+        if let Some(committed) = committed {
+            assert!(
+                self.on_us_per_request <= committed * 1.25,
+                "{what}-on time per request {:.0} us is worse than the committed \
+                 baseline's {committed:.0} us",
+                self.on_us_per_request
+            );
+        }
+        assert!(
+            self.ns_per_event <= budget_ns,
+            "the {what} costs {:.0} ns per event, over the {budget_ns} ns budget \
+             (off {:.3}s, on {:.3}s, {} events)",
+            self.ns_per_event,
+            self.best_off_s,
+            self.best_on_s,
+            self.events
+        );
+    }
+}
 
 /// Run every experiment at its default (report-sized) parameters, in
 /// index order.

@@ -4,12 +4,21 @@
 //! E29 proves an operator can *watch* the service; E30 proves that when
 //! a solve goes wrong the service can *explain itself*. Three claims:
 //!
-//! 1. **Overhead** — the per-job black box (machine ring, service tail,
-//!    and residual tap, wired through
-//!    [`hpf_obs::FlightRecorder::install`]) costs < 3% wall clock on a
-//!    clean closed-loop workload against the identical stream with the
-//!    recorder off. Clean jobs discard their tails at `Completed`, so
-//!    the recorder's steady-state cost is the ring writes, not the
+//! 1. **Cost** — an unobserved request pays nothing for the recorder;
+//!    an observed one pays per event. The per-job black box (machine
+//!    ring, service tail, and residual tap, wired through
+//!    [`hpf_obs::FlightRecorder::install`]) is timed on a clean
+//!    closed-loop workload against the identical stream with the
+//!    recorder off, and stated three ways: wall time per request with
+//!    the recorder on (`rca/recorder_on_us_per_request`, which must not
+//!    exceed the committed baseline's), the difference spread over the
+//!    events ringed (`rca/recorder_ns_per_event`, budget
+//!    [`RECORDER_NS_PER_EVENT_BUDGET`]), and the on/off ratio. The ratio
+//!    is printed and recorded but no longer the rule: since the worker
+//!    stopped keeping a full trace, the recorder-off side builds no
+//!    events at all, so the ratio's denominator fell and the recorder's
+//!    whole marginal cost shows in it. Clean jobs discard their tails at
+//!    `Completed`, so the steady-state cost is the ring writes, not the
 //!    dumps.
 //! 2. **Attribution** — a seeded chaos sweep (stall / crash / bit-flip
 //!    storm fault plans, retries disabled so every injected fault
@@ -26,9 +35,11 @@
 //! it), and `e30_trace.jsonl` (a clean machine trace the explain mode
 //! must *refuse*, pinning the CLI's nonzero exit on non-dumps). Set
 //! `HPF_E30_REQUESTS` to resize the run; below 300 requests the
-//! wall-clock-noise-sensitive overhead band is reported but not
-//! asserted and the chaos sweep shrinks to smoke scale.
+//! wall-clock-noise-sensitive cost rules are reported but not asserted,
+//! the per-event series is not recorded, and the chaos sweep shrinks to
+//! smoke scale.
 
+use crate::experiments::TapCost;
 use crate::table::Table;
 use hpf_core::{DataArrayLayout, RowwiseCsr};
 use hpf_machine::{CostModel, FaultPlan, Machine, Topology};
@@ -38,6 +49,12 @@ use hpf_solvers::{cg_distributed, RecoveryConfig, StopCriterion};
 use hpf_sparse::{gen, CsrMatrix};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// What one ringed event may cost the request that carries it, in
+/// nanoseconds of wall time (full scale): (on − off) / events ringed. The
+/// trial resolves this to about ±60 ns (5% of a 0.35 s run over 280k
+/// events), so the budget is a ceiling, not a target.
+pub const RECORDER_NS_PER_EVENT_BUDGET: f64 = 150.0;
 
 /// Run size: `HPF_E30_REQUESTS` if set, else 600 (the closed-loop
 /// request count per overhead rep; also selects the full-scale chaos
@@ -148,13 +165,14 @@ pub fn e30_with_gate(requests: usize, gate: &RegressionGate) -> Table {
         .collect();
 
     // ------------------------------------------------------------------
-    // Phase A — overhead: best-of-3 clean closed-loop wall clock,
-    // recorder off vs recorder on (all three taps live, rings written
-    // and discarded per job, nothing ever dumps).
+    // Phase A — cost: best clean closed-loop wall clock of alternating
+    // reps, recorder off vs recorder on (all three taps live, rings
+    // written and discarded per job, nothing ever dumps).
+    let full_scale = requests >= 300;
     let mut best_off = f64::INFINITY;
     let mut best_on = f64::INFINITY;
     let mut clean_recorded = 0u64;
-    for _ in 0..3 {
+    for _ in 0..TapCost::reps(full_scale) {
         best_off = best_off.min(timed_closed_loop(requests, &mats, &rhs, None));
         let fr = FlightRecorder::new(FlightRecorderConfig::default());
         best_on = best_on.min(timed_closed_loop(requests, &mats, &rhs, Some(&fr)));
@@ -170,29 +188,37 @@ pub fn e30_with_gate(requests: usize, gate: &RegressionGate) -> Table {
             "every clean job must discard its ring at Completed"
         );
     }
-    let overhead_ratio = best_on / best_off.max(1e-9);
-    let overhead_pct = 100.0 * (overhead_ratio - 1.0);
-    if requests >= 300 {
-        assert!(
-            overhead_pct < 3.0,
-            "flight-recorder overhead {overhead_pct:.2}% breaches the 3% band \
-             (off {best_off:.3}s, on {best_on:.3}s)"
-        );
-    }
     assert!(
         clean_recorded > 0,
         "the recorder-on side must actually record machine events"
     );
+    let cost = TapCost::new(best_off, best_on, requests, clean_recorded);
+    if full_scale {
+        cost.assert_within(
+            "recorder",
+            gate,
+            30,
+            "rca/recorder_on_us_per_request",
+            RECORDER_NS_PER_EVENT_BUDGET,
+        );
+    }
     t.row(vec![
         "overhead-off".into(),
         format!("{best_off:.3}s"),
-        format!("{requests} clean closed-loop solves, recorder off"),
+        format!(
+            "{requests} clean closed-loop solves, recorder off ({:.0} us/request)",
+            cost.off_us_per_request
+        ),
     ]);
     t.row(vec![
         "overhead-on".into(),
         format!("{best_on:.3}s"),
         format!(
-            "same stream, black box + tails live ({overhead_pct:+.2}%, {clean_recorded} events ringed)"
+            "same stream, black box + tails live: {:.0} us/request, {:+.0} ns per event \
+             over {clean_recorded} events ringed (ratio {:+.2}%)",
+            cost.on_us_per_request,
+            cost.ns_per_event,
+            cost.overhead_pct()
         ),
     ]);
 
@@ -398,12 +424,21 @@ pub fn e30_with_gate(requests: usize, gate: &RegressionGate) -> Table {
         }
     }
     let mut record = BenchRecord::new(30, "e30-rca");
-    record.push("rca/overhead_ratio", overhead_ratio);
+    record.push("rca/overhead_ratio", cost.ratio);
     record.push("rca/match_rate", match_rate);
     record.push("rca/dumps", fr.dumps() as f64);
     record.push("rca/mean_top_confidence", mean_conf);
+    record.push("rca/recorder_on_us_per_request", cost.on_us_per_request);
+    record.push("rca/recorder_off_us_per_request", cost.off_us_per_request);
     let outcome = gate
-        .check_and_record(&record)
+        .check(&record)
+        .unwrap_or_else(|e| panic!("E30 bench gate: {e}"));
+    if full_scale {
+        // Near zero and as large as its own noise: judged against its
+        // budget above, not as a percentage of its last value.
+        record.push("rca/recorder_ns_per_event", cost.ns_per_event);
+    }
+    gate.record(&record)
         .unwrap_or_else(|e| panic!("E30 bench gate: {e}"));
 
     t.note(format!(

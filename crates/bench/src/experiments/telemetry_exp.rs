@@ -4,11 +4,21 @@
 //! E27 proves the service *survives* chaos; E29 proves an operator can
 //! *watch* it do so without distorting it. Three claims, each asserted:
 //!
-//! 1. **Overhead** — the event bus (machine tap + service tap, head
-//!    sampling on, a consumer draining) costs < 5% wall clock against
-//!    the identical closed-loop chaos workload with the bus off. The
-//!    comparison must be closed-loop: an open-loop soak's wall time is
-//!    arrival-paced and would hide any overhead.
+//! 1. **Cost** — a job the sampler drops pays a field read and a hash
+//!    per machine operation; a job it keeps pays per published event.
+//!    The event bus (machine tap + service tap, head sampling on, a
+//!    consumer draining) is timed against the identical closed-loop
+//!    chaos workload with the bus off — closed-loop, because an
+//!    open-loop soak's wall time is arrival-paced and would hide any
+//!    cost — and stated three ways: wall time per request with the bus
+//!    on (`telemetry/bus_on_us_per_request`, which must not exceed the
+//!    committed baseline's), the difference spread over the events
+//!    published (`telemetry/bus_ns_per_published_event`, budget
+//!    [`BUS_NS_PER_PUBLISHED_EVENT_BUDGET`]), and the on/off ratio. The
+//!    ratio was the rule ("< 5%") while the bus-off side still built
+//!    every event for the worker's trace; now that side builds none,
+//!    its wall time fell by a third, and the bus's whole marginal cost
+//!    shows in the ratio, which is printed and recorded only.
 //! 2. **Alerting** — an injected overload phase (interactive requests
 //!    with hopeless microsecond deadlines, mass-shed at the door)
 //!    breaches the interactive SLO's burn-rate windows: the alert walks
@@ -26,9 +36,11 @@
 //! `e29_trace.jsonl` (a traced solve for `trace-report --format
 //! flame`), and `e29_flame.txt` (the live profile, collapsed). Set
 //! `HPF_E29_REQUESTS` to resize the run; below 300 requests the
-//! wall-clock-noise-sensitive overhead band is reported but not
-//! asserted and the SLO windows shrink to smoke scale.
+//! wall-clock-noise-sensitive cost rules are reported but not asserted,
+//! the per-event series is not recorded, and the SLO windows shrink to
+//! smoke scale.
 
+use crate::experiments::TapCost;
 use crate::table::Table;
 use hpf_core::{DataArrayLayout, RowwiseCsr};
 use hpf_machine::{CostModel, FaultPlan, Machine, Topology};
@@ -41,6 +53,13 @@ use hpf_solvers::{cg_distributed, StopCriterion};
 use hpf_sparse::{gen, CsrMatrix};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// What one published event may cost the stream that carries it, in
+/// nanoseconds of wall time (full scale): (on − off) / events published,
+/// which also spreads the nine sampled-out operations' pre-filter calls
+/// per kept one over it. The trial resolves this to about ±450 ns (5% of
+/// a 0.18 s run over 22k events), so the budget is a ceiling.
+pub const BUS_NS_PER_PUBLISHED_EVENT_BUDGET: f64 = 1500.0;
 
 /// Run size: `HPF_E29_REQUESTS` if set, else 600 (the closed-loop
 /// request count per overhead rep; also selects full-scale SLO windows
@@ -200,33 +219,47 @@ pub fn e29_with_gate(requests: usize, gate: &RegressionGate) -> Table {
         .collect();
 
     // ------------------------------------------------------------------
-    // Phase A — overhead: best-of-3 closed-loop wall clock, bus off vs
-    // bus on (both taps, sampling at the default 10%, consumer active).
+    // Phase A — cost: best closed-loop wall clock of alternating reps,
+    // bus off vs bus on (both taps, sampling at the default 10%,
+    // consumer active).
+    let full_scale = requests >= 300;
     let mut best_off = f64::INFINITY;
     let mut best_on = f64::INFINITY;
-    for _ in 0..3 {
+    let mut published = 0u64;
+    for _ in 0..TapCost::reps(full_scale) {
         best_off = best_off.min(timed_closed_loop(requests, &mats, &rhs, None));
         let bus = EventBus::new(1 << 15, SamplingPolicy::with_rate(0.1));
         best_on = best_on.min(timed_closed_loop(requests, &mats, &rhs, Some(&bus)));
+        published = published.max(bus.stats().published);
     }
-    let overhead_ratio = best_on / best_off.max(1e-9);
-    let overhead_pct = 100.0 * (overhead_ratio - 1.0);
-    if requests >= 300 {
-        assert!(
-            overhead_pct < 5.0,
-            "bus overhead {overhead_pct:.2}% breaches the 5% band \
-             (off {best_off:.3}s, on {best_on:.3}s)"
+    let cost = TapCost::new(best_off, best_on, requests, published);
+    if full_scale {
+        cost.assert_within(
+            "bus",
+            gate,
+            29,
+            "telemetry/bus_on_us_per_request",
+            BUS_NS_PER_PUBLISHED_EVENT_BUDGET,
         );
     }
     t.row(vec![
         "overhead-off".into(),
         format!("{best_off:.3}"),
-        format!("{requests} closed-loop chaos solves, no bus"),
+        format!(
+            "{requests} closed-loop chaos solves, no bus ({:.0} us/request)",
+            cost.off_us_per_request
+        ),
     ]);
     t.row(vec![
         "overhead-on".into(),
         format!("{best_on:.3}"),
-        format!("same stream, both taps + drain ({overhead_pct:+.2}%)"),
+        format!(
+            "same stream, both taps + drain: {:.0} us/request, {:+.0} ns per event \
+             over {published} published ({:+.2}%)",
+            cost.on_us_per_request,
+            cost.ns_per_event,
+            cost.overhead_pct()
+        ),
     ]);
 
     // ------------------------------------------------------------------
@@ -432,13 +465,23 @@ pub fn e29_with_gate(requests: usize, gate: &RegressionGate) -> Table {
 
     let drop_pct = 100.0 * stats.dropped as f64 / (stats.published as f64).max(1.0);
     let mut record = BenchRecord::new(29, "e29-telemetry");
-    record.push("telemetry/overhead_ratio", overhead_ratio);
+    record.push("telemetry/overhead_ratio", cost.ratio);
     record.push("telemetry/bus_drop_pct", drop_pct);
     record.push("telemetry/firing_delay_s", firing_delay);
     record.push("telemetry/resolve_delay_s", resolve_delay);
     record.push("telemetry/alert_flaps", flaps);
+    record.push("telemetry/bus_on_us_per_request", cost.on_us_per_request);
+    record.push("telemetry/bus_off_us_per_request", cost.off_us_per_request);
     let outcome = gate
-        .check_and_record(&record)
+        .check(&record)
+        .unwrap_or_else(|e| panic!("E29 bench gate: {e}"));
+    if full_scale {
+        // The difference of two wall times over ~20k events: near zero
+        // and as large as its own noise, so recorded, not judged as a
+        // percentage of its last value.
+        record.push("telemetry/bus_ns_per_published_event", cost.ns_per_event);
+    }
+    gate.record(&record)
         .unwrap_or_else(|e| panic!("E29 bench gate: {e}"));
 
     t.note(format!(

@@ -34,9 +34,9 @@ pub mod trace;
 pub use blackbox::{BlackBox, BlackBoxRecord, BlackBoxTail};
 pub use cost::CostModel;
 pub use fault::{Fault, FaultKind, FaultPlan, FaultRates};
-pub use machine::{EventSink, Machine, ProcStats, ProgressHook};
+pub use machine::{EventSink, Machine, ProcStats, ProgressHook, TraceLevel};
 pub use predict::{cg_iteration_seconds, predicted_or_measured_total, predicted_time};
 pub use span::{level_of, trace_of, ScopeGuard, Span};
 pub use spmd::{Comm, SpmdRun, SpmdStats, SpmdWorld};
 pub use topology::Topology;
-pub use trace::{Event, EventKind, LabelSummary, Trace, TraceParseError};
+pub use trace::{Digest, Event, EventKind, LabelSummary, Trace, TraceParseError};

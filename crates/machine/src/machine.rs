@@ -21,7 +21,7 @@ use crate::fault::{
     DROP_RETRANSMIT_STARTUPS,
 };
 use crate::topology::Topology;
-use crate::trace::{Event, EventKind, Trace};
+use crate::trace::{Digest, Event, EventKind, Trace};
 
 /// Cumulative per-processor statistics.
 #[derive(Debug, Default, Clone, Copy)]
@@ -32,6 +32,21 @@ pub struct ProcStats {
     pub words_sent: u64,
     /// Messages originated.
     pub messages: u64,
+}
+
+/// How much a [`Machine`] keeps of what it does. Clocks and counters
+/// advance identically at every level, and an installed [`EventSink`]
+/// sees the same events at every level.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TraceLevel {
+    /// Keep nothing.
+    Off,
+    /// Keep no events; fold each operation into a running [`Digest`]
+    /// ([`Machine::digest`]) — what a caller that only wants totals and
+    /// the per-label breakdown should ask for.
+    Summary,
+    /// Keep every [`Event`] in the [`Trace`].
+    Full,
 }
 
 /// A simulated NP-processor distributed-memory machine.
@@ -54,7 +69,12 @@ pub struct Machine {
     clocks: Vec<f64>,
     stats: Vec<ProcStats>,
     trace: Trace,
-    tracing: bool,
+    level: TraceLevel,
+    /// Running aggregate, kept at [`TraceLevel::Summary`].
+    digest: Digest,
+    /// The one event lent to the sink below [`TraceLevel::Full`],
+    /// refilled in place for every operation the sink wants.
+    scratch: Event,
     /// Global operation counter: advances once per public machine
     /// operation; fault plans key off it.
     op_index: usize,
@@ -66,7 +86,7 @@ pub struct Machine {
     /// Per-operation heartbeat/cancellation callback (see [`ProgressHook`]).
     hook: Option<ProgressHook>,
     /// Live event tap fired from the recording chokepoint (see
-    /// [`EventSink`]); independent of `tracing`.
+    /// [`EventSink`]); independent of `level`.
     sink: Option<EventSink>,
 }
 
@@ -95,7 +115,12 @@ impl std::fmt::Debug for ProgressHook {
 }
 
 /// Callback fired with every event the machine records, *as it happens*,
-/// independent of whether the post-hoc [`Trace`] is enabled.
+/// independent of the [`TraceLevel`].
+///
+/// Below [`TraceLevel::Full`] the event a sink is handed is the machine's
+/// one scratch event, overwritten by the next operation: **a sink must
+/// copy what it keeps** (the bus flattens into its own record, the black
+/// box overwrites a ring slot).
 ///
 /// This is the live-telemetry tap: where [`ProgressHook`] is a heartbeat
 /// (an opaque operation counter), the sink sees the full [`Event`] —
@@ -106,10 +131,10 @@ impl std::fmt::Debug for ProgressHook {
 ///
 /// A sink may additionally carry a *pre-filter* ([`EventSink::with_filter`]):
 /// a `(trace_id, kind) -> keep?` predicate the machine consults *before*
-/// building the [`Event`] (span-path join, label clone) whenever tracing
-/// is off. That is what makes per-job head sampling cheap — a
-/// sampled-out job's operations cost one thread-local scan and a hash,
-/// not an allocation each.
+/// filling in the [`Event`] (span path, label) below
+/// [`TraceLevel::Full`]. That is what makes per-job head sampling cheap
+/// — a sampled-out job's operations cost one thread-local scan and a
+/// hash each.
 #[derive(Clone)]
 pub struct EventSink {
     emit: std::sync::Arc<dyn Fn(&Event) + Send + Sync>,
@@ -124,10 +149,10 @@ impl EventSink {
         }
     }
 
-    /// Attach the head-sampling pre-filter. Only consulted when tracing
-    /// is off (with tracing on the event is built for the trace anyway,
-    /// so the sink body must apply its own sampling — which a bus tap
-    /// does on publish regardless).
+    /// Attach the head-sampling pre-filter. Only consulted below
+    /// [`TraceLevel::Full`] (at `Full` the event is built for the trace
+    /// anyway, so the sink body must apply its own sampling — which a
+    /// bus tap does on publish regardless).
     pub fn with_filter(
         mut self,
         f: impl Fn(u64, EventKind) -> bool + Send + Sync + 'static,
@@ -148,19 +173,25 @@ impl EventSink {
     /// *any* child wants it, so each child's own emit body must stay
     /// prepared to drop events it did not ask for (the bus re-checks its
     /// sampling decision on publish, the black box keeps everything).
+    /// One unfiltered child wants everything, so then no child's filter
+    /// is asked at all.
     pub fn fanout(sinks: Vec<EventSink>) -> Self {
-        let emit_children = sinks.clone();
-        let filter_children: Vec<EventSink> = sinks;
+        let filter: Option<std::sync::Arc<dyn Fn(u64, EventKind) -> bool + Send + Sync>> =
+            if sinks.iter().any(|child| child.filter.is_none()) {
+                None
+            } else {
+                let children = sinks.clone();
+                Some(std::sync::Arc::new(move |_trace_id, kind| {
+                    children.iter().any(|child| child.wants(kind))
+                }))
+            };
         EventSink {
             emit: std::sync::Arc::new(move |event: &Event| {
-                for child in &emit_children {
+                for child in &sinks {
                     child.emit(event);
                 }
             }),
-            filter: Some(std::sync::Arc::new(move |trace_id, kind| {
-                let _ = trace_id;
-                filter_children.iter().any(|c| c.wants(kind))
-            })),
+            filter,
         }
     }
 
@@ -206,7 +237,9 @@ impl Machine {
             clocks: vec![0.0; np],
             stats: vec![ProcStats::default(); np],
             trace: Trace::new(),
-            tracing: true,
+            level: TraceLevel::Full,
+            digest: Digest::default(),
+            scratch: Event::blank(),
             op_index: 0,
             injector: None,
             pending: None,
@@ -233,9 +266,24 @@ impl Machine {
         &self.cost
     }
 
-    /// Disable event tracing (keeps counters and clocks).
+    /// [`Machine::set_trace_level`] with `Full` for `true` and `Off` for
+    /// `false` (counters and clocks run either way).
     pub fn set_tracing(&mut self, on: bool) {
-        self.tracing = on;
+        self.set_trace_level(if on {
+            TraceLevel::Full
+        } else {
+            TraceLevel::Off
+        });
+    }
+
+    /// Choose what the machine keeps from here on (a new machine keeps
+    /// everything). What was kept so far stays until [`Machine::reset`].
+    pub fn set_trace_level(&mut self, level: TraceLevel) {
+        self.level = level;
+    }
+
+    pub fn trace_level(&self) -> TraceLevel {
+        self.level
     }
 
     /// The simulated elapsed wall-clock time: the slowest processor.
@@ -284,6 +332,13 @@ impl Machine {
         &mut self.trace
     }
 
+    /// The running aggregate of the operations performed at
+    /// [`TraceLevel::Summary`] since the last [`Machine::reset`] — equal
+    /// to [`Digest::from_trace`] of the trace `Full` would have kept.
+    pub fn digest(&self) -> &Digest {
+        &self.digest
+    }
+
     /// Reset clocks, counters, trace and fault state (the machine keeps
     /// its shape; an installed fault plan rewinds to its start, so a
     /// reset machine replays the identical fault schedule).
@@ -293,6 +348,7 @@ impl Machine {
             .iter_mut()
             .for_each(|s| *s = ProcStats::default());
         self.trace.clear();
+        self.digest.clear();
         self.op_index = 0;
         self.pending = None;
         self.skew.iter_mut().for_each(|s| *s = Skew::NONE);
@@ -461,7 +517,6 @@ impl Machine {
             penalty,
             start,
             &label,
-            Vec::new(),
         );
     }
 
@@ -473,12 +528,13 @@ impl Machine {
         }
     }
 
-    /// Append a traced event stamped with the thread's current span path
-    /// (see [`crate::span`]) and a timeline `start`. `proc_times` carries
-    /// per-processor durations for imbalanced phases (empty = uniform);
-    /// `payload` is the formula argument `w` the operation was called
-    /// with (see [`Event::payload_words`]) and `hops` the point-to-point
-    /// distance (`Send` only).
+    /// Record one operation, stamped with the thread's current span path
+    /// (see [`crate::span`]) and a timeline `start`. `payload` is the
+    /// formula argument `w` the operation was called with (see
+    /// [`Event::payload_words`]) and `hops` the point-to-point distance
+    /// (`Send` only). Every participant is busy for the full `time`; the
+    /// one imbalanced phase, [`Machine::compute_each`], calls
+    /// [`Machine::record`] itself, with per-processor times.
     #[allow(clippy::too_many_arguments)]
     fn record_at(
         &mut self,
@@ -491,10 +547,76 @@ impl Machine {
         time: f64,
         start: f64,
         label: &str,
+    ) {
+        let keep = self.wants_event(kind);
+        let proc_times = if keep {
+            self.proc_times_buffer(0)
+        } else {
+            Vec::new()
+        };
+        self.record(
+            keep,
+            kind,
+            participants,
+            words,
+            payload,
+            hops,
+            flops,
+            time,
+            start,
+            label,
+            proc_times,
+        );
+    }
+
+    /// Will an event of `kind` be kept — by the trace, or by a sink whose
+    /// cheap pre-filter wants it? Asked once per operation, before
+    /// anything is filled in for the event (span path, label,
+    /// per-processor times).
+    fn wants_event(&self, kind: EventKind) -> bool {
+        self.level == TraceLevel::Full || self.sink.as_ref().is_some_and(|sink| sink.wants(kind))
+    }
+
+    /// An empty vector for the per-processor times of an event that
+    /// [`Machine::wants_event`]: a fresh one the trace will own at
+    /// `Full`, the scratch event's own (capacity kept) below it.
+    fn proc_times_buffer(&mut self, capacity: usize) -> Vec<f64> {
+        if self.level == TraceLevel::Full {
+            Vec::with_capacity(capacity)
+        } else {
+            let mut buffer = std::mem::take(&mut self.scratch.proc_times);
+            buffer.clear();
+            buffer
+        }
+    }
+
+    /// The recording chokepoint, reached by every operation. `keep` is
+    /// [`Machine::wants_event`]; `proc_times` is then the
+    /// [`Machine::proc_times_buffer`] holding per-processor durations
+    /// for an imbalanced phase (empty = uniform), and an unallocated
+    /// vector otherwise. An operation that leaves nothing behind — no
+    /// event wanted, no digest kept: the common case on a machine nobody
+    /// is looking at — stops at this test; the work is kept out of line
+    /// so that the callers' own loops stay small.
+    #[inline]
+    #[allow(clippy::too_many_arguments)]
+    fn record(
+        &mut self,
+        keep: bool,
+        kind: EventKind,
+        participants: usize,
+        words: usize,
+        payload: usize,
+        hops: usize,
+        flops: usize,
+        time: f64,
+        start: f64,
+        label: &str,
         proc_times: Vec<f64>,
     ) {
-        if self.will_record(kind) {
-            self.push_event(
+        if keep || self.level == TraceLevel::Summary {
+            self.fold_and_emit(
+                keep,
                 kind,
                 participants,
                 words,
@@ -509,17 +631,16 @@ impl Machine {
         }
     }
 
-    /// Will an event of `kind` be kept — by the trace, or by a sink whose
-    /// cheap pre-filter wants it? Asked once per operation, before
-    /// anything is built for the event (the span-path join, the label
-    /// clone, per-processor times).
-    fn will_record(&self, kind: EventKind) -> bool {
-        self.tracing || self.sink.as_ref().is_some_and(|sink| sink.wants(kind))
-    }
-
+    /// At `Summary`, fold the operation into the digest. If its event is
+    /// wanted: at `Full` an owned event goes to the sink and then into
+    /// the trace; below it a sink is lent the scratch event, refilled in
+    /// place — once the scratch strings and vector have grown to fit,
+    /// nothing is allocated per event.
+    #[inline(never)]
     #[allow(clippy::too_many_arguments)]
-    fn push_event(
+    fn fold_and_emit(
         &mut self,
+        keep: bool,
         kind: EventKind,
         participants: usize,
         words: usize,
@@ -531,24 +652,48 @@ impl Machine {
         label: &str,
         proc_times: Vec<f64>,
     ) {
-        let event = Event {
-            kind,
-            participants,
-            words,
-            flops,
-            time,
-            start,
-            span: crate::span::current_path(),
-            label: label.to_string(),
-            proc_times,
-            payload_words: payload,
-            hops,
-        };
-        if let Some(sink) = &self.sink {
-            sink.emit(&event);
+        if self.level == TraceLevel::Summary {
+            self.digest
+                .fold(kind, words, flops, time, label, crate::span::current_level);
         }
-        if self.tracing {
+        if !keep {
+            return;
+        }
+        if self.level == TraceLevel::Full {
+            let event = Event {
+                kind,
+                participants,
+                words,
+                flops,
+                time,
+                start,
+                span: crate::span::current_path(),
+                label: label.to_string(),
+                proc_times,
+                payload_words: payload,
+                hops,
+            };
+            if let Some(sink) = &self.sink {
+                sink.emit(&event);
+            }
             self.trace.record(event);
+            return;
+        }
+        let event = &mut self.scratch;
+        event.kind = kind;
+        event.participants = participants;
+        event.words = words;
+        event.flops = flops;
+        event.time = time;
+        event.start = start;
+        crate::span::write_current_path(&mut event.span);
+        event.label.clear();
+        event.label.push_str(label);
+        event.proc_times = proc_times;
+        event.payload_words = payload;
+        event.hops = hops;
+        if let Some(sink) = &self.sink {
+            sink.emit(event);
         }
     }
 
@@ -595,10 +740,14 @@ impl Machine {
         // with `proc_times` that places each processor's slice on the
         // reconstructed timeline.
         let start = self.clocks.iter().cloned().fold(f64::INFINITY, f64::min);
-        let record = self.will_record(EventKind::Compute);
+        let keep = self.wants_event(EventKind::Compute);
+        let mut per_proc = if keep {
+            self.proc_times_buffer(self.np)
+        } else {
+            Vec::new()
+        };
         let mut max_t: f64 = 0.0;
         let mut total = 0usize;
-        let mut per_proc = Vec::with_capacity(if record { self.np } else { 0 });
         for p in 0..self.np {
             let f = flops_of(p);
             self.stats[p].flops += f as u64;
@@ -606,24 +755,23 @@ impl Machine {
             self.clocks[p] += t;
             max_t = max_t.max(t);
             total += f;
-            if record {
+            if keep {
                 per_proc.push(t);
             }
         }
-        if record {
-            self.push_event(
-                EventKind::Compute,
-                self.np,
-                0,
-                0,
-                0,
-                total,
-                max_t,
-                start,
-                label,
-                per_proc,
-            );
-        }
+        self.record(
+            keep,
+            EventKind::Compute,
+            self.np,
+            0,
+            0,
+            0,
+            total,
+            max_t,
+            start,
+            label,
+            per_proc,
+        );
         max_t
     }
 
@@ -643,18 +791,7 @@ impl Machine {
         self.stats[0].flops += flops as u64;
         let start = self.synchronise();
         self.clocks.iter_mut().for_each(|c| *c += t);
-        self.record_at(
-            EventKind::Compute,
-            self.np,
-            0,
-            0,
-            0,
-            flops,
-            t,
-            start,
-            label,
-            Vec::new(),
-        );
+        self.record_at(EventKind::Compute, self.np, 0, 0, 0, flops, t, start, label);
         t
     }
 
@@ -687,7 +824,6 @@ impl Machine {
             t,
             start,
             label,
-            Vec::new(),
         );
         t
     }
@@ -698,18 +834,7 @@ impl Machine {
         let t = self.topology.allreduce_time(self.np, 0, &self.cost);
         let start = self.synchronise();
         self.clocks.iter_mut().for_each(|c| *c += t);
-        self.record_at(
-            EventKind::Barrier,
-            self.np,
-            0,
-            0,
-            0,
-            0,
-            t,
-            start,
-            label,
-            Vec::new(),
-        );
+        self.record_at(EventKind::Barrier, self.np, 0, 0, 0, 0, t, start, label);
         t
     }
 
@@ -732,7 +857,6 @@ impl Machine {
             t,
             start,
             label,
-            Vec::new(),
         );
         t
     }
@@ -764,7 +888,6 @@ impl Machine {
             t,
             start,
             label,
-            Vec::new(),
         );
         t
     }
@@ -793,7 +916,6 @@ impl Machine {
             t,
             start,
             label,
-            Vec::new(),
         );
         t
     }
@@ -823,7 +945,6 @@ impl Machine {
             t,
             start,
             label,
-            Vec::new(),
         );
         t
     }
@@ -855,7 +976,6 @@ impl Machine {
             t,
             start,
             label,
-            Vec::new(),
         );
         t
     }
@@ -907,7 +1027,6 @@ impl Machine {
             t,
             max,
             label,
-            Vec::new(),
         );
         t
     }
@@ -933,7 +1052,6 @@ impl Machine {
             t,
             start,
             label,
-            Vec::new(),
         );
         t
     }
@@ -973,7 +1091,6 @@ impl Machine {
             max_t,
             start,
             label,
-            Vec::new(),
         );
         max_t
     }
@@ -1029,7 +1146,6 @@ impl Machine {
             t,
             start,
             label,
-            Vec::new(),
         );
         t
     }
@@ -1080,7 +1196,6 @@ impl Machine {
             t,
             start,
             label,
-            Vec::new(),
         );
         t
     }
@@ -1207,6 +1322,125 @@ mod tests {
         m.allgather(10, "ag");
         assert!(m.trace().is_empty());
         assert!(m.elapsed() > 0.0); // clocks still advance
+    }
+
+    #[test]
+    fn summary_level_keeps_a_digest_and_no_events() {
+        let run = |level: TraceLevel| {
+            let mut m = Machine::new(4, Topology::Hypercube, unit_cost());
+            m.set_trace_level(level);
+            let _v = crate::span::enter("vcycle");
+            let _l = crate::span::enter("level=1");
+            m.compute_all(&[5, 10, 5, 5], "smooth");
+            m.exchange(&vec![vec![1; 4]; 4], "halo");
+            m.allreduce(1, "dot-merge");
+            m.compute_uniform(3, "smooth");
+            m
+        };
+        let full = run(TraceLevel::Full);
+        let summary = run(TraceLevel::Summary);
+        assert_eq!(summary.trace_level(), TraceLevel::Summary);
+        assert!(summary.trace().is_empty());
+        assert_eq!(summary.digest(), &Digest::from_trace(full.trace()));
+        let labels: Vec<&str> = summary
+            .digest()
+            .by_label
+            .iter()
+            .map(|row| row.label.as_str())
+            .collect();
+        assert_eq!(labels, ["smooth", "halo [level=1]", "dot-merge"]);
+        assert_eq!(summary.digest().events, 4);
+        assert_eq!(summary.clocks(), full.clocks());
+        // Only `Summary` folds; `Off` and `Full` leave the digest alone.
+        assert_eq!(full.digest(), &Digest::default());
+        assert_eq!(run(TraceLevel::Off).digest(), &Digest::default());
+        let mut summary = summary;
+        summary.reset();
+        assert_eq!(summary.digest(), &Digest::default());
+    }
+
+    #[test]
+    fn set_tracing_names_two_of_the_levels() {
+        let mut m = Machine::hypercube(2);
+        assert_eq!(m.trace_level(), TraceLevel::Full);
+        m.set_tracing(false);
+        assert_eq!(m.trace_level(), TraceLevel::Off);
+        m.set_trace_level(TraceLevel::Summary);
+        m.set_tracing(true);
+        assert_eq!(m.trace_level(), TraceLevel::Full);
+    }
+
+    #[test]
+    fn a_sink_sees_the_same_events_at_every_level() {
+        use std::sync::{Arc, Mutex};
+        let run = |level: TraceLevel| {
+            let seen: Arc<Mutex<Vec<String>>> = Arc::default();
+            let tap = seen.clone();
+            let mut m = Machine::new(4, Topology::Hypercube, unit_cost());
+            m.set_trace_level(level);
+            m.set_event_sink(EventSink::new(move |e| {
+                // A sink copies what it keeps: below `Full` the event is
+                // the machine's scratch, overwritten by the next one.
+                tap.lock().unwrap().push(format!("{e:?}"));
+            }));
+            let _s = crate::span::enter("solve");
+            m.compute_all(&[5, 10, 5, 5], "local-matvec");
+            m.send(0, 3, 7, "msg");
+            {
+                let _i = crate::span::enter_iter(12);
+                m.allgather(2, "bcast-p");
+            }
+            m.compute_serial(4, "serial");
+            let seen = seen.lock().unwrap().clone();
+            seen
+        };
+        let at_full = run(TraceLevel::Full);
+        assert_eq!(at_full.len(), 4);
+        assert!(at_full[0].contains("proc_times: [5.0, 10.0, 5.0, 5.0]"));
+        assert!(at_full[1].contains("proc_times: []") && at_full[1].contains("hops: 2"));
+        assert!(at_full[2].contains("span: \"solve/iter=12\""));
+        assert_eq!(run(TraceLevel::Summary), at_full);
+        assert_eq!(run(TraceLevel::Off), at_full);
+    }
+
+    #[test]
+    fn fanout_asks_no_filter_when_a_child_wants_everything() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
+        let asked = Arc::new(AtomicUsize::new(0));
+        let emitted = Arc::new(AtomicUsize::new(0));
+        let sampler = |keep: bool| {
+            let asked = asked.clone();
+            EventSink::new(|_| {}).with_filter(move |_, _| {
+                asked.fetch_add(1, Ordering::Relaxed);
+                keep
+            })
+        };
+        let counter = || {
+            let emitted = emitted.clone();
+            EventSink::new(move |_| {
+                emitted.fetch_add(1, Ordering::Relaxed);
+            })
+        };
+        let mut m = Machine::hypercube(2);
+        m.set_tracing(false);
+        // A recorder that keeps everything next to a sampler: every event
+        // is built, and the sampler is left to decide in its emit body.
+        m.set_event_sink(EventSink::fanout(vec![sampler(false), counter()]));
+        m.barrier("a");
+        assert_eq!(
+            (
+                asked.load(Ordering::Relaxed),
+                emitted.load(Ordering::Relaxed)
+            ),
+            (0, 1)
+        );
+        // Samplers only: an event is built if any of them wants it.
+        m.set_event_sink(EventSink::fanout(vec![sampler(false), sampler(false)]));
+        m.barrier("b");
+        assert_eq!(asked.load(Ordering::Relaxed), 2);
+        let wanted = EventSink::fanout(vec![sampler(false), sampler(true)]);
+        assert!(wanted.wants(EventKind::Barrier));
     }
 
     #[test]

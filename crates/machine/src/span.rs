@@ -11,10 +11,11 @@
 //!
 //! The stack is thread-local, so concurrent solves on worker threads
 //! (the `hpf-service` pool) each carry their own paths with zero
-//! synchronisation. The fast path — no spans entered — is a single
-//! thread-local borrow returning an empty string. Entering a span with a
-//! literal name, or an iteration span ([`enter_iter`]), allocates
-//! nothing: text is only built when a path is asked for.
+//! synchronisation. It is kept *as* the joined path: entering a span
+//! appends its segment to one per-thread buffer and leaving truncates
+//! it, so neither allocates once the buffer has grown to the deepest
+//! path, and asking for the path ([`current_path`],
+//! [`write_current_path`]) is one copy, however deep the stack.
 //!
 //! ```
 //! use hpf_machine::span;
@@ -33,23 +34,45 @@ use std::borrow::Cow;
 use std::cell::RefCell;
 use std::fmt::Write;
 
-/// One entry of the stack. Iteration spans keep their number and are
-/// formatted (`iter=<k>`) only where a path is built.
+/// The active spans of one thread.
 #[derive(Debug)]
-enum Segment {
-    Text(Cow<'static, str>),
-    Iter(usize),
+struct Stack {
+    /// The segments joined by `/`.
+    path: String,
+    /// Length `path` had before each segment (and its separator) was
+    /// appended: where to truncate to when that span is left.
+    starts: Vec<usize>,
+    /// [`trace_of`] `path`, with the depth of the segment it was read
+    /// from: parsed when that segment is entered, so that a sampling
+    /// pre-filter asking once per machine operation reads a field.
+    trace: Option<(usize, u64)>,
 }
 
 thread_local! {
-    static STACK: RefCell<Vec<Segment>> = const { RefCell::new(Vec::new()) };
+    static STACK: RefCell<Stack> = const {
+        RefCell::new(Stack {
+            path: String::new(),
+            starts: Vec::new(),
+            trace: None,
+        })
+    };
 }
 
-fn push(segment: Segment) -> ScopeGuard {
+/// Append one segment, written by `write`, to the thread's path.
+fn push(write: impl FnOnce(&mut String)) -> ScopeGuard {
     let depth = STACK.with(|s| {
-        let mut s = s.borrow_mut();
-        s.push(segment);
-        s.len()
+        let stack = &mut *s.borrow_mut();
+        stack.starts.push(stack.path.len());
+        if stack.starts.len() > 1 {
+            stack.path.push('/');
+        }
+        let segment_at = stack.path.len();
+        write(&mut stack.path);
+        let depth = stack.starts.len();
+        if stack.trace.is_none() {
+            stack.trace = trace_of(&stack.path[segment_at..]).map(|id| (depth, id));
+        }
+        depth
     });
     ScopeGuard { depth }
 }
@@ -80,7 +103,7 @@ impl Span {
     /// Push this span onto the current thread's stack; it pops when the
     /// returned guard drops.
     pub fn enter(self) -> ScopeGuard {
-        push(Segment::Text(self.segment))
+        push(|path| path.push_str(&self.segment))
     }
 }
 
@@ -95,8 +118,15 @@ pub struct ScopeGuard {
 impl Drop for ScopeGuard {
     fn drop(&mut self) {
         STACK.with(|s| {
-            let mut s = s.borrow_mut();
-            s.truncate(self.depth.saturating_sub(1));
+            let stack = &mut *s.borrow_mut();
+            // Already popped when a guard entered earlier dropped first.
+            if let Some(&start) = stack.starts.get(self.depth - 1) {
+                stack.starts.truncate(self.depth - 1);
+                stack.path.truncate(start);
+                if stack.trace.is_some_and(|(depth, _)| depth >= self.depth) {
+                    stack.trace = None;
+                }
+            }
         });
     }
 }
@@ -107,59 +137,43 @@ pub fn enter(segment: impl Into<Cow<'static, str>>) -> ScopeGuard {
 }
 
 /// Enter the span of solver iteration `k`; its path segment reads
-/// `iter=<k>`, exactly as `enter(format!("iter={k}"))` would.
+/// `iter=<k>`, exactly as `enter(format!("iter={k}"))` would, without
+/// the temporary `String`.
 pub fn enter_iter(k: usize) -> ScopeGuard {
-    push(Segment::Iter(k))
+    push(|path| write!(path, "iter={k}").expect("writing to a String"))
 }
 
 /// The current span path — segments joined with `/`, empty when no span
 /// is active. This is the string stamped on every traced [`crate::Event`].
 pub fn current_path() -> String {
-    STACK.with(|s| {
-        let stack = s.borrow();
-        // Exact size up front, as `join` had: one allocation, no slack
-        // kept alive in a stored trace.
-        let len: usize = stack
-            .iter()
-            .map(|seg| match seg {
-                Segment::Text(t) => t.len() + 1,
-                Segment::Iter(k) => "iter=".len() + decimal_digits(*k) + 1,
-            })
-            .sum();
-        let mut path = String::with_capacity(len.saturating_sub(1));
-        for (i, seg) in stack.iter().enumerate() {
-            if i > 0 {
-                path.push('/');
-            }
-            match seg {
-                Segment::Text(t) => path.push_str(t),
-                Segment::Iter(k) => write!(path, "iter={k}").expect("writing to a String"),
-            }
-        }
-        path
-    })
+    // `clone` allocates the path's length exactly: no slack kept alive
+    // in a stored trace.
+    STACK.with(|s| s.borrow().path.clone())
 }
 
-fn decimal_digits(k: usize) -> usize {
-    k.checked_ilog10().map_or(1, |d| d as usize + 1)
+/// [`current_path`] copied into a caller-owned buffer (cleared first).
+/// A buffer that has held a path this long before is refilled without
+/// allocating — how the machine lends one scratch event to its sink.
+pub fn write_current_path(out: &mut String) {
+    out.clear();
+    STACK.with(|s| out.push_str(&s.borrow().path));
 }
 
 /// Number of active spans on this thread.
 pub fn depth() -> usize {
-    STACK.with(|s| s.borrow().len())
+    STACK.with(|s| s.borrow().starts.len())
 }
 
-/// The trace id on the *current* thread's span stack — the first
-/// `trace=<hex>` segment, scanned in place without building the joined
-/// path. The streaming tap consults this before constructing an event,
-/// so head-sampled-out jobs pay no allocation per machine operation.
+/// [`trace_of`] the *current* thread's span path. The streaming tap
+/// consults this before filling in an event, so a head-sampled-out job
+/// pays a field read and a hash per machine operation, not a parse.
 pub fn current_trace() -> Option<u64> {
-    STACK.with(|s| {
-        s.borrow().iter().find_map(|seg| match seg {
-            Segment::Text(t) => u64::from_str_radix(t.strip_prefix("trace=")?, 16).ok(),
-            Segment::Iter(_) => None,
-        })
-    })
+    STACK.with(|s| s.borrow().trace.map(|(_, id)| id))
+}
+
+/// [`level_of`] the *current* thread's span path, read where it sits.
+pub fn current_level() -> Option<usize> {
+    STACK.with(|s| level_of(&s.borrow().path))
 }
 
 /// The multigrid level of a span path: the numeric suffix of its first
@@ -259,6 +273,51 @@ mod tests {
         let _s = enter("solve");
         assert_eq!(current_trace(), Some(0x00c0_ffee));
         assert_eq!(trace_of(&current_path()), current_trace());
+    }
+
+    #[test]
+    fn current_trace_follows_entering_and_leaving() {
+        let _junk = enter("trace=not-hex");
+        assert_eq!(current_trace(), None);
+        {
+            let _a = enter("trace=0a");
+            let _b = enter("trace=0b");
+            assert_eq!(current_trace(), Some(0x0a), "the first that parses");
+            assert_eq!(current_trace(), trace_of(&current_path()));
+        }
+        assert_eq!(current_trace(), None, "left with its span");
+        let outer = enter("trace=0c");
+        let inner = enter("solve");
+        assert_eq!(current_trace(), Some(0x0c));
+        // Out of order: dropping the outer guard pops the inner span too.
+        drop(outer);
+        assert_eq!(current_trace(), None);
+        drop(inner);
+        let _again = enter("trace=0d");
+        assert_eq!(current_trace(), Some(0x0d));
+    }
+
+    #[test]
+    fn in_place_readers_agree_with_the_joined_path() {
+        let mut buf = String::from("stale contents");
+        write_current_path(&mut buf);
+        assert_eq!(buf, "");
+        assert_eq!(current_level(), None);
+        let _v = enter("vcycle");
+        let _bad = enter("level=fine");
+        assert_eq!(current_level(), level_of(&current_path()));
+        let _i = enter_iter(7);
+        let _l = enter("level=2");
+        let _inner = enter("level=3");
+        write_current_path(&mut buf);
+        assert_eq!(buf, current_path());
+        assert_eq!(buf, "vcycle/level=fine/iter=7/level=2/level=3");
+        assert_eq!(current_level(), Some(2));
+        assert_eq!(current_level(), level_of(&buf));
+        // A warm buffer is refilled where it sits.
+        let before = (buf.as_ptr(), buf.capacity());
+        write_current_path(&mut buf);
+        assert_eq!((buf.as_ptr(), buf.capacity()), before);
     }
 
     #[test]

@@ -122,6 +122,26 @@ pub struct Event {
     pub hops: usize,
 }
 
+impl Event {
+    /// An event with nothing in it: what the machine's scratch event
+    /// holds before its first refill.
+    pub(crate) fn blank() -> Event {
+        Event {
+            kind: EventKind::Compute,
+            participants: 0,
+            words: 0,
+            flops: 0,
+            time: 0.0,
+            start: 0.0,
+            span: String::new(),
+            label: String::new(),
+            proc_times: Vec::new(),
+            payload_words: 0,
+            hops: 0,
+        }
+    }
+}
+
 /// Append-only event log with summary accessors.
 #[derive(Debug, Default, Clone, Serialize, Deserialize)]
 pub struct Trace {
@@ -206,66 +226,28 @@ impl Trace {
 
     /// Aggregate the trace per label, in first-appearance order. This is
     /// the per-operation breakdown a solve produces ("dot-merge" cost vs
-    /// "matvec-bcast" cost, ...), compact enough to ship in a response.
-    ///
-    /// # Aggregation rules
-    ///
-    /// *Every* event kind participates — data-moving collectives,
-    /// `Compute` phases, and also `Barrier` and `Fault` events (a fault's
-    /// retransmit/restart penalty is real simulated time and must not
-    /// vanish from per-label totals). Per label the summary accumulates
-    /// the event count, the total words moved, the total flops executed,
-    /// and the total simulated time; labels appear in the order the
-    /// trace first saw them. Events with distinct span paths but the
-    /// same label aggregate together — use
-    /// [`Trace::summary_by_span`] for the span-oriented view — with one
-    /// exception: `Redistribute` events recorded under a `level=L` span
-    /// segment (multigrid restriction/prolongation between hierarchy
-    /// levels) keep one row *per level*, keyed `label [level=L]`, so a
-    /// V-cycle's per-level transfer costs stay readable instead of
-    /// collapsing into a single row.
+    /// "matvec-bcast" cost, ...), compact enough to ship in a response:
+    /// the rows of [`Digest::from_trace`], whose [`Digest::fold`] states
+    /// the aggregation rules.
     pub fn summary_by_label(&self) -> Vec<LabelSummary> {
-        self.summarise(|e| {
-            if e.kind == EventKind::Redistribute {
-                if let Some(l) = crate::span::level_of(&e.span) {
-                    return format!("{} [level={l}]", e.label);
-                }
-            }
-            e.label.clone()
-        })
+        Digest::from_trace(self).by_label
     }
 
     /// Aggregate the trace per span path (see [`crate::span`]), in
     /// first-appearance order. Events recorded outside any span land
-    /// under the empty path `""`. Follows the same aggregation rules as
-    /// [`Trace::summary_by_label`]: all kinds, including `Barrier` and
-    /// `Fault`, are counted.
+    /// under the empty path `""`. Every kind is counted, `Barrier` and
+    /// `Fault` included, as in [`Trace::summary_by_label`].
     pub fn summary_by_span(&self) -> Vec<LabelSummary> {
-        self.summarise(|e| e.span.clone())
-    }
-
-    fn summarise(&self, key: impl Fn(&Event) -> String) -> Vec<LabelSummary> {
-        let mut order: Vec<String> = Vec::new();
-        let mut agg: std::collections::HashMap<String, LabelSummary> =
-            std::collections::HashMap::new();
+        let mut rows: Vec<LabelSummary> = Vec::new();
+        let mut row_of: std::collections::HashMap<&str, usize> = std::collections::HashMap::new();
         for e in &self.events {
-            let k = key(e);
-            let s = agg.entry(k.clone()).or_insert_with(|| {
-                order.push(k.clone());
-                LabelSummary {
-                    label: k,
-                    count: 0,
-                    words: 0,
-                    flops: 0,
-                    time: 0.0,
-                }
+            let i = *row_of.entry(e.span.as_str()).or_insert_with(|| {
+                rows.push(LabelSummary::empty(e.span.clone()));
+                rows.len() - 1
             });
-            s.count += 1;
-            s.words += e.words;
-            s.flops += e.flops;
-            s.time += e.time;
+            rows[i].add(e.words, e.flops, e.time);
         }
-        order.iter().map(|l| agg[l.as_str()].clone()).collect()
+        rows
     }
 
     /// Export as JSON Lines: one object per event, in record order.
@@ -520,6 +502,159 @@ pub struct LabelSummary {
     pub time: f64,
 }
 
+impl LabelSummary {
+    fn empty(label: String) -> Self {
+        LabelSummary {
+            label,
+            count: 0,
+            words: 0,
+            flops: 0,
+            time: 0.0,
+        }
+    }
+
+    fn add(&mut self, words: usize, flops: usize, time: f64) {
+        self.count += 1;
+        self.words += words;
+        self.flops += flops;
+        self.time += time;
+    }
+}
+
+/// Totals plus the per-label breakdown of a run: what a
+/// [`crate::Machine`] keeps at [`crate::TraceLevel::Summary`] instead of
+/// events, and what [`Digest::from_trace`] computes from a stored trace.
+/// Both go through [`Digest::fold`], one operation at a time in record
+/// order, so the two are equal field for field, bit for bit.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct Digest {
+    /// Number of events folded in.
+    pub events: usize,
+    /// Total simulated time (communication + compute).
+    pub total_time: f64,
+    /// Simulated communication time (every kind but `Compute`).
+    pub comm_time: f64,
+    /// Simulated computation time.
+    pub compute_time: f64,
+    /// Words moved over the simulated network.
+    pub total_comm_words: usize,
+    /// Aggregates per event label ("dot-merge", "bcast-p", ...), in the
+    /// order the run first saw them.
+    pub by_label: Vec<LabelSummary>,
+}
+
+impl Digest {
+    /// The digest of a stored trace.
+    pub fn from_trace(trace: &Trace) -> Digest {
+        let mut digest = Digest::default();
+        for e in trace.events() {
+            digest.fold(e.kind, e.words, e.flops, e.time, &e.label, || {
+                crate::span::level_of(&e.span)
+            });
+        }
+        digest
+    }
+
+    /// Fold one operation in. `level` reports the `level=L` segment of
+    /// the span the operation ran under (see [`crate::span::level_of`]);
+    /// it is only asked for `Redistribute` events.
+    ///
+    /// # Aggregation rules
+    ///
+    /// *Every* event kind participates — data-moving collectives,
+    /// `Compute` phases, and also `Barrier` and `Fault` events (a fault's
+    /// retransmit/restart penalty is real simulated time and must not
+    /// vanish from per-label totals). Per label a row accumulates the
+    /// event count, the total words moved, the total flops executed,
+    /// and the total simulated time; rows appear in the order the run
+    /// first saw their label. Events with distinct span paths but the
+    /// same label aggregate together, with one exception:
+    /// `Redistribute` events recorded under a `level=L` span segment
+    /// (multigrid restriction/prolongation between hierarchy levels)
+    /// keep one row *per level*, keyed `label [level=L]`, so a V-cycle's
+    /// per-level transfer costs stay readable instead of collapsing
+    /// into a single row.
+    ///
+    /// A row that exists is found by comparing text in place; a `String`
+    /// is built only when a new row appears.
+    pub fn fold(
+        &mut self,
+        kind: EventKind,
+        words: usize,
+        flops: usize,
+        time: f64,
+        label: &str,
+        level: impl FnOnce() -> Option<usize>,
+    ) {
+        self.events += 1;
+        self.total_time += time;
+        if kind == EventKind::Compute {
+            self.compute_time += time;
+        } else {
+            self.comm_time += time;
+            self.total_comm_words += words;
+        }
+        let level = if kind == EventKind::Redistribute {
+            level()
+        } else {
+            None
+        };
+        let row = match self
+            .by_label
+            .iter()
+            .position(|row| row_is(&row.label, label, level))
+        {
+            Some(i) => i,
+            None => {
+                self.by_label.push(LabelSummary::empty(match level {
+                    Some(l) => format!("{label} [level={l}]"),
+                    None => label.to_string(),
+                }));
+                self.by_label.len() - 1
+            }
+        };
+        self.by_label[row].add(words, flops, time);
+    }
+
+    /// Forget everything folded so far (row storage is kept).
+    pub fn clear(&mut self) {
+        let mut by_label = std::mem::take(&mut self.by_label);
+        by_label.clear();
+        *self = Digest {
+            by_label,
+            ..Digest::default()
+        };
+    }
+}
+
+/// Is `row` the row of `label` at `level`, i.e. does it read `label`, or
+/// `label [level=L]`? Compared in place, nothing built.
+fn row_is(row: &str, label: &str, level: Option<usize>) -> bool {
+    let Some(level) = level else {
+        return row == label;
+    };
+    let digits = row
+        .strip_prefix(label)
+        .and_then(|rest| rest.strip_prefix(" [level="))
+        .and_then(|rest| rest.strip_suffix(']'));
+    let Some(digits) = digits else {
+        return false;
+    };
+    // `digits` must be exactly how `level` prints: compare from the
+    // least significant digit, and run out of both together.
+    let mut left = level;
+    let mut digits = digits.bytes().rev();
+    loop {
+        if digits.next() != Some(b'0' + (left % 10) as u8) {
+            return false;
+        }
+        left /= 10;
+        if left == 0 {
+            return digits.next().is_none();
+        }
+    }
+}
+
 fn json_f64(x: f64) -> String {
     if x.is_finite() {
         // Rust renders whole floats without a fraction ("3"); both forms
@@ -704,6 +839,45 @@ mod tests {
         assert_eq!(s[0].words, 200);
         assert_eq!(s[1].words, 25);
         assert_eq!(s[2].words, 7);
+    }
+
+    #[test]
+    fn digest_totals_are_the_traces() {
+        let mut t = Trace::new();
+        t.record(ev(EventKind::AllGather, 100, 0, 1.0, "bcast-p"));
+        t.record(ev(EventKind::Compute, 7, 2000, 2.0, "local-matvec"));
+        t.record(ev(EventKind::Fault, 3, 0, 0.25, "fault:drop:p1:op3"));
+        let d = Digest::from_trace(&t);
+        assert_eq!(d.events, 3);
+        assert_eq!(d.total_time, t.total_time());
+        assert_eq!(d.comm_time, t.comm_time());
+        assert_eq!(d.compute_time, t.compute_time());
+        // A compute event's words are not network traffic.
+        assert_eq!(d.total_comm_words, 103);
+        assert_eq!(d.total_comm_words, t.total_comm_words());
+        assert_eq!(d.by_label, t.summary_by_label());
+        let mut cleared = d.clone();
+        cleared.clear();
+        assert_eq!(cleared, Digest::default());
+    }
+
+    #[test]
+    fn rows_are_matched_as_the_text_they_print() {
+        assert!(row_is("dot-merge", "dot-merge", None));
+        assert!(!row_is("dot-merge", "dot", None));
+        assert!(!row_is("dot", "dot-merge", None));
+        assert!(row_is("mg-halo [level=0]", "mg-halo", Some(0)));
+        assert!(row_is("mg-halo [level=12]", "mg-halo", Some(12)));
+        assert!(!row_is("mg-halo [level=12]", "mg-halo", Some(2)));
+        assert!(!row_is("mg-halo [level=2]", "mg-halo", Some(12)));
+        assert!(!row_is("mg-halo [level=02]", "mg-halo", Some(2)));
+        assert!(!row_is("mg-halo [level=]", "mg-halo", Some(0)));
+        assert!(!row_is("mg-halo [level=1]", "mg-halo", None));
+        assert!(!row_is("mg-halo", "mg-halo", Some(1)));
+        assert!(!row_is("mg-halo [level=1] ", "mg-halo", Some(1)));
+        // The row is its text, whichever way it came about.
+        assert!(row_is("x [level=1]", "x [level=1]", None));
+        assert!(row_is("x [level=1]", "x", Some(1)));
     }
 
     #[test]

@@ -542,9 +542,10 @@ impl EventBus {
     /// The trace id is read from the span path's `trace=<hex>` segment
     /// (stamped by the service worker); machine faults are critical.
     ///
-    /// The sink carries a pre-filter so that, with tracing off, a
-    /// head-sampled-out job's machine operations never even build an
-    /// event — the E29 <5% telemetry-overhead band depends on this.
+    /// The sink carries a pre-filter so that, below
+    /// `TraceLevel::Full` (where the service's workers run), a
+    /// head-sampled-out job's machine operations never even fill in an
+    /// event — E29's per-published-event budget depends on this.
     pub fn machine_sink(self: &Arc<Self>) -> hpf_machine::EventSink {
         let filter_bus = Arc::clone(self);
         let bus = Arc::clone(self);

@@ -231,6 +231,17 @@ impl RegressionGate {
         self.dir.join("bench-history.jsonl")
     }
 
+    /// The persisted baseline of bench `bench`, if one exists.
+    pub fn baseline(&self, bench: u32) -> Result<Option<BenchRecord>, GateError> {
+        let path = self.baseline_path(bench);
+        if !path.exists() {
+            return Ok(None);
+        }
+        let text = std::fs::read_to_string(&path)
+            .map_err(|e| GateError::Io(format!("{}: {e}", path.display())))?;
+        BenchRecord::from_json(&text).map(Some)
+    }
+
     /// Compare `record` against the previous baseline (when one
     /// exists), then persist `record` as the new baseline and append it
     /// to the history journal.
@@ -239,13 +250,22 @@ impl RegressionGate {
     /// rewritten, so a failing run leaves the old baseline in place and
     /// re-running the comparison stays meaningful.
     pub fn check_and_record(&self, record: &BenchRecord) -> Result<GateOutcome, GateError> {
+        let outcome = self.check(record)?;
+        self.record(record)?;
+        Ok(outcome)
+    }
+
+    /// The comparison half of [`RegressionGate::check_and_record`]:
+    /// judge every series of `record` that the baseline also has, and
+    /// write nothing. A run whose record carries series a percentage
+    /// cannot judge (the difference of two wall times, near zero and as
+    /// large as its own noise) checks the rest, adds those, and then
+    /// calls [`RegressionGate::record`].
+    pub fn check(&self, record: &BenchRecord) -> Result<GateOutcome, GateError> {
         let baseline_path = self.baseline_path(record.bench);
         let mut compared = false;
         let mut series_compared = 0;
-        if baseline_path.exists() {
-            let text = std::fs::read_to_string(&baseline_path)
-                .map_err(|e| GateError::Io(format!("{}: {e}", baseline_path.display())))?;
-            let baseline = BenchRecord::from_json(&text)?;
+        if let Some(baseline) = self.baseline(record.bench)? {
             compared = true;
             let mut violations = Vec::new();
             for (name, current) in &record.series {
@@ -272,6 +292,18 @@ impl RegressionGate {
                 return Err(GateError::Regression { violations });
             }
         }
+        Ok(GateOutcome {
+            compared,
+            series_compared,
+            baseline_path,
+        })
+    }
+
+    /// The persisting half of [`RegressionGate::check_and_record`]:
+    /// write `record` as the new baseline and append it to the history
+    /// journal.
+    pub fn record(&self, record: &BenchRecord) -> Result<(), GateError> {
+        let baseline_path = self.baseline_path(record.bench);
         std::fs::create_dir_all(&self.dir)
             .map_err(|e| GateError::Io(format!("{}: {e}", self.dir.display())))?;
         std::fs::write(&baseline_path, format!("{}\n", record.to_json()))
@@ -284,12 +316,7 @@ impl RegressionGate {
             .map_err(|e| GateError::Io(format!("{}: {e}", history.display())))?;
         use std::io::Write as _;
         writeln!(journal, "{}", record.to_json())
-            .map_err(|e| GateError::Io(format!("{}: {e}", history.display())))?;
-        Ok(GateOutcome {
-            compared,
-            series_compared,
-            baseline_path,
-        })
+            .map_err(|e| GateError::Io(format!("{}: {e}", history.display())))
     }
 }
 

@@ -10,7 +10,8 @@ use hpf_sparse::CsrMatrix;
 use serde::{Deserialize, Serialize};
 
 /// Structural identity of a CSR matrix: dimensions, nonzero count, and a
-/// 64-bit FNV-1a hash of the pattern arrays.
+/// 64-bit hash of the pattern arrays. The hash is an in-process key (plan
+/// cache, batch key, circuit breaker); its value is not a stable format.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Fingerprint {
     pub n_rows: usize,
@@ -20,9 +21,10 @@ pub struct Fingerprint {
 }
 
 impl Fingerprint {
-    /// Fingerprint a matrix. `O(nnz)`; cheap next to a partition + solve.
+    /// Fingerprint a matrix. `O(nnz)`, a few cycles a nonzero; the
+    /// service computes it once per request, in `submit`.
     pub fn of(matrix: &CsrMatrix) -> Self {
-        let mut h = Fnv1a::new();
+        let mut h = PatternHasher::new();
         for &p in matrix.row_ptr() {
             h.write_usize(p);
         }
@@ -49,18 +51,21 @@ impl Fingerprint {
     }
 }
 
-struct Fnv1a(u64);
+/// One multiply-and-shift round per word. Each round is a bijection of
+/// the state for a fixed word and of the word for a fixed state, so two
+/// patterns that differ in a single entry never collide; the shift
+/// brings the well-mixed high half of the product down into the bits
+/// the next word lands on.
+struct PatternHasher(u64);
 
-impl Fnv1a {
+impl PatternHasher {
     fn new() -> Self {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
+        PatternHasher(0xcbf2_9ce4_8422_2325)
     }
 
     fn write_usize(&mut self, v: usize) {
-        for b in (v as u64).to_le_bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x1000_0000_01b3);
-        }
+        let x = (self.0 ^ v as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = x ^ (x >> 32);
     }
 
     fn finish(&self) -> u64 {
@@ -99,6 +104,75 @@ mod tests {
             Fingerprint::of(&a),
             Fingerprint::of(&gen::tridiagonal(30, 9.0, -2.0))
         );
+    }
+
+    fn from_parts(n: usize, row_ptr: Vec<usize>, col_idx: Vec<usize>) -> CsrMatrix {
+        let values = vec![1.0; col_idx.len()];
+        CsrMatrix::from_raw(n, n, row_ptr, col_idx, values).expect("well-formed pattern")
+    }
+
+    #[test]
+    fn one_moved_entry_changes_the_hash() {
+        let base = from_parts(4, vec![0, 2, 4, 6, 8], vec![0, 1, 1, 2, 2, 3, 0, 3]);
+        // One nonzero moved within its row: same shape, same count.
+        let moved = from_parts(4, vec![0, 2, 4, 6, 8], vec![0, 1, 1, 3, 2, 3, 0, 3]);
+        // One `row_ptr` entry changed: a nonzero handed from row 1 to row 2.
+        let shifted = from_parts(4, vec![0, 2, 3, 6, 8], vec![0, 1, 1, 2, 2, 3, 0, 3]);
+        let hashes = [&base, &moved, &shifted].map(|m| {
+            let f = Fingerprint::of(m);
+            assert_eq!((f.n_rows, f.n_cols, f.nnz), (4, 4, 8));
+            f.pattern_hash
+        });
+        assert_ne!(hashes[0], hashes[1]);
+        assert_ne!(hashes[0], hashes[2]);
+        assert_ne!(hashes[1], hashes[2]);
+    }
+
+    #[test]
+    fn the_two_arrays_are_hashed_apart() {
+        // Feeding the hasher by hand: the same words split differently
+        // between `row_ptr` and `col_idx` must not hash alike, which is
+        // what the separator between the two arrays is for.
+        let hash = |row_ptr: &[usize], col_idx: &[usize]| {
+            let mut h = PatternHasher::new();
+            row_ptr.iter().for_each(|&p| h.write_usize(p));
+            h.write_usize(usize::MAX);
+            col_idx.iter().for_each(|&c| h.write_usize(c));
+            h.finish()
+        };
+        assert_ne!(hash(&[0, 1, 2], &[0, 1]), hash(&[0, 1], &[2, 0, 1]));
+        assert_ne!(hash(&[0, 1, 2], &[0, 1]), hash(&[0, 1, 2, 0], &[1]));
+        assert_ne!(hash(&[0, 1], &[0, 1]), hash(&[0, 1], &[1, 0]));
+        assert_ne!(hash(&[], &[0]), hash(&[0], &[]));
+    }
+
+    /// The structures of the wall-clock benchmark's service stream: its
+    /// 24 pooled shapes and a thousand of its never-seen
+    /// `random_spd(384, 5, seed)` structures, all told apart.
+    #[test]
+    fn benchmark_structures_are_collision_free() {
+        let mut structures: Vec<CsrMatrix> = Vec::new();
+        for i in 0..8 {
+            structures.push(gen::banded_spd(512 + 64 * i, 3, i as u64));
+            structures.push(gen::poisson_2d(20 + 2 * i, 20 + 2 * i));
+            structures.push(gen::power_law_spd(400 + 50 * i, 10, 0.9, i as u64));
+        }
+        for seed in 0..1000 {
+            structures.push(gen::random_spd(384, 5, seed));
+        }
+        let mut seen = std::collections::HashMap::new();
+        for (i, m) in structures.iter().enumerate() {
+            let f = Fingerprint::of(m);
+            if let Some(j) = seen.insert(f.pattern_hash, i) {
+                let other: &CsrMatrix = &structures[j];
+                assert!(
+                    m.row_ptr() == other.row_ptr() && m.col_idx() == other.col_idx(),
+                    "structures {j} and {i} differ but hash alike ({:016x})",
+                    f.pattern_hash
+                );
+            }
+        }
+        assert!(seen.len() > 1000, "{} distinct hashes", seen.len());
     }
 
     #[test]

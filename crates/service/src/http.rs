@@ -30,16 +30,38 @@
 //! parsing limited to the request line. That is exactly what a
 //! Prometheus scraper or a `curl` in a terminal needs, and it keeps the
 //! crate's "no external dependencies" property intact.
+//!
+//! Framing is still done properly, because TCP delivers a request in
+//! whatever pieces it likes: the head is read up to its blank line
+//! (`431` past [`MAX_HEAD_BYTES`], `400` if the client stops sending
+//! first, `408` after [`HEAD_DEADLINE`]), one response is written with
+//! `Connection: close`, and whatever else the client sent (a pipelined
+//! second request) is read and dropped before the socket closes —
+//! closing with unread bytes would reset the connection under the
+//! response the client is still reading.
 
 use crate::metrics::Metrics;
 use crate::retry::CircuitBreaker;
 use parking_lot::Mutex;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{ErrorKind, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// Largest request head (request line + headers + blank line) accepted.
+pub const MAX_HEAD_BYTES: usize = 8 * 1024;
+
+/// How long a client has to deliver its request head. The listener
+/// serves one connection at a time, so this also bounds how long a slow
+/// client can hold up the next scrape.
+pub const HEAD_DEADLINE: Duration = Duration::from_secs(2);
+
+/// After the response: how long, and how much, of the client's leftover
+/// input is read and dropped before closing.
+const DRAIN_DEADLINE: Duration = Duration::from_millis(250);
+const DRAIN_BYTES: usize = 64 * 1024;
 
 /// Documents published by the embedding process and served verbatim
 /// (`404` until first published).
@@ -168,27 +190,116 @@ pub(crate) fn spawn(addr: &str, state: HttpState) -> std::io::Result<MetricsServ
     })
 }
 
+/// What arrived on a connection before its request could be routed.
+#[derive(Debug, PartialEq, Eq)]
+enum Head {
+    /// Everything up to and including the blank line.
+    Complete(Vec<u8>),
+    /// More than [`MAX_HEAD_BYTES`] without a blank line.
+    TooLarge,
+    /// The client stopped sending mid-head.
+    Truncated,
+    /// The deadline passed mid-head.
+    TimedOut,
+    /// The client connected and left (or the socket failed): nobody to
+    /// answer.
+    Gone,
+}
+
+/// Read a request head: bytes until `\r\n\r\n`, however many reads
+/// that takes. Bytes past the blank line (a request body, a pipelined
+/// request) may be consumed and are dropped.
+fn read_head(stream: &mut TcpStream, deadline: Duration) -> Head {
+    let give_up_at = Instant::now() + deadline;
+    let mut head = Vec::with_capacity(512);
+    let mut chunk = [0u8; 1024];
+    loop {
+        let left = give_up_at.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Head::TimedOut;
+        }
+        // `set_read_timeout` rejects a zero duration; `left` is not.
+        let _ = stream.set_read_timeout(Some(left));
+        match stream.read(&mut chunk) {
+            Ok(0) if head.is_empty() => return Head::Gone,
+            Ok(0) => return Head::Truncated,
+            Ok(n) => {
+                // The terminator may straddle two reads.
+                let scan_from = head.len().saturating_sub(3);
+                head.extend_from_slice(&chunk[..n]);
+                let end = head[scan_from..]
+                    .windows(4)
+                    .position(|w| w == b"\r\n\r\n")
+                    .map(|at| scan_from + at + 4);
+                if end.unwrap_or(head.len()) > MAX_HEAD_BYTES {
+                    return Head::TooLarge;
+                }
+                if let Some(end) = end {
+                    head.truncate(end);
+                    return Head::Complete(head);
+                }
+            }
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                return Head::TimedOut;
+            }
+            Err(_) => return Head::Gone,
+        }
+    }
+}
+
 fn handle_connection(mut stream: TcpStream, state: &HttpState, published: &Published) {
     let _ = stream.set_nonblocking(false);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
     let _ = stream.set_write_timeout(Some(Duration::from_millis(500)));
-    // One read is enough for the GET requests we serve; anything the
-    // client sends beyond 4 KiB of headers is ignored.
-    let mut buf = [0u8; 4096];
-    let n = match stream.read(&mut buf) {
-        Ok(0) | Err(_) => return,
-        Ok(n) => n,
+    let plain = "text/plain; charset=utf-8";
+    let (status, content_type, body) = match read_head(&mut stream, HEAD_DEADLINE) {
+        Head::Complete(head) => {
+            let head = String::from_utf8_lossy(&head);
+            let mut parts = head.lines().next().unwrap_or("").split_whitespace();
+            let method = parts.next().unwrap_or("");
+            let path = parts.next().unwrap_or("");
+            route(method, path, state, published)
+        }
+        Head::TooLarge => (
+            "431 Request Header Fields Too Large",
+            plain,
+            format!("request head exceeds {MAX_HEAD_BYTES} bytes\n"),
+        ),
+        Head::Truncated => (
+            "400 Bad Request",
+            plain,
+            "request ended before its blank line\n".to_string(),
+        ),
+        Head::TimedOut => (
+            "408 Request Timeout",
+            plain,
+            "request head not received in time\n".to_string(),
+        ),
+        Head::Gone => return,
     };
-    let request = String::from_utf8_lossy(&buf[..n]);
-    let mut parts = request.lines().next().unwrap_or("").split_whitespace();
-    let method = parts.next().unwrap_or("");
-    let path = parts.next().unwrap_or("");
-    let (status, content_type, body) = route(method, path, state, published);
     let response = format!(
         "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
     );
-    let _ = stream.write_all(response.as_bytes());
+    if stream.write_all(response.as_bytes()).is_err() {
+        return;
+    }
+    // Tell the client the response is complete, then read off whatever
+    // it still had in flight so the close below is a FIN, not a reset.
+    let _ = stream.shutdown(Shutdown::Write);
+    let give_up_at = Instant::now() + DRAIN_DEADLINE;
+    let mut dropped = 0usize;
+    let mut chunk = [0u8; 1024];
+    while dropped < DRAIN_BYTES {
+        let left = give_up_at.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            break;
+        }
+        match stream.read(&mut chunk) {
+            Ok(0) | Err(_) => break,
+            Ok(n) => dropped += n,
+        }
+    }
 }
 
 fn route(
@@ -313,11 +424,10 @@ mod tests {
     use super::*;
 
     fn get(addr: SocketAddr, path: &str) -> String {
-        let mut s = TcpStream::connect(addr).unwrap();
-        write!(s, "GET {path} HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
-        let mut out = String::new();
-        s.read_to_string(&mut out).unwrap();
-        out
+        exchange(
+            addr,
+            &[format!("GET {path} HTTP/1.1\r\nHost: x\r\n\r\n").as_bytes()],
+        )
     }
 
     fn test_state() -> HttpState {
@@ -454,6 +564,116 @@ mod tests {
         let health = get(server.addr(), "/healthz");
         assert!(health.contains("\"status\":\"degraded\""), "{health}");
         server.stop();
+    }
+
+    /// Send `pieces` one write at a time (no coalescing), then read the
+    /// whole answer. `read_to_string` fails on a reset, so a passing call
+    /// also shows the connection was closed cleanly.
+    fn exchange(addr: SocketAddr, pieces: &[&[u8]]) -> String {
+        let mut s = TcpStream::connect(addr).unwrap();
+        s.set_nodelay(true).unwrap();
+        for piece in pieces {
+            s.write_all(piece).unwrap();
+            s.flush().unwrap();
+        }
+        let mut out = String::new();
+        s.read_to_string(&mut out)
+            .expect("answer, then a clean close");
+        out
+    }
+
+    #[test]
+    fn a_request_split_across_writes_is_answered_once_whole() {
+        let mut server = spawn("127.0.0.1:0", test_state()).unwrap();
+        // Split inside the request line, inside a header, and inside
+        // the terminating blank line itself.
+        let out = exchange(
+            server.addr(),
+            &[b"GET /hea", b"lthz HTTP/1.1\r\nHo", b"st: x\r\n\r", b"\n"],
+        );
+        assert!(out.starts_with("HTTP/1.1 200 OK"), "{out}");
+        assert!(out.contains("\"status\":\"ok\""), "{out}");
+        assert_eq!(out.matches("HTTP/1.1 ").count(), 1, "{out}");
+        server.stop();
+    }
+
+    #[test]
+    fn a_request_sent_a_byte_at_a_time_is_answered() {
+        let mut server = spawn("127.0.0.1:0", test_state()).unwrap();
+        let request = b"GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n";
+        let bytes: Vec<&[u8]> = request.chunks(1).collect();
+        let out = exchange(server.addr(), &bytes);
+        assert!(out.starts_with("HTTP/1.1 200 OK"), "{out}");
+        assert!(out.contains("hpf_service_accepted_total"), "{out}");
+        server.stop();
+    }
+
+    #[test]
+    fn an_oversized_head_is_431() {
+        let mut server = spawn("127.0.0.1:0", test_state()).unwrap();
+        let mut request = b"GET /metrics HTTP/1.1\r\nX-Padding: ".to_vec();
+        request.resize(2 * MAX_HEAD_BYTES, b'a');
+        let out = exchange(server.addr(), &[&request]);
+        assert!(out.starts_with("HTTP/1.1 431"), "{out}");
+        // A head of exactly the cap is still served.
+        let mut request = b"GET /healthz HTTP/1.1\r\nX-Padding: ".to_vec();
+        request.resize(MAX_HEAD_BYTES - 4, b'a');
+        request.extend_from_slice(b"\r\n\r\n");
+        let out = exchange(server.addr(), &[&request]);
+        assert!(out.starts_with("HTTP/1.1 200 OK"), "{out}");
+        server.stop();
+    }
+
+    #[test]
+    fn a_pipelined_second_request_is_dropped_without_a_reset() {
+        let mut server = spawn("127.0.0.1:0", test_state()).unwrap();
+        let first = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n";
+        let second = b"GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n";
+        // Both in one segment, and the second in a segment of its own
+        // (it then arrives while or after the first is answered).
+        let together = [first.as_slice(), second.as_slice()].concat();
+        for pieces in [vec![together.as_slice()], vec![first, second]] {
+            let out = exchange(server.addr(), &pieces);
+            assert!(out.starts_with("HTTP/1.1 200 OK"), "{out}");
+            assert!(out.contains("Connection: close"), "{out}");
+            assert!(out.contains("\"status\":\"ok\""), "{out}");
+            assert_eq!(out.matches("HTTP/1.1 ").count(), 1, "{out}");
+        }
+        server.stop();
+    }
+
+    #[test]
+    fn a_head_cut_short_is_400() {
+        let mut server = spawn("127.0.0.1:0", test_state()).unwrap();
+        let mut s = TcpStream::connect(server.addr()).unwrap();
+        s.write_all(b"GET /metrics HTTP/1.1\r\nHost: x\r\n")
+            .unwrap();
+        s.shutdown(Shutdown::Write).unwrap();
+        let mut out = String::new();
+        s.read_to_string(&mut out).unwrap();
+        assert!(out.starts_with("HTTP/1.1 400"), "{out}");
+        // A client that connects and leaves is not answered at all.
+        drop(TcpStream::connect(server.addr()).unwrap());
+        assert!(get(server.addr(), "/healthz").starts_with("HTTP/1.1 200"));
+        server.stop();
+    }
+
+    #[test]
+    fn a_slow_client_times_out_instead_of_holding_the_listener() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut served, _) = listener.accept().unwrap();
+        client.write_all(b"GET /metrics HT").unwrap();
+        // The client stays connected and silent: only the deadline ends this.
+        assert_eq!(
+            read_head(&mut served, Duration::from_millis(50)),
+            Head::TimedOut
+        );
+        client.write_all(b"TP/1.1\r\n\r\nextra").unwrap();
+        assert_eq!(
+            read_head(&mut served, HEAD_DEADLINE),
+            Head::Complete(b"TP/1.1\r\n\r\n".to_vec())
+        );
     }
 
     #[test]

@@ -60,10 +60,10 @@ pub struct Metrics {
     latency_buckets: [AtomicU64; LATENCY_BUCKET_BOUNDS_US.len()],
     /// Total observed latency in microseconds (histogram `_sum`).
     latency_sum_us: AtomicU64,
-    /// Completed/failed counts keyed by `(solver, scenario)` so the
-    /// exposition can tell a CG run from a GMRES escalation. BTreeMap
-    /// keeps the exposition order deterministic.
-    solve_outcomes: Mutex<BTreeMap<(String, String), OutcomeCounts>>,
+    /// Completed/failed counts keyed by solver, then scenario, so the
+    /// exposition can tell a CG run from a GMRES escalation. BTreeMaps
+    /// keep the exposition order deterministic.
+    solve_outcomes: Mutex<BTreeMap<String, BTreeMap<String, OutcomeCounts>>>,
     /// Post-mortem dumps the flight recorder produced, keyed by the
     /// top-ranked verdict. BTreeMap keeps the exposition deterministic.
     postmortems: Mutex<BTreeMap<String, u64>>,
@@ -135,16 +135,29 @@ impl Metrics {
     /// pair. `solver` should be the solver that actually produced the
     /// outcome (post-escalation). Label values are sanitized to the
     /// Prometheus-safe charset at record time so JSON and exposition
-    /// agree.
+    /// agree. A label that needs no sanitizing is its own key, so a pair
+    /// recorded before is found as given and nothing is allocated.
     pub fn record_solve_outcome(&self, solver: &str, scenario: &str, completed: bool) {
-        let key = (sanitize_label(solver), sanitize_label(scenario));
+        let bump = |counts: &mut OutcomeCounts| {
+            if completed {
+                counts.completed += 1;
+            } else {
+                counts.failed += 1;
+            }
+        };
         let mut map = self.solve_outcomes.lock();
-        let entry = map.entry(key).or_default();
-        if completed {
-            entry.completed += 1;
-        } else {
-            entry.failed += 1;
+        if let Some(counts) = map
+            .get_mut(solver)
+            .and_then(|by_scenario| by_scenario.get_mut(scenario))
+        {
+            return bump(counts);
         }
+        bump(
+            map.entry(sanitize_label(solver))
+                .or_default()
+                .entry(sanitize_label(scenario))
+                .or_default(),
+        );
     }
 
     /// Record one flight-recorder post-mortem dump under its top-ranked
@@ -211,11 +224,13 @@ impl Metrics {
                 .solve_outcomes
                 .lock()
                 .iter()
-                .map(|((solver, scenario), c)| SolveOutcome {
-                    solver: solver.clone(),
-                    scenario: scenario.clone(),
-                    completed: c.completed,
-                    failed: c.failed,
+                .flat_map(|(solver, by_scenario)| {
+                    by_scenario.iter().map(move |(scenario, c)| SolveOutcome {
+                        solver: solver.clone(),
+                        scenario: scenario.clone(),
+                        completed: c.completed,
+                        failed: c.failed,
+                    })
                 })
                 .collect(),
             postmortems: self

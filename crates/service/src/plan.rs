@@ -14,8 +14,9 @@ use hpf_machine::{CostModel, Machine, Topology};
 use hpf_mg::{GridDims, MgHierarchy, MgPreconditioner};
 use hpf_partition::BalancedContiguous;
 use hpf_sparse::CsrMatrix;
-use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
+use parking_lot::Mutex;
+use std::collections::HashMap;
+use std::sync::{Arc, OnceLock};
 
 /// Reusable result of partitioning one matrix structure for `np`
 /// processors.
@@ -61,15 +62,28 @@ impl SolvePlan {
     }
 
     /// Partition `matrix`'s structure for `np` processors with any
-    /// registered partitioner. This is the single partitioner call site
-    /// in the service; everything else reuses plans.
+    /// registered partitioner, for callers that hold no fingerprint of
+    /// it yet.
     pub fn build_with(
         matrix: &CsrMatrix,
         np: usize,
         topology: Topology,
         partitioner: &dyn Partitioner,
     ) -> SolvePlan {
-        let fingerprint = Fingerprint::of(matrix);
+        Self::build_for(Fingerprint::of(matrix), matrix, np, topology, partitioner)
+    }
+
+    /// [`SolvePlan::build_with`] for a matrix whose `fingerprint` the
+    /// caller already computed (the service hashes a request's structure
+    /// once, in `submit`). This is the single partitioner call site in
+    /// the service; everything else reuses plans.
+    pub fn build_for(
+        fingerprint: Fingerprint,
+        matrix: &CsrMatrix,
+        np: usize,
+        topology: Topology,
+        partitioner: &dyn Partitioner,
+    ) -> SolvePlan {
         let n = matrix.n_rows();
         // `!EXT$ INDIVISABLE row(ATOM:i) :: col(i:i+1)` — rows are the
         // atoms, weighted by their nonzeros — then
@@ -128,25 +142,53 @@ impl SolvePlan {
 /// Outcome of a cache lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheOutcome {
+    /// The plan existed, or another thread was building it and this
+    /// lookup waited for that build.
     Hit,
+    /// This lookup ran the partitioner.
     Miss,
 }
 
 /// Cache key: the same structure laid out by two different partitioners
 /// — or carrying multigrid hierarchies of two different depths — yields
-/// distinct plans. The third component is [`SolvePlan::mg_levels`]
-/// (0 for non-multigrid plans).
-pub type PlanKey = (Fingerprint, String, usize);
+/// distinct plans. The second component is [`Partitioner::name`], the
+/// third [`SolvePlan::mg_levels`] (0 for non-multigrid plans).
+pub type PlanKey = (Fingerprint, &'static str, usize);
+
+/// Where the plan of one key lives. Filled at most once, by whichever
+/// lookup gets there first; a build that panics leaves it empty for the
+/// next lookup to fill.
+type Slot = Arc<OnceLock<Arc<SolvePlan>>>;
+
+#[derive(Debug)]
+struct Entry {
+    slot: Slot,
+    /// [`Slots::clock`] at the latest lookup of this key.
+    last_used: u64,
+}
+
+#[derive(Debug, Default)]
+struct Slots {
+    by_key: HashMap<PlanKey, Entry>,
+    /// Counts lookups; orders entries by recency.
+    clock: u64,
+}
 
 /// Bounded map from [`PlanKey`] (structural fingerprint + partitioner
-/// name + hierarchy depth) to [`SolvePlan`], evicting the
-/// oldest-inserted plan once full (structures tend to be submitted in
-/// runs, so insertion order approximates recency well enough here).
+/// name + hierarchy depth) to [`SolvePlan`], shared by the workers.
+///
+/// * **Least-recently-used eviction.** A stream that mixes a pool of
+///   recurring structures with never-seen ones keeps the pool: a plan
+///   that keeps being asked for outlives any number of one-off inserts.
+/// * **Built outside the lock.** The one mutex is held to find, insert
+///   or touch a key's slot, never across a partitioner run: a lookup of
+///   one key is not delayed by the build of another.
+/// * **Built once per key.** Concurrent lookups of a key that is being
+///   built wait on its slot and share the result.
 #[derive(Debug)]
 pub struct PlanCache {
     capacity: usize,
-    plans: HashMap<PlanKey, Arc<SolvePlan>>,
-    order: VecDeque<PlanKey>,
+    slots: Mutex<Slots>,
 }
 
 impl PlanCache {
@@ -154,85 +196,149 @@ impl PlanCache {
         assert!(capacity > 0, "plan cache capacity must be positive");
         PlanCache {
             capacity,
-            plans: HashMap::new(),
-            order: VecDeque::new(),
+            slots: Mutex::new(Slots::default()),
         }
     }
 
+    /// Number of plans cached (slots whose build has finished).
     pub fn len(&self) -> usize {
-        self.plans.len()
+        let slots = self.slots.lock();
+        slots
+            .by_key
+            .values()
+            .filter(|entry| entry.slot.get().is_some())
+            .count()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.plans.is_empty()
+        self.len() == 0
     }
 
-    pub fn get(
-        &self,
-        fp: &Fingerprint,
-        partitioner: &str,
-        mg_levels: usize,
-    ) -> Option<Arc<SolvePlan>> {
-        self.plans
-            .get(&(*fp, partitioner.to_string(), mg_levels))
-            .cloned()
-    }
-
-    /// Insert a plan, evicting the oldest entry if at capacity.
-    pub fn insert(&mut self, plan: Arc<SolvePlan>) {
-        let key = (
-            plan.fingerprint,
-            plan.partitioner.to_string(),
-            plan.mg_levels,
-        );
-        if self.plans.insert(key.clone(), plan).is_none() {
-            self.order.push_back(key);
-            if self.order.len() > self.capacity {
-                if let Some(old) = self.order.pop_front() {
-                    self.plans.remove(&old);
-                }
+    /// The slot of `key`, marked most recently used; inserted (evicting
+    /// the least recently used entry at capacity) if the key is new.
+    fn slot(&self, key: PlanKey) -> Slot {
+        let mut slots = self.slots.lock();
+        slots.clock += 1;
+        let now = slots.clock;
+        if let Some(entry) = slots.by_key.get_mut(&key) {
+            entry.last_used = now;
+            return entry.slot.clone();
+        }
+        if slots.by_key.len() >= self.capacity {
+            let oldest = slots
+                .by_key
+                .iter()
+                .min_by_key(|(_, entry)| entry.last_used)
+                .map(|(key, _)| *key);
+            if let Some(oldest) = oldest {
+                // A build in flight on the evicted slot still completes
+                // for the lookups holding it; its plan is just not kept.
+                slots.by_key.remove(&oldest);
             }
         }
+        let slot = Slot::default();
+        slots.by_key.insert(
+            key,
+            Entry {
+                slot: slot.clone(),
+                last_used: now,
+            },
+        );
+        slot
     }
 
-    /// Look up a plan, building and caching it on a miss. Returns the
-    /// plan and whether it was a hit. `on_build` runs only on misses
-    /// (the service counts partitioner invocations there). `mg` asks
-    /// for a multigrid plan: `(grid, levels)` keys the entry on the
-    /// hierarchy depth and prebuilds the V-cycle preconditioner.
+    /// Look up the plan of `matrix` (whose structure hashes to
+    /// `fingerprint`) under `partitioner`, building and caching it on a
+    /// miss. `mg` asks for a multigrid plan: `(grid, levels)` keys the
+    /// entry on the hierarchy depth and prebuilds the V-cycle
+    /// preconditioner. Returns the plan and whether this call built it.
     pub fn get_or_build(
-        &mut self,
+        &self,
+        fingerprint: Fingerprint,
         matrix: &CsrMatrix,
         np: usize,
         topology: Topology,
         partitioner: &dyn Partitioner,
         mg: Option<(GridDims, usize)>,
-        on_build: impl FnOnce(),
     ) -> (Arc<SolvePlan>, CacheOutcome) {
         let mg_levels = mg.map_or(0, |(_, levels)| levels);
-        let key = (
-            Fingerprint::of(matrix),
-            partitioner.name().to_string(),
-            mg_levels,
-        );
-        if let Some(plan) = self.plans.get(&key) {
-            return (plan.clone(), CacheOutcome::Hit);
-        }
-        on_build();
-        let mut plan = SolvePlan::build_with(matrix, np, topology, partitioner);
-        if let Some((dims, levels)) = mg {
-            plan = plan.with_mg(dims, levels);
-        }
-        let plan = Arc::new(plan);
-        self.insert(plan.clone());
-        (plan, CacheOutcome::Miss)
+        let slot = self.slot((fingerprint, partitioner.name(), mg_levels));
+        let mut outcome = CacheOutcome::Hit;
+        let plan = slot.get_or_init(|| {
+            outcome = CacheOutcome::Miss;
+            let mut plan = SolvePlan::build_for(fingerprint, matrix, np, topology, partitioner);
+            if let Some((dims, levels)) = mg {
+                plan = plan.with_mg(dims, levels);
+            }
+            Arc::new(plan)
+        });
+        (plan.clone(), outcome)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hpf_dist::{AtomAssignment, AtomSpec};
     use hpf_sparse::gen;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    const NP: usize = 4;
+
+    fn lookup(
+        cache: &PlanCache,
+        a: &CsrMatrix,
+        partitioner: &dyn Partitioner,
+        mg: Option<(GridDims, usize)>,
+    ) -> (Arc<SolvePlan>, CacheOutcome) {
+        cache.get_or_build(
+            Fingerprint::of(a),
+            a,
+            NP,
+            Topology::Hypercube,
+            partitioner,
+            mg,
+        )
+    }
+
+    /// `balanced-rows` with a hook run at the start of every partition
+    /// call (given the number of calls before it), so a test can count
+    /// partitioner runs, park one mid-build, or make one panic.
+    struct Hooked<F: Fn(usize)> {
+        calls: AtomicUsize,
+        hook: F,
+    }
+
+    impl<F: Fn(usize)> Hooked<F> {
+        fn new(hook: F) -> Self {
+            Hooked {
+                calls: AtomicUsize::new(0),
+                hook,
+            }
+        }
+
+        fn calls(&self) -> usize {
+            self.calls.load(Ordering::SeqCst)
+        }
+    }
+
+    impl<F: Fn(usize)> Partitioner for Hooked<F> {
+        fn name(&self) -> &'static str {
+            "hooked"
+        }
+
+        fn partition(
+            &self,
+            spec: &AtomSpec,
+            graph: &ConnectivityGraph,
+            np: usize,
+        ) -> AtomAssignment {
+            (self.hook)(self.calls.fetch_add(1, Ordering::SeqCst));
+            BalancedContiguous.partition(spec, graph, np)
+        }
+    }
 
     #[test]
     fn plan_is_deterministic_for_a_fingerprint() {
@@ -281,65 +387,42 @@ mod tests {
     }
 
     #[test]
-    fn cache_hits_after_insert_and_counts_builds() {
+    fn cache_hits_after_a_build() {
         let a = gen::banded_spd(48, 4, 2);
-        let mut cache = PlanCache::new(4);
-        let mut builds = 0usize;
-        let (_, o1) = cache.get_or_build(
-            &a,
-            4,
-            Topology::Hypercube,
-            &BalancedContiguous,
-            None,
-            || builds += 1,
-        );
-        let (_, o2) = cache.get_or_build(
-            &a,
-            4,
-            Topology::Hypercube,
-            &BalancedContiguous,
-            None,
-            || builds += 1,
-        );
+        let cache = PlanCache::new(4);
+        assert!(cache.is_empty());
+        let counting = Hooked::new(|_| {});
+        let (p1, o1) = lookup(&cache, &a, &counting, None);
+        let (p2, o2) = lookup(&cache, &a, &counting, None);
         assert_eq!(o1, CacheOutcome::Miss);
         assert_eq!(o2, CacheOutcome::Hit);
-        assert_eq!(builds, 1);
+        assert!(Arc::ptr_eq(&p1, &p2));
+        assert_eq!(counting.calls(), 1);
         assert_eq!(cache.len(), 1);
     }
 
     #[test]
     fn cache_keys_include_the_partitioner() {
         let a = gen::power_law_spd(80, 16, 0.9, 6);
-        let mut cache = PlanCache::new(4);
-        let mut builds = 0usize;
-        let (p1, o1) = cache.get_or_build(
-            &a,
-            4,
-            Topology::Hypercube,
-            &BalancedContiguous,
-            None,
-            || builds += 1,
-        );
-        let (p2, o2) = cache.get_or_build(
-            &a,
-            4,
-            Topology::Hypercube,
-            &hpf_partition::GreedyHypergraph,
-            None,
-            || builds += 1,
-        );
+        let cache = PlanCache::new(4);
+        let (p1, o1) = lookup(&cache, &a, &BalancedContiguous, None);
+        let (p2, o2) = lookup(&cache, &a, &hpf_partition::GreedyHypergraph, None);
         // Same structure, different partitioner: both are misses and
         // both plans live in the cache side by side.
         assert_eq!(o1, CacheOutcome::Miss);
         assert_eq!(o2, CacheOutcome::Miss);
-        assert_eq!(builds, 2);
         assert_eq!(cache.len(), 2);
         assert_eq!(p1.fingerprint, p2.fingerprint);
         assert_eq!(p1.partitioner, "balanced-rows");
         assert_eq!(p2.partitioner, "greedy-hypergraph");
-        assert!(cache.get(&p1.fingerprint, "balanced-rows", 0).is_some());
-        assert!(cache.get(&p1.fingerprint, "greedy-hypergraph", 0).is_some());
-        assert!(cache.get(&p1.fingerprint, "spectral", 0).is_none());
+        for partitioner in [
+            &BalancedContiguous as &dyn Partitioner,
+            &hpf_partition::GreedyHypergraph,
+        ] {
+            assert_eq!(lookup(&cache, &a, partitioner, None).1, CacheOutcome::Hit);
+        }
+        let (_, o3) = lookup(&cache, &a, &hpf_partition::SpectralBisection, None);
+        assert_eq!(o3, CacheOutcome::Miss);
     }
 
     /// The ISSUE's HPCG plumbing: the cache key includes the hierarchy
@@ -350,31 +433,10 @@ mod tests {
     fn cache_keys_include_the_hierarchy_depth() {
         let dims = GridDims::d2(15, 15);
         let a = dims.poisson();
-        let mut cache = PlanCache::new(4);
-        let (p2, o2) = cache.get_or_build(
-            &a,
-            4,
-            Topology::Hypercube,
-            &BalancedContiguous,
-            Some((dims, 2)),
-            || {},
-        );
-        let (p3, o3) = cache.get_or_build(
-            &a,
-            4,
-            Topology::Hypercube,
-            &BalancedContiguous,
-            Some((dims, 3)),
-            || {},
-        );
-        let (_, o2b) = cache.get_or_build(
-            &a,
-            4,
-            Topology::Hypercube,
-            &BalancedContiguous,
-            Some((dims, 2)),
-            || {},
-        );
+        let cache = PlanCache::new(4);
+        let (p2, o2) = lookup(&cache, &a, &BalancedContiguous, Some((dims, 2)));
+        let (p3, o3) = lookup(&cache, &a, &BalancedContiguous, Some((dims, 3)));
+        let (_, o2b) = lookup(&cache, &a, &BalancedContiguous, Some((dims, 2)));
         assert_eq!(
             (o2, o3, o2b),
             (CacheOutcome::Miss, CacheOutcome::Miss, CacheOutcome::Hit)
@@ -386,33 +448,136 @@ mod tests {
         assert_eq!(p2.mg.as_ref().unwrap().hierarchy().depth(), 2);
         assert_eq!(p3.mg.as_ref().unwrap().hierarchy().depth(), 3);
         // A plain (non-mg) plan on the same structure is a third entry.
-        let (p0, o0) =
-            cache.get_or_build(&a, 4, Topology::Hypercube, &BalancedContiguous, None, || {});
+        let (p0, o0) = lookup(&cache, &a, &BalancedContiguous, None);
         assert_eq!(o0, CacheOutcome::Miss);
         assert!(p0.mg.is_none());
         assert_eq!(cache.len(), 3);
     }
 
     #[test]
-    fn cache_evicts_oldest_at_capacity() {
-        let mut cache = PlanCache::new(2);
-        let m1 = gen::tridiagonal(10, 4.0, -1.0);
-        let m2 = gen::tridiagonal(11, 4.0, -1.0);
-        let m3 = gen::tridiagonal(12, 4.0, -1.0);
-        for m in [&m1, &m2, &m3] {
-            let (_, _) =
-                cache.get_or_build(m, 2, Topology::Hypercube, &BalancedContiguous, None, || {});
+    fn a_touched_plan_survives_capacity_later_inserts() {
+        const CAPACITY: usize = 3;
+        let cache = PlanCache::new(CAPACITY);
+        let pooled = gen::tridiagonal(10, 4.0, -1.0);
+        assert_eq!(
+            lookup(&cache, &pooled, &BalancedContiguous, None).1,
+            CacheOutcome::Miss
+        );
+        // Twice the capacity in one-off structures, the pooled one asked
+        // for in between: oldest-inserted eviction would have dropped it
+        // after the third.
+        for n in 0..2 * CAPACITY {
+            let one_off = gen::tridiagonal(20 + n, 4.0, -1.0);
+            assert_eq!(
+                lookup(&cache, &one_off, &BalancedContiguous, None).1,
+                CacheOutcome::Miss
+            );
+            assert_eq!(
+                lookup(&cache, &pooled, &BalancedContiguous, None).1,
+                CacheOutcome::Hit,
+                "evicted after {} one-off inserts",
+                n + 1
+            );
+            assert!(cache.len() <= CAPACITY);
         }
+        // What is evicted is the least recently used one-off.
+        let first_one_off = gen::tridiagonal(20, 4.0, -1.0);
+        assert_eq!(
+            lookup(&cache, &first_one_off, &BalancedContiguous, None).1,
+            CacheOutcome::Miss
+        );
+    }
+
+    #[test]
+    fn two_lookups_of_a_missing_key_run_the_partitioner_once() {
+        let a = gen::banded_spd(64, 3, 5);
+        let cache = PlanCache::new(4);
+        let (started_tx, started_rx) = mpsc::channel();
+        let (resume_tx, resume_rx) = mpsc::channel::<()>();
+        let resume_rx = std::sync::Mutex::new(resume_rx);
+        // Every partitioner run parks until the test lets it go.
+        let parked = Hooked::new(move |_| {
+            started_tx.send(()).unwrap();
+            resume_rx.lock().unwrap().recv().unwrap();
+        });
+        let (second_tx, second_rx) = mpsc::channel();
+        std::thread::scope(|scope| {
+            let first = scope.spawn(|| lookup(&cache, &a, &parked, None));
+            started_rx.recv().unwrap();
+            // The first build is parked inside the partitioner; the key's
+            // slot exists and is empty. A second lookup of the key starts.
+            let second = scope.spawn(|| {
+                second_tx.send(()).unwrap();
+                lookup(&cache, &a, &parked, None)
+            });
+            second_rx.recv().unwrap();
+            assert_eq!(cache.len(), 0, "nothing is cached until the build ends");
+            resume_tx.send(()).unwrap();
+            let (p1, o1) = first.join().unwrap();
+            // Were the second lookup to run the partitioner too, it would
+            // park: let it go so a failure reads as a count, not a hang.
+            let _ = resume_tx.send(());
+            let (p2, o2) = second.join().unwrap();
+            assert_eq!((o1, o2), (CacheOutcome::Miss, CacheOutcome::Hit));
+            assert!(Arc::ptr_eq(&p1, &p2));
+        });
+        assert_eq!(parked.calls(), 1);
+        assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn a_lookup_is_not_delayed_by_the_build_of_another_key() {
+        let slow = gen::banded_spd(64, 3, 5);
+        let quick = gen::tridiagonal(12, 4.0, -1.0);
+        let cache = PlanCache::new(4);
+        let (started_tx, started_rx) = mpsc::channel();
+        let (resume_tx, resume_rx) = mpsc::channel::<()>();
+        let resume_rx = std::sync::Mutex::new(resume_rx);
+        let parked = Hooked::new(move |_| {
+            started_tx.send(()).unwrap();
+            resume_rx.lock().unwrap().recv().unwrap();
+        });
+        let (answer_tx, answer_rx) = mpsc::channel();
+        std::thread::scope(|scope| {
+            let building = scope.spawn(|| lookup(&cache, &slow, &parked, None));
+            started_rx.recv().unwrap();
+            // `slow`'s build is parked. Lookups of another key, a miss and
+            // then a hit, must return while it is.
+            let other = scope.spawn(|| {
+                let miss = lookup(&cache, &quick, &BalancedContiguous, None).1;
+                let hit = lookup(&cache, &quick, &BalancedContiguous, None).1;
+                answer_tx.send((miss, hit)).unwrap();
+            });
+            let answer = answer_rx.recv_timeout(Duration::from_secs(20));
+            resume_tx.send(()).unwrap();
+            other.join().unwrap();
+            building.join().unwrap();
+            assert_eq!(
+                answer.expect("the other key's lookups waited for the parked build"),
+                (CacheOutcome::Miss, CacheOutcome::Hit)
+            );
+        });
         assert_eq!(cache.len(), 2);
-        // m1 (oldest) was evicted; m2 and m3 remain.
-        assert!(cache
-            .get(&Fingerprint::of(&m1), "balanced-rows", 0)
-            .is_none());
-        assert!(cache
-            .get(&Fingerprint::of(&m2), "balanced-rows", 0)
-            .is_some());
-        assert!(cache
-            .get(&Fingerprint::of(&m3), "balanced-rows", 0)
-            .is_some());
+    }
+
+    #[test]
+    fn a_panicking_build_leaves_the_key_to_the_next_lookup() {
+        let a = gen::banded_spd(40, 2, 3);
+        let cache = PlanCache::new(4);
+        let flaky = Hooked::new(|calls_before| {
+            if calls_before == 0 {
+                panic!("partitioner bug");
+            }
+        });
+        let first = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            lookup(&cache, &a, &flaky, None)
+        }));
+        assert!(first.is_err());
+        assert_eq!(cache.len(), 0);
+        let (_, retried) = lookup(&cache, &a, &flaky, None);
+        assert_eq!(retried, CacheOutcome::Miss, "the retry builds");
+        assert_eq!(lookup(&cache, &a, &flaky, None).1, CacheOutcome::Hit);
+        assert_eq!(flaky.calls(), 2);
+        assert_eq!(cache.len(), 1);
     }
 }

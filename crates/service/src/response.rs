@@ -1,42 +1,17 @@
 //! Responses, per-job reporting, and the service error type.
 
 use crate::fingerprint::Fingerprint;
-use hpf_machine::{LabelSummary, Trace};
 use hpf_solvers::{SolveStats, SolverError};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::time::Duration;
 
-/// Compact, machine-readable digest of the simulated-machine trace a job
-/// induced — totals plus the per-label breakdown.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct TraceSummary {
-    /// Number of traced events.
-    pub events: usize,
-    /// Total simulated time (communication + compute).
-    pub total_time: f64,
-    /// Simulated communication time.
-    pub comm_time: f64,
-    /// Simulated computation time.
-    pub compute_time: f64,
-    /// Words moved over the simulated network.
-    pub total_comm_words: usize,
-    /// Aggregates per event label ("dot-merge", "bcast-p", ...).
-    pub by_label: Vec<LabelSummary>,
-}
-
-impl TraceSummary {
-    pub fn from_trace(trace: &Trace) -> Self {
-        TraceSummary {
-            events: trace.len(),
-            total_time: trace.total_time(),
-            comm_time: trace.comm_time(),
-            compute_time: trace.compute_time(),
-            total_comm_words: trace.total_comm_words(),
-            by_label: trace.summary_by_label(),
-        }
-    }
-}
+/// Compact, machine-readable digest of the simulated-machine activity a
+/// job induced — totals plus the per-label breakdown. The worker's
+/// machine keeps it as it goes ([`hpf_machine::TraceLevel::Summary`]);
+/// `TraceSummary::from_trace` computes the same value from a stored
+/// trace.
+pub type TraceSummary = hpf_machine::Digest;
 
 /// How the plan for a job was obtained.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]

@@ -95,7 +95,7 @@ pub struct SolverService {
     class_txs: Option<[Sender<Job>; 3]>,
     signal_tx: Option<Sender<()>>,
     metrics: Arc<Metrics>,
-    cache: Arc<Mutex<PlanCache>>,
+    cache: Arc<PlanCache>,
     next_id: AtomicU64,
     shutting_down: Arc<AtomicBool>,
     breaker: Arc<CircuitBreaker>,
@@ -116,9 +116,7 @@ impl SolverService {
         metrics
             .queue_capacity
             .store(config.queue_capacity as u64, Ordering::Relaxed);
-        let cache = Arc::new(Mutex::new(PlanCache::new(
-            config.plan_cache_capacity.max(1),
-        )));
+        let cache = Arc::new(PlanCache::new(config.plan_cache_capacity.max(1)));
         let shutting_down = Arc::new(AtomicBool::new(false));
         let breaker = Arc::new(CircuitBreaker::new(
             config.breaker_threshold,
@@ -307,7 +305,7 @@ impl SolverService {
 
     /// Number of plans currently cached.
     pub fn cached_plans(&self) -> usize {
-        self.cache.lock().len()
+        self.cache.len()
     }
 
     /// The deadline-aware admission controller (calibration state and
@@ -574,7 +572,7 @@ fn dispatcher_loop(
 /// responders drop, and the worker keeps serving.
 pub(crate) fn worker_loop(
     batch_rx: Receiver<Batch>,
-    cache: Arc<Mutex<PlanCache>>,
+    cache: Arc<PlanCache>,
     config: ServiceConfig,
     metrics: Arc<Metrics>,
     breaker: Arc<CircuitBreaker>,

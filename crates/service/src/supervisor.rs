@@ -96,7 +96,7 @@ impl WorkerSlot {
 /// Everything needed to (re)spawn a worker thread on a slot.
 pub struct WorkerFactory {
     pub batch_rx: Receiver<Batch>,
-    pub cache: Arc<Mutex<PlanCache>>,
+    pub cache: Arc<PlanCache>,
     pub config: ServiceConfig,
     pub metrics: Arc<Metrics>,
     pub breaker: Arc<CircuitBreaker>,

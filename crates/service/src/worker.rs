@@ -20,11 +20,11 @@ use crate::events::{self, ServiceEvent, ServiceEventSink};
 use crate::metrics::Metrics;
 use crate::plan::{CacheOutcome, PlanCache, SolvePlan};
 use crate::request::{ServiceConfig, SolverKind};
-use crate::response::{PlanSource, ServiceError, SolveResponse, TraceSummary};
+use crate::response::{PlanSource, ServiceError, SolveResponse};
 use crate::retry::{backoff_delay_jittered, escalate, is_retryable, Admission, CircuitBreaker};
 use crate::supervisor::{CurrentJob, SupervisorAbort, WorkerState};
 use hpf_core::RowwiseCsr;
-use hpf_machine::{CostModel, Machine};
+use hpf_machine::{CostModel, Machine, TraceLevel};
 use hpf_solvers::{
     bicg_distributed_with_observer, bicgstab_distributed_with_observer,
     cg_distributed_protected_with_observer, cg_distributed_with_observer,
@@ -32,7 +32,6 @@ use hpf_solvers::{
     pcg_jacobi_distributed_with_observer, DistOperator, IterObserver, RecoveryStats, SolveStats,
     SolverError, StopCriterion, TailObserver,
 };
-use parking_lot::Mutex;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -97,7 +96,7 @@ pub fn shed_expired_with_sink(
 /// [`ServiceError::WorkerKilled`], and the caller's loop exits.
 pub fn execute_batch(
     batch: Batch,
-    cache: &Mutex<PlanCache>,
+    cache: &PlanCache,
     config: &ServiceConfig,
     metrics: &Metrics,
     breaker: &CircuitBreaker,
@@ -149,17 +148,13 @@ pub fn execute_batch(
     };
     let setup = catch_unwind(AssertUnwindSafe(|| {
         let (plan, source) = if config.plan_cache_enabled {
-            let (plan, outcome) = cache.lock().get_or_build(
+            let (plan, outcome) = cache.get_or_build(
+                fingerprint,
                 &matrix,
                 config.np,
                 config.topology,
                 partitioner.as_ref(),
                 mg_req,
-                || {
-                    metrics
-                        .partitioner_invocations
-                        .fetch_add(1, Ordering::Relaxed);
-                },
             );
             match outcome {
                 CacheOutcome::Hit => {
@@ -168,6 +163,9 @@ pub fn execute_batch(
                 }
                 CacheOutcome::Miss => {
                     metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
+                    metrics
+                        .partitioner_invocations
+                        .fetch_add(1, Ordering::Relaxed);
                     (plan, PlanSource::Built)
                 }
             }
@@ -175,8 +173,13 @@ pub fn execute_batch(
             metrics
                 .partitioner_invocations
                 .fetch_add(1, Ordering::Relaxed);
-            let mut plan =
-                SolvePlan::build_with(&matrix, config.np, config.topology, partitioner.as_ref());
+            let mut plan = SolvePlan::build_for(
+                fingerprint,
+                &matrix,
+                config.np,
+                config.topology,
+                partitioner.as_ref(),
+            );
             if let Some((dims, levels)) = mg_req {
                 plan = plan.with_mg(dims, levels);
             }
@@ -185,7 +188,9 @@ pub fn execute_batch(
         let op =
             RowwiseCsr::with_row_cuts(matrix.as_ref().clone(), config.np, plan.row_cuts.clone());
         let mut machine = Machine::new(config.np, config.topology, CostModel::mpp_1995());
-        machine.set_tracing(true);
+        // Nobody reads this machine's events after the solve: the
+        // response carries the digest, and live taps go through the sink.
+        machine.set_trace_level(TraceLevel::Summary);
         if let Some(sink) = &config.machine_sink {
             // Live telemetry: every event this machine records streams
             // through the bus adapter mid-solve.
@@ -417,7 +422,7 @@ pub fn execute_batch(
                     solver_used: kind,
                     attempts,
                     recovery,
-                    trace: TraceSummary::from_trace(machine.trace()),
+                    trace: machine.digest().clone(),
                     wait_time: started.duration_since(job.submitted),
                     solve_time: finished.duration_since(job_started),
                 })
@@ -599,7 +604,7 @@ mod tests {
         let batch = form_batch(seed, &mut pending, 8);
         assert_eq!(batch.jobs.len(), 3);
 
-        let cache = Mutex::new(PlanCache::new(8));
+        let cache = PlanCache::new(8);
         let metrics = Metrics::new();
         metrics.in_flight.fetch_add(3, Ordering::Relaxed);
         execute_batch(
@@ -644,7 +649,7 @@ mod tests {
         std::thread::sleep(Duration::from_millis(2));
         let metrics = Metrics::new();
         metrics.in_flight.fetch_add(1, Ordering::Relaxed);
-        let cache = Mutex::new(PlanCache::new(2));
+        let cache = PlanCache::new(2);
         execute_batch(
             Batch { jobs: vec![job] },
             &cache,
@@ -670,7 +675,7 @@ mod tests {
     #[test]
     fn cache_disabled_partitions_every_batch() {
         let a = Arc::new(gen::banded_spd(32, 2, 4));
-        let cache = Mutex::new(PlanCache::new(4));
+        let cache = PlanCache::new(4);
         let metrics = Metrics::new();
         let mut cfg = config(4);
         cfg.plan_cache_enabled = false;
@@ -705,7 +710,7 @@ mod tests {
         .unwrap();
         let a = Arc::new(hpf_sparse::CsrMatrix::from_coo(&coo));
         let (job, rx) = make_job(1, &a, vec![vec![1.0; 3]]);
-        let cache = Mutex::new(PlanCache::new(2));
+        let cache = PlanCache::new(2);
         let metrics = Metrics::new();
         metrics.in_flight.fetch_add(1, Ordering::Relaxed);
         execute_batch(
@@ -729,7 +734,7 @@ mod tests {
     fn hpcg_jobs_run_mg_pcg_through_the_cached_hierarchy() {
         use hpf_mg::GridDims;
         let dims = GridDims::d2(15, 15);
-        let cache = Mutex::new(PlanCache::new(4));
+        let cache = PlanCache::new(4);
         let metrics = Metrics::new();
         for round in 0..2 {
             let mut request = SolveRequest::hpcg(dims, 3, vec![1.0; dims.n()]);
@@ -782,6 +787,58 @@ mod tests {
         assert_eq!(s.cache_hits, 1);
     }
 
+    /// A plan build that panics fails its batch with a typed error and
+    /// leaves the key's cache slot empty: the next request for the same
+    /// key runs the build again instead of finding a poisoned entry.
+    #[test]
+    fn a_panicking_plan_build_is_answered_and_the_key_builds_next_time() {
+        use hpf_mg::GridDims;
+        let dims = GridDims::d2(15, 15);
+        let cache = PlanCache::new(4);
+        let metrics = Metrics::new();
+        // `submit` would reject a grid that cannot carry the hierarchy;
+        // handed straight to the worker it panics inside `with_mg`. The
+        // cache key is (structure, partitioner, depth), so the second,
+        // well-formed job asks for the very same key.
+        let grids = [GridDims::d2(3, 3), dims];
+        let mut answers = Vec::new();
+        for (id, grid) in grids.into_iter().enumerate() {
+            let mut request = SolveRequest::hpcg(dims, 3, vec![1.0; dims.n()]);
+            request.grid = Some(grid);
+            let (tx, rx) = unbounded();
+            let job = Job {
+                id: id as u64,
+                fingerprint: Fingerprint::of(&request.matrix),
+                request,
+                submitted: Instant::now(),
+                admission_us: 0,
+                responder: tx,
+            };
+            metrics.in_flight.fetch_add(1, Ordering::Relaxed);
+            execute_batch(
+                Batch { jobs: vec![job] },
+                &cache,
+                &config(4),
+                &metrics,
+                &breaker(),
+                &admission(4),
+                None,
+            );
+            answers.push((rx.recv().unwrap(), cache.len()));
+        }
+        assert!(
+            matches!(&answers[0], (Err(ServiceError::WorkerPanic(msg)), 0) if msg.contains("mg hierarchy")),
+            "{:?}",
+            answers[0]
+        );
+        let (second, cached) = &answers[1];
+        let second = second.as_ref().expect("the well-formed job solves");
+        assert_eq!(second.plan_source, PlanSource::Built);
+        assert_eq!(*cached, 1);
+        let s = metrics.snapshot();
+        assert_eq!((s.failed, s.completed, s.in_flight), (1, 1, 0));
+    }
+
     #[test]
     fn multi_rhs_job_returns_one_solution_per_rhs() {
         let a = Arc::new(gen::banded_spd(24, 2, 7));
@@ -789,7 +846,7 @@ mod tests {
             .map(|k| (0..24).map(|i| ((i + k) % 5) as f64).collect())
             .collect();
         let (job, rx) = make_job(1, &a, rhs.clone());
-        let cache = Mutex::new(PlanCache::new(2));
+        let cache = PlanCache::new(2);
         let metrics = Metrics::new();
         metrics.in_flight.fetch_add(1, Ordering::Relaxed);
         execute_batch(

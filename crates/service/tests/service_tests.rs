@@ -805,3 +805,77 @@ fn shutdown_with_full_queue_answers_every_accepted_job_exactly_once() {
         assert_eq!(m.in_flight, 0, "round {round}");
     }
 }
+
+/// The fixed requests whose `SolveResponse.trace` is pinned: protected CG
+/// (the service default) clean, the same under a seeded crash the
+/// protected solver rolls back from, and a 3-level multigrid solve
+/// (whose `Redistribute` rows split per level).
+fn pinned_requests() -> Vec<(&'static str, SolveRequest)> {
+    let a = Arc::new(gen::power_law_spd(96, 12, 0.9, 21));
+    let (b, _) = gen::rhs_for_known_solution(&a);
+    let dims = hpf_mg::GridDims::d2(15, 15);
+    vec![
+        ("cg-clean", SolveRequest::new(a.clone(), b.clone())),
+        (
+            "cg-crash",
+            SolveRequest::new(a, b).fault_plan(hpf_machine::FaultPlan::new().with_crash(25, 3)),
+        ),
+        (
+            "pcg-mg",
+            SolveRequest::hpcg(dims, 3, vec![1.0; dims.n()])
+                .stop(StopCriterion::RelativeResidual(1e-8)),
+        ),
+    ]
+}
+
+/// One line per field of a response's trace summary, floats as the hex
+/// of their bits.
+fn render_trace(name: &str, resp: &hpf_service::SolveResponse) -> String {
+    let t = &resp.trace;
+    let mut out = format!(
+        "[{name}] events={} total={:016x} comm={:016x} compute={:016x} words={}\n",
+        t.events,
+        t.total_time.to_bits(),
+        t.comm_time.to_bits(),
+        t.compute_time.to_bits(),
+        t.total_comm_words
+    );
+    for row in &t.by_label {
+        out.push_str(&format!(
+            "  {} | count={} words={} flops={} time={:016x}\n",
+            row.label,
+            row.count,
+            row.words,
+            row.flops,
+            row.time.to_bits()
+        ));
+    }
+    out
+}
+
+/// `SolveResponse.trace` is built from the worker machine's running
+/// digest; before that it was computed from the full event trace after
+/// the solve. `fixtures/response_trace.txt` is this function's output on
+/// commit `6e44fe0`, the last one that kept the trace.
+fn pinned_traces() -> String {
+    let service = SolverService::start(ServiceConfig {
+        workers: 1,
+        np: 8,
+        ..ServiceConfig::default()
+    });
+    let mut out = String::new();
+    for (name, request) in pinned_requests() {
+        let resp = service.solve(request).expect("pinned request solves");
+        assert_eq!(resp.attempts, 1, "{name}");
+        out.push_str(&render_trace(name, &resp));
+    }
+    service.shutdown();
+    out
+}
+
+#[test]
+fn response_trace_is_what_the_full_trace_summarised_to() {
+    let expected = include_str!("fixtures/response_trace.txt");
+    let got = pinned_traces();
+    assert!(got == expected, "recomputed:\n{got}\nexpected:\n{expected}");
+}

@@ -1,11 +1,14 @@
-//! The allocation gate of ROADMAP item 2: with tracing off and no event
-//! sink, a steady-state iteration of distributed CG and Jacobi-PCG
-//! performs **zero** heap allocations. A counting global allocator tallies
-//! per thread (the harness runs tests on parallel threads) and an
-//! [`IterObserver`] reads the tally at the end of every iteration.
+//! The allocation gate of ROADMAP item 2: a steady-state iteration of
+//! distributed CG and Jacobi-PCG performs **zero** heap allocations when
+//! the machine keeps no events — [`TraceLevel::Off`] or
+//! [`TraceLevel::Summary`] — with no event sink, and also with a sink on
+//! a warm machine (the sink is lent the machine's one scratch event). A
+//! counting global allocator tallies per thread (the harness runs tests
+//! on parallel threads) and an [`IterObserver`] reads the tally at the
+//! end of every iteration.
 
 use hpf_core::{DataArrayLayout, RowwiseCsr};
-use hpf_machine::{CostModel, Machine, Topology};
+use hpf_machine::{CostModel, EventSink, Machine, Topology, TraceLevel};
 use hpf_solvers::{
     cg_distributed_with_observer, pcg_jacobi_distributed_with_observer, IterObserver, IterSample,
     SolveStats, StopCriterion,
@@ -13,6 +16,8 @@ use hpf_solvers::{
 use hpf_sparse::gen;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 thread_local! {
     // Const-initialised and without a destructor, so touching it from
@@ -74,45 +79,101 @@ const NP: usize = 8;
 const MAX_ITERS: usize = 400;
 const STOP: StopCriterion = StopCriterion::RelativeResidual(1e-10);
 
-/// Run `solve` on `poisson_3d(12,12,12)` at NP = 8, tracing off, no
-/// sink, and require zero allocations from the end of iteration 2 to the
-/// end of the last one.
-fn assert_steady_state_is_allocation_free(
-    name: &str,
-    solve: impl FnOnce(&mut Machine, &RowwiseCsr, &[f64], &mut Tally) -> SolveStats,
-) {
+type Solve = fn(&mut Machine, &RowwiseCsr, &[f64], &mut Tally) -> SolveStats;
+
+const SOLVES: [(&str, Solve); 2] = [
+    ("cg_distributed", |m, op, b, tally| {
+        cg_distributed_with_observer(m, op, b, STOP, MAX_ITERS, tally)
+            .unwrap()
+            .1
+    }),
+    ("pcg_jacobi_distributed", |m, op, b, tally| {
+        pcg_jacobi_distributed_with_observer(m, op, b, STOP, MAX_ITERS, tally)
+            .unwrap()
+            .1
+    }),
+];
+
+/// `poisson_3d(12,12,12)` at NP = 8 with a right-hand side.
+fn problem() -> (RowwiseCsr, Vec<f64>) {
     let a = gen::poisson_3d(12, 12, 12);
     let (_, b) = gen::rhs_for_known_solution(&a);
-    let op = RowwiseCsr::block(a, NP, DataArrayLayout::RowAligned);
+    (RowwiseCsr::block(a, NP, DataArrayLayout::RowAligned), b)
+}
+
+fn machine(level: TraceLevel) -> Machine {
     let mut machine = Machine::new(NP, Topology::Hypercube, CostModel::mpp_1995());
-    machine.set_tracing(false);
+    machine.set_trace_level(level);
+    machine
+}
+
+/// Reset `machine`, run `solve` on it, and require zero allocations from
+/// the end of iteration 2 to the end of the last one.
+fn assert_steady_state_is_allocation_free(
+    what: &str,
+    machine: &mut Machine,
+    (op, b): &(RowwiseCsr, Vec<f64>),
+    solve: Solve,
+) {
+    machine.reset();
     let mut tally = Tally(Vec::with_capacity(MAX_ITERS));
-    let stats = solve(&mut machine, &op, &b, &mut tally);
+    let stats = solve(machine, op, b, &mut tally);
     assert!(stats.converged);
     let t = &tally.0;
-    assert!(t.len() >= 10, "{name}: only {} iterations ran", t.len());
+    assert!(t.len() >= 10, "{what}: only {} iterations ran", t.len());
     assert_eq!(
         t[t.len() - 1] - t[1],
         0,
-        "{name}: allocations from iteration 2 to {} (tally per iteration: {t:?})",
+        "{what}: allocations from iteration 2 to {} (tally per iteration: {t:?})",
         t.len()
     );
 }
 
 #[test]
-fn cg_distributed_steady_state_allocates_nothing() {
-    assert_steady_state_is_allocation_free("cg_distributed", |m, op, b, tally| {
-        cg_distributed_with_observer(m, op, b, STOP, MAX_ITERS, tally)
-            .unwrap()
-            .1
-    });
+fn steady_state_allocates_nothing_when_no_event_is_kept() {
+    let problem = problem();
+    for (name, solve) in SOLVES {
+        for level in [TraceLevel::Off, TraceLevel::Summary] {
+            let mut machine = machine(level);
+            let what = format!("{name} at {level:?}, no sink");
+            assert_steady_state_is_allocation_free(&what, &mut machine, &problem, solve);
+            if level == TraceLevel::Summary {
+                assert!(machine.trace().is_empty());
+                assert!(
+                    machine.digest().events > 10 * 5,
+                    "{what}: nothing was folded"
+                );
+            }
+        }
+    }
 }
 
 #[test]
-fn pcg_jacobi_distributed_steady_state_allocates_nothing() {
-    assert_steady_state_is_allocation_free("pcg_jacobi_distributed", |m, op, b, tally| {
-        pcg_jacobi_distributed_with_observer(m, op, b, STOP, MAX_ITERS, tally)
-            .unwrap()
-            .1
-    });
+fn a_warm_machine_lends_events_to_a_sink_without_allocating() {
+    let problem = problem();
+    for (name, solve) in SOLVES {
+        for level in [TraceLevel::Off, TraceLevel::Summary] {
+            let seen = Arc::new(AtomicUsize::new(0));
+            let tap = seen.clone();
+            let mut machine = machine(level);
+            machine.set_event_sink(EventSink::new(move |event| {
+                // Reads what a real sink copies: span, label, times.
+                let read = event.span.len() + event.label.len() + event.proc_times.len();
+                tap.fetch_add(read.min(1), Ordering::Relaxed);
+            }));
+            // One solve grows the scratch event to the longest span path,
+            // label and per-processor vector this solve produces.
+            let mut warm_up = Tally(Vec::with_capacity(MAX_ITERS));
+            solve(&mut machine, &problem.0, &problem.1, &mut warm_up);
+            let before = seen.load(Ordering::Relaxed);
+            let what = format!("{name} at {level:?}, warm machine with a sink");
+            assert_steady_state_is_allocation_free(&what, &mut machine, &problem, solve);
+            let lent = seen.load(Ordering::Relaxed) - before;
+            assert!(
+                lent > 10 * 5,
+                "{what}: the sink saw {lent} events of the measured solve"
+            );
+            assert!(machine.trace().is_empty());
+        }
+    }
 }
