@@ -115,7 +115,7 @@ impl DistVector {
     /// Write the vector in global order into `out` (does not charge the
     /// machine). Contiguous layouts copy one slice per processor; only
     /// the cyclic ones walk their blocks.
-    fn copy_to_global(&self, out: &mut [f64]) {
+    pub fn copy_to_global(&self, out: &mut [f64]) {
         assert_eq!(out.len(), self.len(), "global buffer length mismatch");
         for p in 0..self.desc.np() {
             let mut at = self.offsets[p];
@@ -129,7 +129,7 @@ impl DistVector {
 
     /// Overwrite the vector from a global array (the inverse of
     /// `copy_to_global`).
-    fn copy_from_global(&mut self, global: &[f64]) {
+    pub fn copy_from_global(&mut self, global: &[f64]) {
         assert_eq!(global.len(), self.len(), "global buffer length mismatch");
         for p in 0..self.desc.np() {
             let mut at = self.offsets[p];

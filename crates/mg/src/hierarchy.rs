@@ -16,6 +16,7 @@
 //! coarse node coincides with a fine node); other sizes work but leave
 //! the last fine plane interpolated one-sidedly.
 
+use crate::smoother::SweepPlan;
 use hpf_core::{DataArrayLayout, RowwiseCsr};
 use hpf_dist::ArrayDescriptor;
 use hpf_sparse::{CooMatrix, CsrMatrix};
@@ -122,6 +123,12 @@ pub enum MgError {
     /// The coarsest operator failed its Cholesky factorisation (cannot
     /// happen for Galerkin-coarsened Poisson; guards future operators).
     NotSpd { level: usize, pivot: usize },
+    /// A row of a level operator does not list its columns in strictly
+    /// ascending order, so its in-block couplings are not two runs.
+    UnsortedRow { level: usize, row: usize },
+    /// A row of a level operator stores no diagonal entry for the
+    /// smoother to divide by.
+    MissingDiagonal { level: usize, row: usize },
 }
 
 impl fmt::Display for MgError {
@@ -137,6 +144,14 @@ impl fmt::Display for MgError {
             MgError::NotSpd { level, pivot } => write!(
                 f,
                 "coarsest operator (level {level}) is not SPD at pivot {pivot}"
+            ),
+            MgError::UnsortedRow { level, row } => write!(
+                f,
+                "row {row} of the level-{level} operator does not list its columns in ascending order"
+            ),
+            MgError::MissingDiagonal { level, row } => write!(
+                f,
+                "row {row} of the level-{level} operator stores no diagonal entry"
             ),
         }
     }
@@ -159,11 +174,12 @@ pub(crate) struct Transfer {
     pub prolong_flops: Vec<usize>,
 }
 
-/// One level of the hierarchy.
+/// One level of the hierarchy; its operator is [`MgHierarchy::matrix`].
 pub(crate) struct Level {
     pub dims: GridDims,
-    pub a: CsrMatrix,
     pub desc: ArrayDescriptor,
+    /// Where block SymGS reads this level's operator.
+    pub sweep: SweepPlan,
     /// Boundary-exchange traffic for one matvec at this level.
     pub halo: Vec<Vec<usize>>,
     pub smooth_flops: Vec<usize>,
@@ -208,24 +224,26 @@ impl DenseCholesky {
         Ok(DenseCholesky { n, l })
     }
 
-    pub fn solve(&self, b: &[f64]) -> Vec<f64> {
+    /// Solve `L Lᵀ x = b` into `x` (overwritten, need not be zeroed):
+    /// the forward solve fills `x`, the backward solve finishes it in
+    /// place.
+    pub fn solve_into(&self, b: &[f64], x: &mut [f64]) {
         let n = self.n;
-        let mut y = vec![0.0f64; n];
+        assert!(b.len() == n && x.len() == n, "coarse solve: vector lengths");
         for i in 0..n {
             let mut s = b[i];
             for k in 0..i {
-                s -= self.l[i * n + k] * y[k];
+                s -= self.l[i * n + k] * x[k];
             }
-            y[i] = s / self.l[i * n + i];
+            x[i] = s / self.l[i * n + i];
         }
         for i in (0..n).rev() {
-            let mut s = y[i];
+            let mut s = x[i];
             for k in (i + 1)..n {
-                s -= self.l[k * n + i] * y[k];
+                s -= self.l[k * n + i] * x[k];
             }
-            y[i] = s / self.l[i * n + i];
+            x[i] = s / self.l[i * n + i];
         }
-        y
     }
 
     /// Flops of one solve (two dense triangular sweeps).
@@ -237,8 +255,16 @@ impl DenseCholesky {
 /// A built multigrid hierarchy: level operators, descriptors,
 /// communication shapes, and the factored coarsest solve.
 pub struct MgHierarchy {
+    /// The finest operator, distributed for the outer CG; level 0 of
+    /// the cycle reads the same stored matrix.
+    fine: RowwiseCsr,
+    /// Operators of levels `1..`, Galerkin products of the one above.
+    coarser: Vec<CsrMatrix>,
     pub(crate) levels: Vec<Level>,
     pub(crate) coarse: DenseCholesky,
+    /// Rows each processor holds of the coarsest level: the payloads of
+    /// the gather to the root and the scatter back.
+    pub(crate) coarse_lens: Vec<usize>,
     np: usize,
 }
 
@@ -265,31 +291,34 @@ impl MgHierarchy {
         }
         let coarse = DenseCholesky::factor(&mats[levels - 1], levels - 1)?;
 
+        let descs: Vec<ArrayDescriptor> = mats
+            .iter()
+            .map(|a| ArrayDescriptor::block(a.n_rows(), np))
+            .collect();
+        let mut interps = interps.into_iter();
         let mut built: Vec<Level> = Vec::with_capacity(levels);
-        for l in 0..levels {
-            let a = mats[l].clone();
-            let desc = ArrayDescriptor::block(a.n_rows(), np);
-            let down = if l + 1 < levels {
-                let cdesc = ArrayDescriptor::block(mats[l + 1].n_rows(), np);
-                Some(transfer(&interps[l], &desc, &cdesc))
-            } else {
-                None
-            };
-            let halo = halo_traffic(&a, &desc);
-            let (smooth_flops, residual_flops) = level_flops(&a, &desc);
+        for (l, a) in mats.iter().enumerate() {
+            let desc = &descs[l];
+            let down = interps.next().map(|p| transfer(p, desc, &descs[l + 1]));
+            let (smooth_flops, residual_flops) = level_flops(a, desc);
             built.push(Level {
                 dims: all_dims[l],
-                a,
-                desc,
-                halo,
+                desc: desc.clone(),
+                sweep: SweepPlan::plan(a, desc, l)?,
+                halo: halo_traffic(a, desc),
                 smooth_flops,
                 residual_flops,
                 down,
             });
         }
+        let coarse_lens = descs[levels - 1].local_lens();
+        let fine = mats.remove(0);
         Ok(MgHierarchy {
+            fine: RowwiseCsr::block(fine, np, DataArrayLayout::RowAligned),
+            coarser: mats,
             levels: built,
             coarse,
+            coarse_lens,
             np,
         })
     }
@@ -310,22 +339,33 @@ impl MgHierarchy {
 
     /// The finest-level operator matrix.
     pub fn fine_matrix(&self) -> &CsrMatrix {
-        &self.levels[0].a
+        self.fine.matrix()
     }
 
-    /// A rowwise `(BLOCK, *)` distributed operator over the finest
-    /// level, ready for the `pcg_*` entry points.
+    /// The operator matrix of one level.
+    pub(crate) fn matrix(&self, level: usize) -> &CsrMatrix {
+        match level {
+            0 => self.fine.matrix(),
+            l => &self.coarser[l - 1],
+        }
+    }
+
+    /// The rowwise `(BLOCK, *)` distributed operator over the finest
+    /// level that the `pcg_mg_*` entry points solve with, built once
+    /// with the hierarchy.
+    pub(crate) fn fine(&self) -> &RowwiseCsr {
+        &self.fine
+    }
+
+    /// A copy of the finest level's distributed operator, ready for the
+    /// `pcg_*` entry points.
     pub fn fine_operator(&self) -> RowwiseCsr {
-        RowwiseCsr::block(
-            self.levels[0].a.clone(),
-            self.np,
-            DataArrayLayout::RowAligned,
-        )
+        self.fine.clone()
     }
 
     /// Total stored nonzeros across all level operators.
     pub fn total_nnz(&self) -> usize {
-        self.levels.iter().map(|l| l.a.nnz()).sum()
+        (0..self.depth()).map(|l| self.matrix(l).nnz()).sum()
     }
 }
 
@@ -413,7 +453,8 @@ fn galerkin(a: &CsrMatrix, p: &CsrMatrix) -> CsrMatrix {
     CsrMatrix::from_coo(&coo)
 }
 
-fn proc_rows(desc: &ArrayDescriptor, p: usize) -> std::ops::Range<usize> {
+/// Rows processor `p` owns (empty when it owns none).
+pub(crate) fn proc_rows(desc: &ArrayDescriptor, p: usize) -> std::ops::Range<usize> {
     desc.contiguous_range(p).unwrap_or(0..0)
 }
 
@@ -468,7 +509,7 @@ fn level_flops(a: &CsrMatrix, desc: &ArrayDescriptor) -> (Vec<usize>, Vec<usize>
 
 /// Communication shapes and flop counts for one interpolation matrix
 /// under `(BLOCK)` ownership on both sides.
-fn transfer(p: &CsrMatrix, fdesc: &ArrayDescriptor, cdesc: &ArrayDescriptor) -> Transfer {
+fn transfer(p: CsrMatrix, fdesc: &ArrayDescriptor, cdesc: &ArrayDescriptor) -> Transfer {
     let np = fdesc.np();
     let nf = p.n_rows();
     let mut restrict_traffic = vec![vec![0usize; np]; np];
@@ -508,7 +549,7 @@ fn transfer(p: &CsrMatrix, fdesc: &ArrayDescriptor, cdesc: &ArrayDescriptor) -> 
         }
     }
     Transfer {
-        p: p.clone(),
+        p,
         restrict_traffic,
         prolong_traffic,
         restrict_flops,
@@ -551,7 +592,7 @@ mod tests {
         for (dims, levels) in [(GridDims::d2(15, 15), 3), (GridDims::d3(7, 7, 7), 2)] {
             let h = MgHierarchy::build(dims, levels, 4).unwrap();
             for l in 0..h.depth() {
-                let a = &h.levels[l].a;
+                let a = h.matrix(l);
                 assert!(a.is_symmetric(1e-12), "level {l} not symmetric");
                 for (i, d) in a.diagonal().iter().enumerate() {
                     assert!(*d > 0.0, "level {l} diagonal {i} not positive");
@@ -593,11 +634,12 @@ mod tests {
     #[test]
     fn cholesky_solves_the_coarsest_operator() {
         let h = MgHierarchy::build(GridDims::d2(15, 15), 3, 4).unwrap();
-        let a = &h.levels[2].a;
+        let a = h.matrix(2);
         let n = a.n_rows();
         let x_true: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
         let b = a.matvec(&x_true).unwrap();
-        let x = h.coarse.solve(&b);
+        let mut x = vec![f64::NAN; n];
+        h.coarse.solve_into(&b, &mut x);
         for (u, v) in x.iter().zip(&x_true) {
             assert!((u - v).abs() < 1e-10);
         }

@@ -15,13 +15,17 @@
 //! * Block symmetric Gauss-Seidel smoothing — forward+backward sweeps
 //!   over each processor's diagonal block (pure local compute), with
 //!   cross-block couplings handled by the residual's priced boundary
-//!   exchange.
+//!   exchange. A per-level sweep plan finds each row's in-block lower
+//!   and upper runs once, and the sweeps step through the blocks
+//!   round-robin.
 //! * [`MgPreconditioner`] — the V(1,1)-cycle as a
 //!   [`DistPreconditioner`](hpf_solvers::DistPreconditioner), plugging
 //!   into every `pcg_*` entry point including the protected
 //!   checkpoint/rollback variants. Restriction and prolongation are
 //!   typed `Redistribute` events between level descriptors; all events
-//!   carry `vcycle/level=l/...` span paths.
+//!   carry `vcycle/level=l/...` span paths. Every level vector lives in
+//!   a workspace the preconditioner lends out, so an application
+//!   allocates nothing.
 //!
 //! ```
 //! use hpf_mg::{pcg_mg_distributed, GridDims, MgHierarchy, MgPreconditioner};
@@ -74,8 +78,8 @@ pub fn pcg_mg_distributed_with_observer(
     max_iters: usize,
     obs: &mut dyn IterObserver,
 ) -> Result<(DistVector, SolveStats), SolverError> {
-    let op = pre.hierarchy().fine_operator();
-    pcg_preconditioned_distributed_with_observer(machine, &op, pre, b_global, stop, max_iters, obs)
+    let op = pre.hierarchy().fine();
+    pcg_preconditioned_distributed_with_observer(machine, op, pre, b_global, stop, max_iters, obs)
 }
 
 /// Fault-tolerant multigrid-preconditioned CG (checkpoint/rollback).
@@ -108,9 +112,9 @@ pub fn pcg_mg_distributed_protected_with_observer(
     config: RecoveryConfig,
     obs: &mut dyn IterObserver,
 ) -> Result<(DistVector, SolveStats, RecoveryStats), SolverError> {
-    let op = pre.hierarchy().fine_operator();
+    let op = pre.hierarchy().fine();
     pcg_preconditioned_distributed_protected_with_observer(
-        machine, &op, pre, b_global, stop, max_iters, config, obs,
+        machine, op, pre, b_global, stop, max_iters, config, obs,
     )
 }
 

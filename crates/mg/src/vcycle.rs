@@ -1,14 +1,15 @@
 //! The V-cycle preconditioner: one multigrid cycle per CG iteration.
 //!
-//! `apply` runs one V(1,1) cycle — pre-smooth, restrict the residual,
-//! recurse, prolong the correction, post-smooth — charging the machine
-//! at every step: smoother and residual compute as per-processor
-//! [`Machine::compute_all`] phases, boundary exchange and level
-//! transfers as typed `Redistribute` events ([`Machine::exchange`]),
-//! and the coarsest solve as a gather / serial-Cholesky / scatter
-//! sequence, so unequal coarse block sizes exercise the varying-payload
-//! gather pricing. Every event lands under a
-//! `vcycle/level=l/{smooth,residual,restrict,prolong,coarse}` span
+//! `apply_into` runs one V(1,1) cycle — on the way down pre-smooth,
+//! form the residual and restrict it; solve exactly at the bottom; on
+//! the way up prolong the correction, form the residual again and
+//! post-smooth — charging the machine at every step: smoother and
+//! residual compute as per-processor [`Machine::compute_all`] phases,
+//! boundary exchange and level transfers as typed `Redistribute` events
+//! ([`Machine::exchange`]), and the coarsest solve as a gather /
+//! serial-Cholesky / scatter sequence, so unequal coarse block sizes
+//! exercise the varying-payload gather pricing. Every event lands under
+//! a `vcycle/level=l/{smooth,residual,restrict,prolong,coarse}` span
 //! path; level spans are entered per *phase* (never nested across
 //! levels), so `span::level_of` always reads the level the work
 //! actually ran on.
@@ -17,22 +18,85 @@
 //! restriction is exactly `Pᵀ`, coarse operators are Galerkin — so the
 //! induced operator `B ≈ A⁻¹` is symmetric positive definite and CG's
 //! convergence theory applies unchanged.
+//!
+//! Every vector a cycle touches lives in a `CycleWorkspace` sized at
+//! first use, and every kernel writes into it, so an application
+//! allocates nothing. The preconditioner is shared (`&self`, and as an
+//! `Arc` between the service's workers), so idle workspaces wait in a
+//! free list behind a mutex that is held to pop one and to push it back
+//! — never while a cycle runs, which also means a cycle that panics
+//! cannot poison it; it merely drops the workspace it had checked out.
 
-use crate::hierarchy::MgHierarchy;
-use crate::smoother;
+use crate::hierarchy::{Level, MgHierarchy};
 use hpf_core::DistVector;
 use hpf_machine::{span, Machine};
 use hpf_solvers::DistPreconditioner;
+use std::borrow::Cow;
+use std::sync::Mutex;
+
+/// The vectors one level of a cycle works in, in global order.
+struct LevelWorkspace {
+    /// What this level is asked to solve for: the residual restricted
+    /// from above (on level 0, the cycle's input).
+    r: Vec<f64>,
+    /// This level's correction.
+    z: Vec<f64>,
+    /// The smoother's forward-sweep intermediate.
+    y: Vec<f64>,
+    /// `r − A z`.
+    rr: Vec<f64>,
+    /// The prolonged coarse correction, then the post-smoothing one.
+    dz: Vec<f64>,
+}
+
+/// Every vector of one cycle, finest level first. (The coarsest level,
+/// solved directly, uses only its `r` and `z`.)
+struct CycleWorkspace {
+    levels: Vec<LevelWorkspace>,
+}
+
+impl CycleWorkspace {
+    fn new(h: &MgHierarchy) -> Self {
+        let level = |l: &Level| {
+            let zeros = || vec![0.0; l.desc.len()];
+            LevelWorkspace {
+                r: zeros(),
+                z: zeros(),
+                y: zeros(),
+                rr: zeros(),
+                dz: zeros(),
+            }
+        };
+        CycleWorkspace {
+            levels: h.levels.iter().map(level).collect(),
+        }
+    }
+}
+
+/// The span segment of one level, without building a `String` for the
+/// depths hierarchies have.
+fn level_span(level: usize) -> Cow<'static, str> {
+    const SEGMENTS: [&str; 4] = ["level=0", "level=1", "level=2", "level=3"];
+    match SEGMENTS.get(level) {
+        Some(&segment) => Cow::Borrowed(segment),
+        None => Cow::Owned(format!("level={level}")),
+    }
+}
 
 /// A [`DistPreconditioner`] applying one V(1,1)-cycle of the owned
 /// hierarchy per call.
 pub struct MgPreconditioner {
     h: MgHierarchy,
+    /// Workspaces no application is using right now.
+    idle: Mutex<Vec<CycleWorkspace>>,
 }
 
 impl MgPreconditioner {
     pub fn new(h: MgHierarchy) -> Self {
-        MgPreconditioner { h }
+        MgPreconditioner {
+            h,
+            idle: Mutex::new(Vec::new()),
+        }
     }
 
     pub fn hierarchy(&self) -> &MgHierarchy {
@@ -41,78 +105,71 @@ impl MgPreconditioner {
 
     /// `rr = r − A z` at one level, charging the boundary exchange and
     /// the matvec compute.
-    fn residual(&self, machine: &mut Machine, level: usize, r: &[f64], z: &[f64]) -> Vec<f64> {
+    fn residual(&self, machine: &mut Machine, level: usize, w: &mut LevelWorkspace) {
         let lvl = &self.h.levels[level];
         let _s = span::enter("residual");
         machine.exchange(&lvl.halo, "mg-halo");
         machine.compute_all(&lvl.residual_flops, "mg-residual");
-        let az = lvl.a.matvec(z).expect("level dims fixed at build");
-        r.iter().zip(&az).map(|(ri, ai)| ri - ai).collect()
+        let a = self.h.matrix(level);
+        a.matvec_rows_into(0..a.n_rows(), &w.z, &mut w.rr);
+        for (rri, ri) in w.rr.iter_mut().zip(&w.r) {
+            *rri = ri - *rri;
+        }
     }
 
-    fn smooth(&self, machine: &mut Machine, level: usize, r: &[f64]) -> Vec<f64> {
+    /// `z ≈ M⁻¹ r` at one level by block SymGS.
+    fn smooth(&self, machine: &mut Machine, level: usize, r: &[f64], y: &mut [f64], z: &mut [f64]) {
         let lvl = &self.h.levels[level];
         let _s = span::enter("smooth");
         machine.compute_all(&lvl.smooth_flops, "mg-smooth");
-        smoother::symgs(&lvl.a, &lvl.desc, r)
+        lvl.sweep.symgs_into(self.h.matrix(level), r, y, z);
     }
 
     /// Exact solve at the bottom: funnel the coarse residual to the
     /// root, back-substitute through the prebuilt Cholesky factor, fan
     /// the correction back out.
-    fn coarse_solve(&self, machine: &mut Machine, level: usize, r: &[f64]) -> Vec<f64> {
-        let _lv = span::enter(format!("level={level}"));
+    fn coarse_solve(&self, machine: &mut Machine, level: usize, w: &mut LevelWorkspace) {
+        let _lv = span::enter(level_span(level));
         let _s = span::enter("coarse");
-        let lens = self.h.levels[level].desc.local_lens();
-        machine.gather_varying(0, &lens, "mg-coarse-gather");
+        let lens = &self.h.coarse_lens;
+        machine.gather_varying(0, lens, "mg-coarse-gather");
         machine.compute_serial(self.h.coarse.solve_flops(), "mg-coarse-solve");
-        let z = self.h.coarse.solve(r);
-        machine.scatter_varying(0, &lens, "mg-coarse-scatter");
-        z
+        self.h.coarse.solve_into(&w.r, &mut w.z);
+        machine.scatter_varying(0, lens, "mg-coarse-scatter");
     }
 
-    fn cycle(&self, machine: &mut Machine, level: usize, r: &[f64]) -> Vec<f64> {
-        if level + 1 == self.h.levels.len() {
-            return self.coarse_solve(machine, level, r);
-        }
-        let lvl = &self.h.levels[level];
-        let t = lvl
-            .down
-            .as_ref()
-            .expect("non-coarsest level has a transfer");
-        let mut z;
-        let rc;
+    /// One cycle from `level` down and back: `ws` holds this level's
+    /// workspace and those below it; `ws[0].r` in, `ws[0].z` out.
+    fn cycle(&self, machine: &mut Machine, level: usize, ws: &mut [LevelWorkspace]) {
+        let (w, below) = ws.split_first_mut().expect("a workspace per level");
+        let Some(t) = &self.h.levels[level].down else {
+            return self.coarse_solve(machine, level, w);
+        };
         {
-            let _lv = span::enter(format!("level={level}"));
-            z = self.smooth(machine, level, r);
-            let rr = self.residual(machine, level, r, &z);
-            rc = {
-                let _s = span::enter("restrict");
-                machine.exchange(&t.restrict_traffic, "mg-restrict");
-                machine.compute_all(&t.restrict_flops, "mg-restrict-apply");
-                t.p.matvec_transpose(&rr)
-                    .expect("transfer dims fixed at build")
-            };
+            let _lv = span::enter(level_span(level));
+            self.smooth(machine, level, &w.r, &mut w.y, &mut w.z);
+            self.residual(machine, level, w);
+            let _s = span::enter("restrict");
+            machine.exchange(&t.restrict_traffic, "mg-restrict");
+            machine.compute_all(&t.restrict_flops, "mg-restrict-apply");
+            t.p.matvec_transpose_into(&w.rr, &mut below[0].r);
         }
-        let zc = self.cycle(machine, level + 1, &rc);
+        self.cycle(machine, level + 1, below);
+        let _lv = span::enter(level_span(level));
         {
-            let _lv = span::enter(format!("level={level}"));
-            {
-                let _s = span::enter("prolong");
-                machine.exchange(&t.prolong_traffic, "mg-prolong");
-                machine.compute_all(&t.prolong_flops, "mg-prolong-apply");
-                let pz = t.p.matvec(&zc).expect("transfer dims fixed at build");
-                for (zi, pi) in z.iter_mut().zip(&pz) {
-                    *zi += pi;
-                }
-            }
-            let rr = self.residual(machine, level, r, &z);
-            let dz = self.smooth(machine, level, &rr);
-            for (zi, di) in z.iter_mut().zip(&dz) {
-                *zi += di;
+            let _s = span::enter("prolong");
+            machine.exchange(&t.prolong_traffic, "mg-prolong");
+            machine.compute_all(&t.prolong_flops, "mg-prolong-apply");
+            t.p.matvec_rows_into(0..t.p.n_rows(), &below[0].z, &mut w.dz);
+            for (zi, pi) in w.z.iter_mut().zip(&w.dz) {
+                *zi += pi;
             }
         }
-        z
+        self.residual(machine, level, w);
+        self.smooth(machine, level, &w.rr, &mut w.y, &mut w.dz);
+        for (zi, di) in w.z.iter_mut().zip(&w.dz) {
+            *zi += di;
+        }
     }
 }
 
@@ -128,10 +185,19 @@ impl std::fmt::Debug for MgPreconditioner {
 
 impl DistPreconditioner for MgPreconditioner {
     fn apply(&self, machine: &mut Machine, r: &DistVector) -> DistVector {
+        let mut z = DistVector::zeros(self.h.levels[0].desc.clone());
+        self.apply_into(machine, r, &mut z);
+        z
+    }
+
+    fn apply_into(&self, machine: &mut Machine, r: &DistVector, z: &mut DistVector) {
         let _v = span::enter("vcycle");
-        let rg = r.to_global();
-        let zg = self.cycle(machine, 0, &rg);
-        DistVector::from_global(self.h.levels[0].desc.clone(), &zg)
+        let idle = self.idle.lock().expect("no cycle runs under it").pop();
+        let mut ws = idle.unwrap_or_else(|| CycleWorkspace::new(&self.h));
+        r.copy_to_global(&mut ws.levels[0].r);
+        self.cycle(machine, 0, &mut ws.levels);
+        z.copy_from_global(&ws.levels[0].z);
+        self.idle.lock().expect("no cycle runs under it").push(ws);
     }
 
     fn name(&self) -> &'static str {
@@ -275,5 +341,112 @@ mod tests {
         let (z2, t2) = run();
         assert_eq!(t1, t2);
         assert!(z1.iter().zip(&z2).all(|(a, b)| a == b));
+    }
+
+    fn bits(v: &DistVector) -> Vec<u64> {
+        v.to_global().iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// A residual-like input, different for every `(thread, cycle)`.
+    fn input(pre: &MgPreconditioner, thread: usize, cycle: usize) -> DistVector {
+        let desc = pre.h.levels[0].desc.clone();
+        let r: Vec<f64> = (0..desc.len())
+            .map(|i| ((i * 31 + thread * 57 + cycle * 13) % 101) as f64 / 101.0 - 0.5)
+            .collect();
+        DistVector::from_global(desc, &r)
+    }
+
+    fn idle_workspaces(pre: &MgPreconditioner) -> usize {
+        pre.idle.lock().unwrap().len()
+    }
+
+    /// `apply` is `apply_into` on a fresh vector; a `z` full of garbage
+    /// and a workspace dirtied by another input change nothing.
+    #[test]
+    fn apply_and_apply_into_agree_bit_for_bit() {
+        let np = 5;
+        let h = MgHierarchy::build(GridDims::d2(15, 7), 3, np).unwrap();
+        let pre = MgPreconditioner::new(h);
+        let mut m = machine(np);
+        let r = input(&pre, 0, 0);
+        let fresh = pre.apply(&mut m, &r);
+        pre.apply(&mut m, &input(&pre, 1, 1));
+        let mut z = DistVector::constant(r.descriptor().clone(), f64::NAN);
+        pre.apply_into(&mut m, &r, &mut z);
+        assert_eq!(bits(&z), bits(&fresh));
+        assert_eq!(idle_workspaces(&pre), 1);
+    }
+
+    /// Two workers sharing one preconditioner, as the service's do: 50
+    /// cycles each, released together cycle by cycle so applications
+    /// overlap, give the bits of the same cycles run alone, and leave at
+    /// most one workspace per worker behind.
+    #[test]
+    fn concurrent_applications_match_the_serial_ones() {
+        const CYCLES: usize = 50;
+        let np = 4;
+        let h = MgHierarchy::build(GridDims::d3(7, 7, 7), 3, np).unwrap();
+        let pre = std::sync::Arc::new(MgPreconditioner::new(h));
+        let run = |thread: usize, before_each: &dyn Fn()| -> Vec<Vec<u64>> {
+            let mut m = machine(np);
+            let mut z = DistVector::zeros(pre.h.levels[0].desc.clone());
+            (0..CYCLES)
+                .map(|cycle| {
+                    before_each();
+                    pre.apply_into(&mut m, &input(&pre, thread, cycle), &mut z);
+                    bits(&z)
+                })
+                .collect()
+        };
+        let serial = [run(0, &|| {}), run(1, &|| {})];
+        assert_eq!(idle_workspaces(&pre), 1);
+
+        let barrier = std::sync::Barrier::new(2);
+        let concurrent = std::thread::scope(|scope| {
+            let workers = [0, 1].map(|thread| {
+                let (run, barrier) = (&run, &barrier);
+                scope.spawn(move || {
+                    run(thread, &|| {
+                        barrier.wait();
+                    })
+                })
+            });
+            workers.map(|w| w.join().expect("worker panicked"))
+        });
+        assert!(concurrent == serial, "a concurrent cycle differs");
+        let idle = idle_workspaces(&pre);
+        assert!((1..=2).contains(&idle), "{idle} idle workspaces");
+    }
+
+    /// A cycle that panics half way — on a machine with the wrong
+    /// processor count, caught by the first charge, or on an input of the
+    /// wrong length — drops the workspace it had checked out and leaves
+    /// the free list's lock unpoisoned.
+    #[test]
+    fn a_panicking_application_leaves_later_ones_working() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let np = 4;
+        let h = MgHierarchy::build(GridDims::d2(15, 15), 2, np).unwrap();
+        let pre = MgPreconditioner::new(h);
+        let r = input(&pre, 0, 0);
+        let mut m = machine(np);
+        let want = bits(&pre.apply(&mut m, &r));
+        assert_eq!(idle_workspaces(&pre), 1);
+
+        let mut wrong_machine = machine(np + 1);
+        let mid_cycle = catch_unwind(AssertUnwindSafe(|| pre.apply(&mut wrong_machine, &r)));
+        assert!(mid_cycle.is_err());
+        assert_eq!(
+            idle_workspaces(&pre),
+            0,
+            "the checked-out workspace is gone"
+        );
+
+        let short = DistVector::zeros(hpf_dist::ArrayDescriptor::block(r.len() - 1, np));
+        let refused = catch_unwind(AssertUnwindSafe(|| pre.apply(&mut m, &short)));
+        assert!(refused.is_err());
+
+        assert_eq!(bits(&pre.apply(&mut m, &r)), want);
+        assert_eq!(idle_workspaces(&pre), 1);
     }
 }

@@ -2,78 +2,20 @@
 //! distributed CG and Jacobi-PCG performs **zero** heap allocations when
 //! the machine keeps no events — [`TraceLevel::Off`] or
 //! [`TraceLevel::Summary`] — with no event sink, and also with a sink on
-//! a warm machine (the sink is lent the machine's one scratch event). A
-//! counting global allocator tallies per thread (the harness runs tests
-//! on parallel threads) and an [`IterObserver`] reads the tally at the
-//! end of every iteration.
+//! a warm machine (the sink is lent the machine's one scratch event). The
+//! counting allocator and the observer that reads it are in `counting`.
 
 use hpf_core::{DataArrayLayout, RowwiseCsr};
 use hpf_machine::{CostModel, EventSink, Machine, Topology, TraceLevel};
 use hpf_solvers::{
-    cg_distributed_with_observer, pcg_jacobi_distributed_with_observer, IterObserver, IterSample,
-    SolveStats, StopCriterion,
+    cg_distributed_with_observer, pcg_jacobi_distributed_with_observer, SolveStats, StopCriterion,
 };
 use hpf_sparse::gen;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-thread_local! {
-    // Const-initialised and without a destructor, so touching it from
-    // inside the allocator neither allocates nor registers a dtor.
-    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
-}
-
-fn count_one() {
-    // `try_with`: the allocator also runs while a thread is torn down.
-    let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
-}
-
-fn allocations() -> usize {
-    ALLOCATIONS.with(Cell::get)
-}
-
-struct Counting;
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the counter it bumps first is
-// a plain thread-local `Cell` and touches no allocator state.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
-        // SAFETY: the caller's obligations are passed on as they came.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one();
-        // SAFETY: as above.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
-        // SAFETY: as above.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: as above.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
-
-/// The thread's allocation tally at the end of each iteration. The
-/// buffer is sized up front so that recording a sample allocates nothing.
-struct Tally(Vec<usize>);
-
-impl IterObserver for Tally {
-    fn on_iteration(&mut self, _sample: &IterSample) {
-        assert!(self.0.len() < self.0.capacity(), "tally buffer too small");
-        self.0.push(allocations());
-    }
-}
+mod counting;
+use counting::Tally;
 
 const NP: usize = 8;
 const MAX_ITERS: usize = 400;

@@ -241,16 +241,28 @@ impl CsrMatrix {
             )));
         }
         let mut q = vec![0.0; self.n_cols];
-        for i in 0..self.n_rows {
-            let pi = p[i];
+        self.matvec_transpose_into(p, &mut q);
+        Ok(q)
+    }
+
+    /// The one transpose-product kernel: `out = Aᵀ p`, overwriting `out`
+    /// (which need not be zeroed). Rows scatter in order, so `out[c]`
+    /// accumulates its terms by ascending row; a row whose `p[i]` is
+    /// exactly zero is skipped.
+    ///
+    /// Panics if `p` is not `n_rows` long or `out` not `n_cols` long.
+    pub fn matvec_transpose_into(&self, p: &[f64], out: &mut [f64]) {
+        assert_eq!(p.len(), self.n_rows, "matvec_transpose: operand length");
+        assert_eq!(out.len(), self.n_cols, "matvec_transpose: result length");
+        out.fill(0.0);
+        for (i, &pi) in p.iter().enumerate() {
             if pi == 0.0 {
                 continue;
             }
             for k in self.row_ptr[i]..self.row_ptr[i + 1] {
-                q[self.col_idx[k]] += self.values[k] * pi;
+                out[self.col_idx[k]] += self.values[k] * pi;
             }
         }
-        Ok(q)
     }
 
     /// Explicit transpose (CSR of Aᵀ).
@@ -362,6 +374,41 @@ mod tests {
         let got = csr.matvec_transpose(&x).unwrap();
         for (a, b) in want.iter().zip(got.iter()) {
             assert!((a - b).abs() < 1e-12);
+        }
+    }
+
+    /// The in-place kernel overwrites a dirty buffer and gives the bits
+    /// of the explicit transpose's product, on a rectangular matrix and
+    /// with exact zeros in `p` (whose rows it skips).
+    #[test]
+    fn matvec_transpose_into_overwrites_and_matches_the_explicit_transpose() {
+        let coo = CooMatrix::from_triplets(
+            4,
+            3,
+            vec![
+                (0, 0, 0.1),
+                (0, 2, -0.7),
+                (1, 1, 0.3),
+                (2, 0, 1.9),
+                (2, 1, -0.2),
+                (3, 2, 0.6),
+            ],
+        )
+        .unwrap();
+        let a = CsrMatrix::from_coo(&coo);
+        for p in [
+            [0.3, 0.0, -1.7, 0.9],
+            [0.0, 0.0, 0.0, 0.0],
+            [1.1, 2.3, 0.0, 0.0],
+        ] {
+            let mut out = vec![f64::NAN; 3];
+            a.matvec_transpose_into(&p, &mut out);
+            let want = a.transpose().matvec(&p).unwrap();
+            let wrapped = a.matvec_transpose(&p).unwrap();
+            for c in 0..3 {
+                assert_eq!(out[c].to_bits(), want[c].to_bits(), "column {c} of {p:?}");
+                assert_eq!(out[c].to_bits(), wrapped[c].to_bits());
+            }
         }
     }
 
