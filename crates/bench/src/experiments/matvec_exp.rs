@@ -108,7 +108,9 @@ pub fn e05_scenario2(n: usize, nnz_per_row: usize) -> Table {
         "serial variant: compute_us does NOT shrink with NP (the dependency Section 5.1 attacks)",
     );
     t.note("serial vs_scenario1_comm = 1.00: column-wise striping cannot reduce communication");
-    t.note("temp2d restores parallel compute but allocates NP*n temporary words");
+    t.note(
+        "temp2d restores parallel compute but the simulated program allocates NP*n temporary words",
+    );
     t
 }
 

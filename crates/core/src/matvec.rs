@@ -278,31 +278,58 @@ fn remote_data_traffic(
 // ---------------------------------------------------------------------
 
 /// Column-wise distributed CSC matrix (Scenario 2).
+///
+/// Like [`RowwiseCsr`], everything a product needs that the matrix and
+/// the layout fix is worked out once here: the flops each processor is
+/// charged, and the merge plan of the `Temp2d` product — per processor,
+/// the rows its columns reach.
 #[derive(Debug, Clone)]
 pub struct ColwiseCsc {
     matrix: CscMatrix,
     col_desc: ArrayDescriptor,
     /// Flops per processor of one product, fixed at construction.
     flops: Vec<usize>,
+    /// Processor `p`'s columns have entries in exactly the rows
+    /// `touched[touched_ptr[p]..touched_ptr[p + 1]]`, ascending. A row is
+    /// listed once per processor that reaches it, so the whole plan is
+    /// never longer than `nnz`, whatever `np` is.
+    touched: Vec<usize>,
+    touched_ptr: Vec<usize>,
 }
 
 impl ColwiseCsc {
     fn new(matrix: CscMatrix, col_desc: ArrayDescriptor) -> Self {
         assert!(matrix.is_square());
+        let np = col_desc.np();
         let col_ptr = matrix.col_ptr();
-        let flops = (0..col_desc.np())
-            .map(|p| {
-                let nnz: usize = col_desc
-                    .local_runs(p)
-                    .map(|cols| col_ptr[cols.end] - col_ptr[cols.start])
-                    .sum();
-                2 * nnz
-            })
-            .collect();
+        let mut flops = Vec::with_capacity(np);
+        let mut touched = Vec::new();
+        let mut touched_ptr = Vec::with_capacity(np + 1);
+        touched_ptr.push(0);
+        // The last processor seen reaching each row.
+        let mut reached_by = vec![usize::MAX; matrix.n_rows()];
+        for p in 0..np {
+            let mut nnz = 0;
+            for cols in col_desc.local_runs(p) {
+                let entries = col_ptr[cols.start]..col_ptr[cols.end];
+                nnz += entries.len();
+                for &r in &matrix.row_idx()[entries] {
+                    if reached_by[r] != p {
+                        reached_by[r] = p;
+                        touched.push(r);
+                    }
+                }
+            }
+            flops.push(2 * nnz);
+            touched[touched_ptr[p]..].sort_unstable();
+            touched_ptr.push(touched.len());
+        }
         ColwiseCsc {
             matrix,
             col_desc,
             flops,
+            touched,
+            touched_ptr,
         }
     }
 
@@ -338,6 +365,33 @@ impl ColwiseCsc {
         &self.flops
     }
 
+    /// The rows processor `p`'s columns reach, ascending — the entries of
+    /// its length-`n` partial that the `Temp2d` merge has to add.
+    pub fn touched_rows(&self, p: usize) -> &[usize] {
+        &self.touched[self.touched_ptr[p]..self.touched_ptr[p + 1]]
+    }
+
+    /// What every product requires of its operand and machine (the matrix
+    /// is square, so either direction takes `n` words).
+    fn check_operand(&self, machine: &Machine, p: &DistVector) {
+        assert_eq!(p.len(), self.matrix.n_cols(), "operand length mismatch");
+        assert_eq!(machine.np(), self.np(), "machine size mismatch");
+        assert_eq!(
+            p.descriptor().np(),
+            self.np(),
+            "operand processor-count mismatch"
+        );
+    }
+
+    /// A forward product hands `q` back laid out as `p` is.
+    fn check_forward(&self, machine: &Machine, p: &DistVector, q: &DistVector) {
+        self.check_operand(machine, p);
+        assert!(
+            q.descriptor().same_layout(p.descriptor()),
+            "result must be aligned with the operand"
+        );
+    }
+
     /// The paper's serial Scenario 2 code: element-wise multiplications
     /// need no communication for `p`, but the many-to-one accumulation
     /// into `q` creates inter-processor dependencies, so the loop runs
@@ -349,8 +403,22 @@ impl ColwiseCsc {
         machine: &mut Machine,
         p: &DistVector,
     ) -> (DistVector, MatvecStats) {
-        assert_eq!(p.len(), self.matrix.n_cols());
-        assert_eq!(machine.np(), self.np());
+        let mut q = DistVector::zeros(p.descriptor().clone());
+        let stats = self.matvec_serial_into(machine, p, &mut q, &mut Vec::new());
+        (q, stats)
+    }
+
+    /// [`ColwiseCsc::matvec_serial`] into a `q` that already exists (laid
+    /// out as `p` is; its old contents are overwritten). Allocates nothing
+    /// once `scratch` has grown.
+    pub fn matvec_serial_into(
+        &self,
+        machine: &mut Machine,
+        p: &DistVector,
+        q: &mut DistVector,
+        scratch: &mut Vec<f64>,
+    ) -> MatvecStats {
+        self.check_forward(machine, p, q);
         let t0 = machine.elapsed();
 
         // Result contributions cross processors: same volume as the
@@ -362,19 +430,18 @@ impl ColwiseCsc {
         let total_flops: usize = self.flops.iter().sum();
         machine.compute_serial(total_flops, "s2-serial-matvec");
 
-        let q_global = self
-            .matrix
-            .matvec(p.global_or_gathered(&mut Vec::new()))
-            .expect("validated dims");
-        let q = DistVector::from_global(p.descriptor().clone(), &q_global);
+        in_global_order(p, q, scratch, 0, |p_global, q_global, _| {
+            q_global.fill(0.0);
+            self.matrix
+                .matvec_cols_accumulate(0..p_global.len(), p_global, q_global);
+        });
 
-        let stats = MatvecStats {
+        MatvecStats {
             broadcast_words: p.len(),
             remote_data_words: 0,
             temp_storage_words: 0,
             time: machine.elapsed() - t0,
-        };
-        (q, stats)
+        }
     }
 
     /// The "two-dimensional temporary array + SUM intrinsic" workaround:
@@ -388,52 +455,68 @@ impl ColwiseCsc {
         machine: &mut Machine,
         p: &DistVector,
     ) -> (DistVector, MatvecStats) {
-        assert_eq!(p.len(), self.matrix.n_cols());
-        assert_eq!(machine.np(), self.np());
+        let mut q = DistVector::zeros(p.descriptor().clone());
+        let stats = self.matvec_temp2d_into(machine, p, &mut q, &mut Vec::new());
+        (q, stats)
+    }
+
+    /// [`ColwiseCsc::matvec_temp2d`] into a `q` that already exists (laid
+    /// out as `p` is; its old contents are overwritten). Allocates nothing
+    /// once `scratch` has grown. The simulated program holds `N_P · n`
+    /// temporary words and is charged for merging them; the host holds
+    /// one length-`n` partial, in `scratch`, and adds only the entries a
+    /// processor's columns reach.
+    pub fn matvec_temp2d_into(
+        &self,
+        machine: &mut Machine,
+        p: &DistVector,
+        q: &mut DistVector,
+        scratch: &mut Vec<f64>,
+    ) -> MatvecStats {
+        self.check_forward(machine, p, q);
         let t0 = machine.elapsed();
         let n = self.matrix.n_rows();
-        let np = self.np();
 
         // Parallel local phase over columns (p is aligned: local reads).
         machine.compute_all(&self.flops, "s2-local-partial");
 
-        // Really compute the per-processor partials, and SUM them as they
-        // complete: one length-n partial, zeroed per processor and added
-        // into q in rank order — the sum the NP×n temporary would give,
-        // bit for bit, without holding it.
-        let mut gathered = Vec::new();
-        let p_global = p.global_or_gathered(&mut gathered);
-        let mut q_global = vec![0.0; n];
-        let mut partial = vec![0.0; n];
-        for proc in 0..np {
-            partial.fill(0.0);
-            for j in self.col_desc.local_runs(proc).flatten() {
-                let pj = p_global[j];
-                if pj == 0.0 {
-                    continue;
-                }
-                for (r, v) in self.matrix.col(j) {
-                    partial[r] += v * pj;
-                }
-            }
-            for (qi, &v) in q_global.iter_mut().zip(&partial) {
-                *qi += v;
-            }
-        }
+        in_global_order(p, q, scratch, n, |p_global, q_global, partial| {
+            self.sum_partials(p_global, q_global, partial)
+        });
 
         // SUM merge of NP vectors of length n.
         machine.allreduce(n, "s2-sum-merge");
-        machine.compute_uniform(n * np / np.max(1), "s2-sum-combine");
+        machine.compute_uniform(n, "s2-sum-combine");
 
-        let q = DistVector::from_global(p.descriptor().clone(), &q_global);
-
-        let stats = MatvecStats {
+        MatvecStats {
             broadcast_words: 0,
             remote_data_words: 0,
-            temp_storage_words: np * n,
+            temp_storage_words: self.np() * n,
             time: machine.elapsed() - t0,
-        };
-        (q, stats)
+        }
+    }
+
+    /// `q = SUM` over the processors, in rank order, of each one's
+    /// length-`n` partial product over its own columns — bit for bit the
+    /// sum the `N_P × n` temporary would give, at the cost of the
+    /// nonzeros. One `partial` serves every processor: it is all `+0.0`
+    /// between processors, a processor scatters its columns into it, and
+    /// the merge adds and re-zeroes only the rows that processor reaches.
+    /// The rows it skips hold `+0.0`, and `q`, built from `+0.0` by
+    /// additions alone, is never `-0.0`, so adding them would change no
+    /// bit of `q`.
+    fn sum_partials(&self, p_global: &[f64], q_global: &mut [f64], partial: &mut [f64]) {
+        q_global.fill(0.0);
+        partial.fill(0.0);
+        for proc in 0..self.np() {
+            for cols in self.col_desc.local_runs(proc) {
+                self.matrix.matvec_cols_accumulate(cols, p_global, partial);
+            }
+            for &r in self.touched_rows(proc) {
+                q_global[r] += partial[r];
+                partial[r] = 0.0;
+            }
+        }
     }
 
     /// `q = Aᵀ p` under the *column-wise* layout — the clean direction
@@ -447,25 +530,70 @@ impl ColwiseCsc {
         machine: &mut Machine,
         p: &DistVector,
     ) -> (DistVector, MatvecStats) {
+        let mut q = DistVector::zeros(self.col_desc.clone());
+        let stats = self.matvec_transpose_gather_into(machine, p, &mut q, &mut Vec::new());
+        (q, stats)
+    }
+
+    /// [`ColwiseCsc::matvec_transpose_gather`] into a `q` that already
+    /// exists (laid out as the columns are; its old contents are
+    /// overwritten). Allocates nothing once `scratch` has grown; only a
+    /// cyclic `p` is gathered into it.
+    pub fn matvec_transpose_gather_into(
+        &self,
+        machine: &mut Machine,
+        p: &DistVector,
+        q: &mut DistVector,
+        scratch: &mut Vec<f64>,
+    ) -> MatvecStats {
         let n = self.matrix.n_rows();
-        assert_eq!(p.len(), n, "operand length mismatch");
-        assert_eq!(machine.np(), self.np(), "machine size mismatch");
+        self.check_operand(machine, p);
+        assert!(
+            q.descriptor().same_layout(&self.col_desc),
+            "result must be aligned with the columns"
+        );
         let t0 = machine.elapsed();
-        let mut gathered = Vec::new();
-        let p_global = p.allgather(machine, "s2t-bcast-p", &mut gathered);
+        let p_global = p.allgather(machine, "s2t-bcast-p", scratch);
         machine.compute_all(&self.flops, "s2t-local-dots");
-        let q_global = self
-            .matrix
-            .matvec_transpose(p_global)
-            .expect("validated dims");
-        let q = DistVector::from_global(self.col_desc.clone(), &q_global);
-        let stats = MatvecStats {
+        let out = q
+            .as_global_mut()
+            .expect("column blocks in rank order are global order");
+        self.matrix.matvec_transpose_into(p_global, out);
+        MatvecStats {
             broadcast_words: n,
             remote_data_words: 0,
             temp_storage_words: n,
             time: machine.elapsed() - t0,
-        };
-        (q, stats)
+        }
+    }
+}
+
+/// Run `kernel(p, q, work)` with `p` and `q` as global-order arrays and
+/// `work` a buffer of `work_len` words (contents unspecified), all without
+/// allocating once `scratch` has grown. `q` is laid out as `p` is: when
+/// that is global order the kernel reads and writes the vectors' own
+/// storage and `scratch` is the work buffer alone; otherwise (the cyclic
+/// layouts) `p` is gathered into `scratch`, the kernel writes a staged
+/// `q` there, and that is dealt back out.
+fn in_global_order(
+    p: &DistVector,
+    q: &mut DistVector,
+    scratch: &mut Vec<f64>,
+    work_len: usize,
+    kernel: impl FnOnce(&[f64], &mut [f64], &mut [f64]),
+) {
+    let n = p.len();
+    if let Some(q_global) = q.as_global_mut() {
+        let p_global = p.as_global().expect("p is laid out as q is");
+        scratch.resize(work_len, 0.0);
+        kernel(p_global, q_global, scratch);
+    } else {
+        scratch.resize(work_len + 2 * n, 0.0);
+        let (work, staged) = scratch.split_at_mut(work_len);
+        let (p_global, q_global) = staged.split_at_mut(n);
+        p.copy_to_global(p_global);
+        kernel(p_global, q_global, work);
+        q.copy_from_global(q_global);
     }
 }
 
@@ -643,6 +771,44 @@ mod tests {
             s_temp.time,
             s_serial.time
         );
+    }
+
+    /// A 4-processor column operator and an operand block-distributed
+    /// over `operand_np` processors.
+    fn colwise_with_operand_over(operand_np: usize) -> (ColwiseCsc, DistVector) {
+        let csc = hpf_sparse::CscMatrix::from_csr(&gen::random_spd(32, 3, 9));
+        let p = DistVector::from_global(ArrayDescriptor::block(32, operand_np), &test_vec(32));
+        (ColwiseCsc::block(csc, 4), p)
+    }
+
+    #[test]
+    #[should_panic(expected = "operand processor-count mismatch")]
+    fn scenario2_temp2d_rejects_an_operand_over_another_processor_count() {
+        let (dm, p) = colwise_with_operand_over(2);
+        dm.matvec_temp2d(&mut machine(4), &p);
+    }
+
+    #[test]
+    #[should_panic(expected = "operand processor-count mismatch")]
+    fn scenario2_serial_rejects_an_operand_over_another_processor_count() {
+        let (dm, p) = colwise_with_operand_over(8);
+        dm.matvec_serial(&mut machine(4), &p);
+    }
+
+    #[test]
+    #[should_panic(expected = "result must be aligned with the operand")]
+    fn scenario2_forward_into_rejects_a_misaligned_result() {
+        let (dm, p) = colwise_with_operand_over(4);
+        let mut q = DistVector::zeros(ArrayDescriptor::cyclic(32, 4));
+        dm.matvec_temp2d_into(&mut machine(4), &p, &mut q, &mut Vec::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "result must be aligned with the columns")]
+    fn scenario2_transpose_into_rejects_a_misaligned_result() {
+        let (dm, p) = colwise_with_operand_over(4);
+        let mut q = DistVector::zeros(ArrayDescriptor::cyclic(32, 4));
+        dm.matvec_transpose_gather_into(&mut machine(4), &p, &mut q, &mut Vec::new());
     }
 
     #[test]

@@ -67,19 +67,23 @@ pub fn bicg_distributed_with_observer<A: DistOperator + ?Sized>(
         return Ok((x, stats));
     }
 
+    // q, q_hat and the products' scratch live as long as the solve.
+    let mut q = DistVector::zeros(desc.clone());
+    let mut q_hat = DistVector::zeros(desc);
+    let mut scratch = Vec::new();
     let mut mark = MachineMark::take(machine);
     for k in 0..max_iters {
         let _iter_span = span::enter_iter(k);
         check_breakdown("rho", rho)?;
-        let q = {
+        {
             let _s = span::enter("matvec");
-            a.apply(machine, &p)
-        };
+            a.apply_into(machine, &p, &mut q, &mut scratch);
+        }
         stats.matvecs += 1;
-        let q_hat = {
+        {
             let _s = span::enter("matvec-transpose");
-            a.apply_transpose(machine, &p_hat)
-        };
+            a.apply_transpose_into(machine, &p_hat, &mut q_hat, &mut scratch);
+        }
         stats.transpose_matvecs += 1;
         let pq = p_hat.dot(machine, &q);
         stats.dots += 1;

@@ -73,7 +73,9 @@ pub trait DistOperator {
     /// `q = A p`, charging the machine.
     fn apply(&self, machine: &mut Machine, p: &DistVector) -> DistVector;
     /// `q = A p` into a `q` the solve keeps from one iteration to the
-    /// next (overwritten; same descriptor as [`DistOperator::descriptor`]).
+    /// next (overwritten; laid out as [`DistOperator::apply`]'s result
+    /// would be — [`DistOperator::descriptor`] for every operand a solver
+    /// builds).
     /// `scratch` is a buffer the solve owns and lends to every product —
     /// operators are shared and immutable, so whatever a product must
     /// build (a gathered copy of a cyclic `p`) lives there. Charges the
@@ -95,6 +97,18 @@ pub trait DistOperator {
     /// dependent: cheap through a column layout, expensive through a row
     /// layout.
     fn apply_transpose(&self, machine: &mut Machine, p: &DistVector) -> DistVector;
+    /// `q = Aᵀ p` into a `q` the solve keeps, as
+    /// [`DistOperator::apply_into`] is to [`DistOperator::apply`].
+    fn apply_transpose_into(
+        &self,
+        machine: &mut Machine,
+        p: &DistVector,
+        q: &mut DistVector,
+        scratch: &mut Vec<f64>,
+    ) {
+        let _ = scratch;
+        *q = self.apply_transpose(machine, p);
+    }
     /// The descriptor result vectors carry.
     fn descriptor(&self) -> hpf_dist::ArrayDescriptor;
     /// Main diagonal as a distributed vector (for Jacobi PCG).
@@ -149,13 +163,34 @@ impl DistOperator for ColwiseOperator {
         self.inner.matrix().n_rows()
     }
     fn apply(&self, machine: &mut Machine, p: &DistVector) -> DistVector {
+        let mut q = DistVector::zeros(p.descriptor().clone());
+        self.apply_into(machine, p, &mut q, &mut Vec::new());
+        q
+    }
+    fn apply_into(
+        &self,
+        machine: &mut Machine,
+        p: &DistVector,
+        q: &mut DistVector,
+        scratch: &mut Vec<f64>,
+    ) {
         match self.variant {
-            CscVariant::Serial => self.inner.matvec_serial(machine, p).0,
-            CscVariant::Temp2d => self.inner.matvec_temp2d(machine, p).0,
-        }
+            CscVariant::Serial => self.inner.matvec_serial_into(machine, p, q, scratch),
+            CscVariant::Temp2d => self.inner.matvec_temp2d_into(machine, p, q, scratch),
+        };
     }
     fn apply_transpose(&self, machine: &mut Machine, p: &DistVector) -> DistVector {
         self.inner.matvec_transpose_gather(machine, p).0
+    }
+    fn apply_transpose_into(
+        &self,
+        machine: &mut Machine,
+        p: &DistVector,
+        q: &mut DistVector,
+        scratch: &mut Vec<f64>,
+    ) {
+        self.inner
+            .matvec_transpose_gather_into(machine, p, q, scratch);
     }
     fn descriptor(&self) -> hpf_dist::ArrayDescriptor {
         self.inner.col_descriptor().clone()

@@ -2,15 +2,18 @@
 //! distributed CG and Jacobi-PCG performs **zero** heap allocations when
 //! the machine keeps no events — [`TraceLevel::Off`] or
 //! [`TraceLevel::Summary`] — with no event sink, and also with a sink on
-//! a warm machine (the sink is lent the machine's one scratch event). The
-//! counting allocator and the observer that reads it are in `counting`.
+//! a warm machine (the sink is lent the machine's one scratch event). So
+//! does CG over the column-wise `(*,BLOCK)` layout, both Scenario 2
+//! variants. The counting allocator and the observer that reads it are
+//! in `counting`.
 
-use hpf_core::{DataArrayLayout, RowwiseCsr};
+use hpf_core::{ColwiseCsc, DataArrayLayout, RowwiseCsr};
 use hpf_machine::{CostModel, EventSink, Machine, Topology, TraceLevel};
 use hpf_solvers::{
-    cg_distributed_with_observer, pcg_jacobi_distributed_with_observer, SolveStats, StopCriterion,
+    cg_distributed_with_observer, pcg_jacobi_distributed_with_observer, ColwiseOperator,
+    CscVariant, SolveStats, StopCriterion,
 };
-use hpf_sparse::gen;
+use hpf_sparse::{gen, CscMatrix};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -54,12 +57,11 @@ fn machine(level: TraceLevel) -> Machine {
 fn assert_steady_state_is_allocation_free(
     what: &str,
     machine: &mut Machine,
-    (op, b): &(RowwiseCsr, Vec<f64>),
-    solve: Solve,
+    solve: impl FnOnce(&mut Machine, &mut Tally) -> SolveStats,
 ) {
     machine.reset();
     let mut tally = Tally(Vec::with_capacity(MAX_ITERS));
-    let stats = solve(machine, op, b, &mut tally);
+    let stats = solve(machine, &mut tally);
     assert!(stats.converged);
     let t = &tally.0;
     assert!(t.len() >= 10, "{what}: only {} iterations ran", t.len());
@@ -73,12 +75,14 @@ fn assert_steady_state_is_allocation_free(
 
 #[test]
 fn steady_state_allocates_nothing_when_no_event_is_kept() {
-    let problem = problem();
+    let (op, b) = problem();
     for (name, solve) in SOLVES {
         for level in [TraceLevel::Off, TraceLevel::Summary] {
             let mut machine = machine(level);
             let what = format!("{name} at {level:?}, no sink");
-            assert_steady_state_is_allocation_free(&what, &mut machine, &problem, solve);
+            assert_steady_state_is_allocation_free(&what, &mut machine, |m, tally| {
+                solve(m, &op, &b, tally)
+            });
             if level == TraceLevel::Summary {
                 assert!(machine.trace().is_empty());
                 assert!(
@@ -92,7 +96,7 @@ fn steady_state_allocates_nothing_when_no_event_is_kept() {
 
 #[test]
 fn a_warm_machine_lends_events_to_a_sink_without_allocating() {
-    let problem = problem();
+    let (op, b) = problem();
     for (name, solve) in SOLVES {
         for level in [TraceLevel::Off, TraceLevel::Summary] {
             let seen = Arc::new(AtomicUsize::new(0));
@@ -106,16 +110,51 @@ fn a_warm_machine_lends_events_to_a_sink_without_allocating() {
             // One solve grows the scratch event to the longest span path,
             // label and per-processor vector this solve produces.
             let mut warm_up = Tally(Vec::with_capacity(MAX_ITERS));
-            solve(&mut machine, &problem.0, &problem.1, &mut warm_up);
+            solve(&mut machine, &op, &b, &mut warm_up);
             let before = seen.load(Ordering::Relaxed);
             let what = format!("{name} at {level:?}, warm machine with a sink");
-            assert_steady_state_is_allocation_free(&what, &mut machine, &problem, solve);
+            assert_steady_state_is_allocation_free(&what, &mut machine, |m, tally| {
+                solve(m, &op, &b, tally)
+            });
             let lent = seen.load(Ordering::Relaxed) - before;
             assert!(
                 lent > 10 * 5,
                 "{what}: the sink saw {lent} events of the measured solve"
             );
             assert!(machine.trace().is_empty());
+        }
+    }
+}
+
+/// CG over the column-wise layout: the products write `q` in place and
+/// keep their length-`n` partial in the solve's scratch, for both
+/// variants, block columns and cuts that leave processor 2 empty.
+#[test]
+fn colwise_cg_steady_state_allocates_nothing() {
+    let a = gen::poisson_3d(12, 12, 12);
+    let (_, b) = gen::rhs_for_known_solution(&a);
+    let csc = CscMatrix::from_csr(&a);
+    let layouts = [
+        ("block", ColwiseCsc::block(csc.clone(), NP)),
+        (
+            "cuts",
+            ColwiseCsc::with_col_cuts(csc, NP, vec![0, 150, 400, 400, 700, 1000, 1300, 1500, 1728]),
+        ),
+    ];
+    for (lname, inner) in layouts {
+        for variant in [CscVariant::Temp2d, CscVariant::Serial] {
+            let op = ColwiseOperator {
+                inner: inner.clone(),
+                variant,
+            };
+            for level in [TraceLevel::Off, TraceLevel::Summary] {
+                let what = format!("cg_distributed over {lname} columns, {variant:?}, {level:?}");
+                assert_steady_state_is_allocation_free(&what, &mut machine(level), |m, tally| {
+                    cg_distributed_with_observer(m, &op, &b, STOP, MAX_ITERS, tally)
+                        .unwrap()
+                        .1
+                });
+            }
         }
     }
 }

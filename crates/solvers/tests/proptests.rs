@@ -178,10 +178,14 @@ proptest! {
         let operators: Vec<Box<dyn DistOperator>> = vec![
             Box::new(RowwiseCsr::block(a.clone(), np, DataArrayLayout::RowAligned)),
             Box::new(RowwiseCsr::block(a.clone(), np, DataArrayLayout::ElementBlock)),
-            Box::new(RowwiseCsr::with_row_cuts(a.clone(), np, cuts)),
+            Box::new(RowwiseCsr::with_row_cuts(a.clone(), np, cuts.clone())),
             Box::new(ColwiseOperator {
                 inner: ColwiseCsc::block(CscMatrix::from_csr(&a), np),
                 variant: CscVariant::Temp2d,
+            }),
+            Box::new(ColwiseOperator {
+                inner: ColwiseCsc::with_col_cuts(CscMatrix::from_csr(&a), np, cuts),
+                variant: CscVariant::Serial,
             }),
         ];
         let x: Vec<f64> = (0..n).map(|i| ((i * 7 + 1) % 9) as f64 - 4.0).collect();
@@ -205,7 +209,9 @@ proptest! {
                 let mut m1 = machine();
                 let want = op.apply(&mut m1, &p);
                 let mut m2 = machine();
-                let mut q = DistVector::constant(own.clone(), f64::NAN);
+                // Laid out as `apply`'s result is: on the rows for a row
+                // layout, as `p` is for a column layout.
+                let mut q = DistVector::constant(want.descriptor().clone(), f64::NAN);
                 op.apply_into(&mut m2, &p, &mut q, &mut scratch);
                 let bits = |v: &DistVector| -> Vec<u64> {
                     v.to_global().iter().map(|f| f.to_bits()).collect()

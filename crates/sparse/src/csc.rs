@@ -198,16 +198,32 @@ impl CscMatrix {
             )));
         }
         let mut q = vec![0.0; self.n_rows];
-        for j in 0..self.n_cols {
-            let pj = p[j];
-            if pj == 0.0 {
-                continue;
-            }
-            for k in self.col_ptr[j]..self.col_ptr[j + 1] {
-                q[self.row_idx[k]] += self.values[k] * pj;
-            }
-        }
+        self.matvec_cols_accumulate(0..self.n_cols, p, &mut q);
         Ok(q)
+    }
+
+    /// The one CSC product kernel: `out += A(:, cols) · p(cols)`, the
+    /// scatter of the columns in `cols` taken in ascending order, each
+    /// entry as `out[row(k)] += a(k) * p[j]`. `out` is added to, not
+    /// zeroed; a column whose `p[j]` is exactly zero is skipped. Starting
+    /// from an `out` of `+0.0`, no entry can become `-0.0` (a sum is
+    /// `-0.0` only when both terms are).
+    ///
+    /// Panics if `p` is not `n_cols` long, `cols` leaves the matrix, or
+    /// `out` is not `n_rows` long.
+    pub fn matvec_cols_accumulate(&self, cols: std::ops::Range<usize>, p: &[f64], out: &mut [f64]) {
+        assert_eq!(p.len(), self.n_cols, "matvec: operand length");
+        assert_eq!(out.len(), self.n_rows, "matvec: result length");
+        let ends = &self.col_ptr[cols.start + 1..=cols.end];
+        let mut lo = self.col_ptr[cols.start];
+        for (&pj, &hi) in p[cols].iter().zip(ends) {
+            if pj != 0.0 {
+                for (&r, &a) in self.row_idx[lo..hi].iter().zip(&self.values[lo..hi]) {
+                    out[r] += a * pj;
+                }
+            }
+            lo = hi;
+        }
     }
 
     /// `q = Aᵀ p`: in CSC this is a clean per-column gather (the dual of
@@ -221,14 +237,27 @@ impl CscMatrix {
             )));
         }
         let mut q = vec![0.0; self.n_cols];
-        for j in 0..self.n_cols {
-            let mut acc = 0.0;
-            for k in self.col_ptr[j]..self.col_ptr[j + 1] {
-                acc += self.values[k] * p[self.row_idx[k]];
-            }
-            q[j] = acc;
-        }
+        self.matvec_transpose_into(p, &mut q);
         Ok(q)
+    }
+
+    /// The one transpose-product kernel: `out = Aᵀ p`, overwriting `out`
+    /// (which need not be zeroed); `out[j]` is column `j`'s dot product
+    /// with `p`, accumulated top to bottom from `0.0`.
+    ///
+    /// Panics if `p` is not `n_rows` long or `out` not `n_cols` long.
+    pub fn matvec_transpose_into(&self, p: &[f64], out: &mut [f64]) {
+        assert_eq!(p.len(), self.n_rows, "matvec_transpose: operand length");
+        assert_eq!(out.len(), self.n_cols, "matvec_transpose: result length");
+        let mut lo = self.col_ptr[0];
+        for (qj, &hi) in out.iter_mut().zip(&self.col_ptr[1..]) {
+            let mut acc = 0.0;
+            for (&a, &r) in self.values[lo..hi].iter().zip(&self.row_idx[lo..hi]) {
+                acc += a * p[r];
+            }
+            *qj = acc;
+            lo = hi;
+        }
     }
 
     /// Convert to COO.
