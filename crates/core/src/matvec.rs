@@ -25,7 +25,8 @@
 use crate::vector::DistVector;
 use hpf_dist::{ArrayDescriptor, DistSpec};
 use hpf_machine::Machine;
-use hpf_sparse::{CscMatrix, CsrMatrix, DenseMatrix};
+use hpf_sparse::{CscMatrix, CsrMatrix, DenseMatrix, ProductForm, RowProduct};
+use std::sync::Arc;
 
 /// How the CSR/CSC data arrays (`a` and its index array) are distributed
 /// relative to the row/column ownership.
@@ -62,10 +63,14 @@ pub struct MatvecStats {
 /// What one product costs the machine — flops per processor and, under
 /// [`DataArrayLayout::ElementBlock`], the remote `a`/`col` traffic — is
 /// fixed by the matrix and the layout, so it is worked out once here and
-/// every product charges the stored figures.
+/// every product charges the stored figures. So is how the host forms
+/// the product: the matrix is shared, not copied, and sits in a
+/// [`RowProduct`] that has already chosen between the CSR kernel and the
+/// row-template one. The machine is charged for the modelled CSR program
+/// either way.
 #[derive(Debug, Clone)]
 pub struct RowwiseCsr {
-    matrix: CsrMatrix,
+    product: RowProduct,
     /// Ownership of rows (and, by alignment, of `q`): BLOCK by default,
     /// or irregular cuts from a partitioner.
     row_desc: ArrayDescriptor,
@@ -75,7 +80,7 @@ pub struct RowwiseCsr {
 }
 
 impl RowwiseCsr {
-    fn new(matrix: CsrMatrix, row_desc: ArrayDescriptor, layout: DataArrayLayout) -> Self {
+    fn new(matrix: Arc<CsrMatrix>, row_desc: ArrayDescriptor, layout: DataArrayLayout) -> Self {
         assert!(matrix.is_square(), "CG matrices are square");
         let row_ptr = matrix.row_ptr();
         let flops = (0..row_desc.np())
@@ -90,7 +95,7 @@ impl RowwiseCsr {
         let traffic = remote_data_traffic(&matrix, &row_desc, layout);
         let remote_data_words = traffic.iter().flatten().sum();
         RowwiseCsr {
-            matrix,
+            product: RowProduct::new(matrix),
             row_desc,
             flops,
             traffic,
@@ -98,8 +103,10 @@ impl RowwiseCsr {
         }
     }
 
-    /// `ALIGN A(:,*) WITH p(:)` + `DISTRIBUTE p(BLOCK)`: block rows.
-    pub fn block(matrix: CsrMatrix, np: usize, layout: DataArrayLayout) -> Self {
+    /// `ALIGN A(:,*) WITH p(:)` + `DISTRIBUTE p(BLOCK)`: block rows. The
+    /// matrix is shared: hand over an `Arc` to avoid a copy.
+    pub fn block(matrix: impl Into<Arc<CsrMatrix>>, np: usize, layout: DataArrayLayout) -> Self {
+        let matrix = matrix.into();
         let n = matrix.n_rows();
         Self::new(matrix, ArrayDescriptor::block(n, np), layout)
     }
@@ -107,7 +114,12 @@ impl RowwiseCsr {
     /// Rows distributed by explicit cut points (e.g. from
     /// `CG_BALANCED_PARTITIONER_1`). Data arrays follow the rows
     /// (RowAligned), as the SPARSE_MATRIX trio binding requires.
-    pub fn with_row_cuts(matrix: CsrMatrix, np: usize, row_cuts: Vec<usize>) -> Self {
+    pub fn with_row_cuts(
+        matrix: impl Into<Arc<CsrMatrix>>,
+        np: usize,
+        row_cuts: Vec<usize>,
+    ) -> Self {
+        let matrix = matrix.into();
         let n = matrix.n_rows();
         Self::new(
             matrix,
@@ -117,7 +129,18 @@ impl RowwiseCsr {
     }
 
     pub fn matrix(&self) -> &CsrMatrix {
-        &self.matrix
+        self.product.matrix()
+    }
+
+    /// The shared matrix with the form its local products run in.
+    pub fn row_product(&self) -> &RowProduct {
+        &self.product
+    }
+
+    /// Which host kernel the products of this operator run: the CSR one,
+    /// or the row-template one (and over how many templates and runs).
+    pub fn product_form(&self) -> ProductForm {
+        self.product.form()
     }
 
     pub fn row_descriptor(&self) -> &ArrayDescriptor {
@@ -157,7 +180,7 @@ impl RowwiseCsr {
         machine: &mut Machine,
         p: &DistVector,
     ) -> (DistVector, MatvecStats) {
-        let n = self.matrix.n_rows();
+        let n = self.matrix().n_rows();
         assert_eq!(p.len(), n, "operand length mismatch");
         assert_eq!(machine.np(), self.np(), "machine size mismatch");
         let t0 = machine.elapsed();
@@ -171,7 +194,7 @@ impl RowwiseCsr {
         machine.compute_uniform(n, "s1t-merge-combine");
 
         let mut q_global = self
-            .matrix
+            .matrix()
             .matvec_transpose(p.global_or_gathered(&mut Vec::new()))
             .expect("validated dims");
         machine.corrupt_slice(&mut q_global);
@@ -207,7 +230,7 @@ impl RowwiseCsr {
         q: &mut DistVector,
         scratch: &mut Vec<f64>,
     ) -> MatvecStats {
-        assert_eq!(p.len(), self.matrix.n_cols(), "operand length mismatch");
+        assert_eq!(p.len(), self.matrix().n_cols(), "operand length mismatch");
         assert_eq!(machine.np(), self.np(), "machine size mismatch");
         assert!(
             q.descriptor().same_layout(&self.row_desc),
@@ -227,15 +250,16 @@ impl RowwiseCsr {
         machine.compute_all(&self.flops, "s1-local-matvec");
 
         // Real arithmetic, written where q lives: rows are contiguous
-        // blocks in rank order, so q's storage is the global result. The
+        // blocks in rank order, so q's storage is the global result, in
+        // whichever form the product was found to have — the charge above
+        // is the modelled program's, two flops a stored element. The
         // bulk result passes through the fault layer so an armed
         // corruption damages one element of q, as a flipped bit in a
         // local row-block product would.
         let out = q
             .as_global_mut()
             .expect("row blocks in rank order are global order");
-        self.matrix
-            .matvec_rows_into(0..self.matrix.n_rows(), p_global, out);
+        self.product.matvec_into(p_global, out);
         machine.corrupt_slice(out);
 
         MatvecStats {

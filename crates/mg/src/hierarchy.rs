@@ -19,7 +19,7 @@
 use crate::smoother::SweepPlan;
 use hpf_core::{DataArrayLayout, RowwiseCsr};
 use hpf_dist::ArrayDescriptor;
-use hpf_sparse::{CooMatrix, CsrMatrix};
+use hpf_sparse::{CooMatrix, CsrMatrix, ProductForm, RowProduct};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -258,8 +258,9 @@ pub struct MgHierarchy {
     /// The finest operator, distributed for the outer CG; level 0 of
     /// the cycle reads the same stored matrix.
     fine: RowwiseCsr,
-    /// Operators of levels `1..`, Galerkin products of the one above.
-    coarser: Vec<CsrMatrix>,
+    /// Operators of levels `1..`, Galerkin products of the one above,
+    /// each with the form its residual product runs in.
+    coarser: Vec<RowProduct>,
     pub(crate) levels: Vec<Level>,
     pub(crate) coarse: DenseCholesky,
     /// Rows each processor holds of the coarsest level: the payloads of
@@ -315,7 +316,7 @@ impl MgHierarchy {
         let fine = mats.remove(0);
         Ok(MgHierarchy {
             fine: RowwiseCsr::block(fine, np, DataArrayLayout::RowAligned),
-            coarser: mats,
+            coarser: mats.into_iter().map(RowProduct::new).collect(),
             levels: built,
             coarse,
             coarse_lens,
@@ -344,10 +345,22 @@ impl MgHierarchy {
 
     /// The operator matrix of one level.
     pub(crate) fn matrix(&self, level: usize) -> &CsrMatrix {
+        self.product(level).matrix()
+    }
+
+    /// One level's operator as its residual multiplies by it. Level 0 is
+    /// the outer operator's own product: one matrix, one chosen form.
+    pub(crate) fn product(&self, level: usize) -> &RowProduct {
         match level {
-            0 => self.fine.matrix(),
+            0 => self.fine.row_product(),
             l => &self.coarser[l - 1],
         }
+    }
+
+    /// Which host kernel one level's residual product runs (level 0's is
+    /// the outer operator's).
+    pub fn product_form(&self, level: usize) -> ProductForm {
+        self.product(level).form()
     }
 
     /// The rowwise `(BLOCK, *)` distributed operator over the finest
@@ -357,8 +370,8 @@ impl MgHierarchy {
         &self.fine
     }
 
-    /// A copy of the finest level's distributed operator, ready for the
-    /// `pcg_*` entry points.
+    /// The finest level's distributed operator, ready for the `pcg_*`
+    /// entry points; the copy shares the stored matrix.
     pub fn fine_operator(&self) -> RowwiseCsr {
         self.fine.clone()
     }
@@ -644,5 +657,61 @@ mod tests {
             assert!((u - v).abs() < 1e-10);
         }
         assert_eq!(h.coarse.solve_flops(), 2 * n * n);
+    }
+
+    /// Every level's residual product — the 5-/7-point fine operators and
+    /// their 9-/27-point Galerkin coarsenings, whose rows vary next to
+    /// the boundary — gives the CSR kernel's bits whichever form it runs
+    /// in, for operands holding zeros of both signs, infinities and NaN;
+    /// and the levels the benchmark's cycles form residuals on do run in
+    /// the template form.
+    #[test]
+    fn level_products_match_the_csr_kernel_to_the_bit() {
+        let bits = |v: &[f64]| -> Vec<u64> {
+            v.iter()
+                .map(|x| if x.is_nan() { f64::NAN } else { *x }.to_bits())
+                .collect()
+        };
+        for (dims, levels) in [
+            (GridDims::d2(31, 31), 4),
+            (GridDims::d2(15, 7), 3),
+            (GridDims::d3(15, 15, 15), 3),
+            (GridDims::d3(9, 6, 11), 2),
+        ] {
+            let h = MgHierarchy::build(dims, levels, 4).unwrap();
+            for l in 0..h.depth() {
+                let a = h.matrix(l);
+                let n = a.n_rows();
+                let mut x: Vec<f64> = (0..n)
+                    .map(|i| ((i * 37 % 101) as f64 - 50.0) / 7.0)
+                    .collect();
+                for (k, special) in [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN]
+                    .into_iter()
+                    .enumerate()
+                {
+                    for plant in [false, true] {
+                        if plant {
+                            x[(k * 131 + 5) % n] = special;
+                        }
+                        let mut want = vec![f64::NAN; n];
+                        a.matvec_rows_into(0..n, &x, &mut want);
+                        let mut got = vec![f64::NAN; n];
+                        h.product(l).matvec_into(&x, &mut got);
+                        assert_eq!(bits(&got), bits(&want), "{dims} level {l}");
+                    }
+                }
+            }
+        }
+        let h = MgHierarchy::build(GridDims::d3(15, 15, 15), 3, 4).unwrap();
+        for l in 0..2 {
+            assert!(
+                matches!(
+                    h.product_form(l),
+                    ProductForm::Templates { templates: 27, .. }
+                ),
+                "level {l}: {:?}",
+                h.product_form(l)
+            );
+        }
     }
 }

@@ -104,14 +104,14 @@ impl MgPreconditioner {
     }
 
     /// `rr = r − A z` at one level, charging the boundary exchange and
-    /// the matvec compute.
+    /// the matvec compute of the modelled CSR program; the host forms
+    /// `A z` in the form the level's rows were found to have.
     fn residual(&self, machine: &mut Machine, level: usize, w: &mut LevelWorkspace) {
         let lvl = &self.h.levels[level];
         let _s = span::enter("residual");
         machine.exchange(&lvl.halo, "mg-halo");
         machine.compute_all(&lvl.residual_flops, "mg-residual");
-        let a = self.h.matrix(level);
-        a.matvec_rows_into(0..a.n_rows(), &w.z, &mut w.rr);
+        self.h.product(level).matvec_into(&w.z, &mut w.rr);
         for (rri, ri) in w.rr.iter_mut().zip(&w.r) {
             *rri = ri - *rri;
         }

@@ -32,6 +32,7 @@ use hpf_machine::{Event, EventKind, Machine};
 use hpf_solvers::cg::cg_distributed_with_observer;
 use hpf_solvers::{IterObserver, SolveStats, SolverError, StopCriterion};
 use hpf_sparse::CsrMatrix;
+use std::sync::Arc;
 
 /// Thresholds and cadence for mid-solve repartitioning.
 #[derive(Debug, Clone, Copy)]
@@ -186,10 +187,12 @@ pub fn cg_auto_repartition(
         });
     }
     let target_abs = rel_tol * b_norm;
+    // One copy for the whole solve; each segment's operator shares it.
+    let shared = Arc::new(matrix.clone());
 
     while stats.iterations < max_iters {
         let row_cuts = contiguous_projection(&spec, &assignment);
-        let op = RowwiseCsr::with_row_cuts(matrix.clone(), np, row_cuts);
+        let op = RowwiseCsr::with_row_cuts(Arc::clone(&shared), np, row_cuts);
         let segment_iters = policy.check_every.min(max_iters - stats.iterations);
         let mark = machine.trace().len();
 

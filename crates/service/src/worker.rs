@@ -185,8 +185,9 @@ pub fn execute_batch(
             }
             (Arc::new(plan), PlanSource::Built)
         };
-        let op =
-            RowwiseCsr::with_row_cuts(matrix.as_ref().clone(), config.np, plan.row_cuts.clone());
+        // The operator shares the request's matrix; what a batch pays
+        // here is the cost vectors and the product-form detection pass.
+        let op = RowwiseCsr::with_row_cuts(Arc::clone(&matrix), config.np, plan.row_cuts.clone());
         let mut machine = Machine::new(config.np, config.topology, CostModel::mpp_1995());
         // Nobody reads this machine's events after the solve: the
         // response carries the digest, and live taps go through the sink.

@@ -606,85 +606,112 @@ fn calibrated_admission_sheds_impossible_deadlines_at_submit() {
     assert_eq!(m.failed, 0);
 }
 
-/// Tentpole acceptance: with the single worker pinned by a slow batch
-/// job, best-effort work submitted *first* still runs *after* the
-/// interactive work that arrived later — weighted-fair dequeue, not
-/// arrival order.
+/// Tentpole acceptance: with the single worker pinned, best-effort work
+/// submitted *first* still runs *after* the interactive work that
+/// arrived later — weighted-fair dequeue, not arrival order.
+///
+/// Nothing here is left to how long a solve takes. The worker is pinned
+/// by a gate the test holds: the machine sink parks the worker thread at
+/// the blocker's first machine event and lets go once the contest is
+/// queued. The order read is the order in which the one worker finished
+/// the jobs (`ServiceEvent::Completed`, emitted on the worker thread),
+/// not the order in which waiting threads happened to wake.
 #[test]
 fn interactive_jobs_overtake_best_effort_under_load() {
+    use hpf_service::{ServiceEvent, ServiceEventSink};
+    use parking_lot::Mutex;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::mpsc;
+
+    let (parked_tx, parked_rx) = mpsc::channel::<()>();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    let gate = {
+        let armed = AtomicBool::new(true);
+        let release_rx = Mutex::new(release_rx);
+        hpf_machine::EventSink::new(move |_event| {
+            if armed.swap(false, Ordering::SeqCst) {
+                parked_tx.send(()).expect("the test waits for this");
+                release_rx.lock().recv().expect("the test lets go");
+            }
+        })
+    };
+    let finished = Arc::new(Mutex::new(Vec::<QosClass>::new()));
+    let record = {
+        let finished = finished.clone();
+        ServiceEventSink::new(move |event| {
+            if let ServiceEvent::Completed { class, ok, .. } = event {
+                assert!(ok, "every job here solves");
+                finished.lock().push(*class);
+            }
+        })
+    };
     let service = SolverService::start(ServiceConfig {
         workers: 1,
         queue_capacity: 64,
         np: 4,
         batching_enabled: false,
+        // The parked worker sends no heartbeats; it is not hung.
+        supervision_enabled: false,
+        machine_sink: Some(gate),
+        event_sink: Some(record),
         ..ServiceConfig::default()
     });
-    // A slow head job pins the worker while the contest queues up.
-    let slow_a = Arc::new(gen::poisson_2d(32, 32));
-    let (sb, _x) = gen::rhs_for_known_solution(&slow_a);
-    let blocker = service
-        .submit(SolveRequest::with_rhs_set(slow_a.clone(), vec![sb; 8]))
-        .unwrap();
-    while service.metrics().batches_executed == 0 {
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    let submit = |a: hpf_sparse::CsrMatrix, qos: QosClass| {
+        let (b, _x) = gen::rhs_for_known_solution(&a);
+        service
+            .submit(SolveRequest::new(Arc::new(a), b).qos(qos))
+            .unwrap()
+    };
+    let mut handles = vec![submit(gen::poisson_2d(32, 32), QosClass::Batch)];
+    parked_rx.recv().expect("the blocker reaches the worker");
     // Two decoys park the dispatcher: one fills the worker hand-off
-    // channel, the next blocks the dispatcher mid-send. Everything
-    // submitted afterwards is dequeued in one weighted pass.
-    let decoys: Vec<_> = (0..2)
-        .map(|i| {
-            let a = Arc::new(gen::banded_spd(32, 2, 200 + i));
-            let (b, _x) = gen::rhs_for_known_solution(&a);
-            service
-                .submit(SolveRequest::new(a, b).qos(QosClass::Interactive))
-                .unwrap()
-        })
-        .collect();
-    std::thread::sleep(Duration::from_millis(50));
+    // channel, the next blocks the dispatcher mid-send. Once it has taken
+    // both off their queue it takes nothing more until the worker moves,
+    // so everything submitted afterwards is dequeued in one weighted pass.
+    for i in 0..2 {
+        handles.push(submit(
+            gen::banded_spd(32, 2, 200 + i),
+            QosClass::Interactive,
+        ));
+    }
+    while service.metrics().queue_depth != 0 {
+        std::thread::yield_now();
+    }
+    // Best-effort first.
+    for i in 0..3 {
+        handles.push(submit(
+            gen::power_law_spd(256, 16, 0.9, 50 + i),
+            QosClass::BestEffort,
+        ));
+    }
+    for i in 0..3 {
+        handles.push(submit(
+            gen::banded_spd(48, 2, 300 + i),
+            QosClass::Interactive,
+        ));
+    }
+    release_tx.send(()).expect("the worker is parked on this");
 
-    let order = Arc::new(parking_lot::Mutex::new(Vec::<char>::new()));
-    let mut contest = Vec::new();
-    // Best-effort first: heavy enough that the completion gap at the
-    // class boundary dwarfs waiter-thread wake-up jitter.
-    for i in 0..3u64 {
-        let a = Arc::new(gen::power_law_spd(256, 16, 0.9, 50 + i));
-        let (b, _x) = gen::rhs_for_known_solution(&a);
-        let h = service
-            .submit(SolveRequest::new(a, b).qos(QosClass::BestEffort))
-            .unwrap();
-        let order = order.clone();
-        contest.push(std::thread::spawn(move || {
-            assert!(h.wait().is_ok());
-            order.lock().push('B');
-        }));
+    for h in handles {
+        assert!(h.wait().is_ok());
     }
-    for i in 0..3u64 {
-        let a = Arc::new(gen::banded_spd(48, 2, 300 + i));
-        let (b, _x) = gen::rhs_for_known_solution(&a);
-        let h = service
-            .submit(SolveRequest::new(a, b).qos(QosClass::Interactive))
-            .unwrap();
-        let order = order.clone();
-        contest.push(std::thread::spawn(move || {
-            assert!(h.wait().is_ok());
-            order.lock().push('I');
-        }));
-    }
-
-    assert!(blocker.wait().is_ok());
-    for d in decoys {
-        assert!(d.wait().is_ok());
-    }
-    for t in contest {
-        t.join().unwrap();
-    }
-    let observed: String = order.lock().iter().collect();
-    assert_eq!(
-        observed, "IIIBBB",
-        "interactive must drain before best-effort"
-    );
     let m = service.shutdown();
     assert_eq!(m.completed, 9);
+    use QosClass::{Batch, BestEffort, Interactive};
+    assert_eq!(
+        *finished.lock(),
+        [
+            Batch,       // the blocker
+            Interactive, // the decoys
+            Interactive,
+            Interactive, // the contest: interactive drains before best-effort
+            Interactive,
+            Interactive,
+            BestEffort,
+            BestEffort,
+            BestEffort,
+        ]
+    );
 }
 
 /// Tentpole acceptance: a worker hung mid-solve (wall-clock stall fault,

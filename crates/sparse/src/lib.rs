@@ -22,6 +22,7 @@ pub mod error;
 pub mod gen;
 pub mod io;
 pub mod stats;
+pub mod templates;
 
 pub use coo::{CooMatrix, Triplet};
 pub use csc::CscMatrix;
@@ -30,3 +31,4 @@ pub use dense::DenseMatrix;
 pub use dia::DiaMatrix;
 pub use ell::EllMatrix;
 pub use error::SparseError;
+pub use templates::{ProductForm, RowProduct};
