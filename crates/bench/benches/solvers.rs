@@ -115,7 +115,7 @@ fn bench_ne_convergence(c: &mut Criterion) {
 }
 
 fn bench_gmres_and_dist(c: &mut Criterion) {
-    use hpf_solvers::{bicg_distributed, gmres};
+    use hpf_solvers::{gmres, solve, Krylov, NullObserver};
     let a = gen::poisson_2d(16, 16);
     let (_, b) = gen::rhs_for_known_solution(&a);
     let stop = StopCriterion::RelativeResidual(1e-8);
@@ -133,7 +133,8 @@ fn bench_gmres_and_dist(c: &mut Criterion) {
         bch.iter(|| {
             let mut m = Machine::new(8, Topology::Hypercube, CostModel::mpp_1995());
             m.set_tracing(false);
-            black_box(bicg_distributed(&mut m, &op, &bn, stop, 5000).unwrap())
+            let method = Krylov::Bicg;
+            black_box(solve(&mut m, &op, &bn, method, stop, 5000, &mut NullObserver).unwrap())
         });
     });
     group.finish();

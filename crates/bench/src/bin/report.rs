@@ -13,9 +13,14 @@ fn main() {
             match experiments::run_one(&a.to_lowercase()) {
                 Some(t) => out.push(t),
                 None => {
+                    let aliases: Vec<_> = experiments::REGISTRY
+                        .iter()
+                        .filter_map(|e| e.alias.map(|word| format!("'{word}'")))
+                        .collect();
                     eprintln!(
-                        "unknown experiment id '{a}' \
-                         (expected e1..e30, or 'soak'/'telemetry'/'rca')"
+                        "unknown experiment id '{a}' (expected e1..e{}, or {})",
+                        experiments::REGISTRY.len(),
+                        aliases.join("/")
                     );
                     std::process::exit(2);
                 }

@@ -21,9 +21,7 @@ use crate::table::Table;
 use hpf_core::{ColwiseCsc, DataArrayLayout, RowwiseCsr};
 use hpf_machine::{CostModel, Machine, Topology};
 use hpf_obs::{BenchRecord, ConvergenceLog, DriftReport, RegressionGate};
-use hpf_solvers::{
-    cg_distributed_with_observer, ColwiseOperator, CscVariant, DistOperator, StopCriterion,
-};
+use hpf_solvers::{solve, ColwiseOperator, CscVariant, DistOperator, Krylov, StopCriterion};
 use hpf_sparse::{gen, CscMatrix};
 
 /// Drift tolerance band: every category must stay within ±10% of the
@@ -42,15 +40,10 @@ fn run_scenario(name: &'static str, op: &dyn DistOperator, b: &[f64], n: usize) 
     let mut m = Machine::new(np, Topology::Hypercube, CostModel::mpp_1995());
     m.set_tracing(true);
     let mut log = ConvergenceLog::new();
-    let (_, stats) = cg_distributed_with_observer(
-        &mut m,
-        op,
-        b,
-        StopCriterion::RelativeResidual(1e-8),
-        20 * n,
-        &mut log,
-    )
-    .expect("SPD system must converge");
+    let stop = StopCriterion::RelativeResidual(1e-8);
+    let stats = solve(&mut m, op, b, Krylov::cg(), stop, 20 * n, &mut log)
+        .expect("SPD system must converge")
+        .stats;
     assert!(stats.converged, "{name}: CG failed to converge");
     // The telemetry's cumulative predicted clock must agree with the
     // oracle's event-by-event pricing at the last iteration.

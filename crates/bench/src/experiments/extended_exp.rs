@@ -8,8 +8,8 @@ use hpf_core::{Checkerboard, ColwiseCsc, DataArrayLayout, DistVector, ProcGrid2D
 use hpf_dist::ArrayDescriptor;
 use hpf_machine::{CostModel, Machine, Topology};
 use hpf_solvers::{
-    bicg_distributed, cg_distributed, gmres, gmres_storage_vectors, nonmonotonicity,
-    residual_history, ColwiseOperator, CscVariant, Method, StopCriterion,
+    cg_distributed, gmres, gmres_storage_vectors, nonmonotonicity, residual_history, solve,
+    ColwiseOperator, CscVariant, DistOperator, Krylov, Method, NullObserver, StopCriterion,
 };
 use hpf_sparse::{gen, CooMatrix, CscMatrix, CsrMatrix, DenseMatrix};
 
@@ -126,8 +126,13 @@ pub fn e17_transpose_asymmetry(n: usize, np: usize) -> Table {
     // escapes the expensive direction.
     let (_, b) = gen::rhs_for_known_solution(&a);
     let stop = StopCriterion::RelativeResidual(1e-8);
+    let bicg = |m: &mut Machine, op: &dyn DistOperator| {
+        solve(m, op, &b, Krylov::Bicg, stop, 10 * n, &mut NullObserver)
+            .unwrap()
+            .stats
+    };
     let mut m_row = mk();
-    let (_, s_row) = bicg_distributed(&mut m_row, &row_op, &b, stop, 10 * n).unwrap();
+    let s_row = bicg(&mut m_row, &row_op);
     t.row(vec![
         format!("BiCG ({} iters)", s_row.iterations),
         "row-wise".into(),
@@ -139,7 +144,7 @@ pub fn e17_transpose_asymmetry(n: usize, np: usize) -> Table {
         variant: CscVariant::Temp2d,
     };
     let mut m_col = mk();
-    let (_, s_col) = bicg_distributed(&mut m_col, &col_full, &b, stop, 10 * n).unwrap();
+    let s_col = bicg(&mut m_col, &col_full);
     t.row(vec![
         format!("BiCG ({} iters)", s_col.iterations),
         "column-wise".into(),

@@ -103,129 +103,107 @@ impl TapCost {
     }
 }
 
-/// Run every experiment at its default (report-sized) parameters, in
-/// index order.
-pub fn run_all() -> Vec<Table> {
-    vec![
-        solvers_exp::e01_cg_figure2(16, 16, 8),
-        vector_ops::e02_saxpy_scaling(1 << 16),
-        vector_ops::e03_dot_merge(1 << 14),
-        matvec_exp::e04_scenario1(1024, 6),
-        matvec_exp::e05_scenario2(1024, 6),
-        extensions_exp::e06_private_merge(1024, 6),
-        extensions_exp::e07_bernstein(128),
-        extensions_exp::e08_inspector(1024, 100),
-        extensions_exp::e09_atom_distribution(512, 6),
-        balance_exp::e10_load_balance(1024, 128, 0.9),
-        solvers_exp::e11_ne_convergence(32),
-        solvers_exp::e12_solver_family(144),
-        comparison_exp::e13_hpf_vs_spmd(256, 5, 8),
-        solvers_exp::e14_preconditioning(10, 10),
-        comparison_exp::e15_storage_formats(),
-        extended_exp::e16_checkerboard(1024),
-        extended_exp::e17_transpose_asymmetry(512, 8),
-        extended_exp::e18_cost_sensitivity(48, 48),
-        extended_exp::e19_gmres_and_cgs(10),
-        extended_exp::e20_condition_bound(),
-        extended_exp::e21_redistribute_amortisation(1024, 128, 8),
-        service_exp::e22_service_throughput(256, 40, 8),
-        fault_exp::e23_fault_sweep(96, 4, 5),
-        obs_exp::e24_observability_overhead(10_000, 8, 3),
-        drift_exp::e25_drift_oracle(1024, 8),
-        partition_exp::e26_partitioners(512),
-        soak_exp::e27_chaos_soak(soak_exp::default_requests()),
-        mg_exp::e28_hpcg(),
-        telemetry_exp::e29_telemetry(telemetry_exp::default_requests()),
-        rca_exp::e30_rca(rca_exp::default_requests()),
-    ]
+/// One row of the experiment index: `E<number>`, the word `report`
+/// also accepts for it, and the run at its default (report-sized)
+/// parameters.
+pub struct Experiment {
+    pub number: u32,
+    pub alias: Option<&'static str>,
+    pub run: fn() -> Table,
 }
 
-/// Run one experiment by its lowercase id (`"e1"`, `"e01"`, ... `"e30"`);
-/// `"soak"` is an alias for the E27 chaos soak, `"telemetry"` for the
-/// E29 pipeline, and `"rca"` for the E30 flight-recorder sweep.
-pub fn run_one(id: &str) -> Option<Table> {
+const fn exp(number: u32, alias: Option<&'static str>, run: fn() -> Table) -> Experiment {
+    Experiment { number, alias, run }
+}
+
+/// Every experiment, in index order: what [`run_all`] runs, what
+/// [`run_one`] resolves ids against, and what `report` names in its
+/// usage message.
+pub static REGISTRY: [Experiment; 30] = [
+    exp(1, None, || solvers_exp::e01_cg_figure2(16, 16, 8)),
+    exp(2, None, || vector_ops::e02_saxpy_scaling(1 << 16)),
+    exp(3, None, || vector_ops::e03_dot_merge(1 << 14)),
+    exp(4, None, || matvec_exp::e04_scenario1(1024, 6)),
+    exp(5, None, || matvec_exp::e05_scenario2(1024, 6)),
+    exp(6, None, || extensions_exp::e06_private_merge(1024, 6)),
+    exp(7, None, || extensions_exp::e07_bernstein(128)),
+    exp(8, None, || extensions_exp::e08_inspector(1024, 100)),
+    exp(9, None, || extensions_exp::e09_atom_distribution(512, 6)),
+    exp(10, None, || balance_exp::e10_load_balance(1024, 128, 0.9)),
+    exp(11, None, || solvers_exp::e11_ne_convergence(32)),
+    exp(12, None, || solvers_exp::e12_solver_family(144)),
+    exp(13, None, || comparison_exp::e13_hpf_vs_spmd(256, 5, 8)),
+    exp(14, None, || solvers_exp::e14_preconditioning(10, 10)),
+    exp(15, None, comparison_exp::e15_storage_formats),
+    exp(16, None, || extended_exp::e16_checkerboard(1024)),
+    exp(17, None, || extended_exp::e17_transpose_asymmetry(512, 8)),
+    exp(18, None, || extended_exp::e18_cost_sensitivity(48, 48)),
+    exp(19, None, || extended_exp::e19_gmres_and_cgs(10)),
+    exp(20, None, extended_exp::e20_condition_bound),
+    exp(21, None, || {
+        extended_exp::e21_redistribute_amortisation(1024, 128, 8)
+    }),
+    exp(22, None, || service_exp::e22_service_throughput(256, 40, 8)),
+    exp(23, None, || fault_exp::e23_fault_sweep(96, 4, 5)),
+    exp(24, None, || {
+        obs_exp::e24_observability_overhead(10_000, 8, 3)
+    }),
+    exp(25, None, || drift_exp::e25_drift_oracle(1024, 8)),
+    exp(26, None, || partition_exp::e26_partitioners(512)),
+    exp(27, Some("soak"), || {
+        soak_exp::e27_chaos_soak(soak_exp::default_requests())
+    }),
+    exp(28, Some("hpcg"), mg_exp::e28_hpcg),
+    exp(29, Some("telemetry"), || {
+        telemetry_exp::e29_telemetry(telemetry_exp::default_requests())
+    }),
+    exp(30, Some("rca"), || {
+        rca_exp::e30_rca(rca_exp::default_requests())
+    }),
+];
+
+/// The experiment a lowercase id names: `"e1"`, `"e01"`, `"1"` ...
+/// `"e30"`, or an alias (`"soak"` for the E27 chaos soak, `"hpcg"` for
+/// the E28 MG sweep, `"telemetry"` for the E29 pipeline, `"rca"` for the
+/// E30 flight-recorder sweep).
+pub fn resolve(id: &str) -> Option<&'static Experiment> {
     let norm = id.trim_start_matches('e').trim_start_matches('0');
-    Some(match norm {
-        "1" => solvers_exp::e01_cg_figure2(16, 16, 8),
-        "2" => vector_ops::e02_saxpy_scaling(1 << 16),
-        "3" => vector_ops::e03_dot_merge(1 << 14),
-        "4" => matvec_exp::e04_scenario1(1024, 6),
-        "5" => matvec_exp::e05_scenario2(1024, 6),
-        "6" => extensions_exp::e06_private_merge(1024, 6),
-        "7" => extensions_exp::e07_bernstein(128),
-        "8" => extensions_exp::e08_inspector(1024, 100),
-        "9" => extensions_exp::e09_atom_distribution(512, 6),
-        "10" => balance_exp::e10_load_balance(1024, 128, 0.9),
-        "11" => solvers_exp::e11_ne_convergence(32),
-        "12" => solvers_exp::e12_solver_family(144),
-        "13" => comparison_exp::e13_hpf_vs_spmd(256, 5, 8),
-        "14" => solvers_exp::e14_preconditioning(10, 10),
-        "15" => comparison_exp::e15_storage_formats(),
-        "16" => extended_exp::e16_checkerboard(1024),
-        "17" => extended_exp::e17_transpose_asymmetry(512, 8),
-        "18" => extended_exp::e18_cost_sensitivity(48, 48),
-        "19" => extended_exp::e19_gmres_and_cgs(10),
-        "20" => extended_exp::e20_condition_bound(),
-        "21" => extended_exp::e21_redistribute_amortisation(1024, 128, 8),
-        "22" => service_exp::e22_service_throughput(256, 40, 8),
-        "23" => fault_exp::e23_fault_sweep(96, 4, 5),
-        "24" => obs_exp::e24_observability_overhead(10_000, 8, 3),
-        "25" => drift_exp::e25_drift_oracle(1024, 8),
-        "26" => partition_exp::e26_partitioners(512),
-        "27" | "soak" => soak_exp::e27_chaos_soak(soak_exp::default_requests()),
-        "28" | "hpcg" => mg_exp::e28_hpcg(),
-        "29" | "telemetry" => telemetry_exp::e29_telemetry(telemetry_exp::default_requests()),
-        "30" | "rca" => rca_exp::e30_rca(rca_exp::default_requests()),
-        _ => return None,
-    })
+    REGISTRY
+        .iter()
+        .find(|e| e.alias == Some(norm) || e.number.to_string() == norm)
+}
+
+/// Run every experiment, in index order.
+pub fn run_all() -> Vec<Table> {
+    REGISTRY.iter().map(|e| (e.run)()).collect()
+}
+
+/// Run the experiment [`resolve`] finds for `id`.
+pub fn run_one(id: &str) -> Option<Table> {
+    resolve(id).map(|e| (e.run)())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Resolution only: every experiment has its own test, and running
+    /// them here would set process-wide variables under sibling tests.
     #[test]
     fn run_one_resolves_ids() {
-        // E25/E26's regression gates write BENCH_<n>.json into
-        // HPF_BENCH_DIR (default "."); keep test artifacts out of the
-        // source tree.
-        let scratch = std::env::temp_dir().join(format!("hpf-run-one-{}", std::process::id()));
-        std::fs::create_dir_all(&scratch).unwrap();
-        std::env::set_var("HPF_BENCH_DIR", &scratch);
-        assert!(run_one("e1").is_some());
-        assert!(run_one("e01").is_some());
-        assert!(run_one("15").is_some());
-        assert!(run_one("e16").is_some());
-        assert!(run_one("e19").is_some());
-        assert!(run_one("e20").is_some());
-        assert!(run_one("e21").is_some());
-        assert!(run_one("e22").is_some());
-        assert!(run_one("e23").is_some());
-        assert!(run_one("e24").is_some());
-        assert!(run_one("e25").is_some());
-        assert!(run_one("e26").is_some());
-        // E27 is the chaos soak; keep the in-test run small.
-        std::env::set_var("HPF_SOAK_REQUESTS", "600");
-        assert!(run_one("e27").is_some());
-        assert!(run_one("soak").is_some());
-        // E28 is the HPCG-class MG sweep; keep the in-test run small.
-        std::env::set_var("HPF_E28_SMOKE", "1");
-        assert!(run_one("e28").is_some());
-        assert!(run_one("hpcg").is_some());
-        std::env::remove_var("HPF_E28_SMOKE");
-        // E29 is the telemetry soak; keep the in-test run smoke-sized.
-        std::env::set_var("HPF_E29_REQUESTS", "120");
-        assert!(run_one("e29").is_some());
-        assert!(run_one("telemetry").is_some());
-        std::env::remove_var("HPF_E29_REQUESTS");
-        // E30 is the flight-recorder sweep; keep the in-test run
-        // smoke-sized.
-        std::env::set_var("HPF_E30_REQUESTS", "120");
-        assert!(run_one("e30").is_some());
-        assert!(run_one("rca").is_some());
-        std::env::remove_var("HPF_E30_REQUESTS");
-        assert!(run_one("e31").is_none());
-        assert!(run_one("nope").is_none());
-        let _ = std::fs::remove_dir_all(&scratch);
+        let number = |id: &str| resolve(id).map(|e| e.number);
+        for (i, e) in REGISTRY.iter().enumerate() {
+            assert_eq!(e.number as usize, i + 1);
+            assert_eq!(number(&format!("e{}", e.number)), Some(e.number));
+            assert_eq!(number(&format!("e{:02}", e.number)), Some(e.number));
+            assert_eq!(number(&e.number.to_string()), Some(e.number));
+        }
+        let aliases = [("soak", 27), ("hpcg", 28), ("telemetry", 29), ("rca", 30)];
+        for (alias, n) in aliases {
+            assert_eq!(number(alias), Some(n));
+        }
+        for unknown in ["e31", "e0", "e", "", "nope", "+1", "e1x"] {
+            assert_eq!(number(unknown), None, "{unknown:?}");
+        }
     }
 }

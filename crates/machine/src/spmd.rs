@@ -9,7 +9,6 @@
 //! channels, with per-rank traffic counters that can be compared against
 //! the simulated HPF machine's counters.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
@@ -19,7 +18,7 @@ use std::sync::{Arc, Barrier};
 struct Msg {
     src: usize,
     tag: u32,
-    payload: Bytes,
+    payload: Vec<f64>,
 }
 
 /// Per-rank traffic statistics, mirroring [`crate::machine::ProcStats`].
@@ -52,22 +51,6 @@ impl Comm {
         self.np
     }
 
-    fn encode(data: &[f64]) -> Bytes {
-        let mut buf = BytesMut::with_capacity(8 * data.len());
-        for &x in data {
-            buf.put_f64_le(x);
-        }
-        buf.freeze()
-    }
-
-    fn decode(mut payload: Bytes) -> Vec<f64> {
-        let mut out = Vec::with_capacity(payload.len() / 8);
-        while payload.remaining() >= 8 {
-            out.push(payload.get_f64_le());
-        }
-        out
-    }
-
     /// Send `data` to rank `to` with message tag `tag`.
     pub fn send(&self, to: usize, tag: u32, data: &[f64]) {
         assert!(to < self.np, "destination rank out of range");
@@ -81,7 +64,7 @@ impl Comm {
             .send(Msg {
                 src: self.rank,
                 tag,
-                payload: Self::encode(data),
+                payload: data.to_vec(),
             })
             .expect("receiver hung up");
     }
@@ -95,12 +78,12 @@ impl Comm {
             .position(|m| m.src == from && m.tag == tag)
         {
             let msg = self.parked.remove(pos).unwrap();
-            return Self::decode(msg.payload);
+            return msg.payload;
         }
         loop {
             let msg = self.receiver.recv().expect("all senders hung up");
             if msg.src == from && msg.tag == tag {
-                return Self::decode(msg.payload);
+                return msg.payload;
             }
             self.parked.push_back(msg);
         }
@@ -198,12 +181,12 @@ impl Comm {
     fn recv_any(&mut self, tag: u32) -> (usize, Vec<f64>) {
         if let Some(pos) = self.parked.iter().position(|m| m.tag == tag) {
             let msg = self.parked.remove(pos).unwrap();
-            return (msg.src, Self::decode(msg.payload));
+            return (msg.src, msg.payload);
         }
         loop {
             let msg = self.receiver.recv().expect("all senders hung up");
             if msg.tag == tag {
-                return (msg.src, Self::decode(msg.payload));
+                return (msg.src, msg.payload);
             }
             self.parked.push_back(msg);
         }
@@ -285,13 +268,6 @@ impl SpmdWorld {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn encode_decode_roundtrip() {
-        let data = [1.5, -2.25, 0.0, f64::MAX];
-        let b = Comm::encode(&data);
-        assert_eq!(Comm::decode(b), data.to_vec());
-    }
 
     #[test]
     fn point_to_point_delivery() {

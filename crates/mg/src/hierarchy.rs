@@ -364,7 +364,7 @@ impl MgHierarchy {
     }
 
     /// The rowwise `(BLOCK, *)` distributed operator over the finest
-    /// level that the `pcg_mg_*` entry points solve with, built once
+    /// level that MG-PCG solves with (`MgPreconditioner::pcg`), built once
     /// with the hierarchy.
     pub(crate) fn fine(&self) -> &RowwiseCsr {
         &self.fine

@@ -20,8 +20,8 @@
 //!   round-robin.
 //! * [`MgPreconditioner`] — the V(1,1)-cycle as a
 //!   [`DistPreconditioner`](hpf_solvers::DistPreconditioner), plugging
-//!   into every `pcg_*` entry point including the protected
-//!   checkpoint/rollback variants. Restriction and prolongation are
+//!   into [`hpf_solvers::solve`] through [`MgPreconditioner::pcg`],
+//!   plain or under checkpoint/rollback protection. Restriction and prolongation are
 //!   typed `Redistribute` events between level descriptors; all events
 //!   carry `vcycle/level=l/...` span paths. Every level vector lives in
 //!   a workspace the preconditioner lends out, so an application
@@ -53,69 +53,36 @@ pub use vcycle::MgPreconditioner;
 use hpf_core::DistVector;
 use hpf_machine::Machine;
 use hpf_solvers::{
-    pcg_preconditioned_distributed_protected_with_observer,
-    pcg_preconditioned_distributed_with_observer, IterObserver, NullObserver, RecoveryConfig,
-    RecoveryStats, SolveStats, SolverError, StopCriterion,
+    solve, NullObserver, RecoveryConfig, RecoveryStats, SolveStats, SolverError, StopCriterion,
 };
 
-/// Multigrid-preconditioned CG over the hierarchy's finest operator.
+/// Multigrid-preconditioned CG over the hierarchy's finest operator:
+/// [`solve`] by [`MgPreconditioner::pcg`], unobserved.
 pub fn pcg_mg_distributed(
     machine: &mut Machine,
     pre: &MgPreconditioner,
-    b_global: &[f64],
+    b: &[f64],
     stop: StopCriterion,
     max_iters: usize,
 ) -> Result<(DistVector, SolveStats), SolverError> {
-    pcg_mg_distributed_with_observer(machine, pre, b_global, stop, max_iters, &mut NullObserver)
-}
-
-/// [`pcg_mg_distributed`] with per-iteration telemetry.
-pub fn pcg_mg_distributed_with_observer(
-    machine: &mut Machine,
-    pre: &MgPreconditioner,
-    b_global: &[f64],
-    stop: StopCriterion,
-    max_iters: usize,
-    obs: &mut dyn IterObserver,
-) -> Result<(DistVector, SolveStats), SolverError> {
-    let op = pre.hierarchy().fine();
-    pcg_preconditioned_distributed_with_observer(machine, op, pre, b_global, stop, max_iters, obs)
+    let (op, method) = pre.pcg(None);
+    let s = solve(machine, op, b, method, stop, max_iters, &mut NullObserver)?;
+    Ok((s.x, s.stats))
 }
 
 /// Fault-tolerant multigrid-preconditioned CG (checkpoint/rollback).
 pub fn pcg_mg_distributed_protected(
     machine: &mut Machine,
     pre: &MgPreconditioner,
-    b_global: &[f64],
+    b: &[f64],
     stop: StopCriterion,
     max_iters: usize,
     config: RecoveryConfig,
 ) -> Result<(DistVector, SolveStats, RecoveryStats), SolverError> {
-    pcg_mg_distributed_protected_with_observer(
-        machine,
-        pre,
-        b_global,
-        stop,
-        max_iters,
-        config,
-        &mut NullObserver,
-    )
-}
-
-/// [`pcg_mg_distributed_protected`] with per-iteration telemetry.
-pub fn pcg_mg_distributed_protected_with_observer(
-    machine: &mut Machine,
-    pre: &MgPreconditioner,
-    b_global: &[f64],
-    stop: StopCriterion,
-    max_iters: usize,
-    config: RecoveryConfig,
-    obs: &mut dyn IterObserver,
-) -> Result<(DistVector, SolveStats, RecoveryStats), SolverError> {
-    let op = pre.hierarchy().fine();
-    pcg_preconditioned_distributed_protected_with_observer(
-        machine, op, pre, b_global, stop, max_iters, config, obs,
-    )
+    let (op, method) = pre.pcg(Some(config));
+    let s = solve(machine, op, b, method, stop, max_iters, &mut NullObserver)?;
+    let rec = s.recovery.expect("a protected solve reports its recovery");
+    Ok((s.x, s.stats, rec))
 }
 
 #[cfg(test)]
@@ -208,17 +175,10 @@ mod tests {
                 FaultRates::transient(0.002),
             ));
             let mut obs = RecordingObserver::new();
-            let (_, s, _) = pcg_mg_distributed_protected_with_observer(
-                &mut m,
-                &pre,
-                &b,
-                StopCriterion::RelativeResidual(1e-9),
-                500,
-                RecoveryConfig::default(),
-                &mut obs,
-            )
-            .unwrap();
-            assert!(s.converged);
+            let (op, method) = pre.pcg(Some(RecoveryConfig::default()));
+            let stop = StopCriterion::RelativeResidual(1e-9);
+            let s = solve(&mut m, op, &b, method, stop, 500, &mut obs).unwrap();
+            assert!(s.stats.converged);
             let mut csv = String::from("iteration,residual_norm,sim_time,rollbacks\n");
             for s in &obs.samples {
                 csv.push_str(&format!(

@@ -28,9 +28,9 @@
 //! cannot poison it; it merely drops the workspace it had checked out.
 
 use crate::hierarchy::{Level, MgHierarchy};
-use hpf_core::DistVector;
+use hpf_core::{DistVector, RowwiseCsr};
 use hpf_machine::{span, Machine};
-use hpf_solvers::DistPreconditioner;
+use hpf_solvers::{DistPreconditioner, Krylov, RecoveryConfig};
 use std::borrow::Cow;
 use std::sync::Mutex;
 
@@ -101,6 +101,18 @@ impl MgPreconditioner {
 
     pub fn hierarchy(&self) -> &MgHierarchy {
         &self.h
+    }
+
+    /// MG-PCG as [`hpf_solvers::solve`] takes it: the hierarchy's own
+    /// `(BLOCK)` fine operator (the level descriptors the transfers
+    /// price against) and CG preconditioned by this V-cycle, protected
+    /// when `recovery` is set.
+    pub fn pcg(&self, recovery: Option<RecoveryConfig>) -> (&RowwiseCsr, Krylov<'_>) {
+        let method = Krylov::Cg {
+            precond: Some(self),
+            recovery,
+        };
+        (self.h.fine(), method)
     }
 
     /// `rr = r − A z` at one level, charging the boundary exchange and

@@ -7,11 +7,8 @@
 //! Same counting allocator and observer as the solvers' gate.
 
 use hpf_machine::{CostModel, Machine, Topology, TraceLevel};
-use hpf_mg::{
-    pcg_mg_distributed_protected_with_observer, pcg_mg_distributed_with_observer, GridDims,
-    MgHierarchy, MgPreconditioner,
-};
-use hpf_solvers::{RecoveryConfig, StopCriterion};
+use hpf_mg::{GridDims, MgHierarchy, MgPreconditioner};
+use hpf_solvers::{solve, RecoveryConfig, StopCriterion};
 use hpf_sparse::gen;
 
 #[path = "../../solvers/tests/counting/mod.rs"]
@@ -28,18 +25,10 @@ fn tally(pre: &MgPreconditioner, b: &[f64], level: TraceLevel, protected: bool) 
     let mut m = Machine::new(NP, Topology::Hypercube, CostModel::mpp_1995());
     m.set_trace_level(level);
     let mut tally = Tally(Vec::with_capacity(MAX_ITERS));
-    let stats = if protected {
-        let config = RecoveryConfig::default();
-        pcg_mg_distributed_protected_with_observer(
-            &mut m, pre, b, STOP, MAX_ITERS, config, &mut tally,
-        )
+    let (op, method) = pre.pcg(protected.then(RecoveryConfig::default));
+    let stats = solve(&mut m, op, b, method, STOP, MAX_ITERS, &mut tally)
         .unwrap()
-        .1
-    } else {
-        pcg_mg_distributed_with_observer(&mut m, pre, b, STOP, MAX_ITERS, &mut tally)
-            .unwrap()
-            .1
-    };
+        .stats;
     assert!(stats.converged);
     if level == TraceLevel::Summary {
         assert!(m.trace().is_empty());

@@ -5,7 +5,7 @@
 use hpf_core::{DataArrayLayout, RowwiseCsr};
 use hpf_machine::{CostModel, Machine, Topology};
 use hpf_obs::{critical_path, load_imbalance, span_costs, ConvergenceLog, Timeline};
-use hpf_solvers::{cg_distributed_with_observer, StopCriterion};
+use hpf_solvers::{solve, Krylov, StopCriterion};
 use hpf_sparse::gen;
 
 fn solve_traced() -> (Machine, ConvergenceLog, usize) {
@@ -16,15 +16,10 @@ fn solve_traced() -> (Machine, ConvergenceLog, usize) {
     let mut m = Machine::new(np, Topology::Hypercube, CostModel::mpp_1995());
     m.set_tracing(true);
     let mut log = ConvergenceLog::new();
-    let (_, stats) = cg_distributed_with_observer(
-        &mut m,
-        &op,
-        &b,
-        StopCriterion::RelativeResidual(1e-8),
-        500,
-        &mut log,
-    )
-    .unwrap();
+    let stop = StopCriterion::RelativeResidual(1e-8);
+    let stats = solve(&mut m, &op, &b, Krylov::cg(), stop, 500, &mut log)
+        .unwrap()
+        .stats;
     assert!(stats.converged);
     (m, log, stats.iterations)
 }

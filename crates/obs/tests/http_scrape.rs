@@ -6,7 +6,7 @@ use hpf_core::{DataArrayLayout, RowwiseCsr};
 use hpf_machine::{CostModel, Machine, Topology};
 use hpf_obs::{ConvergenceLog, DriftReport};
 use hpf_service::{ServiceConfig, SolveRequest, SolverService};
-use hpf_solvers::{cg_distributed_with_observer, StopCriterion};
+use hpf_solvers::{solve, Krylov, StopCriterion};
 use hpf_sparse::gen;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -79,15 +79,8 @@ fn live_serve_loop_is_scrapable_end_to_end() {
     let mut m = Machine::new(np, Topology::Hypercube, CostModel::mpp_1995());
     m.set_tracing(true);
     let mut log = ConvergenceLog::new();
-    cg_distributed_with_observer(
-        &mut m,
-        &op,
-        &b2,
-        StopCriterion::RelativeResidual(1e-8),
-        200,
-        &mut log,
-    )
-    .unwrap();
+    let stop = StopCriterion::RelativeResidual(1e-8);
+    solve(&mut m, &op, &b2, Krylov::cg(), stop, 200, &mut log).unwrap();
     let report = DriftReport::from_trace(m.trace(), Topology::Hypercube, m.cost_model());
     server.publish_drift(report.to_json());
 

@@ -29,8 +29,7 @@ use hpf_dist::redistribute::redistribute_using;
 use hpf_dist::Partitioner;
 use hpf_machine::predict::predicted_or_measured_total;
 use hpf_machine::{Event, EventKind, Machine};
-use hpf_solvers::cg::cg_distributed_with_observer;
-use hpf_solvers::{IterObserver, SolveStats, SolverError, StopCriterion};
+use hpf_solvers::{solve, IterObserver, Krylov, SolveStats, SolverError, StopCriterion};
 use hpf_sparse::CsrMatrix;
 use std::sync::Arc;
 
@@ -199,15 +198,9 @@ pub fn cg_auto_repartition(
         // Residual-correction restart: solve A·e = r to the *global*
         // absolute target, so the segment's recurrence residual tracks
         // ‖b − A(x+e)‖ directly.
-        let (e_dist, seg) = cg_distributed_with_observer(
-            machine,
-            &op,
-            &r,
-            StopCriterion::AbsoluteResidual(target_abs),
-            segment_iters,
-            obs,
-        )?;
-        let e = e_dist.to_global();
+        let stop = StopCriterion::AbsoluteResidual(target_abs);
+        let segment = solve(machine, &op, &r, Krylov::cg(), stop, segment_iters, obs)?;
+        let (e, seg) = (segment.x.to_global(), segment.stats);
         for (xi, ei) in x.iter_mut().zip(e.iter()) {
             *xi += ei;
         }

@@ -107,7 +107,8 @@ impl ServiceError {
                 SolverError::SingularMatrix { .. } => "singular",
                 SolverError::NotSquare { .. }
                 | SolverError::DimensionMismatch { .. }
-                | SolverError::NotSymmetric => "invalid-operator",
+                | SolverError::NotSymmetric
+                | SolverError::ZeroRestart => "invalid-operator",
             },
             ServiceError::WorkerPanic(_) => "worker-panic",
             ServiceError::Shutdown => "shutdown",

@@ -407,6 +407,9 @@ fn validate(request: &SolveRequest) -> Result<(), String> {
     if request.max_iters == 0 {
         return Err("max_iters must be positive".into());
     }
+    if let crate::request::SolverKind::Gmres { restart: 0 } = request.solver {
+        return Err("gmres needs a restart length of at least 1".into());
+    }
     if let crate::request::SolverKind::PcgMg { levels } = request.solver {
         let dims = request
             .grid

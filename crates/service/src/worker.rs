@@ -26,11 +26,8 @@ use crate::supervisor::{CurrentJob, SupervisorAbort, WorkerState};
 use hpf_core::RowwiseCsr;
 use hpf_machine::{CostModel, Machine, TraceLevel};
 use hpf_solvers::{
-    bicg_distributed_with_observer, bicgstab_distributed_with_observer,
-    cg_distributed_protected_with_observer, cg_distributed_with_observer,
-    gmres_distributed_with_observer, pcg_jacobi_distributed_protected_with_observer,
-    pcg_jacobi_distributed_with_observer, DistOperator, IterObserver, RecoveryStats, SolveStats,
-    SolverError, StopCriterion, TailObserver,
+    solve, DistPreconditioner, IterObserver, JacobiPreconditioner, Krylov, RecoveryStats,
+    SolveStats, SolverError, StopCriterion, TailObserver,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
@@ -470,12 +467,13 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Dispatch one right-hand side to the requested distributed solver.
-/// CG-family solves go through the checkpoint/rollback protected
-/// variants when a recovery config is set. `mg` is the plan's cached
-/// V-cycle preconditioner; MG-PCG runs over the hierarchy's own
-/// `(BLOCK)` fine operator (the level descriptors the transfers price
-/// against), not the partitioned `op` the other methods use.
+/// Run one right-hand side: map the requested kind to an operator and a
+/// [`Krylov`] method, and hand both to [`solve`]. CG-family solves are
+/// checkpoint/rollback protected when a recovery config is set. `mg` is
+/// the plan's cached V-cycle preconditioner; MG-PCG runs over the
+/// hierarchy's own `(BLOCK)` fine operator (the level descriptors the
+/// transfers price against), not the partitioned `op` the other methods
+/// use.
 #[allow(clippy::too_many_arguments)]
 fn run_solver(
     kind: SolverKind,
@@ -488,63 +486,22 @@ fn run_solver(
     recovery: Option<hpf_solvers::RecoveryConfig>,
     obs: &mut dyn IterObserver,
 ) -> Result<(Vec<f64>, SolveStats, Option<RecoveryStats>), SolverError> {
-    if let SolverKind::PcgMg { .. } = kind {
-        let pre = mg.expect("validated: pcg-mg plans carry a hierarchy");
-        return match recovery {
-            Some(cfg) => {
-                let (x, s, r) = hpf_mg::pcg_mg_distributed_protected_with_observer(
-                    machine, pre, rhs, stop, max_iters, cfg, obs,
-                )?;
-                Ok((x.to_global(), s, Some(r)))
-            }
-            None => {
-                let (x, s) = hpf_mg::pcg_mg_distributed_with_observer(
-                    machine, pre, rhs, stop, max_iters, obs,
-                )?;
-                Ok((x.to_global(), s, None))
-            }
-        };
-    }
-    let (x, s, rec) = match (kind, recovery) {
-        (SolverKind::Cg, Some(cfg)) => {
-            let (x, s, r) = cg_distributed_protected_with_observer(
-                machine, op, rhs, stop, max_iters, cfg, obs,
-            )?;
-            (x, s, Some(r))
-        }
-        (SolverKind::PcgJacobi, Some(cfg)) => {
-            let (x, s, r) = pcg_jacobi_distributed_protected_with_observer(
-                machine, op, rhs, stop, max_iters, cfg, obs,
-            )?;
-            (x, s, Some(r))
-        }
-        (SolverKind::Cg, None) => {
-            let (x, s) = cg_distributed_with_observer(machine, op, rhs, stop, max_iters, obs)?;
-            (x, s, None)
-        }
-        (SolverKind::PcgJacobi, None) => {
-            let (x, s) =
-                pcg_jacobi_distributed_with_observer(machine, op, rhs, stop, max_iters, obs)?;
-            (x, s, None)
-        }
-        (SolverKind::Bicg, _) => {
-            let (x, s) = bicg_distributed_with_observer(machine, op, rhs, stop, max_iters, obs)?;
-            (x, s, None)
-        }
-        (SolverKind::Bicgstab, _) => {
-            let (x, s) =
-                bicgstab_distributed_with_observer(machine, op, rhs, stop, max_iters, obs)?;
-            (x, s, None)
-        }
-        (SolverKind::Gmres { restart }, _) => {
-            let (x, s) =
-                gmres_distributed_with_observer(machine, op, rhs, restart, stop, max_iters, obs)?;
-            (x, s, None)
-        }
-        (SolverKind::PcgMg { .. }, _) => unreachable!("early-returned above"),
+    let jacobi = match kind {
+        SolverKind::PcgJacobi => Some(JacobiPreconditioner::from_operator(op)?),
+        _ => None,
     };
-    debug_assert_eq!(op.dim(), rhs.len());
-    Ok((x.to_global(), s, rec))
+    let precond = jacobi.as_ref().map(|m| m as &dyn DistPreconditioner);
+    let (a, method) = match kind {
+        SolverKind::Cg | SolverKind::PcgJacobi => (op, Krylov::Cg { precond, recovery }),
+        SolverKind::PcgMg { .. } => mg
+            .expect("validated: pcg-mg plans carry a hierarchy")
+            .pcg(recovery),
+        SolverKind::Bicg => (op, Krylov::Bicg),
+        SolverKind::Bicgstab => (op, Krylov::Bicgstab),
+        SolverKind::Gmres { restart } => (op, Krylov::Gmres { restart }),
+    };
+    let s = solve(machine, a, rhs, method, stop, max_iters, obs)?;
+    Ok((s.x.to_global(), s.stats, s.recovery))
 }
 
 #[cfg(test)]

@@ -244,6 +244,31 @@ fn solver_failure_does_not_poison_the_pool() {
 
 /// Malformed requests are rejected up front with a typed error and never
 /// consume a queue slot.
+/// `Gmres { restart: 0 }` used to pass validation and panic in the
+/// worker, which the structure's circuit breaker counted as a failure.
+#[test]
+fn a_zero_gmres_restart_is_rejected_at_submission() {
+    let service = SolverService::start(ServiceConfig {
+        workers: 1,
+        np: 2,
+        breaker_threshold: 1,
+        ..ServiceConfig::default()
+    });
+    let a = Arc::new(gen::tridiagonal(8, 4.0, -1.0));
+    let request =
+        |restart| SolveRequest::new(a.clone(), vec![1.0; 8]).solver(SolverKind::Gmres { restart });
+    match service.solve(request(0)) {
+        Err(ServiceError::InvalidRequest(why)) => assert!(why.contains("restart"), "{why}"),
+        other => panic!("expected InvalidRequest, got {other:?}"),
+    }
+    assert_eq!(service.open_circuits(), 0);
+    // The same structure still solves: no failure was held against it.
+    let ok = service.solve(request(4)).expect("gmres(4) solves");
+    assert!(ok.stats[0].converged);
+    let m = service.shutdown();
+    assert_eq!((m.rejected_invalid, m.accepted, m.failed), (1, 1, 0));
+}
+
 #[test]
 fn invalid_requests_fail_fast() {
     let service = SolverService::start(ServiceConfig {

@@ -23,8 +23,10 @@
 //! chosen data layout induces is charged to the simulated machine.
 
 use crate::error::SolverError;
-use crate::observer::{IterObserver, IterSample, MachineMark, NullObserver};
+use crate::krylov::{solve, Krylov, Run};
+use crate::observer::{IterObserver, IterSample, NullObserver};
 use crate::operator::{DistOperator, SerialOperator};
+use crate::precond::DistPreconditioner;
 use crate::stopping::{ResidualMonitor, SolveStats, StopCriterion};
 use hpf_core::DistVector;
 use hpf_machine::{span, Machine};
@@ -196,115 +198,103 @@ pub fn cg_with_observer<A: SerialOperator + ?Sized>(
     Ok((x, stats))
 }
 
-/// Distributed CG (the full Figure 2 program) over any [`DistOperator`].
-/// Returns the distributed solution plus solve statistics; all
-/// communication is charged to `machine`.
+/// Distributed CG (the full Figure 2 program) over any [`DistOperator`]:
+/// [`solve`] by [`Krylov::cg`], unobserved.
 pub fn cg_distributed<A: DistOperator + ?Sized>(
     machine: &mut Machine,
     a: &A,
-    b_global: &[f64],
+    b: &[f64],
     stop: StopCriterion,
     max_iters: usize,
 ) -> Result<(DistVector, SolveStats), SolverError> {
-    cg_distributed_with_observer(machine, a, b_global, stop, max_iters, &mut NullObserver)
+    let method = Krylov::cg();
+    let s = solve(machine, a, b, method, stop, max_iters, &mut NullObserver)?;
+    Ok((s.x, s.stats))
 }
 
-/// [`cg_distributed`] with per-iteration telemetry. Machine events are
-/// span-tagged (`solve/iter=k/matvec`, `.../dot`, `.../axpy`) and each
-/// [`IterSample`] carries the flop/word delta the iteration charged.
-pub fn cg_distributed_with_observer<A: DistOperator + ?Sized>(
-    machine: &mut Machine,
+/// The Figure 2 loop, plain or preconditioned. Unpreconditioned, `z`
+/// *is* `r`: nothing is stored and every use reads `r` instead. Events
+/// are span-tagged `solve/iter=k/{matvec,dot,axpy,precondition}`.
+///
+/// The two forms differ where the recorded traces and observer streams
+/// say they do, and nowhere else: plain CG runs its start-up reductions
+/// under `setup` and its `saypx` under `axpy`, reads `rho` off the fused
+/// update's `r·r`, and reports an iteration before testing convergence
+/// (so `beta` is always known); preconditioned CG reports after the
+/// test, with `beta = NaN` on the converging iteration.
+pub(crate) fn figure2<A: DistOperator + ?Sized>(
+    run: &mut Run<'_>,
     a: &A,
-    b_global: &[f64],
-    stop: StopCriterion,
-    max_iters: usize,
-    obs: &mut dyn IterObserver,
-) -> Result<(DistVector, SolveStats), SolverError> {
-    let _solve_span = span::enter("solve");
-    let n = a.dim();
-    if b_global.len() != n {
-        return Err(SolverError::DimensionMismatch {
-            expected: n,
-            got: b_global.len(),
-        });
-    }
+    precond: Option<&dyn DistPreconditioner>,
+) -> Result<DistVector, SolverError> {
     let desc = a.descriptor();
-    let mut stats = SolveStats::new();
-    let mut monitor = ResidualMonitor::new(stop);
-
-    // !HPF$ ALIGN (:) WITH p(:) :: q, r, x, b
-    let b = DistVector::from_global(desc.clone(), b_global);
     let mut x = DistVector::zeros(desc.clone());
-    let mut r = b.clone();
-    let mut p = b.clone();
+    let mut r = run.b.clone();
+    let mut z = precond.map(|m| m.apply(run.machine, &r));
+    let mut p = z.as_ref().unwrap_or(&r).clone();
 
-    let b_norm = {
-        let _s = span::enter("setup");
-        b.dot(machine, &b).sqrt()
+    let setup_span = precond.is_none().then(|| span::enter("setup"));
+    run.measure_b();
+    let mut rho = run.dot(&r, z.as_ref().unwrap_or(&r));
+    let res = match z {
+        Some(_) => run.dot(&r, &r).sqrt(),
+        None => rho.sqrt(),
     };
-    stats.dots += 1;
-    let mut rho = {
-        let _s = span::enter("setup");
-        r.dot(machine, &r)
-    };
-    stats.dots += 1;
-    stats.residual_norm = rho.sqrt();
-    if monitor.observe(stats.residual_norm, b_norm)? {
-        stats.converged = true;
-        return Ok((x, stats));
+    drop(setup_span);
+    if run.converged(res)? {
+        return Ok(x);
     }
 
-    // q and the product's scratch live as long as the solve: a
+    // q, z and the product's scratch live as long as the solve: a
     // steady-state iteration allocates nothing.
     let mut q = DistVector::zeros(desc);
     let mut scratch = Vec::new();
-    let mut mark = MachineMark::take(machine);
-    for k in 0..max_iters {
+    run.begin_iterations();
+    for k in 0..run.max_iters {
         let _iter_span = span::enter_iter(k);
-        {
-            let _s = span::enter("matvec");
-            a.apply_into(machine, &p, &mut q, &mut scratch);
-        }
-        stats.matvecs += 1;
+        run.matvec(a, &p, &mut q, &mut scratch);
         let pq = {
             let _s = span::enter("dot");
-            p.dot(machine, &q)
+            run.dot(&p, &q)
         };
-        stats.dots += 1;
         check_breakdown("p.Ap", pq)?;
         let alpha = rho / pq;
-        // x = x + alpha p, r = r - alpha q and rho = r.r in one pass.
-        let rho_new = update_x_r_and_dot_rr(machine, alpha, &mut x, &p, &mut r, &q);
-        stats.axpys += 2;
-        stats.dots += 1;
-        stats.iterations += 1;
-        stats.residual_norm = rho_new.sqrt();
-        let (d_flops, d_words) = mark.delta(machine);
-        obs.on_iteration(&IterSample {
-            iteration: stats.iterations,
-            residual_norm: stats.residual_norm,
-            alpha,
-            beta: rho_new / rho,
-            flops: d_flops,
-            comm_words: d_words,
-            sim_time: machine.elapsed(),
-            predicted_time: mark.predicted(),
-            rollbacks: 0,
-        });
-        if monitor.observe(stats.residual_norm, b_norm)? {
-            stats.converged = true;
-            return Ok((x, stats));
+        // x = x + alpha p, r = r - alpha q and r.r in one pass.
+        let rr = update_x_r_and_dot_rr(run.machine, alpha, &mut x, &p, &mut r, &q);
+        run.stats.axpys += 2;
+        run.stats.dots += 1;
+        let sample = run.end_iteration(rr.sqrt(), alpha);
+        if precond.is_none() {
+            let beta = rr / rho;
+            run.obs.on_iteration(&IterSample { beta, ..sample });
         }
+        if run.converged(sample.residual_norm)? {
+            if precond.is_some() {
+                run.obs.on_iteration(&sample);
+            }
+            return Ok(x);
+        }
+        let rho_new = match (precond, &mut z) {
+            (Some(m), Some(z)) => {
+                {
+                    let _s = span::enter("precondition");
+                    m.apply_into(run.machine, &r, z);
+                }
+                run.dot(&r, z)
+            }
+            _ => rr,
+        };
         check_breakdown("rho", rho)?;
         let beta = rho_new / rho;
-        rho = rho_new;
-        {
-            let _s = span::enter("axpy");
-            p.aypx(machine, beta, &r); // p = beta p + r  (saypx)
+        if precond.is_some() {
+            run.obs.on_iteration(&IterSample { beta, ..sample });
         }
-        stats.axpys += 1;
+        rho = rho_new;
+        let _s = precond.is_none().then(|| span::enter("axpy"));
+        p.aypx(run.machine, beta, z.as_ref().unwrap_or(&r)); // p = beta p + z  (saypx)
+        run.stats.axpys += 1;
     }
-    Ok((x, stats))
+    Ok(x)
 }
 
 #[cfg(test)]
@@ -396,26 +386,6 @@ mod tests {
     }
 
     #[test]
-    fn distributed_cg_matches_serial() {
-        let a = gen::poisson_2d(8, 8);
-        let (_, b) = gen::rhs_for_known_solution(&a);
-        let (x_serial, s_serial) = cg(&a, &b, StopCriterion::RelativeResidual(1e-10), 500).unwrap();
-
-        let np = 4;
-        let mut m = Machine::new(np, Topology::Hypercube, CostModel::mpp_1995());
-        let op = RowwiseCsr::block(a, np, DataArrayLayout::RowAligned);
-        let (x_dist, s_dist) =
-            cg_distributed(&mut m, &op, &b, StopCriterion::RelativeResidual(1e-10), 500).unwrap();
-        assert!(s_dist.converged);
-        assert_eq!(s_dist.iterations, s_serial.iterations);
-        assert!(relative_error(&x_dist.to_global(), &x_serial) < 1e-9);
-        // The layout induced real communication: allgathers (matvec
-        // broadcast) and allreduces (dot merges).
-        assert!(m.trace().count(EventKind::AllGather) >= s_dist.matvecs);
-        assert!(m.trace().count(EventKind::AllReduce) >= s_dist.dots);
-    }
-
-    #[test]
     fn distributed_cg_per_iteration_comm_structure() {
         // Figure 2's loop: per iteration 1 allgather + 2 dot merges.
         let a = gen::poisson_2d(6, 6);
@@ -439,15 +409,10 @@ mod tests {
         let mut m = Machine::new(np, Topology::Hypercube, CostModel::mpp_1995());
         let op = RowwiseCsr::block(a, np, DataArrayLayout::RowAligned);
         let mut obs = crate::observer::RecordingObserver::new();
-        let (_, stats) = cg_distributed_with_observer(
-            &mut m,
-            &op,
-            &b,
-            StopCriterion::RelativeResidual(1e-10),
-            500,
-            &mut obs,
-        )
-        .unwrap();
+        let stop = StopCriterion::RelativeResidual(1e-10);
+        let stats = solve(&mut m, &op, &b, Krylov::cg(), stop, 500, &mut obs)
+            .unwrap()
+            .stats;
         assert!(stats.converged);
         // Every event recorded inside the loop carries a
         // solve/iter=k/<phase> path; the setup dots carry solve/setup.

@@ -35,6 +35,8 @@ pub enum SolverError {
         rollbacks: usize,
         residual_norm: f64,
     },
+    /// GMRES was asked for a restart length of 0; it needs at least 1.
+    ZeroRestart,
 }
 
 impl fmt::Display for SolverError {
@@ -73,6 +75,9 @@ impl fmt::Display for SolverError {
                 "recovery exhausted after {rollbacks} rollbacks \
                  (residual {residual_norm:e})"
             ),
+            SolverError::ZeroRestart => {
+                write!(f, "GMRES needs a restart length of at least 1")
+            }
         }
     }
 }

@@ -15,9 +15,11 @@
 //! plus Jacobi/SSOR [`pcg`] preconditioning and the dense [`direct`]
 //! baselines (LU, Cholesky) CG is compared against.
 //!
-//! The distributed variants ([`cg::cg_distributed`]) run over
-//! `hpf-core`'s distributed vectors and matvec scenarios, charging every
-//! induced communication to the simulated machine.
+//! The distributed members of the family run through one driver,
+//! [`solve`] with a [`Krylov`] method, over `hpf-core`'s distributed
+//! vectors and matvec scenarios, charging every induced communication
+//! to the simulated machine; [`cg_distributed`] and its siblings are
+//! the paper-facing names for particular methods.
 
 pub mod bicg;
 pub mod bicgstab;
@@ -28,6 +30,7 @@ pub mod dist_solvers;
 pub mod error;
 pub mod gmres;
 pub mod history;
+pub mod krylov;
 pub mod observer;
 pub mod operator;
 pub mod pcg;
@@ -38,26 +41,21 @@ pub mod stopping;
 
 pub use bicg::bicg;
 pub use bicgstab::bicgstab;
-pub use cg::{cg, cg_distributed, cg_distributed_with_observer, cg_with_observer};
+pub use cg::{cg, cg_distributed, cg_with_observer};
 pub use cgs::cgs;
 pub use dist_solvers::{
-    bicg_distributed, bicg_distributed_with_observer, bicgstab_distributed,
-    bicgstab_distributed_with_observer, gmres_distributed, gmres_distributed_with_observer,
-    pcg_jacobi_distributed, pcg_jacobi_distributed_with_observer, pcg_preconditioned_distributed,
-    pcg_preconditioned_distributed_with_observer,
+    bicgstab_distributed, pcg_jacobi_distributed, pcg_preconditioned_distributed,
 };
 pub use error::SolverError;
 pub use gmres::{gmres, gmres_storage_vectors};
 pub use history::{nonmonotonicity, residual_history, Method};
+pub use krylov::{solve, Krylov, Solution};
 pub use observer::{IterObserver, IterSample, NullObserver, RecordingObserver, TailObserver};
 pub use operator::{ColwiseOperator, CscVariant, DistOperator, SerialOperator};
 pub use pcg::{pcg, pcg_with_observer, IdentityPrec, JacobiPrec, Preconditioner, SsorPrec};
 pub use precond::{DistPreconditioner, JacobiPreconditioner};
 pub use recovery::{
-    cg_distributed_protected, cg_distributed_protected_with_observer,
-    pcg_jacobi_distributed_protected, pcg_jacobi_distributed_protected_with_observer,
-    pcg_preconditioned_distributed_protected,
-    pcg_preconditioned_distributed_protected_with_observer, RecoveryConfig, RecoveryStats,
+    cg_distributed_protected, pcg_jacobi_distributed_protected, RecoveryConfig, RecoveryStats,
 };
 pub use spectral::{
     cg_error_bound, cg_iterations_for, estimate_spd_spectrum, power_method, SpdSpectrum,

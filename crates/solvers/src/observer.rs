@@ -10,8 +10,8 @@
 //!
 //! Observers are deliberately `&mut dyn` trait objects: the solver inner
 //! loops stay monomorphised over the operator only, and passing
-//! [`NullObserver`] keeps the un-observed entry points zero-cost in
-//! practice (one virtual call per iteration on a no-op body).
+//! [`NullObserver`] keeps an un-observed solve zero-cost in practice (one
+//! virtual call per iteration on a no-op body).
 
 /// Telemetry for one solver iteration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -83,8 +83,7 @@ pub trait IterObserver {
     }
 }
 
-/// The do-nothing observer used by the plain (un-observed) solver entry
-/// points.
+/// The do-nothing observer: what an un-observed solve passes.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NullObserver;
 

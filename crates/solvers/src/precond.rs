@@ -5,11 +5,11 @@
 //! runs over [`DistVector`]s and charges the simulated machine for
 //! whatever compute and communication the preconditioner's data layout
 //! induces — zero words for an aligned Jacobi scaling, halo exchanges
-//! and level transfers for a multigrid V-cycle (`hpf-mg`). The generic
-//! entry points ([`crate::pcg_preconditioned_distributed`] and the
-//! protected variants in [`crate::recovery`]) accept any implementation,
-//! which is how the multigrid crate plugs into the solver family without
-//! this crate knowing about grids.
+//! and level transfers for a multigrid V-cycle (`hpf-mg`).
+//! [`crate::Krylov::Cg`]'s `precond` accepts any implementation, plain or
+//! under checkpoint/rollback protection, which is how the multigrid
+//! crate plugs into the solver family without this crate knowing about
+//! grids.
 //!
 //! CG requires `M` to be symmetric positive definite; implementations
 //! must preserve that or the outer recurrence breaks down (surfacing as

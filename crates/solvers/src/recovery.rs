@@ -16,10 +16,11 @@
 
 use crate::cg::check_breakdown;
 use crate::error::SolverError;
-use crate::observer::{IterObserver, IterSample, MachineMark, NullObserver};
+use crate::krylov::{solve, Krylov, Run};
+use crate::observer::{IterSample, NullObserver};
 use crate::operator::DistOperator;
 use crate::precond::{DistPreconditioner, JacobiPreconditioner};
-use crate::stopping::{ResidualMonitor, SolveStats, StopCriterion};
+use crate::stopping::{SolveStats, StopCriterion};
 use hpf_core::DistVector;
 use hpf_machine::{span, Machine};
 use serde::{Deserialize, Serialize};
@@ -89,148 +90,61 @@ struct Checkpoint {
     res: f64,
 }
 
-/// Fault-tolerant distributed CG: [`crate::cg_distributed`] plus the
+/// Fault-tolerant distributed CG: [`solve`] by [`Krylov::Cg`] under
+/// `config`, unobserved — [`crate::cg_distributed`] plus the
 /// checkpoint/rollback loop described in the module docs.
 pub fn cg_distributed_protected<A: DistOperator + ?Sized>(
     machine: &mut Machine,
     a: &A,
-    b_global: &[f64],
+    b: &[f64],
     stop: StopCriterion,
     max_iters: usize,
     config: RecoveryConfig,
 ) -> Result<(DistVector, SolveStats, RecoveryStats), SolverError> {
-    protected_cg_core(
-        machine,
-        a,
-        b_global,
-        stop,
-        max_iters,
-        config,
-        None,
-        &mut NullObserver,
-    )
-}
-
-/// [`cg_distributed_protected`] with per-iteration telemetry: samples
-/// carry the running rollback count, and the observer's
-/// `on_rollback`/`on_restart` hooks fire on every recovery action.
-pub fn cg_distributed_protected_with_observer<A: DistOperator + ?Sized>(
-    machine: &mut Machine,
-    a: &A,
-    b_global: &[f64],
-    stop: StopCriterion,
-    max_iters: usize,
-    config: RecoveryConfig,
-    obs: &mut dyn IterObserver,
-) -> Result<(DistVector, SolveStats, RecoveryStats), SolverError> {
-    protected_cg_core(machine, a, b_global, stop, max_iters, config, None, obs)
+    let method = Krylov::Cg {
+        precond: None,
+        recovery: Some(config),
+    };
+    let s = solve(machine, a, b, method, stop, max_iters, &mut NullObserver)?;
+    let rec = s.recovery.expect("a protected solve reports its recovery");
+    Ok((s.x, s.stats, rec))
 }
 
 /// Fault-tolerant Jacobi-preconditioned distributed CG.
 pub fn pcg_jacobi_distributed_protected<A: DistOperator + ?Sized>(
     machine: &mut Machine,
     a: &A,
-    b_global: &[f64],
+    b: &[f64],
     stop: StopCriterion,
     max_iters: usize,
     config: RecoveryConfig,
 ) -> Result<(DistVector, SolveStats, RecoveryStats), SolverError> {
     let m = JacobiPreconditioner::from_operator(a)?;
-    protected_cg_core(
-        machine,
-        a,
-        b_global,
-        stop,
-        max_iters,
-        config,
-        Some(&m),
-        &mut NullObserver,
-    )
+    let method = Krylov::Cg {
+        precond: Some(&m),
+        recovery: Some(config),
+    };
+    let s = solve(machine, a, b, method, stop, max_iters, &mut NullObserver)?;
+    let rec = s.recovery.expect("a protected solve reports its recovery");
+    Ok((s.x, s.stats, rec))
 }
 
-/// [`pcg_jacobi_distributed_protected`] with per-iteration telemetry.
-pub fn pcg_jacobi_distributed_protected_with_observer<A: DistOperator + ?Sized>(
-    machine: &mut Machine,
+/// The protected Figure 2 loop: plain CG when `precond` is `None`,
+/// preconditioned CG when it holds an `M⁻¹` application. Samples carry
+/// the running rollback count, and the observer's `on_rollback` /
+/// `on_restart` hooks fire on every recovery action. `run.stats.iterations`
+/// is the loop counter: a rollback rewinds it with the iterate.
+pub(crate) fn protected_cg<A: DistOperator + ?Sized>(
+    run: &mut Run<'_>,
     a: &A,
-    b_global: &[f64],
-    stop: StopCriterion,
-    max_iters: usize,
-    config: RecoveryConfig,
-    obs: &mut dyn IterObserver,
-) -> Result<(DistVector, SolveStats, RecoveryStats), SolverError> {
-    let m = JacobiPreconditioner::from_operator(a)?;
-    protected_cg_core(machine, a, b_global, stop, max_iters, config, Some(&m), obs)
-}
-
-/// Fault-tolerant distributed CG preconditioned by any
-/// [`DistPreconditioner`] — how `hpf-mg`'s V-cycle gets the
-/// checkpoint/rollback machinery.
-pub fn pcg_preconditioned_distributed_protected<A: DistOperator + ?Sized>(
-    machine: &mut Machine,
-    a: &A,
-    m: &dyn DistPreconditioner,
-    b_global: &[f64],
-    stop: StopCriterion,
-    max_iters: usize,
-    config: RecoveryConfig,
-) -> Result<(DistVector, SolveStats, RecoveryStats), SolverError> {
-    protected_cg_core(
-        machine,
-        a,
-        b_global,
-        stop,
-        max_iters,
-        config,
-        Some(m),
-        &mut NullObserver,
-    )
-}
-
-/// [`pcg_preconditioned_distributed_protected`] with per-iteration
-/// telemetry.
-#[allow(clippy::too_many_arguments)]
-pub fn pcg_preconditioned_distributed_protected_with_observer<A: DistOperator + ?Sized>(
-    machine: &mut Machine,
-    a: &A,
-    m: &dyn DistPreconditioner,
-    b_global: &[f64],
-    stop: StopCriterion,
-    max_iters: usize,
-    config: RecoveryConfig,
-    obs: &mut dyn IterObserver,
-) -> Result<(DistVector, SolveStats, RecoveryStats), SolverError> {
-    protected_cg_core(machine, a, b_global, stop, max_iters, config, Some(m), obs)
-}
-
-/// Shared core: plain CG when `precond` is `None`, preconditioned CG
-/// when it holds an `M⁻¹` application.
-#[allow(clippy::too_many_arguments)]
-fn protected_cg_core<A: DistOperator + ?Sized>(
-    machine: &mut Machine,
-    a: &A,
-    b_global: &[f64],
-    stop: StopCriterion,
-    max_iters: usize,
-    config: RecoveryConfig,
     precond: Option<&dyn DistPreconditioner>,
-    obs: &mut dyn IterObserver,
-) -> Result<(DistVector, SolveStats, RecoveryStats), SolverError> {
-    let _solve_span = span::enter("solve");
-    let n = a.dim();
-    if b_global.len() != n {
-        return Err(SolverError::DimensionMismatch {
-            expected: n,
-            got: b_global.len(),
-        });
-    }
+    config: RecoveryConfig,
+) -> Result<(DistVector, RecoveryStats), SolverError> {
     let desc = a.descriptor();
     let checkpoint_interval = config.checkpoint_interval.max(1);
     let residual_check_interval = config.residual_check_interval.max(1);
     let ring_capacity = config.ring_capacity.max(1);
-
-    let mut stats = SolveStats::new();
     let mut rec = RecoveryStats::default();
-    let mut monitor = ResidualMonitor::new(stop);
 
     // z = M^-1 r, kept for the whole solve. Unpreconditioned, z *is* r:
     // nothing is stored and every use reads r instead.
@@ -244,25 +158,21 @@ fn protected_cg_core<A: DistOperator + ?Sized>(
         }
     };
 
-    let b = DistVector::from_global(desc.clone(), b_global);
     let mut x = DistVector::zeros(desc.clone());
-    let mut r = b.clone();
+    let mut r = run.b.clone();
     let mut z = precond.map(|m| {
         let _s = span::enter("precondition");
-        m.apply(machine, &r)
+        m.apply(run.machine, &r)
     });
     let mut p = z_or_r(&z, &r).clone();
 
-    let b_norm = b.dot(machine, &b).sqrt();
-    stats.dots += 1;
-    let mut rho = r.dot(machine, z_or_r(&z, &r));
-    stats.dots += 1;
-    let mut res = r.dot(machine, &r).sqrt();
-    stats.dots += 1;
-    stats.residual_norm = res;
-    if monitor.observe(res, b_norm)? {
-        stats.converged = true;
-        return Ok((x, stats, rec));
+    run.measure_b();
+    let mut rho = run.dot(&r, z_or_r(&z, &r));
+    let mut res = run.dot(&r, &r).sqrt();
+    run.stats.residual_norm = res;
+    if run.observe(res)? {
+        run.stats.converged = true;
+        return Ok((x, rec));
     }
     check_breakdown("rho", rho)?;
 
@@ -281,15 +191,21 @@ fn protected_cg_core<A: DistOperator + ?Sized>(
     });
     {
         let _s = span::enter("checkpoint");
-        machine.compute_all(&copy_flops, "checkpoint-save");
+        run.machine.compute_all(&copy_flops, "checkpoint-save");
     }
     rec.checkpoints += 1;
 
-    let mut k = 0usize;
     let mut rollbacks_since_checkpoint = 0usize;
     let stagnation_window = config.stagnation_window.max(1);
     let mut best_res = res;
     let mut since_improve = 0usize;
+
+    // q doubles as the `A x` of every true-residual recomputation (the
+    // next iteration's product overwrites it); r_true receives `b − A x`.
+    // Both, and the product's scratch, live as long as the solve.
+    let mut q = DistVector::zeros(desc.clone());
+    let mut r_true = DistVector::zeros(desc);
+    let mut scratch = Vec::new();
 
     // Roll back to the newest surviving checkpoint; retreat one
     // checkpoint deeper when the newest one keeps failing (it may have
@@ -299,7 +215,7 @@ fn protected_cg_core<A: DistOperator + ?Sized>(
             rec.rollbacks += 1;
             rec.faults_detected += 1;
             rollbacks_since_checkpoint += 1;
-            obs.on_rollback(k, $reason);
+            run.obs.on_rollback(run.stats.iterations, $reason);
             if rec.rollbacks > config.max_rollbacks {
                 return Err(SolverError::RecoveryExhausted {
                     rollbacks: rec.rollbacks,
@@ -315,45 +231,45 @@ fn protected_cg_core<A: DistOperator + ?Sized>(
             p.copy_from(&cp.p);
             rho = cp.rho;
             res = cp.res;
-            k = cp.k;
-            stats.iterations = k;
-            stats.residual_norm = res;
+            run.stats.iterations = cp.k;
+            run.stats.residual_norm = res;
             since_improve = 0;
-            monitor.reset_window();
+            run.monitor.reset_window();
             {
                 let _s = span::enter("rollback");
-                machine.compute_all(&copy_flops, "rollback-restore");
+                run.machine.compute_all(&copy_flops, "rollback-restore");
             }
             continue;
         }};
     }
 
-    // Discard the (possibly mis-scaled) search direction and restart
-    // CG from the true residual at the current iterate.
-    macro_rules! restart_from_true_residual {
+    // The true residual b - A x into `r_true`, and its norm; a
+    // non-finite one is a rollback.
+    macro_rules! true_residual_or_rollback {
         () => {{
-            let _restart_span = span::enter("restart");
-            let ax = a.apply(machine, &x);
-            stats.matvecs += 1;
-            let mut r_true = b.clone();
-            r_true.axpy(machine, -1.0, &ax);
-            stats.axpys += 1;
-            let res_true = r_true.dot(machine, &r_true).sqrt();
-            stats.dots += 1;
+            let res_true = run.true_residual(a, &x, &mut q, &mut scratch, &mut r_true);
             if !res_true.is_finite() {
                 rollback!("non-finite");
             }
-            obs.on_restart(k);
+            res_true
+        }};
+    }
+
+    // Make the true residual just computed the recurrence residual and
+    // restart the search direction from it, discarding the (possibly
+    // mis-scaled) old one.
+    macro_rules! replace_residual {
+        ($res_true:expr) => {{
+            run.obs.on_restart(run.stats.iterations);
             rec.residual_replacements += 1;
-            r = r_true;
-            precondition(machine, &r, &mut z);
-            rho = r.dot(machine, z_or_r(&z, &r));
-            stats.dots += 1;
+            std::mem::swap(&mut r, &mut r_true);
+            precondition(run.machine, &r, &mut z);
+            rho = run.dot(&r, z_or_r(&z, &r));
             p.copy_from(z_or_r(&z, &r));
-            res = res_true;
-            stats.residual_norm = res;
+            res = $res_true;
+            run.stats.residual_norm = res;
             since_improve = 0;
-            monitor.reset_window();
+            run.monitor.reset_window();
             if !rho.is_finite() || rho < 0.0 {
                 rollback!("non-finite");
             }
@@ -361,27 +277,36 @@ fn protected_cg_core<A: DistOperator + ?Sized>(
             // Convergence is only ever declared through the verified
             // path in the main loop; a claim here just means the next
             // iteration's observation triggers verification.
-            monitor.observe(res, b_norm)?;
-            continue;
+            run.observe(res)?;
+            continue; // p was restarted; skip the beta update
         }};
     }
 
-    // q and the product's scratch live as long as the solve.
-    let mut q = DistVector::zeros(desc.clone());
-    let mut scratch = Vec::new();
-    let mut mark = MachineMark::take(machine);
-    while k < max_iters {
-        let _iter_span = span::enter_iter(k);
-        {
-            let _s = span::enter("matvec");
-            a.apply_into(machine, &p, &mut q, &mut scratch);
-        }
-        stats.matvecs += 1;
+    // A fault the iterate survived (stagnation, a false convergence
+    // claim): count it against the budget, then restart from the truth.
+    macro_rules! restart_from_true_residual {
+        () => {{
+            rec.faults_detected += 1;
+            if rec.rollbacks + rec.residual_replacements >= config.max_rollbacks {
+                return Err(SolverError::RecoveryExhausted {
+                    rollbacks: rec.rollbacks,
+                    residual_norm: res,
+                });
+            }
+            let _restart_span = span::enter("restart");
+            let res_true = true_residual_or_rollback!();
+            replace_residual!(res_true);
+        }};
+    }
+
+    run.begin_iterations();
+    while run.stats.iterations < run.max_iters {
+        let _iter_span = span::enter_iter(run.stats.iterations);
+        run.matvec(a, &p, &mut q, &mut scratch);
         let pq = {
             let _s = span::enter("dot");
-            p.dot(machine, &q)
+            run.dot(&p, &q)
         };
-        stats.dots += 1;
         // SPD input guarantees p·Ap > 0; non-finite or non-positive
         // means a corrupted reduction (or a genuinely indefinite input,
         // which exhausts the rollback budget and surfaces as a typed
@@ -392,27 +317,18 @@ fn protected_cg_core<A: DistOperator + ?Sized>(
         let alpha = rho / pq;
         {
             let _s = span::enter("axpy");
-            x.axpy(machine, alpha, &p);
-            r.axpy(machine, -alpha, &q);
+            x.axpy(run.machine, alpha, &p);
+            r.axpy(run.machine, -alpha, &q);
         }
-        stats.axpys += 2;
+        run.stats.axpys += 2;
         // Unpreconditioned CG has z = r, so one reduction serves both
         // rho and the residual norm (keeps the faults-off overhead to
         // checkpointing alone).
-        let (rho_new, res_new) = match precond {
-            Some(_) => {
-                precondition(machine, &r, &mut z);
-                let rho_new = r.dot(machine, z_or_r(&z, &r));
-                stats.dots += 1;
-                let res_new = r.dot(machine, &r).sqrt();
-                stats.dots += 1;
-                (rho_new, res_new)
-            }
-            None => {
-                let rho_new = r.dot(machine, &r);
-                stats.dots += 1;
-                (rho_new, rho_new.abs().sqrt())
-            }
+        precondition(run.machine, &r, &mut z);
+        let rho_new = run.dot(&r, z_or_r(&z, &r));
+        let res_new = match z {
+            Some(_) => run.dot(&r, &r).sqrt(),
+            None => rho_new.abs().sqrt(),
         };
         if !res_new.is_finite()
             || !rho_new.is_finite()
@@ -421,21 +337,13 @@ fn protected_cg_core<A: DistOperator + ?Sized>(
         {
             rollback!("divergence");
         }
-        k += 1;
-        stats.iterations = k;
         res = res_new;
-        stats.residual_norm = res;
-        let (d_flops, d_words) = mark.delta(machine);
-        obs.on_iteration(&IterSample {
-            iteration: k,
-            residual_norm: res,
-            alpha,
+        let sample = run.end_iteration(res, alpha);
+        let k = sample.iteration;
+        run.obs.on_iteration(&IterSample {
             beta: rho_new / rho,
-            flops: d_flops,
-            comm_words: d_words,
-            sim_time: machine.elapsed(),
-            predicted_time: mark.predicted(),
             rollbacks: rec.rollbacks,
+            ..sample
         });
 
         // Progress watchdog: a silently mis-scaled scalar (e.g. a bit
@@ -450,13 +358,6 @@ fn protected_cg_core<A: DistOperator + ?Sized>(
             since_improve += 1;
         }
         if since_improve >= stagnation_window {
-            rec.faults_detected += 1;
-            if rec.rollbacks + rec.residual_replacements >= config.max_rollbacks {
-                return Err(SolverError::RecoveryExhausted {
-                    rollbacks: rec.rollbacks,
-                    residual_norm: res,
-                });
-            }
             restart_from_true_residual!();
         }
 
@@ -466,40 +367,15 @@ fn protected_cg_core<A: DistOperator + ?Sized>(
         // search direction.
         if k.is_multiple_of(residual_check_interval) {
             let _check_span = span::enter("residual-check");
-            let ax = a.apply(machine, &x);
-            stats.matvecs += 1;
-            let mut r_true = b.clone();
-            r_true.axpy(machine, -1.0, &ax);
-            stats.axpys += 1;
-            let res_true = r_true.dot(machine, &r_true).sqrt();
-            stats.dots += 1;
-            if !res_true.is_finite() {
-                rollback!("non-finite");
-            }
-            if (res_true - res).abs() > config.drift_tolerance * b_norm.max(f64::MIN_POSITIVE) {
+            let res_true = true_residual_or_rollback!();
+            let drift_limit = config.drift_tolerance * run.b_norm.max(f64::MIN_POSITIVE);
+            if (res_true - res).abs() > drift_limit {
                 rec.faults_detected += 1;
-                rec.residual_replacements += 1;
-                obs.on_restart(k);
-                r = r_true;
-                precondition(machine, &r, &mut z);
-                rho = r.dot(machine, z_or_r(&z, &r));
-                stats.dots += 1;
-                p.copy_from(z_or_r(&z, &r));
-                res = res_true;
-                stats.residual_norm = res;
-                since_improve = 0;
-                monitor.reset_window();
-                if !rho.is_finite() || rho < 0.0 {
-                    rollback!("non-finite");
-                }
-                check_breakdown("rho", rho)?;
-                // Convergence goes through the verified path only.
-                monitor.observe(res, b_norm)?;
-                continue; // p was restarted; skip the beta update
+                replace_residual!(res_true);
             }
         }
 
-        if monitor.observe(res, b_norm)? {
+        if run.observe(res)? {
             // Trust but verify: a corrupted reduction can fake a tiny
             // residual norm. Accept convergence only if the true
             // residual b - A x agrees — computed twice, because an armed
@@ -507,21 +383,15 @@ fn protected_cg_core<A: DistOperator + ?Sized>(
             // can only drain once.
             let mut verify = || {
                 let _s = span::enter("verify");
-                let ax = a.apply(machine, &x);
-                stats.matvecs += 1;
-                let mut r_true = b.clone();
-                r_true.axpy(machine, -1.0, &ax);
-                stats.axpys += 1;
-                stats.dots += 1;
-                r_true.dot(machine, &r_true).sqrt()
+                run.true_residual(a, &x, &mut q, &mut scratch, &mut r_true)
             };
             let (v1, v2) = (verify(), verify());
             let res_true = v1.max(v2);
-            let agree = (v1 - v2).abs() <= 1e-12 * b_norm.max(f64::MIN_POSITIVE);
-            if res_true.is_finite() && agree && stop.satisfied(res_true, b_norm) {
-                stats.converged = true;
-                stats.residual_norm = res_true;
-                return Ok((x, stats, rec));
+            let agree = (v1 - v2).abs() <= 1e-12 * run.b_norm.max(f64::MIN_POSITIVE);
+            if res_true.is_finite() && agree && run.stop.satisfied(res_true, run.b_norm) {
+                run.stats.converged = true;
+                run.stats.residual_norm = res_true;
+                return Ok((x, rec));
             }
             if !res_true.is_finite() {
                 rollback!("non-finite");
@@ -530,20 +400,13 @@ fn protected_cg_core<A: DistOperator + ?Sized>(
             // Checkpoints may have been saved after the corruption
             // landed (replaying them repeats the false claim), so repair
             // the recurrence in place instead of rolling back.
-            rec.faults_detected += 1;
-            if rec.rollbacks + rec.residual_replacements >= config.max_rollbacks {
-                return Err(SolverError::RecoveryExhausted {
-                    rollbacks: rec.rollbacks,
-                    residual_norm: res,
-                });
-            }
             restart_from_true_residual!();
         }
         check_breakdown("rho", rho)?;
         let beta = rho_new / rho;
         rho = rho_new;
-        p.aypx(machine, beta, z_or_r(&z, &r));
-        stats.axpys += 1;
+        p.aypx(run.machine, beta, z_or_r(&z, &r));
+        run.stats.axpys += 1;
 
         if k.is_multiple_of(checkpoint_interval) {
             ring.push_back(Checkpoint {
@@ -559,13 +422,13 @@ fn protected_cg_core<A: DistOperator + ?Sized>(
             }
             {
                 let _s = span::enter("checkpoint");
-                machine.compute_all(&copy_flops, "checkpoint-save");
+                run.machine.compute_all(&copy_flops, "checkpoint-save");
             }
             rec.checkpoints += 1;
             rollbacks_since_checkpoint = 0;
         }
     }
-    Ok((x, stats, rec))
+    Ok((x, rec))
 }
 
 #[cfg(test)]
@@ -694,16 +557,12 @@ mod tests {
         let mut m = machine(np);
         m.set_fault_plan(FaultPlan::new().with_crash(30, 2));
         let mut obs = crate::observer::RecordingObserver::new();
-        let (_, s, rec) = cg_distributed_protected_with_observer(
-            &mut m,
-            &op,
-            &b,
-            stop,
-            2000,
-            RecoveryConfig::default(),
-            &mut obs,
-        )
-        .unwrap();
+        let method = Krylov::Cg {
+            precond: None,
+            recovery: Some(RecoveryConfig::default()),
+        };
+        let solved = solve(&mut m, &op, &b, method, stop, 2000, &mut obs).unwrap();
+        let (s, rec) = (solved.stats, solved.recovery.unwrap());
         assert!(s.converged);
         assert!(rec.rollbacks >= 1);
         assert_eq!(obs.rollbacks.len(), rec.rollbacks);

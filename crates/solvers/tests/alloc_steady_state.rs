@@ -1,17 +1,20 @@
-//! The allocation gate of ROADMAP item 2: a steady-state iteration of
-//! distributed CG and Jacobi-PCG performs **zero** heap allocations when
-//! the machine keeps no events — [`TraceLevel::Off`] or
+//! The allocation gate: a steady-state iteration of distributed CG,
+//! Jacobi-PCG, BiCGSTAB and GMRES(20) performs **zero** heap allocations
+//! when the machine keeps no events — [`TraceLevel::Off`] or
 //! [`TraceLevel::Summary`] — with no event sink, and also with a sink on
 //! a warm machine (the sink is lent the machine's one scratch event). So
 //! does CG over the column-wise `(*,BLOCK)` layout, both Scenario 2
-//! variants. The counting allocator and the observer that reads it are
-//! in `counting`.
+//! variants. Every recurrence sizes its vectors, and GMRES its basis and
+//! Hessenberg columns, before the first iteration. BiCG is not in the
+//! table: its three allocations an iteration are inside
+//! `RowwiseCsr::matvec_transpose`, a kernel with no in-place form. The
+//! counting allocator and the observer that reads it are in `counting`.
 
 use hpf_core::{ColwiseCsc, DataArrayLayout, RowwiseCsr};
 use hpf_machine::{CostModel, EventSink, Machine, Topology, TraceLevel};
 use hpf_solvers::{
-    cg_distributed_with_observer, pcg_jacobi_distributed_with_observer, ColwiseOperator,
-    CscVariant, SolveStats, StopCriterion,
+    solve, ColwiseOperator, CscVariant, DistOperator, JacobiPreconditioner, Krylov, SolveStats,
+    StopCriterion,
 };
 use hpf_sparse::{gen, CscMatrix};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -24,20 +27,31 @@ const NP: usize = 8;
 const MAX_ITERS: usize = 400;
 const STOP: StopCriterion = StopCriterion::RelativeResidual(1e-10);
 
-type Solve = fn(&mut Machine, &RowwiseCsr, &[f64], &mut Tally) -> SolveStats;
+/// A method for `op`; the Jacobi preconditioner it may borrow is built
+/// (and allocated) before the solve.
+type Method = for<'a> fn(&'a JacobiPreconditioner) -> Krylov<'a>;
 
-const SOLVES: [(&str, Solve); 2] = [
-    ("cg_distributed", |m, op, b, tally| {
-        cg_distributed_with_observer(m, op, b, STOP, MAX_ITERS, tally)
-            .unwrap()
-            .1
+const SOLVES: [(&str, Method); 4] = [
+    ("cg", |_| Krylov::cg()),
+    ("pcg-jacobi", |jacobi| Krylov::Cg {
+        precond: Some(jacobi),
+        recovery: None,
     }),
-    ("pcg_jacobi_distributed", |m, op, b, tally| {
-        pcg_jacobi_distributed_with_observer(m, op, b, STOP, MAX_ITERS, tally)
-            .unwrap()
-            .1
-    }),
+    ("bicgstab", |_| Krylov::Bicgstab),
+    ("gmres(20)", |_| Krylov::Gmres { restart: 20 }),
 ];
+
+fn run(
+    m: &mut Machine,
+    op: &dyn DistOperator,
+    b: &[f64],
+    method: Krylov<'_>,
+    tally: &mut Tally,
+) -> SolveStats {
+    solve(m, op, b, method, STOP, MAX_ITERS, tally)
+        .unwrap()
+        .stats
+}
 
 /// `poisson_3d(12,12,12)` at NP = 8 with a right-hand side.
 fn problem() -> (RowwiseCsr, Vec<f64>) {
@@ -76,12 +90,13 @@ fn assert_steady_state_is_allocation_free(
 #[test]
 fn steady_state_allocates_nothing_when_no_event_is_kept() {
     let (op, b) = problem();
-    for (name, solve) in SOLVES {
+    let jacobi = JacobiPreconditioner::from_operator(&op).unwrap();
+    for (name, method) in SOLVES {
         for level in [TraceLevel::Off, TraceLevel::Summary] {
             let mut machine = machine(level);
             let what = format!("{name} at {level:?}, no sink");
             assert_steady_state_is_allocation_free(&what, &mut machine, |m, tally| {
-                solve(m, &op, &b, tally)
+                run(m, &op, &b, method(&jacobi), tally)
             });
             if level == TraceLevel::Summary {
                 assert!(machine.trace().is_empty());
@@ -97,7 +112,8 @@ fn steady_state_allocates_nothing_when_no_event_is_kept() {
 #[test]
 fn a_warm_machine_lends_events_to_a_sink_without_allocating() {
     let (op, b) = problem();
-    for (name, solve) in SOLVES {
+    let jacobi = JacobiPreconditioner::from_operator(&op).unwrap();
+    for (name, method) in SOLVES {
         for level in [TraceLevel::Off, TraceLevel::Summary] {
             let seen = Arc::new(AtomicUsize::new(0));
             let tap = seen.clone();
@@ -110,11 +126,11 @@ fn a_warm_machine_lends_events_to_a_sink_without_allocating() {
             // One solve grows the scratch event to the longest span path,
             // label and per-processor vector this solve produces.
             let mut warm_up = Tally(Vec::with_capacity(MAX_ITERS));
-            solve(&mut machine, &op, &b, &mut warm_up);
+            run(&mut machine, &op, &b, method(&jacobi), &mut warm_up);
             let before = seen.load(Ordering::Relaxed);
             let what = format!("{name} at {level:?}, warm machine with a sink");
             assert_steady_state_is_allocation_free(&what, &mut machine, |m, tally| {
-                solve(m, &op, &b, tally)
+                run(m, &op, &b, method(&jacobi), tally)
             });
             let lent = seen.load(Ordering::Relaxed) - before;
             assert!(
@@ -150,9 +166,7 @@ fn colwise_cg_steady_state_allocates_nothing() {
             for level in [TraceLevel::Off, TraceLevel::Summary] {
                 let what = format!("cg_distributed over {lname} columns, {variant:?}, {level:?}");
                 assert_steady_state_is_allocation_free(&what, &mut machine(level), |m, tally| {
-                    cg_distributed_with_observer(m, &op, &b, STOP, MAX_ITERS, tally)
-                        .unwrap()
-                        .1
+                    run(m, &op, &b, Krylov::cg(), tally)
                 });
             }
         }

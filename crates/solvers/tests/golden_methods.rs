@@ -12,17 +12,14 @@
 //! the order it was made (each `IterSample` field by bits, each
 //! `on_rollback` / `on_restart`). The constants were recorded on
 //! `fa8f125`, the commit before the 22 entry points became one driver;
-//! only [`run`] may change with the solver API. A mismatch prints the
+//! only [`run`] and the imports may change with the solver API. A mismatch prints the
 //! whole recomputed table.
 
 use hpf_core::{ColwiseCsc, DataArrayLayout, DistVector, RowwiseCsr};
 use hpf_machine::{CostModel, FaultPlan, FaultRates, Machine, Topology};
 use hpf_solvers::{
-    bicg_distributed_with_observer, bicgstab_distributed_with_observer,
-    cg_distributed_protected_with_observer, cg_distributed_with_observer,
-    gmres_distributed_with_observer, pcg_jacobi_distributed_protected_with_observer,
-    pcg_jacobi_distributed_with_observer, ColwiseOperator, CscVariant, DistOperator, IterObserver,
-    IterSample, RecoveryConfig, StopCriterion,
+    solve, ColwiseOperator, CscVariant, DistOperator, DistPreconditioner, IterObserver, IterSample,
+    JacobiPreconditioner, Krylov, RecoveryConfig, StopCriterion,
 };
 use hpf_sparse::{gen, CooMatrix, CscMatrix, CsrMatrix};
 
@@ -63,35 +60,36 @@ fn run(
     b: &[f64],
     obs: &mut dyn IterObserver,
 ) -> (Option<DistVector>, String) {
-    let cfg = RecoveryConfig::default();
-    let plain = |r| match r {
-        Ok((x, s)) => (Some(x), format!("{s:?}")),
-        Err(e) => (None, format!("{e:?}")),
+    let jacobi = match method {
+        Method::PcgJacobi | Method::PcgJacobiProtected => {
+            match JacobiPreconditioner::from_operator(a) {
+                Ok(m) => Some(m),
+                Err(e) => return (None, format!("{e:?}")),
+            }
+        }
+        _ => None,
     };
-    let protected = |r| match r {
-        Ok((x, s, rec)) => (Some(x), format!("{:?}", (s, rec))),
-        Err(e) => (None, format!("{e:?}")),
+    let precond = jacobi.as_ref().map(|m| m as &dyn DistPreconditioner);
+    let krylov = match method {
+        Method::Cg | Method::PcgJacobi => Krylov::Cg {
+            precond,
+            recovery: None,
+        },
+        Method::CgProtected | Method::PcgJacobiProtected => Krylov::Cg {
+            precond,
+            recovery: Some(RecoveryConfig::default()),
+        },
+        Method::Bicg => Krylov::Bicg,
+        Method::Bicgstab => Krylov::Bicgstab,
+        Method::Gmres(restart) => Krylov::Gmres { restart },
     };
-    match method {
-        Method::Cg => plain(cg_distributed_with_observer(m, a, b, STOP, MAX_ITERS, obs)),
-        Method::PcgJacobi => plain(pcg_jacobi_distributed_with_observer(
-            m, a, b, STOP, MAX_ITERS, obs,
-        )),
-        Method::Bicg => plain(bicg_distributed_with_observer(
-            m, a, b, STOP, MAX_ITERS, obs,
-        )),
-        Method::Bicgstab => plain(bicgstab_distributed_with_observer(
-            m, a, b, STOP, MAX_ITERS, obs,
-        )),
-        Method::Gmres(restart) => plain(gmres_distributed_with_observer(
-            m, a, b, restart, STOP, MAX_ITERS, obs,
-        )),
-        Method::CgProtected => protected(cg_distributed_protected_with_observer(
-            m, a, b, STOP, MAX_ITERS, cfg, obs,
-        )),
-        Method::PcgJacobiProtected => protected(pcg_jacobi_distributed_protected_with_observer(
-            m, a, b, STOP, MAX_ITERS, cfg, obs,
-        )),
+    let solved = solve(m, a, b, krylov, STOP, MAX_ITERS, obs);
+    match solved {
+        Ok(s) => match s.recovery {
+            Some(rec) => (Some(s.x), format!("{:?}", (s.stats, rec))),
+            None => (Some(s.x), format!("{:?}", s.stats)),
+        },
+        Err(e) => (None, format!("{e:?}")),
     }
 }
 

@@ -23,7 +23,6 @@
 
 use hpf::machine::{EventKind, FaultPlan, FaultRates};
 use hpf::prelude::*;
-use hpf::solvers::{cg_distributed_protected_with_observer, RecoveryConfig};
 use hpf::sparse::gen;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -70,9 +69,16 @@ fn main() {
         ..RecoveryConfig::default()
     };
     let mut log = ConvergenceLog::new();
-    let (x, stats, rec) =
-        cg_distributed_protected_with_observer(&mut m, &op, &b, stop, 50 * n, config, &mut log)
-            .expect("protected CG must ride out the plan");
+    let method = Krylov::Cg {
+        precond: None,
+        recovery: Some(config),
+    };
+    let solved = solve(&mut m, &op, &b, method, stop, 50 * n, &mut log)
+        .expect("protected CG must ride out the plan");
+    let (x, stats) = (solved.x, solved.stats);
+    let rec = solved
+        .recovery
+        .expect("a protected solve reports its recovery");
     assert!(stats.converged, "protected CG must converge");
     assert!(
         log.samples.len() >= stats.iterations,

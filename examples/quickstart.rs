@@ -14,7 +14,6 @@
 //! ```
 
 use hpf::prelude::*;
-use hpf::solvers::cg_distributed_with_observer;
 use hpf::sparse::gen;
 
 fn main() {
@@ -33,15 +32,10 @@ fn main() {
     let op = RowwiseCsr::block(a, np, DataArrayLayout::RowAligned);
 
     let mut log = ConvergenceLog::new();
-    let (x, stats) = cg_distributed_with_observer(
-        &mut machine,
-        &op,
-        &b,
-        StopCriterion::RelativeResidual(1e-10),
-        10 * n,
-        &mut log,
-    )
-    .expect("SPD system must not break down");
+    let stop = StopCriterion::RelativeResidual(1e-10);
+    let Solution { x, stats, .. } =
+        solve(&mut machine, &op, &b, Krylov::cg(), stop, 10 * n, &mut log)
+            .expect("SPD system must not break down");
 
     println!("converged:     {}", stats.converged);
     println!("iterations:    {}", stats.iterations);

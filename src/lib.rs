@@ -19,11 +19,16 @@
 //! let (_, b) = hpf::sparse::gen::rhs_for_known_solution(&a);
 //! let mut machine = Machine::hypercube(4);
 //! let op = RowwiseCsr::block(a, 4, DataArrayLayout::RowAligned);
-//! let (x, stats) = cg_distributed(
-//!     &mut machine, &op, &b, StopCriterion::RelativeResidual(1e-10), 500,
-//! ).unwrap();
+//! let stop = StopCriterion::RelativeResidual(1e-10);
+//! let (x, stats) = cg_distributed(&mut machine, &op, &b, stop, 500).unwrap();
 //! assert!(stats.converged);
 //! assert_eq!(x.len(), 64);
+//!
+//! // `cg_distributed` is a name for one method of the one driver every
+//! // distributed Krylov solve goes through; BiCGSTAB is another.
+//! let mut machine = Machine::hypercube(4);
+//! let s = solve(&mut machine, &op, &b, Krylov::Bicgstab, stop, 500, &mut NullObserver).unwrap();
+//! assert!(s.stats.converged && s.recovery.is_none());
 //! ```
 
 pub use hpf_core as core;
@@ -53,10 +58,10 @@ pub mod prelude {
     };
     pub use hpf_service::{ServiceConfig, SolveRequest, SolverKind, SolverService};
     pub use hpf_solvers::{
-        bicg, bicg_distributed, bicgstab, bicgstab_distributed, cg, cg_distributed,
-        cg_distributed_protected, cgs, gmres, pcg, pcg_jacobi_distributed,
-        pcg_jacobi_distributed_protected, JacobiPrec, RecoveryConfig, RecoveryStats, SolveStats,
-        SolverError, StopCriterion,
+        bicg, bicgstab, bicgstab_distributed, cg, cg_distributed, cg_distributed_protected, cgs,
+        gmres, pcg, pcg_jacobi_distributed, pcg_jacobi_distributed_protected, solve, JacobiPrec,
+        Krylov, NullObserver, RecoveryConfig, RecoveryStats, Solution, SolveStats, SolverError,
+        StopCriterion,
     };
     pub use hpf_sparse::{CooMatrix, CscMatrix, CsrMatrix, DenseMatrix};
 }
