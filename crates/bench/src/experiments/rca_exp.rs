@@ -44,7 +44,7 @@ use crate::table::Table;
 use hpf_core::{DataArrayLayout, RowwiseCsr};
 use hpf_machine::{CostModel, FaultPlan, Machine, Topology};
 use hpf_obs::{BenchRecord, FlightRecorder, FlightRecorderConfig, RegressionGate, Trigger};
-use hpf_service::{JobHandle, ServiceConfig, SolveRequest, SolverService};
+use hpf_service::{splitmix64, JobHandle, ServiceConfig, SolveRequest, SolverService};
 use hpf_solvers::{cg_distributed, RecoveryConfig, StopCriterion};
 use hpf_sparse::{gen, CsrMatrix};
 use std::sync::Arc;
@@ -73,13 +73,6 @@ pub fn default_requests() -> usize {
 pub fn e30_rca(requests: usize) -> Table {
     let dir = std::env::var("HPF_BENCH_DIR").unwrap_or_else(|_| ".".to_string());
     e30_with_gate(requests, &RegressionGate::new(dir).with_tolerance(150.0))
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// The soak-shaped service config (E29's shape). `recorder` wires the

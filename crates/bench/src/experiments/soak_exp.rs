@@ -32,7 +32,9 @@
 
 use crate::table::Table;
 use hpf_obs::{percentile_us, AdmissionAudit, BenchRecord, RegressionGate};
-use hpf_service::{JobHandle, QosClass, ServiceConfig, ServiceError, SolveRequest, SolverService};
+use hpf_service::{
+    splitmix64, JobHandle, QosClass, ServiceConfig, ServiceError, SolveRequest, SolverService,
+};
 use hpf_sparse::{gen, CsrMatrix};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -59,13 +61,6 @@ pub fn default_requests() -> usize {
 pub fn e27_chaos_soak(requests: usize) -> Table {
     let dir = std::env::var("HPF_BENCH_DIR").unwrap_or_else(|_| ".".to_string());
     e27_with_gate(requests, &RegressionGate::new(dir).with_tolerance(50.0))
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// Per-class terminal tally kept by the reaper thread.

@@ -48,7 +48,9 @@ use hpf_obs::{
     AlertState, AlertTransition, BenchRecord, EventBus, RegressionGate, SamplingPolicy, SloSpec,
     SloTracker, SpanProfile,
 };
-use hpf_service::{JobHandle, QosClass, ServiceConfig, ServiceError, SolveRequest, SolverService};
+use hpf_service::{
+    splitmix64, JobHandle, QosClass, ServiceConfig, ServiceError, SolveRequest, SolverService,
+};
 use hpf_solvers::{cg_distributed, StopCriterion};
 use hpf_sparse::{gen, CsrMatrix};
 use std::sync::Arc;
@@ -77,13 +79,6 @@ pub fn default_requests() -> usize {
 pub fn e29_telemetry(requests: usize) -> Table {
     let dir = std::env::var("HPF_BENCH_DIR").unwrap_or_else(|_| ".".to_string());
     e29_with_gate(requests, &RegressionGate::new(dir).with_tolerance(150.0))
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// The soak-shaped service config (E27's shape, minus the open loop).

@@ -1,9 +1,7 @@
 //! Plain-text tables for the experiment reports.
 
-use serde::{Deserialize, Serialize};
-
 /// A report table: what the paper would print as a figure/table.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table {
     pub id: String,
     pub title: String,

@@ -17,11 +17,10 @@
 //! owner list).
 
 use crate::spec::DistSpec;
-use serde::{Deserialize, Serialize};
 
 /// Atom boundaries over a data array of `total_elements()` elements:
 /// atom `i` spans `boundaries[i] .. boundaries[i+1]`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AtomSpec {
     boundaries: Vec<usize>,
 }
@@ -113,7 +112,7 @@ impl AtomSpec {
 }
 
 /// Assignment of whole atoms to processors.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AtomAssignment {
     /// `atom_owner[i]` = processor owning atom `i`.
     pub atom_owner: Vec<usize>,

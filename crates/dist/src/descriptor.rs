@@ -12,7 +12,6 @@
 //! hold.
 
 use crate::spec::DistSpec;
-use serde::{Deserialize, Serialize};
 
 /// Descriptor of a 1-D array of global length `n` distributed over `np`
 /// processors according to a [`DistSpec`].
@@ -26,7 +25,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(d.local_offset(7), 1);   // second element of proc 2
 /// assert_eq!(d.local_lens(), vec![3, 3, 3, 1]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ArrayDescriptor {
     n: usize,
     np: usize,

@@ -13,10 +13,8 @@
 //! `ATOM:CYCLIC` distributions that never split an indivisible entity,
 //! and `REDISTRIBUTE ... USING <partitioner>` load-balanced layouts.
 
-use serde::{Deserialize, Serialize};
-
 /// An HPF distribution directive for a one-dimensional array.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DistSpec {
     /// `DISTRIBUTE a(BLOCK)`: contiguous blocks of size `ceil(n/NP)`.
     Block,
@@ -58,7 +56,7 @@ impl DistSpec {
 }
 
 /// The `PROCESSORS` directive: a named 1-D processor arrangement.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProcessorGrid {
     pub name: String,
     pub np: usize,

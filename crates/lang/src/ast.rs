@@ -2,10 +2,9 @@
 //! paper's proposed `!EXT$` extensions.
 
 use crate::expr::Expr;
-use serde::{Deserialize, Serialize};
 
 /// A distribution format inside `DISTRIBUTE`/`REDISTRIBUTE`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DistFormat {
     /// `BLOCK` or `BLOCK(expr)`.
     Block(Option<Expr>),
@@ -20,7 +19,7 @@ pub enum DistFormat {
 }
 
 /// The source-side subscript pattern of an `ALIGN`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AlignPattern {
     /// `a(:) WITH t(:)` — identity element alignment (also the bare
     /// `(:) WITH t(:) :: list` form).
@@ -37,7 +36,7 @@ pub enum AlignPattern {
 }
 
 /// `WITH MERGE(op)` / `WITH DISCARD` in the PRIVATE extension.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MergeSpec {
     Sum,
     Max,
@@ -46,7 +45,7 @@ pub enum MergeSpec {
 }
 
 /// One `PRIVATE(q(n)) WITH ...` clause.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PrivateSpec {
     pub array: String,
     pub extent: Expr,
@@ -54,14 +53,14 @@ pub struct PrivateSpec {
 }
 
 /// Sparse storage scheme named in `SPARSE_MATRIX (fmt)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SparseFmt {
     Csr,
     Csc,
 }
 
 /// One parsed directive.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Directive {
     /// `PROCESSORS :: PROCS(NP)`
     Processors { name: String, extent: Expr },

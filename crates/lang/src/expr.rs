@@ -5,12 +5,11 @@
 //! parsed into [`Expr`] and evaluated against an environment binding the
 //! free identifiers (`n`, `NP`, ...) at elaboration time.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// An integer expression over named parameters.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Expr {
     Num(i64),
     Var(String),

@@ -18,7 +18,7 @@ use crate::span::trace_of;
 use crate::trace::{Event, EventKind};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Trace ids are already well-mixed by the shard scramble; hashing them
@@ -203,28 +203,57 @@ struct Shard {
     pool: Vec<TraceRing>,
 }
 
+/// Stripes of a [`StripedCounter`].
+const STRIPES: usize = 16;
+
+/// One cache line per counter stripe.
+#[derive(Debug, Default)]
+#[repr(align(64))]
+struct Stripe(AtomicU64);
+
+/// A monotonic event counter for paths that several worker threads hit
+/// once per machine operation. A single shared counter would ping-pong
+/// its cache line between cores on every event, costing more than the
+/// work being counted; this one is striped across padded cache lines
+/// and each thread bumps its own stripe (assigned round-robin on first
+/// use).
+#[derive(Debug, Default)]
+pub struct StripedCounter {
+    stripes: [Stripe; STRIPES],
+}
+
+impl StripedCounter {
+    pub fn add(&self, n: u64) {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        thread_local! {
+            static STRIPE: usize = NEXT.fetch_add(1, Ordering::Relaxed) % STRIPES;
+        }
+        self.stripes[STRIPE.with(|s| *s)]
+            .0
+            .fetch_add(n, Ordering::Relaxed);
+    }
+
+    pub fn sum(&self) -> u64 {
+        self.stripes
+            .iter()
+            .map(|s| s.0.load(Ordering::Relaxed))
+            .sum()
+    }
+}
+
 /// Retired rings kept per shard for reuse.
 const POOL_PER_SHARD: usize = 8;
 
 /// Bounded, sharded, per-trace event retention. Shared via `Arc`; the
 /// machine side writes through [`BlackBox::sink`], the observability side
 /// reads through [`BlackBox::take`]/[`BlackBox::snapshot`].
-/// A cache-line-padded counter cell (see [`BlackBox::recorded`]).
-#[derive(Debug, Default)]
-#[repr(align(64))]
-struct PaddedCounter(AtomicU64);
-
 #[derive(Debug)]
 pub struct BlackBox {
     shards: Vec<Mutex<Shard>>,
     ring_capacity: usize,
     max_traces_per_shard: usize,
     /// Events recorded since creation (all traces), for overhead audits.
-    /// Striped across padded cache lines and bumped on the recording
-    /// thread's own stripe: a single shared counter would ping-pong its
-    /// cache line between worker cores on every event, costing more
-    /// than the ring write itself.
-    recorded: Vec<PaddedCounter>,
+    recorded: StripedCounter,
     /// Rings evicted by the trace cap (should stay 0 in a well-behaved
     /// service that takes or discards every trace).
     evicted: AtomicU64,
@@ -248,19 +277,9 @@ impl BlackBox {
             shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
             ring_capacity: ring_capacity.max(1),
             max_traces_per_shard: (max_traces / SHARDS).max(1),
-            recorded: (0..SHARDS).map(|_| PaddedCounter::default()).collect(),
+            recorded: StripedCounter::default(),
             evicted: AtomicU64::new(0),
         }
-    }
-
-    /// This thread's counter stripe, assigned once per thread.
-    fn stripe(&self) -> &AtomicU64 {
-        use std::sync::atomic::AtomicUsize;
-        static NEXT: AtomicUsize = AtomicUsize::new(0);
-        thread_local! {
-            static STRIPE: usize = NEXT.fetch_add(1, Ordering::Relaxed);
-        }
-        &self.recorded[STRIPE.with(|s| *s) % SHARDS].0
     }
 
     fn shard(&self, trace_id: u64) -> &Mutex<Shard> {
@@ -284,7 +303,7 @@ impl BlackBox {
         if trace_id == 0 {
             return; // not attributable to a job
         }
-        self.stripe().fetch_add(1, Ordering::Relaxed);
+        self.recorded.add(1);
         let mut shard = self.shard(trace_id).lock().unwrap();
         let shard = &mut *shard;
         if shard.rings.len() >= self.max_traces_per_shard && !shard.rings.contains_key(&trace_id) {
@@ -384,10 +403,7 @@ impl BlackBox {
 
     /// Total events recorded since creation.
     pub fn recorded(&self) -> u64 {
-        self.recorded
-            .iter()
-            .map(|c| c.0.load(Ordering::Relaxed))
-            .sum()
+        self.recorded.sum()
     }
 
     /// Rings evicted by the trace-count safety net.

@@ -13,8 +13,6 @@
 //! abstract "seconds" of simulated machine time; only ratios and shapes
 //! matter for the reproduction.
 
-use serde::{Deserialize, Serialize};
-
 /// Linear cost model: a message of `w` words costs
 /// `t_startup + t_word * w`; a floating-point operation costs `t_flop`.
 ///
@@ -22,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// byte; we fold the factor of 8 into [`CostModel::t_word`] so callers
 /// think in elements, matching how the paper counts `n/N_P` *vector
 /// elements*.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// Message start-up latency (`t_startup` in the paper).
     pub t_startup: f64,

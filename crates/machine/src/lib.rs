@@ -31,7 +31,7 @@ pub mod spmd;
 pub mod topology;
 pub mod trace;
 
-pub use blackbox::{BlackBox, BlackBoxRecord, BlackBoxTail};
+pub use blackbox::{BlackBox, BlackBoxRecord, BlackBoxTail, StripedCounter};
 pub use cost::CostModel;
 pub use fault::{Fault, FaultKind, FaultPlan, FaultRates};
 pub use machine::{EventSink, Machine, ProcStats, ProgressHook, TraceLevel};

@@ -12,10 +12,9 @@
 //! simulated times.
 
 use crate::cost::CostModel;
-use serde::{Deserialize, Serialize};
 
 /// Supported interconnect topologies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Topology {
     /// Binary hypercube of dimension `ceil(log2 P)`. The paper's primary
     /// example network; collectives use recursive doubling.

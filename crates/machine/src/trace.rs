@@ -6,10 +6,10 @@
 //! and how much traffic each moved — the quantities the paper reasons
 //! about in Section 4.
 
-use serde::{Deserialize, Serialize};
+use hpf_json::Obj;
 
 /// The kind of a traced event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
     /// Point-to-point message.
     Send,
@@ -79,7 +79,7 @@ impl EventKind {
 }
 
 /// One traced event.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Event {
     pub kind: EventKind,
     /// Number of processors participating.
@@ -143,7 +143,7 @@ impl Event {
 }
 
 /// Append-only event log with summary accessors.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone)]
 pub struct Trace {
     events: Vec<Event>,
 }
@@ -250,38 +250,39 @@ impl Trace {
         rows
     }
 
-    /// Export as JSON Lines: one object per event, in record order.
-    /// Written by hand so it works with the offline no-op serde stub and
-    /// stays a stable, diffable external format. `proc_times` is emitted
-    /// only when per-processor durations were recorded.
-    /// [`Trace::from_jsonl`] is the exact inverse.
+    /// Export as JSON Lines: one object per event, in record order — a
+    /// stable, diffable external format, written through the workspace's
+    /// one codec ([`hpf_json`]). `proc_times` is emitted only when
+    /// per-processor durations were recorded. [`Trace::from_jsonl`] is
+    /// the exact inverse.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for e in &self.events {
-            out.push_str(&format!(
-                "{{\"kind\":\"{}\",\"participants\":{},\"words\":{},\"flops\":{},\"time\":{},\"start\":{},\"span\":\"{}\",\"label\":\"{}\"",
-                e.kind.name(),
-                e.participants,
-                e.words,
-                e.flops,
-                json_f64(e.time),
-                json_f64(e.start),
-                json_escape(&e.span),
-                json_escape(&e.label),
-            ));
+            let mut o = Obj::new(&mut out);
+            o.str("kind", e.kind.name())
+                .u64("participants", e.participants as u64)
+                .u64("words", e.words as u64)
+                .u64("flops", e.flops as u64)
+                .f64("time", e.time)
+                .f64("start", e.start)
+                .str("span", &e.span)
+                .str("label", &e.label);
             if !e.proc_times.is_empty() {
-                let ts: Vec<String> = e.proc_times.iter().map(|&t| json_f64(t)).collect();
-                out.push_str(&format!(",\"proc_times\":[{}]", ts.join(",")));
+                let mut times = o.arr("proc_times");
+                for &t in &e.proc_times {
+                    times.f64(t);
+                }
             }
             // Emitted only when set, so pre-oracle traces (and their
             // byte-exact fixtures) keep the original line format.
             if e.payload_words != 0 {
-                out.push_str(&format!(",\"payload_words\":{}", e.payload_words));
+                o.u64("payload_words", e.payload_words as u64);
             }
             if e.hops != 0 {
-                out.push_str(&format!(",\"hops\":{}", e.hops));
+                o.u64("hops", e.hops as u64);
             }
-            out.push_str("}\n");
+            drop(o);
+            out.push('\n');
         }
         out
     }
@@ -320,176 +321,45 @@ impl std::fmt::Display for TraceParseError {
 
 impl std::error::Error for TraceParseError {}
 
-/// Parse one `to_jsonl` line. A dedicated scanner (rather than a general
-/// JSON parser) because the schema is fixed and the offline serde stub
-/// cannot deserialize.
+/// Parse one `to_jsonl` line. The schema is closed: an unknown key is an
+/// error, `kind` is required, everything else defaults to zero/empty.
+/// Non-finite times were written as `null` and read back as NaN.
 fn parse_event_line(line: &str) -> Result<Event, String> {
-    let mut s = Scanner::new(line);
-    s.expect('{')?;
-    let mut kind: Option<EventKind> = None;
-    let mut participants = 0usize;
-    let mut words = 0usize;
-    let mut flops = 0usize;
-    let mut time = 0.0f64;
-    let mut start = 0.0f64;
-    let mut span = String::new();
-    let mut label = String::new();
-    let mut proc_times: Vec<f64> = Vec::new();
-    let mut payload_words = 0usize;
-    let mut hops = 0usize;
-    loop {
-        let key = s.string()?;
-        s.expect(':')?;
-        match key.as_str() {
+    let doc = hpf_json::parse(line)?;
+    let mut kind = None;
+    let mut ev = Event::blank();
+    for (key, v) in doc.members().ok_or("expected a JSON object")? {
+        let bad = || format!("bad value for '{key}'");
+        let count = || v.as_u64().map(|n| n as usize).ok_or_else(bad);
+        match key.as_ref() {
             "kind" => {
-                let name = s.string()?;
-                kind = Some(EventKind::from_name(&name).ok_or(format!("unknown kind '{name}'"))?);
+                let name = v.as_str().ok_or_else(bad)?;
+                kind = Some(EventKind::from_name(name).ok_or(format!("unknown kind '{name}'"))?);
             }
-            "participants" => participants = s.number()? as usize,
-            "words" => words = s.number()? as usize,
-            "flops" => flops = s.number()? as usize,
-            "time" => time = s.number()?,
-            "start" => start = s.number()?,
-            "span" => span = s.string()?,
-            "label" => label = s.string()?,
-            "proc_times" => proc_times = s.number_array()?,
-            "payload_words" => payload_words = s.number()? as usize,
-            "hops" => hops = s.number()? as usize,
+            "participants" => ev.participants = count()?,
+            "words" => ev.words = count()?,
+            "flops" => ev.flops = count()?,
+            "time" => ev.time = v.as_f64().ok_or_else(bad)?,
+            "start" => ev.start = v.as_f64().ok_or_else(bad)?,
+            "span" => ev.span = v.as_str().ok_or_else(bad)?.to_string(),
+            "label" => ev.label = v.as_str().ok_or_else(bad)?.to_string(),
+            "proc_times" => {
+                let times = v.items().ok_or_else(bad)?.iter();
+                ev.proc_times = times
+                    .map(|t| t.as_f64().ok_or_else(bad))
+                    .collect::<Result<_, _>>()?;
+            }
+            "payload_words" => ev.payload_words = count()?,
+            "hops" => ev.hops = count()?,
             other => return Err(format!("unexpected key '{other}'")),
         }
-        if s.eat(',') {
-            continue;
-        }
-        s.expect('}')?;
-        break;
     }
-    s.end()?;
-    Ok(Event {
-        kind: kind.ok_or("missing 'kind'")?,
-        participants,
-        words,
-        flops,
-        time,
-        start,
-        span,
-        label,
-        proc_times,
-        payload_words,
-        hops,
-    })
-}
-
-/// Character-level scanner over one JSONL line.
-struct Scanner<'a> {
-    chars: std::iter::Peekable<std::str::Chars<'a>>,
-}
-
-impl<'a> Scanner<'a> {
-    fn new(line: &'a str) -> Self {
-        Scanner {
-            chars: line.chars().peekable(),
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.chars.peek(), Some(c) if c.is_whitespace()) {
-            self.chars.next();
-        }
-    }
-
-    fn expect(&mut self, c: char) -> Result<(), String> {
-        self.skip_ws();
-        match self.chars.next() {
-            Some(got) if got == c => Ok(()),
-            Some(got) => Err(format!("expected '{c}', got '{got}'")),
-            None => Err(format!("expected '{c}', got end of line")),
-        }
-    }
-
-    fn eat(&mut self, c: char) -> bool {
-        self.skip_ws();
-        if self.chars.peek() == Some(&c) {
-            self.chars.next();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn end(&mut self) -> Result<(), String> {
-        self.skip_ws();
-        match self.chars.next() {
-            None => Ok(()),
-            Some(c) => Err(format!("trailing content starting at '{c}'")),
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect('"')?;
-        let mut out = String::new();
-        loop {
-            match self.chars.next() {
-                Some('"') => return Ok(out),
-                Some('\\') => match self.chars.next() {
-                    Some('"') => out.push('"'),
-                    Some('\\') => out.push('\\'),
-                    Some('n') => out.push('\n'),
-                    Some('r') => out.push('\r'),
-                    Some('t') => out.push('\t'),
-                    Some('u') => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let d = self.chars.next().ok_or("truncated \\u escape")?;
-                            code = code * 16 + d.to_digit(16).ok_or("bad \\u escape digit")?;
-                        }
-                        out.push(char::from_u32(code).ok_or("invalid \\u code point")?);
-                    }
-                    other => return Err(format!("bad escape {other:?}")),
-                },
-                Some(c) => out.push(c),
-                None => return Err("unterminated string".into()),
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<f64, String> {
-        self.skip_ws();
-        // `to_jsonl` writes non-finite times as `null`; accept it back.
-        if self.chars.peek() == Some(&'n') {
-            for want in "null".chars() {
-                if self.chars.next() != Some(want) {
-                    return Err("bad literal (expected null)".into());
-                }
-            }
-            return Ok(f64::NAN);
-        }
-        let mut buf = String::new();
-        while matches!(self.chars.peek(), Some(c) if c.is_ascii_digit() || "+-.eE".contains(*c)) {
-            buf.push(self.chars.next().unwrap());
-        }
-        buf.parse::<f64>()
-            .map_err(|e| format!("bad number '{buf}': {e}"))
-    }
-
-    fn number_array(&mut self) -> Result<Vec<f64>, String> {
-        self.expect('[')?;
-        let mut out = Vec::new();
-        if self.eat(']') {
-            return Ok(out);
-        }
-        loop {
-            out.push(self.number()?);
-            if self.eat(',') {
-                continue;
-            }
-            self.expect(']')?;
-            return Ok(out);
-        }
-    }
+    ev.kind = kind.ok_or("missing 'kind'")?;
+    Ok(ev)
 }
 
 /// Per-label aggregate over a trace (see [`Trace::summary_by_label`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LabelSummary {
     pub label: String,
     /// Number of events with this label.
@@ -526,7 +396,7 @@ impl LabelSummary {
 /// events, and what [`Digest::from_trace`] computes from a stored trace.
 /// Both go through [`Digest::fold`], one operation at a time in record
 /// order, so the two are equal field for field, bit for bit.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Digest {
     /// Number of events folded in.
     pub events: usize,
@@ -653,32 +523,6 @@ fn row_is(row: &str, label: &str, level: Option<usize>) -> bool {
             return digits.next().is_none();
         }
     }
-}
-
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        // Rust renders whole floats without a fraction ("3"); both forms
-        // are valid JSON numbers.
-        format!("{x}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

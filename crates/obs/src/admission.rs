@@ -21,6 +21,7 @@
 //! completion's wall latency), keeping the `hpf-service` → `hpf-obs`
 //! dependency direction intact.
 
+use crate::json::Obj;
 use hpf_service::QosClass;
 use std::sync::Mutex;
 use std::time::Duration;
@@ -129,34 +130,30 @@ impl AdmissionAudit {
     pub fn to_json(&self) -> String {
         let rate = self.shed_when_feasible_rate();
         let inner = self.inner.lock().unwrap();
-        let per_class: Vec<String> = QosClass::ALL
-            .iter()
-            .map(|&c| {
+        let completions: usize = inner.completed_us.iter().map(Vec::len).sum();
+        let mut out = String::new();
+        {
+            let mut o = Obj::new(&mut out);
+            o.u64("sheds", inner.sheds.len() as u64)
+                .u64("completions", completions as u64)
+                .f64("shed_when_feasible_rate", rate);
+            let mut classes = o.arr("classes");
+            for c in QosClass::ALL {
                 let bucket = &inner.completed_us[c.index()];
-                let (p50, p99) = if bucket.is_empty() {
-                    ("null".to_string(), "null".to_string())
+                let mut class = classes.obj();
+                class
+                    .str("class", c.name())
+                    .u64("completed", bucket.len() as u64);
+                if bucket.is_empty() {
+                    class.null("p50_us").null("p99_us");
                 } else {
-                    (
-                        percentile_us(bucket, 0.50).to_string(),
-                        percentile_us(bucket, 0.99).to_string(),
-                    )
-                };
-                format!(
-                    "{{\"class\":\"{}\",\"completed\":{},\"p50_us\":{},\"p99_us\":{}}}",
-                    c.name(),
-                    bucket.len(),
-                    p50,
-                    p99
-                )
-            })
-            .collect();
-        format!(
-            "{{\"sheds\":{},\"completions\":{},\"shed_when_feasible_rate\":{},\"classes\":[{}]}}",
-            inner.sheds.len(),
-            inner.completed_us.iter().map(Vec::len).sum::<usize>(),
-            crate::json::json_f64(rate),
-            per_class.join(",")
-        )
+                    class
+                        .u64("p50_us", percentile_us(bucket, 0.50))
+                        .u64("p99_us", percentile_us(bucket, 0.99));
+                }
+            }
+        }
+        out
     }
 }
 

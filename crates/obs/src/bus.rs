@@ -20,7 +20,8 @@
 //! deadline expiries — bypass sampling entirely. You can lower the
 //! sample rate to shed volume, never visibility of failures.
 
-use crate::json::{escape, json_f64};
+use crate::json::Obj;
+use hpf_machine::StripedCounter;
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -95,38 +96,34 @@ pub struct BusEvent {
 impl BusEvent {
     /// One-line JSON rendering (the `--follow` wire format).
     pub fn to_jsonl(&self) -> String {
-        let outcome = if self.outcome.is_empty() {
-            String::new()
-        } else {
-            format!(",\"outcome\":\"{}\"", escape(&self.outcome))
-        };
-        format!(
-            "{{\"seq\":{},\"wall_s\":{},\"origin\":\"{}\",\"kind\":\"{}\",\"trace\":\"{:016x}\",\
-             \"class\":\"{}\",\"span\":\"{}\",\"label\":\"{}\",\"time_s\":{},\"latency_us\":{},\"ok\":{}{}}}",
-            self.seq,
-            json_f64(self.wall_s),
-            self.origin.name(),
-            escape(&self.kind),
-            self.trace_id,
-            escape(&self.class),
-            escape(&self.span),
-            escape(&self.label),
-            json_f64(self.time_s),
-            self.latency_us,
-            self.ok,
-            outcome,
-        )
+        let mut out = String::new();
+        let mut o = Obj::new(&mut out);
+        o.u64("seq", self.seq)
+            .f64("wall_s", self.wall_s)
+            .str("origin", self.origin.name())
+            .str("kind", &self.kind)
+            .str("trace", &format!("{:016x}", self.trace_id))
+            .str("class", &self.class)
+            .str("span", &self.span)
+            .str("label", &self.label)
+            .f64("time_s", self.time_s)
+            .u64("latency_us", self.latency_us)
+            .bool("ok", self.ok);
+        if !self.outcome.is_empty() {
+            o.str("outcome", &self.outcome);
+        }
+        drop(o);
+        out
     }
 
     /// Parse one [`BusEvent::to_jsonl`] line. Unlike the post-hoc trace
-    /// parser this is *lenient about unknown keys* (a follower must keep
-    /// working when a newer producer adds fields) but strict about the
-    /// ones it understands.
+    /// parser this is *lenient about unknown keys* of any JSON type (a
+    /// follower must keep working when a newer producer adds fields) but
+    /// strict about the ones it understands, and `origin` is required.
     pub fn from_jsonl(line: &str) -> Result<BusEvent, String> {
-        let inner = line
-            .trim()
-            .strip_prefix('{')
-            .and_then(|s| s.strip_suffix('}'))
+        let doc = crate::json::parse(line)?;
+        let members = doc
+            .members()
             .ok_or_else(|| "bus event line is not a JSON object".to_string())?;
         let mut ev = BusEvent {
             seq: 0,
@@ -143,37 +140,31 @@ impl BusEvent {
             outcome: String::new(),
         };
         let mut saw_origin = false;
-        for (key, value) in split_top_level_pairs(inner)? {
-            match key {
-                "seq" => ev.seq = value.parse().map_err(|_| format!("bad seq {value:?}"))?,
-                "wall_s" => {
-                    ev.wall_s = value.parse().map_err(|_| format!("bad wall_s {value:?}"))?
-                }
+        for (key, v) in members {
+            let bad = || format!("bad {key} in bus event line");
+            let text = || v.as_str().map(str::to_string).ok_or_else(bad);
+            match key.as_ref() {
+                "seq" => ev.seq = v.as_u64().ok_or_else(bad)?,
+                "wall_s" => ev.wall_s = v.as_f64().ok_or_else(bad)?,
                 "origin" => {
-                    let raw = unquote(value)?;
+                    let raw = v.as_str().ok_or_else(bad)?;
                     ev.origin =
-                        BusOrigin::parse(&raw).ok_or_else(|| format!("unknown origin {raw:?}"))?;
+                        BusOrigin::parse(raw).ok_or_else(|| format!("unknown origin {raw:?}"))?;
                     saw_origin = true;
                 }
-                "kind" => ev.kind = unquote(value)?,
+                "kind" => ev.kind = text()?,
                 "trace" => {
-                    let raw = unquote(value)?;
-                    ev.trace_id = u64::from_str_radix(&raw, 16)
+                    let raw = v.as_str().ok_or_else(bad)?;
+                    ev.trace_id = u64::from_str_radix(raw, 16)
                         .map_err(|_| format!("bad trace id {raw:?}"))?;
                 }
-                "class" => ev.class = unquote(value)?,
-                "span" => ev.span = unquote(value)?,
-                "label" => ev.label = unquote(value)?,
-                "time_s" => {
-                    ev.time_s = value.parse().map_err(|_| format!("bad time_s {value:?}"))?
-                }
-                "latency_us" => {
-                    ev.latency_us = value
-                        .parse()
-                        .map_err(|_| format!("bad latency_us {value:?}"))?
-                }
-                "ok" => ev.ok = value.parse().map_err(|_| format!("bad ok {value:?}"))?,
-                "outcome" => ev.outcome = unquote(value)?,
+                "class" => ev.class = text()?,
+                "span" => ev.span = text()?,
+                "label" => ev.label = text()?,
+                "time_s" => ev.time_s = v.as_f64().ok_or_else(bad)?,
+                "latency_us" => ev.latency_us = v.as_u64().ok_or_else(bad)?,
+                "ok" => ev.ok = v.as_bool().ok_or_else(bad)?,
+                "outcome" => ev.outcome = text()?,
                 _ => {} // forward compatibility: ignore unknown keys
             }
         }
@@ -182,84 +173,6 @@ impl BusEvent {
         }
         Ok(ev)
     }
-}
-
-/// Split `"k":v,...` at the top level (no nested objects/arrays in the
-/// bus schema; strings may contain escaped quotes and commas).
-fn split_top_level_pairs(inner: &str) -> Result<Vec<(&str, &str)>, String> {
-    let mut pairs = Vec::new();
-    let bytes = inner.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        // Key: "name"
-        if bytes[i] != b'"' {
-            return Err(format!("expected key quote at byte {i}"));
-        }
-        let key_end = inner[i + 1..]
-            .find('"')
-            .ok_or_else(|| "unterminated key".to_string())?
-            + i
-            + 1;
-        let key = &inner[i + 1..key_end];
-        if bytes.get(key_end + 1) != Some(&b':') {
-            return Err(format!("expected ':' after key {key:?}"));
-        }
-        // Value: scan to the next top-level comma.
-        let mut j = key_end + 2;
-        let mut in_string = false;
-        let mut escaped = false;
-        while j < bytes.len() {
-            let b = bytes[j];
-            if in_string {
-                if escaped {
-                    escaped = false;
-                } else if b == b'\\' {
-                    escaped = true;
-                } else if b == b'"' {
-                    in_string = false;
-                }
-            } else if b == b'"' {
-                in_string = true;
-            } else if b == b',' {
-                break;
-            }
-            j += 1;
-        }
-        pairs.push((key, &inner[key_end + 2..j]));
-        i = j + 1;
-    }
-    Ok(pairs)
-}
-
-/// Undo [`escape`] on a quoted JSON string value.
-fn unquote(value: &str) -> Result<String, String> {
-    let inner = value
-        .strip_prefix('"')
-        .and_then(|s| s.strip_suffix('"'))
-        .ok_or_else(|| format!("expected string, got {value:?}"))?;
-    let mut out = String::with_capacity(inner.len());
-    let mut chars = inner.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('"') => out.push('"'),
-            Some('\\') => out.push('\\'),
-            Some('n') => out.push('\n'),
-            Some('t') => out.push('\t'),
-            Some('r') => out.push('\r'),
-            Some('u') => {
-                let hex: String = chars.by_ref().take(4).collect();
-                let code =
-                    u32::from_str_radix(&hex, 16).map_err(|_| format!("bad \\u escape {hex:?}"))?;
-                out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-            }
-            other => return Err(format!("bad escape {other:?}")),
-        }
-    }
-    Ok(out)
 }
 
 // ---------------------------------------------------------------------
@@ -410,12 +323,8 @@ impl SamplingPolicy {
         if self.sample_rate <= 0.0 {
             return false;
         }
-        // splitmix64 finalizer: uniform bits even for sequential ids.
-        let mut x = trace_id.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        x ^= x >> 31;
-        (x as f64 / u64::MAX as f64) < self.sample_rate
+        // Mixed, so the decision is uniform even for sequential ids.
+        (hpf_service::splitmix64(trace_id) as f64 / u64::MAX as f64) < self.sample_rate
     }
 
     /// Full decision: critical events bypass the head sample.
@@ -446,24 +355,6 @@ pub struct BusStats {
     pub sampled_out: u64,
 }
 
-/// One cache line per counter stripe, so threads hammering the
-/// sampled-out path (every machine op of a dropped job) never ping-pong
-/// a shared line between cores.
-#[repr(align(64))]
-#[derive(Default)]
-struct PaddedCounter(AtomicU64);
-
-const COUNTER_STRIPES: usize = 8;
-
-/// This thread's stripe index: assigned round-robin on first use.
-fn counter_stripe() -> usize {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static STRIPE: usize = NEXT.fetch_add(1, Ordering::Relaxed) % COUNTER_STRIPES;
-    }
-    STRIPE.with(|s| *s)
-}
-
 /// The streaming event bus: sampling policy + ring + wall clock.
 pub struct EventBus {
     ring: RingBuffer,
@@ -471,7 +362,8 @@ pub struct EventBus {
     started: Instant,
     seq: AtomicU64,
     dropped: AtomicU64,
-    sampled_out: [PaddedCounter; COUNTER_STRIPES],
+    /// Striped: every machine op of a sampled-out job lands here.
+    sampled_out: StripedCounter,
 }
 
 impl EventBus {
@@ -486,13 +378,6 @@ impl EventBus {
         })
     }
 
-    /// Count one head-sampled-out event on this thread's stripe.
-    fn note_sampled_out(&self) {
-        self.sampled_out[counter_stripe()]
-            .0
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
     pub fn policy(&self) -> SamplingPolicy {
         self.policy
     }
@@ -501,11 +386,7 @@ impl EventBus {
         BusStats {
             published: self.seq.load(Ordering::Relaxed),
             dropped: self.dropped.load(Ordering::Relaxed),
-            sampled_out: self
-                .sampled_out
-                .iter()
-                .map(|c| c.0.load(Ordering::Relaxed))
-                .sum(),
+            sampled_out: self.sampled_out.sum(),
         }
     }
 
@@ -513,7 +394,7 @@ impl EventBus {
     /// `seq`/`wall_s`, which the bus stamps.
     pub fn publish(&self, mut event: BusEvent, critical: bool) {
         if !self.policy.keep(event.trace_id, critical) {
-            self.note_sampled_out();
+            self.sampled_out.add(1);
             return;
         }
         event.seq = self.seq.fetch_add(1, Ordering::Relaxed);
@@ -556,7 +437,7 @@ impl EventBus {
             // us every event, and a sampled-out job must not pay three
             // allocations per operation just to be dropped in publish.
             if !bus.policy.keep(trace_id, critical) {
-                bus.note_sampled_out();
+                bus.sampled_out.add(1);
                 return;
             }
             bus.publish(
@@ -582,7 +463,7 @@ impl EventBus {
             if filter_bus.policy.keep(trace_id, critical) {
                 true
             } else {
-                filter_bus.note_sampled_out();
+                filter_bus.sampled_out.add(1);
                 false
             }
         })

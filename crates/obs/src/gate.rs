@@ -16,6 +16,7 @@
 //! Records hold *simulated* quantities only (the machine's cost-model
 //! clock), never wall time, so the gate is deterministic across hosts.
 
+use crate::json::Obj;
 use std::fmt;
 use std::path::PathBuf;
 
@@ -59,80 +60,45 @@ impl BenchRecord {
     /// Render as one JSON object (single line, suitable for both the
     /// `BENCH_<n>.json` file and a `bench-history.jsonl` row).
     pub fn to_json(&self) -> String {
-        let series: Vec<String> = self
-            .series
-            .iter()
-            .map(|(n, v)| {
-                format!(
-                    "{{\"name\":\"{}\",\"value\":{}}}",
-                    crate::json::escape(n),
-                    crate::json::json_f64(*v)
-                )
-            })
-            .collect();
-        format!(
-            "{{\"schema_version\":{},\"bench\":{},\"name\":\"{}\",\"series\":[{}]}}",
-            self.schema_version,
-            self.bench,
-            crate::json::escape(&self.name),
-            series.join(",")
-        )
+        let mut out = String::new();
+        {
+            let mut o = Obj::new(&mut out);
+            o.u64("schema_version", u64::from(self.schema_version))
+                .u64("bench", u64::from(self.bench))
+                .str("name", &self.name);
+            let mut series = o.arr("series");
+            for (name, value) in &self.series {
+                series.obj().str("name", name).f64("value", *value);
+            }
+        }
+        out
     }
 
     /// Parse a record back from [`Self::to_json`] output. Rejects
     /// malformed JSON and schema mismatches with typed errors.
     pub fn from_json(text: &str) -> Result<BenchRecord, GateError> {
-        crate::json::validate(text).map_err(|e| GateError::Parse(format!("invalid JSON: {e}")))?;
-        let scalar = |src: &str, key: &str| -> Result<String, GateError> {
-            let needle = format!("\"{key}\":");
-            let at = src
-                .find(&needle)
-                .ok_or_else(|| GateError::Parse(format!("missing field {key:?}")))?;
-            let rest = &src[at + needle.len()..];
-            let end = rest
-                .find([',', '}', ']'])
-                .ok_or_else(|| GateError::Parse(format!("unterminated field {key:?}")))?;
-            Ok(rest[..end].trim().to_string())
+        let doc =
+            crate::json::parse(text).map_err(|e| GateError::Parse(format!("invalid JSON: {e}")))?;
+        let small = |key: &str| -> Result<u32, GateError> {
+            let n = doc.u64_of(key).map_err(GateError::Parse)?;
+            u32::try_from(n).map_err(|_| GateError::Parse(format!("{key} {n} out of range")))
         };
-        let quoted = |tok: String| -> Result<String, GateError> {
-            tok.strip_prefix('"')
-                .and_then(|t| t.strip_suffix('"'))
-                .map(str::to_string)
-                .ok_or_else(|| GateError::Parse(format!("expected string, got {tok:?}")))
-        };
-        let schema_version: u32 = scalar(text, "schema_version")?
-            .parse()
-            .map_err(|_| GateError::Parse("bad schema_version".to_string()))?;
+        let schema_version = small("schema_version")?;
         if schema_version != BENCH_SCHEMA_VERSION {
             return Err(GateError::SchemaMismatch {
                 found: schema_version,
                 expected: BENCH_SCHEMA_VERSION,
             });
         }
-        let bench: u32 = scalar(text, "bench")?
-            .parse()
-            .map_err(|_| GateError::Parse("bad bench number".to_string()))?;
-        let name = quoted(scalar(text, "name")?)?;
-        let series_at = text
-            .find("\"series\":[")
-            .ok_or_else(|| GateError::Parse("missing series array".to_string()))?;
-        let series_src = &text[series_at + "\"series\":[".len()..];
-        let series_src = &series_src[..series_src
-            .find(']')
-            .ok_or_else(|| GateError::Parse("unterminated series array".to_string()))?];
-        let mut series = Vec::new();
-        for obj in series_src.split('{').skip(1) {
-            let n = quoted(scalar(obj, "name")?)?;
-            let v: f64 = scalar(obj, "value")?
-                .parse()
-                .map_err(|_| GateError::Parse(format!("bad value for series {n:?}")))?;
-            series.push((n, v));
-        }
+        let series = doc.items_of("series").map_err(GateError::Parse)?.iter();
         Ok(BenchRecord {
             schema_version,
-            bench,
-            name,
-            series,
+            bench: small("bench")?,
+            name: doc.str_of("name").map_err(GateError::Parse)?.to_string(),
+            series: series
+                .map(|s| Ok((s.str_of("name")?.to_string(), s.f64_of("value")?)))
+                .collect::<Result<_, String>>()
+                .map_err(GateError::Parse)?,
         })
     }
 }

@@ -1,247 +1,10 @@
-//! Minimal JSON utilities: a string escaper for the exporters and a
-//! strict validator used by tests and the `trace-report` self-check.
-//!
-//! The validator accepts exactly one top-level value (RFC 8259 subset:
-//! no trailing garbage, no NaN/Infinity literals) and reports the byte
-//! offset of the first problem. It never builds a DOM — exported traces
-//! can be large and we only need a well-formedness verdict.
+//! The JSON codec — writer, reader and strict validator over one
+//! grammar — lives in the leaf crate [`hpf_json`], which `hpf-machine`,
+//! `hpf-service` and `hpf-partition` write through as well. This module
+//! is its re-export, so `hpf_obs::json::{validate, escape, ..}` stay
+//! the paths `trace-report`, the experiments and the tests use.
 
-/// Escape `s` for inclusion inside a JSON string literal (no quotes).
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Maximum container nesting the validator will follow before rejecting
-/// the document. Deeply nested arrays/objects are almost always hostile
-/// or corrupt input, and an unbounded recursive-descent parser would
-/// turn them into a stack overflow.
-pub const MAX_DEPTH: usize = 128;
-
-/// Check that `s` is exactly one well-formed JSON value.
-pub fn validate(s: &str) -> Result<(), String> {
-    let bytes = s.as_bytes();
-    let mut pos = 0usize;
-    skip_ws(bytes, &mut pos);
-    value(bytes, &mut pos, 0)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing data at byte {pos}"));
-    }
-    Ok(())
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn value(b: &[u8], pos: &mut usize, depth: usize) -> Result<(), String> {
-    if depth >= MAX_DEPTH {
-        return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", *pos));
-    }
-    match b.get(*pos) {
-        Some(b'{') => object(b, pos, depth),
-        Some(b'[') => array(b, pos, depth),
-        Some(b'"') => string(b, pos),
-        Some(b't') => literal(b, pos, b"true"),
-        Some(b'f') => literal(b, pos, b"false"),
-        Some(b'n') => literal(b, pos, b"null"),
-        Some(c) if *c == b'-' || c.is_ascii_digit() => number(b, pos),
-        Some(c) => Err(format!("unexpected byte {:?} at {}", *c as char, *pos)),
-        None => Err(format!("unexpected end of input at byte {pos}")),
-    }
-}
-
-fn literal(b: &[u8], pos: &mut usize, lit: &[u8]) -> Result<(), String> {
-    if b.len() >= *pos + lit.len() && &b[*pos..*pos + lit.len()] == lit {
-        *pos += lit.len();
-        Ok(())
-    } else {
-        Err(format!("bad literal at byte {pos}"))
-    }
-}
-
-fn object(b: &[u8], pos: &mut usize, depth: usize) -> Result<(), String> {
-    *pos += 1; // '{'
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b'"') {
-            return Err(format!("expected object key at byte {pos}"));
-        }
-        string(b, pos)?;
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b':') {
-            return Err(format!("expected ':' at byte {pos}"));
-        }
-        *pos += 1;
-        skip_ws(b, pos);
-        value(b, pos, depth + 1)?;
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-        }
-    }
-}
-
-fn array(b: &[u8], pos: &mut usize, depth: usize) -> Result<(), String> {
-    *pos += 1; // '['
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(b, pos);
-        value(b, pos, depth + 1)?;
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-        }
-    }
-}
-
-fn string(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // opening quote
-    while let Some(&c) = b.get(*pos) {
-        match c {
-            b'"' => {
-                *pos += 1;
-                return Ok(());
-            }
-            b'\\' => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => *pos += 1,
-                    Some(b'u') => {
-                        let unit = hex_unit(b, *pos + 1)
-                            .ok_or_else(|| format!("bad \\u escape at byte {pos}"))?;
-                        *pos += 5;
-                        match unit {
-                            // A high surrogate must be immediately
-                            // followed by an escaped low surrogate.
-                            0xD800..=0xDBFF => {
-                                let low = (b.get(*pos) == Some(&b'\\')
-                                    && b.get(*pos + 1) == Some(&b'u'))
-                                .then(|| hex_unit(b, *pos + 2))
-                                .flatten();
-                                match low {
-                                    Some(0xDC00..=0xDFFF) => *pos += 6,
-                                    _ => {
-                                        return Err(format!(
-                                            "lone high surrogate at byte {}",
-                                            *pos - 5
-                                        ))
-                                    }
-                                }
-                            }
-                            0xDC00..=0xDFFF => {
-                                return Err(format!("lone low surrogate at byte {}", *pos - 5))
-                            }
-                            _ => {}
-                        }
-                    }
-                    _ => return Err(format!("bad escape at byte {pos}")),
-                }
-            }
-            c if c < 0x20 => return Err(format!("raw control byte in string at {pos}")),
-            _ => *pos += 1,
-        }
-    }
-    Err("unterminated string".to_string())
-}
-
-fn hex_unit(b: &[u8], at: usize) -> Option<u32> {
-    let digits = b.get(at..at + 4)?;
-    if !digits.iter().all(u8::is_ascii_hexdigit) {
-        return None;
-    }
-    u32::from_str_radix(std::str::from_utf8(digits).ok()?, 16).ok()
-}
-
-fn number(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    let start = *pos;
-    if b.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    let digits = |b: &[u8], pos: &mut usize| {
-        let s = *pos;
-        while pos_digit(b, *pos) {
-            *pos += 1;
-        }
-        *pos > s
-    };
-    if !digits(b, pos) {
-        return Err(format!("expected digits at byte {pos}"));
-    }
-    if b.get(*pos) == Some(&b'.') {
-        *pos += 1;
-        if !digits(b, pos) {
-            return Err(format!("expected fraction digits at byte {pos}"));
-        }
-    }
-    if matches!(b.get(*pos), Some(b'e' | b'E')) {
-        *pos += 1;
-        if matches!(b.get(*pos), Some(b'+' | b'-')) {
-            *pos += 1;
-        }
-        if !digits(b, pos) {
-            return Err(format!("expected exponent digits at byte {pos}"));
-        }
-    }
-    // Reject a bare leading zero followed by digits ("007").
-    let text = &b[start..*pos];
-    let unsigned = if text.first() == Some(&b'-') {
-        &text[1..]
-    } else {
-        text
-    };
-    if unsigned.len() > 1 && unsigned[0] == b'0' && unsigned[1].is_ascii_digit() {
-        return Err(format!("leading zero in number at byte {start}"));
-    }
-    Ok(())
-}
-
-fn pos_digit(b: &[u8], pos: usize) -> bool {
-    b.get(pos).is_some_and(u8::is_ascii_digit)
-}
-
-/// Format an `f64` as a JSON number; non-finite values become `null`
-/// (JSON has no NaN/Infinity).
-pub fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
+pub use hpf_json::*;
 
 #[cfg(test)]
 mod tests {

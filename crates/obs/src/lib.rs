@@ -35,8 +35,10 @@
 //!   `bench-history.jsonl`, and fails (typed [`GateError`]) when a
 //!   series regresses past tolerance.
 //!
-//! Everything is hand-rolled plain text/JSON: the offline build has no
-//! real serde, and the formats here are the public contract.
+//! Every format here is the public contract and is written by hand by
+//! the type that owns it, against one codec: [`json`] re-exports the
+//! leaf crate `hpf-json` (builders that own the punctuation, one strict
+//! reader, the same descent as a validator). There is no derive.
 
 pub mod admission;
 pub mod analysis;

@@ -38,7 +38,7 @@
 //! merit — total recorded flops over total simulated seconds — from the
 //! same cost model.
 
-use crate::json::json_f64;
+use crate::json::Obj;
 use hpf_machine::{predicted_time, CostModel, Event, EventKind, Topology, Trace};
 
 /// The analytic categories the oracle attributes events to.
@@ -330,73 +330,59 @@ impl DriftReport {
     /// Render as a JSON object (strict RFC 8259; non-finite values
     /// become `null`).
     pub fn to_json(&self) -> String {
-        let cats: Vec<String> = self
-            .categories
-            .iter()
-            .map(|c| {
-                format!(
-                    "{{\"category\":\"{}\",\"events\":{},\"predicted_events\":{},\
-                     \"predicted_seconds\":{},\"measured_seconds\":{},\"words\":{},\
-                     \"rel_error\":{}}}",
-                    c.category.name(),
-                    c.events,
-                    c.predicted_events,
-                    json_f64(c.predicted_seconds),
-                    json_f64(c.measured_seconds),
-                    c.words,
-                    c.rel_error().map_or("null".to_string(), json_f64)
-                )
-            })
-            .collect();
-        let worst: Vec<String> = self
-            .worst
-            .iter()
-            .map(|w| {
-                format!(
-                    "{{\"event\":{},\"kind\":\"{}\",\"span\":\"{}\",\"label\":\"{}\",\
-                     \"category\":\"{}\",\"predicted_seconds\":{},\"measured_seconds\":{}}}",
-                    w.event,
-                    w.kind,
-                    crate::json::escape(&w.span),
-                    crate::json::escape(&w.label),
-                    w.category.name(),
-                    json_f64(w.predicted_seconds),
-                    json_f64(w.measured_seconds)
-                )
-            })
-            .collect();
-        let iters: Vec<String> = self
-            .iterations
-            .iter()
-            .map(|it| {
-                format!(
-                    "{{\"iteration\":{},\"predicted_seconds\":{},\"measured_seconds\":{}}}",
-                    it.iteration,
-                    json_f64(it.predicted_seconds),
-                    json_f64(it.measured_seconds)
-                )
-            })
-            .collect();
-        format!(
-            "{{\"schema_version\":1,\"topology\":\"{}\",\
-             \"total_predicted_seconds\":{},\"total_measured_seconds\":{},\
-             \"total_rel_error\":{},\"max_abs_rel_error\":{},\
-             \"total_flops\":{},\"gflops_equivalent\":{},\
-             \"unpredicted_events\":{},\"categories\":[{}],\"worst\":[{}],\
-             \"iterations\":[{}]}}",
-            self.topology.name(),
-            json_f64(self.total_predicted_seconds),
-            json_f64(self.total_measured_seconds),
-            json_f64(self.total_rel_error()),
-            json_f64(self.max_abs_rel_error()),
-            self.total_flops,
-            self.gflops_equivalent()
-                .map_or("null".to_string(), json_f64),
-            self.unpredicted_events,
-            cats.join(","),
-            worst.join(","),
-            iters.join(",")
-        )
+        let mut out = String::new();
+        let mut o = Obj::new(&mut out);
+        o.u64("schema_version", 1)
+            .str("topology", self.topology.name())
+            .f64("total_predicted_seconds", self.total_predicted_seconds)
+            .f64("total_measured_seconds", self.total_measured_seconds)
+            .f64("total_rel_error", self.total_rel_error())
+            .f64("max_abs_rel_error", self.max_abs_rel_error())
+            .u64("total_flops", self.total_flops)
+            .f64(
+                "gflops_equivalent",
+                self.gflops_equivalent().unwrap_or(f64::NAN),
+            )
+            .u64("unpredicted_events", self.unpredicted_events as u64);
+        {
+            let mut cats = o.arr("categories");
+            for c in &self.categories {
+                cats.obj()
+                    .str("category", c.category.name())
+                    .u64("events", c.events as u64)
+                    .u64("predicted_events", c.predicted_events as u64)
+                    .f64("predicted_seconds", c.predicted_seconds)
+                    .f64("measured_seconds", c.measured_seconds)
+                    .u64("words", c.words)
+                    .f64("rel_error", c.rel_error().unwrap_or(f64::NAN));
+            }
+        }
+        {
+            let mut worst = o.arr("worst");
+            for w in &self.worst {
+                worst
+                    .obj()
+                    .u64("event", w.event as u64)
+                    .str("kind", w.kind)
+                    .str("span", &w.span)
+                    .str("label", &w.label)
+                    .str("category", w.category.name())
+                    .f64("predicted_seconds", w.predicted_seconds)
+                    .f64("measured_seconds", w.measured_seconds);
+            }
+        }
+        {
+            let mut iters = o.arr("iterations");
+            for it in &self.iterations {
+                iters
+                    .obj()
+                    .u64("iteration", it.iteration as u64)
+                    .f64("predicted_seconds", it.predicted_seconds)
+                    .f64("measured_seconds", it.measured_seconds);
+            }
+        }
+        drop(o);
+        out
     }
 
     /// Human-readable drift table.

@@ -19,8 +19,8 @@
 //! than silently serialized as `null` — Perfetto refuses such
 //! documents, so failing here keeps the error close to its cause.
 
-use crate::json::{escape, json_f64};
-use crate::timeline::{Slice, Timeline};
+use crate::json::Obj;
+use crate::timeline::Timeline;
 
 const US_PER_S: f64 = 1e6;
 
@@ -54,64 +54,51 @@ impl std::error::Error for PerfettoError {}
 /// Render a timeline as Chrome trace-event JSON (one self-contained
 /// document, pretty enough to diff but compact per event).
 pub fn trace_events_json(tl: &Timeline) -> Result<String, PerfettoError> {
-    let mut events: Vec<String> = Vec::with_capacity(tl.slices.len() + tl.np);
+    let mut out = String::new();
+    let mut doc = Obj::new(&mut out);
+    let mut events = doc.arr("traceEvents").separated_by(",\n");
     for proc in 0..tl.np {
-        events.push(format!(
-            "{{\"ph\":\"M\",\"pid\":0,\"tid\":{proc},\"name\":\"thread_name\",\
-             \"args\":{{\"name\":\"proc {proc}\"}}}}"
-        ));
+        let mut e = events.obj();
+        e.str("ph", "M")
+            .u64("pid", 0)
+            .u64("tid", proc as u64)
+            .str("name", "thread_name");
+        e.obj("args").str("name", &format!("proc {proc}"));
     }
-    for (i, slice) in tl.slices.iter().enumerate() {
-        if !slice.start.is_finite() || !slice.dur.is_finite() {
-            let name = if slice.label.is_empty() {
-                slice.kind
-            } else {
-                &slice.label
-            };
+    for (i, s) in tl.slices.iter().enumerate() {
+        let name = if s.label.is_empty() { s.kind } else { &s.label };
+        if !s.start.is_finite() || !s.dur.is_finite() {
             return Err(PerfettoError::NonFiniteTime {
                 slice: i,
-                proc: slice.proc,
+                proc: s.proc,
                 name: name.to_string(),
             });
         }
-        events.push(slice_json(slice));
+        // A slice with a duration is a complete event, one without an
+        // instant scoped to its thread.
+        let mut e = events.obj();
+        if s.dur > 0.0 {
+            e.str("ph", "X");
+        } else {
+            e.str("ph", "i").str("s", "t");
+        }
+        e.u64("pid", 0)
+            .u64("tid", s.proc as u64)
+            .str("name", name)
+            .str("cat", s.kind)
+            .f64("ts", s.start * US_PER_S);
+        if s.dur > 0.0 {
+            e.f64("dur", s.dur * US_PER_S);
+        }
+        e.obj("args")
+            .str("span", &s.span)
+            .u64("words", s.words as u64)
+            .u64("flops", s.flops as u64);
     }
-    Ok(format!(
-        "{{\"traceEvents\":[\n{}\n],\"displayTimeUnit\":\"ms\"}}",
-        events.join(",\n")
-    ))
-}
-
-fn slice_json(s: &Slice) -> String {
-    let name = if s.label.is_empty() { s.kind } else { &s.label };
-    let args = format!(
-        "{{\"span\":\"{}\",\"words\":{},\"flops\":{}}}",
-        escape(&s.span),
-        s.words,
-        s.flops
-    );
-    if s.dur > 0.0 {
-        format!(
-            "{{\"ph\":\"X\",\"pid\":0,\"tid\":{},\"name\":\"{}\",\"cat\":\"{}\",\
-             \"ts\":{},\"dur\":{},\"args\":{}}}",
-            s.proc,
-            escape(name),
-            s.kind,
-            json_f64(s.start * US_PER_S),
-            json_f64(s.dur * US_PER_S),
-            args
-        )
-    } else {
-        format!(
-            "{{\"ph\":\"i\",\"s\":\"t\",\"pid\":0,\"tid\":{},\"name\":\"{}\",\"cat\":\"{}\",\
-             \"ts\":{},\"args\":{}}}",
-            s.proc,
-            escape(name),
-            s.kind,
-            json_f64(s.start * US_PER_S),
-            args
-        )
-    }
+    drop(events);
+    doc.str("displayTimeUnit", "ms");
+    drop(doc);
+    Ok(out)
 }
 
 #[cfg(test)]

@@ -22,73 +22,32 @@ pub fn render_prometheus(snap: &MetricsSnapshot) -> String {
 
 /// Parse a [`MetricsSnapshot`] back from the JSON produced by
 /// [`MetricsSnapshot::to_json`]. This is what lets `trace-report` turn
-/// a metrics file saved by one process into Prometheus text in another
-/// (the offline serde stub cannot deserialize).
+/// a metrics file saved by one process into Prometheus text in another.
+/// The `"+inf"` bucket bound reads as `u64::MAX` and a `null` gauge as
+/// NaN, as the writer wrote them.
 pub fn snapshot_from_json(text: &str) -> Result<MetricsSnapshot, String> {
-    crate::json::validate(text).map_err(|e| format!("not valid JSON: {e}"))?;
-    let u = |key: &str| -> Result<u64, String> {
-        scalar(text, key)?
-            .parse()
-            .map_err(|_| format!("bad integer for {key:?}"))
-    };
+    let doc = crate::json::parse(text).map_err(|e| format!("not valid JSON: {e}"))?;
+    let u = |key: &str| doc.u64_of(key);
     let mut bounds = Vec::new();
     let mut counts = Vec::new();
-    let latency = section(text, "\"latency\":[", ']')?;
-    for obj in latency.split('{').skip(1) {
-        let le = scalar(obj, "le_us")?;
-        bounds.push(if le == "\"+inf\"" {
-            u64::MAX
-        } else {
-            le.parse().map_err(|_| format!("bad le_us {le:?}"))?
+    for bucket in doc.items_of("latency")? {
+        bounds.push(match bucket.field("le_us")?.as_str() {
+            Some("+inf") => u64::MAX,
+            _ => bucket.u64_of("le_us")?,
         });
-        counts.push(
-            scalar(obj, "count")?
-                .parse()
-                .map_err(|_| "bad bucket count".to_string())?,
-        );
+        counts.push(bucket.u64_of("count")?);
     }
-    let uptime = match scalar(text, "uptime_seconds")?.as_str() {
-        "null" => f64::NAN,
-        s => s.parse().map_err(|_| "bad uptime_seconds".to_string())?,
-    };
-    let saturation = match scalar(text, "queue_saturation")?.as_str() {
-        "null" => f64::NAN,
-        s => s.parse().map_err(|_| "bad queue_saturation".to_string())?,
-    };
-    let class_depths: Vec<u64> = section(text, "\"class_queue_depth\":[", ']')?
-        .split(',')
-        .map(|t| t.trim().parse().map_err(|_| "bad class depth".to_string()))
-        .collect::<Result<_, String>>()?;
-    let class_queue_depth: [u64; 3] = class_depths
-        .try_into()
-        .map_err(|_| "class_queue_depth must have 3 entries".to_string())?;
-    let mut outcomes = Vec::new();
-    let outcome_section = section(text, "\"solve_outcomes\":[", ']')?;
-    for obj in outcome_section.split('{').skip(1) {
-        outcomes.push(SolveOutcome {
-            solver: quoted(&scalar(obj, "solver")?)?,
-            scenario: quoted(&scalar(obj, "scenario")?)?,
-            completed: scalar(obj, "completed")?
-                .parse()
-                .map_err(|_| "bad outcome completed count".to_string())?,
-            failed: scalar(obj, "failed")?
-                .parse()
-                .map_err(|_| "bad outcome failed count".to_string())?,
-        });
-    }
+    let class_depths = doc.items_of("class_queue_depth")?.iter();
+    let class_depths: Vec<u64> = class_depths
+        .map(|d| d.as_u64().ok_or("bad class depth"))
+        .collect::<Result<_, _>>()?;
+    let outcomes = doc.items_of("solve_outcomes")?.iter();
     // Older snapshot files predate the flight recorder; treat a missing
     // postmortems section as empty rather than a parse failure.
-    let mut postmortems = Vec::new();
-    if let Ok(pm_section) = section(text, "\"postmortems\":[", ']') {
-        for obj in pm_section.split('{').skip(1) {
-            postmortems.push(PostmortemCount {
-                verdict: quoted(&scalar(obj, "verdict")?)?,
-                count: scalar(obj, "count")?
-                    .parse()
-                    .map_err(|_| "bad postmortem count".to_string())?,
-            });
-        }
-    }
+    let postmortems = match doc.get("postmortems") {
+        Some(_) => doc.items_of("postmortems")?,
+        None => &[],
+    };
     Ok(MetricsSnapshot {
         accepted: u("accepted")?,
         rejected_busy: u("rejected_busy")?,
@@ -113,49 +72,34 @@ pub fn snapshot_from_json(text: &str) -> Result<MetricsSnapshot, String> {
         supervisor_kills: u("supervisor_kills")?,
         worker_restarts: u("worker_restarts")?,
         queue_depth: u("queue_depth")? as usize,
-        class_queue_depth,
-        queue_saturation: saturation,
-        uptime_seconds: uptime,
+        class_queue_depth: class_depths
+            .try_into()
+            .map_err(|_| "class_queue_depth must have 3 entries".to_string())?,
+        queue_saturation: doc.f64_of("queue_saturation")?,
+        uptime_seconds: doc.f64_of("uptime_seconds")?,
         latency_bucket_bounds_us: bounds,
         latency_buckets: counts,
         latency_sum_us: u("latency_sum_us")?,
-        solve_outcomes: outcomes,
-        postmortems,
+        solve_outcomes: outcomes
+            .map(|o| {
+                Ok(SolveOutcome {
+                    solver: o.str_of("solver")?.to_string(),
+                    scenario: o.str_of("scenario")?.to_string(),
+                    completed: o.u64_of("completed")?,
+                    failed: o.u64_of("failed")?,
+                })
+            })
+            .collect::<Result<_, String>>()?,
+        postmortems: postmortems
+            .iter()
+            .map(|p| {
+                Ok(PostmortemCount {
+                    verdict: p.str_of("verdict")?.to_string(),
+                    count: p.u64_of("count")?,
+                })
+            })
+            .collect::<Result<_, String>>()?,
     })
-}
-
-/// Strip the surrounding double quotes from a raw scalar token.
-fn quoted(token: &str) -> Result<String, String> {
-    token
-        .strip_prefix('"')
-        .and_then(|t| t.strip_suffix('"'))
-        .map(str::to_string)
-        .ok_or_else(|| format!("expected quoted string, got {token:?}"))
-}
-
-/// Extract the raw token following `"key":` (number, `null`, or a
-/// quoted string), stopping at `,`, `}` or `]`.
-fn scalar(text: &str, key: &str) -> Result<String, String> {
-    let needle = format!("\"{key}\":");
-    let at = text
-        .find(&needle)
-        .ok_or_else(|| format!("missing field {key:?}"))?;
-    let rest = &text[at + needle.len()..];
-    let end = rest
-        .find([',', '}', ']'])
-        .ok_or_else(|| format!("unterminated field {key:?}"))?;
-    Ok(rest[..end].trim().to_string())
-}
-
-/// The substring between the first occurrence of `open` and the next
-/// `close` after it.
-fn section<'a>(text: &'a str, open: &str, close: char) -> Result<&'a str, String> {
-    let at = text.find(open).ok_or_else(|| format!("missing {open:?}"))?;
-    let rest = &text[at + open.len()..];
-    let end = rest
-        .find(close)
-        .ok_or_else(|| format!("missing {close:?} after {open:?}"))?;
-    Ok(&rest[..end])
 }
 
 #[cfg(test)]

@@ -23,7 +23,7 @@
 //! Exactly-one-dump is a contract: the terminal `Completed` event is the
 //! only per-job dump trigger, and a bounded dedupe set guards replays.
 
-use crate::json::{escape, json_f64};
+use crate::json::Obj;
 use crate::slo::{AlertState, AlertTransition};
 use hpf_machine::{BlackBox, BlackBoxRecord, BlackBoxTail, EventSink};
 use hpf_service::{ServiceEvent, ServiceEventSink, SolverTail, SolverTapSink};
@@ -199,133 +199,105 @@ impl Postmortem {
             .unwrap_or(Verdict::Unknown)
     }
 
+    /// Confidence of the top-ranked cause (0 when there is none).
+    fn top_confidence(&self) -> f64 {
+        self.causes.first().map_or(0.0, |c| c.confidence)
+    }
+
     /// Render the full document as one JSON object.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(1024);
-        out.push_str(&format!(
-            "{{\"schema\":\"{}\",\"trace\":\"{}\",\"trigger\":\"{}\",\"class\":\"{}\",\
-             \"outcome\":\"{}\",\"latency_us\":{},\"seq\":{}",
-            POSTMORTEM_SCHEMA,
-            escape(&self.key),
-            self.trigger.name(),
-            escape(&self.class),
-            escape(&self.outcome),
-            self.latency_us,
-            self.seq
-        ));
-        let top = self.causes.first();
-        out.push_str(&format!(
-            ",\"top_verdict\":\"{}\",\"top_confidence\":{}",
-            top.map(|c| c.verdict.name()).unwrap_or("unknown"),
-            json_f64(top.map(|c| c.confidence).unwrap_or(0.0))
-        ));
-        out.push_str(&format!(
-            ",\"machine_events\":{},\"machine_overwritten\":{},\"service_events\":{},\
-             \"residual_samples\":{}",
-            self.machine_tail.len(),
-            self.machine_overwritten,
-            self.service_tail.len(),
-            self.residual_tail.as_ref().map_or(0, |t| t.samples.len())
-        ));
-        out.push_str(",\"causes\":[");
-        for (i, c) in self.causes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"verdict\":\"{}\",\"confidence\":{},\"evidence\":[",
-                c.verdict.name(),
-                json_f64(c.confidence)
-            ));
-            for (j, e) in c.evidence.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
+        let mut o = Obj::new(&mut out);
+        let residual = self.residual_tail.as_ref();
+        o.str("schema", POSTMORTEM_SCHEMA)
+            .str("trace", &self.key)
+            .str("trigger", self.trigger.name())
+            .str("class", &self.class)
+            .str("outcome", &self.outcome)
+            .u64("latency_us", self.latency_us)
+            .u64("seq", self.seq)
+            .str("top_verdict", self.top_verdict().name())
+            .f64("top_confidence", self.top_confidence())
+            .u64("machine_events", self.machine_tail.len() as u64)
+            .u64("machine_overwritten", self.machine_overwritten)
+            .u64("service_events", self.service_tail.len() as u64)
+            .u64(
+                "residual_samples",
+                residual.map_or(0, |t| t.samples.len()) as u64,
+            );
+        {
+            let mut causes = o.arr("causes");
+            for c in &self.causes {
+                let mut cause = causes.obj();
+                cause
+                    .str("verdict", c.verdict.name())
+                    .f64("confidence", c.confidence);
+                let mut evidence = cause.arr("evidence");
+                for line in &c.evidence {
+                    evidence.str(line);
                 }
-                out.push_str(&format!("\"{}\"", escape(e)));
             }
-            out.push_str("]}");
         }
-        out.push(']');
-        out.push_str(&format!(",\"narrative\":\"{}\"", escape(&self.narrative)));
-        out.push_str(",\"machine_tail\":[");
-        for (i, r) in self.machine_tail.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        o.str("narrative", &self.narrative);
+        {
+            let mut tail = o.arr("machine_tail");
+            for r in &self.machine_tail {
+                let mut rec = tail.obj();
+                rec.str("kind", &format!("{:?}", r.kind))
+                    .str("span", &r.span)
+                    .str("label", &r.label)
+                    .u64("participants", r.participants as u64)
+                    .u64("words", r.words as u64)
+                    .u64("flops", r.flops as u64)
+                    .f64("start_s", r.start)
+                    .f64("time_s", r.time)
+                    .f64("imbalance", r.imbalance);
+                if let Some(p) = r.slowest_proc {
+                    rec.u64("slowest_proc", p as u64);
+                }
             }
-            out.push_str(&format!(
-                "{{\"kind\":\"{:?}\",\"span\":\"{}\",\"label\":\"{}\",\"participants\":{},\
-                 \"words\":{},\"flops\":{},\"start_s\":{},\"time_s\":{},\"imbalance\":{}",
-                r.kind,
-                escape(&r.span),
-                escape(&r.label),
-                r.participants,
-                r.words,
-                r.flops,
-                json_f64(r.start),
-                json_f64(r.time),
-                json_f64(r.imbalance)
-            ));
-            if let Some(p) = r.slowest_proc {
-                out.push_str(&format!(",\"slowest_proc\":{p}"));
-            }
-            out.push('}');
         }
-        out.push(']');
-        out.push_str(",\"service_tail\":[");
-        for (i, r) in self.service_tail.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        {
+            let mut tail = o.arr("service_tail");
+            for r in &self.service_tail {
+                tail.obj().str("kind", r.kind).str("detail", &r.detail);
             }
-            out.push_str(&format!(
-                "{{\"kind\":\"{}\",\"detail\":\"{}\"}}",
-                r.kind,
-                escape(&r.detail)
-            ));
         }
-        out.push(']');
-        match &self.residual_tail {
-            None => out.push_str(",\"residual_tail\":null"),
+        match residual {
+            None => {
+                o.null("residual_tail");
+            }
             Some(t) => {
-                out.push_str(&format!(
-                    ",\"residual_tail\":{{\"solver\":\"{}\",\"attempt\":{},\"overwritten\":{},\
-                     \"rollbacks\":[",
-                    escape(t.solver),
-                    t.attempt,
-                    t.overwritten
-                ));
-                for (i, (iter, reason)) in t.rollbacks.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
+                let mut tail = o.obj("residual_tail");
+                tail.str("solver", t.solver)
+                    .u64("attempt", t.attempt as u64)
+                    .u64("overwritten", t.overwritten);
+                {
+                    let mut rollbacks = tail.arr("rollbacks");
+                    for (iteration, reason) in &t.rollbacks {
+                        rollbacks
+                            .obj()
+                            .u64("iteration", *iteration as u64)
+                            .str("reason", reason);
                     }
-                    out.push_str(&format!(
-                        "{{\"iteration\":{},\"reason\":\"{}\"}}",
-                        iter,
-                        escape(reason)
-                    ));
                 }
-                out.push_str("],\"restarts\":[");
-                for (i, r) in t.restarts.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
+                {
+                    let mut restarts = tail.arr("restarts");
+                    for &r in &t.restarts {
+                        restarts.u64(r as u64);
                     }
-                    out.push_str(&r.to_string());
                 }
-                out.push_str("],\"samples\":[");
-                for (i, s) in t.samples.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&format!(
-                        "{{\"iteration\":{},\"residual\":{},\"sim_time_s\":{}}}",
-                        s.iteration,
-                        json_f64(s.residual_norm),
-                        json_f64(s.sim_time)
-                    ));
+                let mut samples = tail.arr("samples");
+                for s in &t.samples {
+                    samples
+                        .obj()
+                        .u64("iteration", s.iteration as u64)
+                        .f64("residual", s.residual_norm)
+                        .f64("sim_time_s", s.sim_time);
                 }
-                out.push_str("]}");
             }
         }
-        out.push('}');
+        drop(o);
         out
     }
 }
@@ -354,121 +326,30 @@ pub struct PostmortemSummary {
 /// [`POSTMORTEM_SCHEMA`] marker — this is the CLI's guard against being
 /// pointed at an event log or metrics snapshot.
 pub fn summary_from_json(text: &str) -> Result<PostmortemSummary, String> {
-    crate::json::validate(text).map_err(|e| format!("not valid JSON: {e}"))?;
-    if scalar(text, "schema").as_deref() != Some(&format!("\"{POSTMORTEM_SCHEMA}\"")) {
+    let doc = crate::json::parse(text).map_err(|e| format!("not valid JSON: {e}"))?;
+    if doc.get("schema").and_then(|v| v.as_str()) != Some(POSTMORTEM_SCHEMA) {
         return Err(format!(
             "not a post-mortem document (missing \"schema\":\"{POSTMORTEM_SCHEMA}\" marker)"
         ));
     }
-    let s = |key: &str| -> Result<String, String> {
-        scalar(text, key).ok_or_else(|| format!("missing field {key:?}"))
-    };
-    let quoted = |key: &str| -> Result<String, String> {
-        let raw = s(key)?;
-        raw.strip_prefix('"')
-            .and_then(|t| t.strip_suffix('"'))
-            .map(unescape)
-            .ok_or_else(|| format!("field {key:?} is not a string"))
-    };
-    let num = |key: &str| -> Result<u64, String> {
-        s(key)?
-            .parse()
-            .map_err(|_| format!("bad integer for {key:?}"))
-    };
-    // Verdict/confidence pairs appear (in rank order) only inside the
-    // causes array; evidence strings never contain a `"verdict"` key.
-    let mut causes = Vec::new();
-    let mut rest = text;
-    while let Some(at) = rest.find("\"verdict\":\"") {
-        rest = &rest[at + "\"verdict\":\"".len()..];
-        let end = rest.find('"').ok_or("unterminated verdict")?;
-        let verdict = rest[..end].to_string();
-        let conf_at = rest
-            .find("\"confidence\":")
-            .ok_or("verdict without confidence")?;
-        let conf_raw: String = rest[conf_at + "\"confidence\":".len()..]
-            .chars()
-            .take_while(|c| !matches!(c, ',' | '}' | ']'))
-            .collect();
-        let confidence = conf_raw
-            .trim()
-            .parse()
-            .map_err(|_| format!("bad confidence {conf_raw:?}"))?;
-        causes.push((verdict, confidence));
-    }
+    let text_of = |key: &str| doc.str_of(key).map(str::to_string);
+    let causes = doc.items_of("causes")?.iter();
     Ok(PostmortemSummary {
-        trace: quoted("trace")?,
-        trigger: quoted("trigger")?,
-        class: quoted("class")?,
-        outcome: quoted("outcome")?,
-        top_verdict: quoted("top_verdict")?,
-        top_confidence: s("top_confidence")?
-            .parse()
-            .map_err(|_| "bad top_confidence".to_string())?,
-        narrative: quoted("narrative")?,
-        machine_events: num("machine_events")?,
-        machine_overwritten: num("machine_overwritten")?,
-        service_events: num("service_events")?,
-        residual_samples: num("residual_samples")?,
-        causes,
+        trace: text_of("trace")?,
+        trigger: text_of("trigger")?,
+        class: text_of("class")?,
+        outcome: text_of("outcome")?,
+        top_verdict: text_of("top_verdict")?,
+        top_confidence: doc.f64_of("top_confidence")?,
+        narrative: text_of("narrative")?,
+        machine_events: doc.u64_of("machine_events")?,
+        machine_overwritten: doc.u64_of("machine_overwritten")?,
+        service_events: doc.u64_of("service_events")?,
+        residual_samples: doc.u64_of("residual_samples")?,
+        causes: causes
+            .map(|c| Ok((c.str_of("verdict")?.to_string(), c.f64_of("confidence")?)))
+            .collect::<Result<_, String>>()?,
     })
-}
-
-/// Raw token following the first `"key":` occurrence (quoted string with
-/// escapes intact, or a bare number token).
-fn scalar(text: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\":");
-    let at = text.find(&needle)?;
-    let rest = &text[at + needle.len()..];
-    if let Some(stripped) = rest.strip_prefix('"') {
-        let mut out = String::from("\"");
-        let mut escaped = false;
-        for c in stripped.chars() {
-            out.push(c);
-            if escaped {
-                escaped = false;
-            } else if c == '\\' {
-                escaped = true;
-            } else if c == '"' {
-                return Some(out);
-            }
-        }
-        None
-    } else {
-        Some(
-            rest.chars()
-                .take_while(|c| !matches!(c, ',' | '}' | ']'))
-                .collect::<String>()
-                .trim()
-                .to_string(),
-        )
-    }
-}
-
-/// Undo [`crate::json::escape`].
-fn unescape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            Some('t') => out.push('\t'),
-            Some('u') => {
-                let hex: String = chars.by_ref().take(4).collect();
-                if let Some(c) = u32::from_str_radix(&hex, 16).ok().and_then(char::from_u32) {
-                    out.push(c);
-                }
-            }
-            Some(other) => out.push(other), // \" \\ \/
-            None => {}
-        }
-    }
-    out
 }
 
 /// Flight-recorder sizing knobs.
@@ -715,23 +596,21 @@ impl FlightRecorder {
     /// The `/postmortems` index document.
     pub fn index_json(&self) -> String {
         let inner = self.inner.lock().unwrap();
-        let mut out = String::from("{\"postmortems\":[");
-        for (i, p) in inner.postmortems.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        let mut out = String::new();
+        {
+            let mut doc = Obj::new(&mut out);
+            let mut index = doc.arr("postmortems");
+            for p in &inner.postmortems {
+                index
+                    .obj()
+                    .str("trace", &p.key)
+                    .str("trigger", p.trigger.name())
+                    .str("class", &p.class)
+                    .str("outcome", &p.outcome)
+                    .str("verdict", p.top_verdict().name())
+                    .f64("confidence", p.top_confidence());
             }
-            out.push_str(&format!(
-                "{{\"trace\":\"{}\",\"trigger\":\"{}\",\"class\":\"{}\",\"outcome\":\"{}\",\
-                 \"verdict\":\"{}\",\"confidence\":{}}}",
-                escape(&p.key),
-                p.trigger.name(),
-                escape(&p.class),
-                escape(&p.outcome),
-                p.top_verdict().name(),
-                json_f64(p.causes.first().map(|c| c.confidence).unwrap_or(0.0))
-            ));
         }
-        out.push_str("]}");
         out
     }
 

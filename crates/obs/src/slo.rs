@@ -26,7 +26,7 @@
 //! anyone. Every transition is appended to a log the E29 harness
 //! asserts on and `/alerts` serves.
 
-use crate::json::{escape, json_f64};
+use crate::json::Arr;
 use hpf_service::QosClass;
 use std::collections::VecDeque;
 
@@ -362,47 +362,38 @@ impl SloTracker {
 
     /// The `/slo` document: one JSON object per class.
     pub fn status_json(&self) -> String {
-        let entries: Vec<String> = self
-            .status()
-            .iter()
-            .map(|s| {
-                format!(
-                    "{{\"class\":\"{}\",\"objective_latency_us\":{},\"error_budget\":{},\
-                     \"slow_burn\":{},\"fast_burn\":{},\"slow_window_total\":{},\
-                     \"fast_window_total\":{},\"state\":\"{}\"}}",
-                    escape(s.class.name()),
-                    s.objective_latency_us,
-                    json_f64(s.error_budget),
-                    json_f64(s.slow_burn),
-                    json_f64(s.fast_burn),
-                    s.slow_window_total,
-                    s.fast_window_total,
-                    s.state.name()
-                )
-            })
-            .collect();
-        format!("[{}]", entries.join(","))
+        let mut out = String::new();
+        let mut doc = Arr::new(&mut out);
+        for s in self.status() {
+            doc.obj()
+                .str("class", s.class.name())
+                .u64("objective_latency_us", s.objective_latency_us)
+                .f64("error_budget", s.error_budget)
+                .f64("slow_burn", s.slow_burn)
+                .f64("fast_burn", s.fast_burn)
+                .u64("slow_window_total", s.slow_window_total)
+                .u64("fast_window_total", s.fast_window_total)
+                .str("state", s.state.name());
+        }
+        drop(doc);
+        out
     }
 
     /// The `/alerts` document: the transition log, oldest first.
     pub fn alerts_json(&self) -> String {
-        let entries: Vec<String> = self
-            .log
-            .iter()
-            .map(|t| {
-                format!(
-                    "{{\"class\":\"{}\",\"at_s\":{},\"from\":\"{}\",\"to\":\"{}\",\
-                     \"slow_burn\":{},\"fast_burn\":{}}}",
-                    escape(t.class.name()),
-                    json_f64(t.at_s),
-                    t.from.name(),
-                    t.to.name(),
-                    json_f64(t.slow_burn),
-                    json_f64(t.fast_burn)
-                )
-            })
-            .collect();
-        format!("[{}]", entries.join(","))
+        let mut out = String::new();
+        let mut doc = Arr::new(&mut out);
+        for t in &self.log {
+            doc.obj()
+                .str("class", t.class.name())
+                .f64("at_s", t.at_s)
+                .str("from", t.from.name())
+                .str("to", t.to.name())
+                .f64("slow_burn", t.slow_burn)
+                .f64("fast_burn", t.fast_burn);
+        }
+        drop(doc);
+        out
     }
 }
 

@@ -539,3 +539,72 @@ fn committed_bench_records_render_to_themselves() {
 }
 
 const BENCH_DOC: &str = "{\"schema_version\":1,\"bench\":31,\"name\":\"quo\\\"te\\\\é\",\"series\":[{\"name\":\"a/b c\",\"value\":0.1},{\"name\":\"tiny\",\"value\":0.00000025}]}";
+
+// ---------------------------------------------------------------------
+// Five inputs the substring-search readers got wrong. Each of these
+// fails on `1ed495c` and arrived with the codec.
+// ---------------------------------------------------------------------
+
+/// The scraper cut a field at the first `,`, `}` or `]`, inside strings
+/// too: `unterminated field "name"`.
+#[test]
+fn bench_record_names_may_hold_json_punctuation() {
+    let mut r = BenchRecord::new(25, "cg, np=8 {quick}");
+    r.push("cg[np=8]/solve_seconds", 0.5);
+    r.push("quo\"te\\é", f64::NAN);
+    let back = BenchRecord::from_json(&r.to_json()).unwrap();
+    assert_eq!(back.name, r.name);
+    assert_eq!(back.series[0], r.series[0]);
+    assert_eq!(back.series[1].0, r.series[1].0);
+    assert!(back.series[1].1.is_nan(), "null reads back as NaN");
+}
+
+/// "Lenient about unknown keys" held for scalars only: the splitter cut
+/// an array or object member at its first comma and then answered
+/// `expected key quote at byte 168`.
+#[test]
+fn bus_reader_skips_unknown_members_of_any_type() {
+    let line = bus_completed().to_jsonl();
+    let newer = format!(
+        "{},\"procs\":[1,2,3],\"host\":{{\"name\":\"a,b\",\"tags\":[\"x\"]}}}}",
+        line.strip_suffix('}').unwrap()
+    );
+    assert_eq!(BusEvent::from_jsonl(&newer).unwrap(), bus_completed());
+}
+
+/// The writer emits `null` for a non-finite `wall_s`; the old reader
+/// refused its own writer's line.
+#[test]
+fn bus_reader_takes_back_a_nonfinite_wall_clock() {
+    let back = BusEvent::from_jsonl(BUS_NAN_WALL).unwrap();
+    assert!(back.wall_s.is_nan());
+    assert_eq!(
+        BusEvent {
+            wall_s: 3.0,
+            ..back
+        },
+        bus_completed()
+    );
+}
+
+/// Labels were written unescaped and read by cutting at `,`. This is the
+/// one input on which the writer's bytes differ from the parent's: the
+/// parent's output for a label holding `"` was not valid JSON.
+#[test]
+fn snapshot_labels_are_escaped_and_read_back() {
+    let snap = snapshot("c\"g", "a,b]}");
+    let json = snap.to_json();
+    hpf_obs::json::validate(&json).expect("the snapshot's own validator accepts it");
+    assert!(json.contains("{\"solver\":\"c\\\"g\",\"scenario\":\"a,b]}\","));
+    assert_eq!(snapshot_from_json(&json).unwrap(), snap);
+}
+
+/// With labels that need no escaping the bytes are the parent's, and a
+/// scenario holding a comma alone already broke the old reader.
+#[test]
+fn snapshot_reader_does_not_cut_labels_at_commas() {
+    let snap = snapshot("cg", "a,b");
+    let json = snap.to_json();
+    assert_eq!(json, SNAPSHOT_JSON.replace("rowwise", "a,b"));
+    assert_eq!(snapshot_from_json(&json).unwrap(), snap);
+}

@@ -29,18 +29,26 @@ pub struct PartitionAssessment {
 }
 
 impl PartitionAssessment {
-    /// One-line JSON object (same hand-rolled dialect as the bench
-    /// records; the build is offline, so no serde_json).
+    /// One-line JSON object (the bench records' dialect), the two
+    /// floats in fixed notation.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"partitioner\":\"{}\",\"np\":{},\"comm_volume_words\":{},\"cut_edges\":{},\"load_imbalance\":{:.6},\"modeled_seconds\":{:.9e}}}",
-            self.partitioner,
-            self.np,
-            self.comm_volume_words,
-            self.cut_edges,
-            self.load_imbalance,
-            self.modeled_seconds
-        )
+        let mut out = String::new();
+        hpf_json::Obj::new(&mut out)
+            .str("partitioner", &self.partitioner)
+            .u64("np", self.np as u64)
+            .u64("comm_volume_words", self.comm_volume_words as u64)
+            .u64("cut_edges", self.cut_edges as u64)
+            .f64_as(
+                "load_imbalance",
+                self.load_imbalance,
+                format_args!("{:.6}", self.load_imbalance),
+            )
+            .f64_as(
+                "modeled_seconds",
+                self.modeled_seconds,
+                format_args!("{:.9e}", self.modeled_seconds),
+            );
+        out
     }
 }
 

@@ -7,12 +7,11 @@
 //! which is what makes a cached [`crate::plan::SolvePlan`] reusable.
 
 use hpf_sparse::CsrMatrix;
-use serde::{Deserialize, Serialize};
 
 /// Structural identity of a CSR matrix: dimensions, nonzero count, and a
 /// 64-bit hash of the pattern arrays. The hash is an in-process key (plan
 /// cache, batch key, circuit breaker); its value is not a stable format.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Fingerprint {
     pub n_rows: usize,
     pub n_cols: usize,

@@ -336,24 +336,14 @@ fn route(
             } else {
                 ("ok", "200 OK")
             };
-            let body = format!(
-                "{{\"status\":\"{}\",\"queue_depth\":{},\"queue_saturation\":{},\
-                 \"in_flight\":{},\"open_circuits\":{},\"uptime_seconds\":{}}}",
-                status,
-                snap.queue_depth,
-                if snap.queue_saturation.is_finite() {
-                    format!("{}", snap.queue_saturation)
-                } else {
-                    "null".to_string()
-                },
-                snap.in_flight,
-                open_circuits,
-                if snap.uptime_seconds.is_finite() {
-                    format!("{}", snap.uptime_seconds)
-                } else {
-                    "null".to_string()
-                }
-            );
+            let mut body = String::new();
+            hpf_json::Obj::new(&mut body)
+                .str("status", status)
+                .u64("queue_depth", snap.queue_depth as u64)
+                .f64("queue_saturation", snap.queue_saturation)
+                .u64("in_flight", snap.in_flight)
+                .u64("open_circuits", open_circuits as u64)
+                .f64("uptime_seconds", snap.uptime_seconds);
             (code, "application/json", body)
         }
         "/drift" => match published.drift.lock().clone() {

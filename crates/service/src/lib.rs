@@ -57,7 +57,8 @@ pub use plan::{CacheOutcome, PlanCache, SolvePlan};
 pub use request::{QosClass, ServiceConfig, SolveRequest, SolverKind};
 pub use response::{PlanSource, ServiceError, SolveResponse, TraceSummary};
 pub use retry::{
-    backoff_delay, backoff_delay_jittered, escalate, is_retryable, Admission, CircuitBreaker,
+    backoff_delay, backoff_delay_jittered, escalate, is_retryable, splitmix64, Admission,
+    CircuitBreaker,
 };
 pub use service::{JobHandle, SolverService};
 pub use supervisor::{SupervisorAbort, WorkerState};

@@ -2,8 +2,8 @@
 //! Prometheus text exposition (rendered here so the HTTP listener in
 //! [`crate::http`] needs nothing outside this crate).
 
+use hpf_json::Obj;
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -286,7 +286,7 @@ fn escape_label_value(s: &str) -> String {
 }
 
 /// One `(solver, scenario)` row of the labeled outcome counters.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SolveOutcome {
     pub solver: String,
     pub scenario: String,
@@ -295,14 +295,14 @@ pub struct SolveOutcome {
 }
 
 /// One verdict row of the labeled post-mortem dump counter.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PostmortemCount {
     pub verdict: String,
     pub count: u64,
 }
 
 /// Serializable point-in-time view of the service counters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MetricsSnapshot {
     pub accepted: u64,
     pub rejected_busy: u64,
@@ -343,96 +343,87 @@ pub struct MetricsSnapshot {
     /// Per-`(solver, scenario)` completed/failed counts, sorted by key.
     pub solve_outcomes: Vec<SolveOutcome>,
     /// Flight-recorder dumps per top-ranked verdict, sorted by verdict.
-    #[serde(default)]
     pub postmortems: Vec<PostmortemCount>,
 }
 
 impl MetricsSnapshot {
-    /// Render as a JSON object. Hand-rolled so the offline no-op serde
-    /// stub doesn't matter; the field set is the public contract.
+    /// Render as a JSON object, through the workspace's one codec
+    /// ([`hpf_json`]); the field set is the public contract, and
+    /// `hpf_obs::snapshot_from_json` reads it back.
     pub fn to_json(&self) -> String {
-        let buckets: Vec<String> = self
-            .latency_bucket_bounds_us
-            .iter()
-            .zip(&self.latency_buckets)
-            .map(|(b, c)| {
-                let bound = if *b == u64::MAX {
-                    "\"+inf\"".to_string()
+        let mut out = String::new();
+        let mut o = Obj::new(&mut out);
+        for (key, v) in [
+            ("accepted", self.accepted),
+            ("rejected_busy", self.rejected_busy),
+            ("rejected_invalid", self.rejected_invalid),
+            ("completed", self.completed),
+            ("failed", self.failed),
+            ("deadline_exceeded", self.deadline_exceeded),
+            ("cache_hits", self.cache_hits),
+            ("cache_misses", self.cache_misses),
+            ("partitioner_invocations", self.partitioner_invocations),
+            ("batches_executed", self.batches_executed),
+            ("batched_jobs", self.batched_jobs),
+            ("rhs_solved", self.rhs_solved),
+            ("in_flight", self.in_flight),
+            ("faults_injected", self.faults_injected),
+            ("faults_detected", self.faults_detected),
+            ("rollbacks", self.rollbacks),
+            ("retries", self.retries),
+            ("escalations", self.escalations),
+            ("breaker_open", self.breaker_open),
+            ("shed_total", self.shed_total),
+            ("supervisor_kills", self.supervisor_kills),
+            ("worker_restarts", self.worker_restarts),
+            ("queue_depth", self.queue_depth as u64),
+        ] {
+            o.u64(key, v);
+        }
+        {
+            let mut depths = o.arr("class_queue_depth");
+            for &d in &self.class_queue_depth {
+                depths.u64(d);
+            }
+        }
+        o.f64("queue_saturation", self.queue_saturation)
+            .f64("uptime_seconds", self.uptime_seconds)
+            .u64("latency_sum_us", self.latency_sum_us);
+        {
+            let mut latency = o.arr("latency");
+            let buckets = self.latency_bucket_bounds_us.iter();
+            for (&bound, &count) in buckets.zip(&self.latency_buckets) {
+                let mut bucket = latency.obj();
+                if bound == u64::MAX {
+                    bucket.str("le_us", "+inf");
                 } else {
-                    b.to_string()
-                };
-                format!("{{\"le_us\":{bound},\"count\":{c}}}")
-            })
-            .collect();
-        let outcomes: Vec<String> = self
-            .solve_outcomes
-            .iter()
-            .map(|o| {
-                format!(
-                    "{{\"solver\":\"{}\",\"scenario\":\"{}\",\"completed\":{},\"failed\":{}}}",
-                    o.solver, o.scenario, o.completed, o.failed
-                )
-            })
-            .collect();
-        let postmortems: Vec<String> = self
-            .postmortems
-            .iter()
-            .map(|p| format!("{{\"verdict\":\"{}\",\"count\":{}}}", p.verdict, p.count))
-            .collect();
-        format!(
-            "{{\"accepted\":{},\"rejected_busy\":{},\"rejected_invalid\":{},\
-             \"completed\":{},\"failed\":{},\"deadline_exceeded\":{},\
-             \"cache_hits\":{},\"cache_misses\":{},\"partitioner_invocations\":{},\
-             \"batches_executed\":{},\"batched_jobs\":{},\"rhs_solved\":{},\
-             \"in_flight\":{},\"faults_injected\":{},\"faults_detected\":{},\
-             \"rollbacks\":{},\"retries\":{},\"escalations\":{},\
-             \"breaker_open\":{},\"shed_total\":{},\"supervisor_kills\":{},\
-             \"worker_restarts\":{},\"queue_depth\":{},\
-             \"class_queue_depth\":[{},{},{}],\"queue_saturation\":{},\
-             \"uptime_seconds\":{},\
-             \"latency_sum_us\":{},\"latency\":[{}],\"solve_outcomes\":[{}],\
-             \"postmortems\":[{}]}}",
-            self.accepted,
-            self.rejected_busy,
-            self.rejected_invalid,
-            self.completed,
-            self.failed,
-            self.deadline_exceeded,
-            self.cache_hits,
-            self.cache_misses,
-            self.partitioner_invocations,
-            self.batches_executed,
-            self.batched_jobs,
-            self.rhs_solved,
-            self.in_flight,
-            self.faults_injected,
-            self.faults_detected,
-            self.rollbacks,
-            self.retries,
-            self.escalations,
-            self.breaker_open,
-            self.shed_total,
-            self.supervisor_kills,
-            self.worker_restarts,
-            self.queue_depth,
-            self.class_queue_depth[0],
-            self.class_queue_depth[1],
-            self.class_queue_depth[2],
-            if self.queue_saturation.is_finite() {
-                format!("{}", self.queue_saturation)
-            } else {
-                "null".to_string()
-            },
-            if self.uptime_seconds.is_finite() {
-                format!("{}", self.uptime_seconds)
-            } else {
-                "null".to_string()
-            },
-            self.latency_sum_us,
-            buckets.join(","),
-            outcomes.join(","),
-            postmortems.join(",")
-        )
+                    bucket.u64("le_us", bound);
+                }
+                bucket.u64("count", count);
+            }
+        }
+        {
+            let mut outcomes = o.arr("solve_outcomes");
+            for oc in &self.solve_outcomes {
+                outcomes
+                    .obj()
+                    .str("solver", &oc.solver)
+                    .str("scenario", &oc.scenario)
+                    .u64("completed", oc.completed)
+                    .u64("failed", oc.failed);
+            }
+        }
+        {
+            let mut postmortems = o.arr("postmortems");
+            for p in &self.postmortems {
+                postmortems
+                    .obj()
+                    .str("verdict", &p.verdict)
+                    .u64("count", p.count);
+            }
+        }
+        drop(o);
+        out
     }
 
     /// Render as Prometheus text exposition (version 0.0.4): `# HELP` /

@@ -4,12 +4,11 @@ use hpf_machine::{FaultPlan, Topology};
 use hpf_mg::GridDims;
 use hpf_solvers::{RecoveryConfig, StopCriterion};
 use hpf_sparse::CsrMatrix;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::Duration;
 
 /// Which distributed Krylov method to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SolverKind {
     /// Plain CG (requires a symmetric operator).
     Cg,
@@ -56,7 +55,7 @@ impl SolverKind {
 /// sub-queue (so one tenant's flood cannot crowd out another class) and
 /// a weighted-fair share of dispatcher attention
 /// ([`ServiceConfig::qos_weights`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum QosClass {
     /// Latency-sensitive: highest dequeue weight; the class the soak
     /// asserts a p99 band for.
@@ -243,7 +242,7 @@ impl SolveRequest {
 }
 
 /// Static service configuration, fixed at start-up.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Worker threads executing solves.
     pub workers: usize,
@@ -307,17 +306,14 @@ pub struct ServiceConfig {
     /// Live telemetry tap for service lifecycle events (admission,
     /// sheds, kills, completions — see [`crate::ServiceEvent`]). `None`
     /// keeps the service silent; `hpf-obs::bus` provides an adapter.
-    #[serde(skip)]
     pub event_sink: Option<crate::events::ServiceEventSink>,
     /// Live telemetry tap installed on every worker's simulated machine
     /// ([`hpf_machine::EventSink`]), streaming machine-level events
     /// (spans, faults, collectives) out mid-solve.
-    #[serde(skip)]
     pub machine_sink: Option<hpf_machine::EventSink>,
     /// Flight-recorder tap receiving the bounded residual-series tail of
     /// every finished solve attempt ([`crate::events::SolverTail`]) —
     /// divergence/stagnation evidence for post-mortem attribution.
-    #[serde(skip)]
     pub solver_tap: Option<crate::events::SolverTapSink>,
 }
 

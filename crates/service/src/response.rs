@@ -2,7 +2,6 @@
 
 use crate::fingerprint::Fingerprint;
 use hpf_solvers::{SolveStats, SolverError};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::time::Duration;
 
@@ -14,7 +13,7 @@ use std::time::Duration;
 pub type TraceSummary = hpf_machine::Digest;
 
 /// How the plan for a job was obtained.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanSource {
     /// Served from the plan cache.
     CacheHit,

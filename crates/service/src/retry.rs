@@ -51,8 +51,12 @@ pub fn backoff_delay_jittered(
     full.mul_f64(0.5 + 0.5 * unit)
 }
 
-/// splitmix64: tiny, high-quality 64-bit mixer (public-domain constants).
-fn splitmix64(mut z: u64) -> u64 {
+/// splitmix64: tiny, high-quality 64-bit mixer (public-domain
+/// constants). The workspace's one copy: retry jitter, trace ids
+/// ([`crate::events::derive_trace_id`]), the bus's head sampling and the
+/// experiments' request mixes all draw from it.
+#[inline]
+pub fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e3779b97f4a7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);

@@ -23,11 +23,10 @@ use crate::precond::{DistPreconditioner, JacobiPreconditioner};
 use crate::stopping::{SolveStats, StopCriterion};
 use hpf_core::DistVector;
 use hpf_machine::{span, Machine};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Knobs for the checkpoint/rollback machinery.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoveryConfig {
     /// Save a checkpoint every this many iterations.
     pub checkpoint_interval: usize,
@@ -66,7 +65,7 @@ impl Default for RecoveryConfig {
 }
 
 /// What the recovery machinery did during one solve.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryStats {
     /// Checkpoints saved.
     pub checkpoints: usize,

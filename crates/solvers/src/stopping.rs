@@ -8,11 +8,10 @@
 //! several SAXPY operations").
 
 use crate::error::SolverError;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// When to declare convergence.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum StopCriterion {
     /// `||r|| <= tol * ||b||`.
     RelativeResidual(f64),
@@ -101,7 +100,7 @@ impl ResidualMonitor {
 }
 
 /// Outcome and operation counts of an iterative solve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SolveStats {
     pub iterations: usize,
     pub converged: bool,
@@ -139,7 +138,7 @@ impl Default for SolveStats {
 /// Per-iteration operation structure of each algorithm, as tabulated in
 /// the paper's Section 2/2.1 discussion. `storage_vectors` counts the
 /// working n-vectors beyond the matrix (CG: x, r, p, q).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AlgorithmProfile {
     pub name: &'static str,
     pub matvecs_per_iter: usize,

@@ -6,13 +6,12 @@
 
 use crate::dense::DenseMatrix;
 use crate::error::SparseError;
-use serde::{Deserialize, Serialize};
 
 /// One (row, column, value) triplet.
 pub type Triplet = (usize, usize, f64);
 
 /// Coordinate-format sparse matrix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CooMatrix {
     n_rows: usize,
     n_cols: usize,

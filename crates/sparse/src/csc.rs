@@ -14,10 +14,9 @@ use crate::coo::CooMatrix;
 use crate::csr::CsrMatrix;
 use crate::dense::DenseMatrix;
 use crate::error::SparseError;
-use serde::{Deserialize, Serialize};
 
 /// Compressed Sparse Column matrix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CscMatrix {
     n_rows: usize,
     n_cols: usize,

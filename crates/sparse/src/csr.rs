@@ -13,7 +13,6 @@
 use crate::coo::CooMatrix;
 use crate::dense::DenseMatrix;
 use crate::error::SparseError;
-use serde::{Deserialize, Serialize};
 
 /// Compressed Sparse Row matrix.
 ///
@@ -27,7 +26,7 @@ use serde::{Deserialize, Serialize};
 /// // Row sums of the Laplacian vanish in the interior.
 /// assert_eq!(q[5], 0.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CsrMatrix {
     n_rows: usize,
     n_cols: usize,

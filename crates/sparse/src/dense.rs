@@ -6,10 +6,9 @@
 //! checks and for the dense-layout matvec scenarios of Section 4.
 
 use crate::error::SparseError;
-use serde::{Deserialize, Serialize};
 
 /// Row-major dense matrix of `f64`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DenseMatrix {
     n_rows: usize,
     n_cols: usize,

@@ -11,11 +11,10 @@ use crate::coo::CooMatrix;
 use crate::csr::CsrMatrix;
 use crate::dense::DenseMatrix;
 use crate::error::SparseError;
-use serde::{Deserialize, Serialize};
 
 /// Diagonal-format sparse matrix: for each stored offset `d`
 /// (column − row), a stripe of length `n_rows` (out-of-range slots 0).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DiaMatrix {
     n_rows: usize,
     n_cols: usize,

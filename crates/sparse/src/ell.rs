@@ -15,10 +15,9 @@ use crate::coo::CooMatrix;
 use crate::csr::CsrMatrix;
 use crate::dense::DenseMatrix;
 use crate::error::SparseError;
-use serde::{Deserialize, Serialize};
 
 /// ELLPACK-format sparse matrix: row-major `n_rows x width` slabs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EllMatrix {
     n_rows: usize,
     n_cols: usize,

@@ -9,10 +9,9 @@
 
 use crate::csc::CscMatrix;
 use crate::csr::CsrMatrix;
-use serde::{Deserialize, Serialize};
 
 /// Summary statistics of a nonzero-count distribution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NnzStats {
     pub min: usize,
     pub max: usize,
