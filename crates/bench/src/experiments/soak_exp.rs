@@ -94,7 +94,13 @@ pub fn e27_with_gate(requests: usize, gate: &RegressionGate) -> Table {
 
     let service = SolverService::start(ServiceConfig {
         workers: 2,
-        queue_capacity: 32,
+        // An exact bound, so sized on purpose: a class must hold what
+        // arrives while a hung worker waits out `hang_timeout` (0.1 s of
+        // a 25–40k req/s stream, three fifths of it `Batch`), or the one
+        // scripted stall of a short run reads as a flood of `Busy`.
+        // Sustained overload fills it all the same (a 20k run answers a
+        // quarter of its traffic `Busy`).
+        queue_capacity: 4096,
         np: 4,
         hang_timeout: Duration::from_millis(100),
         supervisor_poll: Duration::from_millis(10),

@@ -14,11 +14,15 @@
 use crate::atoms::AtomAssignment;
 
 /// Undirected adjacency over atoms, built from a sparse pattern.
+///
+/// Stored flat, CSR-style: atom `i`'s neighbours are
+/// `idx[ptr[i]..ptr[i + 1]]`, sorted, each once, no self-loop. Both
+/// arrays are canonical for a given adjacency, so the derived equality
+/// is equality of graphs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConnectivityGraph {
-    /// `adj[i]` = sorted, deduplicated neighbours of atom `i` (self-loops
-    /// removed).
-    adj: Vec<Vec<usize>>,
+    ptr: Vec<usize>,
+    idx: Vec<usize>,
 }
 
 impl ConnectivityGraph {
@@ -27,56 +31,139 @@ impl ConnectivityGraph {
     /// The pattern need not be symmetric — adjacency is symmetrised.
     pub fn from_pattern(n_atoms: usize, row_ptr: &[usize], col_idx: &[usize]) -> Self {
         assert_eq!(row_ptr.len(), n_atoms + 1, "pointer length mismatch");
-        let mut adj = vec![Vec::new(); n_atoms];
-        for i in 0..n_atoms {
-            for &j in &col_idx[row_ptr[i]..row_ptr[i + 1]] {
-                assert!(j < n_atoms, "column index {j} out of range");
-                if i != j {
-                    adj[i].push(j);
-                    adj[j].push(i);
+        Self::from_symmetric_pattern(n_atoms, row_ptr, col_idx).unwrap_or_else(|| {
+            Self::from_pairs(n_atoms, |visit| {
+                for i in 0..n_atoms {
+                    for &j in &col_idx[row_ptr[i]..row_ptr[i + 1]] {
+                        assert!(j < n_atoms, "column index {j} out of range");
+                        visit(i, j);
+                    }
                 }
-            }
-        }
-        for list in &mut adj {
-            list.sort_unstable();
-            list.dedup();
-        }
-        ConnectivityGraph { adj }
+            })
+        })
     }
 
     /// Build from an explicit undirected edge list.
     pub fn from_edges(n_atoms: usize, edges: &[(usize, usize)]) -> Self {
-        let mut adj = vec![Vec::new(); n_atoms];
-        for &(u, v) in edges {
-            assert!(u < n_atoms && v < n_atoms, "edge endpoint out of range");
-            if u != v {
-                adj[u].push(v);
-                adj[v].push(u);
+        Self::from_pairs(n_atoms, |visit| {
+            for &(u, v) in edges {
+                assert!(u < n_atoms && v < n_atoms, "edge endpoint out of range");
+                visit(u, v);
             }
+        })
+    }
+
+    /// A structurally symmetric pattern with strictly ascending rows —
+    /// what every SPD matrix a solver is handed looks like — *is* its
+    /// graph once the diagonal is dropped. `None` as soon as the pattern
+    /// turns out to be anything else, out-of-range columns included.
+    ///
+    /// One pass decides it: rows are walked in order with one cursor per
+    /// row, and entry `(i, j)`, `j > i`, must find row `j`'s cursor on
+    /// `i`, which it then steps over. Row `i`'s entries below the
+    /// diagonal are therefore exactly the ones its cursor has passed by
+    /// the time the walk reaches it, in ascending order; one it has not
+    /// passed has no mirror image.
+    fn from_symmetric_pattern(
+        n_atoms: usize,
+        row_ptr: &[usize],
+        col_idx: &[usize],
+    ) -> Option<Self> {
+        let mut cursor = row_ptr[..n_atoms].to_vec();
+        let mut ptr = Vec::with_capacity(n_atoms + 1);
+        let mut idx = Vec::with_capacity(col_idx.len());
+        ptr.push(0);
+        for i in 0..n_atoms {
+            let end = row_ptr[i + 1];
+            let mut upper = cursor[i];
+            idx.extend_from_slice(&col_idx[row_ptr[i]..upper]);
+            match col_idx[upper..end].first() {
+                Some(&j) if j < i => return None,
+                Some(&j) if j == i => upper += 1,
+                _ => {}
+            }
+            let mut previous = i;
+            for &j in &col_idx[upper..end] {
+                if j <= previous || j >= n_atoms {
+                    return None;
+                }
+                previous = j;
+                let mirror = cursor[j];
+                if mirror == row_ptr[j + 1] || col_idx[mirror] != i {
+                    return None;
+                }
+                cursor[j] = mirror + 1;
+            }
+            idx.extend_from_slice(&col_idx[upper..end]);
+            ptr.push(idx.len());
         }
-        for list in &mut adj {
-            list.sort_unstable();
-            list.dedup();
+        Some(ConnectivityGraph { ptr, idx })
+    }
+
+    /// The general case. `pairs` walks the same (checked) pairs each time
+    /// it is called, in any order, repeats and self-pairs allowed; it is
+    /// called twice, to size every atom's segment and then to fill it —
+    /// two allocations whatever the atom count. Each segment is sorted
+    /// where it lies and the distinct values are moved down over the
+    /// gaps.
+    fn from_pairs(n_atoms: usize, pairs: impl Fn(&mut dyn FnMut(usize, usize))) -> Self {
+        let mut ptr = vec![0usize; n_atoms + 1];
+        pairs(&mut |u, v| {
+            if u != v {
+                ptr[u + 1] += 1;
+                ptr[v + 1] += 1;
+            }
+        });
+        for i in 0..n_atoms {
+            ptr[i + 1] += ptr[i];
         }
-        ConnectivityGraph { adj }
+        let mut idx = vec![0usize; ptr[n_atoms]];
+        // `ptr[i]` is atom `i`'s fill cursor during the second walk,
+        // which leaves it at the end of the segment: the start of the
+        // next one.
+        pairs(&mut |u, v| {
+            if u != v {
+                idx[ptr[u]] = v;
+                ptr[u] += 1;
+                idx[ptr[v]] = u;
+                ptr[v] += 1;
+            }
+        });
+        let mut start = 0usize;
+        let mut kept = 0usize;
+        for segment in ptr.iter_mut().take(n_atoms) {
+            let end = std::mem::replace(segment, kept);
+            idx[start..end].sort_unstable();
+            for k in start..end {
+                if k == start || idx[k] != idx[k - 1] {
+                    idx[kept] = idx[k];
+                    kept += 1;
+                }
+            }
+            start = end;
+        }
+        ptr[n_atoms] = kept;
+        idx.truncate(kept);
+        ConnectivityGraph { ptr, idx }
     }
 
     pub fn n_atoms(&self) -> usize {
-        self.adj.len()
+        self.ptr.len() - 1
     }
 
     /// Sorted neighbours of atom `i` (no self-loop).
+    #[inline]
     pub fn neighbors(&self, i: usize) -> &[usize] {
-        &self.adj[i]
+        &self.idx[self.ptr[i]..self.ptr[i + 1]]
     }
 
     pub fn degree(&self, i: usize) -> usize {
-        self.adj[i].len()
+        self.ptr[i + 1] - self.ptr[i]
     }
 
     /// Total undirected edge count.
     pub fn n_edges(&self) -> usize {
-        self.adj.iter().map(|l| l.len()).sum::<usize>() / 2
+        self.idx.len() / 2
     }
 }
 
@@ -140,6 +227,39 @@ mod tests {
         assert_eq!(g.neighbors(1), &[0]);
         assert_eq!(g.neighbors(2), &[0]);
         assert_eq!(g.n_edges(), 2);
+    }
+
+    #[test]
+    fn the_symmetric_walk_and_the_general_build_agree() {
+        // Tridiagonal with its diagonal, rows ascending: the one-pass walk.
+        let row_ptr = [0, 2, 5, 8, 10];
+        let col_idx = [0, 1, 0, 1, 2, 1, 2, 3, 2, 3];
+        let walked = ConnectivityGraph::from_symmetric_pattern(4, &row_ptr, &col_idx)
+            .expect("symmetric, ascending rows");
+        assert_eq!(
+            walked,
+            ConnectivityGraph::from_pattern(4, &row_ptr, &col_idx)
+        );
+        assert_eq!(
+            walked,
+            ConnectivityGraph::from_edges(4, &[(2, 3), (0, 1), (1, 2)])
+        );
+        // Anything else is left to the general build, which symmetrises:
+        // a missing mirror entry, a row out of order, a repeated column.
+        let unsymmetric = ([0, 2, 4, 7, 9], [0, 1, 1, 2, 1, 2, 3, 2, 3]);
+        let unsorted = (row_ptr, [1, 0, 0, 1, 2, 1, 2, 3, 2, 3]);
+        let repeated = ([0, 3, 6, 9, 11], [0, 1, 1, 0, 1, 2, 1, 2, 3, 2, 3]);
+        for (row_ptr, col_idx) in [
+            (&unsymmetric.0, &unsymmetric.1[..]),
+            (&unsorted.0, &unsorted.1[..]),
+            (&repeated.0, &repeated.1[..]),
+        ] {
+            assert_eq!(
+                ConnectivityGraph::from_symmetric_pattern(4, row_ptr, col_idx),
+                None
+            );
+            assert_eq!(ConnectivityGraph::from_pattern(4, row_ptr, col_idx), walked);
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! * [`machine::Machine`] — `NP` virtual processors with per-processor
 //!   clocks, traffic counters, and an event [`trace::Trace`];
 //! * [`spmd`] — a *real* message-passing world (ranks as OS threads,
-//!   crossbeam channels) used for the hand-coded SPMD baseline the paper
+//!   one channel per rank) used for the hand-coded SPMD baseline the paper
 //!   compares HPF against;
 //! * [`exec`] — scoped-thread fork-join helpers for running local phases
 //!   of the simulation on real cores.

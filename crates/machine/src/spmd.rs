@@ -5,13 +5,14 @@
 //! processor would have a private copy of the vector q ... and a merge
 //! operation would be employed at the end"). To make that comparison
 //! concrete this module provides a miniature MPI-like world: `NP` ranks
-//! running as real OS threads, exchanging typed messages over crossbeam
-//! channels, with per-rank traffic counters that can be compared against
-//! the simulated HPF machine's counters.
+//! running as real OS threads, exchanging typed messages over channels
+//! (`std::sync::mpsc`, one receiver per rank), with per-rank traffic
+//! counters that can be compared against the simulated HPF machine's
+//! counters.
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Barrier};
 
 /// A tagged message between ranks.
@@ -228,7 +229,7 @@ impl SpmdWorld {
         let mut senders: Vec<Sender<Msg>> = Vec::with_capacity(np);
         let mut receivers: Vec<Option<Receiver<Msg>>> = Vec::with_capacity(np);
         for _ in 0..np {
-            let (tx, rx) = unbounded();
+            let (tx, rx) = channel();
             senders.push(tx);
             receivers.push(Some(rx));
         }

@@ -21,7 +21,7 @@
 //!
 //! where `queue_ahead_µs` estimates how much admitted-but-unfinished
 //! work will actually be served *before* this job. That estimate must
-//! respect the dispatcher's weighted-fair dequeue: a batch flood does
+//! respect the intake's weighted-fair dequeue: a batch flood does
 //! not delay an interactive job by the whole batch backlog, because the
 //! interactive class keeps its `w_c / Σw` share of worker attention.
 //! Backlog is therefore tracked per QoS class, and a class-`c` job's
@@ -83,7 +83,7 @@ pub struct AdmissionController {
     iters_per_sqrt_n: AtomicU64,
     /// Predicted µs of admitted-but-unfinished work, per QoS class.
     backlog_us: [AtomicU64; 3],
-    /// Dequeue weights (zero treated as one, matching the dispatcher).
+    /// Dequeue weights (zero treated as one, matching the intake).
     weights: [u64; 3],
 }
 

@@ -9,28 +9,79 @@
 use crate::fingerprint::Fingerprint;
 use crate::request::{SolveRequest, SolverKind};
 use crate::response::{ServiceError, SolveResponse};
-use crossbeam::channel::Sender;
 use hpf_solvers::StopCriterion;
 use std::collections::VecDeque;
+use std::sync::mpsc::SyncSender;
 use std::sync::Arc;
 use std::time::Instant;
+
+/// The one-shot channel a job is answered on; the other end is the
+/// submitter's [`crate::JobHandle`].
+pub type Responder = SyncSender<Result<SolveResponse, ServiceError>>;
 
 /// An accepted request travelling through the service.
 #[derive(Debug)]
 pub struct Job {
     pub id: u64,
     pub request: SolveRequest,
-    pub fingerprint: Fingerprint,
     pub submitted: Instant,
     /// The admission controller's predicted cost (µs) accounted into its
     /// backlog when this job was admitted; released at every terminal
     /// path. Zero before calibration.
     pub admission_us: u64,
     /// Delivers exactly one result back to the submitter's handle.
-    pub responder: Sender<Result<SolveResponse, ServiceError>>,
+    pub responder: Responder,
+    key: BatchKey,
 }
 
 impl Job {
+    /// An accepted `request` on its way in: its structure is hashed and
+    /// its batch key fixed here, once, and its clock starts.
+    /// `partitioner` is the registry's own name for
+    /// `request.partitioner`, resolved by the caller.
+    pub fn new(
+        id: u64,
+        request: SolveRequest,
+        partitioner: &'static str,
+        admission_us: u64,
+        responder: Responder,
+    ) -> Job {
+        let key = BatchKey {
+            matrix_ptr: Arc::as_ptr(&request.matrix) as usize,
+            fingerprint: Fingerprint::of(&request.matrix),
+            solver: request.solver,
+            stop: StopBits::of(request.stop),
+            max_iters: request.max_iters,
+            partitioner,
+            grid: request.grid,
+        };
+        Job {
+            id,
+            request,
+            submitted: Instant::now(),
+            admission_us,
+            responder,
+            key,
+        }
+    }
+
+    /// `request` as `submit` would hand it to a worker, for this crate's
+    /// tests, with the end its answer arrives on.
+    #[cfg(test)]
+    pub(crate) fn accepted(
+        id: u64,
+        request: SolveRequest,
+    ) -> (
+        Job,
+        std::sync::mpsc::Receiver<Result<SolveResponse, ServiceError>>,
+    ) {
+        let (tx, rx) = std::sync::mpsc::sync_channel(1);
+        let partitioner = hpf_partition::by_name(&request.partitioner)
+            .expect("registered partitioner")
+            .name();
+        (Job::new(id, request, partitioner, 0, tx), rx)
+    }
+
     /// Whether the job's deadline (if any) has already passed.
     pub fn deadline_expired(&self, now: Instant) -> bool {
         match self.request.deadline {
@@ -46,17 +97,7 @@ impl Job {
     /// partitioner name is part of the key too: jobs laid out by
     /// different partitioners use different operators.
     pub fn batch_key(&self) -> BatchKey {
-        BatchKey {
-            matrix_ptr: Arc::as_ptr(&self.request.matrix) as usize,
-            fingerprint: self.fingerprint,
-            solver: self.request.solver,
-            stop: StopBits::of(self.request.stop),
-            max_iters: self.request.max_iters,
-            partitioner: hpf_partition::by_name(&self.request.partitioner)
-                .map(|p| p.name())
-                .unwrap_or(hpf_partition::DEFAULT_PARTITIONER),
-            grid: self.request.grid,
-        }
+        self.key
     }
 }
 
@@ -140,22 +181,20 @@ pub fn form_batch(seed: Job, pending: &mut VecDeque<Job>, max_batch: usize) -> B
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::channel::unbounded;
     use hpf_sparse::gen;
     use std::time::Duration;
 
+    fn job_of(id: u64, request: SolveRequest) -> Job {
+        // The receiving end is dropped: these tests never respond.
+        Job::accepted(id, request).0
+    }
+
+    fn request(matrix: &Arc<hpf_sparse::CsrMatrix>) -> SolveRequest {
+        SolveRequest::new(matrix.clone(), vec![1.0; matrix.n_rows()])
+    }
+
     fn job(id: u64, matrix: &Arc<hpf_sparse::CsrMatrix>) -> Job {
-        let (tx, _rx) = unbounded();
-        // Handle receiver dropped: these tests never respond.
-        let request = SolveRequest::new(matrix.clone(), vec![1.0; matrix.n_rows()]);
-        Job {
-            id,
-            fingerprint: Fingerprint::of(matrix),
-            request,
-            submitted: Instant::now(),
-            admission_us: 0,
-            responder: tx,
-        }
+        job_of(id, request(matrix))
     }
 
     #[test]
@@ -182,10 +221,8 @@ mod tests {
     #[test]
     fn differing_solver_or_stop_splits_batches() {
         let a = Arc::new(gen::tridiagonal(8, 4.0, -1.0));
-        let mut other = job(2, &a);
-        other.request.solver = SolverKind::Bicgstab;
-        let mut tighter = job(3, &a);
-        tighter.request.stop = StopCriterion::RelativeResidual(1e-12);
+        let other = job_of(2, request(&a).solver(SolverKind::Bicgstab));
+        let tighter = job_of(3, request(&a).stop(StopCriterion::RelativeResidual(1e-12)));
         let mut pending: VecDeque<Job> = [other, tighter, job(4, &a)].into();
         let batch = form_batch(job(1, &a), &mut pending, 16);
         let ids: Vec<u64> = batch.jobs.iter().map(|j| j.id).collect();
@@ -196,14 +233,24 @@ mod tests {
     #[test]
     fn differing_partitioner_splits_batches() {
         let a = Arc::new(gen::tridiagonal(8, 4.0, -1.0));
-        let mut other = job(2, &a);
-        other.request.partitioner = "greedy-hypergraph".to_string();
+        let other = job_of(2, request(&a).partitioner("greedy-hypergraph"));
         let mut pending: VecDeque<Job> = [other, job(3, &a)].into();
         let batch = form_batch(job(1, &a), &mut pending, 16);
         let ids: Vec<u64> = batch.jobs.iter().map(|j| j.id).collect();
         assert_eq!(ids, vec![1, 3]);
         assert_eq!(pending.len(), 1);
         assert_eq!(pending[0].id, 2);
+    }
+
+    #[test]
+    fn the_key_is_fixed_when_the_job_is_made() {
+        let a = Arc::new(gen::tridiagonal(8, 4.0, -1.0));
+        let j = job_of(1, request(&a).partitioner("nnz-bisect").max_iters(9));
+        let key = j.batch_key();
+        assert_eq!(key.matrix_ptr, Arc::as_ptr(&a) as usize);
+        assert_eq!(key.fingerprint, Fingerprint::of(&a));
+        assert_eq!((key.partitioner, key.max_iters), ("nnz-bisect", 9));
+        assert_eq!(key, j.batch_key());
     }
 
     #[test]

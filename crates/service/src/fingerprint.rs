@@ -20,19 +20,15 @@ pub struct Fingerprint {
 }
 
 impl Fingerprint {
-    /// Fingerprint a matrix. `O(nnz)`, a few cycles a nonzero; the
+    /// Fingerprint a matrix. `O(nnz)`, about a cycle a nonzero; the
     /// service computes it once per request, in `submit`.
     pub fn of(matrix: &CsrMatrix) -> Self {
         let mut h = PatternHasher::new();
-        for &p in matrix.row_ptr() {
-            h.write_usize(p);
-        }
+        h.write_words(matrix.row_ptr());
         // Domain separator so (row_ptr, col_idx) pairs that happen to
         // concatenate identically still hash apart.
         h.write_usize(usize::MAX);
-        for &c in matrix.col_idx() {
-            h.write_usize(c);
-        }
+        h.write_words(matrix.col_idx());
         Fingerprint {
             n_rows: matrix.n_rows(),
             n_cols: matrix.n_cols(),
@@ -50,25 +46,66 @@ impl Fingerprint {
     }
 }
 
-/// One multiply-and-shift round per word. Each round is a bijection of
-/// the state for a fixed word and of the word for a fixed state, so two
-/// patterns that differ in a single entry never collide; the shift
-/// brings the well-mixed high half of the product down into the bits
-/// the next word lands on.
-struct PatternHasher(u64);
+/// One multiply-and-shift round per word, word `k` of the stream going
+/// to lane `k mod 4`; the lanes are folded through the same round at the
+/// end, the word count last. A round is a bijection of the state for a
+/// fixed word and of the word for a fixed state, so two patterns that
+/// differ in a single entry never collide; the shift brings the
+/// well-mixed high half of the product down into the bits the next word
+/// lands on. One lane is one dependent multiply chain — a word every
+/// five cycles or so; four of them keep the multiplier busy.
+struct PatternHasher {
+    lanes: [u64; 4],
+    words: usize,
+}
+
+fn round(state: u64, word: u64) -> u64 {
+    let x = (state ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    x ^ (x >> 32)
+}
 
 impl PatternHasher {
     fn new() -> Self {
-        PatternHasher(0xcbf2_9ce4_8422_2325)
+        // Distinct lane seeds: a word must not hash alike in two lanes.
+        PatternHasher {
+            lanes: [
+                0xcbf2_9ce4_8422_2325,
+                0x8422_2325_cbf2_9ce4,
+                0x9ce4_8422_2325_cbf2,
+                0x2325_cbf2_9ce4_8422,
+            ],
+            words: 0,
+        }
     }
 
     fn write_usize(&mut self, v: usize) {
-        let x = (self.0 ^ v as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        self.0 = x ^ (x >> 32);
+        let lane = &mut self.lanes[self.words % 4];
+        *lane = round(*lane, v as u64);
+        self.words += 1;
+    }
+
+    /// `write_usize` of every word in order, four lanes a step once the
+    /// stream is at a multiple of four.
+    fn write_words(&mut self, words: &[usize]) {
+        let head = words.len().min(self.words.wrapping_neg() % 4);
+        let (head, rest) = words.split_at(head);
+        head.iter().for_each(|&w| self.write_usize(w));
+        let mut quads = rest.chunks_exact(4);
+        let [mut a, mut b, mut c, mut d] = self.lanes;
+        for q in &mut quads {
+            a = round(a, q[0] as u64);
+            b = round(b, q[1] as u64);
+            c = round(c, q[2] as u64);
+            d = round(d, q[3] as u64);
+        }
+        self.lanes = [a, b, c, d];
+        self.words += rest.len() - quads.remainder().len();
+        quads.remainder().iter().for_each(|&w| self.write_usize(w));
     }
 
     fn finish(&self) -> u64 {
-        self.0
+        let [a, b, c, d] = self.lanes;
+        round(round(round(round(a, b), c), d), self.words as u64)
     }
 }
 
@@ -143,6 +180,41 @@ mod tests {
         assert_ne!(hash(&[0, 1, 2], &[0, 1]), hash(&[0, 1, 2, 0], &[1]));
         assert_ne!(hash(&[0, 1], &[0, 1]), hash(&[0, 1], &[1, 0]));
         assert_ne!(hash(&[], &[0]), hash(&[0], &[]));
+    }
+
+    #[test]
+    fn a_slice_hashes_as_its_words_one_by_one() {
+        let words: Vec<usize> = (0..37).map(|i| i * i + 3).collect();
+        for offset in 0..5 {
+            for len in [0, 1, 3, 4, 5, 8, 11, 37] {
+                let mut by_word = PatternHasher::new();
+                let mut by_slice = PatternHasher::new();
+                for &w in &words[..offset] {
+                    by_word.write_usize(w);
+                    by_slice.write_usize(w);
+                }
+                words[..len].iter().for_each(|&w| by_word.write_usize(w));
+                by_slice.write_words(&words[..len]);
+                assert_eq!(by_word.finish(), by_slice.finish(), "{offset}+{len}");
+                assert_eq!(by_word.lanes, by_slice.lanes, "{offset}+{len}");
+            }
+        }
+    }
+
+    /// Words that differ by a lane: the same values one position on,
+    /// a run with its zeros counted, two lanes swapped.
+    #[test]
+    fn position_in_the_stream_participates() {
+        let hash = |words: &[usize]| {
+            let mut h = PatternHasher::new();
+            h.write_words(words);
+            h.finish()
+        };
+        assert_ne!(hash(&[7, 0, 0, 0]), hash(&[0, 7, 0, 0]));
+        assert_ne!(hash(&[1, 2, 3, 4]), hash(&[2, 1, 3, 4]));
+        assert_ne!(hash(&[0, 0, 0]), hash(&[0, 0, 0, 0]));
+        assert_ne!(hash(&[]), hash(&[0]));
+        assert_ne!(hash(&[5, 6, 7, 8, 9]), hash(&[9, 6, 7, 8, 5]));
     }
 
     /// The structures of the wall-clock benchmark's service stream: its

@@ -11,11 +11,12 @@
 //!
 //! Pipeline: [`SolverService::submit`] validates and enqueues into a
 //! **bounded job queue** (full ⇒ typed [`ServiceError::Busy`]
-//! backpressure); a dispatcher groups queued jobs that share a
-//! [`batch::BatchKey`] into multi-RHS **batches**; a fixed **worker
-//! pool** executes each batch — resolving a [`plan::SolvePlan`] through
-//! the structural **plan cache** ([`Fingerprint`] → plan), so repeated
-//! structures partition exactly once — and answers every job with a
+//! backpressure); a free worker of the fixed **worker pool** takes the
+//! next job by weight together with the queued jobs that share its
+//! [`batch::BatchKey`], as one multi-RHS **batch**, and executes it —
+//! resolving a [`plan::SolvePlan`] through the structural **plan
+//! cache** ([`Fingerprint`] → plan), so repeated structures partition
+//! exactly once — and answers every job with a
 //! [`SolveResponse`] carrying per-RHS [`hpf_solvers::SolveStats`] and a
 //! [`TraceSummary`] of the simulated machine activity. Counters are
 //! exported as a serializable [`MetricsSnapshot`].

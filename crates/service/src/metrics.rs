@@ -12,8 +12,7 @@ use std::time::{Duration, Instant};
 /// buckets; the last bucket is unbounded.
 pub const LATENCY_BUCKET_BOUNDS_US: [u64; 6] = [100, 1_000, 10_000, 100_000, 1_000_000, u64::MAX];
 
-/// Live, lock-free counters updated by the submit path, the dispatcher,
-/// and the workers.
+/// Live, lock-free counters updated by the submit path and the workers.
 #[derive(Debug)]
 pub struct Metrics {
     pub accepted: AtomicU64,
@@ -49,7 +48,7 @@ pub struct Metrics {
     /// Worker threads the supervisor respawned.
     pub worker_restarts: AtomicU64,
     /// Gauge: jobs sitting in the intake queue right now (accepted by
-    /// `submit`, not yet pulled by the dispatcher).
+    /// `submit`, not yet taken by a worker).
     pub queue_depth: AtomicU64,
     /// Gauge: per-QoS-class intake queue depth, indexed by
     /// [`crate::QosClass::index`].

@@ -9,6 +9,7 @@
 
 use crate::fingerprint::Fingerprint;
 use hpf_core::ext::sparse_directive::{SparseFormat, SparseMatrixDirective, TrioDescriptors};
+use hpf_core::RowwiseCsr;
 use hpf_dist::{ConnectivityGraph, Partitioner};
 use hpf_machine::{CostModel, Machine, Topology};
 use hpf_mg::{GridDims, MgHierarchy, MgPreconditioner};
@@ -133,6 +134,13 @@ impl SolvePlan {
         self
     }
 
+    /// The row-wise operator over `matrix` under this plan's cut-points:
+    /// no partitioner call, the matrix shared. What it costs is the cost
+    /// vectors and the product-form detection pass.
+    pub fn operator(&self, matrix: Arc<CsrMatrix>) -> RowwiseCsr {
+        RowwiseCsr::with_row_cuts(matrix, self.np, self.row_cuts.clone())
+    }
+
     /// Descriptors of the `(ptr, idx, a)` trio under this plan.
     pub fn trio_descriptors(&self) -> TrioDescriptors {
         self.directive.descriptors()
@@ -165,6 +173,14 @@ struct Entry {
     slot: Slot,
     /// [`Slots::clock`] at the latest lookup of this key.
     last_used: u64,
+    /// [`Slots::insertions`] at the latest lookup of this key.
+    insertions_seen: u64,
+    /// Looked up again after the lookup that inserted it.
+    reused: bool,
+    /// The operator over the matrix instance this key was last looked up
+    /// with, from the second lookup on: a key seen once may never come
+    /// back, and its matrix is not held for it.
+    operator: Option<Arc<RowwiseCsr>>,
 }
 
 #[derive(Debug, Default)]
@@ -172,19 +188,41 @@ struct Slots {
     by_key: HashMap<PlanKey, Entry>,
     /// Counts lookups; orders entries by recency.
     clock: u64,
+    /// Counts keys inserted; what a reused entry's protection runs on.
+    insertions: u64,
+}
+
+/// What a lookup takes from its key's entry while it holds the lock.
+struct Found {
+    slot: Slot,
+    /// The entry was there before this lookup.
+    reused: bool,
+    operator: Option<Arc<RowwiseCsr>>,
 }
 
 /// Bounded map from [`PlanKey`] (structural fingerprint + partitioner
 /// name + hierarchy depth) to [`SolvePlan`], shared by the workers.
 ///
-/// * **Least-recently-used eviction.** A stream that mixes a pool of
-///   recurring structures with never-seen ones keeps the pool: a plan
-///   that keeps being asked for outlives any number of one-off inserts.
+/// * **Reuse-aware eviction, the capacity its only horizon.** An entry
+///   looked up again after the lookup that inserted it is *reused*, and
+///   a reused entry is *protected* while fewer than `capacity` keys have
+///   been inserted since its last lookup. The victim is the least
+///   recently used unprotected entry, else the least recently used
+///   entry. Never-seen structures therefore evict each other, a
+///   recurring one outlives `capacity` inserts between two of its
+///   lookups, and one that stopped recurring is ordinary again
+///   `capacity` inserts later.
 /// * **Built outside the lock.** The one mutex is held to find, insert
-///   or touch a key's slot, never across a partitioner run: a lookup of
-///   one key is not delayed by the build of another.
+///   or touch a key's entry, never across a partitioner run or an
+///   operator build: a lookup of one key is not delayed by the build of
+///   another.
 /// * **Built once per key.** Concurrent lookups of a key that is being
 ///   built wait on its slot and share the result.
+/// * **The operator is kept with its matrix.** A reused entry holds the
+///   [`RowwiseCsr`] of the matrix *instance* it was last looked up with;
+///   a lookup with that very `Arc` shares it, any other instance of the
+///   structure (same pattern, possibly other values) builds its own and
+///   takes the place.
 #[derive(Debug)]
 pub struct PlanCache {
     capacity: usize,
@@ -214,57 +252,78 @@ impl PlanCache {
         self.len() == 0
     }
 
-    /// The slot of `key`, marked most recently used; inserted (evicting
-    /// the least recently used entry at capacity) if the key is new.
-    fn slot(&self, key: PlanKey) -> Slot {
+    /// The entry of `key`, marked most recently used; inserted (evicting
+    /// by the rule above at capacity) if the key is new.
+    fn find(&self, key: PlanKey) -> Found {
         let mut slots = self.slots.lock();
         slots.clock += 1;
-        let now = slots.clock;
+        let (now, insertions) = (slots.clock, slots.insertions);
         if let Some(entry) = slots.by_key.get_mut(&key) {
             entry.last_used = now;
-            return entry.slot.clone();
+            entry.insertions_seen = insertions;
+            entry.reused = true;
+            return Found {
+                slot: entry.slot.clone(),
+                reused: true,
+                operator: entry.operator.clone(),
+            };
         }
         if slots.by_key.len() >= self.capacity {
-            let oldest = slots
+            let horizon = self.capacity as u64;
+            let victim = slots
                 .by_key
                 .iter()
-                .min_by_key(|(_, entry)| entry.last_used)
+                .min_by_key(|(_, entry)| {
+                    let protected = entry.reused && insertions - entry.insertions_seen < horizon;
+                    (protected, entry.last_used)
+                })
                 .map(|(key, _)| *key);
-            if let Some(oldest) = oldest {
+            if let Some(victim) = victim {
                 // A build in flight on the evicted slot still completes
                 // for the lookups holding it; its plan is just not kept.
-                slots.by_key.remove(&oldest);
+                slots.by_key.remove(&victim);
             }
         }
+        slots.insertions += 1;
         let slot = Slot::default();
         slots.by_key.insert(
             key,
             Entry {
                 slot: slot.clone(),
                 last_used: now,
+                insertions_seen: insertions + 1,
+                reused: false,
+                operator: None,
             },
         );
-        slot
+        Found {
+            slot,
+            reused: false,
+            operator: None,
+        }
     }
 
     /// Look up the plan of `matrix` (whose structure hashes to
     /// `fingerprint`) under `partitioner`, building and caching it on a
-    /// miss. `mg` asks for a multigrid plan: `(grid, levels)` keys the
-    /// entry on the hierarchy depth and prebuilds the V-cycle
-    /// preconditioner. Returns the plan and whether this call built it.
+    /// miss, and the row-wise operator over `matrix` under that plan.
+    /// `mg` asks for a multigrid plan: `(grid, levels)` keys the entry on
+    /// the hierarchy depth and prebuilds the V-cycle preconditioner.
+    /// Returns the plan, the operator and whether this call built the
+    /// plan.
     pub fn get_or_build(
         &self,
         fingerprint: Fingerprint,
-        matrix: &CsrMatrix,
+        matrix: &Arc<CsrMatrix>,
         np: usize,
         topology: Topology,
         partitioner: &dyn Partitioner,
         mg: Option<(GridDims, usize)>,
-    ) -> (Arc<SolvePlan>, CacheOutcome) {
+    ) -> (Arc<SolvePlan>, Arc<RowwiseCsr>, CacheOutcome) {
         let mg_levels = mg.map_or(0, |(_, levels)| levels);
-        let slot = self.slot((fingerprint, partitioner.name(), mg_levels));
+        let key = (fingerprint, partitioner.name(), mg_levels);
+        let found = self.find(key);
         let mut outcome = CacheOutcome::Hit;
-        let plan = slot.get_or_init(|| {
+        let plan = found.slot.get_or_init(|| {
             outcome = CacheOutcome::Miss;
             let mut plan = SolvePlan::build_for(fingerprint, matrix, np, topology, partitioner);
             if let Some((dims, levels)) = mg {
@@ -272,7 +331,27 @@ impl PlanCache {
             }
             Arc::new(plan)
         });
-        (plan.clone(), outcome)
+        // Pointer identity is value identity here, as in the batch key:
+        // the kept operator's own `Arc` keeps its matrix's address from
+        // being handed to another one.
+        let kept = found
+            .operator
+            .filter(|op| std::ptr::eq(op.matrix(), &**matrix));
+        let operator = kept.unwrap_or_else(|| {
+            let built = Arc::new(plan.operator(Arc::clone(matrix)));
+            if found.reused {
+                let mut slots = self.slots.lock();
+                // Only into the entry the plan came from: the key may
+                // have been evicted and inserted anew since.
+                if let Some(entry) = slots.by_key.get_mut(&key) {
+                    if Arc::ptr_eq(&entry.slot, &found.slot) {
+                        entry.operator = Some(Arc::clone(&built));
+                    }
+                }
+            }
+            built
+        });
+        (plan.clone(), operator, outcome)
     }
 }
 
@@ -287,20 +366,90 @@ mod tests {
 
     const NP: usize = 4;
 
-    fn lookup(
+    fn lookup_shared(
         cache: &PlanCache,
-        a: &CsrMatrix,
+        a: &Arc<CsrMatrix>,
         partitioner: &dyn Partitioner,
-        mg: Option<(GridDims, usize)>,
-    ) -> (Arc<SolvePlan>, CacheOutcome) {
+    ) -> (Arc<SolvePlan>, Arc<RowwiseCsr>, CacheOutcome) {
         cache.get_or_build(
             Fingerprint::of(a),
             a,
             NP,
             Topology::Hypercube,
             partitioner,
-            mg,
+            None,
         )
+    }
+
+    /// A lookup with an instance of `a` nobody else holds.
+    fn lookup(
+        cache: &PlanCache,
+        a: &CsrMatrix,
+        partitioner: &dyn Partitioner,
+        mg: Option<(GridDims, usize)>,
+    ) -> (Arc<SolvePlan>, CacheOutcome) {
+        let a = Arc::new(a.clone());
+        let (plan, _, outcome) = cache.get_or_build(
+            Fingerprint::of(&a),
+            &a,
+            NP,
+            Topology::Hypercube,
+            partitioner,
+            mg,
+        );
+        (plan, outcome)
+    }
+
+    /// The eviction policy seen on its own: lookups of made-up keys, a
+    /// miss filling its slot with `plan` as a finished build would.
+    struct Policy {
+        cache: PlanCache,
+        plan: Arc<SolvePlan>,
+    }
+
+    impl Policy {
+        fn new(capacity: usize) -> Self {
+            let tiny = gen::tridiagonal(4, 4.0, -1.0);
+            Policy {
+                cache: PlanCache::new(capacity),
+                plan: Arc::new(SolvePlan::build(&tiny, 2, Topology::Hypercube)),
+            }
+        }
+
+        fn key(k: u64) -> PlanKey {
+            let structure = Fingerprint {
+                n_rows: 1,
+                n_cols: 1,
+                nnz: 1,
+                pattern_hash: k,
+            };
+            (structure, "made-up", 0)
+        }
+
+        /// One lookup of key `k`; whether it hit.
+        fn touch(&self, k: u64) -> bool {
+            let found = self.cache.find(Self::key(k));
+            let hit = found.slot.get().is_some();
+            found.slot.get_or_init(|| self.plan.clone());
+            hit
+        }
+
+        /// Whether `k` is cached, without looking it up.
+        fn holds(&self, k: u64) -> bool {
+            self.cache.slots.lock().by_key.contains_key(&Self::key(k))
+        }
+    }
+
+    /// xorshift64*, the stream the policy tests draw from.
+    struct Draws(u64);
+
+    impl Draws {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            (self.0.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 33) % n
+        }
     }
 
     /// `balanced-rows` with a hook run at the start of every partition
@@ -579,5 +728,210 @@ mod tests {
         assert_eq!(lookup(&cache, &a, &flaky, None).1, CacheOutcome::Hit);
         assert_eq!(flaky.calls(), 2);
         assert_eq!(cache.len(), 1);
+    }
+    /// The wall-clock benchmark's stream: 24 recurring keys, every tenth
+    /// lookup a never-seen one, capacity 32. After its warm-up (25
+    /// bursts of 8) the recurring keys must be what the cache holds: nine
+    /// lookups in ten can hit, and all but a handful do. Evicting by
+    /// recency alone reads 0.865 here: a recurring key untouched for
+    /// eight inserts is gone.
+    #[test]
+    fn one_offs_do_not_flush_the_recurring_keys() {
+        const POOL: u64 = 24;
+        const LOOKUPS: u64 = 4_000;
+        let policy = Policy::new(32);
+        let mut draws = Draws(0x9e37_79b9_7f4a_7c15);
+        let mut hits = 0u64;
+        for i in 0..200 + LOOKUPS {
+            let k = if i % 10 == 9 {
+                POOL + i
+            } else {
+                draws.below(POOL)
+            };
+            let hit = policy.touch(k);
+            if i >= 200 {
+                hits += u64::from(hit);
+            }
+        }
+        assert!((0..POOL).all(|k| policy.holds(k)));
+        assert!(policy.cache.len() <= 32);
+        let ratio = hits as f64 / LOOKUPS as f64;
+        assert!(ratio >= 0.895, "hit ratio {ratio}");
+    }
+
+    /// Between two lookups of a reused key `capacity` inserts cannot
+    /// evict it; the insert after those does, ahead of entries used since.
+    #[test]
+    fn a_reused_key_is_protected_for_capacity_inserts_and_no_longer() {
+        const CAPACITY: u64 = 8;
+        let policy = Policy::new(CAPACITY as usize);
+        assert!(!policy.touch(0));
+        // Fill up, so that every insert from here on evicts something.
+        for k in 1..CAPACITY {
+            assert!(!policy.touch(k));
+        }
+        assert!(policy.touch(0), "the second lookup: reused from now on");
+        for n in 1..=CAPACITY {
+            assert!(!policy.touch(100 + n));
+            assert!(policy.holds(0), "evicted by insert {n} of {CAPACITY}");
+        }
+        assert!(!policy.touch(200));
+        assert!(!policy.holds(0), "protected beyond its horizon");
+        // The one-offs that came after it are all younger, and stayed.
+        assert!((2..=CAPACITY).all(|n| policy.holds(100 + n)));
+    }
+
+    /// The working set changes: 24 reused keys retire for good, 24 new
+    /// ones arrive in rotation — the order that recency alone serves
+    /// worst — with the usual tenth of never-seen keys. Within four
+    /// capacities of lookups the new set is what the cache holds. (A
+    /// reuse mark that never expires fails here: the retired keys keep
+    /// 24 of the 32 places and the rotation never fits in the rest.)
+    #[test]
+    fn a_retired_working_set_ages_out() {
+        const POOL: u64 = 24;
+        const CAPACITY: u64 = 32;
+        let policy = Policy::new(CAPACITY as usize);
+        let mut draws = Draws(7);
+        for i in 0..1_000 {
+            policy.touch(if i % 10 == 9 {
+                10_000 + i
+            } else {
+                draws.below(POOL)
+            });
+        }
+        assert!((0..POOL).all(|k| policy.holds(k)));
+        let mut next = 0;
+        for i in 0..4 * CAPACITY {
+            if i % 10 == 9 {
+                policy.touch(20_000 + i);
+            } else {
+                policy.touch(1_000 + next % POOL);
+                next += 1;
+            }
+        }
+        for k in 0..POOL {
+            assert!(policy.touch(1_000 + k), "new key {k} is not cached");
+        }
+        assert!(!(0..POOL).any(|k| policy.holds(k)), "a retired key stayed");
+    }
+
+    #[test]
+    fn the_smallest_caches_still_insert_hit_and_evict() {
+        let one = Policy::new(1);
+        assert!(!one.touch(1));
+        assert!(one.touch(1));
+        assert!(!one.touch(2), "a reused entry is no obstacle to an insert");
+        assert!(!one.holds(1) && one.holds(2));
+        assert!(one.touch(2));
+
+        let two = Policy::new(2);
+        assert!(!two.touch(1));
+        assert!(two.touch(1));
+        assert!(!two.touch(2));
+        assert!(!two.touch(3), "the one-off goes, the reused key stays");
+        assert!(two.holds(1) && !two.holds(2) && two.holds(3));
+        assert!(two.touch(3));
+        // Both reused and protected: the least recently used one goes.
+        assert!(!two.touch(4));
+        assert!(!two.holds(1) && two.holds(3) && two.holds(4));
+        assert_eq!(two.cache.len(), 2);
+    }
+
+    #[test]
+    fn the_operator_is_kept_with_its_matrix_from_the_second_lookup() {
+        let cache = PlanCache::new(4);
+        // A structure seen once: its matrix is not held for it.
+        let one_off = Arc::new(gen::banded_spd(40, 2, 3));
+        let watch = Arc::downgrade(&one_off);
+        let (_, op, outcome) = lookup_shared(&cache, &one_off, &BalancedContiguous);
+        assert_eq!(outcome, CacheOutcome::Miss);
+        assert!(std::ptr::eq(op.matrix(), &*one_off));
+        drop((op, one_off));
+        assert!(watch.upgrade().is_none(), "the inserting lookup kept it");
+
+        // A recurring instance: built on the second lookup, shared after.
+        let a = Arc::new(gen::banded_spd(48, 4, 2));
+        let (plan, first, _) = lookup_shared(&cache, &a, &BalancedContiguous);
+        let (_, second, hit) = lookup_shared(&cache, &a, &BalancedContiguous);
+        let (_, third, _) = lookup_shared(&cache, &a, &BalancedContiguous);
+        assert_eq!(hit, CacheOutcome::Hit);
+        assert!(!Arc::ptr_eq(&first, &second));
+        assert!(Arc::ptr_eq(&second, &third));
+        assert!(std::ptr::eq(third.matrix(), &*a));
+        assert_eq!(third.row_descriptor(), first.row_descriptor());
+        assert_eq!(third.np(), plan.np);
+
+        // Same structure, other values: its own operator, which takes
+        // the place; the first instance builds anew when it comes back.
+        let mut scaled = (*a).clone();
+        scaled.scale(0.5);
+        let b = Arc::new(scaled);
+        let (plan_b, over_b, hit) = lookup_shared(&cache, &b, &BalancedContiguous);
+        assert_eq!(hit, CacheOutcome::Hit);
+        assert!(Arc::ptr_eq(&plan, &plan_b));
+        assert!(std::ptr::eq(over_b.matrix(), &*b));
+        let (_, again_b, _) = lookup_shared(&cache, &b, &BalancedContiguous);
+        assert!(Arc::ptr_eq(&over_b, &again_b));
+        let (_, again_a, _) = lookup_shared(&cache, &a, &BalancedContiguous);
+        assert!(std::ptr::eq(again_a.matrix(), &*a));
+        assert!(!Arc::ptr_eq(&again_a, &third));
+    }
+
+    #[test]
+    fn racing_lookups_with_two_instances_each_get_their_own_operator() {
+        let a = Arc::new(gen::banded_spd(64, 3, 5));
+        let mut scaled = (*a).clone();
+        scaled.scale(2.0);
+        let b = Arc::new(scaled);
+        let cache = PlanCache::new(4);
+        let (started_tx, started_rx) = mpsc::channel();
+        let (resume_tx, resume_rx) = mpsc::channel::<()>();
+        let resume_rx = std::sync::Mutex::new(resume_rx);
+        // The first partitioner run parks until the test lets it go.
+        let parked = Hooked::new(move |calls_before| {
+            if calls_before == 0 {
+                started_tx.send(()).unwrap();
+                resume_rx.lock().unwrap().recv().unwrap();
+            }
+        });
+        let (second_tx, second_rx) = mpsc::channel();
+        std::thread::scope(|scope| {
+            let first = scope.spawn(|| lookup_shared(&cache, &a, &parked));
+            started_rx.recv().unwrap();
+            // `a`'s lookup is parked mid-build; `b`'s finds the key's
+            // entry and waits for the same plan.
+            let second = scope.spawn(|| {
+                second_tx.send(()).unwrap();
+                lookup_shared(&cache, &b, &parked)
+            });
+            second_rx.recv().unwrap();
+            resume_tx.send(()).unwrap();
+            let (plan_a, over_a, _) = first.join().unwrap();
+            let (plan_b, over_b, _) = second.join().unwrap();
+            assert!(Arc::ptr_eq(&plan_a, &plan_b));
+            assert!(std::ptr::eq(over_a.matrix(), &*a));
+            assert!(std::ptr::eq(over_b.matrix(), &*b));
+        });
+        assert_eq!(parked.calls(), 1);
+
+        // Both instances looked up at once, over and over, the key by
+        // now reused: whichever operator is kept, nobody is handed the
+        // other instance's.
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for mine in [&a, &b] {
+                let (cache, barrier, parked) = (&cache, &barrier, &parked);
+                scope.spawn(move || {
+                    for _ in 0..200 {
+                        barrier.wait();
+                        let (_, op, outcome) = lookup_shared(cache, mine, parked);
+                        assert_eq!(outcome, CacheOutcome::Hit);
+                        assert!(std::ptr::eq(op.matrix(), &**mine));
+                    }
+                });
+            }
+        });
+        assert_eq!(parked.calls(), 1);
     }
 }

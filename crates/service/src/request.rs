@@ -53,7 +53,7 @@ impl SolverKind {
 
 /// Per-tenant quality-of-service class. Each class has its own bounded
 /// sub-queue (so one tenant's flood cannot crowd out another class) and
-/// a weighted-fair share of dispatcher attention
+/// a weighted-fair share of worker attention
 /// ([`ServiceConfig::qos_weights`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum QosClass {

@@ -52,6 +52,10 @@ pub struct SolveResponse {
     pub trace: TraceSummary,
     /// Wall-clock time spent queued before execution started.
     pub wait_time: Duration,
+    /// Wall-clock time from the start of the job's batch to the start of
+    /// its own solves: plan lookup or build, operator, machine — and, for
+    /// a job that shares its batch, the batch mates that ran before it.
+    pub setup_time: Duration,
     /// Wall-clock time spent executing this job's solves.
     pub solve_time: Duration,
 }

@@ -1,57 +1,53 @@
-//! The service facade: admission control → per-class bounded intake
-//! queues → weighted-fair dispatcher (batcher) → supervised worker pool.
+//! The service facade: admission control → the intake (per-class bounded
+//! queues behind one lock) → supervised workers that pull.
 //!
 //! ```text
 //!  submit() ──validate──► admission (deadline vs predicted cost) ⇒ Shed?
-//!      │ try_send (per QoS class; full ⇒ Busy)
+//!      │ fingerprint, batch key                    (caller's thread)
+//!      ▼ lock: closed ⇒ Shutdown · class full ⇒ Busy · else push
+//!  intake: [Interactive] [Batch] [BestEffort]   (queue_capacity each)
+//!      │ notify_one, only if a worker is parked
+//!      ▼ lock: weighted-fair pick (deficit round-robin, qos_weights)
+//!  worker ── takes the head job and its same-key, same-class mates
+//!      │  plan cache / partition, operator, solves
+//!      │                         supervisor (heartbeats, kill + respawn)
 //!      ▼
-//!  class queues: [Interactive] [Batch] [BestEffort]   (bounded each)
-//!      │ weighted-fair dequeue (deficit round-robin, qos_weights)
-//!  dispatcher ── groups same-key, same-class jobs ──► batch queue
-//!      │                                              (bounded)
-//!      ▼                                                  │
-//!  pending buffers (per class)        workers ◄───────────┘
-//!                                        │  plan cache / partition
-//!                              supervisor│  (heartbeats, kill+restart)
-//!                                        ▼
-//!                                  responder channels
+//!  responder ──► JobHandle::wait()                 (caller's thread)
 //! ```
 //!
-//! The dispatcher owns per-class pending buffers so it can look past the
-//! head job for batch mates without reordering unrelated work, and a
-//! deficit-round-robin credit scheme (seeded from
-//! [`ServiceConfig::qos_weights`]) so a flood of best-effort work cannot
-//! starve interactive jobs. The batch queue is bounded at the worker
-//! count, so backpressure reaches the class queues (and submitters, as
-//! `Busy`) instead of ballooning in memory. A supervisor thread watches
-//! per-worker progress heartbeats and kills/respawns wedged workers
-//! (see [`crate::supervisor`]).
-//!
-//! Because the dispatcher must block on *several* class queues at once
-//! and the bundled channel library has no `select`, wake-ups ride a
-//! dedicated unbounded signal channel: `submit` sends the job to its
-//! class queue and then one `()` signal; the dispatcher blocks only on
-//! the signal channel and drains every class queue opportunistically.
-//! A job is always visible in its class queue by the time its signal is
-//! received, so no wake-up is ever lost.
+//! A request crosses two threads: the caller's and the worker's. There
+//! is no dispatcher between them: a free worker takes the intake lock,
+//! picks the next class by deficit round-robin (credits seeded from
+//! [`ServiceConfig::qos_weights`], so a flood of best-effort work cannot
+//! starve interactive jobs), pops that class's head job and looks past
+//! it for batch mates without reordering unrelated work. Batches thus
+//! form when a worker is ready for one, with everything submitted by
+//! then in view. A worker that finds nothing parks on the intake's
+//! condition variable; `submit` pushes under the lock and wakes one
+//! parked worker after releasing it, so a job pushed while a worker is
+//! deciding to park is seen by that worker, and a busy pool costs the
+//! submitter no wake-up at all. What the intake holds is exactly what
+//! was accepted and not yet taken, so `queue_capacity` bounds each class
+//! exactly and the queue-depth gauges read it. A supervisor thread
+//! watches per-worker progress heartbeats and kills/respawns wedged
+//! workers (see [`crate::supervisor`]).
 
 use crate::admission::{AdmissionController, AdmissionDecision};
 use crate::batch::{form_batch, Batch, Job};
-use crate::fingerprint::Fingerprint;
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::plan::PlanCache;
 use crate::request::{ServiceConfig, SolveRequest};
 use crate::response::{ServiceError, SolveResponse};
 use crate::retry::CircuitBreaker;
 use crate::supervisor::{supervisor_loop, WorkerFactory, WorkerSlot, WorkerState};
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TryRecvError, TrySendError};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, TryRecvError};
+use std::sync::{Arc, Condvar, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Handle to one accepted job; redeem it for the result.
 #[derive(Debug)]
@@ -70,10 +66,8 @@ impl JobHandle {
     pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<SolveResponse, ServiceError>> {
         match self.rx.recv_timeout(timeout) {
             Ok(r) => Some(r),
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => None,
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
-                Some(Err(ServiceError::Shutdown))
-            }
+            Err(RecvTimeoutError::Timeout) => None,
+            Err(RecvTimeoutError::Disconnected) => Some(Err(ServiceError::Shutdown)),
         }
     }
 
@@ -87,27 +81,125 @@ impl JobHandle {
     }
 }
 
+/// What is accepted and not yet taken by a worker, per QoS class, with
+/// the state of the weighted-fair pick.
+#[derive(Debug)]
+struct Queues {
+    pending: [VecDeque<Job>; 3],
+    /// Deficit round-robin credits left to each class in this round.
+    credits: [u32; 3],
+    /// Workers waiting on [`Intake::work`].
+    parked: usize,
+    /// Shutdown has begun: nothing is accepted, nothing is left.
+    closed: bool,
+}
+
+impl Queues {
+    /// The next batch by deficit round-robin: the first class (in
+    /// priority order) with work and credits wins; when every backlogged
+    /// class is out of credits, all are replenished from the configured
+    /// weights. `None` when nothing is pending.
+    fn next_batch(&mut self, config: &ServiceConfig) -> Option<Batch> {
+        let pending = &mut self.pending;
+        let class = match (0..3).find(|&i| !pending[i].is_empty() && self.credits[i] > 0) {
+            Some(i) => i,
+            None => {
+                self.credits = weights(config);
+                (0..3).find(|&i| !pending[i].is_empty())?
+            }
+        };
+        self.credits[class] -= 1;
+        let seed = pending[class].pop_front().expect("class has work");
+        // Batch mates come only from the same class: co-executing a
+        // best-effort job inside an interactive batch would let it jump
+        // the weighted queue.
+        Some(if config.batching_enabled {
+            form_batch(seed, &mut pending[class], config.max_batch)
+        } else {
+            Batch { jobs: vec![seed] }
+        })
+    }
+}
+
+/// Dequeue weights: a zero would never earn a dequeue; treat it as one.
+fn weights(config: &ServiceConfig) -> [u32; 3] {
+    config.qos_weights.map(|w| w.max(1))
+}
+
+/// The hand-off between submitters and workers: [`Queues`] behind one
+/// lock, and the condition variable idle workers park on.
+#[derive(Debug)]
+pub(crate) struct Intake {
+    queues: std::sync::Mutex<Queues>,
+    work: Condvar,
+}
+
+impl Intake {
+    fn new(config: &ServiceConfig) -> Self {
+        Intake {
+            queues: std::sync::Mutex::new(Queues {
+                pending: Default::default(),
+                credits: weights(config),
+                parked: 0,
+                closed: false,
+            }),
+            work: Condvar::new(),
+        }
+    }
+
+    /// Every update under this lock is one queue or counter operation
+    /// that leaves [`Queues`] valid, so a poisoned lock is taken as it
+    /// is (shutdown runs in `Drop`, which must not panic on it).
+    fn lock(&self) -> MutexGuard<'_, Queues> {
+        self.queues.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The next batch for a free worker, parking until there is one;
+    /// `None` once the service has shut down.
+    fn pull(&self, config: &ServiceConfig, metrics: &Metrics) -> Option<Batch> {
+        let mut queues = self.lock();
+        let batch = loop {
+            if let Some(batch) = queues.next_batch(config) {
+                break batch;
+            }
+            if queues.closed {
+                return None;
+            }
+            queues.parked += 1;
+            queues = self
+                .work
+                .wait(queues)
+                .unwrap_or_else(PoisonError::into_inner);
+            queues.parked -= 1;
+        };
+        drop(queues);
+        let taken = batch.jobs.len() as u64;
+        let class = batch.jobs[0].request.qos.index();
+        metrics.queue_depth.fetch_sub(taken, Ordering::Relaxed);
+        metrics.class_queue_depth[class].fetch_sub(taken, Ordering::Relaxed);
+        Some(batch)
+    }
+}
+
 /// A running solver service. Dropping it (or calling
 /// [`SolverService::shutdown`]) stops intake, drains accepted work, and
 /// joins every thread.
 pub struct SolverService {
     config: ServiceConfig,
-    class_txs: Option<[Sender<Job>; 3]>,
-    signal_tx: Option<Sender<()>>,
+    intake: Arc<Intake>,
     metrics: Arc<Metrics>,
     cache: Arc<PlanCache>,
     next_id: AtomicU64,
     shutting_down: Arc<AtomicBool>,
     breaker: Arc<CircuitBreaker>,
     admission: Arc<AdmissionController>,
-    dispatcher: Option<JoinHandle<()>>,
     slots: Arc<Mutex<Vec<WorkerSlot>>>,
     supervisor: Option<JoinHandle<()>>,
 }
 
 impl SolverService {
-    /// Start the dispatcher, worker pool, and (if enabled) supervisor
-    /// described by `config`.
+    /// Start the worker pool and (if enabled) the supervisor described
+    /// by `config`.
     pub fn start(config: ServiceConfig) -> Self {
         assert!(config.workers > 0, "need at least one worker");
         assert!(config.queue_capacity > 0, "queue capacity must be positive");
@@ -123,40 +215,10 @@ impl SolverService {
             config.breaker_cooldown,
         ));
         let admission = Arc::new(AdmissionController::new(&config));
-
-        // One bounded intake queue per QoS class plus the wake-up signal
-        // channel (see the module docs for the no-select rationale).
-        let (tx0, rx0) = bounded::<Job>(config.queue_capacity);
-        let (tx1, rx1) = bounded::<Job>(config.queue_capacity);
-        let (tx2, rx2) = bounded::<Job>(config.queue_capacity);
-        let (signal_tx, signal_rx) = unbounded::<()>();
-        // Bounded at the worker count: a saturated pool pushes back into
-        // the class queues rather than accumulating formed batches.
-        let (batch_tx, batch_rx) = bounded::<Batch>(config.workers);
-
-        let dispatcher = {
-            let cfg = config.clone();
-            let shutting_down = shutting_down.clone();
-            let metrics = metrics.clone();
-            let admission = admission.clone();
-            std::thread::Builder::new()
-                .name("hpf-service-dispatcher".into())
-                .spawn(move || {
-                    dispatcher_loop(
-                        cfg,
-                        [rx0, rx1, rx2],
-                        signal_rx,
-                        batch_tx,
-                        shutting_down,
-                        metrics,
-                        admission,
-                    )
-                })
-                .expect("spawn dispatcher")
-        };
+        let intake = Arc::new(Intake::new(&config));
 
         let factory = WorkerFactory {
-            batch_rx,
+            intake: intake.clone(),
             cache: cache.clone(),
             config: config.clone(),
             metrics: metrics.clone(),
@@ -186,15 +248,13 @@ impl SolverService {
 
         SolverService {
             config,
-            class_txs: Some([tx0, tx1, tx2]),
-            signal_tx: Some(signal_tx),
+            intake,
             metrics,
             cache,
             next_id: AtomicU64::new(1),
             shutting_down,
             breaker,
             admission,
-            dispatcher: Some(dispatcher),
             slots,
             supervisor,
         }
@@ -204,19 +264,23 @@ impl SolverService {
         &self.config
     }
 
-    /// Validate and enqueue a request. Non-blocking: a full class queue
-    /// returns [`ServiceError::Busy`] immediately (backpressure),
-    /// malformed requests fail up front, and — once the admission
-    /// controller is calibrated — jobs whose deadline cannot be met are
-    /// refused with a typed [`ServiceError::Shed`] rather than queued to
-    /// die.
+    /// Validate and enqueue a request. Non-blocking: a class that already
+    /// holds [`ServiceConfig::queue_capacity`] accepted jobs no worker
+    /// has taken yet returns [`ServiceError::Busy`] immediately
+    /// (backpressure), malformed requests fail up front, and — once the
+    /// admission controller is calibrated — jobs whose deadline cannot be
+    /// met are refused with a typed [`ServiceError::Shed`] rather than
+    /// queued to die.
     pub fn submit(&self, request: SolveRequest) -> Result<JobHandle, ServiceError> {
-        if let Err(why) = validate(&request) {
-            self.metrics
-                .rejected_invalid
-                .fetch_add(1, Ordering::Relaxed);
-            return Err(ServiceError::InvalidRequest(why));
-        }
+        let partitioner = match validate(&request) {
+            Ok(name) => name,
+            Err(why) => {
+                self.metrics
+                    .rejected_invalid
+                    .fetch_add(1, Ordering::Relaxed);
+                return Err(ServiceError::InvalidRequest(why));
+            }
+        };
         let mut request = request;
         // Stamp a deterministic non-zero trace id before any telemetry
         // fires, so the shed event and the worker's machine span carry
@@ -241,48 +305,45 @@ impl SolverService {
                 return Err(ServiceError::Shed { predicted, budget });
             }
         };
-        let (tx, rx) = bounded(1);
+        let (tx, rx) = sync_channel(1);
         let qos = request.qos;
         let class = qos.index();
         let trace_id = request.trace_id;
-        let job = Job {
-            id: job_id,
-            fingerprint: Fingerprint::of(&request.matrix),
-            request,
-            submitted: Instant::now(),
-            admission_us: predicted_us,
-            responder: tx,
-        };
-        let class_txs = self.class_txs.as_ref().ok_or(ServiceError::Shutdown)?;
-        match class_txs[class].try_send(job) {
-            Ok(()) => {
-                self.admission.admit(qos, predicted_us);
-                self.metrics.accepted.fetch_add(1, Ordering::Relaxed);
-                self.metrics.in_flight.fetch_add(1, Ordering::Relaxed);
-                self.metrics.queue_depth.fetch_add(1, Ordering::Relaxed);
-                self.metrics.class_queue_depth[class].fetch_add(1, Ordering::Relaxed);
-                crate::events::emit(
-                    &self.config.event_sink,
-                    crate::ServiceEvent::Admitted {
-                        trace_id,
-                        class: qos,
-                        predicted_us,
-                    },
-                );
-                // Wake the dispatcher *after* the job is in its queue.
-                if let Some(signal) = self.signal_tx.as_ref() {
-                    let _ = signal.send(());
-                }
-                Ok(JobHandle { job_id, rx })
-            }
-            Err(TrySendError::Full(_)) => {
-                self.metrics.rejected_busy.fetch_add(1, Ordering::Relaxed);
-                Err(ServiceError::Busy {
-                    queue_capacity: self.config.queue_capacity,
-                })
-            }
-            Err(TrySendError::Disconnected(_)) => Err(ServiceError::Shutdown),
+        let job = Job::new(job_id, request, partitioner, predicted_us, tx);
+
+        let mut queues = self.intake.lock();
+        if queues.closed {
+            return Err(ServiceError::Shutdown);
         }
+        if queues.pending[class].len() >= self.config.queue_capacity {
+            drop(queues);
+            self.metrics.rejected_busy.fetch_add(1, Ordering::Relaxed);
+            return Err(ServiceError::Busy {
+                queue_capacity: self.config.queue_capacity,
+            });
+        }
+        queues.pending[class].push_back(job);
+        // Counted before the lock is released: a worker can take the job
+        // the moment it is, and what it undoes must already be done.
+        self.admission.admit(qos, predicted_us);
+        self.metrics.accepted.fetch_add(1, Ordering::Relaxed);
+        self.metrics.in_flight.fetch_add(1, Ordering::Relaxed);
+        self.metrics.queue_depth.fetch_add(1, Ordering::Relaxed);
+        self.metrics.class_queue_depth[class].fetch_add(1, Ordering::Relaxed);
+        let wake = queues.parked > 0;
+        drop(queues);
+        if wake {
+            self.intake.work.notify_one();
+        }
+        crate::events::emit(
+            &self.config.event_sink,
+            crate::ServiceEvent::Admitted {
+                trace_id,
+                class: qos,
+                predicted_us,
+            },
+        );
+        Ok(JobHandle { job_id, rx })
     }
 
     /// Submit and block for the result.
@@ -315,14 +376,14 @@ impl SolverService {
     }
 
     /// Stop intake, answer every still-queued job with
-    /// [`ServiceError::Shutdown`], join all threads. Jobs already handed
-    /// to a worker run to completion.
+    /// [`ServiceError::Shutdown`], join all threads. Jobs already taken
+    /// by a worker run to completion.
     pub fn shutdown(mut self) -> MetricsSnapshot {
         self.shutdown_in_place();
         self.metrics.snapshot()
     }
 
-    /// True once shutdown has begun (visible to the dispatcher).
+    /// True once shutdown has begun.
     pub fn is_shutting_down(&self) -> bool {
         self.shutting_down.load(Ordering::Relaxed)
     }
@@ -351,20 +412,36 @@ impl SolverService {
     }
 
     fn shutdown_in_place(&mut self) {
-        // Raise the flag first so the dispatcher refuses (rather than
-        // executes) whatever is still queued, then close the intake and
-        // signal channels: the dispatcher drains, answers the
-        // stragglers, and exits; that drops the batch sender, which
-        // winds down the workers. The supervisor is joined before the
-        // workers so it cannot respawn a slot we are trying to reap.
+        // Close the intake and take what it still holds in one critical
+        // section: nothing is accepted afterwards and no worker finds
+        // anything to take, so each of those jobs is refused here,
+        // exactly once, outside the lock. Parked workers wake to a closed
+        // intake and exit; busy ones finish their batch first. The
+        // supervisor is joined before the workers so it cannot respawn a
+        // slot we are trying to reap.
         self.shutting_down.store(true, Ordering::SeqCst);
-        self.class_txs.take();
-        self.signal_tx.take();
+        let mut queues = self.intake.lock();
+        queues.closed = true;
+        let left: Vec<Job> = queues
+            .pending
+            .iter_mut()
+            .flat_map(|q| q.drain(..))
+            .collect();
+        drop(queues);
+        self.intake.work.notify_all();
+        self.metrics
+            .queue_depth
+            .fetch_sub(left.len() as u64, Ordering::Relaxed);
+        for job in left {
+            let class = job.request.qos;
+            self.metrics.class_queue_depth[class.index()].fetch_sub(1, Ordering::Relaxed);
+            self.admission.release(class, job.admission_us);
+            self.metrics.failed.fetch_add(1, Ordering::Relaxed);
+            self.metrics.in_flight.fetch_sub(1, Ordering::Relaxed);
+            let _ = job.responder.send(Err(ServiceError::Shutdown));
+        }
         if let Some(s) = self.supervisor.take() {
             let _ = s.join();
-        }
-        if let Some(d) = self.dispatcher.take() {
-            let _ = d.join();
         }
         for slot in self.slots.lock().drain(..) {
             if let Some(h) = slot.handle {
@@ -380,7 +457,8 @@ impl Drop for SolverService {
     }
 }
 
-fn validate(request: &SolveRequest) -> Result<(), String> {
+/// Check `request`; the registry's name for its partitioner on success.
+fn validate(request: &SolveRequest) -> Result<&'static str, String> {
     let a = &request.matrix;
     if !a.is_square() {
         return Err(format!(
@@ -427,154 +505,24 @@ fn validate(request: &SolveRequest) -> Result<(), String> {
             ));
         }
     }
-    if hpf_partition::by_name(&request.partitioner).is_none() {
-        return Err(format!(
+    match hpf_partition::by_name(&request.partitioner) {
+        Some(partitioner) => Ok(partitioner.name()),
+        None => Err(format!(
             "unknown partitioner {:?}; registered: {}",
             request.partitioner,
             hpf_partition::partitioner_names().join(", ")
-        ));
-    }
-    Ok(())
-}
-
-/// Dispatcher: pull jobs from the class queues, pick the next class by
-/// deficit round-robin, group batch mates *within* that class, forward
-/// to the pool. During shutdown it stops forwarding and instead answers
-/// every job still queued or buffered with a typed
-/// [`ServiceError::Shutdown`], so no submitter is left hanging on a
-/// silently dropped responder.
-#[allow(clippy::too_many_arguments)]
-fn dispatcher_loop(
-    config: ServiceConfig,
-    class_rxs: [Receiver<Job>; 3],
-    signal_rx: Receiver<()>,
-    batch_tx: Sender<Batch>,
-    shutting_down: Arc<AtomicBool>,
-    metrics: Arc<Metrics>,
-    admission: Arc<AdmissionController>,
-) {
-    let refuse = |job: Job| {
-        admission.release(job.request.qos, job.admission_us);
-        metrics.failed.fetch_add(1, Ordering::Relaxed);
-        metrics.in_flight.fetch_sub(1, Ordering::Relaxed);
-        let _ = job.responder.send(Err(ServiceError::Shutdown));
-    };
-    // Zero weights would never earn a dequeue; treat them as one.
-    let weights: [u32; 3] = std::array::from_fn(|i| config.qos_weights[i].max(1));
-    let mut credits: [u32; 3] = weights;
-    let mut pending: [VecDeque<Job>; 3] = Default::default();
-    let mut intake_open = true;
-    loop {
-        // Pull everything queued right now into the per-class pending
-        // buffers (bounded by the class-queue capacities, so this is
-        // bounded memory). Intake is closed once every class channel
-        // reports disconnected.
-        let mut all_disconnected = true;
-        for (i, rx) in class_rxs.iter().enumerate() {
-            loop {
-                match rx.try_recv() {
-                    Ok(j) => {
-                        metrics.queue_depth.fetch_sub(1, Ordering::Relaxed);
-                        metrics.class_queue_depth[i].fetch_sub(1, Ordering::Relaxed);
-                        pending[i].push_back(j);
-                    }
-                    Err(TryRecvError::Empty) => {
-                        all_disconnected = false;
-                        break;
-                    }
-                    Err(TryRecvError::Disconnected) => break,
-                }
-            }
-        }
-        if all_disconnected {
-            intake_open = false;
-        }
-        if shutting_down.load(Ordering::SeqCst) {
-            // Drain mode: answer everything buffered, then wait for the
-            // channels to close (or more stragglers to refuse).
-            for q in pending.iter_mut() {
-                while let Some(job) = q.pop_front() {
-                    refuse(job);
-                }
-            }
-            if !intake_open {
-                break;
-            }
-            match signal_rx.recv() {
-                Ok(()) => continue,
-                Err(_) => {
-                    // Signal closed; one more refill pass drains the
-                    // class queues to disconnection, then we exit above.
-                    continue;
-                }
-            }
-        }
-        if pending.iter().all(|q| q.is_empty()) {
-            if !intake_open {
-                break;
-            }
-            // Nothing to do: block on the signal channel. Each accepted
-            // job sends exactly one signal *after* it is enqueued, so a
-            // wake-up here guarantees the next refill sees the job.
-            match signal_rx.recv() {
-                Ok(()) => {
-                    // Collapse the signal backlog; the refill drains the
-                    // class queues wholesale anyway.
-                    while signal_rx.try_recv().is_ok() {}
-                    continue;
-                }
-                Err(_) => {
-                    intake_open = false;
-                    continue;
-                }
-            }
-        }
-        // Deficit round-robin: the first class (in priority order) with
-        // work and credits wins; when every backlogged class is out of
-        // credits, replenish all from the configured weights.
-        let class = match (0..3).find(|&i| !pending[i].is_empty() && credits[i] > 0) {
-            Some(i) => i,
-            None => {
-                credits = weights;
-                (0..3)
-                    .find(|&i| !pending[i].is_empty())
-                    .expect("some class has work")
-            }
-        };
-        credits[class] -= 1;
-        let seed = pending[class].pop_front().expect("class has work");
-        // Batch mates come only from the same class: co-executing a
-        // best-effort job inside an interactive batch would let it jump
-        // the weighted queue.
-        let batch = if config.batching_enabled {
-            form_batch(seed, &mut pending[class], config.max_batch)
-        } else {
-            Batch { jobs: vec![seed] }
-        };
-        if let Err(send_err) = batch_tx.send(batch) {
-            // Workers are gone; answer the batch and whatever is still
-            // buffered rather than dropping responders silently.
-            for job in send_err.0.jobs {
-                refuse(job);
-            }
-            for q in pending.iter_mut() {
-                while let Some(job) = q.pop_front() {
-                    refuse(job);
-                }
-            }
-            break;
-        }
+        )),
     }
 }
 
-/// Worker: execute batches until the batch channel closes or the
-/// supervisor flags this worker for death. `execute_batch` already
-/// answers every job exactly once (including on panics inside solves);
-/// the outer `catch_unwind` is a last resort for bugs in the bookkeeping
-/// itself — the batch's handles then observe `Shutdown` when their
-/// responders drop, and the worker keeps serving.
+/// Worker: take batches from the intake and execute them until the
+/// service shuts down or the supervisor flags this worker for death.
+/// `execute_batch` already answers every job exactly once (including on
+/// panics inside solves); the outer `catch_unwind` is a last resort for
+/// bugs in the bookkeeping itself — the batch's handles then observe
+/// `Shutdown` when their responders drop, and the worker keeps serving.
 pub(crate) fn worker_loop(
-    batch_rx: Receiver<Batch>,
+    intake: Arc<Intake>,
     cache: Arc<PlanCache>,
     config: ServiceConfig,
     metrics: Arc<Metrics>,
@@ -582,7 +530,7 @@ pub(crate) fn worker_loop(
     admission: Arc<AdmissionController>,
     state: Arc<WorkerState>,
 ) {
-    while let Ok(batch) = batch_rx.recv() {
+    while let Some(batch) = intake.pull(&config, &metrics) {
         let _ = catch_unwind(AssertUnwindSafe(|| {
             crate::worker::execute_batch(
                 batch,
@@ -600,6 +548,117 @@ pub(crate) fn worker_loop(
             // reap the thread and respawn the slot with fresh state.
             *state.current.lock() = None;
             return;
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::request::QosClass;
+    use hpf_sparse::gen;
+
+    /// The body of the dispatcher thread's loop as it stood before
+    /// workers pulled (`e5be232`), kept as the reference for the order
+    /// in which buffered arrivals leave: pick a class by deficit
+    /// round-robin, pop its head, gather its mates.
+    fn dispatcher_pick(
+        pending: &mut [VecDeque<Job>; 3],
+        credits: &mut [u32; 3],
+        weights: [u32; 3],
+        config: &ServiceConfig,
+    ) -> Batch {
+        let class = match (0..3).find(|&i| !pending[i].is_empty() && credits[i] > 0) {
+            Some(i) => i,
+            None => {
+                *credits = weights;
+                (0..3)
+                    .find(|&i| !pending[i].is_empty())
+                    .expect("some class has work")
+            }
+        };
+        credits[class] -= 1;
+        let seed = pending[class].pop_front().expect("class has work");
+        if config.batching_enabled {
+            form_batch(seed, &mut pending[class], config.max_batch)
+        } else {
+            Batch { jobs: vec![seed] }
+        }
+    }
+
+    /// Arrival `id` of a recorded sequence: one of three matrix
+    /// instances (so some arrivals are batch mates) in one of the three
+    /// classes, both drawn from a fixed xorshift stream.
+    fn arrivals(matrices: &[Arc<hpf_sparse::CsrMatrix>; 3], n: u64) -> Vec<Job> {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        (0..n)
+            .map(|id| {
+                let a = &matrices[(next() % 3) as usize];
+                let request = SolveRequest::new(a.clone(), vec![1.0; a.n_rows()])
+                    .qos(QosClass::ALL[(next() % 3) as usize]);
+                // Nobody waits on these jobs: the receiver is dropped.
+                Job::accepted(id, request).0
+            })
+            .collect()
+    }
+
+    /// With the pool busy, arrivals wait in the intake and leave in the
+    /// order the dispatcher thread would have forwarded them: same
+    /// batches, same members, same sequence — with batching on and off,
+    /// with default, skewed and zero weights, across several credit
+    /// rounds and with arrivals landing between picks.
+    #[test]
+    fn parked_arrivals_leave_in_the_order_the_dispatcher_forwarded_them() {
+        let matrices = [8, 9, 10].map(|n| Arc::new(gen::tridiagonal(n, 4.0, -1.0)));
+        for (batching_enabled, qos_weights, max_batch) in [
+            (true, [6, 3, 1], 16),
+            (false, [6, 3, 1], 16),
+            (true, [1, 1, 1], 2),
+            (false, [2, 0, 5], 16),
+        ] {
+            let config = ServiceConfig {
+                batching_enabled,
+                qos_weights,
+                max_batch,
+                ..ServiceConfig::default()
+            };
+            let intake = Intake::new(&config);
+            let mut queues = intake.lock();
+            let mut oracle_pending: [VecDeque<Job>; 3] = Default::default();
+            let mut oracle_credits = weights(&config);
+            // 60 arrivals up front, then two more after every pick.
+            let mut theirs = arrivals(&matrices, 120).into_iter();
+            let mut ours = arrivals(&matrices, 120).into_iter();
+            let mut arrive = |n: usize, queues: &mut Queues, oracle: &mut [VecDeque<Job>; 3]| {
+                for (job, twin) in ours.by_ref().zip(theirs.by_ref()).take(n) {
+                    let class = job.request.qos.index();
+                    queues.pending[class].push_back(job);
+                    oracle[class].push_back(twin);
+                }
+            };
+            arrive(60, &mut queues, &mut oracle_pending);
+            let mut picks = 0;
+            while let Some(batch) = queues.next_batch(&config) {
+                let expected = dispatcher_pick(
+                    &mut oracle_pending,
+                    &mut oracle_credits,
+                    weights(&config),
+                    &config,
+                );
+                let ids = |b: &Batch| b.jobs.iter().map(|j| j.id).collect::<Vec<_>>();
+                assert_eq!(ids(&batch), ids(&expected), "pick {picks} of {config:?}");
+                assert_eq!(queues.credits, oracle_credits, "pick {picks}");
+                picks += 1;
+                arrive(2, &mut queues, &mut oracle_pending);
+            }
+            assert!(oracle_pending.iter().all(VecDeque::is_empty));
+            assert!(picks >= 30, "{picks} picks");
         }
     }
 }

@@ -15,17 +15,16 @@
 //! backoff; repeated kills feed the per-fingerprint circuit breaker so a
 //! structure that reliably wedges workers stops being scheduled at all.
 //!
-//! A worker blocked on the batch channel is *idle*, not hung — its
-//! heartbeat is stale but `current` is `None`, and it is never killed.
+//! A worker parked on the intake is *idle*, not hung — its heartbeat is
+//! stale but `current` is `None`, and it is never killed.
 
 use crate::admission::AdmissionController;
-use crate::batch::Batch;
 use crate::fingerprint::Fingerprint;
 use crate::metrics::Metrics;
 use crate::plan::PlanCache;
 use crate::request::ServiceConfig;
 use crate::retry::{backoff_delay, CircuitBreaker};
-use crossbeam::channel::Receiver;
+use crate::service::Intake;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -93,9 +92,10 @@ impl WorkerSlot {
     }
 }
 
-/// Everything needed to (re)spawn a worker thread on a slot.
+/// Everything needed to (re)spawn a worker thread on a slot; a respawned
+/// worker pulls from the same intake as the one it replaces.
 pub struct WorkerFactory {
-    pub batch_rx: Receiver<Batch>,
+    pub(crate) intake: Arc<Intake>,
     pub cache: Arc<PlanCache>,
     pub config: ServiceConfig,
     pub metrics: Arc<Metrics>,
@@ -106,7 +106,7 @@ pub struct WorkerFactory {
 impl WorkerFactory {
     /// Spawn worker `index` reporting liveness into `state`.
     pub fn spawn(&self, index: usize, state: Arc<WorkerState>) -> JoinHandle<()> {
-        let batch_rx = self.batch_rx.clone();
+        let intake = self.intake.clone();
         let cache = self.cache.clone();
         let config = self.config.clone();
         let metrics = self.metrics.clone();
@@ -116,7 +116,7 @@ impl WorkerFactory {
             .name(format!("hpf-service-worker-{index}"))
             .spawn(move || {
                 crate::service::worker_loop(
-                    batch_rx, cache, config, metrics, breaker, admission, state,
+                    intake, cache, config, metrics, breaker, admission, state,
                 )
             })
             .expect("spawn worker")

@@ -104,7 +104,9 @@ pub fn execute_batch(
     if batch.jobs.is_empty() {
         return;
     }
-    let fingerprint = batch.jobs[0].fingerprint;
+    // Every job of a batch has the key of the first: it speaks for all.
+    let key = batch.jobs[0].batch_key();
+    let fingerprint = key.fingerprint;
     if breaker.admit(fingerprint) == Admission::Refuse {
         for job in batch.jobs {
             admission.release(job.request.qos, job.admission_us);
@@ -131,21 +133,21 @@ pub fn execute_batch(
     let matrix = batch.jobs[0].request.matrix.clone();
 
     // Batch-wide setup: plan resolution (the service's only partitioner
-    // call site) and one operator build serving every job. The batch key
-    // includes the partitioner name, so jobs[0] speaks for the batch;
-    // unknown names were rejected at submission.
-    let partitioner = hpf_partition::by_name(&batch.jobs[0].request.partitioner)
-        .unwrap_or_else(|| Box::new(hpf_partition::BalancedContiguous));
+    // call site) and one operator serving every job. The key holds the
+    // registry's own name for the partitioner, resolved at submission.
+    let partitioner =
+        hpf_partition::by_name(key.partitioner).expect("a batch key holds a registry name");
     // Multigrid jobs cache their hierarchy alongside the plan, keyed on
-    // depth (grid presence was validated at submission; `grid` is in the
-    // batch key so jobs[0] speaks for the batch here too).
-    let mg_req = match (batch.jobs[0].request.solver, batch.jobs[0].request.grid) {
+    // depth (grid presence was validated at submission).
+    let mg_req = match (key.solver, key.grid) {
         (SolverKind::PcgMg { levels }, Some(dims)) => Some((dims, levels)),
         _ => None,
     };
     let setup = catch_unwind(AssertUnwindSafe(|| {
-        let (plan, source) = if config.plan_cache_enabled {
-            let (plan, outcome) = cache.get_or_build(
+        let (plan, op, source) = if config.plan_cache_enabled {
+            // The cache keeps the operator with its matrix: a recurring
+            // instance pays for neither the plan nor the operator.
+            let (plan, op, outcome) = cache.get_or_build(
                 fingerprint,
                 &matrix,
                 config.np,
@@ -156,14 +158,14 @@ pub fn execute_batch(
             match outcome {
                 CacheOutcome::Hit => {
                     metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
-                    (plan, PlanSource::CacheHit)
+                    (plan, op, PlanSource::CacheHit)
                 }
                 CacheOutcome::Miss => {
                     metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
                     metrics
                         .partitioner_invocations
                         .fetch_add(1, Ordering::Relaxed);
-                    (plan, PlanSource::Built)
+                    (plan, op, PlanSource::Built)
                 }
             }
         } else {
@@ -180,11 +182,9 @@ pub fn execute_batch(
             if let Some((dims, levels)) = mg_req {
                 plan = plan.with_mg(dims, levels);
             }
-            (Arc::new(plan), PlanSource::Built)
+            let op = Arc::new(plan.operator(Arc::clone(&matrix)));
+            (Arc::new(plan), op, PlanSource::Built)
         };
-        // The operator shares the request's matrix; what a batch pays
-        // here is the cost vectors and the product-form detection pass.
-        let op = RowwiseCsr::with_row_cuts(Arc::clone(&matrix), config.np, plan.row_cuts.clone());
         let mut machine = Machine::new(config.np, config.topology, CostModel::mpp_1995());
         // Nobody reads this machine's events after the solve: the
         // response carries the digest, and live taps go through the sink.
@@ -422,6 +422,7 @@ pub fn execute_batch(
                     recovery,
                     trace: machine.digest().clone(),
                     wait_time: started.duration_since(job.submitted),
+                    setup_time: job_started.duration_since(started),
                     solve_time: finished.duration_since(job_started),
                 })
             }
@@ -508,11 +509,10 @@ fn run_solver(
 mod tests {
     use super::*;
     use crate::batch::{form_batch, Job};
-    use crate::fingerprint::Fingerprint;
     use crate::request::SolveRequest;
-    use crossbeam::channel::{unbounded, Receiver};
     use hpf_sparse::gen;
     use std::collections::VecDeque;
+    use std::sync::mpsc::Receiver;
     use std::time::Duration;
 
     fn make_job(
@@ -520,20 +520,7 @@ mod tests {
         matrix: &Arc<hpf_sparse::CsrMatrix>,
         rhs: Vec<Vec<f64>>,
     ) -> (Job, Receiver<Result<SolveResponse, ServiceError>>) {
-        let (tx, rx) = unbounded();
-        let mut request = SolveRequest::new(matrix.clone(), Vec::new());
-        request.rhs = rhs;
-        (
-            Job {
-                id,
-                fingerprint: Fingerprint::of(matrix),
-                request,
-                submitted: Instant::now(),
-                admission_us: 0,
-                responder: tx,
-            },
-            rx,
-        )
+        Job::accepted(id, SolveRequest::with_rhs_set(matrix.clone(), rhs))
     }
 
     fn config(np: usize) -> ServiceConfig {
@@ -697,15 +684,7 @@ mod tests {
         for round in 0..2 {
             let mut request = SolveRequest::hpcg(dims, 3, vec![1.0; dims.n()]);
             request.stop = StopCriterion::RelativeResidual(1e-8);
-            let (tx, rx) = unbounded();
-            let job = Job {
-                id: round,
-                fingerprint: Fingerprint::of(&request.matrix),
-                request,
-                submitted: Instant::now(),
-                admission_us: 0,
-                responder: tx,
-            };
+            let (job, rx) = Job::accepted(round, request);
             metrics.in_flight.fetch_add(1, Ordering::Relaxed);
             execute_batch(
                 Batch { jobs: vec![job] },
@@ -763,15 +742,7 @@ mod tests {
         for (id, grid) in grids.into_iter().enumerate() {
             let mut request = SolveRequest::hpcg(dims, 3, vec![1.0; dims.n()]);
             request.grid = Some(grid);
-            let (tx, rx) = unbounded();
-            let job = Job {
-                id: id as u64,
-                fingerprint: Fingerprint::of(&request.matrix),
-                request,
-                submitted: Instant::now(),
-                admission_us: 0,
-                responder: tx,
-            };
+            let (job, rx) = Job::accepted(id as u64, request);
             metrics.in_flight.fetch_add(1, Ordering::Relaxed);
             execute_batch(
                 Batch { jobs: vec![job] },

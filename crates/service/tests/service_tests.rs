@@ -631,6 +631,30 @@ fn calibrated_admission_sheds_impossible_deadlines_at_submit() {
     assert_eq!(m.failed, 0);
 }
 
+/// A machine sink that parks the thread recording the first machine
+/// event it sees — the one worker of a service, inside its first solve —
+/// until the test lets go. Returns the sink, the channel that says the
+/// worker is parked, and the one that releases it.
+fn gate() -> (
+    hpf_machine::EventSink,
+    std::sync::mpsc::Receiver<()>,
+    std::sync::mpsc::Sender<()>,
+) {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::mpsc;
+    let (parked_tx, parked_rx) = mpsc::channel::<()>();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    let armed = AtomicBool::new(true);
+    let release_rx = parking_lot::Mutex::new(release_rx);
+    let sink = hpf_machine::EventSink::new(move |_event| {
+        if armed.swap(false, Ordering::SeqCst) {
+            parked_tx.send(()).expect("the test waits for this");
+            release_rx.lock().recv().expect("the test lets go");
+        }
+    });
+    (sink, parked_rx, release_tx)
+}
+
 /// Tentpole acceptance: with the single worker pinned, best-effort work
 /// submitted *first* still runs *after* the interactive work that
 /// arrived later — weighted-fair dequeue, not arrival order.
@@ -645,21 +669,8 @@ fn calibrated_admission_sheds_impossible_deadlines_at_submit() {
 fn interactive_jobs_overtake_best_effort_under_load() {
     use hpf_service::{ServiceEvent, ServiceEventSink};
     use parking_lot::Mutex;
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::mpsc;
 
-    let (parked_tx, parked_rx) = mpsc::channel::<()>();
-    let (release_tx, release_rx) = mpsc::channel::<()>();
-    let gate = {
-        let armed = AtomicBool::new(true);
-        let release_rx = Mutex::new(release_rx);
-        hpf_machine::EventSink::new(move |_event| {
-            if armed.swap(false, Ordering::SeqCst) {
-                parked_tx.send(()).expect("the test waits for this");
-                release_rx.lock().recv().expect("the test lets go");
-            }
-        })
-    };
+    let (gate, parked_rx, release_tx) = gate();
     let finished = Arc::new(Mutex::new(Vec::<QosClass>::new()));
     let record = {
         let finished = finished.clone();
@@ -689,20 +700,9 @@ fn interactive_jobs_overtake_best_effort_under_load() {
     };
     let mut handles = vec![submit(gen::poisson_2d(32, 32), QosClass::Batch)];
     parked_rx.recv().expect("the blocker reaches the worker");
-    // Two decoys park the dispatcher: one fills the worker hand-off
-    // channel, the next blocks the dispatcher mid-send. Once it has taken
-    // both off their queue it takes nothing more until the worker moves,
-    // so everything submitted afterwards is dequeued in one weighted pass.
-    for i in 0..2 {
-        handles.push(submit(
-            gen::banded_spd(32, 2, 200 + i),
-            QosClass::Interactive,
-        ));
-    }
-    while service.metrics().queue_depth != 0 {
-        std::thread::yield_now();
-    }
-    // Best-effort first.
+    // Nobody stands between `submit` and the parked worker: whatever is
+    // submitted now waits in the intake until the worker comes back for
+    // it, and is picked by weight then. Best-effort first.
     for i in 0..3 {
         handles.push(submit(
             gen::power_law_spd(256, 16, 0.9, 50 + i),
@@ -715,20 +715,22 @@ fn interactive_jobs_overtake_best_effort_under_load() {
             QosClass::Interactive,
         ));
     }
+    let waiting = service.metrics();
+    assert_eq!(waiting.queue_depth, 6);
+    assert_eq!(waiting.class_queue_depth, [3, 0, 3]);
     release_tx.send(()).expect("the worker is parked on this");
 
     for h in handles {
         assert!(h.wait().is_ok());
     }
     let m = service.shutdown();
-    assert_eq!(m.completed, 9);
+    assert_eq!(m.completed, 7);
+    assert_eq!(m.queue_depth, 0);
     use QosClass::{Batch, BestEffort, Interactive};
     assert_eq!(
         *finished.lock(),
         [
             Batch,       // the blocker
-            Interactive, // the decoys
-            Interactive,
             Interactive, // the contest: interactive drains before best-effort
             Interactive,
             Interactive,
@@ -781,6 +783,270 @@ fn hung_worker_is_killed_and_respawned() {
     assert_eq!(m.completed, 1);
     assert_eq!(m.failed, 1);
     assert_eq!(m.in_flight, 0);
+}
+
+/// `queue_capacity` is a bound, not a hint: with the one worker pinned,
+/// a class takes exactly that many jobs and refuses the next, another
+/// class is not affected, and the gauges read what was accepted.
+#[test]
+fn a_class_accepts_exactly_queue_capacity_jobs() {
+    const CAPACITY: usize = 4;
+    let (gate, parked_rx, release_tx) = gate();
+    let service = SolverService::start(ServiceConfig {
+        workers: 1,
+        queue_capacity: CAPACITY,
+        np: 4,
+        // The parked worker sends no heartbeats; it is not hung.
+        supervision_enabled: false,
+        machine_sink: Some(gate),
+        ..ServiceConfig::default()
+    });
+    let a = Arc::new(gen::banded_spd(32, 2, 5));
+    let (b, _x) = gen::rhs_for_known_solution(&a);
+    let submit = |qos| service.submit(SolveRequest::new(a.clone(), b.clone()).qos(qos));
+    let mut handles = vec![submit(QosClass::Batch).unwrap()];
+    parked_rx.recv().expect("the first job reaches the worker");
+    assert_eq!(service.metrics().queue_depth, 0, "taken, not queued");
+
+    for _ in 0..CAPACITY {
+        handles.push(submit(QosClass::Batch).expect("within the bound"));
+    }
+    for _ in 0..2 {
+        match submit(QosClass::Batch) {
+            Err(ServiceError::Busy { queue_capacity }) => assert_eq!(queue_capacity, CAPACITY),
+            other => panic!("expected Busy, got {other:?}"),
+        }
+    }
+    handles.push(submit(QosClass::Interactive).expect("another class has room"));
+    let m = service.metrics();
+    assert_eq!(m.queue_depth, CAPACITY + 1);
+    assert_eq!(m.class_queue_depth, [1, CAPACITY as u64, 0]);
+    assert_eq!((m.accepted, m.rejected_busy), (CAPACITY as u64 + 2, 2));
+    assert_eq!(m.in_flight, CAPACITY as u64 + 2);
+
+    release_tx.send(()).expect("the worker is parked on this");
+    for h in handles {
+        assert!(h.wait().expect("accepted jobs solve").stats[0].converged);
+    }
+    // Room again once the worker has taken what was queued.
+    assert!(submit(QosClass::Batch).unwrap().wait().is_ok());
+    let m = service.shutdown();
+    assert_eq!((m.queue_depth, m.in_flight, m.failed), (0, 0, 0));
+    assert_eq!(m.completed, CAPACITY as u64 + 3);
+}
+
+/// No wake-up is lost between a submitter that pushes and a worker that
+/// is deciding to park: four closed-loop submitters (each waits for its
+/// answer before sending the next request, so the pool runs dry and
+/// parks over and over) against one, two and four workers. A lost
+/// wake-up leaves a job in the intake with every worker asleep; it shows
+/// here as a handle that is not answered in time.
+#[test]
+fn no_wake_up_is_lost_between_submitters_and_parking_workers() {
+    const SUBMITTERS: usize = 4;
+    const REQUESTS: usize = 250;
+    for workers in [1, 2, 4] {
+        let service = SolverService::start(ServiceConfig {
+            workers,
+            queue_capacity: SUBMITTERS,
+            np: 2,
+            ..ServiceConfig::default()
+        });
+        std::thread::scope(|scope| {
+            for t in 0..SUBMITTERS {
+                let service = &service;
+                scope.spawn(move || {
+                    let a = Arc::new(gen::tridiagonal(12 + t, 4.0, -1.0));
+                    let (b, _x) = gen::rhs_for_known_solution(&a);
+                    for i in 0..REQUESTS {
+                        let qos = QosClass::ALL[(t + i) % 3];
+                        let handle = service
+                            .submit(SolveRequest::new(a.clone(), b.clone()).qos(qos))
+                            .expect("one request a submitter fits any class");
+                        let answer = handle
+                            .wait_timeout(Duration::from_secs(60))
+                            .unwrap_or_else(|| panic!("{workers} workers: request {i} of submitter {t} was never answered"));
+                        assert!(answer.expect("solves").stats[0].converged);
+                    }
+                });
+            }
+        });
+        let m = service.shutdown();
+        assert_eq!(m.completed, (SUBMITTERS * REQUESTS) as u64, "{workers}");
+        assert_eq!((m.in_flight, m.queue_depth, m.rejected_busy), (0, 0, 0));
+    }
+}
+
+/// What a response says about where its time went adds up: the wait,
+/// the batch's setup and the job's own solves are consecutive, and end
+/// before the `Completed` event is emitted, which is before the caller
+/// has its answer. A 200-request mixed stream: recurring structures
+/// under three partitioners, a tenth never seen before, bursts of 8.
+#[test]
+fn wait_setup_and_solve_account_for_a_requests_latency() {
+    use hpf_service::{ServiceEvent, ServiceEventSink};
+    use std::collections::HashMap;
+    use std::time::Instant;
+
+    let completed = Arc::new(parking_lot::Mutex::new(HashMap::<u64, u64>::new()));
+    let record = {
+        let completed = completed.clone();
+        ServiceEventSink::new(move |event| {
+            if let ServiceEvent::Completed {
+                trace_id,
+                latency_us,
+                ..
+            } = event
+            {
+                completed.lock().insert(*trace_id, *latency_us);
+            }
+        })
+    };
+    let service = SolverService::start(ServiceConfig {
+        workers: 2,
+        np: 8,
+        event_sink: Some(record),
+        ..ServiceConfig::default()
+    });
+    let pool: Vec<(Arc<hpf_sparse::CsrMatrix>, &str)> = vec![
+        (Arc::new(gen::banded_spd(128, 3, 1)), "balanced-rows"),
+        (Arc::new(gen::poisson_2d(12, 12)), "balanced-rows"),
+        (
+            Arc::new(gen::power_law_spd(160, 10, 0.9, 2)),
+            "greedy-hypergraph",
+        ),
+        (Arc::new(gen::random_spd(96, 4, 3)), "nnz-bisect"),
+    ];
+    let mut built = 0;
+    let mut trace = 0u64;
+    for burst in 0..25u64 {
+        let mut in_flight = Vec::new();
+        for k in 0..8u64 {
+            trace += 1;
+            let (a, partitioner) = if trace.is_multiple_of(10) {
+                (Arc::new(gen::random_spd(96, 4, 100 + trace)), "nnz-bisect")
+            } else {
+                pool[((burst * 5 + k * 3) % 4) as usize].clone()
+            };
+            let (b, _x) = gen::rhs_for_known_solution(&a);
+            let request = SolveRequest::new(a, b)
+                .partitioner(partitioner)
+                .qos(QosClass::ALL[(k % 3) as usize])
+                .trace(trace);
+            let t0 = Instant::now();
+            in_flight.push((trace, t0, service.submit(request).unwrap()));
+        }
+        for (trace, t0, handle) in in_flight {
+            let resp = handle.wait().expect("solves");
+            let latency = t0.elapsed();
+            let parts = resp.wait_time + resp.setup_time + resp.solve_time;
+            assert!(parts <= latency, "{trace}: {parts:?} of {latency:?}");
+            let emitted_us = completed.lock()[&trace];
+            assert!(parts.as_micros() as u64 <= emitted_us, "{trace}");
+            assert!(emitted_us <= latency.as_micros() as u64, "{trace}");
+            built += usize::from(resp.plan_source == PlanSource::Built);
+        }
+    }
+    assert!(built >= 4 + 20, "{built} plans built");
+    service.shutdown();
+
+    // The setup of a job that built its plan covers the build: a
+    // partitioner run that takes a while, against the fastest of three
+    // direct builds of the same plan.
+    let slow = Arc::new(gen::power_law_spd(600, 10, 0.9, 7));
+    let (b, _x) = gen::rhs_for_known_solution(&slow);
+    let partitioner = hpf_partition::by_name("greedy-hypergraph").unwrap();
+    let floor = (0..3)
+        .map(|_| {
+            let t0 = Instant::now();
+            let plan = SolvePlan::build_with(&slow, 8, Topology::Hypercube, partitioner.as_ref());
+            assert_eq!(plan.np, 8);
+            t0.elapsed()
+        })
+        .min()
+        .unwrap();
+    let service = SolverService::start(ServiceConfig {
+        workers: 1,
+        np: 8,
+        ..ServiceConfig::default()
+    });
+    let request = SolveRequest::new(slow, b).partitioner("greedy-hypergraph");
+    let first = service.solve(request.clone()).unwrap();
+    let second = service.solve(request).unwrap();
+    assert_eq!(first.plan_source, PlanSource::Built);
+    assert_eq!(second.plan_source, PlanSource::CacheHit);
+    assert!(
+        first.setup_time >= floor / 2,
+        "setup {:?} does not cover a build of {floor:?}",
+        first.setup_time
+    );
+    assert!(second.setup_time < first.setup_time);
+}
+
+/// One structure, two sets of values, alternating through one service:
+/// the plan is shared, the operator is not. Every answer solves *its
+/// own* matrix, to the bits a service that has seen nothing else gives.
+#[test]
+fn alternating_values_on_one_structure_each_get_their_own_operator() {
+    let a = Arc::new(gen::power_law_spd(96, 12, 0.9, 21));
+    let mut half = (*a).clone();
+    half.scale(0.5);
+    let half = Arc::new(half);
+    let (b, _x) = gen::rhs_for_known_solution(&a);
+    let request = |m: &Arc<hpf_sparse::CsrMatrix>| {
+        SolveRequest::new(m.clone(), b.clone()).stop(StopCriterion::RelativeResidual(1e-10))
+    };
+    let fresh = |m: &Arc<hpf_sparse::CsrMatrix>| {
+        let service = SolverService::start(ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        });
+        service.solve(request(m)).unwrap().solutions.remove(0)
+    };
+    let expected = [fresh(&a), fresh(&half)];
+    assert_ne!(expected[0], expected[1]);
+
+    let service = SolverService::start(ServiceConfig {
+        workers: 2,
+        ..ServiceConfig::default()
+    });
+    let matrices = [&a, &half];
+    // Two at a time, so that both instances are in flight together, and
+    // one by one, so that each finds the other's operator kept.
+    let mut answers = Vec::new();
+    for round in 0..5 {
+        let pair: Vec<_> = (0..2)
+            .map(|k| {
+                (
+                    (round + k) % 2,
+                    service.submit(request(matrices[(round + k) % 2])).unwrap(),
+                )
+            })
+            .collect();
+        answers.extend(
+            pair.into_iter()
+                .map(|(which, h)| (which, h.wait().unwrap())),
+        );
+        for k in 0..2 {
+            let which = (round + k) % 2;
+            answers.push((which, service.solve(request(matrices[which])).unwrap()));
+        }
+    }
+    assert_eq!(answers.len(), 20);
+    for (i, (which, resp)) in answers.iter().enumerate() {
+        assert!(
+            residual_ok(matrices[*which], &resp.solutions[0], &b, 1e-8),
+            "answer {i} does not solve its own matrix"
+        );
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&resp.solutions[0]),
+            bits(&expected[*which]),
+            "answer {i}"
+        );
+    }
+    let m = service.shutdown();
+    assert_eq!((m.completed, m.partitioner_invocations), (20, 1));
 }
 
 /// Satellite property: `shutdown` racing a full queue yields exactly
