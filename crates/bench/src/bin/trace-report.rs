@@ -965,14 +965,18 @@ mod tests {
     #[test]
     fn postmortem_formats_render_dumps_and_refuse_everything_else() {
         use hpf_obs::{FlightRecorder, FlightRecorderConfig};
-        use hpf_service::{QosClass, ServiceEvent};
+        use hpf_service::{JobEvidence, QosClass, ServiceEvent};
         let fr = FlightRecorder::new(FlightRecorderConfig::default());
-        fr.service_sink(None).emit(&ServiceEvent::Completed {
-            trace_id: 0xbeef,
-            class: QosClass::Batch,
-            latency_us: 777,
-            ok: false,
-            outcome: "recovery-exhausted",
+        fr.record(&JobEvidence {
+            machine: &hpf_machine::EventTail::default(),
+            residual: None,
+            lifecycle: &[ServiceEvent::Completed {
+                trace_id: 0xbeef,
+                class: QosClass::Batch,
+                latency_us: 777,
+                ok: false,
+                outcome: "recovery-exhausted",
+            }],
         });
         let doc = fr.postmortems()[0].to_json();
         let pm = parse_postmortem(&doc).expect("real dump parses");

@@ -5,21 +5,23 @@
 //! a solve goes wrong the service can *explain itself*. Three claims:
 //!
 //! 1. **Cost** — an unobserved request pays nothing for the recorder;
-//!    an observed one pays per event. The per-job black box (machine
-//!    ring, service tail, and residual tap, wired through
-//!    [`hpf_obs::FlightRecorder::install`]) is timed on a clean
+//!    an observed one pays per event. The evidence each worker keeps of
+//!    the job in hand (its machine's tail, the lifecycle list and the
+//!    residual series, asked for by the one hook
+//!    [`hpf_obs::FlightRecorder::install`] sets) is timed on a clean
 //!    closed-loop workload against the identical stream with the
 //!    recorder off, and stated three ways: wall time per request with
 //!    the recorder on (`rca/recorder_on_us_per_request`, which must not
 //!    exceed the committed baseline's), the difference spread over the
-//!    events ringed (`rca/recorder_ns_per_event`, budget
-//!    [`RECORDER_NS_PER_EVENT_BUDGET`]), and the on/off ratio. The ratio
+//!    machine events kept (`rca/recorder_ns_per_event`, budget
+//!    [`RECORDER_NS_PER_EVENT_BUDGET`]; the count is each job's, added
+//!    at hand-over), and the on/off ratio. The ratio
 //!    is printed and recorded but no longer the rule: since the worker
 //!    stopped keeping a full trace, the recorder-off side builds no
 //!    events at all, so the ratio's denominator fell and the recorder's
-//!    whole marginal cost shows in it. Clean jobs discard their tails at
-//!    `Completed`, so the steady-state cost is the ring writes, not the
-//!    dumps.
+//!    whole marginal cost shows in it. A clean job's evidence is lent
+//!    and not copied, so the steady-state cost is the tail writes, not
+//!    the dumps.
 //! 2. **Attribution** — a seeded chaos sweep (stall / crash / bit-flip
 //!    storm fault plans, retries disabled so every injected fault
 //!    surfaces as a terminal outcome) ends with the top-ranked
@@ -50,8 +52,8 @@ use hpf_sparse::{gen, CsrMatrix};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// What one ringed event may cost the request that carries it, in
-/// nanoseconds of wall time (full scale): (on − off) / events ringed. The
+/// What one machine event kept may cost the request that carries it, in
+/// nanoseconds of wall time (full scale): (on − off) / events kept. The
 /// trial resolves this to about ±60 ns (5% of a 0.35 s run over 280k
 /// events), so the budget is a ceiling, not a target.
 pub const RECORDER_NS_PER_EVENT_BUDGET: f64 = 150.0;
@@ -75,8 +77,8 @@ pub fn e30_rca(requests: usize) -> Table {
     e30_with_gate(requests, &RegressionGate::new(dir).with_tolerance(150.0))
 }
 
-/// The soak-shaped service config (E29's shape). `recorder` wires the
-/// flight recorder's three taps through [`FlightRecorder::install`].
+/// The soak-shaped service config (E29's shape). `recorder` becomes its
+/// evidence hook through [`FlightRecorder::install`].
 fn service_config(recorder: Option<&Arc<FlightRecorder>>) -> ServiceConfig {
     let mut cfg = ServiceConfig {
         workers: 2,
@@ -159,8 +161,8 @@ pub fn e30_with_gate(requests: usize, gate: &RegressionGate) -> Table {
 
     // ------------------------------------------------------------------
     // Phase A — cost: best clean closed-loop wall clock of alternating
-    // reps, recorder off vs recorder on (all three taps live, rings
-    // written and discarded per job, nothing ever dumps).
+    // reps, recorder off vs recorder on (every worker keeping its tails
+    // and lending them at each job's end, nothing ever dumps).
     let full_scale = requests >= 300;
     let mut best_off = f64::INFINITY;
     let mut best_on = f64::INFINITY;
@@ -169,16 +171,16 @@ pub fn e30_with_gate(requests: usize, gate: &RegressionGate) -> Table {
         best_off = best_off.min(timed_closed_loop(requests, &mats, &rhs, None));
         let fr = FlightRecorder::new(FlightRecorderConfig::default());
         best_on = best_on.min(timed_closed_loop(requests, &mats, &rhs, Some(&fr)));
-        clean_recorded = clean_recorded.max(fr.blackbox().recorded());
+        clean_recorded = clean_recorded.max(fr.machine_events());
         assert_eq!(
             fr.dumps(),
             0,
             "a clean workload must never trigger a post-mortem"
         );
         assert_eq!(
-            fr.blackbox().traces(),
+            fr.retained_traces(),
             0,
-            "every clean job must discard its ring at Completed"
+            "a clean job must leave nothing behind in the recorder"
         );
     }
     assert!(
@@ -207,8 +209,8 @@ pub fn e30_with_gate(requests: usize, gate: &RegressionGate) -> Table {
         "overhead-on".into(),
         format!("{best_on:.3}s"),
         format!(
-            "same stream, black box + tails live: {:.0} us/request, {:+.0} ns per event \
-             over {clean_recorded} events ringed (ratio {:+.2}%)",
+            "same stream, every job's evidence kept: {:.0} us/request, {:+.0} ns per event \
+             over {clean_recorded} events kept (ratio {:+.2}%)",
             cost.on_us_per_request,
             cost.ns_per_event,
             cost.overhead_pct()

@@ -22,6 +22,7 @@
 
 pub mod blackbox;
 pub mod cost;
+pub mod counter;
 pub mod exec;
 pub mod fault;
 pub mod machine;
@@ -31,10 +32,11 @@ pub mod spmd;
 pub mod topology;
 pub mod trace;
 
-pub use blackbox::{BlackBox, BlackBoxRecord, BlackBoxTail, StripedCounter};
+pub use blackbox::{BlackBoxRecord, BlackBoxTail};
 pub use cost::CostModel;
+pub use counter::StripedCounter;
 pub use fault::{Fault, FaultKind, FaultPlan, FaultRates};
-pub use machine::{EventSink, Machine, ProcStats, ProgressHook, TraceLevel};
+pub use machine::{EventSink, EventTail, Machine, ProcStats, ProgressHook, TraceLevel};
 pub use predict::{cg_iteration_seconds, predicted_or_measured_total, predicted_time};
 pub use span::{level_of, trace_of, ScopeGuard, Span};
 pub use spmd::{Comm, SpmdRun, SpmdStats, SpmdWorld};

@@ -72,9 +72,10 @@ pub struct Machine {
     level: TraceLevel,
     /// Running aggregate, kept at [`TraceLevel::Summary`].
     digest: Digest,
-    /// The one event lent to the sink below [`TraceLevel::Full`],
-    /// refilled in place for every operation the sink wants.
-    scratch: Event,
+    /// Where a wanted event is written below [`TraceLevel::Full`]: one
+    /// slot by default, the event lent to the sink; more once
+    /// [`Machine::keep_tail`] asked for them.
+    tail: EventTail,
     /// Global operation counter: advances once per public machine
     /// operation; fault plans key off it.
     op_index: usize,
@@ -117,10 +118,9 @@ impl std::fmt::Debug for ProgressHook {
 /// Callback fired with every event the machine records, *as it happens*,
 /// independent of the [`TraceLevel`].
 ///
-/// Below [`TraceLevel::Full`] the event a sink is handed is the machine's
-/// one scratch event, overwritten by the next operation: **a sink must
-/// copy what it keeps** (the bus flattens into its own record, the black
-/// box overwrites a ring slot).
+/// Below [`TraceLevel::Full`] the event a sink is handed is a slot of
+/// the machine's [`EventTail`], refilled by a later operation: **a sink
+/// must copy what it keeps** (the bus flattens into its own record).
 ///
 /// This is the live-telemetry tap: where [`ProgressHook`] is a heartbeat
 /// (an opaque operation counter), the sink sees the full [`Event`] —
@@ -166,35 +166,6 @@ impl EventSink {
         (self.emit)(event);
     }
 
-    /// Combine several sinks into one. [`Machine::set_event_sink`] holds a
-    /// single sink, so coexisting taps (a sampling bus *and* a black-box
-    /// flight recorder) must be fanned out explicitly. Emission offers the
-    /// event to every child; the combined pre-filter keeps an event if
-    /// *any* child wants it, so each child's own emit body must stay
-    /// prepared to drop events it did not ask for (the bus re-checks its
-    /// sampling decision on publish, the black box keeps everything).
-    /// One unfiltered child wants everything, so then no child's filter
-    /// is asked at all.
-    pub fn fanout(sinks: Vec<EventSink>) -> Self {
-        let filter: Option<std::sync::Arc<dyn Fn(u64, EventKind) -> bool + Send + Sync>> =
-            if sinks.iter().any(|child| child.filter.is_none()) {
-                None
-            } else {
-                let children = sinks.clone();
-                Some(std::sync::Arc::new(move |_trace_id, kind| {
-                    children.iter().any(|child| child.wants(kind))
-                }))
-            };
-        EventSink {
-            emit: std::sync::Arc::new(move |event: &Event| {
-                for child in &sinks {
-                    child.emit(event);
-                }
-            }),
-            filter,
-        }
-    }
-
     /// Would the sink keep an event of `kind` for the calling thread's
     /// current trace id? No filter means yes.
     pub fn wants(&self, kind: EventKind) -> bool {
@@ -208,6 +179,75 @@ impl EventSink {
 impl std::fmt::Debug for EventSink {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str("EventSink(..)")
+    }
+}
+
+/// The last events a [`Machine`] filled in below [`TraceLevel::Full`]:
+/// a ring of slots refilled where they sit, so a slot keeps the capacity
+/// its `span`, `label` and `proc_times` have grown to and a warm ring
+/// takes an event without allocating. Every machine has one slot, the
+/// event it lends its sink; [`Machine::keep_tail`] gives it more, and
+/// then every event is kept whatever a sink's pre-filter says.
+#[derive(Debug, Clone, Default)]
+pub struct EventTail {
+    slots: Vec<Event>,
+    /// The slot the next event is written to: the oldest once full.
+    next: usize,
+    /// Events written since the tail was last cleared.
+    written: u64,
+}
+
+impl EventTail {
+    fn with_capacity(capacity: usize) -> Self {
+        EventTail {
+            slots: vec![Event::blank(); capacity],
+            ..EventTail::default()
+        }
+    }
+
+    /// The slot the next event goes to, counted as written.
+    fn claim_slot(&mut self) -> &mut Event {
+        let at = self.next;
+        self.next = if at + 1 == self.slots.len() {
+            0
+        } else {
+            at + 1
+        };
+        self.written += 1;
+        &mut self.slots[at]
+    }
+
+    pub fn len(&self) -> usize {
+        self.slots.len().min(self.written as usize)
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.written == 0
+    }
+
+    /// Events written since the tail was last cleared and overwritten
+    /// since.
+    pub fn overwritten(&self) -> u64 {
+        self.written - self.len() as u64
+    }
+
+    /// The events held, oldest first.
+    pub fn iter(&self) -> impl Iterator<Item = &Event> {
+        // Until the ring wraps `next` is its length: nothing is older.
+        let (newer, older) = self.slots[..self.len()].split_at(self.next);
+        older.iter().chain(newer)
+    }
+}
+
+/// A full tail of exactly these events, oldest first: evidence put
+/// together by hand, where no machine ran.
+impl From<Vec<Event>> for EventTail {
+    fn from(slots: Vec<Event>) -> Self {
+        EventTail {
+            written: slots.len() as u64,
+            next: 0,
+            slots,
+        }
     }
 }
 
@@ -239,7 +279,7 @@ impl Machine {
             trace: Trace::new(),
             level: TraceLevel::Full,
             digest: Digest::default(),
-            scratch: Event::blank(),
+            tail: EventTail::with_capacity(1),
             op_index: 0,
             injector: None,
             pending: None,
@@ -400,6 +440,24 @@ impl Machine {
     /// Remove the event sink.
     pub fn clear_event_sink(&mut self) {
         self.sink = None;
+    }
+
+    /// Keep the last `capacity` events (two at least: one slot is what
+    /// every machine has) in [`Machine::tail`] from here on, below
+    /// [`TraceLevel::Full`] (at `Full` the trace has them all). The tail
+    /// outlives [`Machine::reset`], so it spans the attempts of one job;
+    /// [`Machine::clear_tail`] starts the next.
+    pub fn keep_tail(&mut self, capacity: usize) {
+        self.tail = EventTail::with_capacity(capacity.max(2));
+    }
+
+    pub fn tail(&self) -> &EventTail {
+        &self.tail
+    }
+
+    /// Forget the events in the tail; its slots keep their buffers.
+    pub fn clear_tail(&mut self) {
+        (self.tail.next, self.tail.written) = (0, 0);
     }
 
     /// Number of faults injected since the plan was installed (or the
@@ -569,22 +627,25 @@ impl Machine {
         );
     }
 
-    /// Will an event of `kind` be kept — by the trace, or by a sink whose
-    /// cheap pre-filter wants it? Asked once per operation, before
-    /// anything is filled in for the event (span path, label,
-    /// per-processor times).
+    /// Will an event of `kind` be kept — by the trace, by a tail
+    /// somebody reads, or by a sink whose cheap pre-filter wants it?
+    /// Asked once per operation, before anything is filled in for the
+    /// event (span path, label, per-processor times).
     fn wants_event(&self, kind: EventKind) -> bool {
-        self.level == TraceLevel::Full || self.sink.as_ref().is_some_and(|sink| sink.wants(kind))
+        self.level == TraceLevel::Full
+            || self.tail.slots.len() > 1
+            || self.sink.as_ref().is_some_and(|sink| sink.wants(kind))
     }
 
     /// An empty vector for the per-processor times of an event that
     /// [`Machine::wants_event`]: a fresh one the trace will own at
-    /// `Full`, the scratch event's own (capacity kept) below it.
+    /// `Full`, the next tail slot's own (capacity kept) below it.
     fn proc_times_buffer(&mut self, capacity: usize) -> Vec<f64> {
         if self.level == TraceLevel::Full {
             Vec::with_capacity(capacity)
         } else {
-            let mut buffer = std::mem::take(&mut self.scratch.proc_times);
+            let slot = &mut self.tail.slots[self.tail.next];
+            let mut buffer = std::mem::take(&mut slot.proc_times);
             buffer.clear();
             buffer
         }
@@ -633,9 +694,11 @@ impl Machine {
 
     /// At `Summary`, fold the operation into the digest. If its event is
     /// wanted: at `Full` an owned event goes to the sink and then into
-    /// the trace; below it a sink is lent the scratch event, refilled in
-    /// place — once the scratch strings and vector have grown to fit,
-    /// nothing is allocated per event.
+    /// the trace; below it the event is written once, into the next slot
+    /// of the tail, and that slot is what a sink is lent — once the
+    /// slots' strings and vectors have grown to fit, nothing is allocated
+    /// per event. A sink sees what it would see with one slot: under a
+    /// kept tail its pre-filter is asked here instead of before.
     #[inline(never)]
     #[allow(clippy::too_many_arguments)]
     fn fold_and_emit(
@@ -679,7 +742,8 @@ impl Machine {
             self.trace.record(event);
             return;
         }
-        let event = &mut self.scratch;
+        let lend = self.tail.slots.len() == 1;
+        let event = self.tail.claim_slot();
         event.kind = kind;
         event.participants = participants;
         event.words = words;
@@ -693,7 +757,9 @@ impl Machine {
         event.payload_words = payload;
         event.hops = hops;
         if let Some(sink) = &self.sink {
-            sink.emit(event);
+            if lend || sink.wants(kind) {
+                sink.emit(event);
+            }
         }
     }
 
@@ -1380,7 +1446,7 @@ mod tests {
             m.set_trace_level(level);
             m.set_event_sink(EventSink::new(move |e| {
                 // A sink copies what it keeps: below `Full` the event is
-                // the machine's scratch, overwritten by the next one.
+                // a slot of the machine's tail, refilled later.
                 tap.lock().unwrap().push(format!("{e:?}"));
             }));
             let _s = crate::span::enter("solve");
@@ -1404,43 +1470,103 @@ mod tests {
     }
 
     #[test]
-    fn fanout_asks_no_filter_when_a_child_wants_everything() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Arc;
-        let asked = Arc::new(AtomicUsize::new(0));
-        let emitted = Arc::new(AtomicUsize::new(0));
-        let sampler = |keep: bool| {
-            let asked = asked.clone();
-            EventSink::new(|_| {}).with_filter(move |_, _| {
-                asked.fetch_add(1, Ordering::Relaxed);
-                keep
-            })
-        };
-        let counter = || {
-            let emitted = emitted.clone();
-            EventSink::new(move |_| {
-                emitted.fetch_add(1, Ordering::Relaxed);
-            })
-        };
-        let mut m = Machine::hypercube(2);
-        m.set_tracing(false);
-        // A recorder that keeps everything next to a sampler: every event
-        // is built, and the sampler is left to decide in its emit body.
-        m.set_event_sink(EventSink::fanout(vec![sampler(false), counter()]));
+    fn the_tail_keeps_the_last_events_across_resets_until_cleared() {
+        let labels =
+            |m: &Machine| -> Vec<String> { m.tail().iter().map(|e| e.label.clone()).collect() };
+        let mut m = Machine::new(4, Topology::Hypercube, unit_cost());
+        m.set_trace_level(TraceLevel::Summary);
+        m.keep_tail(3);
+        assert!(m.tail().is_empty());
         m.barrier("a");
-        assert_eq!(
-            (
-                asked.load(Ordering::Relaxed),
-                emitted.load(Ordering::Relaxed)
-            ),
-            (0, 1)
-        );
-        // Samplers only: an event is built if any of them wants it.
-        m.set_event_sink(EventSink::fanout(vec![sampler(false), sampler(false)]));
-        m.barrier("b");
-        assert_eq!(asked.load(Ordering::Relaxed), 2);
-        let wanted = EventSink::fanout(vec![sampler(false), sampler(true)]);
-        assert!(wanted.wants(EventKind::Barrier));
+        m.compute_all(&[1, 2, 3, 4], "b");
+        assert_eq!(labels(&m), ["a", "b"]);
+        assert_eq!((m.tail().len(), m.tail().overwritten()), (2, 0));
+        // A job's next attempt resets the machine: the tail spans both.
+        m.reset();
+        for label in ["c", "d", "e"] {
+            m.allreduce(1, label);
+        }
+        assert_eq!(labels(&m), ["c", "d", "e"]);
+        assert_eq!((m.tail().len(), m.tail().overwritten()), (3, 2));
+        m.send(0, 1, 5, "f");
+        assert_eq!(labels(&m), ["d", "e", "f"]);
+        assert!(m.tail().iter().all(|e| e.proc_times.is_empty()));
+        // The next job starts from nothing, in the slots it was left.
+        m.clear_tail();
+        assert_eq!((m.tail().len(), m.tail().overwritten()), (0, 0));
+        m.compute_all(&[1, 2, 3, 4], "g");
+        assert_eq!(labels(&m), ["g"]);
+        assert_eq!(m.tail().iter().next().unwrap().proc_times.len(), 4);
+        // At `Full` the trace has every event and the tail is left alone.
+        m.set_trace_level(TraceLevel::Full);
+        m.barrier("h");
+        assert_eq!(labels(&m), ["g"]);
+        let by_hand = EventTail::from(m.trace().events().to_vec());
+        assert_eq!((by_hand.len(), by_hand.overwritten()), (1, 0));
+        assert_eq!(by_hand.iter().next().unwrap().label, "h");
+        assert!(EventTail::default().iter().next().is_none());
+    }
+
+    #[test]
+    fn a_sink_is_lent_the_tail_slot_holding_what_full_would_store() {
+        use std::sync::{Arc, Mutex};
+        type Seen = Vec<(String, String, Vec<f64>)>;
+        let run = |level: TraceLevel, tail: usize, sampled: bool| -> (Seen, Machine) {
+            let seen: Arc<Mutex<Seen>> = Arc::default();
+            let tap = seen.clone();
+            let mut m = Machine::new(4, Topology::Hypercube, unit_cost());
+            m.set_trace_level(level);
+            if tail > 0 {
+                m.keep_tail(tail);
+            }
+            let sink = EventSink::new(move |e| {
+                let lent = (e.span.clone(), e.label.clone(), e.proc_times.clone());
+                tap.lock().unwrap().push(lent);
+            });
+            m.set_event_sink(if sampled {
+                sink.with_filter(|_, kind| kind == EventKind::AllGather)
+            } else {
+                sink
+            });
+            let _s = crate::span::enter("solve");
+            m.compute_all(&[5, 10, 5, 5], "local-matvec");
+            m.send(0, 3, 7, "msg");
+            {
+                let _i = crate::span::enter_iter(12);
+                m.allgather(2, "bcast-p");
+            }
+            m.compute_serial(4, "serial");
+            let seen = seen.lock().unwrap().clone();
+            (seen, m)
+        };
+        let (at_full, full) = run(TraceLevel::Full, 0, false);
+        let stored: Seen = full
+            .trace()
+            .events()
+            .iter()
+            .map(|e| (e.span.clone(), e.label.clone(), e.proc_times.clone()))
+            .collect();
+        assert_eq!(stored.len(), 4);
+        assert_eq!(at_full, stored);
+        for level in [TraceLevel::Off, TraceLevel::Summary] {
+            for tail in [0, 2, 64] {
+                let (lent, m) = run(level, tail, false);
+                assert_eq!(lent, stored, "{level:?}, tail {tail}");
+                // The tail holds the same events, whoever else saw them.
+                let kept: Seen = m
+                    .tail()
+                    .iter()
+                    .map(|e| (e.span.clone(), e.label.clone(), e.proc_times.clone()))
+                    .collect();
+                let expected = &stored[stored.len() - tail.clamp(1, 4)..];
+                assert_eq!(kept, expected, "{level:?}, tail {tail}");
+                // A sampling sink is lent what it asked for, no more; a
+                // kept tail keeps every event all the same.
+                let (lent, m) = run(level, tail, true);
+                assert_eq!(lent, stored[2..3], "{level:?}, tail {tail}");
+                assert_eq!(m.tail().len(), if tail == 0 { 1 } else { tail.min(4) });
+            }
+        }
     }
 
     #[test]

@@ -10,10 +10,16 @@
 //! counters that can be compared against the simulated HPF machine's
 //! counters.
 
-use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Barrier, Mutex, MutexGuard, PoisonError};
+
+/// Lock the traffic counters, taking a poisoned lock as it is: the one
+/// critical section behind it adds to two counters, and a rank that
+/// panics there fails the whole run anyway.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// A tagged message between ranks.
 struct Msg {
@@ -57,7 +63,7 @@ impl Comm {
         assert!(to < self.np, "destination rank out of range");
         assert_ne!(to, self.rank, "self-sends are not modelled");
         {
-            let mut stats = self.stats.lock();
+            let mut stats = lock(&self.stats);
             stats[self.rank].messages += 1;
             stats[self.rank].words_sent += data.len() as u64;
         }
@@ -261,7 +267,7 @@ impl SpmdWorld {
                 .collect::<Vec<_>>()
         });
 
-        let stats = stats.lock().clone();
+        let stats = lock(&stats).clone();
         SpmdRun { results, stats }
     }
 }

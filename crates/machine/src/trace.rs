@@ -123,7 +123,7 @@ pub struct Event {
 }
 
 impl Event {
-    /// An event with nothing in it: what the machine's scratch event
+    /// An event with nothing in it: what a slot of the machine's tail
     /// holds before its first refill.
     pub(crate) fn blank() -> Event {
         Event {

@@ -26,10 +26,10 @@
 //! - **Admission audit** — [`admission::AdmissionAudit`] judges the
 //!   service's shed decisions in hindsight against completed-job
 //!   latencies, pricing over-shedding as a "shed-when-feasible" rate.
-//! - **Flight recorder** — [`rca::FlightRecorder`] retains bounded
-//!   machine/service/residual tails for every job and, on a bad terminal
-//!   outcome or a firing SLO alert, correlates them into a ranked
-//!   root-cause [`rca::Postmortem`] document.
+//! - **Flight recorder** — [`rca::FlightRecorder`] is lent the bounded
+//!   machine/service/residual tails each worker keeps of the job in hand
+//!   and, on a bad terminal outcome or a firing SLO alert, correlates
+//!   them into a ranked root-cause [`rca::Postmortem`] document.
 //! - **Regression gate** — [`gate`] persists bench runs as
 //!   schema-versioned `BENCH_<n>.json` records plus a rolling
 //!   `bench-history.jsonl`, and fails (typed [`GateError`]) when a

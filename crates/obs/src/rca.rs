@@ -2,33 +2,34 @@
 //!
 //! The live bus (`hpf-obs::bus`) *samples*: most jobs stream nothing, so
 //! when a sampled-out job dies there is no evidence left to autopsy. The
-//! [`FlightRecorder`] closes that gap by retaining three cheap, bounded
-//! tails for **every** in-flight job regardless of sampling:
+//! [`FlightRecorder`] closes that gap without keeping anything itself:
+//! whoever produces a job's evidence owns it (DESIGN §13). After
+//! admission that is the one worker running the job, which — once
+//! [`FlightRecorder::install`] has set the service's evidence hook —
+//! keeps three bounded tails of **every** job in hand, whatever the
+//! sampling: the last N simulated-machine events (fault labels included)
+//! in its machine's own ring, the job's lifecycle events in order, and
+//! the residual series of the last solve attempt.
 //!
-//! - the machine-side black box ([`hpf_machine::BlackBox`]) — the last N
-//!   simulated-machine events per trace, fault labels included;
-//! - a service-event tail — admission verdict, rollbacks, retries,
-//!   kills, in arrival order;
-//! - the residual-series tail of the last solve attempt, flushed by the
-//!   worker through [`hpf_service::SolverTapSink`].
-//!
-//! When a job terminates *badly* (supervisor kill, recovery exhaustion,
-//! divergence, stagnation, numerical breakdown, deadline expiry of an
-//! admitted job) — or when an SLO alert transitions to Firing — the
-//! recorder correlates the three tails into a ranked [`RootCause`] list
-//! with confidence scores and a human-readable narrative, and stores the
-//! result as a [`Postmortem`] JSON document. Jobs that finish fine have
-//! their tails discarded; nothing is written.
-//!
-//! Exactly-one-dump is a contract: the terminal `Completed` event is the
-//! only per-job dump trigger, and a bounded dedupe set guards replays.
+//! The thread that answers the job lends them to [`FlightRecorder::record`]
+//! as one borrowed [`JobEvidence`]. When the job terminated *badly*
+//! (supervisor kill, recovery exhaustion, divergence, stagnation,
+//! numerical breakdown, deadline expiry of an admitted job, a worker
+//! panic) — or when an SLO alert transitions to Firing — the recorder
+//! correlates the tails into a ranked [`RootCause`] list with confidence
+//! scores and a narrative, and stores the result as a [`Postmortem`]
+//! JSON document. Of a job that finished fine it notes the outcome and
+//! copies nothing: there is no per-request state to discard, leak or
+//! merge. A job is answered once, so its evidence arrives once; a bounded
+//! dedupe set guards trace ids a caller assigned twice.
 
 use crate::json::Obj;
 use crate::slo::{AlertState, AlertTransition};
-use hpf_machine::{BlackBox, BlackBoxRecord, BlackBoxTail, EventSink};
-use hpf_service::{ServiceEvent, ServiceEventSink, SolverTail, SolverTapSink};
+use hpf_machine::{BlackBoxRecord, BlackBoxTail};
+use hpf_service::{EvidenceHook, JobEvidence, ServiceEvent, SolverTail};
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Schema marker stamped into every post-mortem document; the CLI
 /// refuses to `--format postmortem|explain` anything without it.
@@ -355,10 +356,8 @@ pub fn summary_from_json(text: &str) -> Result<PostmortemSummary, String> {
 /// Flight-recorder sizing knobs.
 #[derive(Debug, Clone)]
 pub struct FlightRecorderConfig {
-    /// Machine events retained per trace by the black box.
+    /// Machine events each worker keeps of the job in hand.
     pub ring_capacity: usize,
-    /// Service lifecycle events retained per trace.
-    pub service_tail_capacity: usize,
     /// Post-mortem documents kept before the oldest is dropped.
     pub max_postmortems: usize,
 }
@@ -367,7 +366,6 @@ impl Default for FlightRecorderConfig {
     fn default() -> Self {
         FlightRecorderConfig {
             ring_capacity: hpf_machine::blackbox::DEFAULT_RING_CAPACITY,
-            service_tail_capacity: 32,
             max_postmortems: 64,
         }
     }
@@ -382,10 +380,6 @@ const DEDUPE_CAPACITY: usize = 8192;
 
 #[derive(Default)]
 struct Inner {
-    service_tails: HashMap<u64, VecDeque<ServiceRec>>,
-    solver_tails: HashMap<u64, SolverTail>,
-    /// Last admission prediction per trace (mispricing evidence).
-    predicted_us: HashMap<u64, u64>,
     dumped: HashSet<u64>,
     dumped_order: VecDeque<u64>,
     postmortems: VecDeque<Arc<Postmortem>>,
@@ -396,15 +390,15 @@ struct Inner {
 
 type DumpCallback = Arc<dyn Fn(&Postmortem) + Send + Sync>;
 
-/// The per-job flight recorder and post-mortem store. Construct once,
-/// wire into a [`hpf_service::ServiceConfig`] via [`Self::install`] (or
-/// the individual `*_sink` methods), and read dumps back through
-/// [`Self::postmortems`] / [`Self::index_json`].
+/// The post-mortem writer and store. Construct once, wire into a
+/// [`hpf_service::ServiceConfig`] via [`Self::install`], and read dumps
+/// back through [`Self::postmortems`] / [`Self::index_json`].
 pub struct FlightRecorder {
-    blackbox: Arc<BlackBox>,
     config: FlightRecorderConfig,
     inner: Mutex<Inner>,
     on_dump: Mutex<Option<DumpCallback>>,
+    /// Machine events the jobs handed over had recorded (overhead audits).
+    machine_events: AtomicU64,
 }
 
 impl std::fmt::Debug for FlightRecorder {
@@ -418,16 +412,18 @@ impl std::fmt::Debug for FlightRecorder {
 impl FlightRecorder {
     pub fn new(config: FlightRecorderConfig) -> Arc<Self> {
         Arc::new(FlightRecorder {
-            blackbox: Arc::new(BlackBox::new(config.ring_capacity)),
             config,
             inner: Mutex::new(Inner::default()),
             on_dump: Mutex::new(None),
+            machine_events: AtomicU64::new(0),
         })
     }
 
-    /// The shared black box (overhead audits read its counters).
-    pub fn blackbox(&self) -> &Arc<BlackBox> {
-        &self.blackbox
+    /// The recorder's state. A panic under this lock (an attribution bug)
+    /// fails the one job being recorded; the deques it guards are valid
+    /// at every step, so the jobs after it take the lock as it is.
+    fn state(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Callback fired (outside the recorder lock) with every finished
@@ -438,48 +434,108 @@ impl FlightRecorder {
         *self.on_dump.lock().unwrap() = Some(Arc::new(f));
     }
 
-    /// Machine-side tap: the black box as an [`EventSink`]. Fan this out
-    /// with the live bus's sink ([`EventSink::fanout`]) when both run.
-    pub fn machine_sink(self: &Arc<Self>) -> EventSink {
-        self.blackbox.sink()
-    }
-
-    /// Service-side tap. Records the per-trace lifecycle tail, decides
-    /// dumps on terminal events, then forwards to `forward` (the live
-    /// bus adapter) if given.
-    pub fn service_sink(self: &Arc<Self>, forward: Option<ServiceEventSink>) -> ServiceEventSink {
-        let fr = Arc::clone(self);
-        ServiceEventSink::new(move |e| {
-            fr.observe(e);
-            if let Some(f) = &forward {
-                f.emit(e);
-            }
-        })
-    }
-
-    /// Worker tap receiving the bounded residual tail of each finished
-    /// solve attempt; the last flush per trace is kept as evidence.
-    pub fn solver_tap(self: &Arc<Self>) -> SolverTapSink {
-        let fr = Arc::clone(self);
-        SolverTapSink::new(move |tail| {
-            if tail.trace_id == 0 {
-                return;
-            }
-            let mut inner = fr.inner.lock().unwrap();
-            inner.solver_tails.insert(tail.trace_id, tail.clone());
-        })
-    }
-
-    /// Wire every tap into `cfg`, fanning out with any sinks already
-    /// installed (the live bus keeps streaming; the recorder rides the
-    /// same chokepoints).
+    /// Make this recorder `cfg`'s evidence hook: the one thing it needs
+    /// of a service. Every answered job's evidence then comes to
+    /// [`Self::record`]; sinks already in `cfg` (the live bus) are left
+    /// as they are.
     pub fn install(self: &Arc<Self>, cfg: &mut hpf_service::ServiceConfig) {
-        cfg.machine_sink = Some(match cfg.machine_sink.take() {
-            Some(existing) => EventSink::fanout(vec![existing, self.machine_sink()]),
-            None => self.machine_sink(),
+        let recorder = Arc::clone(self);
+        cfg.evidence_hook = Some(EvidenceHook::new(self.config.ring_capacity, move |e| {
+            recorder.record(e)
+        }));
+    }
+
+    /// Take note of one answered job, and write its post-mortem if its
+    /// outcome asks for one. Nothing of the evidence is kept otherwise.
+    pub fn record(&self, evidence: &JobEvidence<'_>) {
+        let Some(&ServiceEvent::Completed {
+            trace_id,
+            class,
+            latency_us,
+            outcome,
+            ..
+        }) = evidence.lifecycle.last()
+        else {
+            return; // not the evidence of an answered job
+        };
+        let seen = evidence.machine.len() as u64 + evidence.machine.overwritten();
+        self.machine_events.fetch_add(seen, Ordering::Relaxed);
+        let mut inner = self.state();
+        inner.recent_outcomes.push_back((class.name(), outcome));
+        if inner.recent_outcomes.len() > RECENT_OUTCOMES {
+            inner.recent_outcomes.pop_front();
+        }
+        let Some(trigger) = Trigger::from_outcome(outcome) else {
+            return; // a clean completion or a correct refusal
+        };
+        if !inner.dumped.insert(trace_id) {
+            return; // the second job a caller gave this id to
+        }
+        inner.dumped_order.push_back(trace_id);
+        if inner.dumped_order.len() > DEDUPE_CAPACITY {
+            let oldest = inner.dumped_order.pop_front().expect("not empty");
+            inner.dumped.remove(&oldest);
+        }
+        let machine = BlackBoxTail::summarise(trace_id, evidence.machine);
+        let service_tail: Vec<ServiceRec> = evidence.lifecycle.iter().map(service_rec).collect();
+        let predicted = evidence.lifecycle.iter().find_map(|e| match *e {
+            ServiceEvent::Admitted { predicted_us, .. } => Some(predicted_us),
+            _ => None,
         });
-        cfg.event_sink = Some(self.service_sink(cfg.event_sink.take()));
-        cfg.solver_tap = Some(self.solver_tap());
+        let residual_tail = evidence.residual.map(|r| r.to_solver_tail(trace_id));
+        let causes = attribute(
+            trigger,
+            outcome,
+            latency_us,
+            predicted,
+            &machine,
+            &service_tail,
+            residual_tail.as_ref(),
+        );
+        let pm = Postmortem {
+            key: format!("{trace_id:016x}"),
+            trace_id,
+            trigger,
+            class: class.name().to_string(),
+            outcome: outcome.to_string(),
+            latency_us,
+            seq: 0,
+            causes,
+            narrative: String::new(),
+            machine_tail: machine.events,
+            machine_overwritten: machine.overwritten,
+            service_tail,
+            residual_tail,
+        };
+        self.dump(inner, pm);
+    }
+
+    /// Number, narrate, store and announce one post-mortem.
+    fn dump(&self, mut inner: MutexGuard<'_, Inner>, mut pm: Postmortem) {
+        inner.seq += 1;
+        pm.seq = inner.seq;
+        pm.narrative = narrative(&pm);
+        let pm = Arc::new(pm);
+        inner.postmortems.push_back(Arc::clone(&pm));
+        if inner.postmortems.len() > self.config.max_postmortems {
+            inner.postmortems.pop_front();
+        }
+        drop(inner);
+        let on_dump = self.on_dump.lock().unwrap().clone();
+        if let Some(on_dump) = on_dump {
+            on_dump(&pm);
+        }
+    }
+
+    /// Trace ids the recorder holds anything under: those of its per-job
+    /// dumps (the dedupe guard's). A job that did not dump leaves none.
+    pub fn retained_traces(&self) -> usize {
+        self.state().dumped.len()
+    }
+
+    /// Machine events the jobs handed over so far had recorded.
+    pub fn machine_events(&self) -> u64 {
+        self.machine_events.load(Ordering::Relaxed)
     }
 
     /// Feed one SLO alert transition; a transition *to* Firing produces
@@ -488,114 +544,93 @@ impl FlightRecorder {
         if t.to != AlertState::Firing {
             return;
         }
-        let pm = {
-            let mut inner = self.inner.lock().unwrap();
-            inner.seq += 1;
-            inner.slo_dumps += 1;
-            let (seq, nth) = (inner.seq, inner.slo_dumps);
-            let class = t.class.name();
-            let bad: Vec<&'static str> = inner
-                .recent_outcomes
-                .iter()
-                .filter(|(c, o)| *c == class && *o != "ok")
-                .map(|(_, o)| *o)
-                .collect();
-            let mut counts: HashMap<&'static str, usize> = HashMap::new();
-            for o in &bad {
-                *counts.entry(o).or_default() += 1;
+        let mut inner = self.state();
+        inner.slo_dumps += 1;
+        let nth = inner.slo_dumps;
+        let class = t.class.name();
+        let bad: Vec<&'static str> = inner
+            .recent_outcomes
+            .iter()
+            .filter(|(c, o)| *c == class && *o != "ok")
+            .map(|(_, o)| *o)
+            .collect();
+        let mut counts: HashMap<&'static str, usize> = HashMap::new();
+        for o in &bad {
+            *counts.entry(o).or_default() += 1;
+        }
+        let dominant = counts
+            .iter()
+            .max_by_key(|(_, n)| **n)
+            .map(|(o, n)| (*o, *n));
+        let verdict = match dominant.map(|(o, _)| o) {
+            Some("shed") | Some("busy") | Some("deadline") | Some("circuit-open") => {
+                Verdict::Overload
             }
-            let dominant = counts
-                .iter()
-                .max_by_key(|(_, n)| **n)
-                .map(|(o, n)| (*o, *n));
-            let verdict = match dominant.map(|(o, _)| o) {
-                Some("shed") | Some("busy") | Some("deadline") | Some("circuit-open") => {
-                    Verdict::Overload
-                }
-                Some("recovery-exhausted")
-                | Some("non-finite")
-                | Some("breakdown")
-                | Some("singular")
-                | Some("stagnation") => Verdict::NumericalBreakdown,
-                Some(_) => Verdict::Overload,
-                None => Verdict::Unknown,
-            };
-            let mut evidence = vec![format!(
-                "burn rates at transition: slow {:.2}x, fast {:.2}x over threshold",
-                t.slow_burn, t.fast_burn
-            )];
-            if let Some((o, n)) = dominant {
-                evidence.push(format!(
-                    "dominant bad outcome for class {class}: \"{o}\" ({n} of {} recent bad \
-                     terminals)",
-                    bad.len()
-                ));
-            } else {
-                evidence.push(format!(
-                    "no recent bad terminal outcomes retained for {class}"
-                ));
-            }
-            let causes = vec![RootCause {
-                verdict,
-                confidence: if dominant.is_some() { 0.7 } else { 0.3 },
-                evidence,
-            }];
-            let mut pm = Postmortem {
-                key: format!("slo-{class}-{nth}"),
-                trace_id: 0,
-                trigger: Trigger::SloFiring,
-                class: class.to_string(),
-                outcome: "slo-firing".to_string(),
-                latency_us: 0,
-                seq,
-                causes,
-                narrative: String::new(),
-                machine_tail: Vec::new(),
-                machine_overwritten: 0,
-                service_tail: Vec::new(),
-                residual_tail: None,
-            };
-            pm.narrative = narrative(&pm);
-            let pm = Arc::new(pm);
-            inner.postmortems.push_back(Arc::clone(&pm));
-            while inner.postmortems.len() > self.config.max_postmortems {
-                inner.postmortems.pop_front();
-            }
-            pm
+            Some("recovery-exhausted")
+            | Some("non-finite")
+            | Some("breakdown")
+            | Some("singular")
+            | Some("stagnation") => Verdict::NumericalBreakdown,
+            Some(_) => Verdict::Overload,
+            None => Verdict::Unknown,
         };
-        self.fire_on_dump(&pm);
+        let mut evidence = vec![format!(
+            "burn rates at transition: slow {:.2}x, fast {:.2}x over threshold",
+            t.slow_burn, t.fast_burn
+        )];
+        if let Some((o, n)) = dominant {
+            evidence.push(format!(
+                "dominant bad outcome for class {class}: \"{o}\" ({n} of {} recent bad \
+                 terminals)",
+                bad.len()
+            ));
+        } else {
+            evidence.push(format!(
+                "no recent bad terminal outcomes retained for {class}"
+            ));
+        }
+        let causes = vec![RootCause {
+            verdict,
+            confidence: if dominant.is_some() { 0.7 } else { 0.3 },
+            evidence,
+        }];
+        let pm = Postmortem {
+            key: format!("slo-{class}-{nth}"),
+            trace_id: 0,
+            trigger: Trigger::SloFiring,
+            class: class.to_string(),
+            outcome: "slo-firing".to_string(),
+            latency_us: 0,
+            seq: 0,
+            causes,
+            narrative: String::new(),
+            machine_tail: Vec::new(),
+            machine_overwritten: 0,
+            service_tail: Vec::new(),
+            residual_tail: None,
+        };
+        self.dump(inner, pm);
     }
 
     /// Dumps written since creation (per-job and SLO together).
     pub fn dumps(&self) -> u64 {
-        self.inner.lock().unwrap().seq
+        self.state().seq
     }
 
     /// Retained post-mortems, oldest first.
     pub fn postmortems(&self) -> Vec<Arc<Postmortem>> {
-        self.inner
-            .lock()
-            .unwrap()
-            .postmortems
-            .iter()
-            .cloned()
-            .collect()
+        self.state().postmortems.iter().cloned().collect()
     }
 
     /// Look a document up by its key (`<16-hex trace>` or `slo-...`).
     pub fn get(&self, key: &str) -> Option<Arc<Postmortem>> {
-        self.inner
-            .lock()
-            .unwrap()
-            .postmortems
-            .iter()
-            .find(|p| p.key == key)
-            .cloned()
+        let inner = self.state();
+        inner.postmortems.iter().find(|p| p.key == key).cloned()
     }
 
     /// The `/postmortems` index document.
     pub fn index_json(&self) -> String {
-        let inner = self.inner.lock().unwrap();
+        let inner = self.state();
         let mut out = String::new();
         {
             let mut doc = Obj::new(&mut out);
@@ -612,113 +647,6 @@ impl FlightRecorder {
             }
         }
         out
-    }
-
-    fn fire_on_dump(&self, pm: &Postmortem) {
-        let cb = self.on_dump.lock().unwrap().clone();
-        if let Some(cb) = cb {
-            cb(pm);
-        }
-    }
-
-    fn observe(self: &Arc<Self>, e: &ServiceEvent) {
-        let trace_id = e.trace_id();
-        if trace_id == 0 {
-            return; // worker-slot respawns are not tied to one request
-        }
-        let rec = service_rec(e);
-        let mut inner = self.inner.lock().unwrap();
-        let tail = inner.service_tails.entry(trace_id).or_default();
-        if tail.len() >= self.config.service_tail_capacity {
-            tail.pop_front();
-        }
-        tail.push_back(rec);
-        if let ServiceEvent::Admitted { predicted_us, .. } = *e {
-            inner.predicted_us.insert(trace_id, predicted_us);
-        }
-        let ServiceEvent::Completed {
-            class,
-            latency_us,
-            outcome,
-            ..
-        } = *e
-        else {
-            return;
-        };
-        inner.recent_outcomes.push_back((class.name(), outcome));
-        while inner.recent_outcomes.len() > RECENT_OUTCOMES {
-            inner.recent_outcomes.pop_front();
-        }
-        let Some(trigger) = Trigger::from_outcome(outcome) else {
-            // Clean completion or a correct refusal: release every tail.
-            inner.service_tails.remove(&trace_id);
-            inner.solver_tails.remove(&trace_id);
-            inner.predicted_us.remove(&trace_id);
-            drop(inner);
-            self.blackbox.discard(trace_id);
-            return;
-        };
-        if inner.dumped.contains(&trace_id) {
-            return; // exactly-one-dump guard
-        }
-        inner.dumped.insert(trace_id);
-        inner.dumped_order.push_back(trace_id);
-        while inner.dumped_order.len() > DEDUPE_CAPACITY {
-            if let Some(old) = inner.dumped_order.pop_front() {
-                inner.dumped.remove(&old);
-            }
-        }
-        let service_tail: Vec<ServiceRec> = inner
-            .service_tails
-            .remove(&trace_id)
-            .map(|t| t.into_iter().collect())
-            .unwrap_or_default();
-        let residual_tail = inner.solver_tails.remove(&trace_id);
-        let predicted = inner.predicted_us.remove(&trace_id);
-        inner.seq += 1;
-        let seq = inner.seq;
-        drop(inner);
-        // Machine events for this job were emitted synchronously on the
-        // worker thread that is now delivering Completed, so the ring is
-        // final: take it (removing) and attribute.
-        let machine = self.blackbox.take(trace_id).unwrap_or(BlackBoxTail {
-            trace_id,
-            ..BlackBoxTail::default()
-        });
-        let causes = attribute(
-            trigger,
-            outcome,
-            latency_us,
-            predicted,
-            &machine,
-            &service_tail,
-            residual_tail.as_ref(),
-        );
-        let mut pm = Postmortem {
-            key: format!("{trace_id:016x}"),
-            trace_id,
-            trigger,
-            class: class.name().to_string(),
-            outcome: outcome.to_string(),
-            latency_us,
-            seq,
-            causes,
-            narrative: String::new(),
-            machine_tail: machine.events,
-            machine_overwritten: machine.overwritten,
-            service_tail,
-            residual_tail,
-        };
-        pm.narrative = narrative(&pm);
-        let pm = Arc::new(pm);
-        {
-            let mut inner = self.inner.lock().unwrap();
-            inner.postmortems.push_back(Arc::clone(&pm));
-            while inner.postmortems.len() > self.config.max_postmortems {
-                inner.postmortems.pop_front();
-            }
-        }
-        self.fire_on_dump(&pm);
     }
 }
 
@@ -1025,9 +953,9 @@ fn narrative(pm: &Postmortem) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpf_machine::{Event, EventKind};
-    use hpf_service::QosClass;
-    use hpf_solvers::IterSample;
+    use hpf_machine::{Event, EventKind, EventTail};
+    use hpf_service::{QosClass, ResidualTail};
+    use hpf_solvers::{IterObserver, IterSample, TailObserver};
 
     fn machine_event(trace_id: u64, label: &str, proc_times: Vec<f64>) -> Event {
         Event {
@@ -1069,28 +997,51 @@ mod tests {
         }
     }
 
+    /// Hand `fr` the evidence of one answered job, as the thread
+    /// answering it would.
+    fn hand_over(
+        fr: &FlightRecorder,
+        machine: Vec<Event>,
+        lifecycle: &[ServiceEvent],
+        series: Option<TailObserver>,
+    ) {
+        let residual = series.map(|series| ResidualTail {
+            attempt: 1,
+            solver: "cg",
+            series,
+        });
+        fr.record(&JobEvidence {
+            lifecycle,
+            machine: &EventTail::from(machine),
+            residual: residual.as_ref(),
+        });
+    }
+
     #[test]
     fn injected_stall_dominates_attribution_and_doc_is_valid_json() {
         let fr = FlightRecorder::new(FlightRecorderConfig::default());
-        let msink = fr.machine_sink();
-        let ssink = fr.service_sink(None);
-        msink.emit(&machine_event(0xab, "dot-merge", Vec::new()));
-        msink.emit(&machine_event(
-            0xab,
-            "fault:stall:p2:op17:ms400",
-            Vec::new(),
-        ));
-        ssink.emit(&ServiceEvent::Admitted {
-            trace_id: 0xab,
-            class: QosClass::Interactive,
-            predicted_us: 120,
-        });
-        ssink.emit(&ServiceEvent::WorkerKilled {
-            trace_id: 0xab,
-            class: QosClass::Interactive,
-            after_us: 900,
-        });
-        ssink.emit(&completed(0xab, false, "worker-killed"));
+        let class = QosClass::Interactive;
+        hand_over(
+            &fr,
+            vec![
+                machine_event(0xab, "dot-merge", Vec::new()),
+                machine_event(0xab, "fault:stall:p2:op17:ms400", Vec::new()),
+            ],
+            &[
+                ServiceEvent::Admitted {
+                    trace_id: 0xab,
+                    class,
+                    predicted_us: 120,
+                },
+                ServiceEvent::WorkerKilled {
+                    trace_id: 0xab,
+                    class,
+                    after_us: 900,
+                },
+                completed(0xab, false, "worker-killed"),
+            ],
+            None,
+        );
         let pms = fr.postmortems();
         assert_eq!(pms.len(), 1);
         let pm = &pms[0];
@@ -1099,6 +1050,8 @@ mod tests {
         assert_eq!(pm.top_verdict(), Verdict::FaultStall);
         assert!(pm.causes[0].confidence >= 0.9);
         assert_eq!(pm.machine_tail.len(), 2);
+        let kinds: Vec<&str> = pm.service_tail.iter().map(|r| r.kind).collect();
+        assert_eq!(kinds, ["admitted", "worker-killed", "completed"]);
         assert!(pm.narrative.contains("fault-stall"));
         let doc = pm.to_json();
         crate::json::validate(&doc).expect("postmortem json");
@@ -1113,44 +1066,63 @@ mod tests {
     #[test]
     fn clean_completion_discards_every_tail_and_writes_nothing() {
         let fr = FlightRecorder::new(FlightRecorderConfig::default());
-        let msink = fr.machine_sink();
-        let ssink = fr.service_sink(None);
-        msink.emit(&machine_event(7, "dot-merge", Vec::new()));
-        ssink.emit(&completed(7, true, "ok"));
+        hand_over(
+            &fr,
+            vec![machine_event(7, "dot-merge", Vec::new())],
+            &[completed(7, true, "ok")],
+            None,
+        );
         assert_eq!(fr.postmortems().len(), 0);
         assert_eq!(fr.dumps(), 0);
-        assert_eq!(fr.blackbox().traces(), 0, "ring released");
+        assert_eq!(fr.retained_traces(), 0, "nothing kept of a clean job");
+        assert_eq!(fr.machine_events(), 1, "its events were counted");
         assert_eq!(fr.index_json(), "{\"postmortems\":[]}");
+        // Evidence that does not end in a `Completed` is nobody's answer.
+        hand_over(&fr, Vec::new(), &[], None);
+        assert_eq!((fr.dumps(), fr.retained_traces()), (0, 0));
     }
 
     #[test]
     fn exactly_one_dump_per_trace_even_on_replayed_terminal_events() {
+        use std::sync::atomic::AtomicUsize;
         let fr = FlightRecorder::new(FlightRecorderConfig::default());
-        let ssink = fr.service_sink(None);
-        ssink.emit(&completed(9, false, "recovery-exhausted"));
-        ssink.emit(&completed(9, false, "recovery-exhausted"));
+        let fired = Arc::new(AtomicUsize::new(0));
+        let count = fired.clone();
+        fr.set_on_dump(move |pm| {
+            assert!(!pm.narrative.is_empty());
+            count.fetch_add(1, Ordering::Relaxed);
+        });
+        for _ in 0..2 {
+            hand_over(
+                &fr,
+                Vec::new(),
+                &[completed(9, false, "recovery-exhausted")],
+                None,
+            );
+        }
         assert_eq!(fr.dumps(), 1);
         assert_eq!(fr.postmortems().len(), 1);
+        assert_eq!(fr.retained_traces(), 1);
+        assert_eq!(fired.load(Ordering::Relaxed), 1, "on_dump fired once");
     }
 
     #[test]
     fn divergence_is_read_from_the_residual_tail() {
         let fr = FlightRecorder::new(FlightRecorderConfig::default());
-        let tap = fr.solver_tap();
-        tap.emit(&SolverTail {
-            trace_id: 5,
-            attempt: 1,
-            solver: "cg",
-            samples: vec![sample(1, 1e-2), sample(2, 1e-3), sample(3, f64::NAN)],
-            rollbacks: Vec::new(),
-            restarts: Vec::new(),
-            overwritten: 0,
-        });
-        fr.service_sink(None)
-            .emit(&completed(5, false, "non-finite"));
+        let mut series = TailObserver::new(48);
+        for s in [sample(1, 1e-2), sample(2, 1e-3), sample(3, f64::NAN)] {
+            series.on_iteration(&s);
+        }
+        hand_over(
+            &fr,
+            Vec::new(),
+            &[completed(5, false, "non-finite")],
+            Some(series),
+        );
         let pms = fr.postmortems();
         assert_eq!(pms[0].top_verdict(), Verdict::Divergence);
         assert!(pms[0].narrative.contains("divergence"));
+        assert_eq!(pms[0].residual_tail.as_ref().unwrap().samples.len(), 3);
         crate::json::validate(&pms[0].to_json()).expect("json with NaN residual");
     }
 
@@ -1181,17 +1153,24 @@ mod tests {
     #[test]
     fn deadline_expiry_of_an_admitted_job_is_mispricing_over_overload() {
         let fr = FlightRecorder::new(FlightRecorderConfig::default());
-        let ssink = fr.service_sink(None);
-        ssink.emit(&ServiceEvent::Admitted {
-            trace_id: 11,
-            class: QosClass::Interactive,
-            predicted_us: 50,
-        });
-        ssink.emit(&ServiceEvent::DeadlineExpired {
-            trace_id: 11,
-            class: QosClass::Interactive,
-        });
-        ssink.emit(&completed(11, false, "deadline"));
+        let class = QosClass::Interactive;
+        hand_over(
+            &fr,
+            Vec::new(),
+            &[
+                ServiceEvent::Admitted {
+                    trace_id: 11,
+                    class,
+                    predicted_us: 50,
+                },
+                ServiceEvent::DeadlineExpired {
+                    trace_id: 11,
+                    class,
+                },
+                completed(11, false, "deadline"),
+            ],
+            None,
+        );
         let pm = &fr.postmortems()[0];
         assert_eq!(pm.trigger, Trigger::DeadlineShed);
         assert_eq!(pm.top_verdict(), Verdict::AdmissionMispricing);
@@ -1205,7 +1184,6 @@ mod tests {
     #[test]
     fn refusals_and_successes_do_not_dump() {
         let fr = FlightRecorder::new(FlightRecorderConfig::default());
-        let ssink = fr.service_sink(None);
         for outcome in [
             "ok",
             "busy",
@@ -1214,16 +1192,46 @@ mod tests {
             "invalid-request",
             "shutdown",
         ] {
-            ssink.emit(&completed(outcome.as_ptr() as u64, true, outcome));
+            let event = completed(outcome.as_ptr() as u64, true, outcome);
+            hand_over(&fr, Vec::new(), &[event], None);
         }
         assert_eq!(fr.dumps(), 0);
+        assert_eq!(fr.retained_traces(), 0);
+    }
+
+    #[test]
+    fn every_bad_outcome_dumps_under_its_trigger() {
+        let fr = FlightRecorder::new(FlightRecorderConfig::default());
+        let bad = [
+            ("worker-killed", Trigger::WorkerKilled),
+            ("recovery-exhausted", Trigger::RecoveryExhausted),
+            ("non-finite", Trigger::Divergence),
+            ("stagnation", Trigger::Stagnation),
+            ("deadline", Trigger::DeadlineShed),
+            ("breakdown", Trigger::Failure),
+            ("singular", Trigger::Failure),
+            ("invalid-operator", Trigger::Failure),
+            // Answered without a `Completed` until every job ended in
+            // one place: a set-up panic could not dump.
+            ("worker-panic", Trigger::Failure),
+        ];
+        for (id, (outcome, _)) in (1..).zip(bad) {
+            hand_over(&fr, Vec::new(), &[completed(id, false, outcome)], None);
+        }
+        let triggers: Vec<Trigger> = fr.postmortems().iter().map(|pm| pm.trigger).collect();
+        assert_eq!(triggers, bad.map(|(_, trigger)| trigger));
+        assert_eq!(fr.dumps(), bad.len() as u64);
     }
 
     #[test]
     fn slo_firing_produces_a_class_level_dump() {
         let fr = FlightRecorder::new(FlightRecorderConfig::default());
-        let ssink = fr.service_sink(None);
-        ssink.emit(&completed(21, false, "worker-killed"));
+        hand_over(
+            &fr,
+            Vec::new(),
+            &[completed(21, false, "worker-killed")],
+            None,
+        );
         fr.on_transition(&AlertTransition {
             class: QosClass::Interactive,
             at_s: 3.0,
@@ -1254,30 +1262,6 @@ mod tests {
     }
 
     #[test]
-    fn solver_tap_and_forwarding_sink_compose() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let fr = FlightRecorder::new(FlightRecorderConfig::default());
-        let forwarded = Arc::new(AtomicUsize::new(0));
-        let f2 = forwarded.clone();
-        let ssink = fr.service_sink(Some(ServiceEventSink::new(move |_| {
-            f2.fetch_add(1, Ordering::Relaxed);
-        })));
-        let dumps = Arc::new(AtomicUsize::new(0));
-        let d2 = dumps.clone();
-        fr.set_on_dump(move |pm| {
-            assert!(!pm.narrative.is_empty());
-            d2.fetch_add(1, Ordering::Relaxed);
-        });
-        ssink.emit(&completed(31, false, "non-finite"));
-        assert_eq!(
-            forwarded.load(Ordering::Relaxed),
-            1,
-            "events still forwarded"
-        );
-        assert_eq!(dumps.load(Ordering::Relaxed), 1, "on_dump fired");
-    }
-
-    #[test]
     fn summary_refuses_documents_without_the_schema_marker() {
         let err = summary_from_json("{\"alerts\":[]}").unwrap_err();
         assert!(
@@ -1290,10 +1274,12 @@ mod tests {
     #[test]
     fn inferred_straggler_from_imbalance_without_fault_labels() {
         let fr = FlightRecorder::new(FlightRecorderConfig::default());
-        fr.machine_sink()
-            .emit(&machine_event(41, "dot-merge", vec![1.0, 1.0, 6.0, 1.0]));
-        fr.service_sink(None)
-            .emit(&completed(41, false, "worker-killed"));
+        hand_over(
+            &fr,
+            vec![machine_event(41, "dot-merge", vec![1.0, 1.0, 6.0, 1.0])],
+            &[completed(41, false, "worker-killed")],
+            None,
+        );
         let pm = &fr.postmortems()[0];
         assert_eq!(pm.top_verdict(), Verdict::Straggler);
         assert!(pm.causes[0].evidence[0].contains("proc 2"));

@@ -134,7 +134,7 @@ fn live_serve_loop_is_scrapable_end_to_end() {
     // publishing it makes /postmortems serve the index and the per-trace
     // document, and the verdict counter reaches /metrics.
     let fr = hpf_obs::FlightRecorder::new(hpf_obs::FlightRecorderConfig::default());
-    fr.machine_sink().emit(&hpf_machine::Event {
+    let machine = hpf_machine::EventTail::from(vec![hpf_machine::Event {
         kind: hpf_machine::EventKind::AllReduce,
         participants: 4,
         words: 8,
@@ -146,15 +146,18 @@ fn live_serve_loop_is_scrapable_end_to_end() {
         proc_times: Vec::new(),
         payload_words: 8,
         hops: 0,
-    });
-    fr.service_sink(None)
-        .emit(&hpf_service::ServiceEvent::Completed {
+    }]);
+    fr.record(&hpf_service::JobEvidence {
+        machine: &machine,
+        residual: None,
+        lifecycle: &[hpf_service::ServiceEvent::Completed {
             trace_id: 0xab,
             class: hpf_service::QosClass::Interactive,
             latency_us: 900,
             ok: false,
             outcome: "worker-killed",
-        });
+        }],
+    });
     let pm = &fr.postmortems()[0];
     assert_eq!(pm.top_verdict().name(), "fault-stall");
     server.publish_postmortem(&pm.key, pm.to_json());

@@ -15,7 +15,7 @@
 //! Each reader also round-trips its writer here (`from(to(x)) == x`).
 
 use hpf_core::{DataArrayLayout, RowwiseCsr};
-use hpf_machine::{CostModel, Event, EventKind, FaultPlan, Machine, Topology, Trace};
+use hpf_machine::{CostModel, Event, EventKind, EventTail, FaultPlan, Machine, Topology, Trace};
 use hpf_obs::bus::{BusEvent, BusOrigin};
 use hpf_obs::rca::{summary_from_json, FlightRecorder, FlightRecorderConfig};
 use hpf_obs::slo::{AlertState, AlertTransition, SloTracker};
@@ -25,10 +25,13 @@ use hpf_obs::{
 };
 use hpf_partition::PartitionAssessment;
 use hpf_service::{
-    MetricsSnapshot, PostmortemCount, QosClass, ServiceConfig, ServiceEvent, SolveOutcome,
-    SolverService, SolverTail,
+    JobEvidence, MetricsSnapshot, PostmortemCount, QosClass, ResidualTail, ServiceConfig,
+    ServiceEvent, SolveOutcome, SolverService,
 };
-use hpf_solvers::{solve, IterSample, Krylov, NullObserver, RecoveryConfig, StopCriterion};
+use hpf_solvers::{
+    solve, IterObserver, IterSample, Krylov, NullObserver, RecoveryConfig, StopCriterion,
+    TailObserver,
+};
 use hpf_sparse::gen;
 use std::time::Duration;
 
@@ -321,49 +324,58 @@ fn sample(iteration: usize, residual_norm: f64) -> IterSample {
     }
 }
 
-/// One bad job through the recorder's three taps, then an SLO alert.
+/// One bad job's evidence handed to the recorder, then an SLO alert.
 fn recorder_with_dumps() -> std::sync::Arc<FlightRecorder> {
     let fr = FlightRecorder::new(FlightRecorderConfig::default());
-    let machine = fr.machine_sink();
-    machine.emit(&machine_event("dot-merge", Vec::new()));
-    machine.emit(&machine_event(AWKWARD, vec![1.0, 1.0, 6.0, 1.0]));
-    machine.emit(&machine_event("fault:bitflip:p1:op9:bit52", Vec::new()));
-    fr.solver_tap().emit(&SolverTail {
-        trace_id: 0xab,
+    let machine = EventTail::from(vec![
+        machine_event("dot-merge", Vec::new()),
+        machine_event(AWKWARD, vec![1.0, 1.0, 6.0, 1.0]),
+        machine_event("fault:bitflip:p1:op9:bit52", Vec::new()),
+    ]);
+    // Seven iterations through a ring of three: four overwritten.
+    let mut series = TailObserver::new(3);
+    for s in (1..5).map(|i| sample(i, 1.0)).chain([
+        sample(5, 1e-2),
+        sample(6, 2.5e-3),
+        sample(7, f64::NAN),
+    ]) {
+        series.on_iteration(&s);
+    }
+    series.on_rollback(6, "residual \"jumped\" 1e3x");
+    series.on_restart(7);
+    let residual = ResidualTail {
         attempt: 2,
         solver: "cg-protected",
-        samples: vec![sample(5, 1e-2), sample(6, 2.5e-3), sample(7, f64::NAN)],
-        rollbacks: vec![(6, "residual \"jumped\" 1e3x".into())],
-        restarts: vec![7],
-        overwritten: 4,
-    });
-    let service = fr.service_sink(None);
+        series,
+    };
     let class = QosClass::Interactive;
-    for e in [
-        ServiceEvent::Admitted {
-            trace_id: 0xab,
-            class,
-            predicted_us: 120,
-        },
-        ServiceEvent::Rollback {
-            trace_id: 0xab,
-            class,
-        },
-        ServiceEvent::WorkerKilled {
-            trace_id: 0xab,
-            class,
-            after_us: 900,
-        },
-        ServiceEvent::Completed {
-            trace_id: 0xab,
-            class,
-            latency_us: 1234,
-            ok: false,
-            outcome: "worker-killed",
-        },
-    ] {
-        service.emit(&e);
-    }
+    fr.record(&JobEvidence {
+        machine: &machine,
+        residual: Some(&residual),
+        lifecycle: &[
+            ServiceEvent::Admitted {
+                trace_id: 0xab,
+                class,
+                predicted_us: 120,
+            },
+            ServiceEvent::Rollback {
+                trace_id: 0xab,
+                class,
+            },
+            ServiceEvent::WorkerKilled {
+                trace_id: 0xab,
+                class,
+                after_us: 900,
+            },
+            ServiceEvent::Completed {
+                trace_id: 0xab,
+                class,
+                latency_us: 1234,
+                ok: false,
+                outcome: "worker-killed",
+            },
+        ],
+    });
     fr.on_transition(&AlertTransition {
         class,
         at_s: 3.0,

@@ -15,6 +15,8 @@
 //! machine-side spans of the very same request.
 
 use crate::request::QosClass;
+use hpf_machine::EventTail;
+use hpf_solvers::TailObserver;
 use std::sync::Arc;
 
 /// One service lifecycle event, emitted at the moment it happens.
@@ -146,11 +148,55 @@ pub fn emit(sink: &Option<ServiceEventSink>, event: ServiceEvent) {
     }
 }
 
-/// The residual-series tail of one solve attempt — what the worker's
-/// bounded [`hpf_solvers::TailObserver`] retained — flushed through
-/// [`SolverTapSink`] after the attempt finishes (success, typed failure,
-/// or a supervisor kill mid-attempt). The flight recorder stores the
-/// last flush per trace as divergence/stagnation evidence.
+/// What the thread that ends a job holds of it at that moment, lent to
+/// the [`EvidenceHook`]. That thread produced all of it (after admission
+/// a job's machine events, iteration samples and lifecycle events come
+/// from the one worker running it), so it is read where it was written:
+/// a hook that keeps nothing copies nothing.
+#[derive(Debug, Clone, Copy)]
+pub struct JobEvidence<'a> {
+    /// The newest [`LIFECYCLE_TAIL`] lifecycle events of the job, oldest
+    /// first: an [`ServiceEvent::Admitted`] (rebuilt from the job; the
+    /// submitter emitted the original), what the worker emitted, and
+    /// last the one [`ServiceEvent::Completed`].
+    pub lifecycle: &'a [ServiceEvent],
+    /// The last machine events of the job, across its attempts.
+    pub machine: &'a EventTail,
+    /// The last attempt's residual series, if it reached an iteration.
+    pub residual: Option<&'a ResidualTail>,
+}
+
+/// Lifecycle events kept per job for [`JobEvidence::lifecycle`].
+pub const LIFECYCLE_TAIL: usize = 32;
+
+/// The bounded residual series of one solve attempt, where the worker's
+/// observer records it.
+#[derive(Debug, Clone)]
+pub struct ResidualTail {
+    /// 1-based attempt the series belongs to.
+    pub attempt: usize,
+    /// Post-escalation solver that ran the attempt.
+    pub solver: &'static str,
+    pub series: TailObserver,
+}
+
+impl ResidualTail {
+    /// The series copied out for the post-mortem of `trace_id` to own.
+    pub fn to_solver_tail(&self, trace_id: u64) -> SolverTail {
+        SolverTail {
+            trace_id,
+            attempt: self.attempt,
+            solver: self.solver,
+            samples: self.series.tail(),
+            rollbacks: self.series.rollbacks().to_vec(),
+            restarts: self.series.restarts().to_vec(),
+            overwritten: self.series.overwritten(),
+        }
+    }
+}
+
+/// The residual-series tail of one solve attempt in owned form: what a
+/// post-mortem stores as divergence/stagnation evidence.
 #[derive(Debug, Clone)]
 pub struct SolverTail {
     pub trace_id: u64,
@@ -168,23 +214,32 @@ pub struct SolverTail {
     pub overwritten: u64,
 }
 
-/// Callback receiving one [`SolverTail`] per finished solve attempt.
+/// Called once per answered job, by the thread answering it, with the
+/// job's [`JobEvidence`] — what a flight recorder installs. With one set
+/// a worker keeps `machine_tail` machine events, a residual series and
+/// the lifecycle events of the job in hand; without, none of them.
 #[derive(Clone)]
-pub struct SolverTapSink(pub Arc<dyn Fn(&SolverTail) + Send + Sync>);
+pub struct EvidenceHook {
+    pub machine_tail: usize,
+    call: Arc<dyn Fn(&JobEvidence<'_>) + Send + Sync>,
+}
 
-impl SolverTapSink {
-    pub fn new(f: impl Fn(&SolverTail) + Send + Sync + 'static) -> Self {
-        SolverTapSink(Arc::new(f))
+impl EvidenceHook {
+    pub fn new(machine_tail: usize, f: impl Fn(&JobEvidence<'_>) + Send + Sync + 'static) -> Self {
+        EvidenceHook {
+            machine_tail,
+            call: Arc::new(f),
+        }
     }
 
-    pub fn emit(&self, tail: &SolverTail) {
-        (self.0)(tail);
+    pub fn call(&self, evidence: &JobEvidence<'_>) {
+        (self.call)(evidence);
     }
 }
 
-impl std::fmt::Debug for SolverTapSink {
+impl std::fmt::Debug for EvidenceHook {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("SolverTapSink(..)")
+        write!(f, "EvidenceHook(machine_tail: {})", self.machine_tail)
     }
 }
 

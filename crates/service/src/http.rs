@@ -40,13 +40,13 @@
 //! closing with unread bytes would reset the connection under the
 //! response the client is still reading.
 
+use crate::lock;
 use crate::metrics::Metrics;
 use crate::retry::CircuitBreaker;
-use parking_lot::Mutex;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -101,28 +101,28 @@ impl MetricsServer {
     /// Replaces any previously published report.
     pub fn publish_drift(&self, report_json: String) {
         self.published.started.store(true, Ordering::SeqCst);
-        *self.published.drift.lock() = Some(report_json);
+        *lock(&self.published.drift) = Some(report_json);
     }
 
     /// Install `slo_json` as the document served at `GET /slo`.
     /// Replaces any previously published status.
     pub fn publish_slo(&self, slo_json: String) {
         self.published.started.store(true, Ordering::SeqCst);
-        *self.published.slo.lock() = Some(slo_json);
+        *lock(&self.published.slo) = Some(slo_json);
     }
 
     /// Install `alerts_json` as the document served at `GET /alerts`.
     /// Replaces any previously published state.
     pub fn publish_alerts(&self, alerts_json: String) {
         self.published.started.store(true, Ordering::SeqCst);
-        *self.published.alerts.lock() = Some(alerts_json);
+        *lock(&self.published.alerts) = Some(alerts_json);
     }
 
     /// Install `index_json` as the document served at `GET /postmortems`.
     /// Replaces any previously published index.
     pub fn publish_postmortems(&self, index_json: String) {
         self.published.started.store(true, Ordering::SeqCst);
-        *self.published.postmortems.lock() = Some(index_json);
+        *lock(&self.published.postmortems) = Some(index_json);
     }
 
     /// Install one post-mortem dump, served at
@@ -130,10 +130,7 @@ impl MetricsServer {
     /// trace id). Replaces any previous dump for the same trace.
     pub fn publish_postmortem(&self, trace_hex: &str, doc_json: String) {
         self.published.started.store(true, Ordering::SeqCst);
-        self.published
-            .postmortem_docs
-            .lock()
-            .insert(trace_hex.to_string(), doc_json);
+        lock(&self.published.postmortem_docs).insert(trace_hex.to_string(), doc_json);
     }
 
     /// Stop the accept loop and join the listener thread. Idempotent.
@@ -346,7 +343,7 @@ fn route(
                 .f64("uptime_seconds", snap.uptime_seconds);
             (code, "application/json", body)
         }
-        "/drift" => match published.drift.lock().clone() {
+        "/drift" => match lock(&published.drift).clone() {
             Some(report) => ("200 OK", "application/json", report),
             None => (
                 "404 Not Found",
@@ -354,7 +351,7 @@ fn route(
                 "no drift report published yet\n".to_string(),
             ),
         },
-        "/slo" => match published.slo.lock().clone() {
+        "/slo" => match lock(&published.slo).clone() {
             Some(status) => ("200 OK", "application/json", status),
             None if published.started.load(Ordering::SeqCst) => {
                 ("200 OK", "application/json", "{\"slo\":[]}".to_string())
@@ -365,7 +362,7 @@ fn route(
                 "no slo status published yet\n".to_string(),
             ),
         },
-        "/alerts" => match published.alerts.lock().clone() {
+        "/alerts" => match lock(&published.alerts).clone() {
             Some(alerts) => ("200 OK", "application/json", alerts),
             None if published.started.load(Ordering::SeqCst) => {
                 ("200 OK", "application/json", "{\"alerts\":[]}".to_string())
@@ -376,7 +373,7 @@ fn route(
                 "no alert state published yet\n".to_string(),
             ),
         },
-        "/postmortems" => match published.postmortems.lock().clone() {
+        "/postmortems" => match lock(&published.postmortems).clone() {
             Some(index) => ("200 OK", "application/json", index),
             None if published.started.load(Ordering::SeqCst) => (
                 "200 OK",
@@ -391,7 +388,7 @@ fn route(
         },
         p if p.starts_with("/postmortems/") => {
             let trace = p.trim_start_matches("/postmortems/");
-            match published.postmortem_docs.lock().get(trace).cloned() {
+            match lock(&published.postmortem_docs).get(trace).cloned() {
                 Some(doc) => ("200 OK", "application/json", doc),
                 None => (
                     "404 Not Found",

@@ -33,6 +33,14 @@
 //! assert!(response.stats[0].converged);
 //! ```
 
+/// Lock `m`, taking a poisoned lock as it is. Every critical section in
+/// this crate is a handful of assignments that leave what they guard
+/// valid at each step, so a panic that unwound through one broke
+/// nothing the next holder could trip over.
+pub(crate) fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 pub mod admission;
 pub mod batch;
 pub mod events;
@@ -48,7 +56,10 @@ pub mod supervisor;
 pub mod worker;
 
 pub use admission::{AdmissionController, AdmissionDecision};
-pub use events::{ServiceEvent, ServiceEventSink, SolverTail, SolverTapSink};
+pub use events::{
+    EvidenceHook, JobEvidence, ResidualTail, ServiceEvent, ServiceEventSink, SolverTail,
+    LIFECYCLE_TAIL,
+};
 pub use fingerprint::Fingerprint;
 pub use http::MetricsServer;
 pub use metrics::{

@@ -2,10 +2,11 @@
 //! Prometheus text exposition (rendered here so the HTTP listener in
 //! [`crate::http`] needs nothing outside this crate).
 
+use crate::lock;
 use hpf_json::Obj;
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Upper bounds (inclusive, in microseconds) of the latency histogram
@@ -144,7 +145,7 @@ impl Metrics {
                 counts.failed += 1;
             }
         };
-        let mut map = self.solve_outcomes.lock();
+        let mut map = lock(&self.solve_outcomes);
         if let Some(counts) = map
             .get_mut(solver)
             .and_then(|by_scenario| by_scenario.get_mut(scenario))
@@ -163,9 +164,7 @@ impl Metrics {
     /// verdict (`"fault-bitflip"`, `"stagnation"`, ...). Labels are
     /// sanitized at record time like the solve-outcome labels.
     pub fn record_postmortem(&self, verdict: &str) {
-        *self
-            .postmortems
-            .lock()
+        *lock(&self.postmortems)
             .entry(sanitize_label(verdict))
             .or_default() += 1;
     }
@@ -219,9 +218,7 @@ impl Metrics {
             latency_bucket_bounds_us: LATENCY_BUCKET_BOUNDS_US.to_vec(),
             latency_buckets: self.latency_buckets.iter().map(g).collect(),
             latency_sum_us: g(&self.latency_sum_us),
-            solve_outcomes: self
-                .solve_outcomes
-                .lock()
+            solve_outcomes: lock(&self.solve_outcomes)
                 .iter()
                 .flat_map(|(solver, by_scenario)| {
                     by_scenario.iter().map(move |(scenario, c)| SolveOutcome {
@@ -232,9 +229,7 @@ impl Metrics {
                     })
                 })
                 .collect(),
-            postmortems: self
-                .postmortems
-                .lock()
+            postmortems: lock(&self.postmortems)
                 .iter()
                 .map(|(verdict, count)| PostmortemCount {
                     verdict: verdict.clone(),
@@ -655,6 +650,35 @@ mod tests {
         assert_eq!(s.latency_buckets[1], 1);
         assert_eq!(*s.latency_buckets.last().unwrap(), 1);
         assert_eq!(s.latency_buckets.iter().sum::<u64>(), 3);
+    }
+
+    /// A panic that unwinds through a label lock poisons it; the next
+    /// holder takes the map as it is instead of panicking in turn.
+    #[test]
+    fn a_panic_under_a_label_lock_does_not_take_the_next_scrape_down() {
+        let m = std::sync::Arc::new(Metrics::new());
+        m.record_solve_outcome("cg", "rowwise", true);
+        for poison_outcomes in [true, false] {
+            let held = m.clone();
+            let died = std::thread::spawn(move || {
+                let _outcomes = poison_outcomes.then(|| held.solve_outcomes.lock());
+                let _postmortems = (!poison_outcomes).then(|| held.postmortems.lock());
+                panic!("while holding a label lock");
+            })
+            .join();
+            assert!(died.is_err());
+        }
+        assert!(m.solve_outcomes.is_poisoned() && m.postmortems.is_poisoned());
+        m.record_solve_outcome("cg", "rowwise", false);
+        m.record_postmortem("fault-stall");
+        let s = m.snapshot();
+        assert_eq!(
+            (s.solve_outcomes[0].completed, s.solve_outcomes[0].failed),
+            (1, 1)
+        );
+        assert_eq!(s.postmortems[0].count, 1);
+        let scrape = s.to_prometheus();
+        assert!(scrape.contains("solve_failed_total{solver=\"cg\",scenario=\"rowwise\"} 1"));
     }
 
     #[test]

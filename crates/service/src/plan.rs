@@ -8,6 +8,7 @@
 //! arrays to the same processors (the paper's locality rule).
 
 use crate::fingerprint::Fingerprint;
+use crate::lock;
 use hpf_core::ext::sparse_directive::{SparseFormat, SparseMatrixDirective, TrioDescriptors};
 use hpf_core::RowwiseCsr;
 use hpf_dist::{ConnectivityGraph, Partitioner};
@@ -15,9 +16,8 @@ use hpf_machine::{CostModel, Machine, Topology};
 use hpf_mg::{GridDims, MgHierarchy, MgPreconditioner};
 use hpf_partition::BalancedContiguous;
 use hpf_sparse::CsrMatrix;
-use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Reusable result of partitioning one matrix structure for `np`
 /// processors.
@@ -240,7 +240,7 @@ impl PlanCache {
 
     /// Number of plans cached (slots whose build has finished).
     pub fn len(&self) -> usize {
-        let slots = self.slots.lock();
+        let slots = lock(&self.slots);
         slots
             .by_key
             .values()
@@ -255,7 +255,7 @@ impl PlanCache {
     /// The entry of `key`, marked most recently used; inserted (evicting
     /// by the rule above at capacity) if the key is new.
     fn find(&self, key: PlanKey) -> Found {
-        let mut slots = self.slots.lock();
+        let mut slots = lock(&self.slots);
         slots.clock += 1;
         let (now, insertions) = (slots.clock, slots.insertions);
         if let Some(entry) = slots.by_key.get_mut(&key) {
@@ -340,7 +340,7 @@ impl PlanCache {
         let operator = kept.unwrap_or_else(|| {
             let built = Arc::new(plan.operator(Arc::clone(matrix)));
             if found.reused {
-                let mut slots = self.slots.lock();
+                let mut slots = lock(&self.slots);
                 // Only into the entry the plan came from: the key may
                 // have been evicted and inserted anew since.
                 if let Some(entry) = slots.by_key.get_mut(&key) {
@@ -436,7 +436,7 @@ mod tests {
 
         /// Whether `k` is cached, without looking it up.
         fn holds(&self, k: u64) -> bool {
-            self.cache.slots.lock().by_key.contains_key(&Self::key(k))
+            lock(&self.cache.slots).by_key.contains_key(&Self::key(k))
         }
     }
 

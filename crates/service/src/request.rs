@@ -311,10 +311,11 @@ pub struct ServiceConfig {
     /// ([`hpf_machine::EventSink`]), streaming machine-level events
     /// (spans, faults, collectives) out mid-solve.
     pub machine_sink: Option<hpf_machine::EventSink>,
-    /// Flight-recorder tap receiving the bounded residual-series tail of
-    /// every finished solve attempt ([`crate::events::SolverTail`]) —
-    /// divergence/stagnation evidence for post-mortem attribution.
-    pub solver_tap: Option<crate::events::SolverTapSink>,
+    /// Called with every answered job's evidence
+    /// ([`crate::events::JobEvidence`]: its last machine events, residual
+    /// series and lifecycle events) by the thread answering it — what a
+    /// flight recorder installs. `None`: no worker keeps any of it.
+    pub evidence_hook: Option<crate::events::EvidenceHook>,
 }
 
 impl Default for ServiceConfig {
@@ -345,7 +346,7 @@ impl Default for ServiceConfig {
             restart_backoff_cap: Duration::from_secs(1),
             event_sink: None,
             machine_sink: None,
-            solver_tap: None,
+            evidence_hook: None,
         }
     }
 }

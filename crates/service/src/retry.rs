@@ -19,10 +19,11 @@
 //!    the circuit.
 
 use crate::fingerprint::Fingerprint;
+use crate::lock;
 use crate::request::SolverKind;
 use hpf_solvers::SolverError;
-use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Delay before retry `attempt` (1-based): `base * 2^(attempt-1)`,
@@ -129,7 +130,7 @@ impl CircuitBreaker {
         if self.threshold == 0 {
             return Admission::Allow;
         }
-        let mut entries = self.entries.lock();
+        let mut entries = lock(&self.entries);
         match entries.get_mut(&fp) {
             Some(e) => match e.opened_at {
                 Some(t) if t.elapsed() < self.cooldown => Admission::Refuse,
@@ -148,7 +149,7 @@ impl CircuitBreaker {
         if self.threshold == 0 {
             return;
         }
-        self.entries.lock().remove(&fp);
+        lock(&self.entries).remove(&fp);
     }
 
     /// Record a solver-class failure; opens the circuit once the
@@ -157,7 +158,7 @@ impl CircuitBreaker {
         if self.threshold == 0 {
             return;
         }
-        let mut entries = self.entries.lock();
+        let mut entries = lock(&self.entries);
         let e = entries.entry(fp).or_default();
         e.consecutive_failures += 1;
         if e.consecutive_failures >= self.threshold {
@@ -167,8 +168,7 @@ impl CircuitBreaker {
 
     /// Number of fingerprints currently open.
     pub fn open_circuits(&self) -> usize {
-        self.entries
-            .lock()
+        lock(&self.entries)
             .values()
             .filter(|e| matches!(e.opened_at, Some(t) if t.elapsed() < self.cooldown))
             .count()

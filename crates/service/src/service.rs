@@ -34,18 +34,19 @@
 
 use crate::admission::{AdmissionController, AdmissionDecision};
 use crate::batch::{form_batch, Batch, Job};
+use crate::lock;
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::plan::PlanCache;
 use crate::request::{ServiceConfig, SolveRequest};
 use crate::response::{ServiceError, SolveResponse};
 use crate::retry::CircuitBreaker;
-use crate::supervisor::{supervisor_loop, WorkerFactory, WorkerSlot, WorkerState};
-use parking_lot::Mutex;
+use crate::supervisor::{spawn_worker, supervisor_loop, WorkerSlot, WorkerState};
+use crate::worker::{Kept, Worker};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, TryRecvError};
-use std::sync::{Arc, Condvar, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -130,14 +131,14 @@ fn weights(config: &ServiceConfig) -> [u32; 3] {
 /// lock, and the condition variable idle workers park on.
 #[derive(Debug)]
 pub(crate) struct Intake {
-    queues: std::sync::Mutex<Queues>,
+    queues: Mutex<Queues>,
     work: Condvar,
 }
 
 impl Intake {
     fn new(config: &ServiceConfig) -> Self {
         Intake {
-            queues: std::sync::Mutex::new(Queues {
+            queues: Mutex::new(Queues {
                 pending: Default::default(),
                 credits: weights(config),
                 parked: 0,
@@ -147,17 +148,10 @@ impl Intake {
         }
     }
 
-    /// Every update under this lock is one queue or counter operation
-    /// that leaves [`Queues`] valid, so a poisoned lock is taken as it
-    /// is (shutdown runs in `Drop`, which must not panic on it).
-    fn lock(&self) -> MutexGuard<'_, Queues> {
-        self.queues.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// The next batch for a free worker, parking until there is one;
     /// `None` once the service has shut down.
     fn pull(&self, config: &ServiceConfig, metrics: &Metrics) -> Option<Batch> {
-        let mut queues = self.lock();
+        let mut queues = lock(&self.queues);
         let batch = loop {
             if let Some(batch) = queues.next_batch(config) {
                 break batch;
@@ -181,18 +175,45 @@ impl Intake {
     }
 }
 
+/// What the service's threads share — submitters, workers (a respawned
+/// one takes up where the one it replaces left), the supervisor — and
+/// what it takes to end a job ([`Core::finish`]).
+pub(crate) struct Core {
+    pub config: ServiceConfig,
+    pub intake: Intake,
+    pub cache: PlanCache,
+    pub metrics: Arc<Metrics>,
+    pub breaker: Arc<CircuitBreaker>,
+    pub admission: AdmissionController,
+}
+
+impl Core {
+    pub(crate) fn new(config: ServiceConfig) -> Arc<Self> {
+        let metrics = Arc::new(Metrics::new());
+        metrics
+            .queue_capacity
+            .store(config.queue_capacity as u64, Ordering::Relaxed);
+        Arc::new(Core {
+            intake: Intake::new(&config),
+            cache: PlanCache::new(config.plan_cache_capacity.max(1)),
+            metrics,
+            breaker: Arc::new(CircuitBreaker::new(
+                config.breaker_threshold,
+                config.breaker_cooldown,
+            )),
+            admission: AdmissionController::new(&config),
+            config,
+        })
+    }
+}
+
 /// A running solver service. Dropping it (or calling
 /// [`SolverService::shutdown`]) stops intake, drains accepted work, and
 /// joins every thread.
 pub struct SolverService {
-    config: ServiceConfig,
-    intake: Arc<Intake>,
-    metrics: Arc<Metrics>,
-    cache: Arc<PlanCache>,
+    core: Arc<Core>,
     next_id: AtomicU64,
     shutting_down: Arc<AtomicBool>,
-    breaker: Arc<CircuitBreaker>,
-    admission: Arc<AdmissionController>,
     slots: Arc<Mutex<Vec<WorkerSlot>>>,
     supervisor: Option<JoinHandle<()>>,
 }
@@ -204,42 +225,22 @@ impl SolverService {
         assert!(config.workers > 0, "need at least one worker");
         assert!(config.queue_capacity > 0, "queue capacity must be positive");
         assert!(config.np > 0, "machine size must be positive");
-        let metrics = Arc::new(Metrics::new());
-        metrics
-            .queue_capacity
-            .store(config.queue_capacity as u64, Ordering::Relaxed);
-        let cache = Arc::new(PlanCache::new(config.plan_cache_capacity.max(1)));
+        let core = Core::new(config);
         let shutting_down = Arc::new(AtomicBool::new(false));
-        let breaker = Arc::new(CircuitBreaker::new(
-            config.breaker_threshold,
-            config.breaker_cooldown,
-        ));
-        let admission = Arc::new(AdmissionController::new(&config));
-        let intake = Arc::new(Intake::new(&config));
-
-        let factory = WorkerFactory {
-            intake: intake.clone(),
-            cache: cache.clone(),
-            config: config.clone(),
-            metrics: metrics.clone(),
-            breaker: breaker.clone(),
-            admission: admission.clone(),
-        };
-        let slots: Vec<WorkerSlot> = (0..config.workers)
+        let slots: Vec<WorkerSlot> = (0..core.config.workers)
             .map(|i| {
                 let state = WorkerState::new();
-                WorkerSlot::new(factory.spawn(i, state.clone()), state)
+                WorkerSlot::new(spawn_worker(&core, i, state.clone()), state)
             })
             .collect();
         let slots = Arc::new(Mutex::new(slots));
 
-        let supervisor = if config.supervision_enabled {
-            let slots = slots.clone();
-            let shutting_down = shutting_down.clone();
+        let supervisor = if core.config.supervision_enabled {
+            let (slots, core, shutting_down) = (slots.clone(), core.clone(), shutting_down.clone());
             Some(
                 std::thread::Builder::new()
                     .name("hpf-service-supervisor".into())
-                    .spawn(move || supervisor_loop(slots, factory, shutting_down))
+                    .spawn(move || supervisor_loop(slots, core, shutting_down))
                     .expect("spawn supervisor"),
             )
         } else {
@@ -247,21 +248,16 @@ impl SolverService {
         };
 
         SolverService {
-            config,
-            intake,
-            metrics,
-            cache,
+            core,
             next_id: AtomicU64::new(1),
             shutting_down,
-            breaker,
-            admission,
             slots,
             supervisor,
         }
     }
 
     pub fn config(&self) -> &ServiceConfig {
-        &self.config
+        &self.core.config
     }
 
     /// Validate and enqueue a request. Non-blocking: a class that already
@@ -272,12 +268,11 @@ impl SolverService {
     /// met are refused with a typed [`ServiceError::Shed`] rather than
     /// queued to die.
     pub fn submit(&self, request: SolveRequest) -> Result<JobHandle, ServiceError> {
+        let (core, metrics) = (&*self.core, &*self.core.metrics);
         let partitioner = match validate(&request) {
             Ok(name) => name,
             Err(why) => {
-                self.metrics
-                    .rejected_invalid
-                    .fetch_add(1, Ordering::Relaxed);
+                metrics.rejected_invalid.fetch_add(1, Ordering::Relaxed);
                 return Err(ServiceError::InvalidRequest(why));
             }
         };
@@ -289,12 +284,12 @@ impl SolverService {
         if request.trace_id == 0 {
             request.trace_id = crate::events::derive_trace_id(job_id);
         }
-        let predicted_us = match self.admission.decide(&request) {
+        let predicted_us = match core.admission.decide(&request) {
             AdmissionDecision::Admit { predicted_us } => predicted_us,
             AdmissionDecision::Shed { predicted, budget } => {
-                self.metrics.shed_total.fetch_add(1, Ordering::Relaxed);
+                metrics.shed_total.fetch_add(1, Ordering::Relaxed);
                 crate::events::emit(
-                    &self.config.event_sink,
+                    &core.config.event_sink,
                     crate::ServiceEvent::Shed {
                         trace_id: request.trace_id,
                         class: request.qos,
@@ -311,32 +306,32 @@ impl SolverService {
         let trace_id = request.trace_id;
         let job = Job::new(job_id, request, partitioner, predicted_us, tx);
 
-        let mut queues = self.intake.lock();
+        let mut queues = lock(&core.intake.queues);
         if queues.closed {
             return Err(ServiceError::Shutdown);
         }
-        if queues.pending[class].len() >= self.config.queue_capacity {
+        if queues.pending[class].len() >= core.config.queue_capacity {
             drop(queues);
-            self.metrics.rejected_busy.fetch_add(1, Ordering::Relaxed);
+            metrics.rejected_busy.fetch_add(1, Ordering::Relaxed);
             return Err(ServiceError::Busy {
-                queue_capacity: self.config.queue_capacity,
+                queue_capacity: core.config.queue_capacity,
             });
         }
         queues.pending[class].push_back(job);
         // Counted before the lock is released: a worker can take the job
         // the moment it is, and what it undoes must already be done.
-        self.admission.admit(qos, predicted_us);
-        self.metrics.accepted.fetch_add(1, Ordering::Relaxed);
-        self.metrics.in_flight.fetch_add(1, Ordering::Relaxed);
-        self.metrics.queue_depth.fetch_add(1, Ordering::Relaxed);
-        self.metrics.class_queue_depth[class].fetch_add(1, Ordering::Relaxed);
+        core.admission.admit(qos, predicted_us);
+        metrics.accepted.fetch_add(1, Ordering::Relaxed);
+        metrics.in_flight.fetch_add(1, Ordering::Relaxed);
+        metrics.queue_depth.fetch_add(1, Ordering::Relaxed);
+        metrics.class_queue_depth[class].fetch_add(1, Ordering::Relaxed);
         let wake = queues.parked > 0;
         drop(queues);
         if wake {
-            self.intake.work.notify_one();
+            core.intake.work.notify_one();
         }
         crate::events::emit(
-            &self.config.event_sink,
+            &core.config.event_sink,
             crate::ServiceEvent::Admitted {
                 trace_id,
                 class: qos,
@@ -354,25 +349,25 @@ impl SolverService {
     /// Point-in-time counters (including the current queue-depth gauges
     /// and service uptime).
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.metrics.snapshot()
+        self.core.metrics.snapshot()
     }
 
     /// Shared handle to the live counters, for external recorders that
     /// need to bump service metrics as events happen (e.g. the flight
     /// recorder counting post-mortem dumps by verdict).
     pub fn metrics_handle(&self) -> Arc<Metrics> {
-        self.metrics.clone()
+        self.core.metrics.clone()
     }
 
     /// Number of plans currently cached.
     pub fn cached_plans(&self) -> usize {
-        self.cache.len()
+        self.core.cache.len()
     }
 
     /// The deadline-aware admission controller (calibration state and
     /// predicted backlog are readable for reports and tests).
     pub fn admission(&self) -> &AdmissionController {
-        &self.admission
+        &self.core.admission
     }
 
     /// Stop intake, answer every still-queued job with
@@ -380,7 +375,7 @@ impl SolverService {
     /// by a worker run to completion.
     pub fn shutdown(mut self) -> MetricsSnapshot {
         self.shutdown_in_place();
-        self.metrics.snapshot()
+        self.core.metrics.snapshot()
     }
 
     /// True once shutdown has begun.
@@ -390,7 +385,7 @@ impl SolverService {
 
     /// Number of structures whose circuit breaker is currently open.
     pub fn open_circuits(&self) -> usize {
-        self.breaker.open_circuits()
+        self.core.breaker.open_circuits()
     }
 
     /// Expose this service over HTTP at `addr` (`"127.0.0.1:0"` picks a
@@ -404,8 +399,8 @@ impl SolverService {
         crate::http::spawn(
             addr,
             crate::http::HttpState {
-                metrics: self.metrics.clone(),
-                breaker: self.breaker.clone(),
+                metrics: self.core.metrics.clone(),
+                breaker: self.core.breaker.clone(),
                 shutting_down: self.shutting_down.clone(),
             },
         )
@@ -420,7 +415,8 @@ impl SolverService {
         // supervisor is joined before the workers so it cannot respawn a
         // slot we are trying to reap.
         self.shutting_down.store(true, Ordering::SeqCst);
-        let mut queues = self.intake.lock();
+        let (core, metrics) = (&*self.core, &*self.core.metrics);
+        let mut queues = lock(&core.intake.queues);
         queues.closed = true;
         let left: Vec<Job> = queues
             .pending
@@ -428,22 +424,18 @@ impl SolverService {
             .flat_map(|q| q.drain(..))
             .collect();
         drop(queues);
-        self.intake.work.notify_all();
-        self.metrics
-            .queue_depth
-            .fetch_sub(left.len() as u64, Ordering::Relaxed);
+        core.intake.work.notify_all();
+        let drained = left.len() as u64;
+        metrics.queue_depth.fetch_sub(drained, Ordering::Relaxed);
+        let mut kept = Kept::new(&core.config);
         for job in left {
-            let class = job.request.qos;
-            self.metrics.class_queue_depth[class.index()].fetch_sub(1, Ordering::Relaxed);
-            self.admission.release(class, job.admission_us);
-            self.metrics.failed.fetch_add(1, Ordering::Relaxed);
-            self.metrics.in_flight.fetch_sub(1, Ordering::Relaxed);
-            let _ = job.responder.send(Err(ServiceError::Shutdown));
+            metrics.class_queue_depth[job.request.qos.index()].fetch_sub(1, Ordering::Relaxed);
+            core.refuse(job, ServiceError::Shutdown, None, &mut kept);
         }
         if let Some(s) = self.supervisor.take() {
             let _ = s.join();
         }
-        for slot in self.slots.lock().drain(..) {
+        for slot in lock(&self.slots).drain(..) {
             if let Some(h) = slot.handle {
                 let _ = h.join();
             }
@@ -521,32 +513,15 @@ fn validate(request: &SolveRequest) -> Result<&'static str, String> {
 /// panics inside solves); the outer `catch_unwind` is a last resort for
 /// bugs in the bookkeeping itself — the batch's handles then observe
 /// `Shutdown` when their responders drop, and the worker keeps serving.
-pub(crate) fn worker_loop(
-    intake: Arc<Intake>,
-    cache: Arc<PlanCache>,
-    config: ServiceConfig,
-    metrics: Arc<Metrics>,
-    breaker: Arc<CircuitBreaker>,
-    admission: Arc<AdmissionController>,
-    state: Arc<WorkerState>,
-) {
-    while let Some(batch) = intake.pull(&config, &metrics) {
-        let _ = catch_unwind(AssertUnwindSafe(|| {
-            crate::worker::execute_batch(
-                batch,
-                &cache,
-                &config,
-                &metrics,
-                &breaker,
-                &admission,
-                Some(&state),
-            );
-        }));
+pub(crate) fn worker_loop(core: Arc<Core>, state: Arc<WorkerState>) {
+    let mut worker = Worker::new(core.clone(), state.clone());
+    while let Some(batch) = core.intake.pull(&core.config, &core.metrics) {
+        let _ = catch_unwind(AssertUnwindSafe(|| worker.execute_batch(batch)));
         if state.abort.load(Ordering::SeqCst) {
             // The supervisor killed this worker mid-batch. The batch has
             // been answered (WorkerKilled); exit so the supervisor can
             // reap the thread and respawn the slot with fresh state.
-            *state.current.lock() = None;
+            *lock(&state.current) = None;
             return;
         }
     }
@@ -629,7 +604,7 @@ mod tests {
                 ..ServiceConfig::default()
             };
             let intake = Intake::new(&config);
-            let mut queues = intake.lock();
+            let mut queues = lock(&intake.queues);
             let mut oracle_pending: [VecDeque<Job>; 3] = Default::default();
             let mut oracle_credits = weights(&config);
             // 60 arrivals up front, then two more after every pick.

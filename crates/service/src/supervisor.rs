@@ -6,7 +6,7 @@
 //! heartbeat through the machine's progress hook, and the same hook
 //! checks an abort flag. The supervisor polls the heartbeats; a worker
 //! that is *busy* (has a current job) but whose heartbeat has not moved
-//! for [`ServiceConfig::hang_timeout`] gets its abort flag raised. The
+//! for [`crate::ServiceConfig::hang_timeout`] gets its abort flag raised. The
 //! hook then panics with the typed [`SupervisorAbort`] payload, the
 //! per-job `catch_unwind` in the worker answers the job with
 //! [`crate::ServiceError::WorkerKilled`], and the worker thread exits
@@ -18,16 +18,12 @@
 //! A worker parked on the intake is *idle*, not hung — its heartbeat is
 //! stale but `current` is `None`, and it is never killed.
 
-use crate::admission::AdmissionController;
 use crate::fingerprint::Fingerprint;
-use crate::metrics::Metrics;
-use crate::plan::PlanCache;
-use crate::request::ServiceConfig;
-use crate::retry::{backoff_delay, CircuitBreaker};
-use crate::service::Intake;
-use parking_lot::Mutex;
+use crate::lock;
+use crate::retry::backoff_delay;
+use crate::service::Core;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -92,41 +88,24 @@ impl WorkerSlot {
     }
 }
 
-/// Everything needed to (re)spawn a worker thread on a slot; a respawned
-/// worker pulls from the same intake as the one it replaces.
-pub struct WorkerFactory {
-    pub(crate) intake: Arc<Intake>,
-    pub cache: Arc<PlanCache>,
-    pub config: ServiceConfig,
-    pub metrics: Arc<Metrics>,
-    pub breaker: Arc<CircuitBreaker>,
-    pub admission: Arc<AdmissionController>,
+/// Spawn worker `index` over `core`, reporting liveness into `state`.
+pub(crate) fn spawn_worker(
+    core: &Arc<Core>,
+    index: usize,
+    state: Arc<WorkerState>,
+) -> JoinHandle<()> {
+    let core = core.clone();
+    std::thread::Builder::new()
+        .name(format!("hpf-service-worker-{index}"))
+        .spawn(move || crate::service::worker_loop(core, state))
+        .expect("spawn worker")
 }
 
-impl WorkerFactory {
-    /// Spawn worker `index` reporting liveness into `state`.
-    pub fn spawn(&self, index: usize, state: Arc<WorkerState>) -> JoinHandle<()> {
-        let intake = self.intake.clone();
-        let cache = self.cache.clone();
-        let config = self.config.clone();
-        let metrics = self.metrics.clone();
-        let breaker = self.breaker.clone();
-        let admission = self.admission.clone();
-        std::thread::Builder::new()
-            .name(format!("hpf-service-worker-{index}"))
-            .spawn(move || {
-                crate::service::worker_loop(
-                    intake, cache, config, metrics, breaker, admission, state,
-                )
-            })
-            .expect("spawn worker")
-    }
-}
-
-/// The supervision loop. Polls every [`ServiceConfig::supervisor_poll`]:
+/// The supervision loop. Polls every
+/// [`crate::ServiceConfig::supervisor_poll`]:
 ///
 /// * a busy slot whose heartbeat has not advanced for
-///   [`ServiceConfig::hang_timeout`] is killed (abort flag raised, one
+///   [`crate::ServiceConfig::hang_timeout`] is killed (abort flag raised, one
 ///   `supervisor_kills` tick, breaker failure recorded for the wedged
 ///   job's structure);
 /// * a finished thread (killed or organically dead) is joined and a
@@ -137,15 +116,15 @@ impl WorkerFactory {
 ///
 /// Exits when `shutting_down` is raised; remaining threads are joined by
 /// the service's shutdown path, not here.
-pub fn supervisor_loop(
+pub(crate) fn supervisor_loop(
     slots: Arc<Mutex<Vec<WorkerSlot>>>,
-    factory: WorkerFactory,
+    core: Arc<Core>,
     shutting_down: Arc<AtomicBool>,
 ) {
     while !shutting_down.load(Ordering::SeqCst) {
-        std::thread::sleep(factory.config.supervisor_poll);
+        std::thread::sleep(core.config.supervisor_poll);
         let now = Instant::now();
-        let mut slots = slots.lock();
+        let mut slots = lock(&slots);
         for (i, slot) in slots.iter_mut().enumerate() {
             // 1. Hang detection on live, busy workers.
             let beat = slot.state.heartbeat.load(Ordering::Relaxed);
@@ -153,21 +132,20 @@ pub fn supervisor_loop(
                 slot.last_seen_beat = beat;
                 slot.stale_since = None;
             }
-            let busy = *slot.state.current.lock();
+            let busy = *lock(&slot.state.current);
             match busy {
                 Some(job) if slot.handle.is_some() => {
                     let stale_since = *slot.stale_since.get_or_insert(now);
-                    if now.duration_since(stale_since) >= factory.config.hang_timeout
+                    if now.duration_since(stale_since) >= core.config.hang_timeout
                         && !slot.state.abort.swap(true, Ordering::SeqCst)
                     {
-                        factory
-                            .metrics
+                        core.metrics
                             .supervisor_kills
                             .fetch_add(1, Ordering::Relaxed);
                         // A hang is a failure of this structure's jobs as
                         // far as the breaker is concerned: enough kills
                         // trip the circuit and stop feeding it workers.
-                        factory.breaker.record_failure(job.fingerprint);
+                        core.breaker.record_failure(job.fingerprint);
                     }
                 }
                 _ => slot.stale_since = None,
@@ -180,8 +158,8 @@ pub fn supervisor_loop(
                 slot.restarts = slot.restarts.saturating_add(1);
                 slot.respawn_at = Some(
                     now + backoff_delay(
-                        factory.config.restart_backoff_base,
-                        factory.config.restart_backoff_cap,
+                        core.config.restart_backoff_base,
+                        core.config.restart_backoff_cap,
                         slot.restarts,
                     ),
                 );
@@ -198,13 +176,10 @@ pub fn supervisor_loop(
                 slot.state = state.clone();
                 slot.last_seen_beat = 0;
                 slot.stale_since = None;
-                slot.handle = Some(factory.spawn(i, state));
-                factory
-                    .metrics
-                    .worker_restarts
-                    .fetch_add(1, Ordering::Relaxed);
+                slot.handle = Some(spawn_worker(&core, i, state));
+                core.metrics.worker_restarts.fetch_add(1, Ordering::Relaxed);
                 crate::events::emit(
-                    &factory.config.event_sink,
+                    &core.config.event_sink,
                     crate::ServiceEvent::WorkerRestarted { worker: i },
                 );
             }
@@ -221,6 +196,6 @@ mod tests {
         let s = WorkerState::new();
         assert_eq!(s.heartbeat.load(Ordering::Relaxed), 0);
         assert!(!s.abort.load(Ordering::Relaxed));
-        assert!(s.current.lock().is_none());
+        assert!(lock(&s.current).is_none());
     }
 }

@@ -645,11 +645,11 @@ fn gate() -> (
     let (parked_tx, parked_rx) = mpsc::channel::<()>();
     let (release_tx, release_rx) = mpsc::channel::<()>();
     let armed = AtomicBool::new(true);
-    let release_rx = parking_lot::Mutex::new(release_rx);
+    let release_rx = std::sync::Mutex::new(release_rx);
     let sink = hpf_machine::EventSink::new(move |_event| {
         if armed.swap(false, Ordering::SeqCst) {
             parked_tx.send(()).expect("the test waits for this");
-            release_rx.lock().recv().expect("the test lets go");
+            release_rx.lock().unwrap().recv().expect("the test lets go");
         }
     });
     (sink, parked_rx, release_tx)
@@ -668,7 +668,7 @@ fn gate() -> (
 #[test]
 fn interactive_jobs_overtake_best_effort_under_load() {
     use hpf_service::{ServiceEvent, ServiceEventSink};
-    use parking_lot::Mutex;
+    use std::sync::Mutex;
 
     let (gate, parked_rx, release_tx) = gate();
     let finished = Arc::new(Mutex::new(Vec::<QosClass>::new()));
@@ -677,7 +677,7 @@ fn interactive_jobs_overtake_best_effort_under_load() {
         ServiceEventSink::new(move |event| {
             if let ServiceEvent::Completed { class, ok, .. } = event {
                 assert!(ok, "every job here solves");
-                finished.lock().push(*class);
+                finished.lock().unwrap().push(*class);
             }
         })
     };
@@ -728,7 +728,7 @@ fn interactive_jobs_overtake_best_effort_under_load() {
     assert_eq!(m.queue_depth, 0);
     use QosClass::{Batch, BestEffort, Interactive};
     assert_eq!(
-        *finished.lock(),
+        *finished.lock().unwrap(),
         [
             Batch,       // the blocker
             Interactive, // the contest: interactive drains before best-effort
@@ -888,7 +888,7 @@ fn wait_setup_and_solve_account_for_a_requests_latency() {
     use std::collections::HashMap;
     use std::time::Instant;
 
-    let completed = Arc::new(parking_lot::Mutex::new(HashMap::<u64, u64>::new()));
+    let completed = Arc::new(std::sync::Mutex::new(HashMap::<u64, u64>::new()));
     let record = {
         let completed = completed.clone();
         ServiceEventSink::new(move |event| {
@@ -898,7 +898,7 @@ fn wait_setup_and_solve_account_for_a_requests_latency() {
                 ..
             } = event
             {
-                completed.lock().insert(*trace_id, *latency_us);
+                completed.lock().unwrap().insert(*trace_id, *latency_us);
             }
         })
     };
@@ -941,7 +941,7 @@ fn wait_setup_and_solve_account_for_a_requests_latency() {
             let latency = t0.elapsed();
             let parts = resp.wait_time + resp.setup_time + resp.solve_time;
             assert!(parts <= latency, "{trace}: {parts:?} of {latency:?}");
-            let emitted_us = completed.lock()[&trace];
+            let emitted_us = completed.lock().unwrap()[&trace];
             assert!(parts.as_micros() as u64 <= emitted_us, "{trace}");
             assert!(emitted_us <= latency.as_micros() as u64, "{trace}");
             built += usize::from(resp.plan_source == PlanSource::Built);

@@ -15,7 +15,8 @@ use crate::stopping::{SolveStats, StopCriterion};
 /// Restarted GMRES(m).
 ///
 /// `restart` is the Krylov dimension between restarts (the paper's
-/// "longer recurrences": storage grows linearly with it).
+/// "longer recurrences": storage grows linearly with it); 0 is refused
+/// with [`SolverError::ZeroRestart`].
 pub fn gmres<A: SerialOperator + ?Sized>(
     a: &A,
     b: &[f64],
@@ -30,7 +31,9 @@ pub fn gmres<A: SerialOperator + ?Sized>(
             got: b.len(),
         });
     }
-    assert!(restart >= 1, "GMRES needs a restart length of at least 1");
+    if restart == 0 {
+        return Err(SolverError::ZeroRestart);
+    }
     let m = restart.min(n);
     let mut stats = SolveStats::new();
     let b_norm = norm2(b);
@@ -265,6 +268,14 @@ mod tests {
             gmres(&a, &[0.0; 10], 5, StopCriterion::RelativeResidual(1e-8), 10).unwrap();
         assert!(stats.converged);
         assert!(x.iter().all(|&v| v == 0.0));
+    }
+
+    /// As the distributed driver: a typed error, not an `assert!`.
+    #[test]
+    fn gmres_with_a_zero_restart_is_a_typed_error() {
+        let a = nonsymmetric(10);
+        let out = gmres(&a, &[1.0; 10], 0, StopCriterion::RelativeResidual(1e-8), 10);
+        assert!(matches!(out, Err(SolverError::ZeroRestart)), "{out:?}");
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! The allocation gate: a steady-state iteration of distributed CG,
 //! Jacobi-PCG, BiCGSTAB and GMRES(20) performs **zero** heap allocations
 //! when the machine keeps no events — [`TraceLevel::Off`] or
-//! [`TraceLevel::Summary`] — with no event sink, and also with a sink on
-//! a warm machine (the sink is lent the machine's one scratch event). So
-//! does CG over the column-wise `(*,BLOCK)` layout, both Scenario 2
+//! [`TraceLevel::Summary`] — with no event sink, and also on a warm
+//! machine with a sink (lent the slot of the machine's tail the event
+//! was written to), a kept tail of 64 events, or both. So does CG over the column-wise `(*,BLOCK)` layout, both Scenario 2
 //! variants. Every recurrence sizes its vectors, and GMRES its basis and
 //! Hessenberg columns, before the first iteration. BiCG is not in the
 //! table: its three allocations an iteration are inside
@@ -109,34 +109,57 @@ fn steady_state_allocates_nothing_when_no_event_is_kept() {
     }
 }
 
+/// Who reads the events of a machine that stores none: a sink, a kept
+/// tail of 64, or both.
+const READERS: [(&str, usize, bool); 3] = [
+    ("a sink", 0, true),
+    ("a tail of 64", 64, false),
+    ("a tail of 64 and a sink", 64, true),
+];
+
 #[test]
 fn a_warm_machine_lends_events_to_a_sink_without_allocating() {
     let (op, b) = problem();
     let jacobi = JacobiPreconditioner::from_operator(&op).unwrap();
-    for (name, method) in SOLVES {
+    for ((name, method), (readers, tail, sink)) in SOLVES
+        .into_iter()
+        .flat_map(|solve| READERS.map(|readers| (solve, readers)))
+    {
         for level in [TraceLevel::Off, TraceLevel::Summary] {
             let seen = Arc::new(AtomicUsize::new(0));
             let tap = seen.clone();
             let mut machine = machine(level);
-            machine.set_event_sink(EventSink::new(move |event| {
-                // Reads what a real sink copies: span, label, times.
-                let read = event.span.len() + event.label.len() + event.proc_times.len();
-                tap.fetch_add(read.min(1), Ordering::Relaxed);
-            }));
-            // One solve grows the scratch event to the longest span path,
-            // label and per-processor vector this solve produces.
+            if tail > 0 {
+                machine.keep_tail(tail);
+            }
+            if sink {
+                machine.set_event_sink(EventSink::new(move |event| {
+                    // Reads what a real sink copies: span, label, times.
+                    let read = event.span.len() + event.label.len() + event.proc_times.len();
+                    tap.fetch_add(read.min(1), Ordering::Relaxed);
+                }));
+            }
+            // One solve grows every slot of the tail to the span path,
+            // label and per-processor vector it holds in this solve. A
+            // job starts on a cleared tail, so the same solve fills the
+            // same slots again.
             let mut warm_up = Tally(Vec::with_capacity(MAX_ITERS));
             run(&mut machine, &op, &b, method(&jacobi), &mut warm_up);
             let before = seen.load(Ordering::Relaxed);
-            let what = format!("{name} at {level:?}, warm machine with a sink");
+            let what = format!("{name} at {level:?}, warm machine with {readers}");
             assert_steady_state_is_allocation_free(&what, &mut machine, |m, tally| {
+                m.clear_tail();
                 run(m, &op, &b, method(&jacobi), tally)
             });
             let lent = seen.load(Ordering::Relaxed) - before;
-            assert!(
+            assert_eq!(
                 lent > 10 * 5,
+                sink,
                 "{what}: the sink saw {lent} events of the measured solve"
             );
+            let kept = machine.tail();
+            assert_eq!(kept.len(), tail.max(1), "{what}");
+            assert!(kept.overwritten() > 10 * 5, "{what}");
             assert!(machine.trace().is_empty());
         }
     }
