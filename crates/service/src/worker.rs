@@ -236,10 +236,10 @@ impl Worker {
                 class: job.request.qos,
             });
             let waited = now.duration_since(job.submitted);
-            let expired = Err(ServiceError::DeadlineExceeded { waited });
+            let answer = Err(ServiceError::DeadlineExceeded { waited });
             let no_events = EventTail::default();
             self.core
-                .finish(job, expired, None, &mut self.kept, &no_events);
+                .finish(job, answer, None, &mut self.kept, &no_events);
         }
         Batch { jobs: live }
     }
@@ -326,9 +326,11 @@ impl Worker {
             Err(payload) => {
                 let msg = panic_message(payload.as_ref());
                 for job in batch.jobs {
-                    let (panicked, ran) =
-                        (ServiceError::WorkerPanic(msg.clone()), job.request.solver);
-                    core.refuse(job, panicked, Some(ran), &mut self.kept);
+                    // The plan build is part of running the job: it counts
+                    // for the breaker and under the solver it asked for.
+                    let ran = Some(job.request.solver);
+                    let panicked = ServiceError::WorkerPanic(msg.clone());
+                    core.refuse(job, panicked, ran, &mut self.kept);
                 }
                 return;
             }

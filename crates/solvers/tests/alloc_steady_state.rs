@@ -3,8 +3,9 @@
 //! when the machine keeps no events — [`TraceLevel::Off`] or
 //! [`TraceLevel::Summary`] — with no event sink, and also on a warm
 //! machine with a sink (lent the slot of the machine's tail the event
-//! was written to), a kept tail of 64 events, or both. So does CG over the column-wise `(*,BLOCK)` layout, both Scenario 2
-//! variants. Every recurrence sizes its vectors, and GMRES its basis and
+//! was written to), a kept tail of 64 events, or both. So does CG over
+//! the column-wise `(*,BLOCK)` layout, both Scenario 2 variants. Every
+//! recurrence sizes its vectors, and GMRES its basis and
 //! Hessenberg columns, before the first iteration. BiCG is not in the
 //! table: its three allocations an iteration are inside
 //! `RowwiseCsr::matvec_transpose`, a kernel with no in-place form. The
