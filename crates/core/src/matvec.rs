@@ -180,9 +180,31 @@ impl RowwiseCsr {
         machine: &mut Machine,
         p: &DistVector,
     ) -> (DistVector, MatvecStats) {
+        let mut q = DistVector::zeros(self.row_desc.clone());
+        let stats = self.matvec_transpose_into(machine, p, &mut q, &mut Vec::new());
+        (q, stats)
+    }
+
+    /// [`RowwiseCsr::matvec_transpose`] into a `q` that already exists
+    /// (laid out as the rows are; its old contents are overwritten).
+    /// Allocates nothing once `scratch` has grown; only a cyclic `p` is
+    /// gathered into it. The simulated program holds `N_P · n` temporary
+    /// words and is charged for merging them; the host scatters straight
+    /// into `q`'s storage.
+    pub fn matvec_transpose_into(
+        &self,
+        machine: &mut Machine,
+        p: &DistVector,
+        q: &mut DistVector,
+        scratch: &mut Vec<f64>,
+    ) -> MatvecStats {
         let n = self.matrix().n_rows();
         assert_eq!(p.len(), n, "operand length mismatch");
         assert_eq!(machine.np(), self.np(), "machine size mismatch");
+        assert!(
+            q.descriptor().same_layout(&self.row_desc),
+            "result must be aligned with the rows"
+        );
         let t0 = machine.elapsed();
 
         // Local phase: partial q over owned rows (parallel — each
@@ -193,20 +215,19 @@ impl RowwiseCsr {
         machine.allreduce(n, "s1t-merge-q");
         machine.compute_uniform(n, "s1t-merge-combine");
 
-        let mut q_global = self
-            .matrix()
-            .matvec_transpose(p.global_or_gathered(&mut Vec::new()))
-            .expect("validated dims");
-        machine.corrupt_slice(&mut q_global);
-        let q = DistVector::from_global(self.row_desc.clone(), &q_global);
+        let out = q
+            .as_global_mut()
+            .expect("row blocks in rank order are global order");
+        self.matrix()
+            .matvec_transpose_into(p.global_or_gathered(scratch), out);
+        machine.corrupt_slice(out);
 
-        let stats = MatvecStats {
+        MatvecStats {
             broadcast_words: 0,
             remote_data_words: 0,
             temp_storage_words: self.np() * n,
             time: machine.elapsed() - t0,
-        };
-        (q, stats)
+        }
     }
 
     /// Execute `q = A p` (Scenario 1). `p` must be aligned with the row

@@ -177,9 +177,7 @@ impl DistVector {
     /// `x = x + alpha*p` / `r = r - alpha*q` lines.
     pub fn axpy(&mut self, machine: &mut Machine, alpha: f64, x: &DistVector) {
         self.assert_aligned(x, "axpy");
-        for (s, &v) in self.data.iter_mut().zip(&x.data) {
-            *s += alpha * v;
-        }
+        axpy_slices(&mut self.data, alpha, &x.data);
         self.charge_elementwise(machine, 2, "saxpy");
     }
 
@@ -243,15 +241,9 @@ impl DistVector {
         self.assert_aligned(other, "dot");
         // Deterministic merge order: one partial sum per processor, added
         // in processor rank order.
-        let merged: f64 = (0..self.desc.np())
-            .map(|p| -> f64 {
-                self.local(p)
-                    .iter()
-                    .zip(other.local(p))
-                    .map(|(a, b)| a * b)
-                    .sum()
-            })
-            .sum();
+        let merged = merge_partials(&self.offsets, usize::MAX, CHAIN_START, |acc, at, len| {
+            advance(acc, at, len, &self.data, &other.data, |a, b| a * b)
+        });
         self.charge_elementwise(machine, 2, "dot-local");
         machine.allreduce(1, "dot-merge");
         // The merged scalar passes through the fault layer: an armed
@@ -262,13 +254,46 @@ impl DistVector {
 
     /// HPF `SUM(self)` intrinsic: local sums + scalar merge.
     pub fn sum(&self, machine: &mut Machine) -> f64 {
-        let mut total = 0.0;
-        for p in 0..self.desc.np() {
-            total += self.local(p).iter().sum::<f64>();
-        }
+        let total = merge_partials(&self.offsets, usize::MAX, 0.0, |acc, at, len| {
+            advance(acc, at, len, &self.data, &self.data, |a, _| a)
+        });
         self.charge_elementwise(machine, 1, "sum-local");
         machine.allreduce(1, "sum-merge");
         machine.corrupt_scalar(total)
+    }
+
+    /// The host arithmetic of CG's update fused with the reduction that
+    /// reads its result: `x += alpha*p`, `r -= alpha*q`, and `r·r` of the
+    /// updated `r` as [`DistVector::dot`] forms it (a chain per processor,
+    /// merged in rank order) — the elements and the scalar that
+    /// `x.axpy(alpha, p); r.axpy(-alpha, q); r.dot(r)` leave, bit for bit.
+    /// It charges no machine and passes nothing through the fault layer:
+    /// the caller owes the four operations' charges. All four vectors must
+    /// be laid out alike.
+    ///
+    /// The update runs in pieces of at most [`UPDATE_CHUNK`] elements a
+    /// processor — two plain element-wise loops — and the chains read each
+    /// piece of `r` while it is still in the first-level cache.
+    pub fn axpy_pair_then_dot(
+        alpha: f64,
+        x: &mut DistVector,
+        p: &DistVector,
+        r: &mut DistVector,
+        q: &DistVector,
+    ) -> f64 {
+        for other in [&*x, &*r, q] {
+            assert_eq!(p.offsets, other.offsets, "operands must be laid out alike");
+        }
+        let neg_alpha = -alpha;
+        let (x, r) = (&mut x.data[..], &mut r.data[..]);
+        merge_partials(&p.offsets, UPDATE_CHUNK, CHAIN_START, |acc, at, len| {
+            for &from in at {
+                let piece = from..from + len;
+                axpy_slices(&mut x[piece.clone()], alpha, &p.data[piece.clone()]);
+                axpy_slices(&mut r[piece.clone()], neg_alpha, &q.data[piece]);
+            }
+            advance(acc, at, len, r, r, |v, _| v * v)
+        })
     }
 
     /// Euclidean norm via `DOT_PRODUCT` (plus one scalar sqrt).
@@ -335,10 +360,151 @@ impl DistVector {
     }
 }
 
+/// `y += alpha * x`, element by element.
+fn axpy_slices(y: &mut [f64], alpha: f64, x: &[f64]) {
+    for (s, &v) in y.iter_mut().zip(x) {
+        *s += alpha * v;
+    }
+}
+
+// ----------------------------------------------------------------------
+// The reduction chains
+// ----------------------------------------------------------------------
+//
+// Section 4 forms a `DOT_PRODUCT` from one partial per processor, merged
+// in rank order, and that order is what every recorded bit depends on: a
+// processor's partial is a chain of dependent additions, left to right
+// over its storage. One chain runs at the latency of an addition; N_P of
+// them are independent, so the host advances up to `LOCKSTEP` of them
+// together and changes no chain's order.
+
+/// Where a processor's partial starts: the value `Iterator::sum::<f64>()`
+/// folds from, so a processor that holds nothing contributes what `sum`
+/// of nothing does (pinned to the toolchain's by a test).
+const CHAIN_START: f64 = -0.0;
+
+/// Processors whose chains advance together: eight accumulators and
+/// their operands fit the sixteen vector registers of baseline x86-64.
+const LOCKSTEP: usize = 8;
+
+/// Elements a processor's `x` and `r` advance by between two visits of
+/// the `r·r` chains: a group's eight pieces of `r` are 16 KB.
+const UPDATE_CHUNK: usize = 256;
+
+/// One partial per processor of the layout `offsets` describes, each from
+/// [`CHAIN_START`] left to right over the processor's storage, added onto
+/// `merged` in rank order.
+///
+/// Processors are taken in groups of 8, then 4, 2, 1 for what is left.
+/// `step(acc, at, len)` must advance chain `acc[j]` over the `len`
+/// elements stored from `at[j]`, for every `j`; it is asked to in pieces
+/// of at most `chunk` elements a processor, first over the prefix the
+/// group's processors have in common — all chains at once — then over
+/// what each longer block has left, one chain at a time.
+fn merge_partials(
+    offsets: &[usize],
+    chunk: usize,
+    mut merged: f64,
+    mut step: impl FnMut(&mut [f64], &[usize], usize),
+) -> f64 {
+    let np = offsets.len() - 1;
+    let mut first = 0;
+    while first < np {
+        let width = LOCKSTEP.min(1 << (np - first).ilog2());
+        let starts = &offsets[first..first + width];
+        let ends = &offsets[first + 1..=first + width];
+        let common = (starts.iter().zip(ends))
+            .map(|(start, end)| end - start)
+            .min()
+            .expect("a group has a processor");
+        let mut acc = [CHAIN_START; LOCKSTEP];
+        let mut at = [0; LOCKSTEP];
+        for from in (0..common).step_by(chunk) {
+            for (at, start) in at.iter_mut().zip(starts) {
+                *at = start + from;
+            }
+            step(&mut acc[..width], &at[..width], chunk.min(common - from));
+        }
+        for (acc, (start, &end)) in acc.iter_mut().zip(starts.iter().zip(ends)) {
+            for from in (start + common..end).step_by(chunk) {
+                step(std::slice::from_mut(acc), &[from], chunk.min(end - from));
+            }
+        }
+        for partial in &acc[..width] {
+            merged += partial;
+        }
+        first += width;
+    }
+    merged
+}
+
+/// Advance `acc.len()` chains (8, 4, 2 or 1) by `term(a[i], b[i])` over
+/// the `len` elements from `at[j]`, chain `j` in its own order.
+fn advance(
+    acc: &mut [f64],
+    at: &[usize],
+    len: usize,
+    a: &[f64],
+    b: &[f64],
+    term: impl Fn(f64, f64) -> f64,
+) {
+    fn pieces<'v, const W: usize>(v: &'v [f64], at: &[usize], len: usize) -> [&'v [f64]; W] {
+        std::array::from_fn(|j| &v[at[j]..at[j] + len])
+    }
+    fn of_width<const W: usize>(
+        acc: &mut [f64],
+        at: &[usize],
+        len: usize,
+        a: &[f64],
+        b: &[f64],
+        term: impl Fn(f64, f64) -> f64,
+    ) {
+        let from = std::array::from_fn(|j| acc[j]);
+        let to = chains::<W>(from, pieces(a, at, len), pieces(b, at, len), term);
+        acc.copy_from_slice(&to);
+    }
+    match acc.len() {
+        8 => of_width::<8>(acc, at, len, a, b, term),
+        4 => of_width::<4>(acc, at, len, a, b, term),
+        2 => of_width::<2>(acc, at, len, a, b, term),
+        1 => of_width::<1>(acc, at, len, a, b, term),
+        w => unreachable!("a group of {w} processors"),
+    }
+}
+
+/// The chain kernel: `acc[j] += term(a[j][i], b[j][i])` for `i` left to
+/// right, `W` independent chains a step. The accumulators are taken and
+/// handed back by value and, with the loop over `j` unrolled, indexed by
+/// constants only, so they live in registers: an accumulator array that a
+/// run-time index ever reaches lives on the stack instead, and every step
+/// of every chain then waits for a store to be forwarded. Out of line, so
+/// the loop has an address of its own.
+#[inline(never)]
+fn chains<const W: usize>(
+    mut acc: [f64; W],
+    a: [&[f64]; W],
+    b: [&[f64]; W],
+    term: impl Fn(f64, f64) -> f64,
+) -> [f64; W] {
+    let len = a[0].len();
+    let a: [&[f64]; W] = std::array::from_fn(|j| &a[j][..len]);
+    let b: [&[f64]; W] = std::array::from_fn(|j| &b[j][..len]);
+    for i in 0..len {
+        for j in 0..W {
+            acc[j] += term(a[j][i], b[j][i]);
+        }
+    }
+    acc
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpf_machine::{CostModel, EventKind, Topology};
+    use hpf_dist::DistSpec;
+    use hpf_machine::{CostModel, EventKind, FaultPlan, Topology};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn machine(np: usize) -> Machine {
         Machine::new(np, Topology::Hypercube, CostModel::mpp_1995())
@@ -438,6 +604,148 @@ mod tests {
         let n = v.norm2(&mut m);
         let want: f64 = (0..9).map(|i| (i * i) as f64).sum::<f64>();
         assert!((n - want.sqrt()).abs() < 1e-12);
+    }
+
+    // ------------------------------------------------------------------
+    // The reduction chains against one chain at a time, to the bit
+    // ------------------------------------------------------------------
+
+    /// `DOT_PRODUCT`'s scalar as it was formed before the chains advanced
+    /// together: one processor's chain at a time, each an
+    /// `Iterator::sum`, the partials summed in rank order. The oracle.
+    fn dot_one_chain_at_a_time(a: &DistVector, b: &DistVector) -> f64 {
+        (0..a.desc.np())
+            .map(|p| -> f64 { a.local(p).iter().zip(b.local(p)).map(|(a, b)| a * b).sum() })
+            .sum()
+    }
+
+    /// `SUM`'s scalar, the same way: its merge starts from `0.0`.
+    fn sum_one_chain_at_a_time(a: &DistVector) -> f64 {
+        let mut total = 0.0;
+        for p in 0..a.desc.np() {
+            total += a.local(p).iter().sum::<f64>();
+        }
+        total
+    }
+
+    /// Bit pattern with every NaN mapped to one: which operand's sign and
+    /// payload an addition of two NaNs keeps is the instruction's choice.
+    fn bits(v: f64) -> u64 {
+        if v.is_nan() { f64::NAN } else { v }.to_bits()
+    }
+
+    fn all_bits(v: &DistVector) -> Vec<u64> {
+        v.data.iter().map(|&x| bits(x)).collect()
+    }
+
+    /// Block, cyclic, or irregular cuts with empty and one-element
+    /// processors planted among them.
+    fn arb_layout(n: usize, np: usize, rng: &mut StdRng) -> ArrayDescriptor {
+        match rng.gen_range(0..3u32) {
+            0 => ArrayDescriptor::block(n, np),
+            1 => ArrayDescriptor::cyclic(n, np),
+            _ => {
+                let mut cuts = vec![0];
+                for proc in 1..np {
+                    let last = cuts[proc - 1];
+                    let step = match rng.gen_range(0..4u32) {
+                        0 => 0,
+                        1 => 1,
+                        _ => rng.gen_range(0..=2 * n / np + 1),
+                    };
+                    cuts.push((last + step).min(n));
+                }
+                cuts.push(n);
+                ArrayDescriptor::new(n, np, DistSpec::IrregularCuts(cuts))
+            }
+        }
+    }
+
+    /// Ordinary values with `±0.0`, `±inf` and NaN planted among them.
+    fn arb_vector(desc: &ArrayDescriptor, rng: &mut StdRng) -> DistVector {
+        let n = desc.len();
+        let mut g: Vec<f64> = (0..n).map(|_| rng.gen_range(-10.0..10.0)).collect();
+        for special in [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            if n > 0 && rng.gen_bool(0.3) {
+                g[rng.gen_range(0..n)] = special;
+            }
+        }
+        DistVector::from_global(desc.clone(), &g)
+    }
+
+    proptest! {
+        #[test]
+        fn dot_and_sum_keep_the_bits_of_one_chain_at_a_time(
+            np in 1usize..=19,
+            n in 0usize..=700,
+            seed in any::<u64>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let desc = arb_layout(n, np, &mut rng);
+            let a = arb_vector(&desc, &mut rng);
+            let b = arb_vector(&desc, &mut rng);
+            let mut m = machine(np);
+            prop_assert_eq!(bits(a.dot(&mut m, &b)), bits(dot_one_chain_at_a_time(&a, &b)));
+            prop_assert_eq!(bits(a.dot(&mut m, &a)), bits(dot_one_chain_at_a_time(&a, &a)));
+            prop_assert_eq!(bits(a.sum(&mut m)), bits(sum_one_chain_at_a_time(&a)));
+        }
+
+        /// Lengths past `UPDATE_CHUNK` a processor, so chains resume
+        /// across pieces, in the common prefix and in the tails.
+        #[test]
+        fn the_fused_update_keeps_the_bits_of_two_axpys_and_a_dot(
+            np in 1usize..=19,
+            n in 0usize..=2500,
+            alpha in -3.0f64..3.0,
+            seed in any::<u64>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let desc = arb_layout(n, np, &mut rng);
+            let [mut x, p, mut r, q] = std::array::from_fn(|_| arb_vector(&desc, &mut rng));
+            let (mut x_want, mut r_want) = (x.clone(), r.clone());
+            let mut m = machine(np);
+            x_want.axpy(&mut m, alpha, &p);
+            r_want.axpy(&mut m, -alpha, &q);
+            let rr_want = dot_one_chain_at_a_time(&r_want, &r_want);
+            let rr = DistVector::axpy_pair_then_dot(alpha, &mut x, &p, &mut r, &q);
+            prop_assert_eq!(all_bits(&x), all_bits(&x_want));
+            prop_assert_eq!(all_bits(&r), all_bits(&r_want));
+            prop_assert_eq!(bits(rr), bits(rr_want));
+        }
+    }
+
+    /// A processor that holds nothing contributes what `Iterator::sum` of
+    /// nothing is on this toolchain — read, not assumed.
+    #[test]
+    fn a_chain_starts_where_iterator_sum_does() {
+        let empty_sum = std::iter::empty::<f64>().sum::<f64>();
+        assert_eq!(CHAIN_START.to_bits(), empty_sum.to_bits());
+        // All four processors empty: dot merges four such partials onto a
+        // fifth, sum merges them onto +0.0.
+        let v = DistVector::zeros(ArrayDescriptor::block(0, 4));
+        let mut m = machine(4);
+        assert_eq!(v.dot(&mut m, &v).to_bits(), empty_sum.to_bits());
+        assert_eq!(v.sum(&mut m).to_bits(), 0.0f64.to_bits());
+    }
+
+    #[test]
+    fn an_armed_corruption_lands_on_the_merged_scalar() {
+        let d = ArrayDescriptor::block(100, 8);
+        let a = DistVector::from_global(d.clone(), &vec_of(100, |i| 0.5 + i as f64));
+        let b = DistVector::from_global(d, &vec_of(100, |i| 1.0 / (1.0 + i as f64)));
+        let clean = a.dot(&mut machine(8), &b);
+        assert_eq!(clean.to_bits(), dot_one_chain_at_a_time(&a, &b).to_bits());
+        // Operation 0 is the local phase, operation 1 the merge that arms
+        // the flip; the merged scalar is the first value it meets.
+        let mut m = machine(8);
+        m.set_fault_plan(FaultPlan::new().with_bit_flip(1, 3, 52, 0));
+        assert_eq!(a.dot(&mut m, &b).to_bits(), clean.to_bits() ^ (1 << 52));
+        assert_eq!(m.faults_injected(), 1);
+        // Consumed: the next reduction is clean again.
+        assert_eq!(a.dot(&mut m, &b).to_bits(), clean.to_bits());
+        let mut m = machine(8);
+        m.set_fault_plan(FaultPlan::new().with_crash(1, 3));
+        assert!(a.sum(&mut m).is_nan());
     }
 
     #[test]

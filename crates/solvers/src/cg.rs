@@ -64,21 +64,7 @@ pub(crate) fn update_x_r_and_dot_rr(
              realign with ALIGN/REDISTRIBUTE first"
         );
     }
-    let np = x.descriptor().np();
-    let neg_alpha = -alpha;
-    let merged: f64 = (0..np)
-        .map(|proc| -> f64 {
-            let xr = x.local_mut(proc).iter_mut().zip(r.local_mut(proc));
-            let pq = p.local(proc).iter().zip(q.local(proc));
-            xr.zip(pq)
-                .map(|((xi, ri), (&pi, &qi))| {
-                    *xi += alpha * pi;
-                    *ri += neg_alpha * qi;
-                    *ri * *ri
-                })
-                .sum()
-        })
-        .sum();
+    let merged = DistVector::axpy_pair_then_dot(alpha, x, p, r, q);
     let flops = |proc: usize| 2 * x.local(proc).len();
     {
         let _s = span::enter("axpy");
@@ -435,6 +421,60 @@ mod tests {
             .all(|w| w[1].sim_time >= w[0].sim_time));
         // The span stack unwound completely.
         assert_eq!(hpf_machine::span::depth(), 0);
+    }
+
+    /// The fused update is charged as the three calls it stands for, and
+    /// its scalar passes through the fault layer after the merge as
+    /// `DistVector::dot`'s does: an armed flip lands on `r·r`, and on
+    /// nothing else.
+    #[test]
+    fn the_fused_update_charges_four_operations_and_its_scalar_meets_the_fault_layer() {
+        use hpf_machine::FaultPlan;
+        let np = 4;
+        let desc = hpf_dist::ArrayDescriptor::block(50, np);
+        let vector = |f: fn(usize) -> f64| {
+            DistVector::from_global(desc.clone(), &(0..50).map(f).collect::<Vec<_>>())
+        };
+        let (p, q) = (
+            vector(|i| 1.0 + i as f64),
+            vector(|i| 0.25 * i as f64 - 3.0),
+        );
+        let run = |machine: &mut Machine| {
+            let (mut x, mut r) = (vector(|i| (i % 7) as f64), vector(|i| 2.0 - (i % 5) as f64));
+            let rr = update_x_r_and_dot_rr(machine, 0.375, &mut x, &p, &mut r, &q);
+            (x, r, rr)
+        };
+        let mut clean = Machine::new(np, Topology::Hypercube, CostModel::mpp_1995());
+        let (x, r, rr) = run(&mut clean);
+        let trace = clean.trace();
+        let seen: Vec<_> = trace
+            .events()
+            .iter()
+            .map(|e| (e.span.as_str(), e.label.as_str()))
+            .collect();
+        let want = [
+            ("axpy", "saxpy"),
+            ("axpy", "saxpy"),
+            ("dot", "dot-local"),
+            ("dot", "dot-merge"),
+        ];
+        assert_eq!(seen, want);
+        let (mut x_want, mut r_want) =
+            (vector(|i| (i % 7) as f64), vector(|i| 2.0 - (i % 5) as f64));
+        let mut quiet = Machine::new(np, Topology::Hypercube, CostModel::mpp_1995());
+        x_want.axpy(&mut quiet, 0.375, &p);
+        r_want.axpy(&mut quiet, -0.375, &q);
+        assert_eq!(x, x_want);
+        assert_eq!(r, r_want);
+        assert_eq!(rr.to_bits(), r_want.dot(&mut quiet, &r_want).to_bits());
+
+        // Operation 3 is the merge; it arms the flip.
+        let mut faulty = Machine::new(np, Topology::Hypercube, CostModel::mpp_1995());
+        faulty.set_fault_plan(FaultPlan::new().with_bit_flip(3, 1, 52, 0));
+        let (x_hit, r_hit, rr_hit) = run(&mut faulty);
+        assert_eq!(faulty.faults_injected(), 1);
+        assert_eq!(rr_hit.to_bits(), rr.to_bits() ^ (1 << 52));
+        assert_eq!((x_hit, r_hit), (x, r));
     }
 
     #[test]

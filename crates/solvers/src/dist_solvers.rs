@@ -20,8 +20,8 @@ use crate::stopping::{SolveStats, StopCriterion};
 use hpf_core::DistVector;
 use hpf_machine::{span, Machine};
 
-/// Distributed BiCG. Its `Aᵀ` product allocates inside the row-wise
-/// kernel (`RowwiseCsr::matvec_transpose` has no in-place form).
+/// Distributed BiCG: both products of an iteration write into vectors the
+/// solve keeps.
 pub(crate) fn bicg<A: DistOperator + ?Sized>(
     run: &mut Run<'_>,
     a: &A,

@@ -134,6 +134,15 @@ impl DistOperator for RowwiseCsr {
     fn apply_transpose(&self, machine: &mut Machine, p: &DistVector) -> DistVector {
         self.matvec_transpose(machine, p).0
     }
+    fn apply_transpose_into(
+        &self,
+        machine: &mut Machine,
+        p: &DistVector,
+        q: &mut DistVector,
+        scratch: &mut Vec<f64>,
+    ) {
+        self.matvec_transpose_into(machine, p, q, scratch);
+    }
     fn descriptor(&self) -> hpf_dist::ArrayDescriptor {
         self.row_descriptor().clone()
     }

@@ -1,15 +1,13 @@
 //! The allocation gate: a steady-state iteration of distributed CG,
-//! Jacobi-PCG, BiCGSTAB and GMRES(20) performs **zero** heap allocations
-//! when the machine keeps no events — [`TraceLevel::Off`] or
+//! Jacobi-PCG, BiCG, BiCGSTAB and GMRES(20) performs **zero** heap
+//! allocations when the machine keeps no events — [`TraceLevel::Off`] or
 //! [`TraceLevel::Summary`] — with no event sink, and also on a warm
 //! machine with a sink (lent the slot of the machine's tail the event
 //! was written to), a kept tail of 64 events, or both. So does CG over
 //! the column-wise `(*,BLOCK)` layout, both Scenario 2 variants. Every
 //! recurrence sizes its vectors, and GMRES its basis and
-//! Hessenberg columns, before the first iteration. BiCG is not in the
-//! table: its three allocations an iteration are inside
-//! `RowwiseCsr::matvec_transpose`, a kernel with no in-place form. The
-//! counting allocator and the observer that reads it are in `counting`.
+//! Hessenberg columns, before the first iteration. The counting
+//! allocator and the observer that reads it are in `counting`.
 
 use hpf_core::{ColwiseCsc, DataArrayLayout, RowwiseCsr};
 use hpf_machine::{CostModel, EventSink, Machine, Topology, TraceLevel};
@@ -32,12 +30,13 @@ const STOP: StopCriterion = StopCriterion::RelativeResidual(1e-10);
 /// (and allocated) before the solve.
 type Method = for<'a> fn(&'a JacobiPreconditioner) -> Krylov<'a>;
 
-const SOLVES: [(&str, Method); 4] = [
+const SOLVES: [(&str, Method); 5] = [
     ("cg", |_| Krylov::cg()),
     ("pcg-jacobi", |jacobi| Krylov::Cg {
         precond: Some(jacobi),
         recovery: None,
     }),
+    ("bicg", |_| Krylov::Bicg),
     ("bicgstab", |_| Krylov::Bicgstab),
     ("gmres(20)", |_| Krylov::Gmres { restart: 20 }),
 ];

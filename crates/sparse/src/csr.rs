@@ -213,6 +213,10 @@ impl CsrMatrix {
     ///
     /// Panics if `p` is not `n_cols` long, `rows` leaves the matrix, or
     /// `out` is not `rows.len()` long.
+    ///
+    /// Out of line wherever it is called from, so the row loop has one
+    /// address, which the build pins to a 64-byte boundary.
+    #[inline(never)]
     pub fn matvec_rows_into(&self, rows: std::ops::Range<usize>, p: &[f64], out: &mut [f64]) {
         assert_eq!(p.len(), self.n_cols, "matvec: operand length");
         assert_eq!(out.len(), rows.len(), "matvec: result length");

@@ -209,10 +209,90 @@ fn templates_longer_than_one_pass_resume_the_chain() {
     assert_product_exact("band of 19", &a, &arb_operand(n, true, &mut rng));
 }
 
+/// A band matrix of `n_rows x n_cols` with an entry at every offset of
+/// `reach` that stays inside it: its first and last rows are short runs
+/// of their own next to one long run of the full template.
+fn band(n_rows: usize, n_cols: usize, reach: &[isize]) -> CsrMatrix {
+    let (mut row_ptr, mut col_idx, mut values) = (vec![0], Vec::new(), Vec::new());
+    for r in 0..n_rows as isize {
+        for &d in reach {
+            if (0..n_cols as isize).contains(&(r + d)) {
+                col_idx.push((r + d) as usize);
+                values.push(1.5 + d as f64);
+            }
+        }
+        row_ptr.push(col_idx.len());
+    }
+    CsrMatrix::from_raw(n_rows, n_cols, row_ptr, col_idx, values).unwrap()
+}
+
+/// A sweep runs through the short runs *between* long runs of its
+/// template and never past them: the rows before its first row and after
+/// its last one are where the template would read outside `p` — row 0
+/// and row `n - 1` of a band, the rows a rectangular shape cuts short —
+/// and a sweep that took one in would slice out of bounds and panic.
+#[test]
+fn boundary_rows_a_neighbouring_template_would_read_outside_p_for_are_not_swept() {
+    let mut rng = StdRng::seed_from_u64(23);
+    let shapes = [
+        ("tridiagonal", gen::tridiagonal(200, 2.0, -1.0)),
+        ("poisson_2d(1,50)", gen::poisson_2d(1, 50)),
+        ("poisson_2d(48,48)", gen::poisson_2d(48, 48)),
+        ("poisson_3d(12,12,12)", gen::poisson_3d(12, 12, 12)),
+        ("band 60x60, reach 3", band(60, 60, &[-3, -1, 0, 2, 3])),
+        // Wider than tall: the last rows still reach right, the first
+        // ones are cut short on the left.
+        ("band 60x66", band(60, 66, &[-2, 0, 5])),
+        // Taller than wide: rows past the last column lose entries one
+        // offset at a time, then are empty — a long run of nothing.
+        ("band 80x60", band(80, 60, &[-4, 0, 3])),
+        ("band 80x60, one-sided", band(80, 60, &[1, 2])),
+    ];
+    for (what, a) in shapes {
+        assert!(
+            matches!(
+                RowProduct::new(a.clone()).form(),
+                ProductForm::Templates { .. }
+            ),
+            "{what} must take the template path"
+        );
+        assert_product_exact(what, &a, &arb_operand(a.n_cols(), true, &mut rng));
+    }
+}
+
+/// Every row of `out` is written, whatever it held: the rows a sweep ran
+/// over on its way (patched afterwards), the rows between sweeps, and the
+/// rows of templates longer than one pass, whose later passes resume from
+/// what the first pass — not the caller — left in `out`.
+#[test]
+fn a_dirty_out_is_fully_overwritten_patched_rows_included() {
+    let mut rng = StdRng::seed_from_u64(5);
+    let wide: Vec<isize> = (-9..=9).collect();
+    for a in [
+        gen::poisson_3d(12, 12, 12),
+        gen::poisson_2d(32, 32),
+        band(64, 64, &wide),
+    ] {
+        let product = RowProduct::new(a.clone());
+        assert!(matches!(product.form(), ProductForm::Templates { .. }));
+        let x: Vec<f64> = (0..a.n_cols()).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let mut want = vec![0.0; a.n_rows()];
+        a.matvec_rows_into(0..a.n_rows(), &x, &mut want);
+        for dirt in [f64::NAN, f64::INFINITY, -0.0, 1e300] {
+            let mut out = vec![dirt; a.n_rows()];
+            product.matvec_into(&x, &mut out);
+            assert_eq!(bits(&out), bits(&want), "out filled with {dirt}");
+        }
+    }
+}
+
 /// The decision, pinned: grid operators and tridiagonals take the
 /// template path, the generators whose values are drawn at random do
 /// not, and whatever is accepted has at most 64 templates and runs of
-/// two rows or more on average.
+/// two rows or more on average. (How the accepted runs are then walked —
+/// sweeps and patches, counted for `poisson_3d(40³)`, `poisson_2d(48²)`
+/// and a tridiagonal — is private to the crate and pinned beside it, in
+/// `src/templates.rs`.)
 #[test]
 fn the_selection_accepts_what_repeats_and_nothing_else() {
     let accepted = [
