@@ -10,7 +10,7 @@
 //! times folded into an imbalance factor and the slowest processor), in
 //! a [`BlackBoxTail`].
 
-use crate::machine::EventTail;
+use crate::recorder::EventTail;
 use crate::trace::{Event, EventKind};
 
 /// Events a flight recorder asks a machine to keep by default. Enough to

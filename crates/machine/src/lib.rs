@@ -27,6 +27,7 @@ pub mod exec;
 pub mod fault;
 pub mod machine;
 pub mod predict;
+mod recorder;
 pub mod span;
 pub mod spmd;
 pub mod topology;

@@ -20,8 +20,11 @@ use crate::fault::{
     Fault, FaultInjector, FaultKind, FaultPlan, PendingCorruption, CRASH_RESTART_STARTUPS,
     DROP_RETRANSMIT_STARTUPS,
 };
+use crate::recorder::{Op, Recorder};
 use crate::topology::Topology;
-use crate::trace::{Digest, Event, EventKind, Trace};
+use crate::trace::{Digest, EventKind, Trace};
+
+pub use crate::recorder::{EventSink, EventTail, TraceLevel};
 
 /// Cumulative per-processor statistics.
 #[derive(Debug, Default, Clone, Copy)]
@@ -32,21 +35,6 @@ pub struct ProcStats {
     pub words_sent: u64,
     /// Messages originated.
     pub messages: u64,
-}
-
-/// How much a [`Machine`] keeps of what it does. Clocks and counters
-/// advance identically at every level, and an installed [`EventSink`]
-/// sees the same events at every level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceLevel {
-    /// Keep nothing.
-    Off,
-    /// Keep no events; fold each operation into a running [`Digest`]
-    /// ([`Machine::digest`]) — what a caller that only wants totals and
-    /// the per-label breakdown should ask for.
-    Summary,
-    /// Keep every [`Event`] in the [`Trace`].
-    Full,
 }
 
 /// A simulated NP-processor distributed-memory machine.
@@ -68,14 +56,11 @@ pub struct Machine {
     cost: CostModel,
     clocks: Vec<f64>,
     stats: Vec<ProcStats>,
-    trace: Trace,
-    level: TraceLevel,
-    /// Running aggregate, kept at [`TraceLevel::Summary`].
-    digest: Digest,
-    /// Where a wanted event is written below [`TraceLevel::Full`]: one
-    /// slot by default, the event lent to the sink; more once
-    /// [`Machine::keep_tail`] asked for them.
-    tail: EventTail,
+    /// What is kept of each operation: trace, digest, tail, sink.
+    recorder: Recorder,
+    /// What [`Machine::compute_each`] last advanced each clock by, for
+    /// the recorder to copy from: empty until the recorder is watching.
+    proc_times: Vec<f64>,
     /// Global operation counter: advances once per public machine
     /// operation; fault plans key off it.
     op_index: usize,
@@ -86,9 +71,6 @@ pub struct Machine {
     skew: Vec<Skew>,
     /// Per-operation heartbeat/cancellation callback (see [`ProgressHook`]).
     hook: Option<ProgressHook>,
-    /// Live event tap fired from the recording chokepoint (see
-    /// [`EventSink`]); independent of `level`.
-    sink: Option<EventSink>,
 }
 
 /// Callback fired once at the start of every public machine operation,
@@ -112,142 +94,6 @@ impl ProgressHook {
 impl std::fmt::Debug for ProgressHook {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str("ProgressHook(..)")
-    }
-}
-
-/// Callback fired with every event the machine records, *as it happens*,
-/// independent of the [`TraceLevel`].
-///
-/// Below [`TraceLevel::Full`] the event a sink is handed is a slot of
-/// the machine's [`EventTail`], refilled by a later operation: **a sink
-/// must copy what it keeps** (the bus flattens into its own record).
-///
-/// This is the live-telemetry tap: where [`ProgressHook`] is a heartbeat
-/// (an opaque operation counter), the sink sees the full [`Event`] —
-/// kind, span path, cost — so an external bus can stream sampled events
-/// out mid-solve instead of waiting for the trace dump at completion.
-/// The sink runs on the recording path; implementations should decide
-/// quickly (a hash test and a ring-buffer push, no locks, no I/O).
-///
-/// A sink may additionally carry a *pre-filter* ([`EventSink::with_filter`]):
-/// a `(trace_id, kind) -> keep?` predicate the machine consults *before*
-/// filling in the [`Event`] (span path, label) below
-/// [`TraceLevel::Full`]. That is what makes per-job head sampling cheap
-/// — a sampled-out job's operations cost one thread-local scan and a
-/// hash each.
-#[derive(Clone)]
-pub struct EventSink {
-    emit: std::sync::Arc<dyn Fn(&Event) + Send + Sync>,
-    filter: Option<std::sync::Arc<dyn Fn(u64, EventKind) -> bool + Send + Sync>>,
-}
-
-impl EventSink {
-    pub fn new(f: impl Fn(&Event) + Send + Sync + 'static) -> Self {
-        EventSink {
-            emit: std::sync::Arc::new(f),
-            filter: None,
-        }
-    }
-
-    /// Attach the head-sampling pre-filter. Only consulted below
-    /// [`TraceLevel::Full`] (at `Full` the event is built for the trace
-    /// anyway, so the sink body must apply its own sampling — which a
-    /// bus tap does on publish regardless).
-    pub fn with_filter(
-        mut self,
-        f: impl Fn(u64, EventKind) -> bool + Send + Sync + 'static,
-    ) -> Self {
-        self.filter = Some(std::sync::Arc::new(f));
-        self
-    }
-
-    /// Offer a built event to the sink.
-    pub fn emit(&self, event: &Event) {
-        (self.emit)(event);
-    }
-
-    /// Would the sink keep an event of `kind` for the calling thread's
-    /// current trace id? No filter means yes.
-    pub fn wants(&self, kind: EventKind) -> bool {
-        match &self.filter {
-            None => true,
-            Some(f) => f(crate::span::current_trace().unwrap_or(0), kind),
-        }
-    }
-}
-
-impl std::fmt::Debug for EventSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("EventSink(..)")
-    }
-}
-
-/// The last events a [`Machine`] filled in below [`TraceLevel::Full`]:
-/// a ring of slots refilled where they sit, so a slot keeps the capacity
-/// its `span`, `label` and `proc_times` have grown to and a warm ring
-/// takes an event without allocating. Every machine has one slot, the
-/// event it lends its sink; [`Machine::keep_tail`] gives it more, and
-/// then every event is kept whatever a sink's pre-filter says.
-#[derive(Debug, Clone, Default)]
-pub struct EventTail {
-    slots: Vec<Event>,
-    /// The slot the next event is written to: the oldest once full.
-    next: usize,
-    /// Events written since the tail was last cleared.
-    written: u64,
-}
-
-impl EventTail {
-    fn with_capacity(capacity: usize) -> Self {
-        EventTail {
-            slots: vec![Event::blank(); capacity],
-            ..EventTail::default()
-        }
-    }
-
-    /// The slot the next event goes to, counted as written.
-    fn claim_slot(&mut self) -> &mut Event {
-        let at = self.next;
-        self.next = if at + 1 == self.slots.len() {
-            0
-        } else {
-            at + 1
-        };
-        self.written += 1;
-        &mut self.slots[at]
-    }
-
-    pub fn len(&self) -> usize {
-        self.slots.len().min(self.written as usize)
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.written == 0
-    }
-
-    /// Events written since the tail was last cleared and overwritten
-    /// since.
-    pub fn overwritten(&self) -> u64 {
-        self.written - self.len() as u64
-    }
-
-    /// The events held, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &Event> {
-        // Until the ring wraps `next` is its length: nothing is older.
-        let (newer, older) = self.slots[..self.len()].split_at(self.next);
-        older.iter().chain(newer)
-    }
-}
-
-/// A full tail of exactly these events, oldest first: evidence put
-/// together by hand, where no machine ran.
-impl From<Vec<Event>> for EventTail {
-    fn from(slots: Vec<Event>) -> Self {
-        EventTail {
-            written: slots.len() as u64,
-            next: 0,
-            slots,
-        }
     }
 }
 
@@ -276,16 +122,13 @@ impl Machine {
             cost,
             clocks: vec![0.0; np],
             stats: vec![ProcStats::default(); np],
-            trace: Trace::new(),
-            level: TraceLevel::Full,
-            digest: Digest::default(),
-            tail: EventTail::with_capacity(1),
+            recorder: Recorder::new(),
+            proc_times: Vec::new(),
             op_index: 0,
             injector: None,
             pending: None,
             skew: vec![Skew::NONE; np],
             hook: None,
-            sink: None,
         }
     }
 
@@ -319,11 +162,11 @@ impl Machine {
     /// Choose what the machine keeps from here on (a new machine keeps
     /// everything). What was kept so far stays until [`Machine::reset`].
     pub fn set_trace_level(&mut self, level: TraceLevel) {
-        self.level = level;
+        self.recorder.level = level;
     }
 
     pub fn trace_level(&self) -> TraceLevel {
-        self.level
+        self.recorder.level
     }
 
     /// The simulated elapsed wall-clock time: the slowest processor.
@@ -365,18 +208,18 @@ impl Machine {
     }
 
     pub fn trace(&self) -> &Trace {
-        &self.trace
+        &self.recorder.trace
     }
 
     pub fn trace_mut(&mut self) -> &mut Trace {
-        &mut self.trace
+        &mut self.recorder.trace
     }
 
     /// The running aggregate of the operations performed at
     /// [`TraceLevel::Summary`] since the last [`Machine::reset`] — equal
     /// to [`Digest::from_trace`] of the trace `Full` would have kept.
     pub fn digest(&self) -> &Digest {
-        &self.digest
+        &self.recorder.digest
     }
 
     /// Reset clocks, counters, trace and fault state (the machine keeps
@@ -387,8 +230,8 @@ impl Machine {
         self.stats
             .iter_mut()
             .for_each(|s| *s = ProcStats::default());
-        self.trace.clear();
-        self.digest.clear();
+        self.recorder.trace.clear();
+        self.recorder.digest.clear();
         self.op_index = 0;
         self.pending = None;
         self.skew.iter_mut().for_each(|s| *s = Skew::NONE);
@@ -433,13 +276,15 @@ impl Machine {
     /// Install a live event sink, fired with every recorded [`Event`]
     /// even when tracing is off. Survives [`Machine::reset`]; replaced
     /// by the next call.
+    ///
+    /// [`Event`]: crate::trace::Event
     pub fn set_event_sink(&mut self, sink: EventSink) {
-        self.sink = Some(sink);
+        self.recorder.sink = Some(sink);
     }
 
     /// Remove the event sink.
     pub fn clear_event_sink(&mut self) {
-        self.sink = None;
+        self.recorder.sink = None;
     }
 
     /// Keep the last `capacity` events (two at least: one slot is what
@@ -448,16 +293,16 @@ impl Machine {
     /// outlives [`Machine::reset`], so it spans the attempts of one job;
     /// [`Machine::clear_tail`] starts the next.
     pub fn keep_tail(&mut self, capacity: usize) {
-        self.tail = EventTail::with_capacity(capacity.max(2));
+        self.recorder.tail = EventTail::with_capacity(capacity.max(2));
     }
 
     pub fn tail(&self) -> &EventTail {
-        &self.tail
+        &self.recorder.tail
     }
 
     /// Forget the events in the tail; its slots keep their buffers.
     pub fn clear_tail(&mut self) {
-        (self.tail.next, self.tail.written) = (0, 0);
+        self.recorder.tail.clear();
     }
 
     /// Number of faults injected since the plan was installed (or the
@@ -565,17 +410,8 @@ impl Machine {
                 (0.0, format!("fault:stall:p{proc}:op{op}:ms{millis}"))
             }
         };
-        self.record_at(
-            EventKind::Fault,
-            self.np,
-            0,
-            0,
-            0,
-            0,
-            penalty,
-            start,
-            &label,
-        );
+        self.recorder
+            .record(Op::new(EventKind::Fault, self.np, penalty, start, &label));
     }
 
     fn skew_factor(&self, p: usize) -> f64 {
@@ -586,189 +422,37 @@ impl Machine {
         }
     }
 
-    /// Record one operation, stamped with the thread's current span path
-    /// (see [`crate::span`]) and a timeline `start`. `payload` is the
-    /// formula argument `w` the operation was called with (see
-    /// [`Event::payload_words`]) and `hops` the point-to-point distance
-    /// (`Send` only). Every participant is busy for the full `time`; the
-    /// one imbalanced phase, [`Machine::compute_each`], calls
-    /// [`Machine::record`] itself, with per-processor times.
-    #[allow(clippy::too_many_arguments)]
-    fn record_at(
-        &mut self,
-        kind: EventKind,
-        participants: usize,
-        words: usize,
-        payload: usize,
-        hops: usize,
-        flops: usize,
-        time: f64,
-        start: f64,
-        label: &str,
-    ) {
-        let keep = self.wants_event(kind);
-        let proc_times = if keep {
-            self.proc_times_buffer(0)
-        } else {
-            Vec::new()
-        };
-        self.record(
-            keep,
-            kind,
-            participants,
-            words,
-            payload,
-            hops,
-            flops,
-            time,
-            start,
-            label,
-            proc_times,
-        );
-    }
-
-    /// Will an event of `kind` be kept — by the trace, by a tail
-    /// somebody reads, or by a sink whose cheap pre-filter wants it?
-    /// Asked once per operation, before anything is filled in for the
-    /// event (span path, label, per-processor times).
-    fn wants_event(&self, kind: EventKind) -> bool {
-        self.level == TraceLevel::Full
-            || self.tail.slots.len() > 1
-            || self.sink.as_ref().is_some_and(|sink| sink.wants(kind))
-    }
-
-    /// An empty vector for the per-processor times of an event that
-    /// [`Machine::wants_event`]: a fresh one the trace will own at
-    /// `Full`, the next tail slot's own (capacity kept) below it.
-    fn proc_times_buffer(&mut self, capacity: usize) -> Vec<f64> {
-        if self.level == TraceLevel::Full {
-            Vec::with_capacity(capacity)
-        } else {
-            let slot = &mut self.tail.slots[self.tail.next];
-            let mut buffer = std::mem::take(&mut slot.proc_times);
-            buffer.clear();
-            buffer
-        }
-    }
-
-    /// The recording chokepoint, reached by every operation. `keep` is
-    /// [`Machine::wants_event`]; `proc_times` is then the
-    /// [`Machine::proc_times_buffer`] holding per-processor durations
-    /// for an imbalanced phase (empty = uniform), and an unallocated
-    /// vector otherwise. An operation that leaves nothing behind — no
-    /// event wanted, no digest kept: the common case on a machine nobody
-    /// is looking at — stops at this test; the work is kept out of line
-    /// so that the callers' own loops stay small.
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    fn record(
-        &mut self,
-        keep: bool,
-        kind: EventKind,
-        participants: usize,
-        words: usize,
-        payload: usize,
-        hops: usize,
-        flops: usize,
-        time: f64,
-        start: f64,
-        label: &str,
-        proc_times: Vec<f64>,
-    ) {
-        if keep || self.level == TraceLevel::Summary {
-            self.fold_and_emit(
-                keep,
-                kind,
-                participants,
-                words,
-                payload,
-                hops,
-                flops,
-                time,
-                start,
-                label,
-                proc_times,
-            );
-        }
-    }
-
-    /// At `Summary`, fold the operation into the digest. If its event is
-    /// wanted: at `Full` an owned event goes to the sink and then into
-    /// the trace; below it the event is written once, into the next slot
-    /// of the tail, and that slot is what a sink is lent — once the
-    /// slots' strings and vectors have grown to fit, nothing is allocated
-    /// per event. A sink sees what it would see with one slot: under a
-    /// kept tail its pre-filter is asked here instead of before.
-    #[inline(never)]
-    #[allow(clippy::too_many_arguments)]
-    fn fold_and_emit(
-        &mut self,
-        keep: bool,
-        kind: EventKind,
-        participants: usize,
-        words: usize,
-        payload: usize,
-        hops: usize,
-        flops: usize,
-        time: f64,
-        start: f64,
-        label: &str,
-        proc_times: Vec<f64>,
-    ) {
-        if self.level == TraceLevel::Summary {
-            self.digest
-                .fold(kind, words, flops, time, label, crate::span::current_level);
-        }
-        if !keep {
-            return;
-        }
-        if self.level == TraceLevel::Full {
-            let event = Event {
-                kind,
-                participants,
-                words,
-                flops,
-                time,
-                start,
-                span: crate::span::current_path(),
-                label: label.to_string(),
-                proc_times,
-                payload_words: payload,
-                hops,
-            };
-            if let Some(sink) = &self.sink {
-                sink.emit(&event);
-            }
-            self.trace.record(event);
-            return;
-        }
-        let lend = self.tail.slots.len() == 1;
-        let event = self.tail.claim_slot();
-        event.kind = kind;
-        event.participants = participants;
-        event.words = words;
-        event.flops = flops;
-        event.time = time;
-        event.start = start;
-        crate::span::write_current_path(&mut event.span);
-        event.label.clear();
-        event.label.push_str(label);
-        event.proc_times = proc_times;
-        event.payload_words = payload;
-        event.hops = hops;
-        if let Some(sink) = &self.sink {
-            if lend || sink.wants(kind) {
-                sink.emit(event);
-            }
-        }
-    }
-
     /// Advance every clock to the global maximum (barrier semantics) and
     /// return that maximum.
     fn synchronise(&mut self) -> f64 {
         let max = self.elapsed();
         self.clocks.iter_mut().for_each(|c| *c = max);
         max
+    }
+
+    /// The paper's §4 sentence, once: all `N_P` processors wait for the
+    /// slowest, then spend `time` together. Every machine-wide operation
+    /// prices itself, counts its own traffic and ends here; the event
+    /// begins at the synchronisation point and every participant is busy
+    /// for the full `time`.
+    fn charge_all(
+        &mut self,
+        kind: EventKind,
+        words: usize,
+        payload: usize,
+        flops: usize,
+        time: f64,
+        label: &str,
+    ) -> f64 {
+        let start = self.synchronise();
+        self.clocks.iter_mut().for_each(|c| *c += time);
+        self.recorder.record(Op {
+            words,
+            payload,
+            flops,
+            ..Op::new(kind, self.np, time, start, label)
+        });
+        time
     }
 
     // ------------------------------------------------------------------
@@ -806,12 +490,12 @@ impl Machine {
         // with `proc_times` that places each processor's slice on the
         // reconstructed timeline.
         let start = self.clocks.iter().cloned().fold(f64::INFINITY, f64::min);
-        let keep = self.wants_event(EventKind::Compute);
-        let mut per_proc = if keep {
-            self.proc_times_buffer(self.np)
-        } else {
-            Vec::new()
-        };
+        // The products the clocks advance by are stored only where an
+        // event could be made of them: one predictable branch.
+        let watching = self.recorder.is_watching();
+        if watching {
+            self.proc_times.resize(self.np, 0.0);
+        }
         let mut max_t: f64 = 0.0;
         let mut total = 0usize;
         for p in 0..self.np {
@@ -821,23 +505,15 @@ impl Machine {
             self.clocks[p] += t;
             max_t = max_t.max(t);
             total += f;
-            if keep {
-                per_proc.push(t);
+            if watching {
+                self.proc_times[p] = t;
             }
         }
-        self.record(
-            keep,
-            EventKind::Compute,
-            self.np,
-            0,
-            0,
-            0,
-            total,
-            max_t,
-            start,
-            label,
-            per_proc,
-        );
+        self.recorder.record(Op {
+            flops: total,
+            proc_times: &self.proc_times,
+            ..Op::new(EventKind::Compute, self.np, max_t, start, label)
+        });
         max_t
     }
 
@@ -855,10 +531,7 @@ impl Machine {
         self.begin_op();
         let t = self.cost.flops(flops) * self.skew_factor(0);
         self.stats[0].flops += flops as u64;
-        let start = self.synchronise();
-        self.clocks.iter_mut().for_each(|c| *c += t);
-        self.record_at(EventKind::Compute, self.np, 0, 0, 0, flops, t, start, label);
-        t
+        self.charge_all(EventKind::Compute, 0, 0, flops, t, label)
     }
 
     // ------------------------------------------------------------------
@@ -880,17 +553,12 @@ impl Machine {
         let arrive = start + t;
         self.clocks[to] = self.clocks[to].max(arrive);
         self.clocks[from] = arrive; // blocking send
-        self.record_at(
-            EventKind::Send,
-            self.np,
+        self.recorder.record(Op {
             words,
-            words,
+            payload: words,
             hops,
-            0,
-            t,
-            start,
-            label,
-        );
+            ..Op::new(EventKind::Send, self.np, t, start, label)
+        });
         t
     }
 
@@ -898,10 +566,7 @@ impl Machine {
     pub fn barrier(&mut self, label: &str) -> f64 {
         self.begin_op();
         let t = self.topology.allreduce_time(self.np, 0, &self.cost);
-        let start = self.synchronise();
-        self.clocks.iter_mut().for_each(|c| *c += t);
-        self.record_at(EventKind::Barrier, self.np, 0, 0, 0, 0, t, start, label);
-        t
+        self.charge_all(EventKind::Barrier, 0, 0, 0, t, label)
     }
 
     /// One-to-all broadcast of `words` elements from `root`.
@@ -911,20 +576,7 @@ impl Machine {
         let t = self.topology.broadcast_time(self.np, words, &self.cost);
         self.stats[root].words_sent += words as u64;
         self.stats[root].messages += Topology::log2_ceil(self.np) as u64;
-        let start = self.synchronise();
-        self.clocks.iter_mut().for_each(|c| *c += t);
-        self.record_at(
-            EventKind::Broadcast,
-            self.np,
-            words,
-            words,
-            0,
-            0,
-            t,
-            start,
-            label,
-        );
-        t
+        self.charge_all(EventKind::Broadcast, words, words, 0, t, label)
     }
 
     /// All-to-all broadcast (allgather): every processor contributes
@@ -942,20 +594,8 @@ impl Machine {
             s.words_sent += (words_each * self.np.saturating_sub(1)) as u64;
             s.messages += Topology::log2_ceil(self.np) as u64;
         }
-        let start = self.synchronise();
-        self.clocks.iter_mut().for_each(|c| *c += t);
-        self.record_at(
-            EventKind::AllGather,
-            self.np,
-            words_each * self.np,
-            words_each,
-            0,
-            0,
-            t,
-            start,
-            label,
-        );
-        t
+        let words = words_each * self.np;
+        self.charge_all(EventKind::AllGather, words, words_each, 0, t, label)
     }
 
     /// Reduce `words` elements to `root` (combining with flops included in
@@ -970,20 +610,8 @@ impl Machine {
                 s.messages += 1;
             }
         }
-        let start = self.synchronise();
-        self.clocks.iter_mut().for_each(|c| *c += t);
-        self.record_at(
-            EventKind::Reduce,
-            self.np,
-            words * (self.np - 1),
-            words,
-            0,
-            0,
-            t,
-            start,
-            label,
-        );
-        t
+        let moved = words * (self.np - 1);
+        self.charge_all(EventKind::Reduce, moved, words, 0, t, label)
     }
 
     /// All-reduce of `words` elements: the merge phase of `DOT_PRODUCT`
@@ -999,20 +627,8 @@ impl Machine {
             s.words_sent += words as u64 * rounds;
             s.messages += rounds;
         }
-        let start = self.synchronise();
-        self.clocks.iter_mut().for_each(|c| *c += t);
-        self.record_at(
-            EventKind::AllReduce,
-            self.np,
-            words * self.np.saturating_sub(1),
-            words,
-            0,
-            0,
-            t,
-            start,
-            label,
-        );
-        t
+        let moved = words * self.np.saturating_sub(1);
+        self.charge_all(EventKind::AllReduce, moved, words, 0, t, label)
     }
 
     /// Reduce-scatter: every processor contributes `np * words_each`
@@ -1030,20 +646,8 @@ impl Machine {
             s.words_sent += (words_each * self.np.saturating_sub(1)) as u64;
             s.messages += rounds;
         }
-        let start = self.synchronise();
-        self.clocks.iter_mut().for_each(|c| *c += t);
-        self.record_at(
-            EventKind::Reduce,
-            self.np,
-            words_each * self.np * self.np.saturating_sub(1),
-            words_each,
-            0,
-            0,
-            t,
-            start,
-            label,
-        );
-        t
+        let moved = words_each * self.np * self.np.saturating_sub(1);
+        self.charge_all(EventKind::Reduce, moved, words_each, 0, t, label)
     }
 
     /// Run a collective over a *subset* of processors (a row or column of
@@ -1083,17 +687,11 @@ impl Machine {
         // Stamped with the *group* size: the cost formulas above were
         // evaluated for `g` processors, and the oracle re-evaluates them
         // from `participants`.
-        self.record_at(
-            kind,
-            g,
-            words_each * g * (g - 1),
-            words_each,
-            0,
-            0,
-            t,
-            max,
-            label,
-        );
+        self.recorder.record(Op {
+            words: words_each * g * (g - 1),
+            payload: words_each,
+            ..Op::new(kind, g, t, max, label)
+        });
         t
     }
 
@@ -1106,20 +704,8 @@ impl Machine {
             s.words_sent += (words_each * (self.np - 1)) as u64;
             s.messages += (self.np - 1) as u64;
         }
-        let start = self.synchronise();
-        self.clocks.iter_mut().for_each(|c| *c += t);
-        self.record_at(
-            EventKind::AllToAll,
-            self.np,
-            words_each * self.np * self.np.saturating_sub(1),
-            words_each,
-            0,
-            0,
-            t,
-            start,
-            label,
-        );
-        t
+        let moved = words_each * self.np * self.np.saturating_sub(1);
+        self.charge_all(EventKind::AllToAll, moved, words_each, 0, t, label)
     }
 
     /// Irregular many-to-many exchange: `matrix[s][d]` words from `s` to
@@ -1145,125 +731,71 @@ impl Machine {
             total_words += sent;
             max_t = max_t.max(t);
         }
-        let start = self.synchronise();
-        self.clocks.iter_mut().for_each(|c| *c += max_t);
-        self.record_at(
-            EventKind::Redistribute,
-            self.np,
-            total_words,
-            0,
-            0,
-            0,
-            max_t,
-            start,
-            label,
-        );
-        max_t
+        self.charge_all(EventKind::Redistribute, total_words, 0, 0, max_t, label)
+    }
+
+    /// Gather to `root`, or scatter from it, the `words_of(p)` elements
+    /// of every other processor `p` ([`Topology::gather_time`]). A
+    /// block's sender — its owner in a gather, the root in a scatter —
+    /// counts its words and one message if it is not empty. The event's
+    /// `payload_words` is the *total* that moved, so the cost oracle
+    /// re-prices what moved rather than a uniform per-processor count.
+    fn through_root(
+        &mut self,
+        kind: EventKind,
+        root: usize,
+        words_of: impl Fn(usize) -> usize,
+        label: &str,
+    ) -> f64 {
+        assert!(root < self.np);
+        self.begin_op();
+        let mut total = 0usize;
+        for p in (0..self.np).filter(|&p| p != root) {
+            let words = words_of(p);
+            if words > 0 {
+                let sender = if kind == EventKind::Gather { p } else { root };
+                self.stats[sender].words_sent += words as u64;
+                self.stats[sender].messages += 1;
+                total += words;
+            }
+        }
+        let t = self.topology.gather_time(self.np, total, &self.cost);
+        self.charge_all(kind, total, total, 0, t, label)
     }
 
     /// Gather `words_each` elements from every processor to `root`.
     pub fn gather(&mut self, root: usize, words_each: usize, label: &str) -> f64 {
-        let v = vec![words_each; self.np];
-        self.gather_varying(root, &v, label)
+        self.through_root(EventKind::Gather, root, |_| words_each, label)
     }
 
     /// Gather `words_per_proc[p]` elements from each processor `p` to
     /// `root` (multigrid coarse levels own unequal — often zero — block
-    /// sizes). Binomial tree: log P start-ups, bandwidth for the total
-    /// volume funnelled into the root. The event's `payload_words` is
-    /// that *total*, stamped at this emitting site, so the cost oracle
-    /// re-prices the transfer from what actually moved rather than
-    /// assuming a uniform per-processor count.
+    /// sizes): log P start-ups, bandwidth for the total volume funnelled
+    /// into the root.
     pub fn gather_varying(&mut self, root: usize, words_per_proc: &[usize], label: &str) -> f64 {
-        assert!(root < self.np);
         assert_eq!(
             words_per_proc.len(),
             self.np,
             "one word count per processor"
         );
-        self.begin_op();
-        let total: usize = words_per_proc
-            .iter()
-            .enumerate()
-            .filter(|&(p, _)| p != root)
-            .map(|(_, &w)| w)
-            .sum();
-        let t = if self.np <= 1 {
-            0.0
-        } else {
-            let rounds = Topology::log2_ceil(self.np) as f64;
-            rounds * self.cost.t_startup + self.cost.t_word * total as f64
-        };
-        for (p, s) in self.stats.iter_mut().enumerate() {
-            if p != root && words_per_proc[p] > 0 {
-                s.words_sent += words_per_proc[p] as u64;
-                s.messages += 1;
-            }
-        }
-        let start = self.synchronise();
-        self.clocks.iter_mut().for_each(|c| *c += t);
-        self.record_at(
-            EventKind::Gather,
-            self.np,
-            total,
-            total,
-            0,
-            0,
-            t,
-            start,
-            label,
-        );
-        t
+        self.through_root(EventKind::Gather, root, |p| words_per_proc[p], label)
     }
 
     /// Scatter `words_each` elements from `root` to every processor.
     pub fn scatter(&mut self, root: usize, words_each: usize, label: &str) -> f64 {
-        let v = vec![words_each; self.np];
-        self.scatter_varying(root, &v, label)
+        self.through_root(EventKind::Scatter, root, |_| words_each, label)
     }
 
     /// Scatter `words_per_proc[p]` elements from `root` to each
     /// processor `p` — the inverse of [`Machine::gather_varying`], with
     /// the same total-volume `payload_words` convention.
     pub fn scatter_varying(&mut self, root: usize, words_per_proc: &[usize], label: &str) -> f64 {
-        assert!(root < self.np);
         assert_eq!(
             words_per_proc.len(),
             self.np,
             "one word count per processor"
         );
-        self.begin_op();
-        let total: usize = words_per_proc
-            .iter()
-            .enumerate()
-            .filter(|&(p, _)| p != root)
-            .map(|(_, &w)| w)
-            .sum();
-        let t = if self.np <= 1 {
-            0.0
-        } else {
-            let rounds = Topology::log2_ceil(self.np) as f64;
-            rounds * self.cost.t_startup + self.cost.t_word * total as f64
-        };
-        let receivers = (0..self.np)
-            .filter(|&p| p != root && words_per_proc[p] > 0)
-            .count();
-        self.stats[root].words_sent += total as u64;
-        self.stats[root].messages += receivers as u64;
-        let start = self.synchronise();
-        self.clocks.iter_mut().for_each(|c| *c += t);
-        self.record_at(
-            EventKind::Scatter,
-            self.np,
-            total,
-            total,
-            0,
-            0,
-            t,
-            start,
-            label,
-        );
-        t
+        self.through_root(EventKind::Scatter, root, |p| words_per_proc[p], label)
     }
 }
 
@@ -1548,6 +1080,8 @@ mod tests {
             .collect();
         assert_eq!(stored.len(), 4);
         assert_eq!(at_full, stored);
+        // A sampling sink is lent what it asked for at `Full` too.
+        assert_eq!(run(TraceLevel::Full, 0, true).0, stored[2..3]);
         for level in [TraceLevel::Off, TraceLevel::Summary] {
             for tail in [0, 2, 64] {
                 let (lent, m) = run(level, tail, false);

@@ -61,18 +61,10 @@ pub fn predicted_time(event: &Event, topology: Topology, cost: &CostModel) -> Op
                 Some(topology.reduce_time(p, w, cost))
             }
         }
-        EventKind::Gather | EventKind::Scatter => {
-            // Binomial tree, mirroring `Machine::gather_varying` /
-            // `scatter_varying`: the emitting site stamps
-            // `payload_words` with the *total* words funnelled through
-            // the root, so unequal per-processor block sizes (multigrid
-            // coarse levels) are priced from what actually moved.
-            Some(if p <= 1 {
-                0.0
-            } else {
-                Topology::log2_ceil(p) as f64 * cost.t_startup + cost.t_word * w as f64
-            })
-        }
+        // The emitting site stamps `payload_words` with the *total* words
+        // funnelled through the root, so unequal per-processor block
+        // sizes (multigrid coarse levels) are priced from what moved.
+        EventKind::Gather | EventKind::Scatter => Some(topology.gather_time(p, w, cost)),
     }
 }
 

@@ -146,14 +146,13 @@ pub fn enter_iter(k: usize) -> ScopeGuard {
 /// The current span path — segments joined with `/`, empty when no span
 /// is active. This is the string stamped on every traced [`crate::Event`].
 pub fn current_path() -> String {
-    // `clone` allocates the path's length exactly: no slack kept alive
-    // in a stored trace.
     STACK.with(|s| s.borrow().path.clone())
 }
 
 /// [`current_path`] copied into a caller-owned buffer (cleared first).
 /// A buffer that has held a path this long before is refilled without
-/// allocating — how the machine lends one scratch event to its sink.
+/// allocating — how the machine refills a slot of its tail; an empty one
+/// (a new entry of the trace) allocates the path's length.
 pub fn write_current_path(out: &mut String) {
     out.clear();
     STACK.with(|s| out.push_str(&s.borrow().path));

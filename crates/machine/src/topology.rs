@@ -216,6 +216,17 @@ impl Topology {
         }
     }
 
+    /// Time to gather `total_words` elements, all blocks counted, from
+    /// `p` processors to one root, or to scatter them from it: a
+    /// binomial tree on every network — `log P` start-ups, bandwidth for
+    /// the whole volume through the root's link.
+    pub fn gather_time(&self, p: usize, total_words: usize, cost: &CostModel) -> f64 {
+        if p <= 1 {
+            return 0.0;
+        }
+        Self::log2_ceil(p) as f64 * cost.t_startup + cost.t_word * total_words as f64
+    }
+
     /// Human-readable name.
     pub fn name(&self) -> &'static str {
         match self {

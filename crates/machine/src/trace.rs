@@ -123,8 +123,8 @@ pub struct Event {
 }
 
 impl Event {
-    /// An event with nothing in it: what a slot of the machine's tail
-    /// holds before its first refill.
+    /// An event with nothing in it: what a slot of the machine's tail, or
+    /// a new entry of its trace, holds before the recorder fills it.
     pub(crate) fn blank() -> Event {
         Event {
             kind: EventKind::Compute,
@@ -155,6 +155,12 @@ impl Trace {
 
     pub fn record(&mut self, ev: Event) {
         self.events.push(ev);
+    }
+
+    /// A new last entry for the recorder to fill in where it sits.
+    pub(crate) fn next_slot(&mut self) -> &mut Event {
+        self.events.push(Event::blank());
+        self.events.last_mut().expect("just pushed")
     }
 
     pub fn events(&self) -> &[Event] {

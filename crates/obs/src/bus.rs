@@ -1,16 +1,17 @@
-//! The live telemetry bus: a bounded lock-free ring buffer fed by the
-//! machine- and service-level event taps, with per-job head sampling.
+//! The live telemetry bus: a bounded queue fed by the machine- and
+//! service-level event taps, with per-job head sampling.
 //!
 //! Post-hoc traces answer "what did that solve cost?"; the bus answers
 //! the operational question "what is the service doing *right now*?".
 //! Producers (worker threads recording machine events, the submitter
 //! shedding at the door, the supervisor killing a hung worker) publish
-//! into a fixed-capacity multi-producer/multi-consumer ring — the
-//! classic bounded MPMC queue of Vyukov, one sequence-stamped slot per
-//! cell, every operation a couple of atomics, no locks anywhere on the
-//! publish path. A consumer (`trace-report --follow`, the E29 harness)
-//! drains at its own pace; when producers outrun it the ring *drops new
-//! events and counts them* rather than blocking a solver thread.
+//! into a fixed-capacity FIFO behind one mutex, held for a `VecDeque`
+//! operation and nothing else. The traffic sized it: a handful of
+//! producers that already pay three `String` allocations a published
+//! event, and one consumer (`trace-report --follow`, the E29 harness)
+//! that drains once a burst, taking what is there under one lock. When
+//! producers outrun it the queue *drops new events and counts them*
+//! rather than making a solver thread wait for room.
 //!
 //! **Head sampling** keeps the always-on cost negligible: the keep/drop
 //! decision is made once per *job* (keyed on the request's trace id, so
@@ -22,10 +23,9 @@
 
 use crate::json::Obj;
 use hpf_machine::StripedCounter;
-use std::cell::UnsafeCell;
-use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// Where a bus event was produced.
@@ -65,7 +65,9 @@ impl BusOrigin {
 /// trace never carries.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BusEvent {
-    /// Publication sequence number (gaps = ring overflow drops).
+    /// Publication sequence number, taken past sampling and before the
+    /// push: an event dropped on a full queue took one too, so a gap in
+    /// what a consumer reads is a drop.
     pub seq: u64,
     /// Wall-clock seconds since the bus was created.
     pub wall_s: f64,
@@ -176,116 +178,55 @@ impl BusEvent {
 }
 
 // ---------------------------------------------------------------------
-// The lock-free ring
+// The queue
 // ---------------------------------------------------------------------
 
-struct Slot {
-    /// Vyukov sequence stamp: `pos` when free for the producer claiming
-    /// `pos`, `pos + 1` when holding that producer's value.
-    seq: AtomicUsize,
-    value: UnsafeCell<MaybeUninit<BusEvent>>,
-}
-
-/// Bounded multi-producer/multi-consumer queue (Vyukov). `push` never
-/// blocks: on a full ring it drops the event and returns `false`.
+/// Bounded FIFO of bus events behind one mutex. `push` never waits for
+/// room: on a full queue it drops the event and returns `false`. The
+/// lock is held for a `VecDeque` operation and nothing else.
 pub struct RingBuffer {
-    slots: Box<[Slot]>,
-    mask: usize,
-    enqueue: AtomicUsize,
-    dequeue: AtomicUsize,
+    queue: Mutex<VecDeque<BusEvent>>,
+    capacity: usize,
 }
-
-// Safety: slots are handed off between threads through the per-slot
-// `seq` stamp (acquire/release pairs below); a slot's value is only
-// touched by the single thread that claimed its position.
-unsafe impl Send for RingBuffer {}
-unsafe impl Sync for RingBuffer {}
 
 impl RingBuffer {
     /// Capacity is rounded up to a power of two (minimum 2).
     pub fn new(capacity: usize) -> Self {
-        let cap = capacity.max(2).next_power_of_two();
-        let slots = (0..cap)
-            .map(|i| Slot {
-                seq: AtomicUsize::new(i),
-                value: UnsafeCell::new(MaybeUninit::uninit()),
-            })
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
         RingBuffer {
-            slots,
-            mask: cap - 1,
-            enqueue: AtomicUsize::new(0),
-            dequeue: AtomicUsize::new(0),
+            queue: Mutex::new(VecDeque::new()),
+            capacity: capacity.max(2).next_power_of_two(),
         }
     }
 
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.capacity
     }
 
-    /// Non-blocking push; `false` = ring full, event dropped.
+    fn lock(&self) -> MutexGuard<'_, VecDeque<BusEvent>> {
+        // Every update is one `VecDeque` call: a panic elsewhere on a
+        // thread holding the guard leaves the queue whole.
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Non-blocking push; `false` = queue full, event dropped.
     pub fn push(&self, event: BusEvent) -> bool {
-        let mut pos = self.enqueue.load(Ordering::Relaxed);
-        loop {
-            let slot = &self.slots[pos & self.mask];
-            let seq = slot.seq.load(Ordering::Acquire);
-            match seq as isize - pos as isize {
-                0 => {
-                    // Slot free for this position: claim it.
-                    match self.enqueue.compare_exchange_weak(
-                        pos,
-                        pos.wrapping_add(1),
-                        Ordering::Relaxed,
-                        Ordering::Relaxed,
-                    ) {
-                        Ok(_) => {
-                            unsafe { (*slot.value.get()).write(event) };
-                            slot.seq.store(pos.wrapping_add(1), Ordering::Release);
-                            return true;
-                        }
-                        Err(actual) => pos = actual,
-                    }
-                }
-                d if d < 0 => return false, // full: a lap behind the consumers
-                _ => pos = self.enqueue.load(Ordering::Relaxed), // raced: reload
-            }
+        let mut queue = self.lock();
+        let room = queue.len() < self.capacity;
+        if room {
+            queue.push_back(event);
         }
+        room
     }
 
-    /// Non-blocking pop; `None` = ring empty.
+    /// Non-blocking pop; `None` = queue empty.
     pub fn pop(&self) -> Option<BusEvent> {
-        let mut pos = self.dequeue.load(Ordering::Relaxed);
-        loop {
-            let slot = &self.slots[pos & self.mask];
-            let seq = slot.seq.load(Ordering::Acquire);
-            match seq as isize - (pos.wrapping_add(1)) as isize {
-                0 => {
-                    match self.dequeue.compare_exchange_weak(
-                        pos,
-                        pos.wrapping_add(1),
-                        Ordering::Relaxed,
-                        Ordering::Relaxed,
-                    ) {
-                        Ok(_) => {
-                            let value = unsafe { (*slot.value.get()).assume_init_read() };
-                            slot.seq
-                                .store(pos.wrapping_add(self.mask + 1), Ordering::Release);
-                            return Some(value);
-                        }
-                        Err(actual) => pos = actual,
-                    }
-                }
-                d if d < 0 => return None, // empty
-                _ => pos = self.dequeue.load(Ordering::Relaxed),
-            }
-        }
+        self.lock().pop_front()
     }
-}
 
-impl Drop for RingBuffer {
-    fn drop(&mut self) {
-        while self.pop().is_some() {}
+    /// Everything queued, oldest first, taken under one lock; the
+    /// queue keeps its buffer for the next burst.
+    fn drain(&self) -> Vec<BusEvent> {
+        self.lock().drain(..).collect()
     }
 }
 
@@ -347,15 +288,17 @@ impl Default for SamplingPolicy {
 /// Publication counters (all monotonic).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BusStats {
-    /// Events accepted into the ring.
+    /// Events past sampling, each stamped with a `seq` — whether the
+    /// queue then took them or not: accepted = `published - dropped`.
     pub published: u64,
-    /// Events refused because the ring was full (consumer too slow).
+    /// Published events refused because the queue was full (consumer
+    /// too slow).
     pub dropped: u64,
     /// Events skipped by the head-sampling policy (working as designed).
     pub sampled_out: u64,
 }
 
-/// The streaming event bus: sampling policy + ring + wall clock.
+/// The streaming event bus: sampling policy + queue + wall clock.
 pub struct EventBus {
     ring: RingBuffer,
     policy: SamplingPolicy,
@@ -390,13 +333,25 @@ impl EventBus {
         }
     }
 
+    /// The sampling decision, counted when it says no.
+    fn keeps(&self, trace_id: u64, critical: bool) -> bool {
+        let keep = self.policy.keep(trace_id, critical);
+        if !keep {
+            self.sampled_out.add(1);
+        }
+        keep
+    }
+
     /// Apply sampling and publish. The caller supplies everything but
     /// `seq`/`wall_s`, which the bus stamps.
-    pub fn publish(&self, mut event: BusEvent, critical: bool) {
-        if !self.policy.keep(event.trace_id, critical) {
-            self.sampled_out.add(1);
-            return;
+    pub fn publish(&self, event: BusEvent, critical: bool) {
+        if self.keeps(event.trace_id, critical) {
+            self.stamp_and_push(event);
         }
+    }
+
+    /// Publish an event that is past sampling.
+    fn stamp_and_push(&self, mut event: BusEvent) {
         event.seq = self.seq.fetch_add(1, Ordering::Relaxed);
         event.wall_s = self.started.elapsed().as_secs_f64();
         if !self.ring.push(event) {
@@ -404,18 +359,9 @@ impl EventBus {
         }
     }
 
-    /// Pop every currently-buffered event (FIFO).
+    /// Take every currently-buffered event (FIFO).
     pub fn drain(&self) -> Vec<BusEvent> {
-        let mut out = Vec::new();
-        while let Some(e) = self.ring.pop() {
-            out.push(e);
-        }
-        out
-    }
-
-    /// Pop one event.
-    pub fn pop(&self) -> Option<BusEvent> {
-        self.ring.pop()
+        self.ring.drain()
     }
 
     /// A machine-level tap for [`hpf_machine::Machine::set_event_sink`]:
@@ -423,49 +369,32 @@ impl EventBus {
     /// The trace id is read from the span path's `trace=<hex>` segment
     /// (stamped by the service worker); machine faults are critical.
     ///
-    /// The sink carries a pre-filter so that, below
-    /// `TraceLevel::Full` (where the service's workers run), a
-    /// head-sampled-out job's machine operations never even fill in an
-    /// event — E29's per-published-event budget depends on this.
+    /// The head-sampling decision is the sink's pre-filter, which the
+    /// machine asks once per operation at every trace level, before it
+    /// fills anything in for the sink: a sampled-out job's operations
+    /// never reach the body, let alone pay its three allocations —
+    /// E29's per-published-event budget depends on this.
     pub fn machine_sink(self: &Arc<Self>) -> hpf_machine::EventSink {
         let filter_bus = Arc::clone(self);
         let bus = Arc::clone(self);
         hpf_machine::EventSink::new(move |e: &hpf_machine::Event| {
-            let trace_id = hpf_machine::span::trace_of(&e.span).unwrap_or(0);
-            let critical = e.kind == hpf_machine::EventKind::Fault;
-            // Decide before building: with tracing on the machine hands
-            // us every event, and a sampled-out job must not pay three
-            // allocations per operation just to be dropped in publish.
-            if !bus.policy.keep(trace_id, critical) {
-                bus.sampled_out.add(1);
-                return;
-            }
-            bus.publish(
-                BusEvent {
-                    seq: 0,
-                    wall_s: 0.0,
-                    origin: BusOrigin::Machine,
-                    kind: format!("{:?}", e.kind),
-                    trace_id,
-                    class: String::new(),
-                    span: e.span.clone(),
-                    label: e.label.clone(),
-                    time_s: e.time,
-                    latency_us: 0,
-                    ok: true,
-                    outcome: String::new(),
-                },
-                critical,
-            );
+            bus.stamp_and_push(BusEvent {
+                seq: 0,
+                wall_s: 0.0,
+                origin: BusOrigin::Machine,
+                kind: format!("{:?}", e.kind),
+                trace_id: hpf_machine::span::trace_of(&e.span).unwrap_or(0),
+                class: String::new(),
+                span: e.span.clone(),
+                label: e.label.clone(),
+                time_s: e.time,
+                latency_us: 0,
+                ok: true,
+                outcome: String::new(),
+            });
         })
         .with_filter(move |trace_id, kind| {
-            let critical = kind == hpf_machine::EventKind::Fault;
-            if filter_bus.policy.keep(trace_id, critical) {
-                true
-            } else {
-                filter_bus.sampled_out.add(1);
-                false
-            }
+            filter_bus.keeps(trace_id, kind == hpf_machine::EventKind::Fault)
         })
     }
 
@@ -654,7 +583,10 @@ mod tests {
         bus.publish(ev(0, 5), true); // ring (cap 2) now overflows
         let stats = bus.stats();
         assert_eq!(stats.dropped, 1);
-        assert_eq!(stats.published, 3, "seq counts accepted publishes");
+        assert_eq!(
+            stats.published, 3,
+            "seq counts what passed sampling, the dropped one included"
+        );
         assert_eq!(bus.drain().len(), 2);
     }
 

@@ -69,7 +69,6 @@ pub enum AdmissionDecision {
 /// caller's thread and must stay cheap).
 #[derive(Debug)]
 pub struct AdmissionController {
-    enabled: bool,
     min_samples: u64,
     workers: u64,
     np: usize,
@@ -90,7 +89,6 @@ pub struct AdmissionController {
 impl AdmissionController {
     pub fn new(config: &ServiceConfig) -> Self {
         AdmissionController {
-            enabled: config.admission_enabled,
             min_samples: config.admission_min_samples,
             workers: config.workers.max(1) as u64,
             np: config.np,
@@ -107,7 +105,7 @@ impl AdmissionController {
     /// Whether enough completions have been observed to trust the
     /// calibration (and therefore to shed).
     pub fn calibrated(&self) -> bool {
-        self.enabled && self.samples.load(Ordering::Relaxed) >= self.min_samples
+        self.samples.load(Ordering::Relaxed) >= self.min_samples
     }
 
     /// Predicted wall µs for `request`'s own execution (queue excluded).
@@ -200,7 +198,7 @@ impl AdmissionController {
     /// should only report clean first-attempt successes — retries and
     /// fault-plan runs would teach the oracle the faults, not the costs.
     pub fn observe(&self, n: usize, iterations: f64, sim_seconds: f64, wall: Duration) {
-        if !self.enabled || sim_seconds <= 0.0 || n == 0 {
+        if sim_seconds <= 0.0 || n == 0 {
             return;
         }
         let wall_us = wall.as_micros().min(u64::MAX as u128) as f64;
@@ -349,23 +347,6 @@ mod tests {
             AdmissionDecision::Shed { .. }
         ));
         assert!(c.queue_ahead_us(QosClass::Batch) <= c.backlog_us());
-    }
-
-    #[test]
-    fn disabled_controller_never_sheds() {
-        let c = AdmissionController::new(&ServiceConfig {
-            admission_enabled: false,
-            admission_min_samples: 0,
-            ..ServiceConfig::default()
-        });
-        for _ in 0..16 {
-            c.observe(64, 8.0, 1.0, Duration::from_millis(1));
-        }
-        assert!(!c.calibrated());
-        assert_eq!(
-            c.decide(&request(Some(Duration::from_nanos(1)))),
-            AdmissionDecision::Admit { predicted_us: 0 }
-        );
     }
 
     #[test]

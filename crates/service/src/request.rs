@@ -254,18 +254,12 @@ pub struct ServiceConfig {
     pub topology: Topology,
     /// Reuse `SolvePlan`s across requests with equal fingerprints.
     pub plan_cache_enabled: bool,
-    /// Plans kept before the oldest is evicted.
-    pub plan_cache_capacity: usize,
     /// Merge queued same-structure jobs into one multi-RHS execution.
     pub batching_enabled: bool,
     /// Most jobs merged into a single batch.
     pub max_batch: usize,
     /// Total solve attempts per job (1 = no retries).
     pub max_attempts: usize,
-    /// First-retry backoff delay; doubles per retry.
-    pub backoff_base: Duration,
-    /// Backoff delay ceiling.
-    pub backoff_cap: Duration,
     /// Step retries down the CG → BiCGSTAB → GMRES escalation chain on
     /// numerical breakdown instead of re-running the same method.
     pub escalation_enabled: bool,
@@ -283,12 +277,12 @@ pub struct ServiceConfig {
     /// while other classes have work queued; zero weights are treated
     /// as one.
     pub qos_weights: [u32; 3],
-    /// Deadline-aware admission control: reject-on-arrival (typed
-    /// [`crate::ServiceError::Shed`]) for jobs whose deadline the cost
-    /// oracle predicts cannot be met given the current backlog.
-    pub admission_enabled: bool,
-    /// Completed solves observed before admission trusts its wall-clock
-    /// calibration enough to shed (cold start admits everything).
+    /// Completed solves observed before deadline-aware admission
+    /// trusts its wall-clock calibration enough to shed (cold start
+    /// admits everything): from then on a job whose deadline the cost
+    /// oracle predicts cannot be met given the current backlog is
+    /// rejected on arrival (typed [`crate::ServiceError::Shed`]). A
+    /// request without a deadline is never shed.
     pub admission_min_samples: u64,
     /// Supervise workers: detect hung/crashed worker threads via per-job
     /// progress heartbeats, kill and restart them.
@@ -298,11 +292,6 @@ pub struct ServiceConfig {
     pub hang_timeout: Duration,
     /// Supervisor polling interval.
     pub supervisor_poll: Duration,
-    /// First worker-restart backoff delay; doubles per consecutive
-    /// restart of the same slot.
-    pub restart_backoff_base: Duration,
-    /// Worker-restart backoff ceiling.
-    pub restart_backoff_cap: Duration,
     /// Live telemetry tap for service lifecycle events (admission,
     /// sheds, kills, completions — see [`crate::ServiceEvent`]). `None`
     /// keeps the service silent; `hpf-obs::bus` provides an adapter.
@@ -326,24 +315,18 @@ impl Default for ServiceConfig {
             np: 8,
             topology: Topology::Hypercube,
             plan_cache_enabled: true,
-            plan_cache_capacity: 32,
             batching_enabled: true,
             max_batch: 16,
             max_attempts: 3,
-            backoff_base: Duration::from_millis(1),
-            backoff_cap: Duration::from_millis(100),
             escalation_enabled: true,
             breaker_threshold: 5,
             breaker_cooldown: Duration::from_millis(250),
             recovery: Some(RecoveryConfig::default()),
             qos_weights: [6, 3, 1],
-            admission_enabled: true,
             admission_min_samples: 8,
             supervision_enabled: true,
             hang_timeout: Duration::from_millis(500),
             supervisor_poll: Duration::from_millis(20),
-            restart_backoff_base: Duration::from_millis(10),
-            restart_backoff_cap: Duration::from_secs(1),
             event_sink: None,
             machine_sink: None,
             evidence_hook: None,

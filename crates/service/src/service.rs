@@ -175,6 +175,11 @@ impl Intake {
     }
 }
 
+/// Plans kept before one is evicted — also the horizon, in insertions,
+/// over which the cache's eviction rule protects a reused plan
+/// ([`PlanCache`]), which is what it was sized with.
+const PLAN_CACHE_CAPACITY: usize = 32;
+
 /// What the service's threads share — submitters, workers (a respawned
 /// one takes up where the one it replaces left), the supervisor — and
 /// what it takes to end a job ([`Core::finish`]).
@@ -195,7 +200,7 @@ impl Core {
             .store(config.queue_capacity as u64, Ordering::Relaxed);
         Arc::new(Core {
             intake: Intake::new(&config),
-            cache: PlanCache::new(config.plan_cache_capacity.max(1)),
+            cache: PlanCache::new(PLAN_CACHE_CAPACITY),
             metrics,
             breaker: Arc::new(CircuitBreaker::new(
                 config.breaker_threshold,

@@ -25,7 +25,12 @@ use crate::service::Core;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+/// First worker-restart backoff delay (doubles per consecutive restart
+/// of the same slot) and its ceiling.
+const RESTART_BACKOFF_BASE: Duration = Duration::from_millis(10);
+const RESTART_BACKOFF_CAP: Duration = Duration::from_secs(1);
 
 /// Typed panic payload the progress hook throws when the supervisor has
 /// flagged this worker for death. The worker's catch site downcasts to
@@ -109,8 +114,8 @@ pub(crate) fn spawn_worker(
 ///   `supervisor_kills` tick, breaker failure recorded for the wedged
 ///   job's structure);
 /// * a finished thread (killed or organically dead) is joined and a
-///   respawn scheduled after `backoff_delay(restart_backoff_base,
-///   restart_backoff_cap, restarts)`;
+///   respawn scheduled after `backoff_delay(RESTART_BACKOFF_BASE,
+///   RESTART_BACKOFF_CAP, restarts)`;
 /// * due respawns get a fresh [`WorkerState`] and a `worker_restarts`
 ///   tick.
 ///
@@ -157,11 +162,7 @@ pub(crate) fn supervisor_loop(
                 }
                 slot.restarts = slot.restarts.saturating_add(1);
                 slot.respawn_at = Some(
-                    now + backoff_delay(
-                        core.config.restart_backoff_base,
-                        core.config.restart_backoff_cap,
-                        slot.restarts,
-                    ),
+                    now + backoff_delay(RESTART_BACKOFF_BASE, RESTART_BACKOFF_CAP, slot.restarts),
                 );
             }
             // 3. Respawn once the backoff has elapsed.

@@ -44,10 +44,14 @@ use hpf_solvers::{
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Iteration samples kept of a solve for [`JobEvidence::residual`].
 const RESIDUAL_TAIL: usize = 48;
+
+/// First-retry backoff delay (doubles per retry) and its ceiling.
+const BACKOFF_BASE: Duration = Duration::from_millis(1);
+const BACKOFF_CAP: Duration = Duration::from_millis(100);
 
 /// What the thread ending a job keeps of it for the evidence hook,
 /// besides a machine's tail: reused from job to job, and left empty
@@ -451,8 +455,8 @@ impl Worker {
                                 }
                             }
                             std::thread::sleep(backoff_delay_jittered(
-                                config.backoff_base,
-                                config.backoff_cap,
+                                BACKOFF_BASE,
+                                BACKOFF_CAP,
                                 attempts as u32,
                                 job.id,
                             ));
