@@ -1,4 +1,4 @@
-//! Distributed BiCG, BiCGSTAB and GMRES, and the preconditioned-CG
+//! Distributed BiCG, BiCGSTAB, CGS and GMRES, and the preconditioned-CG
 //! aliases.
 //!
 //! These run the same recurrences as their serial counterparts over
@@ -157,6 +157,72 @@ pub(crate) fn bicgstab<A: DistOperator + ?Sized>(
         p.axpy(run.machine, -omega, &v);
         p.aypx(run.machine, beta, &r);
         run.stats.axpys += 2;
+    }
+    Ok(x)
+}
+
+/// Distributed CGS. Section 2.1: it "avoids using Aᵀ operations but also
+/// requires additional vectors of storage over the basic CG ... [and] can
+/// have some undesirable numerical properties such as actual divergence
+/// or irregular rates of convergence" — which the residual monitor turns
+/// into a typed error. `r̂ = b`, and the first iteration starts from
+/// `u = p = r`. One sample an iteration, before the convergence test;
+/// CGS has no `beta` until the next iteration, so it is `NaN`.
+pub(crate) fn cgs<A: DistOperator + ?Sized>(
+    run: &mut Run<'_>,
+    a: &A,
+) -> Result<DistVector, SolverError> {
+    let desc = a.descriptor();
+    let mut x = DistVector::zeros(desc.clone());
+    let mut r = run.b.clone();
+    let r_hat = run.b.clone();
+
+    run.measure_b();
+    // x = 0, so ‖r‖ is ‖b‖.
+    if run.converged(run.b_norm)? {
+        return Ok(x);
+    }
+
+    let [mut u, mut p, mut q, mut v, mut uq, mut auq] =
+        std::array::from_fn(|_| DistVector::zeros(desc.clone()));
+    let mut scratch = Vec::new();
+    let mut rho = f64::NAN;
+    run.begin_iterations();
+    for k in 0..run.max_iters {
+        let _iter_span = span::enter_iter(k);
+        let rho_new = run.dot(&r_hat, &r);
+        check_breakdown("rho", rho_new)?;
+        u.copy_from(&r);
+        if k == 0 {
+            p.copy_from(&u);
+        } else {
+            // u = r + beta q;  p = u + beta (q + beta p)
+            let beta = rho_new / rho;
+            u.axpy(run.machine, beta, &q);
+            p.aypx(run.machine, beta, &q);
+            p.aypx(run.machine, beta, &u);
+            run.stats.axpys += 3;
+        }
+        rho = rho_new;
+        run.matvec(a, &p, &mut v, &mut scratch);
+        let sigma = run.dot(&r_hat, &v);
+        check_breakdown("r_hat.Ap", sigma)?;
+        let alpha = rho / sigma;
+        q.copy_from(&u);
+        q.axpy(run.machine, -alpha, &v);
+        run.stats.axpys += 1;
+        uq.copy_from(&u);
+        uq.axpy(run.machine, 1.0, &q);
+        run.matvec(a, &uq, &mut auq, &mut scratch);
+        x.axpy(run.machine, alpha, &uq);
+        r.axpy(run.machine, -alpha, &auq);
+        run.stats.axpys += 2;
+        let res = run.dot(&r, &r).sqrt();
+        let sample = run.end_iteration(res, alpha);
+        run.obs.on_iteration(&sample);
+        if run.converged(res)? {
+            return Ok(x);
+        }
     }
     Ok(x)
 }

@@ -1,6 +1,6 @@
 //! One driver for the distributed Krylov family.
 //!
-//! The paper's Section 2 treats CG, BiCG, BiCGSTAB and GMRES as one
+//! The paper's Section 2 treats CG, BiCG, CGS, BiCGSTAB and GMRES as one
 //! family with one operation table. [`solve`] is that family's single
 //! entry point: it owns what every member shares — the `solve` span,
 //! the dimension check, the distributed right-hand side, the residual
@@ -38,6 +38,8 @@ pub enum Krylov<'a> {
     Bicg,
     /// BiCGSTAB: two `A` products, four inner products, no `Aᵀ`.
     Bicgstab,
+    /// CGS: two `A` products, no `Aᵀ`; may diverge.
+    Cgs,
     /// Restarted GMRES(`restart`); `restart` must be at least 1.
     Gmres { restart: usize },
 }
@@ -113,6 +115,7 @@ pub fn solve<A: DistOperator + ?Sized>(
         }
         Krylov::Bicg => (dist_solvers::bicg(&mut run, a)?, None),
         Krylov::Bicgstab => (dist_solvers::bicgstab(&mut run, a)?, None),
+        Krylov::Cgs => (dist_solvers::cgs(&mut run, a)?, None),
         Krylov::Gmres { restart } => (dist_solvers::gmres(&mut run, a, restart)?, None),
     };
     Ok(Solution {

@@ -1,5 +1,5 @@
 //! The allocation gate: a steady-state iteration of distributed CG,
-//! Jacobi-PCG, BiCG, BiCGSTAB and GMRES(20) performs **zero** heap
+//! Jacobi-PCG, BiCG, BiCGSTAB, CGS and GMRES(20) performs **zero** heap
 //! allocations when the machine keeps no events — [`TraceLevel::Off`] or
 //! [`TraceLevel::Summary`] — with no event sink, and also on a warm
 //! machine with a sink (lent the slot of the machine's tail the event
@@ -30,7 +30,7 @@ const STOP: StopCriterion = StopCriterion::RelativeResidual(1e-10);
 /// (and allocated) before the solve.
 type Method = for<'a> fn(&'a JacobiPreconditioner) -> Krylov<'a>;
 
-const SOLVES: [(&str, Method); 5] = [
+const SOLVES: [(&str, Method); 6] = [
     ("cg", |_| Krylov::cg()),
     ("pcg-jacobi", |jacobi| Krylov::Cg {
         precond: Some(jacobi),
@@ -38,6 +38,7 @@ const SOLVES: [(&str, Method); 5] = [
     }),
     ("bicg", |_| Krylov::Bicg),
     ("bicgstab", |_| Krylov::Bicgstab),
+    ("cgs", |_| Krylov::Cgs),
     ("gmres(20)", |_| Krylov::Gmres { restart: 20 }),
 ];
 

@@ -37,6 +37,7 @@ enum Method {
     Gmres(usize),
     CgProtected,
     PcgJacobiProtected,
+    Cgs,
 }
 
 const METHODS: [(&str, Method); 8] = [
@@ -49,6 +50,10 @@ const METHODS: [(&str, Method); 8] = [
     ("cg-protected", Method::CgProtected),
     ("pcg-jacobi-protected", Method::PcgJacobiProtected),
 ];
+
+/// Methods that joined the driver after the constants above were
+/// recorded: their rows follow every row of [`METHODS`].
+const JOINED: [(&str, Method); 1] = [("cgs", Method::Cgs)];
 
 /// One solve: the solution (if any) and the `Debug` of what came back —
 /// `SolveStats`, `(SolveStats, RecoveryStats)` for the protected
@@ -82,6 +87,7 @@ fn run(
         Method::Bicg => Krylov::Bicg,
         Method::Bicgstab => Krylov::Bicgstab,
         Method::Gmres(restart) => Krylov::Gmres { restart },
+        Method::Cgs => Krylov::Cgs,
     };
     let solved = solve(m, a, b, krylov, STOP, MAX_ITERS, obs);
     match solved {
@@ -235,24 +241,29 @@ fn solve_digest(method: Method, op: &dyn DistOperator, b: &[f64], plan: &Option<
 }
 
 /// Every method on the SPD system, then the methods that do not need
-/// symmetry on the non-symmetric one.
+/// symmetry on the non-symmetric one; [`METHODS`] first, then [`JOINED`].
 fn cases() -> Vec<(String, u64)> {
     let mut out = Vec::new();
-    let systems = [("spd", spd(), false), ("nonsym", nonsymmetric(), true)];
-    for (sysname, a, general_only) in systems {
-        let (_, b) = gen::rhs_for_known_solution(&a);
-        let ops = layouts(&a);
-        for (mname, method) in METHODS {
-            let general = matches!(method, Method::Bicg | Method::Bicgstab | Method::Gmres(_));
-            if general_only && !general {
-                continue;
-            }
-            for (lname, op) in &ops {
-                for (pname, plan) in plans() {
-                    out.push((
-                        format!("{sysname} {mname} {lname} {pname}"),
-                        solve_digest(method, op.as_ref(), &b, &plan),
-                    ));
+    for methods in [&METHODS[..], &JOINED[..]] {
+        let systems = [("spd", spd(), false), ("nonsym", nonsymmetric(), true)];
+        for (sysname, a, general_only) in systems {
+            let (_, b) = gen::rhs_for_known_solution(&a);
+            let ops = layouts(&a);
+            for &(mname, method) in methods {
+                let general = matches!(
+                    method,
+                    Method::Bicg | Method::Bicgstab | Method::Gmres(_) | Method::Cgs
+                );
+                if general_only && !general {
+                    continue;
+                }
+                for (lname, op) in &ops {
+                    for (pname, plan) in plans() {
+                        out.push((
+                            format!("{sysname} {mname} {lname} {pname}"),
+                            solve_digest(method, op.as_ref(), &b, &plan),
+                        ));
+                    }
                 }
             }
         }
@@ -531,4 +542,46 @@ const GOLDEN: &[u64] = &[
     0x87c2ede3ad50b15b, // nonsym gmres(20) colwise-temp2d crash-21
     0xc82e01425eb1fbda, // nonsym gmres(20) colwise-temp2d crash-22
     0x6df3326c98344373, // nonsym gmres(20) colwise-temp2d crash-23
+    0x79959fa1d1e689d1, // spd cgs block/row-aligned clean
+    0xc71518122f9608e1, // spd cgs block/row-aligned bitflip-11
+    0x08a9e826da2e977a, // spd cgs block/row-aligned bitflip-12
+    0xdfbe9e3d89de3db7, // spd cgs block/row-aligned bitflip-13
+    0x4e6dd67bfe9042fc, // spd cgs block/row-aligned crash-21
+    0x56a460b3eed7d2d7, // spd cgs block/row-aligned crash-22
+    0x2602fbb728af8ab9, // spd cgs block/row-aligned crash-23
+    0x2fb6bae65e1caf69, // spd cgs cuts/row-aligned clean
+    0xc52bb2ffb40a6b06, // spd cgs cuts/row-aligned bitflip-11
+    0x90d4306b204c2248, // spd cgs cuts/row-aligned bitflip-12
+    0x76a48e352e835102, // spd cgs cuts/row-aligned bitflip-13
+    0x5074a913b41d11e6, // spd cgs cuts/row-aligned crash-21
+    0x835fddb25e641abc, // spd cgs cuts/row-aligned crash-22
+    0x608a8e178057471f, // spd cgs cuts/row-aligned crash-23
+    0x3ef9139affdc519d, // spd cgs colwise-temp2d clean
+    0x976af3ef3e9f39dd, // spd cgs colwise-temp2d bitflip-11
+    0x7a88ee871f9eccc9, // spd cgs colwise-temp2d bitflip-12
+    0x3d3473b564beeac0, // spd cgs colwise-temp2d bitflip-13
+    0x270cc969cf4494f5, // spd cgs colwise-temp2d crash-21
+    0x1d2c12b11bcb0d61, // spd cgs colwise-temp2d crash-22
+    0x9e3f1710b53c3673, // spd cgs colwise-temp2d crash-23
+    0x128cab905d4dbfd5, // nonsym cgs block/row-aligned clean
+    0x77c60dd0e466eeb2, // nonsym cgs block/row-aligned bitflip-11
+    0x77412d478704eb40, // nonsym cgs block/row-aligned bitflip-12
+    0x23e9ded2f7ede730, // nonsym cgs block/row-aligned bitflip-13
+    0x86459eac6ab14153, // nonsym cgs block/row-aligned crash-21
+    0x4a8806eb7b1301bc, // nonsym cgs block/row-aligned crash-22
+    0x79b27ac7534e7250, // nonsym cgs block/row-aligned crash-23
+    0xab2575d33e4091cc, // nonsym cgs cuts/row-aligned clean
+    0x2c38a10bbdd87a99, // nonsym cgs cuts/row-aligned bitflip-11
+    0x21c140c2a7f7c02f, // nonsym cgs cuts/row-aligned bitflip-12
+    0xf5410bed27f9e5a2, // nonsym cgs cuts/row-aligned bitflip-13
+    0x437b5341ade0316d, // nonsym cgs cuts/row-aligned crash-21
+    0x27ee747923e97dcc, // nonsym cgs cuts/row-aligned crash-22
+    0xd88f9a841574685f, // nonsym cgs cuts/row-aligned crash-23
+    0x5ec909caafe6ba32, // nonsym cgs colwise-temp2d clean
+    0x4cb8d781a8de7ea2, // nonsym cgs colwise-temp2d bitflip-11
+    0x2d3e1e399b729272, // nonsym cgs colwise-temp2d bitflip-12
+    0xfeb0a51c91286a18, // nonsym cgs colwise-temp2d bitflip-13
+    0x5ee2261ec55a7e41, // nonsym cgs colwise-temp2d crash-21
+    0x91e0a03ca81b393c, // nonsym cgs colwise-temp2d crash-22
+    0x2a5c57c935a2223b, // nonsym cgs colwise-temp2d crash-23
 ];
