@@ -9,7 +9,7 @@ use hpf_dist::ArrayDescriptor;
 use hpf_machine::{CostModel, Machine, Topology};
 use hpf_solvers::{
     cg_distributed, gmres, gmres_storage_vectors, nonmonotonicity, residual_history, solve,
-    ColwiseOperator, CscVariant, DistOperator, Krylov, Method, NullObserver, StopCriterion,
+    ColwiseOperator, CscVariant, DistOperator, Krylov, NullObserver, StopCriterion,
 };
 use hpf_sparse::{gen, CooMatrix, CscMatrix, CsrMatrix, DenseMatrix};
 
@@ -242,17 +242,17 @@ pub fn e19_gmres_and_cgs(n_grid: usize) -> Table {
     let (_, b_ns) = gen::rhs_for_known_solution(&ns);
     // CG's monotone reference on the SPD system, then the non-symmetric
     // methods on the shifted system.
-    let h_cg = residual_history(Method::Cg, &a, &b, 60).unwrap();
+    let h_cg = residual_history(Krylov::cg(), &a, &b, 60).unwrap();
     t.row(vec![
         "CG on SPD (history)".into(),
         (h_cg.len() - 1).to_string(),
         "4".into(),
         format!("{:.0}", 100.0 * nonmonotonicity(&h_cg)),
     ]);
-    for method in [Method::Cgs, Method::BiCgStab] {
+    for (name, method) in [("CGS", Krylov::Cgs), ("BiCGSTAB", Krylov::Bicgstab)] {
         let h = residual_history(method, &ns, &b_ns, 60).unwrap();
         t.row(vec![
-            format!("{} on nonsym (history)", method.name()),
+            format!("{name} on nonsym (history)"),
             (h.len() - 1).to_string(),
             "8".into(),
             format!("{:.0}", 100.0 * nonmonotonicity(&h)),

@@ -2,170 +2,44 @@
 //! paper's Section 2.1 judgements ("irregular rates of convergence" for
 //! CGS, monotone energy-norm decrease for CG on SPD systems).
 
-use crate::cg::{dot, norm2};
 use crate::error::SolverError;
-use crate::operator::SerialOperator;
+use crate::krylov::{one_processor, solve, Krylov};
+use crate::observer::RecordingObserver;
+use crate::stopping::StopCriterion;
+use hpf_sparse::CsrMatrix;
 
-/// Which algorithm to trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Method {
-    Cg,
-    Cgs,
-    BiCgStab,
-}
-
-impl Method {
-    pub fn name(&self) -> &'static str {
-        match self {
-            Method::Cg => "CG",
-            Method::Cgs => "CGS",
-            Method::BiCgStab => "BiCGSTAB",
-        }
-    }
-}
-
-/// Run `method` for up to `iters` iterations (no early exit) and return
-/// `||r_k|| / ||b||` after each iteration, index 0 being the initial
-/// residual. Breakdown truncates the trace (the values so far are
-/// returned, with a final `f64::INFINITY` marker for divergence).
-pub fn residual_history<A: SerialOperator + ?Sized>(
-    method: Method,
-    a: &A,
+/// Run `method` on one processor for `iters` iterations, past convergence,
+/// and return `||r_k|| / ||b||` after each iteration, index 0 being the
+/// initial residual. A breakdown or a non-finite residual truncates the
+/// trace: the values so far are returned, ending in `f64::INFINITY`
+/// unless the last one is already non-finite.
+pub fn residual_history(
+    method: Krylov<'_>,
+    a: &CsrMatrix,
     b: &[f64],
     iters: usize,
 ) -> Result<Vec<f64>, SolverError> {
-    let n = a.dim();
-    if b.len() != n {
-        return Err(SolverError::DimensionMismatch {
-            expected: n,
-            got: b.len(),
-        });
-    }
-    let b_norm = norm2(b).max(f64::MIN_POSITIVE);
+    // `||r|| <= -1` never holds, so nothing ends the solve early.
+    const NEVER: StopCriterion = StopCriterion::AbsoluteResidual(-1.0);
+    let (mut machine, op) = one_processor(a);
+    let mut seen = RecordingObserver::new();
+    let end = solve(&mut machine, &op, b, method, NEVER, iters, &mut seen);
+    let b_norm = b
+        .iter()
+        .map(|v| v * v)
+        .sum::<f64>()
+        .sqrt()
+        .max(f64::MIN_POSITIVE);
     let mut hist = vec![1.0];
-    match method {
-        Method::Cg => {
-            let mut x = vec![0.0; n];
-            let mut r = b.to_vec();
-            let mut p = b.to_vec();
-            let mut rho = dot(&r, &r);
-            for _ in 0..iters {
-                let q = a.apply(&p);
-                let pq = dot(&p, &q);
-                if pq.abs() < f64::MIN_POSITIVE * 1e16 {
-                    hist.push(f64::INFINITY);
-                    break;
-                }
-                let alpha = rho / pq;
-                for i in 0..n {
-                    x[i] += alpha * p[i];
-                    r[i] -= alpha * q[i];
-                }
-                let rho_new = dot(&r, &r);
-                hist.push(rho_new.sqrt() / b_norm);
-                if rho.abs() < f64::MIN_POSITIVE * 1e16 {
-                    break;
-                }
-                let beta = rho_new / rho;
-                rho = rho_new;
-                for i in 0..n {
-                    p[i] = r[i] + beta * p[i];
-                }
+    hist.extend(seen.samples.iter().map(|s| s.residual_norm / b_norm));
+    match end {
+        Ok(_) => {}
+        Err(SolverError::Breakdown { .. } | SolverError::NonFinite { .. }) => {
+            if hist.last().is_some_and(|h| h.is_finite()) {
+                hist.push(f64::INFINITY);
             }
         }
-        Method::Cgs => {
-            let mut x = vec![0.0; n];
-            let mut r = b.to_vec();
-            let r_hat = b.to_vec();
-            let mut p = vec![0.0; n];
-            let mut u = vec![0.0; n];
-            let mut q = vec![0.0; n];
-            let mut rho = 1.0;
-            let mut first = true;
-            for _ in 0..iters {
-                let rho_new = dot(&r_hat, &r);
-                if rho_new.abs() < f64::MIN_POSITIVE * 1e16 {
-                    hist.push(f64::INFINITY);
-                    break;
-                }
-                if first {
-                    u.clone_from(&r);
-                    p.clone_from(&u);
-                    first = false;
-                } else {
-                    let beta = rho_new / rho;
-                    for i in 0..n {
-                        u[i] = r[i] + beta * q[i];
-                        p[i] = u[i] + beta * (q[i] + beta * p[i]);
-                    }
-                }
-                rho = rho_new;
-                let v = a.apply(&p);
-                let sigma = dot(&r_hat, &v);
-                if sigma.abs() < f64::MIN_POSITIVE * 1e16 {
-                    hist.push(f64::INFINITY);
-                    break;
-                }
-                let alpha = rho / sigma;
-                for i in 0..n {
-                    q[i] = u[i] - alpha * v[i];
-                }
-                let uq: Vec<f64> = (0..n).map(|i| u[i] + q[i]).collect();
-                let auq = a.apply(&uq);
-                for i in 0..n {
-                    x[i] += alpha * uq[i];
-                    r[i] -= alpha * auq[i];
-                }
-                let rn = norm2(&r) / b_norm;
-                hist.push(rn);
-                if !rn.is_finite() {
-                    break;
-                }
-            }
-        }
-        Method::BiCgStab => {
-            let mut x = vec![0.0; n];
-            let mut r = b.to_vec();
-            let r_hat = b.to_vec();
-            let mut p = r.clone();
-            let mut rho = dot(&r_hat, &r);
-            for _ in 0..iters {
-                if rho.abs() < f64::MIN_POSITIVE * 1e16 {
-                    hist.push(f64::INFINITY);
-                    break;
-                }
-                let v = a.apply(&p);
-                let rv = dot(&r_hat, &v);
-                if rv.abs() < f64::MIN_POSITIVE * 1e16 {
-                    hist.push(f64::INFINITY);
-                    break;
-                }
-                let alpha = rho / rv;
-                let s: Vec<f64> = (0..n).map(|i| r[i] - alpha * v[i]).collect();
-                let t = a.apply(&s);
-                let tt = dot(&t, &t);
-                if tt.abs() < f64::MIN_POSITIVE * 1e16 {
-                    // Half-step exact solve.
-                    for i in 0..n {
-                        x[i] += alpha * p[i];
-                    }
-                    hist.push(norm2(&s) / b_norm);
-                    break;
-                }
-                let omega = dot(&t, &s) / tt;
-                for i in 0..n {
-                    x[i] += alpha * p[i] + omega * s[i];
-                    r[i] = s[i] - omega * t[i];
-                }
-                hist.push(norm2(&r) / b_norm);
-                let rho_new = dot(&r_hat, &r);
-                let beta = (rho_new / rho) * (alpha / omega);
-                rho = rho_new;
-                for i in 0..n {
-                    p[i] = r[i] + beta * (p[i] - omega * v[i]);
-                }
-            }
-        }
+        Err(e) => return Err(e),
     }
     Ok(hist)
 }
@@ -193,7 +67,7 @@ mod tests {
     fn cg_history_is_recorded_and_converges() {
         let a = gen::poisson_2d(8, 8);
         let (_, b) = gen::rhs_for_known_solution(&a);
-        let h = residual_history(Method::Cg, &a, &b, 200).unwrap();
+        let h = residual_history(Krylov::cg(), &a, &b, 200).unwrap();
         assert_eq!(h[0], 1.0);
         assert!(h.last().unwrap() < &1e-10);
         assert!(h.len() > 10);
@@ -216,8 +90,8 @@ mod tests {
         }
         let a = CsrMatrix::from_coo(&coo);
         let (_, b) = gen::rhs_for_known_solution(&a);
-        let h_cgs = residual_history(Method::Cgs, &a, &b, 60).unwrap();
-        let h_bs = residual_history(Method::BiCgStab, &a, &b, 60).unwrap();
+        let h_cgs = residual_history(Krylov::Cgs, &a, &b, 60).unwrap();
+        let h_bs = residual_history(Krylov::Bicgstab, &a, &b, 60).unwrap();
         let rough_cgs = nonmonotonicity(&h_cgs);
         let rough_bs = nonmonotonicity(&h_bs);
         // CGS must show residual growth somewhere (irregularity), and be
@@ -239,6 +113,6 @@ mod tests {
     #[test]
     fn history_dimension_check() {
         let a = gen::poisson_2d(3, 3);
-        assert!(residual_history(Method::Cg, &a, &[1.0; 4], 5).is_err());
+        assert!(residual_history(Krylov::cg(), &a, &[1.0; 4], 5).is_err());
     }
 }

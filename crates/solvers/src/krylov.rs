@@ -18,8 +18,9 @@ use crate::precond::DistPreconditioner;
 use crate::recovery::{RecoveryConfig, RecoveryStats};
 use crate::stopping::{ResidualMonitor, SolveStats, StopCriterion};
 use crate::{cg, dist_solvers, recovery};
-use hpf_core::DistVector;
-use hpf_machine::{span, Machine};
+use hpf_core::{DataArrayLayout, DistVector, RowwiseCsr};
+use hpf_machine::{span, Machine, TraceLevel};
+use hpf_sparse::CsrMatrix;
 
 /// Which recurrence [`solve`] runs.
 ///
@@ -123,6 +124,15 @@ pub fn solve<A: DistOperator + ?Sized>(
         stats: run.stats,
         recovery,
     })
+}
+
+/// `a` on a one-processor machine that keeps no events: what the entry
+/// points over a plain [`CsrMatrix`] run [`solve`] on.
+pub(crate) fn one_processor(a: &CsrMatrix) -> (Machine, RowwiseCsr) {
+    let mut machine = Machine::hypercube(1);
+    machine.set_trace_level(TraceLevel::Off);
+    let op = RowwiseCsr::block(a.clone(), 1, DataArrayLayout::RowAligned);
+    (machine, op)
 }
 
 /// What every recurrence shares for the length of one solve.

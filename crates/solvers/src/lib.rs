@@ -48,12 +48,12 @@ pub use dist_solvers::{
 };
 pub use error::SolverError;
 pub use gmres::{gmres, gmres_storage_vectors};
-pub use history::{nonmonotonicity, residual_history, Method};
+pub use history::{nonmonotonicity, residual_history};
 pub use krylov::{solve, Krylov, Solution};
 pub use observer::{IterObserver, IterSample, NullObserver, RecordingObserver, TailObserver};
 pub use operator::{ColwiseOperator, CscVariant, DistOperator, SerialOperator};
 pub use pcg::{pcg, pcg_with_observer, IdentityPrec, JacobiPrec, Preconditioner, SsorPrec};
-pub use precond::{DistPreconditioner, JacobiPreconditioner};
+pub use precond::{DistPreconditioner, JacobiPreconditioner, SsorPreconditioner};
 pub use recovery::{
     cg_distributed_protected, pcg_jacobi_distributed_protected, RecoveryConfig, RecoveryStats,
 };

@@ -1,23 +1,26 @@
-//! Distributed preconditioner abstraction for the PCG family.
+//! Distributed preconditioners for the PCG family.
 //!
-//! The serial [`crate::pcg::Preconditioner`] applies `z = M⁻¹ r` to plain
-//! slices; this trait is its machine-charged counterpart. An application
-//! runs over [`DistVector`]s and charges the simulated machine for
-//! whatever compute and communication the preconditioner's data layout
-//! induces — zero words for an aligned Jacobi scaling, halo exchanges
-//! and level transfers for a multigrid V-cycle (`hpf-mg`).
+//! A [`DistPreconditioner`] applies `z = M⁻¹ r` over [`DistVector`]s and
+//! charges the simulated machine for whatever compute and communication
+//! the preconditioner's data layout induces — zero words for an aligned
+//! Jacobi scaling or an SSOR sweep over each processor's own rows, halo
+//! exchanges and level transfers for a multigrid V-cycle (`hpf-mg`).
 //! [`crate::Krylov::Cg`]'s `precond` accepts any implementation, plain or
 //! under checkpoint/rollback protection, which is how the multigrid
 //! crate plugs into the solver family without this crate knowing about
 //! grids.
 //!
-//! CG requires `M` to be symmetric positive definite; implementations
-//! must preserve that or the outer recurrence breaks down (surfacing as
-//! [`SolverError::Breakdown`] on `rho`).
+//! Section 2.1: "A preconditioner for A can be added to any of the
+//! algorithms described above and which will increase the speed of
+//! convergence of the CG algorithm." CG requires `M` to be symmetric
+//! positive definite; implementations must preserve that or the outer
+//! recurrence breaks down (surfacing as [`SolverError::Breakdown`] on
+//! `rho`).
 
 use crate::error::SolverError;
 use crate::operator::DistOperator;
-use hpf_core::DistVector;
+use hpf_core::{DistVector, RowwiseCsr};
+use hpf_dist::ArrayDescriptor;
 use hpf_machine::Machine;
 
 /// A symmetric positive-definite preconditioner applied on the simulated
@@ -35,6 +38,17 @@ pub trait DistPreconditioner {
     fn name(&self) -> &'static str;
 }
 
+/// `diag`, unless a pivot is numerically zero.
+fn nonsingular(diag: Vec<f64>) -> Result<Vec<f64>, SolverError> {
+    match diag.iter().position(|d| d.abs() < f64::MIN_POSITIVE * 1e16) {
+        Some(pivot) => Err(SolverError::SingularMatrix {
+            pivot,
+            value: diag[pivot],
+        }),
+        None => Ok(diag),
+    }
+}
+
 /// Jacobi (inverse-diagonal) preconditioner: an aligned element-wise
 /// multiply, zero communication — the paper's alignment discipline
 /// guarantees `D⁻¹ r` never leaves the owning processor.
@@ -45,19 +59,11 @@ pub struct JacobiPreconditioner {
 
 impl JacobiPreconditioner {
     /// Build from an operator's diagonal, rejecting numerically singular
-    /// pivots the same way the serial Jacobi PCG does.
+    /// pivots.
     pub fn from_operator<A: DistOperator + ?Sized>(a: &A) -> Result<Self, SolverError> {
-        let diag = a.diagonal();
-        if let Some((i, &d)) = diag
-            .iter()
-            .enumerate()
-            .find(|(_, &d)| d.abs() < f64::MIN_POSITIVE * 1e16)
-        {
-            return Err(SolverError::SingularMatrix { pivot: i, value: d });
-        }
-        let inv_diag_global: Vec<f64> = diag.iter().map(|d| 1.0 / d).collect();
+        let inv_diag: Vec<f64> = nonsingular(a.diagonal())?.iter().map(|d| 1.0 / d).collect();
         Ok(JacobiPreconditioner {
-            inv_diag: DistVector::from_global(a.descriptor().clone(), &inv_diag_global),
+            inv_diag: DistVector::from_global(a.descriptor(), &inv_diag),
         })
     }
 }
@@ -74,6 +80,136 @@ impl DistPreconditioner for JacobiPreconditioner {
     }
     fn name(&self) -> &'static str {
         "jacobi"
+    }
+}
+
+/// SSOR's relaxation factor.
+const OMEGA: f64 = 1.2;
+
+/// Symmetric SOR, `M = ω/(2−ω) · (D/ω + L) (D/ω)⁻¹ (D/ω + Lᵀ)` for
+/// `A = L + D + Lᵀ`, ω = 1.2: a forward then a backward triangular sweep
+/// over each processor's diagonal block of `A`. That is exact SSOR on one
+/// processor and block SSOR (block Jacobi between the processors) on
+/// more; a sweep reads only its owner's rows and elements, so an
+/// application moves no words.
+#[derive(Debug, Clone)]
+pub struct SsorPreconditioner {
+    /// The row layout the blocks are cut along.
+    desc: ArrayDescriptor,
+    blocks: Vec<DiagonalBlock>,
+    /// Per processor: two flops an off-diagonal entry, seven a row.
+    flops: Vec<usize>,
+}
+
+/// One processor's rows of `A`, restricted to the columns it owns, by
+/// local index: row `l`'s off-diagonal entries are
+/// `cols[starts[l]..starts[l + 1]]`, in column order.
+#[derive(Debug, Clone)]
+struct DiagonalBlock {
+    starts: Vec<usize>,
+    cols: Vec<usize>,
+    vals: Vec<f64>,
+    diag: Vec<f64>,
+}
+
+impl SsorPreconditioner {
+    /// Cut `a` into its processors' diagonal blocks, rejecting a
+    /// non-square matrix and numerically singular pivots.
+    pub fn new(a: &RowwiseCsr) -> Result<Self, SolverError> {
+        let m = a.matrix();
+        if !m.is_square() {
+            return Err(SolverError::NotSquare {
+                rows: m.n_rows(),
+                cols: m.n_cols(),
+            });
+        }
+        let diag = nonsingular(m.diagonal())?;
+        let desc = a.row_descriptor().clone();
+        let blocks: Vec<DiagonalBlock> = (0..desc.np())
+            .map(|p| {
+                let mut block = DiagonalBlock {
+                    starts: vec![0],
+                    cols: Vec::new(),
+                    vals: Vec::new(),
+                    diag: Vec::new(),
+                };
+                for i in desc.global_indices(p) {
+                    for (j, v) in m.row(i).filter(|&(j, _)| j != i && desc.owner(j) == p) {
+                        block.cols.push(desc.local_offset(j));
+                        block.vals.push(v);
+                    }
+                    block.starts.push(block.cols.len());
+                    block.diag.push(diag[i]);
+                }
+                block
+            })
+            .collect();
+        let flops = blocks
+            .iter()
+            .map(|b| 2 * b.cols.len() + 7 * b.diag.len())
+            .collect();
+        Ok(SsorPreconditioner {
+            desc,
+            blocks,
+            flops,
+        })
+    }
+}
+
+impl DiagonalBlock {
+    /// `z = M⁻¹ r` over this block, `y` kept in `z` between the sweeps.
+    fn sweep(&self, r: &[f64], z: &mut [f64]) {
+        let row = |l: usize| {
+            let at = self.starts[l]..self.starts[l + 1];
+            self.cols[at.clone()].iter().zip(&self.vals[at])
+        };
+        // Forward: (D/ω + L) y = r.
+        for l in 0..z.len() {
+            let mut s = r[l];
+            for (&j, &v) in row(l).filter(|&(&j, _)| j < l) {
+                s -= v * z[j];
+            }
+            z[l] = s * OMEGA / self.diag[l];
+        }
+        // y <- (D/ω) y.
+        for (y, d) in z.iter_mut().zip(&self.diag) {
+            *y *= d / OMEGA;
+        }
+        // Backward: (D/ω + Lᵀ) z = y.
+        for l in (0..z.len()).rev() {
+            let mut s = z[l];
+            for (&j, &v) in row(l).filter(|&(&j, _)| j > l) {
+                s -= v * z[j];
+            }
+            z[l] = s * OMEGA / self.diag[l];
+        }
+        // The factor ω/(2−ω) only scales M (CG is invariant to it); it
+        // keeps M the textbook one.
+        let scale = (2.0 - OMEGA) / OMEGA;
+        z.iter_mut().for_each(|v| *v *= scale);
+    }
+}
+
+impl DistPreconditioner for SsorPreconditioner {
+    fn apply(&self, machine: &mut Machine, r: &DistVector) -> DistVector {
+        let mut z = DistVector::zeros(r.descriptor().clone());
+        self.apply_into(machine, r, &mut z);
+        z
+    }
+    fn apply_into(&self, machine: &mut Machine, r: &DistVector, z: &mut DistVector) {
+        for v in [r, &*z] {
+            assert!(
+                v.descriptor().same_layout(&self.desc),
+                "ssor: operands must be aligned with the operator's rows"
+            );
+        }
+        for (p, block) in self.blocks.iter().enumerate() {
+            block.sweep(r.local(p), z.local_mut(p));
+        }
+        machine.compute_all(&self.flops, "ssor-apply");
+    }
+    fn name(&self) -> &'static str {
+        "ssor"
     }
 }
 
@@ -103,6 +239,54 @@ mod tests {
             .map(|e| e.words)
             .sum();
         assert_eq!(words, 0);
+    }
+
+    /// Block SSOR at NP = 4 sweeps each processor's own rows: no word
+    /// moves, and CG still needs fewer iterations than without it.
+    #[test]
+    fn block_ssor_moves_no_words_and_still_cuts_iterations() {
+        use crate::{solve, Krylov, NullObserver, StopCriterion};
+        let a = gen::poisson_2d(16, 16);
+        let (_, b) = gen::rhs_for_known_solution(&a);
+        let np = 4;
+        let op = RowwiseCsr::block(a, np, DataArrayLayout::RowAligned);
+        let ssor = SsorPreconditioner::new(&op).unwrap();
+        assert_eq!(ssor.name(), "ssor");
+        let stop = StopCriterion::RelativeResidual(1e-8);
+        let mut iterations = [0; 2];
+        let mut machine = Machine::new(np, Topology::Hypercube, CostModel::mpp_1995());
+        for (i, precond) in [None, Some(&ssor as &dyn DistPreconditioner)]
+            .into_iter()
+            .enumerate()
+        {
+            machine.reset();
+            let method = Krylov::Cg {
+                precond,
+                recovery: None,
+            };
+            let s = solve(&mut machine, &op, &b, method, stop, 1000, &mut NullObserver).unwrap();
+            assert!(s.stats.converged);
+            iterations[i] = s.stats.iterations;
+        }
+        assert!(iterations[1] < iterations[0], "{iterations:?}");
+        let applies = machine.trace().with_label("ssor-apply").count();
+        let words: usize = machine
+            .trace()
+            .with_label("ssor-apply")
+            .map(|e| e.words)
+            .sum();
+        assert_eq!((applies, words), (iterations[1], 0));
+    }
+
+    #[test]
+    fn ssor_rejects_a_zero_pivot() {
+        let coo =
+            CooMatrix::from_triplets(2, 2, vec![(0, 0, 1.0), (0, 1, 1.0), (1, 0, 1.0)]).unwrap();
+        let op = RowwiseCsr::block(CsrMatrix::from_coo(&coo), 1, DataArrayLayout::RowAligned);
+        assert!(matches!(
+            SsorPreconditioner::new(&op),
+            Err(SolverError::SingularMatrix { pivot: 1, .. })
+        ));
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! bound for tests and reports.
 
 use crate::error::SolverError;
-use crate::operator::SerialOperator;
+use hpf_sparse::CsrMatrix;
 
 fn norm2(v: &[f64]) -> f64 {
     v.iter().map(|x| x * x).sum::<f64>().sqrt()
@@ -30,16 +30,25 @@ pub struct EigEstimate {
     pub residual: f64,
 }
 
-/// Largest-magnitude eigenvalue of a symmetric operator by power
+/// Largest-magnitude eigenvalue of a symmetric matrix by power
 /// iteration (deterministic start vector).
-pub fn power_method<A: SerialOperator + ?Sized>(
-    a: &A,
+pub fn power_method(a: &CsrMatrix, tol: f64, max_iters: usize) -> Result<EigEstimate, SolverError> {
+    dominant(a, None, tol, max_iters)
+}
+
+/// Power iteration on `A`, or on `shift·I − A` when there is a shift.
+fn dominant(
+    a: &CsrMatrix,
+    shift: Option<f64>,
     tol: f64,
     max_iters: usize,
 ) -> Result<EigEstimate, SolverError> {
-    let n = a.dim();
-    if n == 0 {
-        return Err(SolverError::NotSquare { rows: 0, cols: 0 });
+    let n = a.n_rows();
+    if n == 0 || !a.is_square() {
+        return Err(SolverError::NotSquare {
+            rows: n,
+            cols: a.n_cols(),
+        });
     }
     // Deterministic, unlikely-to-be-orthogonal start.
     let mut v: Vec<f64> = (0..n)
@@ -49,7 +58,12 @@ pub fn power_method<A: SerialOperator + ?Sized>(
     v.iter_mut().for_each(|x| *x /= nv);
     let mut lambda = 0.0f64;
     for k in 1..=max_iters {
-        let w = a.apply(&v);
+        let mut w = a.matvec(&v).expect("square, checked above");
+        if let Some(shift) = shift {
+            for (wi, xi) in w.iter_mut().zip(&v) {
+                *wi = shift * xi - *wi;
+            }
+        }
         let nw = norm2(&w);
         if nw < f64::MIN_POSITIVE * 1e16 {
             // v is (numerically) in the null space: eigenvalue 0.
@@ -80,7 +94,7 @@ pub fn power_method<A: SerialOperator + ?Sized>(
 }
 
 /// Extreme-eigenvalue and condition-number estimate for a symmetric
-/// positive-definite operator: λ_max by power iteration, λ_min by power
+/// positive-definite matrix: λ_max by power iteration, λ_min by power
 /// iteration on `λ_max·I − A` (whose dominant eigenvalue is
 /// `λ_max − λ_min`).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -90,39 +104,13 @@ pub struct SpdSpectrum {
     pub condition: f64,
 }
 
-struct Shifted<'a, A: ?Sized> {
-    a: &'a A,
-    shift: f64,
-}
-
-impl<A: SerialOperator + ?Sized> SerialOperator for Shifted<'_, A> {
-    fn dim(&self) -> usize {
-        self.a.dim()
-    }
-    fn apply(&self, x: &[f64]) -> Vec<f64> {
-        let ax = self.a.apply(x);
-        x.iter()
-            .zip(ax.iter())
-            .map(|(xi, axi)| self.shift * xi - axi)
-            .collect()
-    }
-    fn apply_transpose(&self, x: &[f64]) -> Vec<f64> {
-        // Symmetric use only.
-        self.apply(x)
-    }
-    fn diagonal(&self) -> Vec<f64> {
-        self.a.diagonal().iter().map(|d| self.shift - d).collect()
-    }
-}
-
 /// Estimate the SPD spectrum bounds.
-pub fn estimate_spd_spectrum<A: SerialOperator + ?Sized>(
-    a: &A,
+pub fn estimate_spd_spectrum(
+    a: &CsrMatrix,
     tol: f64,
     max_iters: usize,
 ) -> Result<SpdSpectrum, SolverError> {
-    let top = power_method(a, tol, max_iters)?;
-    let lambda_max = top.value;
+    let lambda_max = power_method(a, tol, max_iters)?.value;
     if lambda_max <= 0.0 {
         return Err(SolverError::Breakdown {
             what: "lambda_max",
@@ -130,12 +118,9 @@ pub fn estimate_spd_spectrum<A: SerialOperator + ?Sized>(
         });
     }
     // Slight over-shift keeps the complement PSD under estimate error.
-    let shifted = Shifted {
-        a,
-        shift: lambda_max * 1.0001,
-    };
-    let comp = power_method(&shifted, tol, max_iters)?;
-    let lambda_min = (shifted.shift - comp.value).max(f64::MIN_POSITIVE);
+    let shift = lambda_max * 1.0001;
+    let comp = dominant(a, Some(shift), tol, max_iters)?;
+    let lambda_min = (shift - comp.value).max(f64::MIN_POSITIVE);
     Ok(SpdSpectrum {
         lambda_max,
         lambda_min,

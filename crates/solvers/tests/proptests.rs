@@ -8,7 +8,7 @@ use hpf_dist::{ArrayDescriptor, DistSpec};
 use hpf_machine::{CostModel, FaultPlan, Machine, Topology};
 use hpf_solvers::{
     bicg, bicgstab, cg, cgs, direct, gmres, pcg, residual_history, ColwiseOperator, CscVariant,
-    DistOperator, JacobiPrec, Method, SerialOperator, StopCriterion,
+    DistOperator, JacobiPrec, Krylov, SerialOperator, StopCriterion,
 };
 use hpf_sparse::{gen, CscMatrix, CsrMatrix};
 use proptest::prelude::*;
@@ -119,7 +119,7 @@ proptest! {
     fn cg_history_monotone_on_spd(n in 6usize..36, seed in any::<u64>()) {
         let a = gen::banded_spd(n, 2, seed);
         let (_, b) = gen::rhs_for_known_solution(&a);
-        let h = residual_history(Method::Cg, &a, &b, 2 * n).unwrap();
+        let h = residual_history(Krylov::cg(), &a, &b, 2 * n).unwrap();
         prop_assert_eq!(h[0], 1.0);
         // Allow tiny upticks from rounding, but the envelope must fall.
         let min = h.iter().cloned().fold(f64::INFINITY, f64::min);
