@@ -3,12 +3,13 @@
 //! model sensitivity, and the GMRES storage/robustness trade (all
 //! flagged in DESIGN.md as design-choice ablations).
 
+use super::solvers_exp::{on_one, solve_on_one};
 use crate::table::{ratio, us, Table};
 use hpf_core::{Checkerboard, ColwiseCsc, DataArrayLayout, DistVector, ProcGrid2D, RowwiseCsr};
 use hpf_dist::ArrayDescriptor;
 use hpf_machine::{CostModel, Machine, Topology};
 use hpf_solvers::{
-    cg_distributed, gmres, gmres_storage_vectors, nonmonotonicity, residual_history, solve,
+    cg_distributed, gmres_storage_vectors, nonmonotonicity, residual_history, solve,
     ColwiseOperator, CscVariant, DistOperator, Krylov, NullObserver, StopCriterion,
 };
 use hpf_sparse::{gen, CooMatrix, CscMatrix, CsrMatrix, DenseMatrix};
@@ -216,8 +217,9 @@ pub fn e19_gmres_and_cgs(n_grid: usize) -> Table {
     let a = gen::poisson_2d(n_grid, n_grid);
     let (_, b) = gen::rhs_for_known_solution(&a);
     let stop = StopCriterion::RelativeResidual(1e-8);
+    let op = on_one(&a);
     for m in [5usize, 10, 20, 40] {
-        let (_, stats) = gmres(&a, &b, m, stop, 100_000).unwrap();
+        let stats = solve_on_one(&op, &b, Krylov::Gmres { restart: m }, stop, 100_000).unwrap();
         t.row(vec![
             format!("GMRES({m})"),
             stats.iterations.to_string(),

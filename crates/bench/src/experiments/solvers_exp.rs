@@ -5,13 +5,32 @@ use crate::table::{ratio, us, Table};
 use hpf_core::{DataArrayLayout, RowwiseCsr};
 use hpf_machine::{CostModel, EventKind, Machine, Topology};
 use hpf_solvers::{
-    bicg, bicgstab, cg, cg_distributed, cgs, pcg, JacobiPrec, SsorPrec, StopCriterion,
-    BICGSTAB_PROFILE, BICG_PROFILE, CGS_PROFILE, CG_PROFILE,
+    cg, cg_distributed, solve, DistPreconditioner, JacobiPreconditioner, Krylov, NullObserver,
+    SolveStats, SolverError, SsorPreconditioner, StopCriterion, BICGSTAB_PROFILE, BICG_PROFILE,
+    CGS_PROFILE, CG_PROFILE,
 };
 use hpf_sparse::{gen, CooMatrix, CsrMatrix};
 
 fn machine(np: usize) -> Machine {
     Machine::new(np, Topology::Hypercube, CostModel::mpp_1995())
+}
+
+/// `a` in the row layout of a one-processor solve.
+pub(crate) fn on_one(a: &CsrMatrix) -> RowwiseCsr {
+    RowwiseCsr::block(a.clone(), 1, DataArrayLayout::RowAligned)
+}
+
+/// `method` on one processor, nothing traced: the serial solve.
+pub(crate) fn solve_on_one(
+    op: &RowwiseCsr,
+    b: &[f64],
+    method: Krylov<'_>,
+    stop: StopCriterion,
+    max_iters: usize,
+) -> Result<SolveStats, SolverError> {
+    let mut m = machine(1);
+    m.set_tracing(false);
+    Ok(solve(&mut m, op, b, method, stop, max_iters, &mut NullObserver)?.stats)
 }
 
 /// E1 — the full Figure 2 HPF CG program on the simulated machine:
@@ -140,6 +159,8 @@ pub fn e12_solver_family(n: usize) -> Table {
     let (_, b_ns) = gen::rhs_for_known_solution(&ns);
 
     let (_, s_cg) = cg(&spd, &b_spd, stop, 10 * n).unwrap();
+    let ns = on_one(&ns);
+    let solve_ns = |method| solve_on_one(&ns, &b_ns, method, stop, 10 * n);
     t.row(vec![
         "CG (SPD)".into(),
         s_cg.iterations.to_string(),
@@ -150,7 +171,7 @@ pub fn e12_solver_family(n: usize) -> Table {
         CG_PROFILE.handles_nonsymmetric.to_string(),
         s_cg.converged.to_string(),
     ]);
-    let (_, s_bicg) = bicg(&ns, &b_ns, stop, 10 * n).unwrap();
+    let s_bicg = solve_ns(Krylov::Bicg).unwrap();
     t.row(vec![
         "BiCG".into(),
         s_bicg.iterations.to_string(),
@@ -161,8 +182,8 @@ pub fn e12_solver_family(n: usize) -> Table {
         BICG_PROFILE.handles_nonsymmetric.to_string(),
         s_bicg.converged.to_string(),
     ]);
-    match cgs(&ns, &b_ns, stop, 10 * n) {
-        Ok((_, s_cgs)) => {
+    match solve_ns(Krylov::Cgs) {
+        Ok(s_cgs) => {
             t.row(vec![
                 "CGS".into(),
                 s_cgs.iterations.to_string(),
@@ -187,7 +208,7 @@ pub fn e12_solver_family(n: usize) -> Table {
             ]);
         }
     }
-    let (_, s_bs) = bicgstab(&ns, &b_ns, stop, 10 * n).unwrap();
+    let s_bs = solve_ns(Krylov::Bicgstab).unwrap();
     t.row(vec![
         "BiCGSTAB".into(),
         s_bs.iterations.to_string(),
@@ -235,16 +256,22 @@ pub fn e14_preconditioning(nx: usize, ny: usize) -> Table {
         s_plain.converged.to_string(),
         ratio(1.0),
     ]);
-    let jac = JacobiPrec::new(&a).unwrap();
-    let (_, s_jac) = pcg(&a, &jac, &b, stop, 100 * n).unwrap();
+    let op = on_one(&a);
+    let pcg = |m: &dyn DistPreconditioner| {
+        let method = Krylov::Cg {
+            precond: Some(m),
+            recovery: None,
+        };
+        solve_on_one(&op, &b, method, stop, 100 * n).unwrap()
+    };
+    let s_jac = pcg(&JacobiPreconditioner::from_operator(&op).unwrap());
     t.row(vec![
         "Jacobi".into(),
         s_jac.iterations.to_string(),
         s_jac.converged.to_string(),
         ratio(s_jac.iterations as f64 / s_plain.iterations as f64),
     ]);
-    let ssor = SsorPrec::new(&a, 1.2).unwrap();
-    let (_, s_ssor) = pcg(&a, &ssor, &b, stop, 100 * n).unwrap();
+    let s_ssor = pcg(&SsorPreconditioner::new(&op).unwrap());
     t.row(vec![
         "SSOR(1.2)".into(),
         s_ssor.iterations.to_string(),

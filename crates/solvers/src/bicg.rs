@@ -1,91 +1,20 @@
-//! Bi-Conjugate Gradient (BiCG).
-//!
-//! Section 2.1: "The BiCG algorithm employs an alternative approach of
-//! using two mutually orthogonal sequences of residuals. This requires
-//! three extra vectors to be stored, and different choices of alpha and
-//! beta, but otherwise the computational structure of the algorithm is
-//! similar to CG. BiCG does however require two matrix-vector multiply
-//! operations one of which uses the matrix transpose Aᵀ, and therefore
-//! any storage distribution optimisations made on the basis of row access
-//! vs. column access will be negated with the use of BiCG."
-
-use crate::cg::{check_breakdown, dot, norm2};
-use crate::error::SolverError;
-use crate::operator::SerialOperator;
-use crate::stopping::{SolveStats, StopCriterion};
-
-/// BiCG for general (possibly non-symmetric) systems.
-pub fn bicg<A: SerialOperator + ?Sized>(
-    a: &A,
-    b: &[f64],
-    stop: StopCriterion,
-    max_iters: usize,
-) -> Result<(Vec<f64>, SolveStats), SolverError> {
-    let n = a.dim();
-    if b.len() != n {
-        return Err(SolverError::DimensionMismatch {
-            expected: n,
-            got: b.len(),
-        });
-    }
-    let mut stats = SolveStats::new();
-    let b_norm = norm2(b);
-    stats.dots += 1;
-
-    let mut x = vec![0.0; n];
-    let mut r = b.to_vec();
-    // Shadow residual: the second, mutually orthogonal sequence.
-    let mut r_hat = b.to_vec();
-    let mut p = r.clone();
-    let mut p_hat = r_hat.clone();
-    let mut rho = dot(&r_hat, &r);
-    stats.dots += 1;
-    stats.residual_norm = norm2(&r);
-    if stop.satisfied(stats.residual_norm, b_norm) {
-        stats.converged = true;
-        return Ok((x, stats));
-    }
-
-    for _ in 0..max_iters {
-        check_breakdown("rho", rho)?;
-        let q = a.apply(&p);
-        stats.matvecs += 1;
-        let q_hat = a.apply_transpose(&p_hat);
-        stats.transpose_matvecs += 1;
-        let pq = dot(&p_hat, &q);
-        stats.dots += 1;
-        check_breakdown("p_hat.Ap", pq)?;
-        let alpha = rho / pq;
-        for i in 0..n {
-            x[i] += alpha * p[i];
-            r[i] -= alpha * q[i];
-            r_hat[i] -= alpha * q_hat[i];
-        }
-        stats.axpys += 3;
-        stats.iterations += 1;
-        stats.residual_norm = norm2(&r);
-        stats.dots += 1;
-        if stop.satisfied(stats.residual_norm, b_norm) {
-            stats.converged = true;
-            return Ok((x, stats));
-        }
-        let rho_new = dot(&r_hat, &r);
-        stats.dots += 1;
-        let beta = rho_new / rho;
-        rho = rho_new;
-        for i in 0..n {
-            p[i] = r[i] + beta * p[i];
-            p_hat[i] = r_hat[i] + beta * p_hat[i];
-        }
-        stats.axpys += 2;
-    }
-    Ok((x, stats))
-}
+//! BiCG, [`crate::Krylov::Bicg`], on one processor: the serial program.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::krylov::solve_on_one;
+    use crate::{Krylov, NullObserver, SolveStats, SolverError, StopCriterion};
     use hpf_sparse::{gen, CooMatrix, CsrMatrix};
+
+    fn bicg(
+        a: &CsrMatrix,
+        b: &[f64],
+        stop: StopCriterion,
+        max_iters: usize,
+    ) -> Result<(Vec<f64>, SolveStats), SolverError> {
+        let s = solve_on_one(a, b, Krylov::Bicg, stop, max_iters, &mut NullObserver)?;
+        Ok((s.x.to_global(), s.stats))
+    }
 
     fn residual(a: &CsrMatrix, x: &[f64], b: &[f64]) -> f64 {
         let ax = a.matvec(x).unwrap();
@@ -95,7 +24,7 @@ mod tests {
             .map(|(u, v)| (u - v) * (u - v))
             .sum::<f64>()
             .sqrt();
-        d / norm2(b).max(1e-300)
+        d / b.iter().map(|v| v * v).sum::<f64>().sqrt().max(1e-300)
     }
 
     /// Non-symmetric but well-conditioned test matrix: diagonally

@@ -1,105 +1,21 @@
-//! Stabilized Bi-Conjugate Gradient (BiCGSTAB).
-//!
-//! Section 2.1: "The Stabilized BiCG algorithm also uses two matrix
-//! vector operations but avoids using Aᵀ and therefore can be optimized
-//! using the data distribution ideas we discuss here. It does however
-//! involve four inner products, so will have a greater demand for an
-//! efficient intrinsic for this than basic CG."
-
-use crate::cg::{check_breakdown, dot, norm2};
-use crate::error::SolverError;
-use crate::operator::SerialOperator;
-use crate::stopping::{SolveStats, StopCriterion};
-
-/// BiCGSTAB for general systems.
-pub fn bicgstab<A: SerialOperator + ?Sized>(
-    a: &A,
-    b: &[f64],
-    stop: StopCriterion,
-    max_iters: usize,
-) -> Result<(Vec<f64>, SolveStats), SolverError> {
-    let n = a.dim();
-    if b.len() != n {
-        return Err(SolverError::DimensionMismatch {
-            expected: n,
-            got: b.len(),
-        });
-    }
-    let mut stats = SolveStats::new();
-    let b_norm = norm2(b);
-    stats.dots += 1;
-
-    let mut x = vec![0.0; n];
-    let mut r = b.to_vec();
-    let r_hat = b.to_vec();
-    let mut p = r.clone();
-    let mut rho = dot(&r_hat, &r);
-    stats.dots += 1;
-    stats.residual_norm = norm2(&r);
-    if stop.satisfied(stats.residual_norm, b_norm) {
-        stats.converged = true;
-        return Ok((x, stats));
-    }
-
-    for _ in 0..max_iters {
-        check_breakdown("rho", rho)?;
-        let v = a.apply(&p);
-        stats.matvecs += 1;
-        let rv = dot(&r_hat, &v);
-        stats.dots += 1; // inner product 1
-        check_breakdown("r_hat.Ap", rv)?;
-        let alpha = rho / rv;
-        let s: Vec<f64> = (0..n).map(|i| r[i] - alpha * v[i]).collect();
-        stats.axpys += 1;
-        // Early exit on half-step convergence.
-        let s_norm = norm2(&s);
-        stats.dots += 1; // inner product 2
-        if stop.satisfied(s_norm, b_norm) {
-            for i in 0..n {
-                x[i] += alpha * p[i];
-            }
-            stats.axpys += 1;
-            stats.iterations += 1;
-            stats.residual_norm = s_norm;
-            stats.converged = true;
-            return Ok((x, stats));
-        }
-        let t = a.apply(&s);
-        stats.matvecs += 1;
-        let tt = dot(&t, &t);
-        stats.dots += 1; // inner product 3
-        check_breakdown("t.t", tt)?;
-        let omega = dot(&t, &s) / tt;
-        stats.dots += 1; // inner product 4
-        check_breakdown("omega", omega)?;
-        for i in 0..n {
-            x[i] += alpha * p[i] + omega * s[i];
-            r[i] = s[i] - omega * t[i];
-        }
-        stats.axpys += 3;
-        stats.iterations += 1;
-        stats.residual_norm = norm2(&r);
-        stats.dots += 1;
-        if stop.satisfied(stats.residual_norm, b_norm) {
-            stats.converged = true;
-            return Ok((x, stats));
-        }
-        let rho_new = dot(&r_hat, &r);
-        stats.dots += 1;
-        let beta = (rho_new / rho) * (alpha / omega);
-        rho = rho_new;
-        for i in 0..n {
-            p[i] = r[i] + beta * (p[i] - omega * v[i]);
-        }
-        stats.axpys += 2;
-    }
-    Ok((x, stats))
-}
+//! BiCGSTAB, [`crate::Krylov::Bicgstab`], on one processor: the serial
+//! program.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::krylov::solve_on_one;
+    use crate::{Krylov, NullObserver, SolveStats, SolverError, StopCriterion};
     use hpf_sparse::{gen, CooMatrix, CsrMatrix};
+
+    fn bicgstab(
+        a: &CsrMatrix,
+        b: &[f64],
+        stop: StopCriterion,
+        max_iters: usize,
+    ) -> Result<(Vec<f64>, SolveStats), SolverError> {
+        let s = solve_on_one(a, b, Krylov::Bicgstab, stop, max_iters, &mut NullObserver)?;
+        Ok((s.x.to_global(), s.stats))
+    }
 
     fn residual(a: &CsrMatrix, x: &[f64], b: &[f64]) -> f64 {
         let ax = a.matvec(x).unwrap();
@@ -109,7 +25,7 @@ mod tests {
             .map(|(u, v)| (u - v) * (u - v))
             .sum::<f64>()
             .sqrt();
-        d / norm2(b).max(1e-300)
+        d / b.iter().map(|v| v * v).sum::<f64>().sqrt().max(1e-300)
     }
 
     fn nonsymmetric(n: usize) -> CsrMatrix {

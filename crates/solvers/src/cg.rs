@@ -1,4 +1,4 @@
-//! The Conjugate Gradient solver — serial and distributed.
+//! The Conjugate Gradient solver.
 //!
 //! The iteration structure follows the paper's Section 2 listing and the
 //! Figure 2 HPF code verbatim:
@@ -18,18 +18,19 @@
 //! END DO
 //! ```
 //!
-//! The distributed version runs the same recurrence over
-//! [`DistVector`]s and any [`DistOperator`], so every communication the
-//! chosen data layout induces is charged to the simulated machine.
+//! It runs over [`DistVector`]s and any [`DistOperator`], so every
+//! communication the chosen data layout induces is charged to the
+//! simulated machine; on one processor it is the serial program.
 
 use crate::error::SolverError;
-use crate::krylov::{solve, Krylov, Run};
-use crate::observer::{IterObserver, IterSample, NullObserver};
-use crate::operator::{DistOperator, SerialOperator};
+use crate::krylov::{solve, solve_on_one, Krylov, Run};
+use crate::observer::{IterSample, NullObserver};
+use crate::operator::DistOperator;
 use crate::precond::DistPreconditioner;
-use crate::stopping::{ResidualMonitor, SolveStats, StopCriterion};
+use crate::stopping::{SolveStats, StopCriterion};
 use hpf_core::DistVector;
 use hpf_machine::{span, Machine};
+use hpf_sparse::CsrMatrix;
 
 /// Guard against division by a numerically dead inner product.
 pub(crate) fn check_breakdown(what: &'static str, v: f64) -> Result<(), SolverError> {
@@ -77,15 +78,8 @@ pub(crate) fn update_x_r_and_dot_rr(
     machine.corrupt_scalar(merged)
 }
 
-pub(crate) fn dot(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b.iter()).map(|(x, y)| x * y).sum()
-}
-
-pub(crate) fn norm2(a: &[f64]) -> f64 {
-    dot(a, a).sqrt()
-}
-
-/// Serial (non-preconditioned) CG for SPD systems.
+/// CG on one processor: [`solve`] by [`Krylov::cg`] at NP = 1, nothing
+/// traced — for callers that hold a plain [`CsrMatrix`].
 ///
 /// ```
 /// use hpf_solvers::{cg, StopCriterion};
@@ -97,91 +91,14 @@ pub(crate) fn norm2(a: &[f64]) -> f64 {
 /// assert!(stats.converged);
 /// assert!(x.iter().zip(&x_true).all(|(u, v)| (u - v).abs() < 1e-6));
 /// ```
-pub fn cg<A: SerialOperator + ?Sized>(
-    a: &A,
+pub fn cg(
+    a: &CsrMatrix,
     b: &[f64],
     stop: StopCriterion,
     max_iters: usize,
 ) -> Result<(Vec<f64>, SolveStats), SolverError> {
-    cg_with_observer(a, b, stop, max_iters, &mut NullObserver)
-}
-
-/// [`cg`] with a per-iteration telemetry hook (see
-/// [`crate::observer::IterObserver`]). Serial solves have no machine, so
-/// samples carry zero flops/comm/sim-time.
-pub fn cg_with_observer<A: SerialOperator + ?Sized>(
-    a: &A,
-    b: &[f64],
-    stop: StopCriterion,
-    max_iters: usize,
-    obs: &mut dyn IterObserver,
-) -> Result<(Vec<f64>, SolveStats), SolverError> {
-    let n = a.dim();
-    if b.len() != n {
-        return Err(SolverError::DimensionMismatch {
-            expected: n,
-            got: b.len(),
-        });
-    }
-    let mut stats = SolveStats::new();
-    let b_norm = norm2(b);
-    stats.dots += 1;
-    let mut monitor = ResidualMonitor::new(stop);
-
-    // Initial guess x = 0, so r = p = b (the paper's initialisation).
-    let mut x = vec![0.0; n];
-    let mut r = b.to_vec();
-    let mut p = b.to_vec();
-    let mut rho = dot(&r, &r);
-    stats.dots += 1;
-    stats.residual_norm = rho.sqrt();
-    if monitor.observe(stats.residual_norm, b_norm)? {
-        stats.converged = true;
-        return Ok((x, stats));
-    }
-
-    for _k in 0..max_iters {
-        let q = a.apply(&p);
-        stats.matvecs += 1;
-        let pq = dot(&p, &q);
-        stats.dots += 1;
-        check_breakdown("p.Ap", pq)?;
-        let alpha = rho / pq;
-        for ((xi, &pi), (ri, &qi)) in x.iter_mut().zip(p.iter()).zip(r.iter_mut().zip(q.iter())) {
-            *xi += alpha * pi;
-            *ri -= alpha * qi;
-        }
-        stats.axpys += 2;
-        let rho_new = dot(&r, &r);
-        stats.dots += 1;
-        stats.iterations += 1;
-        stats.residual_norm = rho_new.sqrt();
-        // beta reported is the one the *next* direction update will use
-        // (rho_new / rho), the scalar the paper's saypx line consumes.
-        obs.on_iteration(&IterSample {
-            iteration: stats.iterations,
-            residual_norm: stats.residual_norm,
-            alpha,
-            beta: rho_new / rho,
-            flops: 0,
-            comm_words: 0,
-            sim_time: 0.0,
-            predicted_time: 0.0,
-            rollbacks: 0,
-        });
-        if monitor.observe(stats.residual_norm, b_norm)? {
-            stats.converged = true;
-            return Ok((x, stats));
-        }
-        check_breakdown("rho", rho)?;
-        let beta = rho_new / rho;
-        rho = rho_new;
-        for (pi, &ri) in p.iter_mut().zip(r.iter()) {
-            *pi = ri + beta * *pi;
-        }
-        stats.axpys += 1;
-    }
-    Ok((x, stats))
+    let s = solve_on_one(a, b, Krylov::cg(), stop, max_iters, &mut NullObserver)?;
+    Ok((s.x.to_global(), s.stats))
 }
 
 /// Distributed CG (the full Figure 2 program) over any [`DistOperator`]:
@@ -290,15 +207,13 @@ mod tests {
     use hpf_machine::{CostModel, EventKind, Topology};
     use hpf_sparse::gen;
 
+    fn norm2(v: &[f64]) -> f64 {
+        v.iter().map(|d| d * d).sum::<f64>().sqrt()
+    }
+
     fn relative_error(x: &[f64], y: &[f64]) -> f64 {
-        let num: f64 = x
-            .iter()
-            .zip(y.iter())
-            .map(|(a, b)| (a - b) * (a - b))
-            .sum::<f64>()
-            .sqrt();
-        let den = norm2(y).max(1e-300);
-        num / den
+        let d: Vec<f64> = x.iter().zip(y).map(|(a, b)| a - b).collect();
+        norm2(&d) / norm2(y).max(1e-300)
     }
 
     #[test]
@@ -482,14 +397,10 @@ mod tests {
         let a = gen::poisson_2d(8, 8);
         let (_, b) = gen::rhs_for_known_solution(&a);
         let mut obs = crate::observer::RecordingObserver::new();
-        let (_, stats) = cg_with_observer(
-            &a,
-            &b,
-            StopCriterion::RelativeResidual(1e-10),
-            1000,
-            &mut obs,
-        )
-        .unwrap();
+        let stop = StopCriterion::RelativeResidual(1e-10);
+        let stats = solve_on_one(&a, &b, Krylov::cg(), stop, 1000, &mut obs)
+            .unwrap()
+            .stats;
         assert!(stats.converged);
         assert_eq!(obs.samples.len(), stats.iterations);
         assert_eq!(obs.samples.last().unwrap().iteration, stats.iterations);

@@ -1,109 +1,20 @@
-//! Conjugate Gradient Squared (CGS).
-//!
-//! Section 2.1: "The Conjugate Gradient Squared (CGS) algorithm avoids
-//! using Aᵀ operations but also requires additional vectors of storage
-//! over the basic CG. CGS can be built using the operations and data
-//! distributions we describe here, but can have some undesirable
-//! numerical properties such as actual divergence or irregular rates of
-//! convergence."
-
-use crate::cg::{check_breakdown, dot, norm2};
-use crate::error::SolverError;
-use crate::operator::SerialOperator;
-use crate::stopping::{SolveStats, StopCriterion};
-
-/// CGS for general systems. May diverge — callers must check
-/// `stats.converged` (the "undesirable numerical properties" the paper
-/// warns about are real and reproduced in the tests).
-pub fn cgs<A: SerialOperator + ?Sized>(
-    a: &A,
-    b: &[f64],
-    stop: StopCriterion,
-    max_iters: usize,
-) -> Result<(Vec<f64>, SolveStats), SolverError> {
-    let n = a.dim();
-    if b.len() != n {
-        return Err(SolverError::DimensionMismatch {
-            expected: n,
-            got: b.len(),
-        });
-    }
-    let mut stats = SolveStats::new();
-    let b_norm = norm2(b);
-    stats.dots += 1;
-
-    let mut x = vec![0.0; n];
-    let mut r = b.to_vec();
-    let r_hat = b.to_vec(); // fixed shadow vector
-    let mut p = vec![0.0; n];
-    let mut u = vec![0.0; n];
-    let mut q = vec![0.0; n];
-    let mut rho = 1.0;
-    let mut first = true;
-
-    stats.residual_norm = norm2(&r);
-    if stop.satisfied(stats.residual_norm, b_norm) {
-        stats.converged = true;
-        return Ok((x, stats));
-    }
-
-    for _ in 0..max_iters {
-        let rho_new = dot(&r_hat, &r);
-        stats.dots += 1;
-        check_breakdown("rho", rho_new)?;
-        if first {
-            u.clone_from(&r);
-            p.clone_from(&u);
-            first = false;
-        } else {
-            let beta = rho_new / rho;
-            for i in 0..n {
-                u[i] = r[i] + beta * q[i];
-                p[i] = u[i] + beta * (q[i] + beta * p[i]);
-            }
-            stats.axpys += 3;
-        }
-        rho = rho_new;
-
-        let v = a.apply(&p);
-        stats.matvecs += 1;
-        let sigma = dot(&r_hat, &v);
-        stats.dots += 1;
-        check_breakdown("r_hat.Ap", sigma)?;
-        let alpha = rho / sigma;
-        for i in 0..n {
-            q[i] = u[i] - alpha * v[i];
-        }
-        stats.axpys += 1;
-        let uq: Vec<f64> = (0..n).map(|i| u[i] + q[i]).collect();
-        let auq = a.apply(&uq);
-        stats.matvecs += 1;
-        for i in 0..n {
-            x[i] += alpha * uq[i];
-            r[i] -= alpha * auq[i];
-        }
-        stats.axpys += 2;
-        stats.iterations += 1;
-        stats.residual_norm = norm2(&r);
-        stats.dots += 1;
-        if !stats.residual_norm.is_finite() {
-            return Err(SolverError::Breakdown {
-                what: "residual diverged",
-                value: stats.residual_norm,
-            });
-        }
-        if stop.satisfied(stats.residual_norm, b_norm) {
-            stats.converged = true;
-            return Ok((x, stats));
-        }
-    }
-    Ok((x, stats))
-}
+//! CGS, [`crate::Krylov::Cgs`], on one processor: the serial program.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::krylov::solve_on_one;
+    use crate::{Krylov, NullObserver, SolveStats, SolverError, StopCriterion};
     use hpf_sparse::{gen, CooMatrix, CsrMatrix};
+
+    fn cgs(
+        a: &CsrMatrix,
+        b: &[f64],
+        stop: StopCriterion,
+        max_iters: usize,
+    ) -> Result<(Vec<f64>, SolveStats), SolverError> {
+        let s = solve_on_one(a, b, Krylov::Cgs, stop, max_iters, &mut NullObserver)?;
+        Ok((s.x.to_global(), s.stats))
+    }
 
     fn residual(a: &CsrMatrix, x: &[f64], b: &[f64]) -> f64 {
         let ax = a.matvec(x).unwrap();
@@ -113,7 +24,7 @@ mod tests {
             .map(|(u, v)| (u - v) * (u - v))
             .sum::<f64>()
             .sqrt();
-        d / norm2(b).max(1e-300)
+        d / b.iter().map(|v| v * v).sum::<f64>().sqrt().max(1e-300)
     }
 
     #[test]
@@ -168,7 +79,8 @@ mod tests {
         let a = CsrMatrix::from_coo(&coo);
         let b = vec![1.0; n];
         match cgs(&a, &b, StopCriterion::RelativeResidual(1e-12), 40) {
-            Err(SolverError::Breakdown { .. }) => {} // honest failure
+            // Honest failures.
+            Err(SolverError::Breakdown { .. } | SolverError::NonFinite { .. }) => {}
             Ok((x, stats)) => {
                 // Either it failed to converge, or it truly solved it.
                 if stats.converged {

@@ -1,14 +1,11 @@
-//! Distributed BiCG, BiCGSTAB, CGS and GMRES, and the preconditioned-CG
-//! aliases.
+//! BiCG, BiCGSTAB, CGS and GMRES, and the preconditioned-CG aliases.
 //!
-//! These run the same recurrences as their serial counterparts over
-//! [`DistVector`]s and a [`DistOperator`], so the simulated machine is
-//! charged for everything the data layout induces — including the
-//! layout-dependent cost of BiCG's `Aᵀ` products (Section 2.1: "any
-//! storage distribution optimisations made on the basis of row access
-//! vs. column access will be negated with the use of BiCG"). Each is
-//! reached through [`solve`]; every vector a recurrence needs is
-//! allocated before its first iteration.
+//! These run over [`DistVector`]s and a [`DistOperator`], so the
+//! simulated machine is charged for everything the data layout induces —
+//! including the layout-dependent cost of BiCG's `Aᵀ` products — and on
+//! one processor they are the serial programs. Each is reached through
+//! [`solve`]; every vector a recurrence needs is allocated before its
+//! first iteration.
 
 use crate::cg::check_breakdown;
 use crate::error::SolverError;
@@ -20,8 +17,12 @@ use crate::stopping::{SolveStats, StopCriterion};
 use hpf_core::DistVector;
 use hpf_machine::{span, Machine};
 
-/// Distributed BiCG: both products of an iteration write into vectors the
-/// solve keeps.
+/// BiCG. Section 2.1: it uses "two mutually orthogonal sequences of
+/// residuals. This requires three extra vectors to be stored ... [and]
+/// two matrix-vector multiply operations one of which uses the matrix
+/// transpose Aᵀ, and therefore any storage distribution optimisations
+/// made on the basis of row access vs. column access will be negated".
+/// Both products of an iteration write into vectors the solve keeps.
 pub(crate) fn bicg<A: DistOperator + ?Sized>(
     run: &mut Run<'_>,
     a: &A,
@@ -77,9 +78,10 @@ pub(crate) fn bicg<A: DistOperator + ?Sized>(
     Ok(x)
 }
 
-/// Distributed BiCGSTAB (no `Aᵀ`; four inner-product merges per
-/// iteration — "a greater demand for an efficient intrinsic"):
-/// [`solve`] by [`Krylov::Bicgstab`], unobserved.
+/// BiCGSTAB (Section 2.1: two products, no `Aᵀ`, but "four inner
+/// products, so will have a greater demand for an efficient intrinsic
+/// for this than basic CG"): [`solve`] by [`Krylov::Bicgstab`],
+/// unobserved.
 pub fn bicgstab_distributed<A: DistOperator + ?Sized>(
     machine: &mut Machine,
     a: &A,
@@ -161,7 +163,7 @@ pub(crate) fn bicgstab<A: DistOperator + ?Sized>(
     Ok(x)
 }
 
-/// Distributed CGS. Section 2.1: it "avoids using Aᵀ operations but also
+/// CGS. Section 2.1: it "avoids using Aᵀ operations but also
 /// requires additional vectors of storage over the basic CG ... [and] can
 /// have some undesirable numerical properties such as actual divergence
 /// or irregular rates of convergence" — which the residual monitor turns
@@ -227,7 +229,7 @@ pub(crate) fn cgs<A: DistOperator + ?Sized>(
     Ok(x)
 }
 
-/// Distributed Jacobi-preconditioned CG. The preconditioner application
+/// Jacobi-preconditioned CG. The preconditioner application
 /// `z = D⁻¹ r` is an aligned element-wise operation — zero communication,
 /// as the paper's alignment discipline guarantees.
 pub fn pcg_jacobi_distributed<A: DistOperator + ?Sized>(
@@ -238,12 +240,7 @@ pub fn pcg_jacobi_distributed<A: DistOperator + ?Sized>(
     max_iters: usize,
 ) -> Result<(DistVector, SolveStats), SolverError> {
     let m = JacobiPreconditioner::from_operator(a)?;
-    let method = Krylov::Cg {
-        precond: Some(&m),
-        recovery: None,
-    };
-    let s = solve(machine, a, b, method, stop, max_iters, &mut NullObserver)?;
-    Ok((s.x, s.stats))
+    pcg_preconditioned_distributed(machine, a, &m, b, stop, max_iters)
 }
 
 /// Distributed CG preconditioned by any [`DistPreconditioner`]:
@@ -267,7 +264,7 @@ pub fn pcg_preconditioned_distributed<A: DistOperator + ?Sized>(
     Ok((s.x, s.stats))
 }
 
-/// Distributed restarted GMRES(m).
+/// Restarted GMRES(m).
 ///
 /// The paper's "longer recurrences (which require greater storage)"
 /// remark becomes concrete here: the Krylov basis is `m + 1` *distributed*
@@ -302,10 +299,7 @@ pub(crate) fn gmres<A: DistOperator + ?Sized>(
     loop {
         // r = b - A x.
         let beta = run.true_residual(a, &x, &mut ax, &mut scratch, &mut v[0]);
-        if run.converged(beta)? {
-            return Ok(x);
-        }
-        if run.stats.iterations >= run.max_iters {
+        if run.converged(beta)? || run.stats.iterations >= run.max_iters {
             return Ok(x);
         }
         v[0].scale(run.machine, 1.0 / beta);

@@ -3,7 +3,7 @@
 //! CGS, monotone energy-norm decrease for CG on SPD systems).
 
 use crate::error::SolverError;
-use crate::krylov::{one_processor, solve, Krylov};
+use crate::krylov::{solve_on_one, Krylov};
 use crate::observer::RecordingObserver;
 use crate::stopping::StopCriterion;
 use hpf_sparse::CsrMatrix;
@@ -21,17 +21,14 @@ pub fn residual_history(
 ) -> Result<Vec<f64>, SolverError> {
     // `||r|| <= -1` never holds, so nothing ends the solve early.
     const NEVER: StopCriterion = StopCriterion::AbsoluteResidual(-1.0);
-    let (mut machine, op) = one_processor(a);
     let mut seen = RecordingObserver::new();
-    let end = solve(&mut machine, &op, b, method, NEVER, iters, &mut seen);
-    let b_norm = b
-        .iter()
-        .map(|v| v * v)
-        .sum::<f64>()
-        .sqrt()
-        .max(f64::MIN_POSITIVE);
+    let end = solve_on_one(a, b, method, NEVER, iters, &mut seen);
+    let b_norm = f64::max(
+        b.iter().map(|v| v * v).sum::<f64>().sqrt(),
+        f64::MIN_POSITIVE,
+    );
     let mut hist = vec![1.0];
-    hist.extend(seen.samples.iter().map(|s| s.residual_norm / b_norm));
+    hist.extend(seen.residuals().iter().map(|r| r / b_norm));
     match end {
         Ok(_) => {}
         Err(SolverError::Breakdown { .. } | SolverError::NonFinite { .. }) => {

@@ -126,13 +126,21 @@ pub fn solve<A: DistOperator + ?Sized>(
     })
 }
 
-/// `a` on a one-processor machine that keeps no events: what the entry
-/// points over a plain [`CsrMatrix`] run [`solve`] on.
-pub(crate) fn one_processor(a: &CsrMatrix) -> (Machine, RowwiseCsr) {
+/// [`solve`] on a one-processor machine that keeps no events, with `a`
+/// in the row layout: what the entry points over a plain [`CsrMatrix`]
+/// run.
+pub(crate) fn solve_on_one(
+    a: &CsrMatrix,
+    b: &[f64],
+    method: Krylov<'_>,
+    stop: StopCriterion,
+    max_iters: usize,
+    obs: &mut dyn IterObserver,
+) -> Result<Solution, SolverError> {
     let mut machine = Machine::hypercube(1);
     machine.set_trace_level(TraceLevel::Off);
     let op = RowwiseCsr::block(a.clone(), 1, DataArrayLayout::RowAligned);
-    (machine, op)
+    solve(&mut machine, &op, b, method, stop, max_iters, obs)
 }
 
 /// What every recurrence shares for the length of one solve.

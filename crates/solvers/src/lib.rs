@@ -1,30 +1,32 @@
 //! # hpf-solvers — the CG solver family
 //!
-//! Serial and distributed implementations of every algorithm the paper's
-//! Section 2 surveys, with the per-iteration operation structure it
+//! Every algorithm the paper's Section 2 surveys, as one program for
+//! every processor count, with the per-iteration operation structure it
 //! tabulates:
 //!
 //! | method | matvecs | Aᵀ matvecs | dots | extra vectors | non-symmetric |
 //! |---|---|---|---|---|---|
-//! | [`cg`] | 1 | 0 | 2 | 4 | no |
-//! | [`bicg`] | 1 | 1 | 2 | +3 over CG | yes |
-//! | [`cgs`] | 2 | 0 | 2 | +4 over CG | yes (may diverge) |
-//! | [`bicgstab`] | 2 | 0 | 4 | +4 over CG | yes |
-//! | [`gmres`]`(m)` | 1 | 0 | j+1 at step j | m+4 | yes |
+//! | [`Krylov::Cg`] | 1 | 0 | 2 | 4 | no |
+//! | [`Krylov::Bicg`] | 1 | 1 | 2 | +3 over CG | yes |
+//! | [`Krylov::Cgs`] | 2 | 0 | 2 | +4 over CG | yes (may diverge) |
+//! | [`Krylov::Bicgstab`] | 2 | 0 | 4 | +4 over CG | yes |
+//! | [`Krylov::Gmres`]`{ restart: m }` | 1 | 0 | j+1 at step j | m+4 | yes |
 //!
-//! plus Jacobi/SSOR [`pcg`] preconditioning and the dense [`direct`]
-//! baselines (LU, Cholesky) CG is compared against.
+//! plus Jacobi and SSOR preconditioning ([`JacobiPreconditioner`],
+//! [`SsorPreconditioner`]) and the dense [`direct`] baselines (LU,
+//! Cholesky) CG is compared against.
 //!
-//! The distributed members of the family run through one driver,
-//! [`solve`] with a [`Krylov`] method, over `hpf-core`'s distributed
-//! vectors and matvec scenarios, charging every induced communication
-//! to the simulated machine; [`cg_distributed`] and its siblings are
-//! the paper-facing names for particular methods.
+//! Every member runs through one driver, [`solve`] with a [`Krylov`]
+//! method, over `hpf-core`'s distributed vectors and matvec scenarios,
+//! charging every induced communication to the simulated machine. On a
+//! one-processor machine that is the serial program: [`cg`] is that for
+//! a plain matrix, and [`cg_distributed`] and its siblings are the
+//! paper-facing names for particular methods.
 
-pub mod bicg;
-pub mod bicgstab;
+mod bicg;
+mod bicgstab;
 pub mod cg;
-pub mod cgs;
+mod cgs;
 pub mod direct;
 pub mod dist_solvers;
 pub mod error;
@@ -33,26 +35,22 @@ pub mod history;
 pub mod krylov;
 pub mod observer;
 pub mod operator;
-pub mod pcg;
+mod pcg;
 pub mod precond;
 pub mod recovery;
 pub mod spectral;
 pub mod stopping;
 
-pub use bicg::bicg;
-pub use bicgstab::bicgstab;
-pub use cg::{cg, cg_distributed, cg_with_observer};
-pub use cgs::cgs;
+pub use cg::{cg, cg_distributed};
 pub use dist_solvers::{
     bicgstab_distributed, pcg_jacobi_distributed, pcg_preconditioned_distributed,
 };
 pub use error::SolverError;
-pub use gmres::{gmres, gmres_storage_vectors};
+pub use gmres::gmres_storage_vectors;
 pub use history::{nonmonotonicity, residual_history};
 pub use krylov::{solve, Krylov, Solution};
 pub use observer::{IterObserver, IterSample, NullObserver, RecordingObserver, TailObserver};
-pub use operator::{ColwiseOperator, CscVariant, DistOperator, SerialOperator};
-pub use pcg::{pcg, pcg_with_observer, IdentityPrec, JacobiPrec, Preconditioner, SsorPrec};
+pub use operator::{ColwiseOperator, CscVariant, DistOperator};
 pub use precond::{DistPreconditioner, JacobiPreconditioner, SsorPreconditioner};
 pub use recovery::{
     cg_distributed_protected, pcg_jacobi_distributed_protected, RecoveryConfig, RecoveryStats,

@@ -2,8 +2,8 @@
 //!
 //! Every iterative solver in this crate can report one [`IterSample`] per
 //! iteration through an [`IterObserver`] — residual norm, the CG scalars
-//! alpha/beta, and (for distributed solves) the machine-charged flops,
-//! words and simulated time attributable to that iteration. The protected
+//! alpha/beta, and the machine-charged flops, words and simulated time
+//! attributable to that iteration. The protected
 //! solvers additionally report rollback and restart events. The hook is
 //! how the observability layer (`hpf-obs`) builds convergence histories
 //! without the solvers knowing anything about exporters or file formats.
@@ -27,22 +27,18 @@ pub struct IterSample {
     pub alpha: f64,
     /// Direction-update scalar beta; `NaN` where not applicable.
     pub beta: f64,
-    /// Flops charged to the machine *during* this iteration (0 for
-    /// serial solves, which do not run on a machine).
+    /// Flops charged to the machine *during* this iteration.
     pub flops: u64,
-    /// Words sent into the network during this iteration (0 for serial
-    /// solves).
+    /// Words sent into the network during this iteration.
     pub comm_words: u64,
     /// Simulated machine time at the *end* of this iteration —
     /// cumulative, so deltas between samples give per-iteration cost.
-    /// 0 for serial solves.
     pub sim_time: f64,
     /// What the analytic cost model *predicts* the machine time should
     /// be at the end of this iteration (cumulative, like
     /// [`IterSample::sim_time`]; events with no closed form — faults,
     /// redistributes — count at their measured time, so at zero drift
-    /// this equals `sim_time`). 0 for serial solves and when tracing is
-    /// disabled on the machine.
+    /// this equals `sim_time`). 0 when tracing is disabled on the machine.
     pub predicted_time: f64,
     /// Rollbacks performed so far in a protected solve (0 elsewhere).
     pub rollbacks: usize,
@@ -220,7 +216,6 @@ impl IterObserver for TailObserver {
 }
 
 /// Snapshot of machine counters used to attribute per-iteration deltas.
-/// Internal helper for the distributed solvers.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct MachineMark {
     flops: u64,

@@ -1,70 +1,8 @@
-//! Operator abstractions: one for plain serial solves, one for solves on
-//! the simulated HPF machine.
+//! The operator abstraction: a square linear operator applied on the
+//! simulated HPF machine, in a data layout.
 
 use hpf_core::{ColwiseCsc, DistVector, RowwiseCsr};
 use hpf_machine::Machine;
-use hpf_sparse::{CscMatrix, CsrMatrix, DenseMatrix};
-
-/// A square linear operator applied serially.
-pub trait SerialOperator {
-    /// Problem dimension `n`.
-    fn dim(&self) -> usize;
-    /// `y = A x`.
-    fn apply(&self, x: &[f64]) -> Vec<f64>;
-    /// `y = Aᵀ x` (needed by BiCG).
-    fn apply_transpose(&self, x: &[f64]) -> Vec<f64>;
-    /// Main diagonal (for Jacobi preconditioning).
-    fn diagonal(&self) -> Vec<f64>;
-}
-
-impl SerialOperator for CsrMatrix {
-    fn dim(&self) -> usize {
-        self.n_rows()
-    }
-    fn apply(&self, x: &[f64]) -> Vec<f64> {
-        self.matvec(x).expect("dimension checked by solver")
-    }
-    fn apply_transpose(&self, x: &[f64]) -> Vec<f64> {
-        self.matvec_transpose(x)
-            .expect("dimension checked by solver")
-    }
-    fn diagonal(&self) -> Vec<f64> {
-        CsrMatrix::diagonal(self)
-    }
-}
-
-impl SerialOperator for CscMatrix {
-    fn dim(&self) -> usize {
-        self.n_rows()
-    }
-    fn apply(&self, x: &[f64]) -> Vec<f64> {
-        self.matvec(x).expect("dimension checked by solver")
-    }
-    fn apply_transpose(&self, x: &[f64]) -> Vec<f64> {
-        self.matvec_transpose(x)
-            .expect("dimension checked by solver")
-    }
-    fn diagonal(&self) -> Vec<f64> {
-        CscMatrix::diagonal(self)
-    }
-}
-
-impl SerialOperator for DenseMatrix {
-    fn dim(&self) -> usize {
-        self.n_rows()
-    }
-    fn apply(&self, x: &[f64]) -> Vec<f64> {
-        self.matvec(x).expect("dimension checked by solver")
-    }
-    fn apply_transpose(&self, x: &[f64]) -> Vec<f64> {
-        self.matvec_transpose(x)
-            .expect("dimension checked by solver")
-    }
-    fn diagonal(&self) -> Vec<f64> {
-        let n = self.n_rows().min(self.n_cols());
-        (0..n).map(|i| self[(i, i)]).collect()
-    }
-}
 
 /// A square linear operator applied on the simulated HPF machine,
 /// charging the communication its data layout induces.
@@ -214,24 +152,39 @@ mod tests {
     use super::*;
     use hpf_core::DataArrayLayout;
     use hpf_machine::{CostModel, Topology};
-    use hpf_sparse::gen;
+    use hpf_sparse::{gen, CscMatrix};
 
+    /// On one processor the operators are the serial products of the
+    /// matrix they hold, CSR, CSC or dense.
     #[test]
     fn serial_operators_agree() {
         let csr = gen::random_spd(20, 3, 2);
         let csc = CscMatrix::from_csr(&csr);
         let dense = csr.to_dense();
         let x: Vec<f64> = (0..20).map(|i| (i as f64).cos()).collect();
-        let a = SerialOperator::apply(&csr, &x);
-        let b = SerialOperator::apply(&csc, &x);
-        let c = SerialOperator::apply(&dense, &x);
-        for i in 0..20 {
-            assert!((a[i] - b[i]).abs() < 1e-12);
-            assert!((a[i] - c[i]).abs() < 1e-12);
+        let row_op = RowwiseCsr::block(csr.clone(), 1, DataArrayLayout::RowAligned);
+        let col_op = ColwiseOperator {
+            inner: ColwiseCsc::block(csc.clone(), 1),
+            variant: CscVariant::Serial,
+        };
+        let p = DistVector::from_global(row_op.descriptor(), &x);
+        let mut m = Machine::new(1, Topology::Hypercube, CostModel::mpp_1995());
+        let products = [
+            row_op.apply(&mut m, &p).to_global(),
+            col_op.apply(&mut m, &p).to_global(),
+            csc.matvec(&x).unwrap(),
+            dense.matvec(&x).unwrap(),
+        ];
+        let want = csr.matvec(&x).unwrap();
+        for q in &products {
+            for i in 0..20 {
+                assert!((q[i] - want[i]).abs() < 1e-12);
+            }
         }
+        assert_eq!(row_op.diagonal(), col_op.diagonal());
         assert_eq!(
-            SerialOperator::diagonal(&csr),
-            SerialOperator::diagonal(&dense)
+            row_op.diagonal(),
+            (0..20).map(|i| dense[(i, i)]).collect::<Vec<_>>()
         );
     }
 

@@ -1,273 +1,66 @@
-//! Preconditioned Conjugate Gradient.
-//!
-//! Section 2.1: "A preconditioner for A can be added to any of the
-//! algorithms described above and which will increase the speed of
-//! convergence of the CG algorithm. Although these preconditioned
-//! conjugate gradient algorithms requires a matrix inverse, and a
-//! transpose, practical implementations is formulated such that it works
-//! with the original matrix A but maintains the same convergence rate as
-//! that for the preconditioned system."
-//!
-//! Two classic preconditioners are provided, both of which keep the CG
-//! communication structure intact (Jacobi is element-wise hence
-//! communication-free under alignment; SSOR sweeps are local per
-//! processor in the row-block layout used here).
-
-use crate::cg::{check_breakdown, dot, norm2};
-use crate::error::SolverError;
-use crate::observer::{IterObserver, IterSample, NullObserver};
-use crate::operator::SerialOperator;
-use crate::stopping::{SolveStats, StopCriterion};
-use hpf_sparse::CsrMatrix;
-
-/// A preconditioner `M ≈ A`: applies `z = M⁻¹ r`.
-pub trait Preconditioner {
-    fn apply(&self, r: &[f64]) -> Vec<f64>;
-    fn name(&self) -> &'static str;
-}
-
-/// Identity preconditioner (plain CG).
-pub struct IdentityPrec;
-
-impl Preconditioner for IdentityPrec {
-    fn apply(&self, r: &[f64]) -> Vec<f64> {
-        r.to_vec()
-    }
-    fn name(&self) -> &'static str {
-        "identity"
-    }
-}
-
-/// Jacobi (diagonal) preconditioner: `M = diag(A)`. Element-wise, so in
-/// HPF it is one aligned parallel array assignment — zero communication.
-pub struct JacobiPrec {
-    inv_diag: Vec<f64>,
-}
-
-impl JacobiPrec {
-    pub fn new<A: SerialOperator + ?Sized>(a: &A) -> Result<Self, SolverError> {
-        let diag = a.diagonal();
-        if let Some((i, &d)) = diag
-            .iter()
-            .enumerate()
-            .find(|(_, &d)| d.abs() < f64::MIN_POSITIVE * 1e16)
-        {
-            return Err(SolverError::SingularMatrix { pivot: i, value: d });
-        }
-        Ok(JacobiPrec {
-            inv_diag: diag.iter().map(|d| 1.0 / d).collect(),
-        })
-    }
-}
-
-impl Preconditioner for JacobiPrec {
-    fn apply(&self, r: &[f64]) -> Vec<f64> {
-        r.iter()
-            .zip(self.inv_diag.iter())
-            .map(|(x, d)| x * d)
-            .collect()
-    }
-    fn name(&self) -> &'static str {
-        "jacobi"
-    }
-}
-
-/// Symmetric SOR preconditioner
-/// `M = (D/ω + L) (D/ω)⁻¹ (D/ω + Lᵀ) · ω/(2-ω)` for symmetric `A = L + D + Lᵀ`.
-/// Applied via a forward then a backward triangular sweep.
-pub struct SsorPrec {
-    a: CsrMatrix,
-    diag: Vec<f64>,
-    omega: f64,
-}
-
-impl SsorPrec {
-    pub fn new(a: &CsrMatrix, omega: f64) -> Result<Self, SolverError> {
-        if !a.is_square() {
-            return Err(SolverError::NotSquare {
-                rows: a.n_rows(),
-                cols: a.n_cols(),
-            });
-        }
-        assert!(omega > 0.0 && omega < 2.0, "SSOR needs 0 < omega < 2");
-        let diag = a.diagonal();
-        if let Some((i, &d)) = diag
-            .iter()
-            .enumerate()
-            .find(|(_, &d)| d.abs() < f64::MIN_POSITIVE * 1e16)
-        {
-            return Err(SolverError::SingularMatrix { pivot: i, value: d });
-        }
-        Ok(SsorPrec {
-            a: a.clone(),
-            diag,
-            omega,
-        })
-    }
-}
-
-impl Preconditioner for SsorPrec {
-    fn apply(&self, r: &[f64]) -> Vec<f64> {
-        let n = r.len();
-        let w = self.omega;
-        // Forward sweep: (D/w + L) y = r.
-        let mut y = vec![0.0; n];
-        for i in 0..n {
-            let mut s = r[i];
-            for (j, v) in self.a.row(i) {
-                if j < i {
-                    s -= v * y[j];
-                }
-            }
-            y[i] = s * w / self.diag[i];
-        }
-        // Scale: y <- (D/w) y  => y_i * d_i / w.
-        for i in 0..n {
-            y[i] *= self.diag[i] / w;
-        }
-        // Backward sweep: (D/w + U) z = y.
-        let mut z = vec![0.0; n];
-        for i in (0..n).rev() {
-            let mut s = y[i];
-            for (j, v) in self.a.row(i) {
-                if j > i {
-                    s -= v * z[j];
-                }
-            }
-            z[i] = s * w / self.diag[i];
-        }
-        // Constant factor w/(2-w) only scales M; CG is invariant to it,
-        // but keep M consistent with the textbook definition.
-        let scale = (2.0 - w) / w;
-        z.iter_mut().for_each(|v| *v *= scale);
-        z
-    }
-    fn name(&self) -> &'static str {
-        "ssor"
-    }
-}
-
-/// Preconditioned CG.
-pub fn pcg<A: SerialOperator + ?Sized, M: Preconditioner + ?Sized>(
-    a: &A,
-    m: &M,
-    b: &[f64],
-    stop: StopCriterion,
-    max_iters: usize,
-) -> Result<(Vec<f64>, SolveStats), SolverError> {
-    pcg_with_observer(a, m, b, stop, max_iters, &mut NullObserver)
-}
-
-/// [`pcg`] with a per-iteration telemetry hook. Serial, so samples carry
-/// no machine flops/comm/sim-time.
-pub fn pcg_with_observer<A: SerialOperator + ?Sized, M: Preconditioner + ?Sized>(
-    a: &A,
-    m: &M,
-    b: &[f64],
-    stop: StopCriterion,
-    max_iters: usize,
-    obs: &mut dyn IterObserver,
-) -> Result<(Vec<f64>, SolveStats), SolverError> {
-    let n = a.dim();
-    if b.len() != n {
-        return Err(SolverError::DimensionMismatch {
-            expected: n,
-            got: b.len(),
-        });
-    }
-    let mut stats = SolveStats::new();
-    let b_norm = norm2(b);
-    stats.dots += 1;
-
-    let mut x = vec![0.0; n];
-    let mut r = b.to_vec();
-    let mut z = m.apply(&r);
-    let mut p = z.clone();
-    let mut rho = dot(&r, &z);
-    stats.dots += 1;
-    stats.residual_norm = norm2(&r);
-    if stop.satisfied(stats.residual_norm, b_norm) {
-        stats.converged = true;
-        return Ok((x, stats));
-    }
-
-    for _ in 0..max_iters {
-        let q = a.apply(&p);
-        stats.matvecs += 1;
-        let pq = dot(&p, &q);
-        stats.dots += 1;
-        check_breakdown("p.Ap", pq)?;
-        let alpha = rho / pq;
-        for ((xi, &pi), (ri, &qi)) in x.iter_mut().zip(p.iter()).zip(r.iter_mut().zip(q.iter())) {
-            *xi += alpha * pi;
-            *ri -= alpha * qi;
-        }
-        stats.axpys += 2;
-        stats.iterations += 1;
-        stats.residual_norm = norm2(&r);
-        stats.dots += 1;
-        let (it, rn) = (stats.iterations, stats.residual_norm);
-        let sample = move |beta: f64| IterSample {
-            iteration: it,
-            residual_norm: rn,
-            alpha,
-            beta,
-            flops: 0,
-            comm_words: 0,
-            sim_time: 0.0,
-            predicted_time: 0.0,
-            rollbacks: 0,
-        };
-        if stop.satisfied(stats.residual_norm, b_norm) {
-            // The preconditioned beta is never computed on the converging
-            // iteration (it would cost an extra M⁻¹ apply).
-            obs.on_iteration(&sample(f64::NAN));
-            stats.converged = true;
-            return Ok((x, stats));
-        }
-        z = m.apply(&r);
-        let rho_new = dot(&r, &z);
-        stats.dots += 1;
-        check_breakdown("rho", rho)?;
-        let beta = rho_new / rho;
-        obs.on_iteration(&sample(beta));
-        rho = rho_new;
-        for (pi, &zi) in p.iter_mut().zip(z.iter()) {
-            *pi = zi + beta * *pi;
-        }
-        stats.axpys += 1;
-    }
-    Ok((x, stats))
-}
+//! Preconditioned CG — [`crate::Krylov::Cg`] with a
+//! [`crate::DistPreconditioner`] — on one processor: the serial program.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use hpf_sparse::gen;
+    use crate::krylov::solve_on_one;
+    use crate::{
+        DistPreconditioner, JacobiPreconditioner, Krylov, NullObserver, SolveStats, SolverError,
+        SsorPreconditioner, StopCriterion,
+    };
+    use hpf_core::{DataArrayLayout, DistVector, RowwiseCsr};
+    use hpf_machine::Machine;
+    use hpf_sparse::{gen, CooMatrix, CsrMatrix};
+
+    /// `a` in the row layout a one-processor solve puts it in, for
+    /// building its preconditioners.
+    fn on_one(a: &CsrMatrix) -> RowwiseCsr {
+        RowwiseCsr::block(a.clone(), 1, DataArrayLayout::RowAligned)
+    }
+
+    fn pcg(
+        a: &CsrMatrix,
+        m: &dyn DistPreconditioner,
+        b: &[f64],
+        stop: StopCriterion,
+        max_iters: usize,
+    ) -> Result<(Vec<f64>, SolveStats), SolverError> {
+        let method = Krylov::Cg {
+            precond: Some(m),
+            recovery: None,
+        };
+        let s = solve_on_one(a, b, method, stop, max_iters, &mut NullObserver)?;
+        Ok((s.x.to_global(), s.stats))
+    }
+
+    fn norm2(v: &[f64]) -> f64 {
+        v.iter().map(|d| d * d).sum::<f64>().sqrt()
+    }
 
     fn relative_error(x: &[f64], y: &[f64]) -> f64 {
-        let num: f64 = x
-            .iter()
-            .zip(y.iter())
-            .map(|(a, b)| (a - b) * (a - b))
-            .sum::<f64>()
-            .sqrt();
-        num / norm2(y).max(1e-300)
+        let d: Vec<f64> = x.iter().zip(y).map(|(a, b)| a - b).collect();
+        norm2(&d) / norm2(y).max(1e-300)
+    }
+
+    /// `M = I`.
+    struct Identity;
+
+    impl DistPreconditioner for Identity {
+        fn apply(&self, _: &mut Machine, r: &DistVector) -> DistVector {
+            r.clone()
+        }
+        fn name(&self) -> &'static str {
+            "identity"
+        }
     }
 
     #[test]
     fn identity_pcg_equals_cg() {
         let a = gen::poisson_2d(8, 8);
         let (_, b) = gen::rhs_for_known_solution(&a);
-        let (x1, s1) = crate::cg::cg(&a, &b, StopCriterion::RelativeResidual(1e-10), 500).unwrap();
-        let (x2, s2) = pcg(
-            &a,
-            &IdentityPrec,
-            &b,
-            StopCriterion::RelativeResidual(1e-10),
-            500,
-        )
-        .unwrap();
+        let stop = StopCriterion::RelativeResidual(1e-10);
+        let (x1, s1) = crate::cg::cg(&a, &b, stop, 500).unwrap();
+        let (x2, s2) = pcg(&a, &Identity, &b, stop, 500).unwrap();
         assert!(s2.converged);
         assert_eq!(s1.iterations, s2.iterations);
         assert!(relative_error(&x1, &x2) < 1e-9);
@@ -279,18 +72,18 @@ mod tests {
         // Jacobi PCG fixes the scaling immediately.
         let base = gen::poisson_2d(8, 8);
         let n = base.n_rows();
-        let mut coo = hpf_sparse::CooMatrix::new(n, n);
+        let mut coo = CooMatrix::new(n, n);
         let scale = |i: usize| 10f64.powi((i % 5) as i32 - 2);
         for i in 0..n {
             for (j, v) in base.row(i) {
                 coo.push(i, j, v * scale(i) * scale(j)).unwrap();
             }
         }
-        let a = hpf_sparse::CsrMatrix::from_coo(&coo);
+        let a = CsrMatrix::from_coo(&coo);
         let (_, b) = gen::rhs_for_known_solution(&a);
         let stop = StopCriterion::RelativeResidual(1e-8);
         let (_, s_plain) = crate::cg::cg(&a, &b, stop, 5000).unwrap();
-        let m = JacobiPrec::new(&a).unwrap();
+        let m = JacobiPreconditioner::from_operator(&on_one(&a)).unwrap();
         let (x, s_pcg) = pcg(&a, &m, &b, stop, 5000).unwrap();
         assert!(s_pcg.converged);
         assert!(
@@ -299,17 +92,9 @@ mod tests {
             s_pcg.iterations,
             s_plain.iterations
         );
-        let res = {
-            let ax = a.matvec(&x).unwrap();
-            let d: f64 = ax
-                .iter()
-                .zip(b.iter())
-                .map(|(u, v)| (u - v) * (u - v))
-                .sum::<f64>()
-                .sqrt();
-            d / norm2(&b)
-        };
-        assert!(res < 1e-7);
+        let ax = a.matvec(&x).unwrap();
+        let d: Vec<f64> = ax.iter().zip(&b).map(|(u, v)| u - v).collect();
+        assert!(norm2(&d) / norm2(&b) < 1e-7);
     }
 
     #[test]
@@ -318,7 +103,7 @@ mod tests {
         let (_, b) = gen::rhs_for_known_solution(&a);
         let stop = StopCriterion::RelativeResidual(1e-8);
         let (_, s_plain) = crate::cg::cg(&a, &b, stop, 5000).unwrap();
-        let m = SsorPrec::new(&a, 1.2).unwrap();
+        let m = SsorPreconditioner::new(&on_one(&a)).unwrap();
         let (_, s_ssor) = pcg(&a, &m, &b, stop, 5000).unwrap();
         assert!(s_ssor.converged);
         assert!(
@@ -331,27 +116,20 @@ mod tests {
 
     #[test]
     fn jacobi_rejects_zero_diagonal() {
-        let coo =
-            hpf_sparse::CooMatrix::from_triplets(2, 2, vec![(0, 1, 1.0), (1, 0, 1.0)]).unwrap();
-        let a = hpf_sparse::CsrMatrix::from_coo(&coo);
+        let coo = CooMatrix::from_triplets(2, 2, vec![(0, 1, 1.0), (1, 0, 1.0)]).unwrap();
+        let a = CsrMatrix::from_coo(&coo);
         assert!(matches!(
-            JacobiPrec::new(&a),
+            JacobiPreconditioner::from_operator(&on_one(&a)),
             Err(SolverError::SingularMatrix { .. })
         ));
     }
 
     #[test]
-    fn ssor_rejects_bad_omega() {
-        let a = gen::poisson_2d(3, 3);
-        let result = std::panic::catch_unwind(|| SsorPrec::new(&a, 2.5));
-        assert!(result.is_err());
-    }
-
-    #[test]
     fn preconditioner_names() {
-        let a = gen::poisson_2d(3, 3);
-        assert_eq!(IdentityPrec.name(), "identity");
-        assert_eq!(JacobiPrec::new(&a).unwrap().name(), "jacobi");
-        assert_eq!(SsorPrec::new(&a, 1.0).unwrap().name(), "ssor");
+        let op = on_one(&gen::poisson_2d(3, 3));
+        let jacobi = JacobiPreconditioner::from_operator(&op).unwrap();
+        assert_eq!(jacobi.name(), "jacobi");
+        assert_eq!(SsorPreconditioner::new(&op).unwrap().name(), "ssor");
+        assert_eq!(Identity.name(), "identity");
     }
 }

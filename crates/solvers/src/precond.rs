@@ -1,27 +1,21 @@
-//! Distributed preconditioners for the PCG family.
+//! Preconditioners for the PCG family.
 //!
 //! A [`DistPreconditioner`] applies `z = M⁻¹ r` over [`DistVector`]s and
-//! charges the simulated machine for whatever compute and communication
-//! the preconditioner's data layout induces — zero words for an aligned
-//! Jacobi scaling or an SSOR sweep over each processor's own rows, halo
-//! exchanges and level transfers for a multigrid V-cycle (`hpf-mg`).
-//! [`crate::Krylov::Cg`]'s `precond` accepts any implementation, plain or
-//! under checkpoint/rollback protection, which is how the multigrid
-//! crate plugs into the solver family without this crate knowing about
-//! grids.
-//!
+//! charges the machine for what its layout induces — zero words for an
+//! aligned Jacobi scaling or an SSOR sweep over each processor's own
+//! rows, halo exchanges and level transfers for a multigrid V-cycle
+//! (`hpf-mg`, which plugs in through [`crate::Krylov::Cg`]'s `precond`).
 //! Section 2.1: "A preconditioner for A can be added to any of the
 //! algorithms described above and which will increase the speed of
-//! convergence of the CG algorithm." CG requires `M` to be symmetric
-//! positive definite; implementations must preserve that or the outer
-//! recurrence breaks down (surfacing as [`SolverError::Breakdown`] on
-//! `rho`).
+//! convergence of the CG algorithm." `M` must be symmetric positive
+//! definite, or the outer recurrence breaks down
+//! ([`SolverError::Breakdown`] on `rho`).
 
 use crate::error::SolverError;
 use crate::operator::DistOperator;
 use hpf_core::{DistVector, RowwiseCsr};
-use hpf_dist::ArrayDescriptor;
 use hpf_machine::Machine;
+use hpf_sparse::{CooMatrix, CsrMatrix};
 
 /// A symmetric positive-definite preconditioner applied on the simulated
 /// machine: `z = M⁻¹ r`, charging the machine for the application.
@@ -94,22 +88,11 @@ const OMEGA: f64 = 1.2;
 /// application moves no words.
 #[derive(Debug, Clone)]
 pub struct SsorPreconditioner {
-    /// The row layout the blocks are cut along.
-    desc: ArrayDescriptor,
-    blocks: Vec<DiagonalBlock>,
-    /// Per processor: two flops an off-diagonal entry, seven a row.
-    flops: Vec<usize>,
-}
-
-/// One processor's rows of `A`, restricted to the columns it owns, by
-/// local index: row `l`'s off-diagonal entries are
-/// `cols[starts[l]..starts[l + 1]]`, in column order.
-#[derive(Debug, Clone)]
-struct DiagonalBlock {
-    starts: Vec<usize>,
-    cols: Vec<usize>,
-    vals: Vec<f64>,
-    diag: Vec<f64>,
+    /// Each processor's rows of `A`, restricted to the columns it owns and
+    /// without the diagonal, by local index.
+    blocks: Vec<CsrMatrix>,
+    /// `diag(A)`, laid out as the rows are.
+    diag: DistVector,
 }
 
 impl SsorPreconditioner {
@@ -123,71 +106,52 @@ impl SsorPreconditioner {
                 cols: m.n_cols(),
             });
         }
-        let diag = nonsingular(m.diagonal())?;
-        let desc = a.row_descriptor().clone();
-        let blocks: Vec<DiagonalBlock> = (0..desc.np())
+        let desc = a.row_descriptor();
+        let diag = DistVector::from_global(desc.clone(), &nonsingular(m.diagonal())?);
+        let blocks = (0..desc.np())
             .map(|p| {
-                let mut block = DiagonalBlock {
-                    starts: vec![0],
-                    cols: Vec::new(),
-                    vals: Vec::new(),
-                    diag: Vec::new(),
-                };
-                for i in desc.global_indices(p) {
+                let rows = desc.global_indices(p);
+                let mut coo = CooMatrix::new(rows.len(), rows.len());
+                for (l, &i) in rows.iter().enumerate() {
                     for (j, v) in m.row(i).filter(|&(j, _)| j != i && desc.owner(j) == p) {
-                        block.cols.push(desc.local_offset(j));
-                        block.vals.push(v);
+                        coo.push(l, desc.local_offset(j), v)
+                            .expect("an owned column is inside the block");
                     }
-                    block.starts.push(block.cols.len());
-                    block.diag.push(diag[i]);
                 }
-                block
+                CsrMatrix::from_coo(&coo)
             })
             .collect();
-        let flops = blocks
-            .iter()
-            .map(|b| 2 * b.cols.len() + 7 * b.diag.len())
-            .collect();
-        Ok(SsorPreconditioner {
-            desc,
-            blocks,
-            flops,
-        })
+        Ok(SsorPreconditioner { blocks, diag })
     }
 }
 
-impl DiagonalBlock {
-    /// `z = M⁻¹ r` over this block, `y` kept in `z` between the sweeps.
-    fn sweep(&self, r: &[f64], z: &mut [f64]) {
-        let row = |l: usize| {
-            let at = self.starts[l]..self.starts[l + 1];
-            self.cols[at.clone()].iter().zip(&self.vals[at])
-        };
-        // Forward: (D/ω + L) y = r.
-        for l in 0..z.len() {
-            let mut s = r[l];
-            for (&j, &v) in row(l).filter(|&(&j, _)| j < l) {
-                s -= v * z[j];
-            }
-            z[l] = s * OMEGA / self.diag[l];
+/// `z = M⁻¹ r` over one processor's block, `y` kept in `z` between the
+/// sweeps.
+fn sweep(block: &CsrMatrix, diag: &[f64], r: &[f64], z: &mut [f64]) {
+    // Forward: (D/ω + L) y = r.
+    for l in 0..z.len() {
+        let mut s = r[l];
+        for (j, v) in block.row(l).filter(|&(j, _)| j < l) {
+            s -= v * z[j];
         }
-        // y <- (D/ω) y.
-        for (y, d) in z.iter_mut().zip(&self.diag) {
-            *y *= d / OMEGA;
-        }
-        // Backward: (D/ω + Lᵀ) z = y.
-        for l in (0..z.len()).rev() {
-            let mut s = z[l];
-            for (&j, &v) in row(l).filter(|&(&j, _)| j > l) {
-                s -= v * z[j];
-            }
-            z[l] = s * OMEGA / self.diag[l];
-        }
-        // The factor ω/(2−ω) only scales M (CG is invariant to it); it
-        // keeps M the textbook one.
-        let scale = (2.0 - OMEGA) / OMEGA;
-        z.iter_mut().for_each(|v| *v *= scale);
+        z[l] = s * OMEGA / diag[l];
     }
+    // y <- (D/ω) y.
+    for (y, d) in z.iter_mut().zip(diag) {
+        *y *= d / OMEGA;
+    }
+    // Backward: (D/ω + Lᵀ) z = y.
+    for l in (0..z.len()).rev() {
+        let mut s = z[l];
+        for (j, v) in block.row(l).filter(|&(j, _)| j > l) {
+            s -= v * z[j];
+        }
+        z[l] = s * OMEGA / diag[l];
+    }
+    // The factor ω/(2−ω) only scales M (CG is invariant to it); it keeps
+    // M the textbook one.
+    let scale = (2.0 - OMEGA) / OMEGA;
+    z.iter_mut().for_each(|v| *v *= scale);
 }
 
 impl DistPreconditioner for SsorPreconditioner {
@@ -199,14 +163,19 @@ impl DistPreconditioner for SsorPreconditioner {
     fn apply_into(&self, machine: &mut Machine, r: &DistVector, z: &mut DistVector) {
         for v in [r, &*z] {
             assert!(
-                v.descriptor().same_layout(&self.desc),
+                v.descriptor().same_layout(self.diag.descriptor()),
                 "ssor: operands must be aligned with the operator's rows"
             );
         }
         for (p, block) in self.blocks.iter().enumerate() {
-            block.sweep(r.local(p), z.local_mut(p));
+            sweep(block, self.diag.local(p), r.local(p), z.local_mut(p));
         }
-        machine.compute_all(&self.flops, "ssor-apply");
+        // Two flops an off-diagonal entry, seven a row.
+        let blocks = &self.blocks;
+        machine.compute_each(
+            |p| 2 * blocks[p].nnz() + 7 * blocks[p].n_rows(),
+            "ssor-apply",
+        );
     }
     fn name(&self) -> &'static str {
         "ssor"

@@ -56,6 +56,11 @@ fn dominant(
         .collect();
     let nv = norm2(&v);
     v.iter_mut().for_each(|x| *x /= nv);
+    let estimate = |value, iterations, residual| EigEstimate {
+        value,
+        iterations,
+        residual,
+    };
     let mut lambda = 0.0f64;
     for k in 1..=max_iters {
         let mut w = a.matvec(&v).expect("square, checked above");
@@ -67,11 +72,7 @@ fn dominant(
         let nw = norm2(&w);
         if nw < f64::MIN_POSITIVE * 1e16 {
             // v is (numerically) in the null space: eigenvalue 0.
-            return Ok(EigEstimate {
-                value: 0.0,
-                iterations: k,
-                residual: 0.0,
-            });
+            return Ok(estimate(0.0, k, 0.0));
         }
         // Rayleigh quotient (v normalised).
         let new_lambda: f64 = v.iter().zip(w.iter()).map(|(x, y)| x * y).sum();
@@ -79,18 +80,10 @@ fn dominant(
         lambda = new_lambda;
         v = w.iter().map(|x| x / nw).collect();
         if rel < tol && k > 3 {
-            return Ok(EigEstimate {
-                value: lambda,
-                iterations: k,
-                residual: rel,
-            });
+            return Ok(estimate(lambda, k, rel));
         }
     }
-    Ok(EigEstimate {
-        value: lambda,
-        iterations: max_iters,
-        residual: f64::NAN,
-    })
+    Ok(estimate(lambda, max_iters, f64::NAN))
 }
 
 /// Extreme-eigenvalue and condition-number estimate for a symmetric

@@ -1,13 +1,15 @@
-//! Every [`Krylov`] method through [`solve`], over every layout family,
-//! against the serial solver of the same name; and the two input checks
-//! that live in `solve` alone.
+//! Every [`Krylov`] method through [`solve`], over every layout family
+//! and the generator families: against the dense direct solver, and at
+//! NP = 4 against the same method on one processor (the serial program);
+//! the progress guard and the non-finite check every method shares; and
+//! the two input checks that live in `solve` alone.
 
 use hpf_core::{ColwiseCsc, DataArrayLayout, RowwiseCsr};
 use hpf_machine::{CostModel, Machine, Topology};
 use hpf_solvers::{
-    bicg, bicgstab, cg, gmres, pcg, solve, ColwiseOperator, CscVariant, DistOperator,
-    DistPreconditioner, JacobiPrec, JacobiPreconditioner, Krylov, NullObserver, RecoveryConfig,
-    SolveStats, SolverError, StopCriterion,
+    direct, solve, ColwiseOperator, CscVariant, DistOperator, DistPreconditioner,
+    JacobiPreconditioner, Krylov, NullObserver, RecoveryConfig, Solution, SolverError,
+    StopCriterion,
 };
 use hpf_sparse::{gen, CooMatrix, CscMatrix, CsrMatrix};
 
@@ -15,16 +17,13 @@ const NP: usize = 4;
 const MAX_ITERS: usize = 2000;
 const STOP: StopCriterion = StopCriterion::RelativeResidual(1e-9);
 
-type Serial = fn(&CsrMatrix, &[f64]) -> (Vec<f64>, SolveStats);
-
-/// A distributed method (`jacobi`: precondition CG with the operator's
-/// diagonal), whether it needs an SPD system, and its serial reference.
+/// A method (`jacobi`: precondition CG with the operator's diagonal) and
+/// whether it needs an SPD system.
 struct Case {
     name: &'static str,
     method: Krylov<'static>,
     jacobi: bool,
     spd_only: bool,
-    serial: Serial,
 }
 
 fn cases() -> Vec<Case> {
@@ -32,34 +31,21 @@ fn cases() -> Vec<Case> {
         precond: None,
         recovery: Some(RecoveryConfig::default()),
     };
-    let serial_cg: Serial = |a, b| cg(a, b, STOP, MAX_ITERS).unwrap();
-    let serial_pcg: Serial =
-        |a, b| pcg(a, &JacobiPrec::new(a).unwrap(), b, STOP, MAX_ITERS).unwrap();
-    let case = |name, method, jacobi, spd_only, serial| Case {
+    let case = |name, method, jacobi, spd_only| Case {
         name,
         method,
         jacobi,
         spd_only,
-        serial,
     };
     vec![
-        case("cg", Krylov::cg(), false, true, serial_cg),
-        case("pcg-jacobi", Krylov::cg(), true, true, serial_pcg),
-        case("cg-protected", protected, false, true, serial_cg),
-        case("pcg-jacobi-protected", protected, true, true, serial_pcg),
-        case("bicg", Krylov::Bicg, false, false, |a, b| {
-            bicg(a, b, STOP, MAX_ITERS).unwrap()
-        }),
-        case("bicgstab", Krylov::Bicgstab, false, false, |a, b| {
-            bicgstab(a, b, STOP, MAX_ITERS).unwrap()
-        }),
-        case(
-            "gmres(12)",
-            Krylov::Gmres { restart: 12 },
-            false,
-            false,
-            |a, b| gmres(a, b, 12, STOP, MAX_ITERS).unwrap(),
-        ),
+        case("cg", Krylov::cg(), false, true),
+        case("pcg-jacobi", Krylov::cg(), true, true),
+        case("cg-protected", protected, false, true),
+        case("pcg-jacobi-protected", protected, true, true),
+        case("bicg", Krylov::Bicg, false, false),
+        case("bicgstab", Krylov::Bicgstab, false, false),
+        case("cgs", Krylov::Cgs, false, false),
+        case("gmres(12)", Krylov::Gmres { restart: 12 }, false, false),
     ]
 }
 
@@ -74,6 +60,28 @@ fn nonsymmetric(n: usize) -> CsrMatrix {
         }
     }
     CsrMatrix::from_coo(&coo)
+}
+
+/// Every generator family, and whether it is SPD.
+fn systems() -> Vec<(&'static str, CsrMatrix, bool)> {
+    vec![
+        ("poisson_2d", gen::poisson_2d(8, 8), true),
+        ("poisson_3d", gen::poisson_3d(4, 4, 4), true),
+        ("banded_spd", gen::banded_spd(60, 3, 5), true),
+        ("random_spd", gen::random_spd(60, 4, 7), true),
+        ("power_law_spd", gen::power_law_spd(60, 12, 0.9, 3), true),
+        (
+            "block_irregular_mesh",
+            gen::block_irregular_mesh(&[5, 20, 9, 26], 11),
+            true,
+        ),
+        (
+            "distinct_eigenvalues",
+            gen::distinct_eigenvalues(48, &[1.0, 3.0, 7.0, 12.0], 192, 5),
+            true,
+        ),
+        ("nonsym", nonsymmetric(60), false),
+    ]
 }
 
 fn layouts(a: &CsrMatrix) -> Vec<(&'static str, Box<dyn DistOperator>)> {
@@ -117,50 +125,66 @@ fn method_for<'a>(case: &Case, jacobi: &'a JacobiPreconditioner) -> Krylov<'a> {
     }
 }
 
-fn machine() -> Machine {
-    Machine::new(NP, Topology::Hypercube, CostModel::mpp_1995())
+fn machine(np: usize) -> Machine {
+    Machine::new(np, Topology::Hypercube, CostModel::mpp_1995())
 }
 
+/// `case` over `op` on a fresh machine of `np` processors.
+fn run(
+    case: &Case,
+    op: &dyn DistOperator,
+    np: usize,
+    b: &[f64],
+    stop: StopCriterion,
+    max_iters: usize,
+) -> Result<Solution, SolverError> {
+    let jacobi = JacobiPreconditioner::from_operator(op).unwrap();
+    let method = method_for(case, &jacobi);
+    solve(
+        &mut machine(np),
+        op,
+        b,
+        method,
+        stop,
+        max_iters,
+        &mut NullObserver,
+    )
+}
+
+/// The serial solver of a method is the method on one processor: each
+/// layout at NP = 4 takes its iteration count within one, and every
+/// solution agrees with dense LU. CGS breaks down on none of these
+/// systems (nor did the serial CGS), so no breakdown is tolerated.
 #[test]
 fn every_method_and_layout_matches_its_serial_solver() {
-    let systems = [
-        ("spd", gen::poisson_2d(8, 8), true),
-        ("nonsym", nonsymmetric(60), false),
-    ];
-    for (sysname, a, spd) in &systems {
+    for (sysname, a, spd) in &systems() {
         let (_, b) = gen::rhs_for_known_solution(a);
+        let x_lu = direct::solve_lu(&a.to_dense(), &b).unwrap();
+        let one = RowwiseCsr::block(a.clone(), 1, DataArrayLayout::RowAligned);
         for case in cases().iter().filter(|c| *spd || !c.spd_only) {
-            let (x_serial, s_serial) = (case.serial)(a, &b);
-            assert!(s_serial.converged, "{sysname} {}: serial", case.name);
+            let serial = run(case, &one, 1, &b, STOP, MAX_ITERS)
+                .unwrap_or_else(|e| panic!("{sysname} {}: serial: {e}", case.name));
+            assert!(serial.stats.converged, "{sysname} {}: serial", case.name);
             for (lname, op) in layouts(a) {
                 let what = format!("{sysname} {} over {lname}", case.name);
-                let jacobi = JacobiPreconditioner::from_operator(op.as_ref()).unwrap();
-                let method = method_for(case, &jacobi);
-                let mut m = machine();
-                let s = solve(
-                    &mut m,
-                    op.as_ref(),
-                    &b,
-                    method,
-                    STOP,
-                    MAX_ITERS,
-                    &mut NullObserver,
-                )
-                .unwrap_or_else(|e| panic!("{what}: {e}"));
+                let s = run(case, op.as_ref(), NP, &b, STOP, MAX_ITERS)
+                    .unwrap_or_else(|e| panic!("{what}: {e}"));
                 assert!(s.stats.converged, "{what}: {:?}", s.stats);
                 assert!(
-                    s.stats.iterations.abs_diff(s_serial.iterations) <= 1,
+                    s.stats.iterations.abs_diff(serial.stats.iterations) <= 1,
                     "{what}: {} iterations, serial {}",
                     s.stats.iterations,
-                    s_serial.iterations
+                    serial.stats.iterations
                 );
-                for (u, v) in s.x.to_global().iter().zip(&x_serial) {
-                    assert!((u - v).abs() < 1e-7, "{what}: {u} vs serial {v}");
+                for x in [&s.x, &serial.x] {
+                    for (u, v) in x.to_global().iter().zip(&x_lu) {
+                        assert!((u - v).abs() < 1e-7, "{what}: {u} vs LU {v}");
+                    }
                 }
                 assert_eq!(
                     s.recovery.is_some(),
                     matches!(
-                        method,
+                        case.method,
                         Krylov::Cg {
                             recovery: Some(_),
                             ..
@@ -168,12 +192,56 @@ fn every_method_and_layout_matches_its_serial_solver() {
                     ),
                     "{what}: recovery stats"
                 );
-                if matches!(method, Krylov::Bicg) {
+                if matches!(case.method, Krylov::Bicg) {
                     assert_eq!(s.stats.transpose_matvecs, s.stats.matvecs, "{what}");
                 } else {
                     assert_eq!(s.stats.transpose_matvecs, 0, "{what}");
                 }
             }
+        }
+    }
+}
+
+/// The progress guard and the non-finite check are the driver's, so
+/// every method has them. On a strongly non-normal upper bidiagonal no
+/// method makes progress, and `StopCriterion::Stagnation` ends each of
+/// them in a typed error well before `max_iters`; a right-hand side with
+/// a NaN in it ends each one in `NonFinite`. Both at NP = 1 and NP = 4.
+#[test]
+fn every_method_stops_with_a_typed_error_where_progress_stops() {
+    let n = 30;
+    let mut coo = CooMatrix::new(n, n);
+    for i in 0..n {
+        coo.push(i, i, 1.0).unwrap();
+        if i + 1 < n {
+            coo.push(i, i + 1, 2.5).unwrap();
+        }
+    }
+    let a = CsrMatrix::from_coo(&coo);
+    let (_, b) = gen::rhs_for_known_solution(&a);
+    let mut poisoned = b.clone();
+    poisoned[n / 2] = f64::NAN;
+    let stall = StopCriterion::Stagnation {
+        window: 10,
+        min_drop: 0.5,
+    };
+    let max_iters = 200;
+    for np in [1, NP] {
+        let op = RowwiseCsr::block(a.clone(), np, DataArrayLayout::RowAligned);
+        for case in cases() {
+            let what = format!("{} at NP = {np}", case.name);
+            match run(&case, &op, np, &b, stall, max_iters) {
+                Err(SolverError::Stagnation { iterations, .. }) => {
+                    assert!(iterations < max_iters / 4, "{what}: {iterations}")
+                }
+                other => panic!("{what}: {:?}", other.map(|s| s.stats)),
+            }
+            let out = run(&case, &op, np, &poisoned, STOP, max_iters);
+            assert!(
+                matches!(out, Err(SolverError::NonFinite { .. })),
+                "{what}: {:?}",
+                out.map(|s| s.stats)
+            );
         }
     }
 }
@@ -186,7 +254,7 @@ fn a_wrong_length_rhs_is_rejected_before_any_work() {
     let op = RowwiseCsr::block(a, NP, DataArrayLayout::RowAligned);
     let jacobi = JacobiPreconditioner::from_operator(&op).unwrap();
     for case in cases() {
-        let mut m = machine();
+        let mut m = machine(NP);
         let method = method_for(&case, &jacobi);
         let out = solve(&mut m, &op, &[1.0; 15], method, STOP, 10, &mut NullObserver);
         assert!(
@@ -211,7 +279,7 @@ fn gmres_with_a_zero_restart_is_a_typed_error() {
     let a = gen::poisson_2d(4, 4);
     let (_, b) = gen::rhs_for_known_solution(&a);
     let op = RowwiseCsr::block(a, NP, DataArrayLayout::RowAligned);
-    let mut m = machine();
+    let mut m = machine(NP);
     let method = Krylov::Gmres { restart: 0 };
     let out = solve(&mut m, &op, &b, method, STOP, 10, &mut NullObserver);
     assert!(matches!(out, Err(SolverError::ZeroRestart)), "{out:?}");

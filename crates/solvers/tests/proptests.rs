@@ -1,14 +1,15 @@
 //! Property tests over the solver family: on arbitrary generated SPD
-//! systems the iterative solvers actually solve (small residual), agree
-//! with the dense direct baseline, and respect their structural
-//! contracts (op counts, storage, honesty of `converged`).
+//! systems, on one to four processors, the iterative solvers actually
+//! solve (small residual), agree with the dense direct baseline, and
+//! respect their structural contracts (op counts, storage, honesty of
+//! `converged`).
 
 use hpf_core::{ColwiseCsc, DataArrayLayout, DistVector, RowwiseCsr};
 use hpf_dist::{ArrayDescriptor, DistSpec};
 use hpf_machine::{CostModel, FaultPlan, Machine, Topology};
 use hpf_solvers::{
-    bicg, bicgstab, cg, cgs, direct, gmres, pcg, residual_history, ColwiseOperator, CscVariant,
-    DistOperator, JacobiPrec, Krylov, SerialOperator, StopCriterion,
+    direct, residual_history, solve, ColwiseOperator, CscVariant, DistOperator, DistPreconditioner,
+    JacobiPreconditioner, Krylov, NullObserver, SolveStats, SolverError, StopCriterion,
 };
 use hpf_sparse::{gen, CscMatrix, CsrMatrix};
 use proptest::prelude::*;
@@ -35,16 +36,57 @@ fn rel_residual(a: &CsrMatrix, x: &[f64], b: &[f64]) -> f64 {
     num / den.max(1e-300)
 }
 
+/// `method` over `a` in row blocks on `np` processors (`jacobi`:
+/// preconditioned by its diagonal), the solution gathered.
+fn solve_on(
+    np: usize,
+    a: &CsrMatrix,
+    b: &[f64],
+    method: Krylov<'_>,
+    jacobi: bool,
+    stop: StopCriterion,
+    max_iters: usize,
+) -> Result<(Vec<f64>, SolveStats), SolverError> {
+    let op = RowwiseCsr::block(a.clone(), np, DataArrayLayout::RowAligned);
+    let m = jacobi
+        .then(|| JacobiPreconditioner::from_operator(&op))
+        .transpose()?;
+    let method = match (method, &m) {
+        (Krylov::Cg { recovery, .. }, Some(m)) => Krylov::Cg {
+            precond: Some(m as &dyn DistPreconditioner),
+            recovery,
+        },
+        (other, _) => other,
+    };
+    let mut machine = Machine::new(np, Topology::Hypercube, CostModel::mpp_1995());
+    let s = solve(
+        &mut machine,
+        &op,
+        b,
+        method,
+        stop,
+        max_iters,
+        &mut NullObserver,
+    )?;
+    Ok((s.x.to_global(), s.stats))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// CG solves every generated SPD system to tolerance and agrees with
-    /// dense LU.
+    /// CG solves every generated SPD system to tolerance on any number of
+    /// processors and agrees with dense LU.
     #[test]
-    fn cg_solves_random_spd(n in 4usize..48, nnz in 1usize..5, seed in any::<u64>()) {
+    fn cg_solves_random_spd(
+        n in 4usize..48,
+        nnz in 1usize..5,
+        seed in any::<u64>(),
+        np in 1usize..=4,
+    ) {
         let a = gen::random_spd(n, nnz, seed);
         let (_, b) = gen::rhs_for_known_solution(&a);
-        let (x, stats) = cg(&a, &b, StopCriterion::RelativeResidual(1e-10), 50 * n).unwrap();
+        let stop = StopCriterion::RelativeResidual(1e-10);
+        let (x, stats) = solve_on(np, &a, &b, Krylov::cg(), false, stop, 50 * n).unwrap();
         prop_assert!(stats.converged);
         prop_assert!(rel_residual(&a, &x, &b) < 1e-8);
         let x_lu = helper::direct_solution(&a, &b);
@@ -59,11 +101,16 @@ proptest! {
     /// Jacobi PCG also solves, never diverges, and its residual claim is
     /// honest (recomputable).
     #[test]
-    fn pcg_honest_on_random_spd(n in 4usize..40, nnz in 1usize..4, seed in any::<u64>()) {
+    fn pcg_honest_on_random_spd(
+        n in 4usize..40,
+        nnz in 1usize..4,
+        seed in any::<u64>(),
+        np in 1usize..=4,
+    ) {
         let a = gen::random_spd(n, nnz, seed);
         let (_, b) = gen::rhs_for_known_solution(&a);
-        let m = JacobiPrec::new(&a).unwrap();
-        let (x, stats) = pcg(&a, &m, &b, StopCriterion::RelativeResidual(1e-9), 50 * n).unwrap();
+        let stop = StopCriterion::RelativeResidual(1e-9);
+        let (x, stats) = solve_on(np, &a, &b, Krylov::cg(), true, stop, 50 * n).unwrap();
         prop_assert!(stats.converged);
         let true_res = rel_residual(&a, &x, &b);
         prop_assert!(true_res < 1e-7, "claimed {} true {}", stats.residual_norm, true_res);
@@ -73,28 +120,34 @@ proptest! {
     /// (SPD is a special case of their domain), and their structural
     /// contracts hold.
     #[test]
-    fn nonsymmetric_family_on_spd(n in 4usize..40, bw in 1usize..4, seed in any::<u64>()) {
+    fn nonsymmetric_family_on_spd(
+        n in 4usize..40,
+        bw in 1usize..4,
+        seed in any::<u64>(),
+        np in 1usize..=4,
+    ) {
         let a = gen::banded_spd(n, bw, seed);
         let (_, b) = gen::rhs_for_known_solution(&a);
         let stop = StopCriterion::RelativeResidual(1e-9);
+        let on = |method, max_iters| solve_on(np, &a, &b, method, false, stop, max_iters);
 
-        let (xb, sb) = bicg(&a, &b, stop, 50 * n).unwrap();
+        let (xb, sb) = on(Krylov::Bicg, 50 * n).unwrap();
         prop_assert!(sb.converged);
         prop_assert!(rel_residual(&a, &xb, &b) < 1e-7);
         prop_assert_eq!(sb.transpose_matvecs, sb.matvecs);
 
-        let (xs, ss) = bicgstab(&a, &b, stop, 50 * n).unwrap();
+        let (xs, ss) = on(Krylov::Bicgstab, 50 * n).unwrap();
         prop_assert!(ss.converged);
         prop_assert!(rel_residual(&a, &xs, &b) < 1e-7);
         prop_assert_eq!(ss.transpose_matvecs, 0);
 
-        if let Ok((xc, sc)) = cgs(&a, &b, stop, 50 * n) {
+        if let Ok((xc, sc)) = on(Krylov::Cgs, 50 * n) {
             if sc.converged {
                 prop_assert!(rel_residual(&a, &xc, &b) < 1e-6);
             }
         } // CGS breakdown is an accepted honest outcome.
 
-        let (xg, sg) = gmres(&a, &b, 20, stop, 100 * n).unwrap();
+        let (xg, sg) = on(Krylov::Gmres { restart: 20 }, 100 * n).unwrap();
         prop_assert!(sg.converged);
         prop_assert!(rel_residual(&a, &xg, &b) < 1e-7);
     }
@@ -132,28 +185,13 @@ proptest! {
     /// solver reports non-convergence rather than looping forever or
     /// lying.
     #[test]
-    fn impossible_tolerance_reported(n in 4usize..24, seed in any::<u64>()) {
+    fn impossible_tolerance_reported(n in 4usize..24, seed in any::<u64>(), np in 1usize..=4) {
         let a = gen::random_spd(n, 3, seed);
         let (_, b) = gen::rhs_for_known_solution(&a);
-        let (_, stats) = cg(&a, &b, StopCriterion::AbsoluteResidual(0.0), 5).unwrap();
+        let stop = StopCriterion::AbsoluteResidual(0.0);
+        let (_, stats) = solve_on(np, &a, &b, Krylov::cg(), false, stop, 5).unwrap();
         prop_assert!(!stats.converged || stats.residual_norm == 0.0);
         prop_assert!(stats.iterations <= 5);
-    }
-
-    /// The SerialOperator abstraction is coherent: apply/apply_transpose
-    /// through CSR equal the dense versions for random SPD systems.
-    #[test]
-    fn operator_trait_coherent(n in 2usize..24, seed in any::<u64>()) {
-        let a = gen::random_spd(n, 3, seed);
-        let d = a.to_dense();
-        let x: Vec<f64> = (0..n).map(|i| ((i * 11) % 7) as f64 - 3.0).collect();
-        let via_csr = SerialOperator::apply(&a, &x);
-        let via_dense = SerialOperator::apply(&d, &x);
-        for (u, v) in via_csr.iter().zip(via_dense.iter()) {
-            prop_assert!((u - v).abs() < 1e-10);
-        }
-        prop_assert_eq!(SerialOperator::dim(&a), n);
-        prop_assert_eq!(SerialOperator::diagonal(&a), SerialOperator::diagonal(&d));
     }
 
     /// `apply_into` into a dirty `q` is `apply`, bit for bit and event for

@@ -22,6 +22,30 @@ fn rel_residual(a: &CsrMatrix, x: &[f64], b: &[f64]) -> f64 {
     num / den.max(1e-300)
 }
 
+/// `method` on one processor: the serial program of the driver every
+/// processor count runs.
+fn solve_on_one(
+    a: &CsrMatrix,
+    b: &[f64],
+    method: Krylov<'_>,
+    stop: StopCriterion,
+    max_iters: usize,
+) -> Result<(Vec<f64>, SolveStats), SolverError> {
+    let mut machine = Machine::hypercube(1);
+    machine.set_tracing(false);
+    let op = RowwiseCsr::block(a.clone(), 1, DataArrayLayout::RowAligned);
+    let s = solve(
+        &mut machine,
+        &op,
+        b,
+        method,
+        stop,
+        max_iters,
+        &mut NullObserver,
+    )?;
+    Ok((s.x.to_global(), s.stats))
+}
+
 fn main() {
     let stop = StopCriterion::RelativeResidual(1e-9);
 
@@ -80,7 +104,7 @@ fn main() {
     println!("\nnon-symmetric system: n = {n2}, nnz = {}", ns.nnz());
     println!("  method     iters  matvecs  A^T  dots  residual   converged");
 
-    let (xb, sb) = bicg(&ns, &b2, stop, 10 * n2).unwrap();
+    let (xb, sb) = solve_on_one(&ns, &b2, Krylov::Bicg, stop, 10 * n2).unwrap();
     println!(
         "  BiCG      {:6}  {:7}  {:3}  {:4}  {:.1e}   {}",
         sb.iterations,
@@ -90,7 +114,7 @@ fn main() {
         rel_residual(&ns, &xb, &b2),
         sb.converged
     );
-    match cgs(&ns, &b2, stop, 10 * n2) {
+    match solve_on_one(&ns, &b2, Krylov::Cgs, stop, 10 * n2) {
         Ok((xc, sc)) => println!(
             "  CGS       {:6}  {:7}  {:3}  {:4}  {:.1e}   {}",
             sc.iterations,
@@ -102,7 +126,7 @@ fn main() {
         ),
         Err(e) => println!("  CGS       breakdown: {e} (the paper's warning about CGS)"),
     }
-    let (xs, ss) = bicgstab(&ns, &b2, stop, 10 * n2).unwrap();
+    let (xs, ss) = solve_on_one(&ns, &b2, Krylov::Bicgstab, stop, 10 * n2).unwrap();
     println!(
         "  BiCGSTAB  {:6}  {:7}  {:3}  {:4}  {:.1e}   {}",
         ss.iterations,

@@ -58,10 +58,10 @@ pub mod prelude {
     };
     pub use hpf_service::{ServiceConfig, SolveRequest, SolverKind, SolverService};
     pub use hpf_solvers::{
-        bicg, bicgstab, bicgstab_distributed, cg, cg_distributed, cg_distributed_protected, cgs,
-        gmres, pcg, pcg_jacobi_distributed, pcg_jacobi_distributed_protected, solve, JacobiPrec,
-        Krylov, NullObserver, RecoveryConfig, RecoveryStats, Solution, SolveStats, SolverError,
-        StopCriterion,
+        bicgstab_distributed, cg, cg_distributed, cg_distributed_protected, pcg_jacobi_distributed,
+        pcg_jacobi_distributed_protected, solve, DistPreconditioner, JacobiPreconditioner, Krylov,
+        NullObserver, RecoveryConfig, RecoveryStats, Solution, SolveStats, SolverError,
+        SsorPreconditioner, StopCriterion,
     };
     pub use hpf_sparse::{CooMatrix, CscMatrix, CsrMatrix, DenseMatrix};
 }

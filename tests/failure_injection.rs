@@ -43,6 +43,32 @@ fn malformed_matrix_market_rejected() {
     }
 }
 
+/// `a` in the row layout of a one-processor solve.
+fn on_one(a: &CsrMatrix) -> RowwiseCsr {
+    RowwiseCsr::block(a.clone(), 1, DataArrayLayout::RowAligned)
+}
+
+/// `method` on one processor: the serial solve.
+fn solve_on_one(
+    a: &CsrMatrix,
+    b: &[f64],
+    method: Krylov<'_>,
+    stop: StopCriterion,
+    max_iters: usize,
+) -> Result<SolveStats, SolverError> {
+    let mut m = Machine::hypercube(1);
+    Ok(solve(
+        &mut m,
+        &on_one(a),
+        b,
+        method,
+        stop,
+        max_iters,
+        &mut NullObserver,
+    )?
+    .stats)
+}
+
 #[test]
 fn solver_dimension_mismatches_rejected() {
     let a = gen::poisson_2d(4, 4);
@@ -51,14 +77,12 @@ fn solver_dimension_mismatches_rejected() {
         cg(&a, &[1.0; 3], stop, 10),
         Err(SolverError::DimensionMismatch { .. })
     ));
-    assert!(matches!(
-        bicg(&a, &[1.0; 3], stop, 10),
-        Err(SolverError::DimensionMismatch { .. })
-    ));
-    assert!(matches!(
-        bicgstab(&a, &[1.0; 3], stop, 10),
-        Err(SolverError::DimensionMismatch { .. })
-    ));
+    for method in [Krylov::Bicg, Krylov::Bicgstab, Krylov::Cgs] {
+        assert!(matches!(
+            solve_on_one(&a, &[1.0; 3], method, stop, 10),
+            Err(SolverError::DimensionMismatch { .. })
+        ));
+    }
     let d = a.to_dense();
     assert!(matches!(
         direct::solve_lu(&d, &[1.0; 3]),
@@ -110,10 +134,19 @@ fn nonconvergence_is_reported_not_hidden() {
 fn jacobi_on_zero_diagonal_rejected() {
     let coo = CooMatrix::from_triplets(2, 2, vec![(0, 1, 1.0), (1, 0, 1.0)]).unwrap();
     let a = CsrMatrix::from_coo(&coo);
-    assert!(matches!(
-        JacobiPrec::new(&a),
-        Err(SolverError::SingularMatrix { .. })
-    ));
+    for layout in [
+        on_one(&a),
+        RowwiseCsr::block(a, 2, DataArrayLayout::RowAligned),
+    ] {
+        assert!(matches!(
+            JacobiPreconditioner::from_operator(&layout),
+            Err(SolverError::SingularMatrix { .. })
+        ));
+        assert!(matches!(
+            SsorPreconditioner::new(&layout),
+            Err(SolverError::SingularMatrix { .. })
+        ));
+    }
 }
 
 #[test]
@@ -168,14 +201,10 @@ fn cgs_divergence_surfaces_as_breakdown_or_unconverged() {
         }
     }
     let a = CsrMatrix::from_coo(&coo);
-    match cgs(
-        &a,
-        &vec![1.0; n],
-        StopCriterion::RelativeResidual(1e-12),
-        30,
-    ) {
-        Err(SolverError::Breakdown { .. }) => {}
-        Ok((_, stats)) => {
+    let stop = StopCriterion::RelativeResidual(1e-12);
+    match solve_on_one(&a, &vec![1.0; n], Krylov::Cgs, stop, 30) {
+        Err(SolverError::Breakdown { .. } | SolverError::NonFinite { .. }) => {}
+        Ok(stats) => {
             // If it claims convergence the residual must actually be small.
             if stats.converged {
                 assert!(stats.residual_norm.is_finite());
