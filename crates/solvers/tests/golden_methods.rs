@@ -241,29 +241,39 @@ fn solve_digest(method: Method, op: &dyn DistOperator, b: &[f64], plan: &Option<
 }
 
 /// Every method on the SPD system, then the methods that do not need
-/// symmetry on the non-symmetric one; [`METHODS`] first, then [`JOINED`].
+/// symmetry on the non-symmetric one.
 fn cases() -> Vec<(String, u64)> {
     let mut out = Vec::new();
-    for methods in [&METHODS[..], &JOINED[..]] {
-        let systems = [("spd", spd(), false), ("nonsym", nonsymmetric(), true)];
-        for (sysname, a, general_only) in systems {
-            let (_, b) = gen::rhs_for_known_solution(&a);
-            let ops = layouts(&a);
-            for &(mname, method) in methods {
-                let general = matches!(
-                    method,
-                    Method::Bicg | Method::Bicgstab | Method::Gmres(_) | Method::Cgs
-                );
-                if general_only && !general {
-                    continue;
+    let systems = [("spd", spd(), false), ("nonsym", nonsymmetric(), true)];
+    for (sysname, a, general_only) in systems {
+        let (_, b) = gen::rhs_for_known_solution(&a);
+        let ops = layouts(&a);
+        for (mname, method) in METHODS {
+            let general = matches!(method, Method::Bicg | Method::Bicgstab | Method::Gmres(_));
+            if general_only && !general {
+                continue;
+            }
+            for (lname, op) in &ops {
+                for (pname, plan) in plans() {
+                    out.push((
+                        format!("{sysname} {mname} {lname} {pname}"),
+                        solve_digest(method, op.as_ref(), &b, &plan),
+                    ));
                 }
-                for (lname, op) in &ops {
-                    for (pname, plan) in plans() {
-                        out.push((
-                            format!("{sysname} {mname} {lname} {pname}"),
-                            solve_digest(method, op.as_ref(), &b, &plan),
-                        ));
-                    }
+            }
+        }
+    }
+    // Then every method in [`JOINED`], on both systems.
+    for (sysname, a) in [("spd", spd()), ("nonsym", nonsymmetric())] {
+        let (_, b) = gen::rhs_for_known_solution(&a);
+        let ops = layouts(&a);
+        for (mname, method) in JOINED {
+            for (lname, op) in &ops {
+                for (pname, plan) in plans() {
+                    out.push((
+                        format!("{sysname} {mname} {lname} {pname}"),
+                        solve_digest(method, op.as_ref(), &b, &plan),
+                    ));
                 }
             }
         }
