@@ -10,7 +10,9 @@
 //! trilinear interpolation `P`, so restriction `R = Pᵀ` (full weighting
 //! scaled by `2^d`) makes every level exactly symmetric — the property
 //! the outer CG needs from its preconditioner. The coarsest operator is
-//! factored once by dense Cholesky at build time.
+//! factored once by dense Cholesky, inside its envelope, at build time.
+//! Every matrix the build forms is assembled row by row in its final
+//! CSR order.
 //!
 //! Grid dims of the form `2^k − 1` per axis coarsen cleanly (every
 //! coarse node coincides with a fine node); other sizes work but leave
@@ -19,8 +21,7 @@
 use crate::smoother::SweepPlan;
 use hpf_core::{DataArrayLayout, RowwiseCsr};
 use hpf_dist::ArrayDescriptor;
-use hpf_sparse::{CooMatrix, CsrMatrix, ProductForm, RowProduct};
-use std::collections::BTreeMap;
+use hpf_sparse::{CsrMatrix, ProductForm, RowProduct};
 use std::fmt;
 
 /// Interior-node grid extents; `nz == 1` means a 2-D (5-point) problem,
@@ -196,23 +197,40 @@ pub(crate) struct DenseCholesky {
 }
 
 impl DenseCholesky {
+    /// Factor `a`'s lower triangle inside its envelope, in place. Row `i`
+    /// starts at its first stored column `first[i]` (entries left of it
+    /// are never computed and stay `+0.0`), and the chain for `L[i][j]`
+    /// starts at `k = max(first[i], first[j])`. Each skipped term is a
+    /// `+0.0` entry times a finite one, subtracted from a value that
+    /// absorbs a signed zero unchanged — any value but a stored `-0.0`,
+    /// whose chain runs from `k = 0` — so the factor, or the pivot that
+    /// fails, is the full chain's to the bit (DESIGN §22). A NaN pivot
+    /// fails like a non-positive one.
     fn factor(a: &CsrMatrix, level: usize) -> Result<Self, MgError> {
         let n = a.n_rows();
-        let mut m = vec![0.0f64; n * n];
+        let mut l = vec![0.0f64; n * n];
+        let mut first: Vec<usize> = (0..n).collect();
         for i in 0..n {
             for (j, v) in a.row(i) {
-                m[i * n + j] = v;
+                if j <= i {
+                    l[i * n + j] = v;
+                    first[i] = first[i].min(j);
+                }
             }
         }
-        let mut l = vec![0.0f64; n * n];
         for i in 0..n {
-            for j in 0..=i {
-                let mut s = m[i * n + j];
-                for k in 0..j {
+            for j in first[i]..=i {
+                let mut s = l[i * n + j];
+                let from = if s == 0.0 && s.is_sign_negative() {
+                    0
+                } else {
+                    first[i].max(first[j])
+                };
+                for k in from..j {
                     s -= l[i * n + k] * l[j * n + k];
                 }
                 if i == j {
-                    if s <= 0.0 {
+                    if s.is_nan() || s <= 0.0 {
                         return Err(MgError::NotSpd { level, pivot: i });
                     }
                     l[i * n + i] = s.sqrt();
@@ -385,85 +403,132 @@ impl MgHierarchy {
 /// 1-D interpolation weights for fine node `i`: coincident coarse nodes
 /// (fine position `2I + 1`) carry weight 1, in-between fine nodes
 /// average their two coarse neighbours (a missing neighbour is the
-/// homogeneous Dirichlet boundary).
-fn weights_1d(i: usize, nf: usize, nc: usize) -> Vec<(usize, f64)> {
-    if nf == 1 {
-        return vec![(0, 1.0)];
-    }
-    if i % 2 == 1 {
+/// homogeneous Dirichlet boundary). At most two, ascending.
+fn weights_1d(i: usize, nf: usize, nc: usize) -> impl Iterator<Item = (usize, f64)> + Clone {
+    let pair = if nf == 1 {
+        [Some((0, 1.0)), None]
+    } else if i % 2 == 1 {
         let ii = (i - 1) / 2;
-        return if ii < nc { vec![(ii, 1.0)] } else { Vec::new() };
-    }
-    let mut w = Vec::with_capacity(2);
-    let k = i / 2;
-    if k >= 1 {
-        w.push((k - 1, 0.5));
-    }
-    if k < nc {
-        w.push((k, 0.5));
-    }
-    w
+        [(ii < nc).then_some((ii, 1.0)), None]
+    } else {
+        let k = i / 2;
+        [(k >= 1).then(|| (k - 1, 0.5)), (k < nc).then_some((k, 0.5))]
+    };
+    pair.into_iter().flatten()
 }
 
 /// Bilinear (2-D) / trilinear (3-D) interpolation `P: coarse → fine` as
-/// the tensor product of the 1-D weights.
+/// the tensor product of the 1-D weights, written row by row: the loops
+/// visit fine rows in index order and each row's coarse columns
+/// ascending.
 fn interpolation(fine: GridDims, coarse: GridDims) -> CsrMatrix {
-    let mut coo = CooMatrix::new(fine.n(), coarse.n());
+    let count = |nf, nc| {
+        (0..nf)
+            .map(|i| weights_1d(i, nf, nc).count())
+            .sum::<usize>()
+    };
+    let nnz = count(fine.nx, coarse.nx) * count(fine.ny, coarse.ny) * count(fine.nz, coarse.nz);
+    let mut row_ptr = Vec::with_capacity(fine.n() + 1);
+    row_ptr.push(0);
+    let mut col_idx = Vec::with_capacity(nnz);
+    let mut values = Vec::with_capacity(nnz);
     for i in 0..fine.nx {
         let wx = weights_1d(i, fine.nx, coarse.nx);
         for j in 0..fine.ny {
             let wy = weights_1d(j, fine.ny, coarse.ny);
             for k in 0..fine.nz {
                 let wz = weights_1d(k, fine.nz, coarse.nz);
-                let row = fine.index(i, j, k);
-                for &(ix, vx) in &wx {
-                    for &(jy, vy) in &wy {
-                        for &(kz, vz) in &wz {
-                            coo.push(row, coarse.index(ix, jy, kz), vx * vy * vz)
-                                .expect("indices in range by construction");
+                for (ix, vx) in wx.clone() {
+                    for (jy, vy) in wy.clone() {
+                        for (kz, vz) in wz.clone() {
+                            col_idx.push(coarse.index(ix, jy, kz));
+                            values.push(vx * vy * vz);
                         }
                     }
                 }
+                row_ptr.push(col_idx.len());
             }
         }
     }
-    CsrMatrix::from_coo(&coo)
+    CsrMatrix::from_raw(fine.n(), coarse.n(), row_ptr, col_idx, values)
+        .expect("coarse indices in range by construction")
 }
 
-/// Galerkin triple product `Pᵀ A P` (exact, deterministic: BTreeMap
-/// accumulators keep summation order fixed).
+/// Galerkin triple product `Pᵀ A P` as two row-by-row products:
+/// `B = A·P`, then `C = Pᵀ·B` over a counting-sort transpose, with the
+/// zeros of `C` dropped. Every entry receives its terms in a fixed order
+/// (see [`gustavson`]), so the result is deterministic to the bit. `B`
+/// is read only by the second product, which adds at most one term per
+/// row of `B` to each entry of `C`, so `B`'s rows are left unsorted.
 fn galerkin(a: &CsrMatrix, p: &CsrMatrix) -> CsrMatrix {
-    let nf = a.n_rows();
-    let nc = p.n_cols();
-    // B = A·P, one accumulator row at a time.
-    let mut b: Vec<Vec<(usize, f64)>> = Vec::with_capacity(nf);
+    let b = gustavson(a, p, false);
+    gustavson(&transpose(p), &b, true)
+}
+
+/// `X·Y` one row at a time (Gustavson), through one dense accumulator, a
+/// marker per column and the list of columns a row touched. Entry
+/// `(i, c)` starts at `+0.0` and adds `x_ik·y_kc` in the order row `i`
+/// of `X` lists `k`, then row `k` of `Y` lists `c`. A row is stored in
+/// the order its columns were first touched, zeros kept; with `tidy`,
+/// ascending and with its zeros dropped.
+fn gustavson(x: &CsrMatrix, y: &CsrMatrix, tidy: bool) -> CsrMatrix {
+    let (rows, cols) = (x.n_rows(), y.n_cols());
+    // `acc` is back at +0.0 after every row; `touched[len]` is written for
+    // every term and kept only for a column's first (no branch to miss).
+    let mut acc = vec![0.0f64; cols];
+    let mut mark = vec![usize::MAX; cols];
+    let mut touched = vec![0usize; cols + 1];
+    let mut row_ptr = Vec::with_capacity(rows + 1);
+    row_ptr.push(0);
+    let (mut col_idx, mut values) = (Vec::new(), Vec::new());
+    for i in 0..rows {
+        let mut len = 0;
+        for (k, xik) in x.row(i) {
+            for (c, ykc) in y.row(k) {
+                touched[len] = c;
+                len += usize::from(mark[c] != i);
+                mark[c] = i;
+                acc[c] += xik * ykc;
+            }
+        }
+        let row = &mut touched[..len];
+        if tidy {
+            row.sort_unstable();
+        }
+        for &c in row.iter() {
+            if !tidy || acc[c] != 0.0 {
+                col_idx.push(c);
+                values.push(acc[c]);
+            }
+            acc[c] = 0.0;
+        }
+        row_ptr.push(col_idx.len());
+    }
+    CsrMatrix::from_raw(rows, cols, row_ptr, col_idx, values).expect("columns of Y are in range")
+}
+
+/// `Pᵀ` by a counting sort over `P`'s columns: row `I` lists the fine
+/// rows that reference coarse node `I`, ascending, each in `P`'s order.
+fn transpose(p: &CsrMatrix) -> CsrMatrix {
+    let (nf, nc) = (p.n_rows(), p.n_cols());
+    let mut row_ptr = vec![0usize; nc + 1];
+    for &c in p.col_idx() {
+        row_ptr[c + 1] += 1;
+    }
+    for c in 0..nc {
+        row_ptr[c + 1] += row_ptr[c];
+    }
+    let mut next = row_ptr[..nc].to_vec();
+    let mut col_idx = vec![0usize; p.nnz()];
+    let mut values = vec![0.0f64; p.nnz()];
     for i in 0..nf {
-        let mut acc: BTreeMap<usize, f64> = BTreeMap::new();
-        for (j, aij) in a.row(i) {
-            for (jj, pj) in p.row(j) {
-                *acc.entry(jj).or_insert(0.0) += aij * pj;
-            }
-        }
-        b.push(acc.into_iter().collect());
-    }
-    // C = Pᵀ·B.
-    let mut c: Vec<BTreeMap<usize, f64>> = vec![BTreeMap::new(); nc];
-    for i in 0..nf {
-        for (ii, pi) in p.row(i) {
-            for &(jj, v) in &b[i] {
-                *c[ii].entry(jj).or_insert(0.0) += pi * v;
-            }
+        for (c, v) in p.row(i) {
+            col_idx[next[c]] = i;
+            values[next[c]] = v;
+            next[c] += 1;
         }
     }
-    let mut coo = CooMatrix::new(nc, nc);
-    for (i, row) in c.iter().enumerate() {
-        for (&j, &v) in row {
-            if v != 0.0 {
-                coo.push(i, j, v).expect("indices in range");
-            }
-        }
-    }
-    CsrMatrix::from_coo(&coo)
+    CsrMatrix::from_raw(nc, nf, row_ptr, col_idx, values).expect("fine rows are in range")
 }
 
 /// Rows processor `p` owns (empty when it owns none).
@@ -531,20 +596,21 @@ fn transfer(p: CsrMatrix, fdesc: &ArrayDescriptor, cdesc: &ArrayDescriptor) -> T
     let mut prolong_flops = vec![0usize; np];
     // Restriction rc = Pᵀ rr: the owner of coarse entry I consumes fine
     // entries i with P[i,I] ≠ 0; each off-processor fine entry moves
-    // once per destination.
+    // once per destination. A trilinear row has at most 8 coarse entries,
+    // so at most 8 destinations.
     for i in 0..nf {
         let pf = fdesc.owner(i);
-        let mut dests: Vec<usize> = Vec::new();
+        let mut dests = [0usize; 8];
+        let mut n_dests = 0;
         for (ii, _) in p.row(i) {
             let qc = cdesc.owner(ii);
             restrict_flops[qc] += 2;
             prolong_flops[pf] += 2;
-            if qc != pf && !dests.contains(&qc) {
-                dests.push(qc);
+            if qc != pf && !dests[..n_dests].contains(&qc) {
+                dests[n_dests] = qc;
+                n_dests += 1;
+                restrict_traffic[pf][qc] += 1;
             }
-        }
-        for &q in &dests {
-            restrict_traffic[pf][q] += 1;
         }
     }
     // Prolongation z += P zc: the owner of fine entry i consumes the
@@ -573,6 +639,333 @@ fn transfer(p: CsrMatrix, fdesc: &ArrayDescriptor, cdesc: &ArrayDescriptor) -> T
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hpf_sparse::CooMatrix;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    /// The 1-D weights as they were, one `Vec` a node.
+    fn weights_1d_vec(i: usize, nf: usize, nc: usize) -> Vec<(usize, f64)> {
+        if nf == 1 {
+            return vec![(0, 1.0)];
+        }
+        if i % 2 == 1 {
+            let ii = (i - 1) / 2;
+            return if ii < nc { vec![(ii, 1.0)] } else { Vec::new() };
+        }
+        let mut w = Vec::with_capacity(2);
+        let k = i / 2;
+        if k >= 1 {
+            w.push((k - 1, 0.5));
+        }
+        if k < nc {
+            w.push((k, 0.5));
+        }
+        w
+    }
+
+    /// The interpolation as it was: triplets sorted by `from_coo`.
+    fn interpolation_coo(fine: GridDims, coarse: GridDims) -> CsrMatrix {
+        let mut coo = CooMatrix::new(fine.n(), coarse.n());
+        for i in 0..fine.nx {
+            let wx = weights_1d_vec(i, fine.nx, coarse.nx);
+            for j in 0..fine.ny {
+                let wy = weights_1d_vec(j, fine.ny, coarse.ny);
+                for k in 0..fine.nz {
+                    let wz = weights_1d_vec(k, fine.nz, coarse.nz);
+                    let row = fine.index(i, j, k);
+                    for &(ix, vx) in &wx {
+                        for &(jy, vy) in &wy {
+                            for &(kz, vz) in &wz {
+                                coo.push(row, coarse.index(ix, jy, kz), vx * vy * vz)
+                                    .unwrap();
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        CsrMatrix::from_coo(&coo)
+    }
+
+    /// The Galerkin product as it was: `BTreeMap` accumulators, `C`
+    /// scattered fine row by fine row.
+    fn galerkin_btreemap(a: &CsrMatrix, p: &CsrMatrix) -> CsrMatrix {
+        let nf = a.n_rows();
+        let nc = p.n_cols();
+        let mut b: Vec<Vec<(usize, f64)>> = Vec::with_capacity(nf);
+        for i in 0..nf {
+            let mut acc: BTreeMap<usize, f64> = BTreeMap::new();
+            for (j, aij) in a.row(i) {
+                for (jj, pj) in p.row(j) {
+                    *acc.entry(jj).or_insert(0.0) += aij * pj;
+                }
+            }
+            b.push(acc.into_iter().collect());
+        }
+        let mut c: Vec<BTreeMap<usize, f64>> = vec![BTreeMap::new(); nc];
+        for i in 0..nf {
+            for (ii, pi) in p.row(i) {
+                for &(jj, v) in &b[i] {
+                    *c[ii].entry(jj).or_insert(0.0) += pi * v;
+                }
+            }
+        }
+        let mut coo = CooMatrix::new(nc, nc);
+        for (i, row) in c.iter().enumerate() {
+            for (&j, &v) in row {
+                if v != 0.0 {
+                    coo.push(i, j, v).unwrap();
+                }
+            }
+        }
+        CsrMatrix::from_coo(&coo)
+    }
+
+    /// The dense Cholesky as it was: every chain from `k = 0` over a dense
+    /// copy of `a` (with the NaN pivot refused, as `factor` refuses it).
+    fn factor_full_chain(a: &CsrMatrix, level: usize) -> Result<DenseCholesky, MgError> {
+        let n = a.n_rows();
+        let mut m = vec![0.0f64; n * n];
+        for i in 0..n {
+            for (j, v) in a.row(i) {
+                m[i * n + j] = v;
+            }
+        }
+        let mut l = vec![0.0f64; n * n];
+        for i in 0..n {
+            for j in 0..=i {
+                let mut s = m[i * n + j];
+                for k in 0..j {
+                    s -= l[i * n + k] * l[j * n + k];
+                }
+                if i == j {
+                    if s.is_nan() || s <= 0.0 {
+                        return Err(MgError::NotSpd { level, pivot: i });
+                    }
+                    l[i * n + i] = s.sqrt();
+                } else {
+                    l[i * n + j] = s / l[j * n + j];
+                }
+            }
+        }
+        Ok(DenseCholesky { n, l })
+    }
+
+    fn assert_same_csr(got: &CsrMatrix, want: &CsrMatrix, what: &str) {
+        assert_eq!(
+            (got.n_rows(), got.n_cols()),
+            (want.n_rows(), want.n_cols()),
+            "{what}: shape"
+        );
+        assert_eq!(got.row_ptr(), want.row_ptr(), "{what}: row_ptr");
+        assert_eq!(got.col_idx(), want.col_idx(), "{what}: col_idx");
+        let bits = |m: &CsrMatrix| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(got), bits(want), "{what}: values");
+    }
+
+    fn assert_same_factor(a: &CsrMatrix, level: usize, what: &str) {
+        match (DenseCholesky::factor(a, level), factor_full_chain(a, level)) {
+            (Ok(got), Ok(want)) => {
+                assert_eq!(got.n, want.n, "{what}: order");
+                let bits = |c: &DenseCholesky| c.l.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "{what}: factor");
+            }
+            (Err(got), Err(want)) => assert_eq!(got, want, "{what}"),
+            (got, want) => panic!(
+                "{what}: {:?} against the full chain's {:?}",
+                got.err(),
+                want.err()
+            ),
+        }
+    }
+
+    /// The largest coarse level of a grid with extents up to 17 (8³). The
+    /// full chain costs n³/6, so larger levels — which no hierarchy the
+    /// workspace builds factors — are held by their Galerkin product only.
+    const FACTORED_UP_TO: usize = 512;
+
+    /// Walks `dims` down to its coarsest grid, holding every interpolation
+    /// and Galerkin product to the old assembly's arrays, and the coarsest
+    /// operator of every depth `supports_levels` allows (up to
+    /// `FACTORED_UP_TO` rows) to the full-chain factor, bit for bit.
+    /// Returns the deepest depth reached.
+    fn assert_hierarchy_matches_the_oracles(dims: GridDims) -> usize {
+        let (mut f, mut a, mut depth) = (dims, dims.poisson(), 1);
+        while let Some(c) = f.coarsen() {
+            let what = format!("{dims}, {f} -> {c}");
+            let p = interpolation(f, c);
+            assert_same_csr(&p, &interpolation_coo(f, c), &format!("{what}: P"));
+            let a_c = galerkin(&a, &p);
+            assert_same_csr(&a_c, &galerkin_btreemap(&a, &p), &format!("{what}: PᵀAP"));
+            depth += 1;
+            assert!(dims.supports_levels(depth), "{what}");
+            if a_c.n_rows() <= FACTORED_UP_TO {
+                assert_same_factor(&a_c, depth - 1, &format!("{what}: Cholesky"));
+            }
+            (f, a) = (c, a_c);
+        }
+        assert!(!dims.supports_levels(depth + 1), "{dims}");
+        depth
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Every matrix the hierarchy builds, on 2-D and 3-D grids with
+        /// extents 1–17 (most not of the form 2^k − 1, so their last plane
+        /// interpolates one-sidedly), at every depth the grid allows.
+        #[test]
+        fn every_level_is_assembled_to_the_oracles_bits(
+            three_d in any::<bool>(),
+            nx in 1usize..=17,
+            ny in 1usize..=17,
+            nz in 1usize..=17,
+        ) {
+            let dims = if three_d { GridDims::d3(nx, ny, nz) } else { GridDims::d2(nx, ny) };
+            assert_hierarchy_matches_the_oracles(dims);
+        }
+
+        /// Where summation order shows. Every sum on a Poisson level is
+        /// exact (integer stencils, dyadic weights), so there the terms
+        /// could come in any order without a bit moving. Here `A` and `P`
+        /// hold arbitrary values, explicit `±0.0` among them, in rows that
+        /// may be unsorted and may store a column twice.
+        #[test]
+        fn galerkin_adds_in_the_oracles_order_on_any_csr(
+            nf in 1usize..40,
+            nc in 1usize..20,
+            a_rows in proptest::collection::vec(proptest::collection::vec((0usize..1000, entry()), 0..7), 40),
+            p_rows in proptest::collection::vec(proptest::collection::vec((0usize..1000, entry()), 0..5), 40),
+        ) {
+            let a = csr(nf, &a_rows[..nf]);
+            let p = csr(nc, &p_rows[..nf]);
+            assert_same_csr(&galerkin(&a, &p), &galerkin_btreemap(&a, &p), "arbitrary A, P");
+        }
+
+        /// The envelope on lower triangles whose rows start anywhere, with
+        /// explicit `±0.0` inside them, SPD or not: the same factor, or
+        /// the same failing pivot, as the full chain.
+        #[test]
+        fn cholesky_envelope_matches_the_full_chain_on_any_envelope(
+            n in 1usize..24,
+            starts in proptest::collection::vec(0usize..1000, 24),
+            stream in proptest::collection::vec(entry(), 300),
+            weight in 0.0f64..2.0,
+        ) {
+            let mut next = stream.iter().copied().cycle();
+            let rows: Vec<Vec<(usize, f64)>> = (0..n)
+                .map(|i| {
+                    let first = starts[i] % (i + 1);
+                    let mut row: Vec<(usize, f64)> =
+                        (first..i).map(|j| (j, next.next().unwrap())).collect();
+                    let dominance = weight * (i - first + 1) as f64;
+                    row.push((i, next.next().unwrap() + dominance));
+                    row
+                })
+                .collect();
+            assert_same_factor(&csr(n, &rows), 1, "arbitrary envelope");
+        }
+    }
+
+    /// A value of a generated matrix: `+0.0`, `−0.0` or an arbitrary one.
+    fn entry() -> impl Strategy<Value = f64> {
+        prop_oneof![Just(0.0f64), Just(-0.0f64), -1.0f64..1.0]
+    }
+
+    /// `rows.len() × n_cols` CSR holding `rows` as given (columns taken
+    /// mod `n_cols`), in their order.
+    fn csr(n_cols: usize, rows: &[Vec<(usize, f64)>]) -> CsrMatrix {
+        let mut row_ptr = vec![0];
+        let (mut col_idx, mut values) = (Vec::new(), Vec::new());
+        for row in rows {
+            for &(c, v) in row {
+                col_idx.push(c % n_cols);
+                values.push(v);
+            }
+            row_ptr.push(col_idx.len());
+        }
+        CsrMatrix::from_raw(rows.len(), n_cols, row_ptr, col_idx, values).unwrap()
+    }
+
+    #[test]
+    fn the_benchmark_and_test_grids_are_assembled_to_the_oracles_bits() {
+        for (dims, depth) in [
+            (GridDims::d3(31, 31, 31), 5),
+            (GridDims::d3(15, 15, 15), 4),
+            (GridDims::d3(9, 6, 11), 2),
+            (GridDims::d2(31, 31), 5),
+            (GridDims::d2(15, 7), 4),
+        ] {
+            assert_eq!(assert_hierarchy_matches_the_oracles(dims), depth, "{dims}");
+        }
+    }
+
+    /// The symmetric matrix whose lower triangle is `entries`, every one
+    /// stored (zeros included).
+    fn symmetric_csr(n: usize, entries: &[(usize, usize, f64)]) -> CsrMatrix {
+        let mut coo = CooMatrix::new(n, n);
+        for &(i, j, v) in entries {
+            coo.push(i, j, v).unwrap();
+            if i != j {
+                coo.push(j, i, v).unwrap();
+            }
+        }
+        CsrMatrix::from_coo(&coo)
+    }
+
+    /// A stored `+0.0` widens a row's envelope and changes nothing; a
+    /// stored `-0.0` runs its chain from column 0, because the envelope's
+    /// skipped term `+0.0 · L[1][0]` is `−0.0` here and `−0.0 − (−0.0)`
+    /// is `+0.0`.
+    #[test]
+    fn cholesky_with_stored_signed_zeros_matches_the_full_chain() {
+        let a = symmetric_csr(
+            4,
+            &[
+                (0, 0, 4.0),
+                (1, 0, -1.0),
+                (1, 1, 4.0),
+                (2, 1, -0.0),
+                (2, 2, 4.0),
+                (3, 0, 0.0),
+                (3, 2, -1.0),
+                (3, 3, 4.0),
+            ],
+        );
+        assert_eq!(a.nnz(), 12, "both zeros are stored");
+        assert_same_factor(&a, 1, "signed zeros");
+        let c = DenseCholesky::factor(&a, 1).unwrap();
+        assert_eq!(
+            c.l[2 * 4 + 1].to_bits(),
+            0.0f64.to_bits(),
+            "L[2][1] is +0.0"
+        );
+    }
+
+    #[test]
+    fn cholesky_refuses_a_nan_pivot() {
+        // A NaN on the diagonal is the pivot itself.
+        let a = symmetric_csr(
+            3,
+            &[(0, 0, 4.0), (1, 1, f64::NAN), (2, 1, -1.0), (2, 2, 4.0)],
+        );
+        assert_eq!(
+            DenseCholesky::factor(&a, 2).err(),
+            Some(MgError::NotSpd { level: 2, pivot: 1 })
+        );
+        assert_same_factor(&a, 2, "NaN diagonal");
+        // A NaN off the diagonal makes L[2][0] NaN, and its square reaches
+        // the next pivot.
+        let a = symmetric_csr(
+            3,
+            &[(0, 0, 4.0), (1, 1, 4.0), (2, 0, f64::NAN), (2, 2, 4.0)],
+        );
+        assert_eq!(
+            DenseCholesky::factor(&a, 1).err(),
+            Some(MgError::NotSpd { level: 1, pivot: 2 })
+        );
+        assert_same_factor(&a, 1, "NaN off the diagonal");
+    }
 
     #[test]
     fn coarsening_halves_pow2_minus_1_dims_exactly() {

@@ -17,68 +17,105 @@ use crate::csr::CsrMatrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// A square matrix assembled row by row in its final order: each row's
+/// entries are pushed with their columns ascending, so the arrays are the
+/// ones `CsrMatrix::from_coo` would sort the same entries into.
+struct CsrRows {
+    row_ptr: Vec<usize>,
+    col_idx: Vec<usize>,
+    values: Vec<f64>,
+}
+
+impl CsrRows {
+    fn with_capacity(n: usize, nnz: usize) -> Self {
+        let mut row_ptr = Vec::with_capacity(n + 1);
+        row_ptr.push(0);
+        CsrRows {
+            row_ptr,
+            col_idx: Vec::with_capacity(nnz),
+            values: Vec::with_capacity(nnz),
+        }
+    }
+
+    fn push(&mut self, col: usize, value: f64) {
+        self.col_idx.push(col);
+        self.values.push(value);
+    }
+
+    fn end_row(&mut self) {
+        self.row_ptr.push(self.col_idx.len());
+    }
+
+    fn finish(self, n: usize) -> CsrMatrix {
+        CsrMatrix::from_raw(n, n, self.row_ptr, self.col_idx, self.values)
+            .expect("stencil rows are in range by construction")
+    }
+}
+
 /// 2-D Poisson problem (5-point stencil) on an `nx` x `ny` grid with
 /// Dirichlet boundaries: the classic CFD/structural model problem.
 /// Symmetric positive definite, n = nx*ny, ≤ 5 entries per row.
 pub fn poisson_2d(nx: usize, ny: usize) -> CsrMatrix {
     assert!(nx > 0 && ny > 0);
     let n = nx * ny;
-    let idx = |i: usize, j: usize| i * ny + j;
-    let mut coo = CooMatrix::new(n, n);
+    let mut rows = CsrRows::with_capacity(n, n + 2 * ((nx - 1) * ny + nx * (ny - 1)));
     for i in 0..nx {
         for j in 0..ny {
-            let me = idx(i, j);
-            coo.push(me, me, 4.0).unwrap();
+            let me = i * ny + j;
             if i > 0 {
-                coo.push(me, idx(i - 1, j), -1.0).unwrap();
-            }
-            if i + 1 < nx {
-                coo.push(me, idx(i + 1, j), -1.0).unwrap();
+                rows.push(me - ny, -1.0);
             }
             if j > 0 {
-                coo.push(me, idx(i, j - 1), -1.0).unwrap();
+                rows.push(me - 1, -1.0);
             }
+            rows.push(me, 4.0);
             if j + 1 < ny {
-                coo.push(me, idx(i, j + 1), -1.0).unwrap();
+                rows.push(me + 1, -1.0);
             }
+            if i + 1 < nx {
+                rows.push(me + ny, -1.0);
+            }
+            rows.end_row();
         }
     }
-    CsrMatrix::from_coo(&coo)
+    rows.finish(n)
 }
 
 /// 3-D Poisson problem (7-point stencil) on an `nx` x `ny` x `nz` grid.
 pub fn poisson_3d(nx: usize, ny: usize, nz: usize) -> CsrMatrix {
     assert!(nx > 0 && ny > 0 && nz > 0);
     let n = nx * ny * nz;
-    let idx = |i: usize, j: usize, k: usize| (i * ny + j) * nz + k;
-    let mut coo = CooMatrix::new(n, n);
+    let plane = ny * nz;
+    let couplings = (nx - 1) * plane + nx * (ny - 1) * nz + nx * ny * (nz - 1);
+    let mut rows = CsrRows::with_capacity(n, n + 2 * couplings);
     for i in 0..nx {
         for j in 0..ny {
             for k in 0..nz {
-                let me = idx(i, j, k);
-                coo.push(me, me, 6.0).unwrap();
+                let me = (i * ny + j) * nz + k;
                 if i > 0 {
-                    coo.push(me, idx(i - 1, j, k), -1.0).unwrap();
-                }
-                if i + 1 < nx {
-                    coo.push(me, idx(i + 1, j, k), -1.0).unwrap();
+                    rows.push(me - plane, -1.0);
                 }
                 if j > 0 {
-                    coo.push(me, idx(i, j - 1, k), -1.0).unwrap();
-                }
-                if j + 1 < ny {
-                    coo.push(me, idx(i, j + 1, k), -1.0).unwrap();
+                    rows.push(me - nz, -1.0);
                 }
                 if k > 0 {
-                    coo.push(me, idx(i, j, k - 1), -1.0).unwrap();
+                    rows.push(me - 1, -1.0);
                 }
+                rows.push(me, 6.0);
                 if k + 1 < nz {
-                    coo.push(me, idx(i, j, k + 1), -1.0).unwrap();
+                    rows.push(me + 1, -1.0);
                 }
+                if j + 1 < ny {
+                    rows.push(me + nz, -1.0);
+                }
+                if i + 1 < nx {
+                    rows.push(me + plane, -1.0);
+                }
+                rows.end_row();
             }
         }
     }
-    CsrMatrix::from_coo(&coo)
+    rows.finish(n)
 }
 
 /// Symmetric positive-definite banded matrix with given half-bandwidth:
@@ -297,6 +334,99 @@ pub fn rhs_for_known_solution(a: &CsrMatrix) -> (Vec<f64>, Vec<f64>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The 5-point generator as it was: triplets in stencil order, sorted
+    /// by `from_coo`. The oracle for the row-by-row assembly.
+    fn poisson_2d_coo(nx: usize, ny: usize) -> CsrMatrix {
+        let n = nx * ny;
+        let idx = |i: usize, j: usize| i * ny + j;
+        let mut coo = CooMatrix::new(n, n);
+        for i in 0..nx {
+            for j in 0..ny {
+                let me = idx(i, j);
+                coo.push(me, me, 4.0).unwrap();
+                if i > 0 {
+                    coo.push(me, idx(i - 1, j), -1.0).unwrap();
+                }
+                if i + 1 < nx {
+                    coo.push(me, idx(i + 1, j), -1.0).unwrap();
+                }
+                if j > 0 {
+                    coo.push(me, idx(i, j - 1), -1.0).unwrap();
+                }
+                if j + 1 < ny {
+                    coo.push(me, idx(i, j + 1), -1.0).unwrap();
+                }
+            }
+        }
+        CsrMatrix::from_coo(&coo)
+    }
+
+    /// The 7-point generator as it was.
+    fn poisson_3d_coo(nx: usize, ny: usize, nz: usize) -> CsrMatrix {
+        let n = nx * ny * nz;
+        let idx = |i: usize, j: usize, k: usize| (i * ny + j) * nz + k;
+        let mut coo = CooMatrix::new(n, n);
+        for i in 0..nx {
+            for j in 0..ny {
+                for k in 0..nz {
+                    let me = idx(i, j, k);
+                    coo.push(me, me, 6.0).unwrap();
+                    if i > 0 {
+                        coo.push(me, idx(i - 1, j, k), -1.0).unwrap();
+                    }
+                    if i + 1 < nx {
+                        coo.push(me, idx(i + 1, j, k), -1.0).unwrap();
+                    }
+                    if j > 0 {
+                        coo.push(me, idx(i, j - 1, k), -1.0).unwrap();
+                    }
+                    if j + 1 < ny {
+                        coo.push(me, idx(i, j + 1, k), -1.0).unwrap();
+                    }
+                    if k > 0 {
+                        coo.push(me, idx(i, j, k - 1), -1.0).unwrap();
+                    }
+                    if k + 1 < nz {
+                        coo.push(me, idx(i, j, k + 1), -1.0).unwrap();
+                    }
+                }
+            }
+        }
+        CsrMatrix::from_coo(&coo)
+    }
+
+    fn assert_same_arrays(got: &CsrMatrix, want: &CsrMatrix, what: &str) {
+        assert_eq!(got.n_rows(), want.n_rows(), "{what}: rows");
+        assert_eq!(got.n_cols(), want.n_cols(), "{what}: cols");
+        assert_eq!(got.row_ptr(), want.row_ptr(), "{what}: row_ptr");
+        assert_eq!(got.col_idx(), want.col_idx(), "{what}: col_idx");
+        let bits = |m: &CsrMatrix| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(got), bits(want), "{what}: values");
+    }
+
+    /// An extent of 1 half the time, so every axis meets the degenerate
+    /// grid line, plane and point.
+    fn extent() -> impl Strategy<Value = usize> {
+        prop_oneof![Just(1usize), 1usize..=17]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The generators assemble straight into CSR and store the arrays
+        /// the triplet assembly sorted into, to the bit.
+        #[test]
+        fn stencil_rows_are_the_sorted_triplets(nx in extent(), ny in extent(), nz in extent()) {
+            assert_same_arrays(&poisson_2d(nx, ny), &poisson_2d_coo(nx, ny), &format!("2-D {nx}x{ny}"));
+            assert_same_arrays(
+                &poisson_3d(nx, ny, nz),
+                &poisson_3d_coo(nx, ny, nz),
+                &format!("3-D {nx}x{ny}x{nz}"),
+            );
+        }
+    }
 
     #[test]
     fn poisson_2d_shape_and_symmetry() {
