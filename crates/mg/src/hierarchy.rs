@@ -10,9 +10,11 @@
 //! trilinear interpolation `P`, so restriction `R = Pᵀ` (full weighting
 //! scaled by `2^d`) makes every level exactly symmetric — the property
 //! the outer CG needs from its preconditioner. The coarsest operator is
-//! factored once by dense Cholesky, inside its envelope, at build time.
-//! Every matrix the build forms is assembled row by row in its final
-//! CSR order.
+//! factored once by Cholesky at build time, inside its envelope, and kept
+//! as that envelope. Every matrix the build forms is assembled row by
+//! row in its final CSR order; the interpolation is read for the
+//! Galerkin product and the transfer shapes, then dropped, and the cycle
+//! applies it by its 1-D weights.
 //!
 //! Grid dims of the form `2^k − 1` per axis coarsen cleanly (every
 //! coarse node coincides with a fine node); other sizes work but leave
@@ -160,11 +162,64 @@ impl fmt::Display for MgError {
 
 impl std::error::Error for MgError {}
 
-/// Inter-level transfer: the interpolation matrix and the communication
-/// shapes its two directions induce under `(BLOCK)` ownership.
+/// At most three `(index, weight)` pairs, ascending.
+#[derive(Debug, Clone, Copy, Default)]
+struct Pairs {
+    len: usize,
+    at: [(usize, f64); 3],
+}
+
+impl Pairs {
+    fn push(&mut self, pair: (usize, f64)) {
+        self.at[self.len] = pair;
+        self.len += 1;
+    }
+
+    fn get(&self) -> &[(usize, f64)] {
+        &self.at[..self.len]
+    }
+}
+
+/// One axis of the interpolation's tensor product: the 1-D weights of
+/// every fine index (`weights_1d`), and the same pairs seen from the
+/// coarse side.
+#[derive(Debug)]
+struct Axis {
+    /// Fine index → its at most two coarse neighbours.
+    to_coarse: Vec<Pairs>,
+    /// Coarse index → the at most three fine indices that name it.
+    to_fine: Vec<Pairs>,
+}
+
+impl Axis {
+    fn new(nf: usize, nc: usize) -> Self {
+        let mut to_coarse = vec![Pairs::default(); nf];
+        let mut to_fine = vec![Pairs::default(); nc];
+        for i in 0..nf {
+            for (c, w) in weights_1d(i, nf, nc) {
+                to_coarse[i].push((c, w));
+                to_fine[c].push((i, w));
+            }
+        }
+        Axis { to_coarse, to_fine }
+    }
+}
+
+/// Inter-level transfer: the interpolation `P` applied as the tensor
+/// product of its 1-D weights, and the communication shapes its two
+/// directions induce under `(BLOCK)` ownership.
+///
+/// `P`'s entry for fine row `(i, j, k)` and coarse column `(I, J, K)` is
+/// `vx · vy · vz`, the product of the three axes' weights, and its row
+/// lists the columns with `I` outermost. Both kernels form exactly those
+/// values and add them in the order the stored matrix's kernels did, so
+/// they return its bits (DESIGN §16).
 pub(crate) struct Transfer {
-    /// `n_fine × n_coarse` bilinear / trilinear interpolation.
-    pub p: CsrMatrix,
+    fine: GridDims,
+    coarse: GridDims,
+    x: Axis,
+    y: Axis,
+    z: Axis,
     /// `restrict_traffic[p][q]`: words processor `p` sends `q` so `q`
     /// can form its coarse entries of `rc = Pᵀ rr`.
     pub restrict_traffic: Vec<Vec<usize>>,
@@ -175,12 +230,123 @@ pub(crate) struct Transfer {
     pub prolong_flops: Vec<usize>,
 }
 
+impl Transfer {
+    /// `rc = Pᵀ rr`, overwriting `rc`: coarse entry `(I, J, K)` is
+    /// `0.0 + Σ (vx·vy)·vz · rr[f]` over the fine rows `f` that name it,
+    /// ascending — the terms the scatter `rc[c] += P[f][c] · rr[f]` adds,
+    /// in its order. The scatter skipped `rr[f] == 0`; every weight is
+    /// finite and nonzero, so such a term is `±0.0`, and a sum that
+    /// starts at `+0.0` is never `−0.0` for it to change.
+    pub fn restrict_into(&self, rr: &[f64], rc: &mut [f64]) {
+        assert!(
+            rr.len() == self.fine.n() && rc.len() == self.coarse.n(),
+            "restrict: vector lengths"
+        );
+        let mut lines = rc.chunks_exact_mut(self.coarse.nz);
+        for px in &self.x.to_fine {
+            for py in &self.y.to_fine {
+                let (xy, m) = line_weights::<9>(px, py, self.fine);
+                let line = lines.next().expect("a coarse line per (I, J)");
+                let z = &self.z.to_fine;
+                match m {
+                    1 => apply_line::<1, false>(&xy, z, rr, line),
+                    3 => apply_line::<3, false>(&xy, z, rr, line),
+                    9 => apply_line::<9, false>(&xy, z, rr, line),
+                    m => unreachable!("{m} fine lines"),
+                }
+            }
+        }
+    }
+
+    /// `z += P zc`: fine entry `(i, j, k)` adds `0.0 + Σ (vx·vy)·vz ·
+    /// zc[c]` over its row's columns ascending — the product
+    /// `matvec_rows_into` formed into a buffer before the add, with the
+    /// same two roundings.
+    pub fn prolong_add(&self, zc: &[f64], z: &mut [f64]) {
+        assert!(
+            zc.len() == self.coarse.n() && z.len() == self.fine.n(),
+            "prolong: vector lengths"
+        );
+        let mut lines = z.chunks_exact_mut(self.fine.nz);
+        for px in &self.x.to_coarse {
+            for py in &self.y.to_coarse {
+                let (xy, m) = line_weights::<4>(px, py, self.coarse);
+                let line = lines.next().expect("a fine line per (i, j)");
+                let z = &self.z.to_coarse;
+                match m {
+                    0 => apply_line::<0, true>(&xy, z, zc, line),
+                    1 => apply_line::<1, true>(&xy, z, zc, line),
+                    2 => apply_line::<2, true>(&xy, z, zc, line),
+                    4 => apply_line::<4, true>(&xy, z, zc, line),
+                    m => unreachable!("{m} coarse lines"),
+                }
+            }
+        }
+    }
+}
+
+/// The lines of grid `other` that line `(px, py)` of the other grid
+/// reads: `(first row, vx·vy)`, the x index outermost, and how many.
+fn line_weights<const N: usize>(
+    px: &Pairs,
+    py: &Pairs,
+    other: GridDims,
+) -> ([(usize, f64); N], usize) {
+    let mut xy = [(0, 0.0); N];
+    let mut m = 0;
+    for &(i, vx) in px.get() {
+        for &(j, vy) in py.get() {
+            xy[m] = ((i * other.ny + j) * other.nz, vx * vy);
+            m += 1;
+        }
+    }
+    (xy, m)
+}
+
+/// One line of a transfer: `out[k] = acc` (or `+= acc` when `ADD`) with
+/// `acc = 0.0 + Σ (vx·vy)·vz · v[c]` over the first `M` lines of `xy`,
+/// outermost, and the z-axis pairs of index `k`. No trip count is the
+/// data's: `M` is a constant, and each count of z pairs has its own
+/// unrolled body.
+#[inline(always)]
+fn apply_line<const M: usize, const ADD: bool>(
+    xy: &[(usize, f64)],
+    z: &[Pairs],
+    v: &[f64],
+    out: &mut [f64],
+) {
+    let xy: &[(usize, f64); M] = xy[..M].try_into().expect("M lines");
+    for (out, pz) in out.iter_mut().zip(z) {
+        let acc = match pz.len {
+            1 => line_term::<M, 1>(xy, pz, v),
+            2 => line_term::<M, 2>(xy, pz, v),
+            3 => line_term::<M, 3>(xy, pz, v),
+            _ => line_term::<M, 0>(xy, pz, v),
+        };
+        *out = if ADD { *out + acc } else { acc };
+    }
+}
+
+/// `0.0 + Σ (vx·vy)·vz · v[start + k]` over the `M` lines, outermost,
+/// and the first `Z` z pairs.
+#[inline(always)]
+fn line_term<const M: usize, const Z: usize>(xy: &[(usize, f64); M], pz: &Pairs, v: &[f64]) -> f64 {
+    let mut acc = 0.0;
+    for &(start, vxy) in xy {
+        for &(k, vz) in &pz.at[..Z] {
+            acc += vxy * vz * v[start + k];
+        }
+    }
+    acc
+}
+
 /// One level of the hierarchy; its operator is [`MgHierarchy::matrix`].
 pub(crate) struct Level {
     pub dims: GridDims,
     pub desc: ArrayDescriptor,
-    /// Where block SymGS reads this level's operator.
-    pub sweep: SweepPlan,
+    /// Where block SymGS reads this level's operator; `None` on the
+    /// coarsest, which is solved directly and never swept.
+    pub sweep: Option<SweepPlan>,
     /// Boundary-exchange traffic for one matvec at this level.
     pub halo: Vec<Vec<usize>>,
     pub smooth_flops: Vec<usize>,
@@ -189,11 +355,19 @@ pub(crate) struct Level {
     pub down: Option<Transfer>,
 }
 
-/// Dense Cholesky factor of the coarsest operator, solved serially at
-/// the V-cycle's bottom.
+/// Cholesky factor `L` of the coarsest operator, stored as its envelope
+/// and solved serially at the V-cycle's bottom.
 pub(crate) struct DenseCholesky {
-    n: usize,
-    l: Vec<f64>, // row-major lower factor
+    /// Row `i`'s first stored column.
+    first: Vec<usize>,
+    /// Row `i` of `L`, `first[i]` through the diagonal, is
+    /// `rows[row_at[i]..row_at[i + 1]]`.
+    row_at: Vec<usize>,
+    rows: Vec<f64>,
+    /// Column `i` of `L` below the diagonal, down to the last row whose
+    /// envelope reaches it, is `cols[col_at[i]..col_at[i + 1]]`.
+    col_at: Vec<usize>,
+    cols: Vec<f64>,
 }
 
 impl DenseCholesky {
@@ -208,65 +382,133 @@ impl DenseCholesky {
     /// fails like a non-positive one.
     fn factor(a: &CsrMatrix, level: usize) -> Result<Self, MgError> {
         let n = a.n_rows();
-        let mut l = vec![0.0f64; n * n];
-        let mut first: Vec<usize> = (0..n).collect();
+        let first: Vec<usize> = (0..n)
+            .map(|i| a.row(i).fold(i, |f, (j, _)| f.min(j)))
+            .collect();
+        let mut row_at = vec![0; n + 1];
+        for i in 0..n {
+            row_at[i + 1] = row_at[i] + i + 1 - first[i];
+        }
+        let mut rows = vec![0.0f64; row_at[n]];
         for i in 0..n {
             for (j, v) in a.row(i) {
                 if j <= i {
-                    l[i * n + j] = v;
-                    first[i] = first[i].min(j);
+                    rows[row_at[i] + j - first[i]] = v;
                 }
             }
         }
+        // L[i][k], the unstored +0.0 left of row i's envelope included.
+        let entry = |rows: &[f64], i: usize, k: usize| match k.checked_sub(first[i]) {
+            Some(at) => rows[row_at[i] + at],
+            None => 0.0,
+        };
         for i in 0..n {
-            for j in first[i]..=i {
-                let mut s = l[i * n + j];
-                let from = if s == 0.0 && s.is_sign_negative() {
-                    0
-                } else {
-                    first[i].max(first[j])
-                };
-                for k in from..j {
-                    s -= l[i * n + k] * l[j * n + k];
+            let fi = first[i];
+            for j in fi..=i {
+                let fj = first[j];
+                let from = fi.max(fj);
+                let mut s = rows[row_at[i] + j - fi];
+                if s == 0.0 && s.is_sign_negative() {
+                    for k in 0..from {
+                        s -= entry(&rows, i, k) * entry(&rows, j, k);
+                    }
                 }
-                if i == j {
+                let li = &rows[row_at[i] + from - fi..row_at[i] + j - fi];
+                let lj = &rows[row_at[j] + from - fj..row_at[j] + j - fj];
+                for (lik, ljk) in li.iter().zip(lj) {
+                    s -= lik * ljk;
+                }
+                rows[row_at[i] + j - fi] = if i == j {
                     if s.is_nan() || s <= 0.0 {
                         return Err(MgError::NotSpd { level, pivot: i });
                     }
-                    l[i * n + i] = s.sqrt();
+                    s.sqrt()
                 } else {
-                    l[i * n + j] = s / l[j * n + j];
-                }
+                    s / rows[row_at[j + 1] - 1]
+                };
             }
         }
-        Ok(DenseCholesky { n, l })
+        // The last row whose envelope reaches column i, and the column
+        // copy down to it, the +0.0 of rows that start right of i included.
+        let mut last: Vec<usize> = (0..n).collect();
+        for k in 0..n {
+            last[first[k]..k].fill(k);
+        }
+        let mut col_at = vec![0; n + 1];
+        for i in 0..n {
+            col_at[i + 1] = col_at[i] + last[i] - i;
+        }
+        let mut cols = Vec::with_capacity(col_at[n]);
+        for i in 0..n {
+            cols.extend((i + 1..=last[i]).map(|k| entry(&rows, k, i)));
+        }
+        Ok(DenseCholesky {
+            first,
+            row_at,
+            rows,
+            col_at,
+            cols,
+        })
     }
 
     /// Solve `L Lᵀ x = b` into `x` (overwritten, need not be zeroed):
     /// the forward solve fills `x`, the backward solve finishes it in
-    /// place.
+    /// place, each inside the envelope. A skipped term is `+0.0 · x[k]`:
+    /// `±0.0` while `x[k]` is finite, which changes a difference only if
+    /// it is a signed zero, and a signed zero does not survive a nonzero
+    /// term (`±0 − t = −t`). So a row runs its skipped terms, in the full
+    /// chain's place, exactly when its chain ends at `±0.0` or a
+    /// non-finite `x` has appeared, and returns the full chain's bits.
     pub fn solve_into(&self, b: &[f64], x: &mut [f64]) {
-        let n = self.n;
+        let n = self.first.len();
         assert!(b.len() == n && x.len() == n, "coarse solve: vector lengths");
+        let mut non_finite = false;
         for i in 0..n {
-            let mut s = b[i];
-            for k in 0..i {
-                s -= self.l[i * n + k] * x[k];
+            let f = self.first[i];
+            let (d, row) = self.rows[self.row_at[i]..self.row_at[i + 1]]
+                .split_last()
+                .expect("a row holds its diagonal");
+            let chain = |mut s: f64| {
+                for (l, xk) in row.iter().zip(&x[f..i]) {
+                    s -= l * xk;
+                }
+                s
+            };
+            let mut s = chain(b[i]);
+            if s == 0.0 || non_finite {
+                // The skipped terms come first: rerun the row from b[i].
+                s = b[i];
+                for xk in &x[..f] {
+                    s -= 0.0 * xk;
+                }
+                s = chain(s);
             }
-            x[i] = s / self.l[i * n + i];
+            x[i] = s / d;
+            non_finite |= !x[i].is_finite();
         }
         for i in (0..n).rev() {
+            let col = &self.cols[self.col_at[i]..self.col_at[i + 1]];
+            let below = &x[i + 1..];
             let mut s = x[i];
-            for k in (i + 1)..n {
-                s -= self.l[k * n + i] * x[k];
+            for (l, xk) in col.iter().zip(below) {
+                s -= l * xk;
             }
-            x[i] = s / self.l[i * n + i];
+            if s == 0.0 || non_finite {
+                // The skipped terms come last: carry the chain on.
+                for xk in &below[col.len()..] {
+                    s -= 0.0 * xk;
+                }
+            }
+            x[i] = s / self.rows[self.row_at[i + 1] - 1];
+            non_finite |= !x[i].is_finite();
         }
     }
 
-    /// Flops of one solve (two dense triangular sweeps).
+    /// Flops of one solve, as the machine is charged for it: two dense
+    /// triangular sweeps.
     pub fn solve_flops(&self) -> usize {
-        2 * self.n * self.n
+        let n = self.first.len();
+        2 * n * n
     }
 }
 
@@ -294,36 +536,45 @@ impl MgHierarchy {
         if levels < 2 {
             return Err(MgError::BadLevels { levels });
         }
-        let mut mats = vec![dims.poisson()];
         let mut all_dims = vec![dims];
-        let mut interps: Vec<CsrMatrix> = Vec::new();
         for l in 0..levels - 1 {
             let f = all_dims[l];
             let c = f
                 .coarsen()
                 .ok_or(MgError::TooCoarse { level: l, dims: f })?;
-            let p = interpolation(f, c);
-            let a_c = galerkin(&mats[l], &p);
-            interps.push(p);
-            mats.push(a_c);
             all_dims.push(c);
+        }
+        let descs: Vec<ArrayDescriptor> = all_dims
+            .iter()
+            .map(|d| ArrayDescriptor::block(d.n(), np))
+            .collect();
+        // Each interpolation is read for its transfer's shapes, then for
+        // the Galerkin product, which drops it as soon as it has `Pᵀ`.
+        let mut mats = vec![dims.poisson()];
+        let mut transfers = Vec::with_capacity(levels - 1);
+        for l in 0..levels - 1 {
+            let (f, c) = ((all_dims[l], &descs[l]), (all_dims[l + 1], &descs[l + 1]));
+            let p = interpolation(f.0, c.0);
+            transfers.push(transfer(&p, f, c));
+            let a_c = galerkin(&mats[l], p);
+            mats.push(a_c);
         }
         let coarse = DenseCholesky::factor(&mats[levels - 1], levels - 1)?;
 
-        let descs: Vec<ArrayDescriptor> = mats
-            .iter()
-            .map(|a| ArrayDescriptor::block(a.n_rows(), np))
-            .collect();
-        let mut interps = interps.into_iter();
+        let mut transfers = transfers.into_iter();
         let mut built: Vec<Level> = Vec::with_capacity(levels);
         for (l, a) in mats.iter().enumerate() {
             let desc = &descs[l];
-            let down = interps.next().map(|p| transfer(p, desc, &descs[l + 1]));
+            let down = transfers.next();
+            let sweep = down
+                .as_ref()
+                .map(|_| SweepPlan::plan(a, desc, l))
+                .transpose()?;
             let (smooth_flops, residual_flops) = level_flops(a, desc);
             built.push(Level {
                 dims: all_dims[l],
                 desc: desc.clone(),
-                sweep: SweepPlan::plan(a, desc, l)?,
+                sweep,
                 halo: halo_traffic(a, desc),
                 smooth_flops,
                 residual_flops,
@@ -460,9 +711,13 @@ fn interpolation(fine: GridDims, coarse: GridDims) -> CsrMatrix {
 /// (see [`gustavson`]), so the result is deterministic to the bit. `B`
 /// is read only by the second product, which adds at most one term per
 /// row of `B` to each entry of `C`, so `B`'s rows are left unsorted.
-fn galerkin(a: &CsrMatrix, p: &CsrMatrix) -> CsrMatrix {
-    let b = gustavson(a, p, false);
-    gustavson(&transpose(p), &b, true)
+/// `P` is dropped once `Pᵀ` exists: the second product, the build's
+/// largest moment, runs without it.
+fn galerkin(a: &CsrMatrix, p: CsrMatrix) -> CsrMatrix {
+    let b = gustavson(a, &p, false);
+    let pt = transpose(&p);
+    drop(p);
+    gustavson(&pt, &b, true)
 }
 
 /// `X·Y` one row at a time (Gustavson), through one dense accumulator, a
@@ -585,9 +840,15 @@ fn level_flops(a: &CsrMatrix, desc: &ArrayDescriptor) -> (Vec<usize>, Vec<usize>
     (smooth, residual)
 }
 
-/// Communication shapes and flop counts for one interpolation matrix
-/// under `(BLOCK)` ownership on both sides.
-fn transfer(p: CsrMatrix, fdesc: &ArrayDescriptor, cdesc: &ArrayDescriptor) -> Transfer {
+/// The transfer from grid `fine` to grid `coarse`: communication shapes
+/// and flop counts read off their interpolation matrix `p` under
+/// `(BLOCK)` ownership on both sides, and `p` applied by its 1-D
+/// weights, not kept.
+fn transfer(
+    p: &CsrMatrix,
+    (fine, fdesc): (GridDims, &ArrayDescriptor),
+    (coarse, cdesc): (GridDims, &ArrayDescriptor),
+) -> Transfer {
     let np = fdesc.np();
     let nf = p.n_rows();
     let mut restrict_traffic = vec![vec![0usize; np]; np];
@@ -628,7 +889,11 @@ fn transfer(p: CsrMatrix, fdesc: &ArrayDescriptor, cdesc: &ArrayDescriptor) -> T
         }
     }
     Transfer {
-        p,
+        fine,
+        coarse,
+        x: Axis::new(fine.nx, coarse.nx),
+        y: Axis::new(fine.ny, coarse.ny),
+        z: Axis::new(fine.nz, coarse.nz),
         restrict_traffic,
         prolong_traffic,
         restrict_flops,
@@ -721,9 +986,63 @@ mod tests {
         CsrMatrix::from_coo(&coo)
     }
 
+    impl DenseCholesky {
+        fn n(&self) -> usize {
+            self.first.len()
+        }
+
+        /// `L` row-major, `+0.0` outside the envelope, from the rows.
+        fn dense(&self) -> Vec<f64> {
+            let n = self.n();
+            let mut l = vec![0.0; n * n];
+            for i in 0..n {
+                let row = &self.rows[self.row_at[i]..self.row_at[i + 1]];
+                l[i * n + self.first[i]..=i * n + i].copy_from_slice(row);
+            }
+            l
+        }
+
+        /// The same from the column copy and the diagonal.
+        fn dense_by_columns(&self) -> Vec<f64> {
+            let n = self.n();
+            let mut l = vec![0.0; n * n];
+            for i in 0..n {
+                l[i * n + i] = self.rows[self.row_at[i + 1] - 1];
+                let col = &self.cols[self.col_at[i]..self.col_at[i + 1]];
+                for (k, &v) in (i + 1..).zip(col) {
+                    l[k * n + i] = v;
+                }
+            }
+            l
+        }
+    }
+
+    /// The solve as it was: both triangular sweeps over every entry of a
+    /// dense `L` (row-major, `n × n`).
+    fn solve_full_chain(l: &[f64], b: &[f64]) -> Vec<f64> {
+        let n = b.len();
+        let mut x = vec![0.0; n];
+        for i in 0..n {
+            let mut s = b[i];
+            for k in 0..i {
+                s -= l[i * n + k] * x[k];
+            }
+            x[i] = s / l[i * n + i];
+        }
+        for i in (0..n).rev() {
+            let mut s = x[i];
+            for k in (i + 1)..n {
+                s -= l[k * n + i] * x[k];
+            }
+            x[i] = s / l[i * n + i];
+        }
+        x
+    }
+
     /// The dense Cholesky as it was: every chain from `k = 0` over a dense
-    /// copy of `a` (with the NaN pivot refused, as `factor` refuses it).
-    fn factor_full_chain(a: &CsrMatrix, level: usize) -> Result<DenseCholesky, MgError> {
+    /// copy of `a` (with the NaN pivot refused, as `factor` refuses it);
+    /// `L` row-major.
+    fn factor_full_chain(a: &CsrMatrix, level: usize) -> Result<Vec<f64>, MgError> {
         let n = a.n_rows();
         let mut m = vec![0.0f64; n * n];
         for i in 0..n {
@@ -748,7 +1067,7 @@ mod tests {
                 }
             }
         }
-        Ok(DenseCholesky { n, l })
+        Ok(l)
     }
 
     fn assert_same_csr(got: &CsrMatrix, want: &CsrMatrix, what: &str) {
@@ -766,9 +1085,10 @@ mod tests {
     fn assert_same_factor(a: &CsrMatrix, level: usize, what: &str) {
         match (DenseCholesky::factor(a, level), factor_full_chain(a, level)) {
             (Ok(got), Ok(want)) => {
-                assert_eq!(got.n, want.n, "{what}: order");
-                let bits = |c: &DenseCholesky| c.l.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&got), bits(&want), "{what}: factor");
+                let bits = |l: Vec<f64>| l.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                let want = bits(want);
+                assert_eq!(bits(got.dense()), want, "{what}: factor");
+                assert_eq!(bits(got.dense_by_columns()), want, "{what}: columns");
             }
             (Err(got), Err(want)) => assert_eq!(got, want, "{what}"),
             (got, want) => panic!(
@@ -795,7 +1115,7 @@ mod tests {
             let what = format!("{dims}, {f} -> {c}");
             let p = interpolation(f, c);
             assert_same_csr(&p, &interpolation_coo(f, c), &format!("{what}: P"));
-            let a_c = galerkin(&a, &p);
+            let a_c = galerkin(&a, p.clone());
             assert_same_csr(&a_c, &galerkin_btreemap(&a, &p), &format!("{what}: PᵀAP"));
             depth += 1;
             assert!(dims.supports_levels(depth), "{what}");
@@ -839,7 +1159,7 @@ mod tests {
         ) {
             let a = csr(nf, &a_rows[..nf]);
             let p = csr(nc, &p_rows[..nf]);
-            assert_same_csr(&galerkin(&a, &p), &galerkin_btreemap(&a, &p), "arbitrary A, P");
+            assert_same_csr(&galerkin(&a, p.clone()), &galerkin_btreemap(&a, &p), "arbitrary A, P");
         }
 
         /// The envelope on lower triangles whose rows start anywhere, with
@@ -865,11 +1185,123 @@ mod tests {
                 .collect();
             assert_same_factor(&csr(n, &rows), 1, "arbitrary envelope");
         }
+
+        /// The envelope solve against both sweeps over the dense factor, on
+        /// symmetric diagonally dominant envelopes whose rows start
+        /// anywhere (`±0.0` stored inside them; a quarter of the rows at
+        /// their diagonal, so that columns end early) and right-hand sides
+        /// mostly of `±0.0`, with NaN, ±∞ and arbitrary values among them:
+        /// where a skipped `+0.0 · x[k]` would flip a zero's sign, or meet
+        /// a non-finite `x[k]`, the row must run it.
+        #[test]
+        fn envelope_solve_matches_the_full_chain(
+            n in 1usize..24,
+            starts in proptest::collection::vec(0usize..1000, 24),
+            stream in proptest::collection::vec(entry(), 300),
+            b in proptest::collection::vec(rhs_entry(), 24),
+            finite in any::<bool>(),
+        ) {
+            let mut next = stream.iter().copied().cycle();
+            let first = |i: usize| if starts[i] % 4 == 0 { i } else { starts[i] % (i + 1) };
+            let mut rows: Vec<Vec<(usize, f64)>> = (0..n)
+                .map(|i| (first(i)..i).map(|j| (j, next.next().unwrap())).collect())
+                .collect();
+            let mut dominance = vec![1.0; n];
+            for (i, row) in rows.iter().enumerate() {
+                for &(j, v) in row {
+                    dominance[i] += v.abs();
+                    dominance[j] += v.abs();
+                }
+            }
+            for (i, (row, d)) in rows.iter_mut().zip(dominance).enumerate() {
+                row.push((i, d));
+            }
+            // Half the cases keep every entry finite, so that the zero-end
+            // rule is what decides, not an earlier NaN.
+            let b: Vec<f64> = b[..n]
+                .iter()
+                .map(|&v| if finite && !v.is_finite() { -0.0 } else { v })
+                .collect();
+            let a = csr(n, &rows);
+            let c = DenseCholesky::factor(&a, 1).expect("diagonally dominant");
+            let want = solve_full_chain(&factor_full_chain(&a, 1).unwrap(), &b);
+            let mut got = vec![f64::NAN; n];
+            c.solve_into(&b, &mut got);
+            let bits = |v: &[f64]| -> Vec<u64> {
+                v.iter().map(|x| if x.is_nan() { f64::NAN } else { *x }.to_bits()).collect()
+            };
+            prop_assert_eq!(bits(&got), bits(&want));
+        }
+
+        /// Restriction and prolongation by the 1-D weights against the
+        /// stored `P`'s scatter (`matvec_transpose_into`) and product
+        /// (`matvec_rows_into`, then the add), on 2-D and 3-D grids with
+        /// extents 1–17 — most not `2^k − 1`, so their last plane is
+        /// one-sided — and inputs holding `±0.0`, NaN and ±∞.
+        #[test]
+        fn tensor_transfers_match_the_stored_interpolation(
+            three_d in any::<bool>(),
+            nx in 1usize..=17,
+            ny in 1usize..=17,
+            nz in 1usize..=17,
+            seed in 0usize..1000,
+            specials in proptest::collection::vec((0usize..10_000, 0usize..5), 0..12),
+        ) {
+            let fine = if three_d { GridDims::d3(nx, ny, nz) } else { GridDims::d2(nx, ny) };
+            let Some(coarse) = fine.coarsen() else { continue };
+            let p = interpolation(fine, coarse);
+            let desc = |g: GridDims| ArrayDescriptor::block(g.n(), 2);
+            let t = transfer(&p, (fine, &desc(fine)), (coarse, &desc(coarse)));
+            let input = |n: usize| {
+                let mut v: Vec<f64> = (0..n)
+                    .map(|i| ((i * 7919 + seed * 104_729) % 2003) as f64 / 293.0 - 3.4)
+                    .collect();
+                for &(at, special) in &specials {
+                    v[at % n] = [0.0, -0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY][special];
+                }
+                v
+            };
+            let bits = |v: &[f64]| -> Vec<u64> {
+                v.iter().map(|x| if x.is_nan() { f64::NAN } else { *x }.to_bits()).collect()
+            };
+
+            let rr = input(fine.n());
+            let mut want = vec![f64::NAN; coarse.n()];
+            p.matvec_transpose_into(&rr, &mut want);
+            let mut got = vec![f64::NAN; coarse.n()];
+            t.restrict_into(&rr, &mut got);
+            prop_assert_eq!(bits(&got), bits(&want));
+
+            let zc = input(coarse.n());
+            let z = input(fine.n());
+            let mut dz = vec![f64::NAN; fine.n()];
+            p.matvec_rows_into(0..fine.n(), &zc, &mut dz);
+            let want: Vec<f64> = z.iter().zip(&dz).map(|(zi, di)| zi + di).collect();
+            let mut got = z.clone();
+            t.prolong_add(&zc, &mut got);
+            prop_assert_eq!(bits(&got), bits(&want));
+        }
     }
 
     /// A value of a generated matrix: `+0.0`, `−0.0` or an arbitrary one.
     fn entry() -> impl Strategy<Value = f64> {
         prop_oneof![Just(0.0f64), Just(-0.0f64), -1.0f64..1.0]
+    }
+
+    /// A right-hand side entry, zeros of either sign most often.
+    fn rhs_entry() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            Just(-0.0f64),
+            Just(-0.0f64),
+            Just(-0.0f64),
+            Just(0.0f64),
+            Just(0.0f64),
+            Just(f64::NAN),
+            Just(f64::INFINITY),
+            Just(f64::NEG_INFINITY),
+            -1.0f64..1.0,
+            -1.0f64..1.0,
+        ]
     }
 
     /// `rows.len() × n_cols` CSR holding `rows` as given (columns taken
@@ -936,7 +1368,7 @@ mod tests {
         assert_same_factor(&a, 1, "signed zeros");
         let c = DenseCholesky::factor(&a, 1).unwrap();
         assert_eq!(
-            c.l[2 * 4 + 1].to_bits(),
+            c.dense()[2 * 4 + 1].to_bits(),
             0.0f64.to_bits(),
             "L[2][1] is +0.0"
         );

@@ -10,14 +10,15 @@
 //! * [`MgHierarchy`] — 2–4 levels over the Poisson generators (5-point
 //!   2-D / 7-point 3-D), Galerkin coarse operators `Pᵀ A P` of
 //!   bilinear / trilinear interpolation, `(BLOCK)` descriptors per
-//!   level, precomputed halo and transfer traffic matrices, dense
-//!   Cholesky at the bottom.
+//!   level, precomputed halo and transfer traffic matrices, and a
+//!   Cholesky factor at the bottom stored as its envelope. Restriction
+//!   and prolongation apply `P` by its 1-D weights.
 //! * Block symmetric Gauss-Seidel smoothing — forward+backward sweeps
 //!   over each processor's diagonal block (pure local compute), with
 //!   cross-block couplings handled by the residual's priced boundary
-//!   exchange. A per-level sweep plan finds each row's in-block lower
-//!   and upper runs once, and the sweeps step through the blocks
-//!   round-robin.
+//!   exchange. A per-level sweep plan packs each row's in-block lower
+//!   and upper runs in the order the sweeps read them, stepping through
+//!   the blocks in lock-step.
 //! * [`MgPreconditioner`] — the V(1,1)-cycle as a
 //!   [`DistPreconditioner`](hpf_solvers::DistPreconditioner), plugging
 //!   into [`hpf_solvers::solve`] through [`MgPreconditioner::pcg`],

@@ -12,23 +12,38 @@
 //!
 //! A row's columns are sorted, so its in-block couplings below the
 //! diagonal are one contiguous run of the CSR arrays ending at the
-//! diagonal, and those above it one run starting after it. A
-//! [`SweepPlan`] finds the three positions once per level; the forward
-//! sweep then reads the lower run only and the backward sweep the upper
-//! run only — half the stored entries each, and no comparison per entry.
-//!
-//! No coupling crosses a block, so row `k` of one block never waits for
-//! row `k` of another: the sweeps step `k` in the outer loop and the
-//! block in the inner one, which hands the host `np` independent
-//! subtract→divide chains to overlap. Each block still sees its own
-//! rows in its own order, one operation after the other exactly as a
+//! diagonal, and those above it one run starting after it. No coupling
+//! crosses a block, so row `k` of one block never waits for row `k` of
+//! another: the sweeps step `k` in the outer loop and the block in the
+//! inner one (lock-step), which hands the host `np` independent
+//! subtract→divide chains to overlap. Each block still sees its own rows
+//! in its own order, one operation after the other exactly as a
 //! block-after-block sweep performs them, so the result is the same to
 //! the bit.
+//!
+//! A [`SweepPlan`] stores each direction's runs once, in the order its
+//! sweep reads them — step, then block — as `u32` columns and `f64`
+//! coefficients beside one diagonal array, so a sweep reads contiguous
+//! streams and never the matrix. Consecutive steps whose longest run has
+//! the same width `w` form a *segment*, and every row of a segment is
+//! padded at its front to `w` entries of column `n` and coefficient
+//! `+0.0`; the sweep sets slot `n` of `y` and `z` to `+0.0` itself. A
+//! padded term is `+0.0 · +0.0 = +0.0`, and `s − (+0.0)` is `s` for every
+//! `s`, `−0.0`, NaN and ±∞ included, so the row loop runs a constant
+//! number of terms per segment and computes the bits of the unpadded
+//! run. (A `−0.0` pad coefficient or slot would turn a forward chain's
+//! `−0.0` into `+0.0`; a non-finite slot would poison every padded row.)
 
 use crate::hierarchy::{proc_rows, MgError};
 use hpf_dist::ArrayDescriptor;
 use hpf_sparse::CsrMatrix;
+use std::iter::repeat_n;
 use std::ops::Range;
+
+/// The widest row one instance of the sweep kernels takes in one pass.
+/// A wider segment is padded to a multiple of it and runs as several
+/// passes, terms still left to right.
+const MAX_WIDTH: usize = 16;
 
 /// CSR positions of one row's in-block couplings: `lower..diag` is the
 /// run below the diagonal, `diag` the diagonal itself, `diag + 1..upper`
@@ -40,28 +55,107 @@ struct RowRuns {
     upper: usize,
 }
 
-/// Where block SymGS reads one level's operator, fixed by the matrix
+/// One sweep direction's couplings, packed in the order it reads them.
+#[derive(Debug)]
+struct Stream {
+    /// `(rows, width)` of each segment, in sweep order.
+    segments: Vec<(usize, usize)>,
+    /// The row each packed row updates.
+    rows: Vec<u32>,
+    /// `width` columns a row, its padding (column `n`) first.
+    cols: Vec<u32>,
+    /// The coefficients beside `cols`, the padding `+0.0`.
+    coefs: Vec<f64>,
+}
+
+impl Stream {
+    /// Pack the run `run` picks of every row the sweep visits at each of
+    /// `steps`, in order: at step `k`, row `k` of every block longer than
+    /// `k`, block after block.
+    fn pack(
+        steps: impl Iterator<Item = usize> + Clone,
+        blocks: &[Range<usize>],
+        run: impl Fn(usize) -> Range<usize>,
+        a: &CsrMatrix,
+    ) -> Self {
+        let pad = u32::try_from(a.n_rows()).expect("a level of fewer than 2^32 rows");
+        let at_step = |k: usize| {
+            blocks
+                .iter()
+                .filter(move |b| b.len() > k)
+                .map(move |b| b.start + k)
+        };
+        // A step's longest run, or a multiple of the widest kernel.
+        let width = |k: usize| match at_step(k).map(|i| run(i).len()).max().unwrap_or(0) {
+            w if w <= MAX_WIDTH => w,
+            w => w.next_multiple_of(MAX_WIDTH),
+        };
+        let widths: Vec<usize> = steps.clone().map(width).collect();
+        let entries = steps
+            .clone()
+            .zip(&widths)
+            .map(|(k, w)| w * at_step(k).count())
+            .sum();
+        let mut s = Stream {
+            segments: Vec::new(),
+            rows: Vec::with_capacity(a.n_rows()),
+            cols: Vec::with_capacity(entries),
+            coefs: Vec::with_capacity(entries),
+        };
+        for (k, &w) in steps.zip(&widths) {
+            match s.segments.last_mut() {
+                Some((rows, width)) if *width == w => *rows += at_step(k).count(),
+                _ => s.segments.push((at_step(k).count(), w)),
+            }
+            for i in at_step(k) {
+                let run = run(i);
+                let padding = w - run.len();
+                s.rows.push(i as u32);
+                s.cols.extend(repeat_n(pad, padding));
+                s.cols
+                    .extend(a.col_idx()[run.clone()].iter().map(|&c| c as u32));
+                s.coefs.extend(repeat_n(0.0, padding));
+                s.coefs.extend_from_slice(&a.values()[run]);
+            }
+        }
+        s
+    }
+
+    /// Each segment as `(width, rows, cols, coefs)`, in sweep order.
+    fn segments(&self) -> impl Iterator<Item = (usize, &[u32], &[u32], &[f64])> {
+        let (mut row, mut entry) = (0, 0);
+        self.segments.iter().map(move |&(rows, width)| {
+            let (r, e) = (row..row + rows, entry..entry + rows * width);
+            (row, entry) = (r.end, e.end);
+            (width, &self.rows[r], &self.cols[e.clone()], &self.coefs[e])
+        })
+    }
+}
+
+/// What block SymGS reads of one level's operator, fixed by the matrix
 /// structure and the `(BLOCK)` ownership of its rows.
 #[derive(Debug)]
 pub(crate) struct SweepPlan {
-    rows: Vec<RowRuns>,
-    /// Rows of each processor's diagonal block (empty for a processor
-    /// that owns none).
-    blocks: Vec<Range<usize>>,
-    longest_block: usize,
+    /// The runs below the diagonal, steps ascending.
+    forward: Stream,
+    /// The runs above the diagonal, steps descending.
+    backward: Stream,
+    /// Every row's diagonal entry.
+    diag: Vec<f64>,
 }
 
 impl SweepPlan {
-    /// Locate every row's runs in `a` (the operator of `level`, owned by
-    /// rows as `desc` says). A row whose columns do not ascend strictly,
-    /// or that stores no diagonal, cannot be swept and is rejected.
+    /// Pack every row's in-block runs of `a` (the operator of `level`,
+    /// owned by rows as `desc` says). A row whose columns do not ascend
+    /// strictly, or that stores no diagonal, cannot be swept and is
+    /// rejected.
     pub fn plan(a: &CsrMatrix, desc: &ArrayDescriptor, level: usize) -> Result<Self, MgError> {
         let (row_ptr, col_idx) = (a.row_ptr(), a.col_idx());
         let blocks: Vec<Range<usize>> = (0..desc.np()).map(|q| proc_rows(desc, q)).collect();
-        let mut rows = Vec::with_capacity(a.n_rows());
+        let mut runs = Vec::with_capacity(a.n_rows());
         for block in &blocks {
             for i in block.clone() {
-                assert_eq!(rows.len(), i, "the blocks tile the rows in order");
+                assert_eq!(runs.len(), i, "the blocks tile the rows in order");
                 let start = row_ptr[i];
                 let cols = &col_idx[start..row_ptr[i + 1]];
                 if cols.windows(2).any(|w| w[0] >= w[1]) {
@@ -71,78 +165,166 @@ impl SweepPlan {
                 if cols.get(diag) != Some(&i) {
                     return Err(MgError::MissingDiagonal { level, row: i });
                 }
-                rows.push(RowRuns {
+                runs.push(RowRuns {
                     lower: start + cols.partition_point(|&c| c < block.start),
                     diag: start + diag,
                     upper: start + cols.partition_point(|&c| c < block.end),
                 });
             }
         }
-        assert_eq!(rows.len(), a.n_rows(), "the blocks cover every row");
-        let longest_block = blocks.iter().map(Range::len).max().unwrap_or(0);
+        assert_eq!(runs.len(), a.n_rows(), "the blocks cover every row");
+        let steps = 0..blocks.iter().map(Range::len).max().unwrap_or(0);
+        let lower = |i: usize| runs[i].lower..runs[i].diag;
+        let upper = |i: usize| runs[i].diag + 1..runs[i].upper;
         Ok(SweepPlan {
-            rows,
-            blocks,
-            longest_block,
+            forward: Stream::pack(steps.clone(), &blocks, lower, a),
+            backward: Stream::pack(steps.rev(), &blocks, upper, a),
+            diag: runs.iter().map(|r| a.values()[r.diag]).collect(),
         })
     }
 
     /// One symmetric Gauss-Seidel sweep pair over every processor's
     /// diagonal block: `z ≈ M⁻¹ r`, with the forward sweep's `y` left in
-    /// its buffer. `y` and `z` are overwritten and need not be zeroed:
-    /// a sweep reads only entries it has already written.
-    ///
-    /// `a` must be the matrix the plan was made for.
-    pub fn symgs_into(&self, a: &CsrMatrix, r: &[f64], y: &mut [f64], z: &mut [f64]) {
-        let n = self.rows.len();
-        assert_eq!(a.n_rows(), n, "symgs: operator rows");
+    /// its buffer. `y` and `z` hold one slot past the rows, which the
+    /// sweep sets to `+0.0` for the padding to read; they are overwritten
+    /// and need not be zeroed: a sweep reads only entries it has already
+    /// written.
+    pub fn symgs_into(&self, r: &[f64], y: &mut [f64], z: &mut [f64]) {
+        let n = self.diag.len();
         assert!(
-            r.len() == n && y.len() == n && z.len() == n,
+            r.len() == n && y.len() == n + 1 && z.len() == n + 1,
             "symgs: vector lengths"
         );
-        let (col_idx, values) = (a.col_idx(), a.values());
         // Forward: (D + L) y = r over each block.
-        for k in 0..self.longest_block {
-            for block in &self.blocks {
-                let i = block.start + k;
-                if i >= block.end {
-                    continue;
-                }
-                let RowRuns { lower, diag, .. } = self.rows[i];
-                let mut s = r[i];
-                for (&v, &j) in values[lower..diag].iter().zip(&col_idx[lower..diag]) {
-                    s -= v * y[j];
-                }
-                y[i] = s / values[diag];
-            }
+        y[n] = 0.0;
+        for (width, rows, cols, coefs) in self.forward.segments() {
+            forward(width, rows, cols, coefs, &self.diag, r, y);
         }
         // Backward: (D + U) z = D y over each block.
-        for k in (0..self.longest_block).rev() {
-            for block in &self.blocks {
-                let i = block.start + k;
-                if i >= block.end {
-                    continue;
-                }
-                let RowRuns { diag, upper, .. } = self.rows[i];
-                let d = values[diag];
-                let mut s = 0.0;
-                for (&v, &j) in values[diag + 1..upper]
-                    .iter()
-                    .zip(&col_idx[diag + 1..upper])
-                {
-                    s -= v * z[j];
-                }
-                z[i] = (d * y[i] + s) / d;
-            }
+        z[n] = 0.0;
+        for (width, rows, cols, coefs) in self.backward.segments() {
+            backward(width, rows, cols, coefs, &self.diag, y, z);
         }
     }
 }
 
+/// `$kernel::<W>(1, ..)` for the `W` a segment's `$width` is, up to
+/// [`MAX_WIDTH`]; a wider (padded) segment runs `width / MAX_WIDTH`
+/// passes of the widest instance.
+macro_rules! by_width {
+    ($width:expr, $kernel:ident($($arg:expr),*)) => {
+        match $width {
+            0 => $kernel::<0>(1, $($arg),*),
+            1 => $kernel::<1>(1, $($arg),*),
+            2 => $kernel::<2>(1, $($arg),*),
+            3 => $kernel::<3>(1, $($arg),*),
+            4 => $kernel::<4>(1, $($arg),*),
+            5 => $kernel::<5>(1, $($arg),*),
+            6 => $kernel::<6>(1, $($arg),*),
+            7 => $kernel::<7>(1, $($arg),*),
+            8 => $kernel::<8>(1, $($arg),*),
+            9 => $kernel::<9>(1, $($arg),*),
+            10 => $kernel::<10>(1, $($arg),*),
+            11 => $kernel::<11>(1, $($arg),*),
+            12 => $kernel::<12>(1, $($arg),*),
+            13 => $kernel::<13>(1, $($arg),*),
+            14 => $kernel::<14>(1, $($arg),*),
+            15 => $kernel::<15>(1, $($arg),*),
+            16 => $kernel::<16>(1, $($arg),*),
+            w => $kernel::<MAX_WIDTH>(w / MAX_WIDTH, $($arg),*),
+        }
+    };
+}
+
+/// The forward sweep over one segment's rows, `width` entries each:
+/// `y[i] = (r[i] − Σ coef · y[col]) / d[i]`, the terms left to right.
+/// Out of line, so the row loops have an address the build pins.
+#[inline(never)]
+fn forward(
+    width: usize,
+    rows: &[u32],
+    cols: &[u32],
+    coefs: &[f64],
+    diag: &[f64],
+    r: &[f64],
+    y: &mut [f64],
+) {
+    by_width!(width, forward_rows(rows, cols, coefs, diag, r, y))
+}
+
+/// [`forward`] for rows of `passes` passes of exactly `W` entries: no
+/// trip count the data decides.
+#[inline(always)]
+fn forward_rows<const W: usize>(
+    passes: usize,
+    rows: &[u32],
+    cols: &[u32],
+    coefs: &[f64],
+    diag: &[f64],
+    r: &[f64],
+    y: &mut [f64],
+) {
+    for (t, &i) in rows.iter().enumerate() {
+        let i = i as usize;
+        let mut s = r[i];
+        for pass in 0..passes {
+            let at = (t * passes + pass) * W;
+            let (c, v) = (&cols[at..at + W], &coefs[at..at + W]);
+            for e in 0..W {
+                s -= v[e] * y[c[e] as usize];
+            }
+        }
+        y[i] = s / diag[i];
+    }
+}
+
+/// The backward sweep over one segment's rows, `width` entries each:
+/// `z[i] = (d[i] · y[i] + s) / d[i]` with `s = 0 − Σ coef · z[col]`, the
+/// terms left to right. Out of line, as [`forward`].
+#[inline(never)]
+fn backward(
+    width: usize,
+    rows: &[u32],
+    cols: &[u32],
+    coefs: &[f64],
+    diag: &[f64],
+    y: &[f64],
+    z: &mut [f64],
+) {
+    by_width!(width, backward_rows(rows, cols, coefs, diag, y, z))
+}
+
+/// [`backward`] for rows of `passes` passes of exactly `W` entries.
+#[inline(always)]
+fn backward_rows<const W: usize>(
+    passes: usize,
+    rows: &[u32],
+    cols: &[u32],
+    coefs: &[f64],
+    diag: &[f64],
+    y: &[f64],
+    z: &mut [f64],
+) {
+    for (t, &i) in rows.iter().enumerate() {
+        let i = i as usize;
+        let d = diag[i];
+        let mut s = 0.0;
+        for pass in 0..passes {
+            let at = (t * passes + pass) * W;
+            let (c, v) = (&cols[at..at + W], &coefs[at..at + W]);
+            for e in 0..W {
+                s -= v[e] * z[c[e] as usize];
+            }
+        }
+        z[i] = (d * y[i] + s) / d;
+    }
+}
+
 /// The sweep pair written the obvious way — block after block, every
-/// stored entry of a row examined — kept as the oracle the planned
-/// sweep is compared against, bit for bit.
+/// stored entry of a row examined — kept as the oracle the packed sweep
+/// is compared against, bit for bit. Returns `(y, z)`.
 #[cfg(test)]
-pub(crate) fn symgs(a: &CsrMatrix, desc: &ArrayDescriptor, r: &[f64]) -> Vec<f64> {
+pub(crate) fn symgs(a: &CsrMatrix, desc: &ArrayDescriptor, r: &[f64]) -> (Vec<f64>, Vec<f64>) {
     let n = a.n_rows();
     let mut y = vec![0.0f64; n];
     let mut z = vec![0.0f64; n];
@@ -176,7 +358,7 @@ pub(crate) fn symgs(a: &CsrMatrix, desc: &ArrayDescriptor, r: &[f64]) -> Vec<f64
             z[i] = (d * y[i] + s) / d;
         }
     }
-    z
+    (y, z)
 }
 
 #[cfg(test)]
@@ -186,14 +368,16 @@ mod tests {
     use hpf_sparse::gen;
     use proptest::prelude::*;
 
-    /// The planned sweep into dirty buffers.
-    fn planned(a: &CsrMatrix, desc: &ArrayDescriptor, r: &[f64]) -> Vec<f64> {
+    /// The packed sweep into dirty buffers: `(y, z)` without their slots.
+    fn planned(a: &CsrMatrix, desc: &ArrayDescriptor, r: &[f64]) -> (Vec<f64>, Vec<f64>) {
         let plan = SweepPlan::plan(a, desc, 0).expect("sorted rows with diagonals");
         let n = a.n_rows();
-        let mut y = vec![f64::NAN; n];
-        let mut z = vec![f64::NAN; n];
-        plan.symgs_into(a, r, &mut y, &mut z);
-        z
+        let mut y = vec![f64::NAN; n + 1];
+        let mut z = vec![f64::NAN; n + 1];
+        plan.symgs_into(r, &mut y, &mut z);
+        y.truncate(n);
+        z.truncate(n);
+        (y, z)
     }
 
     fn probe(n: usize, seed: u64) -> Vec<f64> {
@@ -202,20 +386,29 @@ mod tests {
             .collect()
     }
 
-    fn assert_same_bits(what: &str, a: &CsrMatrix, np: usize, seed: u64) {
-        let n = a.n_rows();
-        let desc = ArrayDescriptor::block(n, np);
-        let r = probe(n, seed);
-        let want = symgs(a, &desc, &r);
-        let got = planned(a, &desc, &r);
-        for i in 0..n {
-            assert_eq!(
-                got[i].to_bits(),
-                want[i].to_bits(),
-                "{what}, np={np}: row {i}: {} vs {}",
-                got[i],
-                want[i]
-            );
+    /// Bits, with every NaN read as the one NaN: an add of two NaNs keeps
+    /// either payload, and which one differs between codegens.
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter()
+            .map(|x| if x.is_nan() { f64::NAN } else { *x }.to_bits())
+            .collect()
+    }
+
+    /// The packed sweep's `y` and `z` against the reference's, bit for
+    /// bit, on `np` blocks of `a`.
+    fn assert_same_bits(what: &str, a: &CsrMatrix, np: usize, r: &[f64]) {
+        let desc = ArrayDescriptor::block(a.n_rows(), np);
+        let (want_y, want_z) = symgs(a, &desc, r);
+        let (got_y, got_z) = planned(a, &desc, r);
+        for (name, got, want) in [("y", got_y, want_y), ("z", got_z, want_z)] {
+            let (got, want) = (bits(&got), bits(&want));
+            if let Some(i) = (0..got.len()).find(|&i| got[i] != want[i]) {
+                panic!(
+                    "{what}, np={np}: {name}[{i}]: {} vs {}",
+                    f64::from_bits(got[i]),
+                    f64::from_bits(want[i])
+                );
+            }
         }
     }
 
@@ -227,7 +420,7 @@ mod tests {
         let n = a.n_rows();
         let desc = ArrayDescriptor::block(n, 1);
         let r: Vec<f64> = (0..n).map(|i| (i as f64 * 0.13).cos()).collect();
-        let z = planned(&a, &desc, &r);
+        let (_, z) = planned(&a, &desc, &r);
         // Rebuild M z by hand: u = (D+U) z, then M z = (D+L) D⁻¹ u.
         let d: Vec<f64> = a.diagonal();
         let mut u = vec![0.0; n];
@@ -257,8 +450,8 @@ mod tests {
         let desc = ArrayDescriptor::block(n, 3);
         let r1: Vec<f64> = (0..n).map(|i| ((i * 7 % 11) as f64) - 5.0).collect();
         let r2: Vec<f64> = (0..n).map(|i| ((i * 5 % 13) as f64) - 6.0).collect();
-        let s1 = planned(&a, &desc, &r1);
-        let s2 = planned(&a, &desc, &r2);
+        let (_, s1) = planned(&a, &desc, &r1);
+        let (_, s2) = planned(&a, &desc, &r2);
         let d1: f64 = r2.iter().zip(&s1).map(|(a, b)| a * b).sum();
         let d2: f64 = r1.iter().zip(&s2).map(|(a, b)| a * b).sum();
         assert!((d1 - d2).abs() < 1e-10 * d1.abs().max(1.0));
@@ -273,9 +466,10 @@ mod tests {
         for (dims, levels) in [(GridDims::d2(15, 7), 3), (GridDims::d3(7, 7, 7), 3)] {
             let h = MgHierarchy::build(dims, levels, 1).unwrap();
             for level in 0..levels {
+                let a = h.matrix(level);
                 for np in 1..=9 {
                     let what = format!("{dims} level {level}");
-                    assert_same_bits(&what, h.matrix(level), np, level as u64);
+                    assert_same_bits(&what, a, np, &probe(a.n_rows(), level as u64));
                 }
             }
         }
@@ -289,8 +483,43 @@ mod tests {
         let a = CsrMatrix::from_raw(n, n, vec![0, 1, 2, 3], vec![0, 1, 2], vec![2.0, 4.0, 8.0])
             .unwrap();
         for np in 1..=9 {
-            assert_same_bits("diagonal", &a, np, 5);
+            assert_same_bits("diagonal", &a, np, &probe(n, 5));
         }
+    }
+
+    /// The 31³ benchmark level and its 27-point coarsening split into the
+    /// segments the plan is sized by, and pad only where a step's rows
+    /// differ.
+    #[test]
+    fn segments_follow_the_longest_run_of_each_step() {
+        let h = MgHierarchy::build(GridDims::d3(31, 31, 31), 2, 8).unwrap();
+        let desc = ArrayDescriptor::block(h.matrix(0).n_rows(), 8);
+        let plan = SweepPlan::plan(h.matrix(0), &desc, 0).unwrap();
+        let rows = |s: &Stream| {
+            s.segments()
+                .map(|(width, rows, ..)| (width, rows.len()))
+                .collect::<Vec<_>>()
+        };
+        // Blocks of 3,724 rows (the last 3,723): no lower neighbour in the
+        // block at step 0, row − 1 from step 1, − 31 from 31, − 961 from
+        // 961. Seven blocks step 3,723 alone.
+        assert_eq!(
+            rows(&plan.forward),
+            [(0, 8), (1, 30 * 8), (2, 930 * 8), (3, 2763 * 8 - 1)]
+        );
+        assert_eq!(
+            rows(&plan.backward)[0],
+            (0, 7),
+            "the last row of a block has no upper run"
+        );
+        let level1 = SweepPlan::plan(
+            h.matrix(1),
+            &ArrayDescriptor::block(h.matrix(1).n_rows(), 8),
+            1,
+        )
+        .unwrap();
+        assert_eq!(level1.forward.segments.len(), 14);
+        assert_eq!(level1.forward.segments.last().unwrap().1, 13);
     }
 
     #[test]
@@ -325,25 +554,55 @@ mod tests {
         );
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
+    /// `a` with the stored off-diagonal entries `zeros` picks (positions
+    /// taken mod its entry count) set to `+0.0` or `−0.0`.
+    fn with_stored_zeros(a: &CsrMatrix, zeros: &[(usize, bool)]) -> CsrMatrix {
+        let mut values = a.values().to_vec();
+        for &(at, negative) in zeros {
+            let k = at % values.len();
+            let row = a.row_ptr().partition_point(|&p| p <= k) - 1;
+            if a.col_idx()[k] != row {
+                values[k] = if negative { -0.0 } else { 0.0 };
+            }
+        }
+        let (n, ptr, cols) = (a.n_rows(), a.row_ptr(), a.col_idx());
+        CsrMatrix::from_raw(n, n, ptr.to_vec(), cols.to_vec(), values).unwrap()
+    }
 
-        /// The planned, round-robin sweep gives the bits of the
-        /// reference on every generator family and block count.
+    const SPECIALS: [f64; 5] = [0.0, -0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The packed, lock-step sweep gives the reference's `y` and `z`
+        /// on every generator family and block count: rows wider than
+        /// the widest kernel instance (the wide band), stored `±0.0`
+        /// coefficients, and right-hand sides of all `−0.0` or holding
+        /// `±0.0`, NaN and ±∞.
         #[test]
         fn planned_sweep_matches_the_reference_bit_for_bit(
-            family in 0usize..4,
+            family in 0usize..5,
             size in 2usize..9,
             np in 1usize..=9,
             seed in 0u64..1000,
+            zeros in proptest::collection::vec((0usize..10_000, any::<bool>()), 0..6),
+            negative_zero_rhs in any::<bool>(),
+            specials in proptest::collection::vec((0usize..10_000, 0usize..5), 0..6),
         ) {
             let a = match family {
                 0 => gen::poisson_2d(size, size + 1),
                 1 => gen::poisson_3d(size.min(5), 3, size.min(4)),
                 2 => gen::banded_spd(size * 4, 1 + size % 4, seed),
-                _ => gen::random_spd(size * 4, 1 + size % 5, seed),
+                3 => gen::random_spd(size * 4, 1 + size % 5, seed),
+                _ => gen::banded_spd(size * 8, 14 + 3 * size, seed),
             };
-            assert_same_bits("generated", &a, np, seed);
+            let a = with_stored_zeros(&a, &zeros);
+            let n = a.n_rows();
+            let mut r = if negative_zero_rhs { vec![-0.0; n] } else { probe(n, seed) };
+            for &(at, special) in &specials {
+                r[at % n] = SPECIALS[special];
+            }
+            assert_same_bits("generated", &a, np, &r);
         }
     }
 }

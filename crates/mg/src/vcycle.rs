@@ -28,13 +28,16 @@
 //! cannot poison it; it merely drops the workspace it had checked out.
 
 use crate::hierarchy::{Level, MgHierarchy};
+use crate::smoother::SweepPlan;
 use hpf_core::{DistVector, RowwiseCsr};
 use hpf_machine::{span, Machine};
 use hpf_solvers::{DistPreconditioner, Krylov, RecoveryConfig};
-use std::borrow::Cow;
 use std::sync::Mutex;
 
-/// The vectors one level of a cycle works in, in global order.
+/// The vectors one level of a cycle works in, in global order. A swept
+/// level's `y`, `z` and `dz` hold one slot past its rows, the slot the
+/// sweep's padding reads; the coarsest level, solved directly, has only
+/// its `r` and `z`, and its `y`, `rr` and `dz` are empty.
 struct LevelWorkspace {
     /// What this level is asked to solve for: the residual restricted
     /// from above (on level 0, the cycle's input).
@@ -45,12 +48,11 @@ struct LevelWorkspace {
     y: Vec<f64>,
     /// `r − A z`.
     rr: Vec<f64>,
-    /// The prolonged coarse correction, then the post-smoothing one.
+    /// The post-smoothing correction.
     dz: Vec<f64>,
 }
 
-/// Every vector of one cycle, finest level first. (The coarsest level,
-/// solved directly, uses only its `r` and `z`.)
+/// Every vector of one cycle, finest level first.
 struct CycleWorkspace {
     levels: Vec<LevelWorkspace>,
 }
@@ -58,13 +60,15 @@ struct CycleWorkspace {
 impl CycleWorkspace {
     fn new(h: &MgHierarchy) -> Self {
         let level = |l: &Level| {
-            let zeros = || vec![0.0; l.desc.len()];
+            let n = l.desc.len();
+            let swept = l.sweep.is_some();
+            let zeros = |len: usize| if swept { vec![0.0; len] } else { Vec::new() };
             LevelWorkspace {
-                r: zeros(),
-                z: zeros(),
-                y: zeros(),
-                rr: zeros(),
-                dz: zeros(),
+                r: vec![0.0; n],
+                z: vec![0.0; n + usize::from(swept)],
+                y: zeros(n + 1),
+                rr: zeros(n),
+                dz: zeros(n + 1),
             }
         };
         CycleWorkspace {
@@ -73,15 +77,19 @@ impl CycleWorkspace {
     }
 }
 
-/// The span segment of one level, without building a `String` for the
-/// depths hierarchies have.
-fn level_span(level: usize) -> Cow<'static, str> {
-    const SEGMENTS: [&str; 4] = ["level=0", "level=1", "level=2", "level=3"];
-    match SEGMENTS.get(level) {
-        Some(&segment) => Cow::Borrowed(segment),
-        None => Cow::Owned(format!("level={level}")),
-    }
-}
+/// The span segment of each level, for every depth a grid can reach (an
+/// extent halves at every level, so a `usize` one allows 64), from a
+/// static table so that entering one builds no `String`.
+const LEVEL_SPANS: [&str; 64] = [
+    "level=0", "level=1", "level=2", "level=3", "level=4", "level=5", "level=6", "level=7",
+    "level=8", "level=9", "level=10", "level=11", "level=12", "level=13", "level=14", "level=15",
+    "level=16", "level=17", "level=18", "level=19", "level=20", "level=21", "level=22", "level=23",
+    "level=24", "level=25", "level=26", "level=27", "level=28", "level=29", "level=30", "level=31",
+    "level=32", "level=33", "level=34", "level=35", "level=36", "level=37", "level=38", "level=39",
+    "level=40", "level=41", "level=42", "level=43", "level=44", "level=45", "level=46", "level=47",
+    "level=48", "level=49", "level=50", "level=51", "level=52", "level=53", "level=54", "level=55",
+    "level=56", "level=57", "level=58", "level=59", "level=60", "level=61", "level=62", "level=63",
+];
 
 /// A [`DistPreconditioner`] applying one V(1,1)-cycle of the owned
 /// hierarchy per call.
@@ -123,25 +131,32 @@ impl MgPreconditioner {
         let _s = span::enter("residual");
         machine.exchange(&lvl.halo, "mg-halo");
         machine.compute_all(&lvl.residual_flops, "mg-residual");
-        self.h.product(level).matvec_into(&w.z, &mut w.rr);
+        let n = w.r.len();
+        self.h.product(level).matvec_into(&w.z[..n], &mut w.rr);
         for (rri, ri) in w.rr.iter_mut().zip(&w.r) {
             *rri = ri - *rri;
         }
     }
 
     /// `z ≈ M⁻¹ r` at one level by block SymGS.
-    fn smooth(&self, machine: &mut Machine, level: usize, r: &[f64], y: &mut [f64], z: &mut [f64]) {
-        let lvl = &self.h.levels[level];
+    fn smooth(
+        machine: &mut Machine,
+        lvl: &Level,
+        sweep: &SweepPlan,
+        r: &[f64],
+        y: &mut [f64],
+        z: &mut [f64],
+    ) {
         let _s = span::enter("smooth");
         machine.compute_all(&lvl.smooth_flops, "mg-smooth");
-        lvl.sweep.symgs_into(self.h.matrix(level), r, y, z);
+        sweep.symgs_into(r, y, z);
     }
 
     /// Exact solve at the bottom: funnel the coarse residual to the
     /// root, back-substitute through the prebuilt Cholesky factor, fan
     /// the correction back out.
     fn coarse_solve(&self, machine: &mut Machine, level: usize, w: &mut LevelWorkspace) {
-        let _lv = span::enter(level_span(level));
+        let _lv = span::enter(LEVEL_SPANS[level]);
         let _s = span::enter("coarse");
         let lens = &self.h.coarse_lens;
         machine.gather_varying(0, lens, "mg-coarse-gather");
@@ -154,32 +169,32 @@ impl MgPreconditioner {
     /// workspace and those below it; `ws[0].r` in, `ws[0].z` out.
     fn cycle(&self, machine: &mut Machine, level: usize, ws: &mut [LevelWorkspace]) {
         let (w, below) = ws.split_first_mut().expect("a workspace per level");
-        let Some(t) = &self.h.levels[level].down else {
+        let lvl = &self.h.levels[level];
+        let (Some(sweep), Some(t)) = (&lvl.sweep, &lvl.down) else {
             return self.coarse_solve(machine, level, w);
         };
+        let n = w.r.len();
         {
-            let _lv = span::enter(level_span(level));
-            self.smooth(machine, level, &w.r, &mut w.y, &mut w.z);
+            let _lv = span::enter(LEVEL_SPANS[level]);
+            Self::smooth(machine, lvl, sweep, &w.r, &mut w.y, &mut w.z);
             self.residual(machine, level, w);
             let _s = span::enter("restrict");
             machine.exchange(&t.restrict_traffic, "mg-restrict");
             machine.compute_all(&t.restrict_flops, "mg-restrict-apply");
-            t.p.matvec_transpose_into(&w.rr, &mut below[0].r);
+            t.restrict_into(&w.rr, &mut below[0].r);
         }
         self.cycle(machine, level + 1, below);
-        let _lv = span::enter(level_span(level));
+        let _lv = span::enter(LEVEL_SPANS[level]);
         {
             let _s = span::enter("prolong");
             machine.exchange(&t.prolong_traffic, "mg-prolong");
             machine.compute_all(&t.prolong_flops, "mg-prolong-apply");
-            t.p.matvec_rows_into(0..t.p.n_rows(), &below[0].z, &mut w.dz);
-            for (zi, pi) in w.z.iter_mut().zip(&w.dz) {
-                *zi += pi;
-            }
+            let nc = below[0].r.len();
+            t.prolong_add(&below[0].z[..nc], &mut w.z[..n]);
         }
         self.residual(machine, level, w);
-        self.smooth(machine, level, &w.rr, &mut w.y, &mut w.dz);
-        for (zi, di) in w.z.iter_mut().zip(&w.dz) {
+        Self::smooth(machine, lvl, sweep, &w.rr, &mut w.y, &mut w.dz);
+        for (zi, di) in w.z[..n].iter_mut().zip(&w.dz) {
             *zi += di;
         }
     }
@@ -208,7 +223,7 @@ impl DistPreconditioner for MgPreconditioner {
         let mut ws = idle.unwrap_or_else(|| CycleWorkspace::new(&self.h));
         r.copy_to_global(&mut ws.levels[0].r);
         self.cycle(machine, 0, &mut ws.levels);
-        z.copy_from_global(&ws.levels[0].z);
+        z.copy_from_global(&ws.levels[0].z[..r.len()]);
         self.idle.lock().expect("no cycle runs under it").push(ws);
     }
 
@@ -330,6 +345,19 @@ mod tests {
         }
         assert_eq!(m.trace().count(EventKind::Gather), 1);
         assert_eq!(m.trace().count(EventKind::Scatter), 1);
+    }
+
+    /// Every depth a grid can be built to has a static span segment, so
+    /// no cycle formats one: an extent halves at every level, and
+    /// `usize::MAX` halves 63 times before it is one point.
+    #[test]
+    fn every_reachable_depth_has_a_static_span_segment() {
+        let deepest = GridDims::d2(usize::MAX, 1);
+        assert!(deepest.supports_levels(LEVEL_SPANS.len()));
+        assert!(!deepest.supports_levels(LEVEL_SPANS.len() + 1));
+        for (level, segment) in LEVEL_SPANS.iter().enumerate() {
+            assert_eq!(span::level_of(segment), Some(level));
+        }
     }
 
     /// Two applications on the same inputs produce identical events and

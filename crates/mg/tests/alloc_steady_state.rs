@@ -40,7 +40,13 @@ fn tally(pre: &MgPreconditioner, b: &[f64], level: TraceLevel, protected: bool) 
 #[test]
 fn an_mg_pcg_iteration_allocates_nothing_when_no_event_is_kept() {
     let every = RecoveryConfig::default().checkpoint_interval;
-    for (dims, levels) in [(GridDims::d2(63, 63), 4), (GridDims::d3(15, 15, 15), 3)] {
+    // Six levels is as deep as 63² goes (down to one row), and deeper
+    // than a span table of four levels covered.
+    for (dims, levels) in [
+        (GridDims::d2(63, 63), 4),
+        (GridDims::d2(63, 63), 6),
+        (GridDims::d3(15, 15, 15), 3),
+    ] {
         let h = MgHierarchy::build(dims, levels, NP).unwrap();
         let (_, b) = gen::rhs_for_known_solution(h.fine_matrix());
         let pre = MgPreconditioner::new(h);
