@@ -69,7 +69,6 @@ pub fn e23_fault_sweep(n: usize, np: usize, trials: usize) -> Table {
             let plan = FaultPlan::random(1000 + seed, np, 200, FaultRates::transient(rate));
             let config = RecoveryConfig {
                 max_rollbacks: 4 * plan.len().max(4),
-                ..RecoveryConfig::default()
             };
 
             let mut m = machine(np);

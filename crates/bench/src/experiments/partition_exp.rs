@@ -25,7 +25,7 @@ use hpf_machine::{CostModel, Machine, Topology};
 use hpf_obs::{BenchRecord, RegressionGate};
 use hpf_partition::{
     all_partitioners, assess, cg_auto_repartition, connectivity_of, NnzBisection,
-    PartitionAssessment, RepartitionPolicy,
+    PartitionAssessment,
 };
 use hpf_solvers::RecordingObserver;
 use hpf_sparse::{gen, CsrMatrix};
@@ -135,12 +135,6 @@ pub fn e26_with_gate(n: usize, gate: &RegressionGate) -> Table {
     let initial = AtomAssignment::atom_block(&spec, 4);
     let mut m = Machine::new(4, Topology::Hypercube, CostModel::mpp_1995());
     let mut obs = RecordingObserver::new();
-    let policy = RepartitionPolicy {
-        check_every: 4,
-        imbalance_threshold: 1.25,
-        drift_threshold: 0.5,
-        max_repartitions: 1,
-    };
     let out = cg_auto_repartition(
         &mut m,
         &a,
@@ -149,7 +143,6 @@ pub fn e26_with_gate(n: usize, gate: &RegressionGate) -> Table {
         20 * rows,
         &initial,
         &NnzBisection,
-        &policy,
         &mut obs,
     )
     .expect("SPD system must converge");

@@ -228,10 +228,7 @@ pub fn e30_with_gate(requests: usize, gate: &RegressionGate) -> Table {
     let fr = FlightRecorder::new(FlightRecorderConfig::default());
     let mut cfg = service_config(Some(&fr));
     cfg.max_attempts = 1;
-    cfg.recovery = Some(RecoveryConfig {
-        max_rollbacks: 0,
-        ..RecoveryConfig::default()
-    });
+    cfg.recovery = Some(RecoveryConfig { max_rollbacks: 0 });
     let service = SolverService::start(cfg);
     let chaos_mat = Arc::new(gen::poisson_2d(24, 24));
     let chaos_rhs = gen::rhs_for_known_solution(&chaos_mat).0;

@@ -16,14 +16,11 @@
 //!   clocks, traffic counters, and an event [`trace::Trace`];
 //! * [`spmd`] — a *real* message-passing world (ranks as OS threads,
 //!   one channel per rank) used for the hand-coded SPMD baseline the paper
-//!   compares HPF against;
-//! * [`exec`] — scoped-thread fork-join helpers for running local phases
-//!   of the simulation on real cores.
+//!   compares HPF against.
 
 pub mod blackbox;
 pub mod cost;
 pub mod counter;
-pub mod exec;
 pub mod fault;
 pub mod machine;
 pub mod predict;

@@ -211,10 +211,6 @@ impl Machine {
         &self.recorder.trace
     }
 
-    pub fn trace_mut(&mut self) -> &mut Trace {
-        &mut self.recorder.trace
-    }
-
     /// The running aggregate of the operations performed at
     /// [`TraceLevel::Summary`] since the last [`Machine::reset`] — equal
     /// to [`Digest::from_trace`] of the trace `Full` would have kept.
@@ -268,11 +264,6 @@ impl Machine {
         self.hook = Some(hook);
     }
 
-    /// Remove the progress hook.
-    pub fn clear_progress_hook(&mut self) {
-        self.hook = None;
-    }
-
     /// Install a live event sink, fired with every recorded [`Event`]
     /// even when tracing is off. Survives [`Machine::reset`]; replaced
     /// by the next call.
@@ -280,11 +271,6 @@ impl Machine {
     /// [`Event`]: crate::trace::Event
     pub fn set_event_sink(&mut self, sink: EventSink) {
         self.recorder.sink = Some(sink);
-    }
-
-    /// Remove the event sink.
-    pub fn clear_event_sink(&mut self) {
-        self.recorder.sink = None;
     }
 
     /// Keep the last `capacity` events (two at least: one slot is what
@@ -1381,9 +1367,6 @@ mod tests {
         m.reset();
         m.barrier("d");
         assert_eq!(beats.load(Ordering::Relaxed), 4, "hook survives reset");
-        m.clear_progress_hook();
-        m.barrier("e");
-        assert_eq!(beats.load(Ordering::Relaxed), 4);
     }
 
     #[test]
@@ -1411,18 +1394,26 @@ mod tests {
     fn event_sink_clears_and_coexists_with_tracing() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         use std::sync::Arc;
-        let n = Arc::new(AtomicUsize::new(0));
-        let tap = n.clone();
+        let counter = |n: &Arc<AtomicUsize>| {
+            let tap = n.clone();
+            EventSink::new(move |_| {
+                tap.fetch_add(1, Ordering::Relaxed);
+            })
+        };
+        let (first, second) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
         let mut m = Machine::hypercube(2);
-        m.set_event_sink(EventSink::new(move |_| {
-            tap.fetch_add(1, Ordering::Relaxed);
-        }));
+        m.set_event_sink(counter(&first));
         m.compute_uniform(1, "a");
-        assert_eq!(n.load(Ordering::Relaxed), 1);
+        assert_eq!(first.load(Ordering::Relaxed), 1);
         assert_eq!(m.trace().len(), 1, "trace still records alongside sink");
-        m.clear_event_sink();
+        m.set_event_sink(counter(&second));
         m.compute_uniform(1, "b");
-        assert_eq!(n.load(Ordering::Relaxed), 1, "cleared sink stays silent");
+        assert_eq!(
+            first.load(Ordering::Relaxed),
+            1,
+            "a replaced sink stays silent"
+        );
+        assert_eq!(second.load(Ordering::Relaxed), 1);
         assert_eq!(m.trace().len(), 2);
     }
 

@@ -239,23 +239,6 @@ impl Trace {
         Digest::from_trace(self).by_label
     }
 
-    /// Aggregate the trace per span path (see [`crate::span`]), in
-    /// first-appearance order. Events recorded outside any span land
-    /// under the empty path `""`. Every kind is counted, `Barrier` and
-    /// `Fault` included, as in [`Trace::summary_by_label`].
-    pub fn summary_by_span(&self) -> Vec<LabelSummary> {
-        let mut rows: Vec<LabelSummary> = Vec::new();
-        let mut row_of: std::collections::HashMap<&str, usize> = std::collections::HashMap::new();
-        for e in &self.events {
-            let i = *row_of.entry(e.span.as_str()).or_insert_with(|| {
-                rows.push(LabelSummary::empty(e.span.clone()));
-                rows.len() - 1
-            });
-            rows[i].add(e.words, e.flops, e.time);
-        }
-        rows
-    }
-
     /// Export as JSON Lines: one object per event, in record order — a
     /// stable, diffable external format, written through the workspace's
     /// one codec ([`hpf_json`]). `proc_times` is emitted only when
@@ -728,27 +711,6 @@ mod tests {
         // The row is its text, whichever way it came about.
         assert!(row_is("x [level=1]", "x [level=1]", None));
         assert!(row_is("x [level=1]", "x", Some(1)));
-    }
-
-    #[test]
-    fn summary_by_span_groups_by_span_path() {
-        let mut t = Trace::new();
-        let mut a = ev(EventKind::Compute, 0, 100, 1.0, "local-matvec");
-        a.span = "solve/iter=0/matvec".into();
-        let mut b = ev(EventKind::AllReduce, 1, 0, 0.5, "dot-merge");
-        b.span = "solve/iter=0/dot".into();
-        let mut c = ev(EventKind::AllReduce, 1, 0, 0.5, "dot-merge");
-        c.span = "solve/iter=0/dot".into();
-        t.record(a);
-        t.record(b);
-        t.record(c);
-        t.record(ev(EventKind::Barrier, 0, 0, 0.1, "outside"));
-        let s = t.summary_by_span();
-        assert_eq!(s.len(), 3);
-        assert_eq!(s[0].label, "solve/iter=0/matvec");
-        assert_eq!(s[1].label, "solve/iter=0/dot");
-        assert_eq!(s[1].count, 2);
-        assert_eq!(s[2].label, "", "unspanned events land under ''");
     }
 
     #[test]

@@ -39,7 +39,9 @@ fn tally(pre: &MgPreconditioner, b: &[f64], level: TraceLevel, protected: bool) 
 
 #[test]
 fn an_mg_pcg_iteration_allocates_nothing_when_no_event_is_kept() {
-    let every = RecoveryConfig::default().checkpoint_interval;
+    // The protected solve saves a checkpoint every 8 iterations
+    // (`CHECKPOINT_INTERVAL` in `hpf-solvers`' `recovery.rs`).
+    let every = 8;
     // Six levels is as deep as 63² goes (down to one row), and deeper
     // than a span table of four levels covered.
     for (dims, levels) in [

@@ -71,17 +71,6 @@ impl Timeline {
             total_time,
         }
     }
-
-    /// Total busy time per processor lane (sum of slice durations).
-    pub fn busy_per_proc(&self) -> Vec<f64> {
-        let mut busy = vec![0.0; self.np];
-        for s in &self.slices {
-            if s.proc < busy.len() {
-                busy[s.proc] += s.dur;
-            }
-        }
-        busy
-    }
 }
 
 fn push_slices(out: &mut Vec<Slice>, event: &Event, np: usize) {
@@ -138,16 +127,6 @@ mod tests {
         assert!(reduce.iter().all(|s| s.dur == reduce[0].dur));
         assert!(reduce[0].start >= d1);
         assert!(tl.total_time > 0.0);
-    }
-
-    #[test]
-    fn busy_per_proc_sums_slice_durations() {
-        let mut m = machine(2);
-        m.compute_all(&[10, 30], "work");
-        let tl = Timeline::from_trace(m.trace());
-        let busy = tl.busy_per_proc();
-        assert_eq!(busy.len(), 2);
-        assert!((busy[1] / busy[0] - 3.0).abs() < 1e-12);
     }
 
     #[test]

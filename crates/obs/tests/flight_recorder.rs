@@ -77,12 +77,9 @@ fn refusals_clean_jobs_and_a_shared_trace_id_leave_one_dump_and_no_state() {
         np: 4,
         max_attempts: 1,
         // Zero headroom: the first detected fault is terminal.
-        recovery: Some(RecoveryConfig {
-            max_rollbacks: 0,
-            ..RecoveryConfig::default()
-        }),
+        recovery: Some(RecoveryConfig { max_rollbacks: 0 }),
         // A parked worker sends no heartbeats; it is not hung.
-        supervision_enabled: false,
+        hang_timeout: Duration::from_secs(3600),
         machine_sink: Some(gate),
         ..ServiceConfig::default()
     };
@@ -172,7 +169,8 @@ fn the_shutdown_drain_completes_every_queued_job_and_dumps_none() {
         workers: 1,
         np: 4,
         batching_enabled: false,
-        supervision_enabled: false,
+        // The parked worker sends no heartbeats; it is not hung.
+        hang_timeout: Duration::from_secs(3600),
         machine_sink: Some(gate),
         event_sink: Some(events),
         ..ServiceConfig::default()

@@ -1,8 +1,8 @@
 //! The oracle-driven auto-repartitioner.
 //!
-//! A [`RepartitionPolicy`] watches a distributed CG solve in segments of
-//! `check_every` iterations. After each segment it reads two signals off
-//! the machine trace:
+//! [`cg_auto_repartition`] watches a distributed CG solve in segments of
+//! 4 iterations. After each segment it reads two signals off the machine
+//! trace:
 //!
 //! * **measured load imbalance** — `max/mean` per-processor busy time of
 //!   the segment's bulk-compute events (the same statistic
@@ -13,7 +13,8 @@
 //!   dominated by exactly the load-imbalance penalty §5.2 of the paper
 //!   reasons about.
 //!
-//! When either signal crosses its threshold the driver charges a
+//! When either signal crosses its threshold (imbalance above 1.25, drift
+//! above 0.5), at most once a solve, the driver charges a
 //! `REDISTRIBUTE USING <name>` exchange on the machine (atom-granularity
 //! traffic for the trio + solver vectors), rebuilds the distributed
 //! operator under the new layout, notifies the observer via
@@ -33,30 +34,15 @@ use hpf_solvers::{solve, IterObserver, Krylov, SolveStats, SolverError, StopCrit
 use hpf_sparse::CsrMatrix;
 use std::sync::Arc;
 
-/// Thresholds and cadence for mid-solve repartitioning.
-#[derive(Debug, Clone, Copy)]
-pub struct RepartitionPolicy {
-    /// Iterations per observation segment.
-    pub check_every: usize,
-    /// Fire when measured per-processor busy-time imbalance (`max/mean`)
-    /// exceeds this.
-    pub imbalance_threshold: f64,
-    /// Fire when relative oracle drift over the segment exceeds this.
-    pub drift_threshold: f64,
-    /// Cap on `REDISTRIBUTE USING` events per solve.
-    pub max_repartitions: usize,
-}
-
-impl Default for RepartitionPolicy {
-    fn default() -> Self {
-        RepartitionPolicy {
-            check_every: 8,
-            imbalance_threshold: 1.25,
-            drift_threshold: 0.5,
-            max_repartitions: 2,
-        }
-    }
-}
+/// Iterations per observation segment.
+const CHECK_EVERY: usize = 4;
+/// Fire when measured per-processor busy-time imbalance (`max/mean`)
+/// exceeds this.
+const IMBALANCE_THRESHOLD: f64 = 1.25;
+/// Fire when relative oracle drift over the segment exceeds this.
+const DRIFT_THRESHOLD: f64 = 0.5;
+/// Cap on `REDISTRIBUTE USING` events per solve.
+const MAX_REPARTITIONS: usize = 1;
 
 /// One `REDISTRIBUTE USING` fired by the policy.
 #[derive(Debug, Clone, PartialEq)]
@@ -131,11 +117,12 @@ pub fn segment_drift(events: &[Event], machine: &Machine) -> f64 {
 /// Distributed CG with mid-flight `REDISTRIBUTE USING <partitioner>`.
 ///
 /// Starts from `initial` (atoms = rows of `matrix`, weights = nnz), runs
-/// CG in segments of `policy.check_every` iterations, and lets the policy
-/// move the layout between segments. Scattered target layouts are lowered
-/// to contiguous row cuts for the operator (preserving the partitioner's
-/// load profile — see [`contiguous_projection`]); the redistribution
-/// traffic itself is charged at atom granularity.
+/// CG in segments of `CHECK_EVERY` (4) iterations, and moves the layout
+/// between segments as the module docs describe. Scattered target
+/// layouts are lowered to contiguous row cuts for the operator
+/// (preserving the partitioner's load profile — see
+/// [`contiguous_projection`]); the redistribution traffic itself is
+/// charged at atom granularity.
 #[allow(clippy::too_many_arguments)]
 pub fn cg_auto_repartition(
     machine: &mut Machine,
@@ -145,7 +132,6 @@ pub fn cg_auto_repartition(
     max_iters: usize,
     initial: &AtomAssignment,
     partitioner: &dyn Partitioner,
-    policy: &RepartitionPolicy,
     obs: &mut dyn IterObserver,
 ) -> Result<AutoRepartitionOutcome, SolverError> {
     let n = matrix.n_rows();
@@ -155,7 +141,6 @@ pub fn cg_auto_repartition(
             got: b.len(),
         });
     }
-    assert!(policy.check_every > 0, "check_every must be positive");
     let np = machine.np();
     assert_eq!(initial.np, np, "assignment/machine size mismatch");
 
@@ -192,7 +177,7 @@ pub fn cg_auto_repartition(
     while stats.iterations < max_iters {
         let row_cuts = contiguous_projection(&spec, &assignment);
         let op = RowwiseCsr::with_row_cuts(Arc::clone(&shared), np, row_cuts);
-        let segment_iters = policy.check_every.min(max_iters - stats.iterations);
+        let segment_iters = CHECK_EVERY.min(max_iters - stats.iterations);
         let mark = machine.trace().len();
 
         // Residual-correction restart: solve A·e = r to the *global*
@@ -235,8 +220,8 @@ pub fn cg_auto_repartition(
             break;
         }
 
-        let should_fire = repartitions.len() < policy.max_repartitions
-            && (imbalance > policy.imbalance_threshold || drift > policy.drift_threshold);
+        let should_fire = repartitions.len() < MAX_REPARTITIONS
+            && (imbalance > IMBALANCE_THRESHOLD || drift > DRIFT_THRESHOLD);
         if should_fire {
             // Trio (idx + values per element, ptr entry per atom) plus
             // the x and r vector elements riding along: 2 words/element
@@ -290,18 +275,8 @@ mod tests {
         let initial = BalancedContiguous.partition(&spec, &connectivity_of(&a), 4);
         let mut m = Machine::new(4, Topology::Hypercube, CostModel::mpp_1995());
         let mut obs = RecordingObserver::new();
-        let out = cg_auto_repartition(
-            &mut m,
-            &a,
-            &b,
-            1e-8,
-            500,
-            &initial,
-            &NnzBisection,
-            &RepartitionPolicy::default(),
-            &mut obs,
-        )
-        .unwrap();
+        let out = cg_auto_repartition(&mut m, &a, &b, 1e-8, 500, &initial, &NnzBisection, &mut obs)
+            .unwrap();
         assert!(out.stats.converged, "residual {}", out.stats.residual_norm);
         // Verify the actual solution.
         let ax = a.matvec(&out.x).unwrap();
@@ -327,12 +302,6 @@ mod tests {
         let initial = AtomAssignment::atom_block(&spec, 4);
         let mut m = Machine::new(4, Topology::Hypercube, CostModel::mpp_1995());
         let mut obs = RecordingObserver::new();
-        let policy = RepartitionPolicy {
-            check_every: 4,
-            imbalance_threshold: 1.25,
-            drift_threshold: 0.5,
-            max_repartitions: 1,
-        };
         let out = cg_auto_repartition(
             &mut m,
             &a,
@@ -341,20 +310,19 @@ mod tests {
             400,
             &initial,
             &NnzBisection,
-            &policy,
             &mut obs,
         )
         .unwrap();
         assert!(out.stats.converged);
         assert_eq!(
             out.repartitions.len(),
-            1,
+            MAX_REPARTITIONS,
             "policy should fire exactly once; segment imbalances {:?}",
             out.segment_imbalances
         );
         let ev = &out.repartitions[0];
         assert!(ev.words_moved > 0);
-        assert!(ev.imbalance_before > policy.imbalance_threshold);
+        assert!(ev.imbalance_before > IMBALANCE_THRESHOLD);
         assert!(
             ev.imbalance_after < ev.imbalance_before,
             "imbalance {} -> {}",
@@ -389,7 +357,6 @@ mod tests {
             10,
             &initial,
             &NnzBisection,
-            &RepartitionPolicy::default(),
             &mut hpf_solvers::NullObserver,
         )
         .unwrap();

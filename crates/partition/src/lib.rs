@@ -18,18 +18,16 @@
 //!   registry ([`by_name`], [`all_partitioners`]).
 //! * [`volume`] — modeled comm volume priced in oracle seconds through
 //!   `hpf-machine::predict` ([`PartitionAssessment`]).
-//! * [`auto`] — the auto-repartitioner: [`RepartitionPolicy`] watches
+//! * [`auto`] — the auto-repartitioner: [`cg_auto_repartition`] watches
 //!   measured load imbalance and oracle drift per solve segment and
-//!   fires typed `REDISTRIBUTE USING <name>` events mid-solve
-//!   ([`cg_auto_repartition`]).
+//!   fires typed `REDISTRIBUTE USING <name>` events mid-solve.
 
 pub mod auto;
 pub mod partitioners;
 pub mod volume;
 
 pub use auto::{
-    cg_auto_repartition, segment_drift, segment_imbalance, AutoRepartitionOutcome,
-    RepartitionEvent, RepartitionPolicy,
+    cg_auto_repartition, segment_drift, segment_imbalance, AutoRepartitionOutcome, RepartitionEvent,
 };
 pub use hpf_dist::{comm_volume, cut_edges, ConnectivityGraph, PartitionError, Partitioner};
 pub use partitioners::{

@@ -23,7 +23,10 @@ fn main() {
     };
     println!(
         "serving on a simulated {}-processor {:?} machine ({} workers, queue {})",
-        config.np, config.topology, config.workers, config.queue_capacity
+        config.np,
+        hpf_service::request::TOPOLOGY,
+        config.workers,
+        config.queue_capacity
     );
     let service = SolverService::start(config);
 

@@ -34,15 +34,24 @@
 //!
 //! (Pricing the whole backlog against every class regardless of weight
 //! over-sheds badly under sustained overload — the E27 hindsight audit
-//! caught exactly that, as a shed-when-feasible rate near 80%.) Until
-//! [`ServiceConfig::admission_min_samples`] completions have calibrated
-//! the factors, everything is admitted (cold start must not shed), and
-//! jobs without deadlines are never shed — they only contribute backlog.
+//! caught exactly that, as a shed-when-feasible rate near 80%.) The
+//! weights `w` are the intake's 6 : 3 : 1 `QOS_WEIGHTS`. Until
+//! `ADMISSION_MIN_SAMPLES` (8) completions have calibrated the factors,
+//! everything is admitted (cold start must not shed), and jobs without
+//! deadlines are never shed — they only contribute backlog.
 
-use crate::request::{QosClass, ServiceConfig, SolveRequest};
-use hpf_machine::{cg_iteration_seconds, CostModel, Topology};
+use crate::request::{QosClass, ServiceConfig, SolveRequest, QOS_WEIGHTS, TOPOLOGY};
+use hpf_machine::{cg_iteration_seconds, CostModel};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
+
+/// Completed solves observed before the controller trusts its wall-clock
+/// calibration enough to shed (cold start admits everything): from then
+/// on a job whose deadline the cost oracle predicts cannot be met given
+/// the current backlog is rejected on arrival (typed
+/// [`crate::ServiceError::Shed`]). A request without a deadline is never
+/// shed.
+const ADMISSION_MIN_SAMPLES: u64 = 8;
 
 /// EWMA smoothing factor for both calibration series.
 const ALPHA: f64 = 0.2;
@@ -69,10 +78,8 @@ pub enum AdmissionDecision {
 /// caller's thread and must stay cheap).
 #[derive(Debug)]
 pub struct AdmissionController {
-    min_samples: u64,
     workers: u64,
     np: usize,
-    topology: Topology,
     cost: CostModel,
     /// Completed-solve observations so far.
     samples: AtomicU64,
@@ -82,37 +89,32 @@ pub struct AdmissionController {
     iters_per_sqrt_n: AtomicU64,
     /// Predicted µs of admitted-but-unfinished work, per QoS class.
     backlog_us: [AtomicU64; 3],
-    /// Dequeue weights (zero treated as one, matching the intake).
-    weights: [u64; 3],
 }
 
 impl AdmissionController {
     pub fn new(config: &ServiceConfig) -> Self {
         AdmissionController {
-            min_samples: config.admission_min_samples,
             workers: config.workers.max(1) as u64,
             np: config.np,
-            topology: config.topology,
             cost: CostModel::mpp_1995(),
             samples: AtomicU64::new(0),
             calib_us_per_sim: AtomicU64::new(0f64.to_bits()),
             iters_per_sqrt_n: AtomicU64::new(ITERS_PER_SQRT_N_PRIOR.to_bits()),
             backlog_us: Default::default(),
-            weights: std::array::from_fn(|i| config.qos_weights[i].max(1) as u64),
         }
     }
 
     /// Whether enough completions have been observed to trust the
     /// calibration (and therefore to shed).
     pub fn calibrated(&self) -> bool {
-        self.samples.load(Ordering::Relaxed) >= self.min_samples
+        self.samples.load(Ordering::Relaxed) >= ADMISSION_MIN_SAMPLES
     }
 
     /// Predicted wall µs for `request`'s own execution (queue excluded).
     pub fn predict_self_us(&self, request: &SolveRequest) -> u64 {
         let n = request.matrix.n_rows();
         let nnz = request.matrix.nnz();
-        let per_iter = cg_iteration_seconds(n, nnz, self.np, self.topology, &self.cost);
+        let per_iter = cg_iteration_seconds(n, nnz, self.np, TOPOLOGY, &self.cost);
         let est_iters = (load_f64(&self.iters_per_sqrt_n) * (n as f64).sqrt())
             .clamp(1.0, request.max_iters.max(1) as f64);
         let sim_seconds = per_iter * est_iters * request.rhs.len().max(1) as f64;
@@ -135,9 +137,8 @@ impl AdmissionController {
             .iter()
             .map(|b| b.load(Ordering::Relaxed))
             .sum();
-        let weight_sum: u64 = self.weights.iter().sum();
-        // weights are clamped to ≥ 1 at construction, so this divides.
-        let share_bound = own.saturating_mul(weight_sum) / self.weights[class.index()];
+        let weight_sum: u64 = QOS_WEIGHTS.iter().map(|&w| u64::from(w)).sum();
+        let share_bound = own.saturating_mul(weight_sum) / u64::from(QOS_WEIGHTS[class.index()]);
         share_bound.min(total) / self.workers
     }
 
@@ -236,9 +237,8 @@ mod tests {
     use hpf_sparse::gen;
     use std::sync::Arc;
 
-    fn controller(min_samples: u64) -> AdmissionController {
+    fn controller() -> AdmissionController {
         AdmissionController::new(&ServiceConfig {
-            admission_min_samples: min_samples,
             workers: 2,
             ..ServiceConfig::default()
         })
@@ -254,7 +254,8 @@ mod tests {
     /// Feed completions until calibrated: 1 simulated second ≙ 1000 µs
     /// wall, √n iterations.
     fn calibrate(c: &AdmissionController) {
-        for _ in 0..8 {
+        for _ in 0..ADMISSION_MIN_SAMPLES {
+            assert!(!c.calibrated());
             c.observe(64, 8.0, 1.0, Duration::from_millis(1));
         }
         assert!(c.calibrated());
@@ -262,14 +263,14 @@ mod tests {
 
     #[test]
     fn cold_start_admits_everything() {
-        let c = controller(8);
+        let c = controller();
         let verdict = c.decide(&request(Some(Duration::from_nanos(1))));
         assert_eq!(verdict, AdmissionDecision::Admit { predicted_us: 0 });
     }
 
     #[test]
     fn calibrated_controller_sheds_impossible_deadlines() {
-        let c = controller(8);
+        let c = controller();
         calibrate(&c);
         // Prediction is strictly positive once calibrated, so a 1 ns
         // budget must be shed, and an hour must be admitted.
@@ -288,7 +289,7 @@ mod tests {
 
     #[test]
     fn jobs_without_deadlines_are_admitted_but_priced() {
-        let c = controller(8);
+        let c = controller();
         calibrate(&c);
         match c.decide(&request(None)) {
             AdmissionDecision::Admit { predicted_us } => assert!(predicted_us > 0),
@@ -298,7 +299,7 @@ mod tests {
 
     #[test]
     fn backlog_tightens_admission_and_release_relaxes_it() {
-        let c = controller(8);
+        let c = controller();
         calibrate(&c);
         let r = request(None);
         let self_us = c.predict_self_us(&r);
@@ -321,7 +322,7 @@ mod tests {
 
     #[test]
     fn batch_flood_does_not_shed_interactive_jobs() {
-        let c = controller(8);
+        let c = controller();
         calibrate(&c);
         let self_us = c.predict_self_us(&request(None));
         let budget = Duration::from_micros(2 * self_us);
@@ -351,7 +352,7 @@ mod tests {
 
     #[test]
     fn prediction_scales_with_problem_size_and_rhs_count() {
-        let c = controller(1);
+        let c = controller();
         c.observe(64, 8.0, 1.0, Duration::from_millis(1));
         let small = c.predict_self_us(&request(None));
         let big_matrix = Arc::new(gen::banded_spd(512, 3, 9));

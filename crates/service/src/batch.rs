@@ -152,21 +152,18 @@ pub struct Batch {
     pub jobs: Vec<Job>,
 }
 
-impl Batch {
-    pub fn total_rhs(&self) -> usize {
-        self.jobs.iter().map(|j| j.request.rhs.len()).sum()
-    }
-}
+/// Most jobs merged into one batch.
+pub(crate) const MAX_BATCH: usize = 16;
 
 /// Pull every job matching `seed`'s key out of `pending` (front to
-/// back), up to `max_batch` jobs total including the seed. Non-matching
+/// back), up to `MAX_BATCH` (16) jobs total including the seed. Non-matching
 /// jobs stay queued in order. Pure queue surgery, so the policy is
 /// testable without threads.
-pub fn form_batch(seed: Job, pending: &mut VecDeque<Job>, max_batch: usize) -> Batch {
+pub fn form_batch(seed: Job, pending: &mut VecDeque<Job>) -> Batch {
     let key = seed.batch_key();
     let mut jobs = vec![seed];
     let mut i = 0;
-    while i < pending.len() && jobs.len() < max_batch.max(1) {
+    while i < pending.len() && jobs.len() < MAX_BATCH {
         if pending[i].batch_key() == key {
             // Preserves relative order of the remaining jobs.
             let j = pending.remove(i).expect("index checked");
@@ -202,7 +199,7 @@ mod tests {
         let a = Arc::new(gen::tridiagonal(12, 4.0, -1.0));
         let b = Arc::new(gen::tridiagonal(12, 4.0, -1.0)); // equal structure, distinct Arc
         let mut pending: VecDeque<Job> = [job(2, &a), job(3, &b), job(4, &a), job(5, &a)].into();
-        let batch = form_batch(job(1, &a), &mut pending, 16);
+        let batch = form_batch(job(1, &a), &mut pending);
         let ids: Vec<u64> = batch.jobs.iter().map(|j| j.id).collect();
         assert_eq!(ids, vec![1, 2, 4, 5]);
         assert_eq!(pending.len(), 1);
@@ -212,10 +209,15 @@ mod tests {
     #[test]
     fn batch_respects_max_batch() {
         let a = Arc::new(gen::tridiagonal(8, 4.0, -1.0));
-        let mut pending: VecDeque<Job> = (2..10).map(|i| job(i, &a)).collect();
-        let batch = form_batch(job(1, &a), &mut pending, 3);
-        assert_eq!(batch.jobs.len(), 3);
-        assert_eq!(pending.len(), 6);
+        let mut pending: VecDeque<Job> = (2..22).map(|i| job(i, &a)).collect();
+        let batch = form_batch(job(1, &a), &mut pending);
+        assert_eq!(batch.jobs.len(), MAX_BATCH);
+        assert_eq!(pending.len(), 21 - MAX_BATCH);
+        assert_eq!(
+            pending[0].id,
+            MAX_BATCH as u64 + 1,
+            "the rest stay in order"
+        );
     }
 
     #[test]
@@ -224,7 +226,7 @@ mod tests {
         let other = job_of(2, request(&a).solver(SolverKind::Bicgstab));
         let tighter = job_of(3, request(&a).stop(StopCriterion::RelativeResidual(1e-12)));
         let mut pending: VecDeque<Job> = [other, tighter, job(4, &a)].into();
-        let batch = form_batch(job(1, &a), &mut pending, 16);
+        let batch = form_batch(job(1, &a), &mut pending);
         let ids: Vec<u64> = batch.jobs.iter().map(|j| j.id).collect();
         assert_eq!(ids, vec![1, 4]);
         assert_eq!(pending.len(), 2);
@@ -235,7 +237,7 @@ mod tests {
         let a = Arc::new(gen::tridiagonal(8, 4.0, -1.0));
         let other = job_of(2, request(&a).partitioner("greedy-hypergraph"));
         let mut pending: VecDeque<Job> = [other, job(3, &a)].into();
-        let batch = form_batch(job(1, &a), &mut pending, 16);
+        let batch = form_batch(job(1, &a), &mut pending);
         let ids: Vec<u64> = batch.jobs.iter().map(|j| j.id).collect();
         assert_eq!(ids, vec![1, 3]);
         assert_eq!(pending.len(), 1);
@@ -261,16 +263,5 @@ mod tests {
         j.request.deadline = Some(Duration::from_nanos(1));
         std::thread::sleep(Duration::from_millis(1));
         assert!(j.deadline_expired(Instant::now()));
-    }
-
-    #[test]
-    fn total_rhs_sums_across_jobs() {
-        let a = Arc::new(gen::tridiagonal(8, 4.0, -1.0));
-        let mut j2 = job(2, &a);
-        j2.request.rhs = vec![vec![1.0; 8], vec![2.0; 8]];
-        let batch = Batch {
-            jobs: vec![job(1, &a), j2],
-        };
-        assert_eq!(batch.total_rhs(), 3);
     }
 }

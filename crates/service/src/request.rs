@@ -53,8 +53,7 @@ impl SolverKind {
 
 /// Per-tenant quality-of-service class. Each class has its own bounded
 /// sub-queue (so one tenant's flood cannot crowd out another class) and
-/// a weighted-fair share of worker attention
-/// ([`ServiceConfig::qos_weights`]).
+/// a weighted-fair share of worker attention (`QOS_WEIGHTS`, 6 : 3 : 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum QosClass {
     /// Latency-sensitive: highest dequeue weight; the class the soak
@@ -241,7 +240,22 @@ impl SolveRequest {
     }
 }
 
+/// The simulated machine's topology: every solve runs on a hypercube.
+pub const TOPOLOGY: Topology = Topology::Hypercube;
+
+/// Weighted-fair dequeue shares per QoS class, indexed by
+/// [`QosClass::index`] (Interactive, Batch, BestEffort): how many batches
+/// a class may dispatch per round-robin round while other classes have
+/// work queued.
+pub(crate) const QOS_WEIGHTS: [u32; 3] = [6, 3, 1];
+
 /// Static service configuration, fixed at start-up.
+///
+/// What every deployment shares is a constant beside the code that reads
+/// it, not a field: the machine's [`TOPOLOGY`], the QoS weights
+/// (6 : 3 : 1), at most 16 jobs a batch, 8 calibrating solves before
+/// admission sheds, retries that escalate CG → BiCGSTAB → GMRES, and a
+/// supervisor that always runs.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Worker threads executing solves.
@@ -250,19 +264,14 @@ pub struct ServiceConfig {
     pub queue_capacity: usize,
     /// Simulated machine size every solve runs on.
     pub np: usize,
-    /// Simulated machine topology.
-    pub topology: Topology,
     /// Reuse `SolvePlan`s across requests with equal fingerprints.
     pub plan_cache_enabled: bool,
     /// Merge queued same-structure jobs into one multi-RHS execution.
     pub batching_enabled: bool,
-    /// Most jobs merged into a single batch.
-    pub max_batch: usize,
-    /// Total solve attempts per job (1 = no retries).
+    /// Total solve attempts per job (1 = no retries). A retry after a
+    /// numerical breakdown steps down the CG → BiCGSTAB → GMRES
+    /// escalation chain instead of re-running the same method.
     pub max_attempts: usize,
-    /// Step retries down the CG → BiCGSTAB → GMRES escalation chain on
-    /// numerical breakdown instead of re-running the same method.
-    pub escalation_enabled: bool,
     /// Consecutive job failures per structure before its circuit opens
     /// (0 disables the breaker).
     pub breaker_threshold: u32,
@@ -271,24 +280,8 @@ pub struct ServiceConfig {
     /// Run CG/PCG jobs through the checkpoint/rollback protected
     /// solvers; `None` uses the unprotected recurrences.
     pub recovery: Option<RecoveryConfig>,
-    /// Weighted-fair dequeue shares per QoS class, indexed by
-    /// [`QosClass::index`] (Interactive, Batch, BestEffort). A class's
-    /// weight is how many batches it may dispatch per round-robin round
-    /// while other classes have work queued; zero weights are treated
-    /// as one.
-    pub qos_weights: [u32; 3],
-    /// Completed solves observed before deadline-aware admission
-    /// trusts its wall-clock calibration enough to shed (cold start
-    /// admits everything): from then on a job whose deadline the cost
-    /// oracle predicts cannot be met given the current backlog is
-    /// rejected on arrival (typed [`crate::ServiceError::Shed`]). A
-    /// request without a deadline is never shed.
-    pub admission_min_samples: u64,
-    /// Supervise workers: detect hung/crashed worker threads via per-job
-    /// progress heartbeats, kill and restart them.
-    pub supervision_enabled: bool,
     /// A busy worker whose heartbeat has not advanced for this long is
-    /// declared hung and killed.
+    /// declared hung, killed and restarted by the supervisor.
     pub hang_timeout: Duration,
     /// Supervisor polling interval.
     pub supervisor_poll: Duration,
@@ -313,18 +306,12 @@ impl Default for ServiceConfig {
             workers: 2,
             queue_capacity: 64,
             np: 8,
-            topology: Topology::Hypercube,
             plan_cache_enabled: true,
             batching_enabled: true,
-            max_batch: 16,
             max_attempts: 3,
-            escalation_enabled: true,
             breaker_threshold: 5,
             breaker_cooldown: Duration::from_millis(250),
             recovery: Some(RecoveryConfig::default()),
-            qos_weights: [6, 3, 1],
-            admission_min_samples: 8,
-            supervision_enabled: true,
             hang_timeout: Duration::from_millis(500),
             supervisor_poll: Duration::from_millis(20),
             event_sink: None,

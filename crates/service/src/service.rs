@@ -7,7 +7,7 @@
 //!      ▼ lock: closed ⇒ Shutdown · class full ⇒ Busy · else push
 //!  intake: [Interactive] [Batch] [BestEffort]   (queue_capacity each)
 //!      │ notify_one, only if a worker is parked
-//!      ▼ lock: weighted-fair pick (deficit round-robin, qos_weights)
+//!      ▼ lock: weighted-fair pick (deficit round-robin, QOS_WEIGHTS)
 //!  worker ── takes the head job and its same-key, same-class mates
 //!      │  plan cache / partition, operator, solves
 //!      │                         supervisor (heartbeats, kill + respawn)
@@ -17,8 +17,8 @@
 //!
 //! A request crosses two threads: the caller's and the worker's. There
 //! is no dispatcher between them: a free worker takes the intake lock,
-//! picks the next class by deficit round-robin (credits seeded from
-//! [`ServiceConfig::qos_weights`], so a flood of best-effort work cannot
+//! picks the next class by deficit round-robin (credits seeded from the
+//! 6 : 3 : 1 `QOS_WEIGHTS`, so a flood of best-effort work cannot
 //! starve interactive jobs), pops that class's head job and looks past
 //! it for batch mates without reordering unrelated work. Batches thus
 //! form when a worker is ready for one, with everything submitted by
@@ -37,7 +37,7 @@ use crate::batch::{form_batch, Batch, Job};
 use crate::lock;
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::plan::PlanCache;
-use crate::request::{ServiceConfig, SolveRequest};
+use crate::request::{ServiceConfig, SolveRequest, QOS_WEIGHTS};
 use crate::response::{ServiceError, SolveResponse};
 use crate::retry::CircuitBreaker;
 use crate::supervisor::{spawn_worker, supervisor_loop, WorkerSlot, WorkerState};
@@ -98,14 +98,14 @@ struct Queues {
 impl Queues {
     /// The next batch by deficit round-robin: the first class (in
     /// priority order) with work and credits wins; when every backlogged
-    /// class is out of credits, all are replenished from the configured
-    /// weights. `None` when nothing is pending.
+    /// class is out of credits, all are replenished from
+    /// [`QOS_WEIGHTS`]. `None` when nothing is pending.
     fn next_batch(&mut self, config: &ServiceConfig) -> Option<Batch> {
         let pending = &mut self.pending;
         let class = match (0..3).find(|&i| !pending[i].is_empty() && self.credits[i] > 0) {
             Some(i) => i,
             None => {
-                self.credits = weights(config);
+                self.credits = QOS_WEIGHTS;
                 (0..3).find(|&i| !pending[i].is_empty())?
             }
         };
@@ -115,16 +115,11 @@ impl Queues {
         // best-effort job inside an interactive batch would let it jump
         // the weighted queue.
         Some(if config.batching_enabled {
-            form_batch(seed, &mut pending[class], config.max_batch)
+            form_batch(seed, &mut pending[class])
         } else {
             Batch { jobs: vec![seed] }
         })
     }
-}
-
-/// Dequeue weights: a zero would never earn a dequeue; treat it as one.
-fn weights(config: &ServiceConfig) -> [u32; 3] {
-    config.qos_weights.map(|w| w.max(1))
 }
 
 /// The hand-off between submitters and workers: [`Queues`] behind one
@@ -136,11 +131,11 @@ pub(crate) struct Intake {
 }
 
 impl Intake {
-    fn new(config: &ServiceConfig) -> Self {
+    fn new() -> Self {
         Intake {
             queues: Mutex::new(Queues {
                 pending: Default::default(),
-                credits: weights(config),
+                credits: QOS_WEIGHTS,
                 parked: 0,
                 closed: false,
             }),
@@ -199,7 +194,7 @@ impl Core {
             .queue_capacity
             .store(config.queue_capacity as u64, Ordering::Relaxed);
         Arc::new(Core {
-            intake: Intake::new(&config),
+            intake: Intake::new(),
             cache: PlanCache::new(PLAN_CACHE_CAPACITY),
             metrics,
             breaker: Arc::new(CircuitBreaker::new(
@@ -224,8 +219,7 @@ pub struct SolverService {
 }
 
 impl SolverService {
-    /// Start the worker pool and (if enabled) the supervisor described
-    /// by `config`.
+    /// Start the worker pool described by `config` and its supervisor.
     pub fn start(config: ServiceConfig) -> Self {
         assert!(config.workers > 0, "need at least one worker");
         assert!(config.queue_capacity > 0, "queue capacity must be positive");
@@ -240,16 +234,12 @@ impl SolverService {
             .collect();
         let slots = Arc::new(Mutex::new(slots));
 
-        let supervisor = if core.config.supervision_enabled {
+        let supervisor = {
             let (slots, core, shutting_down) = (slots.clone(), core.clone(), shutting_down.clone());
-            Some(
-                std::thread::Builder::new()
-                    .name("hpf-service-supervisor".into())
-                    .spawn(move || supervisor_loop(slots, core, shutting_down))
-                    .expect("spawn supervisor"),
-            )
-        } else {
-            None
+            std::thread::Builder::new()
+                .name("hpf-service-supervisor".into())
+                .spawn(move || supervisor_loop(slots, core, shutting_down))
+                .expect("spawn supervisor")
         };
 
         SolverService {
@@ -257,7 +247,7 @@ impl SolverService {
             next_id: AtomicU64::new(1),
             shutting_down,
             slots,
-            supervisor,
+            supervisor: Some(supervisor),
         }
     }
 
@@ -381,11 +371,6 @@ impl SolverService {
     pub fn shutdown(mut self) -> MetricsSnapshot {
         self.shutdown_in_place();
         self.core.metrics.snapshot()
-    }
-
-    /// True once shutdown has begun.
-    pub fn is_shutting_down(&self) -> bool {
-        self.shutting_down.load(Ordering::Relaxed)
     }
 
     /// Number of structures whose circuit breaker is currently open.
@@ -545,13 +530,12 @@ mod tests {
     fn dispatcher_pick(
         pending: &mut [VecDeque<Job>; 3],
         credits: &mut [u32; 3],
-        weights: [u32; 3],
         config: &ServiceConfig,
     ) -> Batch {
         let class = match (0..3).find(|&i| !pending[i].is_empty() && credits[i] > 0) {
             Some(i) => i,
             None => {
-                *credits = weights;
+                *credits = QOS_WEIGHTS;
                 (0..3)
                     .find(|&i| !pending[i].is_empty())
                     .expect("some class has work")
@@ -560,7 +544,7 @@ mod tests {
         credits[class] -= 1;
         let seed = pending[class].pop_front().expect("class has work");
         if config.batching_enabled {
-            form_batch(seed, &mut pending[class], config.max_batch)
+            form_batch(seed, &mut pending[class])
         } else {
             Batch { jobs: vec![seed] }
         }
@@ -591,27 +575,20 @@ mod tests {
     /// With the pool busy, arrivals wait in the intake and leave in the
     /// order the dispatcher thread would have forwarded them: same
     /// batches, same members, same sequence — with batching on and off,
-    /// with default, skewed and zero weights, across several credit
-    /// rounds and with arrivals landing between picks.
+    /// across several credit rounds and with arrivals landing between
+    /// picks.
     #[test]
     fn parked_arrivals_leave_in_the_order_the_dispatcher_forwarded_them() {
         let matrices = [8, 9, 10].map(|n| Arc::new(gen::tridiagonal(n, 4.0, -1.0)));
-        for (batching_enabled, qos_weights, max_batch) in [
-            (true, [6, 3, 1], 16),
-            (false, [6, 3, 1], 16),
-            (true, [1, 1, 1], 2),
-            (false, [2, 0, 5], 16),
-        ] {
+        for batching_enabled in [true, false] {
             let config = ServiceConfig {
                 batching_enabled,
-                qos_weights,
-                max_batch,
                 ..ServiceConfig::default()
             };
-            let intake = Intake::new(&config);
+            let intake = Intake::new();
             let mut queues = lock(&intake.queues);
             let mut oracle_pending: [VecDeque<Job>; 3] = Default::default();
-            let mut oracle_credits = weights(&config);
+            let mut oracle_credits = QOS_WEIGHTS;
             // 60 arrivals up front, then two more after every pick.
             let mut theirs = arrivals(&matrices, 120).into_iter();
             let mut ours = arrivals(&matrices, 120).into_iter();
@@ -625,12 +602,7 @@ mod tests {
             arrive(60, &mut queues, &mut oracle_pending);
             let mut picks = 0;
             while let Some(batch) = queues.next_batch(&config) {
-                let expected = dispatcher_pick(
-                    &mut oracle_pending,
-                    &mut oracle_credits,
-                    weights(&config),
-                    &config,
-                );
+                let expected = dispatcher_pick(&mut oracle_pending, &mut oracle_credits, &config);
                 let ids = |b: &Batch| b.jobs.iter().map(|j| j.id).collect::<Vec<_>>();
                 assert_eq!(ids(&batch), ids(&expected), "pick {picks} of {config:?}");
                 assert_eq!(queues.credits, oracle_credits, "pick {picks}");

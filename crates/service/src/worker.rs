@@ -30,7 +30,7 @@ use crate::events::{
 };
 use crate::lock;
 use crate::plan::{CacheOutcome, SolvePlan};
-use crate::request::{ServiceConfig, SolverKind};
+use crate::request::{ServiceConfig, SolverKind, TOPOLOGY};
 use crate::response::{PlanSource, ServiceError, SolveResponse};
 use crate::retry::{backoff_delay_jittered, escalate, is_retryable, Admission};
 use crate::service::Core;
@@ -192,7 +192,7 @@ impl Worker {
     /// [`ServiceError::WorkerKilled`], and the caller's loop exits.
     pub(crate) fn new(core: Arc<Core>, state: Arc<WorkerState>) -> Self {
         let config = &core.config;
-        let mut machine = Machine::new(config.np, config.topology, CostModel::mpp_1995());
+        let mut machine = Machine::new(config.np, TOPOLOGY, CostModel::mpp_1995());
         // Nobody reads this machine's events after the solve: the
         // response carries the digest, live taps go through the sink and
         // the evidence hook reads the tail.
@@ -290,7 +290,7 @@ impl Worker {
                     fingerprint,
                     &matrix,
                     config.np,
-                    config.topology,
+                    TOPOLOGY,
                     partitioner.as_ref(),
                     mg_req,
                 );
@@ -315,7 +315,7 @@ impl Worker {
                     fingerprint,
                     &matrix,
                     config.np,
-                    config.topology,
+                    TOPOLOGY,
                     partitioner.as_ref(),
                 );
                 if let Some((dims, levels)) = mg_req {
@@ -448,11 +448,9 @@ impl Worker {
                                 class,
                                 attempt: attempts + 1,
                             });
-                            if config.escalation_enabled {
-                                if let Some(next) = escalate(kind) {
-                                    kind = next;
-                                    metrics.escalations.fetch_add(1, Ordering::Relaxed);
-                                }
+                            if let Some(next) = escalate(kind) {
+                                kind = next;
+                                metrics.escalations.fetch_add(1, Ordering::Relaxed);
                             }
                             std::thread::sleep(backoff_delay_jittered(
                                 BACKOFF_BASE,
@@ -615,7 +613,7 @@ mod tests {
             (0..3).map(|i| make_job(i, &a, vec![b1.clone()])).unzip();
         let seed = jobs.remove(0);
         let mut pending: VecDeque<Job> = jobs.into();
-        let batch = form_batch(seed, &mut pending, 8);
+        let batch = form_batch(seed, &mut pending);
         assert_eq!(batch.jobs.len(), 3);
 
         let mut worker = worker(config(4));

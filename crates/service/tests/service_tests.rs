@@ -217,13 +217,12 @@ fn plan_cache_determinism_same_fingerprint_same_plan() {
 /// only; the worker thread keeps serving.
 #[test]
 fn solver_failure_does_not_poison_the_pool() {
-    // Retry/escalation off so the breakdown surfaces instead of being
-    // healed by the fallback chain (which has its own test).
+    // One attempt, so no retry escalates: the breakdown surfaces instead
+    // of being healed by the fallback chain (which has its own test).
     let service = SolverService::start(ServiceConfig {
         workers: 1,
         np: 2,
         max_attempts: 1,
-        escalation_enabled: false,
         ..ServiceConfig::default()
     });
     // CG breaks down deterministically on this indefinite system:
@@ -465,7 +464,6 @@ fn repeated_failures_open_the_circuit_breaker() {
         workers: 1,
         np: 2,
         max_attempts: 1,
-        escalation_enabled: false,
         breaker_threshold: 2,
         breaker_cooldown: Duration::from_secs(30),
         ..ServiceConfig::default()
@@ -587,25 +585,30 @@ fn shutdown_drains_queued_jobs_with_typed_errors() {
     assert_eq!(metrics.failed as usize, drained);
 }
 
-/// Tentpole acceptance: once the admission oracle has a calibration
-/// sample, a deadline no prediction can meet is refused at `submit`
-/// with a typed `Shed` — before the job consumes a queue slot — while
-/// feasible deadlines keep flowing.
+/// Tentpole acceptance: once the admission oracle has its eight
+/// calibrating solves, a deadline no prediction can meet is refused at
+/// `submit` with a typed `Shed` — before the job consumes a queue slot —
+/// while feasible deadlines keep flowing. Before the eighth, a cold
+/// oracle admits even that deadline.
 #[test]
 fn calibrated_admission_sheds_impossible_deadlines_at_submit() {
+    const CALIBRATING_SOLVES: u64 = 8;
     let service = SolverService::start(ServiceConfig {
         workers: 1,
         np: 4,
-        admission_min_samples: 1,
         ..ServiceConfig::default()
     });
     let a = Arc::new(gen::banded_spd(256, 3, 11));
     let (b, _x) = gen::rhs_for_known_solution(&a);
-    // One clean solve teaches the oracle this structure's wall cost.
-    let resp = service
-        .solve(SolveRequest::new(a.clone(), b.clone()))
-        .unwrap();
-    assert!(resp.stats[0].converged);
+    // Clean solves teach the oracle this structure's wall cost.
+    for _ in 0..CALIBRATING_SOLVES {
+        assert!(!service.admission().calibrated());
+        let resp = service
+            .solve(SolveRequest::new(a.clone(), b.clone()))
+            .unwrap();
+        assert!(resp.stats[0].converged);
+    }
+    assert!(service.admission().calibrated());
 
     // A 1 ns budget sits far below any calibrated prediction.
     let out =
@@ -626,8 +629,8 @@ fn calibrated_admission_sheds_impossible_deadlines_at_submit() {
 
     let m = service.shutdown();
     assert_eq!(m.shed_total, 1);
-    assert_eq!(m.accepted, 2);
-    assert_eq!(m.completed, 2);
+    assert_eq!(m.accepted, CALIBRATING_SOLVES + 1);
+    assert_eq!(m.completed, CALIBRATING_SOLVES + 1);
     assert_eq!(m.failed, 0);
 }
 
@@ -687,7 +690,7 @@ fn interactive_jobs_overtake_best_effort_under_load() {
         np: 4,
         batching_enabled: false,
         // The parked worker sends no heartbeats; it is not hung.
-        supervision_enabled: false,
+        hang_timeout: Duration::from_secs(3600),
         machine_sink: Some(gate),
         event_sink: Some(record),
         ..ServiceConfig::default()
@@ -797,7 +800,7 @@ fn a_class_accepts_exactly_queue_capacity_jobs() {
         queue_capacity: CAPACITY,
         np: 4,
         // The parked worker sends no heartbeats; it is not hung.
-        supervision_enabled: false,
+        hang_timeout: Duration::from_secs(3600),
         machine_sink: Some(gate),
         ..ServiceConfig::default()
     });

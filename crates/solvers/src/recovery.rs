@@ -25,42 +25,39 @@ use hpf_core::DistVector;
 use hpf_machine::{span, Machine};
 use std::collections::VecDeque;
 
-/// Knobs for the checkpoint/rollback machinery.
+/// Save a checkpoint every this many iterations.
+const CHECKPOINT_INTERVAL: usize = 8;
+/// How many checkpoints to keep (a rollback that keeps failing retreats
+/// to older ones).
+const RING_CAPACITY: usize = 3;
+/// Recompute the true residual `b - A x` every this many iterations.
+const RESIDUAL_CHECK_INTERVAL: usize = 25;
+/// A recurrence residual this many times larger than the previous one
+/// is treated as corruption, not convergence history.
+const RESIDUAL_JUMP_FACTOR: f64 = 1e6;
+/// Relative drift between recurrence and true residual (scaled by
+/// `||b||`) that triggers residual replacement.
+const DRIFT_TOLERANCE: f64 = 1e-4;
+/// If the best residual seen fails to improve by at least 1% over this
+/// many consecutive iterations, assume a silently corrupted scalar froze
+/// the recurrence and restart from the true residual.
+const STAGNATION_WINDOW: usize = 40;
+
+/// The recovery budget of a protected solve. Everything else about the
+/// checkpoint/rollback machinery is a constant of this module: a
+/// checkpoint every 8 iterations in a ring of 3, the true residual every
+/// 25, a jump of 1e6× or a drift of 1e-4·‖b‖ read as corruption, and a
+/// restart after 40 iterations without 1% progress.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoveryConfig {
-    /// Save a checkpoint every this many iterations.
-    pub checkpoint_interval: usize,
-    /// How many checkpoints to keep (a rollback that keeps failing
-    /// retreats to older ones).
-    pub ring_capacity: usize,
-    /// Recompute the true residual `b - A x` every this many iterations.
-    pub residual_check_interval: usize,
-    /// A recurrence residual this many times larger than the previous
-    /// one is treated as corruption, not convergence history.
-    pub residual_jump_factor: f64,
-    /// Relative drift between recurrence and true residual (scaled by
-    /// `||b||`) that triggers residual replacement.
-    pub drift_tolerance: f64,
     /// Give up with [`SolverError::RecoveryExhausted`] after this many
     /// rollbacks.
     pub max_rollbacks: usize,
-    /// If the best residual seen fails to improve by at least 1% over
-    /// this many consecutive iterations, assume a silently corrupted
-    /// scalar froze the recurrence and restart from the true residual.
-    pub stagnation_window: usize,
 }
 
 impl Default for RecoveryConfig {
     fn default() -> Self {
-        RecoveryConfig {
-            checkpoint_interval: 8,
-            ring_capacity: 3,
-            residual_check_interval: 25,
-            residual_jump_factor: 1e6,
-            drift_tolerance: 1e-4,
-            max_rollbacks: 16,
-            stagnation_window: 40,
-        }
+        RecoveryConfig { max_rollbacks: 16 }
     }
 }
 
@@ -140,9 +137,6 @@ pub(crate) fn protected_cg<A: DistOperator + ?Sized>(
     config: RecoveryConfig,
 ) -> Result<(DistVector, RecoveryStats), SolverError> {
     let desc = a.descriptor();
-    let checkpoint_interval = config.checkpoint_interval.max(1);
-    let residual_check_interval = config.residual_check_interval.max(1);
-    let ring_capacity = config.ring_capacity.max(1);
     let mut rec = RecoveryStats::default();
 
     // z = M^-1 r, kept for the whole solve. Unpreconditioned, z *is* r:
@@ -195,7 +189,6 @@ pub(crate) fn protected_cg<A: DistOperator + ?Sized>(
     rec.checkpoints += 1;
 
     let mut rollbacks_since_checkpoint = 0usize;
-    let stagnation_window = config.stagnation_window.max(1);
     let mut best_res = res;
     let mut since_improve = 0usize;
 
@@ -332,7 +325,7 @@ pub(crate) fn protected_cg<A: DistOperator + ?Sized>(
         if !res_new.is_finite()
             || !rho_new.is_finite()
             || rho_new < 0.0
-            || res_new > config.residual_jump_factor * res.max(f64::MIN_POSITIVE)
+            || res_new > RESIDUAL_JUMP_FACTOR * res.max(f64::MIN_POSITIVE)
         {
             rollback!("divergence");
         }
@@ -356,7 +349,7 @@ pub(crate) fn protected_cg<A: DistOperator + ?Sized>(
         } else {
             since_improve += 1;
         }
-        if since_improve >= stagnation_window {
+        if since_improve >= STAGNATION_WINDOW {
             restart_from_true_residual!();
         }
 
@@ -364,10 +357,10 @@ pub(crate) fn protected_cg<A: DistOperator + ?Sized>(
         // residual b - A x. Large drift means the recurrence was
         // silently corrupted; swap in the true residual and restart the
         // search direction.
-        if k.is_multiple_of(residual_check_interval) {
+        if k.is_multiple_of(RESIDUAL_CHECK_INTERVAL) {
             let _check_span = span::enter("residual-check");
             let res_true = true_residual_or_rollback!();
-            let drift_limit = config.drift_tolerance * run.b_norm.max(f64::MIN_POSITIVE);
+            let drift_limit = DRIFT_TOLERANCE * run.b_norm.max(f64::MIN_POSITIVE);
             if (res_true - res).abs() > drift_limit {
                 rec.faults_detected += 1;
                 replace_residual!(res_true);
@@ -407,7 +400,7 @@ pub(crate) fn protected_cg<A: DistOperator + ?Sized>(
         p.aypx(run.machine, beta, z_or_r(&z, &r));
         run.stats.axpys += 1;
 
-        if k.is_multiple_of(checkpoint_interval) {
+        if k.is_multiple_of(CHECKPOINT_INTERVAL) {
             ring.push_back(Checkpoint {
                 k,
                 x: x.clone(),
@@ -416,7 +409,7 @@ pub(crate) fn protected_cg<A: DistOperator + ?Sized>(
                 rho,
                 res,
             });
-            if ring.len() > ring_capacity {
+            if ring.len() > RING_CAPACITY {
                 ring.pop_front();
             }
             {

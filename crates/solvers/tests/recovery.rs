@@ -90,7 +90,6 @@ proptest! {
         // A dense plan can force one rollback per fault; budget for it.
         let config = RecoveryConfig {
             max_rollbacks: 4 * plan.len().max(4),
-            ..RecoveryConfig::default()
         };
 
         let mut m = machine(NP);

@@ -66,7 +66,6 @@ fn main() {
     m.set_fault_plan(plan.clone());
     let config = RecoveryConfig {
         max_rollbacks: 4 * plan.len().max(4),
-        ..RecoveryConfig::default()
     };
     let mut log = ConvergenceLog::new();
     let method = Krylov::Cg {
