@@ -173,15 +173,19 @@ pub(crate) fn protected_cg<A: DistOperator + ?Sized>(
     // three vectors (x, r, p) are copied locally, no communication.
     let copy_flops: Vec<usize> = (0..desc.np()).map(|pr| 3 * desc.local_len(pr)).collect();
 
-    let mut ring: VecDeque<Checkpoint> = VecDeque::new();
-    ring.push_back(Checkpoint {
+    // Every slot the ring will hold is allocated here: a save copies into
+    // a spare one, or into the oldest once the ring is full.
+    let slot = || Checkpoint {
         k: 0,
         x: x.clone(),
         r: r.clone(),
         p: p.clone(),
         rho,
         res,
-    });
+    };
+    let mut spare: Vec<Checkpoint> = (1..RING_CAPACITY).map(|_| slot()).collect();
+    let mut ring: VecDeque<Checkpoint> = VecDeque::with_capacity(RING_CAPACITY);
+    ring.push_back(slot());
     {
         let _s = span::enter("checkpoint");
         run.machine.compute_all(&copy_flops, "checkpoint-save");
@@ -215,7 +219,7 @@ pub(crate) fn protected_cg<A: DistOperator + ?Sized>(
                 });
             }
             if rollbacks_since_checkpoint >= 2 && ring.len() > 1 {
-                ring.pop_back();
+                spare.extend(ring.pop_back());
             }
             let cp = ring.back().expect("ring never empties");
             x.copy_from(&cp.x);
@@ -401,17 +405,15 @@ pub(crate) fn protected_cg<A: DistOperator + ?Sized>(
         run.stats.axpys += 1;
 
         if k.is_multiple_of(CHECKPOINT_INTERVAL) {
-            ring.push_back(Checkpoint {
-                k,
-                x: x.clone(),
-                r: r.clone(),
-                p: p.clone(),
-                rho,
-                res,
-            });
-            if ring.len() > RING_CAPACITY {
-                ring.pop_front();
-            }
+            let mut cp = spare
+                .pop()
+                .or_else(|| ring.pop_front())
+                .expect("a spare slot or a full ring");
+            (cp.k, cp.rho, cp.res) = (k, rho, res);
+            cp.x.copy_from(&x);
+            cp.r.copy_from(&r);
+            cp.p.copy_from(&p);
+            ring.push_back(cp);
             {
                 let _s = span::enter("checkpoint");
                 run.machine.compute_all(&copy_flops, "checkpoint-save");

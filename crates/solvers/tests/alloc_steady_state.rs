@@ -1,21 +1,23 @@
 //! The allocation gate: a steady-state iteration of distributed CG,
-//! Jacobi-PCG, BiCG, BiCGSTAB, CGS and GMRES(20) performs **zero** heap
-//! allocations when the machine keeps no events — [`TraceLevel::Off`] or
-//! [`TraceLevel::Summary`] — with no event sink, and also on a warm
-//! machine with a sink (lent the slot of the machine's tail the event
-//! was written to), a kept tail of 64 events, or both. So does CG over
-//! the column-wise `(*,BLOCK)` layout, both Scenario 2 variants. Every
-//! recurrence sizes its vectors, and GMRES its basis and
-//! Hessenberg columns, before the first iteration. The counting
+//! protected CG, Jacobi-PCG, BiCG, BiCGSTAB, CGS and GMRES(20) performs
+//! **zero** heap allocations when the machine keeps no events —
+//! [`TraceLevel::Off`] or [`TraceLevel::Summary`] — with no event sink,
+//! and also on a warm machine with a sink (lent the slot of the machine's
+//! tail the event was written to), a kept tail of 64 events, or both; on
+//! the Poisson operator (template product) and on a band of drawn values
+//! (pattern product). So does CG over the column-wise `(*,BLOCK)` layout,
+//! both Scenario 2 variants. Every recurrence sizes its vectors, GMRES
+//! its basis and Hessenberg columns, and protected CG its checkpoint
+//! slots, before the first iteration. The counting
 //! allocator and the observer that reads it are in `counting`.
 
 use hpf_core::{ColwiseCsc, DataArrayLayout, RowwiseCsr};
 use hpf_machine::{CostModel, EventSink, Machine, Topology, TraceLevel};
 use hpf_solvers::{
-    solve, ColwiseOperator, CscVariant, DistOperator, JacobiPreconditioner, Krylov, SolveStats,
-    StopCriterion,
+    solve, ColwiseOperator, CscVariant, DistOperator, JacobiPreconditioner, Krylov, RecoveryConfig,
+    SolveStats, StopCriterion,
 };
-use hpf_sparse::{gen, CscMatrix};
+use hpf_sparse::{gen, CscMatrix, CsrMatrix, ProductForm};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -30,8 +32,12 @@ const STOP: StopCriterion = StopCriterion::RelativeResidual(1e-10);
 /// (and allocated) before the solve.
 type Method = for<'a> fn(&'a JacobiPreconditioner) -> Krylov<'a>;
 
-const SOLVES: [(&str, Method); 6] = [
+const SOLVES: [(&str, Method); 7] = [
     ("cg", |_| Krylov::cg()),
+    ("cg (protected)", |_| Krylov::Cg {
+        precond: None,
+        recovery: Some(RecoveryConfig::default()),
+    }),
     ("pcg-jacobi", |jacobi| Krylov::Cg {
         precond: Some(jacobi),
         recovery: None,
@@ -56,7 +62,11 @@ fn run(
 
 /// `poisson_3d(12,12,12)` at NP = 8 with a right-hand side.
 fn problem() -> (RowwiseCsr, Vec<f64>) {
-    let a = gen::poisson_3d(12, 12, 12);
+    operator(gen::poisson_3d(12, 12, 12))
+}
+
+/// `a` in row blocks at NP = 8 with a right-hand side.
+fn operator(a: CsrMatrix) -> (RowwiseCsr, Vec<f64>) {
     let (_, b) = gen::rhs_for_known_solution(&a);
     (RowwiseCsr::block(a, NP, DataArrayLayout::RowAligned), b)
 }
@@ -106,6 +116,30 @@ fn steady_state_allocates_nothing_when_no_event_is_kept() {
                     "{what}: nothing was folded"
                 );
             }
+        }
+    }
+}
+
+/// The pattern product reads a band's coefficients where the matrix
+/// stores them, so its iterations allocate no more than the template
+/// product's.
+#[test]
+fn a_banded_operator_steady_state_allocates_nothing() {
+    let (op, b) = operator(gen::banded_spd(768, 3, 11));
+    assert_eq!(
+        op.product_form(),
+        ProductForm::Patterns {
+            patterns: 7,
+            runs: 7
+        }
+    );
+    let jacobi = JacobiPreconditioner::from_operator(&op).unwrap();
+    for (name, method) in SOLVES {
+        for level in [TraceLevel::Off, TraceLevel::Summary] {
+            let what = format!("{name} on a band at {level:?}");
+            assert_steady_state_is_allocation_free(&what, &mut machine(level), |m, tally| {
+                run(m, &op, &b, method(&jacobi), tally)
+            });
         }
     }
 }

@@ -5,6 +5,7 @@
 //! about the row-template product unless their operators take it. They
 //! do: the form is fixed when the operator is built, from the matrix
 //! alone, so it is the same under every fault plan those files install.
+//! The same holds for the pattern form and the bands that take it.
 
 use hpf_core::{ColwiseCsc, DataArrayLayout, RowwiseCsr};
 use hpf_sparse::{gen, CscMatrix, ProductForm};
@@ -46,11 +47,55 @@ fn the_allocation_gate_operator_takes_the_template_path() {
 }
 
 /// The other side of the choice stays reachable through the same
-/// constructor: a matrix with drawn values keeps the CSR kernel.
+/// constructor: a matrix whose structure is drawn keeps the CSR kernel.
 #[test]
 fn an_operator_whose_rows_do_not_repeat_keeps_the_csr_kernel() {
-    let op = RowwiseCsr::block(gen::banded_spd(63, 2, 5), 4, DataArrayLayout::RowAligned);
+    let op = RowwiseCsr::block(gen::random_spd(63, 4, 5), 4, DataArrayLayout::RowAligned);
     assert_eq!(op.product_form(), ProductForm::Csr);
+}
+
+/// A band whose values are all drawn repeats in its offsets alone and
+/// takes the pattern form: its two rows cut short at each end and its
+/// interior, five runs of one pattern each (`golden_np1.rs`'s bands run
+/// it too).
+#[test]
+fn a_band_of_drawn_values_takes_the_pattern_path() {
+    let op = RowwiseCsr::block(gen::banded_spd(63, 2, 5), 4, DataArrayLayout::RowAligned);
+    assert_eq!(
+        op.product_form(),
+        ProductForm::Patterns {
+            patterns: 5,
+            runs: 5
+        }
+    );
+}
+
+/// The benchmark service pool's families, at its shapes: Poisson takes
+/// the templates, the bands (half-bandwidth 3, seven patterns) the
+/// pattern form, and the power-law structures and the never-seen random
+/// ones the CSR kernel.
+#[test]
+fn the_service_pool_families_take_one_path_each() {
+    let form = |a| RowwiseCsr::block(a, 4, DataArrayLayout::RowAligned).product_form();
+    for i in 0..8 {
+        let seed = 17 + i as u64;
+        assert!(matches!(
+            form(gen::poisson_2d(20 + 2 * i, 20 + 2 * i)),
+            ProductForm::Templates { templates: 9, .. }
+        ));
+        assert_eq!(
+            form(gen::banded_spd(512 + 64 * i, 3, seed)),
+            ProductForm::Patterns {
+                patterns: 7,
+                runs: 7
+            }
+        );
+        assert_eq!(
+            form(gen::power_law_spd(400 + 50 * i, 10, 0.9, seed)),
+            ProductForm::Csr
+        );
+        assert_eq!(form(gen::random_spd(384, 5, seed)), ProductForm::Csr);
+    }
 }
 
 /// `golden_colwise.rs`'s layouts. At NP = 64, `poisson_2d(48, 48)` in

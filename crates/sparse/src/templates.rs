@@ -38,12 +38,23 @@
 //! third kind of pass beside the one that starts a chain and the one that
 //! resumes it from `out`.
 //!
-//! [`RowProduct`] is the one owner of the choice between the two: it
+//! Rows may also repeat in their **offsets** alone, each with values of
+//! its own — a band whose every coefficient was drawn. Such a matrix is
+//! swept by its **patterns** (templates of offsets, no coefficients):
+//! the rows of a long run of one pattern lie consecutively in the CSR
+//! arrays, `K` entries each, so coefficient `e` of the run's row `t` is
+//! read where it is stored, at `values[row_ptr[start] + t·K + e]`, and
+//! nothing is copied. Each row's chain is still the CSR kernel's; short
+//! runs take that kernel itself, and a sweep never runs over another
+//! pattern's rows (the stride needs every row `K` long).
+//!
+//! [`RowProduct`] is the one owner of the choice between the three: it
 //! holds the shared matrix, looks for the template form once (one pass
-//! over the rows, given up as soon as they stop repeating), and
-//! multiplies with whichever form it kept. The choice follows from the
-//! matrix alone; there is nothing to configure. [`GroupedRowProduct`]
-//! makes the same choice from the matrix and its column groups.
+//! over the rows, given up as soon as they stop repeating), then for the
+//! pattern form the same way, and multiplies with whichever form it
+//! kept. The choice follows from the matrix alone; there is nothing to
+//! configure. [`GroupedRowProduct`] chooses between templates and a row
+//! loop from the matrix and its column groups.
 
 use crate::csr::CsrMatrix;
 use std::ops::Range;
@@ -92,7 +103,8 @@ struct Run {
 }
 
 /// Rows `start..end` multiplied as `template`; both ends are rows of it.
-/// `patches` is one past the last patch to apply once the sweep is done.
+/// `patches` is one past the last patch to apply once the sweep is done
+/// (a pattern form has none: its short runs take the CSR kernel).
 #[derive(Debug, Clone, Copy)]
 struct Sweep {
     start: usize,
@@ -120,7 +132,12 @@ struct RowTemplates {
     /// `column − row` of each entry, as a wrapping difference: the column
     /// is `row.wrapping_add(offset)`.
     offsets: Vec<usize>,
+    /// Empty in a pattern form, whose rows keep their own values.
     coefs: Vec<f64>,
+    /// Whether rows are one template by their offsets alone (a pattern
+    /// form): the product then reads each row's coefficients from the
+    /// matrix, and its sweeps neither merge nor patch.
+    in_place: bool,
     /// Whether the entry starts a new chain; never a template's first.
     breaks: Vec<bool>,
     /// Whether any entry does: only a grouped product's templates break.
@@ -140,9 +157,15 @@ impl RowTemplates {
     /// between consecutive entries at columns `c0` and `c1` when
     /// `breaks(c0, c1)`, and rows are one template only where they break
     /// alike. One pass; a row is compared with the open run's template
-    /// first and with the table only when a new run opens. An accepted
-    /// matrix then has its runs planned into sweeps and patches.
-    fn detect(a: &CsrMatrix, breaks: impl Fn(usize, usize) -> bool) -> Option<Self> {
+    /// first and with the table only when a new run opens. With
+    /// `in_place`, rows are compared by their offsets and breaks alone and
+    /// no coefficient is kept. An accepted matrix then has its runs planned
+    /// into sweeps and patches.
+    fn detect(
+        a: &CsrMatrix,
+        breaks: impl Fn(usize, usize) -> bool,
+        in_place: bool,
+    ) -> Option<Self> {
         let (row_ptr, col_idx, values) = (a.row_ptr(), a.col_idx(), a.values());
         // A matrix that is turned away has stored a template and a run for
         // each of its first rows: with room for that prefix a rejection
@@ -155,6 +178,7 @@ impl RowTemplates {
             ptr: Vec::with_capacity(head_rows + 1),
             offsets: Vec::new(),
             coefs: Vec::new(),
+            in_place,
             breaks: Vec::new(),
             broken: false,
             runs: 0,
@@ -181,7 +205,9 @@ impl RowTemplates {
                 None => {
                     form.offsets
                         .extend(cols.iter().map(|&c| c.wrapping_sub(row)));
-                    form.coefs.extend_from_slice(vals);
+                    if !in_place {
+                        form.coefs.extend_from_slice(vals);
+                    }
                     form.breaks
                         .extend((0..cols.len()).map(|e| e > 0 && breaks(cols[e - 1], cols[e])));
                     form.ptr.push(form.offsets.len());
@@ -215,17 +241,21 @@ impl RowTemplates {
     /// slices are contiguous and its first and last rows are its own
     /// template's, so it reads inside `p` whatever rows it runs over.
     /// Patches are applied after the last sweep that starts before them:
-    /// a sweep never overwrites a row already patched.
+    /// a sweep never overwrites a row already patched. A pattern form's
+    /// long runs are a sweep each and its short runs are left to the CSR
+    /// kernel: the rows between would shift the in-place stride.
     fn plan(&mut self, runs: &[Run]) {
         self.runs = runs.len();
         let mut start = 0;
         for &Run { end, template } in runs {
             if end - start < SHORT_RUN {
-                self.patches
-                    .extend((start..end).map(|row| Patch { row, template }));
+                if !self.in_place {
+                    self.patches
+                        .extend((start..end).map(|row| Patch { row, template }));
+                }
             } else {
                 match self.sweeps.last_mut() {
-                    Some(open) if open.template == template => open.end = end,
+                    Some(open) if open.template == template && !self.in_place => open.end = end,
                     _ => self.sweeps.push(Sweep {
                         start,
                         end,
@@ -242,7 +272,8 @@ impl RowTemplates {
     }
 
     /// Whether row `row`, stored as `cols`/`vals` and broken where
-    /// `breaks` says, is template `t`.
+    /// `breaks` says, is template `t` (its values aside, in a pattern
+    /// form).
     fn reads_as(
         &self,
         t: usize,
@@ -251,16 +282,18 @@ impl RowTemplates {
         vals: &[f64],
         breaks: &impl Fn(usize, usize) -> bool,
     ) -> bool {
-        let (offsets, coefs, starts) = self.entries(t);
+        let span = self.ptr[t]..self.ptr[t + 1];
+        let (offsets, starts) = (&self.offsets[span.clone()], &self.breaks[span.clone()]);
         offsets.len() == cols.len()
             && offsets
                 .iter()
                 .zip(cols)
                 .all(|(&offset, &c)| row.wrapping_add(offset) == c)
-            && coefs
-                .iter()
-                .zip(vals)
-                .all(|(coef, v)| coef.to_bits() == v.to_bits())
+            && (self.in_place
+                || self.coefs[span]
+                    .iter()
+                    .zip(vals)
+                    .all(|(coef, v)| coef.to_bits() == v.to_bits()))
             && starts
                 .iter()
                 .enumerate()
@@ -392,6 +425,40 @@ impl RowTemplates {
             out[row] = total + acc;
         }
     }
+
+    /// `out = A p` for a pattern form of `a`, overwriting `out`: each
+    /// sweep reads its rows' coefficients from `a`'s values, every other
+    /// row is [`CsrMatrix::matvec_rows_into`]'s, and so is every bit.
+    ///
+    /// Panics if `p` is not `n_cols` long or `out` not `n_rows` long.
+    fn matvec_in_place(&self, a: &CsrMatrix, p: &[f64], out: &mut [f64]) {
+        assert_eq!(out.len(), self.n_rows, "matvec: result length");
+        let (row_ptr, values) = (a.row_ptr(), a.values());
+        let mut row = 0;
+        for sweep in &self.sweeps {
+            a.matvec_rows_into(row..sweep.start, p, &mut out[row..sweep.start]);
+            let rows = &mut out[sweep.start..sweep.end];
+            let span = self.ptr[sweep.template]..self.ptr[sweep.template + 1];
+            // The run's rows, `width` stored entries each, one after another.
+            let (width, coefs) = (
+                span.len(),
+                &values[row_ptr[sweep.start]..row_ptr[sweep.end]],
+            );
+            if width == 0 {
+                rows.fill(0.0);
+            }
+            for (k, offsets) in self.offsets[span].chunks(PASS_ENTRIES).enumerate() {
+                let first = k * PASS_ENTRIES;
+                if k == 0 {
+                    pass_in_place::<START>(sweep.start, offsets, coefs, width, first, p, rows);
+                } else {
+                    pass_in_place::<RESUME>(sweep.start, offsets, coefs, width, first, p, rows);
+                }
+            }
+            row = sweep.end;
+        }
+        a.matvec_rows_into(row..self.n_rows, p, &mut out[row..]);
+    }
 }
 
 /// One pass over a sweep starting at row `start`: every row's chain is
@@ -447,6 +514,64 @@ fn lanes<const K: usize, const MODE: u8>(
     }
 }
 
+/// [`pass`] over a pattern form's sweep, each row's coefficients read
+/// where the matrix stores them: entry `first + e` of the sweep's row `t`
+/// is `coefs[t · width + first + e]`. Starts (`START`) or resumes
+/// (`RESUME`) the chains; out of line like [`pass`].
+#[inline(never)]
+fn pass_in_place<const MODE: u8>(
+    start: usize,
+    offsets: &[usize],
+    coefs: &[f64],
+    width: usize,
+    first: usize,
+    p: &[f64],
+    out: &mut [f64],
+) {
+    match offsets.len() {
+        1 => strided::<1, MODE>(start, offsets, coefs, width, first, p, out),
+        2 => strided::<2, MODE>(start, offsets, coefs, width, first, p, out),
+        3 => strided::<3, MODE>(start, offsets, coefs, width, first, p, out),
+        4 => strided::<4, MODE>(start, offsets, coefs, width, first, p, out),
+        5 => strided::<5, MODE>(start, offsets, coefs, width, first, p, out),
+        6 => strided::<6, MODE>(start, offsets, coefs, width, first, p, out),
+        7 => strided::<7, MODE>(start, offsets, coefs, width, first, p, out),
+        8 => strided::<8, MODE>(start, offsets, coefs, width, first, p, out),
+        k => unreachable!("a pass of {k} entries"),
+    }
+}
+
+/// [`pass_in_place`] for exactly `K` entries: [`lanes`] with row `t`'s
+/// coefficients `K` consecutive stored values instead of constants.
+#[inline(always)]
+fn strided<const K: usize, const MODE: u8>(
+    start: usize,
+    offsets: &[usize],
+    coefs: &[f64],
+    width: usize,
+    first: usize,
+    p: &[f64],
+    out: &mut [f64],
+) {
+    let len = out.len();
+    assert!(
+        first + K <= width && coefs.len() == len * width,
+        "a run of {len} rows {width} wide"
+    );
+    let inputs: [&[f64]; K] = std::array::from_fn(|e| {
+        let lo = start.wrapping_add(offsets[e]);
+        &p[lo..lo + len]
+    });
+    for (t, row) in coefs.chunks_exact(width).enumerate() {
+        let c = &row[first..first + K];
+        let mut acc = if MODE == RESUME { out[t] } else { 0.0 };
+        for e in 0..K {
+            acc += c[e] * inputs[e][t];
+        }
+        out[t] = acc;
+    }
+}
+
 /// Which kernel a [`RowProduct`] or a [`GroupedRowProduct`] multiplies
 /// with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -458,6 +583,10 @@ pub enum ProductForm {
     /// The row-template kernel, over this many distinct rows and this
     /// many maximal runs of consecutive rows sharing one.
     Templates { templates: usize, runs: usize },
+    /// The row-template kernel over this many distinct offset patterns and
+    /// runs, each swept row's coefficients read in place from the CSR
+    /// values (a `RowProduct` whose rows repeat in structure only).
+    Patterns { patterns: usize, runs: usize },
 }
 
 /// A shared CSR matrix together with the form its whole-matrix row-wise
@@ -473,7 +602,8 @@ impl RowProduct {
     /// is kept as it is) and pick its product's form.
     pub fn new(matrix: impl Into<Arc<CsrMatrix>>) -> Self {
         let matrix = matrix.into();
-        let templates = RowTemplates::detect(&matrix, |_, _| false);
+        let templates = RowTemplates::detect(&matrix, |_, _| false, false)
+            .or_else(|| RowTemplates::detect(&matrix, |_, _| false, true));
         RowProduct { matrix, templates }
     }
 
@@ -484,6 +614,10 @@ impl RowProduct {
     pub fn form(&self) -> ProductForm {
         match &self.templates {
             None => ProductForm::Csr,
+            Some(t) if t.in_place => ProductForm::Patterns {
+                patterns: t.templates(),
+                runs: t.runs,
+            },
             Some(t) => ProductForm::Templates {
                 templates: t.templates(),
                 runs: t.runs,
@@ -497,6 +631,7 @@ impl RowProduct {
     /// Panics if `p` is not `n_cols` long or `out` not `n_rows` long.
     pub fn matvec_into(&self, p: &[f64], out: &mut [f64]) {
         match &self.templates {
+            Some(t) if t.in_place => t.matvec_in_place(&self.matrix, p, out),
             Some(t) => t.matvec_into(p, out),
             None => self
                 .matrix
@@ -549,8 +684,9 @@ impl GroupedRowProduct {
     /// Panics if `col_group` is not `n_cols` long.
     pub fn new(matrix: CsrMatrix, col_group: Vec<usize>) -> Self {
         assert_eq!(col_group.len(), matrix.n_cols(), "a group for every column");
-        let templates = RowTemplates::detect(&matrix, |c0, c1| col_group[c0] != col_group[c1])
-            .filter(RowTemplates::sweeps_every_term);
+        let templates =
+            RowTemplates::detect(&matrix, |c0, c1| col_group[c0] != col_group[c1], false)
+                .filter(RowTemplates::sweeps_every_term);
         let form = match templates {
             Some(t) => Grouped::Templates(t),
             None => Grouped::Rows { matrix, col_group },
@@ -642,7 +778,7 @@ mod tests {
     /// [`plan_of`] with the chains broken where `col_group` changes.
     fn grouped_plan_of(a: &CsrMatrix, col_group: &[usize]) -> (usize, usize, usize, usize) {
         let breaks = |c0: usize, c1: usize| col_group[c0] != col_group[c1];
-        let form = RowTemplates::detect(a, breaks).expect("rows repeat");
+        let form = RowTemplates::detect(a, breaks, false).expect("rows repeat");
         let is_template = |row: usize, t: usize| {
             let span = a.row_ptr()[row]..a.row_ptr()[row + 1];
             form.reads_as(
@@ -719,6 +855,38 @@ mod tests {
         let owners: Vec<usize> = (0..48 * 48).map(|c| c / 36).collect();
         let a = gen::poisson_2d(48, 48);
         assert_eq!(grouped_plan_of(&a, &owners), (288, 3, 192, 46 * 48 - 2));
+    }
+
+    /// A pattern form's long runs are a sweep each, never merged across
+    /// the rows between, and its short runs are neither swept nor
+    /// patched: they are the CSR kernel's. Rows alternate between a
+    /// diagonal and a tridiagonal pattern in runs of 10, 2, 10 and 10,
+    /// every value its own.
+    #[test]
+    fn pattern_runs_are_a_sweep_each_and_short_ones_are_left_to_the_csr_kernel() {
+        let lens = [10, 2, 10, 10];
+        let (mut row_ptr, mut col_idx, mut values) = (vec![0], Vec::new(), Vec::new());
+        let mut row = 0;
+        for (k, len) in lens.into_iter().enumerate() {
+            for r in row..row + len {
+                let cols = if k % 2 == 0 { r..r + 1 } else { r - 1..r + 2 };
+                values.extend(cols.clone().map(|c| (r * 7 + c) as f64));
+                col_idx.extend(cols);
+                row_ptr.push(col_idx.len());
+            }
+            row += len;
+        }
+        let a = CsrMatrix::from_raw(row, row + 1, row_ptr, col_idx, values).unwrap();
+        assert!(RowTemplates::detect(&a, |_, _| false, false).is_none());
+        let form = RowTemplates::detect(&a, |_, _| false, true).expect("offsets repeat");
+        let sweeps: Vec<(usize, usize, usize)> = form
+            .sweeps
+            .iter()
+            .map(|s| (s.start, s.end, s.template))
+            .collect();
+        assert_eq!(sweeps, [(0, 10, 0), (12, 22, 0), (22, 32, 1)]);
+        assert!(form.patches.is_empty() && form.coefs.is_empty());
+        assert_eq!((form.templates(), form.runs), (2, 4));
     }
 
     /// Rows in runs too short to sweep are all patches, and a long run

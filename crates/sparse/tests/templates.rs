@@ -1,10 +1,11 @@
 //! The row-template product against the CSR kernel, **to the bit**, and
 //! the decision that selects it.
 //!
-//! `RowProduct` multiplies in whichever form it found its matrix to have;
-//! either must write what `CsrMatrix::matvec_rows_into` writes for every
-//! operand. `GroupedRowProduct` must write what its definition — chains
-//! broken where the column group changes, spelled out row by row in
+//! `RowProduct` multiplies in whichever form it found its matrix to have
+//! (templates, offset patterns read in place, or the CSR rows); each must
+//! write what `CsrMatrix::matvec_rows_into` writes for every operand.
+//! `GroupedRowProduct` must write what its definition — chains broken
+//! where the column group changes, spelled out row by row in
 //! `grouped_reference` — gives. CI runs this file in `--release` too: the
 //! vectorised passes only exist there.
 
@@ -152,6 +153,41 @@ proptest! {
     }
 }
 
+proptest! {
+    /// Bands whose every value is drawn repeat in their offsets alone and
+    /// are swept with each row's coefficients read where the CSR stores
+    /// them: half-bandwidths 0 to 10 (rows of 1 to 21 entries, one to
+    /// three passes), the rows cut short at both ends left to the CSR
+    /// kernel, coefficients and operands holding `±0.0`, `±inf` and NaN.
+    /// A band of `2·(2h + 1)` rows or more *must* take the pattern form
+    /// (half-bandwidth 0 is the identity, a template), so the comparison
+    /// cannot pass by running the CSR kernel twice.
+    #[test]
+    fn bands_swept_in_place_multiply_to_the_csr_bits(
+        n in 1usize..=160,
+        planted in any::<bool>(),
+        with_nan in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let specials = [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+        for half_bandwidth in 0..=10 {
+            let mut a = gen::banded_spd(n, half_bandwidth, seed);
+            if planted {
+                a = with_planted(&a, &specials, 0.1, &mut rng);
+            }
+            let what = format!("banded_spd({n}, {half_bandwidth}) planted={planted} seed={seed}");
+            let form = RowProduct::new(a.clone()).form();
+            if half_bandwidth > 0 && n >= 2 * (2 * half_bandwidth + 1) {
+                let rows = 2 * half_bandwidth + 1;
+                prop_assert_eq!(form, ProductForm::Patterns { patterns: rows, runs: rows }, "{}", what);
+            }
+            let x = arb_operand(n, with_nan, &mut rng);
+            assert_product_exact(&what, &a, &x);
+        }
+    }
+}
+
 /// The `0.0 +` the kernel must not drop: a row whose only product is
 /// `-0.0` yields `+0.0`, as the CSR chain from `0.0` does — on a run long
 /// enough for the vectorised pass and on one handled row by row.
@@ -289,9 +325,10 @@ fn a_dirty_out_is_fully_overwritten_patched_rows_included() {
 }
 
 /// The decision, pinned: grid operators and tridiagonals take the
-/// template path, the generators whose values are drawn at random do
-/// not, and whatever is accepted has at most 64 templates and runs of
-/// two rows or more on average. (How the accepted runs are then walked —
+/// template path, a band of drawn values the pattern path, the
+/// generators whose structure is drawn at random neither, and whatever is
+/// accepted has at most 64 templates and runs of two rows or more on
+/// average. (How the accepted runs are then walked —
 /// sweeps and patches, counted for `poisson_3d(40³)`, `poisson_2d(48²)`
 /// and a tridiagonal — is private to the crate and pinned beside it, in
 /// `src/templates.rs`.)
@@ -314,7 +351,7 @@ fn the_selection_accepts_what_repeats_and_nothing_else() {
                 assert!(templates <= 64, "{what}: {templates} templates");
                 assert!(2 * runs <= n, "{what}: {runs} runs over {n} rows");
             }
-            ProductForm::Csr => panic!("{what} must take the template path"),
+            form => panic!("{what} must take the template path, not {form:?}"),
         }
     }
     // The 27th template of 40^3 first appears after 1,600 rows; the early
@@ -328,11 +365,17 @@ fn the_selection_accepts_what_repeats_and_nothing_else() {
     );
 
     for seed in 0..8u64 {
+        // Drawn values, one offset pattern: the seven rows of a band of
+        // half-bandwidth 3 (three cut short at each end, the interior).
+        assert_eq!(
+            RowProduct::new(gen::banded_spd(512 + 64 * seed as usize, 3, seed)).form(),
+            ProductForm::Patterns {
+                patterns: 7,
+                runs: 7
+            },
+            "banded_spd seed {seed}"
+        );
         let rejected = [
-            (
-                "banded_spd",
-                gen::banded_spd(512 + 64 * seed as usize, 3, seed),
-            ),
             ("random_spd", gen::random_spd(384, 5, seed)),
             (
                 "power_law_spd",
@@ -435,13 +478,18 @@ fn arb_groups(n_cols: usize, kind: u32, rng: &mut StdRng) -> Vec<usize> {
 /// four: a matrix the sweeps must leave to the row loop, which skips a
 /// term whose operand is zero.
 fn with_non_finite(a: &CsrMatrix, rng: &mut StdRng) -> CsrMatrix {
-    let specials = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+    with_planted(a, &[f64::INFINITY, f64::NEG_INFINITY, f64::NAN], 0.25, rng)
+}
+
+/// `a` with one of `specials` planted in each stored entry with
+/// probability `share`.
+fn with_planted(a: &CsrMatrix, specials: &[f64], share: f64, rng: &mut StdRng) -> CsrMatrix {
     let values = a
         .values()
         .iter()
         .map(|&v| {
-            if rng.gen_bool(0.25) {
-                specials[rng.gen_range(0..3usize)]
+            if rng.gen_bool(share) {
+                specials[rng.gen_range(0..specials.len())]
             } else {
                 v
             }
