@@ -213,108 +213,108 @@ fn mg_pcg_solves_match_the_recorded_digests() {
 #[rustfmt::skip]
 const GOLDEN: &[u64] = &[
     0x532e3130a452dcb7, // 2d 15x15 L2 np=1 plain
-    0x313e4bb12602890c, // 2d 15x15 L2 np=1 protected flip
-    0xb3eb369a5ce02a6b, // 2d 15x15 L2 np=1 protected random
+    0xa4b2fa1b5b8abdc7, // 2d 15x15 L2 np=1 protected flip
+    0xd9b409a94d7eddf2, // 2d 15x15 L2 np=1 protected random
     0x869c19b6b231187b, // 2d 15x15 L2 np=3 plain
-    0x7bfa95fa904fdbd0, // 2d 15x15 L2 np=3 protected flip
-    0xc5bda23faf1c1097, // 2d 15x15 L2 np=3 protected random
+    0xc9089221a6d7a961, // 2d 15x15 L2 np=3 protected flip
+    0x2af68aaec89249b3, // 2d 15x15 L2 np=3 protected random
     0x2777818c2daa96bd, // 2d 15x15 L2 np=4 plain
-    0x9c4c8190fd547fde, // 2d 15x15 L2 np=4 protected flip
-    0xa9a8ea0574680369, // 2d 15x15 L2 np=4 protected random
+    0x01360ae952c97b62, // 2d 15x15 L2 np=4 protected flip
+    0x54d2fed2b6dbea75, // 2d 15x15 L2 np=4 protected random
     0x033c2f4e54201abb, // 2d 15x15 L2 np=5 plain
-    0x3edb472414837538, // 2d 15x15 L2 np=5 protected flip
-    0xa105ccf827974ecd, // 2d 15x15 L2 np=5 protected random
+    0x6c8b07d50c4cf2e5, // 2d 15x15 L2 np=5 protected flip
+    0x4222c30f47a536f2, // 2d 15x15 L2 np=5 protected random
     0xe5426009cb0fb5d5, // 2d 15x15 L2 np=8 plain
-    0xa1de59c110c380e2, // 2d 15x15 L2 np=8 protected flip
-    0xefbf35eb75f9fd53, // 2d 15x15 L2 np=8 protected random
+    0xf5ce514293fad62b, // 2d 15x15 L2 np=8 protected flip
+    0xc69fde065ee5d21b, // 2d 15x15 L2 np=8 protected random
     0x24a82df38d96b8bc, // 2d 31x31 L3 np=1 plain
-    0xd48d0dec023bd4b3, // 2d 31x31 L3 np=1 protected flip
-    0xecb0e8c05c3e44db, // 2d 31x31 L3 np=1 protected random
+    0x398a6b38c9e72499, // 2d 31x31 L3 np=1 protected flip
+    0xeb468074198dabe6, // 2d 31x31 L3 np=1 protected random
     0xb8748e8151f03630, // 2d 31x31 L3 np=3 plain
-    0x1f6b3cbdd1057d7e, // 2d 31x31 L3 np=3 protected flip
-    0x85c5cdb708fc37a8, // 2d 31x31 L3 np=3 protected random
+    0x01a4d3882d47cbe7, // 2d 31x31 L3 np=3 protected flip
+    0xd145e01e7c88bac8, // 2d 31x31 L3 np=3 protected random
     0x8ff8333aa6eb0e0a, // 2d 31x31 L3 np=4 plain
-    0x35f44ea732a6803b, // 2d 31x31 L3 np=4 protected flip
-    0xc0cadd0308eb4d9b, // 2d 31x31 L3 np=4 protected random
+    0x8abdfcaf12241134, // 2d 31x31 L3 np=4 protected flip
+    0xe7a388868294551c, // 2d 31x31 L3 np=4 protected random
     0xf57e3d7cbddf5328, // 2d 31x31 L3 np=5 plain
-    0xf5358af72718d262, // 2d 31x31 L3 np=5 protected flip
-    0x31927b59c400c04f, // 2d 31x31 L3 np=5 protected random
+    0x4ea7e0133a1ef9ea, // 2d 31x31 L3 np=5 protected flip
+    0x281053dd81a03b93, // 2d 31x31 L3 np=5 protected random
     0xdcf9214c406a6bda, // 2d 31x31 L3 np=8 plain
-    0xbea61ca2508b6c96, // 2d 31x31 L3 np=8 protected flip
-    0x3e67e752392b9b03, // 2d 31x31 L3 np=8 protected random
+    0xf8d53775d833e297, // 2d 31x31 L3 np=8 protected flip
+    0x8e5751cd8d826538, // 2d 31x31 L3 np=8 protected random
     0x657320c43e708f23, // 2d 31x31 L4 np=1 plain
-    0xe996c7cf23a0309f, // 2d 31x31 L4 np=1 protected flip
-    0x5728710109f61329, // 2d 31x31 L4 np=1 protected random
+    0x2184eb7359c014b6, // 2d 31x31 L4 np=1 protected flip
+    0x157287b6279a8646, // 2d 31x31 L4 np=1 protected random
     0x20c115f8de2032da, // 2d 31x31 L4 np=3 plain
-    0x0633e4ae29b55195, // 2d 31x31 L4 np=3 protected flip
-    0x108b1e32462536c6, // 2d 31x31 L4 np=3 protected random
+    0xae4f86cb36ac5aa1, // 2d 31x31 L4 np=3 protected flip
+    0x34488fb3155612ca, // 2d 31x31 L4 np=3 protected random
     0xf61a0b32d58ca8be, // 2d 31x31 L4 np=4 plain
-    0x6d30097fc604a919, // 2d 31x31 L4 np=4 protected flip
-    0x928afcd155b237bb, // 2d 31x31 L4 np=4 protected random
+    0x0da6c1ca1fb5b89b, // 2d 31x31 L4 np=4 protected flip
+    0x5ff0116b72e26ccd, // 2d 31x31 L4 np=4 protected random
     0xa73de3d323c26d3e, // 2d 31x31 L4 np=5 plain
-    0x8669c8151a759cf9, // 2d 31x31 L4 np=5 protected flip
-    0xe131f270eabf1192, // 2d 31x31 L4 np=5 protected random
+    0xbe4448cd5e481add, // 2d 31x31 L4 np=5 protected flip
+    0x012fb5ccfd476cab, // 2d 31x31 L4 np=5 protected random
     0x683eca5710d048a9, // 2d 31x31 L4 np=8 plain
-    0x4f8d70e3f9b6e97f, // 2d 31x31 L4 np=8 protected flip
-    0xac7a5a60c4cf2b07, // 2d 31x31 L4 np=8 protected random
+    0xc205644014ee0eae, // 2d 31x31 L4 np=8 protected flip
+    0x613cea01a38b5295, // 2d 31x31 L4 np=8 protected random
     0xef1fee94b8ebc116, // 3d 7x7x7 L2 np=1 plain
-    0xc675057431729091, // 3d 7x7x7 L2 np=1 protected flip
-    0xe17ad073e6e58dd2, // 3d 7x7x7 L2 np=1 protected random
+    0xca69545f03b7d294, // 3d 7x7x7 L2 np=1 protected flip
+    0x6ff1ae95f2859e8f, // 3d 7x7x7 L2 np=1 protected random
     0x27d2ce030788f2ee, // 3d 7x7x7 L2 np=3 plain
-    0x48457746844aed3c, // 3d 7x7x7 L2 np=3 protected flip
-    0x7000559a6813857b, // 3d 7x7x7 L2 np=3 protected random
+    0xc0e56b5da1003471, // 3d 7x7x7 L2 np=3 protected flip
+    0x9f212106d0623fb8, // 3d 7x7x7 L2 np=3 protected random
     0xbc1c5dcc47c582f5, // 3d 7x7x7 L2 np=4 plain
-    0x886c5b4ca6ee11cb, // 3d 7x7x7 L2 np=4 protected flip
-    0x7347e5ff8e6e6fe7, // 3d 7x7x7 L2 np=4 protected random
+    0x38b7909121ee6b14, // 3d 7x7x7 L2 np=4 protected flip
+    0x07746bf0d0787091, // 3d 7x7x7 L2 np=4 protected random
     0x53bd9ff27343428e, // 3d 7x7x7 L2 np=5 plain
-    0xc3fd49c9ef25df50, // 3d 7x7x7 L2 np=5 protected flip
-    0x53fe0695f5456919, // 3d 7x7x7 L2 np=5 protected random
+    0xa8309334eacdc411, // 3d 7x7x7 L2 np=5 protected flip
+    0xc11277e3fe855007, // 3d 7x7x7 L2 np=5 protected random
     0xe435c29c7d5b12f5, // 3d 7x7x7 L2 np=8 plain
-    0x81a1bca94931ab9e, // 3d 7x7x7 L2 np=8 protected flip
-    0x70d7ab594d928d9a, // 3d 7x7x7 L2 np=8 protected random
+    0x62acf1e7d204ca99, // 3d 7x7x7 L2 np=8 protected flip
+    0x35b18b37f76fdaeb, // 3d 7x7x7 L2 np=8 protected random
     0x99a23642cf20c4cd, // 3d 15x15x15 L3 np=1 plain
-    0xe39e7ba12d0053c0, // 3d 15x15x15 L3 np=1 protected flip
-    0x5413a642c05df45e, // 3d 15x15x15 L3 np=1 protected random
+    0x60249d95b3184375, // 3d 15x15x15 L3 np=1 protected flip
+    0xe3a2f15b8382b896, // 3d 15x15x15 L3 np=1 protected random
     0x65d4c247420eee7d, // 3d 15x15x15 L3 np=3 plain
-    0xf3cca900d3883e51, // 3d 15x15x15 L3 np=3 protected flip
-    0xa16c0cb54a57915c, // 3d 15x15x15 L3 np=3 protected random
+    0xb464e4d3fd511fb8, // 3d 15x15x15 L3 np=3 protected flip
+    0x85cb492449f0798a, // 3d 15x15x15 L3 np=3 protected random
     0x20e04e1bcdbccd69, // 3d 15x15x15 L3 np=4 plain
-    0x3dc93013b5adf252, // 3d 15x15x15 L3 np=4 protected flip
-    0xaa282e572c5891f7, // 3d 15x15x15 L3 np=4 protected random
+    0x89cde9bef2f3f5e7, // 3d 15x15x15 L3 np=4 protected flip
+    0x5ab701670b425080, // 3d 15x15x15 L3 np=4 protected random
     0x5cbb7ae938bf8d58, // 3d 15x15x15 L3 np=5 plain
-    0x61fa64eeb3d817f3, // 3d 15x15x15 L3 np=5 protected flip
-    0x571beac6a06ed5f4, // 3d 15x15x15 L3 np=5 protected random
+    0x60a3be84b01fd19b, // 3d 15x15x15 L3 np=5 protected flip
+    0x6c109dec18e037c8, // 3d 15x15x15 L3 np=5 protected random
     0x5372053dbceb0f3f, // 3d 15x15x15 L3 np=8 plain
-    0x83eb6684a6140320, // 3d 15x15x15 L3 np=8 protected flip
-    0x358621732d1fb297, // 3d 15x15x15 L3 np=8 protected random
+    0xbee441b1b286f0e0, // 3d 15x15x15 L3 np=8 protected flip
+    0xc0785266ef1c40bd, // 3d 15x15x15 L3 np=8 protected random
     0xebcf0bd009ad994e, // 3d 7x7x7 L3 np=1 plain
-    0x3be67184de0a5a27, // 3d 7x7x7 L3 np=1 protected flip
-    0xcf0a5d8d50d10278, // 3d 7x7x7 L3 np=1 protected random
+    0x3138d314652326d2, // 3d 7x7x7 L3 np=1 protected flip
+    0x0339d038499d393f, // 3d 7x7x7 L3 np=1 protected random
     0xd725b661ad317643, // 3d 7x7x7 L3 np=3 plain
-    0x231abf2b55d1a215, // 3d 7x7x7 L3 np=3 protected flip
-    0x4c6c0f6c3b5953e3, // 3d 7x7x7 L3 np=3 protected random
+    0xfc37ebb2b0daeab0, // 3d 7x7x7 L3 np=3 protected flip
+    0x8125eb6d902664b4, // 3d 7x7x7 L3 np=3 protected random
     0xb60ac1d7a19f291c, // 3d 7x7x7 L3 np=4 plain
-    0xf465357421790ab7, // 3d 7x7x7 L3 np=4 protected flip
-    0xe081d62109142e29, // 3d 7x7x7 L3 np=4 protected random
+    0xa507041adfce45b4, // 3d 7x7x7 L3 np=4 protected flip
+    0xb2fb732d87d4ea3a, // 3d 7x7x7 L3 np=4 protected random
     0x64f18fecd98ebabb, // 3d 7x7x7 L3 np=5 plain
-    0x17d2f2b782b64e49, // 3d 7x7x7 L3 np=5 protected flip
-    0x959da28a9a89e8fb, // 3d 7x7x7 L3 np=5 protected random
+    0x7073ccd24e6d15af, // 3d 7x7x7 L3 np=5 protected flip
+    0x8d3d4e3c5f7c4388, // 3d 7x7x7 L3 np=5 protected random
     0x916732e5b2d7a8c4, // 3d 7x7x7 L3 np=8 plain
-    0xfbc71fcf1510677d, // 3d 7x7x7 L3 np=8 protected flip
-    0x18dbdc9521179fd8, // 3d 7x7x7 L3 np=8 protected random
+    0x36d0bd8d9210886a, // 3d 7x7x7 L3 np=8 protected flip
+    0x038fc3d863edae16, // 3d 7x7x7 L3 np=8 protected random
     0x421e9b36871d9eb8, // 2d 15x7 L3 np=1 plain
-    0x652ed79ba05b0711, // 2d 15x7 L3 np=1 protected flip
-    0x77e323ddcbc3b47a, // 2d 15x7 L3 np=1 protected random
+    0xdee4d7849edb70d7, // 2d 15x7 L3 np=1 protected flip
+    0x1b97ce9b711fd009, // 2d 15x7 L3 np=1 protected random
     0xab730bd191e53ef2, // 2d 15x7 L3 np=3 plain
-    0x7a68b86793f38fe9, // 2d 15x7 L3 np=3 protected flip
-    0xcc25fae5aef464cc, // 2d 15x7 L3 np=3 protected random
+    0x43e8bcd40acaf815, // 2d 15x7 L3 np=3 protected flip
+    0x3dad9849a37d6f39, // 2d 15x7 L3 np=3 protected random
     0x6c1cb7d8286aa0c3, // 2d 15x7 L3 np=4 plain
-    0xb161eb1045dfaa09, // 2d 15x7 L3 np=4 protected flip
-    0x3073f1b3c99b19b4, // 2d 15x7 L3 np=4 protected random
+    0x65183a6c3f61a049, // 2d 15x7 L3 np=4 protected flip
+    0x89ee8df225e5567c, // 2d 15x7 L3 np=4 protected random
     0x15c7c21082b8348e, // 2d 15x7 L3 np=5 plain
-    0xa1c25980ffa39327, // 2d 15x7 L3 np=5 protected flip
-    0xeb4f941c4d1a877b, // 2d 15x7 L3 np=5 protected random
+    0x401bf17ac807fb3e, // 2d 15x7 L3 np=5 protected flip
+    0xed8c671d4e50e359, // 2d 15x7 L3 np=5 protected random
     0xbad92e6bf3a77186, // 2d 15x7 L3 np=8 plain
-    0x89a5dcff4a6e8e1f, // 2d 15x7 L3 np=8 protected flip
-    0xb7a830853620e062, // 2d 15x7 L3 np=8 protected random
+    0x98932745b88b8e7e, // 2d 15x7 L3 np=8 protected flip
+    0x92957f2f52c6b8b9, // 2d 15x7 L3 np=8 protected random
 ];

@@ -113,10 +113,10 @@ fn trace_jsonl() {
     assert_eq!(back.to_jsonl(), text);
 }
 
-const TRACE_LEN: usize = 29619;
-const TRACE_DIGEST: u64 = 0x0d4658ceb12839f9;
-const TRACE_SEND_LINE: &str = "{\"kind\":\"send\",\"participants\":4,\"words\":17,\"flops\":0,\"time\":0.0002085,\"start\":0.036500720000000146,\"span\":\"q\\\"b\\\\t\\tn\\nc\\u0001é\",\"label\":\"q\\\"b\\\\t\\tn\\nc\\u0001é\",\"payload_words\":17,\"hops\":2}";
-const TRACE_COMPUTE_LINE: &str = "{\"kind\":\"compute\",\"participants\":4,\"words\":0,\"flops\":100,\"time\":0.0000008,\"start\":0.036500720000000146,\"span\":\"q\\\"b\\\\t\\tn\\nc\\u0001é\",\"label\":\"q\\\"b\\\\t\\tn\\nc\\u0001é\",\"proc_times\":[0.0000002,0.0000008,0.0000004,0.0000006]}";
+const TRACE_LEN: usize = 30454;
+const TRACE_DIGEST: u64 = 0xae0d7b7e77373f9e;
+const TRACE_SEND_LINE: &str = "{\"kind\":\"send\",\"participants\":4,\"words\":17,\"flops\":0,\"time\":0.0002085,\"start\":0.03672968000000016,\"span\":\"q\\\"b\\\\t\\tn\\nc\\u0001é\",\"label\":\"q\\\"b\\\\t\\tn\\nc\\u0001é\",\"payload_words\":17,\"hops\":2}";
+const TRACE_COMPUTE_LINE: &str = "{\"kind\":\"compute\",\"participants\":4,\"words\":0,\"flops\":100,\"time\":0.0000008,\"start\":0.03672968000000016,\"span\":\"q\\\"b\\\\t\\tn\\nc\\u0001é\",\"label\":\"q\\\"b\\\\t\\tn\\nc\\u0001é\",\"proc_times\":[0.0000002,0.0000008,0.0000004,0.0000006]}";
 
 /// Non-finite times are written as `null` and read back as NaN.
 #[test]
@@ -441,9 +441,9 @@ fn drift_report_and_perfetto_document() {
     assert_eq!(doc, PERFETTO_DOC);
 }
 
-const DRIFT_LEN: usize = 4050;
-const DRIFT_DIGEST: u64 = 0x7cbd3151c4bab5d0;
-const PERFETTO_DOC: &str = "{\"traceEvents\":[\n{\"ph\":\"M\",\"pid\":0,\"tid\":0,\"name\":\"thread_name\",\"args\":{\"name\":\"proc 0\"}},\n{\"ph\":\"M\",\"pid\":0,\"tid\":1,\"name\":\"thread_name\",\"args\":{\"name\":\"proc 1\"}},\n{\"ph\":\"M\",\"pid\":0,\"tid\":2,\"name\":\"thread_name\",\"args\":{\"name\":\"proc 2\"}},\n{\"ph\":\"M\",\"pid\":0,\"tid\":3,\"name\":\"thread_name\",\"args\":{\"name\":\"proc 3\"}},\n{\"ph\":\"X\",\"pid\":0,\"tid\":0,\"name\":\"q\\\"b\\\\t\\tn\\nc\\u0001é\",\"cat\":\"send\",\"ts\":36500.72000000015,\"dur\":208.5,\"args\":{\"span\":\"q\\\"b\\\\t\\tn\\nc\\u0001é\",\"words\":17,\"flops\":0}},\n{\"ph\":\"X\",\"pid\":0,\"tid\":1,\"name\":\"q\\\"b\\\\t\\tn\\nc\\u0001é\",\"cat\":\"send\",\"ts\":36500.72000000015,\"dur\":208.5,\"args\":{\"span\":\"q\\\"b\\\\t\\tn\\nc\\u0001é\",\"words\":17,\"flops\":0}},\n{\"ph\":\"X\",\"pid\":0,\"tid\":2,\"name\":\"q\\\"b\\\\t\\tn\\nc\\u0001é\",\"cat\":\"send\",\"ts\":36500.72000000015,\"dur\":208.5,\"args\":{\"span\":\"q\\\"b\\\\t\\tn\\nc\\u0001é\",\"words\":17,\"flops\":0}},\n{\"ph\":\"X\",\"pid\":0,\"tid\":3,\"name\":\"q\\\"b\\\\t\\tn\\nc\\u0001é\",\"cat\":\"send\",\"ts\":36500.72000000015,\"dur\":208.5,\"args\":{\"span\":\"q\\\"b\\\\t\\tn\\nc\\u0001é\",\"words\":17,\"flops\":0}},\n{\"ph\":\"X\",\"pid\":0,\"tid\":0,\"name\":\"q\\\"b\\\\t\\tn\\nc\\u0001é\",\"cat\":\"compute\",\"ts\":36500.72000000015,\"dur\":0.19999999999999998,\"args\":{\"span\":\"q\\\"b\\\\t\\tn\\nc\\u0001é\",\"words\":0,\"flops\":100}},\n{\"ph\":\"X\",\"pid\":0,\"tid\":1,\"name\":\"q\\\"b\\\\t\\tn\\nc\\u0001é\",\"cat\":\"compute\",\"ts\":36500.72000000015,\"dur\":0.7999999999999999,\"args\":{\"span\":\"q\\\"b\\\\t\\tn\\nc\\u0001é\",\"words\":0,\"flops\":100}},\n{\"ph\":\"X\",\"pid\":0,\"tid\":2,\"name\":\"q\\\"b\\\\t\\tn\\nc\\u0001é\",\"cat\":\"compute\",\"ts\":36500.72000000015,\"dur\":0.39999999999999997,\"args\":{\"span\":\"q\\\"b\\\\t\\tn\\nc\\u0001é\",\"words\":0,\"flops\":100}},\n{\"ph\":\"X\",\"pid\":0,\"tid\":3,\"name\":\"q\\\"b\\\\t\\tn\\nc\\u0001é\",\"cat\":\"compute\",\"ts\":36500.72000000015,\"dur\":0.6,\"args\":{\"span\":\"q\\\"b\\\\t\\tn\\nc\\u0001é\",\"words\":0,\"flops\":100}}\n],\"displayTimeUnit\":\"ms\"}";
+const DRIFT_LEN: usize = 4085;
+const DRIFT_DIGEST: u64 = 0x07dbcd6679a518bc;
+const PERFETTO_DOC: &str = "{\"traceEvents\":[\n{\"ph\":\"M\",\"pid\":0,\"tid\":0,\"name\":\"thread_name\",\"args\":{\"name\":\"proc 0\"}},\n{\"ph\":\"M\",\"pid\":0,\"tid\":1,\"name\":\"thread_name\",\"args\":{\"name\":\"proc 1\"}},\n{\"ph\":\"M\",\"pid\":0,\"tid\":2,\"name\":\"thread_name\",\"args\":{\"name\":\"proc 2\"}},\n{\"ph\":\"M\",\"pid\":0,\"tid\":3,\"name\":\"thread_name\",\"args\":{\"name\":\"proc 3\"}},\n{\"ph\":\"X\",\"pid\":0,\"tid\":0,\"name\":\"q\\\"b\\\\t\\tn\\nc\\u0001é\",\"cat\":\"send\",\"ts\":36729.68000000016,\"dur\":208.5,\"args\":{\"span\":\"q\\\"b\\\\t\\tn\\nc\\u0001é\",\"words\":17,\"flops\":0}},\n{\"ph\":\"X\",\"pid\":0,\"tid\":1,\"name\":\"q\\\"b\\\\t\\tn\\nc\\u0001é\",\"cat\":\"send\",\"ts\":36729.68000000016,\"dur\":208.5,\"args\":{\"span\":\"q\\\"b\\\\t\\tn\\nc\\u0001é\",\"words\":17,\"flops\":0}},\n{\"ph\":\"X\",\"pid\":0,\"tid\":2,\"name\":\"q\\\"b\\\\t\\tn\\nc\\u0001é\",\"cat\":\"send\",\"ts\":36729.68000000016,\"dur\":208.5,\"args\":{\"span\":\"q\\\"b\\\\t\\tn\\nc\\u0001é\",\"words\":17,\"flops\":0}},\n{\"ph\":\"X\",\"pid\":0,\"tid\":3,\"name\":\"q\\\"b\\\\t\\tn\\nc\\u0001é\",\"cat\":\"send\",\"ts\":36729.68000000016,\"dur\":208.5,\"args\":{\"span\":\"q\\\"b\\\\t\\tn\\nc\\u0001é\",\"words\":17,\"flops\":0}},\n{\"ph\":\"X\",\"pid\":0,\"tid\":0,\"name\":\"q\\\"b\\\\t\\tn\\nc\\u0001é\",\"cat\":\"compute\",\"ts\":36729.68000000016,\"dur\":0.19999999999999998,\"args\":{\"span\":\"q\\\"b\\\\t\\tn\\nc\\u0001é\",\"words\":0,\"flops\":100}},\n{\"ph\":\"X\",\"pid\":0,\"tid\":1,\"name\":\"q\\\"b\\\\t\\tn\\nc\\u0001é\",\"cat\":\"compute\",\"ts\":36729.68000000016,\"dur\":0.7999999999999999,\"args\":{\"span\":\"q\\\"b\\\\t\\tn\\nc\\u0001é\",\"words\":0,\"flops\":100}},\n{\"ph\":\"X\",\"pid\":0,\"tid\":2,\"name\":\"q\\\"b\\\\t\\tn\\nc\\u0001é\",\"cat\":\"compute\",\"ts\":36729.68000000016,\"dur\":0.39999999999999997,\"args\":{\"span\":\"q\\\"b\\\\t\\tn\\nc\\u0001é\",\"words\":0,\"flops\":100}},\n{\"ph\":\"X\",\"pid\":0,\"tid\":3,\"name\":\"q\\\"b\\\\t\\tn\\nc\\u0001é\",\"cat\":\"compute\",\"ts\":36729.68000000016,\"dur\":0.6,\"args\":{\"span\":\"q\\\"b\\\\t\\tn\\nc\\u0001é\",\"words\":0,\"flops\":100}}\n],\"displayTimeUnit\":\"ms\"}";
 
 #[test]
 fn slo_and_alerts_documents() {

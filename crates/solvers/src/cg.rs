@@ -27,6 +27,7 @@ use crate::krylov::{solve, solve_on_one, Krylov, Run};
 use crate::observer::{IterSample, NullObserver};
 use crate::operator::DistOperator;
 use crate::precond::DistPreconditioner;
+use crate::recovery::{Guard, RecoveryConfig, RecoveryStats};
 use crate::stopping::{SolveStats, StopCriterion};
 use hpf_core::DistVector;
 use hpf_machine::{span, Machine};
@@ -115,9 +116,39 @@ pub fn cg_distributed<A: DistOperator + ?Sized>(
     Ok((s.x, s.stats))
 }
 
-/// The Figure 2 loop, plain or preconditioned. Unpreconditioned, `z`
-/// *is* `r`: nothing is stored and every use reads `r` instead. Events
-/// are span-tagged `solve/iter=k/{matvec,dot,axpy,precondition}`.
+/// The Figure 2 loop's vectors and `rho`: what a [`Guard`] saves,
+/// restores and restarts.
+pub(crate) struct CgState<'m> {
+    pub(crate) x: DistVector,
+    pub(crate) r: DistVector,
+    /// `M⁻¹ r`; `None` without `M`, where `z` *is* `r`.
+    pub(crate) z: Option<DistVector>,
+    pub(crate) p: DistVector,
+    /// `A p`, and the `A x` of every true residual.
+    pub(crate) q: DistVector,
+    pub(crate) scratch: Vec<f64>,
+    pub(crate) rho: f64,
+    precond: Option<&'m dyn DistPreconditioner>,
+}
+
+impl CgState<'_> {
+    pub(crate) fn z(&self) -> &DistVector {
+        self.z.as_ref().unwrap_or(&self.r)
+    }
+
+    /// `z = M⁻¹ r` under a `precondition` span; nothing without `M`.
+    pub(crate) fn precondition(&mut self, machine: &mut Machine) {
+        if let (Some(m), Some(z)) = (self.precond, &mut self.z) {
+            let _s = span::enter("precondition");
+            m.apply_into(machine, &self.r, z);
+        }
+    }
+}
+
+/// The Figure 2 loop, plain or preconditioned, protected or not.
+/// Unpreconditioned, `z` *is* `r`: nothing is stored and every use reads
+/// `r` instead. Events are span-tagged
+/// `solve/iter=k/{matvec,dot,axpy,precondition}`.
 ///
 /// The two forms differ where the recorded traces and observer streams
 /// say they do, and nowhere else: plain CG runs its start-up reductions
@@ -125,79 +156,115 @@ pub fn cg_distributed<A: DistOperator + ?Sized>(
 /// update's `r·r`, and reports an iteration before testing convergence
 /// (so `beta` is always known); preconditioned CG reports after the
 /// test, with `beta = NaN` on the converging iteration.
+///
+/// Under `recovery`, a [`Guard`]'s hooks run at fixed points of the
+/// loop; without one, nothing is called or charged for them.
 pub(crate) fn figure2<A: DistOperator + ?Sized>(
     run: &mut Run<'_>,
     a: &A,
     precond: Option<&dyn DistPreconditioner>,
-) -> Result<DistVector, SolverError> {
+    recovery: Option<RecoveryConfig>,
+) -> Result<(DistVector, Option<RecoveryStats>), SolverError> {
     let desc = a.descriptor();
-    let mut x = DistVector::zeros(desc.clone());
-    let mut r = run.b.clone();
-    let mut z = precond.map(|m| m.apply(run.machine, &r));
-    let mut p = z.as_ref().unwrap_or(&r).clone();
+    let r = run.b.clone();
+    let z = precond.map(|m| m.apply(run.machine, &r));
+    // q, z and the product's scratch live as long as the solve: a
+    // steady-state iteration allocates nothing.
+    let mut s = CgState {
+        x: DistVector::zeros(desc.clone()),
+        p: z.as_ref().unwrap_or(&r).clone(),
+        q: DistVector::zeros(desc),
+        scratch: Vec::new(),
+        rho: 0.0,
+        r,
+        z,
+        precond,
+    };
+    let mut guard = recovery.map(|config| Guard::new(config, a, &s));
+    // A guard's hook that rolled the iterate back or restarted it sends
+    // the loop back to its top.
+    macro_rules! hook {
+        ($hook:ident($($arg:expr),*)) => {
+            if let Some(g) = &mut guard {
+                if g.$hook(run, &mut s, $($arg),*)? {
+                    continue;
+                }
+            }
+        };
+    }
 
     let setup_span = precond.is_none().then(|| span::enter("setup"));
-    run.measure_b();
-    let mut rho = run.dot(&r, z.as_ref().unwrap_or(&r));
-    let res = match z {
-        Some(_) => run.dot(&r, &r).sqrt(),
-        None => rho.sqrt(),
+    let res = loop {
+        run.measure_b();
+        s.rho = run.dot(&s.r, s.z());
+        let res = match s.z {
+            Some(_) => run.dot(&s.r, &s.r).sqrt(),
+            None => s.rho.sqrt(),
+        };
+        hook!(start(res));
+        break res;
     };
     drop(setup_span);
     if run.converged(res)? {
-        return Ok(x);
+        return Ok((s.x, guard.map(|g| g.stats)));
     }
 
-    // q, z and the product's scratch live as long as the solve: a
-    // steady-state iteration allocates nothing.
-    let mut q = DistVector::zeros(desc);
-    let mut scratch = Vec::new();
     run.begin_iterations();
-    for k in 0..run.max_iters {
-        let _iter_span = span::enter_iter(k);
-        run.matvec(a, &p, &mut q, &mut scratch);
+    while run.stats.iterations < run.max_iters {
+        let _iter_span = span::enter_iter(run.stats.iterations);
+        run.matvec(a, &s.p, &mut s.q, &mut s.scratch);
         let pq = {
             let _s = span::enter("dot");
-            run.dot(&p, &q)
+            run.dot(&s.p, &s.q)
         };
-        check_breakdown("p.Ap", pq)?;
-        let alpha = rho / pq;
+        if guard.is_none() {
+            check_breakdown("p.Ap", pq)?;
+        }
+        hook!(positive(pq));
+        let alpha = s.rho / pq;
         // x = x + alpha p, r = r - alpha q and r.r in one pass.
-        let rr = update_x_r_and_dot_rr(run.machine, alpha, &mut x, &p, &mut r, &q);
+        let rr = update_x_r_and_dot_rr(run.machine, alpha, &mut s.x, &s.p, &mut s.r, &s.q);
         run.stats.axpys += 2;
         run.stats.dots += 1;
-        let sample = run.end_iteration(rr.sqrt(), alpha);
+        hook!(update(rr));
+        let sample = IterSample {
+            rollbacks: guard.as_ref().map_or(0, |g| g.stats.rollbacks),
+            ..run.end_iteration(rr.sqrt(), alpha)
+        };
         if precond.is_none() {
-            let beta = rr / rho;
+            let beta = rr / s.rho;
             run.obs.on_iteration(&IterSample { beta, ..sample });
         }
         if run.converged(sample.residual_norm)? {
             if precond.is_some() {
                 run.obs.on_iteration(&sample);
             }
-            return Ok(x);
+            hook!(claim());
+            return Ok((s.x, guard.map(|g| g.stats)));
         }
-        let rho_new = match (precond, &mut z) {
-            (Some(m), Some(z)) => {
-                {
-                    let _s = span::enter("precondition");
-                    m.apply_into(run.machine, &r, z);
-                }
-                run.dot(&r, z)
+        let rho_new = match s.z {
+            Some(_) => {
+                s.precondition(run.machine);
+                run.dot(&s.r, s.z())
             }
-            _ => rr,
+            None => rr,
         };
-        check_breakdown("rho", rho)?;
-        let beta = rho_new / rho;
+        hook!(positive(rho_new));
+        check_breakdown("rho", s.rho)?;
+        let beta = rho_new / s.rho;
         if precond.is_some() {
             run.obs.on_iteration(&IterSample { beta, ..sample });
         }
-        rho = rho_new;
-        let _s = precond.is_none().then(|| span::enter("axpy"));
-        p.aypx(run.machine, beta, z.as_ref().unwrap_or(&r)); // p = beta p + z  (saypx)
+        s.rho = rho_new;
+        {
+            let _s = precond.is_none().then(|| span::enter("axpy"));
+            let z = s.z.as_ref().unwrap_or(&s.r);
+            s.p.aypx(run.machine, beta, z); // p = beta p + z  (saypx)
+        }
         run.stats.axpys += 1;
+        hook!(end());
     }
-    Ok(x)
+    Ok((s.x, guard.map(|g| g.stats)))
 }
 
 #[cfg(test)]

@@ -6,10 +6,10 @@
 //! the dimension check, the distributed right-hand side, the residual
 //! monitor, the operation counts and the per-iteration telemetry — and
 //! hands a [`Run`] to one recurrence function per [`Krylov`] variant
-//! ([`crate::cg`], [`crate::dist_solvers`], [`crate::recovery`]). A
-//! recurrence owns its vectors and product scratch for the length of
-//! the solve and nothing else; a new method is one more variant and one
-//! more such function.
+//! ([`crate::cg`], protected by [`crate::recovery`]'s hooks, and
+//! [`crate::dist_solvers`]). A recurrence owns its vectors and product
+//! scratch for the length of the solve and nothing else; a new method
+//! is one more variant and one more such function.
 
 use crate::error::SolverError;
 use crate::observer::{IterObserver, IterSample, MachineMark};
@@ -17,7 +17,7 @@ use crate::operator::DistOperator;
 use crate::precond::DistPreconditioner;
 use crate::recovery::{RecoveryConfig, RecoveryStats};
 use crate::stopping::{ResidualMonitor, SolveStats, StopCriterion};
-use crate::{cg, dist_solvers, recovery};
+use crate::{cg, dist_solvers};
 use hpf_core::{DataArrayLayout, DistVector, RowwiseCsr};
 use hpf_machine::{span, Machine, TraceLevel};
 use hpf_sparse::CsrMatrix;
@@ -29,8 +29,8 @@ use hpf_sparse::CsrMatrix;
 /// which holds for symmetric positive-definite operators and no others.
 #[derive(Clone, Copy)]
 pub enum Krylov<'a> {
-    /// The Figure 2 loop; `z = M⁻¹ r` through `precond` when there is
-    /// one, self-healing (see [`crate::recovery`]) under `recovery`.
+    /// The Figure 2 loop, one body for all four forms: `z = M⁻¹ r` through
+    /// `precond`, self-healing under `recovery` ([`crate::recovery`]'s hooks).
     Cg {
         precond: Option<&'a dyn DistPreconditioner>,
         recovery: Option<RecoveryConfig>,
@@ -103,17 +103,7 @@ pub fn solve<A: DistOperator + ?Sized>(
         obs,
     };
     let (x, recovery) = match method {
-        Krylov::Cg {
-            precond,
-            recovery: None,
-        } => (cg::figure2(&mut run, a, precond)?, None),
-        Krylov::Cg {
-            precond,
-            recovery: Some(config),
-        } => {
-            let (x, rec) = recovery::protected_cg(&mut run, a, precond, config)?;
-            (x, Some(rec))
-        }
+        Krylov::Cg { precond, recovery } => cg::figure2(&mut run, a, precond, recovery)?,
         Krylov::Bicg => (dist_solvers::bicg(&mut run, a)?, None),
         Krylov::Bicgstab => (dist_solvers::bicgstab(&mut run, a)?, None),
         Krylov::Cgs => (dist_solvers::cgs(&mut run, a)?, None),

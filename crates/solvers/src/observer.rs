@@ -58,15 +58,15 @@ pub trait IterObserver {
     /// Called once at the end of every iteration.
     fn on_iteration(&mut self, sample: &IterSample);
 
-    /// A protected solver rolled back to a checkpoint. `iteration` is the
-    /// iteration count at the moment of the rollback; `reason` is a short
-    /// stable tag (`"non-finite"`, `"divergence"`, `"stagnation"`).
+    /// A protected solver rolled back to a checkpoint, or retook its
+    /// start-up. `iteration` is the iteration count at that moment;
+    /// `reason` is a stable tag (`"non-finite"`, `"divergence"`, `"start-up"`).
     fn on_rollback(&mut self, iteration: usize, reason: &str) {
         let _ = (iteration, reason);
     }
 
     /// A protected solver replaced the recurrence residual with the true
-    /// residual `b - Ax` (restart-from-truth after repeated rollbacks).
+    /// residual `b - Ax` (on drift, a stalled watchdog, a failed verification).
     fn on_restart(&mut self, iteration: usize) {
         let _ = iteration;
     }

@@ -1,25 +1,22 @@
-//! Checkpoint/rollback CG — self-healing solves under injected faults.
+//! Checkpoint/rollback protection for CG — self-healing solves under
+//! injected faults (`hpf_machine::FaultPlan` corrupts reductions and
+//! matvec results).
 //!
-//! The machine layer can corrupt reduction and matvec results
-//! (`hpf_machine::FaultPlan`); this module makes the Figure 2 CG loop
-//! survive that. The protected solvers keep a small ring of checkpoints
-//! `(x, r, p, rho)`, watch every scalar the recurrence divides by, and
-//! periodically recompute the *true* residual `b - A x` (residual
-//! replacement in the sense of Chen/Carson). When corruption is detected
-//! — a non-finite or non-positive `p·Ap`, a residual jump, or drift
-//! between the recurrence residual and the true residual — the solve
-//! rolls back to the last checkpoint and replays instead of diverging.
-//!
-//! Replayed iterations do not re-hit the same faults: the machine's
-//! fault schedule is keyed to a monotone operation counter, so a fault
-//! fires once and the replay runs over clean operations.
+//! It is no second loop: [`crate::cg::figure2`] calls a [`Guard`]'s
+//! hooks at fixed points of its one body. The guard keeps a ring of
+//! checkpoints `(x, r, p, rho)`, checks every scalar the recurrence
+//! divides by, and periodically recomputes the *true* residual `b - A x`
+//! (residual replacement in the sense of Chen/Carson). On a detection
+//! the solve rolls back and replays, or restarts from the true residual.
+//! A fault fires once (the schedule is keyed to the machine's operation
+//! counter), so a replay, or a retaken start-up, runs clean.
 
-use crate::cg::check_breakdown;
+use crate::cg::CgState;
 use crate::error::SolverError;
 use crate::krylov::{solve, Krylov, Run};
-use crate::observer::{IterSample, NullObserver};
+use crate::observer::NullObserver;
 use crate::operator::DistOperator;
-use crate::precond::{DistPreconditioner, JacobiPreconditioner};
+use crate::precond::JacobiPreconditioner;
 use crate::stopping::{SolveStats, StopCriterion};
 use hpf_core::DistVector;
 use hpf_machine::{span, Machine};
@@ -66,7 +63,7 @@ impl Default for RecoveryConfig {
 pub struct RecoveryStats {
     /// Checkpoints saved.
     pub checkpoints: usize,
-    /// Rollbacks performed.
+    /// Rollbacks performed (a retaken start-up counts as one).
     pub rollbacks: usize,
     /// Corruption events detected (each triggers a rollback or a
     /// residual replacement).
@@ -76,19 +73,9 @@ pub struct RecoveryStats {
     pub residual_replacements: usize,
 }
 
-/// One saved iteration state.
-struct Checkpoint {
-    k: usize,
-    x: DistVector,
-    r: DistVector,
-    p: DistVector,
-    rho: f64,
-    res: f64,
-}
-
 /// Fault-tolerant distributed CG: [`solve`] by [`Krylov::Cg`] under
 /// `config`, unobserved — [`crate::cg_distributed`] plus the
-/// checkpoint/rollback loop described in the module docs.
+/// checkpoint/rollback hooks described in the module docs.
 pub fn cg_distributed_protected<A: DistOperator + ?Sized>(
     machine: &mut Machine,
     a: &A,
@@ -125,304 +112,260 @@ pub fn pcg_jacobi_distributed_protected<A: DistOperator + ?Sized>(
     Ok((s.x, s.stats, rec))
 }
 
-/// The protected Figure 2 loop: plain CG when `precond` is `None`,
-/// preconditioned CG when it holds an `M⁻¹` application. Samples carry
-/// the running rollback count, and the observer's `on_rollback` /
-/// `on_restart` hooks fire on every recovery action. `run.stats.iterations`
-/// is the loop counter: a rollback rewinds it with the iterate.
-pub(crate) fn protected_cg<A: DistOperator + ?Sized>(
-    run: &mut Run<'_>,
-    a: &A,
-    precond: Option<&dyn DistPreconditioner>,
-    config: RecoveryConfig,
-) -> Result<(DistVector, RecoveryStats), SolverError> {
-    let desc = a.descriptor();
-    let mut rec = RecoveryStats::default();
+/// What SPD input makes `p·Ap` and `rho` while `r ≠ 0`: positive and
+/// clear of what the unprotected loop calls a `Breakdown`.
+fn healthy(v: f64) -> bool {
+    v.is_finite() && v >= f64::MIN_POSITIVE * 1e16
+}
 
-    // z = M^-1 r, kept for the whole solve. Unpreconditioned, z *is* r:
-    // nothing is stored and every use reads r instead.
-    fn z_or_r<'a>(z: &'a Option<DistVector>, r: &'a DistVector) -> &'a DistVector {
-        z.as_ref().unwrap_or(r)
-    }
-    let precondition = |machine: &mut Machine, r: &DistVector, z: &mut Option<DistVector>| {
-        if let (Some(m), Some(z)) = (precond, z.as_mut()) {
-            let _s = span::enter("precondition");
-            m.apply_into(machine, r, z);
-        }
-    };
+/// What a [`Guard`] hook returns: `Ok(true)` when it rolled the iterate
+/// back or restarted it, and the loop goes back to its top.
+pub(crate) type Hook = Result<bool, SolverError>;
 
-    let mut x = DistVector::zeros(desc.clone());
-    let mut r = run.b.clone();
-    let mut z = precond.map(|m| {
-        let _s = span::enter("precondition");
-        m.apply(run.machine, &r)
-    });
-    let mut p = z_or_r(&z, &r).clone();
+/// One saved iteration state.
+struct Checkpoint {
+    k: usize,
+    x: DistVector,
+    r: DistVector,
+    p: DistVector,
+    rho: f64,
+    res: f64,
+}
 
-    run.measure_b();
-    let mut rho = run.dot(&r, z_or_r(&z, &r));
-    let mut res = run.dot(&r, &r).sqrt();
-    run.stats.residual_norm = res;
-    if run.observe(res)? {
-        run.stats.converged = true;
-        return Ok((x, rec));
-    }
-    check_breakdown("rho", rho)?;
+/// The protection of one solve over `a`: the checkpoint ring, the
+/// progress watchdog, the `b − A x` buffer and what they did.
+pub(crate) struct Guard<'a, A: ?Sized> {
+    pub(crate) stats: RecoveryStats,
+    a: &'a A,
+    max_rollbacks: usize,
+    /// Newest last; `spare` holds the slots not in the ring. Every slot
+    /// is allocated up front, so a save copies and allocates nothing.
+    ring: VecDeque<Checkpoint>,
+    spare: Vec<Checkpoint>,
+    rollbacks_since_checkpoint: usize,
+    best_res: f64,
+    since_improve: usize,
+    r_true: DistVector,
+    /// Flops a save or a restore charges each processor: three local
+    /// copies, no communication.
+    copy_flops: Vec<usize>,
+}
 
-    // Per-proc flop counts charged for a checkpoint save / restore: the
-    // three vectors (x, r, p) are copied locally, no communication.
-    let copy_flops: Vec<usize> = (0..desc.np()).map(|pr| 3 * desc.local_len(pr)).collect();
-
-    // Every slot the ring will hold is allocated here: a save copies into
-    // a spare one, or into the oldest once the ring is full.
-    let slot = || Checkpoint {
-        k: 0,
-        x: x.clone(),
-        r: r.clone(),
-        p: p.clone(),
-        rho,
-        res,
-    };
-    let mut spare: Vec<Checkpoint> = (1..RING_CAPACITY).map(|_| slot()).collect();
-    let mut ring: VecDeque<Checkpoint> = VecDeque::with_capacity(RING_CAPACITY);
-    ring.push_back(slot());
-    {
-        let _s = span::enter("checkpoint");
-        run.machine.compute_all(&copy_flops, "checkpoint-save");
-    }
-    rec.checkpoints += 1;
-
-    let mut rollbacks_since_checkpoint = 0usize;
-    let mut best_res = res;
-    let mut since_improve = 0usize;
-
-    // q doubles as the `A x` of every true-residual recomputation (the
-    // next iteration's product overwrites it); r_true receives `b − A x`.
-    // Both, and the product's scratch, live as long as the solve.
-    let mut q = DistVector::zeros(desc.clone());
-    let mut r_true = DistVector::zeros(desc);
-    let mut scratch = Vec::new();
-
-    // Roll back to the newest surviving checkpoint; retreat one
-    // checkpoint deeper when the newest one keeps failing (it may have
-    // been saved after the corruption landed).
-    macro_rules! rollback {
-        ($reason:expr) => {{
-            rec.rollbacks += 1;
-            rec.faults_detected += 1;
-            rollbacks_since_checkpoint += 1;
-            run.obs.on_rollback(run.stats.iterations, $reason);
-            if rec.rollbacks > config.max_rollbacks {
-                return Err(SolverError::RecoveryExhausted {
-                    rollbacks: rec.rollbacks,
-                    residual_norm: res,
-                });
-            }
-            if rollbacks_since_checkpoint >= 2 && ring.len() > 1 {
-                spare.extend(ring.pop_back());
-            }
-            let cp = ring.back().expect("ring never empties");
-            x.copy_from(&cp.x);
-            r.copy_from(&cp.r);
-            p.copy_from(&cp.p);
-            rho = cp.rho;
-            res = cp.res;
-            run.stats.iterations = cp.k;
-            run.stats.residual_norm = res;
-            since_improve = 0;
-            run.monitor.reset_window();
-            {
-                let _s = span::enter("rollback");
-                run.machine.compute_all(&copy_flops, "rollback-restore");
-            }
-            continue;
-        }};
-    }
-
-    // The true residual b - A x into `r_true`, and its norm; a
-    // non-finite one is a rollback.
-    macro_rules! true_residual_or_rollback {
-        () => {{
-            let res_true = run.true_residual(a, &x, &mut q, &mut scratch, &mut r_true);
-            if !res_true.is_finite() {
-                rollback!("non-finite");
-            }
-            res_true
-        }};
-    }
-
-    // Make the true residual just computed the recurrence residual and
-    // restart the search direction from it, discarding the (possibly
-    // mis-scaled) old one.
-    macro_rules! replace_residual {
-        ($res_true:expr) => {{
-            run.obs.on_restart(run.stats.iterations);
-            rec.residual_replacements += 1;
-            std::mem::swap(&mut r, &mut r_true);
-            precondition(run.machine, &r, &mut z);
-            rho = run.dot(&r, z_or_r(&z, &r));
-            p.copy_from(z_or_r(&z, &r));
-            res = $res_true;
-            run.stats.residual_norm = res;
-            since_improve = 0;
-            run.monitor.reset_window();
-            if !rho.is_finite() || rho < 0.0 {
-                rollback!("non-finite");
-            }
-            check_breakdown("rho", rho)?;
-            // Convergence is only ever declared through the verified
-            // path in the main loop; a claim here just means the next
-            // iteration's observation triggers verification.
-            run.observe(res)?;
-            continue; // p was restarted; skip the beta update
-        }};
-    }
-
-    // A fault the iterate survived (stagnation, a false convergence
-    // claim): count it against the budget, then restart from the truth.
-    macro_rules! restart_from_true_residual {
-        () => {{
-            rec.faults_detected += 1;
-            if rec.rollbacks + rec.residual_replacements >= config.max_rollbacks {
-                return Err(SolverError::RecoveryExhausted {
-                    rollbacks: rec.rollbacks,
-                    residual_norm: res,
-                });
-            }
-            let _restart_span = span::enter("restart");
-            let res_true = true_residual_or_rollback!();
-            replace_residual!(res_true);
-        }};
-    }
-
-    run.begin_iterations();
-    while run.stats.iterations < run.max_iters {
-        let _iter_span = span::enter_iter(run.stats.iterations);
-        run.matvec(a, &p, &mut q, &mut scratch);
-        let pq = {
-            let _s = span::enter("dot");
-            run.dot(&p, &q)
+impl<'a, A: DistOperator + ?Sized> Guard<'a, A> {
+    pub(crate) fn new(config: RecoveryConfig, a: &'a A, s: &CgState) -> Self {
+        let desc = s.x.descriptor();
+        let slot = || Checkpoint {
+            k: 0,
+            x: s.x.clone(),
+            r: s.r.clone(),
+            p: s.p.clone(),
+            rho: 0.0,
+            res: 0.0,
         };
-        // SPD input guarantees p·Ap > 0; non-finite or non-positive
-        // means a corrupted reduction (or a genuinely indefinite input,
-        // which exhausts the rollback budget and surfaces as a typed
-        // error).
-        if !pq.is_finite() || pq <= 0.0 {
-            rollback!("non-finite");
+        Guard {
+            stats: RecoveryStats::default(),
+            a,
+            max_rollbacks: config.max_rollbacks,
+            ring: VecDeque::with_capacity(RING_CAPACITY),
+            spare: (0..RING_CAPACITY).map(|_| slot()).collect(),
+            rollbacks_since_checkpoint: 0,
+            best_res: f64::INFINITY,
+            since_improve: 0,
+            r_true: DistVector::zeros(desc.clone()),
+            copy_flops: (0..desc.np()).map(|pr| 3 * desc.local_len(pr)).collect(),
         }
-        let alpha = rho / pq;
-        {
-            let _s = span::enter("axpy");
-            x.axpy(run.machine, alpha, &p);
-            r.axpy(run.machine, -alpha, &q);
-        }
-        run.stats.axpys += 2;
-        // Unpreconditioned CG has z = r, so one reduction serves both
-        // rho and the residual norm (keeps the faults-off overhead to
-        // checkpointing alone).
-        precondition(run.machine, &r, &mut z);
-        let rho_new = run.dot(&r, z_or_r(&z, &r));
-        let res_new = match z {
-            Some(_) => run.dot(&r, &r).sqrt(),
-            None => rho_new.abs().sqrt(),
-        };
-        if !res_new.is_finite()
-            || !rho_new.is_finite()
-            || rho_new < 0.0
-            || res_new > RESIDUAL_JUMP_FACTOR * res.max(f64::MIN_POSITIVE)
-        {
-            rollback!("divergence");
-        }
-        res = res_new;
-        let sample = run.end_iteration(res, alpha);
-        let k = sample.iteration;
-        run.obs.on_iteration(&IterSample {
-            beta: rho_new / rho,
-            rollbacks: rec.rollbacks,
-            ..sample
-        });
+    }
 
-        // Progress watchdog: a silently mis-scaled scalar (e.g. a bit
-        // flip in rho) freezes the recurrence without breaking the
-        // residual invariant, so neither the jump test nor drift
-        // detection fires. No improvement over a whole window means the
-        // search direction is dead — restart it.
-        if res <= 0.99 * best_res {
-            best_res = res;
-            since_improve = 0;
+    /// After the start-up reductions, at `x = 0` where `r` is `b`: `‖r‖`
+    /// and `‖b‖` are one reduction over the same operands and must agree
+    /// to the bit, and preconditioned, `r·z` is taken again and must too
+    /// (and be [`healthy`] unless `r` is zero). A fault drains once, so a
+    /// disagreement retakes the start (`Ok(true)`), against the rollback
+    /// budget. A start that holds is checkpoint 0. Bits, not values, so a
+    /// NaN in `b` still ends in `NonFinite`.
+    pub(crate) fn start(&mut self, run: &mut Run, s: &mut CgState, res: f64) -> Hook {
+        let again = match s.z {
+            Some(_) => run.dot(&s.r, s.z()),
+            None => s.rho,
+        };
+        if run.b_norm.to_bits() == res.to_bits()
+            && again.to_bits() == s.rho.to_bits()
+            && (healthy(s.rho) || !res.is_normal())
+        {
+            self.best_res = res;
+            self.save(run, 0, s, res);
+            return Ok(false);
+        }
+        self.detect(run, "start-up")?;
+        s.precondition(run.machine);
+        s.p.copy_from(s.z.as_ref().unwrap_or(&s.r));
+        Ok(true)
+    }
+
+    /// After `p·Ap` and `rho = r·z`: not [`healthy`] is a corrupted
+    /// reduction (or an indefinite input, which exhausts the budget).
+    pub(crate) fn positive(&mut self, run: &mut Run, s: &mut CgState, v: f64) -> Hook {
+        if healthy(v) {
+            return Ok(false);
+        }
+        self.rollback(run, s, "non-finite")
+    }
+
+    /// After the fused update: a non-finite `‖r‖`, or one 1e6× the last.
+    pub(crate) fn update(&mut self, run: &mut Run, s: &mut CgState, rr: f64) -> Hook {
+        let last = run.stats.residual_norm.max(f64::MIN_POSITIVE);
+        if rr.sqrt() <= RESIDUAL_JUMP_FACTOR * last {
+            return Ok(false);
+        }
+        self.rollback(run, s, "divergence")
+    }
+
+    /// At a convergence claim, which a corrupted reduction can fake: it
+    /// stands only if `b − A x`, taken twice (an armed corruption drains
+    /// into one), is the same to the bit and passes. Otherwise the
+    /// iterate is repaired in place, since checkpoints saved after the
+    /// corruption landed would repeat the false claim.
+    pub(crate) fn claim(&mut self, run: &mut Run, s: &mut CgState) -> Hook {
+        let mut verify = || {
+            let _s = span::enter("verify");
+            run.true_residual(self.a, &s.x, &mut s.q, &mut s.scratch, &mut self.r_true)
+        };
+        let (res_true, again) = (verify(), verify());
+        let agree = res_true.to_bits() == again.to_bits();
+        if res_true.is_finite() && agree && run.stop.satisfied(res_true, run.b_norm) {
+            run.stats.residual_norm = res_true;
+            return Ok(false);
+        }
+        run.stats.converged = false;
+        self.restart(run, s)
+    }
+
+    /// At the iteration's end: the progress watchdog, the true residual
+    /// every 25 iterations, a checkpoint every 8.
+    pub(crate) fn end(&mut self, run: &mut Run, s: &mut CgState) -> Hook {
+        let (k, res) = (run.stats.iterations, run.stats.residual_norm);
+        // A silently mis-scaled scalar (a flip in rho) can freeze the
+        // recurrence with no jump and no drift: no 1% gain over a window
+        // means the search direction is dead.
+        if res <= 0.99 * self.best_res {
+            self.best_res = res;
+            self.since_improve = 0;
         } else {
-            since_improve += 1;
+            self.since_improve += 1;
         }
-        if since_improve >= STAGNATION_WINDOW {
-            restart_from_true_residual!();
+        if self.since_improve >= STAGNATION_WINDOW {
+            return self.restart(run, s);
         }
-
-        // Residual replacement: periodically recompute the true
-        // residual b - A x. Large drift means the recurrence was
-        // silently corrupted; swap in the true residual and restart the
-        // search direction.
         if k.is_multiple_of(RESIDUAL_CHECK_INTERVAL) {
-            let _check_span = span::enter("residual-check");
-            let res_true = true_residual_or_rollback!();
-            let drift_limit = DRIFT_TOLERANCE * run.b_norm.max(f64::MIN_POSITIVE);
-            if (res_true - res).abs() > drift_limit {
-                rec.faults_detected += 1;
-                replace_residual!(res_true);
+            let _s = span::enter("residual-check");
+            if self.replace(run, s, true)? {
+                return Ok(true);
             }
         }
-
-        if run.observe(res)? {
-            // Trust but verify: a corrupted reduction can fake a tiny
-            // residual norm. Accept convergence only if the true
-            // residual b - A x agrees — computed twice, because an armed
-            // corruption can drain into the verification itself, and it
-            // can only drain once.
-            let mut verify = || {
-                let _s = span::enter("verify");
-                run.true_residual(a, &x, &mut q, &mut scratch, &mut r_true)
-            };
-            let (v1, v2) = (verify(), verify());
-            let res_true = v1.max(v2);
-            let agree = (v1 - v2).abs() <= 1e-12 * run.b_norm.max(f64::MIN_POSITIVE);
-            if res_true.is_finite() && agree && run.stop.satisfied(res_true, run.b_norm) {
-                run.stats.converged = true;
-                run.stats.residual_norm = res_true;
-                return Ok((x, rec));
-            }
-            if !res_true.is_finite() {
-                rollback!("non-finite");
-            }
-            // The recursive residual lied but the iterate is finite.
-            // Checkpoints may have been saved after the corruption
-            // landed (replaying them repeats the false claim), so repair
-            // the recurrence in place instead of rolling back.
-            restart_from_true_residual!();
-        }
-        check_breakdown("rho", rho)?;
-        let beta = rho_new / rho;
-        rho = rho_new;
-        p.aypx(run.machine, beta, z_or_r(&z, &r));
-        run.stats.axpys += 1;
-
         if k.is_multiple_of(CHECKPOINT_INTERVAL) {
-            let mut cp = spare
-                .pop()
-                .or_else(|| ring.pop_front())
-                .expect("a spare slot or a full ring");
-            (cp.k, cp.rho, cp.res) = (k, rho, res);
-            cp.x.copy_from(&x);
-            cp.r.copy_from(&r);
-            cp.p.copy_from(&p);
-            ring.push_back(cp);
-            {
-                let _s = span::enter("checkpoint");
-                run.machine.compute_all(&copy_flops, "checkpoint-save");
-            }
-            rec.checkpoints += 1;
-            rollbacks_since_checkpoint = 0;
+            self.save(run, k, s, res);
+        }
+        Ok(false)
+    }
+
+    fn save(&mut self, run: &mut Run, k: usize, s: &CgState, res: f64) {
+        let mut cp = (self.spare.pop())
+            .or_else(|| self.ring.pop_front())
+            .expect("a spare slot or a full ring");
+        (cp.k, cp.rho, cp.res) = (k, s.rho, res);
+        cp.x.copy_from(&s.x);
+        cp.r.copy_from(&s.r);
+        cp.p.copy_from(&s.p);
+        self.ring.push_back(cp);
+        let _s = span::enter("checkpoint");
+        run.machine.compute_all(&self.copy_flops, "checkpoint-save");
+        self.stats.checkpoints += 1;
+        self.rollbacks_since_checkpoint = 0;
+    }
+
+    /// Count a detection that costs a rollback and tell the observer;
+    /// past the budget it is `RecoveryExhausted`.
+    fn detect(&mut self, run: &mut Run, reason: &str) -> Result<(), SolverError> {
+        self.stats.rollbacks += 1;
+        self.stats.faults_detected += 1;
+        self.rollbacks_since_checkpoint += 1;
+        run.obs.on_rollback(run.stats.iterations, reason);
+        if self.stats.rollbacks > self.max_rollbacks {
+            return Err(self.exhausted(run));
+        }
+        Ok(())
+    }
+
+    fn exhausted(&self, run: &Run) -> SolverError {
+        SolverError::RecoveryExhausted {
+            rollbacks: self.stats.rollbacks,
+            residual_norm: run.stats.residual_norm,
         }
     }
-    Ok((x, rec))
+
+    /// Back to the newest checkpoint, or one deeper when the newest keeps
+    /// failing (it may have been saved after the corruption landed). The
+    /// iteration count rewinds with the iterate.
+    fn rollback(&mut self, run: &mut Run, s: &mut CgState, reason: &str) -> Hook {
+        self.detect(run, reason)?;
+        if self.rollbacks_since_checkpoint >= 2 && self.ring.len() > 1 {
+            self.spare.extend(self.ring.pop_back());
+        }
+        let cp = self.ring.back().expect("the ring never empties");
+        s.x.copy_from(&cp.x);
+        s.r.copy_from(&cp.r);
+        s.p.copy_from(&cp.p);
+        s.rho = cp.rho;
+        run.stats.iterations = cp.k;
+        run.stats.residual_norm = cp.res;
+        self.since_improve = 0;
+        run.monitor.reset_window();
+        let _s = span::enter("rollback");
+        run.machine
+            .compute_all(&self.copy_flops, "rollback-restore");
+        Ok(true)
+    }
+
+    /// A fault the iterate survived (stagnation, a false claim): counted
+    /// against the budget, then a restart from the true residual.
+    fn restart(&mut self, run: &mut Run, s: &mut CgState) -> Hook {
+        self.stats.faults_detected += 1;
+        if self.stats.rollbacks + self.stats.residual_replacements >= self.max_rollbacks {
+            return Err(self.exhausted(run));
+        }
+        let _s = span::enter("restart");
+        self.replace(run, s, false)
+    }
+
+    /// The true residual `b − A x`; a non-finite one is a rollback. It
+    /// replaces `r`, and the search direction restarts from it, unless
+    /// `on_drift` and it is within 1e-4·‖b‖ of the recurrence's.
+    fn replace(&mut self, run: &mut Run, s: &mut CgState, on_drift: bool) -> Hook {
+        let res_true = run.true_residual(self.a, &s.x, &mut s.q, &mut s.scratch, &mut self.r_true);
+        if !res_true.is_finite() {
+            return self.rollback(run, s, "non-finite");
+        }
+        if on_drift {
+            let drift_limit = DRIFT_TOLERANCE * run.b_norm.max(f64::MIN_POSITIVE);
+            if (res_true - run.stats.residual_norm).abs() <= drift_limit {
+                return Ok(false);
+            }
+            self.stats.faults_detected += 1;
+        }
+        run.obs.on_restart(run.stats.iterations);
+        self.stats.residual_replacements += 1;
+        std::mem::swap(&mut s.r, &mut self.r_true);
+        s.precondition(run.machine);
+        s.rho = run.dot(&s.r, s.z());
+        s.p.copy_from(s.z.as_ref().unwrap_or(&s.r));
+        run.stats.residual_norm = res_true;
+        self.since_improve = 0;
+        run.monitor.reset_window();
+        if healthy(s.rho) {
+            return Ok(true);
+        }
+        self.rollback(run, s, "non-finite")
+    }
 }
 
 #[cfg(test)]
@@ -456,26 +399,6 @@ mod tests {
             .sqrt();
         let den: f64 = y.iter().map(|v| v * v).sum::<f64>().sqrt().max(1e-300);
         num / den
-    }
-
-    #[test]
-    fn protected_cg_matches_plain_cg_without_faults() {
-        let np = 4;
-        let (op, _x_true, b) = poisson_op(np);
-        let stop = StopCriterion::RelativeResidual(1e-10);
-
-        let mut m1 = machine(np);
-        let (x_plain, s_plain) = cg_distributed(&mut m1, &op, &b, stop, 500).unwrap();
-        let mut m2 = machine(np);
-        let (x_prot, s_prot, rec) =
-            cg_distributed_protected(&mut m2, &op, &b, stop, 500, RecoveryConfig::default())
-                .unwrap();
-
-        assert!(s_prot.converged);
-        assert_eq!(s_prot.iterations, s_plain.iterations);
-        assert_eq!(rec.rollbacks, 0);
-        assert!(rec.checkpoints >= 1);
-        assert!(rel_err(&x_prot.to_global(), &x_plain.to_global()) < 1e-12);
     }
 
     #[test]

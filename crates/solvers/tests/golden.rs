@@ -355,68 +355,68 @@ const SOLVE_GOLDEN: &[u64] = &[
     0x69e476c08edef65c, // bicgstab cuts/row-aligned crash-21
     0x387699d662b0636f, // bicgstab cuts/row-aligned crash-22
     0x1c825b17a4a10d8a, // bicgstab cuts/row-aligned crash-23
-    0x41674a4c99e42242, // pcg-jacobi-protected block/row-aligned clean
-    0xd39090f6654d8bed, // pcg-jacobi-protected block/row-aligned bitflip-11
-    0x35d862b6ddf036da, // pcg-jacobi-protected block/row-aligned bitflip-12
-    0xd68d6bd4271ad38e, // pcg-jacobi-protected block/row-aligned bitflip-13
-    0xeb671d84194c6625, // pcg-jacobi-protected block/row-aligned crash-21
-    0x8ddf6b2adf065b0b, // pcg-jacobi-protected block/row-aligned crash-22
-    0xe4a6e46a2d672598, // pcg-jacobi-protected block/row-aligned crash-23
-    0x319c7cfe2e844d8b, // pcg-jacobi-protected block/element-block clean
-    0x7c6e9f37254fafea, // pcg-jacobi-protected block/element-block bitflip-11
-    0x42d30300a72019c2, // pcg-jacobi-protected block/element-block bitflip-12
-    0xdafd0773f1958de0, // pcg-jacobi-protected block/element-block bitflip-13
-    0x9fa5debcf7ba8e1c, // pcg-jacobi-protected block/element-block crash-21
-    0x0faa3c077d309558, // pcg-jacobi-protected block/element-block crash-22
-    0xd62e052d745e6248, // pcg-jacobi-protected block/element-block crash-23
-    0x745e1a88592353ca, // pcg-jacobi-protected cuts/row-aligned clean
-    0xa405df35dbfc124c, // pcg-jacobi-protected cuts/row-aligned bitflip-11
-    0xcacc054179b9187d, // pcg-jacobi-protected cuts/row-aligned bitflip-12
-    0xe73df299c9bc8b74, // pcg-jacobi-protected cuts/row-aligned bitflip-13
-    0x94cd143fba53ae1d, // pcg-jacobi-protected cuts/row-aligned crash-21
-    0x34c52e22ed269134, // pcg-jacobi-protected cuts/row-aligned crash-22
-    0xc091e5fa6c6f6ef7, // pcg-jacobi-protected cuts/row-aligned crash-23
-    0xd89542432bf3be84, // cg-protected block/row-aligned clean
-    0xe58cf666de981673, // cg-protected block/row-aligned bitflip-11
-    0x544de20e8bd25196, // cg-protected block/row-aligned bitflip-12
-    0x6381665c027a960f, // cg-protected block/row-aligned bitflip-13
-    0x50468f068a296db5, // cg-protected block/row-aligned crash-21
-    0x6dc3e0863115b46c, // cg-protected block/row-aligned crash-22
-    0x11464ac55677abdd, // cg-protected block/row-aligned crash-23
-    0x8d5162cccbd226dc, // cg-protected block/element-block clean
-    0x38fd21c49bb2e718, // cg-protected block/element-block bitflip-11
-    0x1b77403af6cb18e3, // cg-protected block/element-block bitflip-12
-    0x68e8eb2be121e92a, // cg-protected block/element-block bitflip-13
-    0x058b209cb7bba410, // cg-protected block/element-block crash-21
-    0x4b5eb7be3607dfa4, // cg-protected block/element-block crash-22
-    0xbc1e801d6dfeff38, // cg-protected block/element-block crash-23
-    0x7a4d0270a982823e, // cg-protected cuts/row-aligned clean
-    0x05082343de94603b, // cg-protected cuts/row-aligned bitflip-11
-    0xffc07bc1752aff22, // cg-protected cuts/row-aligned bitflip-12
-    0x90f72a38dc23ac22, // cg-protected cuts/row-aligned bitflip-13
-    0x139afcb9e750b595, // cg-protected cuts/row-aligned crash-21
-    0x22dd254d309d0ca1, // cg-protected cuts/row-aligned crash-22
-    0xaa3ba61a9d6a4d77, // cg-protected cuts/row-aligned crash-23
+    0x30043f639d8a8494, // pcg-jacobi-protected block/row-aligned clean
+    0xc25335afc6fba367, // pcg-jacobi-protected block/row-aligned bitflip-11
+    0x924944f231940418, // pcg-jacobi-protected block/row-aligned bitflip-12
+    0xfde33195b8ca50d9, // pcg-jacobi-protected block/row-aligned bitflip-13
+    0x1ac560aca3d906b3, // pcg-jacobi-protected block/row-aligned crash-21
+    0xbf5fa433aecb5fc8, // pcg-jacobi-protected block/row-aligned crash-22
+    0x8d67fa8da4b494b9, // pcg-jacobi-protected block/row-aligned crash-23
+    0xe14ae827fd79ef76, // pcg-jacobi-protected block/element-block clean
+    0xe75532c43d2fd848, // pcg-jacobi-protected block/element-block bitflip-11
+    0x584f9278e0676284, // pcg-jacobi-protected block/element-block bitflip-12
+    0xade5327c78592101, // pcg-jacobi-protected block/element-block bitflip-13
+    0x328374744f6dbc7c, // pcg-jacobi-protected block/element-block crash-21
+    0x159fea12c057725a, // pcg-jacobi-protected block/element-block crash-22
+    0x1bebe27622fb2d57, // pcg-jacobi-protected block/element-block crash-23
+    0x437f055a098492e6, // pcg-jacobi-protected cuts/row-aligned clean
+    0xf10754b7c5bbacb7, // pcg-jacobi-protected cuts/row-aligned bitflip-11
+    0xa17bd015d0c3959d, // pcg-jacobi-protected cuts/row-aligned bitflip-12
+    0x4edcf1d12b3149c8, // pcg-jacobi-protected cuts/row-aligned bitflip-13
+    0xb92cb185c52cdb53, // pcg-jacobi-protected cuts/row-aligned crash-21
+    0x2566023965baca74, // pcg-jacobi-protected cuts/row-aligned crash-22
+    0x33b55ec72c41d8e4, // pcg-jacobi-protected cuts/row-aligned crash-23
+    0xbc2024a9ad789df5, // cg-protected block/row-aligned clean
+    0xb2ff2a278aba7d71, // cg-protected block/row-aligned bitflip-11
+    0x03fd5ae29805cf78, // cg-protected block/row-aligned bitflip-12
+    0xcfc530cef2b6b9e5, // cg-protected block/row-aligned bitflip-13
+    0x4f735d46a8cb69fb, // cg-protected block/row-aligned crash-21
+    0x5b39dc8a1543cbd7, // cg-protected block/row-aligned crash-22
+    0xb9909652f53251ba, // cg-protected block/row-aligned crash-23
+    0x9ae017d21132950c, // cg-protected block/element-block clean
+    0x0068e0666e0cf3a5, // cg-protected block/element-block bitflip-11
+    0x47f98febd29fed23, // cg-protected block/element-block bitflip-12
+    0x06e84dcbb630b5b9, // cg-protected block/element-block bitflip-13
+    0xca7aef294351225f, // cg-protected block/element-block crash-21
+    0x0e0cd690fafbd251, // cg-protected block/element-block crash-22
+    0x9abfbdcf9bdde2b8, // cg-protected block/element-block crash-23
+    0xde9f6f4c56e455e3, // cg-protected cuts/row-aligned clean
+    0x3e3c950723390c6b, // cg-protected cuts/row-aligned bitflip-11
+    0x9c8fc09962690e64, // cg-protected cuts/row-aligned bitflip-12
+    0x02528f9027e07bb4, // cg-protected cuts/row-aligned bitflip-13
+    0xe1033fafe50aaa29, // cg-protected cuts/row-aligned crash-21
+    0x3b31c12fb4e8612a, // cg-protected cuts/row-aligned crash-22
+    0x2626c94a992be8f2, // cg-protected cuts/row-aligned crash-23
     0x18c7b0365b694db2, // cg colwise-serial clean
     0x3da940b9ddbebea2, // cg colwise-serial bitflip-11
     0xaa7db0ca22e23e9e, // pcg-jacobi colwise-serial clean
     0xa1a7a84e609054aa, // pcg-jacobi colwise-serial bitflip-11
     0x83f25550e2c79eea, // bicgstab colwise-serial clean
     0xbfb0202e0c5b1416, // bicgstab colwise-serial bitflip-11
-    0x9d6c9f053d418c2c, // pcg-jacobi-protected colwise-serial clean
-    0xb0a972a2bf415737, // pcg-jacobi-protected colwise-serial bitflip-11
-    0x91d244dd93e5443a, // cg-protected colwise-serial clean
-    0x645472bb71c9a8e0, // cg-protected colwise-serial bitflip-11
+    0xb781dd8757aa899c, // pcg-jacobi-protected colwise-serial clean
+    0xb7a9cf0d3acaffe4, // pcg-jacobi-protected colwise-serial bitflip-11
+    0x04dac7551f9bab53, // cg-protected colwise-serial clean
+    0xa5c2ae70d23e11ad, // cg-protected colwise-serial bitflip-11
     0xe82b076680cad771, // cg colwise-temp2d clean
     0x5174fb46b57112a9, // cg colwise-temp2d bitflip-11
     0x77896a9094712566, // pcg-jacobi colwise-temp2d clean
     0xd0e22a4d4c60e809, // pcg-jacobi colwise-temp2d bitflip-11
     0x841b00494bbe9a50, // bicgstab colwise-temp2d clean
     0x175ed9c65dba4cd4, // bicgstab colwise-temp2d bitflip-11
-    0x2205467bca6b846c, // pcg-jacobi-protected colwise-temp2d clean
-    0x7f0e7befb07e8de7, // pcg-jacobi-protected colwise-temp2d bitflip-11
-    0xc23fed62fd32ed2b, // cg-protected colwise-temp2d clean
-    0x62df02cf291086d1, // cg-protected colwise-temp2d bitflip-11
+    0xac04b611dba01fd5, // pcg-jacobi-protected colwise-temp2d clean
+    0xea6651fef222ddf4, // pcg-jacobi-protected colwise-temp2d bitflip-11
+    0xb7921bd05e38abb6, // cg-protected colwise-temp2d clean
+    0x43000174e88eb1d5, // cg-protected colwise-temp2d bitflip-11
 ];
 
 #[rustfmt::skip]

@@ -225,13 +225,13 @@ const SOLVE_GOLDEN: &[u64] = &[
     0x3b39e1f500a8fde7, // cg cuts-np4 serial crash-21
     0xa72f552f921a774a, // cg cuts-np4 serial crash-22
     0xe1269feb3e94aa2c, // cg cuts-np4 serial crash-23
-    0x37083c2723de4491, // cg-protected cuts-np4 serial clean
-    0x01bb723b5aaaabad, // cg-protected cuts-np4 serial bitflip-11
-    0xf8386f75db7a09a4, // cg-protected cuts-np4 serial bitflip-12
-    0x3e2c21ffc9c6bfba, // cg-protected cuts-np4 serial bitflip-13
-    0x7e4e301bc12e0234, // cg-protected cuts-np4 serial crash-21
-    0x8785c074437764ae, // cg-protected cuts-np4 serial crash-22
-    0x15408c950fe7c7ea, // cg-protected cuts-np4 serial crash-23
+    0xe53c9f54fe597ab7, // cg-protected cuts-np4 serial clean
+    0x293c2dde6da11605, // cg-protected cuts-np4 serial bitflip-11
+    0x186b6347be5da865, // cg-protected cuts-np4 serial bitflip-12
+    0xa53b5c5c10c9d255, // cg-protected cuts-np4 serial bitflip-13
+    0xa54d916a367f6ea1, // cg-protected cuts-np4 serial crash-21
+    0xf7c1b4564c59f0bc, // cg-protected cuts-np4 serial crash-22
+    0x2b4f411ac4da37ce, // cg-protected cuts-np4 serial crash-23
     0x90c70cda8233da72, // cg cuts-np4 temp2d clean
     0x8d18277f48df9ddf, // cg cuts-np4 temp2d bitflip-11
     0x4c368c0f4bf9c77d, // cg cuts-np4 temp2d bitflip-12
@@ -239,13 +239,13 @@ const SOLVE_GOLDEN: &[u64] = &[
     0x12e541d6e29d1944, // cg cuts-np4 temp2d crash-21
     0xeeb1817da7a8b2bf, // cg cuts-np4 temp2d crash-22
     0x6f71459e81c58c03, // cg cuts-np4 temp2d crash-23
-    0xfcf33d598a0ccc06, // cg-protected cuts-np4 temp2d clean
-    0x822e97c1d7b573fe, // cg-protected cuts-np4 temp2d bitflip-11
-    0xb3a3b5f4221293fe, // cg-protected cuts-np4 temp2d bitflip-12
-    0x197568c036fdb9f4, // cg-protected cuts-np4 temp2d bitflip-13
-    0x3d1546906f518a69, // cg-protected cuts-np4 temp2d crash-21
-    0x6085ef6f4d58e964, // cg-protected cuts-np4 temp2d crash-22
-    0x72d2a49342f12d81, // cg-protected cuts-np4 temp2d crash-23
+    0x480a203c6093912d, // cg-protected cuts-np4 temp2d clean
+    0xdc023cb94d94011d, // cg-protected cuts-np4 temp2d bitflip-11
+    0x47f779a440066f35, // cg-protected cuts-np4 temp2d bitflip-12
+    0xf576db910d1b4d8f, // cg-protected cuts-np4 temp2d bitflip-13
+    0x9fb7b6b0f7afe477, // cg-protected cuts-np4 temp2d crash-21
+    0xa437a49ae1aaead4, // cg-protected cuts-np4 temp2d crash-22
+    0xaf3cea38ded1144c, // cg-protected cuts-np4 temp2d crash-23
     0xf40fd80dc4b4fd71, // cg block-np64 serial clean
     0x1f0d131008c530cc, // cg block-np64 serial bitflip-11
     0x7a0ef5b81b3ee4ae, // cg block-np64 serial bitflip-12
@@ -253,13 +253,13 @@ const SOLVE_GOLDEN: &[u64] = &[
     0xf0a0deef0319ae22, // cg block-np64 serial crash-21
     0x5d4d85ce493ce15b, // cg block-np64 serial crash-22
     0xd898354c3a9f3f61, // cg block-np64 serial crash-23
-    0x3591ef2437be2d7a, // cg-protected block-np64 serial clean
-    0x86278edab09040f5, // cg-protected block-np64 serial bitflip-11
-    0x07b31d4dcb4df5cc, // cg-protected block-np64 serial bitflip-12
-    0x87799386209ffaa7, // cg-protected block-np64 serial bitflip-13
-    0x9ac05e7b6a0b526c, // cg-protected block-np64 serial crash-21
-    0x8c50938ef35b771b, // cg-protected block-np64 serial crash-22
-    0x633c150b1b7fb0b8, // cg-protected block-np64 serial crash-23
+    0xf58ef1f78356f19b, // cg-protected block-np64 serial clean
+    0xb540cc963447768b, // cg-protected block-np64 serial bitflip-11
+    0x5e9c1fd0930f14d3, // cg-protected block-np64 serial bitflip-12
+    0x7f5092c8dfd0b7ec, // cg-protected block-np64 serial bitflip-13
+    0x6cddc2a79057961b, // cg-protected block-np64 serial crash-21
+    0x240a9edb3761ff34, // cg-protected block-np64 serial crash-22
+    0x89e99aea49f9067f, // cg-protected block-np64 serial crash-23
     0x8aedf9b9353c797d, // cg block-np64 temp2d clean
     0xe34aa1d2b9711f90, // cg block-np64 temp2d bitflip-11
     0x4878a088044564d6, // cg block-np64 temp2d bitflip-12
@@ -267,13 +267,13 @@ const SOLVE_GOLDEN: &[u64] = &[
     0x70e552bba5235eee, // cg block-np64 temp2d crash-21
     0x5e002da56c82cfaa, // cg block-np64 temp2d crash-22
     0x15af70ff01ff913e, // cg block-np64 temp2d crash-23
-    0x6d290c215caf7205, // cg-protected block-np64 temp2d clean
-    0xbd6b61884908fb81, // cg-protected block-np64 temp2d bitflip-11
-    0x0a8e6847c6c41532, // cg-protected block-np64 temp2d bitflip-12
-    0xa8a454dbd15227f8, // cg-protected block-np64 temp2d bitflip-13
-    0x2fd17fab312cf600, // cg-protected block-np64 temp2d crash-21
-    0xc2dfa812178b426f, // cg-protected block-np64 temp2d crash-22
-    0x12e842b326cd544d, // cg-protected block-np64 temp2d crash-23
+    0x89ae75240f953876, // cg-protected block-np64 temp2d clean
+    0x69e5cec1b67693c5, // cg-protected block-np64 temp2d bitflip-11
+    0xea1b51b3a090ea67, // cg-protected block-np64 temp2d bitflip-12
+    0x1033d8ab3cfbfc30, // cg-protected block-np64 temp2d bitflip-13
+    0x9d7db4986c988470, // cg-protected block-np64 temp2d crash-21
+    0xad3fa78250b2f5fd, // cg-protected block-np64 temp2d crash-22
+    0x34d2a9c1dc141100, // cg-protected block-np64 temp2d crash-23
 ];
 
 #[rustfmt::skip]

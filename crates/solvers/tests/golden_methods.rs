@@ -426,48 +426,48 @@ const GOLDEN: &[u64] = &[
     0x9d8ea9451d887343, // spd gmres(20) colwise-temp2d crash-21
     0x82ff11f49c422cec, // spd gmres(20) colwise-temp2d crash-22
     0xadd60408774a027f, // spd gmres(20) colwise-temp2d crash-23
-    0x06d11f3324b711d4, // spd cg-protected block/row-aligned clean
-    0x58edf60ab063763f, // spd cg-protected block/row-aligned bitflip-11
-    0xe2c3eb0e6360828d, // spd cg-protected block/row-aligned bitflip-12
-    0x865e294b8905285d, // spd cg-protected block/row-aligned bitflip-13
-    0x9aea3fdf9568f0c3, // spd cg-protected block/row-aligned crash-21
-    0x56708e18e0d155fc, // spd cg-protected block/row-aligned crash-22
-    0x0c67121577f3d1cc, // spd cg-protected block/row-aligned crash-23
-    0x14d6b8f9e61d3e93, // spd cg-protected cuts/row-aligned clean
-    0xffe435d790bbc766, // spd cg-protected cuts/row-aligned bitflip-11
-    0x9bf12ae8f05b9c34, // spd cg-protected cuts/row-aligned bitflip-12
-    0x9c28e2e4ba1b11d8, // spd cg-protected cuts/row-aligned bitflip-13
-    0x882621ad7cdcf721, // spd cg-protected cuts/row-aligned crash-21
-    0xacbea3ce1c03aa12, // spd cg-protected cuts/row-aligned crash-22
-    0x2f19c80b023d24df, // spd cg-protected cuts/row-aligned crash-23
-    0x6779a22e53c1d0c1, // spd cg-protected colwise-temp2d clean
-    0xbeba54efb20a2217, // spd cg-protected colwise-temp2d bitflip-11
-    0x17d50a87477f9af6, // spd cg-protected colwise-temp2d bitflip-12
-    0x05854c3b93b964d2, // spd cg-protected colwise-temp2d bitflip-13
-    0x6724993890a7753c, // spd cg-protected colwise-temp2d crash-21
-    0x13450f9f69be3fcb, // spd cg-protected colwise-temp2d crash-22
-    0x01fa2a7874a9ab2f, // spd cg-protected colwise-temp2d crash-23
-    0x8024cb50d538cf11, // spd pcg-jacobi-protected block/row-aligned clean
-    0x4ce59bc043cfd7c7, // spd pcg-jacobi-protected block/row-aligned bitflip-11
-    0x05d46d8f653c16c5, // spd pcg-jacobi-protected block/row-aligned bitflip-12
-    0xa951bbd0b77d93b7, // spd pcg-jacobi-protected block/row-aligned bitflip-13
-    0x0a83e239bc14b781, // spd pcg-jacobi-protected block/row-aligned crash-21
-    0x6f8ffd64b4d30ed8, // spd pcg-jacobi-protected block/row-aligned crash-22
-    0x4eaeeaf4d21b185a, // spd pcg-jacobi-protected block/row-aligned crash-23
-    0x518f70d29c1d52d2, // spd pcg-jacobi-protected cuts/row-aligned clean
-    0xec8e2348627cea16, // spd pcg-jacobi-protected cuts/row-aligned bitflip-11
-    0xb2d6bc86b97a7387, // spd pcg-jacobi-protected cuts/row-aligned bitflip-12
-    0x7d4fb7cd55e6e618, // spd pcg-jacobi-protected cuts/row-aligned bitflip-13
-    0xa13f01929468c154, // spd pcg-jacobi-protected cuts/row-aligned crash-21
-    0xcf997ff95cbbd374, // spd pcg-jacobi-protected cuts/row-aligned crash-22
-    0x8f675cf710ee2925, // spd pcg-jacobi-protected cuts/row-aligned crash-23
-    0x87944de9995922e1, // spd pcg-jacobi-protected colwise-temp2d clean
-    0x353651a822f96c50, // spd pcg-jacobi-protected colwise-temp2d bitflip-11
-    0xb9c1219f13eacc9c, // spd pcg-jacobi-protected colwise-temp2d bitflip-12
-    0x9baab3caac24dddb, // spd pcg-jacobi-protected colwise-temp2d bitflip-13
-    0x1cf591f085cc3e7f, // spd pcg-jacobi-protected colwise-temp2d crash-21
-    0x2896e49dd6e59dfc, // spd pcg-jacobi-protected colwise-temp2d crash-22
-    0x3c50019cbfb48061, // spd pcg-jacobi-protected colwise-temp2d crash-23
+    0x505a2e654eeac4e0, // spd cg-protected block/row-aligned clean
+    0xba1132ec04e523e3, // spd cg-protected block/row-aligned bitflip-11
+    0xc255132b9ca25d80, // spd cg-protected block/row-aligned bitflip-12
+    0x6ad16dd9a3b295ce, // spd cg-protected block/row-aligned bitflip-13
+    0x8e4155978b3753c9, // spd cg-protected block/row-aligned crash-21
+    0xcb098a679a6b5538, // spd cg-protected block/row-aligned crash-22
+    0xf351fd1dd5505b67, // spd cg-protected block/row-aligned crash-23
+    0x2d96861052f66e9a, // spd cg-protected cuts/row-aligned clean
+    0xef23d571c646c4c6, // spd cg-protected cuts/row-aligned bitflip-11
+    0xb06700b777162f8a, // spd cg-protected cuts/row-aligned bitflip-12
+    0x3e158b96d617c035, // spd cg-protected cuts/row-aligned bitflip-13
+    0x82948c3a8600f173, // spd cg-protected cuts/row-aligned crash-21
+    0x9d3991c6703f925b, // spd cg-protected cuts/row-aligned crash-22
+    0xbcea487a81d84500, // spd cg-protected cuts/row-aligned crash-23
+    0x6d7885680d2f6536, // spd cg-protected colwise-temp2d clean
+    0xf4d1a484693858a1, // spd cg-protected colwise-temp2d bitflip-11
+    0x3ae31c670837e184, // spd cg-protected colwise-temp2d bitflip-12
+    0xcb0ae0e8fb562b2f, // spd cg-protected colwise-temp2d bitflip-13
+    0x12a77eedd0220b22, // spd cg-protected colwise-temp2d crash-21
+    0x77f41d5424354ebc, // spd cg-protected colwise-temp2d crash-22
+    0x5e076896684074fd, // spd cg-protected colwise-temp2d crash-23
+    0xdd9770f293c2c7e6, // spd pcg-jacobi-protected block/row-aligned clean
+    0xc60fde246206b62d, // spd pcg-jacobi-protected block/row-aligned bitflip-11
+    0x2c6f9350f31a0227, // spd pcg-jacobi-protected block/row-aligned bitflip-12
+    0x4009ccdd145a63ea, // spd pcg-jacobi-protected block/row-aligned bitflip-13
+    0x6b3e6e53ffc84277, // spd pcg-jacobi-protected block/row-aligned crash-21
+    0xd4573bc4f83a3ba2, // spd pcg-jacobi-protected block/row-aligned crash-22
+    0xa2cc52037caf1872, // spd pcg-jacobi-protected block/row-aligned crash-23
+    0xdf18a1c6b7bc6595, // spd pcg-jacobi-protected cuts/row-aligned clean
+    0xf73353e088b6aac9, // spd pcg-jacobi-protected cuts/row-aligned bitflip-11
+    0x5a195f5eed94199f, // spd pcg-jacobi-protected cuts/row-aligned bitflip-12
+    0x1f02850b10f2dc2b, // spd pcg-jacobi-protected cuts/row-aligned bitflip-13
+    0xf29795336645c1bf, // spd pcg-jacobi-protected cuts/row-aligned crash-21
+    0x4f15b4e938711806, // spd pcg-jacobi-protected cuts/row-aligned crash-22
+    0x2cbda4317a5eb066, // spd pcg-jacobi-protected cuts/row-aligned crash-23
+    0xbde2cba9d8f51d5c, // spd pcg-jacobi-protected colwise-temp2d clean
+    0x8513322e8e7eb7cd, // spd pcg-jacobi-protected colwise-temp2d bitflip-11
+    0x7578fdac013128b5, // spd pcg-jacobi-protected colwise-temp2d bitflip-12
+    0x0e9d01d52efe2cb8, // spd pcg-jacobi-protected colwise-temp2d bitflip-13
+    0xa4581344216fdf27, // spd pcg-jacobi-protected colwise-temp2d crash-21
+    0xd3df7bc942baa05d, // spd pcg-jacobi-protected colwise-temp2d crash-22
+    0x0048d2c8cb086db8, // spd pcg-jacobi-protected colwise-temp2d crash-23
     0xd02f6a54d02f5b2f, // nonsym bicg block/row-aligned clean
     0xa75302acbbe36a44, // nonsym bicg block/row-aligned bitflip-11
     0x9b9712d635da15c2, // nonsym bicg block/row-aligned bitflip-12

@@ -202,6 +202,52 @@ fn every_method_and_layout_matches_its_serial_solver() {
     }
 }
 
+/// A clean protected solve is the plain solve: protection only reads
+/// the iterate and charges its own operations, so wherever its
+/// `RecoveryStats` show no detection, it returns the unprotected solve's
+/// bits in as many iterations — every SPD family, every layout, plain
+/// and Jacobi-preconditioned.
+#[test]
+fn a_clean_protected_solve_is_the_plain_solve() {
+    let mut clean = 0;
+    for (sysname, a, _) in systems().iter().filter(|(_, _, spd)| *spd) {
+        let (_, b) = gen::rhs_for_known_solution(a);
+        for (lname, op) in layouts(a) {
+            let jacobi = JacobiPreconditioner::from_operator(op.as_ref()).unwrap();
+            for precond in [None, Some(&jacobi as &dyn DistPreconditioner)] {
+                let what = format!("{sysname} over {lname}, jacobi {}", precond.is_some());
+                let solved = |recovery| {
+                    let method = Krylov::Cg { precond, recovery };
+                    solve(
+                        &mut machine(NP),
+                        op.as_ref(),
+                        &b,
+                        method,
+                        STOP,
+                        MAX_ITERS,
+                        &mut NullObserver,
+                    )
+                    .unwrap_or_else(|e| panic!("{what}: {e}"))
+                };
+                let plain = solved(None);
+                let protected = solved(Some(RecoveryConfig::default()));
+                let rec = protected.recovery.expect("a protected solve reports");
+                if rec.faults_detected > 0 {
+                    continue;
+                }
+                let bits = |s: &Solution| -> Vec<u64> {
+                    s.x.to_global().iter().map(|v| v.to_bits()).collect()
+                };
+                assert_eq!(bits(&protected), bits(&plain), "{what}");
+                assert_eq!(protected.stats.iterations, plain.stats.iterations, "{what}");
+                assert!(protected.stats.converged && plain.stats.converged, "{what}");
+                clean += 1;
+            }
+        }
+    }
+    assert_eq!(clean, 42, "every case ran clean");
+}
+
 /// The progress guard and the non-finite check are the driver's, so
 /// every method has them. On a strongly non-normal upper bidiagonal no
 /// method makes progress, and `StopCriterion::Stagnation` ends each of

@@ -6,7 +6,10 @@
 
 use hpf_core::{DataArrayLayout, RowwiseCsr};
 use hpf_machine::{CostModel, EventKind, FaultPlan, FaultRates, Machine, Topology};
-use hpf_solvers::{cg_distributed, cg_distributed_protected, RecoveryConfig, StopCriterion};
+use hpf_solvers::{
+    cg_distributed, cg_distributed_protected, solve, DistPreconditioner, JacobiPreconditioner,
+    Krylov, NullObserver, RecoveryConfig, StopCriterion,
+};
 use hpf_sparse::gen;
 use proptest::prelude::*;
 
@@ -158,4 +161,45 @@ fn machine_reset_replays_the_fault_plan() {
     let (_, stats) = cg_distributed(&mut m, &op, &b, stop, 2000).unwrap();
     assert!(stats.converged);
     assert_eq!(m.faults_injected(), 0);
+}
+
+/// One fault in the start-up reductions (`‖b‖`, `r·z`, `r·r`, and
+/// `M⁻¹ r` before them) is a fault like any other: a flip of bit 52, 58
+/// or 62, or a crash, on each of the first eight operations, on a banded
+/// and a Poisson system, plain and Jacobi-preconditioned. Every solve
+/// converges to a true relative residual of 1e-8: a flip in `‖b‖` or
+/// `r·r` can no longer claim convergence at `x = 0`, a lost `‖b‖` no
+/// longer runs the solve out unconverged, and a flipped `rho` no longer
+/// poisons checkpoint 0.
+#[test]
+fn a_fault_in_the_start_up_is_retaken() {
+    let systems = [gen::banded_spd(96, 3, 11), gen::poisson_2d(12, 12)];
+    for a in systems {
+        let (_, b) = gen::rhs_for_known_solution(&a);
+        let op = RowwiseCsr::block(a.clone(), NP, DataArrayLayout::RowAligned);
+        let jacobi = JacobiPreconditioner::from_operator(&op).unwrap();
+        for precond in [None, Some(&jacobi as &dyn DistPreconditioner)] {
+            for op_index in 0..8 {
+                let flips = [52u8, 58, 62]
+                    .map(|bit| FaultPlan::new().with_bit_flip(op_index, op_index % NP, bit, 0));
+                let crash = FaultPlan::new().with_crash(op_index, NP - 1);
+                for plan in flips.into_iter().chain([crash]) {
+                    let mut m = machine(NP);
+                    m.set_fault_plan(plan.clone());
+                    let method = Krylov::Cg {
+                        precond,
+                        recovery: Some(RecoveryConfig::default()),
+                    };
+                    let stop = StopCriterion::RelativeResidual(1e-10);
+                    let out = solve(&mut m, &op, &b, method, stop, 2000, &mut NullObserver);
+                    let what = format!("n = {}, jacobi {}, {plan:?}", b.len(), precond.is_some());
+                    let s = out.unwrap_or_else(|e| panic!("{what}: {e}"));
+                    assert!(s.stats.converged, "{what}: {:?}", s.stats);
+                    assert_eq!(m.faults_injected(), 1, "{what}");
+                    let rel = rel_residual(&a, &s.x.to_global(), &b);
+                    assert!(rel <= 1e-8, "{what}: true relative residual {rel}");
+                }
+            }
+        }
+    }
 }
