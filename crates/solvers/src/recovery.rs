@@ -2,8 +2,8 @@
 //! injected faults (`hpf_machine::FaultPlan` corrupts reductions and
 //! matvec results).
 //!
-//! It is no second loop: [`crate::cg::figure2`] calls a [`Guard`]'s
-//! hooks at fixed points of its one body. The guard keeps a ring of
+//! It is no second loop: `cg::figure2` calls a `Guard`'s hooks at fixed
+//! points of its one body. The guard keeps a ring of
 //! checkpoints `(x, r, p, rho)`, checks every scalar the recurrence
 //! divides by, and periodically recomputes the *true* residual `b - A x`
 //! (residual replacement in the sense of Chen/Carson). On a detection
@@ -120,7 +120,7 @@ fn healthy(v: f64) -> bool {
 
 /// What a [`Guard`] hook returns: `Ok(true)` when it rolled the iterate
 /// back or restarted it, and the loop goes back to its top.
-pub(crate) type Hook = Result<bool, SolverError>;
+type Hook = Result<bool, SolverError>;
 
 /// One saved iteration state.
 struct Checkpoint {

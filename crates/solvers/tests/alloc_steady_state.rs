@@ -1,5 +1,5 @@
 //! The allocation gate: a steady-state iteration of distributed CG,
-//! protected CG, Jacobi-PCG, BiCG, BiCGSTAB, CGS and GMRES(20) performs
+//! Jacobi-PCG, both protected and not, BiCG, BiCGSTAB, CGS and GMRES(20) performs
 //! **zero** heap allocations when the machine keeps no events —
 //! [`TraceLevel::Off`] or [`TraceLevel::Summary`] — with no event sink,
 //! and also on a warm machine with a sink (lent the slot of the machine's
@@ -32,7 +32,7 @@ const STOP: StopCriterion = StopCriterion::RelativeResidual(1e-10);
 /// (and allocated) before the solve.
 type Method = for<'a> fn(&'a JacobiPreconditioner) -> Krylov<'a>;
 
-const SOLVES: [(&str, Method); 7] = [
+const SOLVES: [(&str, Method); 8] = [
     ("cg", |_| Krylov::cg()),
     ("cg (protected)", |_| Krylov::Cg {
         precond: None,
@@ -41,6 +41,10 @@ const SOLVES: [(&str, Method); 7] = [
     ("pcg-jacobi", |jacobi| Krylov::Cg {
         precond: Some(jacobi),
         recovery: None,
+    }),
+    ("pcg-jacobi (protected)", |jacobi| Krylov::Cg {
+        precond: Some(jacobi),
+        recovery: Some(RecoveryConfig::default()),
     }),
     ("bicg", |_| Krylov::Bicg),
     ("bicgstab", |_| Krylov::Bicgstab),
