@@ -20,7 +20,7 @@
 use crate::table::Table;
 use hpf_core::{ColwiseCsc, DataArrayLayout, RowwiseCsr};
 use hpf_machine::{CostModel, Machine, Topology};
-use hpf_obs::{BenchRecord, ConvergenceLog, DriftReport, RegressionGate};
+use hpf_obs::{BenchRecord, DriftReport, RecordingObserver, RegressionGate};
 use hpf_solvers::{solve, ColwiseOperator, CscVariant, DistOperator, Krylov, StopCriterion};
 use hpf_sparse::{gen, CscMatrix};
 
@@ -39,7 +39,7 @@ fn run_scenario(name: &'static str, op: &dyn DistOperator, b: &[f64], n: usize) 
     let np = op.descriptor().np();
     let mut m = Machine::new(np, Topology::Hypercube, CostModel::mpp_1995());
     m.set_tracing(true);
-    let mut log = ConvergenceLog::new();
+    let mut log = RecordingObserver::new();
     let stop = StopCriterion::RelativeResidual(1e-8);
     let stats = solve(&mut m, op, b, Krylov::cg(), stop, 20 * n, &mut log)
         .expect("SPD system must converge")

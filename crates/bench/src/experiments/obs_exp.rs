@@ -4,7 +4,7 @@
 //! observer hook plus event tracing with span capture must cost under
 //! 5% wall-clock on a production-sized solve. This experiment times a
 //! CG solve two ways — bare (tracing off, no observer) and with full
-//! telemetry on (tracing + spans + `ConvergenceLog`) — and asserts the
+//! telemetry on (tracing + spans + a `RecordingObserver`) — and asserts the
 //! budget on the difference. The exporter pass (timeline, Perfetto
 //! JSON, convergence CSV, critical path) is recorded as a third row:
 //! it runs *once per trace*, offline in `trace-report`, not inside the
@@ -14,7 +14,7 @@
 use crate::table::Table;
 use hpf_core::{DataArrayLayout, RowwiseCsr};
 use hpf_machine::{CostModel, Machine, Topology};
-use hpf_obs::{critical_path, ConvergenceLog, Timeline};
+use hpf_obs::{critical_path, telemetry, RecordingObserver, Timeline};
 use hpf_solvers::{cg_distributed, solve, Krylov, StopCriterion};
 use hpf_sparse::gen;
 use std::time::Instant;
@@ -64,7 +64,7 @@ pub fn e24_observability_overhead(n: usize, np: usize, reps: usize) -> Table {
     let mut samples = 0usize;
     for _ in 0..reps {
         let mut m = machine(np, true);
-        let mut log = ConvergenceLog::new();
+        let mut log = RecordingObserver::new();
         let t0 = Instant::now();
         let s = solve(&mut m, &op, &b, Krylov::cg(), stop, max_iters, &mut log)
             .expect("SPD")
@@ -79,7 +79,7 @@ pub fn e24_observability_overhead(n: usize, np: usize, reps: usize) -> Table {
         let t1 = Instant::now();
         let timeline = Timeline::from_trace(m.trace());
         let perfetto = hpf_obs::trace_events_json(&timeline).expect("finite trace");
-        let csv = log.to_csv();
+        let csv = telemetry::to_csv(&log.samples);
         let report = critical_path(m.trace());
         export = export.min(t1.elapsed().as_secs_f64());
         assert!(!perfetto.is_empty() && !csv.is_empty() && report.total_seconds > 0.0);

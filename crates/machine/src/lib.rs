@@ -18,7 +18,6 @@
 //!   one channel per rank) used for the hand-coded SPMD baseline the paper
 //!   compares HPF against.
 
-pub mod blackbox;
 pub mod cost;
 pub mod counter;
 pub mod fault;
@@ -30,7 +29,6 @@ pub mod spmd;
 pub mod topology;
 pub mod trace;
 
-pub use blackbox::{BlackBoxRecord, BlackBoxTail};
 pub use cost::CostModel;
 pub use counter::StripedCounter;
 pub use fault::{Fault, FaultKind, FaultPlan, FaultRates};

@@ -9,9 +9,10 @@
 //! - **Spans** — re-exported from `hpf_machine::span`: every traced
 //!   event carries a `/`-joined path like `solve/iter=12/matvec`
 //!   describing *what the program was doing* when the event occurred.
-//! - **Telemetry** — [`ConvergenceLog`] records the per-iteration
-//!   [`IterSample`](hpf_solvers::IterSample) stream (residual, α/β,
-//!   flops, comm, rollbacks) and round-trips it through CSV.
+//! - **Telemetry** — [`telemetry`] round-trips the per-iteration
+//!   [`IterSample`](hpf_solvers::IterSample) stream a
+//!   [`RecordingObserver`](hpf_solvers::RecordingObserver) keeps
+//!   (residual, α/β, flops, comm, rollbacks) through CSV.
 //! - **Timelines** — [`timeline::Timeline`] reconstructs per-processor
 //!   busy intervals from event `start`/`proc_times` stamps.
 //! - **Exporters** — [`perfetto`] renders a timeline as Chrome/Perfetto
@@ -73,5 +74,4 @@ pub use rca::{
     Postmortem, PostmortemSummary, RootCause, Trigger, Verdict, POSTMORTEM_SCHEMA,
 };
 pub use slo::{AlertState, AlertTransition, SloSpec, SloStatus, SloTracker};
-pub use telemetry::ConvergenceLog;
 pub use timeline::{Slice, Timeline};

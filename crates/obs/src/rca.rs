@@ -25,9 +25,9 @@
 
 use crate::json::Obj;
 use crate::slo::{AlertState, AlertTransition};
-use hpf_machine::{BlackBoxRecord, BlackBoxTail};
-use hpf_service::{EvidenceHook, JobEvidence, ServiceEvent, SolverTail};
-use std::collections::{HashMap, HashSet, VecDeque};
+use hpf_machine::Event;
+use hpf_service::{EvidenceHook, JobEvidence, ResidualTail, ServiceEvent};
+use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -161,13 +161,6 @@ pub struct RootCause {
     pub evidence: Vec<String>,
 }
 
-/// One retained service lifecycle event (flattened for the dump).
-#[derive(Debug, Clone)]
-pub struct ServiceRec {
-    pub kind: &'static str,
-    pub detail: String,
-}
-
 /// A complete post-mortem document for one bad outcome.
 #[derive(Debug, Clone)]
 pub struct Postmortem {
@@ -185,10 +178,13 @@ pub struct Postmortem {
     /// Ranked causes, most confident first. Never empty.
     pub causes: Vec<RootCause>,
     pub narrative: String,
-    pub machine_tail: Vec<BlackBoxRecord>,
+    /// The job's last machine events, oldest first.
+    pub machine_tail: Vec<Event>,
     pub machine_overwritten: u64,
-    pub service_tail: Vec<ServiceRec>,
-    pub residual_tail: Option<SolverTail>,
+    /// The job's lifecycle events, oldest first.
+    pub service_tail: Vec<ServiceEvent>,
+    /// The last attempt's residual series.
+    pub residual_tail: Option<ResidualTail>,
 }
 
 impl Postmortem {
@@ -224,7 +220,7 @@ impl Postmortem {
             .u64("service_events", self.service_tail.len() as u64)
             .u64(
                 "residual_samples",
-                residual.map_or(0, |t| t.samples.len()) as u64,
+                residual.map_or(0, |t| t.series.tail().len()) as u64,
             );
         {
             let mut causes = o.arr("causes");
@@ -242,26 +238,27 @@ impl Postmortem {
         o.str("narrative", &self.narrative);
         {
             let mut tail = o.arr("machine_tail");
-            for r in &self.machine_tail {
+            for e in &self.machine_tail {
+                let (imbalance, slowest_proc) = proc_summary(&e.proc_times);
                 let mut rec = tail.obj();
-                rec.str("kind", &format!("{:?}", r.kind))
-                    .str("span", &r.span)
-                    .str("label", &r.label)
-                    .u64("participants", r.participants as u64)
-                    .u64("words", r.words as u64)
-                    .u64("flops", r.flops as u64)
-                    .f64("start_s", r.start)
-                    .f64("time_s", r.time)
-                    .f64("imbalance", r.imbalance);
-                if let Some(p) = r.slowest_proc {
+                rec.str("kind", &format!("{:?}", e.kind))
+                    .str("span", &e.span)
+                    .str("label", &e.label)
+                    .u64("participants", e.participants as u64)
+                    .u64("words", e.words as u64)
+                    .u64("flops", e.flops as u64)
+                    .f64("start_s", e.start)
+                    .f64("time_s", e.time)
+                    .f64("imbalance", imbalance);
+                if let Some(p) = slowest_proc {
                     rec.u64("slowest_proc", p as u64);
                 }
             }
         }
         {
             let mut tail = o.arr("service_tail");
-            for r in &self.service_tail {
-                tail.obj().str("kind", r.kind).str("detail", &r.detail);
+            for e in &self.service_tail {
+                tail.obj().str("kind", e.kind()).str("detail", &detail(e));
             }
         }
         match residual {
@@ -272,10 +269,10 @@ impl Postmortem {
                 let mut tail = o.obj("residual_tail");
                 tail.str("solver", t.solver)
                     .u64("attempt", t.attempt as u64)
-                    .u64("overwritten", t.overwritten);
+                    .u64("overwritten", t.series.overwritten());
                 {
                     let mut rollbacks = tail.arr("rollbacks");
-                    for (iteration, reason) in &t.rollbacks {
+                    for (iteration, reason) in t.series.rollbacks() {
                         rollbacks
                             .obj()
                             .u64("iteration", *iteration as u64)
@@ -284,12 +281,12 @@ impl Postmortem {
                 }
                 {
                     let mut restarts = tail.arr("restarts");
-                    for &r in &t.restarts {
+                    for &r in t.series.restarts() {
                         restarts.u64(r as u64);
                     }
                 }
                 let mut samples = tail.arr("samples");
-                for s in &t.samples {
+                for s in &t.series.tail() {
                     samples
                         .obj()
                         .u64("iteration", s.iteration as u64)
@@ -353,23 +350,17 @@ pub fn summary_from_json(text: &str) -> Result<PostmortemSummary, String> {
     })
 }
 
-/// Flight-recorder sizing knobs.
-#[derive(Debug, Clone)]
-pub struct FlightRecorderConfig {
-    /// Machine events each worker keeps of the job in hand.
-    pub ring_capacity: usize,
-    /// Post-mortem documents kept before the oldest is dropped.
-    pub max_postmortems: usize,
-}
+/// What [`FlightRecorder::new`] takes. It has nothing to set: the ring
+/// and the store are `RING_CAPACITY` and `MAX_POSTMORTEMS`, beside it.
+#[derive(Debug, Clone, Default)]
+pub struct FlightRecorderConfig {}
 
-impl Default for FlightRecorderConfig {
-    fn default() -> Self {
-        FlightRecorderConfig {
-            ring_capacity: hpf_machine::blackbox::DEFAULT_RING_CAPACITY,
-            max_postmortems: 64,
-        }
-    }
-}
+/// Machine events each worker keeps of the job in hand: the tail of a
+/// solve iteration plus the fault and recovery events around it.
+const RING_CAPACITY: usize = 64;
+
+/// Post-mortem documents kept before the oldest is dropped.
+const MAX_POSTMORTEMS: usize = 64;
 
 /// Terminal outcomes remembered per class for class-level (SLO-firing)
 /// attribution.
@@ -394,7 +385,6 @@ type DumpCallback = Arc<dyn Fn(&Postmortem) + Send + Sync>;
 /// [`hpf_service::ServiceConfig`] via [`Self::install`], and read dumps
 /// back through [`Self::postmortems`] / [`Self::index_json`].
 pub struct FlightRecorder {
-    config: FlightRecorderConfig,
     inner: Mutex<Inner>,
     on_dump: Mutex<Option<DumpCallback>>,
     /// Machine events the jobs handed over had recorded (overhead audits).
@@ -403,16 +393,13 @@ pub struct FlightRecorder {
 
 impl std::fmt::Debug for FlightRecorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FlightRecorder")
-            .field("config", &self.config)
-            .finish_non_exhaustive()
+        f.debug_struct("FlightRecorder").finish_non_exhaustive()
     }
 }
 
 impl FlightRecorder {
-    pub fn new(config: FlightRecorderConfig) -> Arc<Self> {
+    pub fn new(_: FlightRecorderConfig) -> Arc<Self> {
         Arc::new(FlightRecorder {
-            config,
             inner: Mutex::new(Inner::default()),
             on_dump: Mutex::new(None),
             machine_events: AtomicU64::new(0),
@@ -440,7 +427,7 @@ impl FlightRecorder {
     /// as they are.
     pub fn install(self: &Arc<Self>, cfg: &mut hpf_service::ServiceConfig) {
         let recorder = Arc::clone(self);
-        cfg.evidence_hook = Some(EvidenceHook::new(self.config.ring_capacity, move |e| {
+        cfg.evidence_hook = Some(EvidenceHook::new(RING_CAPACITY, move |e| {
             recorder.record(e)
         }));
     }
@@ -476,21 +463,19 @@ impl FlightRecorder {
             let oldest = inner.dumped_order.pop_front().expect("not empty");
             inner.dumped.remove(&oldest);
         }
-        let machine = BlackBoxTail::summarise(trace_id, evidence.machine);
-        let service_tail: Vec<ServiceRec> = evidence.lifecycle.iter().map(service_rec).collect();
+        let machine_tail: Vec<Event> = evidence.machine.iter().cloned().collect();
         let predicted = evidence.lifecycle.iter().find_map(|e| match *e {
             ServiceEvent::Admitted { predicted_us, .. } => Some(predicted_us),
             _ => None,
         });
-        let residual_tail = evidence.residual.map(|r| r.to_solver_tail(trace_id));
         let causes = attribute(
             trigger,
             outcome,
             latency_us,
             predicted,
-            &machine,
-            &service_tail,
-            residual_tail.as_ref(),
+            &machine_tail,
+            evidence.lifecycle,
+            evidence.residual,
         );
         let pm = Postmortem {
             key: format!("{trace_id:016x}"),
@@ -502,10 +487,10 @@ impl FlightRecorder {
             seq: 0,
             causes,
             narrative: String::new(),
-            machine_tail: machine.events,
-            machine_overwritten: machine.overwritten,
-            service_tail,
-            residual_tail,
+            machine_tail,
+            machine_overwritten: evidence.machine.overwritten(),
+            service_tail: evidence.lifecycle.to_vec(),
+            residual_tail: evidence.residual.cloned(),
         };
         self.dump(inner, pm);
     }
@@ -517,7 +502,7 @@ impl FlightRecorder {
         pm.narrative = narrative(&pm);
         let pm = Arc::new(pm);
         inner.postmortems.push_back(Arc::clone(&pm));
-        if inner.postmortems.len() > self.config.max_postmortems {
+        if inner.postmortems.len() > MAX_POSTMORTEMS {
             inner.postmortems.pop_front();
         }
         drop(inner);
@@ -539,7 +524,10 @@ impl FlightRecorder {
     }
 
     /// Feed one SLO alert transition; a transition *to* Firing produces
-    /// a class-level post-mortem keyed `slo-<class>-<n>`.
+    /// a class-level post-mortem keyed `slo-<class>-<n>`. Its verdict
+    /// follows the class's most frequent recent bad outcome; outcomes
+    /// counted equally often go to the one seen first in the window, so
+    /// the same history always writes the same document.
     pub fn on_transition(&self, t: &AlertTransition) {
         if t.to != AlertState::Firing {
             return;
@@ -548,51 +536,43 @@ impl FlightRecorder {
         inner.slo_dumps += 1;
         let nth = inner.slo_dumps;
         let class = t.class.name();
-        let bad: Vec<&'static str> = inner
+        let (mut counts, mut bad) = (Vec::<(&str, usize)>::new(), 0);
+        for &(_, o) in inner
             .recent_outcomes
             .iter()
             .filter(|(c, o)| *c == class && *o != "ok")
-            .map(|(_, o)| *o)
-            .collect();
-        let mut counts: HashMap<&'static str, usize> = HashMap::new();
-        for o in &bad {
-            *counts.entry(o).or_default() += 1;
+        {
+            bad += 1;
+            match counts.iter_mut().find(|(seen, _)| *seen == o) {
+                Some((_, n)) => *n += 1,
+                None => counts.push((o, 1)),
+            }
         }
         let dominant = counts
-            .iter()
-            .max_by_key(|(_, n)| **n)
-            .map(|(o, n)| (*o, *n));
+            .into_iter()
+            .reduce(|best, next| if next.1 > best.1 { next } else { best });
         let verdict = match dominant.map(|(o, _)| o) {
-            Some("shed") | Some("busy") | Some("deadline") | Some("circuit-open") => {
-                Verdict::Overload
+            Some("recovery-exhausted" | "non-finite" | "breakdown" | "singular" | "stagnation") => {
+                Verdict::NumericalBreakdown
             }
-            Some("recovery-exhausted")
-            | Some("non-finite")
-            | Some("breakdown")
-            | Some("singular")
-            | Some("stagnation") => Verdict::NumericalBreakdown,
             Some(_) => Verdict::Overload,
             None => Verdict::Unknown,
         };
-        let mut evidence = vec![format!(
+        let burn = format!(
             "burn rates at transition: slow {:.2}x, fast {:.2}x over threshold",
             t.slow_burn, t.fast_burn
-        )];
-        if let Some((o, n)) = dominant {
-            evidence.push(format!(
-                "dominant bad outcome for class {class}: \"{o}\" ({n} of {} recent bad \
-                 terminals)",
-                bad.len()
-            ));
-        } else {
-            evidence.push(format!(
-                "no recent bad terminal outcomes retained for {class}"
-            ));
-        }
+        );
+        let outcomes = match dominant {
+            Some((o, n)) => format!(
+                "dominant bad outcome for class {class}: \"{o}\" ({n} of {bad} recent bad \
+                 terminals)"
+            ),
+            None => format!("no recent bad terminal outcomes retained for {class}"),
+        };
         let causes = vec![RootCause {
             verdict,
             confidence: if dominant.is_some() { 0.7 } else { 0.3 },
-            evidence,
+            evidence: vec![burn, outcomes],
         }];
         let pm = Postmortem {
             key: format!("slo-{class}-{nth}"),
@@ -650,8 +630,9 @@ impl FlightRecorder {
     }
 }
 
-fn service_rec(e: &ServiceEvent) -> ServiceRec {
-    let detail = match *e {
+/// The `detail` string of a lifecycle event in a post-mortem document.
+fn detail(e: &ServiceEvent) -> String {
+    match *e {
         ServiceEvent::Admitted { predicted_us, .. } => format!("predicted_us={predicted_us}"),
         ServiceEvent::Shed {
             predicted_us,
@@ -668,11 +649,18 @@ fn service_rec(e: &ServiceEvent) -> ServiceRec {
             outcome,
             ..
         } => format!("latency_us={latency_us} outcome={outcome}"),
-    };
-    ServiceRec {
-        kind: e.kind(),
-        detail,
     }
+}
+
+/// An event's per-processor times summarised: `max / mean` (1.0 when the
+/// machine reported none) and the slowest processor.
+fn proc_summary(t: &[f64]) -> (f64, Option<usize>) {
+    let Some(slowest) = (0..t.len()).reduce(|a, b| if t[b] > t[a] { b } else { a }) else {
+        return (1.0, None);
+    };
+    let mean = t.iter().sum::<f64>() / t.len() as f64;
+    let imbalance = if mean > 0.0 { t[slowest] / mean } else { 1.0 };
+    (imbalance, Some(slowest))
 }
 
 /// Relative residual drop below which the tail counts as flat.
@@ -689,18 +677,18 @@ fn attribute(
     outcome: &str,
     latency_us: u64,
     predicted_us: Option<u64>,
-    machine: &BlackBoxTail,
-    service: &[ServiceRec],
-    solver: Option<&SolverTail>,
+    machine: &[Event],
+    service: &[ServiceEvent],
+    solver: Option<&ResidualTail>,
 ) -> Vec<RootCause> {
     let mut causes: Vec<RootCause> = Vec::new();
-    let rollbacks = solver.map_or(0, |t| t.rollbacks.len())
-        + service.iter().filter(|r| r.kind == "rollback").count();
-    let retries = service.iter().filter(|r| r.kind == "retry").count();
+    let rollbacks = solver.map_or(0, |t| t.series.rollbacks().len())
+        + service.iter().filter(|e| e.kind() == "rollback").count();
+    let retries = service.iter().filter(|e| e.kind() == "retry").count();
 
     // 1. Direct evidence: fault-labelled machine events.
-    let mut fault_kinds: Vec<(&str, usize, &BlackBoxRecord)> = Vec::new();
-    for rec in &machine.events {
+    let mut fault_kinds: Vec<(&str, usize, &Event)> = Vec::new();
+    for rec in machine {
         let Some(rest) = rec.label.strip_prefix("fault:") else {
             continue;
         };
@@ -731,24 +719,21 @@ fn attribute(
 
     // 2. Inferred straggler: heavy per-event imbalance without a label.
     if !fault_kinds.iter().any(|(k, ..)| *k == "straggler") {
-        if let Some(worst) = machine
-            .events
+        if let Some((worst, imbalance, slowest)) = machine
             .iter()
-            .filter(|r| r.imbalance > STRAGGLER_IMBALANCE)
-            .max_by(|a, b| a.imbalance.total_cmp(&b.imbalance))
+            .filter_map(|e| match proc_summary(&e.proc_times) {
+                (imbalance, Some(p)) if imbalance > STRAGGLER_IMBALANCE => Some((e, imbalance, p)),
+                _ => None,
+            })
+            .max_by(|a, b| a.1.total_cmp(&b.1))
         {
             causes.push(RootCause {
                 verdict: Verdict::Straggler,
-                confidence: (0.5 + 0.1 * worst.imbalance).min(0.85),
+                confidence: (0.5 + 0.1 * imbalance).min(0.85),
                 evidence: vec![format!(
-                    "event \"{}\" in span \"{}\" ran {:.1}x slower on proc {} than the mean",
-                    worst.label,
-                    worst.span,
-                    worst.imbalance,
-                    worst
-                        .slowest_proc
-                        .map(|p| p.to_string())
-                        .unwrap_or_else(|| "?".to_string())
+                    "event \"{}\" in span \"{}\" ran {imbalance:.1}x slower on proc {slowest} than \
+                     the mean",
+                    worst.label, worst.span,
                 )],
             });
         }
@@ -756,7 +741,7 @@ fn attribute(
 
     // 3. Residual-series anomalies from the last attempt's tail.
     if let Some(tail) = solver {
-        let samples = &tail.samples;
+        let samples = tail.series.tail();
         let last = samples.last();
         let non_finite = last.is_some_and(|s| !s.residual_norm.is_finite());
         let jump = samples.windows(2).find(|w| {
@@ -821,7 +806,7 @@ fn attribute(
                 });
             }
         }
-        for (iter, reason) in &tail.rollbacks {
+        for (iter, reason) in tail.series.rollbacks() {
             if let Some(top) = causes.first_mut() {
                 top.evidence.push(format!(
                     "protected solver rolled back at iteration {iter} ({reason})"
@@ -926,7 +911,9 @@ fn narrative(pm: &Postmortem) -> String {
             pm.machine_tail.len(),
             pm.machine_overwritten,
             pm.service_tail.len(),
-            pm.residual_tail.as_ref().map_or(0, |t| t.samples.len())
+            pm.residual_tail
+                .as_ref()
+                .map_or(0, |t| t.series.tail().len())
         ));
     }
     if let Some(top) = pm.causes.first() {
@@ -997,19 +984,38 @@ mod tests {
         }
     }
 
+    fn firing() -> AlertTransition {
+        AlertTransition {
+            class: QosClass::Interactive,
+            at_s: 3.0,
+            from: AlertState::Pending,
+            to: AlertState::Firing,
+            slow_burn: 4.0,
+            fast_burn: 9.0,
+        }
+    }
+
+    /// The first attempt's residual series, as a CG worker keeps it.
+    fn residual(samples: impl IntoIterator<Item = IterSample>) -> ResidualTail {
+        let mut series = TailObserver::new(48);
+        for s in samples {
+            series.on_iteration(&s);
+        }
+        ResidualTail {
+            attempt: 1,
+            solver: "cg",
+            series,
+        }
+    }
+
     /// Hand `fr` the evidence of one answered job, as the thread
     /// answering it would.
     fn hand_over(
         fr: &FlightRecorder,
         machine: Vec<Event>,
         lifecycle: &[ServiceEvent],
-        series: Option<TailObserver>,
+        residual: Option<ResidualTail>,
     ) {
-        let residual = series.map(|series| ResidualTail {
-            attempt: 1,
-            solver: "cg",
-            series,
-        });
         fr.record(&JobEvidence {
             lifecycle,
             machine: &EventTail::from(machine),
@@ -1050,7 +1056,7 @@ mod tests {
         assert_eq!(pm.top_verdict(), Verdict::FaultStall);
         assert!(pm.causes[0].confidence >= 0.9);
         assert_eq!(pm.machine_tail.len(), 2);
-        let kinds: Vec<&str> = pm.service_tail.iter().map(|r| r.kind).collect();
+        let kinds: Vec<&str> = pm.service_tail.iter().map(ServiceEvent::kind).collect();
         assert_eq!(kinds, ["admitted", "worker-killed", "completed"]);
         assert!(pm.narrative.contains("fault-stall"));
         let doc = pm.to_json();
@@ -1109,45 +1115,59 @@ mod tests {
     #[test]
     fn divergence_is_read_from_the_residual_tail() {
         let fr = FlightRecorder::new(FlightRecorderConfig::default());
-        let mut series = TailObserver::new(48);
-        for s in [sample(1, 1e-2), sample(2, 1e-3), sample(3, f64::NAN)] {
-            series.on_iteration(&s);
-        }
-        hand_over(
-            &fr,
-            Vec::new(),
-            &[completed(5, false, "non-finite")],
-            Some(series),
-        );
+        let series = [sample(1, 1e-2), sample(2, 1e-3), sample(3, f64::NAN)];
+        let outcome = completed(5, false, "non-finite");
+        hand_over(&fr, Vec::new(), &[outcome], Some(residual(series)));
         let pms = fr.postmortems();
         assert_eq!(pms[0].top_verdict(), Verdict::Divergence);
         assert!(pms[0].narrative.contains("divergence"));
-        assert_eq!(pms[0].residual_tail.as_ref().unwrap().samples.len(), 3);
+        assert_eq!(
+            pms[0].residual_tail.as_ref().unwrap().series.tail().len(),
+            3
+        );
         crate::json::validate(&pms[0].to_json()).expect("json with NaN residual");
     }
 
     #[test]
     fn stagnation_needs_a_flat_tail() {
-        let flat: Vec<IterSample> = (0..10).map(|i| sample(i, 1e-3)).collect();
-        let tail = SolverTail {
-            trace_id: 6,
-            attempt: 1,
-            solver: "cg",
-            samples: flat,
-            rollbacks: Vec::new(),
-            restarts: Vec::new(),
-            overwritten: 0,
-        };
+        let tail = residual((0..10).map(|i| sample(i, 1e-3)));
         let causes = attribute(
             Trigger::Stagnation,
             "stagnation",
             10,
             None,
-            &BlackBoxTail::default(),
+            &[],
             &[],
             Some(&tail),
         );
         assert_eq!(causes[0].verdict, Verdict::Stagnation);
+    }
+
+    #[test]
+    fn proc_times_are_summarised_into_imbalance_and_slowest() {
+        let (imbalance, slowest) = proc_summary(&[1.0, 1.0, 4.0, 2.0]);
+        assert!((imbalance - 2.0).abs() < 1e-12);
+        assert_eq!(slowest, Some(2));
+        assert_eq!(proc_summary(&[]), (1.0, None));
+    }
+
+    #[test]
+    fn slo_verdict_on_a_tie_does_not_depend_on_the_recorder() {
+        let docs: HashSet<String> = (0..64)
+            .map(|_| {
+                let fr = FlightRecorder::new(FlightRecorderConfig::default());
+                for (id, outcome) in [(1, "recovery-exhausted"), (2, "deadline")] {
+                    hand_over(&fr, Vec::new(), &[completed(id, false, outcome)], None);
+                }
+                fr.on_transition(&firing());
+                fr.get("slo-interactive-1").expect("slo dump").to_json()
+            })
+            .collect();
+        assert_eq!(docs.len(), 1, "{docs:?}");
+        let top = summary_from_json(docs.iter().next().unwrap())
+            .unwrap()
+            .top_verdict;
+        assert_eq!(top, "numerical-breakdown", "the outcome seen first");
     }
 
     #[test]
@@ -1232,14 +1252,7 @@ mod tests {
             &[completed(21, false, "worker-killed")],
             None,
         );
-        fr.on_transition(&AlertTransition {
-            class: QosClass::Interactive,
-            at_s: 3.0,
-            from: AlertState::Pending,
-            to: AlertState::Firing,
-            slow_burn: 4.0,
-            fast_burn: 9.0,
-        });
+        fr.on_transition(&firing());
         // Pending and Resolved transitions are not dump triggers.
         fr.on_transition(&AlertTransition {
             class: QosClass::Interactive,

@@ -4,18 +4,18 @@
 
 use hpf_core::{DataArrayLayout, RowwiseCsr};
 use hpf_machine::{CostModel, Machine, Topology};
-use hpf_obs::{critical_path, load_imbalance, span_costs, ConvergenceLog, Timeline};
+use hpf_obs::{critical_path, load_imbalance, span_costs, telemetry, RecordingObserver, Timeline};
 use hpf_solvers::{solve, Krylov, StopCriterion};
 use hpf_sparse::gen;
 
-fn solve_traced() -> (Machine, ConvergenceLog, usize) {
+fn solve_traced() -> (Machine, RecordingObserver, usize) {
     let np = 4;
     let a = gen::poisson_2d(8, 8);
     let (b, _) = gen::rhs_for_known_solution(&a);
     let op = RowwiseCsr::block(a, np, DataArrayLayout::RowAligned);
     let mut m = Machine::new(np, Topology::Hypercube, CostModel::mpp_1995());
     m.set_tracing(true);
-    let mut log = ConvergenceLog::new();
+    let mut log = RecordingObserver::new();
     let stop = StopCriterion::RelativeResidual(1e-8);
     let stats = solve(&mut m, &op, &b, Krylov::cg(), stop, 500, &mut log)
         .unwrap()
@@ -40,10 +40,10 @@ fn telemetry_covers_every_iteration_and_round_trips_csv() {
         .samples
         .windows(2)
         .all(|w| w[1].sim_time >= w[0].sim_time));
-    let csv = log.to_csv();
-    let back = ConvergenceLog::from_csv(&csv).unwrap();
-    assert_eq!(back.samples.len(), log.samples.len());
-    assert_eq!(back.to_csv(), csv);
+    let csv = telemetry::to_csv(&log.samples);
+    let back = telemetry::from_csv(&csv).unwrap();
+    assert_eq!(back.len(), log.samples.len());
+    assert_eq!(telemetry::to_csv(&back), csv);
 }
 
 #[test]

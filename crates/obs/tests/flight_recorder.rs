@@ -141,7 +141,7 @@ fn refusals_clean_jobs_and_a_shared_trace_id_leave_one_dump_and_no_state() {
         .get(&format!("{:016x}", 0xd0b1e))
         .expect("the failing job's dump");
     assert_eq!(pm.trigger, Trigger::RecoveryExhausted);
-    let kinds: Vec<&str> = pm.service_tail.iter().map(|r| r.kind).collect();
+    let kinds: Vec<&str> = pm.service_tail.iter().map(ServiceEvent::kind).collect();
     assert_eq!(kinds, ["admitted", "completed"], "one job's lifecycle");
     assert!(!pm.machine_tail.is_empty());
     let own = format!("/job={failing_id}/");
@@ -312,8 +312,8 @@ fn every_answer_completes_once_and_every_bad_answer_dumps_once() {
         .residual_tail
         .as_ref()
         .expect("iterations before the stall");
-    assert!(!residual.samples.is_empty());
+    assert!(!residual.series.tail().is_empty());
     assert_eq!((residual.attempt, residual.solver), (1, "cg"));
-    let kinds: Vec<&str> = pm.service_tail.iter().map(|r| r.kind).collect();
+    let kinds: Vec<&str> = pm.service_tail.iter().map(ServiceEvent::kind).collect();
     assert_eq!(kinds, ["admitted", "worker-killed", "completed"]);
 }

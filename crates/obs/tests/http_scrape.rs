@@ -4,7 +4,7 @@
 
 use hpf_core::{DataArrayLayout, RowwiseCsr};
 use hpf_machine::{CostModel, Machine, Topology};
-use hpf_obs::{ConvergenceLog, DriftReport};
+use hpf_obs::{DriftReport, RecordingObserver};
 use hpf_service::{ServiceConfig, SolveRequest, SolverService};
 use hpf_solvers::{solve, Krylov, StopCriterion};
 use hpf_sparse::gen;
@@ -78,7 +78,7 @@ fn live_serve_loop_is_scrapable_end_to_end() {
     let op = RowwiseCsr::block(a2, np, DataArrayLayout::RowAligned);
     let mut m = Machine::new(np, Topology::Hypercube, CostModel::mpp_1995());
     m.set_tracing(true);
-    let mut log = ConvergenceLog::new();
+    let mut log = RecordingObserver::new();
     let stop = StopCriterion::RelativeResidual(1e-8);
     solve(&mut m, &op, &b2, Krylov::cg(), stop, 200, &mut log).unwrap();
     let report = DriftReport::from_trace(m.trace(), Topology::Hypercube, m.cost_model());

@@ -180,40 +180,6 @@ pub struct ResidualTail {
     pub series: TailObserver,
 }
 
-impl ResidualTail {
-    /// The series copied out for the post-mortem of `trace_id` to own.
-    pub fn to_solver_tail(&self, trace_id: u64) -> SolverTail {
-        SolverTail {
-            trace_id,
-            attempt: self.attempt,
-            solver: self.solver,
-            samples: self.series.tail(),
-            rollbacks: self.series.rollbacks().to_vec(),
-            restarts: self.series.restarts().to_vec(),
-            overwritten: self.series.overwritten(),
-        }
-    }
-}
-
-/// The residual-series tail of one solve attempt in owned form: what a
-/// post-mortem stores as divergence/stagnation evidence.
-#[derive(Debug, Clone)]
-pub struct SolverTail {
-    pub trace_id: u64,
-    /// 1-based attempt this tail belongs to.
-    pub attempt: usize,
-    /// Post-escalation solver that ran the attempt.
-    pub solver: &'static str,
-    /// Last iterations, oldest first.
-    pub samples: Vec<hpf_solvers::IterSample>,
-    /// `(iteration, reason)` protected-solver rollbacks.
-    pub rollbacks: Vec<(usize, String)>,
-    /// Iterations with a restart-from-true-residual.
-    pub restarts: Vec<usize>,
-    /// Samples recorded but pushed out of the bounded ring.
-    pub overwritten: u64,
-}
-
 /// Called once per answered job, by the thread answering it, with the
 /// job's [`JobEvidence`] — what a flight recorder installs. With one set
 /// a worker keeps `machine_tail` machine events, a residual series and

@@ -18,7 +18,7 @@
 //! cache** ([`Fingerprint`] → plan), so repeated structures partition
 //! exactly once — and answers every job with a
 //! [`SolveResponse`] carrying per-RHS [`hpf_solvers::SolveStats`] and a
-//! [`TraceSummary`] of the simulated machine activity. Counters are
+//! [`hpf_machine::Digest`] of the simulated machine activity. Counters are
 //! exported as a serializable [`MetricsSnapshot`].
 //!
 //! ```
@@ -57,8 +57,7 @@ pub mod worker;
 
 pub use admission::{AdmissionController, AdmissionDecision};
 pub use events::{
-    EvidenceHook, JobEvidence, ResidualTail, ServiceEvent, ServiceEventSink, SolverTail,
-    LIFECYCLE_TAIL,
+    EvidenceHook, JobEvidence, ResidualTail, ServiceEvent, ServiceEventSink, LIFECYCLE_TAIL,
 };
 pub use fingerprint::Fingerprint;
 pub use http::MetricsServer;
@@ -67,7 +66,7 @@ pub use metrics::{
 };
 pub use plan::{CacheOutcome, PlanCache, SolvePlan};
 pub use request::{QosClass, ServiceConfig, SolveRequest, SolverKind};
-pub use response::{PlanSource, ServiceError, SolveResponse, TraceSummary};
+pub use response::{PlanSource, ServiceError, SolveResponse};
 pub use retry::{
     backoff_delay, backoff_delay_jittered, escalate, is_retryable, splitmix64, Admission,
     CircuitBreaker,

@@ -1,16 +1,10 @@
 //! Responses, per-job reporting, and the service error type.
 
 use crate::fingerprint::Fingerprint;
+use hpf_machine::Digest;
 use hpf_solvers::{SolveStats, SolverError};
 use std::fmt;
 use std::time::Duration;
-
-/// Compact, machine-readable digest of the simulated-machine activity a
-/// job induced — totals plus the per-label breakdown. The worker's
-/// machine keeps it as it goes ([`hpf_machine::TraceLevel::Summary`]);
-/// `TraceSummary::from_trace` computes the same value from a stored
-/// trace.
-pub type TraceSummary = hpf_machine::Digest;
 
 /// How the plan for a job was obtained.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,8 +42,11 @@ pub struct SolveResponse {
     pub attempts: usize,
     /// Checkpoint/rollback activity, when the protected solvers ran.
     pub recovery: Option<hpf_solvers::RecoveryStats>,
-    /// Digest of the simulated-machine trace for this job's solves.
-    pub trace: TraceSummary,
+    /// Digest of the simulated-machine activity this job's solves
+    /// induced: totals plus the per-label breakdown. The worker's machine
+    /// keeps it as it goes ([`hpf_machine::TraceLevel::Summary`]);
+    /// `Digest::from_trace` computes the same value from a stored trace.
+    pub trace: Digest,
     /// Wall-clock time spent queued before execution started.
     pub wait_time: Duration,
     /// Wall-clock time from the start of the job's batch to the start of
@@ -171,7 +168,7 @@ mod tests {
         m.set_tracing(true);
         m.allreduce(1, "dot-merge");
         m.compute_uniform(100, "local");
-        let s = TraceSummary::from_trace(m.trace());
+        let s = Digest::from_trace(m.trace());
         assert_eq!(s.events, 2);
         assert_eq!(s.by_label.len(), 2);
         assert!((s.total_time - (s.comm_time + s.compute_time)).abs() < 1e-12);

@@ -67,7 +67,7 @@ fn main() {
     let config = RecoveryConfig {
         max_rollbacks: 4 * plan.len().max(4),
     };
-    let mut log = ConvergenceLog::new();
+    let mut log = RecordingObserver::new();
     let method = Krylov::Cg {
         precond: None,
         recovery: Some(config),
@@ -154,7 +154,11 @@ fn main() {
     let rollback_marks = log.rollbacks.len();
     let samples = log.samples.len();
     std::fs::write(dir.join("trace.jsonl"), m.trace().to_jsonl()).expect("write trace");
-    std::fs::write(dir.join("convergence.csv"), log.to_csv()).expect("write convergence");
+    std::fs::write(
+        dir.join("convergence.csv"),
+        hpf::obs::telemetry::to_csv(&log.samples),
+    )
+    .expect("write convergence");
     std::fs::write(dir.join("metrics.json"), metrics.to_json()).expect("write metrics");
     println!(
         "\nobservability: {} events, {samples} iteration samples, {rollback_marks} rollback marks",

@@ -31,7 +31,7 @@ fn main() {
     // ALIGN A(:,*) WITH p(:); DISTRIBUTE p(BLOCK)  — Scenario 1 layout.
     let op = RowwiseCsr::block(a, np, DataArrayLayout::RowAligned);
 
-    let mut log = ConvergenceLog::new();
+    let mut log = RecordingObserver::new();
     let stop = StopCriterion::RelativeResidual(1e-10);
     let Solution { x, stats, .. } =
         solve(&mut machine, &op, &b, Krylov::cg(), stop, 10 * n, &mut log)
@@ -88,7 +88,11 @@ fn main() {
         let dir = std::path::PathBuf::from(dir);
         std::fs::create_dir_all(&dir).expect("create obs dir");
         std::fs::write(dir.join("trace.jsonl"), machine.trace().to_jsonl()).expect("write trace");
-        std::fs::write(dir.join("convergence.csv"), log.to_csv()).expect("write convergence");
+        std::fs::write(
+            dir.join("convergence.csv"),
+            hpf::obs::telemetry::to_csv(&log.samples),
+        )
+        .expect("write convergence");
         println!(
             "wrote {0}/trace.jsonl and {0}/convergence.csv",
             dir.display()

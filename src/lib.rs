@@ -52,7 +52,7 @@ pub mod prelude {
     pub use hpf_lang::{elaborate, parse_program, Env};
     pub use hpf_machine::{CostModel, FaultPlan, FaultRates, Machine, Topology};
     pub use hpf_mg::{pcg_mg_distributed, GridDims, MgHierarchy, MgPreconditioner};
-    pub use hpf_obs::{ConvergenceLog, IterObserver, IterSample, Timeline};
+    pub use hpf_obs::{IterObserver, IterSample, RecordingObserver, Timeline};
     pub use hpf_partition::{cg_auto_repartition, AutoRepartitionOutcome, Partitioner};
     pub use hpf_service::{ServiceConfig, SolveRequest, SolverKind, SolverService};
     pub use hpf_solvers::{
