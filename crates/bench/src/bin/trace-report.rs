@@ -70,9 +70,7 @@
 //! the exit status and written files matter). Exit status is non-zero
 //! on unreadable input, a failed validation, or a bench regression.
 
-use hpf_machine::{
-    level_of, predicted_or_measured_total, CostModel, Event, EventKind, Topology, Trace,
-};
+use hpf_machine::{level_of, predicted_time, CostModel, Event, EventKind, Topology, Trace};
 use hpf_obs::{
     critical_path, load_imbalance, render_diff, snapshot_from_json, span_costs, BenchRecord,
     DriftReport, Timeline,
@@ -410,7 +408,10 @@ fn render_partition(
             .collect();
         let comm_words: usize = comm.iter().map(|e| e.words).sum();
         let measured: f64 = comm.iter().map(|e| e.time).sum();
-        let modeled = predicted_or_measured_total(&comm, topology, cost);
+        let modeled: f64 = comm
+            .iter()
+            .map(|e| predicted_time(e, topology, cost).unwrap_or(e.time))
+            .sum();
         let drift = if modeled > 0.0 {
             100.0 * (measured - modeled) / modeled
         } else {

@@ -484,6 +484,9 @@ impl Machine {
         }
         let mut max_t: f64 = 0.0;
         let mut total = 0usize;
+        // Whether every processor took the same time, to the bit (so
+        // `-0.0` beside `0.0`, or two NaNs, are two times).
+        let mut same = true;
         for p in 0..self.np {
             let f = flops_of(p);
             self.stats[p].flops += f as u64;
@@ -493,11 +496,13 @@ impl Machine {
             total += f;
             if watching {
                 self.proc_times[p] = t;
+                same &= t.to_bits() == self.proc_times[0].to_bits();
             }
         }
         self.recorder.record(Op {
             flops: total,
             proc_times: &self.proc_times,
+            uniform: watching && same && self.proc_times[0].to_bits() == max_t.to_bits(),
             ..Op::new(EventKind::Compute, self.np, max_t, start, label)
         });
         max_t

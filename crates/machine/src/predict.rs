@@ -14,6 +14,7 @@
 //! aggregate-volume `words` of `w·p·(p-1)`).
 
 use crate::cost::CostModel;
+use crate::recorder::Op;
 use crate::topology::Topology;
 use crate::trace::{Event, EventKind};
 
@@ -33,38 +34,46 @@ use crate::trace::{Event, EventKind};
 /// phases (empty `proc_times`) are predicted at their full `t_flop ·
 /// flops`.
 pub fn predicted_time(event: &Event, topology: Topology, cost: &CostModel) -> Option<f64> {
-    let p = event.participants;
-    let w = event.payload_words;
-    match event.kind {
-        EventKind::Compute => {
-            let flops = event.flops as f64;
-            if event.proc_times.is_empty() {
-                Some(cost.t_flop * flops)
-            } else {
-                Some(cost.t_flop * flops / p.max(1) as f64)
+    Op::from(event).predict(topology, cost)
+}
+
+impl Op<'_> {
+    /// [`predicted_time`] of the operation, however it is held: an event
+    /// or a stored trace row.
+    pub(crate) fn predict(&self, topology: Topology, cost: &CostModel) -> Option<f64> {
+        let p = self.participants;
+        let w = self.payload;
+        match self.kind {
+            EventKind::Compute => {
+                let flops = self.flops as f64;
+                if self.uniform || !self.proc_times.is_empty() {
+                    Some(cost.t_flop * flops / p.max(1) as f64)
+                } else {
+                    Some(cost.t_flop * flops)
+                }
             }
-        }
-        EventKind::Barrier => Some(topology.allreduce_time(p, 0, cost)),
-        EventKind::Redistribute | EventKind::Fault => None,
-        _ if event.words > 0 && w == 0 => None, // pre-metadata trace
-        EventKind::Send => Some(cost.message(w, event.hops)),
-        EventKind::Broadcast => Some(topology.broadcast_time(p, w, cost)),
-        EventKind::AllGather => Some(topology.allgather_time(p, w, cost)),
-        EventKind::AllReduce => Some(topology.allreduce_time(p, w, cost)),
-        EventKind::AllToAll => Some(topology.alltoall_time(p, w, cost)),
-        EventKind::Reduce => {
-            // Reduce and reduce-scatter share a kind; the aggregate
-            // volume separates them (w·(p-1) vs w·p·(p-1)).
-            if event.words == w * p * p.saturating_sub(1) && p > 1 {
-                Some(topology.reduce_scatter_time(p, w, cost))
-            } else {
-                Some(topology.reduce_time(p, w, cost))
+            EventKind::Barrier => Some(topology.allreduce_time(p, 0, cost)),
+            EventKind::Redistribute | EventKind::Fault => None,
+            _ if self.words > 0 && w == 0 => None, // pre-metadata trace
+            EventKind::Send => Some(cost.message(w, self.hops)),
+            EventKind::Broadcast => Some(topology.broadcast_time(p, w, cost)),
+            EventKind::AllGather => Some(topology.allgather_time(p, w, cost)),
+            EventKind::AllReduce => Some(topology.allreduce_time(p, w, cost)),
+            EventKind::AllToAll => Some(topology.alltoall_time(p, w, cost)),
+            EventKind::Reduce => {
+                // Reduce and reduce-scatter share a kind; the aggregate
+                // volume separates them (w·(p-1) vs w·p·(p-1)).
+                if self.words == w * p * p.saturating_sub(1) && p > 1 {
+                    Some(topology.reduce_scatter_time(p, w, cost))
+                } else {
+                    Some(topology.reduce_time(p, w, cost))
+                }
             }
+            // The emitting site stamps `payload_words` with the *total* words
+            // funnelled through the root, so unequal per-processor block
+            // sizes (multigrid coarse levels) are priced from what moved.
+            EventKind::Gather | EventKind::Scatter => Some(topology.gather_time(p, w, cost)),
         }
-        // The emitting site stamps `payload_words` with the *total* words
-        // funnelled through the root, so unequal per-processor block
-        // sizes (multigrid coarse levels) are priced from what moved.
-        EventKind::Gather | EventKind::Scatter => Some(topology.gather_time(p, w, cost)),
     }
 }
 
@@ -93,17 +102,6 @@ pub fn cg_iteration_seconds(
     let dots = 2.0 * (cost.t_flop * (2 * block) as f64 + topology.allreduce_time(np, 1, cost));
     let saxpys = 3.0 * cost.t_flop * (2 * block) as f64;
     gather + matvec + dots + saxpys
-}
-
-/// Sum of [`predicted_time`] over `events`, counting events with no
-/// prediction at their *measured* time (so the total stays comparable to
-/// the trace's measured total, and unpredictable events contribute zero
-/// drift rather than phantom savings).
-pub fn predicted_or_measured_total(events: &[Event], topology: Topology, cost: &CostModel) -> f64 {
-    events
-        .iter()
-        .map(|e| predicted_time(e, topology, cost).unwrap_or(e.time))
-        .sum()
 }
 
 #[cfg(test)]
@@ -214,9 +212,11 @@ mod tests {
         assert!(predicted_time(fault, Topology::Hypercube, m.cost_model()).is_none());
         assert!(predicted_time(redist, Topology::Hypercube, m.cost_model()).is_none());
         // The lenient total counts both at their measured time.
-        let total =
-            predicted_or_measured_total(m.trace().events(), Topology::Hypercube, m.cost_model());
-        assert!((total - m.trace().total_time()).abs() < 1e-12 * total);
+        let window = m
+            .trace()
+            .window(0, Topology::Hypercube, m.cost_model(), None);
+        assert_eq!(window.measured, m.trace().total_time());
+        assert!((window.predicted - window.measured).abs() < 1e-12 * window.predicted);
     }
 
     /// The admission estimate is the same price the machine charges when

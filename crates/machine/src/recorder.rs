@@ -16,16 +16,18 @@ pub enum TraceLevel {
     /// ([`crate::Machine::digest`]) — what a caller that only wants
     /// totals and the per-label breakdown should ask for.
     Summary,
-    /// Keep every [`Event`] in the [`Trace`].
+    /// Keep every operation in the [`Trace`], one compact row each
+    /// (decoded into [`Event`]s when read).
     Full,
 }
 
 /// Callback fired with every event the machine records, *as it happens*,
 /// independent of the [`TraceLevel`].
 ///
-/// The event a sink is handed is lent from where the machine wrote it —
-/// the trace's newest entry at [`TraceLevel::Full`], a slot of the
-/// machine's [`EventTail`] below it, refilled by a later operation: **a
+/// The event a sink is handed is lent, and refilled in place by a later
+/// operation — a scratch event of the machine's at [`TraceLevel::Full`]
+/// (where the trace stores a compact row, not an [`Event`]), the slot of
+/// the machine's [`EventTail`] the event was written to below it: **a
 /// sink must copy what it keeps** (the bus flattens into its own record).
 ///
 /// This is the live-telemetry tap: where [`crate::ProgressHook`] is a
@@ -90,7 +92,7 @@ impl std::fmt::Debug for EventSink {
 /// [`TraceLevel::Full`]: a ring of slots refilled where they sit, so a
 /// slot keeps the capacity its `span`, `label` and `proc_times` have
 /// grown to and a warm ring takes an event without allocating. Every
-/// machine has one slot, the event it lends its sink;
+/// machine has one slot, the event it lends its sink below `Full`;
 /// [`crate::Machine::keep_tail`] gives it more, and then every event is
 /// kept whatever a sink's pre-filter says.
 #[derive(Debug, Clone, Default)]
@@ -163,8 +165,10 @@ impl From<Vec<Event>> for EventTail {
 
 /// One machine operation as its [`Event`] will describe it (`payload`
 /// is [`Event::payload_words`]), borrowed from the operation that
-/// charged it. Empty `proc_times`: every participant was busy for the
-/// full `time`.
+/// charged it, an event, or a trace row. `uniform`: one time per
+/// participant, each with the bits of `time`, which `proc_times` holds
+/// or (read back from a row) leaves out. Otherwise empty `proc_times`:
+/// no per-processor times, every participant busy for `time`.
 pub(crate) struct Op<'a> {
     pub(crate) kind: EventKind,
     pub(crate) participants: usize,
@@ -176,6 +180,7 @@ pub(crate) struct Op<'a> {
     pub(crate) start: f64,
     pub(crate) label: &'a str,
     pub(crate) proc_times: &'a [f64],
+    pub(crate) uniform: bool,
 }
 
 impl<'a> Op<'a> {
@@ -199,6 +204,58 @@ impl<'a> Op<'a> {
             start,
             label,
             proc_times: &[],
+            uniform: false,
+        }
+    }
+
+    /// The per-processor times, as [`Event::proc_times`] lists them.
+    pub(crate) fn times(&self) -> impl Iterator<Item = f64> + '_ {
+        let copies = if self.proc_times.is_empty() && self.uniform {
+            self.participants
+        } else {
+            0
+        };
+        std::iter::repeat_n(self.time, copies).chain(self.proc_times.iter().copied())
+    }
+
+    /// Fill `event` in where it sits, all but its span path: its strings
+    /// and vector keep their capacity.
+    pub(crate) fn write_to(&self, event: &mut Event) {
+        event.kind = self.kind;
+        event.participants = self.participants;
+        event.words = self.words;
+        event.flops = self.flops;
+        event.time = self.time;
+        event.start = self.start;
+        event.label.clear();
+        event.label.push_str(self.label);
+        event.proc_times.clear();
+        event.proc_times.extend_from_slice(self.proc_times);
+        if self.proc_times.is_empty() && self.uniform {
+            event.proc_times.resize(self.participants, self.time);
+        }
+        event.payload_words = self.payload;
+        event.hops = self.hops;
+    }
+}
+
+impl<'a> From<&'a Event> for Op<'a> {
+    fn from(e: &'a Event) -> Self {
+        let time = e.time.to_bits();
+        Op {
+            kind: e.kind,
+            participants: e.participants,
+            words: e.words,
+            payload: e.payload_words,
+            hops: e.hops,
+            flops: e.flops,
+            time: e.time,
+            start: e.start,
+            label: &e.label,
+            proc_times: &e.proc_times,
+            uniform: !e.proc_times.is_empty()
+                && e.proc_times.len() == e.participants
+                && e.proc_times.iter().all(|t| t.to_bits() == time),
         }
     }
 }
@@ -216,6 +273,8 @@ pub(crate) struct Recorder {
     pub(crate) tail: EventTail,
     /// Live event tap, independent of `level`.
     pub(crate) sink: Option<EventSink>,
+    /// What the sink is lent at [`TraceLevel::Full`], refilled in place.
+    lent: Event,
 }
 
 impl Recorder {
@@ -227,6 +286,7 @@ impl Recorder {
             digest: Digest::default(),
             tail: EventTail::with_capacity(1),
             sink: None,
+            lent: Event::blank(),
         }
     }
 
@@ -247,44 +307,31 @@ impl Recorder {
     }
 
     /// At `Summary`, fold the operation into the digest. Ask the sink's
-    /// pre-filter, once. If the event is wanted — by the trace, by a
-    /// kept tail, or by the sink — write it where it will live: a new
-    /// entry of the trace at `Full`, the next slot of the tail below it
-    /// (whose strings and vectors, once grown to fit, take an event
-    /// without allocating). That entry is what the sink is lent.
+    /// pre-filter, once. At `Full`, store the operation as a row of the
+    /// trace and lend a wanting sink the recorder's scratch event, filled
+    /// in. Below `Full`, if a kept tail or the sink wants the event, write
+    /// it to the next slot of the tail (whose strings and vectors, once
+    /// grown to fit, take an event without allocating) and lend the sink
+    /// that slot.
     #[inline(never)]
     fn keep(&mut self, op: Op<'_>) {
         if self.level == TraceLevel::Summary {
-            self.digest.fold(
-                op.kind,
-                op.words,
-                op.flops,
-                op.time,
-                op.label,
-                crate::span::current_level,
-            );
+            self.digest.fold(&op, crate::span::current_level);
         }
         let sink = self.sink.as_ref().filter(|sink| sink.wants(op.kind));
         let event = if self.level == TraceLevel::Full {
-            self.trace.next_slot()
+            self.trace.keep(&op);
+            match sink {
+                Some(_) => &mut self.lent,
+                None => return,
+            }
         } else if sink.is_some() || self.tail.slots.len() > 1 {
             self.tail.claim_slot()
         } else {
             return;
         };
-        event.kind = op.kind;
-        event.participants = op.participants;
-        event.words = op.words;
-        event.flops = op.flops;
-        event.time = op.time;
-        event.start = op.start;
+        op.write_to(event);
         crate::span::write_current_path(&mut event.span);
-        event.label.clear();
-        event.label.push_str(op.label);
-        event.proc_times.clear();
-        event.proc_times.extend_from_slice(op.proc_times);
-        event.payload_words = op.payload;
-        event.hops = op.hops;
         if let Some(sink) = sink {
             sink.emit(event);
         }

@@ -15,7 +15,9 @@
 //! appends its segment to one per-thread buffer and leaving truncates
 //! it, so neither allocates once the buffer has grown to the deepest
 //! path, and asking for the path ([`current_path`],
-//! [`write_current_path`]) is one copy, however deep the stack.
+//! [`write_current_path`]) is one copy, however deep the stack. Every
+//! entry and exit moves the stack to a new version, against which a
+//! trace caches the id it gave the path.
 //!
 //! ```
 //! use hpf_machine::span;
@@ -33,6 +35,7 @@
 use std::borrow::Cow;
 use std::cell::RefCell;
 use std::fmt::Write;
+use std::thread::ThreadId;
 
 /// The active spans of one thread.
 #[derive(Debug)]
@@ -46,6 +49,10 @@ struct Stack {
     /// from: parsed when that segment is entered, so that a sampling
     /// pre-filter asking once per machine operation reads a field.
     trace: Option<(usize, u64)>,
+    /// This thread (once [`path_id`] asked) and how many times its stack
+    /// has moved: one state of one stack, so one path.
+    thread: Option<ThreadId>,
+    version: u64,
 }
 
 thread_local! {
@@ -54,14 +61,20 @@ thread_local! {
             path: String::new(),
             starts: Vec::new(),
             trace: None,
+            thread: None,
+            version: 0,
         })
     };
 }
+
+/// A state of one thread's span stack (see [`path_id`]).
+pub(crate) type PathKey = (ThreadId, u64);
 
 /// Append one segment, written by `write`, to the thread's path.
 fn push(write: impl FnOnce(&mut String)) -> ScopeGuard {
     let depth = STACK.with(|s| {
         let stack = &mut *s.borrow_mut();
+        stack.version += 1;
         stack.starts.push(stack.path.len());
         if stack.starts.len() > 1 {
             stack.path.push('/');
@@ -121,6 +134,7 @@ impl Drop for ScopeGuard {
             let stack = &mut *s.borrow_mut();
             // Already popped when a guard entered earlier dropped first.
             if let Some(&start) = stack.starts.get(self.depth - 1) {
+                stack.version += 1;
                 stack.starts.truncate(self.depth - 1);
                 stack.path.truncate(start);
                 if stack.trace.is_some_and(|(depth, _)| depth >= self.depth) {
@@ -151,11 +165,32 @@ pub fn current_path() -> String {
 
 /// [`current_path`] copied into a caller-owned buffer (cleared first).
 /// A buffer that has held a path this long before is refilled without
-/// allocating — how the machine refills a slot of its tail; an empty one
-/// (a new entry of the trace) allocates the path's length.
+/// allocating — how the machine refills the event it lends a sink.
 pub fn write_current_path(out: &mut String) {
     out.clear();
     STACK.with(|s| out.push_str(&s.borrow().path));
+}
+
+/// The id `intern` gives the current path, asked only when the stack is
+/// in another state than when `cache` (one trace's) was filled: a span
+/// entered or left since, or another thread. Nothing is shared between
+/// threads.
+pub(crate) fn path_id(cache: &mut Option<(PathKey, u32)>, intern: impl FnOnce(&str) -> u32) -> u32 {
+    STACK.with(|s| {
+        let stack = &mut *s.borrow_mut();
+        let thread = *stack
+            .thread
+            .get_or_insert_with(|| std::thread::current().id());
+        let key = (thread, stack.version);
+        match *cache {
+            Some((cached, id)) if cached == key => id,
+            _ => {
+                let id = intern(&stack.path);
+                *cache = Some((key, id));
+                id
+            }
+        }
+    })
 }
 
 /// Number of active spans on this thread.

@@ -6,6 +6,9 @@
 //! and how much traffic each moved — the quantities the paper reasons
 //! about in Section 4.
 
+use crate::cost::CostModel;
+use crate::recorder::Op;
+use crate::topology::Topology;
 use hpf_json::Obj;
 
 /// The kind of a traced event.
@@ -143,9 +146,56 @@ impl Event {
 }
 
 /// Append-only event log with summary accessors.
+///
+/// An operation is stored as one `Copy` row of at most 64 bytes: its span
+/// path and label are ids into the trace's one string buffer, and its
+/// per-processor times are none, *uniform* (one per participant, each with
+/// the bits of [`Event::time`]) or a range of one `f64` arena, the last
+/// range again when they repeat it bit for bit. [`Trace::events`] decodes
+/// into a cache the next [`Trace::record`] drops; everything else reads
+/// the rows.
 #[derive(Debug, Default, Clone)]
 pub struct Trace {
-    events: Vec<Event>,
+    rows: Vec<Row>,
+    strings: Strings,
+    /// `(start, len)` in `times` of each stored vector.
+    ranges: Vec<(usize, usize)>,
+    times: Vec<f64>,
+    /// `(row, participants, hops)` where a count does not fit in 32 bits.
+    wide: Vec<(usize, usize, usize)>,
+    /// See [`crate::span::path_id`].
+    span_cache: Option<(crate::span::PathKey, u32)>,
+    decoded: std::sync::OnceLock<Vec<Event>>,
+}
+
+/// One stored operation (see [`Trace`]).
+#[derive(Debug, Clone, Copy)]
+struct Row {
+    kind: EventKind,
+    time: f64,
+    start: f64,
+    words: usize,
+    flops: usize,
+    payload_words: usize,
+    participants: u32,
+    hops: u32,
+    span: u32,
+    label: u32,
+    /// [`NO_TIMES`], [`UNIFORM`], or an index into `Trace::ranges`.
+    times: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<Row>() <= 64);
+const NO_TIMES: u32 = u32::MAX;
+const UNIFORM: u32 = u32::MAX - 1;
+
+/// What [`Trace::window`] reads of a window of a trace.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct Window {
+    pub measured: f64,
+    /// Each event at [`crate::predicted_time`], or at its measured time
+    /// where no closed form prices it (no phantom drift).
+    pub predicted: f64,
 }
 
 impl Trace {
@@ -154,39 +204,138 @@ impl Trace {
     }
 
     pub fn record(&mut self, ev: Event) {
-        self.events.push(ev);
+        let span = match self.rows.last() {
+            Some(last) if self.strings.get(last.span) == ev.span => last.span,
+            _ => self.strings.push(&ev.span),
+        };
+        self.push(span, &Op::from(&ev));
     }
 
-    /// A new last entry for the recorder to fill in where it sits.
-    pub(crate) fn next_slot(&mut self) -> &mut Event {
-        self.events.push(Event::blank());
-        self.events.last_mut().expect("just pushed")
+    /// Store an operation under the calling thread's span path.
+    pub(crate) fn keep(&mut self, op: &Op<'_>) {
+        let strings = &mut self.strings;
+        let span = crate::span::path_id(&mut self.span_cache, |path| strings.push(path));
+        self.push(span, op);
     }
 
+    fn push(&mut self, span: u32, op: &Op<'_>) {
+        let times = match (op.uniform, op.proc_times.is_empty()) {
+            (true, _) => UNIFORM,
+            (false, true) => NO_TIMES,
+            (false, false) => self.store_times(op.proc_times),
+        };
+        if u32::try_from(op.participants.max(op.hops)).is_err() {
+            self.wide.push((self.rows.len(), op.participants, op.hops));
+        }
+        self.rows.push(Row {
+            kind: op.kind,
+            time: op.time,
+            start: op.start,
+            words: op.words,
+            flops: op.flops,
+            payload_words: op.payload,
+            // Cut to 32 bits; `wide` holds the counts that do not fit.
+            participants: op.participants as u32,
+            hops: op.hops as u32,
+            span,
+            label: self.strings.label(op.label),
+            times,
+        });
+        self.decoded.take();
+    }
+
+    /// The range holding `times`: the last one again if it holds the same
+    /// bits.
+    fn store_times(&mut self, times: &[f64]) -> u32 {
+        let repeats = self.ranges.last().is_some_and(|&(start, len)| {
+            let last = &self.times[start..start + len];
+            len == times.len()
+                && last
+                    .iter()
+                    .zip(times)
+                    .all(|(a, b)| a.to_bits() == b.to_bits())
+        });
+        if !repeats {
+            self.ranges.push((self.times.len(), times.len()));
+            self.times.extend_from_slice(times);
+        }
+        u32::try_from(self.ranges.len() - 1)
+            .ok()
+            .filter(|&at| at < UNIFORM)
+            .expect("fewer per-processor vectors in one trace than u32 ids")
+    }
+
+    /// Row `at` as the operation it stored, and its span path.
+    fn unpack(&self, at: usize) -> (&str, Op<'_>) {
+        let row = &self.rows[at];
+        let (participants, hops) = match self.wide.binary_search_by_key(&at, |w| w.0) {
+            Ok(i) => (self.wide[i].1, self.wide[i].2),
+            Err(_) => (row.participants as usize, row.hops as usize),
+        };
+        let proc_times = match row.times {
+            NO_TIMES | UNIFORM => &[][..],
+            i => {
+                let (start, len) = self.ranges[i as usize];
+                &self.times[start..start + len]
+            }
+        };
+        let op = Op {
+            kind: row.kind,
+            participants,
+            words: row.words,
+            payload: row.payload_words,
+            hops,
+            flops: row.flops,
+            time: row.time,
+            start: row.start,
+            label: self.strings.get(row.label),
+            proc_times,
+            uniform: row.times == UNIFORM,
+        };
+        (self.strings.get(row.span), op)
+    }
+
+    /// The events, decoded on the first call after a [`Trace::record`].
     pub fn events(&self) -> &[Event] {
-        &self.events
+        self.decoded.get_or_init(|| {
+            let decode = |at| {
+                let (span, op) = self.unpack(at);
+                let mut event = Event::blank();
+                op.write_to(&mut event);
+                event.span.push_str(span);
+                event
+            };
+            (0..self.rows.len()).map(decode).collect()
+        })
     }
 
+    /// Forget every event; the tables keep their capacity.
     pub fn clear(&mut self) {
-        self.events.clear();
+        self.rows.clear();
+        self.strings.clear();
+        self.ranges.clear();
+        self.times.clear();
+        self.wide.clear();
+        self.span_cache = None;
+        self.decoded.take();
     }
 
     pub fn len(&self) -> usize {
-        self.events.len()
+        self.rows.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+        self.rows.is_empty()
     }
 
     /// Count of events of a given kind.
     pub fn count(&self, kind: EventKind) -> usize {
-        self.events.iter().filter(|e| e.kind == kind).count()
+        self.rows.iter().filter(|e| e.kind == kind).count()
     }
 
     /// Total words moved by events of a given kind.
     pub fn words(&self, kind: EventKind) -> usize {
-        self.events
+        self.rows
             .iter()
             .filter(|e| e.kind == kind)
             .map(|e| e.words)
@@ -195,7 +344,7 @@ impl Trace {
 
     /// Total words moved by all communication events.
     pub fn total_comm_words(&self) -> usize {
-        self.events
+        self.rows
             .iter()
             .filter(|e| !matches!(e.kind, EventKind::Compute))
             .map(|e| e.words)
@@ -204,12 +353,12 @@ impl Trace {
 
     /// Total simulated time of all events (communication + compute).
     pub fn total_time(&self) -> f64 {
-        self.events.iter().map(|e| e.time).sum()
+        self.rows.iter().map(|e| e.time).sum()
     }
 
     /// Total simulated communication time.
     pub fn comm_time(&self) -> f64 {
-        self.events
+        self.rows
             .iter()
             .filter(|e| !matches!(e.kind, EventKind::Compute))
             .map(|e| e.time)
@@ -218,7 +367,7 @@ impl Trace {
 
     /// Total simulated computation time.
     pub fn compute_time(&self) -> f64 {
-        self.events
+        self.rows
             .iter()
             .filter(|e| matches!(e.kind, EventKind::Compute))
             .map(|e| e.time)
@@ -227,14 +376,51 @@ impl Trace {
 
     /// Events carrying a given label.
     pub fn with_label<'a>(&'a self, label: &'a str) -> impl Iterator<Item = &'a Event> + 'a {
-        self.events.iter().filter(move |e| e.label == label)
+        self.events().iter().filter(move |e| e.label == label)
+    }
+
+    /// The measured and predicted time of the events from `from` on, read
+    /// from the rows in record order, and with `busy`, each parallel
+    /// compute phase's per-processor times added into it (grown to fit):
+    /// what a solver's predicted clock and a repartitioning window read,
+    /// so that nothing decodes during a solve.
+    pub fn window(
+        &self,
+        from: usize,
+        topology: Topology,
+        cost: &CostModel,
+        mut busy: Option<&mut Vec<f64>>,
+    ) -> Window {
+        // From `-0.0`, as `Iterator::sum` adds: the sums of the decoded
+        // events, bit for bit.
+        let mut window = Window {
+            measured: -0.0,
+            predicted: -0.0,
+        };
+        for at in from..self.rows.len() {
+            let (_, op) = self.unpack(at);
+            window.measured += op.time;
+            window.predicted += op.predict(topology, cost).unwrap_or(op.time);
+            if let Some(busy) = busy
+                .as_deref_mut()
+                .filter(|_| op.kind == EventKind::Compute)
+            {
+                for (p, t) in op.times().enumerate() {
+                    if p == busy.len() {
+                        busy.push(0.0);
+                    }
+                    busy[p] += t;
+                }
+            }
+        }
+        window
     }
 
     /// Aggregate the trace per label, in first-appearance order. This is
     /// the per-operation breakdown a solve produces ("dot-merge" cost vs
     /// "matvec-bcast" cost, ...), compact enough to ship in a response:
-    /// the rows of [`Digest::from_trace`], whose [`Digest::fold`] states
-    /// the aggregation rules.
+    /// the rows of [`Digest::from_trace`], by [`Digest`]'s aggregation
+    /// rules.
     pub fn summary_by_label(&self) -> Vec<LabelSummary> {
         Digest::from_trace(self).by_label
     }
@@ -246,7 +432,8 @@ impl Trace {
     /// the exact inverse.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
-        for e in &self.events {
+        for at in 0..self.rows.len() {
+            let (span, e) = self.unpack(at);
             let mut o = Obj::new(&mut out);
             o.str("kind", e.kind.name())
                 .u64("participants", e.participants as u64)
@@ -254,18 +441,18 @@ impl Trace {
                 .u64("flops", e.flops as u64)
                 .f64("time", e.time)
                 .f64("start", e.start)
-                .str("span", &e.span)
-                .str("label", &e.label);
-            if !e.proc_times.is_empty() {
+                .str("span", span)
+                .str("label", e.label);
+            if e.uniform || !e.proc_times.is_empty() {
                 let mut times = o.arr("proc_times");
-                for &t in &e.proc_times {
+                for t in e.times() {
                     times.f64(t);
                 }
             }
             // Emitted only when set, so pre-oracle traces (and their
             // byte-exact fixtures) keep the original line format.
-            if e.payload_words != 0 {
-                o.u64("payload_words", e.payload_words as u64);
+            if e.payload != 0 {
+                o.u64("payload_words", e.payload as u64);
             }
             if e.hops != 0 {
                 o.u64("hops", e.hops as u64);
@@ -291,6 +478,52 @@ impl Trace {
             trace.record(ev);
         }
         Ok(trace)
+    }
+}
+
+/// The span paths and labels a trace's rows name, end to end in one
+/// buffer. A path is stored when the span stack has moved since the last
+/// one (see [`crate::span::path_id`]), a label unless it is one of the
+/// last [`LABELS`] stored: no string is hashed.
+#[derive(Debug, Default, Clone)]
+struct Strings {
+    text: String,
+    /// Where string `i` ends in `text` (it starts where `i − 1` ends).
+    ends: Vec<usize>,
+    /// The last labels stored, newest first.
+    labels: Vec<u32>,
+}
+
+/// How many labels a trace looks among before storing one again: more
+/// than an iteration of any solver in the workspace uses.
+const LABELS: usize = 32;
+
+impl Strings {
+    fn get(&self, id: u32) -> &str {
+        let id = id as usize;
+        &self.text[id.checked_sub(1).map_or(0, |i| self.ends[i])..self.ends[id]]
+    }
+
+    fn push(&mut self, s: &str) -> u32 {
+        self.text.push_str(s);
+        self.ends.push(self.text.len());
+        u32::try_from(self.ends.len() - 1).expect("fewer strings in one trace than u32 ids")
+    }
+
+    fn label(&mut self, label: &str) -> u32 {
+        if let Some(&id) = self.labels.iter().find(|&&id| self.get(id) == label) {
+            return id;
+        }
+        let id = self.push(label);
+        self.labels.truncate(LABELS - 1);
+        self.labels.insert(0, id);
+        id
+    }
+
+    fn clear(&mut self) {
+        self.text.clear();
+        self.ends.clear();
+        self.labels.clear();
     }
 }
 
@@ -383,8 +616,24 @@ impl LabelSummary {
 /// Totals plus the per-label breakdown of a run: what a
 /// [`crate::Machine`] keeps at [`crate::TraceLevel::Summary`] instead of
 /// events, and what [`Digest::from_trace`] computes from a stored trace.
-/// Both go through [`Digest::fold`], one operation at a time in record
-/// order, so the two are equal field for field, bit for bit.
+/// Both fold one operation at a time in record order, through one
+/// function, so the two are equal field for field, bit for bit.
+///
+/// # Aggregation rules
+///
+/// *Every* event kind participates — data-moving collectives,
+/// `Compute` phases, and also `Barrier` and `Fault` events (a fault's
+/// retransmit/restart penalty is real simulated time and must not
+/// vanish from per-label totals). Per label a row accumulates the
+/// event count, the total words moved, the total flops executed,
+/// and the total simulated time; rows appear in the order the run
+/// first saw their label. Events with distinct span paths but the
+/// same label aggregate together, with one exception:
+/// `Redistribute` events recorded under a `level=L` span segment
+/// (multigrid restriction/prolongation between hierarchy levels)
+/// keep one row *per level*, keyed `label [level=L]`, so a V-cycle's
+/// per-level transfer costs stay readable instead of collapsing
+/// into a single row.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Digest {
     /// Number of events folded in.
@@ -406,45 +655,21 @@ impl Digest {
     /// The digest of a stored trace.
     pub fn from_trace(trace: &Trace) -> Digest {
         let mut digest = Digest::default();
-        for e in trace.events() {
-            digest.fold(e.kind, e.words, e.flops, e.time, &e.label, || {
-                crate::span::level_of(&e.span)
-            });
+        for at in 0..trace.len() {
+            let (span, op) = trace.unpack(at);
+            digest.fold(&op, || crate::span::level_of(span));
         }
         digest
     }
 
-    /// Fold one operation in. `level` reports the `level=L` segment of
-    /// the span the operation ran under (see [`crate::span::level_of`]);
-    /// it is only asked for `Redistribute` events.
-    ///
-    /// # Aggregation rules
-    ///
-    /// *Every* event kind participates — data-moving collectives,
-    /// `Compute` phases, and also `Barrier` and `Fault` events (a fault's
-    /// retransmit/restart penalty is real simulated time and must not
-    /// vanish from per-label totals). Per label a row accumulates the
-    /// event count, the total words moved, the total flops executed,
-    /// and the total simulated time; rows appear in the order the run
-    /// first saw their label. Events with distinct span paths but the
-    /// same label aggregate together, with one exception:
-    /// `Redistribute` events recorded under a `level=L` span segment
-    /// (multigrid restriction/prolongation between hierarchy levels)
-    /// keep one row *per level*, keyed `label [level=L]`, so a V-cycle's
-    /// per-level transfer costs stay readable instead of collapsing
-    /// into a single row.
+    /// Fold one operation in, by [`Digest`]'s aggregation rules. `level`
+    /// reports the `level=L` segment of the span the operation ran under
+    /// (see [`crate::span::level_of`]); only `Redistribute` events ask.
     ///
     /// A row that exists is found by comparing text in place; a `String`
     /// is built only when a new row appears.
-    pub fn fold(
-        &mut self,
-        kind: EventKind,
-        words: usize,
-        flops: usize,
-        time: f64,
-        label: &str,
-        level: impl FnOnce() -> Option<usize>,
-    ) {
+    pub(crate) fn fold(&mut self, op: &Op<'_>, level: impl FnOnce() -> Option<usize>) {
+        let (kind, words, flops, time, label) = (op.kind, op.words, op.flops, op.time, op.label);
         self.events += 1;
         self.total_time += time;
         if kind == EventKind::Compute {
@@ -732,18 +957,9 @@ mod tests {
         let text = t.to_jsonl();
         let back = Trace::from_jsonl(&text).expect("round-trip parse");
         assert_eq!(back.len(), t.len());
+        // Every field, floats to the bit (their `Debug` form round-trips).
         for (orig, parsed) in t.events().iter().zip(back.events()) {
-            assert_eq!(parsed.kind.name(), orig.kind.name());
-            assert_eq!(parsed.participants, orig.participants);
-            assert_eq!(parsed.words, orig.words);
-            assert_eq!(parsed.flops, orig.flops);
-            assert!((parsed.time - orig.time).abs() < 1e-12);
-            assert!((parsed.start - orig.start).abs() < 1e-12);
-            assert_eq!(parsed.span, orig.span);
-            assert_eq!(parsed.label, orig.label);
-            assert_eq!(parsed.proc_times.len(), orig.proc_times.len());
-            assert_eq!(parsed.payload_words, orig.payload_words);
-            assert_eq!(parsed.hops, orig.hops);
+            assert_eq!(format!("{parsed:?}"), format!("{orig:?}"));
         }
         // Re-serialising the parsed trace reproduces the bytes exactly.
         assert_eq!(back.to_jsonl(), text);

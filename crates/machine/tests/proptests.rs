@@ -373,3 +373,225 @@ proptest! {
         prop_assert_eq!(m.trace().events()[3].payload_words, moved);
     }
 }
+
+/// Times a trace must keep apart: both zeros, NaNs with two payloads and
+/// both signs, both infinities, and two plain values.
+const PLANTED: [f64; 8] = [
+    0.0,
+    -0.0,
+    f64::NAN,
+    f64::from_bits(0xfff8_0000_0000_0001),
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    1.5,
+    2.5e-7,
+];
+
+/// Every field of an event, floats as their bits.
+type Bits = (
+    &'static str,
+    usize,
+    usize,
+    usize,
+    u64,
+    u64,
+    String,
+    String,
+    Vec<u64>,
+    usize,
+    usize,
+);
+
+fn bits_of(e: &Event) -> Bits {
+    (
+        e.kind.name(),
+        e.participants,
+        e.words,
+        e.flops,
+        e.time.to_bits(),
+        e.start.to_bits(),
+        e.span.clone(),
+        e.label.clone(),
+        e.proc_times.iter().map(|t| t.to_bits()).collect(),
+        e.payload_words,
+        e.hops,
+    )
+}
+
+/// `to_jsonl` of a trace read back re-encodes to the same bytes.
+fn reencodes(trace: &hpf_machine::Trace) -> bool {
+    let text = trace.to_jsonl();
+    hpf_machine::Trace::from_jsonl(&text).unwrap().to_jsonl() == text
+}
+
+/// The event `(shape, bits, participants)` describes after `previous`
+/// (every field is drawn from `bits`): times uniform (every entry
+/// `time`), the previous vector again, the previous vector with each
+/// zero's sign flipped (equal as numbers, not as bits), drawn entry by
+/// entry, or none — and, with none, counts too wide for 32 bits now and
+/// then.
+fn planted(shape: usize, bits: u64, participants: usize, previous: &[f64]) -> Event {
+    let pick = |shift: usize| PLANTED[(bits >> shift) as usize % PLANTED.len()];
+    let time = pick(0);
+    let proc_times = match shape {
+        0 => vec![time; participants],
+        1 if !previous.is_empty() => previous.to_vec(),
+        2 if !previous.is_empty() => previous
+            .iter()
+            .map(|&t| if t == 0.0 { -t } else { t })
+            .collect(),
+        1..=3 => (0..participants).map(|p| pick(3 + 3 * p)).collect(),
+        _ => Vec::new(),
+    };
+    let wide = shape == 4 && bits & 0x30 == 0x30;
+    let big = |n: u64| if wide { n << 33 } else { n };
+    Event {
+        kind: EventKind::ALL[(bits >> 40) as usize % EventKind::ALL.len()],
+        participants: big(participants as u64) as usize,
+        words: (bits >> 8) as usize,
+        flops: (bits >> 20) as usize & 0xffff,
+        time,
+        start: pick(50),
+        span: [
+            "",
+            "solve/iter=3/matvec",
+            "trace=0a/solve",
+            "a \"quoted\"\nspan",
+        ][(bits >> 62) as usize]
+            .to_string(),
+        label: ["dot-merge", "", "local-matvec", "bcast-p"][(bits >> 58) as usize & 3].to_string(),
+        proc_times,
+        payload_words: (bits >> 30) as usize & 0xff,
+        hops: big((bits >> 56) & 3) as usize,
+    }
+}
+
+proptest! {
+    /// A trace gives back what it was given, bit for bit, whether its
+    /// per-processor times were uniform, a repeat of the previous vector
+    /// or new, zeros of either sign, NaNs or infinities — through
+    /// `Trace::record` and through the recorder — and its JSON Lines read
+    /// back write the same bytes.
+    #[test]
+    fn a_trace_round_trips_every_time_bit_for_bit(
+        planted_events in proptest::collection::vec((0usize..5, any::<u64>(), 1usize..6), 1..24),
+        flops in proptest::collection::vec((0usize..3, any::<u64>()), 1..16),
+        t_flop in 0usize..8,
+        np in 1usize..6,
+    ) {
+        let mut trace = hpf_machine::Trace::new();
+        let mut given = Vec::new();
+        let mut previous: Vec<f64> = Vec::new();
+        for &(shape, bits, participants) in &planted_events {
+            let event = planted(shape, bits, participants, &previous);
+            if !event.proc_times.is_empty() {
+                previous = event.proc_times.clone();
+            }
+            given.push(bits_of(&event));
+            trace.record(event);
+        }
+        let decoded: Vec<Bits> = trace.events().iter().map(bits_of).collect();
+        prop_assert_eq!(decoded, given);
+        prop_assert!(reencodes(&trace));
+
+        // Through the recorder: the tail below `Full` is filled field by
+        // field from what the machine charged; the trace must decode to it.
+        let cost = CostModel { t_flop: PLANTED[t_flop], ..CostModel::mpp_1995() };
+        let run = |level| {
+            let mut m = Machine::new(np, Topology::Hypercube, cost);
+            m.set_trace_level(level);
+            m.keep_tail(2 * flops.len());
+            let _s = span::enter("solve");
+            let mut last = vec![0; np];
+            for (k, &(shape, bits)) in flops.iter().enumerate() {
+                let _i = span::enter_iter(k);
+                match shape {
+                    0 => last = vec![(bits % 4) as usize; np],
+                    1 => {}
+                    _ => last = blocks(np, bits),
+                }
+                m.compute_all(&last, "local");
+                m.allreduce(1, "dot-merge");
+            }
+            m
+        };
+        let (full, reference) = (run(TraceLevel::Full), run(TraceLevel::Off));
+        let charged: Vec<Bits> = reference.tail().iter().map(bits_of).collect();
+        let kept: Vec<Bits> = full.trace().events().iter().map(bits_of).collect();
+        prop_assert_eq!(kept, charged);
+        prop_assert!(reencodes(full.trace()));
+    }
+}
+
+/// Two machines recording in turn on one thread, under different span
+/// stacks, and a machine carried from one new thread to another, keep
+/// each the trace it would keep alone: the id a trace caches for the
+/// current span path belongs to that trace and that thread.
+#[test]
+fn a_trace_keeps_its_own_span_paths_beside_another_and_across_threads() {
+    const STEPS: usize = 12;
+    fn step(m: &mut Machine, who: &'static str, k: usize) {
+        let _s = span::enter(who);
+        let _i = span::enter_iter(k);
+        m.compute_uniform(k + 1, "local");
+        {
+            let _d = span::enter("dot");
+            m.allreduce(1, "dot-merge");
+        }
+        if who == "b" {
+            // One more path than "a" a step, so the two tables differ.
+            let _x = span::enter("extra");
+            m.barrier("sync");
+        }
+        m.barrier("sync");
+    }
+    let machine = || Machine::new(4, Topology::Hypercube, CostModel::mpp_1995());
+    let solo = |who| {
+        let mut m = machine();
+        for k in 0..STEPS {
+            step(&mut m, who, k);
+            let _k = span::enter_iter(k);
+            m.barrier("sync");
+        }
+        m.trace().to_jsonl()
+    };
+    let (a, b) = (solo("a"), solo("b"));
+    assert_ne!(a, b);
+    let interleaved = move || {
+        let (mut ma, mut mb) = (machine(), machine());
+        for k in 0..STEPS {
+            step(&mut ma, "a", k);
+            step(&mut mb, "b", k);
+            // Both record in one state of the stack.
+            let _k = span::enter_iter(k);
+            ma.barrier("sync");
+            mb.barrier("sync");
+        }
+        (ma.trace().to_jsonl(), mb.trace().to_jsonl())
+    };
+    assert_eq!(interleaved(), (a.clone(), b.clone()));
+    assert_eq!(
+        std::thread::spawn(interleaved).join().unwrap(),
+        (a.clone(), b)
+    );
+    // A machine carried from one new thread to another records its last
+    // event on the first and its next on the second with either stack in
+    // the same state of its history, under different paths.
+    let stamp = |m: &mut Machine, who: &'static str| {
+        let _s = span::enter(who);
+        m.barrier("sync");
+    };
+    let mut alone = machine();
+    stamp(&mut alone, "first");
+    stamp(&mut alone, "second");
+    let mut carried = machine();
+    for who in ["first", "second"] {
+        carried = std::thread::spawn(move || {
+            stamp(&mut carried, who);
+            carried
+        })
+        .join()
+        .unwrap();
+    }
+    assert_eq!(carried.trace().to_jsonl(), alone.trace().to_jsonl());
+}

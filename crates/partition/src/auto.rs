@@ -28,8 +28,7 @@ use hpf_dist::atoms::{AtomAssignment, AtomSpec};
 use hpf_dist::partition::contiguous_projection;
 use hpf_dist::redistribute::redistribute_using;
 use hpf_dist::Partitioner;
-use hpf_machine::predict::predicted_or_measured_total;
-use hpf_machine::{Event, EventKind, Machine};
+use hpf_machine::{Machine, Window};
 use hpf_solvers::{solve, IterObserver, Krylov, SolveStats, SolverError, StopCriterion};
 use hpf_sparse::CsrMatrix;
 use std::sync::Arc;
@@ -75,21 +74,10 @@ pub struct AutoRepartitionOutcome {
     pub assignment: AtomAssignment,
 }
 
-/// `max/mean` per-processor busy time over bulk-compute events in a
-/// trace slice — `None` when no event carries per-processor durations.
-pub fn segment_imbalance(events: &[Event]) -> Option<f64> {
-    let mut busy: Vec<f64> = Vec::new();
-    for e in events {
-        if e.kind != EventKind::Compute || e.proc_times.is_empty() {
-            continue;
-        }
-        if busy.len() < e.proc_times.len() {
-            busy.resize(e.proc_times.len(), 0.0);
-        }
-        for (b, t) in busy.iter_mut().zip(e.proc_times.iter()) {
-            *b += t;
-        }
-    }
+/// `max/mean` of per-processor busy times (what
+/// [`hpf_machine::Trace::window`] adds up over a window's bulk-compute
+/// events) — `None` when no event carried per-processor durations.
+pub fn segment_imbalance(busy: &[f64]) -> Option<f64> {
     if busy.is_empty() {
         return None;
     }
@@ -102,15 +90,13 @@ pub fn segment_imbalance(events: &[Event]) -> Option<f64> {
     }
 }
 
-/// Relative oracle drift `(measured − predicted) / predicted` over a
-/// trace slice; 0.0 when the slice predicts to zero time.
-pub fn segment_drift(events: &[Event], machine: &Machine) -> f64 {
-    let measured: f64 = events.iter().map(|e| e.time).sum();
-    let predicted = predicted_or_measured_total(events, machine.topology(), machine.cost_model());
-    if predicted <= 0.0 {
+/// Relative oracle drift `(measured − predicted) / predicted` of a
+/// trace window; 0.0 when the window predicts to zero time.
+pub fn segment_drift(window: &Window) -> f64 {
+    if window.predicted <= 0.0 {
         0.0
     } else {
-        (measured - predicted) / predicted
+        (window.measured - window.predicted) / window.predicted
     }
 }
 
@@ -203,9 +189,15 @@ pub fn cg_auto_repartition(
         r_norm = r.iter().map(|v| v * v).sum::<f64>().sqrt();
         stats.residual_norm = r_norm;
 
-        let events = &machine.trace().events()[mark..];
-        let imbalance = segment_imbalance(events).unwrap_or(0.0);
-        let drift = segment_drift(events, machine);
+        let mut busy = Vec::new();
+        let window = machine.trace().window(
+            mark,
+            machine.topology(),
+            machine.cost_model(),
+            Some(&mut busy),
+        );
+        let imbalance = segment_imbalance(&busy).unwrap_or(0.0);
+        let drift = segment_drift(&window);
         segment_imbalances.push(imbalance);
         if let Some(idx) = pending_after.take() {
             repartitions[idx].imbalance_after = imbalance;
@@ -256,7 +248,7 @@ pub fn cg_auto_repartition(
 mod tests {
     use super::*;
     use crate::partitioners::{BalancedContiguous, NnzBisection};
-    use hpf_machine::{CostModel, Topology};
+    use hpf_machine::{CostModel, EventKind, Topology};
     use hpf_solvers::RecordingObserver;
     use hpf_sparse::gen;
 

@@ -252,14 +252,11 @@ impl MachineMark {
         );
         self.flops = flops;
         self.words = words;
-        let events = machine.trace().events();
-        if self.events < events.len() {
-            self.predicted += hpf_machine::predict::predicted_or_measured_total(
-                &events[self.events..],
-                machine.topology(),
-                machine.cost_model(),
-            );
-            self.events = events.len();
+        let trace = machine.trace();
+        if self.events < trace.len() {
+            let window = trace.window(self.events, machine.topology(), machine.cost_model(), None);
+            self.predicted += window.predicted;
+            self.events = trace.len();
         }
         d
     }

@@ -8,14 +8,16 @@
 //! (pattern product). So does CG over the column-wise `(*,BLOCK)` layout,
 //! both Scenario 2 variants. Every recurrence sizes its vectors, GMRES
 //! its basis and Hessenberg columns, and protected CG its checkpoint
-//! slots, before the first iteration. The counting
+//! slots, before the first iteration. A machine that keeps every event
+//! ([`TraceLevel::Full`]) at NP = 64 stores each as one row, so a whole
+//! solve makes fewer allocations than half its events. The counting
 //! allocator and the observer that reads it are in `counting`.
 
 use hpf_core::{ColwiseCsc, DataArrayLayout, RowwiseCsr};
 use hpf_machine::{CostModel, EventSink, Machine, Topology, TraceLevel};
 use hpf_solvers::{
-    solve, ColwiseOperator, CscVariant, DistOperator, JacobiPreconditioner, Krylov, RecoveryConfig,
-    SolveStats, StopCriterion,
+    solve, ColwiseOperator, CscVariant, DistOperator, JacobiPreconditioner, Krylov, NullObserver,
+    RecoveryConfig, SolveStats, StopCriterion,
 };
 use hpf_sparse::{gen, CscMatrix, CsrMatrix, ProductForm};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -232,5 +234,52 @@ fn colwise_cg_steady_state_allocates_nothing() {
                 });
             }
         }
+    }
+}
+
+/// `cg_layouts_np64`'s solves: `poisson_2d(48, 48)` at NP = 64, row-wise
+/// CSR and column-wise CSC `Temp2d`, tracing `Full` with a counting sink.
+/// A `Full` trace stores an operation as one row, its span path and label
+/// as ids and its per-processor times as nothing, "uniform", or a range of
+/// one arena: each solve makes fewer allocations than half its events and
+/// keeps at most 256 KB.
+#[test]
+fn a_full_trace_at_np_64_allocates_per_solve_not_per_event() {
+    let a = gen::poisson_2d(48, 48);
+    let (_, b) = gen::rhs_for_known_solution(&a);
+    let rows = RowwiseCsr::block(a.clone(), 64, DataArrayLayout::RowAligned);
+    let cols = ColwiseOperator {
+        inner: ColwiseCsc::block(CscMatrix::from_csr(&a), 64),
+        variant: CscVariant::Temp2d,
+    };
+    let layouts: [(&str, &dyn DistOperator); 2] = [("row-wise", &rows), ("column-wise", &cols)];
+    for (name, op) in layouts {
+        let seen = Arc::new(AtomicUsize::new(0));
+        let tap = seen.clone();
+        let mut machine = Machine::new(64, Topology::Hypercube, CostModel::mpp_1995());
+        machine.set_event_sink(EventSink::new(move |_| {
+            tap.fetch_add(1, Ordering::Relaxed);
+        }));
+        let stop = StopCriterion::RelativeResidual(1e-8);
+        let (allocations, live) = (counting::allocations(), counting::live_bytes());
+        let solved = solve(
+            &mut machine,
+            op,
+            &b,
+            Krylov::cg(),
+            stop,
+            5_000,
+            &mut NullObserver,
+        );
+        assert!(solved.unwrap().stats.converged, "{name}");
+        let allocations = counting::allocations() - allocations;
+        let kept = counting::live_bytes().wrapping_sub(live);
+        let events = machine.trace().len();
+        assert_eq!(seen.load(Ordering::Relaxed), events, "{name}");
+        assert!(
+            2 * allocations < events,
+            "{name}: {allocations} allocations for {events} events"
+        );
+        assert!(kept <= 256 << 10, "{name}: the trace keeps {kept} bytes");
     }
 }
