@@ -71,7 +71,7 @@ pub fn e24_observability_overhead(n: usize, np: usize, reps: usize) -> Table {
             .stats;
         telemetry = telemetry.min(t0.elapsed().as_secs_f64());
         assert!(s.converged);
-        events = m.trace().events().len();
+        events = m.trace().len();
         samples = log.samples.len();
 
         // Exporter pass: one shot per trace, normally run offline by

@@ -251,14 +251,8 @@ mod tests {
             kind: EventKind::AllGather,
             participants: 8,
             words: 800,
-            flops: 0,
             time: 1.0,
-            start: 0.0,
-            span: String::new(),
-            label: "old".into(),
-            proc_times: Vec::new(),
-            payload_words: 0,
-            hops: 0,
+            ..Event::blank()
         };
         let c = CostModel::mpp_1995();
         assert!(predicted_time(&e, Topology::Hypercube, &c).is_none());

@@ -16,19 +16,16 @@ pub enum TraceLevel {
     /// ([`crate::Machine::digest`]) — what a caller that only wants
     /// totals and the per-label breakdown should ask for.
     Summary,
-    /// Keep every operation in the [`Trace`], one compact row each
-    /// (decoded into [`Event`]s when read).
+    /// Keep every operation in the [`Trace`].
     Full,
 }
 
 /// Callback fired with every event the machine records, *as it happens*,
 /// independent of the [`TraceLevel`].
 ///
-/// The event a sink is handed is lent, and refilled in place by a later
-/// operation — a scratch event of the machine's at [`TraceLevel::Full`]
-/// (where the trace stores a compact row, not an [`Event`]), the slot of
-/// the machine's [`EventTail`] the event was written to below it: **a
-/// sink must copy what it keeps** (the bus flattens into its own record).
+/// The event a sink is handed is lent — a scratch event at
+/// [`TraceLevel::Full`], a slot of the [`EventTail`] below it — and refilled
+/// by a later operation: **a sink must copy what it keeps**.
 ///
 /// This is the live-telemetry tap: where [`crate::ProgressHook`] is a
 /// heartbeat (an opaque operation counter), the sink sees the full
@@ -163,12 +160,10 @@ impl From<Vec<Event>> for EventTail {
     }
 }
 
-/// One machine operation as its [`Event`] will describe it (`payload`
-/// is [`Event::payload_words`]), borrowed from the operation that
-/// charged it, an event, or a trace row. `uniform`: one time per
-/// participant, each with the bits of `time`, which `proc_times` holds
-/// or (read back from a row) leaves out. Otherwise empty `proc_times`:
-/// no per-processor times, every participant busy for `time`.
+/// One machine operation as its [`Event`] describes it (`payload` is
+/// [`Event::payload_words`]), borrowed. `uniform`: one time per
+/// participant, each the bits of `time`, whether `proc_times` holds them
+/// or not; otherwise empty `proc_times` means none.
 pub(crate) struct Op<'a> {
     pub(crate) kind: EventKind,
     pub(crate) participants: usize,
@@ -210,16 +205,11 @@ impl<'a> Op<'a> {
 
     /// The per-processor times, as [`Event::proc_times`] lists them.
     pub(crate) fn times(&self) -> impl Iterator<Item = f64> + '_ {
-        let copies = if self.proc_times.is_empty() && self.uniform {
-            self.participants
-        } else {
-            0
-        };
+        let copies = self.participants * usize::from(self.uniform && self.proc_times.is_empty());
         std::iter::repeat_n(self.time, copies).chain(self.proc_times.iter().copied())
     }
 
-    /// Fill `event` in where it sits, all but its span path: its strings
-    /// and vector keep their capacity.
+    /// Fill `event` in where it sits, all but its span path.
     pub(crate) fn write_to(&self, event: &mut Event) {
         event.kind = self.kind;
         event.participants = self.participants;
@@ -230,10 +220,7 @@ impl<'a> Op<'a> {
         event.label.clear();
         event.label.push_str(self.label);
         event.proc_times.clear();
-        event.proc_times.extend_from_slice(self.proc_times);
-        if self.proc_times.is_empty() && self.uniform {
-            event.proc_times.resize(self.participants, self.time);
-        }
+        event.proc_times.extend(self.times());
         event.payload_words = self.payload;
         event.hops = self.hops;
     }
@@ -241,7 +228,6 @@ impl<'a> Op<'a> {
 
 impl<'a> From<&'a Event> for Op<'a> {
     fn from(e: &'a Event) -> Self {
-        let time = e.time.to_bits();
         Op {
             kind: e.kind,
             participants: e.participants,
@@ -253,9 +239,7 @@ impl<'a> From<&'a Event> for Op<'a> {
             start: e.start,
             label: &e.label,
             proc_times: &e.proc_times,
-            uniform: !e.proc_times.is_empty()
-                && e.proc_times.len() == e.participants
-                && e.proc_times.iter().all(|t| t.to_bits() == time),
+            uniform: false,
         }
     }
 }
@@ -306,13 +290,9 @@ impl Recorder {
         }
     }
 
-    /// At `Summary`, fold the operation into the digest. Ask the sink's
-    /// pre-filter, once. At `Full`, store the operation as a row of the
-    /// trace and lend a wanting sink the recorder's scratch event, filled
-    /// in. Below `Full`, if a kept tail or the sink wants the event, write
-    /// it to the next slot of the tail (whose strings and vectors, once
-    /// grown to fit, take an event without allocating) and lend the sink
-    /// that slot.
+    /// At `Summary`, fold the operation into the digest; at `Full`, store
+    /// it in the trace. Ask the sink's pre-filter once, and fill in for a
+    /// wanting sink (or a kept tail below `Full`) the event it is lent.
     #[inline(never)]
     fn keep(&mut self, op: Op<'_>) {
         if self.level == TraceLevel::Summary {

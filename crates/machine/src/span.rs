@@ -15,9 +15,7 @@
 //! appends its segment to one per-thread buffer and leaving truncates
 //! it, so neither allocates once the buffer has grown to the deepest
 //! path, and asking for the path ([`current_path`],
-//! [`write_current_path`]) is one copy, however deep the stack. Every
-//! entry and exit moves the stack to a new version, against which a
-//! trace caches the id it gave the path.
+//! [`write_current_path`]) is one copy, however deep the stack.
 //!
 //! ```
 //! use hpf_machine::span;
@@ -49,8 +47,7 @@ struct Stack {
     /// from: parsed when that segment is entered, so that a sampling
     /// pre-filter asking once per machine operation reads a field.
     trace: Option<(usize, u64)>,
-    /// This thread (once [`path_id`] asked) and how many times its stack
-    /// has moved: one state of one stack, so one path.
+    /// This thread, once [`path_id`] asked, and entries plus exits so far.
     thread: Option<ThreadId>,
     version: u64,
 }
@@ -171,10 +168,8 @@ pub fn write_current_path(out: &mut String) {
     STACK.with(|s| out.push_str(&s.borrow().path));
 }
 
-/// The id `intern` gives the current path, asked only when the stack is
-/// in another state than when `cache` (one trace's) was filled: a span
-/// entered or left since, or another thread. Nothing is shared between
-/// threads.
+/// The id `intern` gives the current path, asked only when this thread's
+/// stack has moved since `cache` was filled, or `cache` is another's.
 pub(crate) fn path_id(cache: &mut Option<(PathKey, u32)>, intern: impl FnOnce(&str) -> u32) -> u32 {
     STACK.with(|s| {
         let stack = &mut *s.borrow_mut();
@@ -184,11 +179,7 @@ pub(crate) fn path_id(cache: &mut Option<(PathKey, u32)>, intern: impl FnOnce(&s
         let key = (thread, stack.version);
         match *cache {
             Some((cached, id)) if cached == key => id,
-            _ => {
-                let id = intern(&stack.path);
-                *cache = Some((key, id));
-                id
-            }
+            _ => cache.insert((key, intern(&stack.path))).1,
         }
     })
 }

@@ -145,15 +145,9 @@ impl Event {
     }
 }
 
-/// Append-only event log with summary accessors.
-///
-/// An operation is stored as one `Copy` row of at most 64 bytes: its span
-/// path and label are ids into the trace's one string buffer, and its
-/// per-processor times are none, *uniform* (one per participant, each with
-/// the bits of [`Event::time`]) or a range of one `f64` arena, the last
-/// range again when they repeat it bit for bit. [`Trace::events`] decodes
-/// into a cache the next [`Trace::record`] drops; everything else reads
-/// the rows.
+/// Append-only event log with summary accessors: one compact row an
+/// operation (DESIGN §15), decoded into [`Event`]s only by
+/// [`Trace::events`], into a cache the next [`Trace::record`] drops.
 #[derive(Debug, Default, Clone)]
 pub struct Trace {
     rows: Vec<Row>,
@@ -161,14 +155,12 @@ pub struct Trace {
     /// `(start, len)` in `times` of each stored vector.
     ranges: Vec<(usize, usize)>,
     times: Vec<f64>,
-    /// `(row, participants, hops)` where a count does not fit in 32 bits.
-    wide: Vec<(usize, usize, usize)>,
     /// See [`crate::span::path_id`].
     span_cache: Option<(crate::span::PathKey, u32)>,
     decoded: std::sync::OnceLock<Vec<Event>>,
 }
 
-/// One stored operation (see [`Trace`]).
+/// One stored operation.
 #[derive(Debug, Clone, Copy)]
 struct Row {
     kind: EventKind,
@@ -203,12 +195,18 @@ impl Trace {
         Self::default()
     }
 
+    /// Panics on a participant or hop count wider than 32 bits.
     pub fn record(&mut self, ev: Event) {
         let span = match self.rows.last() {
             Some(last) if self.strings.get(last.span) == ev.span => last.span,
             _ => self.strings.push(&ev.span),
         };
-        self.push(span, &Op::from(&ev));
+        let mut op = Op::from(&ev);
+        let time = ev.time.to_bits();
+        op.uniform = !ev.proc_times.is_empty()
+            && ev.proc_times.len() == ev.participants
+            && ev.proc_times.iter().all(|t| t.to_bits() == time);
+        self.push(span, &op);
     }
 
     /// Store an operation under the calling thread's span path.
@@ -224,9 +222,6 @@ impl Trace {
             (false, true) => NO_TIMES,
             (false, false) => self.store_times(op.proc_times),
         };
-        if u32::try_from(op.participants.max(op.hops)).is_err() {
-            self.wide.push((self.rows.len(), op.participants, op.hops));
-        }
         self.rows.push(Row {
             kind: op.kind,
             time: op.time,
@@ -234,9 +229,8 @@ impl Trace {
             words: op.words,
             flops: op.flops,
             payload_words: op.payload,
-            // Cut to 32 bits; `wide` holds the counts that do not fit.
-            participants: op.participants as u32,
-            hops: op.hops as u32,
+            participants: u32::try_from(op.participants).expect("a 32-bit count"),
+            hops: u32::try_from(op.hops).expect("a 32-bit count"),
             span,
             label: self.strings.label(op.label),
             times,
@@ -248,12 +242,8 @@ impl Trace {
     /// bits.
     fn store_times(&mut self, times: &[f64]) -> u32 {
         let repeats = self.ranges.last().is_some_and(|&(start, len)| {
-            let last = &self.times[start..start + len];
-            len == times.len()
-                && last
-                    .iter()
-                    .zip(times)
-                    .all(|(a, b)| a.to_bits() == b.to_bits())
+            let last = self.times[start..start + len].iter().map(|t| t.to_bits());
+            last.eq(times.iter().map(|t| t.to_bits()))
         });
         if !repeats {
             self.ranges.push((self.times.len(), times.len()));
@@ -268,10 +258,6 @@ impl Trace {
     /// Row `at` as the operation it stored, and its span path.
     fn unpack(&self, at: usize) -> (&str, Op<'_>) {
         let row = &self.rows[at];
-        let (participants, hops) = match self.wide.binary_search_by_key(&at, |w| w.0) {
-            Ok(i) => (self.wide[i].1, self.wide[i].2),
-            Err(_) => (row.participants as usize, row.hops as usize),
-        };
         let proc_times = match row.times {
             NO_TIMES | UNIFORM => &[][..],
             i => {
@@ -281,10 +267,10 @@ impl Trace {
         };
         let op = Op {
             kind: row.kind,
-            participants,
+            participants: row.participants as usize,
             words: row.words,
             payload: row.payload_words,
-            hops,
+            hops: row.hops as usize,
             flops: row.flops,
             time: row.time,
             start: row.start,
@@ -315,7 +301,6 @@ impl Trace {
         self.strings.clear();
         self.ranges.clear();
         self.times.clear();
-        self.wide.clear();
         self.span_cache = None;
         self.decoded.take();
     }
@@ -328,50 +313,39 @@ impl Trace {
         self.rows.is_empty()
     }
 
+    /// `of` summed over the rows whose kind `keep` accepts, in order.
+    fn sum<T: std::iter::Sum>(&self, keep: impl Fn(EventKind) -> bool, of: fn(&Row) -> T) -> T {
+        self.rows.iter().filter(|e| keep(e.kind)).map(of).sum()
+    }
+
     /// Count of events of a given kind.
     pub fn count(&self, kind: EventKind) -> usize {
-        self.rows.iter().filter(|e| e.kind == kind).count()
+        self.sum(|k| k == kind, |_| 1)
     }
 
     /// Total words moved by events of a given kind.
     pub fn words(&self, kind: EventKind) -> usize {
-        self.rows
-            .iter()
-            .filter(|e| e.kind == kind)
-            .map(|e| e.words)
-            .sum()
+        self.sum(|k| k == kind, |e| e.words)
     }
 
     /// Total words moved by all communication events.
     pub fn total_comm_words(&self) -> usize {
-        self.rows
-            .iter()
-            .filter(|e| !matches!(e.kind, EventKind::Compute))
-            .map(|e| e.words)
-            .sum()
+        self.sum(|k| k != EventKind::Compute, |e| e.words)
     }
 
     /// Total simulated time of all events (communication + compute).
     pub fn total_time(&self) -> f64 {
-        self.rows.iter().map(|e| e.time).sum()
+        self.sum(|_| true, |e| e.time)
     }
 
     /// Total simulated communication time.
     pub fn comm_time(&self) -> f64 {
-        self.rows
-            .iter()
-            .filter(|e| !matches!(e.kind, EventKind::Compute))
-            .map(|e| e.time)
-            .sum()
+        self.sum(|k| k != EventKind::Compute, |e| e.time)
     }
 
     /// Total simulated computation time.
     pub fn compute_time(&self) -> f64 {
-        self.rows
-            .iter()
-            .filter(|e| matches!(e.kind, EventKind::Compute))
-            .map(|e| e.time)
-            .sum()
+        self.sum(|k| k == EventKind::Compute, |e| e.time)
     }
 
     /// Events carrying a given label.
@@ -379,11 +353,9 @@ impl Trace {
         self.events().iter().filter(move |e| e.label == label)
     }
 
-    /// The measured and predicted time of the events from `from` on, read
-    /// from the rows in record order, and with `busy`, each parallel
-    /// compute phase's per-processor times added into it (grown to fit):
-    /// what a solver's predicted clock and a repartitioning window read,
-    /// so that nothing decodes during a solve.
+    /// The measured and predicted time of the events from `from` on, and
+    /// with `busy`, each compute phase's per-processor times added into it
+    /// (grown to fit). Read from the rows: nothing decodes.
     pub fn window(
         &self,
         from: usize,
@@ -401,10 +373,7 @@ impl Trace {
             let (_, op) = self.unpack(at);
             window.measured += op.time;
             window.predicted += op.predict(topology, cost).unwrap_or(op.time);
-            if let Some(busy) = busy
-                .as_deref_mut()
-                .filter(|_| op.kind == EventKind::Compute)
-            {
+            if let (Some(busy), EventKind::Compute) = (busy.as_deref_mut(), op.kind) {
                 for (p, t) in op.times().enumerate() {
                     if p == busy.len() {
                         busy.push(0.0);
@@ -482,9 +451,7 @@ impl Trace {
 }
 
 /// The span paths and labels a trace's rows name, end to end in one
-/// buffer. A path is stored when the span stack has moved since the last
-/// one (see [`crate::span::path_id`]), a label unless it is one of the
-/// last [`LABELS`] stored: no string is hashed.
+/// buffer; a label is looked for among the last [`LABELS`] stored.
 #[derive(Debug, Default, Clone)]
 struct Strings {
     text: String,
@@ -553,12 +520,19 @@ fn parse_event_line(line: &str) -> Result<Event, String> {
     for (key, v) in doc.members().ok_or("expected a JSON object")? {
         let bad = || format!("bad value for '{key}'");
         let count = || v.as_u64().map(|n| n as usize).ok_or_else(bad);
+        // A row holds 32 bits of each; the machine never counts more.
+        let narrow = || {
+            v.as_u64()
+                .filter(|&n| n <= u32::MAX.into())
+                .map(|n| n as usize)
+                .ok_or_else(bad)
+        };
         match key.as_ref() {
             "kind" => {
                 let name = v.as_str().ok_or_else(bad)?;
                 kind = Some(EventKind::from_name(name).ok_or(format!("unknown kind '{name}'"))?);
             }
-            "participants" => ev.participants = count()?,
+            "participants" => ev.participants = narrow()?,
             "words" => ev.words = count()?,
             "flops" => ev.flops = count()?,
             "time" => ev.time = v.as_f64().ok_or_else(bad)?,
@@ -572,7 +546,7 @@ fn parse_event_line(line: &str) -> Result<Event, String> {
                     .collect::<Result<_, _>>()?;
             }
             "payload_words" => ev.payload_words = count()?,
-            "hops" => ev.hops = count()?,
+            "hops" => ev.hops = narrow()?,
             other => return Err(format!("unexpected key '{other}'")),
         }
     }
@@ -581,7 +555,7 @@ fn parse_event_line(line: &str) -> Result<Event, String> {
 }
 
 /// Per-label aggregate over a trace (see [`Trace::summary_by_label`]).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LabelSummary {
     pub label: String,
     /// Number of events with this label.
@@ -592,25 +566,6 @@ pub struct LabelSummary {
     pub flops: usize,
     /// Total simulated time.
     pub time: f64,
-}
-
-impl LabelSummary {
-    fn empty(label: String) -> Self {
-        LabelSummary {
-            label,
-            count: 0,
-            words: 0,
-            flops: 0,
-            time: 0.0,
-        }
-    }
-
-    fn add(&mut self, words: usize, flops: usize, time: f64) {
-        self.count += 1;
-        self.words += words;
-        self.flops += flops;
-        self.time += time;
-    }
 }
 
 /// Totals plus the per-label breakdown of a run: what a
@@ -678,11 +633,7 @@ impl Digest {
             self.comm_time += time;
             self.total_comm_words += words;
         }
-        let level = if kind == EventKind::Redistribute {
-            level()
-        } else {
-            None
-        };
+        let level = (kind == EventKind::Redistribute).then(level).flatten();
         let row = match self
             .by_label
             .iter()
@@ -690,14 +641,20 @@ impl Digest {
         {
             Some(i) => i,
             None => {
-                self.by_label.push(LabelSummary::empty(match level {
+                let label = match level {
                     Some(l) => format!("{label} [level={l}]"),
                     None => label.to_string(),
-                }));
+                };
+                self.by_label.push(LabelSummary {
+                    label,
+                    ..LabelSummary::default()
+                });
                 self.by_label.len() - 1
             }
         };
-        self.by_label[row].add(words, flops, time);
+        let row = &mut self.by_label[row];
+        (row.count, row.words, row.flops) = (row.count + 1, row.words + words, row.flops + flops);
+        row.time += time;
     }
 
     /// Forget everything folded so far (row storage is kept).
@@ -744,19 +701,10 @@ mod tests {
     use super::*;
 
     fn ev(kind: EventKind, words: usize, flops: usize, time: f64, label: &str) -> Event {
-        Event {
-            kind,
-            participants: 4,
-            words,
-            flops,
-            time,
-            start: 0.0,
-            span: String::new(),
-            label: label.to_string(),
-            proc_times: Vec::new(),
-            payload_words: 0,
-            hops: 0,
-        }
+        let mut e = Event::blank();
+        (e.kind, e.participants, e.words, e.flops, e.time) = (kind, 4, words, flops, time);
+        e.label.push_str(label);
+        e
     }
 
     #[test]
@@ -826,21 +774,9 @@ mod tests {
 
     #[test]
     fn every_kind_has_a_name() {
-        for k in [
-            EventKind::Send,
-            EventKind::Broadcast,
-            EventKind::AllGather,
-            EventKind::Reduce,
-            EventKind::AllReduce,
-            EventKind::AllToAll,
-            EventKind::Scatter,
-            EventKind::Gather,
-            EventKind::Compute,
-            EventKind::Redistribute,
-            EventKind::Barrier,
-            EventKind::Fault,
-        ] {
+        for k in EventKind::ALL {
             assert!(!k.name().is_empty());
+            assert_eq!(EventKind::from_name(k.name()), Some(k));
         }
     }
 

@@ -428,8 +428,7 @@ fn reencodes(trace: &hpf_machine::Trace) -> bool {
 /// (every field is drawn from `bits`): times uniform (every entry
 /// `time`), the previous vector again, the previous vector with each
 /// zero's sign flipped (equal as numbers, not as bits), drawn entry by
-/// entry, or none — and, with none, counts too wide for 32 bits now and
-/// then.
+/// entry, or none.
 fn planted(shape: usize, bits: u64, participants: usize, previous: &[f64]) -> Event {
     let pick = |shift: usize| PLANTED[(bits >> shift) as usize % PLANTED.len()];
     let time = pick(0);
@@ -443,11 +442,9 @@ fn planted(shape: usize, bits: u64, participants: usize, previous: &[f64]) -> Ev
         1..=3 => (0..participants).map(|p| pick(3 + 3 * p)).collect(),
         _ => Vec::new(),
     };
-    let wide = shape == 4 && bits & 0x30 == 0x30;
-    let big = |n: u64| if wide { n << 33 } else { n };
     Event {
         kind: EventKind::ALL[(bits >> 40) as usize % EventKind::ALL.len()],
-        participants: big(participants as u64) as usize,
+        participants,
         words: (bits >> 8) as usize,
         flops: (bits >> 20) as usize & 0xffff,
         time,
@@ -462,7 +459,7 @@ fn planted(shape: usize, bits: u64, participants: usize, previous: &[f64]) -> Ev
         label: ["dot-merge", "", "local-matvec", "bcast-p"][(bits >> 58) as usize & 3].to_string(),
         proc_times,
         payload_words: (bits >> 30) as usize & 0xff,
-        hops: big((bits >> 56) & 3) as usize,
+        hops: ((bits >> 56) & 3) as usize,
     }
 }
 
@@ -521,6 +518,35 @@ proptest! {
         prop_assert_eq!(kept, charged);
         prop_assert!(reencodes(full.trace()));
     }
+}
+
+/// A row holds a participant or hop count in 32 bits: a JSON Lines trace
+/// with a wider one is refused as a parse error naming its line, one
+/// that fits reads back to the same bytes, and `Trace::record` asserts it.
+#[test]
+fn a_trace_refuses_counts_wider_than_32_bits() {
+    let line = |participants: u64, hops: u64| {
+        let fields = r#""words":1,"flops":0,"time":1,"start":0,"span":"","label":"m""#;
+        format!("{{\"kind\":\"send\",\"participants\":{participants},{fields},\"hops\":{hops}}}\n")
+    };
+    let most = u64::from(u32::MAX);
+    for (fits, wide, key) in [
+        (line(most, 1), line(most + 1, 1), "participants"),
+        (line(2, most), line(2, most + 1), "hops"),
+    ] {
+        let trace = hpf_machine::Trace::from_jsonl(&fits).unwrap();
+        assert_eq!(trace.to_jsonl(), fits);
+        let err = hpf_machine::Trace::from_jsonl(&(fits + &wide)).unwrap_err();
+        assert_eq!(err.line, 2, "{key}");
+        assert!(err.why.contains(key), "{key}: {}", err.why);
+    }
+    let mut wide = hpf_machine::Trace::from_jsonl(&line(2, 1))
+        .unwrap()
+        .events()[0]
+        .clone();
+    wide.participants = 1 << 32;
+    let recorded = std::panic::catch_unwind(move || hpf_machine::Trace::new().record(wide));
+    assert!(recorded.is_err());
 }
 
 /// Two machines recording in turn on one thread, under different span

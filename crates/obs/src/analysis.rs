@@ -66,25 +66,20 @@ pub fn critical_path(trace: &Trace) -> CriticalPathReport {
             _ => report.comm_seconds += event.time,
         }
     }
-    report.by_span = aggregate(trace, |e| e.span.clone());
+    report.by_span = span_costs(trace);
     report
 }
 
-/// Per-span cost attribution (same aggregation as the critical path's
-/// `by_span`, exposed directly for the `summary`/`csv` report views).
+/// Per-span cost attribution (the critical path's `by_span`, exposed
+/// directly for the `summary`/`csv` report views), by descending cost.
 pub fn span_costs(trace: &Trace) -> Vec<SpanCost> {
-    aggregate(trace, |e| e.span.clone())
-}
-
-fn aggregate(trace: &Trace, key: impl Fn(&hpf_machine::Event) -> String) -> Vec<SpanCost> {
     let mut order: Vec<String> = Vec::new();
     let mut map: HashMap<String, SpanCost> = HashMap::new();
     for event in trace.events() {
-        let k = key(event);
-        let entry = map.entry(k.clone()).or_insert_with(|| {
-            order.push(k.clone());
+        let entry = map.entry(event.span.clone()).or_insert_with(|| {
+            order.push(event.span.clone());
             SpanCost {
-                key: k,
+                key: event.span.clone(),
                 count: 0,
                 seconds: 0.0,
                 words: 0,

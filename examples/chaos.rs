@@ -162,7 +162,7 @@ fn main() {
     std::fs::write(dir.join("metrics.json"), metrics.to_json()).expect("write metrics");
     println!(
         "\nobservability: {} events, {samples} iteration samples, {rollback_marks} rollback marks",
-        m.trace().events().len()
+        m.trace().len()
     );
     println!(
         "  wrote {0}/trace.jsonl, {0}/convergence.csv, {0}/metrics.json",
