@@ -1048,4 +1048,101 @@ mod tests {
             assert!(report.lines().any(|l| l.starts_with(level)), "{report}");
         }
     }
+
+    /// FNV-1a over the bytes, the digest `wire_formats.rs` pins with.
+    fn fnv(text: &str) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for &b in text.as_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        h
+    }
+
+    /// Every text output `trace-report` renders from a trace, pinned by
+    /// length and digest: `summary`, `csv`, `partition` and `flame` of a
+    /// row-wise CG solve, a `REDISTRIBUTE USING` switch and a column-wise
+    /// CG solve on one machine, and `mg` of an MG-PCG solve. A mismatch
+    /// prints the recomputed document.
+    #[test]
+    fn text_outputs_of_traced_solves_are_pinned() {
+        use hpf_core::{ColwiseCsc, DataArrayLayout, RowwiseCsr};
+        use hpf_mg::{pcg_mg_distributed, GridDims, MgHierarchy, MgPreconditioner};
+        use hpf_solvers::StopCriterion;
+        use hpf_solvers::{solve, ColwiseOperator, CscVariant, Krylov, NullObserver};
+        use hpf_sparse::{gen, CscMatrix};
+        let stop = StopCriterion::RelativeResidual(1e-8);
+        let a = gen::poisson_2d(10, 10);
+        let (_, b) = gen::rhs_for_known_solution(&a);
+        let rows = RowwiseCsr::block(a.clone(), 4, DataArrayLayout::RowAligned);
+        let cols = ColwiseOperator {
+            inner: ColwiseCsc::block(CscMatrix::from_csr(&a), 4),
+            variant: CscVariant::Temp2d,
+        };
+        let mut m = traced_machine();
+        let solved = solve(
+            &mut m,
+            &rows,
+            &b,
+            Krylov::cg(),
+            stop,
+            200,
+            &mut NullObserver,
+        );
+        assert!(solved.unwrap().stats.converged);
+        let traffic = vec![
+            vec![0, 25, 0, 0],
+            vec![0, 0, 25, 0],
+            vec![0, 0, 0, 25],
+            vec![25, 0, 0, 0],
+        ];
+        m.exchange(&traffic, "REDISTRIBUTE USING column-blocks");
+        let solved = solve(
+            &mut m,
+            &cols,
+            &b,
+            Krylov::cg(),
+            stop,
+            200,
+            &mut NullObserver,
+        );
+        assert!(solved.unwrap().stats.converged);
+        let (cost, topology) = (CostModel::mpp_1995(), Topology::Hypercube);
+        let partition = render_partition(m.trace(), topology, &cost).unwrap();
+
+        let h = MgHierarchy::build(GridDims::d2(15, 15), 3, 4).unwrap();
+        let (_, b) = gen::rhs_for_known_solution(h.fine_matrix());
+        let pre = MgPreconditioner::new(h);
+        let mut mg = traced_machine();
+        let (_, s) = pcg_mg_distributed(&mut mg, &pre, &b, stop, 200).unwrap();
+        assert!(s.converged);
+
+        let flame = hpf_obs::SpanProfile::from_trace(m.trace()).collapsed();
+        let outputs = [
+            (
+                "summary",
+                render_summary(m.trace()),
+                1214,
+                0x570b8a46dfd3df04,
+            ),
+            ("csv", render_csv(m.trace()), 4500, 0xd3c9f3b39a104442),
+            ("partition", partition, 476, 0xdf1ed7926360024d),
+            (
+                "mg",
+                render_mg(mg.trace()).unwrap(),
+                346,
+                0x570bba4285ee8798,
+            ),
+            ("flame", flame, 399, 0x6c823b408deda9df),
+        ];
+        let moved: Vec<String> = outputs
+            .iter()
+            .filter(|(_, doc, len, digest)| doc.len() != *len || fnv(doc) != *digest)
+            .map(|(what, doc, len, digest)| {
+                let now = format!("({}, {:#018x})", doc.len(), fnv(doc));
+                format!("{what}: recorded ({len}, {digest:#018x}), now {now}:\n{doc}")
+            })
+            .collect();
+        assert!(moved.is_empty(), "{}", moved.join("\n"));
+    }
 }
