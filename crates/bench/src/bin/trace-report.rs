@@ -70,7 +70,7 @@
 //! the exit status and written files matter). Exit status is non-zero
 //! on unreadable input, a failed validation, or a bench regression.
 
-use hpf_machine::{level_of, predicted_time, CostModel, Event, EventKind, Topology, Trace};
+use hpf_machine::{level_of, predicted_time, CostModel, EventKind, Topology, Trace};
 use hpf_obs::{
     critical_path, load_imbalance, render_diff, snapshot_from_json, span_costs, BenchRecord,
     DriftReport, Timeline,
@@ -199,7 +199,7 @@ fn load_trace(args: &Args) -> Trace {
         .unwrap_or_else(|e| fail(&format!("cannot read {}: {e}", path.display())));
     let trace = Trace::from_jsonl(&text)
         .unwrap_or_else(|e| fail(&format!("cannot parse {}: {e}", path.display())));
-    if trace.events().is_empty() {
+    if trace.is_empty() {
         fail(&format!("{} contains no events", path.display()));
     }
     trace
@@ -214,7 +214,7 @@ fn render_summary(trace: &Trace) -> String {
         100.0 * report.compute_seconds / report.total_seconds.max(f64::MIN_POSITIVE),
         100.0 * report.comm_seconds / report.total_seconds.max(f64::MIN_POSITIVE),
         100.0 * report.fault_seconds / report.total_seconds.max(f64::MIN_POSITIVE),
-        trace.events().len(),
+        trace.len(),
     ));
     match load_imbalance(trace) {
         Some(li) => out.push_str(&format!(
@@ -330,7 +330,7 @@ fn render_postmortem(pm: &hpf_obs::PostmortemSummary) -> String {
 /// `hpf_dist::redistribute_using` and the sparse trio directive).
 const REDISTRIBUTE_USING: &str = "REDISTRIBUTE USING ";
 
-/// One contiguous run of trace events executed under a single
+/// One contiguous run of trace rows executed under a single
 /// partitioner's layout, delimited by `REDISTRIBUTE USING <name>`
 /// events. The opening redistribution itself is accounted separately as
 /// the segment's switch cost.
@@ -338,7 +338,7 @@ struct PartitionSegment {
     partitioner: String,
     switch_words: usize,
     switch_seconds: f64,
-    events: Vec<Event>,
+    rows: std::ops::Range<usize>,
 }
 
 fn partition_segments(trace: &Trace) -> Vec<PartitionSegment> {
@@ -346,22 +346,22 @@ fn partition_segments(trace: &Trace) -> Vec<PartitionSegment> {
         partitioner: "(initial)".to_string(),
         switch_words: 0,
         switch_seconds: 0.0,
-        events: Vec::new(),
+        rows: 0..0,
     }];
-    for e in trace.events() {
+    for (at, e) in trace.iter().enumerate() {
         if e.kind == EventKind::Redistribute && e.label.starts_with(REDISTRIBUTE_USING) {
             segments.push(PartitionSegment {
                 partitioner: e.label[REDISTRIBUTE_USING.len()..].to_string(),
                 switch_words: e.words,
                 switch_seconds: e.time,
-                events: Vec::new(),
+                rows: at + 1..at + 1,
             });
         } else if let Some(seg) = segments.last_mut() {
-            seg.events.push(e.clone());
+            seg.rows.end = at + 1;
         }
     }
     // A trace that opens with a redistribution has no pre-layout work.
-    if segments.len() > 1 && segments[0].events.is_empty() {
+    if segments.len() > 1 && segments[0].rows.is_empty() {
         segments.remove(0);
     }
     segments
@@ -372,20 +372,16 @@ fn render_partition(
     topology: Topology,
     cost: &CostModel,
 ) -> Result<String, ReportError> {
-    if !trace
-        .events()
-        .iter()
-        .any(|e| e.kind == EventKind::Redistribute)
-    {
+    if !trace.iter().any(|e| e.kind == EventKind::Redistribute) {
         return Err(ReportError::NoRedistributeEvents {
-            events: trace.events().len(),
+            events: trace.len(),
         });
     }
     let segments = partition_segments(trace);
     let mut out = format!(
         "partition report: {} segment(s) over {} events, priced on {:?}\n",
         segments.len(),
-        trace.events().len(),
+        trace.len(),
         topology,
     );
     out.push_str(&format!(
@@ -400,17 +396,14 @@ fn render_partition(
         "switch-s"
     ));
     for seg in &segments {
-        let comm: Vec<Event> = seg
-            .events
-            .iter()
-            .filter(|e| !matches!(e.kind, EventKind::Compute))
-            .cloned()
-            .collect();
-        let comm_words: usize = comm.iter().map(|e| e.words).sum();
-        let measured: f64 = comm.iter().map(|e| e.time).sum();
-        let modeled: f64 = comm
-            .iter()
-            .map(|e| predicted_time(e, topology, cost).unwrap_or(e.time))
+        let comm = || {
+            let rows = seg.rows.clone().map(|at| trace.row(at));
+            rows.filter(|e| e.kind != EventKind::Compute)
+        };
+        let comm_words: usize = comm().map(|e| e.words).sum();
+        let measured: f64 = comm().map(|e| e.time).sum();
+        let modeled: f64 = comm()
+            .map(|e| predicted_time(&e, topology, cost).unwrap_or(e.time))
             .sum();
         let drift = if modeled > 0.0 {
             100.0 * (measured - modeled) / modeled
@@ -420,7 +413,7 @@ fn render_partition(
         out.push_str(&format!(
             "{:<24} {:>7} {:>12} {:>14.6e} {:>14.6e} {:>+9.1} {:>12} {:>12.6e}\n",
             seg.partitioner,
-            seg.events.len(),
+            seg.rows.len(),
             comm_words,
             measured,
             modeled,
@@ -452,8 +445,8 @@ fn render_mg(trace: &Trace) -> Result<String, ReportError> {
     }
     let mut levels: std::collections::BTreeMap<usize, LevelAgg> = std::collections::BTreeMap::new();
     let mut outside = 0usize;
-    for e in trace.events() {
-        let Some(level) = level_of(&e.span) else {
+    for e in trace.iter() {
+        let Some(level) = level_of(e.span) else {
             outside += 1;
             continue;
         };
@@ -464,22 +457,23 @@ fn render_mg(trace: &Trace) -> Result<String, ReportError> {
             agg.comm_words += e.words;
             agg.comm_seconds += e.time;
         }
-        if agg.busy.len() < e.proc_times.len() {
-            agg.busy.resize(e.proc_times.len(), 0.0);
+        let times = e.times();
+        if agg.busy.len() < times.len() {
+            agg.busy.resize(times.len(), 0.0);
         }
-        for (p, t) in e.proc_times.iter().enumerate() {
+        for (p, t) in times.enumerate() {
             agg.busy[p] += t;
         }
     }
     if levels.is_empty() {
         return Err(ReportError::NoLevelSpans {
-            events: trace.events().len(),
+            events: trace.len(),
         });
     }
     let mut out = format!(
         "multigrid report: {} level(s) over {} events ({} outside level spans)\n",
         levels.len(),
-        trace.events().len(),
+        trace.len(),
         outside,
     );
     out.push_str(&format!(
@@ -776,10 +770,10 @@ mod tests {
         let segs = partition_segments(m.trace());
         assert_eq!(segs.len(), 2);
         assert_eq!(segs[0].partitioner, "(initial)");
-        assert_eq!(segs[0].events.len(), 2);
+        assert_eq!(segs[0].rows, 0..2);
         assert_eq!(segs[1].partitioner, "greedy-hypergraph");
         assert_eq!(segs[1].switch_words, 11);
-        assert_eq!(segs[1].events.len(), 1);
+        assert_eq!(segs[1].rows, 3..4);
     }
 
     #[test]
@@ -801,7 +795,7 @@ mod tests {
         let segs = partition_segments(m.trace());
         assert_eq!(segs.len(), 1);
         assert_eq!(segs[0].partitioner, "(initial)");
-        assert_eq!(segs[0].events.len(), 1);
+        assert_eq!(segs[0].rows, 0..1);
     }
 
     #[test]

@@ -32,7 +32,7 @@ pub mod trace;
 pub use cost::CostModel;
 pub use counter::StripedCounter;
 pub use fault::{Fault, FaultKind, FaultPlan, FaultRates};
-pub use machine::{EventSink, EventTail, Machine, ProcStats, ProgressHook, TraceLevel};
+pub use machine::{EventRef, EventSink, EventTail, Machine, ProcStats, ProgressHook, TraceLevel};
 pub use predict::{cg_iteration_seconds, predicted_time};
 pub use span::{level_of, trace_of, ScopeGuard, Span};
 pub use spmd::{Comm, SpmdRun, SpmdStats, SpmdWorld};

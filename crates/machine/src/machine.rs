@@ -20,11 +20,11 @@ use crate::fault::{
     Fault, FaultInjector, FaultKind, FaultPlan, PendingCorruption, CRASH_RESTART_STARTUPS,
     DROP_RETRANSMIT_STARTUPS,
 };
-use crate::recorder::{Op, Recorder};
+use crate::recorder::Recorder;
 use crate::topology::Topology;
 use crate::trace::{Digest, EventKind, Trace};
 
-pub use crate::recorder::{EventSink, EventTail, TraceLevel};
+pub use crate::recorder::{EventRef, EventSink, EventTail, TraceLevel};
 
 /// Cumulative per-processor statistics.
 #[derive(Debug, Default, Clone, Copy)]
@@ -264,16 +264,14 @@ impl Machine {
         self.hook = Some(hook);
     }
 
-    /// Install a live event sink, fired with every recorded [`Event`]
-    /// even when tracing is off. Survives [`Machine::reset`]; replaced
-    /// by the next call.
-    ///
-    /// [`Event`]: crate::trace::Event
+    /// Install a live event sink, fired with every recorded event even
+    /// when tracing is off. Survives [`Machine::reset`]; replaced by the
+    /// next call.
     pub fn set_event_sink(&mut self, sink: EventSink) {
         self.recorder.sink = Some(sink);
     }
 
-    /// Keep the last `capacity` events (two at least: one slot is what
+    /// Keep the last `capacity` events (two at least: one row is what
     /// every machine has) in [`Machine::tail`] from here on, below
     /// [`TraceLevel::Full`] (at `Full` the trace has them all). The tail
     /// outlives [`Machine::reset`], so it spans the attempts of one job;
@@ -286,7 +284,7 @@ impl Machine {
         &self.recorder.tail
     }
 
-    /// Forget the events in the tail; its slots keep their buffers.
+    /// Forget the events in the tail; its rows keep their capacity.
     pub fn clear_tail(&mut self) {
         self.recorder.tail.clear();
     }
@@ -396,8 +394,13 @@ impl Machine {
                 (0.0, format!("fault:stall:p{proc}:op{op}:ms{millis}"))
             }
         };
-        self.recorder
-            .record(Op::new(EventKind::Fault, self.np, penalty, start, &label));
+        self.recorder.record(EventRef::new(
+            EventKind::Fault,
+            self.np,
+            penalty,
+            start,
+            &label,
+        ));
     }
 
     fn skew_factor(&self, p: usize) -> f64 {
@@ -425,18 +428,18 @@ impl Machine {
         &mut self,
         kind: EventKind,
         words: usize,
-        payload: usize,
+        payload_words: usize,
         flops: usize,
         time: f64,
         label: &str,
     ) -> f64 {
         let start = self.synchronise();
         self.clocks.iter_mut().for_each(|c| *c += time);
-        self.recorder.record(Op {
+        self.recorder.record(EventRef {
             words,
-            payload,
+            payload_words,
             flops,
-            ..Op::new(kind, self.np, time, start, label)
+            ..EventRef::new(kind, self.np, time, start, label)
         });
         time
     }
@@ -499,11 +502,11 @@ impl Machine {
                 same &= t.to_bits() == self.proc_times[0].to_bits();
             }
         }
-        self.recorder.record(Op {
+        self.recorder.record(EventRef {
             flops: total,
             proc_times: &self.proc_times,
             uniform: watching && same && self.proc_times[0].to_bits() == max_t.to_bits(),
-            ..Op::new(EventKind::Compute, self.np, max_t, start, label)
+            ..EventRef::new(EventKind::Compute, self.np, max_t, start, label)
         });
         max_t
     }
@@ -544,11 +547,11 @@ impl Machine {
         let arrive = start + t;
         self.clocks[to] = self.clocks[to].max(arrive);
         self.clocks[from] = arrive; // blocking send
-        self.recorder.record(Op {
+        self.recorder.record(EventRef {
             words,
-            payload: words,
+            payload_words: words,
             hops,
-            ..Op::new(EventKind::Send, self.np, t, start, label)
+            ..EventRef::new(EventKind::Send, self.np, t, start, label)
         });
         t
     }
@@ -678,10 +681,10 @@ impl Machine {
         // Stamped with the *group* size: the cost formulas above were
         // evaluated for `g` processors, and the oracle re-evaluates them
         // from `participants`.
-        self.recorder.record(Op {
+        self.recorder.record(EventRef {
             words: words_each * g * (g - 1),
-            payload: words_each,
-            ..Op::new(kind, g, t, max, label)
+            payload_words: words_each,
+            ..EventRef::new(kind, g, t, max, label)
         });
         t
     }
@@ -968,9 +971,7 @@ mod tests {
             let mut m = Machine::new(4, Topology::Hypercube, unit_cost());
             m.set_trace_level(level);
             m.set_event_sink(EventSink::new(move |e| {
-                // A sink copies what it keeps: below `Full` the event is
-                // a slot of the machine's tail, refilled later.
-                tap.lock().unwrap().push(format!("{e:?}"));
+                tap.lock().unwrap().push(format!("{:?}", e.to_event()));
             }));
             let _s = crate::span::enter("solve");
             m.compute_all(&[5, 10, 5, 5], "local-matvec");
@@ -995,7 +996,7 @@ mod tests {
     #[test]
     fn the_tail_keeps_the_last_events_across_resets_until_cleared() {
         let labels =
-            |m: &Machine| -> Vec<String> { m.tail().iter().map(|e| e.label.clone()).collect() };
+            |m: &Machine| -> Vec<String> { m.tail().iter().map(|e| e.label.to_string()).collect() };
         let mut m = Machine::new(4, Topology::Hypercube, unit_cost());
         m.set_trace_level(TraceLevel::Summary);
         m.keep_tail(3);
@@ -1024,7 +1025,7 @@ mod tests {
         m.set_trace_level(TraceLevel::Full);
         m.barrier("h");
         assert_eq!(labels(&m), ["g"]);
-        let by_hand = EventTail::from(m.trace().events().to_vec());
+        let by_hand = EventTail::from(m.trace().events());
         assert_eq!((by_hand.len(), by_hand.overwritten()), (1, 0));
         assert_eq!(by_hand.iter().next().unwrap().label, "h");
         assert!(EventTail::default().iter().next().is_none());
@@ -1034,6 +1035,8 @@ mod tests {
     fn a_sink_is_lent_the_tail_slot_holding_what_full_would_store() {
         use std::sync::{Arc, Mutex};
         type Seen = Vec<(String, String, Vec<f64>)>;
+        let copy =
+            |e: &EventRef<'_>| (e.span.to_string(), e.label.to_string(), e.times().collect());
         let run = |level: TraceLevel, tail: usize, sampled: bool| -> (Seen, Machine) {
             let seen: Arc<Mutex<Seen>> = Arc::default();
             let tap = seen.clone();
@@ -1042,10 +1045,7 @@ mod tests {
             if tail > 0 {
                 m.keep_tail(tail);
             }
-            let sink = EventSink::new(move |e| {
-                let lent = (e.span.clone(), e.label.clone(), e.proc_times.clone());
-                tap.lock().unwrap().push(lent);
-            });
+            let sink = EventSink::new(move |e| tap.lock().unwrap().push(copy(e)));
             m.set_event_sink(if sampled {
                 sink.with_filter(|_, kind| kind == EventKind::AllGather)
             } else {
@@ -1063,29 +1063,20 @@ mod tests {
             (seen, m)
         };
         let (at_full, full) = run(TraceLevel::Full, 0, false);
-        let stored: Seen = full
-            .trace()
-            .events()
-            .iter()
-            .map(|e| (e.span.clone(), e.label.clone(), e.proc_times.clone()))
-            .collect();
+        let stored: Seen = full.trace().iter().map(|e| copy(&e)).collect();
         assert_eq!(stored.len(), 4);
         assert_eq!(at_full, stored);
-        // A sampling sink is lent what it asked for at `Full` too.
+        // A sampling sink is shown what it asked for at `Full` too.
         assert_eq!(run(TraceLevel::Full, 0, true).0, stored[2..3]);
         for level in [TraceLevel::Off, TraceLevel::Summary] {
             for tail in [0, 2, 64] {
                 let (lent, m) = run(level, tail, false);
                 assert_eq!(lent, stored, "{level:?}, tail {tail}");
                 // The tail holds the same events, whoever else saw them.
-                let kept: Seen = m
-                    .tail()
-                    .iter()
-                    .map(|e| (e.span.clone(), e.label.clone(), e.proc_times.clone()))
-                    .collect();
+                let kept: Seen = m.tail().iter().map(|e| copy(&e)).collect();
                 let expected = &stored[stored.len() - tail.clamp(1, 4)..];
                 assert_eq!(kept, expected, "{level:?}, tail {tail}");
-                // A sampling sink is lent what it asked for, no more; a
+                // A sampling sink is shown what it asked for, no more; a
                 // kept tail keeps every event all the same.
                 let (lent, m) = run(level, tail, true);
                 assert_eq!(lent, stored[2..3], "{level:?}, tail {tail}");
@@ -1178,7 +1169,7 @@ mod tests {
         let tg = m.gather_varying(0, &[6, 4, 0, 0], "mg-coarse-gather");
         // log2(4)=2 start-ups + 4 words (root's own 6 move nothing).
         assert_eq!(tg, 2.0 + 0.5 * 4.0);
-        let ev = m.trace().events().last().unwrap();
+        let ev = m.trace().iter().last().unwrap();
         assert_eq!(ev.kind, EventKind::Gather);
         assert_eq!(ev.words, 4);
         assert_eq!(ev.payload_words, 4, "payload is the total transferred");
@@ -1186,7 +1177,7 @@ mod tests {
 
         let ts = m.scatter_varying(0, &[6, 4, 0, 0], "mg-coarse-scatter");
         assert_eq!(ts, 2.0 + 0.5 * 4.0);
-        let ev = m.trace().events().last().unwrap();
+        let ev = m.trace().iter().last().unwrap();
         assert_eq!(ev.payload_words, 4);
         assert_eq!(m.stats(0).words_sent, 4);
     }
@@ -1195,7 +1186,7 @@ mod tests {
     fn uniform_gather_payload_is_total_volume() {
         let mut m = Machine::new(8, Topology::Hypercube, unit_cost());
         m.gather(0, 10, "g");
-        let ev = m.trace().events().last().unwrap();
+        let ev = m.trace().iter().last().unwrap();
         assert_eq!(ev.payload_words, 70, "(np-1) * words_each");
         assert_eq!(ev.words, 70);
     }
@@ -1382,7 +1373,7 @@ mod tests {
         let mut m = Machine::hypercube(4);
         m.set_tracing(false);
         m.set_event_sink(EventSink::new(move |e| {
-            tap.lock().unwrap().push((e.kind, e.span.clone()));
+            tap.lock().unwrap().push((e.kind, e.span.to_string()));
         }));
         let _g = crate::span::enter("solve");
         m.compute_uniform(8, "local");

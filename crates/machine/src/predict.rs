@@ -6,7 +6,7 @@
 //! penalties, straggler skew, and load imbalance, none of which the
 //! formulas know about. [`predicted_time`] re-evaluates the clean closed
 //! form for one event from the metadata stamped on it
-//! ([`Event::payload_words`], [`Event::participants`], [`Event::hops`]),
+//! ([`EventRef::payload_words`], [`EventRef::participants`], [`EventRef::hops`]),
 //! so an observer can compare *predicted* against *measured* time and
 //! attribute the drift. This module lives in `hpf-machine` because only
 //! the machine knows its own recording conventions (e.g. that
@@ -14,9 +14,9 @@
 //! aggregate-volume `words` of `w·p·(p-1)`).
 
 use crate::cost::CostModel;
-use crate::recorder::Op;
+use crate::recorder::EventRef;
 use crate::topology::Topology;
-use crate::trace::{Event, EventKind};
+use crate::trace::EventKind;
 
 /// The closed-form time the cost model predicts for `event`, or `None`
 /// when no analytic prediction exists:
@@ -27,53 +27,45 @@ use crate::trace::{Event, EventKind};
 /// * data-moving events whose `payload_words` is 0 while `words` is not —
 ///   traces written before the metadata existed.
 ///
-/// For parallel [`EventKind::Compute`] phases (non-empty `proc_times`)
+/// For parallel [`EventKind::Compute`] phases (per-processor times)
 /// the prediction is the *balanced* time `t_flop · flops / p`: measured
 /// minus predicted is then exactly the load-imbalance penalty, the
 /// quantity Section 5.2 of the paper reasons about. Serial compute
-/// phases (empty `proc_times`) are predicted at their full `t_flop ·
+/// phases (none) are predicted at their full `t_flop ·
 /// flops`.
-pub fn predicted_time(event: &Event, topology: Topology, cost: &CostModel) -> Option<f64> {
-    Op::from(event).predict(topology, cost)
-}
-
-impl Op<'_> {
-    /// [`predicted_time`] of the operation, however it is held: an event
-    /// or a stored trace row.
-    pub(crate) fn predict(&self, topology: Topology, cost: &CostModel) -> Option<f64> {
-        let p = self.participants;
-        let w = self.payload;
-        match self.kind {
-            EventKind::Compute => {
-                let flops = self.flops as f64;
-                if self.uniform || !self.proc_times.is_empty() {
-                    Some(cost.t_flop * flops / p.max(1) as f64)
-                } else {
-                    Some(cost.t_flop * flops)
-                }
+pub fn predicted_time(event: &EventRef<'_>, topology: Topology, cost: &CostModel) -> Option<f64> {
+    let p = event.participants;
+    let w = event.payload_words;
+    match event.kind {
+        EventKind::Compute => {
+            let flops = event.flops as f64;
+            if event.uniform || !event.proc_times.is_empty() {
+                Some(cost.t_flop * flops / p.max(1) as f64)
+            } else {
+                Some(cost.t_flop * flops)
             }
-            EventKind::Barrier => Some(topology.allreduce_time(p, 0, cost)),
-            EventKind::Redistribute | EventKind::Fault => None,
-            _ if self.words > 0 && w == 0 => None, // pre-metadata trace
-            EventKind::Send => Some(cost.message(w, self.hops)),
-            EventKind::Broadcast => Some(topology.broadcast_time(p, w, cost)),
-            EventKind::AllGather => Some(topology.allgather_time(p, w, cost)),
-            EventKind::AllReduce => Some(topology.allreduce_time(p, w, cost)),
-            EventKind::AllToAll => Some(topology.alltoall_time(p, w, cost)),
-            EventKind::Reduce => {
-                // Reduce and reduce-scatter share a kind; the aggregate
-                // volume separates them (w·(p-1) vs w·p·(p-1)).
-                if self.words == w * p * p.saturating_sub(1) && p > 1 {
-                    Some(topology.reduce_scatter_time(p, w, cost))
-                } else {
-                    Some(topology.reduce_time(p, w, cost))
-                }
-            }
-            // The emitting site stamps `payload_words` with the *total* words
-            // funnelled through the root, so unequal per-processor block
-            // sizes (multigrid coarse levels) are priced from what moved.
-            EventKind::Gather | EventKind::Scatter => Some(topology.gather_time(p, w, cost)),
         }
+        EventKind::Barrier => Some(topology.allreduce_time(p, 0, cost)),
+        EventKind::Redistribute | EventKind::Fault => None,
+        _ if event.words > 0 && w == 0 => None, // pre-metadata trace
+        EventKind::Send => Some(cost.message(w, event.hops)),
+        EventKind::Broadcast => Some(topology.broadcast_time(p, w, cost)),
+        EventKind::AllGather => Some(topology.allgather_time(p, w, cost)),
+        EventKind::AllReduce => Some(topology.allreduce_time(p, w, cost)),
+        EventKind::AllToAll => Some(topology.alltoall_time(p, w, cost)),
+        EventKind::Reduce => {
+            // Reduce and reduce-scatter share a kind; the aggregate
+            // volume separates them (w·(p-1) vs w·p·(p-1)).
+            if event.words == w * p * p.saturating_sub(1) && p > 1 {
+                Some(topology.reduce_scatter_time(p, w, cost))
+            } else {
+                Some(topology.reduce_time(p, w, cost))
+            }
+        }
+        // The emitting site stamps `payload_words` with the *total* words
+        // funnelled through the root, so unequal per-processor block
+        // sizes (multigrid coarse levels) are priced from what moved.
+        EventKind::Gather | EventKind::Scatter => Some(topology.gather_time(p, w, cost)),
     }
 }
 
@@ -144,8 +136,8 @@ mod tests {
             let mut m = Machine::new(4, topology, CostModel::mpp_1995());
             drive(&mut m);
             assert!(!m.trace().is_empty());
-            for e in m.trace().events() {
-                let predicted = predicted_time(e, topology, m.cost_model())
+            for e in m.trace().iter() {
+                let predicted = predicted_time(&e, topology, m.cost_model())
                     .unwrap_or_else(|| panic!("no prediction for {:?} '{}'", e.kind, e.label));
                 assert!(
                     (predicted - e.time).abs() <= 1e-12 * e.time.max(1.0),
@@ -162,8 +154,8 @@ mod tests {
     fn imbalanced_compute_predicts_the_balanced_time() {
         let mut m = Machine::new(4, Topology::Hypercube, CostModel::mpp_1995());
         m.compute_all(&[1000, 0, 0, 0], "skewed");
-        let e = &m.trace().events()[0];
-        let predicted = predicted_time(e, Topology::Hypercube, m.cost_model()).unwrap();
+        let e = m.trace().row(0);
+        let predicted = predicted_time(&e, Topology::Hypercube, m.cost_model()).unwrap();
         // Balanced prediction: 1000 flops / 4 procs; measured is the
         // slowest processor's full 1000.
         assert!((predicted - m.cost_model().flops(250)).abs() < 1e-15);
@@ -180,9 +172,9 @@ mod tests {
             machine.allreduce(1, "dot");
             machine.compute_uniform(500, "work"); // op 2: skewed on m
         }
-        let skewed = m.trace().events().last().unwrap();
-        let predicted = predicted_time(skewed, Topology::Hypercube, m.cost_model()).unwrap();
-        let clean_t = clean.trace().events().last().unwrap().time;
+        let skewed = m.trace().iter().last().unwrap();
+        let predicted = predicted_time(&skewed, Topology::Hypercube, m.cost_model()).unwrap();
+        let clean_t = clean.trace().iter().last().unwrap().time;
         assert!(
             (predicted - clean_t).abs() < 1e-15,
             "prediction stays clean"
@@ -197,20 +189,11 @@ mod tests {
         m.allreduce(1, "dot");
         let mat = vec![vec![0, 9, 0, 0], vec![0; 4], vec![0; 4], vec![0; 4]];
         m.exchange(&mat, "redist");
-        let fault = m
-            .trace()
-            .events()
-            .iter()
-            .find(|e| e.kind == EventKind::Fault)
-            .unwrap();
-        let redist = m
-            .trace()
-            .events()
-            .iter()
-            .find(|e| e.kind == EventKind::Redistribute)
-            .unwrap();
-        assert!(predicted_time(fault, Topology::Hypercube, m.cost_model()).is_none());
-        assert!(predicted_time(redist, Topology::Hypercube, m.cost_model()).is_none());
+        let mut events = m.trace().iter();
+        let fault = events.find(|e| e.kind == EventKind::Fault).unwrap();
+        let redist = events.find(|e| e.kind == EventKind::Redistribute).unwrap();
+        assert!(predicted_time(&fault, Topology::Hypercube, m.cost_model()).is_none());
+        assert!(predicted_time(&redist, Topology::Hypercube, m.cost_model()).is_none());
         // The lenient total counts both at their measured time.
         let window = m
             .trace()
@@ -247,12 +230,9 @@ mod tests {
 
     #[test]
     fn pre_metadata_events_are_not_predicted() {
-        let mut e = Event {
-            kind: EventKind::AllGather,
-            participants: 8,
+        let mut e = EventRef {
             words: 800,
-            time: 1.0,
-            ..Event::blank()
+            ..EventRef::new(EventKind::AllGather, 8, 1.0, 0.0, "")
         };
         let c = CostModel::mpp_1995();
         assert!(predicted_time(&e, Topology::Hypercube, &c).is_none());

@@ -1,5 +1,5 @@
 //! What a [`crate::Machine`] keeps of what it does: it charges an
-//! operation (clocks, counters) and hands it, as one [`Op`], to its
+//! operation (clocks, counters) and hands it, as one [`EventRef`], to its
 //! [`Recorder`], whose [`Recorder::record`] is the one way anything is
 //! kept — digest, trace, tail, sink.
 
@@ -23,38 +23,38 @@ pub enum TraceLevel {
 /// Callback fired with every event the machine records, *as it happens*,
 /// independent of the [`TraceLevel`].
 ///
-/// The event a sink is handed is lent — a scratch event at
-/// [`TraceLevel::Full`], a slot of the [`EventTail`] below it — and refilled
-/// by a later operation: **a sink must copy what it keeps**.
+/// A sink is handed a borrowed [`EventRef`] for the duration of the
+/// call: at [`TraceLevel::Full`] the view of the trace row just stored,
+/// below it the view of the [`EventTail`]'s newest row.
 ///
 /// This is the live-telemetry tap: where [`crate::ProgressHook`] is a
-/// heartbeat (an opaque operation counter), the sink sees the full
-/// [`Event`] — kind, span path, cost — so an external bus can stream
+/// heartbeat (an opaque operation counter), the sink sees the whole
+/// event — kind, span path, cost — so an external bus can stream
 /// sampled events out mid-solve instead of waiting for the trace dump at
 /// completion. The sink runs on the recording path; implementations
 /// should decide quickly (a hash test and a queue push, no I/O).
 ///
 /// A sink may additionally carry a *pre-filter* ([`EventSink::with_filter`]):
 /// a `(trace_id, kind) -> keep?` predicate the machine consults once per
-/// operation, at every level, *before* anything is filled in for the
+/// operation, at every level, *before* anything is stored for the
 /// sink. That is what makes per-job head sampling cheap — a sampled-out
 /// job's operations cost one thread-local read and a hash each — and
 /// why a sink's body need not sample again.
 #[derive(Clone)]
 pub struct EventSink {
-    emit: std::sync::Arc<dyn Fn(&Event) + Send + Sync>,
+    emit: std::sync::Arc<dyn Fn(&EventRef<'_>) + Send + Sync>,
     filter: Option<std::sync::Arc<dyn Fn(u64, EventKind) -> bool + Send + Sync>>,
 }
 
 impl EventSink {
-    pub fn new(f: impl Fn(&Event) + Send + Sync + 'static) -> Self {
+    pub fn new(f: impl Fn(&EventRef<'_>) + Send + Sync + 'static) -> Self {
         EventSink {
             emit: std::sync::Arc::new(f),
             filter: None,
         }
     }
 
-    /// Attach the head-sampling pre-filter: the sink is lent only the
+    /// Attach the head-sampling pre-filter: the sink is handed only the
     /// events it returns `true` for, at every [`TraceLevel`].
     pub fn with_filter(
         mut self,
@@ -62,11 +62,6 @@ impl EventSink {
     ) -> Self {
         self.filter = Some(std::sync::Arc::new(f));
         self
-    }
-
-    /// Offer a built event to the sink.
-    pub fn emit(&self, event: &Event) {
-        (self.emit)(event);
     }
 
     /// Would the sink keep an event of `kind` for the calling thread's
@@ -85,18 +80,19 @@ impl std::fmt::Debug for EventSink {
     }
 }
 
-/// The last events a [`crate::Machine`] filled in below
-/// [`TraceLevel::Full`]: a ring of slots refilled where they sit, so a
-/// slot keeps the capacity its `span`, `label` and `proc_times` have
-/// grown to and a warm ring takes an event without allocating. Every
-/// machine has one slot, the event it lends its sink below `Full`;
+/// The last events a [`crate::Machine`] recorded below
+/// [`TraceLevel::Full`], as rows of two [`Trace`]s written in turn: once
+/// the newer holds `capacity` rows the older is cleared and written next,
+/// so a warm tail stores an event without allocating. Every machine has
+/// a tail of one, the row its sink is shown below `Full`;
 /// [`crate::Machine::keep_tail`] gives it more, and then every event is
 /// kept whatever a sink's pre-filter says.
 #[derive(Debug, Clone, Default)]
 pub struct EventTail {
-    slots: Vec<Event>,
-    /// The slot the next event is written to: the oldest once full.
-    next: usize,
+    rows: [Trace; 2],
+    /// Which of `rows` is written to.
+    newer: usize,
+    capacity: usize,
     /// Events written since the tail was last cleared.
     written: u64,
 }
@@ -104,30 +100,34 @@ pub struct EventTail {
 impl EventTail {
     pub(crate) fn with_capacity(capacity: usize) -> Self {
         EventTail {
-            slots: vec![Event::blank(); capacity],
+            capacity,
             ..EventTail::default()
         }
     }
 
-    /// The slot the next event goes to, counted as written.
-    fn claim_slot(&mut self) -> &mut Event {
-        let at = self.next;
-        self.next = if at + 1 == self.slots.len() {
-            0
-        } else {
-            at + 1
-        };
-        self.written += 1;
-        &mut self.slots[at]
+    /// Does the tail keep more than the row a sink is shown?
+    pub(crate) fn keeps_history(&self) -> bool {
+        self.capacity > 1
     }
 
-    /// Forget the events held; the slots keep their buffers.
+    /// The rows the next event is written to, counted as written.
+    fn next_rows(&mut self) -> &mut Trace {
+        if self.rows[self.newer].len() == self.capacity {
+            self.newer ^= 1;
+            self.rows[self.newer].clear();
+        }
+        self.written += 1;
+        &mut self.rows[self.newer]
+    }
+
+    /// Forget the events held; the rows keep their capacity.
     pub(crate) fn clear(&mut self) {
-        (self.next, self.written) = (0, 0);
+        self.rows.iter_mut().for_each(Trace::clear);
+        (self.newer, self.written) = (0, 0);
     }
 
     pub fn len(&self) -> usize {
-        self.slots.len().min(self.written as usize)
+        self.capacity.min(self.written as usize)
     }
 
     pub fn is_empty(&self) -> bool {
@@ -141,105 +141,123 @@ impl EventTail {
     }
 
     /// The events held, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &Event> {
-        // Until the ring wraps `next` is its length: nothing is older.
-        let (newer, older) = self.slots[..self.len()].split_at(self.next);
-        older.iter().chain(newer)
+    pub fn iter(&self) -> impl Iterator<Item = EventRef<'_>> {
+        let (older, newer) = (&self.rows[self.newer ^ 1], &self.rows[self.newer]);
+        let from = older.len() + newer.len() - self.len();
+        (from..older.len())
+            .map(|at| older.row(at))
+            .chain(newer.iter())
     }
 }
 
 /// A full tail of exactly these events, oldest first: evidence put
 /// together by hand, where no machine ran.
 impl From<Vec<Event>> for EventTail {
-    fn from(slots: Vec<Event>) -> Self {
-        EventTail {
-            written: slots.len() as u64,
-            next: 0,
-            slots,
+    fn from(events: Vec<Event>) -> Self {
+        let mut tail = EventTail::with_capacity(events.len());
+        for event in events {
+            tail.next_rows().record(event);
         }
+        tail
     }
 }
 
-/// One machine operation as its [`Event`] describes it (`payload` is
-/// [`Event::payload_words`]), borrowed. `uniform`: one time per
-/// participant, each the bits of `time`, whether `proc_times` holds them
-/// or not; otherwise empty `proc_times` means none.
-pub(crate) struct Op<'a> {
-    pub(crate) kind: EventKind,
-    pub(crate) participants: usize,
-    pub(crate) words: usize,
-    pub(crate) payload: usize,
-    pub(crate) hops: usize,
-    pub(crate) flops: usize,
-    pub(crate) time: f64,
-    pub(crate) start: f64,
-    pub(crate) label: &'a str,
-    pub(crate) proc_times: &'a [f64],
-    pub(crate) uniform: bool,
+/// One machine operation, borrowed: what an operation hands
+/// [`Recorder::record`], what a sink is shown, and what [`Trace::iter`]
+/// yields of each stored row. [`Event`] is its owned form.
+///
+/// The per-processor times are [`EventRef::times`]: with `uniform`, one
+/// per participant, each the bits of `time`, whether `proc_times` holds
+/// them or not; otherwise `proc_times`, empty meaning none.
+#[derive(Debug, Clone, Copy)]
+pub struct EventRef<'a> {
+    pub kind: EventKind,
+    pub participants: usize,
+    pub words: usize,
+    pub flops: usize,
+    pub time: f64,
+    pub start: f64,
+    /// The span path; empty on the way into the recorder, which stores
+    /// the calling thread's.
+    pub span: &'a str,
+    pub label: &'a str,
+    pub proc_times: &'a [f64],
+    pub uniform: bool,
+    pub payload_words: usize,
+    pub hops: usize,
 }
 
-impl<'a> Op<'a> {
+impl<'a> EventRef<'a> {
     /// An operation that moves and computes nothing: what every
     /// operation states, the rest filled in by struct update.
-    pub(crate) fn new(
+    pub fn new(
         kind: EventKind,
         participants: usize,
         time: f64,
         start: f64,
         label: &'a str,
     ) -> Self {
-        Op {
+        EventRef {
             kind,
             participants,
             words: 0,
-            payload: 0,
-            hops: 0,
             flops: 0,
             time,
             start,
+            span: "",
             label,
             proc_times: &[],
             uniform: false,
+            payload_words: 0,
+            hops: 0,
         }
     }
 
     /// The per-processor times, as [`Event::proc_times`] lists them.
-    pub(crate) fn times(&self) -> impl Iterator<Item = f64> + '_ {
-        let copies = self.participants * usize::from(self.uniform && self.proc_times.is_empty());
-        std::iter::repeat_n(self.time, copies).chain(self.proc_times.iter().copied())
+    pub fn times(&self) -> impl ExactSizeIterator<Item = f64> + 'a {
+        let (time, times) = (self.time, self.proc_times);
+        let copies = self.uniform && times.is_empty();
+        let len = if copies {
+            self.participants
+        } else {
+            times.len()
+        };
+        (0..len).map(move |p| if copies { time } else { times[p] })
     }
 
-    /// Fill `event` in where it sits, all but its span path.
-    pub(crate) fn write_to(&self, event: &mut Event) {
-        event.kind = self.kind;
-        event.participants = self.participants;
-        event.words = self.words;
-        event.flops = self.flops;
-        event.time = self.time;
-        event.start = self.start;
-        event.label.clear();
-        event.label.push_str(self.label);
-        event.proc_times.clear();
-        event.proc_times.extend(self.times());
-        event.payload_words = self.payload;
-        event.hops = self.hops;
+    /// The owned event.
+    pub fn to_event(&self) -> Event {
+        Event {
+            kind: self.kind,
+            participants: self.participants,
+            words: self.words,
+            flops: self.flops,
+            time: self.time,
+            start: self.start,
+            span: self.span.to_string(),
+            label: self.label.to_string(),
+            proc_times: self.times().collect(),
+            payload_words: self.payload_words,
+            hops: self.hops,
+        }
     }
 }
 
-impl<'a> From<&'a Event> for Op<'a> {
+impl<'a> From<&'a Event> for EventRef<'a> {
     fn from(e: &'a Event) -> Self {
-        Op {
+        EventRef {
             kind: e.kind,
             participants: e.participants,
             words: e.words,
-            payload: e.payload_words,
-            hops: e.hops,
             flops: e.flops,
             time: e.time,
             start: e.start,
+            span: &e.span,
             label: &e.label,
             proc_times: &e.proc_times,
             uniform: false,
+            payload_words: e.payload_words,
+            hops: e.hops,
         }
     }
 }
@@ -252,13 +270,11 @@ pub(crate) struct Recorder {
     /// Running aggregate, kept at [`TraceLevel::Summary`].
     pub(crate) digest: Digest,
     /// Where a wanted event is written below [`TraceLevel::Full`]: one
-    /// slot by default, the event lent to the sink; more once
+    /// row by default, the one a sink is shown; more once
     /// [`crate::Machine::keep_tail`] asked for them.
     pub(crate) tail: EventTail,
     /// Live event tap, independent of `level`.
     pub(crate) sink: Option<EventSink>,
-    /// What the sink is lent at [`TraceLevel::Full`], refilled in place.
-    lent: Event,
 }
 
 impl Recorder {
@@ -270,7 +286,6 @@ impl Recorder {
             digest: Digest::default(),
             tail: EventTail::with_capacity(1),
             sink: None,
-            lent: Event::blank(),
         }
     }
 
@@ -278,42 +293,38 @@ impl Recorder {
     /// is looking at, where recording an operation costs this test.
     #[inline]
     pub(crate) fn is_watching(&self) -> bool {
-        self.level != TraceLevel::Off || self.sink.is_some() || self.tail.slots.len() > 1
+        self.level != TraceLevel::Off || self.sink.is_some() || self.tail.keeps_history()
     }
 
     /// The one way an operation is recorded. The work is kept out of
     /// line so that the operations' own loops stay small.
     #[inline]
-    pub(crate) fn record(&mut self, op: Op<'_>) {
+    pub(crate) fn record(&mut self, op: EventRef<'_>) {
         if self.is_watching() {
             self.keep(op);
         }
     }
 
-    /// At `Summary`, fold the operation into the digest; at `Full`, store
-    /// it in the trace. Ask the sink's pre-filter once, and fill in for a
-    /// wanting sink (or a kept tail below `Full`) the event it is lent.
+    /// At `Summary`, fold the operation into the digest. Ask the sink's
+    /// pre-filter once; store the operation as a row of the trace at
+    /// `Full`, of the tail below it for a wanting sink or a kept tail,
+    /// and show a wanting sink that row.
     #[inline(never)]
-    fn keep(&mut self, op: Op<'_>) {
+    fn keep(&mut self, op: EventRef<'_>) {
         if self.level == TraceLevel::Summary {
             self.digest.fold(&op, crate::span::current_level);
         }
         let sink = self.sink.as_ref().filter(|sink| sink.wants(op.kind));
-        let event = if self.level == TraceLevel::Full {
-            self.trace.keep(&op);
-            match sink {
-                Some(_) => &mut self.lent,
-                None => return,
-            }
-        } else if sink.is_some() || self.tail.slots.len() > 1 {
-            self.tail.claim_slot()
+        let rows = if self.level == TraceLevel::Full {
+            &mut self.trace
+        } else if sink.is_some() || self.tail.keeps_history() {
+            self.tail.next_rows()
         } else {
             return;
         };
-        op.write_to(event);
-        crate::span::write_current_path(&mut event.span);
+        rows.keep(&op);
         if let Some(sink) = sink {
-            sink.emit(event);
+            (sink.emit)(&rows.row(rows.len() - 1));
         }
     }
 }

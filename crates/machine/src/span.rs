@@ -14,8 +14,8 @@
 //! synchronisation. It is kept *as* the joined path: entering a span
 //! appends its segment to one per-thread buffer and leaving truncates
 //! it, so neither allocates once the buffer has grown to the deepest
-//! path, and asking for the path ([`current_path`],
-//! [`write_current_path`]) is one copy, however deep the stack.
+//! path, and asking for the path ([`current_path`]) is one copy, however
+//! deep the stack.
 //!
 //! ```
 //! use hpf_machine::span;
@@ -158,14 +158,6 @@ pub fn enter_iter(k: usize) -> ScopeGuard {
 /// is active. This is the string stamped on every traced [`crate::Event`].
 pub fn current_path() -> String {
     STACK.with(|s| s.borrow().path.clone())
-}
-
-/// [`current_path`] copied into a caller-owned buffer (cleared first).
-/// A buffer that has held a path this long before is refilled without
-/// allocating — how the machine refills the event it lends a sink.
-pub fn write_current_path(out: &mut String) {
-    out.clear();
-    STACK.with(|s| out.push_str(&s.borrow().path));
 }
 
 /// The id `intern` gives the current path, asked only when this thread's
@@ -324,9 +316,6 @@ mod tests {
 
     #[test]
     fn in_place_readers_agree_with_the_joined_path() {
-        let mut buf = String::from("stale contents");
-        write_current_path(&mut buf);
-        assert_eq!(buf, "");
         assert_eq!(current_level(), None);
         let _v = enter("vcycle");
         let _bad = enter("level=fine");
@@ -334,15 +323,9 @@ mod tests {
         let _i = enter_iter(7);
         let _l = enter("level=2");
         let _inner = enter("level=3");
-        write_current_path(&mut buf);
-        assert_eq!(buf, current_path());
-        assert_eq!(buf, "vcycle/level=fine/iter=7/level=2/level=3");
+        assert_eq!(current_path(), "vcycle/level=fine/iter=7/level=2/level=3");
         assert_eq!(current_level(), Some(2));
-        assert_eq!(current_level(), level_of(&buf));
-        // A warm buffer is refilled where it sits.
-        let before = (buf.as_ptr(), buf.capacity());
-        write_current_path(&mut buf);
-        assert_eq!((buf.as_ptr(), buf.capacity()), before);
+        assert_eq!(current_level(), level_of(&current_path()));
     }
 
     #[test]

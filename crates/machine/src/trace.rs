@@ -7,7 +7,7 @@
 //! about in Section 4.
 
 use crate::cost::CostModel;
-use crate::recorder::Op;
+use crate::recorder::EventRef;
 use crate::topology::Topology;
 use hpf_json::Obj;
 
@@ -126,8 +126,7 @@ pub struct Event {
 }
 
 impl Event {
-    /// An event with nothing in it: what a slot of the machine's tail, or
-    /// a new entry of its trace, holds before the recorder fills it.
+    /// An event with nothing in it: what the JSON Lines reader fills in.
     pub(crate) fn blank() -> Event {
         Event {
             kind: EventKind::Compute,
@@ -146,8 +145,8 @@ impl Event {
 }
 
 /// Append-only event log with summary accessors: one compact row an
-/// operation (DESIGN §15), decoded into [`Event`]s only by
-/// [`Trace::events`], into a cache the next [`Trace::record`] drops.
+/// operation (DESIGN §15), read as borrowed [`EventRef`]s through
+/// [`Trace::iter`].
 #[derive(Debug, Default, Clone)]
 pub struct Trace {
     rows: Vec<Row>,
@@ -157,7 +156,6 @@ pub struct Trace {
     times: Vec<f64>,
     /// See [`crate::span::path_id`].
     span_cache: Option<(crate::span::PathKey, u32)>,
-    decoded: std::sync::OnceLock<Vec<Event>>,
 }
 
 /// One stored operation.
@@ -201,7 +199,7 @@ impl Trace {
             Some(last) if self.strings.get(last.span) == ev.span => last.span,
             _ => self.strings.push(&ev.span),
         };
-        let mut op = Op::from(&ev);
+        let mut op = EventRef::from(&ev);
         let time = ev.time.to_bits();
         op.uniform = !ev.proc_times.is_empty()
             && ev.proc_times.len() == ev.participants
@@ -210,13 +208,13 @@ impl Trace {
     }
 
     /// Store an operation under the calling thread's span path.
-    pub(crate) fn keep(&mut self, op: &Op<'_>) {
+    pub(crate) fn keep(&mut self, op: &EventRef<'_>) {
         let strings = &mut self.strings;
         let span = crate::span::path_id(&mut self.span_cache, |path| strings.push(path));
         self.push(span, op);
     }
 
-    fn push(&mut self, span: u32, op: &Op<'_>) {
+    fn push(&mut self, span: u32, op: &EventRef<'_>) {
         let times = match (op.uniform, op.proc_times.is_empty()) {
             (true, _) => UNIFORM,
             (false, true) => NO_TIMES,
@@ -228,14 +226,13 @@ impl Trace {
             start: op.start,
             words: op.words,
             flops: op.flops,
-            payload_words: op.payload,
+            payload_words: op.payload_words,
             participants: u32::try_from(op.participants).expect("a 32-bit count"),
             hops: u32::try_from(op.hops).expect("a 32-bit count"),
             span,
             label: self.strings.label(op.label),
             times,
         });
-        self.decoded.take();
     }
 
     /// The range holding `times`: the last one again if it holds the same
@@ -255,8 +252,8 @@ impl Trace {
             .expect("fewer per-processor vectors in one trace than u32 ids")
     }
 
-    /// Row `at` as the operation it stored, and its span path.
-    fn unpack(&self, at: usize) -> (&str, Op<'_>) {
+    /// The event row `at` stores. Panics when `at` is past the end.
+    pub fn row(&self, at: usize) -> EventRef<'_> {
         let row = &self.rows[at];
         let proc_times = match row.times {
             NO_TIMES | UNIFORM => &[][..],
@@ -265,34 +262,31 @@ impl Trace {
                 &self.times[start..start + len]
             }
         };
-        let op = Op {
+        EventRef {
             kind: row.kind,
             participants: row.participants as usize,
             words: row.words,
-            payload: row.payload_words,
-            hops: row.hops as usize,
             flops: row.flops,
             time: row.time,
             start: row.start,
+            span: self.strings.get(row.span),
             label: self.strings.get(row.label),
             proc_times,
             uniform: row.times == UNIFORM,
-        };
-        (self.strings.get(row.span), op)
+            payload_words: row.payload_words,
+            hops: row.hops as usize,
+        }
     }
 
-    /// The events, decoded on the first call after a [`Trace::record`].
-    pub fn events(&self) -> &[Event] {
-        self.decoded.get_or_init(|| {
-            let decode = |at| {
-                let (span, op) = self.unpack(at);
-                let mut event = Event::blank();
-                op.write_to(&mut event);
-                event.span.push_str(span);
-                event
-            };
-            (0..self.rows.len()).map(decode).collect()
-        })
+    /// The events, in record order.
+    pub fn iter(&self) -> impl Iterator<Item = EventRef<'_>> {
+        (0..self.rows.len()).map(|at| self.row(at))
+    }
+
+    /// The events as owned [`Event`]s, decoded on each call: for tests
+    /// and evidence built by hand; a reader walks [`Trace::iter`].
+    pub fn events(&self) -> Vec<Event> {
+        self.iter().map(|e| e.to_event()).collect()
     }
 
     /// Forget every event; the tables keep their capacity.
@@ -302,7 +296,6 @@ impl Trace {
         self.ranges.clear();
         self.times.clear();
         self.span_cache = None;
-        self.decoded.take();
     }
 
     pub fn len(&self) -> usize {
@@ -349,8 +342,8 @@ impl Trace {
     }
 
     /// Events carrying a given label.
-    pub fn with_label<'a>(&'a self, label: &'a str) -> impl Iterator<Item = &'a Event> + 'a {
-        self.events().iter().filter(move |e| e.label == label)
+    pub fn with_label<'a>(&'a self, label: &'a str) -> impl Iterator<Item = EventRef<'a>> + 'a {
+        self.iter().filter(move |e| e.label == label)
     }
 
     /// The measured and predicted time of the events from `from` on, and
@@ -370,16 +363,13 @@ impl Trace {
             predicted: -0.0,
         };
         for at in from..self.rows.len() {
-            let (_, op) = self.unpack(at);
+            let op = self.row(at);
             window.measured += op.time;
-            window.predicted += op.predict(topology, cost).unwrap_or(op.time);
+            window.predicted += crate::predicted_time(&op, topology, cost).unwrap_or(op.time);
             if let (Some(busy), EventKind::Compute) = (busy.as_deref_mut(), op.kind) {
-                for (p, t) in op.times().enumerate() {
-                    if p == busy.len() {
-                        busy.push(0.0);
-                    }
-                    busy[p] += t;
-                }
+                let times = op.times();
+                busy.resize(busy.len().max(times.len()), 0.0);
+                busy.iter_mut().zip(times).for_each(|(b, t)| *b += t);
             }
         }
         window
@@ -401,8 +391,7 @@ impl Trace {
     /// the exact inverse.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
-        for at in 0..self.rows.len() {
-            let (span, e) = self.unpack(at);
+        for e in self.iter() {
             let mut o = Obj::new(&mut out);
             o.str("kind", e.kind.name())
                 .u64("participants", e.participants as u64)
@@ -410,7 +399,7 @@ impl Trace {
                 .u64("flops", e.flops as u64)
                 .f64("time", e.time)
                 .f64("start", e.start)
-                .str("span", span)
+                .str("span", e.span)
                 .str("label", e.label);
             if e.uniform || !e.proc_times.is_empty() {
                 let mut times = o.arr("proc_times");
@@ -420,8 +409,8 @@ impl Trace {
             }
             // Emitted only when set, so pre-oracle traces (and their
             // byte-exact fixtures) keep the original line format.
-            if e.payload != 0 {
-                o.u64("payload_words", e.payload as u64);
+            if e.payload_words != 0 {
+                o.u64("payload_words", e.payload_words as u64);
             }
             if e.hops != 0 {
                 o.u64("hops", e.hops as u64);
@@ -610,9 +599,8 @@ impl Digest {
     /// The digest of a stored trace.
     pub fn from_trace(trace: &Trace) -> Digest {
         let mut digest = Digest::default();
-        for at in 0..trace.len() {
-            let (span, op) = trace.unpack(at);
-            digest.fold(&op, || crate::span::level_of(span));
+        for e in trace.iter() {
+            digest.fold(&e, || crate::span::level_of(e.span));
         }
         digest
     }
@@ -623,7 +611,7 @@ impl Digest {
     ///
     /// A row that exists is found by comparing text in place; a `String`
     /// is built only when a new row appears.
-    pub(crate) fn fold(&mut self, op: &Op<'_>, level: impl FnOnce() -> Option<usize>) {
+    pub(crate) fn fold(&mut self, op: &EventRef<'_>, level: impl FnOnce() -> Option<usize>) {
         let (kind, words, flops, time, label) = (op.kind, op.words, op.flops, op.time, op.label);
         self.events += 1;
         self.total_time += time;

@@ -224,7 +224,7 @@ const WATCHES: [Watch; 5] = [
 const LEVELS: [TraceLevel; 3] = [TraceLevel::Off, TraceLevel::Summary, TraceLevel::Full];
 const TAIL: usize = 8;
 
-/// Every field of an event, as text (what a sink copies of a lent one).
+/// Every field of an event, as text.
 fn text(e: &Event) -> String {
     format!("{e:?}")
 }
@@ -260,7 +260,7 @@ fn run(
         Watch::Sink | Watch::FilteredSink | Watch::TailAndSink
     ) {
         let tap = Arc::clone(&seen);
-        let sink = EventSink::new(move |e| tap.lock().unwrap().push(text(e)));
+        let sink = EventSink::new(move |e| tap.lock().unwrap().push(text(&e.to_event())));
         m.set_event_sink(if watch == Watch::FilteredSink {
             sink.with_filter(|trace_id, _| kept_by_filter(trace_id))
         } else {
@@ -333,7 +333,7 @@ proptest! {
                     Watch::FilteredSink => prop_assert_eq!(&seen, &filtered, "{}", at),
                 }
                 if level != TraceLevel::Full && matches!(watch, Watch::Tail | Watch::TailAndSink) {
-                    let tail: Vec<String> = m.tail().iter().map(text).collect();
+                    let tail: Vec<String> = m.tail().iter().map(|e| text(&e.to_event())).collect();
                     let last = &events[events.len().saturating_sub(TAIL)..];
                     prop_assert_eq!(&tail[..], last, "{}", at);
                     prop_assert_eq!(m.tail().overwritten() as usize, events.len() - last.len());
@@ -364,9 +364,9 @@ proptest! {
             m.scatter_varying(root, &varying, "scatter-varying"),
         ];
         prop_assert_eq!(m.trace().len(), 4);
-        for (event, charged) in m.trace().events().iter().zip(charged) {
+        for (event, charged) in m.trace().iter().zip(charged) {
             prop_assert_eq!(event.time, charged);
-            prop_assert_eq!(predicted_time(event, topology, &cost), Some(charged), "{}", event.label);
+            prop_assert_eq!(predicted_time(&event, topology, &cost), Some(charged), "{}", event.label);
         }
         let moved: usize = (0..np).filter(|&p| p != root).map(|p| varying[p]).sum();
         prop_assert_eq!(m.trace().events()[0].payload_words, words_each * (np - 1));
@@ -513,7 +513,7 @@ proptest! {
             m
         };
         let (full, reference) = (run(TraceLevel::Full), run(TraceLevel::Off));
-        let charged: Vec<Bits> = reference.tail().iter().map(bits_of).collect();
+        let charged: Vec<Bits> = reference.tail().iter().map(|e| bits_of(&e.to_event())).collect();
         let kept: Vec<Bits> = full.trace().events().iter().map(bits_of).collect();
         prop_assert_eq!(kept, charged);
         prop_assert!(reencodes(full.trace()));

@@ -327,9 +327,8 @@ mod tests {
         }
         let levels_seen: std::collections::BTreeSet<usize> = m
             .trace()
-            .events()
             .iter()
-            .filter_map(|e| span::level_of(&e.span))
+            .filter_map(|e| span::level_of(e.span))
             .collect();
         assert_eq!(levels_seen.into_iter().collect::<Vec<_>>(), vec![0, 1, 2]);
         // Transfers and halos are typed Redistribute events; the coarse

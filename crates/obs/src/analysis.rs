@@ -56,7 +56,7 @@ impl CriticalPathReport {
 /// Extract the critical path and its per-span decomposition.
 pub fn critical_path(trace: &Trace) -> CriticalPathReport {
     let mut report = CriticalPathReport::default();
-    for event in trace.events() {
+    for event in trace.iter() {
         // `time` is already the synchronised (slowest-participant)
         // duration the machine advanced its clocks by.
         report.total_seconds += event.time;
@@ -73,25 +73,26 @@ pub fn critical_path(trace: &Trace) -> CriticalPathReport {
 /// Per-span cost attribution (the critical path's `by_span`, exposed
 /// directly for the `summary`/`csv` report views), by descending cost.
 pub fn span_costs(trace: &Trace) -> Vec<SpanCost> {
-    let mut order: Vec<String> = Vec::new();
-    let mut map: HashMap<String, SpanCost> = HashMap::new();
-    for event in trace.events() {
-        let entry = map.entry(event.span.clone()).or_insert_with(|| {
-            order.push(event.span.clone());
-            SpanCost {
-                key: event.span.clone(),
+    // First-seen order, which the stable sort keeps among equal costs.
+    let mut costs: Vec<SpanCost> = Vec::new();
+    let mut at: HashMap<&str, usize> = HashMap::new();
+    for event in trace.iter() {
+        let i = *at.entry(event.span).or_insert_with(|| {
+            costs.push(SpanCost {
+                key: event.span.to_string(),
                 count: 0,
                 seconds: 0.0,
                 words: 0,
                 flops: 0,
-            }
+            });
+            costs.len() - 1
         });
+        let entry = &mut costs[i];
         entry.count += 1;
         entry.seconds += event.time;
         entry.words += event.words as u64;
         entry.flops += event.flops as u64;
     }
-    let mut costs: Vec<SpanCost> = order.into_iter().filter_map(|k| map.remove(&k)).collect();
     costs.sort_by(|a, b| b.seconds.total_cmp(&a.seconds));
     costs
 }
@@ -110,23 +111,18 @@ pub struct LoadImbalance {
 /// compute durations. Returns `None` when the trace has no compute
 /// events with per-processor timings (or all durations are zero).
 pub fn load_imbalance(trace: &Trace) -> Option<LoadImbalance> {
-    let np = trace
-        .events()
-        .iter()
-        .map(|e| e.participants)
-        .max()
-        .unwrap_or(0);
+    let np = trace.iter().map(|e| e.participants).max().unwrap_or(0);
     if np == 0 {
         return None;
     }
     let mut busy = vec![0.0f64; np];
     let mut saw_compute = false;
-    for event in trace.events() {
-        if event.kind == EventKind::Compute && event.proc_times.len() == np {
+    for event in trace.iter() {
+        if event.kind == EventKind::Compute && event.times().len() == np {
             saw_compute = true;
-            for (b, t) in busy.iter_mut().zip(&event.proc_times) {
-                *b += t;
-            }
+            busy.iter_mut()
+                .zip(event.times())
+                .for_each(|(b, t)| *b += t);
         }
     }
     let max = busy.iter().cloned().fold(0.0f64, f64::max);

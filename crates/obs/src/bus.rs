@@ -377,16 +377,16 @@ impl EventBus {
     pub fn machine_sink(self: &Arc<Self>) -> hpf_machine::EventSink {
         let filter_bus = Arc::clone(self);
         let bus = Arc::clone(self);
-        hpf_machine::EventSink::new(move |e: &hpf_machine::Event| {
+        hpf_machine::EventSink::new(move |e| {
             bus.stamp_and_push(BusEvent {
                 seq: 0,
                 wall_s: 0.0,
                 origin: BusOrigin::Machine,
                 kind: format!("{:?}", e.kind),
-                trace_id: hpf_machine::span::trace_of(&e.span).unwrap_or(0),
+                trace_id: hpf_machine::span::trace_of(e.span).unwrap_or(0),
                 class: String::new(),
-                span: e.span.clone(),
-                label: e.label.clone(),
+                span: e.span.to_string(),
+                label: e.label.to_string(),
                 time_s: e.time,
                 latency_us: 0,
                 ok: true,

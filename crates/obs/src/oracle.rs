@@ -39,7 +39,7 @@
 //! same cost model.
 
 use crate::json::Obj;
-use hpf_machine::{predicted_time, CostModel, Event, EventKind, Topology, Trace};
+use hpf_machine::{predicted_time, CostModel, EventKind, EventRef, Topology, Trace};
 
 /// The analytic categories the oracle attributes events to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -95,8 +95,8 @@ impl DriftCategory {
 /// on every operation), then payload size to split the two collective
 /// roles an allreduce can play in CG: combining a scalar dot product
 /// versus merging a distributed `q = A·p` in the `(*,BLOCK)` layout.
-pub fn classify(event: &Event) -> DriftCategory {
-    let label = event.label.as_str();
+pub fn classify(event: &EventRef<'_>) -> DriftCategory {
+    let label = event.label;
     // Multigrid labels (`mg-*`, stamped by hpf-mg) take precedence over
     // the kind rules, splitting the V-cycle into level work versus
     // level transfers regardless of the event's transport: a halo
@@ -131,7 +131,7 @@ pub fn classify(event: &Event) -> DriftCategory {
                 DriftCategory::Saxpy
             } else if label.contains("dot") || label.contains("sum-local") {
                 DriftCategory::DotReduce
-            } else if event.proc_times.is_empty() {
+            } else if event.times().len() == 0 {
                 DriftCategory::ComputeSerial
             } else {
                 DriftCategory::ComputeBulk
@@ -237,10 +237,10 @@ impl DriftReport {
             std::collections::BTreeMap::new();
         let mut unpredicted = 0usize;
         let mut total_flops = 0u64;
-        for (i, event) in trace.events().iter().enumerate() {
+        for (i, event) in trace.iter().enumerate() {
             total_flops += event.flops as u64;
-            let category = classify(event);
-            let prediction = predicted_time(event, topology, cost);
+            let category = classify(&event);
+            let prediction = predicted_time(&event, topology, cost);
             let predicted = prediction.unwrap_or(event.time);
             if prediction.is_none() {
                 unpredicted += 1;
@@ -258,14 +258,14 @@ impl DriftReport {
                 worst.push(WorstOffender {
                     event: i,
                     kind: event.kind.name(),
-                    span: event.span.clone(),
-                    label: event.label.clone(),
+                    span: event.span.to_string(),
+                    label: event.label.to_string(),
                     category,
                     predicted_seconds: predicted,
                     measured_seconds: event.time,
                 });
             }
-            if let Some(k) = iteration_of(&event.span) {
+            if let Some(k) = iteration_of(event.span) {
                 let entry = iters.entry(k).or_insert(IterDrift {
                     iteration: k,
                     predicted_seconds: 0.0,
@@ -501,7 +501,7 @@ mod tests {
         m.allgather(64, "s1-bcast-p"); // (BLOCK,*): gather p
         m.allreduce(256, "s2-sum-merge"); // (*,BLOCK): reduce q
         m.allreduce(1, "dot-merge"); // scalar dot
-        let e = m.trace().events();
+        let e: Vec<_> = m.trace().iter().collect();
         assert_eq!(classify(&e[0]), DriftCategory::MatvecGather);
         assert_eq!(classify(&e[1]), DriftCategory::MatvecReduce);
         assert_eq!(classify(&e[2]), DriftCategory::DotReduce);
@@ -564,8 +564,7 @@ mod tests {
         m.compute_serial(50, "mg-coarse-solve");
         m.scatter_varying(0, &[3, 2, 2, 2], "mg-coarse-scatter");
         m.compute_all(&[30, 30, 30, 30], "saxpy");
-        let e = m.trace().events();
-        let cats: Vec<DriftCategory> = e.iter().map(classify).collect();
+        let cats: Vec<DriftCategory> = m.trace().iter().map(|e| classify(&e)).collect();
         use DriftCategory::{MgSmooth, MgTransfer, Saxpy};
         assert_eq!(
             cats,

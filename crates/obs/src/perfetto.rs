@@ -66,7 +66,7 @@ pub fn trace_events_json(tl: &Timeline) -> Result<String, PerfettoError> {
         e.obj("args").str("name", &format!("proc {proc}"));
     }
     for (i, s) in tl.slices.iter().enumerate() {
-        let name = if s.label.is_empty() { s.kind } else { &s.label };
+        let name = if s.label.is_empty() { s.kind } else { s.label };
         if !s.start.is_finite() || !s.dur.is_finite() {
             return Err(PerfettoError::NonFiniteTime {
                 slice: i,
@@ -91,7 +91,7 @@ pub fn trace_events_json(tl: &Timeline) -> Result<String, PerfettoError> {
             e.f64("dur", s.dur * US_PER_S);
         }
         e.obj("args")
-            .str("span", &s.span)
+            .str("span", s.span)
             .u64("words", s.words as u64)
             .u64("flops", s.flops as u64);
     }
@@ -135,8 +135,8 @@ mod tests {
             slices: vec![crate::timeline::Slice {
                 proc: 0,
                 kind: "fault",
-                span: "solve".to_string(),
-                label: "bitflip".to_string(),
+                span: "solve",
+                label: "bitflip",
                 start: 0.5,
                 dur: 0.0,
                 words: 0,
@@ -157,12 +157,12 @@ mod tests {
         assert!(doc.contains("\"traceEvents\""));
     }
 
-    fn slice(start: f64, dur: f64) -> crate::timeline::Slice {
+    fn slice(start: f64, dur: f64) -> crate::timeline::Slice<'static> {
         crate::timeline::Slice {
             proc: 2,
             kind: "compute",
-            span: "solve/iter=1".to_string(),
-            label: "saxpy".to_string(),
+            span: "solve/iter=1",
+            label: "saxpy",
             start,
             dur,
             words: 0,

@@ -89,8 +89,8 @@ impl SpanProfile {
     /// Aggregate a whole post-hoc trace.
     pub fn from_trace(trace: &hpf_machine::Trace) -> Self {
         let mut p = SpanProfile::new();
-        for e in trace.events() {
-            p.record(&e.span, &e.label, e.time);
+        for e in trace.iter() {
+            p.record(e.span, e.label, e.time);
         }
         p
     }

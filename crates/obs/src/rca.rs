@@ -463,7 +463,7 @@ impl FlightRecorder {
             let oldest = inner.dumped_order.pop_front().expect("not empty");
             inner.dumped.remove(&oldest);
         }
-        let machine_tail: Vec<Event> = evidence.machine.iter().cloned().collect();
+        let machine_tail: Vec<Event> = evidence.machine.iter().map(|e| e.to_event()).collect();
         let predicted = evidence.lifecycle.iter().find_map(|e| match *e {
             ServiceEvent::Admitted { predicted_us, .. } => Some(predicted_us),
             _ => None,

@@ -1,6 +1,6 @@
 //! Per-processor timeline reconstruction.
 //!
-//! The machine stamps every [`Event`] with its synchronisation-point
+//! The machine stamps every event with its synchronisation-point
 //! `start` and its modelled duration; [`EventKind::Compute`] events
 //! additionally carry per-processor durations (`proc_times`). From
 //! those stamps this module rebuilds, per processor, the busy
@@ -19,18 +19,19 @@
 //! - Zero-duration events (e.g. instantaneous faults) produce
 //!   zero-duration slices; exporters may render them as instants.
 
-use hpf_machine::{Event, EventKind, Trace};
+use hpf_machine::{EventKind, EventRef, Trace};
 
-/// One busy interval on one processor lane.
+/// One busy interval on one processor lane, borrowing its span path and
+/// label from the trace.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Slice {
+pub struct Slice<'a> {
     pub proc: usize,
     /// Event kind name (`"compute"`, `"allreduce"`, ...).
     pub kind: &'static str,
     /// Span path active when the event was recorded.
-    pub span: String,
+    pub span: &'a str,
     /// Free-form label the recording site attached.
-    pub label: String,
+    pub label: &'a str,
     /// Start time in simulated seconds.
     pub start: f64,
     /// Duration in simulated seconds (0 for instantaneous events).
@@ -41,25 +42,20 @@ pub struct Slice {
 
 /// All slices of a trace, plus the processor count and total makespan.
 #[derive(Debug, Clone, Default)]
-pub struct Timeline {
+pub struct Timeline<'a> {
     pub np: usize,
-    pub slices: Vec<Slice>,
+    pub slices: Vec<Slice<'a>>,
     /// Latest `start + dur` over all slices (simulated seconds).
     pub total_time: f64,
 }
 
-impl Timeline {
+impl<'a> Timeline<'a> {
     /// Reconstruct per-processor busy intervals from a trace.
-    pub fn from_trace(trace: &Trace) -> Timeline {
-        let np = trace
-            .events()
-            .iter()
-            .map(|e| e.participants)
-            .max()
-            .unwrap_or(0);
+    pub fn from_trace(trace: &'a Trace) -> Timeline<'a> {
+        let np = trace.iter().map(|e| e.participants).max().unwrap_or(0);
         let mut slices = Vec::new();
-        for event in trace.events() {
-            push_slices(&mut slices, event, np);
+        for event in trace.iter() {
+            push_slices(&mut slices, &event, np);
         }
         let total_time = slices
             .iter()
@@ -73,26 +69,22 @@ impl Timeline {
     }
 }
 
-fn push_slices(out: &mut Vec<Slice>, event: &Event, np: usize) {
+fn push_slices<'a>(out: &mut Vec<Slice<'a>>, event: &EventRef<'a>, np: usize) {
     let kind = event.kind.name();
     let mk = |proc: usize, dur: f64| Slice {
         proc,
         kind,
-        span: event.span.clone(),
-        label: event.label.clone(),
+        span: event.span,
+        label: event.label,
         start: event.start,
         dur,
         words: event.words,
         flops: event.flops,
     };
-    if event.kind == EventKind::Compute && event.proc_times.len() == np && np > 0 {
-        for (p, &dur) in event.proc_times.iter().enumerate() {
-            out.push(mk(p, dur));
-        }
+    if event.kind == EventKind::Compute && event.times().len() == np && np > 0 {
+        out.extend(event.times().enumerate().map(|(p, dur)| mk(p, dur)));
     } else {
-        for p in 0..np.max(1) {
-            out.push(mk(p, event.time));
-        }
+        out.extend((0..np.max(1)).map(|p| mk(p, event.time)));
     }
 }
 

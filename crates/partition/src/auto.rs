@@ -324,7 +324,6 @@ mod tests {
         // The machine carries the typed trace event.
         let redists: Vec<_> = m
             .trace()
-            .events()
             .iter()
             .filter(|e| e.kind == EventKind::Redistribute)
             .collect();

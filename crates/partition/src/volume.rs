@@ -10,7 +10,7 @@ use hpf_dist::atoms::{AtomAssignment, AtomSpec};
 use hpf_dist::graph::{comm_volume, cut_edges, ConnectivityGraph};
 use hpf_dist::Partitioner;
 use hpf_machine::predict::predicted_time;
-use hpf_machine::{CostModel, Event, EventKind, Topology};
+use hpf_machine::{CostModel, EventKind, EventRef, Topology};
 
 /// Modeled quality of one partitioner's layout, priced by the oracle.
 #[derive(Debug, Clone, PartialEq)]
@@ -65,19 +65,10 @@ pub fn modeled_seconds(
     if volume_words == 0 || np <= 1 {
         return 0.0;
     }
-    let payload = volume_words.div_ceil(np);
-    let event = Event {
-        kind: EventKind::AllGather,
-        participants: np,
+    let event = EventRef {
         words: volume_words,
-        flops: 0,
-        time: 0.0,
-        start: 0.0,
-        span: String::new(),
-        label: "modeled-comm-volume".into(),
-        proc_times: Vec::new(),
-        payload_words: payload,
-        hops: 0,
+        payload_words: volume_words.div_ceil(np),
+        ..EventRef::new(EventKind::AllGather, np, 0.0, 0.0, "modeled-comm-volume")
     };
     predicted_time(&event, topology, cost).unwrap_or(0.0)
 }

@@ -793,7 +793,7 @@ mod tests {
         let evidence = handed.clone();
         let mut cfg = config(4);
         cfg.evidence_hook = Some(EvidenceHook::new(8, move |e| {
-            let spans: Vec<&str> = e.machine.iter().map(|m| m.span.as_str()).collect();
+            let spans: Vec<&str> = e.machine.iter().map(|m| m.span).collect();
             let job = spans[0].split('/').nth(1).unwrap();
             assert!(spans.iter().all(|s| s.split('/').nth(1) == Some(job)));
             let residual = e.residual.expect("a solve that iterated");

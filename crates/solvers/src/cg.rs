@@ -429,11 +429,7 @@ mod tests {
         let mut clean = Machine::new(np, Topology::Hypercube, CostModel::mpp_1995());
         let (x, r, rr) = run(&mut clean);
         let trace = clean.trace();
-        let seen: Vec<_> = trace
-            .events()
-            .iter()
-            .map(|e| (e.span.as_str(), e.label.as_str()))
-            .collect();
+        let seen: Vec<_> = trace.iter().map(|e| (e.span, e.label)).collect();
         let want = [
             ("axpy", "saxpy"),
             ("axpy", "saxpy"),

@@ -498,11 +498,7 @@ mod tests {
             .all(|w| w[1].rollbacks >= w[0].rollbacks || w[1].iteration < w[0].iteration));
         assert_eq!(obs.samples.last().unwrap().rollbacks, rec.rollbacks);
         // Recovery phases left span-tagged events in the trace.
-        assert!(m
-            .trace()
-            .events()
-            .iter()
-            .any(|e| e.span.contains("rollback")));
+        assert!(m.trace().iter().any(|e| e.span.contains("rollback")));
     }
 
     #[test]

@@ -123,7 +123,6 @@ fn identical_seeds_replay_identical_fault_traces() {
         let _ = cg_distributed_protected(&mut m, &op, &b, stop, 4000, RecoveryConfig::default())
             .unwrap();
         m.trace()
-            .events()
             .iter()
             .filter(|e| e.kind == EventKind::Fault)
             .map(|e| format!("{e:?}\n"))
