@@ -92,7 +92,7 @@ pub struct EventTail {
     rows: [Trace; 2],
     /// Which of `rows` is written to.
     newer: usize,
-    capacity: usize,
+    pub(crate) capacity: usize,
     /// Events written since the tail was last cleared.
     written: u64,
 }
@@ -103,11 +103,6 @@ impl EventTail {
             capacity,
             ..EventTail::default()
         }
-    }
-
-    /// Does the tail keep more than the row a sink is shown?
-    pub(crate) fn keeps_history(&self) -> bool {
-        self.capacity > 1
     }
 
     /// The rows the next event is written to, counted as written.
@@ -155,9 +150,7 @@ impl EventTail {
 impl From<Vec<Event>> for EventTail {
     fn from(events: Vec<Event>) -> Self {
         let mut tail = EventTail::with_capacity(events.len());
-        for event in events {
-            tail.next_rows().record(event);
-        }
+        events.into_iter().for_each(|e| tail.next_rows().record(e));
         tail
     }
 }
@@ -293,7 +286,7 @@ impl Recorder {
     /// is looking at, where recording an operation costs this test.
     #[inline]
     pub(crate) fn is_watching(&self) -> bool {
-        self.level != TraceLevel::Off || self.sink.is_some() || self.tail.keeps_history()
+        self.level != TraceLevel::Off || self.sink.is_some() || self.tail.capacity > 1
     }
 
     /// The one way an operation is recorded. The work is kept out of
@@ -317,7 +310,7 @@ impl Recorder {
         let sink = self.sink.as_ref().filter(|sink| sink.wants(op.kind));
         let rows = if self.level == TraceLevel::Full {
             &mut self.trace
-        } else if sink.is_some() || self.tail.keeps_history() {
+        } else if sink.is_some() || self.tail.capacity > 1 {
             self.tail.next_rows()
         } else {
             return;
