@@ -39,6 +39,8 @@ pub struct DistVector {
     /// Processor-major order *is* global order (the contiguous layouts:
     /// `Block`, `BlockK`, `IrregularCuts`), so `data` is the global array.
     global_order: bool,
+    /// What every processor holds, when each holds as many elements.
+    even: Option<usize>,
 }
 
 impl DistVector {
@@ -58,11 +60,17 @@ impl DistVector {
             offsets.push(next);
         }
         global_order &= next == desc.len();
+        let first = offsets[1];
+        let even = offsets
+            .windows(2)
+            .all(|w| w[1] - w[0] == first)
+            .then_some(first);
         DistVector {
             desc,
             data: vec![value; next],
             offsets,
             global_order,
+            even,
         }
     }
 
@@ -163,10 +171,14 @@ impl DistVector {
     }
 
     /// Charge an element-wise phase: `per_element` flops for every
-    /// element a processor holds.
-    fn charge_elementwise(&self, machine: &mut Machine, per_element: usize, label: &str) {
+    /// element a processor holds — one [`Machine::compute_uniform`] when
+    /// every processor holds as many.
+    pub fn charge_elementwise(&self, machine: &mut Machine, per_element: usize, label: &str) {
         let offsets = &self.offsets;
-        machine.compute_each(|p| per_element * (offsets[p + 1] - offsets[p]), label);
+        match self.even {
+            Some(len) => machine.compute_uniform(per_element * len, label),
+            None => machine.compute_each(|p| per_element * (offsets[p + 1] - offsets[p]), label),
+        };
     }
 
     // ------------------------------------------------------------------

@@ -13,7 +13,7 @@
 //! * [`topology::Topology`] — hypercube / mesh / ring / fully-connected /
 //!   bus networks with per-collective analytic timing;
 //! * [`machine::Machine`] — `NP` virtual processors with per-processor
-//!   clocks, traffic counters, and an event [`trace::Trace`];
+//!   clocks, machine-wide traffic totals, and an event [`trace::Trace`];
 //! * [`spmd`] — a *real* message-passing world (ranks as OS threads,
 //!   one channel per rank) used for the hand-coded SPMD baseline the paper
 //!   compares HPF against.
@@ -32,7 +32,7 @@ pub mod trace;
 pub use cost::CostModel;
 pub use counter::StripedCounter;
 pub use fault::{Fault, FaultKind, FaultPlan, FaultRates};
-pub use machine::{EventRef, EventSink, EventTail, Machine, ProcStats, ProgressHook, TraceLevel};
+pub use machine::{EventRef, EventSink, EventTail, Machine, ProgressHook, TraceLevel};
 pub use predict::{cg_iteration_seconds, predicted_time};
 pub use span::{level_of, trace_of, ScopeGuard, Span};
 pub use spmd::{Comm, SpmdRun, SpmdStats, SpmdWorld};

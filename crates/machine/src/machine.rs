@@ -8,12 +8,14 @@
 //! machine in turn maintains:
 //!
 //! * a per-processor local clock (so load imbalance is visible),
-//! * cumulative flop/word/message counters, and
+//! * machine-wide flop/word/message totals, and
 //! * an event [`Trace`] usable by tests and benchmark reports.
 //!
 //! Collective operations synchronise the clocks (every participant waits
 //! for the slowest), exactly as the merge/broadcast phases do in the
-//! paper's Section 4 analysis.
+//! paper's Section 4 analysis. The machine keeps the largest clock as it
+//! moves them, so an operation that is the same on every processor costs
+//! the host O(1) accounting, as it costs the model one price.
 
 use crate::cost::CostModel;
 use crate::fault::{
@@ -25,17 +27,6 @@ use crate::topology::Topology;
 use crate::trace::{Digest, EventKind, Trace};
 
 pub use crate::recorder::{EventRef, EventSink, EventTail, TraceLevel};
-
-/// Cumulative per-processor statistics.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct ProcStats {
-    /// Floating-point operations executed.
-    pub flops: u64,
-    /// Elements sent into the network.
-    pub words_sent: u64,
-    /// Messages originated.
-    pub messages: u64,
-}
 
 /// A simulated NP-processor distributed-memory machine.
 ///
@@ -55,7 +46,14 @@ pub struct Machine {
     topology: Topology,
     cost: CostModel,
     clocks: Vec<f64>,
-    stats: Vec<ProcStats>,
+    /// [`Machine::elapsed`]: the largest clock, 0 on an idle machine.
+    max: f64,
+    /// Every clock holds `max`, to the bit (false: not known).
+    synced: bool,
+    /// Flops executed, words sent and messages originated, all processors.
+    flops: u64,
+    words_sent: u64,
+    messages: u64,
     /// What is kept of each operation: trace, digest, tail, sink.
     recorder: Recorder,
     /// What [`Machine::compute_each`] last advanced each clock by, for
@@ -97,18 +95,12 @@ impl std::fmt::Debug for ProgressHook {
     }
 }
 
-/// Straggler slowdown applied to one processor's compute phases.
-#[derive(Debug, Clone, Copy)]
+/// Straggler slowdown applied to one processor's compute phases: none
+/// while no operations remain (the default).
+#[derive(Debug, Clone, Copy, Default)]
 struct Skew {
     factor: f64,
     remaining: usize,
-}
-
-impl Skew {
-    const NONE: Skew = Skew {
-        factor: 1.0,
-        remaining: 0,
-    };
 }
 
 impl Machine {
@@ -121,13 +113,17 @@ impl Machine {
             topology,
             cost,
             clocks: vec![0.0; np],
-            stats: vec![ProcStats::default(); np],
+            max: 0.0,
+            synced: true,
+            flops: 0,
+            words_sent: 0,
+            messages: 0,
             recorder: Recorder::new(),
             proc_times: Vec::new(),
             op_index: 0,
             injector: None,
             pending: None,
-            skew: vec![Skew::NONE; np],
+            skew: vec![Skew::default(); np],
             hook: None,
         }
     }
@@ -171,7 +167,7 @@ impl Machine {
 
     /// The simulated elapsed wall-clock time: the slowest processor.
     pub fn elapsed(&self) -> f64 {
-        self.clocks.iter().cloned().fold(0.0, f64::max)
+        self.max
     }
 
     /// Per-processor clocks (for imbalance inspection).
@@ -191,20 +187,16 @@ impl Machine {
         }
     }
 
-    pub fn stats(&self, p: usize) -> &ProcStats {
-        &self.stats[p]
-    }
-
     pub fn total_flops(&self) -> u64 {
-        self.stats.iter().map(|s| s.flops).sum()
+        self.flops
     }
 
     pub fn total_words_sent(&self) -> u64 {
-        self.stats.iter().map(|s| s.words_sent).sum()
+        self.words_sent
     }
 
     pub fn total_messages(&self) -> u64 {
-        self.stats.iter().map(|s| s.messages).sum()
+        self.messages
     }
 
     pub fn trace(&self) -> &Trace {
@@ -222,15 +214,13 @@ impl Machine {
     /// its shape; an installed fault plan rewinds to its start, so a
     /// reset machine replays the identical fault schedule).
     pub fn reset(&mut self) {
-        self.clocks.iter_mut().for_each(|c| *c = 0.0);
-        self.stats
-            .iter_mut()
-            .for_each(|s| *s = ProcStats::default());
+        self.set_all(0.0);
+        (self.flops, self.words_sent, self.messages) = (0, 0, 0);
         self.recorder.trace.clear();
         self.recorder.digest.clear();
         self.op_index = 0;
         self.pending = None;
-        self.skew.iter_mut().for_each(|s| *s = Skew::NONE);
+        self.skew.fill(Skew::default());
         if let Some(inj) = &mut self.injector {
             inj.rewind();
         }
@@ -244,10 +234,9 @@ impl Machine {
     /// are relative to this moment: the operation counter restarts at 0.
     /// Replaces any previous plan and clears armed corruption/skew.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
+        self.clear_fault_plan();
         self.injector = Some(FaultInjector::new(plan));
         self.op_index = 0;
-        self.pending = None;
-        self.skew.iter_mut().for_each(|s| *s = Skew::NONE);
     }
 
     /// Remove the fault plan along with any armed corruption or
@@ -255,7 +244,7 @@ impl Machine {
     pub fn clear_fault_plan(&mut self) {
         self.injector = None;
         self.pending = None;
-        self.skew.iter_mut().for_each(|s| *s = Skew::NONE);
+        self.skew.fill(Skew::default());
     }
 
     /// Install a per-operation progress hook (heartbeat/cancellation
@@ -337,19 +326,13 @@ impl Machine {
             // out of the machine operation into the worker's catch site.
             (h.0)(op);
         }
-        if self.injector.is_none() {
+        let Some(injector) = &mut self.injector else {
             return;
-        }
+        };
+        let due = injector.due(op);
         for s in &mut self.skew {
-            if s.remaining > 0 {
-                s.remaining -= 1;
-            }
+            s.remaining = s.remaining.saturating_sub(1);
         }
-        let due = self
-            .injector
-            .as_mut()
-            .map(|i| i.due(op))
-            .unwrap_or_default();
         for f in due {
             self.apply_fault(op, f);
         }
@@ -367,6 +350,7 @@ impl Machine {
                 // Timeout + retransmit: everyone in the collective waits.
                 let t = DROP_RETRANSMIT_STARTUPS * self.cost.t_startup;
                 self.clocks.iter_mut().for_each(|c| *c += t);
+                self.moved_to(self.max, self.max + t);
                 (t, format!("fault:drop:p{proc}:op{op}"))
             }
             FaultKind::Straggler { factor, ops } => {
@@ -382,8 +366,7 @@ impl Machine {
                 // processor rejoins.
                 self.pending = Some(PendingCorruption::Lost { target: proc });
                 let t = CRASH_RESTART_STARTUPS * self.cost.t_startup;
-                self.synchronise();
-                self.clocks.iter_mut().for_each(|c| *c += t);
+                self.set_all(self.max + t);
                 (t, format!("fault:crash:p{proc}:op{op}"))
             }
             FaultKind::Stall { millis } => {
@@ -411,19 +394,30 @@ impl Machine {
         }
     }
 
-    /// Advance every clock to the global maximum (barrier semantics) and
-    /// return that maximum.
-    fn synchronise(&mut self) -> f64 {
-        let max = self.elapsed();
-        self.clocks.iter_mut().for_each(|c| *c = max);
-        max
+    /// Set every clock to `at`.
+    fn set_all(&mut self, at: f64) {
+        self.clocks.fill(at);
+        self.max = 0.0f64.max(at);
+        self.synced = self.max.to_bits() == at.to_bits();
+    }
+
+    /// Keep `max` after clocks moved, none past `to` and one from `from`
+    /// to `to`: when `to >= from` none fell, so the largest is `max` or
+    /// `to`. A clock that fell (or a NaN) has `max` read again.
+    fn moved_to(&mut self, from: f64, to: f64) {
+        self.max = if to >= from {
+            self.max.max(to)
+        } else {
+            self.clocks.iter().cloned().fold(0.0, f64::max)
+        };
+        self.synced = false;
     }
 
     /// The paper's §4 sentence, once: all `N_P` processors wait for the
     /// slowest, then spend `time` together. Every machine-wide operation
     /// prices itself, counts its own traffic and ends here; the event
     /// begins at the synchronisation point and every participant is busy
-    /// for the full `time`.
+    /// for the full `time`: every clock ends at `max + time`.
     fn charge_all(
         &mut self,
         kind: EventKind,
@@ -433,8 +427,8 @@ impl Machine {
         time: f64,
         label: &str,
     ) -> f64 {
-        let start = self.synchronise();
-        self.clocks.iter_mut().for_each(|c| *c += time);
+        let start = self.max;
+        self.set_all(start + time);
         self.recorder.record(EventRef {
             words,
             payload_words,
@@ -442,6 +436,17 @@ impl Machine {
             ..EventRef::new(kind, self.np, time, start, label)
         });
         time
+    }
+
+    fn one_per_processor(&self, len: usize, what: &str) {
+        assert_eq!(len, self.np, "one {what} per processor");
+    }
+
+    /// `senders` processors each sent `words` elements in `messages`
+    /// messages.
+    fn count_each(&mut self, senders: usize, words: usize, messages: usize) {
+        self.words_sent += (senders * words) as u64;
+        self.messages += (senders * messages) as u64;
     }
 
     // ------------------------------------------------------------------
@@ -453,8 +458,10 @@ impl Machine {
     /// for traced bulk phases).
     pub fn compute(&mut self, p: usize, flops: usize) {
         self.begin_op();
-        self.stats[p].flops += flops as u64;
+        self.flops += flops as u64;
+        let from = self.clocks[p];
         self.clocks[p] += self.cost.flops(flops) * self.skew_factor(p);
+        self.moved_to(from, self.clocks[p]);
     }
 
     /// Charge a bulk owner-computes phase: `flops_per_proc[p]` flops on
@@ -462,11 +469,7 @@ impl Machine {
     /// *maximum* per-processor time — this is where load imbalance from a
     /// bad sparse distribution shows up (Section 5.2).
     pub fn compute_all(&mut self, flops_per_proc: &[usize], label: &str) -> f64 {
-        assert_eq!(
-            flops_per_proc.len(),
-            self.np,
-            "one flop count per processor"
-        );
+        self.one_per_processor(flops_per_proc.len(), "flop count");
         self.compute_each(|p| flops_per_proc[p], label)
     }
 
@@ -478,10 +481,14 @@ impl Machine {
         // The phase begins at the earliest participant's clock; together
         // with `proc_times` that places each processor's slice on the
         // reconstructed timeline.
-        let start = self.clocks.iter().cloned().fold(f64::INFINITY, f64::min);
+        let mut start = f64::INFINITY;
+        let mut max = 0.0f64;
         // The products the clocks advance by are stored only where an
-        // event could be made of them: one predictable branch.
+        // event could be made of them: one predictable branch. Only a
+        // fault plan skews a processor, so only under one is a time
+        // multiplied by its factor.
         let watching = self.recorder.is_watching();
+        let skewed = self.injector.is_some();
         if watching {
             self.proc_times.resize(self.np, 0.0);
         }
@@ -492,9 +499,13 @@ impl Machine {
         let mut same = true;
         for p in 0..self.np {
             let f = flops_of(p);
-            self.stats[p].flops += f as u64;
-            let t = self.cost.flops(f) * self.skew_factor(p);
+            let mut t = self.cost.flops(f);
+            if skewed {
+                t *= self.skew_factor(p);
+            }
+            start = start.min(self.clocks[p]);
             self.clocks[p] += t;
+            max = max.max(self.clocks[p]);
             max_t = max_t.max(t);
             total += f;
             if watching {
@@ -502,6 +513,8 @@ impl Machine {
                 same &= t.to_bits() == self.proc_times[0].to_bits();
             }
         }
+        (self.max, self.synced) = (max, false);
+        self.flops += total as u64;
         self.recorder.record(EventRef {
             flops: total,
             proc_times: &self.proc_times,
@@ -512,8 +525,25 @@ impl Machine {
     }
 
     /// Charge a uniform compute phase of `flops_each` on every processor.
+    /// On synchronised clocks with no fault plan (whose `begin_op` moves
+    /// no clock), and a time that is its own `0.0.max(t)`, every clock
+    /// ends at one value: one `fill`, one uniform row. Otherwise it is
+    /// [`Machine::compute_each`].
     pub fn compute_uniform(&mut self, flops_each: usize, label: &str) -> f64 {
-        self.compute_each(|_| flops_each, label)
+        let t = self.cost.flops(flops_each);
+        if !self.synced || self.injector.is_some() || t.to_bits() != 0.0f64.max(t).to_bits() {
+            return self.compute_each(|_| flops_each, label);
+        }
+        self.begin_op();
+        let (start, total) = (self.max, flops_each * self.np);
+        self.set_all(start + t);
+        self.flops += total as u64;
+        self.recorder.record(EventRef {
+            flops: total,
+            uniform: true,
+            ..EventRef::new(EventKind::Compute, self.np, t, start, label)
+        });
+        t
     }
 
     /// Charge a *serial* compute phase: the work cannot be parallelised
@@ -524,7 +554,7 @@ impl Machine {
     pub fn compute_serial(&mut self, flops: usize, label: &str) -> f64 {
         self.begin_op();
         let t = self.cost.flops(flops) * self.skew_factor(0);
-        self.stats[0].flops += flops as u64;
+        self.flops += flops as u64;
         self.charge_all(EventKind::Compute, 0, 0, flops, t, label)
     }
 
@@ -541,12 +571,13 @@ impl Machine {
         self.begin_op();
         let hops = self.topology.hops(from, to, self.np);
         let t = self.cost.message(words, hops);
-        self.stats[from].words_sent += words as u64;
-        self.stats[from].messages += 1;
+        self.words_sent += words as u64;
+        self.messages += 1;
         let start = self.clocks[from];
         let arrive = start + t;
         self.clocks[to] = self.clocks[to].max(arrive);
         self.clocks[from] = arrive; // blocking send
+        self.moved_to(start, arrive);
         self.recorder.record(EventRef {
             words,
             payload_words: words,
@@ -568,8 +599,8 @@ impl Machine {
         assert!(root < self.np);
         self.begin_op();
         let t = self.topology.broadcast_time(self.np, words, &self.cost);
-        self.stats[root].words_sent += words as u64;
-        self.stats[root].messages += Topology::log2_ceil(self.np) as u64;
+        self.words_sent += words as u64;
+        self.messages += Topology::log2_ceil(self.np) as u64;
         self.charge_all(EventKind::Broadcast, words, words, 0, t, label)
     }
 
@@ -584,10 +615,8 @@ impl Machine {
         // Recursive doubling forwards (NP-1)*words_each per processor in
         // total (data doubles each round) — the same volume a hand-coded
         // send-to-every-peer allgather moves.
-        for s in &mut self.stats {
-            s.words_sent += (words_each * self.np.saturating_sub(1)) as u64;
-            s.messages += Topology::log2_ceil(self.np) as u64;
-        }
+        let rounds = Topology::log2_ceil(self.np) as usize;
+        self.count_each(self.np, words_each * self.np.saturating_sub(1), rounds);
         let words = words_each * self.np;
         self.charge_all(EventKind::AllGather, words, words_each, 0, t, label)
     }
@@ -598,12 +627,7 @@ impl Machine {
         assert!(root < self.np);
         self.begin_op();
         let t = self.topology.reduce_time(self.np, words, &self.cost);
-        for (p, s) in self.stats.iter_mut().enumerate() {
-            if p != root {
-                s.words_sent += words as u64;
-                s.messages += 1;
-            }
-        }
+        self.count_each(self.np - 1, words, 1);
         let moved = words * (self.np - 1);
         self.charge_all(EventKind::Reduce, moved, words, 0, t, label)
     }
@@ -616,11 +640,8 @@ impl Machine {
         let t = self.topology.allreduce_time(self.np, words, &self.cost);
         // Butterfly: every processor exchanges `words` in each of the
         // log NP rounds.
-        let rounds = Topology::log2_ceil(self.np) as u64;
-        for s in &mut self.stats {
-            s.words_sent += words as u64 * rounds;
-            s.messages += rounds;
-        }
+        let rounds = Topology::log2_ceil(self.np) as usize;
+        self.count_each(self.np, words * rounds, rounds);
         let moved = words * self.np.saturating_sub(1);
         self.charge_all(EventKind::AllReduce, moved, words, 0, t, label)
     }
@@ -635,11 +656,8 @@ impl Machine {
         let t = self
             .topology
             .reduce_scatter_time(self.np, words_each, &self.cost);
-        let rounds = Topology::log2_ceil(self.np) as u64;
-        for s in &mut self.stats {
-            s.words_sent += (words_each * self.np.saturating_sub(1)) as u64;
-            s.messages += rounds;
-        }
+        let rounds = Topology::log2_ceil(self.np) as usize;
+        self.count_each(self.np, words_each * self.np.saturating_sub(1), rounds);
         let moved = words_each * self.np * self.np.saturating_sub(1);
         self.charge_all(EventKind::Reduce, moved, words_each, 0, t, label)
     }
@@ -667,7 +685,7 @@ impl Machine {
             EventKind::Broadcast => self.topology.broadcast_time(g, words_each, &self.cost),
             other => panic!("group_collective: unsupported kind {other:?}"),
         };
-        let rounds = Topology::log2_ceil(g) as u64;
+        self.count_each(g, words_each * (g - 1), Topology::log2_ceil(g) as usize);
         // Group-internal barrier: members advance to the group max.
         let max = members
             .iter()
@@ -675,9 +693,8 @@ impl Machine {
             .fold(0.0f64, f64::max);
         for &p in members {
             self.clocks[p] = max + t;
-            self.stats[p].words_sent += (words_each * (g - 1)) as u64;
-            self.stats[p].messages += rounds;
         }
+        self.moved_to(max, max + t);
         // Stamped with the *group* size: the cost formulas above were
         // evaluated for `g` processors, and the oracle re-evaluates them
         // from `participants`.
@@ -694,10 +711,7 @@ impl Machine {
     pub fn alltoall(&mut self, words_each: usize, label: &str) -> f64 {
         self.begin_op();
         let t = self.topology.alltoall_time(self.np, words_each, &self.cost);
-        for s in &mut self.stats {
-            s.words_sent += (words_each * (self.np - 1)) as u64;
-            s.messages += (self.np - 1) as u64;
-        }
+        self.count_each(self.np, words_each * (self.np - 1), self.np - 1);
         let moved = words_each * self.np * self.np.saturating_sub(1);
         self.charge_all(EventKind::AllToAll, moved, words_each, 0, t, label)
     }
@@ -708,23 +722,28 @@ impl Machine {
     /// phase time is the max over processors. Used for atom/balanced
     /// redistributions where traffic is data-dependent.
     pub fn exchange(&mut self, matrix: &[Vec<usize>], label: &str) -> f64 {
-        assert_eq!(matrix.len(), self.np);
+        let np = self.np;
+        assert!(
+            matrix.len() == np && matrix.iter().all(|row| row.len() == np),
+            "exchange: one row per processor, one count per processor in each"
+        );
         self.begin_op();
-        let mut max_t: f64 = 0.0;
-        let mut total_words = 0usize;
-        for p in 0..self.np {
-            assert_eq!(matrix[p].len(), self.np);
-            let sends: usize = (0..self.np).filter(|&d| d != p && matrix[p][d] > 0).count();
-            let sent: usize = (0..self.np).filter(|&d| d != p).map(|d| matrix[p][d]).sum();
-            let recvd: usize = (0..self.np).filter(|&s| s != p).map(|s| matrix[s][p]).sum();
-            let recvs: usize = (0..self.np).filter(|&s| s != p && matrix[s][p] > 0).count();
+        let (mut max_t, mut total_words) = (0.0f64, 0usize);
+        for p in 0..np {
+            // Row `p` is what `p` sends, column `p` what it receives.
+            let (mut sends, mut sent, mut recvs, mut recvd) = (0, 0, 0, 0);
+            for q in (0..np).filter(|&q| q != p) {
+                let (out, into) = (matrix[p][q], matrix[q][p]);
+                (sends, sent) = (sends + usize::from(out > 0), sent + out);
+                (recvs, recvd) = (recvs + usize::from(into > 0), recvd + into);
+            }
             let t = (sends.max(recvs)) as f64 * self.cost.t_startup
                 + self.cost.t_word * sent.max(recvd) as f64;
-            self.stats[p].words_sent += sent as u64;
-            self.stats[p].messages += sends as u64;
             total_words += sent;
+            self.messages += sends as u64;
             max_t = max_t.max(t);
         }
+        self.words_sent += total_words as u64;
         self.charge_all(EventKind::Redistribute, total_words, 0, 0, max_t, label)
     }
 
@@ -743,16 +762,11 @@ impl Machine {
     ) -> f64 {
         assert!(root < self.np);
         self.begin_op();
-        let mut total = 0usize;
-        for p in (0..self.np).filter(|&p| p != root) {
-            let words = words_of(p);
-            if words > 0 {
-                let sender = if kind == EventKind::Gather { p } else { root };
-                self.stats[sender].words_sent += words as u64;
-                self.stats[sender].messages += 1;
-                total += words;
-            }
-        }
+        let blocks = (0..self.np).filter(|&p| p != root).map(words_of);
+        let (total, sent) = blocks.fold((0, 0), |(total, sent), words| {
+            (total + words, sent + usize::from(words > 0))
+        });
+        self.count_each(1, total, sent);
         let t = self.topology.gather_time(self.np, total, &self.cost);
         self.charge_all(kind, total, total, 0, t, label)
     }
@@ -767,11 +781,7 @@ impl Machine {
     /// sizes): log P start-ups, bandwidth for the total volume funnelled
     /// into the root.
     pub fn gather_varying(&mut self, root: usize, words_per_proc: &[usize], label: &str) -> f64 {
-        assert_eq!(
-            words_per_proc.len(),
-            self.np,
-            "one word count per processor"
-        );
+        self.one_per_processor(words_per_proc.len(), "word count");
         self.through_root(EventKind::Gather, root, |p| words_per_proc[p], label)
     }
 
@@ -784,11 +794,7 @@ impl Machine {
     /// processor `p` — the inverse of [`Machine::gather_varying`], with
     /// the same total-volume `payload_words` convention.
     pub fn scatter_varying(&mut self, root: usize, words_per_proc: &[usize], label: &str) -> f64 {
-        assert_eq!(
-            words_per_proc.len(),
-            self.np,
-            "one word count per processor"
-        );
+        self.one_per_processor(words_per_proc.len(), "word count");
         self.through_root(EventKind::Scatter, root, |p| words_per_proc[p], label)
     }
 }
@@ -797,12 +803,16 @@ impl Machine {
 mod tests {
     use super::*;
 
-    fn unit_cost() -> CostModel {
+    fn cost(t_startup: f64, t_word: f64, t_flop: f64) -> CostModel {
         CostModel {
-            t_startup: 1.0,
-            t_word: 0.0,
-            t_flop: 1.0,
+            t_startup,
+            t_word,
+            t_flop,
         }
+    }
+
+    fn unit_cost() -> CostModel {
+        cost(1.0, 0.0, 1.0)
     }
 
     #[test]
@@ -857,11 +867,7 @@ mod tests {
 
     #[test]
     fn dot_merge_cost_is_logarithmic() {
-        let c = CostModel {
-            t_startup: 1.0,
-            t_word: 0.0,
-            t_flop: 0.0,
-        };
+        let c = cost(1.0, 0.0, 0.0);
         let mut m4 = Machine::new(4, Topology::Hypercube, c);
         let mut m16 = Machine::new(16, Topology::Hypercube, c);
         assert_eq!(m4.allreduce(1, "d"), 2.0);
@@ -1097,11 +1103,7 @@ mod tests {
     #[test]
     fn reduce_scatter_is_dual_of_allgather() {
         // Same start-up count, same bandwidth term (plus combine flops).
-        let c = CostModel {
-            t_startup: 1.0,
-            t_word: 0.5,
-            t_flop: 0.0,
-        };
+        let c = cost(1.0, 0.5, 0.0);
         let mut m1 = Machine::new(8, Topology::Hypercube, c);
         let t_ag = m1.allgather(100, "ag");
         let mut m2 = Machine::new(8, Topology::Hypercube, c);
@@ -1121,11 +1123,7 @@ mod tests {
 
     #[test]
     fn group_collective_costs_group_size_not_machine_size() {
-        let c = CostModel {
-            t_startup: 1.0,
-            t_word: 0.0,
-            t_flop: 0.0,
-        };
+        let c = cost(1.0, 0.0, 0.0);
         let mut m = Machine::new(16, Topology::Hypercube, c);
         // A 4-member group pays log2(4) = 2 start-ups, not log2(16) = 4.
         let t = m.group_collective(&[0, 1, 2, 3], EventKind::AllGather, 1, "g");
@@ -1148,22 +1146,18 @@ mod tests {
         assert_eq!(tg, 3.0);
         assert_eq!(m.trace().count(EventKind::Gather), 1);
         // Non-root processors each sent their block.
-        assert_eq!(m.total_messages(), 7);
+        assert_eq!((m.total_messages(), m.total_words_sent()), (7, 70));
 
         let ts = m.scatter(0, 10, "scatter-x");
         assert_eq!(ts, 3.0);
         assert_eq!(m.trace().count(EventKind::Scatter), 1);
-        // Root sent 7 * 10 words.
-        assert_eq!(m.stats(0).words_sent, 70);
+        // Root sent 7 messages of 10 words.
+        assert_eq!((m.total_messages(), m.total_words_sent()), (14, 140));
     }
 
     #[test]
     fn varying_gather_scatter_price_the_actual_volume() {
-        let c = CostModel {
-            t_startup: 1.0,
-            t_word: 0.5,
-            t_flop: 0.0,
-        };
+        let c = cost(1.0, 0.5, 0.0);
         let mut m = Machine::new(4, Topology::Hypercube, c);
         // Coarse level: only procs 0 and 1 own elements; 0 is root.
         let tg = m.gather_varying(0, &[6, 4, 0, 0], "mg-coarse-gather");
@@ -1179,7 +1173,8 @@ mod tests {
         assert_eq!(ts, 2.0 + 0.5 * 4.0);
         let ev = m.trace().iter().last().unwrap();
         assert_eq!(ev.payload_words, 4);
-        assert_eq!(m.stats(0).words_sent, 4);
+        // Root sent proc 1 its 4 words.
+        assert_eq!((m.total_messages(), m.total_words_sent()), (2, 8));
     }
 
     #[test]

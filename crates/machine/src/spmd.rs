@@ -28,7 +28,8 @@ struct Msg {
     payload: Vec<f64>,
 }
 
-/// Per-rank traffic statistics, mirroring [`crate::machine::ProcStats`].
+/// Per-rank traffic statistics: what [`crate::Machine::total_messages`]
+/// and [`crate::Machine::total_words_sent`] sum over the processors.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct SpmdStats {
     /// Messages sent by this rank.

@@ -1,10 +1,12 @@
 //! Property tests on the simulated machine: cost-model monotonicity,
-//! collective algebra, conservation in exchanges, and what is kept of a
-//! run agreeing at every trace level, sink and tail.
+//! collective algebra, conservation in exchanges, what is kept of a run
+//! agreeing at every trace level, sink and tail, and the machine's O(1)
+//! accounting agreeing with a reference that walks every clock.
 
+use hpf_machine::fault::{CRASH_RESTART_STARTUPS, DROP_RETRANSMIT_STARTUPS};
 use hpf_machine::{
-    predicted_time, span, CostModel, Digest, Event, EventKind, EventSink, FaultPlan, FaultRates,
-    Machine, Topology, TraceLevel,
+    predicted_time, span, CostModel, Digest, Event, EventKind, EventSink, Fault, FaultKind,
+    FaultPlan, FaultRates, Machine, Topology, TraceLevel,
 };
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex};
@@ -164,14 +166,33 @@ fn blocks(np: usize, bits: u64) -> Vec<usize> {
         .collect()
 }
 
-/// Every public operation of the machine, by number.
-fn drive(m: &mut Machine, (op, a, b, bits, trace): Step) {
+/// The `traffic` matrix operation 12 exchanges, row `s` what `s` sends.
+fn traffic(np: usize, bits: u64) -> Vec<Vec<usize>> {
+    (0..np).map(|s| blocks(np, bits ^ s as u64)).collect()
+}
+
+/// The members of operation 17's group: the processors `bits` marks.
+fn members(np: usize, bits: u64) -> Vec<usize> {
+    (0..np).filter(|p| bits >> p & 1 == 1).collect()
+}
+
+const GROUP_KINDS: [EventKind; 4] = [
+    EventKind::AllGather,
+    EventKind::AllReduce,
+    EventKind::Reduce,
+    EventKind::Broadcast,
+];
+
+/// Every public operation of the machine, by number; with `as_each`,
+/// `compute_uniform(b)` is run as `compute_each(|_| b)` under its label.
+fn drive(m: &mut Machine, (op, a, b, bits, trace): Step, as_each: bool) {
     let np = m.np();
     let _request = span::enter(format!("trace={trace:016x}"));
     let _level = span::enter(format!("level={}", a % 3));
     match op % 18 {
         0 => m.compute(a % np, b),
         1 => drop(m.compute_all(&blocks(np, bits), "compute-all")),
+        2 if as_each => drop(m.compute_each(|_| b, "compute-uniform")),
         2 => drop(m.compute_uniform(b, "compute-uniform")),
         3 => drop(m.compute_serial(b, "compute-serial")),
         4 => drop(m.send(a % np, b % np, b, "send")),
@@ -182,24 +203,12 @@ fn drive(m: &mut Machine, (op, a, b, bits, trace): Step) {
         9 => drop(m.allreduce(b, "allreduce")),
         10 => drop(m.reduce_scatter(b, "reduce-scatter")),
         11 => drop(m.alltoall(b, "alltoall")),
-        12 => {
-            let matrix: Vec<_> = (0..np).map(|s| blocks(np, bits ^ s as u64)).collect();
-            m.exchange(&matrix, "exchange");
-        }
+        12 => drop(m.exchange(&traffic(np, bits), "exchange")),
         13 => drop(m.gather(a % np, b % 7, "gather")),
         14 => drop(m.gather_varying(a % np, &blocks(np, bits), "gather-varying")),
         15 => drop(m.scatter(a % np, b % 7, "scatter")),
         16 => drop(m.scatter_varying(a % np, &blocks(np, bits), "scatter-varying")),
-        _ => {
-            let members: Vec<usize> = (0..np).filter(|p| bits >> p & 1 == 1).collect();
-            let kind = [
-                EventKind::AllGather,
-                EventKind::AllReduce,
-                EventKind::Reduce,
-                EventKind::Broadcast,
-            ][a % 4];
-            m.group_collective(&members, kind, b, "group");
-        }
+        _ => drop(m.group_collective(&members(np, bits), GROUP_KINDS[a % 4], b, "group")),
     }
 }
 
@@ -224,6 +233,11 @@ const WATCHES: [Watch; 5] = [
 const LEVELS: [TraceLevel; 3] = [TraceLevel::Off, TraceLevel::Summary, TraceLevel::Full];
 const TAIL: usize = 8;
 
+/// The machine-wide flop, word and message counts.
+fn totals(m: &Machine) -> (u64, u64, u64) {
+    (m.total_flops(), m.total_words_sent(), m.total_messages())
+}
+
 /// Every field of an event, as text.
 fn text(e: &Event) -> String {
     format!("{e:?}")
@@ -233,23 +247,28 @@ fn kept_by_filter(trace_id: u64) -> bool {
     trace_id.is_multiple_of(2)
 }
 
+/// A plan of crashes, drops, stragglers and bit flips over `ops`
+/// operations.
+fn plan(seed: u64, np: usize, ops: usize) -> FaultPlan {
+    let rates = FaultRates {
+        crash: 0.05,
+        ..FaultRates::transient(0.2)
+    };
+    FaultPlan::random(seed, np, ops, rates)
+}
+
 /// Run `steps` on a fresh machine; hand back it and what its sink saw.
 fn run(
     np: usize,
     topology: Topology,
     faults: Option<u64>,
     steps: &[Step],
-    level: TraceLevel,
-    watch: Watch,
+    (level, watch, as_each): (TraceLevel, Watch, bool),
 ) -> (Machine, Vec<String>) {
     let mut m = Machine::new(np, topology, CostModel::mpp_1995());
     m.set_trace_level(level);
     if let Some(seed) = faults {
-        let rates = FaultRates {
-            crash: 0.05,
-            ..FaultRates::transient(0.2)
-        };
-        m.set_fault_plan(FaultPlan::random(seed, np, steps.len(), rates));
+        m.set_fault_plan(plan(seed, np, steps.len()));
     }
     if matches!(watch, Watch::Tail | Watch::TailAndSink) {
         m.keep_tail(TAIL);
@@ -268,7 +287,7 @@ fn run(
         });
     }
     for &step in steps {
-        drive(&mut m, step);
+        drive(&mut m, step, as_each);
     }
     let seen = std::mem::take(&mut *seen.lock().unwrap());
     (m, seen)
@@ -276,7 +295,9 @@ fn run(
 
 proptest! {
     /// Whatever is kept of a run, and wherever it is written, the run is
-    /// the same run and every keeper holds the same events.
+    /// the same run and every keeper holds the same events — and the same
+    /// again with every `compute_uniform(f)` run as `compute_each(|_| f)`,
+    /// the fallback it takes on clocks that differ or under a plan.
     #[test]
     fn every_level_sink_and_tail_keeps_the_same_run(
         np in 1usize..7,
@@ -288,8 +309,9 @@ proptest! {
         ),
     ) {
         let faults = (faults.0 == 0).then_some(faults.1);
-        let run = |level, watch| run(np, topology, faults, &steps, level, watch);
-        let (reference, _) = run(TraceLevel::Full, Watch::Nothing);
+        let run = |how| run(np, topology, faults, &steps, how);
+        let (reference, _) = run((TraceLevel::Full, Watch::Nothing, false));
+        let jsonl = reference.trace().to_jsonl();
         let events: Vec<String> = reference.trace().events().iter().map(text).collect();
         let filtered: Vec<String> = reference
             .trace()
@@ -301,42 +323,38 @@ proptest! {
         let bits = |clocks: &[f64]| clocks.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
         for level in LEVELS {
             for watch in WATCHES {
-                let (m, seen) = run(level, watch);
-                let at = format!("{level:?}, {watch:?}");
-                prop_assert_eq!(bits(m.clocks()), bits(reference.clocks()), "{}", at);
-                for p in 0..np {
-                    let (mine, theirs) = (m.stats(p), reference.stats(p));
-                    prop_assert_eq!(
-                        (mine.flops, mine.words_sent, mine.messages),
-                        (theirs.flops, theirs.words_sent, theirs.messages),
-                        "{}", at
-                    );
-                }
-                prop_assert_eq!(m.faults_injected(), reference.faults_injected());
-                match level {
-                    TraceLevel::Full => {
-                        let kept: Vec<String> = m.trace().events().iter().map(text).collect();
-                        prop_assert_eq!(&kept, &events, "{}", at);
-                        prop_assert!(m.tail().is_empty(), "{}", at);
+                for as_each in [false, true] {
+                    let (m, seen) = run((level, watch, as_each));
+                    let at = format!("{level:?}, {watch:?}, as_each {as_each}");
+                    prop_assert_eq!(bits(m.clocks()), bits(reference.clocks()), "{}", at);
+                    prop_assert_eq!(totals(&m), totals(&reference), "{}", at);
+                    prop_assert_eq!(m.faults_injected(), reference.faults_injected());
+                    match level {
+                        TraceLevel::Full => {
+                            let kept: Vec<String> = m.trace().events().iter().map(text).collect();
+                            prop_assert_eq!(&kept, &events, "{}", at);
+                            prop_assert_eq!(&m.trace().to_jsonl(), &jsonl, "{}", at);
+                            prop_assert!(m.tail().is_empty(), "{}", at);
+                        }
+                        TraceLevel::Summary => {
+                            prop_assert_eq!(m.digest(), &Digest::from_trace(reference.trace()));
+                            prop_assert!(m.trace().is_empty());
+                        }
+                        TraceLevel::Off => prop_assert_eq!(m.digest(), &Digest::default()),
                     }
-                    TraceLevel::Summary => {
-                        prop_assert_eq!(m.digest(), &Digest::from_trace(reference.trace()));
-                        prop_assert!(m.trace().is_empty());
+                    // A sink sees every event, or exactly the ones its
+                    // filter asked for: the same ones at `Full` as below it.
+                    match watch {
+                        Watch::Nothing | Watch::Tail => prop_assert!(seen.is_empty()),
+                        Watch::Sink | Watch::TailAndSink => prop_assert_eq!(&seen, &events, "{}", at),
+                        Watch::FilteredSink => prop_assert_eq!(&seen, &filtered, "{}", at),
                     }
-                    TraceLevel::Off => prop_assert_eq!(m.digest(), &Digest::default()),
-                }
-                // A sink sees every event, or exactly the ones its
-                // filter asked for: the same ones at `Full` as below it.
-                match watch {
-                    Watch::Nothing | Watch::Tail => prop_assert!(seen.is_empty()),
-                    Watch::Sink | Watch::TailAndSink => prop_assert_eq!(&seen, &events, "{}", at),
-                    Watch::FilteredSink => prop_assert_eq!(&seen, &filtered, "{}", at),
-                }
-                if level != TraceLevel::Full && matches!(watch, Watch::Tail | Watch::TailAndSink) {
-                    let tail: Vec<String> = m.tail().iter().map(|e| text(&e.to_event())).collect();
-                    let last = &events[events.len().saturating_sub(TAIL)..];
-                    prop_assert_eq!(&tail[..], last, "{}", at);
-                    prop_assert_eq!(m.tail().overwritten() as usize, events.len() - last.len());
+                    if level != TraceLevel::Full && matches!(watch, Watch::Tail | Watch::TailAndSink) {
+                        let tail: Vec<String> = m.tail().iter().map(|e| text(&e.to_event())).collect();
+                        let last = &events[events.len().saturating_sub(TAIL)..];
+                        prop_assert_eq!(&tail[..], last, "{}", at);
+                        prop_assert_eq!(m.tail().overwritten() as usize, events.len() - last.len());
+                    }
                 }
             }
         }
@@ -371,6 +389,289 @@ proptest! {
         let moved: usize = (0..np).filter(|&p| p != root).map(|p| varying[p]).sum();
         prop_assert_eq!(m.trace().events()[0].payload_words, words_each * (np - 1));
         prop_assert_eq!(m.trace().events()[3].payload_words, moved);
+    }
+}
+
+/// The machine as it kept its accounting before it tracked one maximum:
+/// every clock walked and every processor's counters summed, priced by
+/// the same public formulas. Fault penalties and straggler factors are
+/// replayed from the plan.
+struct Reference {
+    np: usize,
+    topology: Topology,
+    cost: CostModel,
+    clocks: Vec<f64>,
+    /// Flops, words sent and messages of each processor.
+    stats: Vec<[u64; 3]>,
+    plan: Option<Vec<Fault>>,
+    /// The next fault of `plan` and the next operation's index.
+    cursor: usize,
+    op: usize,
+    /// Each processor's straggler factor and the operations it has left.
+    skew: Vec<(f64, usize)>,
+}
+
+impl Reference {
+    fn new(np: usize, topology: Topology, cost: CostModel, plan: Option<&FaultPlan>) -> Self {
+        Reference {
+            np,
+            topology,
+            cost,
+            clocks: vec![0.0; np],
+            stats: vec![[0; 3]; np],
+            plan: plan.map(|p| p.faults().to_vec()),
+            cursor: 0,
+            op: 0,
+            skew: vec![(1.0, 0); np],
+        }
+    }
+
+    fn reset(&mut self) {
+        *self = Reference {
+            plan: self.plan.take(),
+            ..Reference::new(self.np, self.topology, self.cost, None)
+        };
+    }
+
+    fn elapsed(&self) -> f64 {
+        self.clocks.iter().cloned().fold(0.0, f64::max)
+    }
+
+    fn imbalance(&self) -> f64 {
+        let mean = self.clocks.iter().sum::<f64>() / self.np as f64;
+        if mean == 0.0 {
+            1.0
+        } else {
+            self.elapsed() / mean
+        }
+    }
+
+    fn totals(&self) -> (u64, u64, u64) {
+        let sum = |i: usize| self.stats.iter().map(|s| s[i]).sum();
+        (sum(0), sum(1), sum(2))
+    }
+
+    fn count(&mut self, p: usize, words: usize, messages: usize) {
+        self.stats[p][1] += words as u64;
+        self.stats[p][2] += messages as u64;
+    }
+
+    fn factor(&self, p: usize) -> f64 {
+        if self.skew[p].1 > 0 {
+            self.skew[p].0
+        } else {
+            1.0
+        }
+    }
+
+    fn synchronise(&mut self) -> f64 {
+        let max = self.elapsed();
+        self.clocks.iter_mut().for_each(|c| *c = max);
+        max
+    }
+
+    fn charge_all(&mut self, time: f64) {
+        self.synchronise();
+        self.clocks.iter_mut().for_each(|c| *c += time);
+    }
+
+    fn begin_op(&mut self) {
+        let op = self.op;
+        self.op += 1;
+        let Some(plan) = &self.plan else { return };
+        let mut due = Vec::new();
+        while self.cursor < plan.len() && plan[self.cursor].op <= op {
+            due.push(plan[self.cursor]);
+            self.cursor += 1;
+        }
+        for s in &mut self.skew {
+            s.1 = s.1.saturating_sub(1);
+        }
+        for f in due {
+            let proc = f.proc % self.np;
+            match f.kind {
+                FaultKind::MessageDrop => {
+                    let t = DROP_RETRANSMIT_STARTUPS * self.cost.t_startup;
+                    self.clocks.iter_mut().for_each(|c| *c += t);
+                }
+                FaultKind::Straggler { factor, ops } => self.skew[proc] = (factor, ops),
+                FaultKind::Crash => self.charge_all(CRASH_RESTART_STARTUPS * self.cost.t_startup),
+                FaultKind::BitFlip { .. } | FaultKind::Stall { .. } => {}
+            }
+        }
+    }
+
+    fn compute_each(&mut self, flops_of: impl Fn(usize) -> usize) {
+        self.begin_op();
+        for p in 0..self.np {
+            let f = flops_of(p);
+            self.stats[p][0] += f as u64;
+            self.clocks[p] += self.cost.flops(f) * self.factor(p);
+        }
+    }
+
+    fn through_root(&mut self, gather: bool, root: usize, words_of: impl Fn(usize) -> usize) {
+        self.begin_op();
+        let mut total = 0;
+        for p in (0..self.np).filter(|&p| p != root) {
+            let words = words_of(p);
+            if words > 0 {
+                self.count(if gather { p } else { root }, words, 1);
+                total += words;
+            }
+        }
+        self.charge_all(self.topology.gather_time(self.np, total, &self.cost));
+    }
+
+    /// [`drive`]'s operation `step`, on the reference.
+    fn step(&mut self, (op, a, b, bits, _): Step) {
+        let (np, topology, cost) = (self.np, self.topology, self.cost);
+        let rounds = Topology::log2_ceil(np) as usize;
+        match op % 18 {
+            0 => {
+                self.begin_op();
+                let p = a % np;
+                self.stats[p][0] += b as u64;
+                self.clocks[p] += cost.flops(b) * self.factor(p);
+            }
+            1 => self.compute_each(|p| blocks(np, bits)[p]),
+            2 => self.compute_each(|_| b),
+            3 => {
+                self.begin_op();
+                self.stats[0][0] += b as u64;
+                self.charge_all(cost.flops(b) * self.factor(0));
+            }
+            4 => {
+                let (from, to) = (a % np, b % np);
+                if from != to {
+                    self.begin_op();
+                    let t = cost.message(b, topology.hops(from, to, np));
+                    self.count(from, b, 1);
+                    let arrive = self.clocks[from] + t;
+                    self.clocks[to] = self.clocks[to].max(arrive);
+                    self.clocks[from] = arrive;
+                }
+            }
+            5 => {
+                self.begin_op();
+                self.charge_all(topology.allreduce_time(np, 0, &cost));
+            }
+            6 => {
+                self.begin_op();
+                self.count(a % np, b, rounds);
+                self.charge_all(topology.broadcast_time(np, b, &cost));
+            }
+            7 | 10 => {
+                self.begin_op();
+                (0..np).for_each(|p| self.count(p, b * (np - 1), rounds));
+                self.charge_all(if op % 18 == 7 {
+                    topology.allgather_time(np, b, &cost)
+                } else {
+                    topology.reduce_scatter_time(np, b, &cost)
+                });
+            }
+            8 => {
+                self.begin_op();
+                (0..np)
+                    .filter(|&p| p != a % np)
+                    .for_each(|p| self.count(p, b, 1));
+                self.charge_all(topology.reduce_time(np, b, &cost));
+            }
+            9 => {
+                self.begin_op();
+                (0..np).for_each(|p| self.count(p, b * rounds, rounds));
+                self.charge_all(topology.allreduce_time(np, b, &cost));
+            }
+            11 => {
+                self.begin_op();
+                (0..np).for_each(|p| self.count(p, b * (np - 1), np - 1));
+                self.charge_all(topology.alltoall_time(np, b, &cost));
+            }
+            12 => {
+                let matrix = traffic(np, bits);
+                self.begin_op();
+                let mut max_t: f64 = 0.0;
+                for p in 0..np {
+                    let others = || (0..np).filter(move |&q| q != p);
+                    let sends = others().filter(|&d| matrix[p][d] > 0).count();
+                    let sent: usize = others().map(|d| matrix[p][d]).sum();
+                    let recvd: usize = others().map(|s| matrix[s][p]).sum();
+                    let recvs = others().filter(|&s| matrix[s][p] > 0).count();
+                    let t = sends.max(recvs) as f64 * cost.t_startup
+                        + cost.t_word * sent.max(recvd) as f64;
+                    self.count(p, sent, sends);
+                    max_t = max_t.max(t);
+                }
+                self.charge_all(max_t);
+            }
+            13 => self.through_root(true, a % np, |_| b % 7),
+            14 => self.through_root(true, a % np, |p| blocks(np, bits)[p]),
+            15 => self.through_root(false, a % np, |_| b % 7),
+            16 => self.through_root(false, a % np, |p| blocks(np, bits)[p]),
+            _ => {
+                let members = members(np, bits);
+                let g = members.len();
+                if g <= 1 {
+                    return;
+                }
+                self.begin_op();
+                let t = match GROUP_KINDS[a % 4] {
+                    EventKind::AllGather => topology.allgather_time(g, b, &cost),
+                    EventKind::AllReduce => topology.allreduce_time(g, b, &cost),
+                    EventKind::Reduce => topology.reduce_scatter_time(g, b, &cost),
+                    _ => topology.broadcast_time(g, b, &cost),
+                };
+                let max = members.iter().map(|&p| self.clocks[p]).fold(0.0, f64::max);
+                for &p in &members {
+                    self.clocks[p] = max + t;
+                    self.count(p, b * (g - 1), Topology::log2_ceil(g) as usize);
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    /// The machine's tracked maximum, its synchronised-clock shortcuts and
+    /// its running totals leave what walking every clock and summing
+    /// every processor's counters leaves: clocks, `elapsed` and
+    /// `imbalance` to the bit and equal totals, after every operation of
+    /// every kind, with faults on and off and resets mid-run, at
+    /// NP = 64 too. (Operation 18 is a reset.)
+    #[test]
+    fn o1_accounting_matches_walking_every_clock(
+        np in prop_oneof![1usize..7, Just(64usize)],
+        topology in arb_topology(),
+        cost in arb_cost(),
+        faults in (0u64..2, any::<u64>()),
+        level in 0usize..3,
+        steps in proptest::collection::vec(
+            (0usize..19, 0usize..64, 0usize..200, any::<u64>(), 0u64..4),
+            1..60,
+        ),
+    ) {
+        let plan = (faults.0 == 0).then(|| plan(faults.1, np, steps.len()));
+        let mut m = Machine::new(np, topology, cost);
+        m.set_trace_level(LEVELS[level]);
+        if let Some(plan) = &plan {
+            m.set_fault_plan(plan.clone());
+        }
+        let mut reference = Reference::new(np, topology, cost, plan.as_ref());
+        let bits = |clocks: &[f64]| clocks.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+        for (i, &step) in steps.iter().enumerate() {
+            if step.0 == 18 {
+                m.reset();
+                reference.reset();
+            } else {
+                drive(&mut m, step, false);
+                reference.step(step);
+            }
+            let at = format!("step {i}: {step:?}");
+            prop_assert_eq!(bits(m.clocks()), bits(&reference.clocks), "{}", at);
+            prop_assert_eq!(m.elapsed().to_bits(), reference.elapsed().to_bits(), "{}", at);
+            prop_assert_eq!(m.imbalance().to_bits(), reference.imbalance().to_bits(), "{}", at);
+            prop_assert_eq!(totals(&m), reference.totals(), "{}", at);
+        }
     }
 }
 
@@ -523,6 +824,15 @@ proptest! {
 /// A row holds a participant or hop count in 32 bits: a JSON Lines trace
 /// with a wider one is refused as a parse error naming its line, one
 /// that fits reads back to the same bytes, and `Trace::record` asserts it.
+/// A short row is refused before any row is read, not by an index out
+/// of bounds.
+#[test]
+#[should_panic(expected = "one row per processor")]
+fn exchange_checks_every_row_before_reading_one() {
+    let mut m = Machine::new(3, Topology::Hypercube, CostModel::mpp_1995());
+    m.exchange(&[vec![0, 1, 1], vec![1, 0, 1], vec![1]], "short-last-row");
+}
+
 #[test]
 fn a_trace_refuses_counts_wider_than_32_bits() {
     let line = |participants: u64, hops: u64| {

@@ -67,14 +67,13 @@ pub(crate) fn update_x_r_and_dot_rr(
         );
     }
     let merged = DistVector::axpy_pair_then_dot(alpha, x, p, r, q);
-    let flops = |proc: usize| 2 * x.local(proc).len();
     {
         let _s = span::enter("axpy");
-        machine.compute_each(flops, "saxpy");
-        machine.compute_each(flops, "saxpy");
+        x.charge_elementwise(machine, 2, "saxpy");
+        x.charge_elementwise(machine, 2, "saxpy");
     }
     let _s = span::enter("dot");
-    machine.compute_each(flops, "dot-local");
+    x.charge_elementwise(machine, 2, "dot-local");
     machine.allreduce(1, "dot-merge");
     machine.corrupt_scalar(merged)
 }
