@@ -85,7 +85,6 @@ fn service_config(recorder: Option<&Arc<FlightRecorder>>) -> ServiceConfig {
         queue_capacity: 32,
         np: 4,
         hang_timeout: Duration::from_millis(100),
-        supervisor_poll: Duration::from_millis(10),
         // The chaos sweep hammers one fingerprint on purpose; the
         // breaker must not turn injected faults into refusals.
         breaker_threshold: 1000,

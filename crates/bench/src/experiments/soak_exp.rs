@@ -103,7 +103,6 @@ pub fn e27_with_gate(requests: usize, gate: &RegressionGate) -> Table {
         queue_capacity: 4096,
         np: 4,
         hang_timeout: Duration::from_millis(100),
-        supervisor_poll: Duration::from_millis(10),
         // Kills feed the breaker; keep it from tripping on the shared
         // structures so breaker refusals don't dominate the soak.
         breaker_threshold: 50,

@@ -88,7 +88,6 @@ fn service_config(bus: Option<&Arc<EventBus>>) -> ServiceConfig {
         queue_capacity: 32,
         np: 4,
         hang_timeout: Duration::from_millis(100),
-        supervisor_poll: Duration::from_millis(10),
         breaker_threshold: 50,
         ..ServiceConfig::default()
     };

@@ -366,8 +366,10 @@ impl EventBus {
 
     /// A machine-level tap for [`hpf_machine::Machine::set_event_sink`]:
     /// every recorded machine event is flattened and offered to the bus.
-    /// The trace id is read from the span path's `trace=<hex>` segment
-    /// (stamped by the service worker); machine faults are critical.
+    /// The trace id is the one the pre-filter is handed,
+    /// [`hpf_machine::span::current_trace`]: the span stack's
+    /// `trace=<hex>` segment (stamped by the service worker), parsed once
+    /// when it was entered. Machine faults are critical.
     ///
     /// The head-sampling decision is the sink's pre-filter, which the
     /// machine asks once per operation at every trace level, before it
@@ -383,7 +385,7 @@ impl EventBus {
                 wall_s: 0.0,
                 origin: BusOrigin::Machine,
                 kind: format!("{:?}", e.kind),
-                trace_id: hpf_machine::span::trace_of(e.span).unwrap_or(0),
+                trace_id: hpf_machine::span::current_trace().unwrap_or(0),
                 class: String::new(),
                 span: e.span.to_string(),
                 label: e.label.to_string(),
@@ -609,6 +611,31 @@ mod tests {
         assert!(events.iter().all(|e| e.origin == BusOrigin::Machine));
         assert_eq!(events[1].kind, "AllReduce");
         assert!(events[1].span.ends_with("/solve"));
+    }
+
+    /// Through a running service: every machine event a job publishes
+    /// carries the trace id its request was submitted with.
+    #[test]
+    fn machine_events_of_a_service_job_carry_its_trace_id() {
+        use hpf_service::{ServiceConfig, SolveRequest, SolverService};
+        use std::sync::Arc;
+        let bus = EventBus::new(1 << 16, SamplingPolicy::keep_all());
+        let service = SolverService::start(ServiceConfig {
+            workers: 1,
+            np: 4,
+            machine_sink: Some(bus.machine_sink()),
+            ..ServiceConfig::default()
+        });
+        let a = Arc::new(hpf_sparse::gen::banded_spd(32, 2, 4));
+        for trace_id in [0xabc, 0x5eed] {
+            let request = SolveRequest::new(a.clone(), vec![1.0; 32]).trace(trace_id);
+            service.solve(request).unwrap();
+            let events = bus.drain();
+            assert!(!events.is_empty());
+            assert!(events.iter().all(|e| e.trace_id == trace_id));
+            assert!(events.iter().all(|e| e.origin == BusOrigin::Machine));
+        }
+        service.shutdown();
     }
 
     #[test]

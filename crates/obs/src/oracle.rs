@@ -171,6 +171,9 @@ impl CategoryDrift {
     }
 }
 
+/// How many of the worst offenders a [`DriftReport`] keeps.
+const WORST: usize = 10;
+
 /// One event whose measured time strayed furthest from its prediction.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorstOffender {
@@ -232,7 +235,9 @@ impl DriftReport {
                 words: 0,
             })
             .collect();
-        let mut worst: Vec<WorstOffender> = Vec::new();
+        // `(event index, |measured − predicted|)` of the worst so far,
+        // worst first, ties to the earlier event.
+        let mut worst: Vec<(usize, f64)> = Vec::with_capacity(WORST + 1);
         let mut iters: std::collections::BTreeMap<usize, IterDrift> =
             std::collections::BTreeMap::new();
         let mut unpredicted = 0usize;
@@ -255,15 +260,12 @@ impl DriftReport {
             slot.measured_seconds += event.time;
             slot.words += event.words as u64;
             if prediction.is_some() {
-                worst.push(WorstOffender {
-                    event: i,
-                    kind: event.kind.name(),
-                    span: event.span.to_string(),
-                    label: event.label.to_string(),
-                    category,
-                    predicted_seconds: predicted,
-                    measured_seconds: event.time,
-                });
+                let drift = (event.time - predicted).abs();
+                let at = worst.partition_point(|&(_, worse)| worse >= drift);
+                if at < WORST {
+                    worst.insert(at, (i, drift));
+                    worst.truncate(WORST);
+                }
             }
             if let Some(k) = iteration_of(event.span) {
                 let entry = iters.entry(k).or_insert(IterDrift {
@@ -275,14 +277,22 @@ impl DriftReport {
                 entry.measured_seconds += event.time;
             }
         }
-        worst.sort_by(|a, b| {
-            let da = (a.measured_seconds - a.predicted_seconds).abs();
-            let db = (b.measured_seconds - b.predicted_seconds).abs();
-            db.partial_cmp(&da)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.event.cmp(&b.event))
-        });
-        worst.truncate(10);
+        let worst = worst
+            .into_iter()
+            .map(|(i, _)| {
+                let event = trace.row(i);
+                WorstOffender {
+                    event: i,
+                    kind: event.kind.name(),
+                    span: event.span.to_string(),
+                    label: event.label.to_string(),
+                    category: classify(&event),
+                    predicted_seconds: predicted_time(&event, topology, cost)
+                        .expect("only predicted events are ranked"),
+                    measured_seconds: event.time,
+                }
+            })
+            .collect();
         DriftReport {
             topology,
             total_predicted_seconds: cats.iter().map(|c| c.predicted_seconds).sum(),

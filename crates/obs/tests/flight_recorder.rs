@@ -224,7 +224,6 @@ fn every_answer_completes_once_and_every_bad_answer_dumps_once() {
         workers: 2,
         np: 4,
         hang_timeout: Duration::from_millis(100),
-        supervisor_poll: Duration::from_millis(10),
         // The stream hammers four structures; injected faults must not
         // turn into refusals.
         breaker_threshold: 1000,

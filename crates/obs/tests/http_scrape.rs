@@ -82,7 +82,7 @@ fn live_serve_loop_is_scrapable_end_to_end() {
     let stop = StopCriterion::RelativeResidual(1e-8);
     solve(&mut m, &op, &b2, Krylov::cg(), stop, 200, &mut log).unwrap();
     let report = DriftReport::from_trace(m.trace(), Topology::Hypercube, m.cost_model());
-    server.publish_drift(report.to_json());
+    server.publish("/drift", report.to_json());
 
     let (head, body) = http_get(server.addr(), "/drift");
     assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
@@ -92,10 +92,12 @@ fn live_serve_loop_is_scrapable_end_to_end() {
 
     // Publishing has started (the drift report above), so /slo, /alerts
     // and /postmortems answer 200 with explicit empty documents instead
-    // of 404 — a scraper can tell "nothing yet" from "not wired up".
+    // of 404 — a scraper can tell "nothing yet" from "not wired up" —
+    // of the shape their publishers write: the SLO status and the alert
+    // log are arrays, the post-mortem index an object.
     for (path, empty) in [
-        ("/slo", "{\"slo\":[]}"),
-        ("/alerts", "{\"alerts\":[]}"),
+        ("/slo", "[]"),
+        ("/alerts", "[]"),
         ("/postmortems", "{\"postmortems\":[]}"),
     ] {
         let (head, body) = http_get(server.addr(), path);
@@ -113,8 +115,8 @@ fn live_serve_loop_is_scrapable_end_to_end() {
         slo.evaluate(now);
         now += 0.1;
     }
-    server.publish_slo(slo.status_json());
-    server.publish_alerts(slo.alerts_json());
+    server.publish("/slo", slo.status_json());
+    server.publish("/alerts", slo.alerts_json());
 
     let (head, body) = http_get(server.addr(), "/slo");
     assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
@@ -160,8 +162,8 @@ fn live_serve_loop_is_scrapable_end_to_end() {
     });
     let pm = &fr.postmortems()[0];
     assert_eq!(pm.top_verdict().name(), "fault-stall");
-    server.publish_postmortem(&pm.key, pm.to_json());
-    server.publish_postmortems(fr.index_json());
+    server.publish(&format!("/postmortems/{}", pm.key), pm.to_json());
+    server.publish("/postmortems", fr.index_json());
     service
         .metrics_handle()
         .record_postmortem(pm.top_verdict().name());

@@ -5,25 +5,18 @@
 //!   the live [`crate::Metrics`] counters,
 //! - `GET /healthz`  — JSON liveness: queue depth, in-flight jobs, open
 //!   circuit breakers, uptime; answers `503` once shutdown has begun,
-//! - `GET /drift`    — the most recently published cost-oracle
-//!   `DriftReport` JSON (published by the embedding process via
-//!   [`MetricsServer::publish_drift`]), `404` until one exists,
-//! - `GET /slo`      — the most recently published per-class SLO status
-//!   JSON ([`MetricsServer::publish_slo`]),
-//! - `GET /alerts`   — the most recently published burn-rate alert
-//!   state JSON ([`MetricsServer::publish_alerts`]). The SLO evaluation
-//!   itself lives in `hpf-obs::slo`; the embedding process evaluates
-//!   and publishes here,
-//! - `GET /postmortems` — index of flight-recorder post-mortem dumps
-//!   ([`MetricsServer::publish_postmortems`]), and
-//!   `GET /postmortems/<trace-hex>` — one dump's full JSON
-//!   ([`MetricsServer::publish_postmortem`]).
+//! - any other path: the JSON document the embedding process last
+//!   published there with [`MetricsServer::publish`], verbatim — by
+//!   convention the cost-oracle `DriftReport` at `/drift`, the per-class
+//!   SLO status at `/slo` and the burn-rate alerts at `/alerts` (both
+//!   evaluated by `hpf-obs::slo`), the flight recorder's post-mortem
+//!   index at `/postmortems` and each dump at `/postmortems/<trace-hex>`.
 //!
-//! Publisher-fed endpoints answer `404` only before the embedding
-//! process has published *anything*; once publishing has started they
-//! answer `200` with an explicit empty document (`{"alerts":[]}`)
-//! instead of making "no transitions yet" indistinguishable from "no
-//! publisher wired".
+//! A path nothing was published at answers `404`, with one exception:
+//! once the embedding process has published *anything*, `/slo`,
+//! `/alerts` and `/postmortems` answer `200` with an empty document of
+//! the shape their publishers write (`EMPTY`), so that "nothing to
+//! report yet" is not mistaken for "no publisher wired".
 //!
 //! This is intentionally *not* a web framework: one accept loop on a
 //! background thread, one short-lived connection per scrape, request
@@ -43,6 +36,7 @@
 use crate::lock;
 use crate::metrics::Metrics;
 use crate::retry::CircuitBreaker;
+use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -63,23 +57,18 @@ pub const HEAD_DEADLINE: Duration = Duration::from_secs(2);
 const DRAIN_DEADLINE: Duration = Duration::from_millis(250);
 const DRAIN_BYTES: usize = 64 * 1024;
 
-/// Documents published by the embedding process and served verbatim
-/// (`404` until first published).
-#[derive(Default)]
-pub(crate) struct Published {
-    pub drift: Mutex<Option<String>>,
-    pub slo: Mutex<Option<String>>,
-    pub alerts: Mutex<Option<String>>,
-    /// Post-mortem index document served at `/postmortems`.
-    pub postmortems: Mutex<Option<String>>,
-    /// Per-trace dump documents served at `/postmortems/<trace-hex>`,
-    /// keyed by the 16-digit lowercase hex trace id.
-    pub postmortem_docs: Mutex<std::collections::BTreeMap<String, String>>,
-    /// Set by the first `publish_*` call: distinguishes "no publisher
-    /// wired" (404) from "publishing, nothing to report yet" (200 with
-    /// an explicit empty document).
-    pub started: AtomicBool,
-}
+/// What a publisher-fed path serves once anything at all is published
+/// and it has nothing of its own yet: the empty document of the shape
+/// its publisher writes (`SloTracker::status_json` and `alerts_json`
+/// write arrays, `FlightRecorder::index_json` an object).
+const EMPTY: [(&str, &str); 3] = [
+    ("/slo", "[]"),
+    ("/alerts", "[]"),
+    ("/postmortems", "{\"postmortems\":[]}"),
+];
+
+/// Documents published by the embedding process, by path.
+type Published = Mutex<HashMap<String, String>>;
 
 /// Handle to a running metrics listener. Dropping it stops the accept
 /// loop and joins the thread.
@@ -97,40 +86,12 @@ impl MetricsServer {
         self.addr
     }
 
-    /// Install `report_json` as the document served at `GET /drift`.
-    /// Replaces any previously published report.
-    pub fn publish_drift(&self, report_json: String) {
-        self.published.started.store(true, Ordering::SeqCst);
-        *lock(&self.published.drift) = Some(report_json);
-    }
-
-    /// Install `slo_json` as the document served at `GET /slo`.
-    /// Replaces any previously published status.
-    pub fn publish_slo(&self, slo_json: String) {
-        self.published.started.store(true, Ordering::SeqCst);
-        *lock(&self.published.slo) = Some(slo_json);
-    }
-
-    /// Install `alerts_json` as the document served at `GET /alerts`.
-    /// Replaces any previously published state.
-    pub fn publish_alerts(&self, alerts_json: String) {
-        self.published.started.store(true, Ordering::SeqCst);
-        *lock(&self.published.alerts) = Some(alerts_json);
-    }
-
-    /// Install `index_json` as the document served at `GET /postmortems`.
-    /// Replaces any previously published index.
-    pub fn publish_postmortems(&self, index_json: String) {
-        self.published.started.store(true, Ordering::SeqCst);
-        *lock(&self.published.postmortems) = Some(index_json);
-    }
-
-    /// Install one post-mortem dump, served at
-    /// `GET /postmortems/<trace_hex>` (use the 16-digit lowercase hex
-    /// trace id). Replaces any previous dump for the same trace.
-    pub fn publish_postmortem(&self, trace_hex: &str, doc_json: String) {
-        self.published.started.store(true, Ordering::SeqCst);
-        lock(&self.published.postmortem_docs).insert(trace_hex.to_string(), doc_json);
+    /// Serve `json` verbatim at `GET <path>` (`/drift`,
+    /// `/postmortems/<16-digit lowercase trace hex>`, ...), replacing
+    /// what was published there before. `/metrics` and `/healthz` stay
+    /// live whatever is published at them.
+    pub fn publish(&self, path: &str, json: String) {
+        lock(&self.published).insert(path.to_string(), json);
     }
 
     /// Stop the accept loop and join the listener thread. Idempotent.
@@ -163,7 +124,7 @@ pub(crate) fn spawn(addr: &str, state: HttpState) -> std::io::Result<MetricsServ
     let local = listener.local_addr()?;
     listener.set_nonblocking(true)?;
     let stop = Arc::new(AtomicBool::new(false));
-    let published = Arc::new(Published::default());
+    let published = Arc::<Published>::default();
     let loop_stop = stop.clone();
     let loop_published = published.clone();
     let handle = std::thread::Builder::new()
@@ -343,66 +304,24 @@ fn route(
                 .f64("uptime_seconds", snap.uptime_seconds);
             (code, "application/json", body)
         }
-        "/drift" => match lock(&published.drift).clone() {
-            Some(report) => ("200 OK", "application/json", report),
-            None => (
-                "404 Not Found",
-                "text/plain; charset=utf-8",
-                "no drift report published yet\n".to_string(),
-            ),
-        },
-        "/slo" => match lock(&published.slo).clone() {
-            Some(status) => ("200 OK", "application/json", status),
-            None if published.started.load(Ordering::SeqCst) => {
-                ("200 OK", "application/json", "{\"slo\":[]}".to_string())
-            }
-            None => (
-                "404 Not Found",
-                "text/plain; charset=utf-8",
-                "no slo status published yet\n".to_string(),
-            ),
-        },
-        "/alerts" => match lock(&published.alerts).clone() {
-            Some(alerts) => ("200 OK", "application/json", alerts),
-            None if published.started.load(Ordering::SeqCst) => {
-                ("200 OK", "application/json", "{\"alerts\":[]}".to_string())
-            }
-            None => (
-                "404 Not Found",
-                "text/plain; charset=utf-8",
-                "no alert state published yet\n".to_string(),
-            ),
-        },
-        "/postmortems" => match lock(&published.postmortems).clone() {
-            Some(index) => ("200 OK", "application/json", index),
-            None if published.started.load(Ordering::SeqCst) => (
-                "200 OK",
-                "application/json",
-                "{\"postmortems\":[]}".to_string(),
-            ),
-            None => (
-                "404 Not Found",
-                "text/plain; charset=utf-8",
-                "no postmortems published yet\n".to_string(),
-            ),
-        },
-        p if p.starts_with("/postmortems/") => {
-            let trace = p.trim_start_matches("/postmortems/");
-            match lock(&published.postmortem_docs).get(trace).cloned() {
-                Some(doc) => ("200 OK", "application/json", doc),
+        _ => {
+            let published = lock(published);
+            let doc = published.get(path).map(String::as_str).or_else(|| {
+                let started = !published.is_empty();
+                let empty = EMPTY.iter().find(|&&(at, _)| started && at == path);
+                empty.map(|&(_, doc)| doc)
+            });
+            match doc {
+                Some(doc) => ("200 OK", "application/json", doc.to_string()),
                 None => (
                     "404 Not Found",
                     "text/plain; charset=utf-8",
-                    "no postmortem for that trace id\n".to_string(),
+                    "nothing published here; try /metrics, /healthz, /drift, /slo, \
+                     /alerts or /postmortems\n"
+                        .to_string(),
                 ),
             }
         }
-        _ => (
-            "404 Not Found",
-            "text/plain; charset=utf-8",
-            "not found; try /metrics, /healthz, /drift, /slo, /alerts or /postmortems\n"
-                .to_string(),
-        ),
     }
 }
 
@@ -448,7 +367,7 @@ mod tests {
     fn drift_is_404_until_published() {
         let mut server = spawn("127.0.0.1:0", test_state()).unwrap();
         assert!(get(server.addr(), "/drift").starts_with("HTTP/1.1 404"));
-        server.publish_drift("{\"total_measured\":1}".to_string());
+        server.publish("/drift", "{\"total_measured\":1}".to_string());
         let drift = get(server.addr(), "/drift");
         assert!(drift.starts_with("HTTP/1.1 200 OK"), "{drift}");
         assert!(drift.contains("\"total_measured\":1"));
@@ -459,27 +378,40 @@ mod tests {
     fn slo_and_alerts_are_404_only_before_any_publishing() {
         let mut server = spawn("127.0.0.1:0", test_state()).unwrap();
         // No publisher wired at all: 404 tells the scraper so.
-        assert!(get(server.addr(), "/slo").starts_with("HTTP/1.1 404"));
-        assert!(get(server.addr(), "/alerts").starts_with("HTTP/1.1 404"));
-        // Any publish starts publishing: endpoints without their own
-        // document now answer 200 with an explicit empty body instead
-        // of an ambiguous 404.
-        server.publish_drift("{\"total_measured\":1}".to_string());
-        let slo = get(server.addr(), "/slo");
-        assert!(slo.starts_with("HTTP/1.1 200 OK"), "{slo}");
-        assert!(slo.contains("{\"slo\":[]}"), "{slo}");
-        let alerts = get(server.addr(), "/alerts");
-        assert!(alerts.starts_with("HTTP/1.1 200 OK"), "{alerts}");
-        assert!(alerts.contains("{\"alerts\":[]}"), "{alerts}");
+        for path in ["/slo", "/alerts", "/postmortems", "/drift"] {
+            assert!(get(server.addr(), path).starts_with("HTTP/1.1 404"));
+        }
+        // Any publish starts publishing: the three publisher-fed paths
+        // without a document of their own now answer 200 with an empty
+        // one of the shape their publishers write, instead of an
+        // ambiguous 404. Any other path still has nothing to serve.
+        server.publish("/drift", "{\"total_measured\":1}".to_string());
+        for (path, empty) in [
+            ("/slo", "[]"),
+            ("/alerts", "[]"),
+            ("/postmortems", "{\"postmortems\":[]}"),
+        ] {
+            let answer = get(server.addr(), path);
+            assert!(answer.starts_with("HTTP/1.1 200 OK"), "{answer}");
+            assert!(answer.ends_with(&format!("\r\n\r\n{empty}")), "{answer}");
+        }
+        assert!(get(server.addr(), "/postmortems/00000000000000ab").starts_with("HTTP/1.1 404"));
         // Real documents replace the empty placeholders verbatim.
-        server.publish_slo("{\"class\":\"interactive\"}".to_string());
-        server.publish_alerts("[{\"state\":\"firing\"}]".to_string());
+        server.publish("/slo", "[{\"class\":\"interactive\"}]".to_string());
+        server.publish("/alerts", "[{\"state\":\"firing\"}]".to_string());
         let slo = get(server.addr(), "/slo");
-        assert!(slo.contains("\"class\":\"interactive\""));
+        assert!(
+            slo.ends_with("\r\n\r\n[{\"class\":\"interactive\"}]"),
+            "{slo}"
+        );
         let alerts = get(server.addr(), "/alerts");
-        assert!(alerts.contains("\"state\":\"firing\""));
+        assert!(
+            alerts.ends_with("\r\n\r\n[{\"state\":\"firing\"}]"),
+            "{alerts}"
+        );
         // The 404 fallback advertises the endpoints.
         let missing = get(server.addr(), "/nope");
+        assert!(missing.starts_with("HTTP/1.1 404"), "{missing}");
         assert!(missing.contains("/alerts"), "{missing}");
         assert!(missing.contains("/postmortems"), "{missing}");
         server.stop();
@@ -489,13 +421,16 @@ mod tests {
     fn postmortems_index_and_per_trace_docs_are_served() {
         let mut server = spawn("127.0.0.1:0", test_state()).unwrap();
         assert!(get(server.addr(), "/postmortems").starts_with("HTTP/1.1 404"));
-        server.publish_alerts("[]".to_string());
+        server.publish("/alerts", "[]".to_string());
         let empty = get(server.addr(), "/postmortems");
         assert!(empty.starts_with("HTTP/1.1 200 OK"), "{empty}");
         assert!(empty.contains("{\"postmortems\":[]}"), "{empty}");
-        server.publish_postmortems("{\"postmortems\":[{\"trace\":\"00000000000000ab\"}]}".into());
-        server.publish_postmortem(
-            "00000000000000ab",
+        server.publish(
+            "/postmortems",
+            "{\"postmortems\":[{\"trace\":\"00000000000000ab\"}]}".into(),
+        );
+        server.publish(
+            "/postmortems/00000000000000ab",
             "{\"trace\":\"00000000000000ab\"}".into(),
         );
         let index = get(server.addr(), "/postmortems");
@@ -505,6 +440,10 @@ mod tests {
         assert!(doc.contains("\"trace\":\"00000000000000ab\""), "{doc}");
         let missing = get(server.addr(), "/postmortems/ffffffffffffffff");
         assert!(missing.starts_with("HTTP/1.1 404"), "{missing}");
+        // `/metrics` and `/healthz` stay live whatever is published there.
+        server.publish("/healthz", "{\"status\":\"published\"}".into());
+        let health = get(server.addr(), "/healthz");
+        assert!(health.contains("\"status\":\"ok\""), "{health}");
         server.stop();
     }
 

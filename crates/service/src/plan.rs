@@ -71,19 +71,29 @@ impl SolvePlan {
         topology: Topology,
         partitioner: &dyn Partitioner,
     ) -> SolvePlan {
-        Self::build_for(Fingerprint::of(matrix), matrix, np, topology, partitioner)
+        Self::build_for(
+            Fingerprint::of(matrix),
+            matrix,
+            np,
+            topology,
+            partitioner,
+            None,
+        )
     }
 
     /// [`SolvePlan::build_with`] for a matrix whose `fingerprint` the
     /// caller already computed (the service hashes a request's structure
-    /// once, in `submit`). This is the single partitioner call site in
-    /// the service; everything else reuses plans.
+    /// once, in `submit`), with the `levels`-deep multigrid hierarchy
+    /// over `grid` that `mg = Some((grid, levels))` asks for. This is the
+    /// single partitioner call site in the service, with the plan cache
+    /// on or off; everything else reuses plans.
     pub fn build_for(
         fingerprint: Fingerprint,
         matrix: &CsrMatrix,
         np: usize,
         topology: Topology,
         partitioner: &dyn Partitioner,
+        mg: Option<(GridDims, usize)>,
     ) -> SolvePlan {
         let n = matrix.n_rows();
         // `!EXT$ INDIVISABLE row(ATOM:i) :: col(i:i+1)` — rows are the
@@ -107,6 +117,14 @@ impl SolvePlan {
             }
         }
 
+        // Validation upstream guarantees the hierarchy builds; a failure
+        // here panics into the worker's set-up catch site.
+        let mg_levels = mg.map_or(0, |(_, levels)| levels);
+        let mg = mg.map(|(dims, levels)| {
+            let h = MgHierarchy::build(dims, levels, np)
+                .unwrap_or_else(|e| panic!("mg hierarchy {dims}/{levels} levels: {e}"));
+            Arc::new(MgPreconditioner::new(h))
+        });
         let loads = directive.loads();
         let imbalance = directive.imbalance();
         SolvePlan {
@@ -118,20 +136,9 @@ impl SolvePlan {
             loads,
             imbalance,
             redistribution_words,
-            mg_levels: 0,
-            mg: None,
+            mg_levels,
+            mg,
         }
-    }
-
-    /// Attach a `levels`-deep multigrid hierarchy over `dims` to this
-    /// plan (validation upstream guarantees buildability; a failure
-    /// here panics into the worker's setup catch site).
-    pub fn with_mg(mut self, dims: GridDims, levels: usize) -> SolvePlan {
-        let h = MgHierarchy::build(dims, levels, self.np)
-            .unwrap_or_else(|e| panic!("mg hierarchy {dims}/{levels} levels: {e}"));
-        self.mg_levels = levels;
-        self.mg = Some(Arc::new(MgPreconditioner::new(h)));
-        self
     }
 
     /// The row-wise operator over `matrix` under this plan's cut-points:
@@ -303,33 +310,22 @@ impl PlanCache {
         }
     }
 
-    /// Look up the plan of `matrix` (whose structure hashes to
-    /// `fingerprint`) under `partitioner`, building and caching it on a
-    /// miss, and the row-wise operator over `matrix` under that plan.
-    /// `mg` asks for a multigrid plan: `(grid, levels)` keys the entry on
-    /// the hierarchy depth and prebuilds the V-cycle preconditioner.
+    /// Look up the plan of `key`, building it with `build` (the
+    /// [`SolvePlan::build_for`] of `matrix` the key names) and caching it
+    /// on a miss, and the row-wise operator over `matrix` under that plan.
     /// Returns the plan, the operator and whether this call built the
     /// plan.
     pub fn get_or_build(
         &self,
-        fingerprint: Fingerprint,
+        key: PlanKey,
         matrix: &Arc<CsrMatrix>,
-        np: usize,
-        topology: Topology,
-        partitioner: &dyn Partitioner,
-        mg: Option<(GridDims, usize)>,
+        build: impl FnOnce() -> SolvePlan,
     ) -> (Arc<SolvePlan>, Arc<RowwiseCsr>, CacheOutcome) {
-        let mg_levels = mg.map_or(0, |(_, levels)| levels);
-        let key = (fingerprint, partitioner.name(), mg_levels);
         let found = self.find(key);
         let mut outcome = CacheOutcome::Hit;
         let plan = found.slot.get_or_init(|| {
             outcome = CacheOutcome::Miss;
-            let mut plan = SolvePlan::build_for(fingerprint, matrix, np, topology, partitioner);
-            if let Some((dims, levels)) = mg {
-                plan = plan.with_mg(dims, levels);
-            }
-            Arc::new(plan)
+            Arc::new(build())
         });
         // Pointer identity is value identity here, as in the batch key:
         // the kept operator's own `Arc` keeps its matrix's address from
@@ -366,19 +362,26 @@ mod tests {
 
     const NP: usize = 4;
 
+    /// A lookup as the worker makes it.
+    fn lookup_mg(
+        cache: &PlanCache,
+        a: &Arc<CsrMatrix>,
+        partitioner: &dyn Partitioner,
+        mg: Option<(GridDims, usize)>,
+    ) -> (Arc<SolvePlan>, Arc<RowwiseCsr>, CacheOutcome) {
+        let fingerprint = Fingerprint::of(a);
+        let key = (fingerprint, partitioner.name(), mg.map_or(0, |(_, l)| l));
+        cache.get_or_build(key, a, || {
+            SolvePlan::build_for(fingerprint, a, NP, Topology::Hypercube, partitioner, mg)
+        })
+    }
+
     fn lookup_shared(
         cache: &PlanCache,
         a: &Arc<CsrMatrix>,
         partitioner: &dyn Partitioner,
     ) -> (Arc<SolvePlan>, Arc<RowwiseCsr>, CacheOutcome) {
-        cache.get_or_build(
-            Fingerprint::of(a),
-            a,
-            NP,
-            Topology::Hypercube,
-            partitioner,
-            None,
-        )
+        lookup_mg(cache, a, partitioner, None)
     }
 
     /// A lookup with an instance of `a` nobody else holds.
@@ -388,15 +391,7 @@ mod tests {
         partitioner: &dyn Partitioner,
         mg: Option<(GridDims, usize)>,
     ) -> (Arc<SolvePlan>, CacheOutcome) {
-        let a = Arc::new(a.clone());
-        let (plan, _, outcome) = cache.get_or_build(
-            Fingerprint::of(&a),
-            &a,
-            NP,
-            Topology::Hypercube,
-            partitioner,
-            mg,
-        );
+        let (plan, _, outcome) = lookup_mg(cache, &Arc::new(a.clone()), partitioner, mg);
         (plan, outcome)
     }
 

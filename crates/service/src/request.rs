@@ -281,10 +281,9 @@ pub struct ServiceConfig {
     /// solvers; `None` uses the unprotected recurrences.
     pub recovery: Option<RecoveryConfig>,
     /// A busy worker whose heartbeat has not advanced for this long is
-    /// declared hung, killed and restarted by the supervisor.
+    /// declared hung, killed and restarted by the supervisor, which polls
+    /// every tenth of it (at most every 20 ms).
     pub hang_timeout: Duration,
-    /// Supervisor polling interval.
-    pub supervisor_poll: Duration,
     /// Live telemetry tap for service lifecycle events (admission,
     /// sheds, kills, completions — see [`crate::ServiceEvent`]). `None`
     /// keeps the service silent; `hpf-obs::bus` provides an adapter.
@@ -313,7 +312,6 @@ impl Default for ServiceConfig {
             breaker_cooldown: Duration::from_millis(250),
             recovery: Some(RecoveryConfig::default()),
             hang_timeout: Duration::from_millis(500),
-            supervisor_poll: Duration::from_millis(20),
             event_sink: None,
             machine_sink: None,
             evidence_hook: None,

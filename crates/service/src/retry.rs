@@ -2,9 +2,10 @@
 //!
 //! Three layers of defence against failing solves:
 //!
-//! 1. **Retry with capped exponential backoff** — transient faults
-//!    (injected corruption, stragglers) rarely strike twice; a re-run on
-//!    a clean machine usually succeeds.
+//! 1. **Retry** — transient faults (injected corruption, stragglers)
+//!    rarely strike twice; an immediate re-run on a clean machine
+//!    usually succeeds. Nothing a retry depends on changes with wall
+//!    time, so it does not wait.
 //! 2. **Escalation** — a numerical breakdown is not transient: CG on a
 //!    near-indefinite system keeps breaking down no matter how often it
 //!    is retried. Each retry therefore also steps down a chain of
@@ -26,34 +27,15 @@ use std::collections::HashMap;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// Delay before retry `attempt` (1-based): `base * 2^(attempt-1)`,
-/// capped at `cap`.
+/// Delay before restart `attempt` (1-based): `base * 2^(attempt-1)`,
+/// capped at `cap` (the supervisor's respawn backoff).
 pub fn backoff_delay(base: Duration, cap: Duration, attempt: u32) -> Duration {
     let shift = attempt.saturating_sub(1).min(20);
     base.saturating_mul(1u32 << shift).min(cap)
 }
 
-/// [`backoff_delay`] with deterministic jitter: the full exponential
-/// delay is scaled by a factor in `[0.5, 1.0)` drawn from a splitmix64
-/// hash of `(job_id, attempt)`. Jitter de-synchronises retry storms
-/// (jobs that failed together stop retrying together), and seeding it
-/// from the job id keeps every job's schedule reproducible — the same
-/// job retries at the same instants in every run.
-pub fn backoff_delay_jittered(
-    base: Duration,
-    cap: Duration,
-    attempt: u32,
-    job_id: u64,
-) -> Duration {
-    let full = backoff_delay(base, cap, attempt);
-    let h = splitmix64(job_id ^ ((attempt as u64) << 32));
-    // Top 53 bits → uniform in [0, 1), then map to [0.5, 1.0).
-    let unit = (h >> 11) as f64 / (1u64 << 53) as f64;
-    full.mul_f64(0.5 + 0.5 * unit)
-}
-
 /// splitmix64: tiny, high-quality 64-bit mixer (public-domain
-/// constants). The workspace's one copy: retry jitter, trace ids
+/// constants). The workspace's one copy: trace ids
 /// ([`crate::events::derive_trace_id`]), the bus's head sampling and the
 /// experiments' request mixes all draw from it.
 #[inline]
@@ -197,40 +179,6 @@ mod tests {
         assert_eq!(backoff_delay(base, cap, 3), Duration::from_millis(4));
         assert_eq!(backoff_delay(base, cap, 4), Duration::from_millis(5));
         assert_eq!(backoff_delay(base, cap, 30), Duration::from_millis(5));
-    }
-
-    /// The jittered schedule is a pure function of (job id, attempt):
-    /// pin it exactly so an accidental change to the hash, the mapping,
-    /// or the rounding shows up as a test diff, not a production
-    /// thundering herd.
-    #[test]
-    fn jittered_backoff_schedule_is_pinned_for_a_fixed_seed() {
-        let base = Duration::from_millis(1);
-        let cap = Duration::from_millis(100);
-        let schedule = |job_id: u64| -> Vec<u64> {
-            (1..=5)
-                .map(|a| backoff_delay_jittered(base, cap, a, job_id).as_nanos() as u64)
-                .collect()
-        };
-        assert_eq!(
-            schedule(42),
-            vec![652_411, 1_138_688, 3_375_763, 6_290_018, 10_204_820]
-        );
-        assert_eq!(
-            schedule(7),
-            vec![577_752, 1_466_167, 3_164_491, 4_276_524, 14_852_410]
-        );
-        // Every delay stays within [full/2, full) of the unjittered curve.
-        for job_id in [0u64, 1, 42, u64::MAX] {
-            for attempt in 1..=8 {
-                let full = backoff_delay(base, cap, attempt);
-                let j = backoff_delay_jittered(base, cap, attempt, job_id);
-                assert!(
-                    j >= full / 2 && j < full,
-                    "{job_id}/{attempt}: {j:?} vs {full:?}"
-                );
-            }
-        }
     }
 
     #[test]

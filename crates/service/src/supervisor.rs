@@ -32,6 +32,13 @@ use std::time::{Duration, Instant};
 const RESTART_BACKOFF_BASE: Duration = Duration::from_millis(10);
 const RESTART_BACKOFF_CAP: Duration = Duration::from_secs(1);
 
+/// How often the supervisor polls: a tenth of `hang_timeout`, so a hang
+/// is seen within 10% of the timeout, and no slower than every 20 ms, so
+/// a long timeout still has its respawns and breaker ticks on time.
+pub(crate) fn poll_interval(hang_timeout: Duration) -> Duration {
+    (hang_timeout / 10).min(Duration::from_millis(20))
+}
+
 /// Typed panic payload the progress hook throws when the supervisor has
 /// flagged this worker for death. The worker's catch site downcasts to
 /// this to distinguish a supervisor kill from an organic panic.
@@ -70,7 +77,8 @@ impl WorkerState {
 pub struct WorkerSlot {
     pub handle: Option<JoinHandle<()>>,
     pub state: Arc<WorkerState>,
-    /// Consecutive restarts of this slot (drives the respawn backoff).
+    /// Consecutive restarts of this slot (drives the respawn backoff):
+    /// restarts with no heartbeat in between.
     pub restarts: u32,
     /// Heartbeat value at the last poll, plus when it was last seen
     /// moving — staleness is measured from there.
@@ -91,6 +99,19 @@ impl WorkerSlot {
             respawn_at: None,
         }
     }
+
+    /// The thread of this slot ended at `now`: schedule its respawn after
+    /// the backoff of one more consecutive restart. A worker whose
+    /// heartbeat moved since it was spawned ran well, and ends the run of
+    /// consecutive restarts before it.
+    fn schedule_respawn(&mut self, now: Instant) {
+        if self.last_seen_beat > 0 {
+            self.restarts = 0;
+        }
+        self.restarts = self.restarts.saturating_add(1);
+        let delay = backoff_delay(RESTART_BACKOFF_BASE, RESTART_BACKOFF_CAP, self.restarts);
+        self.respawn_at = Some(now + delay);
+    }
 }
 
 /// Spawn worker `index` over `core`, reporting liveness into `state`.
@@ -106,8 +127,8 @@ pub(crate) fn spawn_worker(
         .expect("spawn worker")
 }
 
-/// The supervision loop. Polls every
-/// [`crate::ServiceConfig::supervisor_poll`]:
+/// The supervision loop. Polls every [`poll_interval`] of
+/// [`crate::ServiceConfig::hang_timeout`]:
 ///
 /// * a busy slot whose heartbeat has not advanced for
 ///   [`crate::ServiceConfig::hang_timeout`] is killed (abort flag raised, one
@@ -115,7 +136,8 @@ pub(crate) fn spawn_worker(
 ///   job's structure);
 /// * a finished thread (killed or organically dead) is joined and a
 ///   respawn scheduled after `backoff_delay(RESTART_BACKOFF_BASE,
-///   RESTART_BACKOFF_CAP, restarts)`;
+///   RESTART_BACKOFF_CAP, restarts)`, `restarts` counting the slot's
+///   consecutive restarts;
 /// * due respawns get a fresh [`WorkerState`] and a `worker_restarts`
 ///   tick.
 ///
@@ -126,8 +148,9 @@ pub(crate) fn supervisor_loop(
     core: Arc<Core>,
     shutting_down: Arc<AtomicBool>,
 ) {
+    let poll = poll_interval(core.config.hang_timeout);
     while !shutting_down.load(Ordering::SeqCst) {
-        std::thread::sleep(core.config.supervisor_poll);
+        std::thread::sleep(poll);
         let now = Instant::now();
         let mut slots = lock(&slots);
         for (i, slot) in slots.iter_mut().enumerate() {
@@ -160,10 +183,7 @@ pub(crate) fn supervisor_loop(
                 if let Some(h) = slot.handle.take() {
                     let _ = h.join(); // panics were already caught inside
                 }
-                slot.restarts = slot.restarts.saturating_add(1);
-                slot.respawn_at = Some(
-                    now + backoff_delay(RESTART_BACKOFF_BASE, RESTART_BACKOFF_CAP, slot.restarts),
-                );
+                slot.schedule_respawn(now);
             }
             // 3. Respawn once the backoff has elapsed.
             if slot.handle.is_none()
@@ -198,5 +218,43 @@ mod tests {
         assert_eq!(s.heartbeat.load(Ordering::Relaxed), 0);
         assert!(!s.abort.load(Ordering::Relaxed));
         assert!(lock(&s.current).is_none());
+    }
+
+    /// Every configuration in the repository polls where it did when the
+    /// interval was set by hand: 10 ms beside a 100 ms timeout, 20 ms
+    /// beside the 500 ms default and the hour a parked-worker test sets.
+    #[test]
+    fn the_poll_is_a_tenth_of_the_hang_timeout_and_at_most_20_ms() {
+        let poll = |ms: u64| poll_interval(Duration::from_millis(ms));
+        assert_eq!(poll(100), Duration::from_millis(10));
+        assert_eq!(poll(500), Duration::from_millis(20));
+        assert_eq!(poll(3_600_000), Duration::from_millis(20));
+    }
+
+    /// The respawn backoff doubles over consecutive restarts only: a slot
+    /// whose respawned worker beat in between starts again at the base.
+    #[test]
+    fn a_respawn_waits_by_the_restarts_since_the_worker_last_beat() {
+        let mut slot = WorkerSlot {
+            handle: None,
+            state: WorkerState::new(),
+            restarts: 0,
+            last_seen_beat: 0,
+            stale_since: None,
+            respawn_at: None,
+        };
+        let now = Instant::now();
+        let mut waits = Vec::new();
+        for beat in [0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0, 7, 7] {
+            // What the polls saw of the worker since it was spawned, as a
+            // respawn leaves it at 0.
+            slot.last_seen_beat = beat;
+            slot.schedule_respawn(now);
+            waits.push((slot.respawn_at.unwrap() - now).as_millis());
+        }
+        assert_eq!(
+            waits,
+            [10, 20, 40, 80, 160, 320, 640, 1000, 1000, 10, 20, 10, 10]
+        );
     }
 }

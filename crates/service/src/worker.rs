@@ -12,8 +12,8 @@
 //! Robustness policies also live here: the batch is refused outright
 //! when its structure's circuit breaker is open, each job's fault plan
 //! (if any) is installed on the simulated machine for the first
-//! attempt, and a retryable solver failure re-runs the job — with
-//! backoff, on a clean machine, escalating CG → BiCGSTAB → GMRES.
+//! attempt, and a retryable solver failure re-runs the job at once, on
+//! a clean machine, escalating CG → BiCGSTAB → GMRES.
 //!
 //! **Every job ends in [`Core::finish`]** — expired in queue, refused by
 //! an open circuit, failed by a panicking set-up, solved or not, drained
@@ -32,7 +32,7 @@ use crate::lock;
 use crate::plan::{CacheOutcome, SolvePlan};
 use crate::request::{ServiceConfig, SolverKind, TOPOLOGY};
 use crate::response::{PlanSource, ServiceError, SolveResponse};
-use crate::retry::{backoff_delay_jittered, escalate, is_retryable, Admission};
+use crate::retry::{escalate, is_retryable, Admission};
 use crate::service::Core;
 use crate::supervisor::{CurrentJob, SupervisorAbort, WorkerState};
 use hpf_core::RowwiseCsr;
@@ -44,14 +44,10 @@ use hpf_solvers::{
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Iteration samples kept of a solve for [`JobEvidence::residual`].
 const RESIDUAL_TAIL: usize = 48;
-
-/// First-retry backoff delay (doubles per retry) and its ceiling.
-const BACKOFF_BASE: Duration = Duration::from_millis(1);
-const BACKOFF_CAP: Duration = Duration::from_millis(100);
 
 /// What the thread ending a job keeps of it for the evidence hook,
 /// besides a machine's tail: reused from job to job, and left empty
@@ -271,9 +267,10 @@ impl Worker {
         let started = Instant::now();
         let matrix = batch.jobs[0].request.matrix.clone();
 
-        // Batch-wide setup: plan resolution (the service's only partitioner
-        // call site) and one operator serving every job. The key holds the
-        // registry's own name for the partitioner, resolved at submission.
+        // Batch-wide setup: plan resolution (`SolvePlan::build_for`, the
+        // service's only partitioner call, through the cache or not) and one
+        // operator serving every job. The key holds the registry's own name
+        // for the partitioner, resolved at submission.
         let partitioner =
             hpf_partition::by_name(key.partitioner).expect("a batch key holds a registry name");
         // Multigrid jobs cache their hierarchy alongside the plan, keyed on
@@ -282,18 +279,23 @@ impl Worker {
             (SolverKind::PcgMg { levels }, Some(dims)) => Some((dims, levels)),
             _ => None,
         };
+        let build = || {
+            SolvePlan::build_for(
+                fingerprint,
+                &matrix,
+                config.np,
+                TOPOLOGY,
+                partitioner.as_ref(),
+                mg_req,
+            )
+        };
         let setup = catch_unwind(AssertUnwindSafe(|| {
             if config.plan_cache_enabled {
                 // The cache keeps the operator with its matrix: a recurring
                 // instance pays for neither the plan nor the operator.
-                let (plan, op, outcome) = core.cache.get_or_build(
-                    fingerprint,
-                    &matrix,
-                    config.np,
-                    TOPOLOGY,
-                    partitioner.as_ref(),
-                    mg_req,
-                );
+                let levels = mg_req.map_or(0, |(_, levels)| levels);
+                let plan_key = (fingerprint, partitioner.name(), levels);
+                let (plan, op, outcome) = core.cache.get_or_build(plan_key, &matrix, build);
                 match outcome {
                     CacheOutcome::Hit => {
                         metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
@@ -311,18 +313,9 @@ impl Worker {
                 metrics
                     .partitioner_invocations
                     .fetch_add(1, Ordering::Relaxed);
-                let mut plan = SolvePlan::build_for(
-                    fingerprint,
-                    &matrix,
-                    config.np,
-                    TOPOLOGY,
-                    partitioner.as_ref(),
-                );
-                if let Some((dims, levels)) = mg_req {
-                    plan = plan.with_mg(dims, levels);
-                }
+                let plan = Arc::new(build());
                 let op = Arc::new(plan.operator(Arc::clone(&matrix)));
-                (Arc::new(plan), PlanSource::Built, op)
+                (plan, PlanSource::Built, op)
             }
         }));
         let (plan, source, op) = match setup {
@@ -452,12 +445,6 @@ impl Worker {
                                 kind = next;
                                 metrics.escalations.fetch_add(1, Ordering::Relaxed);
                             }
-                            std::thread::sleep(backoff_delay_jittered(
-                                BACKOFF_BASE,
-                                BACKOFF_CAP,
-                                attempts as u32,
-                                job.id,
-                            ));
                             continue;
                         }
                         break Err(ServiceError::Solver(e));
@@ -648,7 +635,7 @@ mod tests {
         let a = Arc::new(gen::tridiagonal(16, 4.0, -1.0));
         let (mut job, rx) = make_job(1, &a, vec![vec![1.0; 16]]);
         job.request.deadline = Some(Duration::from_nanos(1));
-        std::thread::sleep(Duration::from_millis(2));
+        job.submitted -= Duration::from_millis(2);
         let mut worker = worker(config(2));
         execute(&mut worker, vec![job]);
         match rx.recv().unwrap() {

@@ -754,7 +754,6 @@ fn hung_worker_is_killed_and_respawned() {
         workers: 1,
         np: 4,
         hang_timeout: Duration::from_millis(100),
-        supervisor_poll: Duration::from_millis(10),
         breaker_threshold: 10,
         ..ServiceConfig::default()
     });
