@@ -22,8 +22,8 @@
 //!   flood's shadow);
 //! - **sheds are justified**: the hindsight audit's shed-when-feasible
 //!   rate ([`hpf_obs::AdmissionAudit`]) stays under 5%;
-//! - **supervision works**: at least one hung worker is killed and
-//!   respawned mid-soak.
+//! - **supervision works**: at least one hung job is killed mid-soak,
+//!   and its worker goes on with the next job.
 //!
 //! The run is recorded through the [`RegressionGate`] as
 //! `BENCH_27.json` + `bench-history.jsonl` (scale-free rate series
@@ -180,7 +180,6 @@ pub fn e27_with_gate(requests: usize, gate: &RegressionGate) -> Table {
     let mut submitted = [0u64; 3];
     let mut shed = [0u64; 3];
     let mut busy = [0u64; 3];
-    let mut stalls_submitted = 0u64;
     let soak_started = Instant::now();
     for i in 0..requests {
         let h = splitmix64(i as u64);
@@ -213,7 +212,8 @@ pub fn e27_with_gate(requests: usize, gate: &RegressionGate) -> Table {
             }
             if is_stall {
                 // The hang: a worker sleeps through the supervisor's
-                // timeout and is killed and respawned mid-soak.
+                // timeout, its job is killed mid-soak, and the worker
+                // goes on with its next job.
                 req = req.fault_plan(hpf_machine::FaultPlan::new().with_stall(30, 0, STALL_MILLIS));
             } else if (h >> 24) & 0xFF < 13 {
                 // ~5% transient chaos: a crash plus a dropped message
@@ -235,7 +235,6 @@ pub fn e27_with_gate(requests: usize, gate: &RegressionGate) -> Table {
             std::thread::sleep(wait);
         }
         submitted[class.index()] += 1;
-        stalls_submitted += u64::from(is_stall);
         let mut attempts = 0u32;
         loop {
             match service.submit(build(&mats, &rhs)) {
@@ -267,17 +266,9 @@ pub fn e27_with_gate(requests: usize, gate: &RegressionGate) -> Table {
     }
     drop(handle_tx);
     let tally = reaper.join().expect("reaper thread");
-    // A stall near the end of the stream can still be mid kill/respawn
-    // when the last handle answers; let the supervisor finish so the
-    // restart is visible in the shutdown snapshot.
-    if stalls_submitted > 0 {
-        let wait_started = Instant::now();
-        while service.metrics().worker_restarts < stalls_submitted
-            && wait_started.elapsed() < Duration::from_secs(5)
-        {
-            std::thread::sleep(Duration::from_millis(10));
-        }
-    }
+    // A worker ticks `worker_restarts` as a kill lands, before it answers
+    // the killed job, and shutdown joins the workers: the snapshot counts
+    // every kill that landed.
     let m = service.shutdown();
 
     // ------------------------------------------------------------------
@@ -326,7 +317,7 @@ pub fn e27_with_gate(requests: usize, gate: &RegressionGate) -> Table {
         assert!(shed.iter().sum::<u64>() >= 1, "no shed ever fired");
         assert!(
             m.supervisor_kills >= 1 && m.worker_restarts >= 1,
-            "the stall must kill and respawn a worker (kills {}, restarts {})",
+            "the stall must be killed and its worker go on (kills {}, restarts {})",
             m.supervisor_kills,
             m.worker_restarts
         );

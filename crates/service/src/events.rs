@@ -39,17 +39,17 @@ pub enum ServiceEvent {
     },
     /// The job's deadline passed while it was still queued.
     DeadlineExpired { trace_id: u64, class: QosClass },
-    /// The supervisor killed the worker running this job
-    /// (heartbeat-stale hang → cooperative abort).
+    /// The supervisor killed this job (heartbeat-stale hang →
+    /// cooperative abort at the worker's next machine operation).
     WorkerKilled {
         trace_id: u64,
         class: QosClass,
         /// Wall time the job had been running when killed, µs.
         after_us: u64,
     },
-    /// A killed/crashed worker slot was respawned by the supervisor.
+    /// A worker answered its killed job and went on to the next one.
     WorkerRestarted {
-        /// Worker slot index.
+        /// The worker's index in the pool.
         worker: usize,
     },
     /// A protected solver rolled back to a checkpoint mid-solve.
@@ -93,7 +93,7 @@ impl ServiceEvent {
     }
 
     /// The request id this event belongs to (0 when the event is not
-    /// tied to one request, e.g. a worker-slot respawn).
+    /// tied to one request, e.g. a worker back from a kill).
     pub fn trace_id(&self) -> u64 {
         match *self {
             ServiceEvent::Admitted { trace_id, .. }
@@ -243,7 +243,7 @@ mod tests {
         assert_eq!(
             ServiceEvent::WorkerRestarted { worker: 1 }.trace_id(),
             0,
-            "slot respawns are not tied to one request"
+            "a worker back from a kill is not tied to one request"
         );
     }
 

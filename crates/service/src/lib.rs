@@ -67,6 +67,5 @@ pub use metrics::{
 pub use plan::{CacheOutcome, PlanCache, SolvePlan};
 pub use request::{QosClass, ServiceConfig, SolveRequest, SolverKind};
 pub use response::{PlanSource, ServiceError, SolveResponse};
-pub use retry::{backoff_delay, escalate, is_retryable, splitmix64, Admission, CircuitBreaker};
+pub use retry::{escalate, is_retryable, splitmix64, Admission, CircuitBreaker};
 pub use service::{JobHandle, SolverService};
-pub use supervisor::{SupervisorAbort, WorkerState};

@@ -44,9 +44,10 @@ pub struct Metrics {
     pub breaker_open: AtomicU64,
     /// Jobs refused on arrival by deadline-aware admission control.
     pub shed_total: AtomicU64,
-    /// Hung workers the supervisor flagged for death.
+    /// Jobs of hung workers the supervisor flagged for death.
     pub supervisor_kills: AtomicU64,
-    /// Worker threads the supervisor respawned.
+    /// Kills that landed: the worker answered the killed job with
+    /// `WorkerKilled` and went on with its next one.
     pub worker_restarts: AtomicU64,
     /// Gauge: jobs sitting in the intake queue right now (accepted by
     /// `submit`, not yet taken by a worker).

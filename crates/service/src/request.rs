@@ -280,9 +280,9 @@ pub struct ServiceConfig {
     /// Run CG/PCG jobs through the checkpoint/rollback protected
     /// solvers; `None` uses the unprotected recurrences.
     pub recovery: Option<RecoveryConfig>,
-    /// A busy worker whose heartbeat has not advanced for this long is
-    /// declared hung, killed and restarted by the supervisor, which polls
-    /// every tenth of it (at most every 20 ms).
+    /// A busy worker whose heartbeat has not advanced for this long has
+    /// its job killed by the supervisor, which polls every tenth of it
+    /// (at most every 20 ms).
     pub hang_timeout: Duration,
     /// Live telemetry tap for service lifecycle events (admission,
     /// sheds, kills, completions — see [`crate::ServiceEvent`]). `None`

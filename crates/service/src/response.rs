@@ -83,9 +83,9 @@ pub enum ServiceError {
         predicted: Duration,
         budget: Duration,
     },
-    /// The supervisor killed the worker executing this job (its progress
-    /// heartbeat went stale); `after` is how long the job had been
-    /// executing. The job may be resubmitted.
+    /// The supervisor killed this job (its worker's progress heartbeat
+    /// went stale); `after` is how long the job had been executing. The
+    /// job may be resubmitted; the worker goes on with its next job.
     WorkerKilled { after: Duration },
 }
 

@@ -27,13 +27,6 @@ use std::collections::HashMap;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// Delay before restart `attempt` (1-based): `base * 2^(attempt-1)`,
-/// capped at `cap` (the supervisor's respawn backoff).
-pub fn backoff_delay(base: Duration, cap: Duration, attempt: u32) -> Duration {
-    let shift = attempt.saturating_sub(1).min(20);
-    base.saturating_mul(1u32 << shift).min(cap)
-}
-
 /// splitmix64: tiny, high-quality 64-bit mixer (public-domain
 /// constants). The workspace's one copy: trace ids
 /// ([`crate::events::derive_trace_id`]), the bus's head sampling and the
@@ -168,17 +161,6 @@ mod tests {
             nnz: 16,
             pattern_hash: seed,
         }
-    }
-
-    #[test]
-    fn backoff_doubles_and_caps() {
-        let base = Duration::from_millis(1);
-        let cap = Duration::from_millis(5);
-        assert_eq!(backoff_delay(base, cap, 1), Duration::from_millis(1));
-        assert_eq!(backoff_delay(base, cap, 2), Duration::from_millis(2));
-        assert_eq!(backoff_delay(base, cap, 3), Duration::from_millis(4));
-        assert_eq!(backoff_delay(base, cap, 4), Duration::from_millis(5));
-        assert_eq!(backoff_delay(base, cap, 30), Duration::from_millis(5));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!      ▼ lock: weighted-fair pick (deficit round-robin, QOS_WEIGHTS)
 //!  worker ── takes the head job and its same-key, same-class mates
 //!      │  plan cache / partition, operator, solves
-//!      │                         supervisor (heartbeats, kill + respawn)
+//!      │                         supervisor (heartbeats, kill the hung job)
 //!      ▼
 //!  responder ──► JobHandle::wait()                 (caller's thread)
 //! ```
@@ -29,8 +29,9 @@
 //! submitter no wake-up at all. What the intake holds is exactly what
 //! was accepted and not yet taken, so `queue_capacity` bounds each class
 //! exactly and the queue-depth gauges read it. A supervisor thread
-//! watches per-worker progress heartbeats and kills/respawns wedged
-//! workers (see [`crate::supervisor`]).
+//! watches per-worker progress heartbeats and kills the job a wedged
+//! worker hangs in; the worker goes on with its next job (see
+//! [`crate::supervisor`]).
 
 use crate::admission::{AdmissionController, AdmissionDecision};
 use crate::batch::{form_batch, Batch, Job};
@@ -40,7 +41,7 @@ use crate::plan::PlanCache;
 use crate::request::{ServiceConfig, SolveRequest, QOS_WEIGHTS};
 use crate::response::{ServiceError, SolveResponse};
 use crate::retry::CircuitBreaker;
-use crate::supervisor::{spawn_worker, supervisor_loop, WorkerSlot, WorkerState};
+use crate::supervisor::{supervisor_loop, WorkerState};
 use crate::worker::{Kept, Worker};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -175,9 +176,8 @@ impl Intake {
 /// ([`PlanCache`]), which is what it was sized with.
 const PLAN_CACHE_CAPACITY: usize = 32;
 
-/// What the service's threads share — submitters, workers (a respawned
-/// one takes up where the one it replaces left), the supervisor — and
-/// what it takes to end a job ([`Core::finish`]).
+/// What the service's threads share — submitters, workers, the
+/// supervisor — and what it takes to end a job ([`Core::finish`]).
 pub(crate) struct Core {
     pub config: ServiceConfig,
     pub intake: Intake,
@@ -214,7 +214,8 @@ pub struct SolverService {
     core: Arc<Core>,
     next_id: AtomicU64,
     shutting_down: Arc<AtomicBool>,
-    slots: Arc<Mutex<Vec<WorkerSlot>>>,
+    /// The worker threads, alive until shutdown joins them.
+    workers: Vec<JoinHandle<()>>,
     supervisor: Option<JoinHandle<()>>,
 }
 
@@ -226,19 +227,25 @@ impl SolverService {
         assert!(config.np > 0, "machine size must be positive");
         let core = Core::new(config);
         let shutting_down = Arc::new(AtomicBool::new(false));
-        let slots: Vec<WorkerSlot> = (0..core.config.workers)
-            .map(|i| {
-                let state = WorkerState::new();
-                WorkerSlot::new(spawn_worker(&core, i, state.clone()), state)
+        let states: Vec<Arc<WorkerState>> =
+            (0..core.config.workers).map(|_| Arc::default()).collect();
+        let workers = states
+            .iter()
+            .enumerate()
+            .map(|(i, state)| {
+                let (core, state) = (core.clone(), state.clone());
+                std::thread::Builder::new()
+                    .name(format!("hpf-service-worker-{i}"))
+                    .spawn(move || worker_loop(core, i, state))
+                    .expect("spawn worker")
             })
             .collect();
-        let slots = Arc::new(Mutex::new(slots));
 
         let supervisor = {
-            let (slots, core, shutting_down) = (slots.clone(), core.clone(), shutting_down.clone());
+            let (core, shutting_down) = (core.clone(), shutting_down.clone());
             std::thread::Builder::new()
                 .name("hpf-service-supervisor".into())
-                .spawn(move || supervisor_loop(slots, core, shutting_down))
+                .spawn(move || supervisor_loop(states, core, shutting_down))
                 .expect("spawn supervisor")
         };
 
@@ -246,7 +253,7 @@ impl SolverService {
             core,
             next_id: AtomicU64::new(1),
             shutting_down,
-            slots,
+            workers,
             supervisor: Some(supervisor),
         }
     }
@@ -401,9 +408,7 @@ impl SolverService {
         // section: nothing is accepted afterwards and no worker finds
         // anything to take, so each of those jobs is refused here,
         // exactly once, outside the lock. Parked workers wake to a closed
-        // intake and exit; busy ones finish their batch first. The
-        // supervisor is joined before the workers so it cannot respawn a
-        // slot we are trying to reap.
+        // intake and exit; busy ones finish their batch first.
         self.shutting_down.store(true, Ordering::SeqCst);
         let (core, metrics) = (&*self.core, &*self.core.metrics);
         let mut queues = lock(&core.intake.queues);
@@ -425,10 +430,8 @@ impl SolverService {
         if let Some(s) = self.supervisor.take() {
             let _ = s.join();
         }
-        for slot in lock(&self.slots).drain(..) {
-            if let Some(h) = slot.handle {
-                let _ = h.join();
-            }
+        for worker in self.workers.drain(..) {
+            let _ = worker.join();
         }
     }
 }
@@ -497,22 +500,18 @@ fn validate(request: &SolveRequest) -> Result<&'static str, String> {
     }
 }
 
-/// Worker: take batches from the intake and execute them until the
-/// service shuts down or the supervisor flags this worker for death.
-/// `execute_batch` already answers every job exactly once (including on
-/// panics inside solves); the outer `catch_unwind` is a last resort for
-/// bugs in the bookkeeping itself — the batch's handles then observe
-/// `Shutdown` when their responders drop, and the worker keeps serving.
-pub(crate) fn worker_loop(core: Arc<Core>, state: Arc<WorkerState>) {
-    let mut worker = Worker::new(core.clone(), state.clone());
+/// Worker `index`: take batches from the intake and execute them until
+/// the service shuts down. `execute_batch` already answers every job
+/// exactly once (including on panics inside solves and supervisor
+/// kills); the outer `catch_unwind` is a last resort for bugs in the
+/// bookkeeping itself — the batch's handles then observe `Shutdown`
+/// when their responders drop, the job it broke off is ended for the
+/// supervisor, and the worker keeps serving.
+fn worker_loop(core: Arc<Core>, index: usize, state: Arc<WorkerState>) {
+    let mut worker = Worker::new(core.clone(), index, state.clone());
     while let Some(batch) = core.intake.pull(&core.config, &core.metrics) {
-        let _ = catch_unwind(AssertUnwindSafe(|| worker.execute_batch(batch)));
-        if state.abort.load(Ordering::SeqCst) {
-            // The supervisor killed this worker mid-batch. The batch has
-            // been answered (WorkerKilled); exit so the supervisor can
-            // reap the thread and respawn the slot with fresh state.
-            *lock(&state.current) = None;
-            return;
+        if catch_unwind(AssertUnwindSafe(|| worker.execute_batch(batch))).is_err() {
+            state.end();
         }
     }
 }

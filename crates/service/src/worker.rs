@@ -28,13 +28,12 @@ use crate::batch::{Batch, Job};
 use crate::events::{
     self, EvidenceHook, JobEvidence, ResidualTail, ServiceEvent, ServiceEventSink, LIFECYCLE_TAIL,
 };
-use crate::lock;
 use crate::plan::{CacheOutcome, SolvePlan};
 use crate::request::{ServiceConfig, SolverKind, TOPOLOGY};
 use crate::response::{PlanSource, ServiceError, SolveResponse};
 use crate::retry::{escalate, is_retryable, Admission};
 use crate::service::Core;
-use crate::supervisor::{CurrentJob, SupervisorAbort, WorkerState};
+use crate::supervisor::{SupervisorAbort, WorkerState};
 use hpf_core::RowwiseCsr;
 use hpf_machine::{CostModel, EventTail, Machine, TraceLevel};
 use hpf_solvers::{
@@ -175,18 +174,21 @@ impl Core {
 /// keeps of the job in hand.
 pub(crate) struct Worker {
     core: Arc<Core>,
+    /// Index in the pool, as [`ServiceEvent::WorkerRestarted`] names it.
+    index: usize,
     state: Arc<WorkerState>,
     machine: Machine,
     kept: Kept,
 }
 
 impl Worker {
-    /// A worker over `core` whose machine heartbeats into `state` once
-    /// per simulated operation and observes the supervisor's kill order
-    /// (the abort flag) at the same granularity: the hook panics with
-    /// [`SupervisorAbort`], the per-job catch site answers
-    /// [`ServiceError::WorkerKilled`], and the caller's loop exits.
-    pub(crate) fn new(core: Arc<Core>, state: Arc<WorkerState>) -> Self {
+    /// Worker `index` over `core`, whose machine heartbeats into `state`
+    /// once per simulated operation and observes the supervisor's kill
+    /// order (the abort flag) at the same granularity: the hook unwinds
+    /// with [`SupervisorAbort`], the per-job catch site answers
+    /// [`ServiceError::WorkerKilled`], and the worker goes on with its
+    /// next job.
+    pub(crate) fn new(core: Arc<Core>, index: usize, state: Arc<WorkerState>) -> Self {
         let config = &core.config;
         let mut machine = Machine::new(config.np, TOPOLOGY, CostModel::mpp_1995());
         // Nobody reads this machine's events after the solve: the
@@ -200,15 +202,11 @@ impl Worker {
             machine.keep_tail(hook.machine_tail);
         }
         let s = Arc::clone(&state);
-        machine.set_progress_hook(hpf_machine::ProgressHook::new(move |_op| {
-            s.heartbeat.fetch_add(1, Ordering::Relaxed);
-            if s.abort.load(Ordering::SeqCst) {
-                std::panic::panic_any(SupervisorAbort);
-            }
-        }));
+        machine.set_progress_hook(hpf_machine::ProgressHook::new(move |_op| s.beat()));
         let kept = Kept::new(config);
         Worker {
             core,
+            index,
             state,
             machine,
             kept,
@@ -350,11 +348,7 @@ impl Worker {
                 hpf_machine::span::enter(format!("trace={:016x}", job.request.trace_id));
             let _job_span = hpf_machine::span::enter(format!("job={}", job.id));
             let job_started = Instant::now();
-            *lock(&self.state.current) = Some(CurrentJob {
-                job_id: job.id,
-                fingerprint,
-                since: job_started,
-            });
+            self.state.begin(fingerprint);
             self.kept.begin(&job);
             self.machine.clear_tail();
             let (trace_id, class) = (job.request.trace_id, job.request.qos);
@@ -457,6 +451,12 @@ impl Worker {
                                 class,
                                 after_us: after.as_micros() as u64,
                             });
+                            // The kill ends this job only.
+                            metrics.worker_restarts.fetch_add(1, Ordering::Relaxed);
+                            events::emit(
+                                &config.event_sink,
+                                ServiceEvent::WorkerRestarted { worker: self.index },
+                            );
                             break Err(ServiceError::WorkerKilled { after });
                         }
                         break Err(ServiceError::WorkerPanic(panic_message(payload.as_ref())));
@@ -499,7 +499,7 @@ impl Worker {
                 }
             });
             core.finish(job, result, Some(kind), &mut self.kept, self.machine.tail());
-            *lock(&self.state.current) = None;
+            self.state.end();
         }
     }
 }
@@ -581,7 +581,7 @@ mod tests {
     /// A worker over a service core of its own, as a worker thread
     /// would make it.
     fn worker(config: ServiceConfig) -> Worker {
-        Worker::new(Core::new(config), WorkerState::new())
+        Worker::new(Core::new(config), 0, Arc::default())
     }
 
     /// Hand `jobs` to `worker` as one batch, counted in flight as

@@ -746,8 +746,8 @@ fn interactive_jobs_overtake_best_effort_under_load() {
 
 /// Tentpole acceptance: a worker hung mid-solve (wall-clock stall fault,
 /// no heartbeats) is killed by the supervisor — the job is answered with
-/// a typed `WorkerKilled`, the worker is respawned, and the pool keeps
-/// serving.
+/// a typed `WorkerKilled`, the worker comes back for the next job (one
+/// `worker_restarts` tick), and the pool keeps serving.
 #[test]
 fn hung_worker_is_killed_and_respawned() {
     let service = SolverService::start(ServiceConfig {
@@ -773,7 +773,7 @@ fn hung_worker_is_killed_and_respawned() {
         other => panic!("expected WorkerKilled, got {other:?}"),
     }
 
-    // The respawned worker answers the next job.
+    // The worker whose job was killed answers the next job.
     let resp = service
         .solve(SolveRequest::new(a.clone(), b.clone()))
         .unwrap();
@@ -784,6 +784,69 @@ fn hung_worker_is_killed_and_respawned() {
     assert!(m.worker_restarts >= 1, "restarts: {}", m.worker_restarts);
     assert_eq!(m.completed, 1);
     assert_eq!(m.failed, 1);
+    assert_eq!(m.in_flight, 0);
+}
+
+/// A kill ends the job it was aimed at and no other: three healthy jobs
+/// batched behind a stalled one on the same matrix run to completion on
+/// the same worker once the stalled job is killed.
+///
+/// The one worker is parked on a blocker (for far less than the hang
+/// timeout) while the four jobs queue, so they leave the intake as one
+/// batch with the stalled job at its head.
+#[test]
+fn healthy_batch_mates_outlive_a_siblings_kill() {
+    let (gate, parked_rx, release_tx) = gate();
+    let service = SolverService::start(ServiceConfig {
+        workers: 1,
+        np: 4,
+        hang_timeout: Duration::from_millis(100),
+        breaker_threshold: 10,
+        machine_sink: Some(gate),
+        ..ServiceConfig::default()
+    });
+    let blocker = gen::banded_spd(40, 2, 11);
+    let (bb, _x) = gen::rhs_for_known_solution(&blocker);
+    let blocker = service
+        .submit(SolveRequest::new(Arc::new(blocker), bb))
+        .unwrap();
+    parked_rx.recv().expect("the blocker reaches the worker");
+
+    let a = Arc::new(gen::banded_spd(64, 3, 7));
+    let (b, _x) = gen::rhs_for_known_solution(&a);
+    // A 600 ms stall on processor 0, six times the hang timeout.
+    let plan = hpf_machine::FaultPlan::new().with_stall(30, 0, 600);
+    let stalled = service
+        .submit(SolveRequest::new(a.clone(), b.clone()).fault_plan(plan))
+        .unwrap();
+    let mates: Vec<_> = (0..3)
+        .map(|_| {
+            service
+                .submit(SolveRequest::new(a.clone(), b.clone()))
+                .unwrap()
+        })
+        .collect();
+    release_tx.send(()).expect("the worker is parked on this");
+
+    assert!(blocker.wait().is_ok());
+    match stalled.wait() {
+        Err(ServiceError::WorkerKilled { after }) => {
+            assert!(after >= Duration::from_millis(100), "{after:?}");
+        }
+        other => panic!("expected WorkerKilled, got {other:?}"),
+    }
+    for mate in mates {
+        let resp = mate.wait().expect("a batch mate outlives the kill");
+        assert_eq!(resp.batched_with, 3);
+        assert!(resp.stats[0].converged);
+        assert!(residual_ok(&a, &resp.solutions[0], &b, 1e-6));
+    }
+
+    let m = service.shutdown();
+    assert_eq!(m.completed, 4);
+    assert_eq!(m.failed, 1);
+    assert_eq!(m.supervisor_kills, 1);
+    assert_eq!(m.worker_restarts, 1);
     assert_eq!(m.in_flight, 0);
 }
 
