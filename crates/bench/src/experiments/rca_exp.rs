@@ -243,8 +243,8 @@ pub fn e30_with_gate(requests: usize, gate: &RegressionGate) -> Table {
         let op = 10 + (h % 30) as usize;
         let proc = ((h >> 8) % 4) as usize;
         let plan = match kind {
-            // Longer than the 100ms hang timeout: the supervisor must
-            // kill the worker mid-stall.
+            // Longer than the 100ms hang timeout: the job must be
+            // killed at the first clock reading after the stall.
             "stall" => FaultPlan::new().with_stall(op, proc, 150),
             "crash" => FaultPlan::new().with_crash(op, proc),
             // A storm of high-bit flips: recovery (if any survives the

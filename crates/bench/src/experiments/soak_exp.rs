@@ -11,7 +11,8 @@
 //! run sees the same traffic) is ~20% `Interactive` (some with hopeless
 //! microsecond deadlines), ~60% `Batch`, ~20% `BestEffort`, with ~5% of
 //! jobs carrying transient fault plans and a periodic wall-clock
-//! **stall** fault that hangs a worker until the supervisor kills it.
+//! **stall** fault that hangs a worker past the hang timeout, so its job
+//! is killed.
 //!
 //! Asserted, not just tabulated:
 //! - **zero lost jobs** — every submitted request gets exactly one
@@ -40,8 +41,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Every `STALL_PERIOD`-th request (offset so short runs still see
-/// one) carries a wall-clock stall fault long enough to trip the
-/// supervisor's hang timeout.
+/// one) carries a wall-clock stall fault longer than the hang timeout.
 const STALL_PERIOD: usize = 2500;
 const STALL_OFFSET: usize = 1250;
 const STALL_MILLIS: u64 = 250;
@@ -211,8 +211,8 @@ pub fn e27_with_gate(requests: usize, gate: &RegressionGate) -> Table {
                 });
             }
             if is_stall {
-                // The hang: a worker sleeps through the supervisor's
-                // timeout, its job is killed mid-soak, and the worker
+                // The hang: a worker sleeps through the hang timeout,
+                // its job is killed mid-soak, and the worker
                 // goes on with its next job.
                 req = req.fault_plan(hpf_machine::FaultPlan::new().with_stall(30, 0, STALL_MILLIS));
             } else if (h >> 24) & 0xFF < 13 {

@@ -67,19 +67,18 @@ pub struct Machine {
     pending: Option<PendingCorruption>,
     /// Per-processor straggler state (compute-time multiplier).
     skew: Vec<Skew>,
-    /// Per-operation heartbeat/cancellation callback (see [`ProgressHook`]).
+    /// Per-operation cancellation callback (see [`ProgressHook`]).
     hook: Option<ProgressHook>,
 }
 
 /// Callback fired once at the start of every public machine operation,
 /// with the operation index about to execute.
 ///
-/// This is the heartbeat source for worker supervision: a service worker
-/// installs a hook that bumps an atomic counter (proving the solve is
-/// making progress) and checks an abort flag (so a supervisor can cancel
-/// a runaway job cooperatively — the hook panics with a typed payload the
-/// worker catches). The hook runs on the hot path, so implementations
-/// should be a couple of atomic ops at most.
+/// This is where a service worker watches for a hang: its hook reads the
+/// wall clock every few operations and, when two readings are further
+/// apart than the service's hang timeout, unwinds with a typed payload
+/// the worker catches, ending the job in hand. The hook runs on the hot
+/// path, so implementations should be a mask test on most operations.
 #[derive(Clone)]
 pub struct ProgressHook(pub std::sync::Arc<dyn Fn(usize) + Send + Sync>);
 
@@ -247,8 +246,8 @@ impl Machine {
         self.skew.fill(Skew::default());
     }
 
-    /// Install a per-operation progress hook (heartbeat/cancellation
-    /// point). Survives [`Machine::reset`]; replaced by the next call.
+    /// Install a per-operation progress hook (a cancellation point).
+    /// Survives [`Machine::reset`]; replaced by the next call.
     pub fn set_progress_hook(&mut self, hook: ProgressHook) {
         self.hook = Some(hook);
     }
@@ -371,8 +370,8 @@ impl Machine {
             }
             FaultKind::Stall { millis } => {
                 // Wall-clock hang: the host thread freezes, the simulated
-                // clocks stand still. This is what a supervisor sees as a
-                // dead heartbeat.
+                // clocks stand still. It runs after this operation's hook,
+                // so the hook's next clock reading sees the whole gap.
                 std::thread::sleep(std::time::Duration::from_millis(millis));
                 (0.0, format!("fault:stall:p{proc}:op{op}:ms{millis}"))
             }

@@ -78,7 +78,7 @@ fn refusals_clean_jobs_and_a_shared_trace_id_leave_one_dump_and_no_state() {
         max_attempts: 1,
         // Zero headroom: the first detected fault is terminal.
         recovery: Some(RecoveryConfig { max_rollbacks: 0 }),
-        // A parked worker sends no heartbeats; it is not hung.
+        // A worker parked inside an operation is not hung.
         hang_timeout: Duration::from_secs(3600),
         machine_sink: Some(gate),
         ..ServiceConfig::default()
@@ -169,7 +169,7 @@ fn the_shutdown_drain_completes_every_queued_job_and_dumps_none() {
         workers: 1,
         np: 4,
         batching_enabled: false,
-        // The parked worker sends no heartbeats; it is not hung.
+        // The worker parked inside an operation is not hung.
         hang_timeout: Duration::from_secs(3600),
         machine_sink: Some(gate),
         event_sink: Some(events),
@@ -250,8 +250,9 @@ fn every_answer_completes_once_and_every_bad_answer_dumps_once() {
                     .qos(QosClass::ALL[(k % 3) as usize])
                     .trace(i + 1);
                 if i == 100 {
-                    // Longer than the hang timeout: the supervisor
-                    // kills the worker mid-stall, some iterations in.
+                    // Longer than the hang timeout: the job is killed
+                    // at the first clock reading after the stall, some
+                    // iterations in.
                     request = request
                         .trace(STALLED)
                         .fault_plan(FaultPlan::new().with_stall(40, 2, 250));

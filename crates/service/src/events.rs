@@ -3,7 +3,7 @@
 //! The simulated machine already streams its own [`hpf_machine::Event`]s
 //! through [`hpf_machine::EventSink`]; this module is the *service-side*
 //! counterpart — the request lifecycle the machine cannot see: admission
-//! verdicts, sheds, deadline expiries, supervisor kills, rollbacks, and
+//! verdicts, sheds, deadline expiries, hang kills, rollbacks, and
 //! completions. `hpf-obs` depends on `hpf-service` (not the other way
 //! round), so the service defines the event vocabulary and a sink
 //! abstraction here, and the observability layer plugs an adapter in via
@@ -39,8 +39,8 @@ pub enum ServiceEvent {
     },
     /// The job's deadline passed while it was still queued.
     DeadlineExpired { trace_id: u64, class: QosClass },
-    /// The supervisor killed this job (heartbeat-stale hang →
-    /// cooperative abort at the worker's next machine operation).
+    /// The job was killed as hung: its worker's progress hook read the
+    /// wall clock more than `hang_timeout` after its previous reading.
     WorkerKilled {
         trace_id: u64,
         class: QosClass,
@@ -118,7 +118,7 @@ impl ServiceEvent {
 }
 
 /// Callback fired with every [`ServiceEvent`] as it happens, from
-/// whichever thread produced it (submitter, worker, supervisor). Runs
+/// whichever thread produced it (submitter or worker). Runs
 /// on hot paths — implementations should be a sampling decision and a
 /// lock-free push at most.
 #[derive(Clone)]

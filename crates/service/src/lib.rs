@@ -52,7 +52,6 @@ pub mod request;
 pub mod response;
 pub mod retry;
 pub mod service;
-pub mod supervisor;
 pub mod worker;
 
 pub use admission::{AdmissionController, AdmissionDecision};

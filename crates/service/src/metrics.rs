@@ -44,7 +44,8 @@ pub struct Metrics {
     pub breaker_open: AtomicU64,
     /// Jobs refused on arrival by deadline-aware admission control.
     pub shed_total: AtomicU64,
-    /// Jobs of hung workers the supervisor flagged for death.
+    /// Jobs killed as hung (ticked where the kill lands, beside
+    /// `worker_restarts`).
     pub supervisor_kills: AtomicU64,
     /// Kills that landed: the worker answered the killed job with
     /// `WorkerKilled` and went on with its next one.

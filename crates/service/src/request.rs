@@ -254,8 +254,8 @@ pub(crate) const QOS_WEIGHTS: [u32; 3] = [6, 3, 1];
 /// What every deployment shares is a constant beside the code that reads
 /// it, not a field: the machine's [`TOPOLOGY`], the QoS weights
 /// (6 : 3 : 1), at most 16 jobs a batch, 8 calibrating solves before
-/// admission sheds, retries that escalate CG → BiCGSTAB → GMRES, and a
-/// supervisor that always runs.
+/// admission sheds, retries that escalate CG → BiCGSTAB → GMRES, and
+/// hang detection that is always on.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Worker threads executing solves.
@@ -280,9 +280,9 @@ pub struct ServiceConfig {
     /// Run CG/PCG jobs through the checkpoint/rollback protected
     /// solvers; `None` uses the unprotected recurrences.
     pub recovery: Option<RecoveryConfig>,
-    /// A busy worker whose heartbeat has not advanced for this long has
-    /// its job killed by the supervisor, which polls every tenth of it
-    /// (at most every 20 ms).
+    /// A job whose worker's progress hook finds more than this between
+    /// two of its wall-clock readings (one every 64 machine operations)
+    /// is killed as hung; the worker goes on with its next job.
     pub hang_timeout: Duration,
     /// Live telemetry tap for service lifecycle events (admission,
     /// sheds, kills, completions — see [`crate::ServiceEvent`]). `None`

@@ -83,9 +83,10 @@ pub enum ServiceError {
         predicted: Duration,
         budget: Duration,
     },
-    /// The supervisor killed this job (its worker's progress heartbeat
-    /// went stale); `after` is how long the job had been executing. The
-    /// job may be resubmitted; the worker goes on with its next job.
+    /// The job was killed as hung (more than `hang_timeout` between two
+    /// of its worker's clock readings, DESIGN §10); `after` is how long
+    /// the job had been executing. The job may be resubmitted; the
+    /// worker goes on with its next job.
     WorkerKilled { after: Duration },
 }
 

@@ -1,5 +1,5 @@
 //! The service facade: admission control → the intake (per-class bounded
-//! queues behind one lock) → supervised workers that pull.
+//! queues behind one lock) → workers that pull.
 //!
 //! ```text
 //!  submit() ──validate──► admission (deadline vs predicted cost) ⇒ Shed?
@@ -10,7 +10,7 @@
 //!      ▼ lock: weighted-fair pick (deficit round-robin, QOS_WEIGHTS)
 //!  worker ── takes the head job and its same-key, same-class mates
 //!      │  plan cache / partition, operator, solves
-//!      │                         supervisor (heartbeats, kill the hung job)
+//!      │  progress hook: a hang kills the job in hand, not the worker
 //!      ▼
 //!  responder ──► JobHandle::wait()                 (caller's thread)
 //! ```
@@ -28,10 +28,9 @@
 //! deciding to park is seen by that worker, and a busy pool costs the
 //! submitter no wake-up at all. What the intake holds is exactly what
 //! was accepted and not yet taken, so `queue_capacity` bounds each class
-//! exactly and the queue-depth gauges read it. A supervisor thread
-//! watches per-worker progress heartbeats and kills the job a wedged
-//! worker hangs in; the worker goes on with its next job (see
-//! [`crate::supervisor`]).
+//! exactly and the queue-depth gauges read it. A worker watches its own
+//! machine for a hang through the progress hook and kills the job it
+//! hangs in; it goes on with its next job (see [`crate::worker`]).
 
 use crate::admission::{AdmissionController, AdmissionDecision};
 use crate::batch::{form_batch, Batch, Job};
@@ -41,7 +40,6 @@ use crate::plan::PlanCache;
 use crate::request::{ServiceConfig, SolveRequest, QOS_WEIGHTS};
 use crate::response::{ServiceError, SolveResponse};
 use crate::retry::CircuitBreaker;
-use crate::supervisor::{supervisor_loop, WorkerState};
 use crate::worker::{Kept, Worker};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -176,8 +174,8 @@ impl Intake {
 /// ([`PlanCache`]), which is what it was sized with.
 const PLAN_CACHE_CAPACITY: usize = 32;
 
-/// What the service's threads share — submitters, workers, the
-/// supervisor — and what it takes to end a job ([`Core::finish`]).
+/// What the service's threads share — submitters and workers — and what
+/// it takes to end a job ([`Core::finish`]).
 pub(crate) struct Core {
     pub config: ServiceConfig,
     pub intake: Intake,
@@ -216,45 +214,29 @@ pub struct SolverService {
     shutting_down: Arc<AtomicBool>,
     /// The worker threads, alive until shutdown joins them.
     workers: Vec<JoinHandle<()>>,
-    supervisor: Option<JoinHandle<()>>,
 }
 
 impl SolverService {
-    /// Start the worker pool described by `config` and its supervisor.
+    /// Start the worker pool described by `config`.
     pub fn start(config: ServiceConfig) -> Self {
         assert!(config.workers > 0, "need at least one worker");
         assert!(config.queue_capacity > 0, "queue capacity must be positive");
         assert!(config.np > 0, "machine size must be positive");
         let core = Core::new(config);
-        let shutting_down = Arc::new(AtomicBool::new(false));
-        let states: Vec<Arc<WorkerState>> =
-            (0..core.config.workers).map(|_| Arc::default()).collect();
-        let workers = states
-            .iter()
-            .enumerate()
-            .map(|(i, state)| {
-                let (core, state) = (core.clone(), state.clone());
+        let workers = (0..core.config.workers)
+            .map(|i| {
+                let core = core.clone();
                 std::thread::Builder::new()
                     .name(format!("hpf-service-worker-{i}"))
-                    .spawn(move || worker_loop(core, i, state))
+                    .spawn(move || worker_loop(core, i))
                     .expect("spawn worker")
             })
             .collect();
-
-        let supervisor = {
-            let (core, shutting_down) = (core.clone(), shutting_down.clone());
-            std::thread::Builder::new()
-                .name("hpf-service-supervisor".into())
-                .spawn(move || supervisor_loop(states, core, shutting_down))
-                .expect("spawn supervisor")
-        };
-
         SolverService {
             core,
             next_id: AtomicU64::new(1),
-            shutting_down,
+            shutting_down: Arc::new(AtomicBool::new(false)),
             workers,
-            supervisor: Some(supervisor),
         }
     }
 
@@ -427,9 +409,6 @@ impl SolverService {
             metrics.class_queue_depth[job.request.qos.index()].fetch_sub(1, Ordering::Relaxed);
             core.refuse(job, ServiceError::Shutdown, None, &mut kept);
         }
-        if let Some(s) = self.supervisor.take() {
-            let _ = s.join();
-        }
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
@@ -502,17 +481,14 @@ fn validate(request: &SolveRequest) -> Result<&'static str, String> {
 
 /// Worker `index`: take batches from the intake and execute them until
 /// the service shuts down. `execute_batch` already answers every job
-/// exactly once (including on panics inside solves and supervisor
-/// kills); the outer `catch_unwind` is a last resort for bugs in the
-/// bookkeeping itself — the batch's handles then observe `Shutdown`
-/// when their responders drop, the job it broke off is ended for the
-/// supervisor, and the worker keeps serving.
-fn worker_loop(core: Arc<Core>, index: usize, state: Arc<WorkerState>) {
-    let mut worker = Worker::new(core.clone(), index, state.clone());
+/// exactly once (including on panics inside solves and hang kills); the
+/// outer `catch_unwind` is a last resort for bugs in the bookkeeping
+/// itself — the batch's handles then observe `Shutdown` when their
+/// responders drop, and the worker keeps serving.
+fn worker_loop(core: Arc<Core>, index: usize) {
+    let mut worker = Worker::new(core.clone(), index);
     while let Some(batch) = core.intake.pull(&core.config, &core.metrics) {
-        if catch_unwind(AssertUnwindSafe(|| worker.execute_batch(batch))).is_err() {
-            state.end();
-        }
+        let _ = catch_unwind(AssertUnwindSafe(|| worker.execute_batch(batch)));
     }
 }
 

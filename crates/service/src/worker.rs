@@ -15,6 +15,11 @@
 //! attempt, and a retryable solver failure re-runs the job at once, on
 //! a clean machine, escalating CG → BiCGSTAB → GMRES.
 //!
+//! Hang detection lives here too, in the machine's progress hook: the
+//! hook reads the wall clock every [`HANG_READ_EVERY`] operations, and
+//! a gap of more than [`ServiceConfig::hang_timeout`] between two
+//! readings of one attempt kills the job in hand (DESIGN §10).
+//!
 //! **Every job ends in [`Core::finish`]** — expired in queue, refused by
 //! an open circuit, failed by a panicking set-up, solved or not, drained
 //! at shutdown — so each is released, counted, completed and answered
@@ -28,25 +33,59 @@ use crate::batch::{Batch, Job};
 use crate::events::{
     self, EvidenceHook, JobEvidence, ResidualTail, ServiceEvent, ServiceEventSink, LIFECYCLE_TAIL,
 };
+use crate::lock;
 use crate::plan::{CacheOutcome, SolvePlan};
 use crate::request::{ServiceConfig, SolverKind, TOPOLOGY};
 use crate::response::{PlanSource, ServiceError, SolveResponse};
 use crate::retry::{escalate, is_retryable, Admission};
 use crate::service::Core;
-use crate::supervisor::{SupervisorAbort, WorkerState};
 use hpf_core::RowwiseCsr;
 use hpf_machine::{CostModel, EventTail, Machine, TraceLevel};
 use hpf_solvers::{
     solve, DistPreconditioner, IterObserver, JacobiPreconditioner, Krylov, NullObserver,
     RecoveryStats, SolveStats, SolverError, StopCriterion, TailObserver,
 };
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
-use std::time::Instant;
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 /// Iteration samples kept of a solve for [`JobEvidence::residual`].
 const RESIDUAL_TAIL: usize = 48;
+
+/// Machine operations between two readings of the wall clock by a
+/// worker's progress hook. A power of two, so the test is a mask; one
+/// reading spread over 64 operations adds under 1% to the cheapest one
+/// (DESIGN §10 has the measurement).
+const HANG_READ_EVERY: usize = 64;
+
+/// Typed unwind payload of a hang kill. The worker's catch site
+/// downcasts to this to tell a kill from an organic panic.
+#[derive(Debug, Clone, Copy)]
+struct SupervisorAbort;
+
+/// What a worker's progress hook keeps to see a hang: the last reading
+/// of the wall clock.
+struct HangWatch {
+    hang_timeout: Duration,
+    last: Mutex<Instant>,
+}
+
+impl HangWatch {
+    /// Whether the job in hand is hung at operation `op`. Every
+    /// [`HANG_READ_EVERY`]-th operation reads the clock (`now`); a
+    /// reading more than `hang_timeout` after the previous one is a
+    /// hang. Operation 0 starts every attempt (`Machine::reset`) and
+    /// only takes a reading, so the idle time between jobs never counts.
+    fn hung(&self, op: usize, now: impl FnOnce() -> Instant) -> bool {
+        if !op.is_multiple_of(HANG_READ_EVERY) {
+            return false;
+        }
+        let now = now();
+        let last = std::mem::replace(&mut *lock(&self.last), now);
+        op != 0 && now.saturating_duration_since(last) > self.hang_timeout
+    }
+}
 
 /// What the thread ending a job keeps of it for the evidence hook,
 /// besides a machine's tail: reused from job to job, and left empty
@@ -176,19 +215,17 @@ pub(crate) struct Worker {
     core: Arc<Core>,
     /// Index in the pool, as [`ServiceEvent::WorkerRestarted`] names it.
     index: usize,
-    state: Arc<WorkerState>,
     machine: Machine,
     kept: Kept,
 }
 
 impl Worker {
-    /// Worker `index` over `core`, whose machine heartbeats into `state`
-    /// once per simulated operation and observes the supervisor's kill
-    /// order (the abort flag) at the same granularity: the hook unwinds
-    /// with [`SupervisorAbort`], the per-job catch site answers
+    /// Worker `index` over `core`, whose machine's progress hook watches
+    /// for a hang ([`HangWatch`]): on one it unwinds with
+    /// [`SupervisorAbort`], the per-job catch site answers
     /// [`ServiceError::WorkerKilled`], and the worker goes on with its
     /// next job.
-    pub(crate) fn new(core: Arc<Core>, index: usize, state: Arc<WorkerState>) -> Self {
+    pub(crate) fn new(core: Arc<Core>, index: usize) -> Self {
         let config = &core.config;
         let mut machine = Machine::new(config.np, TOPOLOGY, CostModel::mpp_1995());
         // Nobody reads this machine's events after the solve: the
@@ -201,13 +238,20 @@ impl Worker {
         if let Some(hook) = &config.evidence_hook {
             machine.keep_tail(hook.machine_tail);
         }
-        let s = Arc::clone(&state);
-        machine.set_progress_hook(hpf_machine::ProgressHook::new(move |_op| s.beat()));
+        let watch = HangWatch {
+            hang_timeout: config.hang_timeout,
+            last: Mutex::new(Instant::now()),
+        };
+        machine.set_progress_hook(hpf_machine::ProgressHook::new(move |op| {
+            if watch.hung(op, Instant::now) {
+                // `resume_unwind`: no panic hook runs for a kill.
+                resume_unwind(Box::new(SupervisorAbort));
+            }
+        }));
         let kept = Kept::new(config);
         Worker {
             core,
             index,
-            state,
             machine,
             kept,
         }
@@ -348,7 +392,6 @@ impl Worker {
                 hpf_machine::span::enter(format!("trace={:016x}", job.request.trace_id));
             let _job_span = hpf_machine::span::enter(format!("job={}", job.id));
             let job_started = Instant::now();
-            self.state.begin(fingerprint);
             self.kept.begin(&job);
             self.machine.clear_tail();
             let (trace_id, class) = (job.request.trace_id, job.request.qos);
@@ -366,7 +409,7 @@ impl Worker {
                     _ => self.machine.clear_fault_plan(),
                 }
                 // The residual series lives *outside* the catch site, so
-                // a supervisor kill mid-attempt still leaves the
+                // a hang kill mid-attempt still leaves the
                 // iterations recorded so far for the hook to read.
                 let observed = self.kept.hook.is_some();
                 self.kept.residual.attempt = attempts;
@@ -452,6 +495,7 @@ impl Worker {
                                 after_us: after.as_micros() as u64,
                             });
                             // The kill ends this job only.
+                            metrics.supervisor_kills.fetch_add(1, Ordering::Relaxed);
                             metrics.worker_restarts.fetch_add(1, Ordering::Relaxed);
                             events::emit(
                                 &config.event_sink,
@@ -499,7 +543,6 @@ impl Worker {
                 }
             });
             core.finish(job, result, Some(kind), &mut self.kept, self.machine.tail());
-            self.state.end();
         }
     }
 }
@@ -581,7 +624,7 @@ mod tests {
     /// A worker over a service core of its own, as a worker thread
     /// would make it.
     fn worker(config: ServiceConfig) -> Worker {
-        Worker::new(Core::new(config), 0, Arc::default())
+        Worker::new(Core::new(config), 0)
     }
 
     /// Hand `jobs` to `worker` as one batch, counted in flight as
@@ -866,6 +909,59 @@ mod tests {
             })
             .collect();
         assert_eq!(outcomes, [("pcg-mg", "hpcg", 0, 3)]);
+    }
+
+    /// A watch over a 100 ms hang timeout whose last reading is `t0`.
+    fn watch(t0: Instant) -> HangWatch {
+        HangWatch {
+            hang_timeout: Duration::from_millis(100),
+            last: Mutex::new(t0),
+        }
+    }
+
+    /// The first operation of an attempt only takes a reading, however
+    /// long the worker sat idle before it; the gap is then measured
+    /// from there.
+    #[test]
+    fn the_first_reading_of_an_attempt_never_kills() {
+        let t0 = Instant::now();
+        for idle in [0, 101, 3_600_000].map(Duration::from_millis) {
+            let w = watch(t0);
+            assert!(!w.hung(0, || t0 + idle), "idle {idle:?}");
+            let next = t0 + idle + Duration::from_millis(50);
+            assert!(!w.hung(HANG_READ_EVERY, || next), "idle {idle:?}");
+        }
+    }
+
+    /// A stall past the timeout kills at the next reading; the
+    /// operations between readings never read the clock; and the next
+    /// attempt, back at operation 0, starts a fresh watch.
+    #[test]
+    fn a_gap_past_the_timeout_kills_at_the_next_reading_and_not_between() {
+        let t0 = Instant::now();
+        let w = watch(t0);
+        assert!(!w.hung(0, || t0));
+        for op in 1..HANG_READ_EVERY {
+            assert!(!w.hung(op, || panic!("operation {op} read the clock")));
+        }
+        let stalled = t0 + Duration::from_millis(101);
+        assert!(w.hung(HANG_READ_EVERY, || stalled));
+        assert!(!w.hung(0, || stalled + Duration::from_secs(5)));
+        let next = stalled + Duration::from_secs(5) + Duration::from_millis(100);
+        assert!(!w.hung(HANG_READ_EVERY, || next));
+    }
+
+    /// Readings at most `hang_timeout` apart pass, however long the job
+    /// runs in total.
+    #[test]
+    fn readings_within_the_timeout_pass() {
+        let t0 = Instant::now();
+        let w = watch(t0);
+        assert!(!w.hung(0, || t0));
+        for k in 1..=100 {
+            let t = t0 + Duration::from_millis(100) * k as u32;
+            assert!(!w.hung(k * HANG_READ_EVERY, || t), "reading {k}");
+        }
     }
 
     #[test]

@@ -689,7 +689,8 @@ fn interactive_jobs_overtake_best_effort_under_load() {
         queue_capacity: 64,
         np: 4,
         batching_enabled: false,
-        // The parked worker sends no heartbeats; it is not hung.
+        // The worker is parked inside an operation on purpose; it is
+        // not hung.
         hang_timeout: Duration::from_secs(3600),
         machine_sink: Some(gate),
         event_sink: Some(record),
@@ -744,8 +745,8 @@ fn interactive_jobs_overtake_best_effort_under_load() {
     );
 }
 
-/// Tentpole acceptance: a worker hung mid-solve (wall-clock stall fault,
-/// no heartbeats) is killed by the supervisor — the job is answered with
+/// A job hung mid-solve (a wall-clock stall fault) is killed by its
+/// worker's progress hook — the job is answered with
 /// a typed `WorkerKilled`, the worker comes back for the next job (one
 /// `worker_restarts` tick), and the pool keeps serving.
 #[test]
@@ -759,9 +760,8 @@ fn hung_worker_is_killed_and_respawned() {
     });
     let a = Arc::new(gen::banded_spd(64, 3, 7));
     let (b, _x) = gen::rhs_for_known_solution(&a);
-    // A 600 ms stall on processor 0, six times the hang timeout:
-    // heartbeats stop, the supervisor flags the worker, and the next
-    // machine operation observes the abort.
+    // A 600 ms stall on processor 0, six times the hang timeout: the
+    // hook's first clock reading after it sees the gap and unwinds.
     let plan = hpf_machine::FaultPlan::new().with_stall(30, 0, 600);
     let doomed = service
         .submit(SolveRequest::new(a.clone(), b.clone()).fault_plan(plan))
@@ -850,6 +850,45 @@ fn healthy_batch_mates_outlive_a_siblings_kill() {
     assert_eq!(m.in_flight, 0);
 }
 
+/// A kill is one failure of its structure for the circuit breaker, not
+/// two: with a threshold of 2 the first killed job leaves the circuit
+/// closed, and the second opens it.
+#[test]
+fn a_kill_feeds_the_breaker_once() {
+    let service = SolverService::start(ServiceConfig {
+        workers: 1,
+        np: 4,
+        hang_timeout: Duration::from_millis(100),
+        breaker_threshold: 2,
+        breaker_cooldown: Duration::from_secs(30),
+        ..ServiceConfig::default()
+    });
+    let a = Arc::new(gen::banded_spd(64, 3, 7));
+    let (b, _x) = gen::rhs_for_known_solution(&a);
+    let stalled = || {
+        let plan = hpf_machine::FaultPlan::new().with_stall(30, 0, 250);
+        service.solve(SolveRequest::new(a.clone(), b.clone()).fault_plan(plan))
+    };
+    let first = stalled();
+    assert!(
+        matches!(first, Err(ServiceError::WorkerKilled { .. })),
+        "{first:?}"
+    );
+    assert_eq!(service.open_circuits(), 0, "one kill is one failure");
+    let second = stalled();
+    assert!(
+        matches!(second, Err(ServiceError::WorkerKilled { .. })),
+        "{second:?}"
+    );
+    assert_eq!(
+        service.open_circuits(),
+        1,
+        "two kills trip a threshold of 2"
+    );
+    let m = service.shutdown();
+    assert_eq!((m.supervisor_kills, m.worker_restarts, m.failed), (2, 2, 2));
+}
+
 /// `queue_capacity` is a bound, not a hint: with the one worker pinned,
 /// a class takes exactly that many jobs and refuses the next, another
 /// class is not affected, and the gauges read what was accepted.
@@ -861,7 +900,8 @@ fn a_class_accepts_exactly_queue_capacity_jobs() {
         workers: 1,
         queue_capacity: CAPACITY,
         np: 4,
-        // The parked worker sends no heartbeats; it is not hung.
+        // The worker is parked inside an operation on purpose; it is
+        // not hung.
         hang_timeout: Duration::from_secs(3600),
         machine_sink: Some(gate),
         ..ServiceConfig::default()
