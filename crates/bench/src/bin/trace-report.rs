@@ -72,8 +72,7 @@
 
 use hpf_machine::{level_of, predicted_time, CostModel, EventKind, Topology, Trace};
 use hpf_obs::{
-    critical_path, load_imbalance, render_diff, snapshot_from_json, span_costs, BenchRecord,
-    DriftReport, Timeline,
+    critical_path, load_imbalance, render_diff, span_costs, BenchRecord, DriftReport, Timeline,
 };
 use std::path::PathBuf;
 
@@ -671,7 +670,7 @@ fn main() {
                     .unwrap_or_else(|| fail("prom needs --metrics FILE"));
                 let text = std::fs::read_to_string(path)
                     .unwrap_or_else(|e| fail(&format!("cannot read {}: {e}", path.display())));
-                let snap = snapshot_from_json(&text)
+                let snap = hpf_service::MetricsSnapshot::from_json(&text)
                     .unwrap_or_else(|e| fail(&format!("cannot parse {}: {e}", path.display())));
                 (hpf_obs::render_prometheus(&snap), "metrics.prom")
             }

@@ -198,9 +198,8 @@ pub fn e27_with_gate(requests: usize, gate: &RegressionGate) -> Table {
             }
         };
         let build = |mats: &[Arc<CsrMatrix>; 3], rhs: &[Vec<f64>]| {
-            let mut req = SolveRequest::with_rhs_set(mats[s].clone(), vec![rhs[s].clone()])
-                .qos(class)
-                .tenant(class.name());
+            let mut req =
+                SolveRequest::with_rhs_set(mats[s].clone(), vec![rhs[s].clone()]).qos(class);
             if class == QosClass::Interactive {
                 // Mostly a generous 2 s budget; ~10% hopeless
                 // microsecond deadlines a calibrated controller sheds.

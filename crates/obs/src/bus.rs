@@ -4,7 +4,7 @@
 //! Post-hoc traces answer "what did that solve cost?"; the bus answers
 //! the operational question "what is the service doing *right now*?".
 //! Producers (worker threads recording machine events, the submitter
-//! shedding at the door, the supervisor killing a hung worker) publish
+//! shedding at the door, a worker killing its own hung job) publish
 //! into a fixed-capacity FIFO behind one mutex, held for a `VecDeque`
 //! operation and nothing else. The traffic sized it: a handful of
 //! producers that already pay three `String` allocations a published
@@ -178,59 +178,6 @@ impl BusEvent {
 }
 
 // ---------------------------------------------------------------------
-// The queue
-// ---------------------------------------------------------------------
-
-/// Bounded FIFO of bus events behind one mutex. `push` never waits for
-/// room: on a full queue it drops the event and returns `false`. The
-/// lock is held for a `VecDeque` operation and nothing else.
-pub struct RingBuffer {
-    queue: Mutex<VecDeque<BusEvent>>,
-    capacity: usize,
-}
-
-impl RingBuffer {
-    /// Capacity is rounded up to a power of two (minimum 2).
-    pub fn new(capacity: usize) -> Self {
-        RingBuffer {
-            queue: Mutex::new(VecDeque::new()),
-            capacity: capacity.max(2).next_power_of_two(),
-        }
-    }
-
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    fn lock(&self) -> MutexGuard<'_, VecDeque<BusEvent>> {
-        // Every update is one `VecDeque` call: a panic elsewhere on a
-        // thread holding the guard leaves the queue whole.
-        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Non-blocking push; `false` = queue full, event dropped.
-    pub fn push(&self, event: BusEvent) -> bool {
-        let mut queue = self.lock();
-        let room = queue.len() < self.capacity;
-        if room {
-            queue.push_back(event);
-        }
-        room
-    }
-
-    /// Non-blocking pop; `None` = queue empty.
-    pub fn pop(&self) -> Option<BusEvent> {
-        self.lock().pop_front()
-    }
-
-    /// Everything queued, oldest first, taken under one lock; the
-    /// queue keeps its buffer for the next burst.
-    fn drain(&self) -> Vec<BusEvent> {
-        self.lock().drain(..).collect()
-    }
-}
-
-// ---------------------------------------------------------------------
 // Sampling
 // ---------------------------------------------------------------------
 
@@ -299,8 +246,14 @@ pub struct BusStats {
 }
 
 /// The streaming event bus: sampling policy + queue + wall clock.
+///
+/// The queue is a bounded FIFO behind one mutex, held for a `VecDeque`
+/// operation and nothing else: a publish never waits for room, and on
+/// a full queue the event is dropped and counted.
 pub struct EventBus {
-    ring: RingBuffer,
+    queue: Mutex<VecDeque<BusEvent>>,
+    /// Rounded up to a power of two, at least 2.
+    capacity: usize,
     policy: SamplingPolicy,
     started: Instant,
     seq: AtomicU64,
@@ -312,7 +265,8 @@ pub struct EventBus {
 impl EventBus {
     pub fn new(capacity: usize, policy: SamplingPolicy) -> Arc<Self> {
         Arc::new(EventBus {
-            ring: RingBuffer::new(capacity),
+            queue: Mutex::new(VecDeque::new()),
+            capacity: capacity.max(2).next_power_of_two(),
             policy,
             started: Instant::now(),
             seq: AtomicU64::new(0),
@@ -350,18 +304,29 @@ impl EventBus {
         }
     }
 
+    fn lock(&self) -> MutexGuard<'_, VecDeque<BusEvent>> {
+        // Every update is one `VecDeque` call: a panic elsewhere on a
+        // thread holding the guard leaves the queue whole.
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Publish an event that is past sampling.
     fn stamp_and_push(&self, mut event: BusEvent) {
         event.seq = self.seq.fetch_add(1, Ordering::Relaxed);
         event.wall_s = self.started.elapsed().as_secs_f64();
-        if !self.ring.push(event) {
+        let mut queue = self.lock();
+        if queue.len() < self.capacity {
+            queue.push_back(event);
+        } else {
+            drop(queue);
             self.dropped.fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    /// Take every currently-buffered event (FIFO).
+    /// Take every currently-buffered event (FIFO) under one lock; the
+    /// queue keeps its buffer for the next burst.
     pub fn drain(&self) -> Vec<BusEvent> {
-        self.ring.drain()
+        self.lock().drain(..).collect()
     }
 
     /// A machine-level tap for [`hpf_machine::Machine::set_event_sink`]:
@@ -466,68 +431,74 @@ mod tests {
 
     #[test]
     fn ring_is_fifo_and_drops_when_full() {
-        let ring = RingBuffer::new(4);
-        assert_eq!(ring.capacity(), 4);
-        for i in 0..4 {
-            assert!(ring.push(ev(i, 1)));
+        let bus = EventBus::new(3, SamplingPolicy::keep_all());
+        for i in 0..5 {
+            bus.publish(ev(i, 1), false);
         }
-        assert!(!ring.push(ev(9, 1)), "full ring refuses, never blocks");
-        for i in 0..4 {
-            assert_eq!(ring.pop().unwrap().seq, i);
+        let stats = bus.stats();
+        assert_eq!(
+            (stats.published, stats.dropped),
+            (5, 1),
+            "3 rounds up to 4 slots"
+        );
+        let kept: Vec<u64> = bus.drain().iter().map(|e| e.seq).collect();
+        assert_eq!(
+            kept,
+            [0, 1, 2, 3],
+            "FIFO; the full queue refused, never blocked"
+        );
+        assert!(bus.drain().is_empty());
+        // The drained slots are reusable.
+        bus.publish(ev(0, 1), false);
+        assert_eq!(bus.drain()[0].seq, 5);
+        // A capacity below 2 still holds 2.
+        let tiny = EventBus::new(0, SamplingPolicy::keep_all());
+        for i in 0..3 {
+            tiny.publish(ev(i, 1), false);
         }
-        assert!(ring.pop().is_none());
-        // Wrap-around: the freed slots are reusable.
-        assert!(ring.push(ev(10, 1)));
-        assert_eq!(ring.pop().unwrap().seq, 10);
+        assert_eq!((tiny.stats().dropped, tiny.drain().len()), (1, 2));
     }
 
     #[test]
     fn ring_survives_concurrent_producers_and_consumer() {
-        let ring = Arc::new(RingBuffer::new(64));
+        let bus = EventBus::new(64, SamplingPolicy::keep_all());
         let total = Arc::new(AtomicU64::new(0));
+        let done = Arc::new(AtomicU64::new(0));
         let producers: Vec<_> = (0..4)
             .map(|p| {
-                let ring = Arc::clone(&ring);
+                let bus = Arc::clone(&bus);
+                let done = Arc::clone(&done);
                 std::thread::spawn(move || {
-                    let mut pushed = 0u64;
                     for i in 0..500 {
-                        if ring.push(ev(p * 1000 + i, p)) {
-                            pushed += 1;
-                        }
+                        bus.publish(ev(p * 1000 + i, p), false);
                     }
-                    pushed
+                    done.fetch_add(1, Ordering::Relaxed);
                 })
             })
             .collect();
         let consumer = {
-            let ring = Arc::clone(&ring);
-            let total = Arc::clone(&total);
+            let bus = Arc::clone(&bus);
+            let (total, done) = (Arc::clone(&total), Arc::clone(&done));
             std::thread::spawn(move || {
-                let mut idle = 0;
-                while idle < 200 {
-                    match ring.pop() {
-                        Some(_) => {
-                            idle = 0;
-                            total.fetch_add(1, Ordering::Relaxed);
-                        }
-                        None => {
-                            idle += 1;
-                            std::thread::yield_now();
-                        }
-                    }
+                while done.load(Ordering::Relaxed) < 4 {
+                    let n = bus.drain().len() as u64;
+                    total.fetch_add(n, Ordering::Relaxed);
+                    std::thread::yield_now();
                 }
             })
         };
-        let pushed: u64 = producers.into_iter().map(|p| p.join().unwrap()).sum();
+        for p in producers {
+            p.join().unwrap();
+        }
         consumer.join().unwrap();
-        let drained = total.load(Ordering::Relaxed) + {
-            let mut rest = 0;
-            while ring.pop().is_some() {
-                rest += 1;
-            }
-            rest
-        };
-        assert_eq!(drained, pushed, "every accepted push pops exactly once");
+        let drained = total.load(Ordering::Relaxed) + bus.drain().len() as u64;
+        let stats = bus.stats();
+        assert_eq!(stats.published, 2000);
+        assert_eq!(
+            drained,
+            stats.published - stats.dropped,
+            "every accepted event drains exactly once"
+        );
     }
 
     #[test]

@@ -57,7 +57,7 @@ pub mod timeline;
 
 pub use admission::{percentile_us, AdmissionAudit, ShedSample};
 pub use analysis::{critical_path, load_imbalance, span_costs, CriticalPathReport, SpanCost};
-pub use bus::{BusEvent, BusOrigin, BusStats, EventBus, RingBuffer, SamplingPolicy};
+pub use bus::{BusEvent, BusOrigin, BusStats, EventBus, SamplingPolicy};
 pub use gate::{
     render_diff, BenchRecord, GateError, GateOutcome, RegressionGate, Violation,
     BENCH_SCHEMA_VERSION,

@@ -345,7 +345,7 @@ pub struct MetricsSnapshot {
 impl MetricsSnapshot {
     /// Render as a JSON object, through the workspace's one codec
     /// ([`hpf_json`]); the field set is the public contract, and
-    /// `hpf_obs::snapshot_from_json` reads it back.
+    /// [`Self::from_json`] reads it back.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         let mut o = Obj::new(&mut out);
@@ -420,6 +420,87 @@ impl MetricsSnapshot {
         }
         drop(o);
         out
+    }
+
+    /// Parse a snapshot back from the JSON that [`Self::to_json`] writes. This is what lets `trace-report` turn
+    /// a metrics file saved by one process into Prometheus text in another.
+    /// The `"+inf"` bucket bound reads as `u64::MAX` and a `null` gauge as
+    /// NaN, as the writer wrote them.
+    pub fn from_json(text: &str) -> Result<Self, String> {
+        let doc = hpf_json::parse(text).map_err(|e| format!("not valid JSON: {e}"))?;
+        let u = |key: &str| doc.u64_of(key);
+        let mut bounds = Vec::new();
+        let mut counts = Vec::new();
+        for bucket in doc.items_of("latency")? {
+            bounds.push(match bucket.field("le_us")?.as_str() {
+                Some("+inf") => u64::MAX,
+                _ => bucket.u64_of("le_us")?,
+            });
+            counts.push(bucket.u64_of("count")?);
+        }
+        let class_depths = doc.items_of("class_queue_depth")?.iter();
+        let class_depths: Vec<u64> = class_depths
+            .map(|d| d.as_u64().ok_or("bad class depth"))
+            .collect::<Result<_, _>>()?;
+        let outcomes = doc.items_of("solve_outcomes")?.iter();
+        // Older snapshot files predate the flight recorder; treat a missing
+        // postmortems section as empty rather than a parse failure.
+        let postmortems = match doc.get("postmortems") {
+            Some(_) => doc.items_of("postmortems")?,
+            None => &[],
+        };
+        Ok(Self {
+            accepted: u("accepted")?,
+            rejected_busy: u("rejected_busy")?,
+            rejected_invalid: u("rejected_invalid")?,
+            completed: u("completed")?,
+            failed: u("failed")?,
+            deadline_exceeded: u("deadline_exceeded")?,
+            cache_hits: u("cache_hits")?,
+            cache_misses: u("cache_misses")?,
+            partitioner_invocations: u("partitioner_invocations")?,
+            batches_executed: u("batches_executed")?,
+            batched_jobs: u("batched_jobs")?,
+            rhs_solved: u("rhs_solved")?,
+            in_flight: u("in_flight")?,
+            faults_injected: u("faults_injected")?,
+            faults_detected: u("faults_detected")?,
+            rollbacks: u("rollbacks")?,
+            retries: u("retries")?,
+            escalations: u("escalations")?,
+            breaker_open: u("breaker_open")?,
+            shed_total: u("shed_total")?,
+            supervisor_kills: u("supervisor_kills")?,
+            worker_restarts: u("worker_restarts")?,
+            queue_depth: u("queue_depth")? as usize,
+            class_queue_depth: class_depths
+                .try_into()
+                .map_err(|_| "class_queue_depth must have 3 entries".to_string())?,
+            queue_saturation: doc.f64_of("queue_saturation")?,
+            uptime_seconds: doc.f64_of("uptime_seconds")?,
+            latency_bucket_bounds_us: bounds,
+            latency_buckets: counts,
+            latency_sum_us: u("latency_sum_us")?,
+            solve_outcomes: outcomes
+                .map(|o| {
+                    Ok(SolveOutcome {
+                        solver: o.str_of("solver")?.to_string(),
+                        scenario: o.str_of("scenario")?.to_string(),
+                        completed: o.u64_of("completed")?,
+                        failed: o.u64_of("failed")?,
+                    })
+                })
+                .collect::<Result<_, String>>()?,
+            postmortems: postmortems
+                .iter()
+                .map(|p| {
+                    Ok(PostmortemCount {
+                        verdict: p.str_of("verdict")?.to_string(),
+                        count: p.u64_of("count")?,
+                    })
+                })
+                .collect::<Result<_, String>>()?,
+        })
     }
 
     /// Render as Prometheus text exposition (version 0.0.4): `# HELP` /
@@ -640,6 +721,36 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn snapshot_json_round_trips_through_the_parser() {
+        let m = Metrics::new();
+        m.accepted.fetch_add(9, Ordering::Relaxed);
+        m.rollbacks.fetch_add(2, Ordering::Relaxed);
+        m.queue_depth.store(3, Ordering::Relaxed);
+        m.observe_latency(Duration::from_micros(120));
+        m.record_solve_outcome("cg", "rowwise", true);
+        m.record_solve_outcome("gmres", "colwise", false);
+        let snap = m.snapshot();
+        let back = MetricsSnapshot::from_json(&snap.to_json()).unwrap();
+        assert_eq!(back.accepted, 9);
+        assert_eq!(back.rollbacks, 2);
+        assert_eq!(back.queue_depth, 3);
+        assert_eq!(back.latency_buckets, snap.latency_buckets);
+        assert_eq!(back.latency_bucket_bounds_us, snap.latency_bucket_bounds_us);
+        assert_eq!(back.latency_sum_us, 120);
+        assert_eq!(back.solve_outcomes, snap.solve_outcomes);
+        assert!((back.uptime_seconds - snap.uptime_seconds).abs() < 1e-9);
+        // And the parsed snapshot renders identical Prometheus text.
+        assert_eq!(back.to_prometheus(), snap.to_prometheus());
+    }
+
+    #[test]
+    fn parser_rejects_garbage_and_missing_fields() {
+        assert!(MetricsSnapshot::from_json("not json").is_err());
+        assert!(MetricsSnapshot::from_json("{}").is_err());
+        assert!(MetricsSnapshot::from_json("{\"accepted\":1}").is_err());
+    }
 
     #[test]
     fn latency_lands_in_the_right_bucket() {

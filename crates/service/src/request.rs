@@ -125,8 +125,6 @@ pub struct SolveRequest {
     /// Quality-of-service class this job is queued and scheduled under.
     /// Defaults to [`QosClass::Batch`].
     pub qos: QosClass,
-    /// Free-form tenant label (reporting only; scheduling is by `qos`).
-    pub tenant: String,
     /// Request trace id, propagated through every telemetry event this
     /// job produces (admission verdict, bus events, the worker's
     /// `trace=<hex>` machine span). `0` means "assign one for me": the
@@ -152,7 +150,6 @@ impl SolveRequest {
             partitioner: hpf_partition::DEFAULT_PARTITIONER.to_string(),
             grid: None,
             qos: QosClass::Batch,
-            tenant: "anonymous".to_string(),
             trace_id: 0,
         }
     }
@@ -223,12 +220,6 @@ impl SolveRequest {
     /// Queue this job under `qos` (default [`QosClass::Batch`]).
     pub fn qos(mut self, qos: QosClass) -> Self {
         self.qos = qos;
-        self
-    }
-
-    /// Attach a tenant label (reporting only).
-    pub fn tenant(mut self, tenant: impl Into<String>) -> Self {
-        self.tenant = tenant.into();
         self
     }
 

@@ -144,7 +144,7 @@ impl fmt::Display for ServiceError {
                 )
             }
             ServiceError::WorkerKilled { after } => {
-                write!(f, "worker killed by supervisor after {:?} executing", after)
+                write!(f, "job killed as hung after {:?} executing", after)
             }
         }
     }
