@@ -672,7 +672,7 @@ fn main() {
                     .unwrap_or_else(|e| fail(&format!("cannot read {}: {e}", path.display())));
                 let snap = hpf_service::MetricsSnapshot::from_json(&text)
                     .unwrap_or_else(|e| fail(&format!("cannot parse {}: {e}", path.display())));
-                (hpf_obs::render_prometheus(&snap), "metrics.prom")
+                (snap.to_prometheus(), "metrics.prom")
             }
             "csv" => (render_csv(&load_trace(&args)), "spans.csv"),
             "summary" => (render_summary(&load_trace(&args)), "summary.txt"),
