@@ -291,8 +291,8 @@ fn metrics_snapshot_json_and_exposition() {
 }
 
 const SNAPSHOT_JSON: &str = "{\"accepted\":9,\"rejected_busy\":1,\"rejected_invalid\":2,\"completed\":5,\"failed\":3,\"deadline_exceeded\":4,\"cache_hits\":6,\"cache_misses\":7,\"partitioner_invocations\":8,\"batches_executed\":10,\"batched_jobs\":11,\"rhs_solved\":12,\"in_flight\":13,\"faults_injected\":14,\"faults_detected\":15,\"rollbacks\":16,\"retries\":17,\"escalations\":18,\"breaker_open\":19,\"shed_total\":20,\"supervisor_kills\":21,\"worker_restarts\":22,\"queue_depth\":23,\"class_queue_depth\":[1,2,20],\"queue_saturation\":0.625,\"uptime_seconds\":12.5,\"latency_sum_us\":18446744073709551615,\"latency\":[{\"le_us\":100,\"count\":2},{\"le_us\":1000,\"count\":0},{\"le_us\":10000,\"count\":1},{\"le_us\":\"+inf\",\"count\":0}],\"solve_outcomes\":[{\"solver\":\"cg\",\"scenario\":\"rowwise\",\"completed\":4,\"failed\":1},{\"solver\":\"gmres\",\"scenario\":\"colwise\",\"completed\":1,\"failed\":2}],\"postmortems\":[{\"verdict\":\"fault-stall\",\"count\":3}]}";
-const SNAPSHOT_PROM_LEN: usize = 5126;
-const SNAPSHOT_PROM_DIGEST: u64 = 0xf1334a93fa815940;
+const SNAPSHOT_PROM_LEN: usize = 5143;
+const SNAPSHOT_PROM_DIGEST: u64 = 0x8721258252c431eb;
 
 fn machine_event(label: &str, proc_times: Vec<f64>) -> Event {
     Event {

@@ -578,12 +578,12 @@ impl MetricsSnapshot {
             (
                 "supervisor_kills",
                 self.supervisor_kills,
-                "Hung workers killed by the supervisor",
+                "Jobs killed as hung by their worker's progress hook",
             ),
             (
                 "worker_restarts",
                 self.worker_restarts,
-                "Worker threads respawned by the supervisor",
+                "Workers that went on after killing a hung job",
             ),
         ];
         for (name, value, help) in counters {
