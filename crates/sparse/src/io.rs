@@ -66,8 +66,18 @@ pub fn read_matrix_market(text: &str) -> Result<CooMatrix, SparseError> {
     let n_rows: usize = parse_field(parts.next(), "rows")?;
     let n_cols: usize = parse_field(parts.next(), "cols")?;
     let nnz: usize = parse_field(parts.next(), "nnz")?;
+    // A compressed format keeps `n + 1` pointers a dimension.
+    if n_rows.max(n_cols) == usize::MAX {
+        return Err(SparseError::Parse(format!(
+            "size line {size_line:?}: a dimension leaves no room for its n + 1 pointers"
+        )));
+    }
 
-    let mut triplets = Vec::with_capacity(nnz);
+    // The size line is the document's claim, not its content: every
+    // entry line takes at least 4 bytes ("1 1" and its newline), so the
+    // text bounds what is worth reserving; `seen != nnz` below refuses a
+    // claim the lines do not meet.
+    let mut triplets = Vec::with_capacity(nnz.min(text.len() / 4));
     let mut seen = 0usize;
     for line in lines {
         let t = line.trim();
