@@ -97,63 +97,40 @@ impl FaultPlan {
     }
 
     /// Add a bit-flip corruption at operation `op` on processor `proc`.
-    pub fn with_bit_flip(mut self, op: usize, proc: usize, bit: u8, target: usize) -> Self {
+    pub fn with_bit_flip(self, op: usize, proc: usize, bit: u8, target: usize) -> Self {
         assert!(bit < 64, "f64 has 64 bits");
-        self.push(Fault {
-            op,
-            proc,
-            kind: FaultKind::BitFlip { bit, target },
-        });
-        self
+        self.with(op, proc, FaultKind::BitFlip { bit, target })
     }
 
     /// Add a dropped-message fault at operation `op` on processor `proc`.
-    pub fn with_message_drop(mut self, op: usize, proc: usize) -> Self {
-        self.push(Fault {
-            op,
-            proc,
-            kind: FaultKind::MessageDrop,
-        });
-        self
+    pub fn with_message_drop(self, op: usize, proc: usize) -> Self {
+        self.with(op, proc, FaultKind::MessageDrop)
     }
 
     /// Slow processor `proc` down by `factor` for `ops` operations
     /// starting at operation `op`.
-    pub fn with_straggler(mut self, op: usize, proc: usize, factor: f64, ops: usize) -> Self {
+    pub fn with_straggler(self, op: usize, proc: usize, factor: f64, ops: usize) -> Self {
         assert!(factor >= 1.0, "a straggler is slower, not faster");
-        self.push(Fault {
-            op,
-            proc,
-            kind: FaultKind::Straggler { factor, ops },
-        });
-        self
+        self.with(op, proc, FaultKind::Straggler { factor, ops })
     }
 
     /// Crash (and restart) processor `proc` at operation `op`.
-    pub fn with_crash(mut self, op: usize, proc: usize) -> Self {
-        self.push(Fault {
-            op,
-            proc,
-            kind: FaultKind::Crash,
-        });
-        self
+    pub fn with_crash(self, op: usize, proc: usize) -> Self {
+        self.with(op, proc, FaultKind::Crash)
     }
 
     /// Freeze the host thread for `millis` wall-clock milliseconds at
     /// operation `op` (a hung-worker fault; never drawn by
     /// [`FaultPlan::random`], only planted explicitly).
-    pub fn with_stall(mut self, op: usize, proc: usize, millis: u64) -> Self {
-        self.push(Fault {
-            op,
-            proc,
-            kind: FaultKind::Stall { millis },
-        });
-        self
+    pub fn with_stall(self, op: usize, proc: usize, millis: u64) -> Self {
+        self.with(op, proc, FaultKind::Stall { millis })
     }
 
-    fn push(&mut self, f: Fault) {
-        self.faults.push(f);
+    /// The plan with `kind` striking `proc` at `op`, kept in `op` order.
+    fn with(mut self, op: usize, proc: usize, kind: FaultKind) -> Self {
+        self.faults.push(Fault { op, proc, kind });
         self.faults.sort_by_key(|f| f.op);
+        self
     }
 
     /// Draw a random plan from a seed: over the first `horizon_ops`

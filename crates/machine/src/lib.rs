@@ -34,7 +34,7 @@ pub use counter::StripedCounter;
 pub use fault::{Fault, FaultKind, FaultPlan, FaultRates};
 pub use machine::{EventRef, EventSink, EventTail, Machine, ProgressHook, TraceLevel};
 pub use predict::{cg_iteration_seconds, predicted_time};
-pub use span::{level_of, trace_of, ScopeGuard, Span};
+pub use span::{level_of, trace_of, ScopeGuard};
 pub use spmd::{Comm, SpmdRun, SpmdStats, SpmdWorld};
 pub use topology::Topology;
 pub use trace::{Digest, Event, EventKind, LabelSummary, Trace, TraceParseError, Window};

@@ -117,7 +117,7 @@ impl Machine {
             flops: 0,
             words_sent: 0,
             messages: 0,
-            recorder: Recorder::new(),
+            recorder: Recorder::default(),
             proc_times: Vec::new(),
             op_index: 0,
             injector: None,
@@ -253,14 +253,18 @@ impl Machine {
     }
 
     /// Install a live event sink, fired with every recorded event even
-    /// when tracing is off. Survives [`Machine::reset`]; replaced by the
-    /// next call.
+    /// when tracing is off, and below [`TraceLevel::Full`] lent the tail's
+    /// slot it was written to (a tail of one, unless one was kept).
+    /// Survives [`Machine::reset`]; replaced by the next call.
     pub fn set_event_sink(&mut self, sink: EventSink) {
+        if self.recorder.tail.slots.is_empty() {
+            self.recorder.tail = EventTail::with_capacity(1);
+        }
         self.recorder.sink = Some(sink);
     }
 
-    /// Keep the last `capacity` events (two at least: one row is what
-    /// every machine has) in [`Machine::tail`] from here on, below
+    /// Keep the last `capacity` events (two at least: one slot is what a
+    /// sink is lent) in [`Machine::tail`] from here on, below
     /// [`TraceLevel::Full`] (at `Full` the trace has them all). The tail
     /// outlives [`Machine::reset`], so it spans the attempts of one job;
     /// [`Machine::clear_tail`] starts the next.
@@ -272,7 +276,7 @@ impl Machine {
         &self.recorder.tail
     }
 
-    /// Forget the events in the tail; its rows keep their capacity.
+    /// Forget the events in the tail; its slots and buffers stay.
     pub fn clear_tail(&mut self) {
         self.recorder.tail.clear();
     }
@@ -1034,6 +1038,80 @@ mod tests {
         assert_eq!((by_hand.len(), by_hand.overwritten()), (1, 0));
         assert_eq!(by_hand.iter().next().unwrap().label, "h");
         assert!(EventTail::default().iter().next().is_none());
+    }
+
+    #[test]
+    fn a_tail_past_its_inline_room_reads_back_the_full_traces_last_rows() {
+        // Every field of an event, its floats as bits.
+        let bits = |e: &EventRef<'_>| {
+            let times: Vec<u64> = e.proc_times.iter().map(|t| t.to_bits()).collect();
+            let (time, start) = (e.time.to_bits(), e.start.to_bits());
+            let counts = (e.participants, e.words, e.flops, e.payload_words, e.hops);
+            format!(
+                "{:?} {counts:?} {time:x} {start:x} {:?} {:?} {times:?} {}",
+                e.kind, e.span, e.label, e.uniform
+            )
+        };
+        // At NP = 64 a compute phase's times do not fit in a slot, nor do
+        // these labels; the span paths are longer still.
+        let drive = |m: &mut Machine| {
+            m.reset();
+            m.set_fault_plan(FaultPlan::new().with_straggler(100, 63, 3.0, 20));
+            let _job = crate::span::enter("trace=00000000c0ffee00/job=123456");
+            let _solve = crate::span::enter("solve");
+            for k in 0..30 {
+                let _iter = crate::span::enter_iter(k);
+                let _deep = crate::span::enter("vcycle/level=2/smooth/coarse-correction");
+                m.compute_each(|p| 100 + p * (k % 3), "mg-smooth-a-longer-label");
+                m.compute_uniform(7, "dot-local");
+                m.allreduce(1, "fault:stall:p63:op123456:ms2000");
+                m.send(3, 60, 5, "msg");
+                if k % 4 == 0 {
+                    m.compute_each(|p| p % 8, "eight");
+                }
+            }
+        };
+        let machine = |level| {
+            let mut m = Machine::new(64, Topology::Hypercube, unit_cost());
+            m.set_trace_level(level);
+            m.keep_tail(64);
+            m
+        };
+        let mut full = machine(TraceLevel::Full);
+        drive(&mut full);
+        let rows: Vec<String> = full.trace().iter().map(|e| bits(&e)).collect();
+        assert!(rows.len() > 128, "{} events", rows.len());
+        let last = &rows[rows.len() - 64..];
+        assert!(last
+            .iter()
+            .any(|e| e.contains("\"mg-smooth-a-longer-label\" [")));
+        assert!(last
+            .iter()
+            .any(|e| e.contains("\"fault:straggler:p63:op100:x3\"")));
+        let mut summary = machine(TraceLevel::Summary);
+        for round in 0..2 {
+            // A job's tail is cleared: the next fills the slots it left.
+            summary.clear_tail();
+            drive(&mut summary);
+            let kept: Vec<String> = summary.tail().iter().map(|e| bits(&e)).collect();
+            assert_eq!(kept, last, "round {round}");
+            assert_eq!(summary.tail().overwritten() as usize, rows.len() - 64);
+        }
+        let times = |e: EventRef<'_>| (e.proc_times.len(), e.uniform);
+        let shapes: Vec<_> = summary.tail().iter().map(times).collect();
+        for shape in [(64, false), (0, true), (0, false)] {
+            assert!(shapes.contains(&shape), "no event with times {shape:?}");
+        }
+        // By hand, from the decoded trace, every event comes back.
+        let by_hand = EventTail::from(full.trace().events());
+        let all: Vec<String> = by_hand.iter().map(|e| bits(&e)).collect();
+        let decoded: Vec<String> = full
+            .trace()
+            .events()
+            .iter()
+            .map(|e| bits(&e.into()))
+            .collect();
+        assert_eq!(all, decoded);
     }
 
     #[test]

@@ -3,12 +3,12 @@
 //! [`Recorder`], whose [`Recorder::record`] is the one way anything is
 //! kept — digest, trace, tail, sink.
 
-use crate::trace::{Digest, Event, EventKind, Trace};
+use crate::trace::{Digest, Event, EventKind, Row, Trace, UNIFORM};
 
 /// How much a [`crate::Machine`] keeps of what it does. Clocks and
 /// counters advance identically at every level, and an installed
 /// [`EventSink`] sees the same events at every level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum TraceLevel {
     /// Keep nothing.
     Off,
@@ -16,7 +16,8 @@ pub enum TraceLevel {
     /// ([`crate::Machine::digest`]) — what a caller that only wants
     /// totals and the per-label breakdown should ask for.
     Summary,
-    /// Keep every operation in the [`Trace`].
+    /// Keep every operation in the [`Trace`]: what a new machine does.
+    #[default]
     Full,
 }
 
@@ -25,7 +26,7 @@ pub enum TraceLevel {
 ///
 /// A sink is handed a borrowed [`EventRef`] for the duration of the
 /// call: at [`TraceLevel::Full`] the view of the trace row just stored,
-/// below it the view of the [`EventTail`]'s newest row.
+/// below it the view of the [`EventTail`]'s newest slot.
 ///
 /// This is the live-telemetry tap: where [`crate::ProgressHook`] is a
 /// heartbeat (an opaque operation counter), the sink sees the whole
@@ -81,48 +82,118 @@ impl std::fmt::Debug for EventSink {
 }
 
 /// The last events a [`crate::Machine`] recorded below
-/// [`TraceLevel::Full`], as rows of two [`Trace`]s written in turn: once
-/// the newer holds `capacity` rows the older is cleared and written next,
-/// so a warm tail stores an event without allocating. Every machine has
-/// a tail of one, the row its sink is shown below `Full`;
+/// [`TraceLevel::Full`], in a ring of slots written in turn, oldest
+/// first: a write is a few stores and two short copies into one slot,
+/// with no search and no interning. A machine with a sink has a tail of
+/// one, the slot its sink is shown below `Full`;
 /// [`crate::Machine::keep_tail`] gives it more, and then every event is
 /// kept whatever a sink's pre-filter says.
 #[derive(Debug, Clone, Default)]
 pub struct EventTail {
-    rows: [Trace; 2],
-    /// Which of `rows` is written to.
-    newer: usize,
-    pub(crate) capacity: usize,
+    pub(crate) slots: Vec<Slot>,
+    /// Per slot, a label and a times vector too long for it, reused.
+    spills: Vec<(Vec<u8>, Vec<f64>)>,
+    /// Span paths, written in turn like the slots but only when the
+    /// calling thread's span stack has moved since the last one: a slot
+    /// names its path here, and a path is overwritten only after every
+    /// slot that names it.
+    paths: Vec<String>,
+    /// The newest of `paths`, and the span stack state it was read in.
+    path: usize,
+    span_cache: Option<(crate::span::PathKey, u32)>,
+    /// The slot written next.
+    at: usize,
     /// Events written since the tail was last cleared.
     written: u64,
+}
+
+/// One event of an [`EventTail`]: its row, naming its path in the tail's
+/// `paths`, and how much of the arrays here its label and times fill, or
+/// [`SPILLED`] (or, for the times, [`UNIFORM`]).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Slot {
+    row: Row,
+    label: [u8; 16],
+    times: [f64; 8],
+}
+
+/// A slot's label or times are in its spill buffer.
+const SPILLED: u32 = u32::MAX;
+
+/// `from` in `inline` if it fits, else in `spill`: its length or [`SPILLED`].
+fn stash<T: Copy>(from: &[T], inline: &mut [T], spill: &mut Vec<T>) -> u32 {
+    if let Some(to) = inline.get_mut(..from.len()) {
+        to.copy_from_slice(from);
+        return from.len() as u32;
+    }
+    spill.clear();
+    spill.extend_from_slice(from);
+    SPILLED
 }
 
 impl EventTail {
     pub(crate) fn with_capacity(capacity: usize) -> Self {
         EventTail {
-            capacity,
+            slots: vec![Slot::default(); capacity],
+            spills: vec![Default::default(); capacity],
+            paths: vec![String::new(); capacity],
             ..EventTail::default()
         }
     }
 
-    /// The rows the next event is written to, counted as written.
-    fn next_rows(&mut self) -> &mut Trace {
-        if self.rows[self.newer].len() == self.capacity {
-            self.newer ^= 1;
-            self.rows[self.newer].clear();
-        }
+    /// Store `op` in the oldest slot, under the span path `span`, or the
+    /// calling thread's when that is `None`; return the slot.
+    fn write(&mut self, op: &EventRef<'_>, span: Option<&str>) -> usize {
+        let (paths, newest) = (&mut self.paths, &mut self.path);
+        let mut next_path = |path: &str| {
+            let next = *newest + 1;
+            *newest = if next < paths.len() { next } else { 0 };
+            paths[*newest].clear();
+            paths[*newest].push_str(path);
+            *newest as u32
+        };
+        let path = match span {
+            Some(span) => next_path(span),
+            None => crate::span::path_id(&mut self.span_cache, next_path),
+        };
+        let at = self.at;
+        self.at = if at + 1 < self.slots.len() { at + 1 } else { 0 };
         self.written += 1;
-        &mut self.rows[self.newer]
+        let (slot, (text, times)) = (&mut self.slots[at], &mut self.spills[at]);
+        let label = stash(op.label.as_bytes(), &mut slot.label, text);
+        let times = match op.uniform {
+            true => UNIFORM,
+            false => stash(op.proc_times, &mut slot.times, times),
+        };
+        slot.row = Row::new(op, path, label, times);
+        at
     }
 
-    /// Forget the events held; the rows keep their capacity.
+    /// The event slot `at` holds.
+    fn slot(&self, at: usize) -> EventRef<'_> {
+        let (slot, (text, times)) = (&self.slots[at], &self.spills[at]);
+        let row = &slot.row;
+        let label = match row.label {
+            SPILLED => text,
+            len => &slot.label[..len as usize],
+        };
+        let times = match row.times {
+            SPILLED => times,
+            UNIFORM => &[][..],
+            len => &slot.times[..len as usize],
+        };
+        let label = std::str::from_utf8(label).expect("a label stored whole");
+        row.view(&self.paths[row.span as usize], label, times)
+    }
+
+    /// Forget the events held; the slots and buffers stay, and the next
+    /// events are written where the last cleared tail's were.
     pub(crate) fn clear(&mut self) {
-        self.rows.iter_mut().for_each(Trace::clear);
-        (self.newer, self.written) = (0, 0);
+        (self.at, self.written, self.path, self.span_cache) = (0, 0, 0, None);
     }
 
     pub fn len(&self) -> usize {
-        self.capacity.min(self.written as usize)
+        self.slots.len().min(self.written as usize)
     }
 
     pub fn is_empty(&self) -> bool {
@@ -137,11 +208,9 @@ impl EventTail {
 
     /// The events held, oldest first.
     pub fn iter(&self) -> impl Iterator<Item = EventRef<'_>> {
-        let (older, newer) = (&self.rows[self.newer ^ 1], &self.rows[self.newer]);
-        let from = older.len() + newer.len() - self.len();
-        (from..older.len())
-            .map(|at| older.row(at))
-            .chain(newer.iter())
+        let (len, capacity) = (self.len(), self.slots.len());
+        let oldest = if len < capacity { 0 } else { self.at };
+        (0..len).map(move |i| self.slot((oldest + i) % capacity))
     }
 }
 
@@ -150,7 +219,9 @@ impl EventTail {
 impl From<Vec<Event>> for EventTail {
     fn from(events: Vec<Event>) -> Self {
         let mut tail = EventTail::with_capacity(events.len());
-        events.into_iter().for_each(|e| tail.next_rows().record(e));
+        for e in &events {
+            tail.write(&EventRef::from(e), Some(&e.span));
+        }
         tail
     }
 }
@@ -162,7 +233,7 @@ impl From<Vec<Event>> for EventTail {
 /// The per-processor times are [`EventRef::times`]: with `uniform`, one
 /// per participant, each the bits of `time`, whether `proc_times` holds
 /// them or not; otherwise `proc_times`, empty meaning none.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct EventRef<'a> {
     pub kind: EventKind,
     pub participants: usize,
@@ -193,16 +264,10 @@ impl<'a> EventRef<'a> {
         EventRef {
             kind,
             participants,
-            words: 0,
-            flops: 0,
             time,
             start,
-            span: "",
             label,
-            proc_times: &[],
-            uniform: false,
-            payload_words: 0,
-            hops: 0,
+            ..EventRef::default()
         }
     }
 
@@ -256,14 +321,14 @@ impl<'a> From<&'a Event> for EventRef<'a> {
 }
 
 /// The keeping half of a [`crate::Machine`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct Recorder {
     pub(crate) level: TraceLevel,
     pub(crate) trace: Trace,
     /// Running aggregate, kept at [`TraceLevel::Summary`].
     pub(crate) digest: Digest,
     /// Where a wanted event is written below [`TraceLevel::Full`]: one
-    /// row by default, the one a sink is shown; more once
+    /// slot once there is a sink, the one it is shown; more once
     /// [`crate::Machine::keep_tail`] asked for them.
     pub(crate) tail: EventTail,
     /// Live event tap, independent of `level`.
@@ -271,22 +336,11 @@ pub(crate) struct Recorder {
 }
 
 impl Recorder {
-    /// A recorder that keeps everything, as a new machine does.
-    pub(crate) fn new() -> Self {
-        Recorder {
-            level: TraceLevel::Full,
-            trace: Trace::new(),
-            digest: Digest::default(),
-            tail: EventTail::with_capacity(1),
-            sink: None,
-        }
-    }
-
     /// Can anything of an operation be kept? False on a machine nobody
     /// is looking at, where recording an operation costs this test.
     #[inline]
     pub(crate) fn is_watching(&self) -> bool {
-        self.level != TraceLevel::Off || self.sink.is_some() || self.tail.capacity > 1
+        self.level != TraceLevel::Off || self.sink.is_some() || self.tail.slots.len() > 1
     }
 
     /// The one way an operation is recorded. The work is kept out of
@@ -300,24 +354,24 @@ impl Recorder {
 
     /// At `Summary`, fold the operation into the digest. Ask the sink's
     /// pre-filter once; store the operation as a row of the trace at
-    /// `Full`, of the tail below it for a wanting sink or a kept tail,
-    /// and show a wanting sink that row.
+    /// `Full`, in the tail below it for a wanting sink or a kept tail,
+    /// and show a wanting sink what was stored.
     #[inline(never)]
     fn keep(&mut self, op: EventRef<'_>) {
         if self.level == TraceLevel::Summary {
             self.digest.fold(&op, crate::span::current_level);
         }
         let sink = self.sink.as_ref().filter(|sink| sink.wants(op.kind));
-        let rows = if self.level == TraceLevel::Full {
-            &mut self.trace
-        } else if sink.is_some() || self.tail.capacity > 1 {
-            self.tail.next_rows()
-        } else {
-            return;
-        };
-        rows.keep(&op);
-        if let Some(sink) = sink {
-            (sink.emit)(&rows.row(rows.len() - 1));
+        if self.level == TraceLevel::Full {
+            self.trace.keep(&op);
+            if let Some(sink) = sink {
+                (sink.emit)(&self.trace.row(self.trace.len() - 1));
+            }
+        } else if sink.is_some() || self.tail.slots.len() > 1 {
+            let at = self.tail.write(&op, None);
+            if let Some(sink) = sink {
+                (sink.emit)(&self.tail.slot(at));
+            }
         }
     }
 }

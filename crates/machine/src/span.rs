@@ -4,10 +4,10 @@
 //! not just what it cost: the same `dot-merge` allreduce means something
 //! different inside iteration 3 of a solve than inside convergence
 //! verification after a fault. Spans provide that context. A caller
-//! enters a scope ([`enter`] or [`Span::enter`]), every event the
-//! [`crate::Machine`] records while the guard lives is stamped with the
-//! current span *path* (segments joined by `/`, e.g.
-//! `solve/iter=12/matvec`), and the scope pops when the guard drops.
+//! enters a scope ([`enter`]), every event the [`crate::Machine`]
+//! records while the guard lives is stamped with the current span *path*
+//! (segments joined by `/`, e.g. `solve/iter=12/matvec`), and the scope
+//! pops when the guard drops.
 //!
 //! The stack is thread-local, so concurrent solves on worker threads
 //! (the `hpf-service` pool) each carry their own paths with zero
@@ -87,36 +87,6 @@ fn push(write: impl FnOnce(&mut String)) -> ScopeGuard {
     ScopeGuard { depth }
 }
 
-/// A named span segment, ready to be entered. Mostly useful when a span
-/// is constructed in one place and entered in another; for the common
-/// case use the free function [`enter`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Span {
-    segment: Cow<'static, str>,
-}
-
-impl Span {
-    /// Create a span with one path segment. Slashes are replaced by `:`
-    /// so a segment can never fake extra path levels.
-    pub fn new(segment: impl Into<Cow<'static, str>>) -> Self {
-        let mut segment = segment.into();
-        if segment.contains('/') {
-            segment = Cow::Owned(segment.replace('/', ":"));
-        }
-        Span { segment }
-    }
-
-    pub fn segment(&self) -> &str {
-        &self.segment
-    }
-
-    /// Push this span onto the current thread's stack; it pops when the
-    /// returned guard drops.
-    pub fn enter(self) -> ScopeGuard {
-        push(|path| path.push_str(&self.segment))
-    }
-}
-
 /// RAII guard for an entered span: pops its segment (and, defensively,
 /// anything entered after it that leaked) on drop.
 #[derive(Debug)]
@@ -142,9 +112,15 @@ impl Drop for ScopeGuard {
     }
 }
 
-/// Enter a span scope: `let _g = span::enter("solve");`.
+/// Enter a span scope: `let _g = span::enter("solve");`; it pops when
+/// the returned guard drops. Slashes are replaced by `:`, so a segment
+/// can never fake extra path levels.
 pub fn enter(segment: impl Into<Cow<'static, str>>) -> ScopeGuard {
-    Span::new(segment).enter()
+    let segment = segment.into();
+    match segment.contains('/') {
+        true => push(|path| path.push_str(&segment.replace('/', ":"))),
+        false => push(|path| path.push_str(&segment)),
+    }
 }
 
 /// Enter the span of solver iteration `k`; its path segment reads
@@ -270,8 +246,8 @@ mod tests {
 
     #[test]
     fn segments_cannot_inject_separators() {
-        let s = Span::new("a/b");
-        assert_eq!(s.segment(), "a:b");
+        let _s = enter("a/b");
+        assert_eq!((current_path().as_str(), depth()), ("a:b", 1));
     }
 
     #[test]

@@ -12,7 +12,7 @@ use crate::topology::Topology;
 use hpf_json::Obj;
 
 /// The kind of a traced event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum EventKind {
     /// Point-to-point message.
     Send,
@@ -31,6 +31,7 @@ pub enum EventKind {
     /// Gather to a root.
     Gather,
     /// Bulk local computation (flops across processors).
+    #[default]
     Compute,
     /// Data redistribution between two layouts.
     Redistribute,
@@ -82,7 +83,7 @@ impl EventKind {
 }
 
 /// One traced event.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Event {
     pub kind: EventKind,
     /// Number of processors participating.
@@ -125,25 +126,6 @@ pub struct Event {
     pub hops: usize,
 }
 
-impl Event {
-    /// An event with nothing in it: what the JSON Lines reader fills in.
-    pub(crate) fn blank() -> Event {
-        Event {
-            kind: EventKind::Compute,
-            participants: 0,
-            words: 0,
-            flops: 0,
-            time: 0.0,
-            start: 0.0,
-            span: String::new(),
-            label: String::new(),
-            proc_times: Vec::new(),
-            payload_words: 0,
-            hops: 0,
-        }
-    }
-}
-
 /// Append-only event log with summary accessors: one compact row an
 /// operation (DESIGN §15), read as borrowed [`EventRef`]s through
 /// [`Trace::iter`].
@@ -158,9 +140,11 @@ pub struct Trace {
     span_cache: Option<(crate::span::PathKey, u32)>,
 }
 
-/// One stored operation.
-#[derive(Debug, Clone, Copy)]
-struct Row {
+/// One stored operation: a row of a [`Trace`], the fixed part of a slot
+/// of a [`crate::EventTail`]. Each store numbers `span`, `label` and
+/// `times` its own way.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Row {
     kind: EventKind,
     time: f64,
     start: f64,
@@ -169,15 +153,53 @@ struct Row {
     payload_words: usize,
     participants: u32,
     hops: u32,
-    span: u32,
-    label: u32,
-    /// [`NO_TIMES`], [`UNIFORM`], or an index into `Trace::ranges`.
-    times: u32,
+    pub(crate) span: u32,
+    pub(crate) label: u32,
+    /// In a trace, [`NO_TIMES`], [`UNIFORM`], or an index into
+    /// `Trace::ranges`.
+    pub(crate) times: u32,
 }
 
 const _: () = assert!(std::mem::size_of::<Row>() <= 64);
 const NO_TIMES: u32 = u32::MAX;
-const UNIFORM: u32 = u32::MAX - 1;
+pub(crate) const UNIFORM: u32 = u32::MAX - 1;
+
+impl Row {
+    /// Panics on a participant or hop count wider than 32 bits.
+    pub(crate) fn new(op: &EventRef<'_>, span: u32, label: u32, times: u32) -> Row {
+        Row {
+            kind: op.kind,
+            time: op.time,
+            start: op.start,
+            words: op.words,
+            flops: op.flops,
+            payload_words: op.payload_words,
+            participants: u32::try_from(op.participants).expect("a 32-bit count"),
+            hops: u32::try_from(op.hops).expect("a 32-bit count"),
+            span,
+            label,
+            times,
+        }
+    }
+
+    /// The event the row stores, under these texts and times.
+    pub(crate) fn view<'a>(&self, span: &'a str, label: &'a str, times: &'a [f64]) -> EventRef<'a> {
+        EventRef {
+            kind: self.kind,
+            participants: self.participants as usize,
+            words: self.words,
+            flops: self.flops,
+            time: self.time,
+            start: self.start,
+            span,
+            label,
+            proc_times: times,
+            uniform: self.times == UNIFORM,
+            payload_words: self.payload_words,
+            hops: self.hops as usize,
+        }
+    }
+}
 
 /// What [`Trace::window`] reads of a window of a trace.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -220,19 +242,8 @@ impl Trace {
             (false, true) => NO_TIMES,
             (false, false) => self.store_times(op.proc_times),
         };
-        self.rows.push(Row {
-            kind: op.kind,
-            time: op.time,
-            start: op.start,
-            words: op.words,
-            flops: op.flops,
-            payload_words: op.payload_words,
-            participants: u32::try_from(op.participants).expect("a 32-bit count"),
-            hops: u32::try_from(op.hops).expect("a 32-bit count"),
-            span,
-            label: self.strings.label(op.label),
-            times,
-        });
+        let label = self.strings.label(op.label);
+        self.rows.push(Row::new(op, span, label, times));
     }
 
     /// The range holding `times`: the last one again if it holds the same
@@ -262,20 +273,8 @@ impl Trace {
                 &self.times[start..start + len]
             }
         };
-        EventRef {
-            kind: row.kind,
-            participants: row.participants as usize,
-            words: row.words,
-            flops: row.flops,
-            time: row.time,
-            start: row.start,
-            span: self.strings.get(row.span),
-            label: self.strings.get(row.label),
-            proc_times,
-            uniform: row.times == UNIFORM,
-            payload_words: row.payload_words,
-            hops: row.hops as usize,
-        }
+        let (span, label) = (self.strings.get(row.span), self.strings.get(row.label));
+        row.view(span, label, proc_times)
     }
 
     /// The events, in record order.
@@ -505,7 +504,7 @@ impl std::error::Error for TraceParseError {}
 fn parse_event_line(line: &str) -> Result<Event, String> {
     let doc = hpf_json::parse(line)?;
     let mut kind = None;
-    let mut ev = Event::blank();
+    let mut ev = Event::default();
     for (key, v) in doc.members().ok_or("expected a JSON object")? {
         let bad = || format!("bad value for '{key}'");
         let count = || v.as_u64().map(|n| n as usize).ok_or_else(bad);
@@ -689,7 +688,7 @@ mod tests {
     use super::*;
 
     fn ev(kind: EventKind, words: usize, flops: usize, time: f64, label: &str) -> Event {
-        let mut e = Event::blank();
+        let mut e = Event::default();
         (e.kind, e.participants, e.words, e.flops, e.time) = (kind, 4, words, flops, time);
         e.label.push_str(label);
         e

@@ -29,10 +29,11 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// Where a bus event was produced.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum BusOrigin {
     /// The simulated machine's recording chokepoint
     /// ([`hpf_machine::EventSink`]): spans, collectives, faults.
+    #[default]
     Machine,
     /// The service lifecycle ([`hpf_service::ServiceEvent`]): admission,
     /// sheds, kills, completions.
@@ -63,7 +64,7 @@ impl BusOrigin {
 /// that parser rejects unknown keys by contract, and the bus needs
 /// stream metadata (`seq`, `wall_s`, `origin`, `trace`) the post-hoc
 /// trace never carries.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct BusEvent {
     /// Publication sequence number, taken past sampling and before the
     /// push: an event dropped on a full queue took one too, so a gap in
@@ -128,18 +129,8 @@ impl BusEvent {
             .members()
             .ok_or_else(|| "bus event line is not a JSON object".to_string())?;
         let mut ev = BusEvent {
-            seq: 0,
-            wall_s: 0.0,
-            origin: BusOrigin::Machine,
-            kind: String::new(),
-            trace_id: 0,
-            class: String::new(),
-            span: String::new(),
-            label: String::new(),
-            time_s: 0.0,
-            latency_us: 0,
             ok: true,
-            outcome: String::new(),
+            ..BusEvent::default()
         };
         let mut saw_origin = false;
         for (key, v) in members {
@@ -346,18 +337,14 @@ impl EventBus {
         let bus = Arc::clone(self);
         hpf_machine::EventSink::new(move |e| {
             bus.stamp_and_push(BusEvent {
-                seq: 0,
-                wall_s: 0.0,
                 origin: BusOrigin::Machine,
                 kind: format!("{:?}", e.kind),
                 trace_id: hpf_machine::span::current_trace().unwrap_or(0),
-                class: String::new(),
                 span: e.span.to_string(),
                 label: e.label.to_string(),
                 time_s: e.time,
-                latency_us: 0,
                 ok: true,
-                outcome: String::new(),
+                ..BusEvent::default()
             });
         })
         .with_filter(move |trace_id, kind| {
@@ -389,18 +376,14 @@ impl EventBus {
             };
             bus.publish(
                 BusEvent {
-                    seq: 0,
-                    wall_s: 0.0,
                     origin: BusOrigin::Service,
                     kind: e.kind().to_string(),
                     trace_id: e.trace_id(),
                     class: class.to_string(),
-                    span: String::new(),
-                    label: String::new(),
-                    time_s: 0.0,
                     latency_us,
                     ok,
                     outcome: outcome.to_string(),
+                    ..BusEvent::default()
                 },
                 e.is_critical(),
             );

@@ -63,7 +63,7 @@ pub use gate::{
     BENCH_SCHEMA_VERSION,
 };
 pub use hpf_machine::span::{self, current_path, enter};
-pub use hpf_machine::{ScopeGuard, Span};
+pub use hpf_machine::ScopeGuard;
 pub use hpf_solvers::{IterObserver, IterSample, NullObserver, RecordingObserver};
 pub use oracle::{classify, CategoryDrift, DriftCategory, DriftReport, IterDrift, WorstOffender};
 pub use perfetto::{trace_events_json, PerfettoError};

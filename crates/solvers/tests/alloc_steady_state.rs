@@ -3,7 +3,8 @@
 //! **zero** heap allocations when the machine keeps no events —
 //! [`TraceLevel::Off`] or [`TraceLevel::Summary`] — with no event sink,
 //! and also on a warm machine with a sink (lent the slot of the machine's
-//! tail the event was written to), a kept tail of 64 events, or both; on
+//! tail the event was written to), a kept tail of 64 events, or both —
+//! at NP = 64 too, where a compute phase's times spill out of the slot; on
 //! the Poisson operator (template product) and on a band of drawn values
 //! (pattern product). So does CG over the column-wise `(*,BLOCK)` layout,
 //! both Scenario 2 variants. Every recurrence sizes its vectors, GMRES
@@ -203,6 +204,39 @@ fn a_warm_machine_lends_events_to_a_sink_without_allocating() {
             assert!(kept.overwritten() > 10 * 5, "{what}");
             assert!(machine.trace().is_empty());
         }
+    }
+}
+
+/// A kept tail of 64 at NP = 64, where no compute phase's per-processor
+/// times fit in a slot and go to its spill buffer, as a label longer
+/// than a slot holds does: the first solve grows the buffers, and a
+/// protected CG solve on the cleared tail allocates nothing.
+#[test]
+fn a_tail_that_spills_past_its_slots_allocates_nothing_once_warm() {
+    let a = gen::poisson_2d(48, 48);
+    let (_, b) = gen::rhs_for_known_solution(&a);
+    let op = RowwiseCsr::block(a, 64, DataArrayLayout::RowAligned);
+    let protected = || Krylov::Cg {
+        precond: None,
+        recovery: Some(RecoveryConfig::default()),
+    };
+    for level in [TraceLevel::Off, TraceLevel::Summary] {
+        let mut machine = Machine::new(64, Topology::Hypercube, CostModel::mpp_1995());
+        machine.set_trace_level(level);
+        machine.keep_tail(64);
+        // A job before this one spilled a label; this job starts, as
+        // every job does, on a cleared tail.
+        machine.barrier("a label longer than a slot keeps in place");
+        machine.clear_tail();
+        let mut warm_up = Tally(Vec::with_capacity(MAX_ITERS));
+        run(&mut machine, &op, &b, protected(), &mut warm_up);
+        let what = format!("protected cg at NP = 64, {level:?}, a tail of 64 that spills");
+        assert_steady_state_is_allocation_free(&what, &mut machine, |m, tally| {
+            m.clear_tail();
+            run(m, &op, &b, protected(), tally)
+        });
+        let spilled = machine.tail().iter().filter(|e| e.proc_times.len() == 64);
+        assert!(spilled.count() > 0, "{what}: no event spilled its times");
     }
 }
 

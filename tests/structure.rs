@@ -243,6 +243,18 @@ fn a_full_trace_stores_rows() {
 }
 
 #[test]
+fn the_tail_is_a_ring_of_slots() {
+    let recorder = &nontest(files("crates/machine/src/recorder.rs"))[0].1;
+    let tail = ranges(recorder, "^pub struct EventTail", "^}");
+    let trace = |l: &&str| field_type(l).is_some_and(|t| t.contains("Trace"));
+    let field = |l: &str| format!("crates/machine/src/recorder.rs: EventTail: {}", l.trim());
+    let mut rows: Vec<String> = tail.into_iter().filter(trace).map(field).collect();
+    rows.extend(hits("crates/machine/src/recorder.rs", r"fn next_rows\b"));
+    let message = "the tail writes one slot an event: no Trace in EventTail, no fn next_rows";
+    forbid(rows, message);
+}
+
+#[test]
 fn one_program_for_every_processor_count() {
     let copies =
         r"SerialOperator|trait Preconditioner|IdentityPrec|JacobiPrec\b|SsorPrec\b|enum Method\b";
