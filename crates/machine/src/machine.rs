@@ -1061,7 +1061,8 @@ mod tests {
             let _solve = crate::span::enter("solve");
             for k in 0..30 {
                 let _iter = crate::span::enter_iter(k);
-                let _deep = crate::span::enter("vcycle/level=2/smooth/coarse-correction");
+                let _deep =
+                    ["vcycle", "level=2", "smooth", "coarse-correction"].map(crate::span::enter);
                 m.compute_each(|p| 100 + p * (k % 3), "mg-smooth-a-longer-label");
                 m.compute_uniform(7, "dot-local");
                 m.allreduce(1, "fault:stall:p63:op123456:ms2000");
