@@ -78,13 +78,14 @@ pub fn e30_rca(requests: usize) -> Table {
 }
 
 /// The soak-shaped service config (E29's shape). `recorder` becomes its
-/// evidence hook through [`FlightRecorder::install`].
+/// evidence hook through [`FlightRecorder::install`]. The hang timeout is
+/// the default: the clean loop measures the recorder, not hang detection,
+/// and a slow phase of the host must not kill its jobs.
 fn service_config(recorder: Option<&Arc<FlightRecorder>>) -> ServiceConfig {
     let mut cfg = ServiceConfig {
         workers: 2,
         queue_capacity: 32,
         np: 4,
-        hang_timeout: Duration::from_millis(100),
         // The chaos sweep hammers one fingerprint on purpose; the
         // breaker must not turn injected faults into refusals.
         breaker_threshold: 1000,
@@ -226,6 +227,7 @@ pub fn e30_with_gate(requests: usize, gate: &RegressionGate) -> Table {
     // class first.
     let fr = FlightRecorder::new(FlightRecorderConfig::default());
     let mut cfg = service_config(Some(&fr));
+    cfg.hang_timeout = Duration::from_millis(100);
     cfg.max_attempts = 1;
     cfg.recovery = Some(RecoveryConfig { max_rollbacks: 0 });
     let service = SolverService::start(cfg);

@@ -27,6 +27,8 @@ pub enum EvalError {
     UnboundVariable(String),
     DivisionByZero,
     Negative(i64),
+    /// The value leaves `i64`: `i64::MAX + 1`, `i64::MIN / -1`, `-i64::MIN`.
+    Overflow,
 }
 
 impl fmt::Display for EvalError {
@@ -35,6 +37,7 @@ impl fmt::Display for EvalError {
             EvalError::UnboundVariable(v) => write!(f, "unbound parameter '{v}'"),
             EvalError::DivisionByZero => write!(f, "division by zero"),
             EvalError::Negative(v) => write!(f, "expression evaluated to negative value {v}"),
+            EvalError::Overflow => write!(f, "arithmetic overflow"),
         }
     }
 }
@@ -68,25 +71,28 @@ impl Env {
 }
 
 impl Expr {
-    /// Evaluate against `env`.
+    /// Evaluate against `env`, in checked `i64` arithmetic: a value that
+    /// leaves `i64` is [`EvalError::Overflow`], never a wrapped number.
     pub fn eval(&self, env: &Env) -> Result<i64, EvalError> {
-        Ok(match self {
-            Expr::Num(v) => *v,
-            Expr::Var(name) => env
-                .get(name)
-                .ok_or_else(|| EvalError::UnboundVariable(name.clone()))?,
-            Expr::Add(a, b) => a.eval(env)? + b.eval(env)?,
-            Expr::Sub(a, b) => a.eval(env)? - b.eval(env)?,
-            Expr::Mul(a, b) => a.eval(env)? * b.eval(env)?,
+        let v = match self {
+            Expr::Num(v) => Some(*v),
+            Expr::Var(name) => Some(
+                env.get(name)
+                    .ok_or_else(|| EvalError::UnboundVariable(name.clone()))?,
+            ),
+            Expr::Add(a, b) => a.eval(env)?.checked_add(b.eval(env)?),
+            Expr::Sub(a, b) => a.eval(env)?.checked_sub(b.eval(env)?),
+            Expr::Mul(a, b) => a.eval(env)?.checked_mul(b.eval(env)?),
             Expr::Div(a, b) => {
                 let d = b.eval(env)?;
                 if d == 0 {
                     return Err(EvalError::DivisionByZero);
                 }
-                a.eval(env)? / d
+                a.eval(env)?.checked_div(d)
             }
-            Expr::Neg(a) => -a.eval(env)?,
-        })
+            Expr::Neg(a) => a.eval(env)?.checked_neg(),
+        };
+        v.ok_or(EvalError::Overflow)
     }
 
     /// Evaluate, requiring a non-negative result (extents, block sizes).
@@ -206,6 +212,22 @@ mod tests {
             Box::new(Expr::Mul(Box::new(var("np")), Box::new(var("n")))),
         );
         assert_eq!(e.free_vars(), vec!["np".to_string(), "n".to_string()]);
+    }
+
+    #[test]
+    fn overflow_is_an_error_not_a_wrapped_value() {
+        let max = || Box::new(n(i64::MAX));
+        let min = || Box::new(Expr::Sub(Box::new(Expr::Neg(max())), Box::new(n(1))));
+        assert_eq!(min().eval(&Env::new()).unwrap(), i64::MIN);
+        for e in [
+            Expr::Add(max(), Box::new(n(1))),
+            Expr::Sub(min(), Box::new(n(1))),
+            Expr::Mul(Box::new(n(1 << 62)), Box::new(n(4))),
+            Expr::Div(min(), Box::new(n(-1))),
+            Expr::Neg(min()),
+        ] {
+            assert_eq!(e.eval(&Env::new()), Err(EvalError::Overflow), "{e}");
+        }
     }
 
     #[test]

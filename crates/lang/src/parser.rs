@@ -66,11 +66,7 @@ pub fn parse_program(src: &str) -> Result<Vec<Directive>, ParseError> {
             col: e.col,
             message: e.message,
         })?;
-        let mut p = Parser {
-            tokens,
-            pos: 0,
-            line: logical_line,
-        };
+        let mut p = Parser::new(tokens, logical_line);
         directives.push(p.directive()?);
         p.expect_end()?;
     }
@@ -84,11 +80,7 @@ pub fn parse_directive(body: &str) -> Result<Directive, ParseError> {
         col: e.col,
         message: e.message,
     })?;
-    let mut p = Parser {
-        tokens,
-        pos: 0,
-        line: 1,
-    };
+    let mut p = Parser::new(tokens, 1);
     let d = p.directive()?;
     p.expect_end()?;
     Ok(d)
@@ -105,13 +97,29 @@ fn directive_body(raw: &str) -> Option<String> {
     None
 }
 
+/// How deep `(` and unary `-` may nest in one expression: far beyond
+/// any listing, and shallow enough that hostile input cannot overflow the
+/// descent's stack (the JSON codec's cap).
+const MAX_DEPTH: usize = 128;
+
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
     line: usize,
+    /// Open `(` and unary `-` around the expression being parsed.
+    depth: usize,
 }
 
 impl Parser {
+    fn new(tokens: Vec<Token>, line: usize) -> Self {
+        Parser {
+            tokens,
+            pos: 0,
+            line,
+            depth: 0,
+        }
+    }
+
     fn err(&self, col: usize, msg: impl Into<String>) -> ParseError {
         ParseError {
             line: self.line,
@@ -238,15 +246,17 @@ impl Parser {
     fn factor(&mut self) -> Result<Expr, ParseError> {
         let col = self.col();
         if self.eat(&TokenKind::Minus) {
-            return Ok(Expr::Neg(Box::new(self.factor()?)));
+            return Ok(Expr::Neg(Box::new(self.nested(col, Self::factor)?)));
         }
         if self.eat(&TokenKind::LParen) {
-            let e = self.expr()?;
+            let e = self.nested(col, Self::expr)?;
             self.expect(&TokenKind::RParen)?;
             return Ok(e);
         }
         match self.bump() {
-            Some(TokenKind::Int(v)) => Ok(Expr::Num(v as i64)),
+            Some(TokenKind::Int(v)) => i64::try_from(v)
+                .map(Expr::Num)
+                .map_err(|_| self.err(col, format!("integer {v} does not fit in an i64"))),
             Some(TokenKind::Ident(s)) => Ok(Expr::Var(s)),
             other => Err(self.err(
                 col,
@@ -258,6 +268,23 @@ impl Parser {
                 ),
             )),
         }
+    }
+
+    /// `inner` one level inside a `(` or a unary `-` opened at `col`;
+    /// past [`MAX_DEPTH`] levels, an error.
+    fn nested(
+        &mut self,
+        col: usize,
+        inner: fn(&mut Self) -> Result<Expr, ParseError>,
+    ) -> Result<Expr, ParseError> {
+        if self.depth == MAX_DEPTH {
+            let message = format!("expression nested deeper than {MAX_DEPTH}");
+            return Err(self.err(col, message));
+        }
+        self.depth += 1;
+        let e = inner(self);
+        self.depth -= 1;
+        e
     }
 
     // ------------------------------------------------------------------

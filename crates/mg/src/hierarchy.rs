@@ -715,7 +715,7 @@ fn interpolation(fine: GridDims, coarse: GridDims) -> CsrMatrix {
 /// largest moment, runs without it.
 fn galerkin(a: &CsrMatrix, p: CsrMatrix) -> CsrMatrix {
     let b = gustavson(a, &p, false);
-    let pt = transpose(&p);
+    let pt = p.transpose();
     drop(p);
     gustavson(&pt, &b, true)
 }
@@ -760,30 +760,6 @@ fn gustavson(x: &CsrMatrix, y: &CsrMatrix, tidy: bool) -> CsrMatrix {
         row_ptr.push(col_idx.len());
     }
     CsrMatrix::from_raw(rows, cols, row_ptr, col_idx, values).expect("columns of Y are in range")
-}
-
-/// `Pᵀ` by a counting sort over `P`'s columns: row `I` lists the fine
-/// rows that reference coarse node `I`, ascending, each in `P`'s order.
-fn transpose(p: &CsrMatrix) -> CsrMatrix {
-    let (nf, nc) = (p.n_rows(), p.n_cols());
-    let mut row_ptr = vec![0usize; nc + 1];
-    for &c in p.col_idx() {
-        row_ptr[c + 1] += 1;
-    }
-    for c in 0..nc {
-        row_ptr[c + 1] += row_ptr[c];
-    }
-    let mut next = row_ptr[..nc].to_vec();
-    let mut col_idx = vec![0usize; p.nnz()];
-    let mut values = vec![0.0f64; p.nnz()];
-    for i in 0..nf {
-        for (c, v) in p.row(i) {
-            col_idx[next[c]] = i;
-            values[next[c]] = v;
-            next[c] += 1;
-        }
-    }
-    CsrMatrix::from_raw(nc, nf, row_ptr, col_idx, values).expect("fine rows are in range")
 }
 
 /// Rows processor `p` owns (empty when it owns none).

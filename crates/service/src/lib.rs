@@ -63,7 +63,7 @@ pub use http::MetricsServer;
 pub use metrics::{
     Metrics, MetricsSnapshot, PostmortemCount, SolveOutcome, LATENCY_BUCKET_BOUNDS_US,
 };
-pub use plan::{CacheOutcome, PlanCache, SolvePlan};
+pub use plan::{PlanCache, SolvePlan};
 pub use request::{QosClass, ServiceConfig, SolveRequest, SolverKind};
 pub use response::{PlanSource, ServiceError, SolveResponse};
 pub use retry::{escalate, is_retryable, splitmix64, Admission, CircuitBreaker};

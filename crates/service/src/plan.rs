@@ -9,6 +9,7 @@
 
 use crate::fingerprint::Fingerprint;
 use crate::lock;
+use crate::response::PlanSource;
 use hpf_core::ext::sparse_directive::{SparseFormat, SparseMatrixDirective, TrioDescriptors};
 use hpf_core::RowwiseCsr;
 use hpf_dist::{ConnectivityGraph, Partitioner};
@@ -152,16 +153,6 @@ impl SolvePlan {
     pub fn trio_descriptors(&self) -> TrioDescriptors {
         self.directive.descriptors()
     }
-}
-
-/// Outcome of a cache lookup.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheOutcome {
-    /// The plan existed, or another thread was building it and this
-    /// lookup waited for that build.
-    Hit,
-    /// This lookup ran the partitioner.
-    Miss,
 }
 
 /// Cache key: the same structure laid out by two different partitioners
@@ -313,18 +304,20 @@ impl PlanCache {
     /// Look up the plan of `key`, building it with `build` (the
     /// [`SolvePlan::build_for`] of `matrix` the key names) and caching it
     /// on a miss, and the row-wise operator over `matrix` under that plan.
-    /// Returns the plan, the operator and whether this call built the
-    /// plan.
+    /// Returns the plan, the operator and where the plan came from:
+    /// [`PlanSource::Built`] if this call ran the partitioner,
+    /// [`PlanSource::CacheHit`] if the plan existed or another thread was
+    /// building it and this call waited for that build.
     pub fn get_or_build(
         &self,
         key: PlanKey,
         matrix: &Arc<CsrMatrix>,
         build: impl FnOnce() -> SolvePlan,
-    ) -> (Arc<SolvePlan>, Arc<RowwiseCsr>, CacheOutcome) {
+    ) -> (Arc<SolvePlan>, Arc<RowwiseCsr>, PlanSource) {
         let found = self.find(key);
-        let mut outcome = CacheOutcome::Hit;
+        let mut source = PlanSource::CacheHit;
         let plan = found.slot.get_or_init(|| {
-            outcome = CacheOutcome::Miss;
+            source = PlanSource::Built;
             Arc::new(build())
         });
         // Pointer identity is value identity here, as in the batch key:
@@ -347,7 +340,7 @@ impl PlanCache {
             }
             built
         });
-        (plan.clone(), operator, outcome)
+        (plan.clone(), operator, source)
     }
 }
 
@@ -368,7 +361,7 @@ mod tests {
         a: &Arc<CsrMatrix>,
         partitioner: &dyn Partitioner,
         mg: Option<(GridDims, usize)>,
-    ) -> (Arc<SolvePlan>, Arc<RowwiseCsr>, CacheOutcome) {
+    ) -> (Arc<SolvePlan>, Arc<RowwiseCsr>, PlanSource) {
         let fingerprint = Fingerprint::of(a);
         let key = (fingerprint, partitioner.name(), mg.map_or(0, |(_, l)| l));
         cache.get_or_build(key, a, || {
@@ -380,7 +373,7 @@ mod tests {
         cache: &PlanCache,
         a: &Arc<CsrMatrix>,
         partitioner: &dyn Partitioner,
-    ) -> (Arc<SolvePlan>, Arc<RowwiseCsr>, CacheOutcome) {
+    ) -> (Arc<SolvePlan>, Arc<RowwiseCsr>, PlanSource) {
         lookup_mg(cache, a, partitioner, None)
     }
 
@@ -390,7 +383,7 @@ mod tests {
         a: &CsrMatrix,
         partitioner: &dyn Partitioner,
         mg: Option<(GridDims, usize)>,
-    ) -> (Arc<SolvePlan>, CacheOutcome) {
+    ) -> (Arc<SolvePlan>, PlanSource) {
         let (plan, _, outcome) = lookup_mg(cache, &Arc::new(a.clone()), partitioner, mg);
         (plan, outcome)
     }
@@ -538,8 +531,8 @@ mod tests {
         let counting = Hooked::new(|_| {});
         let (p1, o1) = lookup(&cache, &a, &counting, None);
         let (p2, o2) = lookup(&cache, &a, &counting, None);
-        assert_eq!(o1, CacheOutcome::Miss);
-        assert_eq!(o2, CacheOutcome::Hit);
+        assert_eq!(o1, PlanSource::Built);
+        assert_eq!(o2, PlanSource::CacheHit);
         assert!(Arc::ptr_eq(&p1, &p2));
         assert_eq!(counting.calls(), 1);
         assert_eq!(cache.len(), 1);
@@ -553,8 +546,8 @@ mod tests {
         let (p2, o2) = lookup(&cache, &a, &hpf_partition::GreedyHypergraph, None);
         // Same structure, different partitioner: both are misses and
         // both plans live in the cache side by side.
-        assert_eq!(o1, CacheOutcome::Miss);
-        assert_eq!(o2, CacheOutcome::Miss);
+        assert_eq!(o1, PlanSource::Built);
+        assert_eq!(o2, PlanSource::Built);
         assert_eq!(cache.len(), 2);
         assert_eq!(p1.fingerprint, p2.fingerprint);
         assert_eq!(p1.partitioner, "balanced-rows");
@@ -563,10 +556,13 @@ mod tests {
             &BalancedContiguous as &dyn Partitioner,
             &hpf_partition::GreedyHypergraph,
         ] {
-            assert_eq!(lookup(&cache, &a, partitioner, None).1, CacheOutcome::Hit);
+            assert_eq!(
+                lookup(&cache, &a, partitioner, None).1,
+                PlanSource::CacheHit
+            );
         }
         let (_, o3) = lookup(&cache, &a, &hpf_partition::SpectralBisection, None);
-        assert_eq!(o3, CacheOutcome::Miss);
+        assert_eq!(o3, PlanSource::Built);
     }
 
     /// The ISSUE's HPCG plumbing: the cache key includes the hierarchy
@@ -583,7 +579,7 @@ mod tests {
         let (_, o2b) = lookup(&cache, &a, &BalancedContiguous, Some((dims, 2)));
         assert_eq!(
             (o2, o3, o2b),
-            (CacheOutcome::Miss, CacheOutcome::Miss, CacheOutcome::Hit)
+            (PlanSource::Built, PlanSource::Built, PlanSource::CacheHit)
         );
         assert_eq!(cache.len(), 2);
         assert_eq!(p2.fingerprint, p3.fingerprint);
@@ -593,7 +589,7 @@ mod tests {
         assert_eq!(p3.mg.as_ref().unwrap().hierarchy().depth(), 3);
         // A plain (non-mg) plan on the same structure is a third entry.
         let (p0, o0) = lookup(&cache, &a, &BalancedContiguous, None);
-        assert_eq!(o0, CacheOutcome::Miss);
+        assert_eq!(o0, PlanSource::Built);
         assert!(p0.mg.is_none());
         assert_eq!(cache.len(), 3);
     }
@@ -605,7 +601,7 @@ mod tests {
         let pooled = gen::tridiagonal(10, 4.0, -1.0);
         assert_eq!(
             lookup(&cache, &pooled, &BalancedContiguous, None).1,
-            CacheOutcome::Miss
+            PlanSource::Built
         );
         // Twice the capacity in one-off structures, the pooled one asked
         // for in between: oldest-inserted eviction would have dropped it
@@ -614,11 +610,11 @@ mod tests {
             let one_off = gen::tridiagonal(20 + n, 4.0, -1.0);
             assert_eq!(
                 lookup(&cache, &one_off, &BalancedContiguous, None).1,
-                CacheOutcome::Miss
+                PlanSource::Built
             );
             assert_eq!(
                 lookup(&cache, &pooled, &BalancedContiguous, None).1,
-                CacheOutcome::Hit,
+                PlanSource::CacheHit,
                 "evicted after {} one-off inserts",
                 n + 1
             );
@@ -628,7 +624,7 @@ mod tests {
         let first_one_off = gen::tridiagonal(20, 4.0, -1.0);
         assert_eq!(
             lookup(&cache, &first_one_off, &BalancedContiguous, None).1,
-            CacheOutcome::Miss
+            PlanSource::Built
         );
     }
 
@@ -662,7 +658,7 @@ mod tests {
             // park: let it go so a failure reads as a count, not a hang.
             let _ = resume_tx.send(());
             let (p2, o2) = second.join().unwrap();
-            assert_eq!((o1, o2), (CacheOutcome::Miss, CacheOutcome::Hit));
+            assert_eq!((o1, o2), (PlanSource::Built, PlanSource::CacheHit));
             assert!(Arc::ptr_eq(&p1, &p2));
         });
         assert_eq!(parked.calls(), 1);
@@ -698,7 +694,7 @@ mod tests {
             building.join().unwrap();
             assert_eq!(
                 answer.expect("the other key's lookups waited for the parked build"),
-                (CacheOutcome::Miss, CacheOutcome::Hit)
+                (PlanSource::Built, PlanSource::CacheHit)
             );
         });
         assert_eq!(cache.len(), 2);
@@ -719,8 +715,8 @@ mod tests {
         assert!(first.is_err());
         assert_eq!(cache.len(), 0);
         let (_, retried) = lookup(&cache, &a, &flaky, None);
-        assert_eq!(retried, CacheOutcome::Miss, "the retry builds");
-        assert_eq!(lookup(&cache, &a, &flaky, None).1, CacheOutcome::Hit);
+        assert_eq!(retried, PlanSource::Built, "the retry builds");
+        assert_eq!(lookup(&cache, &a, &flaky, None).1, PlanSource::CacheHit);
         assert_eq!(flaky.calls(), 2);
         assert_eq!(cache.len(), 1);
     }
@@ -840,7 +836,7 @@ mod tests {
         let one_off = Arc::new(gen::banded_spd(40, 2, 3));
         let watch = Arc::downgrade(&one_off);
         let (_, op, outcome) = lookup_shared(&cache, &one_off, &BalancedContiguous);
-        assert_eq!(outcome, CacheOutcome::Miss);
+        assert_eq!(outcome, PlanSource::Built);
         assert!(std::ptr::eq(op.matrix(), &*one_off));
         drop((op, one_off));
         assert!(watch.upgrade().is_none(), "the inserting lookup kept it");
@@ -850,7 +846,7 @@ mod tests {
         let (plan, first, _) = lookup_shared(&cache, &a, &BalancedContiguous);
         let (_, second, hit) = lookup_shared(&cache, &a, &BalancedContiguous);
         let (_, third, _) = lookup_shared(&cache, &a, &BalancedContiguous);
-        assert_eq!(hit, CacheOutcome::Hit);
+        assert_eq!(hit, PlanSource::CacheHit);
         assert!(!Arc::ptr_eq(&first, &second));
         assert!(Arc::ptr_eq(&second, &third));
         assert!(std::ptr::eq(third.matrix(), &*a));
@@ -863,7 +859,7 @@ mod tests {
         scaled.scale(0.5);
         let b = Arc::new(scaled);
         let (plan_b, over_b, hit) = lookup_shared(&cache, &b, &BalancedContiguous);
-        assert_eq!(hit, CacheOutcome::Hit);
+        assert_eq!(hit, PlanSource::CacheHit);
         assert!(Arc::ptr_eq(&plan, &plan_b));
         assert!(std::ptr::eq(over_b.matrix(), &*b));
         let (_, again_b, _) = lookup_shared(&cache, &b, &BalancedContiguous);
@@ -921,7 +917,7 @@ mod tests {
                     for _ in 0..200 {
                         barrier.wait();
                         let (_, op, outcome) = lookup_shared(cache, mine, parked);
-                        assert_eq!(outcome, CacheOutcome::Hit);
+                        assert_eq!(outcome, PlanSource::CacheHit);
                         assert!(std::ptr::eq(op.matrix(), &**mine));
                     }
                 });

@@ -34,7 +34,7 @@ use crate::events::{
     self, EvidenceHook, JobEvidence, ResidualTail, ServiceEvent, ServiceEventSink, LIFECYCLE_TAIL,
 };
 use crate::lock;
-use crate::plan::{CacheOutcome, SolvePlan};
+use crate::plan::SolvePlan;
 use crate::request::{ServiceConfig, SolverKind, TOPOLOGY};
 use crate::response::{PlanSource, ServiceError, SolveResponse};
 use crate::retry::{escalate, is_retryable, Admission};
@@ -337,20 +337,16 @@ impl Worker {
                 // instance pays for neither the plan nor the operator.
                 let levels = mg_req.map_or(0, |(_, levels)| levels);
                 let plan_key = (fingerprint, partitioner.name(), levels);
-                let (plan, op, outcome) = core.cache.get_or_build(plan_key, &matrix, build);
-                match outcome {
-                    CacheOutcome::Hit => {
-                        metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
-                        (plan, PlanSource::CacheHit, op)
-                    }
-                    CacheOutcome::Miss => {
-                        metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
-                        metrics
-                            .partitioner_invocations
-                            .fetch_add(1, Ordering::Relaxed);
-                        (plan, PlanSource::Built, op)
-                    }
+                let (plan, op, source) = core.cache.get_or_build(plan_key, &matrix, build);
+                if source == PlanSource::CacheHit {
+                    metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
+                } else {
+                    metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
+                    metrics
+                        .partitioner_invocations
+                        .fetch_add(1, Ordering::Relaxed);
                 }
+                (plan, source, op)
             } else {
                 metrics
                     .partitioner_invocations

@@ -9,6 +9,12 @@
 //! * `row(nz)` that stores the row numbers of each nonzero element.
 //! * `col(n+1)` whose jth entry points to the first entry of the j'th
 //!   column in A and row."
+//!
+//! Section 3 goes on: CSR is the scheme "in which the roles of rows and
+//! columns are reversed". So the CSC arrays of `A` are the CSR arrays of
+//! `Aᵀ`, and a [`CscMatrix`] stores just that [`CsrMatrix`]: column `j`
+//! is its row `j`, `Aᵀ p` its gather, `A p` its scatter, and conversion
+//! either way its one counting [`CsrMatrix::transpose`].
 
 use crate::coo::CooMatrix;
 use crate::csr::CsrMatrix;
@@ -18,14 +24,8 @@ use crate::error::SparseError;
 /// Compressed Sparse Column matrix.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CscMatrix {
-    n_rows: usize,
-    n_cols: usize,
-    /// `col` in the paper: `col_ptr[j]..col_ptr[j+1]` spans column `j`.
-    col_ptr: Vec<usize>,
-    /// `row` in the paper: the row of each stored value.
-    row_idx: Vec<usize>,
-    /// `a` in the paper: the stored values, column by column.
-    values: Vec<f64>,
+    /// `Aᵀ` in CSR: its three arrays are the paper's `col`, `row` and `a`.
+    t: CsrMatrix,
 }
 
 impl CscMatrix {
@@ -37,86 +37,15 @@ impl CscMatrix {
         row_idx: Vec<usize>,
         values: Vec<f64>,
     ) -> Result<Self, SparseError> {
-        if col_ptr.len() != n_cols + 1 {
-            return Err(SparseError::MalformedPointer(format!(
-                "col_ptr has length {}, expected {}",
-                col_ptr.len(),
-                n_cols + 1
-            )));
-        }
-        if col_ptr[0] != 0 {
-            return Err(SparseError::MalformedPointer(
-                "col_ptr[0] must be 0".to_string(),
-            ));
-        }
-        if *col_ptr.last().unwrap() != values.len() {
-            return Err(SparseError::MalformedPointer(format!(
-                "col_ptr[n] = {} but there are {} values",
-                col_ptr.last().unwrap(),
-                values.len()
-            )));
-        }
-        if row_idx.len() != values.len() {
-            return Err(SparseError::DimensionMismatch(format!(
-                "row_idx has {} entries, values has {}",
-                row_idx.len(),
-                values.len()
-            )));
-        }
-        if col_ptr.windows(2).any(|w| w[0] > w[1]) {
-            return Err(SparseError::MalformedPointer(
-                "col_ptr must be non-decreasing".to_string(),
-            ));
-        }
-        for &r in &row_idx {
-            if r >= n_rows {
-                return Err(SparseError::IndexOutOfBounds {
-                    what: "row",
-                    index: r,
-                    bound: n_rows,
-                });
-            }
-        }
-        Ok(CscMatrix {
-            n_rows,
-            n_cols,
-            col_ptr,
-            row_idx,
-            values,
-        })
+        let names = ["col_ptr", "row_idx", "row"];
+        let t = CsrMatrix::validated(n_cols, n_rows, col_ptr, row_idx, values, names)?;
+        Ok(CscMatrix { t })
     }
 
     /// Build from COO, sorting column-major and summing duplicates.
     pub fn from_coo(coo: &CooMatrix) -> Self {
-        let mut entries = coo.entries().to_vec();
-        entries.sort_unstable_by_key(|&(r, c, _)| (c, r));
-        let n_cols = coo.n_cols();
-        let mut col_ptr = vec![0usize; n_cols + 1];
-        let mut row_idx = Vec::with_capacity(entries.len());
-        let mut values: Vec<f64> = Vec::with_capacity(entries.len());
-        let mut prev: Option<(usize, usize)> = None;
-        for (r, c, v) in entries {
-            if prev == Some((c, r)) {
-                *values.last_mut().unwrap() += v;
-            } else {
-                row_idx.push(r);
-                values.push(v);
-                col_ptr[c + 1] = row_idx.len();
-                prev = Some((c, r));
-            }
-        }
-        for j in 1..=n_cols {
-            if col_ptr[j] < col_ptr[j - 1] {
-                col_ptr[j] = col_ptr[j - 1];
-            }
-        }
-        CscMatrix {
-            n_rows: coo.n_rows(),
-            n_cols,
-            col_ptr,
-            row_idx,
-            values,
-        }
+        let t = CsrMatrix::from_coo(&coo.transpose());
+        CscMatrix { t }
     }
 
     /// Build from a dense matrix.
@@ -124,59 +53,55 @@ impl CscMatrix {
         Self::from_coo(&CooMatrix::from_dense(d))
     }
 
-    /// Build from CSR (format conversion; O(nnz log nnz)).
+    /// Build from CSR by [`CsrMatrix::transpose`] (O(nnz + n)).
     pub fn from_csr(csr: &CsrMatrix) -> Self {
-        Self::from_coo(&csr.to_coo())
+        CscMatrix { t: csr.transpose() }
     }
 
     pub fn n_rows(&self) -> usize {
-        self.n_rows
+        self.t.n_cols()
     }
 
     pub fn n_cols(&self) -> usize {
-        self.n_cols
+        self.t.n_rows()
     }
 
     pub fn nnz(&self) -> usize {
-        self.values.len()
+        self.t.nnz()
     }
 
     pub fn is_square(&self) -> bool {
-        self.n_rows == self.n_cols
+        self.t.is_square()
     }
 
     /// The paper's `col(n+1)` pointer array.
     pub fn col_ptr(&self) -> &[usize] {
-        &self.col_ptr
+        self.t.row_ptr()
     }
 
     /// The paper's `row(nz)` index array.
     pub fn row_idx(&self) -> &[usize] {
-        &self.row_idx
+        self.t.col_idx()
     }
 
     /// The paper's `a(nz)` value array.
     pub fn values(&self) -> &[f64] {
-        &self.values
+        self.t.values()
     }
 
     /// (row, value) pairs of column `j`.
     pub fn col(&self, j: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
-        let span = self.col_ptr[j]..self.col_ptr[j + 1];
-        self.row_idx[span.clone()]
-            .iter()
-            .copied()
-            .zip(self.values[span].iter().copied())
+        self.t.row(j)
     }
 
     /// Number of stored entries in column `j`.
     pub fn col_nnz(&self, j: usize) -> usize {
-        self.col_ptr[j + 1] - self.col_ptr[j]
+        self.t.row_nnz(j)
     }
 
     /// Value at `(i, j)` (zero if not stored).
     pub fn get(&self, i: usize, j: usize) -> f64 {
-        self.col(j).find(|&(r, _)| r == i).map_or(0.0, |(_, v)| v)
+        self.t.get(j, i)
     }
 
     /// Serial CSC matvec `q = A p` — the paper's Section 4 Scenario 2
@@ -189,122 +114,74 @@ impl CscMatrix {
     ///     q(row(k)) = q(row(k)) + a(k)*pj
     /// ```
     pub fn matvec(&self, p: &[f64]) -> Result<Vec<f64>, SparseError> {
-        if p.len() != self.n_cols {
-            return Err(SparseError::DimensionMismatch(format!(
-                "matvec: x has {} entries, matrix has {} columns",
-                p.len(),
-                self.n_cols
-            )));
+        let (len, cols) = (p.len(), self.n_cols());
+        if len != cols {
+            let msg = format!("matvec: x has {len} entries, matrix has {cols} columns");
+            return Err(SparseError::DimensionMismatch(msg));
         }
-        let mut q = vec![0.0; self.n_rows];
-        self.matvec_cols_accumulate(0..self.n_cols, p, &mut q);
+        let mut q = vec![0.0; self.n_rows()];
+        self.matvec_cols_accumulate(0..self.n_cols(), p, &mut q);
         Ok(q)
     }
 
     /// The one CSC product kernel: `out += A(:, cols) · p(cols)`, the
     /// scatter of the columns in `cols` taken in ascending order, each
-    /// entry as `out[row(k)] += a(k) * p[j]`. `out` is added to, not
-    /// zeroed; a column whose `p[j]` is exactly zero is skipped. Starting
-    /// from an `out` of `+0.0`, no entry can become `-0.0` (a sum is
-    /// `-0.0` only when both terms are).
+    /// entry as `out[row(k)] += a(k) * p[j]` (the stored transpose's row
+    /// scatter). `out` is added to; a column whose `p[j]` is exactly zero
+    /// is skipped; from an `out` of `+0.0`, no entry becomes `-0.0`.
     ///
     /// Panics if `p` is not `n_cols` long, `cols` leaves the matrix, or
     /// `out` is not `n_rows` long.
     pub fn matvec_cols_accumulate(&self, cols: std::ops::Range<usize>, p: &[f64], out: &mut [f64]) {
-        assert_eq!(p.len(), self.n_cols, "matvec: operand length");
-        assert_eq!(out.len(), self.n_rows, "matvec: result length");
-        let ends = &self.col_ptr[cols.start + 1..=cols.end];
-        let mut lo = self.col_ptr[cols.start];
-        for (&pj, &hi) in p[cols].iter().zip(ends) {
-            if pj != 0.0 {
-                for (&r, &a) in self.row_idx[lo..hi].iter().zip(&self.values[lo..hi]) {
-                    out[r] += a * pj;
-                }
-            }
-            lo = hi;
-        }
+        assert_eq!(p.len(), self.n_cols(), "matvec: operand length");
+        assert_eq!(out.len(), self.n_rows(), "matvec: result length");
+        self.t.scatter_rows_into(cols, p, out);
     }
 
     /// `q = Aᵀ p`: in CSC this is a clean per-column gather (the dual of
     /// CSR's row kernel).
     pub fn matvec_transpose(&self, p: &[f64]) -> Result<Vec<f64>, SparseError> {
-        if p.len() != self.n_rows {
-            return Err(SparseError::DimensionMismatch(format!(
-                "matvec_transpose: x has {} entries, matrix has {} rows",
-                p.len(),
-                self.n_rows
-            )));
+        let (len, rows) = (p.len(), self.n_rows());
+        if len != rows {
+            let msg = format!("matvec_transpose: x has {len} entries, matrix has {rows} rows");
+            return Err(SparseError::DimensionMismatch(msg));
         }
-        let mut q = vec![0.0; self.n_cols];
+        let mut q = vec![0.0; self.n_cols()];
         self.matvec_transpose_into(p, &mut q);
         Ok(q)
     }
 
     /// The one transpose-product kernel: `out = Aᵀ p`, overwriting `out`
     /// (which need not be zeroed); `out[j]` is column `j`'s dot product
-    /// with `p`, accumulated top to bottom from `0.0`.
+    /// with `p`, accumulated top to bottom from `0.0` (the stored
+    /// transpose's [`CsrMatrix::matvec_rows_into`]).
     ///
     /// Panics if `p` is not `n_rows` long or `out` not `n_cols` long.
     pub fn matvec_transpose_into(&self, p: &[f64], out: &mut [f64]) {
-        assert_eq!(p.len(), self.n_rows, "matvec_transpose: operand length");
-        assert_eq!(out.len(), self.n_cols, "matvec_transpose: result length");
-        let mut lo = self.col_ptr[0];
-        for (qj, &hi) in out.iter_mut().zip(&self.col_ptr[1..]) {
-            let mut acc = 0.0;
-            for (&a, &r) in self.values[lo..hi].iter().zip(&self.row_idx[lo..hi]) {
-                acc += a * p[r];
-            }
-            *qj = acc;
-            lo = hi;
-        }
+        assert_eq!(p.len(), self.n_rows(), "matvec_transpose: operand length");
+        assert_eq!(out.len(), self.n_cols(), "matvec_transpose: result length");
+        self.t.matvec_rows_into(0..self.n_cols(), p, out);
     }
 
-    /// Convert to COO.
+    /// Convert to COO, column by column.
     pub fn to_coo(&self) -> CooMatrix {
-        let mut coo = CooMatrix::new(self.n_rows, self.n_cols);
-        for j in 0..self.n_cols {
-            for (r, v) in self.col(j) {
-                coo.push(r, j, v)
-                    .expect("indices validated at construction");
-            }
-        }
-        coo
+        self.t.to_coo().transpose()
     }
 
-    /// Convert to CSR by a counting transpose: each row's entries in
-    /// ascending column order, entries of one column in their stored
-    /// order, repeated entries kept as they are stored.
+    /// Convert to CSR by [`CsrMatrix::transpose`], repeated entries kept
+    /// as they are stored.
     pub fn to_csr(&self) -> CsrMatrix {
-        let nnz = self.nnz();
-        let mut row_ptr = vec![0usize; self.n_rows + 1];
-        for &r in &self.row_idx {
-            row_ptr[r + 1] += 1;
-        }
-        for r in 0..self.n_rows {
-            row_ptr[r + 1] += row_ptr[r];
-        }
-        let mut next = row_ptr[..self.n_rows].to_vec();
-        let (mut col_idx, mut values) = (vec![0usize; nnz], vec![0.0; nnz]);
-        for j in 0..self.n_cols {
-            for (r, v) in self.col(j) {
-                col_idx[next[r]] = j;
-                values[next[r]] = v;
-                next[r] += 1;
-            }
-        }
-        CsrMatrix::from_raw(self.n_rows, self.n_cols, row_ptr, col_idx, values)
-            .expect("the transpose of valid arrays is valid")
+        self.t.transpose()
     }
 
     /// Convert to dense.
     pub fn to_dense(&self) -> DenseMatrix {
-        self.to_coo().to_dense()
+        self.t.to_dense().transpose()
     }
 
     /// Extract the main diagonal.
     pub fn diagonal(&self) -> Vec<f64> {
-        let n = self.n_rows.min(self.n_cols);
-        (0..n).map(|i| self.get(i, i)).collect()
+        self.t.diagonal()
     }
 }
 
@@ -389,6 +266,38 @@ mod tests {
         assert!(CscMatrix::from_raw(2, 2, vec![0, 1], vec![0, 1], vec![1.0, 2.0]).is_err());
         assert!(CscMatrix::from_raw(2, 2, vec![0, 1, 2], vec![0, 2], vec![1.0, 2.0]).is_err());
         assert!(CscMatrix::from_raw(2, 2, vec![0, 2, 1], vec![0, 1], vec![1.0, 2.0]).is_err());
+    }
+
+    /// The errors name CSC's arrays and a 2x3 matrix's shape, though the
+    /// arrays are validated as the CSR arrays of the 3x2 transpose.
+    #[test]
+    fn from_raw_errors_name_the_csc_arrays() {
+        let raw = |ptr: Vec<usize>, rows: Vec<usize>| {
+            let values = vec![1.0; rows.len()];
+            CscMatrix::from_raw(2, 3, ptr, rows, values).unwrap_err()
+        };
+        let pointer = |m: &str| SparseError::MalformedPointer(m.to_string());
+        assert_eq!(
+            raw(vec![0, 1], vec![0]),
+            pointer("col_ptr has length 2, expected 4")
+        );
+        assert_eq!(
+            raw(vec![1, 1, 1, 1], vec![0]),
+            pointer("col_ptr[0] must be 0")
+        );
+        let end = pointer("col_ptr[n] = 2 but there are 1 values");
+        assert_eq!(raw(vec![0, 1, 1, 2], vec![0]), end);
+        let order = pointer("col_ptr must be non-decreasing");
+        assert_eq!(raw(vec![0, 2, 1, 2], vec![0, 1]), order);
+        let row = SparseError::IndexOutOfBounds {
+            what: "row",
+            index: 2,
+            bound: 2,
+        };
+        assert_eq!(raw(vec![0, 1, 1, 2], vec![0, 2]), row);
+        let short = CscMatrix::from_raw(2, 3, vec![0, 1, 1, 1], vec![], vec![1.0]);
+        let lengths = SparseError::DimensionMismatch("row_idx has 0 entries, values has 1".into());
+        assert_eq!(short.unwrap_err(), lengths);
     }
 
     #[test]

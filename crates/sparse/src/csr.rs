@@ -13,6 +13,7 @@
 use crate::coo::CooMatrix;
 use crate::dense::DenseMatrix;
 use crate::error::SparseError;
+use std::ops::Range;
 
 /// Compressed Sparse Row matrix.
 ///
@@ -47,51 +48,65 @@ impl CsrMatrix {
         col_idx: Vec<usize>,
         values: Vec<f64>,
     ) -> Result<Self, SparseError> {
-        if row_ptr.len() != n_rows + 1 {
+        let names = ["row_ptr", "col_idx", "col"];
+        Self::validated(n_rows, n_cols, row_ptr, col_idx, values, names)
+    }
+
+    /// [`CsrMatrix::from_raw`] with the names its errors give the pointer
+    /// array, the index array and what an index counts: a CSC matrix
+    /// validates its arrays as the CSR arrays of its transpose, under its
+    /// own names.
+    pub(crate) fn validated(
+        n_rows: usize,
+        n_cols: usize,
+        ptr: Vec<usize>,
+        idx: Vec<usize>,
+        values: Vec<f64>,
+        [ptr_name, idx_name, what]: [&'static str; 3],
+    ) -> Result<Self, SparseError> {
+        if ptr.len() != n_rows + 1 {
             return Err(SparseError::MalformedPointer(format!(
-                "row_ptr has length {}, expected {}",
-                row_ptr.len(),
+                "{ptr_name} has length {}, expected {}",
+                ptr.len(),
                 n_rows + 1
             )));
         }
-        if row_ptr[0] != 0 {
-            return Err(SparseError::MalformedPointer(
-                "row_ptr[0] must be 0".to_string(),
-            ));
-        }
-        if *row_ptr.last().unwrap() != values.len() {
+        if ptr[0] != 0 {
             return Err(SparseError::MalformedPointer(format!(
-                "row_ptr[n] = {} but there are {} values",
-                row_ptr.last().unwrap(),
+                "{ptr_name}[0] must be 0"
+            )));
+        }
+        if *ptr.last().unwrap() != values.len() {
+            return Err(SparseError::MalformedPointer(format!(
+                "{ptr_name}[n] = {} but there are {} values",
+                ptr.last().unwrap(),
                 values.len()
             )));
         }
-        if col_idx.len() != values.len() {
+        if idx.len() != values.len() {
             return Err(SparseError::DimensionMismatch(format!(
-                "col_idx has {} entries, values has {}",
-                col_idx.len(),
+                "{idx_name} has {} entries, values has {}",
+                idx.len(),
                 values.len()
             )));
         }
-        if row_ptr.windows(2).any(|w| w[0] > w[1]) {
-            return Err(SparseError::MalformedPointer(
-                "row_ptr must be non-decreasing".to_string(),
-            ));
+        if ptr.windows(2).any(|w| w[0] > w[1]) {
+            return Err(SparseError::MalformedPointer(format!(
+                "{ptr_name} must be non-decreasing"
+            )));
         }
-        for &c in &col_idx {
-            if c >= n_cols {
-                return Err(SparseError::IndexOutOfBounds {
-                    what: "col",
-                    index: c,
-                    bound: n_cols,
-                });
-            }
+        if let Some(&index) = idx.iter().find(|&&c| c >= n_cols) {
+            return Err(SparseError::IndexOutOfBounds {
+                what,
+                index,
+                bound: n_cols,
+            });
         }
         Ok(CsrMatrix {
             n_rows,
             n_cols,
-            row_ptr,
-            col_idx,
+            row_ptr: ptr,
+            col_idx: idx,
             values,
         })
     }
@@ -217,7 +232,7 @@ impl CsrMatrix {
     /// Out of line wherever it is called from, so the row loop has one
     /// address, which the build pins to a 64-byte boundary.
     #[inline(never)]
-    pub fn matvec_rows_into(&self, rows: std::ops::Range<usize>, p: &[f64], out: &mut [f64]) {
+    pub fn matvec_rows_into(&self, rows: Range<usize>, p: &[f64], out: &mut [f64]) {
         assert_eq!(p.len(), self.n_cols, "matvec: operand length");
         assert_eq!(out.len(), rows.len(), "matvec: result length");
         let ends = &self.row_ptr[rows.start + 1..=rows.end];
@@ -249,28 +264,67 @@ impl CsrMatrix {
     }
 
     /// The one transpose-product kernel: `out = Aᵀ p`, overwriting `out`
-    /// (which need not be zeroed). Rows scatter in order, so `out[c]`
-    /// accumulates its terms by ascending row; a row whose `p[i]` is
-    /// exactly zero is skipped.
+    /// (which need not be zeroed): the row scatter over every row, from
+    /// `+0.0`.
     ///
     /// Panics if `p` is not `n_rows` long or `out` not `n_cols` long.
     pub fn matvec_transpose_into(&self, p: &[f64], out: &mut [f64]) {
         assert_eq!(p.len(), self.n_rows, "matvec_transpose: operand length");
         assert_eq!(out.len(), self.n_cols, "matvec_transpose: result length");
         out.fill(0.0);
-        for (i, &pi) in p.iter().enumerate() {
-            if pi == 0.0 {
-                continue;
+        self.scatter_rows_into(0..self.n_rows, p, out);
+    }
+
+    /// The one scatter kernel: `out += A(rows, :)ᵀ · p(rows)`, the rows in
+    /// `rows` taken in ascending order, each entry as
+    /// `out[col(k)] += a(k) * p[i]`. `out` is added to, not zeroed; a row
+    /// whose `p[i]` is exactly zero is skipped. Starting from an `out` of
+    /// `+0.0`, no entry can become `-0.0` (a sum is `-0.0` only when both
+    /// terms are). On the CSR arrays of `Aᵀ` this is the CSC product `A p`.
+    ///
+    /// Panics if `rows` leaves the matrix or `p`, or a column leaves `out`.
+    pub(crate) fn scatter_rows_into(&self, rows: Range<usize>, p: &[f64], out: &mut [f64]) {
+        let ends = &self.row_ptr[rows.start + 1..=rows.end];
+        let mut lo = self.row_ptr[rows.start];
+        for (&pi, &hi) in p[rows].iter().zip(ends) {
+            if pi != 0.0 {
+                for (&c, &a) in self.col_idx[lo..hi].iter().zip(&self.values[lo..hi]) {
+                    out[c] += a * pi;
+                }
             }
-            for k in self.row_ptr[i]..self.row_ptr[i + 1] {
-                out[self.col_idx[k]] += self.values[k] * pi;
-            }
+            lo = hi;
         }
     }
 
-    /// Explicit transpose (CSR of Aᵀ).
+    /// Explicit transpose (CSR of Aᵀ) by a stable counting sort: row `j`
+    /// lists the rows of `A` that store column `j`, ascending, each entry
+    /// as it is stored. A row that stores one column twice gives two
+    /// entries in the transpose, not their sum.
     pub fn transpose(&self) -> CsrMatrix {
-        Self::from_coo(&self.to_coo().transpose())
+        let nnz = self.nnz();
+        let mut row_ptr = vec![0usize; self.n_cols + 1];
+        for &c in &self.col_idx {
+            row_ptr[c + 1] += 1;
+        }
+        for c in 0..self.n_cols {
+            row_ptr[c + 1] += row_ptr[c];
+        }
+        let mut next = row_ptr[..self.n_cols].to_vec();
+        let (mut col_idx, mut values) = (vec![0usize; nnz], vec![0.0; nnz]);
+        for i in 0..self.n_rows {
+            for (c, v) in self.row(i) {
+                col_idx[next[c]] = i;
+                values[next[c]] = v;
+                next[c] += 1;
+            }
+        }
+        CsrMatrix {
+            n_rows: self.n_cols,
+            n_cols: self.n_rows,
+            row_ptr,
+            col_idx,
+            values,
+        }
     }
 
     /// Convert to COO.
@@ -420,6 +474,16 @@ mod tests {
         let csr = CsrMatrix::from_dense(&figure1_matrix());
         let t = csr.transpose();
         assert_eq!(t.to_dense(), figure1_matrix().transpose());
+    }
+
+    /// A row that stores one column twice (only `from_raw` can build one)
+    /// transposes to two entries in stored order; nothing is summed.
+    #[test]
+    fn transpose_keeps_a_repeated_column_as_stored() {
+        let a = CsrMatrix::from_raw(2, 2, vec![0, 2, 3], vec![1, 1, 0], vec![1.0, 2.0, 3.0]);
+        let t = a.unwrap().transpose();
+        assert_eq!((t.row_ptr(), t.col_idx()), (&[0, 1, 3][..], &[1, 0, 0][..]));
+        assert_eq!(t.values(), &[3.0, 1.0, 2.0]);
     }
 
     #[test]

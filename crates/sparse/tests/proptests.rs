@@ -197,3 +197,203 @@ proptest! {
         prop_assert_eq!(d.transpose().transpose(), d);
     }
 }
+
+/// The CSC arrays `(col_ptr, row_idx, values)` of `entries` as the COO
+/// route builds them, written out: `sort_unstable` by (column, row), a
+/// repeated coordinate summed into its first entry, an empty column
+/// given the pointer before it. `CscMatrix::from_coo` has always been
+/// this, and `CscMatrix::from_csr` and `CsrMatrix::transpose` were this
+/// on the entries of a CSR matrix read row by row.
+fn coo_route(n_cols: usize, mut entries: Vec<(usize, usize, f64)>) -> CompressedArrays {
+    entries.sort_unstable_by_key(|&(r, c, _)| (c, r));
+    let mut col_ptr = vec![0usize; n_cols + 1];
+    let mut row_idx = Vec::with_capacity(entries.len());
+    let mut values: Vec<f64> = Vec::with_capacity(entries.len());
+    let mut prev: Option<(usize, usize)> = None;
+    for (r, c, v) in entries {
+        if prev == Some((c, r)) {
+            *values.last_mut().unwrap() += v;
+        } else {
+            row_idx.push(r);
+            values.push(v);
+            col_ptr[c + 1] = row_idx.len();
+            prev = Some((c, r));
+        }
+    }
+    for j in 1..=n_cols {
+        if col_ptr[j] < col_ptr[j - 1] {
+            col_ptr[j] = col_ptr[j - 1];
+        }
+    }
+    (
+        col_ptr,
+        row_idx,
+        values.iter().map(|v| v.to_bits()).collect(),
+    )
+}
+
+/// Pointer, index and value bits of one compressed matrix.
+type CompressedArrays = (Vec<usize>, Vec<usize>, Vec<u64>);
+
+fn csc_arrays(a: &CscMatrix) -> CompressedArrays {
+    let bits = a.values().iter().map(|v| v.to_bits()).collect();
+    (a.col_ptr().to_vec(), a.row_idx().to_vec(), bits)
+}
+
+fn csr_arrays(a: &CsrMatrix) -> CompressedArrays {
+    let bits = a.values().iter().map(|v| v.to_bits()).collect();
+    (a.row_ptr().to_vec(), a.col_idx().to_vec(), bits)
+}
+
+fn row_by_row(a: &CsrMatrix) -> Vec<(usize, usize, f64)> {
+    (0..a.n_rows())
+        .flat_map(|i| a.row(i).map(move |(c, v)| (i, c, v)))
+        .collect()
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// The CSC scatter as it was written over the three arrays: `out +=
+/// A(:, cols) · p(cols)`.
+fn scatter_reference(a: &CscMatrix, cols: std::ops::Range<usize>, p: &[f64], out: &mut [f64]) {
+    let (col_ptr, row_idx, values) = (a.col_ptr(), a.row_idx(), a.values());
+    let ends = &col_ptr[cols.start + 1..=cols.end];
+    let mut lo = col_ptr[cols.start];
+    for (&pj, &hi) in p[cols].iter().zip(ends) {
+        if pj != 0.0 {
+            for (&r, &a) in row_idx[lo..hi].iter().zip(&values[lo..hi]) {
+                out[r] += a * pj;
+            }
+        }
+        lo = hi;
+    }
+}
+
+/// The CSC gather as it was written over the three arrays: `out = Aᵀ p`.
+fn gather_reference(a: &CscMatrix, p: &[f64], out: &mut [f64]) {
+    let (col_ptr, row_idx, values) = (a.col_ptr(), a.row_idx(), a.values());
+    let mut lo = col_ptr[0];
+    for (qj, &hi) in out.iter_mut().zip(&col_ptr[1..]) {
+        let mut acc = 0.0;
+        for (&a, &r) in values[lo..hi].iter().zip(&row_idx[lo..hi]) {
+            acc += a * p[r];
+        }
+        *qj = acc;
+        lo = hi;
+    }
+}
+
+/// The CSR scatter as it was written: `out = Aᵀ p`.
+fn csr_transpose_reference(a: &CsrMatrix, p: &[f64], out: &mut [f64]) {
+    let (row_ptr, col_idx, values) = (a.row_ptr(), a.col_idx(), a.values());
+    out.fill(0.0);
+    for (i, &pi) in p.iter().enumerate() {
+        if pi == 0.0 {
+            continue;
+        }
+        for k in row_ptr[i]..row_ptr[i + 1] {
+            out[col_idx[k]] += values[k] * pi;
+        }
+    }
+}
+
+/// A vector of `n` with exact zeros of both signs among values of mixed
+/// magnitude, so that skipped columns and rounding both show.
+fn operand(n: usize, seed: u64) -> Vec<f64> {
+    let mut s = seed | 1;
+    (0..n)
+        .map(|_| {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            match s % 7 {
+                0 => 0.0,
+                1 => -0.0,
+                k => ((s >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 10f64.powi(k as i32 - 3),
+            }
+        })
+        .collect()
+}
+
+/// Every conversion and product of `coo`'s CSC and CSR forms against the
+/// reference loops above, bit for bit.
+fn check_against_reference(coo: &CooMatrix, seed: u64) {
+    let (r, c) = (coo.n_rows(), coo.n_cols());
+    let csr = CsrMatrix::from_coo(coo);
+    let csc = CscMatrix::from_coo(coo);
+    assert_eq!(csc_arrays(&csc), coo_route(c, coo.entries().to_vec()));
+    let via_coo = coo_route(c, row_by_row(&csr));
+    assert_eq!(csc_arrays(&CscMatrix::from_csr(&csr)), via_coo);
+    assert_eq!(csr_arrays(&csr.transpose()), via_coo);
+    // `to_csr` was a counting transpose: CSC's columns read as the rows
+    // of `Aᵀ`, whose COO route sums nothing.
+    let by_col = (0..c).flat_map(|j| csc.col(j).map(move |(i, v)| (j, i, v)));
+    assert_eq!(csr_arrays(&csc.to_csr()), coo_route(r, by_col.collect()));
+    assert_eq!(CscMatrix::from_csr(&csc.to_csr()), csc);
+
+    let (p, x) = (operand(c, seed), operand(r, seed ^ 0x9e37));
+    let mut want = vec![0.0; r];
+    scatter_reference(&csc, 0..c, &p, &mut want);
+    assert_eq!(bits(&csc.matvec(&p).unwrap()), bits(&want));
+    let (lo, hi) = (
+        (seed % (c as u64 + 1)) as usize,
+        c - (seed >> 8) as usize % (c + 1),
+    );
+    let cols = lo.min(hi)..lo.max(hi);
+    let mut got = operand(r, seed ^ 0x51);
+    let mut want = got.clone();
+    scatter_reference(&csc, cols.clone(), &p, &mut want);
+    csc.matvec_cols_accumulate(cols, &p, &mut got);
+    assert_eq!(bits(&got), bits(&want));
+    let mut want = vec![f64::NAN; c];
+    gather_reference(&csc, &x, &mut want);
+    assert_eq!(bits(&csc.matvec_transpose(&x).unwrap()), bits(&want));
+    let mut want = vec![f64::NAN; c];
+    csr_transpose_reference(&csr, &x, &mut want);
+    assert_eq!(bits(&csr.matvec_transpose(&x).unwrap()), bits(&want));
+}
+
+/// A random COO matrix that may repeat a coordinate (up to three times,
+/// so the order of a sum shows), leave rows and columns empty, and be
+/// any shape from 1x1 to 11x11.
+fn arb_coo_with_repeats() -> impl Strategy<Value = CooMatrix> {
+    (1usize..12, 1usize..12).prop_flat_map(|(r, c)| {
+        let cell = (0..r, 0..c, -100.0f64..100.0, 1usize..4);
+        proptest::collection::vec(cell, 0..40).prop_map(move |cells| {
+            let mut coo = CooMatrix::new(r, c);
+            for (i, j, v, times) in cells {
+                for k in 0..times {
+                    coo.push(i, j, v * 10f64.powi(3 * k as i32 - 3)).unwrap();
+                }
+            }
+            coo
+        })
+    })
+}
+
+proptest! {
+    #[test]
+    fn csc_products_and_conversions_keep_the_coo_routes_bits(
+        coo in arb_coo_with_repeats(),
+        seed in any::<u64>(),
+    ) {
+        check_against_reference(&coo, seed);
+    }
+
+    #[test]
+    fn csc_of_every_generator_family_keeps_the_coo_routes_bits(seed in any::<u64>()) {
+        let families = [
+            gen::poisson_2d(7, 5),
+            gen::poisson_3d(4, 3, 5),
+            gen::banded_spd(40, 3, seed),
+            gen::random_spd(40, 4, seed),
+            gen::power_law_spd(60, 12, 0.9, seed),
+        ];
+        for a in &families {
+            let coo = CooMatrix::from_triplets(a.n_rows(), a.n_cols(), row_by_row(a)).unwrap();
+            check_against_reference(&coo, seed);
+        }
+    }
+}

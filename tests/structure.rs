@@ -7,6 +7,8 @@ use std::path::Path;
 /// Line caps on `crates/{machine,obs}/src` and `crates/solvers/src`.
 const MACHINE_OBS_LINES: usize = 6_560;
 const SOLVERS_LINES: usize = 2_580;
+/// And on `crates/{sparse,mg}/src`.
+const SPARSE_MG_LINES: usize = 4_191;
 
 /// Every Rust source and manifest of the workspace and its stand-ins.
 const SOURCES: &str = "crates/**/*.rs,Cargo.toml compat/**/*.rs,Cargo.toml Cargo.toml";
@@ -299,6 +301,26 @@ fn the_hierarchy_is_built_in_csr() {
     let transfer = ranges(hierarchy, r"^pub\(crate\) struct Transfer {", "^}").concat();
     let csr = transfer.is_empty() || transfer.contains("CsrMatrix");
     assert!(!csr, "a Transfer holds per-axis weights, not a CsrMatrix");
+}
+
+#[test]
+fn a_csc_matrix_is_the_csr_of_its_transpose() {
+    let csc = nontest(files("crates/sparse/src/csc.rs"));
+    let (looped, sorted) = (matcher(r"\bfor\b"), matcher("sort_unstable"));
+    let code = |l: &str| !l.trim_start().starts_with("//");
+    let loops = grep(&csc, |l| {
+        code(l) && (looped(l) && l.contains(" in ") || sorted(l))
+    });
+    let message = "csc.rs runs no loop and no sort of its own: each method is CsrMatrix's on Aᵀ";
+    forbid(loops, message);
+    let body = ranges(&csc[0].1, "^pub struct CscMatrix", "^}");
+    let fields: Vec<&str> = body.into_iter().filter_map(field_type).collect();
+    let message = format!("CscMatrix declares the fields {fields:?}, not one CsrMatrix (Aᵀ)");
+    assert!(fields == ["CsrMatrix,"], "{message}");
+    let message =
+        "one counting transpose in the workspace: the Galerkin Pᵀ is CsrMatrix::transpose";
+    forbid(hits("crates/mg/src", r"fn transpose\("), message);
+    cap("crates/sparse/src crates/mg/src", SPARSE_MG_LINES);
 }
 
 #[test]
