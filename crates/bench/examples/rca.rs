@@ -16,13 +16,14 @@
 //! The acceptance run is `REQUESTS = 600` (the default); CI smoke may
 //! shrink it via `HPF_E30_REQUESTS`.
 
-use hpf_bench::experiments::rca_exp;
+use hpf_bench::experiments::{rca_exp, Knobs};
 
 fn main() {
+    let knobs = Knobs::from_env();
     let requests = std::env::args()
         .nth(1)
         .map(|v| v.parse().expect("REQUESTS must be a positive integer"))
-        .unwrap_or_else(rca_exp::default_requests);
-    let table = rca_exp::e30_rca(requests);
+        .unwrap_or(knobs.e30_requests);
+    let table = rca_exp::e30_with_gate(requests, &knobs.gate(30));
     println!("{}", table.render());
 }

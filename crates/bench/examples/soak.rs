@@ -10,13 +10,14 @@
 //! The acceptance soak is `REQUESTS = 100000`; the default (also used
 //! by the CI smoke) comes from `HPF_SOAK_REQUESTS`, else 5000.
 
-use hpf_bench::experiments::soak_exp;
+use hpf_bench::experiments::{soak_exp, Knobs};
 
 fn main() {
+    let knobs = Knobs::from_env();
     let requests = std::env::args()
         .nth(1)
         .map(|v| v.parse().expect("REQUESTS must be a positive integer"))
-        .unwrap_or_else(soak_exp::default_requests);
-    let table = soak_exp::e27_chaos_soak(requests);
+        .unwrap_or(knobs.soak_requests);
+    let table = soak_exp::e27_with_gate(requests, &knobs.gate(27));
     println!("{}", table.render());
 }

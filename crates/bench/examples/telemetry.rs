@@ -15,13 +15,14 @@
 //! The acceptance run is `REQUESTS = 600` (the default); CI smoke may
 //! shrink it via `HPF_E29_REQUESTS`.
 
-use hpf_bench::experiments::telemetry_exp;
+use hpf_bench::experiments::{telemetry_exp, Knobs};
 
 fn main() {
+    let knobs = Knobs::from_env();
     let requests = std::env::args()
         .nth(1)
         .map(|v| v.parse().expect("REQUESTS must be a positive integer"))
-        .unwrap_or_else(telemetry_exp::default_requests);
-    let table = telemetry_exp::e29_telemetry(requests);
+        .unwrap_or(knobs.e29_requests);
+    let table = telemetry_exp::e29_with_gate(requests, &knobs.gate(29));
     println!("{}", table.render());
 }

@@ -6,12 +6,8 @@ use hpf_core::{DistVector, RowwiseCsr};
 use hpf_dist::atoms::{AtomAssignment, AtomSpec};
 use hpf_dist::partition;
 use hpf_dist::ArrayDescriptor;
-use hpf_machine::{CostModel, Machine, Topology};
+use hpf_machine::Machine;
 use hpf_sparse::{gen, stats as mstats, CsrMatrix};
-
-fn machine(np: usize) -> Machine {
-    Machine::new(np, Topology::Hypercube, CostModel::mpp_1995())
-}
 
 /// Run a row-wise matvec with the given row cuts and report (imbalance,
 /// compute time).
@@ -25,7 +21,7 @@ fn matvec_with_cuts(a: &CsrMatrix, np: usize, cuts: Vec<usize>) -> (f64, f64) {
     let mean = flops.iter().sum::<usize>() as f64 / np as f64;
     let imb = if mean == 0.0 { 1.0 } else { max / mean };
     let p = DistVector::constant(p_desc, 1.0);
-    let mut m = machine(np);
+    let mut m = Machine::hypercube(np);
     let (_, _) = op.matvec(&mut m, &p);
     (imb, m.trace().compute_time())
 }

@@ -5,13 +5,9 @@ use crate::table::{ratio, Table};
 use hpf_core::spmd_baseline::{spmd_cg, spmd_matvec};
 use hpf_core::{DataArrayLayout, DistVector, RowwiseCsr};
 use hpf_dist::ArrayDescriptor;
-use hpf_machine::{CostModel, Machine, Topology};
+use hpf_machine::Machine;
 use hpf_solvers::{cg_distributed, StopCriterion};
 use hpf_sparse::{gen, CooMatrix, CscMatrix, CsrMatrix, DenseMatrix};
-
-fn machine(np: usize) -> Machine {
-    Machine::new(np, Topology::Hypercube, CostModel::mpp_1995())
-}
 
 /// E13 — Sections 1/6: HPF's promise is "additional code portability and
 /// ease of maintenance by comparison with message-passing
@@ -35,7 +31,7 @@ pub fn e13_hpf_vs_spmd(n: usize, nnz_per_row: usize, np: usize) -> Table {
     let x = vec![1.0; n];
 
     // --- single matvec ---
-    let mut m = machine(np);
+    let mut m = Machine::hypercube(np);
     let op = RowwiseCsr::block(a.clone(), np, DataArrayLayout::RowAligned);
     let p = DistVector::from_global(ArrayDescriptor::block(n, np), &x);
     op.matvec(&mut m, &p);
@@ -59,7 +55,7 @@ pub fn e13_hpf_vs_spmd(n: usize, nnz_per_row: usize, np: usize) -> Table {
 
     // --- full CG ---
     let (_, b) = gen::rhs_for_known_solution(&a);
-    let mut m2 = machine(np);
+    let mut m2 = Machine::hypercube(np);
     let (_, stats) = cg_distributed(
         &mut m2,
         &op,

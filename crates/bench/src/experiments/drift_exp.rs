@@ -13,20 +13,19 @@
 //! if either regressed by more than 10% against the previous run — the
 //! repo carries its own performance trajectory.
 //!
-//! Artifacts: set `HPF_BENCH_DIR` to redirect the bench records
-//! (default: current directory, i.e. the repo root under `cargo run`),
-//! and `HPF_OBS_DIR` to also dump each scenario's drift report JSON.
+//! Artifacts: the caller passes the gate and, if any, the directory
+//! that receives each scenario's drift report JSON. `report` reads both
+//! from the environment (`HPF_BENCH_DIR`, default the working
+//! directory, and `HPF_OBS_DIR`; see [`super::Knobs`]).
 
+use super::harness::{drift_in_band, gate_note, write_artifact, DRIFT_TOLERANCE};
 use crate::table::Table;
 use hpf_core::{ColwiseCsc, DataArrayLayout, RowwiseCsr};
-use hpf_machine::{CostModel, Machine, Topology};
+use hpf_machine::{Machine, Topology};
 use hpf_obs::{BenchRecord, DriftReport, RecordingObserver, RegressionGate};
 use hpf_solvers::{solve, ColwiseOperator, CscVariant, DistOperator, Krylov, StopCriterion};
 use hpf_sparse::{gen, CscMatrix};
-
-/// Drift tolerance band: every category must stay within ±10% of the
-/// analytic prediction on a clean machine (documented in DESIGN.md §8).
-const DRIFT_TOLERANCE: f64 = 0.10;
+use std::path::Path;
 
 struct ScenarioResult {
     name: &'static str,
@@ -37,7 +36,7 @@ struct ScenarioResult {
 
 fn run_scenario(name: &'static str, op: &dyn DistOperator, b: &[f64], n: usize) -> ScenarioResult {
     let np = op.descriptor().np();
-    let mut m = Machine::new(np, Topology::Hypercube, CostModel::mpp_1995());
+    let mut m = Machine::hypercube(np);
     m.set_tracing(true);
     let mut log = RecordingObserver::new();
     let stop = StopCriterion::RelativeResidual(1e-8);
@@ -62,14 +61,9 @@ fn run_scenario(name: &'static str, op: &dyn DistOperator, b: &[f64], n: usize) 
 }
 
 /// E25 — cost-oracle drift on both matvec layouts, gated against the
-/// previous run's `BENCH_25.json`.
-pub fn e25_drift_oracle(n: usize, np: usize) -> Table {
-    let dir = std::env::var("HPF_BENCH_DIR").unwrap_or_else(|_| ".".to_string());
-    e25_with_gate(n, np, &RegressionGate::new(dir).with_tolerance(10.0))
-}
-
-/// E25 with an explicit gate (tests point this at a scratch directory).
-pub fn e25_with_gate(n: usize, np: usize, gate: &RegressionGate) -> Table {
+/// previous run's `BENCH_25.json` in `gate`'s directory; each scenario's
+/// drift report lands in `obs_dir` when one is given.
+pub fn e25_with_gate(n: usize, np: usize, gate: &RegressionGate, obs_dir: Option<&Path>) -> Table {
     let mut t = Table::new(
         "E25",
         format!("cost oracle drift: CG, n = {n}, NP = {np}, hypercube, mpp-1995"),
@@ -96,17 +90,8 @@ pub fn e25_with_gate(n: usize, np: usize, gate: &RegressionGate) -> Table {
     ];
 
     let mut record = BenchRecord::new(25, "e25-drift");
-    let obs_dir = std::env::var("HPF_OBS_DIR").ok();
     for s in &scenarios {
-        let max_drift = s.report.max_abs_rel_error();
-        assert!(
-            max_drift <= DRIFT_TOLERANCE,
-            "{}: drift {:.2}% breaches the {:.0}% band\n{}",
-            s.name,
-            max_drift * 100.0,
-            DRIFT_TOLERANCE * 100.0,
-            s.report.render()
-        );
+        let max_drift = drift_in_band(s.name, &s.report);
         t.row(vec![
             s.name.to_string(),
             format!("{}", s.iterations),
@@ -126,34 +111,16 @@ pub fn e25_with_gate(n: usize, np: usize, gate: &RegressionGate) -> Table {
             format!("{key}/abs_total_drift_pct"),
             s.report.total_rel_error().abs() * 100.0,
         );
-        if let Some(dir) = &obs_dir {
-            let _ = std::fs::create_dir_all(dir);
-            let path = std::path::Path::new(dir).join(format!("e25-{key}.drift.json"));
-            std::fs::write(&path, s.report.to_json())
-                .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
-        }
+        let name = format!("e25-{key}.drift.json");
+        write_artifact(obs_dir, &name, &s.report.to_json());
     }
 
-    let outcome = gate
-        .check_and_record(&record)
-        .unwrap_or_else(|e| panic!("E25 bench gate: {e}"));
+    let gated = gate_note(gate, record, None);
     t.note(format!(
         "drift = (measured - predicted)/predicted per category; band ±{:.0}%",
         DRIFT_TOLERANCE * 100.0
     ));
-    t.note(if outcome.compared {
-        format!(
-            "regression gate: PASS vs previous {} ({} series compared, tolerance {}%)",
-            outcome.baseline_path.display(),
-            outcome.series_compared,
-            gate.max_regression_pct
-        )
-    } else {
-        format!(
-            "regression gate: first run, baseline written to {}",
-            outcome.baseline_path.display()
-        )
-    });
+    t.note(gated);
     t.note("simulated quantities only: records are deterministic across hosts");
     t
 }
@@ -172,7 +139,7 @@ mod tests {
     #[test]
     fn e25_holds_the_band_on_both_layouts_and_gates() {
         let gate = scratch_gate("band");
-        let t = e25_with_gate(192, 4, &gate);
+        let t = e25_with_gate(192, 4, &gate, None);
         assert_eq!(t.rows.len(), 2);
         assert!(t.rows[0][0].contains("BLOCK,*"));
         assert!(t.rows[1][0].contains("*,BLOCK"));
@@ -184,7 +151,7 @@ mod tests {
         // Gate artifacts exist and a second identical run passes.
         assert!(gate.baseline_path(25).exists());
         assert!(gate.history_path().exists());
-        let t2 = e25_with_gate(192, 4, &gate);
+        let t2 = e25_with_gate(192, 4, &gate, None);
         assert!(t2.notes.iter().any(|n| n.contains("PASS")));
         let _ = std::fs::remove_dir_all(&gate.dir);
     }
@@ -192,14 +159,14 @@ mod tests {
     #[test]
     fn e25_gate_fails_typed_when_the_baseline_is_faster() {
         let gate = scratch_gate("regress");
-        e25_with_gate(128, 4, &gate);
+        e25_with_gate(128, 4, &gate, None);
         // Forge a "previous run" that was impossibly fast, so the real
         // run must trip the regression gate.
         let mut forged = BenchRecord::new(25, "e25-drift");
         forged.push("rowwise/solve_seconds", 1e-12);
         forged.push("colwise/solve_seconds", 1e-15);
         std::fs::write(gate.baseline_path(25), format!("{}\n", forged.to_json())).unwrap();
-        let result = std::panic::catch_unwind(|| e25_with_gate(128, 4, &gate));
+        let result = std::panic::catch_unwind(|| e25_with_gate(128, 4, &gate, None));
         let err = result.expect_err("gate must fail");
         let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
         assert!(msg.contains("bench regression gate failed"), "{msg}");

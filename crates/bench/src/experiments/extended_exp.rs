@@ -88,7 +88,7 @@ pub fn e17_transpose_asymmetry(n: usize, np: usize) -> Table {
     let row_op = RowwiseCsr::block(a.clone(), np, DataArrayLayout::RowAligned);
     let col_op = ColwiseCsc::block(csc.clone(), np);
 
-    let mk = || Machine::new(np, Topology::Hypercube, CostModel::mpp_1995());
+    let mk = || Machine::hypercube(np);
 
     let mut m = mk();
     let (_, s) = row_op.matvec(&mut m, &p);

@@ -6,12 +6,8 @@ use hpf_core::ext::{GatherSchedule, OnProcessor, PrivateRegion};
 use hpf_core::forall::{bernstein_check, csc_matvec_footprint, csr_matvec_footprint};
 use hpf_dist::atoms::{AtomAssignment, AtomSpec};
 use hpf_dist::ArrayDescriptor;
-use hpf_machine::{CostModel, Machine, Topology};
+use hpf_machine::Machine;
 use hpf_sparse::{gen, CscMatrix};
-
-fn machine(np: usize) -> Machine {
-    Machine::new(np, Topology::Hypercube, CostModel::mpp_1995())
-}
 
 /// E6 — Figure 5 / Section 5.1: the `PRIVATE q(n) WITH MERGE(+)` region
 /// parallelises the CSC loop. Sweep NP: loop-phase speedup vs the serial
@@ -34,11 +30,11 @@ pub fn e06_private_merge(n: usize, nnz_per_row: usize) -> Table {
     let x = vec![1.0; n];
     for np in [2usize, 4, 8, 16] {
         // Serial baseline: the dependent loop.
-        let mut ms = machine(np);
+        let mut ms = Machine::hypercube(np);
         ms.compute_serial(2 * csc.nnz(), "serial-csc");
         let serial = ms.elapsed();
 
-        let mut mp = machine(np);
+        let mut mp = Machine::hypercube(np);
         let (_, stats) =
             PrivateRegion::csc_matvec(&mut mp, csc.col_ptr(), csc.row_idx(), csc.values(), &x);
         t.row(vec![
@@ -163,7 +159,7 @@ pub fn e08_inspector(n: usize, iters: usize) -> Table {
     let wants: Vec<Vec<usize>> = (0..np)
         .map(|p| (0..n).filter(|&g| (g * 7 + p) % 3 == 0).collect())
         .collect();
-    let mut m = machine(np);
+    let mut m = Machine::hypercube(np);
     let mut sched = GatherSchedule::build(&mut m, &desc, wants);
     let setup = sched.inspector_time;
     let data = vec![1.0; n];

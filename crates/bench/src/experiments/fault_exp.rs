@@ -9,13 +9,9 @@
 
 use crate::table::Table;
 use hpf_core::{DataArrayLayout, RowwiseCsr};
-use hpf_machine::{CostModel, FaultPlan, FaultRates, Machine, Topology};
+use hpf_machine::{FaultPlan, FaultRates, Machine};
 use hpf_solvers::{cg_distributed, cg_distributed_protected, RecoveryConfig, StopCriterion};
 use hpf_sparse::gen;
-
-fn machine(np: usize) -> Machine {
-    Machine::new(np, Topology::Hypercube, CostModel::mpp_1995())
-}
 
 /// E23 — fault sweep: recovery rate of protected vs plain CG across
 /// transient-fault intensities, plus the faults-off checkpoint overhead.
@@ -41,10 +37,10 @@ pub fn e23_fault_sweep(n: usize, np: usize, trials: usize) -> Table {
 
     // Faults-off premium: identical workload, with and without the
     // checkpoint/verify machinery.
-    let mut m = machine(np);
+    let mut m = Machine::hypercube(np);
     let (_, plain_stats) = cg_distributed(&mut m, &op, &b, stop, max_iters).expect("SPD");
     let t_plain = m.elapsed();
-    let mut m = machine(np);
+    let mut m = Machine::hypercube(np);
     let (_, prot_stats, _) =
         cg_distributed_protected(&mut m, &op, &b, stop, max_iters, RecoveryConfig::default())
             .expect("SPD");
@@ -71,7 +67,7 @@ pub fn e23_fault_sweep(n: usize, np: usize, trials: usize) -> Table {
                 max_rollbacks: 4 * plan.len().max(4),
             };
 
-            let mut m = machine(np);
+            let mut m = Machine::hypercube(np);
             m.set_fault_plan(plan.clone());
             if let Ok((_, stats, rec)) =
                 cg_distributed_protected(&mut m, &op, &b, stop, max_iters, config)
@@ -84,7 +80,7 @@ pub fn e23_fault_sweep(n: usize, np: usize, trials: usize) -> Table {
             }
             injected += m.faults_injected();
 
-            let mut m = machine(np);
+            let mut m = Machine::hypercube(np);
             m.set_fault_plan(plan);
             if let Ok((_, stats)) = cg_distributed(&mut m, &op, &b, stop, max_iters) {
                 if stats.converged {

@@ -1,0 +1,248 @@
+//! What the gated experiments E25–E30 share: the drift band, the regression gate's verdict
+//! and note, the artifact writer, and — for the three that drive a live
+//! service (E27, E29, E30) — the soak structures, the chunked closed
+//! loop, the tap-cost trial and the traced clean solve their artifacts
+//! carry.
+
+use hpf_core::{DataArrayLayout, RowwiseCsr};
+use hpf_machine::Machine;
+use hpf_obs::{BenchRecord, DriftReport, RegressionGate};
+use hpf_service::{JobHandle, ServiceConfig, SolveRequest, SolverService};
+use hpf_solvers::{cg_distributed, StopCriterion};
+use hpf_sparse::{gen, CsrMatrix};
+use std::path::Path;
+use std::sync::Arc;
+use std::time::Instant;
+
+/// Drift tolerance band: every cost category of a clean run must stay
+/// within ±10% of the analytic prediction (DESIGN.md §8).
+pub(crate) const DRIFT_TOLERANCE: f64 = 0.10;
+
+/// `report`'s largest |drift|, asserted inside [`DRIFT_TOLERANCE`];
+/// `what` names the run in the failure.
+pub(crate) fn drift_in_band(what: &str, report: &DriftReport) -> f64 {
+    let max_drift = report.max_abs_rel_error();
+    assert!(
+        max_drift <= DRIFT_TOLERANCE,
+        "{what}: drift {:.2}% breaches the {:.0}% band\n{}",
+        max_drift * 100.0,
+        DRIFT_TOLERANCE * 100.0,
+        report.render()
+    );
+    max_drift
+}
+
+/// Judge `record` against `gate`'s baseline, add `unjudged` (a series a
+/// percentage cannot judge: the difference of two wall times, near zero
+/// and as large as its own noise), persist the record, and return the
+/// table's gate note. A regression panics with `E<n> bench gate: …`
+/// before anything is written.
+pub(crate) fn gate_note(
+    gate: &RegressionGate,
+    mut record: BenchRecord,
+    unjudged: Option<(&str, f64)>,
+) -> String {
+    let bench = record.bench;
+    let outcome = gate
+        .check(&record)
+        .unwrap_or_else(|e| panic!("E{bench} bench gate: {e}"));
+    if let Some((name, value)) = unjudged {
+        record.push(name, value);
+    }
+    gate.record(&record)
+        .unwrap_or_else(|e| panic!("E{bench} bench gate: {e}"));
+    let path = outcome.baseline_path.display();
+    if outcome.compared {
+        format!(
+            "regression gate: PASS vs previous {path} ({} series compared, tolerance {}%)",
+            outcome.series_compared, gate.max_regression_pct
+        )
+    } else {
+        format!("regression gate: first run, baseline written to {path}")
+    }
+}
+
+/// Write `content` to `dir/name`, making `dir` first; without a
+/// directory, write nothing.
+pub(crate) fn write_artifact(dir: Option<&Path>, name: &str, content: &str) {
+    let Some(dir) = dir else { return };
+    let _ = std::fs::create_dir_all(dir);
+    let path = dir.join(name);
+    std::fs::write(&path, content)
+        .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
+}
+
+/// A request to solve `a` against `rhs_for_known_solution(a).0`: the
+/// known solution `x_true`, not its `b`. It is a right-hand side like
+/// any other, and the soak workloads and their committed baselines were
+/// recorded with it. A soak submits clones of it (trace id 0: the
+/// service assigns one per job).
+pub(crate) fn soak_request(a: CsrMatrix) -> SolveRequest {
+    let x_true = gen::rhs_for_known_solution(&a).0;
+    SolveRequest::new(Arc::new(a), x_true)
+}
+
+/// The three soak structures' requests, one per matrix family the repo
+/// models (a banded, a power-law and a 2-D Poisson system), sized by
+/// each soak.
+pub(crate) fn soak_structures(banded: usize, power_law: usize, grid: usize) -> [SolveRequest; 3] {
+    [
+        soak_request(gen::banded_spd(banded, 2, 27)),
+        soak_request(gen::power_law_spd(power_law, 10, 0.9, 27)),
+        soak_request(gen::poisson_2d(grid, grid)),
+    ]
+}
+
+/// A closed loop: `requests` jobs, `submit(i)` for job `i`, `chunk` at
+/// a time, each chunk's handles handed to `answer` before the next chunk
+/// is submitted. Returns the loop's wall seconds.
+pub(crate) fn closed_loop(
+    requests: usize,
+    chunk: usize,
+    mut submit: impl FnMut(usize) -> JobHandle,
+    mut answer: impl FnMut(Vec<JobHandle>),
+) -> f64 {
+    let started = Instant::now();
+    let mut done = 0;
+    while done < requests {
+        let n = (requests - done).min(chunk);
+        answer((done..done + n).map(&mut submit).collect());
+        done += n;
+    }
+    started.elapsed().as_secs_f64()
+}
+
+/// The closed loop a tap trial times: a fresh service on `cfg`, 16 jobs
+/// in flight, `request(i)` for job `i`. Returns the loop's wall seconds.
+pub(crate) fn timed_loop(
+    cfg: ServiceConfig,
+    requests: usize,
+    request: impl Fn(usize) -> SolveRequest,
+    answer: impl FnMut(Vec<JobHandle>),
+) -> f64 {
+    let service = SolverService::start(cfg);
+    let submit = |i| {
+        service
+            .submit(request(i))
+            .expect("closed loop fits the queue")
+    };
+    let wall = closed_loop(requests, 16, submit, answer);
+    service.shutdown();
+    wall
+}
+
+/// What a tap (E29's event bus, E30's flight recorder) costs a closed-loop
+/// workload, from the best wall time of alternating reps with the tap
+/// off and on, stated with both denominators: wall time per request on
+/// either side, and the difference spread over the events the tap
+/// handled. The on/off ratio is printed and recorded, not judged: since
+/// the tap-off side stopped building events, its wall time fell and the
+/// tap's whole marginal cost shows in the ratio.
+pub(crate) struct TapCost {
+    pub full_scale: bool,
+    pub best_off_s: f64,
+    pub best_on_s: f64,
+    pub events: u64,
+    pub on_us_per_request: f64,
+    pub off_us_per_request: f64,
+    pub ns_per_event: f64,
+    pub ratio: f64,
+}
+
+impl TapCost {
+    /// Alternate `run(false)` (tap off) and `run(true)` (tap on), each
+    /// returning a run's wall seconds over `requests` and the events the
+    /// tap handled; keep each side's best and the most events. Reps a
+    /// side: nine at full scale, because the rules judge a difference of
+    /// two minima, which needs each side to have met the host at its
+    /// fastest, and on a shared host single reps of unchanged code
+    /// spread ±10%; three at smoke scale.
+    pub fn measure(
+        full_scale: bool,
+        requests: usize,
+        mut run: impl FnMut(bool) -> (f64, u64),
+    ) -> TapCost {
+        let (mut best_off_s, mut best_on_s, mut events) = (f64::INFINITY, f64::INFINITY, 0);
+        for _ in 0..if full_scale { 9 } else { 3 } {
+            best_off_s = best_off_s.min(run(false).0);
+            let (on_s, handled) = run(true);
+            best_on_s = best_on_s.min(on_s);
+            events = events.max(handled);
+        }
+        TapCost {
+            full_scale,
+            best_off_s,
+            best_on_s,
+            events,
+            on_us_per_request: 1e6 * best_on_s / requests as f64,
+            off_us_per_request: 1e6 * best_off_s / requests as f64,
+            ns_per_event: 1e9 * (best_on_s - best_off_s) / events.max(1) as f64,
+            ratio: best_on_s / best_off_s.max(1e-9),
+        }
+    }
+
+    pub fn overhead_pct(&self) -> f64 {
+        100.0 * (self.ratio - 1.0)
+    }
+
+    /// The full-scale rules (a smoke run only reports them): tap-on time
+    /// per request no worse than the committed baseline's `on_series`
+    /// (beyond the 25% that best-of-9 wall times spread on a shared
+    /// host), and at most `budget_ns` per event.
+    pub fn assert_within(
+        &self,
+        what: &str,
+        gate: &RegressionGate,
+        bench: u32,
+        on_series: &str,
+        budget_ns: f64,
+    ) {
+        if !self.full_scale {
+            return;
+        }
+        let committed = gate
+            .baseline(bench)
+            .unwrap_or_else(|e| panic!("E{bench} baseline: {e}"))
+            .and_then(|b| b.get(on_series));
+        if let Some(committed) = committed {
+            assert!(
+                self.on_us_per_request <= committed * 1.25,
+                "{what}-on time per request {:.0} us is worse than the committed \
+                 baseline's {committed:.0} us",
+                self.on_us_per_request
+            );
+        }
+        assert!(
+            self.ns_per_event <= budget_ns,
+            "the {what} costs {:.0} ns per event, over the {budget_ns} ns budget \
+             (off {:.3}s, on {:.3}s, {} events)",
+            self.ns_per_event,
+            self.best_off_s,
+            self.best_on_s,
+            self.events
+        );
+    }
+
+    /// `series` at [`TapCost::ns_per_event`], recorded at full scale
+    /// only and judged by its budget, not as a percentage of its last
+    /// value.
+    pub fn per_event(&self, series: &'static str) -> Option<(&'static str, f64)> {
+        self.full_scale.then_some((series, self.ns_per_event))
+    }
+}
+
+/// A traced clean CG solve of the `grid`×`grid` Poisson system on four
+/// processors against its `x_true` (as the soaks send it): the machine
+/// whose trace E29 writes for the flame export and E30 for `explain` to
+/// refuse.
+pub(crate) fn traced_clean_solve(grid: usize) -> Machine {
+    let a = gen::poisson_2d(grid, grid);
+    let x_true = gen::rhs_for_known_solution(&a).0;
+    let op = RowwiseCsr::block(a, 4, DataArrayLayout::RowAligned);
+    let mut m = Machine::hypercube(4);
+    m.set_tracing(true);
+    let stop = StopCriterion::RelativeResidual(1e-8);
+    let (_, stats) = cg_distributed(&mut m, &op, &x_true, stop, 500).expect("traced clean solve");
+    assert!(stats.converged);
+    m
+}

@@ -3,12 +3,8 @@
 use crate::table::{ratio, us, Table};
 use hpf_core::{ColwiseCsc, DataArrayLayout, DistVector, RowwiseCsr};
 use hpf_dist::ArrayDescriptor;
-use hpf_machine::{CostModel, Machine, Topology};
+use hpf_machine::Machine;
 use hpf_sparse::{gen, CscMatrix};
-
-fn machine(np: usize) -> Machine {
-    Machine::new(np, Topology::Hypercube, CostModel::mpp_1995())
-}
 
 /// E4 — Figure 3 / Scenario 1: row-wise `(BLOCK,*)` CSR matvec. The
 /// all-to-all broadcast costs `t_s·log NP + t_c·(NP-1)·n/NP`; with the
@@ -37,7 +33,7 @@ pub fn e04_scenario1(n: usize, nnz_per_row: usize) -> Table {
         ] {
             let op = RowwiseCsr::block(a.clone(), np, layout);
             let p = DistVector::constant(ArrayDescriptor::block(n, np), 1.0);
-            let mut m = machine(np);
+            let mut m = Machine::hypercube(np);
             let (_, stats) = op.matvec(&mut m, &p);
             t.row(vec![
                 np.to_string(),
@@ -81,14 +77,14 @@ pub fn e05_scenario2(n: usize, nnz_per_row: usize) -> Table {
         let p = DistVector::constant(ArrayDescriptor::block(n, np), 1.0);
 
         // Scenario 1 comm reference.
-        let mut m1 = machine(np);
+        let mut m1 = Machine::hypercube(np);
         let op1 = RowwiseCsr::block(a.clone(), np, DataArrayLayout::RowAligned);
         op1.matvec(&mut m1, &p);
         let s1_comm = m1.trace().comm_time();
 
         let op = ColwiseCsc::block(csc.clone(), np);
         for variant in ["serial", "temp2d"] {
-            let mut m = machine(np);
+            let mut m = Machine::hypercube(np);
             let (_, stats) = match variant {
                 "serial" => op.matvec_serial(&mut m, &p),
                 _ => op.matvec_temp2d(&mut m, &p),

@@ -17,23 +17,22 @@
 //! schedule — is reported per point.
 //!
 //! The run is recorded through the [`RegressionGate`] into
-//! `BENCH_28.json` + `bench-history.jsonl`. Artifacts: set
-//! `HPF_BENCH_DIR` to redirect the bench records and `HPF_OBS_DIR` to
-//! dump one drift-report JSON per sweep point. `HPF_E28_SMOKE=1`
-//! restricts the sweep to the 2-D family at NP = 4 (a strict subset of
-//! the full grid, so the smoke record still diffs cleanly against a
-//! committed full baseline).
+//! `BENCH_28.json` + `bench-history.jsonl`. Artifacts: the caller passes
+//! the gate and, if any, the directory that receives one drift-report
+//! JSON per sweep point. A smoke run restricts the sweep to the 2-D
+//! family at NP = 4 (a strict subset of the full grid, so the smoke
+//! record still diffs cleanly against a committed full baseline).
+//! `report` reads all three from the environment (`HPF_BENCH_DIR`,
+//! `HPF_OBS_DIR`, `HPF_E28_SMOKE=1`; see [`super::Knobs`]).
 
+use super::harness::{drift_in_band, gate_note, write_artifact, DRIFT_TOLERANCE};
 use crate::table::Table;
-use hpf_machine::{CostModel, Machine, Topology};
+use hpf_machine::{Machine, Topology};
 use hpf_mg::{pcg_mg_distributed, GridDims, MgHierarchy, MgPreconditioner};
 use hpf_obs::{BenchRecord, DriftReport, RegressionGate};
 use hpf_solvers::{pcg_jacobi_distributed, StopCriterion};
 use hpf_sparse::gen;
-
-/// Drift tolerance band shared with E25 (DESIGN.md §8): every cost
-/// category must stay within ±10% of the analytic prediction.
-const DRIFT_TOLERANCE: f64 = 0.10;
+use std::path::Path;
 
 /// One sweep point: a matrix family at one machine size, solved at
 /// each listed hierarchy depth.
@@ -68,16 +67,10 @@ fn sweep(smoke: bool) -> Vec<SweepPoint> {
     points
 }
 
-/// E28 — MG-PCG sweep, gated against the previous run's
-/// `BENCH_28.json`. Reads `HPF_E28_SMOKE` and `HPF_BENCH_DIR`.
-pub fn e28_hpcg() -> Table {
-    let dir = std::env::var("HPF_BENCH_DIR").unwrap_or_else(|_| ".".to_string());
-    let smoke = std::env::var("HPF_E28_SMOKE").is_ok_and(|v| v == "1");
-    e28_with_gate(smoke, &RegressionGate::new(dir).with_tolerance(10.0))
-}
-
-/// E28 with an explicit gate (tests point this at a scratch directory).
-pub fn e28_with_gate(smoke: bool, gate: &RegressionGate) -> Table {
+/// E28 — MG-PCG sweep, gated against the previous run's `BENCH_28.json`
+/// in `gate`'s directory; each sweep point's drift report lands in
+/// `obs_dir` when one is given.
+pub fn e28_with_gate(smoke: bool, gate: &RegressionGate, obs_dir: Option<&Path>) -> Table {
     let mut t = Table::new(
         "E28",
         format!(
@@ -99,7 +92,6 @@ pub fn e28_with_gate(smoke: bool, gate: &RegressionGate) -> Table {
 
     let stop = StopCriterion::RelativeResidual(1e-8);
     let mut record = BenchRecord::new(28, "e28-hpcg");
-    let obs_dir = std::env::var("HPF_OBS_DIR").ok();
 
     for p in sweep(smoke) {
         let n = p.dims.n();
@@ -110,7 +102,7 @@ pub fn e28_with_gate(smoke: bool, gate: &RegressionGate) -> Table {
         let ref_h = MgHierarchy::build(p.dims, 2, p.np)
             .unwrap_or_else(|e| panic!("{}/np{}: {e}", p.family, p.np));
         let ref_op = ref_h.fine_operator();
-        let mut m_j = Machine::new(p.np, Topology::Hypercube, CostModel::mpp_1995());
+        let mut m_j = Machine::hypercube(p.np);
         let (_, s_j) = pcg_jacobi_distributed(&mut m_j, &ref_op, &b, stop, 50 * n)
             .expect("Jacobi-PCG on Poisson must converge");
         assert!(
@@ -128,7 +120,7 @@ pub fn e28_with_gate(smoke: bool, gate: &RegressionGate) -> Table {
             let h =
                 MgHierarchy::build(p.dims, levels, p.np).unwrap_or_else(|e| panic!("{key}: {e}"));
             let pre = MgPreconditioner::new(h);
-            let mut m = Machine::new(p.np, Topology::Hypercube, CostModel::mpp_1995());
+            let mut m = Machine::hypercube(p.np);
             m.set_tracing(true);
             let (_, s) =
                 pcg_mg_distributed(&mut m, &pre, &b, stop, 50 * n).expect("MG-PCG must converge");
@@ -137,14 +129,7 @@ pub fn e28_with_gate(smoke: bool, gate: &RegressionGate) -> Table {
             // The oracle reprices the whole traced schedule; the mg
             // categories must be present and every category in band.
             let report = DriftReport::from_trace(m.trace(), Topology::Hypercube, m.cost_model());
-            let max_drift = report.max_abs_rel_error();
-            assert!(
-                max_drift <= DRIFT_TOLERANCE,
-                "{key}: drift {:.2}% breaches the {:.0}% band\n{}",
-                max_drift * 100.0,
-                DRIFT_TOLERANCE * 100.0,
-                report.render()
-            );
+            let max_drift = drift_in_band(&key, &report);
             for cat in ["mg-smooth", "mg-transfer"] {
                 let line = report
                     .categories
@@ -185,38 +170,19 @@ pub fn e28_with_gate(smoke: bool, gate: &RegressionGate) -> Table {
             record.push(format!("{key}/iters"), s.iterations as f64);
             record.push(format!("{key}/solve_seconds"), m.elapsed());
             record.push(format!("{key}/max_drift_pct"), max_drift * 100.0);
-            if let Some(dir) = &obs_dir {
-                let _ = std::fs::create_dir_all(dir);
-                let path = std::path::Path::new(dir)
-                    .join(format!("e28-{}-np{}-L{levels}.drift.json", p.family, p.np));
-                std::fs::write(&path, report.to_json())
-                    .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
-            }
+            let name = format!("e28-{}-np{}-L{levels}.drift.json", p.family, p.np);
+            write_artifact(obs_dir, &name, &report.to_json());
         }
     }
 
-    let outcome = gate
-        .check_and_record(&record)
-        .unwrap_or_else(|e| panic!("E28 bench gate: {e}"));
+    let gated = gate_note(gate, record, None);
     t.note(format!(
         "drift = (measured - predicted)/predicted per oracle category (incl. \
          mg-smooth / mg-transfer); band ±{:.0}%",
         DRIFT_TOLERANCE * 100.0
     ));
     t.note("figure of merit = recorded flops / simulated schedule seconds (HPCG-style)");
-    t.note(if outcome.compared {
-        format!(
-            "regression gate: PASS vs previous {} ({} series compared, tolerance {}%)",
-            outcome.baseline_path.display(),
-            outcome.series_compared,
-            gate.max_regression_pct
-        )
-    } else {
-        format!(
-            "regression gate: first run, baseline written to {}",
-            outcome.baseline_path.display()
-        )
-    });
+    t.note(gated);
     t
 }
 
@@ -233,7 +199,7 @@ mod tests {
     #[test]
     fn e28_smoke_asserts_the_5x_cut_and_gates() {
         let gate = scratch_gate("smoke");
-        let t = e28_with_gate(true, &gate);
+        let t = e28_with_gate(true, &gate, None);
         // 1 point x 2 depths.
         assert_eq!(t.rows.len(), 2);
         for row in &t.rows {
@@ -245,7 +211,7 @@ mod tests {
         }
         assert!(gate.baseline_path(28).exists());
         // A second identical run compares against the baseline cleanly.
-        let t2 = e28_with_gate(true, &gate);
+        let t2 = e28_with_gate(true, &gate, None);
         assert!(t2.notes.iter().any(|n| n.contains("PASS")));
         let _ = std::fs::remove_dir_all(&gate.dir);
     }

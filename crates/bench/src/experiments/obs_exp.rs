@@ -13,17 +13,11 @@
 
 use crate::table::Table;
 use hpf_core::{DataArrayLayout, RowwiseCsr};
-use hpf_machine::{CostModel, Machine, Topology};
+use hpf_machine::Machine;
 use hpf_obs::{critical_path, telemetry, RecordingObserver, Timeline};
 use hpf_solvers::{cg_distributed, solve, Krylov, StopCriterion};
 use hpf_sparse::gen;
 use std::time::Instant;
-
-fn machine(np: usize, tracing: bool) -> Machine {
-    let mut m = Machine::new(np, Topology::Hypercube, CostModel::mpp_1995());
-    m.set_tracing(tracing);
-    m
-}
 
 /// E24 — observability overhead: wall-clock cost of leave-on telemetry
 /// (event trace + spans + per-iteration observer) on a CG solve of `n`
@@ -48,7 +42,7 @@ pub fn e24_observability_overhead(n: usize, np: usize, reps: usize) -> Table {
     // Bare: tracing off, no observer — the zero-overhead baseline.
     let mut bare = f64::INFINITY;
     for _ in 0..reps {
-        let mut m = machine(np, false);
+        let mut m = Machine::hypercube(np);
         let t0 = Instant::now();
         let (_, s) = cg_distributed(&mut m, &op, &b, stop, max_iters).expect("SPD");
         bare = bare.min(t0.elapsed().as_secs_f64());
@@ -63,7 +57,8 @@ pub fn e24_observability_overhead(n: usize, np: usize, reps: usize) -> Table {
     let mut events = 0usize;
     let mut samples = 0usize;
     for _ in 0..reps {
-        let mut m = machine(np, true);
+        let mut m = Machine::hypercube(np);
+        m.set_tracing(true);
         let mut log = RecordingObserver::new();
         let t0 = Instant::now();
         let s = solve(&mut m, &op, &b, Krylov::cg(), stop, max_iters, &mut log)

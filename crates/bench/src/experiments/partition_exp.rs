@@ -15,10 +15,13 @@
 //! asserts the policy fires and the measured busy-time imbalance drops.
 //!
 //! The run is recorded through the [`RegressionGate`] into
-//! `BENCH_26.json` + `bench-history.jsonl`. Artifacts: set
-//! `HPF_BENCH_DIR` to redirect the bench records and `HPF_OBS_DIR` to
-//! also dump one `PartitionAssessment` JSON per sweep point.
+//! `BENCH_26.json` + `bench-history.jsonl`. Artifacts: the caller passes
+//! the gate and, if any, the directory that receives one
+//! `PartitionAssessment` JSON per sweep point. `report` reads both from
+//! the environment (`HPF_BENCH_DIR`, `HPF_OBS_DIR`; see
+//! [`super::Knobs`]).
 
+use super::harness::{gate_note, write_artifact};
 use crate::table::Table;
 use hpf_dist::{AtomAssignment, AtomSpec};
 use hpf_machine::{CostModel, Machine, Topology};
@@ -29,6 +32,7 @@ use hpf_partition::{
 };
 use hpf_solvers::RecordingObserver;
 use hpf_sparse::{gen, CsrMatrix};
+use std::path::Path;
 
 /// Matrix families the sweep covers, sized from `n`.
 fn families(n: usize) -> Vec<(&'static str, CsrMatrix)> {
@@ -45,14 +49,9 @@ fn families(n: usize) -> Vec<(&'static str, CsrMatrix)> {
 }
 
 /// E26 — partitioner sweep + auto-repartition, gated against the
-/// previous run's `BENCH_26.json`.
-pub fn e26_partitioners(n: usize) -> Table {
-    let dir = std::env::var("HPF_BENCH_DIR").unwrap_or_else(|_| ".".to_string());
-    e26_with_gate(n, &RegressionGate::new(dir).with_tolerance(10.0))
-}
-
-/// E26 with an explicit gate (tests point this at a scratch directory).
-pub fn e26_with_gate(n: usize, gate: &RegressionGate) -> Table {
+/// previous run's `BENCH_26.json` in `gate`'s directory; each sweep
+/// point's assessment lands in `obs_dir` when one is given.
+pub fn e26_with_gate(n: usize, gate: &RegressionGate, obs_dir: Option<&Path>) -> Table {
     let mut t = Table::new(
         "E26",
         format!("REDISTRIBUTE USING sweep: n = {n}, hypercube, mpp-1995"),
@@ -68,7 +67,6 @@ pub fn e26_with_gate(n: usize, gate: &RegressionGate) -> Table {
     );
 
     let cost = CostModel::mpp_1995();
-    let obs_dir = std::env::var("HPF_OBS_DIR").ok();
     let mut record = BenchRecord::new(26, "e26-partition");
 
     for (family, a) in families(n) {
@@ -91,13 +89,8 @@ pub fn e26_with_gate(n: usize, gate: &RegressionGate) -> Table {
                     format!("{family}/np{np}/{}/volume_words", s.partitioner),
                     s.comm_volume_words as f64,
                 );
-                if let Some(dir) = &obs_dir {
-                    let _ = std::fs::create_dir_all(dir);
-                    let path = std::path::Path::new(dir)
-                        .join(format!("e26-{family}-np{np}-{}.json", s.partitioner));
-                    std::fs::write(&path, s.to_json())
-                        .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
-                }
+                let name = format!("e26-{family}-np{np}-{}.json", s.partitioner);
+                write_artifact(obs_dir, &name, &s.to_json());
                 sweep.push(s);
             }
             // Headline claim: on power-law structure at scale, the
@@ -133,7 +126,7 @@ pub fn e26_with_gate(n: usize, gate: &RegressionGate) -> Table {
     let b: Vec<f64> = (0..rows).map(|i| 1.0 + (i % 7) as f64).collect();
     let spec = AtomSpec::from_pointer_array(a.row_ptr());
     let initial = AtomAssignment::atom_block(&spec, 4);
-    let mut m = Machine::new(4, Topology::Hypercube, CostModel::mpp_1995());
+    let mut m = Machine::hypercube(4);
     let mut obs = RecordingObserver::new();
     let out = cg_auto_repartition(
         &mut m,
@@ -165,26 +158,12 @@ pub fn e26_with_gate(n: usize, gate: &RegressionGate) -> Table {
     record.push("auto/words_moved", ev.words_moved as f64);
     record.push("auto/solve_seconds", m.elapsed());
 
-    let outcome = gate
-        .check_and_record(&record)
-        .unwrap_or_else(|e| panic!("E26 bench gate: {e}"));
+    let gated = gate_note(gate, record, None);
     t.note(format!(
         "auto-repartition: fired at iter {}, imbalance {:.3} -> {:.3}, {} words moved ({})",
         ev.at_iteration, ev.imbalance_before, ev.imbalance_after, ev.words_moved, ev.partitioner
     ));
-    t.note(if outcome.compared {
-        format!(
-            "regression gate: PASS vs previous {} ({} series compared, tolerance {}%)",
-            outcome.baseline_path.display(),
-            outcome.series_compared,
-            gate.max_regression_pct
-        )
-    } else {
-        format!(
-            "regression gate: first run, baseline written to {}",
-            outcome.baseline_path.display()
-        )
-    });
+    t.note(gated);
     t.note("volume = column-net Σ_j (λ_j − 1) words per matvec; priced by the oracle");
     t
 }
@@ -202,7 +181,7 @@ mod tests {
     #[test]
     fn e26_sweeps_every_partitioner_and_gates() {
         let gate = scratch_gate("sweep");
-        let t = e26_with_gate(256, &gate);
+        let t = e26_with_gate(256, &gate, None);
         // 2 families x 2 machine sizes x 4 partitioners.
         assert_eq!(t.rows.len(), 16);
         for name in hpf_partition::partitioner_names() {
@@ -211,7 +190,7 @@ mod tests {
         assert!(t.notes.iter().any(|n| n.contains("auto-repartition")));
         assert!(gate.baseline_path(26).exists());
         // A second identical run compares against the baseline cleanly.
-        let t2 = e26_with_gate(256, &gate);
+        let t2 = e26_with_gate(256, &gate, None);
         assert!(t2.notes.iter().any(|n| n.contains("PASS")));
         let _ = std::fs::remove_dir_all(&gate.dir);
     }
@@ -221,9 +200,7 @@ mod tests {
         let gate = scratch_gate("artifacts");
         let obs = std::env::temp_dir().join(format!("hpf-e26-obs-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&obs);
-        std::env::set_var("HPF_OBS_DIR", &obs);
-        e26_with_gate(192, &gate);
-        std::env::remove_var("HPF_OBS_DIR");
+        e26_with_gate(192, &gate, Some(&obs));
         let files: Vec<_> = std::fs::read_dir(&obs)
             .expect("obs dir exists")
             .filter_map(|e| e.ok())

@@ -15,13 +15,10 @@
 //!    exceed the committed baseline's), the difference spread over the
 //!    machine events kept (`rca/recorder_ns_per_event`, budget
 //!    [`RECORDER_NS_PER_EVENT_BUDGET`]; the count is each job's, added
-//!    at hand-over), and the on/off ratio. The ratio
-//!    is printed and recorded but no longer the rule: since the worker
-//!    stopped keeping a full trace, the recorder-off side builds no
-//!    events at all, so the ratio's denominator fell and the recorder's
-//!    whole marginal cost shows in it. A clean job's evidence is lent
-//!    and not copied, so the steady-state cost is the tail writes, not
-//!    the dumps.
+//!    at hand-over), and the on/off ratio, printed and recorded only
+//!    (the harness's `TapCost` says why). A clean job's evidence is lent and
+//!    not copied, so the steady-state cost is the tail writes, not the
+//!    dumps.
 //! 2. **Attribution** — a seeded chaos sweep (stall / crash / bit-flip
 //!    storm fault plans, retries disabled so every injected fault
 //!    surfaces as a terminal outcome) ends with the top-ranked
@@ -35,47 +32,31 @@
 //! `e30_postmortems.json` (the `/postmortems` index), `e30_postmortem.json`
 //! (one full dump — `trace-report --format postmortem|explain` consumes
 //! it), and `e30_trace.jsonl` (a clean machine trace the explain mode
-//! must *refuse*, pinning the CLI's nonzero exit on non-dumps). Set
-//! `HPF_E30_REQUESTS` to resize the run; below 300 requests the
+//! must *refuse*, pinning the CLI's nonzero exit on non-dumps).
+//! `report` and `--example rca` size the run from `HPF_E30_REQUESTS`
+//! (see [`super::Knobs`]); below 300 requests the
 //! wall-clock-noise-sensitive cost rules are reported but not asserted,
 //! the per-event series is not recorded, and the chaos sweep shrinks to
 //! smoke scale.
 
-use crate::experiments::TapCost;
+use super::harness::{
+    gate_note, soak_request, soak_structures, timed_loop, traced_clean_solve, write_artifact,
+    TapCost,
+};
 use crate::table::Table;
-use hpf_core::{DataArrayLayout, RowwiseCsr};
-use hpf_machine::{CostModel, FaultPlan, Machine, Topology};
+use hpf_machine::FaultPlan;
 use hpf_obs::{BenchRecord, FlightRecorder, FlightRecorderConfig, RegressionGate, Trigger};
-use hpf_service::{splitmix64, JobHandle, ServiceConfig, SolveRequest, SolverService};
-use hpf_solvers::{cg_distributed, RecoveryConfig, StopCriterion};
-use hpf_sparse::{gen, CsrMatrix};
+use hpf_service::{splitmix64, ServiceConfig, SolverService};
+use hpf_solvers::RecoveryConfig;
+use hpf_sparse::gen;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// What one machine event kept may cost the request that carries it, in
 /// nanoseconds of wall time (full scale): (on − off) / events kept. The
 /// trial resolves this to about ±60 ns (5% of a 0.35 s run over 280k
 /// events), so the budget is a ceiling, not a target.
 pub const RECORDER_NS_PER_EVENT_BUDGET: f64 = 150.0;
-
-/// Run size: `HPF_E30_REQUESTS` if set, else 600 (the closed-loop
-/// request count per overhead rep; also selects the full-scale chaos
-/// sweep at >= 300).
-pub fn default_requests() -> usize {
-    std::env::var("HPF_E30_REQUESTS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(600)
-}
-
-/// E30 — flight recorder + RCA, gated against the previous
-/// `BENCH_30.json`. Tolerance is generous: the overhead series is a
-/// wall-clock ratio measured on whatever hardware CI hands us, and the
-/// chaos sweep's latency-shaped series ride on supervisor timing.
-pub fn e30_rca(requests: usize) -> Table {
-    let dir = std::env::var("HPF_BENCH_DIR").unwrap_or_else(|_| ".".to_string());
-    e30_with_gate(requests, &RegressionGate::new(dir).with_tolerance(150.0))
-}
 
 /// The soak-shaped service config (E29's shape). `recorder` becomes its
 /// evidence hook through [`FlightRecorder::install`]. The hang timeout is
@@ -97,39 +78,9 @@ fn service_config(recorder: Option<&Arc<FlightRecorder>>) -> ServiceConfig {
     cfg
 }
 
-/// Clean closed-loop workload: `requests` mixed-structure solves, no
-/// fault plans, 16 in flight. Identical stream with or without the
-/// recorder, so the pair is a fair overhead comparison.
-fn timed_closed_loop(
-    requests: usize,
-    mats: &[Arc<CsrMatrix>; 3],
-    rhs: &[Vec<f64>],
-    recorder: Option<&Arc<FlightRecorder>>,
-) -> f64 {
-    let service = SolverService::start(service_config(recorder));
-    let started = Instant::now();
-    let mut done = 0usize;
-    while done < requests {
-        let chunk = (requests - done).min(16);
-        let handles: Vec<JobHandle> = (0..chunk)
-            .map(|j| {
-                let i = done + j;
-                let s = i % 3;
-                let req = SolveRequest::with_rhs_set(mats[s].clone(), vec![rhs[s].clone()]);
-                service.submit(req).expect("closed loop fits the queue")
-            })
-            .collect();
-        for h in handles {
-            h.wait().expect("clean workload must solve");
-        }
-        done += chunk;
-    }
-    let wall = started.elapsed().as_secs_f64();
-    service.shutdown();
-    wall
-}
-
-/// E30 with an explicit gate (tests point this at a scratch directory).
+/// E30 — flight recorder + RCA over `requests` closed-loop requests a
+/// rep, gated against the previous `BENCH_30.json` in `gate`'s
+/// directory, beside which the artifacts land.
 pub fn e30_with_gate(requests: usize, gate: &RegressionGate) -> Table {
     let mut t = Table::new(
         "E30",
@@ -138,40 +89,30 @@ pub fn e30_with_gate(requests: usize, gate: &RegressionGate) -> Table {
         ),
         &["stage", "value", "detail"],
     );
-    let artifact_dir = gate
-        .baseline_path(30)
-        .parent()
-        .expect("gate path has a directory")
-        .to_path_buf();
-    std::fs::create_dir_all(&artifact_dir).expect("artifact dir");
 
     // Soak-scale problems (E29's reasoning: tiny systems would
     // overstate any tap's fixed per-operation cost; the recorder's
     // ~45ns/event budget is judged against ops that carry a realistic
     // amount of local arithmetic).
-    let mats: [Arc<CsrMatrix>; 3] = [
-        Arc::new(gen::banded_spd(1024, 2, 27)),
-        Arc::new(gen::power_law_spd(1024, 10, 0.9, 27)),
-        Arc::new(gen::poisson_2d(40, 40)),
-    ];
-    let rhs: Vec<Vec<f64>> = mats
-        .iter()
-        .map(|a| gen::rhs_for_known_solution(a).0)
-        .collect();
+    let structures = soak_structures(1024, 1024, 40);
 
     // ------------------------------------------------------------------
     // Phase A — cost: best clean closed-loop wall clock of alternating
     // reps, recorder off vs recorder on (every worker keeping its tails
-    // and lending them at each job's end, nothing ever dumps).
+    // and lending them at each job's end, nothing ever dumps). The
+    // clean workload: mixed-structure solves, no fault plans; the
+    // identical stream with or without the recorder, so the pair is a
+    // fair overhead comparison.
     let full_scale = requests >= 300;
-    let mut best_off = f64::INFINITY;
-    let mut best_on = f64::INFINITY;
-    let mut clean_recorded = 0u64;
-    for _ in 0..TapCost::reps(full_scale) {
-        best_off = best_off.min(timed_closed_loop(requests, &mats, &rhs, None));
-        let fr = FlightRecorder::new(FlightRecorderConfig::default());
-        best_on = best_on.min(timed_closed_loop(requests, &mats, &rhs, Some(&fr)));
-        clean_recorded = clean_recorded.max(fr.machine_events());
+    let cost = TapCost::measure(full_scale, requests, |on| {
+        let fr = on.then(|| FlightRecorder::new(FlightRecorderConfig::default()));
+        let request = |i: usize| structures[i % 3].clone();
+        let wall = timed_loop(service_config(fr.as_ref()), requests, request, |handles| {
+            for h in handles {
+                h.wait().expect("clean workload must solve");
+            }
+        });
+        let Some(fr) = fr else { return (wall, 0) };
         assert_eq!(
             fr.dumps(),
             0,
@@ -182,24 +123,22 @@ pub fn e30_with_gate(requests: usize, gate: &RegressionGate) -> Table {
             0,
             "a clean job must leave nothing behind in the recorder"
         );
-    }
+        (wall, fr.machine_events())
+    });
     assert!(
-        clean_recorded > 0,
+        cost.events > 0,
         "the recorder-on side must actually record machine events"
     );
-    let cost = TapCost::new(best_off, best_on, requests, clean_recorded);
-    if full_scale {
-        cost.assert_within(
-            "recorder",
-            gate,
-            30,
-            "rca/recorder_on_us_per_request",
-            RECORDER_NS_PER_EVENT_BUDGET,
-        );
-    }
+    cost.assert_within(
+        "recorder",
+        gate,
+        30,
+        "rca/recorder_on_us_per_request",
+        RECORDER_NS_PER_EVENT_BUDGET,
+    );
     t.row(vec![
         "overhead-off".into(),
-        format!("{best_off:.3}s"),
+        format!("{:.3}s", cost.best_off_s),
         format!(
             "{requests} clean closed-loop solves, recorder off ({:.0} us/request)",
             cost.off_us_per_request
@@ -207,12 +146,13 @@ pub fn e30_with_gate(requests: usize, gate: &RegressionGate) -> Table {
     ]);
     t.row(vec![
         "overhead-on".into(),
-        format!("{best_on:.3}s"),
+        format!("{:.3}s", cost.best_on_s),
         format!(
             "same stream, every job's evidence kept: {:.0} us/request, {:+.0} ns per event \
-             over {clean_recorded} events kept (ratio {:+.2}%)",
+             over {} events kept (ratio {:+.2}%)",
             cost.on_us_per_request,
             cost.ns_per_event,
+            cost.events,
             cost.overhead_pct()
         ),
     ]);
@@ -231,8 +171,7 @@ pub fn e30_with_gate(requests: usize, gate: &RegressionGate) -> Table {
     cfg.max_attempts = 1;
     cfg.recovery = Some(RecoveryConfig { max_rollbacks: 0 });
     let service = SolverService::start(cfg);
-    let chaos_mat = Arc::new(gen::poisson_2d(24, 24));
-    let chaos_rhs = gen::rhs_for_known_solution(&chaos_mat).0;
+    let chaos = soak_request(gen::poisson_2d(24, 24));
 
     let per_kind = if requests >= 300 { 8 } else { 4 };
     let kinds = ["stall", "crash", "bitflip"];
@@ -259,9 +198,7 @@ pub fn e30_with_gate(requests: usize, gate: &RegressionGate) -> Table {
                 p
             }
         };
-        let req = SolveRequest::with_rhs_set(chaos_mat.clone(), vec![chaos_rhs.clone()])
-            .trace(trace)
-            .fault_plan(plan);
+        let req = chaos.clone().trace(trace).fault_plan(plan);
         let outcome = match service
             .submit(req)
             .expect("chaos job fits the queue")
@@ -276,10 +213,8 @@ pub fn e30_with_gate(requests: usize, gate: &RegressionGate) -> Table {
     // Clean control jobs through the same recorder: none may dump.
     let clean_traces: Vec<u64> = (0..6).map(|i| 0x00E4_0000u64 + i as u64 + 1).collect();
     for &trace in &clean_traces {
-        let req =
-            SolveRequest::with_rhs_set(chaos_mat.clone(), vec![chaos_rhs.clone()]).trace(trace);
         service
-            .submit(req)
+            .submit(chaos.clone().trace(trace))
             .expect("control job fits the queue")
             .wait()
             .expect("control job must solve");
@@ -380,29 +315,11 @@ pub fn e30_with_gate(requests: usize, gate: &RegressionGate) -> Table {
         .into_iter()
         .min_by_key(|pm| pm.seq)
         .expect("the sweep produced at least one dump");
-    let a = gen::poisson_2d(16, 16);
-    let (b, _) = gen::rhs_for_known_solution(&a);
-    let op = RowwiseCsr::block(a, 4, DataArrayLayout::RowAligned);
-    let mut machine = Machine::new(4, Topology::Hypercube, CostModel::mpp_1995());
-    machine.set_tracing(true);
-    let (_, solve_stats) = cg_distributed(
-        &mut machine,
-        &op,
-        &b,
-        StopCriterion::RelativeResidual(1e-8),
-        500,
-    )
-    .expect("traced clean solve");
-    assert!(solve_stats.converged);
-    for (name, content) in [
-        ("e30_postmortems.json", fr.index_json()),
-        ("e30_postmortem.json", first.to_json()),
-        ("e30_trace.jsonl", machine.trace().to_jsonl()),
-    ] {
-        let path = artifact_dir.join(name);
-        std::fs::write(&path, content)
-            .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
-    }
+    let machine = traced_clean_solve(16);
+    let dir = Some(gate.dir.as_path());
+    write_artifact(dir, "e30_postmortems.json", &fr.index_json());
+    write_artifact(dir, "e30_postmortem.json", &first.to_json());
+    write_artifact(dir, "e30_trace.jsonl", &machine.trace().to_jsonl());
     // The dump artifact round-trips through the summary parser the CLI
     // and the HTTP scrape both use.
     let summary = hpf_obs::postmortem_summary_from_json(&first.to_json())
@@ -423,16 +340,7 @@ pub fn e30_with_gate(requests: usize, gate: &RegressionGate) -> Table {
     record.push("rca/mean_top_confidence", mean_conf);
     record.push("rca/recorder_on_us_per_request", cost.on_us_per_request);
     record.push("rca/recorder_off_us_per_request", cost.off_us_per_request);
-    let outcome = gate
-        .check(&record)
-        .unwrap_or_else(|e| panic!("E30 bench gate: {e}"));
-    if full_scale {
-        // Near zero and as large as its own noise: judged against its
-        // budget above, not as a percentage of its last value.
-        record.push("rca/recorder_ns_per_event", cost.ns_per_event);
-    }
-    gate.record(&record)
-        .unwrap_or_else(|e| panic!("E30 bench gate: {e}"));
+    let gated = gate_note(gate, record, cost.per_event("rca/recorder_ns_per_event"));
 
     t.note(format!(
         "verdicts: {} ({} chaos jobs, {} ended badly, {} absorbed by recovery)",
@@ -446,19 +354,7 @@ pub fn e30_with_gate(requests: usize, gate: &RegressionGate) -> Table {
         jobs.len() - bad
     ));
     t.note(format!("sample narrative: {}", first.narrative));
-    t.note(if outcome.compared {
-        format!(
-            "regression gate: PASS vs previous {} ({} series compared, tolerance {}%)",
-            outcome.baseline_path.display(),
-            outcome.series_compared,
-            gate.max_regression_pct
-        )
-    } else {
-        format!(
-            "regression gate: first run, baseline written to {}",
-            outcome.baseline_path.display()
-        )
-    });
+    t.note(gated);
     t
 }
 

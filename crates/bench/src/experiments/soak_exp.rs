@@ -28,15 +28,14 @@
 //!
 //! The run is recorded through the [`RegressionGate`] as
 //! `BENCH_27.json` + `bench-history.jsonl` (scale-free rate series
-//! only, so a 5k CI smoke compares against a 100k baseline). Set
-//! `HPF_SOAK_REQUESTS` to resize the default run.
+//! only, so a 5k CI smoke compares against a 100k baseline). `report`
+//! and `--example soak` size the default run from `HPF_SOAK_REQUESTS`
+//! (see [`super::Knobs`]).
 
+use super::harness::{closed_loop, gate_note, soak_structures};
 use crate::table::Table;
 use hpf_obs::{percentile_us, AdmissionAudit, BenchRecord, RegressionGate};
-use hpf_service::{
-    splitmix64, JobHandle, QosClass, ServiceConfig, ServiceError, SolveRequest, SolverService,
-};
-use hpf_sparse::{gen, CsrMatrix};
+use hpf_service::{splitmix64, JobHandle, QosClass, ServiceConfig, ServiceError, SolverService};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -45,23 +44,6 @@ use std::time::{Duration, Instant};
 const STALL_PERIOD: usize = 2500;
 const STALL_OFFSET: usize = 1250;
 const STALL_MILLIS: u64 = 250;
-
-/// Soak size: `HPF_SOAK_REQUESTS` if set, else the CI-smoke-sized 5000.
-/// The acceptance run uses 100_000.
-pub fn default_requests() -> usize {
-    std::env::var("HPF_SOAK_REQUESTS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(5_000)
-}
-
-/// E27 — chaos soak, gated against the previous `BENCH_27.json`. The
-/// generous tolerance reflects that the gated series are rates under a
-/// wall-clock-paced load, not simulated-clock quantities.
-pub fn e27_chaos_soak(requests: usize) -> Table {
-    let dir = std::env::var("HPF_BENCH_DIR").unwrap_or_else(|_| ".".to_string());
-    e27_with_gate(requests, &RegressionGate::new(dir).with_tolerance(50.0))
-}
 
 /// Per-class terminal tally kept by the reaper thread.
 #[derive(Default)]
@@ -74,7 +56,8 @@ struct Tally {
     latency_us: [Vec<u64>; 3],
 }
 
-/// E27 with an explicit gate (tests point this at a scratch directory).
+/// E27 — chaos soak of `requests` open-loop requests, gated against the
+/// previous `BENCH_27.json` in `gate`'s directory.
 pub fn e27_with_gate(requests: usize, gate: &RegressionGate) -> Table {
     let mut t = Table::new(
         "E27",
@@ -108,44 +91,26 @@ pub fn e27_with_gate(requests: usize, gate: &RegressionGate) -> Table {
         breaker_threshold: 50,
         ..ServiceConfig::default()
     });
-    // Three structures cover the repo's matrix families; small enough
-    // that a 100k-request soak stays in seconds, irregular enough that
-    // plans and predictions differ per structure.
-    let mats: [Arc<CsrMatrix>; 3] = [
-        Arc::new(gen::banded_spd(48, 2, 27)),
-        Arc::new(gen::power_law_spd(64, 10, 0.9, 27)),
-        Arc::new(gen::poisson_2d(8, 8)),
-    ];
-    let rhs: Vec<Vec<f64>> = mats
-        .iter()
-        .map(|a| gen::rhs_for_known_solution(a).0)
-        .collect();
+    // Small enough that a 100k-request soak stays in seconds, irregular
+    // enough that plans and predictions differ per structure.
+    let structures = soak_structures(48, 64, 8);
 
     // ------------------------------------------------------------------
     // Phase 1 — closed-loop calibration: measure sustainable throughput
     // (and warm the plan cache + admission EWMAs) with chunked bursts.
     let calib_jobs = (requests / 10).clamp(96, 512);
-    let calib_started = Instant::now();
-    let mut done = 0usize;
-    while done < calib_jobs {
-        let chunk = (calib_jobs - done).min(24);
-        let handles: Vec<JobHandle> = (0..chunk)
-            .map(|k| {
-                let s = (done + k) % 3;
-                service
-                    .submit(SolveRequest::with_rhs_set(
-                        mats[s].clone(),
-                        vec![rhs[s].clone()],
-                    ))
-                    .expect("calibration chunk fits the queue")
-            })
-            .collect();
+    let submit = |k: usize| {
+        let req = structures[k % 3].clone();
+        service
+            .submit(req)
+            .expect("calibration chunk fits the queue")
+    };
+    let calib_s = closed_loop(calib_jobs, 24, submit, |handles| {
         for h in handles {
             assert!(h.wait().expect("calibration solve").stats[0].converged);
         }
-        done += chunk;
-    }
-    let rate = calib_jobs as f64 / calib_started.elapsed().as_secs_f64().max(1e-9);
+    });
+    let rate = calib_jobs as f64 / calib_s.max(1e-9);
     // Open-loop arrival rate: 1.35x measured capacity, so queues must
     // fill and the overload answers (Busy, Shed) must engage.
     let interarrival = Duration::from_secs_f64(1.0 / (rate * 1.35));
@@ -197,9 +162,8 @@ pub fn e27_with_gate(requests: usize, gate: &RegressionGate) -> Table {
                 _ => QosClass::BestEffort,
             }
         };
-        let build = |mats: &[Arc<CsrMatrix>; 3], rhs: &[Vec<f64>]| {
-            let mut req =
-                SolveRequest::with_rhs_set(mats[s].clone(), vec![rhs[s].clone()]).qos(class);
+        let build = || {
+            let mut req = structures[s].clone().qos(class);
             if class == QosClass::Interactive {
                 // Mostly a generous 2 s budget; ~10% hopeless
                 // microsecond deadlines a calibrated controller sheds.
@@ -236,7 +200,7 @@ pub fn e27_with_gate(requests: usize, gate: &RegressionGate) -> Table {
         submitted[class.index()] += 1;
         let mut attempts = 0u32;
         loop {
-            match service.submit(build(&mats, &rhs)) {
+            match service.submit(build()) {
                 Ok(handle) => {
                     handle_tx
                         .send((class, handle))
@@ -265,7 +229,8 @@ pub fn e27_with_gate(requests: usize, gate: &RegressionGate) -> Table {
     }
     drop(handle_tx);
     let tally = reaper.join().expect("reaper thread");
-    // A worker ticks `worker_restarts` as a kill lands, before it answers
+    // A worker ticks its one kill counter (`supervisor_kills` and
+    // `worker_restarts` both read it) as a kill lands, before it answers
     // the killed job, and shutdown joins the workers: the snapshot counts
     // every kill that landed.
     let m = service.shutdown();
@@ -377,9 +342,7 @@ pub fn e27_with_gate(requests: usize, gate: &RegressionGate) -> Table {
         "soak/incomplete_pct",
         pct(accepted - tally.completed.iter().sum::<u64>()),
     );
-    let outcome = gate
-        .check_and_record(&record)
-        .unwrap_or_else(|e| panic!("E27 bench gate: {e}"));
+    let gated = gate_note(gate, record, None);
 
     t.note(format!(
         "open loop at {:.0} req/s (1.35x calibrated {:.0} solves/s); {} accepted, {} shed, {} busy",
@@ -396,19 +359,7 @@ pub fn e27_with_gate(requests: usize, gate: &RegressionGate) -> Table {
         m.faults_injected,
         feasible_rate * 100.0
     ));
-    t.note(if outcome.compared {
-        format!(
-            "regression gate: PASS vs previous {} ({} series compared, tolerance {}%)",
-            outcome.baseline_path.display(),
-            outcome.series_compared,
-            gate.max_regression_pct
-        )
-    } else {
-        format!(
-            "regression gate: first run, baseline written to {}",
-            outcome.baseline_path.display()
-        )
-    });
+    t.note(gated);
     t
 }
 

@@ -3,17 +3,13 @@
 
 use crate::table::{ratio, us, Table};
 use hpf_core::{DataArrayLayout, RowwiseCsr};
-use hpf_machine::{CostModel, EventKind, Machine, Topology};
+use hpf_machine::{EventKind, Machine};
 use hpf_solvers::{
     cg, cg_distributed, solve, DistPreconditioner, JacobiPreconditioner, Krylov, NullObserver,
     SolveStats, SolverError, SsorPreconditioner, StopCriterion, BICGSTAB_PROFILE, BICG_PROFILE,
     CGS_PROFILE, CG_PROFILE,
 };
 use hpf_sparse::{gen, CooMatrix, CsrMatrix};
-
-fn machine(np: usize) -> Machine {
-    Machine::new(np, Topology::Hypercube, CostModel::mpp_1995())
-}
 
 /// `a` in the row layout of a one-processor solve.
 pub(crate) fn on_one(a: &CsrMatrix) -> RowwiseCsr {
@@ -28,7 +24,7 @@ pub(crate) fn solve_on_one(
     stop: StopCriterion,
     max_iters: usize,
 ) -> Result<SolveStats, SolverError> {
-    let mut m = machine(1);
+    let mut m = Machine::hypercube(1);
     m.set_tracing(false);
     Ok(solve(&mut m, op, b, method, stop, max_iters, &mut NullObserver)?.stats)
 }
@@ -46,7 +42,7 @@ pub fn e01_cg_figure2(nx: usize, ny: usize, np: usize) -> Table {
     let n = a.n_rows();
     let nnz = a.nnz();
     let (_, b) = gen::rhs_for_known_solution(&a);
-    let mut m = machine(np);
+    let mut m = Machine::hypercube(np);
     let op = RowwiseCsr::block(a, np, DataArrayLayout::RowAligned);
     let (x, stats) = cg_distributed(
         &mut m,

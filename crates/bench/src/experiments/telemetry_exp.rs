@@ -14,11 +14,8 @@
 //!    on (`telemetry/bus_on_us_per_request`, which must not exceed the
 //!    committed baseline's), the difference spread over the events
 //!    published (`telemetry/bus_ns_per_published_event`, budget
-//!    [`BUS_NS_PER_PUBLISHED_EVENT_BUDGET`]), and the on/off ratio. The
-//!    ratio was the rule ("< 5%") while the bus-off side still built
-//!    every event for the worker's trace; now that side builds none,
-//!    its wall time fell by a third, and the bus's whole marginal cost
-//!    shows in the ratio, which is printed and recorded only.
+//!    [`BUS_NS_PER_PUBLISHED_EVENT_BUDGET`]), and the on/off ratio,
+//!    printed and recorded only (the harness's `TapCost` says why).
 //! 2. **Alerting** — an injected overload phase (interactive requests
 //!    with hopeless microsecond deadlines, mass-shed at the door)
 //!    breaches the interactive SLO's burn-rate windows: the alert walks
@@ -34,25 +31,23 @@
 //! Artifacts land next to the gate's `BENCH_29.json`: `e29_bus.jsonl`
 //! (the drained bus stream — `trace-report --follow` consumes it),
 //! `e29_trace.jsonl` (a traced solve for `trace-report --format
-//! flame`), and `e29_flame.txt` (the live profile, collapsed). Set
-//! `HPF_E29_REQUESTS` to resize the run; below 300 requests the
+//! flame`), and `e29_flame.txt` (the live profile, collapsed).
+//! `report` and `--example telemetry` size the run from
+//! `HPF_E29_REQUESTS` (see [`super::Knobs`]); below 300 requests the
 //! wall-clock-noise-sensitive cost rules are reported but not asserted,
 //! the per-event series is not recorded, and the SLO windows shrink to
 //! smoke scale.
 
-use crate::experiments::TapCost;
+use super::harness::{
+    gate_note, soak_structures, timed_loop, traced_clean_solve, write_artifact, TapCost,
+};
 use crate::table::Table;
-use hpf_core::{DataArrayLayout, RowwiseCsr};
-use hpf_machine::{CostModel, FaultPlan, Machine, Topology};
+use hpf_machine::FaultPlan;
 use hpf_obs::{
     AlertState, AlertTransition, BenchRecord, EventBus, RegressionGate, SamplingPolicy, SloSpec,
     SloTracker, SpanProfile,
 };
-use hpf_service::{
-    splitmix64, JobHandle, QosClass, ServiceConfig, ServiceError, SolveRequest, SolverService,
-};
-use hpf_solvers::{cg_distributed, StopCriterion};
-use hpf_sparse::{gen, CsrMatrix};
+use hpf_service::{splitmix64, QosClass, ServiceConfig, ServiceError, SolverService};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -62,24 +57,6 @@ use std::time::{Duration, Instant};
 /// per kept one over it. The trial resolves this to about ±450 ns (5% of
 /// a 0.18 s run over 22k events), so the budget is a ceiling.
 pub const BUS_NS_PER_PUBLISHED_EVENT_BUDGET: f64 = 1500.0;
-
-/// Run size: `HPF_E29_REQUESTS` if set, else 600 (the closed-loop
-/// request count per overhead rep; also selects full-scale SLO windows
-/// at >= 300).
-pub fn default_requests() -> usize {
-    std::env::var("HPF_E29_REQUESTS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(600)
-}
-
-/// E29 — telemetry pipeline, gated against the previous `BENCH_29.json`.
-/// Tolerance is generous: the delay series are wall-clock hysteresis
-/// timings, not simulated-clock quantities.
-pub fn e29_telemetry(requests: usize) -> Table {
-    let dir = std::env::var("HPF_BENCH_DIR").unwrap_or_else(|_| ".".to_string());
-    e29_with_gate(requests, &RegressionGate::new(dir).with_tolerance(150.0))
-}
 
 /// The soak-shaped service config (E27's shape, minus the open loop).
 fn service_config(bus: Option<&Arc<EventBus>>) -> ServiceConfig {
@@ -114,50 +91,6 @@ fn interactive_spec(k: f64) -> SloSpec {
     }
 }
 
-/// Closed-loop chaos workload: `requests` mixed-structure solves, ~5%
-/// carrying transient crash plans, 16 in flight. Returns the wall
-/// seconds the batch took. Identical stream with or without the bus, so
-/// the pair is a fair overhead comparison.
-fn timed_closed_loop(
-    requests: usize,
-    mats: &[Arc<CsrMatrix>; 3],
-    rhs: &[Vec<f64>],
-    bus: Option<&Arc<EventBus>>,
-) -> f64 {
-    let service = SolverService::start(service_config(bus));
-    let started = Instant::now();
-    let mut done = 0usize;
-    while done < requests {
-        let chunk = (requests - done).min(16);
-        let handles: Vec<JobHandle> = (0..chunk)
-            .map(|j| {
-                let i = done + j;
-                let h = splitmix64(i as u64 ^ 0xE29);
-                let s = i % 3;
-                let mut req = SolveRequest::with_rhs_set(mats[s].clone(), vec![rhs[s].clone()]);
-                if h & 0xFF < 13 {
-                    let op = 20 + ((h >> 32) % 40) as usize;
-                    req = req.fault_plan(FaultPlan::new().with_crash(op, ((h >> 40) % 4) as usize));
-                }
-                service.submit(req).expect("closed loop fits the queue")
-            })
-            .collect();
-        for h in handles {
-            // Transient chaos may fail a job; both sides of the
-            // comparison see the same stream, so that is fair game.
-            let _ = h.wait();
-        }
-        if let Some(bus) = bus {
-            // A real consumer: the bus must be drained, not just fed.
-            bus.drain();
-        }
-        done += chunk;
-    }
-    let wall = started.elapsed().as_secs_f64();
-    service.shutdown();
-    wall
-}
-
 /// The live consumer side of the soak: drains the bus into the JSONL
 /// artifact, the SLO tracker, and the span profile, then advances the
 /// alert state machines.
@@ -183,62 +116,65 @@ impl Pipeline {
     }
 }
 
-/// E29 with an explicit gate (tests point this at a scratch directory).
+/// E29 — telemetry pipeline over `requests` closed-loop requests a rep,
+/// gated against the previous `BENCH_29.json` in `gate`'s directory,
+/// beside which the artifacts land.
 pub fn e29_with_gate(requests: usize, gate: &RegressionGate) -> Table {
     let mut t = Table::new(
         "E29",
         format!("live telemetry: bus overhead, SLO alerting, span profiling ({requests} req)"),
         &["stage", "seconds", "detail"],
     );
-    let artifact_dir = gate
-        .baseline_path(29)
-        .parent()
-        .expect("gate path has a directory")
-        .to_path_buf();
-    std::fs::create_dir_all(&artifact_dir).expect("artifact dir");
 
     // Soak-scale problems: the overhead claim is about the chaos-soak
     // workload, so the closed loop must solve systems big enough that
     // the tap's fixed per-operation cost competes with real arithmetic,
     // not with bookkeeping (tiny systems would overstate the overhead
     // of *any* tap by an order of magnitude).
-    let mats: [Arc<CsrMatrix>; 3] = [
-        Arc::new(gen::banded_spd(512, 2, 27)),
-        Arc::new(gen::power_law_spd(512, 10, 0.9, 27)),
-        Arc::new(gen::poisson_2d(32, 32)),
-    ];
-    let rhs: Vec<Vec<f64>> = mats
-        .iter()
-        .map(|a| gen::rhs_for_known_solution(a).0)
-        .collect();
+    let structures = soak_structures(512, 512, 32);
 
     // ------------------------------------------------------------------
     // Phase A — cost: best closed-loop wall clock of alternating reps,
     // bus off vs bus on (both taps, sampling at the default 10%,
-    // consumer active).
+    // consumer active). The chaos workload: mixed-structure solves, ~5%
+    // carrying transient crash plans; the identical stream with or
+    // without the bus, so the pair is a fair overhead comparison.
     let full_scale = requests >= 300;
-    let mut best_off = f64::INFINITY;
-    let mut best_on = f64::INFINITY;
-    let mut published = 0u64;
-    for _ in 0..TapCost::reps(full_scale) {
-        best_off = best_off.min(timed_closed_loop(requests, &mats, &rhs, None));
-        let bus = EventBus::new(1 << 15, SamplingPolicy::with_rate(0.1));
-        best_on = best_on.min(timed_closed_loop(requests, &mats, &rhs, Some(&bus)));
-        published = published.max(bus.stats().published);
-    }
-    let cost = TapCost::new(best_off, best_on, requests, published);
-    if full_scale {
-        cost.assert_within(
-            "bus",
-            gate,
-            29,
-            "telemetry/bus_on_us_per_request",
-            BUS_NS_PER_PUBLISHED_EVENT_BUDGET,
-        );
-    }
+    let chaos_request = |i: usize| {
+        let h = splitmix64(i as u64 ^ 0xE29);
+        let req = structures[i % 3].clone();
+        if h & 0xFF >= 13 {
+            return req;
+        }
+        let op = 20 + ((h >> 32) % 40) as usize;
+        req.fault_plan(FaultPlan::new().with_crash(op, ((h >> 40) % 4) as usize))
+    };
+    let cost = TapCost::measure(full_scale, requests, |on| {
+        let bus = on.then(|| EventBus::new(1 << 15, SamplingPolicy::with_rate(0.1)));
+        let cfg = service_config(bus.as_ref());
+        let wall = timed_loop(cfg, requests, chaos_request, |handles| {
+            for h in handles {
+                // Transient chaos may fail a job; both sides of the
+                // comparison see the same stream, so that is fair game.
+                let _ = h.wait();
+            }
+            if let Some(bus) = &bus {
+                // A real consumer: the bus must be drained, not just fed.
+                bus.drain();
+            }
+        });
+        (wall, bus.map_or(0, |bus| bus.stats().published))
+    });
+    cost.assert_within(
+        "bus",
+        gate,
+        29,
+        "telemetry/bus_on_us_per_request",
+        BUS_NS_PER_PUBLISHED_EVENT_BUDGET,
+    );
     t.row(vec![
         "overhead-off".into(),
-        format!("{best_off:.3}"),
+        format!("{:.3}", cost.best_off_s),
         format!(
             "{requests} closed-loop chaos solves, no bus ({:.0} us/request)",
             cost.off_us_per_request
@@ -246,12 +182,13 @@ pub fn e29_with_gate(requests: usize, gate: &RegressionGate) -> Table {
     ]);
     t.row(vec![
         "overhead-on".into(),
-        format!("{best_on:.3}"),
+        format!("{:.3}", cost.best_on_s),
         format!(
             "same stream, both taps + drain: {:.0} us/request, {:+.0} ns per event \
-             over {published} published ({:+.2}%)",
+             over {} published ({:+.2}%)",
             cost.on_us_per_request,
             cost.ns_per_event,
+            cost.events,
             cost.overhead_pct()
         ),
     ]);
@@ -259,7 +196,7 @@ pub fn e29_with_gate(requests: usize, gate: &RegressionGate) -> Table {
     // ------------------------------------------------------------------
     // Phase B — the observed soak: normal load, injected overload,
     // recovery; the SLO tracker sees only what crosses the bus.
-    let k = if requests >= 300 { 1.0 } else { 0.35 };
+    let k = if full_scale { 1.0 } else { 0.35 };
     let epoch = Instant::now();
     let bus = EventBus::new(1 << 16, SamplingPolicy::with_rate(0.25));
     let mut pipe = Pipeline {
@@ -272,13 +209,13 @@ pub fn e29_with_gate(requests: usize, gate: &RegressionGate) -> Table {
     };
     let service = SolverService::start(service_config(Some(&bus)));
     let now = || epoch.elapsed().as_secs_f64();
-    // Big enough that matvec's broadcast out-costs the dot-product
-    // allreduce on the simulated clock (the paper's regime), small
-    // enough that a solve stays milliseconds of wall time.
-    let soak_mat = Arc::new(gen::poisson_2d(32, 32));
-    let soak_rhs = gen::rhs_for_known_solution(&soak_mat).0;
+    // The 32×32 Poisson structure: big enough that matvec's broadcast
+    // out-costs the dot-product allreduce on the simulated clock (the
+    // paper's regime), small enough that a solve stays milliseconds of
+    // wall time.
     let good_request = || {
-        SolveRequest::with_rhs_set(soak_mat.clone(), vec![soak_rhs.clone()])
+        structures[2]
+            .clone()
             .qos(QosClass::Interactive)
             .deadline(Duration::from_secs(2))
     };
@@ -287,18 +224,12 @@ pub fn e29_with_gate(requests: usize, gate: &RegressionGate) -> Table {
     // (a kill mid-phase is a blip the hysteresis must NOT page on).
     let normal_start = now();
     let normal_end = normal_start + 1.2 * k;
-    let mut stall_sent = false;
     let mut good = 0u64;
+    let stall = structures[0].clone().qos(QosClass::Batch);
+    if let Ok(h) = service.submit(stall.fault_plan(FaultPlan::new().with_stall(30, 0, 120))) {
+        let _ = h.wait();
+    }
     while now() < normal_end {
-        if !stall_sent {
-            stall_sent = true;
-            let req = SolveRequest::with_rhs_set(mats[0].clone(), vec![rhs[0].clone()])
-                .qos(QosClass::Batch)
-                .fault_plan(FaultPlan::new().with_stall(30, 0, 120));
-            if let Ok(h) = service.submit(req) {
-                let _ = h.wait();
-            }
-        }
         if let Ok(h) = service.submit(good_request()) {
             good += u64::from(h.wait().is_ok());
         }
@@ -410,20 +341,7 @@ pub fn e29_with_gate(requests: usize, gate: &RegressionGate) -> Table {
         v.parse::<u64>().expect("integer microseconds");
     }
 
-    let a = gen::poisson_2d(48, 48);
-    let (b, _) = gen::rhs_for_known_solution(&a);
-    let op = RowwiseCsr::block(a, 4, DataArrayLayout::RowAligned);
-    let mut machine = Machine::new(4, Topology::Hypercube, CostModel::mpp_1995());
-    machine.set_tracing(true);
-    let (_, solve_stats) = cg_distributed(
-        &mut machine,
-        &op,
-        &b,
-        StopCriterion::RelativeResidual(1e-8),
-        500,
-    )
-    .expect("traced CG solve");
-    assert!(solve_stats.converged);
+    let machine = traced_clean_solve(48);
     let posthoc = SpanProfile::from_trace(machine.trace());
     assert!(
         posthoc.top_k(1)[0].stack.contains("matvec"),
@@ -431,15 +349,10 @@ pub fn e29_with_gate(requests: usize, gate: &RegressionGate) -> Table {
         posthoc.top_k(1)[0].stack
     );
 
-    for (name, content) in [
-        ("e29_bus.jsonl", pipe.jsonl.as_str()),
-        ("e29_flame.txt", flame.as_str()),
-        ("e29_trace.jsonl", &machine.trace().to_jsonl()),
-    ] {
-        let path = artifact_dir.join(name);
-        std::fs::write(&path, content)
-            .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
-    }
+    let dir = Some(gate.dir.as_path());
+    write_artifact(dir, "e29_bus.jsonl", &pipe.jsonl);
+    write_artifact(dir, "e29_flame.txt", &flame);
+    write_artifact(dir, "e29_trace.jsonl", &machine.trace().to_jsonl());
 
     t.row(vec![
         "soak-normal".into(),
@@ -466,17 +379,8 @@ pub fn e29_with_gate(requests: usize, gate: &RegressionGate) -> Table {
     record.push("telemetry/alert_flaps", flaps);
     record.push("telemetry/bus_on_us_per_request", cost.on_us_per_request);
     record.push("telemetry/bus_off_us_per_request", cost.off_us_per_request);
-    let outcome = gate
-        .check(&record)
-        .unwrap_or_else(|e| panic!("E29 bench gate: {e}"));
-    if full_scale {
-        // The difference of two wall times over ~20k events: near zero
-        // and as large as its own noise, so recorded, not judged as a
-        // percentage of its last value.
-        record.push("telemetry/bus_ns_per_published_event", cost.ns_per_event);
-    }
-    gate.record(&record)
-        .unwrap_or_else(|e| panic!("E29 bench gate: {e}"));
+    let per_event = cost.per_event("telemetry/bus_ns_per_published_event");
+    let gated = gate_note(gate, record, per_event);
 
     t.note(format!(
         "bus: {} published, {} sampled out, {} dropped ({drop_pct:.3}%); {} events consumed",
@@ -495,19 +399,7 @@ pub fn e29_with_gate(requests: usize, gate: &RegressionGate) -> Table {
         firing.at_s,
         resolved.at_s
     ));
-    t.note(if outcome.compared {
-        format!(
-            "regression gate: PASS vs previous {} ({} series compared, tolerance {}%)",
-            outcome.baseline_path.display(),
-            outcome.series_compared,
-            gate.max_regression_pct
-        )
-    } else {
-        format!(
-            "regression gate: first run, baseline written to {}",
-            outcome.baseline_path.display()
-        )
-    });
+    t.note(gated);
     t
 }
 

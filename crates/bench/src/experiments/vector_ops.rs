@@ -17,7 +17,7 @@ pub fn e02_saxpy_scaling(n: usize) -> Table {
     );
     let mut t1 = None;
     for np in [1usize, 2, 4, 8, 16, 32, 64] {
-        let mut m = Machine::new(np, Topology::Hypercube, CostModel::mpp_1995());
+        let mut m = Machine::hypercube(np);
         let d = ArrayDescriptor::block(n, np);
         let mut y = DistVector::zeros(d.clone());
         let x = DistVector::constant(d, 1.0);

@@ -1,14 +1,17 @@
 //! # hpf-bench — experiment harness
 //!
 //! Regenerates every figure and quantitative in-text claim of the paper
-//! as a text [`table::Table`] (see DESIGN.md's experiment index E1–E20),
-//! plus Criterion wall-clock benches over the same code paths. Run the
-//! report binary:
+//! as a text [`table::Table`] (see DESIGN.md's experiment index E1–E30).
+//! Run the report binary:
 //!
 //! ```text
-//! cargo run -p hpf-bench --bin report --release           # all experiments
 //! cargo run -p hpf-bench --bin report --release -- e4 e6  # a subset
 //! ```
+//!
+//! E25–E30 are gated against `BENCH_25–30.json` in `HPF_BENCH_DIR` and
+//! rewrite them. It defaults to the working directory, which at the
+//! repository root holds the committed records: point it at a scratch
+//! copy unless a run is meant to re-record them ([`experiments::Knobs`]).
 
 pub mod experiments;
 pub mod table;

@@ -44,12 +44,11 @@ pub struct Metrics {
     pub breaker_open: AtomicU64,
     /// Jobs refused on arrival by deadline-aware admission control.
     pub shed_total: AtomicU64,
-    /// Jobs killed as hung (ticked where the kill lands, beside
-    /// `worker_restarts`).
-    pub supervisor_kills: AtomicU64,
-    /// Kills that landed: the worker answered the killed job with
-    /// `WorkerKilled` and went on with its next one.
-    pub worker_restarts: AtomicU64,
+    /// Jobs killed as hung, ticked where the kill lands: the worker
+    /// answered the killed job with `WorkerKilled` and went on with its
+    /// next one. The snapshot's `supervisor_kills` and `worker_restarts`
+    /// both read it (two wire places, one count).
+    pub kills: AtomicU64,
     /// Gauge: jobs sitting in the intake queue right now (accepted by
     /// `submit`, not yet taken by a worker).
     pub queue_depth: AtomicU64,
@@ -109,8 +108,7 @@ impl Metrics {
             escalations: z(),
             breaker_open: z(),
             shed_total: z(),
-            supervisor_kills: z(),
-            worker_restarts: z(),
+            kills: z(),
             queue_depth: z(),
             class_queue_depth: Default::default(),
             queue_capacity: z(),
@@ -196,8 +194,8 @@ impl Metrics {
             escalations: g(&self.escalations),
             breaker_open: g(&self.breaker_open),
             shed_total: g(&self.shed_total),
-            supervisor_kills: g(&self.supervisor_kills),
-            worker_restarts: g(&self.worker_restarts),
+            supervisor_kills: g(&self.kills),
+            worker_restarts: g(&self.kills),
             queue_depth: g(&self.queue_depth) as usize,
             class_queue_depth: [
                 g(&self.class_queue_depth[0]),

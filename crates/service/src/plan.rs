@@ -15,7 +15,6 @@ use hpf_core::RowwiseCsr;
 use hpf_dist::{ConnectivityGraph, Partitioner};
 use hpf_machine::{CostModel, Machine, Topology};
 use hpf_mg::{GridDims, MgHierarchy, MgPreconditioner};
-use hpf_partition::BalancedContiguous;
 use hpf_sparse::CsrMatrix;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -57,12 +56,6 @@ pub struct SolvePlan {
 }
 
 impl SolvePlan {
-    /// Partition `matrix`'s structure for `np` processors with the
-    /// default partitioner (the paper's balanced-rows heuristic).
-    pub fn build(matrix: &CsrMatrix, np: usize, topology: Topology) -> SolvePlan {
-        Self::build_with(matrix, np, topology, &BalancedContiguous)
-    }
-
     /// Partition `matrix`'s structure for `np` processors with any
     /// registered partitioner, for callers that hold no fingerprint of
     /// it yet.
@@ -348,6 +341,7 @@ impl PlanCache {
 mod tests {
     use super::*;
     use hpf_dist::{AtomAssignment, AtomSpec};
+    use hpf_partition::BalancedContiguous;
     use hpf_sparse::gen;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::mpsc;
@@ -400,7 +394,12 @@ mod tests {
             let tiny = gen::tridiagonal(4, 4.0, -1.0);
             Policy {
                 cache: PlanCache::new(capacity),
-                plan: Arc::new(SolvePlan::build(&tiny, 2, Topology::Hypercube)),
+                plan: Arc::new(SolvePlan::build_with(
+                    &tiny,
+                    2,
+                    Topology::Hypercube,
+                    &BalancedContiguous,
+                )),
             }
         }
 
@@ -482,8 +481,8 @@ mod tests {
         let a = gen::power_law_spd(96, 14, 0.9, 3);
         let mut b = a.clone();
         b.scale(0.5); // same structure, different values
-        let p1 = SolvePlan::build(&a, 8, Topology::Hypercube);
-        let p2 = SolvePlan::build(&b, 8, Topology::Hypercube);
+        let p1 = SolvePlan::build_with(&a, 8, Topology::Hypercube, &BalancedContiguous);
+        let p2 = SolvePlan::build_with(&b, 8, Topology::Hypercube, &BalancedContiguous);
         assert_eq!(p1.fingerprint, p2.fingerprint);
         assert_eq!(p1.row_cuts, p2.row_cuts);
         assert_eq!(p1.loads, p2.loads);
@@ -493,7 +492,7 @@ mod tests {
     #[test]
     fn row_cuts_are_monotone_and_cover_all_rows() {
         let a = gen::power_law_spd(64, 10, 0.8, 11);
-        let plan = SolvePlan::build(&a, 6, Topology::Hypercube);
+        let plan = SolvePlan::build_with(&a, 6, Topology::Hypercube, &BalancedContiguous);
         assert_eq!(plan.row_cuts.len(), 7);
         assert_eq!(plan.row_cuts[0], 0);
         assert_eq!(*plan.row_cuts.last().unwrap(), 64);
@@ -504,7 +503,7 @@ mod tests {
     #[test]
     fn balanced_plan_beats_naive_block_on_irregular_structure() {
         let a = gen::power_law_spd(128, 24, 1.0, 5);
-        let plan = SolvePlan::build(&a, 8, Topology::Hypercube);
+        let plan = SolvePlan::build_with(&a, 8, Topology::Hypercube, &BalancedContiguous);
         // Naive equal-row-count cuts.
         let bs = 128usize.div_ceil(8);
         let naive: Vec<usize> = (0..=8).map(|p| (p * bs).min(128)).collect();

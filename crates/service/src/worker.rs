@@ -491,8 +491,7 @@ impl Worker {
                                 after_us: after.as_micros() as u64,
                             });
                             // The kill ends this job only.
-                            metrics.supervisor_kills.fetch_add(1, Ordering::Relaxed);
-                            metrics.worker_restarts.fetch_add(1, Ordering::Relaxed);
+                            metrics.kills.fetch_add(1, Ordering::Relaxed);
                             events::emit(
                                 &config.event_sink,
                                 ServiceEvent::WorkerRestarted { worker: self.index },

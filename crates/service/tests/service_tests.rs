@@ -2,6 +2,7 @@
 //! real bounded queues, real plan cache.
 
 use hpf_machine::Topology;
+use hpf_partition::BalancedContiguous;
 use hpf_service::{
     PlanSource, QosClass, ServiceConfig, ServiceError, SolvePlan, SolveRequest, SolverKind,
     SolverService,
@@ -189,8 +190,8 @@ fn plan_cache_determinism_same_fingerprint_same_plan() {
     let mut a2 = a1.clone();
     a2.scale(3.25);
 
-    let p1 = SolvePlan::build(&a1, 8, Topology::Hypercube);
-    let p2 = SolvePlan::build(&a2, 8, Topology::Hypercube);
+    let p1 = SolvePlan::build_with(&a1, 8, Topology::Hypercube, &BalancedContiguous);
+    let p2 = SolvePlan::build_with(&a2, 8, Topology::Hypercube, &BalancedContiguous);
     assert_eq!(p1.fingerprint, p2.fingerprint);
     assert_eq!(p1.row_cuts, p2.row_cuts);
     assert_eq!(p1.loads, p2.loads);

@@ -92,11 +92,6 @@ impl DenseMatrix {
         &self.data[i * self.n_cols..(i + 1) * self.n_cols]
     }
 
-    /// Mutable row access.
-    pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
-        &mut self.data[i * self.n_cols..(i + 1) * self.n_cols]
-    }
-
     /// Raw row-major data.
     pub fn data(&self) -> &[f64] {
         &self.data

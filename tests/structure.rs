@@ -8,7 +8,9 @@ use std::path::Path;
 const MACHINE_OBS_LINES: usize = 6_560;
 const SOLVERS_LINES: usize = 2_580;
 /// And on `crates/{sparse,mg}/src`.
-const SPARSE_MG_LINES: usize = 4_191;
+const SPARSE_MG_LINES: usize = 4_186;
+/// And on `crates/bench/src`.
+const BENCH_LINES: usize = 4_759;
 
 /// Every Rust source and manifest of the workspace and its stand-ins.
 const SOURCES: &str = "crates/**/*.rs,Cargo.toml compat/**/*.rs,Cargo.toml Cargo.toml";
@@ -335,6 +337,26 @@ fn the_temp2d_sum_is_read_row_by_row() {
     let plan = "fn sum_partials|touched_ptr|touched_rows";
     let message = "the Temp2d merge plan is gone: the SUM's chains break where the owner changes";
     forbid(hits(matvec, plan), message);
+}
+
+#[test]
+fn the_environment_is_read_in_one_place() {
+    let message = "no test sets the environment: a process-wide variable races the tests beside it";
+    forbid(hits(TREE, r"set_var\(|remove_var\("), message);
+    let reads = hits(
+        "crates/bench/src/experiments",
+        "env::var|set_var|remove_var",
+    );
+    let knobs = &files("crates/bench/src/experiments/mod.rs")[0].1;
+    let helper = ranges(knobs, r"fn from_env\(", "^    }$");
+    let read = matcher("env::var");
+    let inside = helper.into_iter().filter(|l| read(l)).count();
+    let (n, found) = (reads.len(), reads.join("\n"));
+    let message = format!(
+        "the experiments read the environment in Knobs::from_env only: {inside} of {n} reads there"
+    );
+    assert!(inside > 0 && inside == n, "{found}\n{message}");
+    cap("crates/bench/src", BENCH_LINES);
 }
 
 #[test]
