@@ -128,17 +128,13 @@ pub fn e25_with_gate(n: usize, np: usize, gate: &RegressionGate, obs_dir: Option
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::harness::scratch::Scratch;
     use hpf_obs::GateError;
-
-    fn scratch_gate(tag: &str) -> RegressionGate {
-        let dir = std::env::temp_dir().join(format!("hpf-e25-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        RegressionGate::new(dir)
-    }
 
     #[test]
     fn e25_holds_the_band_on_both_layouts_and_gates() {
-        let gate = scratch_gate("band");
+        let dir = Scratch::new("e25-band");
+        let gate = RegressionGate::new(&*dir);
         let t = e25_with_gate(192, 4, &gate, None);
         assert_eq!(t.rows.len(), 2);
         assert!(t.rows[0][0].contains("BLOCK,*"));
@@ -153,12 +149,12 @@ mod tests {
         assert!(gate.history_path().exists());
         let t2 = e25_with_gate(192, 4, &gate, None);
         assert!(t2.notes.iter().any(|n| n.contains("PASS")));
-        let _ = std::fs::remove_dir_all(&gate.dir);
     }
 
     #[test]
     fn e25_gate_fails_typed_when_the_baseline_is_faster() {
-        let gate = scratch_gate("regress");
+        let dir = Scratch::new("e25-regress");
+        let gate = RegressionGate::new(&*dir);
         e25_with_gate(128, 4, &gate, None);
         // Forge a "previous run" that was impossibly fast, so the real
         // run must trip the regression gate.
@@ -177,6 +173,5 @@ mod tests {
             Err(GateError::Regression { .. }) => {}
             Err(other) => panic!("unexpected {other:?}"),
         }
-        let _ = std::fs::remove_dir_all(&gate.dir);
     }
 }

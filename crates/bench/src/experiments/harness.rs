@@ -181,10 +181,6 @@ impl TapCost {
         }
     }
 
-    pub fn overhead_pct(&self) -> f64 {
-        100.0 * (self.ratio - 1.0)
-    }
-
     /// The full-scale rules (a smoke run only reports them): tap-on time
     /// per request no worse than the committed baseline's `on_series`
     /// (beyond the 25% that best-of-9 wall times spread on a shared
@@ -245,4 +241,37 @@ pub(crate) fn traced_clean_solve(grid: usize) -> Machine {
     let (_, stats) = cg_distributed(&mut m, &op, &x_true, stop, 500).expect("traced clean solve");
     assert!(stats.converged);
     m
+}
+
+#[cfg(test)]
+pub(crate) mod scratch {
+    use std::ops::Deref;
+    use std::path::{Path, PathBuf};
+
+    /// A test's own directory, `hpf-<name>-<pid>` under the system temp
+    /// directory: emptied when made and removed when dropped, so a test
+    /// that fails an assert leaves nothing behind either.
+    pub(crate) struct Scratch(PathBuf);
+
+    impl Scratch {
+        pub(crate) fn new(name: &str) -> Self {
+            let dir = std::env::temp_dir().join(format!("hpf-{name}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            Scratch(dir)
+        }
+    }
+
+    impl Deref for Scratch {
+        type Target = Path;
+
+        fn deref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl Drop for Scratch {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
 }

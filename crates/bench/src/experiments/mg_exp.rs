@@ -189,16 +189,12 @@ pub fn e28_with_gate(smoke: bool, gate: &RegressionGate, obs_dir: Option<&Path>)
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn scratch_gate(tag: &str) -> RegressionGate {
-        let dir = std::env::temp_dir().join(format!("hpf-e28-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        RegressionGate::new(dir)
-    }
+    use crate::experiments::harness::scratch::Scratch;
 
     #[test]
     fn e28_smoke_asserts_the_5x_cut_and_gates() {
-        let gate = scratch_gate("smoke");
+        let dir = Scratch::new("e28-smoke");
+        let gate = RegressionGate::new(&*dir);
         let t = e28_with_gate(true, &gate, None);
         // 1 point x 2 depths.
         assert_eq!(t.rows.len(), 2);
@@ -213,7 +209,6 @@ mod tests {
         // A second identical run compares against the baseline cleanly.
         let t2 = e28_with_gate(true, &gate, None);
         assert!(t2.notes.iter().any(|n| n.contains("PASS")));
-        let _ = std::fs::remove_dir_all(&gate.dir);
     }
 
     #[test]

@@ -171,16 +171,12 @@ pub fn e26_with_gate(n: usize, gate: &RegressionGate, obs_dir: Option<&Path>) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn scratch_gate(tag: &str) -> RegressionGate {
-        let dir = std::env::temp_dir().join(format!("hpf-e26-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        RegressionGate::new(dir)
-    }
+    use crate::experiments::harness::scratch::Scratch;
 
     #[test]
     fn e26_sweeps_every_partitioner_and_gates() {
-        let gate = scratch_gate("sweep");
+        let dir = Scratch::new("e26-sweep");
+        let gate = RegressionGate::new(&*dir);
         let t = e26_with_gate(256, &gate, None);
         // 2 families x 2 machine sizes x 4 partitioners.
         assert_eq!(t.rows.len(), 16);
@@ -192,16 +188,15 @@ mod tests {
         // A second identical run compares against the baseline cleanly.
         let t2 = e26_with_gate(256, &gate, None);
         assert!(t2.notes.iter().any(|n| n.contains("PASS")));
-        let _ = std::fs::remove_dir_all(&gate.dir);
     }
 
     #[test]
     fn e26_writes_assessment_artifacts_when_asked() {
-        let gate = scratch_gate("artifacts");
-        let obs = std::env::temp_dir().join(format!("hpf-e26-obs-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&obs);
-        e26_with_gate(192, &gate, Some(&obs));
-        let files: Vec<_> = std::fs::read_dir(&obs)
+        let dir = Scratch::new("e26-artifacts");
+        let gate = RegressionGate::new(&*dir);
+        let obs = Scratch::new("e26-obs");
+        e26_with_gate(192, &gate, Some(&*obs));
+        let files: Vec<_> = std::fs::read_dir(&*obs)
             .expect("obs dir exists")
             .filter_map(|e| e.ok())
             .map(|e| e.file_name().to_string_lossy().into_owned())
@@ -210,7 +205,5 @@ mod tests {
         assert!(files
             .iter()
             .any(|f| f == "e26-power-law-np16-greedy-hypergraph.json"));
-        let _ = std::fs::remove_dir_all(&obs);
-        let _ = std::fs::remove_dir_all(&gate.dir);
     }
 }

@@ -153,7 +153,7 @@ pub fn e30_with_gate(requests: usize, gate: &RegressionGate) -> Table {
             cost.on_us_per_request,
             cost.ns_per_event,
             cost.events,
-            cost.overhead_pct()
+            100.0 * (cost.ratio - 1.0)
         ),
     ]);
 
@@ -361,12 +361,12 @@ pub fn e30_with_gate(requests: usize, gate: &RegressionGate) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::harness::scratch::Scratch;
 
     #[test]
     fn e30_smoke_attributes_every_injected_fault_class() {
-        let dir = std::env::temp_dir().join(format!("hpf-e30-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let gate = RegressionGate::new(&dir).with_tolerance(150.0);
+        let dir = Scratch::new("e30");
+        let gate = RegressionGate::new(&*dir).with_tolerance(150.0);
         // Below the 300-request threshold: smoke-scale sweep and no
         // wall-clock overhead assertion, but attribution accuracy, dump
         // exactness, and every artifact are still asserted.
@@ -390,6 +390,5 @@ mod tests {
         let clean = std::fs::read_to_string(dir.join("e30_trace.jsonl")).unwrap();
         assert!(hpf_obs::postmortem_summary_from_json(&clean).is_err());
         assert!(t.notes.iter().any(|n| n.contains("verdicts:")));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -366,12 +366,12 @@ pub fn e27_with_gate(requests: usize, gate: &RegressionGate) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::harness::scratch::Scratch;
 
     #[test]
     fn e27_soak_smoke_holds_every_band() {
-        let dir = std::env::temp_dir().join(format!("hpf-e27-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let gate = RegressionGate::new(&dir).with_tolerance(50.0);
+        let dir = Scratch::new("e27");
+        let gate = RegressionGate::new(&*dir).with_tolerance(50.0);
         // Above the 1000-request threshold so the stall, the sheds, and
         // the p99 band are all asserted inside the harness.
         let t = e27_with_gate(1500, &gate);
@@ -379,6 +379,5 @@ mod tests {
         assert!(gate.baseline_path(27).exists());
         assert!(gate.history_path().exists());
         assert!(t.notes.iter().any(|n| n.contains("kills")));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

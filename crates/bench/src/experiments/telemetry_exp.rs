@@ -189,7 +189,7 @@ pub fn e29_with_gate(requests: usize, gate: &RegressionGate) -> Table {
             cost.on_us_per_request,
             cost.ns_per_event,
             cost.events,
-            cost.overhead_pct()
+            100.0 * (cost.ratio - 1.0)
         ),
     ]);
 
@@ -406,12 +406,12 @@ pub fn e29_with_gate(requests: usize, gate: &RegressionGate) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::harness::scratch::Scratch;
 
     #[test]
     fn e29_smoke_walks_the_full_alert_lifecycle() {
-        let dir = std::env::temp_dir().join(format!("hpf-e29-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let gate = RegressionGate::new(&dir).with_tolerance(150.0);
+        let dir = Scratch::new("e29");
+        let gate = RegressionGate::new(&*dir).with_tolerance(150.0);
         // Below the 300-request threshold: smoke-scale SLO windows and
         // no wall-clock overhead assertion, but the lifecycle, the
         // profile, and every artifact are still asserted.
@@ -428,6 +428,5 @@ mod tests {
             hpf_obs::BusEvent::from_jsonl(line).expect("bus artifact line");
         }
         assert!(t.notes.iter().any(|n| n.contains("hot span")));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

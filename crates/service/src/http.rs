@@ -338,7 +338,7 @@ mod tests {
 
     fn test_state() -> HttpState {
         HttpState {
-            metrics: Arc::new(Metrics::new()),
+            metrics: Arc::new(Metrics::new(0)),
             breaker: Arc::new(CircuitBreaker::new(5, Duration::from_millis(100))),
             shutting_down: Arc::new(AtomicBool::new(false)),
         }
@@ -347,10 +347,7 @@ mod tests {
     #[test]
     fn serves_metrics_healthz_and_404() {
         let state = test_state();
-        state
-            .metrics
-            .accepted
-            .fetch_add(2, std::sync::atomic::Ordering::Relaxed);
+        state.metrics.add(crate::metrics::Counter::Accepted, 2);
         let mut server = spawn("127.0.0.1:0", state).unwrap();
         let metrics = get(server.addr(), "/metrics");
         assert!(metrics.starts_with("HTTP/1.1 200 OK"), "{metrics}");
@@ -461,20 +458,21 @@ mod tests {
 
     #[test]
     fn healthz_degrades_on_queue_saturation_or_open_breaker() {
-        use std::sync::atomic::Ordering;
-        let state = test_state();
+        let state = HttpState {
+            metrics: Arc::new(Metrics::new(10)),
+            ..test_state()
+        };
         let metrics = state.metrics.clone();
         let breaker = state.breaker.clone();
         let mut server = spawn("127.0.0.1:0", state).unwrap();
         // One class queue above the 80% threshold degrades, still 200.
-        metrics.queue_capacity.store(10, Ordering::Relaxed);
-        metrics.class_queue_depth[1].store(9, Ordering::Relaxed);
+        metrics.queued(1, 9);
         let health = get(server.addr(), "/healthz");
         assert!(health.starts_with("HTTP/1.1 200"), "{health}");
         assert!(health.contains("\"status\":\"degraded\""), "{health}");
         assert!(health.contains("\"queue_saturation\":0.9"), "{health}");
         // Back under the threshold: ok again.
-        metrics.class_queue_depth[1].store(1, Ordering::Relaxed);
+        metrics.dequeued(1, 8);
         let health = get(server.addr(), "/healthz");
         assert!(health.contains("\"status\":\"ok\""), "{health}");
         // An open circuit degrades even with an empty queue.

@@ -1,10 +1,13 @@
 //! Service counters and the exportable snapshot, including its
 //! Prometheus text exposition (rendered here so the HTTP listener in
-//! [`crate::http`] needs nothing outside this crate).
+//! [`crate::http`] needs nothing outside this crate). Each counter is one
+//! row of the `table!` list below: its atomic, its JSON key, its exposition
+//! line and its help text are all read from that row.
 
 use crate::lock;
 use hpf_json::Obj;
 use std::collections::BTreeMap;
+use std::fmt::{Display, Write as _};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -13,51 +16,111 @@ use std::time::{Duration, Instant};
 /// buckets; the last bucket is unbounded.
 pub const LATENCY_BUCKET_BOUNDS_US: [u64; 6] = [100, 1_000, 10_000, 100_000, 1_000_000, u64::MAX];
 
+/// What fills a row when [`Metrics::snapshot`] takes it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Feed {
+    /// One live counter.
+    Live(Counter),
+    /// The sum of the per-class intake queue depths.
+    ClassDepths,
+}
+
+/// One counter of the snapshot: its JSON key (also the name of its
+/// [`MetricsSnapshot`] field), its name and type (`counter` or `gauge`)
+/// in the exposition, its help text, and what feeds it.
+#[derive(Debug, Clone, Copy)]
+struct Row {
+    key: &'static str,
+    name: &'static str,
+    kind: &'static str,
+    help: &'static str,
+    feed: Feed,
+}
+
+/// Declares [`Counter`] and [`ROWS`] from one row list. A row is what
+/// feeds it, its exposition type, its JSON key (`as` its exposition name
+/// where that differs) and its help text. Each row in braces declares the
+/// live counter that feeds it; the rows after them read another feed.
+macro_rules! table {
+    (
+        { $($(#[$doc:meta])* $counter:ident => $kind:ident $key:literal $(as $name:literal)?,
+            $help:literal;)+ }
+        $($feed:expr => $kind2:ident $key2:literal, $help2:literal;)+
+    ) => {
+        /// A live counter of [`Metrics`]: the index of its atomic and of the
+        /// `ROWS` row it declares. That row's help text says what it counts.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub(crate) enum Counter {
+            $($(#[$doc])* $counter,)+
+        }
+
+        /// How many live counters [`Metrics`] keeps.
+        const COUNTERS: usize = [$(Counter::$counter),+].len();
+
+        /// Every counter of the snapshot, one row each, in JSON order.
+        const ROWS: [Row; [$($key,)+ $($key2,)+].len()] = {
+            use Counter::*;
+            use Feed::*;
+            [
+                $(Row { key: $key, name: { let [.., name] = [$key $(, $name)?]; name },
+                    kind: stringify!($kind), help: $help, feed: Live($counter) },)+
+                $(Row { key: $key2, name: $key2, kind: stringify!($kind2), help: $help2,
+                    feed: $feed },)+
+            ]
+        };
+    };
+}
+
+// The table, in JSON order. The exposition walks the same rows in the
+// same order, except that `breaker_open` (a count of refusals, not the
+// breaker's state) comes after `worker_restarts`, and the gauges go to
+// the gauge block.
+table! {
+    {
+        Accepted => counter "accepted", "Jobs accepted by submit()";
+        RejectedBusy => counter "rejected_busy", "Jobs refused: queue full";
+        RejectedInvalid => counter "rejected_invalid", "Jobs refused: malformed request";
+        Completed => counter "completed", "Jobs finished successfully";
+        Failed => counter "failed", "Jobs finished with an error";
+        DeadlineExceeded => counter "deadline_exceeded",
+            "Jobs shed because their deadline expired in queue";
+        CacheHits => counter "cache_hits", "Plan cache hits";
+        CacheMisses => counter "cache_misses", "Plan cache misses";
+        PartitionerInvocations => counter "partitioner_invocations", "Fresh partitioner runs";
+        BatchesExecuted => counter "batches_executed", "Batches handed to workers";
+        BatchedJobs => counter "batched_jobs",
+            "Jobs that shared a batch with at least one other job";
+        RhsSolved => counter "rhs_solved", "Right-hand sides solved";
+        /// Jobs accepted but not yet finished (queued or executing).
+        InFlight => gauge "in_flight", "Jobs accepted but not yet finished";
+        FaultsInjected => counter "faults_injected", "Faults the simulated machine injected";
+        FaultsDetected => counter "faults_detected", "Corruption events protected solvers detected";
+        Rollbacks => counter "rollbacks", "Checkpoint rollbacks performed";
+        Retries => counter "retries", "Job re-attempts";
+        Escalations => counter "escalations", "Retries that escalated the solver";
+        BreakerOpen => counter "breaker_open", "Jobs refused by an open circuit breaker";
+        ShedTotal => counter "shed_total" as "shed",
+            "Jobs refused on arrival by deadline-aware admission";
+        /// Jobs killed as hung, ticked where the kill lands: the worker
+        /// answered the killed job with `WorkerKilled` and went on with its
+        /// next one. `supervisor_kills` and `worker_restarts` both read it
+        /// (two wire places, one count).
+        Kills => counter "supervisor_kills", "Jobs killed as hung by their worker's progress hook";
+    }
+    Live(Kills) => counter "worker_restarts", "Workers that went on after killing a hung job";
+    ClassDepths => gauge "queue_depth", "Jobs waiting in the intake queue";
+}
+
 /// Live, lock-free counters updated by the submit path and the workers.
 #[derive(Debug)]
 pub struct Metrics {
-    pub accepted: AtomicU64,
-    pub rejected_busy: AtomicU64,
-    pub rejected_invalid: AtomicU64,
-    pub completed: AtomicU64,
-    pub failed: AtomicU64,
-    pub deadline_exceeded: AtomicU64,
-    pub cache_hits: AtomicU64,
-    pub cache_misses: AtomicU64,
-    pub partitioner_invocations: AtomicU64,
-    pub batches_executed: AtomicU64,
-    pub batched_jobs: AtomicU64,
-    pub rhs_solved: AtomicU64,
-    /// Jobs accepted but not yet finished (queued or executing).
-    pub in_flight: AtomicU64,
-    /// Faults the simulated machine injected from per-job fault plans.
-    pub faults_injected: AtomicU64,
-    /// Corruption events the protected solvers detected.
-    pub faults_detected: AtomicU64,
-    /// Checkpoint rollbacks the protected solvers performed.
-    pub rollbacks: AtomicU64,
-    /// Re-attempts after a retryable solver failure.
-    pub retries: AtomicU64,
-    /// Retries that stepped down the solver escalation chain.
-    pub escalations: AtomicU64,
-    /// Jobs refused because a structure's circuit breaker was open.
-    pub breaker_open: AtomicU64,
-    /// Jobs refused on arrival by deadline-aware admission control.
-    pub shed_total: AtomicU64,
-    /// Jobs killed as hung, ticked where the kill lands: the worker
-    /// answered the killed job with `WorkerKilled` and went on with its
-    /// next one. The snapshot's `supervisor_kills` and `worker_restarts`
-    /// both read it (two wire places, one count).
-    pub kills: AtomicU64,
-    /// Gauge: jobs sitting in the intake queue right now (accepted by
-    /// `submit`, not yet taken by a worker).
-    pub queue_depth: AtomicU64,
-    /// Gauge: per-QoS-class intake queue depth, indexed by
-    /// [`crate::QosClass::index`].
-    pub class_queue_depth: [AtomicU64; 3],
-    /// Per-class intake queue capacity (set once at service start;
-    /// denominator of the `queue_saturation` gauge).
-    pub queue_capacity: AtomicU64,
+    counters: [AtomicU64; COUNTERS],
+    /// Gauge: per-QoS-class intake queue depth (jobs accepted by `submit`,
+    /// not yet taken by a worker), indexed by [`crate::QosClass::index`].
+    class_queue_depth: [AtomicU64; 3],
+    /// Per-class intake queue capacity: the denominator of the
+    /// `queue_saturation` gauge.
+    queue_capacity: usize,
     latency_buckets: [AtomicU64; LATENCY_BUCKET_BOUNDS_US.len()],
     /// Total observed latency in microseconds (histogram `_sum`).
     latency_sum_us: AtomicU64,
@@ -78,46 +141,40 @@ struct OutcomeCounts {
     failed: u64,
 }
 
-impl Default for Metrics {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl Metrics {
-    pub fn new() -> Self {
-        let z = || AtomicU64::new(0);
+    /// Zeroed counters for a service whose class queues each hold
+    /// `queue_capacity` jobs.
+    pub fn new(queue_capacity: usize) -> Self {
         Metrics {
-            accepted: z(),
-            rejected_busy: z(),
-            rejected_invalid: z(),
-            completed: z(),
-            failed: z(),
-            deadline_exceeded: z(),
-            cache_hits: z(),
-            cache_misses: z(),
-            partitioner_invocations: z(),
-            batches_executed: z(),
-            batched_jobs: z(),
-            rhs_solved: z(),
-            in_flight: z(),
-            faults_injected: z(),
-            faults_detected: z(),
-            rollbacks: z(),
-            retries: z(),
-            escalations: z(),
-            breaker_open: z(),
-            shed_total: z(),
-            kills: z(),
-            queue_depth: z(),
+            counters: Default::default(),
             class_queue_depth: Default::default(),
-            queue_capacity: z(),
+            queue_capacity,
             latency_buckets: Default::default(),
             latency_sum_us: AtomicU64::new(0),
             solve_outcomes: Mutex::new(BTreeMap::new()),
             postmortems: Mutex::new(BTreeMap::new()),
             started: Instant::now(),
         }
+    }
+
+    /// Count `n` more of `counter`.
+    pub(crate) fn add(&self, counter: Counter, n: u64) {
+        self.counters[counter as usize].fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Count `n` fewer of a gauge (`in_flight`).
+    pub(crate) fn sub(&self, counter: Counter, n: u64) {
+        self.counters[counter as usize].fetch_sub(n, Ordering::Relaxed);
+    }
+
+    /// `n` more jobs wait in the intake queue of class `class`.
+    pub(crate) fn queued(&self, class: usize, n: u64) {
+        self.class_queue_depth[class].fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// `n` fewer jobs wait in the intake queue of class `class`.
+    pub(crate) fn dequeued(&self, class: usize, n: u64) {
+        self.class_queue_depth[class].fetch_sub(n, Ordering::Relaxed);
     }
 
     /// Record one completed job's submit→response latency.
@@ -170,49 +227,19 @@ impl Metrics {
     }
 
     /// Consistent-enough point-in-time copy of every counter, plus the
-    /// `queue_depth` gauge and the service uptime at snapshot time.
+    /// queue-depth gauges and the service uptime at snapshot time.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let g = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        MetricsSnapshot {
-            accepted: g(&self.accepted),
-            rejected_busy: g(&self.rejected_busy),
-            rejected_invalid: g(&self.rejected_invalid),
-            completed: g(&self.completed),
-            failed: g(&self.failed),
-            deadline_exceeded: g(&self.deadline_exceeded),
-            cache_hits: g(&self.cache_hits),
-            cache_misses: g(&self.cache_misses),
-            partitioner_invocations: g(&self.partitioner_invocations),
-            batches_executed: g(&self.batches_executed),
-            batched_jobs: g(&self.batched_jobs),
-            rhs_solved: g(&self.rhs_solved),
-            in_flight: g(&self.in_flight),
-            faults_injected: g(&self.faults_injected),
-            faults_detected: g(&self.faults_detected),
-            rollbacks: g(&self.rollbacks),
-            retries: g(&self.retries),
-            escalations: g(&self.escalations),
-            breaker_open: g(&self.breaker_open),
-            shed_total: g(&self.shed_total),
-            supervisor_kills: g(&self.kills),
-            worker_restarts: g(&self.kills),
-            queue_depth: g(&self.queue_depth) as usize,
-            class_queue_depth: [
-                g(&self.class_queue_depth[0]),
-                g(&self.class_queue_depth[1]),
-                g(&self.class_queue_depth[2]),
-            ],
-            queue_saturation: {
-                // The most saturated class queue: one full sub-queue
-                // means that class's submitters are about to see Busy,
-                // regardless of how empty the others are.
-                let cap = g(&self.queue_capacity);
-                let worst = self.class_queue_depth.iter().map(g).max().unwrap_or(0);
-                if cap == 0 {
-                    0.0
-                } else {
-                    worst as f64 / cap as f64
-                }
+        let class_queue_depth = self.class_queue_depth.each_ref().map(g);
+        // The most saturated class queue: one full sub-queue means that
+        // class's submitters are about to see Busy, regardless of how
+        // empty the others are.
+        let worst = class_queue_depth.iter().max().copied().unwrap_or(0);
+        let mut snapshot = MetricsSnapshot {
+            class_queue_depth,
+            queue_saturation: match self.queue_capacity {
+                0 => 0.0,
+                cap => worst as f64 / cap as f64,
             },
             uptime_seconds: self.started.elapsed().as_secs_f64(),
             latency_bucket_bounds_us: LATENCY_BUCKET_BOUNDS_US.to_vec(),
@@ -236,7 +263,13 @@ impl Metrics {
                     count: *count,
                 })
                 .collect(),
-        }
+            ..MetricsSnapshot::default()
+        };
+        snapshot.set_values(ROWS.map(|row| match row.feed {
+            Feed::Live(counter) => g(&self.counters[counter as usize]),
+            Feed::ClassDepths => class_queue_depth.iter().sum(),
+        }));
+        snapshot
     }
 }
 
@@ -244,16 +277,8 @@ impl Metrics {
 /// `_` so label values never need escaping (and never contain spaces
 /// or quotes that would break line-oriented consumers).
 fn sanitize_label(s: &str) -> String {
-    let cleaned: String = s
-        .chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || matches!(c, '_' | '-' | '.' | ':' | '/') {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect();
+    let safe = |c: char| c.is_ascii_alphanumeric() || matches!(c, '_' | '-' | '.' | ':' | '/');
+    let cleaned = s.replace(|c| !safe(c), "_");
     if cleaned.is_empty() {
         "unknown".to_string()
     } else {
@@ -264,19 +289,13 @@ fn sanitize_label(s: &str) -> String {
 /// Escape a label value for the Prometheus text exposition format:
 /// backslash, double quote, and newline must be escaped inside quoted
 /// label values. Applied at exposition time so the output stays
-/// well-formed even for snapshots built outside `record_outcome` (e.g.
-/// deserialized from JSON), where `sanitize_label` never ran.
+/// well-formed even for snapshots built outside
+/// [`Metrics::record_solve_outcome`] (e.g. deserialized from JSON),
+/// where `sanitize_label` never ran.
 fn escape_label_value(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
-    out
+    s.replace('\\', "\\\\")
+        .replace('"', "\\\"")
+        .replace('\n', "\\n")
 }
 
 /// One `(solver, scenario)` row of the labeled outcome counters.
@@ -295,8 +314,9 @@ pub struct PostmortemCount {
     pub count: u64,
 }
 
-/// Serializable point-in-time view of the service counters.
-#[derive(Debug, Clone, PartialEq)]
+/// Serializable point-in-time view of the service counters. Its first
+/// fields are the rows of `metrics.rs`'s table, in its order.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsSnapshot {
     pub accepted: u64,
     pub rejected_busy: u64,
@@ -340,6 +360,30 @@ pub struct MetricsSnapshot {
     pub postmortems: Vec<PostmortemCount>,
 }
 
+/// The one place a [`ROWS`] row meets its [`MetricsSnapshot`] field: the
+/// row fields, in table order, read out as and written from `u64`s.
+macro_rules! row_fields {
+    ($($field:ident),+) => {
+        impl MetricsSnapshot {
+            fn values(&self) -> [u64; ROWS.len()] {
+                [$(self.$field as u64),+]
+            }
+
+            fn set_values(&mut self, values: [u64; ROWS.len()]) {
+                let [$($field),+] = values;
+                $(self.$field = $field as _;)+
+            }
+        }
+    };
+}
+
+row_fields! {
+    accepted, rejected_busy, rejected_invalid, completed, failed, deadline_exceeded, cache_hits,
+    cache_misses, partitioner_invocations, batches_executed, batched_jobs, rhs_solved, in_flight,
+    faults_injected, faults_detected, rollbacks, retries, escalations, breaker_open, shed_total,
+    supervisor_kills, worker_restarts, queue_depth
+}
+
 impl MetricsSnapshot {
     /// Render as a JSON object, through the workspace's one codec
     /// ([`hpf_json`]); the field set is the public contract, and
@@ -347,32 +391,8 @@ impl MetricsSnapshot {
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         let mut o = Obj::new(&mut out);
-        for (key, v) in [
-            ("accepted", self.accepted),
-            ("rejected_busy", self.rejected_busy),
-            ("rejected_invalid", self.rejected_invalid),
-            ("completed", self.completed),
-            ("failed", self.failed),
-            ("deadline_exceeded", self.deadline_exceeded),
-            ("cache_hits", self.cache_hits),
-            ("cache_misses", self.cache_misses),
-            ("partitioner_invocations", self.partitioner_invocations),
-            ("batches_executed", self.batches_executed),
-            ("batched_jobs", self.batched_jobs),
-            ("rhs_solved", self.rhs_solved),
-            ("in_flight", self.in_flight),
-            ("faults_injected", self.faults_injected),
-            ("faults_detected", self.faults_detected),
-            ("rollbacks", self.rollbacks),
-            ("retries", self.retries),
-            ("escalations", self.escalations),
-            ("breaker_open", self.breaker_open),
-            ("shed_total", self.shed_total),
-            ("supervisor_kills", self.supervisor_kills),
-            ("worker_restarts", self.worker_restarts),
-            ("queue_depth", self.queue_depth as u64),
-        ] {
-            o.u64(key, v);
+        for (row, value) in ROWS.iter().zip(self.values()) {
+            o.u64(row.key, value);
         }
         {
             let mut depths = o.arr("class_queue_depth");
@@ -397,14 +417,17 @@ impl MetricsSnapshot {
             }
         }
         {
+            // Each outcome splits the `completed` and `failed` rows by label.
+            let [completed, failed] =
+                [Counter::Completed, Counter::Failed].map(|c| ROWS[c as usize].key);
             let mut outcomes = o.arr("solve_outcomes");
             for oc in &self.solve_outcomes {
                 outcomes
                     .obj()
                     .str("solver", &oc.solver)
                     .str("scenario", &oc.scenario)
-                    .u64("completed", oc.completed)
-                    .u64("failed", oc.failed);
+                    .u64(completed, oc.completed)
+                    .u64(failed, oc.failed);
             }
         }
         {
@@ -426,7 +449,10 @@ impl MetricsSnapshot {
     /// NaN, as the writer wrote them.
     pub fn from_json(text: &str) -> Result<Self, String> {
         let doc = hpf_json::parse(text).map_err(|e| format!("not valid JSON: {e}"))?;
-        let u = |key: &str| doc.u64_of(key);
+        let mut values = [0; ROWS.len()];
+        for (value, row) in values.iter_mut().zip(&ROWS) {
+            *value = doc.u64_of(row.key)?;
+        }
         let mut bounds = Vec::new();
         let mut counts = Vec::new();
         for bucket in doc.items_of("latency")? {
@@ -441,36 +467,15 @@ impl MetricsSnapshot {
             .map(|d| d.as_u64().ok_or("bad class depth"))
             .collect::<Result<_, _>>()?;
         let outcomes = doc.items_of("solve_outcomes")?.iter();
+        let [completed, failed] =
+            [Counter::Completed, Counter::Failed].map(|c| ROWS[c as usize].key);
         // Older snapshot files predate the flight recorder; treat a missing
         // postmortems section as empty rather than a parse failure.
         let postmortems = match doc.get("postmortems") {
             Some(_) => doc.items_of("postmortems")?,
             None => &[],
         };
-        Ok(Self {
-            accepted: u("accepted")?,
-            rejected_busy: u("rejected_busy")?,
-            rejected_invalid: u("rejected_invalid")?,
-            completed: u("completed")?,
-            failed: u("failed")?,
-            deadline_exceeded: u("deadline_exceeded")?,
-            cache_hits: u("cache_hits")?,
-            cache_misses: u("cache_misses")?,
-            partitioner_invocations: u("partitioner_invocations")?,
-            batches_executed: u("batches_executed")?,
-            batched_jobs: u("batched_jobs")?,
-            rhs_solved: u("rhs_solved")?,
-            in_flight: u("in_flight")?,
-            faults_injected: u("faults_injected")?,
-            faults_detected: u("faults_detected")?,
-            rollbacks: u("rollbacks")?,
-            retries: u("retries")?,
-            escalations: u("escalations")?,
-            breaker_open: u("breaker_open")?,
-            shed_total: u("shed_total")?,
-            supervisor_kills: u("supervisor_kills")?,
-            worker_restarts: u("worker_restarts")?,
-            queue_depth: u("queue_depth")? as usize,
+        let mut snapshot = Self {
             class_queue_depth: class_depths
                 .try_into()
                 .map_err(|_| "class_queue_depth must have 3 entries".to_string())?,
@@ -478,14 +483,14 @@ impl MetricsSnapshot {
             uptime_seconds: doc.f64_of("uptime_seconds")?,
             latency_bucket_bounds_us: bounds,
             latency_buckets: counts,
-            latency_sum_us: u("latency_sum_us")?,
+            latency_sum_us: doc.u64_of("latency_sum_us")?,
             solve_outcomes: outcomes
                 .map(|o| {
                     Ok(SolveOutcome {
                         solver: o.str_of("solver")?.to_string(),
                         scenario: o.str_of("scenario")?.to_string(),
-                        completed: o.u64_of("completed")?,
-                        failed: o.u64_of("failed")?,
+                        completed: o.u64_of(completed)?,
+                        failed: o.u64_of(failed)?,
                     })
                 })
                 .collect::<Result<_, String>>()?,
@@ -498,7 +503,10 @@ impl MetricsSnapshot {
                     })
                 })
                 .collect::<Result<_, String>>()?,
-        })
+            ..Self::default()
+        };
+        snapshot.set_values(values);
+        Ok(snapshot)
     }
 
     /// Render as Prometheus text exposition (version 0.0.4): `# HELP` /
@@ -508,211 +516,102 @@ impl MetricsSnapshot {
     /// labels in **seconds** (converted from the microsecond bucket
     /// bounds), a `+Inf` bucket, `_sum` (seconds), and `_count`.
     pub fn to_prometheus(&self) -> String {
-        const PREFIX: &str = "hpf_service";
         let mut out = String::new();
-        let counters: [(&str, u64, &str); 20] = [
-            ("accepted", self.accepted, "Jobs accepted by submit()"),
-            (
-                "rejected_busy",
-                self.rejected_busy,
-                "Jobs refused: queue full",
-            ),
-            (
-                "rejected_invalid",
-                self.rejected_invalid,
-                "Jobs refused: malformed request",
-            ),
-            ("completed", self.completed, "Jobs finished successfully"),
-            ("failed", self.failed, "Jobs finished with an error"),
-            (
-                "deadline_exceeded",
-                self.deadline_exceeded,
-                "Jobs shed because their deadline expired in queue",
-            ),
-            ("cache_hits", self.cache_hits, "Plan cache hits"),
-            ("cache_misses", self.cache_misses, "Plan cache misses"),
-            (
-                "partitioner_invocations",
-                self.partitioner_invocations,
-                "Fresh partitioner runs",
-            ),
-            (
-                "batches_executed",
-                self.batches_executed,
-                "Batches handed to workers",
-            ),
-            (
-                "batched_jobs",
-                self.batched_jobs,
-                "Jobs that shared a batch with at least one other job",
-            ),
-            ("rhs_solved", self.rhs_solved, "Right-hand sides solved"),
-            (
-                "faults_injected",
-                self.faults_injected,
-                "Faults the simulated machine injected",
-            ),
-            (
-                "faults_detected",
-                self.faults_detected,
-                "Corruption events protected solvers detected",
-            ),
-            (
-                "rollbacks",
-                self.rollbacks,
-                "Checkpoint rollbacks performed",
-            ),
-            ("retries", self.retries, "Job re-attempts"),
-            (
-                "escalations",
-                self.escalations,
-                "Retries that escalated the solver",
-            ),
-            (
-                "shed",
-                self.shed_total,
-                "Jobs refused on arrival by deadline-aware admission",
-            ),
-            (
-                "supervisor_kills",
-                self.supervisor_kills,
-                "Jobs killed as hung by their worker's progress hook",
-            ),
-            (
-                "worker_restarts",
-                self.worker_restarts,
-                "Workers that went on after killing a hung job",
-            ),
-        ];
-        for (name, value, help) in counters {
-            out.push_str(&format!(
-                "# HELP {PREFIX}_{name}_total {help}\n\
-                 # TYPE {PREFIX}_{name}_total counter\n\
-                 {PREFIX}_{name}_total {value}\n"
-            ));
+        // In the order stated above the table.
+        let rows = ROWS.iter().zip(self.values());
+        let (gauges, mut counters): (Vec<_>, Vec<_>) =
+            rows.partition(|(row, _)| row.kind == "gauge");
+        counters.sort_by_key(|(row, _)| row.feed == Feed::Live(Counter::BreakerOpen));
+        for (row, value) in counters {
+            let name = format!("{}_total", row.name);
+            family(&mut out, &name, row.kind, row.help, [("", value)]);
         }
-        // breaker_open is a counter of refusals, not the breaker state.
-        out.push_str(&format!(
-            "# HELP {PREFIX}_breaker_open_total Jobs refused by an open circuit breaker\n\
-             # TYPE {PREFIX}_breaker_open_total counter\n\
-             {PREFIX}_breaker_open_total {}\n",
-            self.breaker_open
-        ));
         if !self.solve_outcomes.is_empty() {
-            out.push_str(&format!(
-                "# HELP {PREFIX}_solve_completed_total Jobs finished successfully, by solver and scenario\n\
-                 # TYPE {PREFIX}_solve_completed_total counter\n"
-            ));
-            for o in &self.solve_outcomes {
-                out.push_str(&format!(
-                    "{PREFIX}_solve_completed_total{{solver=\"{}\",scenario=\"{}\"}} {}\n",
-                    escape_label_value(&o.solver),
-                    escape_label_value(&o.scenario),
-                    o.completed
-                ));
-            }
-            out.push_str(&format!(
-                "# HELP {PREFIX}_solve_failed_total Jobs finished with an error, by solver and scenario\n\
-                 # TYPE {PREFIX}_solve_failed_total counter\n"
-            ));
-            for o in &self.solve_outcomes {
-                out.push_str(&format!(
-                    "{PREFIX}_solve_failed_total{{solver=\"{}\",scenario=\"{}\"}} {}\n",
-                    escape_label_value(&o.solver),
-                    escape_label_value(&o.scenario),
-                    o.failed
-                ));
+            // The `completed` and `failed` counters, split by label.
+            for counter in [Counter::Completed, Counter::Failed] {
+                let row = &ROWS[counter as usize];
+                let name = format!("solve_{}_total", row.name);
+                let help = format!("{}, by solver and scenario", row.help);
+                let samples = self.solve_outcomes.iter().map(|o| {
+                    let solver = escape_label_value(&o.solver);
+                    let scenario = escape_label_value(&o.scenario);
+                    let labels = format!("{{solver=\"{solver}\",scenario=\"{scenario}\"}}");
+                    let count = match counter {
+                        Counter::Completed => o.completed,
+                        _ => o.failed,
+                    };
+                    (labels, count)
+                });
+                family(&mut out, &name, row.kind, &help, samples);
             }
         }
         if !self.postmortems.is_empty() {
-            out.push_str(&format!(
-                "# HELP {PREFIX}_postmortems_total Flight-recorder post-mortem dumps, by top-ranked verdict\n\
-                 # TYPE {PREFIX}_postmortems_total counter\n"
-            ));
-            for p in &self.postmortems {
-                out.push_str(&format!(
-                    "{PREFIX}_postmortems_total{{verdict=\"{}\"}} {}\n",
-                    escape_label_value(&p.verdict),
-                    p.count
-                ));
-            }
+            let help = "Flight-recorder post-mortem dumps, by top-ranked verdict";
+            let samples = self.postmortems.iter().map(|p| {
+                let labels = format!("{{verdict=\"{}\"}}", escape_label_value(&p.verdict));
+                (labels, p.count)
+            });
+            family(&mut out, "postmortems_total", "counter", help, samples);
         }
-        let gauges: [(&str, String, &str); 4] = [
-            (
-                "in_flight",
-                self.in_flight.to_string(),
-                "Jobs accepted but not yet finished",
-            ),
-            (
-                "queue_depth",
-                self.queue_depth.to_string(),
-                "Jobs waiting in the intake queue",
-            ),
-            (
-                "queue_saturation",
-                format!("{}", self.queue_saturation),
-                "Intake queue depth over capacity (0.0 to 1.0)",
-            ),
-            (
-                "uptime_seconds",
-                format!("{}", self.uptime_seconds),
-                "Seconds since the service started",
-            ),
-        ];
-        for (name, value, help) in gauges {
-            out.push_str(&format!(
-                "# HELP {PREFIX}_{name} {help}\n\
-                 # TYPE {PREFIX}_{name} gauge\n\
-                 {PREFIX}_{name} {value}\n"
-            ));
+        for (row, value) in gauges {
+            family(&mut out, row.name, row.kind, row.help, [("", value)]);
         }
-        out.push_str(&format!(
-            "# HELP {PREFIX}_class_queue_depth Queued jobs per QoS class\n\
-             # TYPE {PREFIX}_class_queue_depth gauge\n"
-        ));
-        for (class, depth) in ["interactive", "batch", "best-effort"]
-            .iter()
-            .zip(self.class_queue_depth)
-        {
-            out.push_str(&format!(
-                "{PREFIX}_class_queue_depth{{class=\"{class}\"}} {depth}\n"
-            ));
-        }
-        out.push_str(&format!(
-            "# HELP {PREFIX}_latency_seconds Submit-to-response latency of completed jobs\n\
-             # TYPE {PREFIX}_latency_seconds histogram\n"
-        ));
-        let mut cumulative = 0u64;
-        let mut saw_inf = false;
-        for (bound_us, count) in self
+        let saturation = "Intake queue depth over capacity (0.0 to 1.0)";
+        let saturated = [("", self.queue_saturation)];
+        family(&mut out, "queue_saturation", "gauge", saturation, saturated);
+        let uptime = [("", self.uptime_seconds)];
+        let help = "Seconds since the service started";
+        family(&mut out, "uptime_seconds", "gauge", help, uptime);
+        let classes = ["interactive", "batch", "best-effort"].iter();
+        let depths = classes.zip(self.class_queue_depth);
+        let depths = depths.map(|(class, depth)| (format!("{{class=\"{class}\"}}"), depth));
+        let help = "Queued jobs per QoS class";
+        family(&mut out, "class_queue_depth", "gauge", help, depths);
+        // The histogram's samples follow its name with `_bucket{le=...}`,
+        // `_sum` and `_count`. It always ends in a +Inf bucket, even if the
+        // bound table ever drops the open-ended one.
+        let buckets = self
             .latency_bucket_bounds_us
             .iter()
-            .zip(&self.latency_buckets)
-        {
+            .zip(&self.latency_buckets);
+        let mut cumulative = 0;
+        let mut samples: Vec<(String, String)> = Vec::new();
+        for (&bound_us, count) in buckets.filter(|(&bound_us, _)| bound_us != u64::MAX) {
             cumulative += count;
-            let le = if *bound_us == u64::MAX {
-                saw_inf = true;
-                "+Inf".to_string()
-            } else {
-                format!("{}", *bound_us as f64 / 1e6)
-            };
-            out.push_str(&format!(
-                "{PREFIX}_latency_seconds_bucket{{le=\"{le}\"}} {cumulative}\n"
-            ));
+            let le = bound_us as f64 / 1e6;
+            samples.push((format!("_bucket{{le=\"{le}\"}}"), cumulative.to_string()));
         }
-        // A histogram without a +Inf bucket is malformed; synthesize
-        // one even if the bound table ever drops the open-ended bucket.
-        if !saw_inf {
-            out.push_str(&format!(
-                "{PREFIX}_latency_seconds_bucket{{le=\"+Inf\"}} {cumulative}\n"
-            ));
-        }
-        out.push_str(&format!(
-            "{PREFIX}_latency_seconds_sum {}\n",
-            self.latency_sum_us as f64 / 1e6
+        let count: u64 = self.latency_buckets.iter().sum();
+        samples.push(("_bucket{le=\"+Inf\"}".into(), count.to_string()));
+        samples.push((
+            "_sum".into(),
+            (self.latency_sum_us as f64 / 1e6).to_string(),
         ));
-        out.push_str(&format!("{PREFIX}_latency_seconds_count {cumulative}\n"));
+        samples.push(("_count".into(), count.to_string()));
+        let help = "Submit-to-response latency of completed jobs";
+        family(&mut out, "latency_seconds", "histogram", help, samples);
         out
+    }
+}
+
+/// One metric family: its `# HELP` and `# TYPE` headers, then one sample
+/// for each `(suffix, value)`. The suffix follows the family's name: its
+/// labels in braces, a histogram's `_bucket{...}`, `_sum` or `_count`, or
+/// nothing.
+fn family<L: Display, V: Display>(
+    out: &mut String,
+    name: &str,
+    kind: &str,
+    help: &str,
+    samples: impl IntoIterator<Item = (L, V)>,
+) {
+    const PREFIX: &str = "hpf_service";
+    let _ = writeln!(
+        out,
+        "# HELP {PREFIX}_{name} {help}\n# TYPE {PREFIX}_{name} {kind}"
+    );
+    for (suffix, value) in samples {
+        let _ = writeln!(out, "{PREFIX}_{name}{suffix} {value}");
     }
 }
 
@@ -722,10 +621,10 @@ mod tests {
 
     #[test]
     fn snapshot_json_round_trips_through_the_parser() {
-        let m = Metrics::new();
-        m.accepted.fetch_add(9, Ordering::Relaxed);
-        m.rollbacks.fetch_add(2, Ordering::Relaxed);
-        m.queue_depth.store(3, Ordering::Relaxed);
+        let m = Metrics::new(0);
+        m.add(Counter::Accepted, 9);
+        m.add(Counter::Rollbacks, 2);
+        m.class_queue_depth[0].store(3, Ordering::Relaxed);
         m.observe_latency(Duration::from_micros(120));
         m.record_solve_outcome("cg", "rowwise", true);
         m.record_solve_outcome("gmres", "colwise", false);
@@ -752,7 +651,7 @@ mod tests {
 
     #[test]
     fn latency_lands_in_the_right_bucket() {
-        let m = Metrics::new();
+        let m = Metrics::new(0);
         m.observe_latency(Duration::from_micros(50)); // <= 100us
         m.observe_latency(Duration::from_micros(500)); // <= 1ms
         m.observe_latency(Duration::from_secs(100)); // +inf bucket
@@ -767,7 +666,7 @@ mod tests {
     /// holder takes the map as it is instead of panicking in turn.
     #[test]
     fn a_panic_under_a_label_lock_does_not_take_the_next_scrape_down() {
-        let m = std::sync::Arc::new(Metrics::new());
+        let m = std::sync::Arc::new(Metrics::new(0));
         m.record_solve_outcome("cg", "rowwise", true);
         for poison_outcomes in [true, false] {
             let held = m.clone();
@@ -794,10 +693,11 @@ mod tests {
 
     #[test]
     fn snapshot_reflects_counters_and_queue_depth() {
-        let m = Metrics::new();
-        m.accepted.fetch_add(5, Ordering::Relaxed);
-        m.cache_hits.fetch_add(3, Ordering::Relaxed);
-        m.queue_depth.store(7, Ordering::Relaxed);
+        let m = Metrics::new(0);
+        m.add(Counter::Accepted, 5);
+        m.add(Counter::CacheHits, 3);
+        m.class_queue_depth[1].store(4, Ordering::Relaxed);
+        m.class_queue_depth[2].store(3, Ordering::Relaxed);
         let s = m.snapshot();
         assert_eq!(s.accepted, 5);
         assert_eq!(s.cache_hits, 3);
@@ -806,7 +706,7 @@ mod tests {
 
     #[test]
     fn uptime_is_nonnegative_and_advances() {
-        let m = Metrics::new();
+        let m = Metrics::new(0);
         let a = m.snapshot().uptime_seconds;
         assert!(a >= 0.0);
         std::thread::sleep(Duration::from_millis(5));
@@ -816,9 +716,9 @@ mod tests {
 
     #[test]
     fn json_is_well_formed_and_names_every_counter() {
-        let m = Metrics::new();
+        let m = Metrics::new(0);
         m.observe_latency(Duration::from_millis(2));
-        m.queue_depth.store(1, Ordering::Relaxed);
+        m.class_queue_depth[2].store(1, Ordering::Relaxed);
         let j = m.snapshot().to_json();
         assert!(j.starts_with('{') && j.ends_with('}'));
         for key in [
@@ -851,7 +751,7 @@ mod tests {
 
     #[test]
     fn latency_sum_accumulates_in_microseconds() {
-        let m = Metrics::new();
+        let m = Metrics::new(0);
         m.observe_latency(Duration::from_micros(150));
         m.observe_latency(Duration::from_micros(850));
         let s = m.snapshot();
@@ -862,7 +762,7 @@ mod tests {
 
     #[test]
     fn solve_outcomes_are_labeled_sorted_and_sanitized() {
-        let m = Metrics::new();
+        let m = Metrics::new(0);
         m.record_solve_outcome("gmres", "col block", true);
         m.record_solve_outcome("cg", "default", true);
         m.record_solve_outcome("cg", "default", true);
@@ -879,11 +779,11 @@ mod tests {
 
     #[test]
     fn queue_saturation_is_the_most_saturated_class() {
-        let m = Metrics::new();
+        let m = Metrics::new(0);
         // Capacity unknown: saturation pinned to 0 rather than NaN.
         m.class_queue_depth[1].store(3, Ordering::Relaxed);
         assert_eq!(m.snapshot().queue_saturation, 0.0);
-        m.queue_capacity.store(12, Ordering::Relaxed);
+        let m = Metrics::new(12);
         m.class_queue_depth[0].store(2, Ordering::Relaxed);
         m.class_queue_depth[1].store(3, Ordering::Relaxed);
         m.class_queue_depth[2].store(1, Ordering::Relaxed);
@@ -904,7 +804,7 @@ mod tests {
 
     #[test]
     fn prometheus_exposition_has_sum_labels_and_inf_bucket() {
-        let m = Metrics::new();
+        let m = Metrics::new(0);
         m.observe_latency(Duration::from_micros(500));
         m.record_solve_outcome("cg", "rowwise", true);
         m.record_solve_outcome("bicgstab", "colwise", false);
@@ -931,7 +831,7 @@ mod tests {
         // A snapshot built directly (deserialized, hand-assembled) never
         // went through record-time sanitization, so the exposition must
         // escape backslash, quote, and newline itself.
-        let mut s = Metrics::new().snapshot();
+        let mut s = Metrics::new(0).snapshot();
         s.solve_outcomes.push(SolveOutcome {
             solver: "cg\"evil".into(),
             scenario: "a\\b\nc".into(),
@@ -961,10 +861,10 @@ mod tests {
 
     #[test]
     fn exposition_has_counters_gauges_and_cumulative_buckets() {
-        let m = Metrics::new();
-        m.accepted.fetch_add(4, Ordering::Relaxed);
-        m.completed.fetch_add(3, Ordering::Relaxed);
-        m.queue_depth.store(2, Ordering::Relaxed);
+        let m = Metrics::new(0);
+        m.add(Counter::Accepted, 4);
+        m.add(Counter::Completed, 3);
+        m.class_queue_depth[0].store(2, Ordering::Relaxed);
         m.observe_latency(Duration::from_micros(50));
         m.observe_latency(Duration::from_micros(50));
         m.observe_latency(Duration::from_millis(5));
@@ -987,7 +887,7 @@ mod tests {
 
     #[test]
     fn every_metric_line_is_name_space_value() {
-        let text = Metrics::new().snapshot().to_prometheus();
+        let text = Metrics::new(0).snapshot().to_prometheus();
         for line in text.lines().filter(|l| !l.starts_with('#')) {
             let mut parts = line.split(' ');
             let name = parts.next().unwrap();
@@ -1000,7 +900,7 @@ mod tests {
 
     #[test]
     fn type_headers_precede_their_series() {
-        let text = Metrics::new().snapshot().to_prometheus();
+        let text = Metrics::new(0).snapshot().to_prometheus();
         let type_pos = text.find("# TYPE hpf_service_accepted_total").unwrap();
         let series_pos = text.find("\nhpf_service_accepted_total ").unwrap();
         assert!(type_pos < series_pos);
@@ -1035,7 +935,7 @@ mod tests {
 
     #[test]
     fn histogram_ends_in_inf_and_is_cumulative_and_monotone() {
-        let m = Metrics::new();
+        let m = Metrics::new(0);
         m.observe_latency(Duration::from_micros(40));
         m.observe_latency(Duration::from_micros(700));
         m.observe_latency(Duration::from_secs(30)); // lands in +Inf only
@@ -1064,7 +964,7 @@ mod tests {
 
     #[test]
     fn scraped_exposition_parses_and_labels_are_wellformed() {
-        let m = Metrics::new();
+        let m = Metrics::new(0);
         m.record_solve_outcome("bicgstab", "e25 col", true);
         m.observe_latency(Duration::from_micros(5));
         let text = m.snapshot().to_prometheus();

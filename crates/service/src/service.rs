@@ -35,7 +35,7 @@
 use crate::admission::{AdmissionController, AdmissionDecision};
 use crate::batch::{form_batch, Batch, Job};
 use crate::lock;
-use crate::metrics::{Metrics, MetricsSnapshot};
+use crate::metrics::{Counter, Metrics, MetricsSnapshot};
 use crate::plan::PlanCache;
 use crate::request::{ServiceConfig, SolveRequest, QOS_WEIGHTS};
 use crate::response::{ServiceError, SolveResponse};
@@ -163,8 +163,7 @@ impl Intake {
         drop(queues);
         let taken = batch.jobs.len() as u64;
         let class = batch.jobs[0].request.qos.index();
-        metrics.queue_depth.fetch_sub(taken, Ordering::Relaxed);
-        metrics.class_queue_depth[class].fetch_sub(taken, Ordering::Relaxed);
+        metrics.dequeued(class, taken);
         Some(batch)
     }
 }
@@ -187,14 +186,10 @@ pub(crate) struct Core {
 
 impl Core {
     pub(crate) fn new(config: ServiceConfig) -> Arc<Self> {
-        let metrics = Arc::new(Metrics::new());
-        metrics
-            .queue_capacity
-            .store(config.queue_capacity as u64, Ordering::Relaxed);
         Arc::new(Core {
             intake: Intake::new(),
             cache: PlanCache::new(PLAN_CACHE_CAPACITY),
-            metrics,
+            metrics: Arc::new(Metrics::new(config.queue_capacity)),
             breaker: Arc::new(CircuitBreaker::new(
                 config.breaker_threshold,
                 config.breaker_cooldown,
@@ -256,7 +251,7 @@ impl SolverService {
         let partitioner = match validate(&request) {
             Ok(name) => name,
             Err(why) => {
-                metrics.rejected_invalid.fetch_add(1, Ordering::Relaxed);
+                metrics.add(Counter::RejectedInvalid, 1);
                 return Err(ServiceError::InvalidRequest(why));
             }
         };
@@ -271,7 +266,7 @@ impl SolverService {
         let predicted_us = match core.admission.decide(&request) {
             AdmissionDecision::Admit { predicted_us } => predicted_us,
             AdmissionDecision::Shed { predicted, budget } => {
-                metrics.shed_total.fetch_add(1, Ordering::Relaxed);
+                metrics.add(Counter::ShedTotal, 1);
                 crate::events::emit(
                     &core.config.event_sink,
                     crate::ServiceEvent::Shed {
@@ -296,7 +291,7 @@ impl SolverService {
         }
         if queues.pending[class].len() >= core.config.queue_capacity {
             drop(queues);
-            metrics.rejected_busy.fetch_add(1, Ordering::Relaxed);
+            metrics.add(Counter::RejectedBusy, 1);
             return Err(ServiceError::Busy {
                 queue_capacity: core.config.queue_capacity,
             });
@@ -305,10 +300,9 @@ impl SolverService {
         // Counted before the lock is released: a worker can take the job
         // the moment it is, and what it undoes must already be done.
         core.admission.admit(qos, predicted_us);
-        metrics.accepted.fetch_add(1, Ordering::Relaxed);
-        metrics.in_flight.fetch_add(1, Ordering::Relaxed);
-        metrics.queue_depth.fetch_add(1, Ordering::Relaxed);
-        metrics.class_queue_depth[class].fetch_add(1, Ordering::Relaxed);
+        metrics.add(Counter::Accepted, 1);
+        metrics.add(Counter::InFlight, 1);
+        metrics.queued(class, 1);
         let wake = queues.parked > 0;
         drop(queues);
         if wake {
@@ -402,11 +396,9 @@ impl SolverService {
             .collect();
         drop(queues);
         core.intake.work.notify_all();
-        let drained = left.len() as u64;
-        metrics.queue_depth.fetch_sub(drained, Ordering::Relaxed);
         let mut kept = Kept::new(&core.config);
         for job in left {
-            metrics.class_queue_depth[job.request.qos.index()].fetch_sub(1, Ordering::Relaxed);
+            metrics.dequeued(job.request.qos.index(), 1);
             core.refuse(job, ServiceError::Shutdown, None, &mut kept);
         }
         for worker in self.workers.drain(..) {

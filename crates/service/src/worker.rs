@@ -34,6 +34,7 @@ use crate::events::{
     self, EvidenceHook, JobEvidence, ResidualTail, ServiceEvent, ServiceEventSink, LIFECYCLE_TAIL,
 };
 use crate::lock;
+use crate::metrics::Counter;
 use crate::plan::SolvePlan;
 use crate::request::{ServiceConfig, SolverKind, TOPOLOGY};
 use crate::response::{PlanSource, ServiceError, SolveResponse};
@@ -46,7 +47,6 @@ use hpf_solvers::{
     RecoveryStats, SolveStats, SolverError, StopCriterion, TailObserver,
 };
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -157,15 +157,15 @@ impl Core {
     ) {
         let metrics = &self.metrics;
         self.admission.release(job.request.qos, job.admission_us);
-        metrics.in_flight.fetch_sub(1, Ordering::Relaxed);
+        metrics.sub(Counter::InFlight, 1);
         let latency = job.submitted.elapsed();
         if let Ok(response) = &result {
             let solved = response.solutions.len() as u64;
-            metrics.completed.fetch_add(1, Ordering::Relaxed);
-            metrics.rhs_solved.fetch_add(solved, Ordering::Relaxed);
+            metrics.add(Counter::Completed, 1);
+            metrics.add(Counter::RhsSolved, solved);
             metrics.observe_latency(latency);
         } else {
-            metrics.failed.fetch_add(1, Ordering::Relaxed);
+            metrics.add(Counter::Failed, 1);
         }
         if let Some(solver) = ran {
             let fingerprint = job.batch_key().fingerprint;
@@ -269,10 +269,7 @@ impl Worker {
             .partition(|j| j.deadline_expired(now));
         for job in expired {
             self.kept.begin(&job);
-            self.core
-                .metrics
-                .deadline_exceeded
-                .fetch_add(1, Ordering::Relaxed);
+            self.core.metrics.add(Counter::DeadlineExceeded, 1);
             self.kept.emit(ServiceEvent::DeadlineExpired {
                 trace_id: job.request.trace_id,
                 class: job.request.qos,
@@ -300,7 +297,7 @@ impl Worker {
         let fingerprint = key.fingerprint;
         if core.breaker.admit(fingerprint) == Admission::Refuse {
             for job in batch.jobs {
-                metrics.breaker_open.fetch_add(1, Ordering::Relaxed);
+                metrics.add(Counter::BreakerOpen, 1);
                 let refused = ServiceError::CircuitOpen { fingerprint };
                 core.refuse(job, refused, None, &mut self.kept);
             }
@@ -339,18 +336,14 @@ impl Worker {
                 let plan_key = (fingerprint, partitioner.name(), levels);
                 let (plan, op, source) = core.cache.get_or_build(plan_key, &matrix, build);
                 if source == PlanSource::CacheHit {
-                    metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
+                    metrics.add(Counter::CacheHits, 1);
                 } else {
-                    metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
-                    metrics
-                        .partitioner_invocations
-                        .fetch_add(1, Ordering::Relaxed);
+                    metrics.add(Counter::CacheMisses, 1);
+                    metrics.add(Counter::PartitionerInvocations, 1);
                 }
                 (plan, source, op)
             } else {
-                metrics
-                    .partitioner_invocations
-                    .fetch_add(1, Ordering::Relaxed);
+                metrics.add(Counter::PartitionerInvocations, 1);
                 let plan = Arc::new(build());
                 let op = Arc::new(plan.operator(Arc::clone(&matrix)));
                 (plan, PlanSource::Built, op)
@@ -372,11 +365,9 @@ impl Worker {
         };
 
         let batched_with = batch.jobs.len() - 1;
-        metrics.batches_executed.fetch_add(1, Ordering::Relaxed);
+        metrics.add(Counter::BatchesExecuted, 1);
         if batched_with > 0 {
-            metrics
-                .batched_jobs
-                .fetch_add(batch.jobs.len() as u64, Ordering::Relaxed);
+            metrics.add(Counter::BatchedJobs, batch.jobs.len() as u64);
         }
 
         for job in batch.jobs {
@@ -448,18 +439,15 @@ impl Worker {
                     Ok::<_, SolverError>((solutions, stats, recovery))
                 }));
                 // Per-attempt: reset() rewinds the injector, clear removes it.
-                metrics
-                    .faults_injected
-                    .fetch_add(self.machine.faults_injected() as u64, Ordering::Relaxed);
+                metrics.add(
+                    Counter::FaultsInjected,
+                    self.machine.faults_injected() as u64,
+                );
                 match solved {
                     Ok(Ok((solutions, stats, recovery))) => {
                         if let Some(rec) = &recovery {
-                            metrics
-                                .faults_detected
-                                .fetch_add(rec.faults_detected as u64, Ordering::Relaxed);
-                            metrics
-                                .rollbacks
-                                .fetch_add(rec.rollbacks as u64, Ordering::Relaxed);
+                            metrics.add(Counter::FaultsDetected, rec.faults_detected as u64);
+                            metrics.add(Counter::Rollbacks, rec.rollbacks as u64);
                             for _ in 0..rec.rollbacks {
                                 self.kept.emit(ServiceEvent::Rollback { trace_id, class });
                             }
@@ -468,7 +456,7 @@ impl Worker {
                     }
                     Ok(Err(e)) => {
                         if attempts < max_attempts && is_retryable(&e) {
-                            metrics.retries.fetch_add(1, Ordering::Relaxed);
+                            metrics.add(Counter::Retries, 1);
                             self.kept.emit(ServiceEvent::Retry {
                                 trace_id,
                                 class,
@@ -476,7 +464,7 @@ impl Worker {
                             });
                             if let Some(next) = escalate(kind) {
                                 kind = next;
-                                metrics.escalations.fetch_add(1, Ordering::Relaxed);
+                                metrics.add(Counter::Escalations, 1);
                             }
                             continue;
                         }
@@ -491,7 +479,7 @@ impl Worker {
                                 after_us: after.as_micros() as u64,
                             });
                             // The kill ends this job only.
-                            metrics.kills.fetch_add(1, Ordering::Relaxed);
+                            metrics.add(Counter::Kills, 1);
                             events::emit(
                                 &config.event_sink,
                                 ServiceEvent::WorkerRestarted { worker: self.index },
@@ -625,8 +613,8 @@ mod tests {
     /// Hand `jobs` to `worker` as one batch, counted in flight as
     /// `submit` would have.
     fn execute(worker: &mut Worker, jobs: Vec<Job>) {
-        let in_flight = &worker.core.metrics.in_flight;
-        in_flight.fetch_add(jobs.len() as u64, Ordering::Relaxed);
+        let in_flight = jobs.len() as u64;
+        worker.core.metrics.add(Counter::InFlight, in_flight);
         worker.execute_batch(Batch { jobs });
     }
 

@@ -11,6 +11,8 @@ const SOLVERS_LINES: usize = 2_580;
 const SPARSE_MG_LINES: usize = 4_186;
 /// And on `crates/bench/src`.
 const BENCH_LINES: usize = 4_759;
+/// And on `crates/service/src`.
+const SERVICE_LINES: usize = 3_793;
 
 /// Every Rust source and manifest of the workspace and its stand-ins.
 const SOURCES: &str = "crates/**/*.rs,Cargo.toml compat/**/*.rs,Cargo.toml Cargo.toml";
@@ -373,4 +375,65 @@ fn one_json_codec() {
     let derives = grep(&files("crates src compat Cargo.toml"), derive);
     let message = "serialization is hand-written against hpf-json; no derive";
     forbid(derives, message);
+}
+
+/// Each line of `text` with the lines rustfmt wrapped off it (those that
+/// start with `.`) joined back on, and the number of its first line.
+fn chains(text: &str) -> Vec<(usize, String)> {
+    let mut chains: Vec<(usize, String)> = Vec::new();
+    for (i, line) in text.lines().enumerate() {
+        match chains.last_mut() {
+            Some((_, chain)) if line.trim_start().starts_with('.') => chain.push_str(line.trim()),
+            _ => chains.push((i + 1, line.to_string())),
+        }
+    }
+    chains
+}
+
+/// A field declaration's name, `pub ` aside.
+fn field_name(line: &str) -> &str {
+    let field = line.trim_start().trim_start_matches("pub ");
+    field.split(':').next().unwrap_or("")
+}
+
+#[test]
+fn a_counter_is_named_once() {
+    let path = "crates/service/src/metrics.rs";
+    let metrics = &nontest(files(path))[0].1;
+    let table = ranges(metrics, "^table! {", "^}").concat();
+    let quoted = table.split('"').skip(1).step_by(2);
+    let names: Vec<&str> = quoted.filter(|s| !s.contains(' ')).collect();
+    let message = "metrics.rs declares its counters in one `table!` row list";
+    assert!(!names.is_empty(), "{message}");
+    let times = |n: &&str| metrics.matches(&format!("\"{n}\"")).count();
+    let twice = names.iter().filter(|n| times(n) > 1);
+    let mut found: Vec<String> = twice
+        .map(|n| format!("{path}: \"{n}\" quoted more than once"))
+        .collect();
+    let body = ranges(metrics, "^pub struct Metrics {", "^}");
+    let named = |l: &&str| field_type(l).is_some() && names.contains(&field_name(l));
+    let fields = body.into_iter().filter(named);
+    found.extend(fields.map(|l| format!("{path}: Metrics: {}", l.trim())));
+    let atomic = |rest: &str| {
+        let rest = rest.trim_start_matches(|c: char| c.is_ascii_lowercase() || c == '_');
+        let rest = rest
+            .strip_prefix('[')
+            .and_then(|r| r.split_once(']'))
+            .map_or(rest, |x| x.1);
+        [".fetch_", ".load(", ".store("]
+            .iter()
+            .any(|op| rest.starts_with(op))
+    };
+    let mut service = files("crates/service/src");
+    service.retain(|(file, _)| file != path);
+    for (file, text) in service {
+        for (at, chain) in chains(&text) {
+            if chain.split("metrics.").skip(1).any(atomic) {
+                found.push(format!("{file}:{at}: {}", chain.trim()));
+            }
+        }
+    }
+    let message = "a counter is one row of metrics.rs's table: its JSON key and exposition name are quoted once, no Metrics field bears its name, and the service moves it through Metrics::add/sub, not a named AtomicU64";
+    forbid(found, message);
+    cap("crates/service/src", SERVICE_LINES);
 }
