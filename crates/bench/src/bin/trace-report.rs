@@ -70,7 +70,7 @@
 //! the exit status and written files matter). Exit status is non-zero
 //! on unreadable input, a failed validation, or a bench regression.
 
-use hpf_machine::{level_of, predicted_time, CostModel, EventKind, Topology, Trace};
+use hpf_machine::{level_of, CostModel, EventKind, EventRef, Topology, Trace};
 use hpf_obs::{
     critical_path, load_imbalance, render_diff, span_costs, BenchRecord, DriftReport, Timeline,
 };
@@ -395,15 +395,11 @@ fn render_partition(
         "switch-s"
     ));
     for seg in &segments {
-        let comm = || {
-            let rows = seg.rows.clone().map(|at| trace.row(at));
-            rows.filter(|e| e.kind != EventKind::Compute)
-        };
-        let comm_words: usize = comm().map(|e| e.words).sum();
-        let measured: f64 = comm().map(|e| e.time).sum();
-        let modeled: f64 = comm()
-            .map(|e| predicted_time(&e, topology, cost).unwrap_or(e.time))
-            .sum();
+        // The segment's communication rows, measured and modeled.
+        let is_comm = |e: &EventRef<'_>| (e.kind != EventKind::Compute).then_some(());
+        let mut comm = trace.window_by(seg.rows.clone(), Some((topology, cost)), false, is_comm);
+        let comm = comm.pop().map(|(_, sums)| sums).unwrap_or_default();
+        let (comm_words, measured, modeled) = (comm.words, comm.time, comm.predicted);
         let drift = if modeled > 0.0 {
             100.0 * (measured - modeled) / modeled
         } else {
@@ -432,38 +428,11 @@ fn render_partition(
 
 /// Per-multigrid-level accounting: every event whose span path carries
 /// a `level=L` segment is attributed to that level; per-level busy
-/// times come from the events' per-processor timings.
+/// times come from the compute events' per-processor timings.
 fn render_mg(trace: &Trace) -> Result<String, ReportError> {
-    #[derive(Default)]
-    struct LevelAgg {
-        events: usize,
-        seconds: f64,
-        comm_words: usize,
-        comm_seconds: f64,
-        busy: Vec<f64>,
-    }
-    let mut levels: std::collections::BTreeMap<usize, LevelAgg> = std::collections::BTreeMap::new();
-    let mut outside = 0usize;
-    for e in trace.iter() {
-        let Some(level) = level_of(e.span) else {
-            outside += 1;
-            continue;
-        };
-        let agg = levels.entry(level).or_default();
-        agg.events += 1;
-        agg.seconds += e.time;
-        if e.kind != EventKind::Compute {
-            agg.comm_words += e.words;
-            agg.comm_seconds += e.time;
-        }
-        let times = e.times();
-        if agg.busy.len() < times.len() {
-            agg.busy.resize(times.len(), 0.0);
-        }
-        for (p, t) in times.enumerate() {
-            agg.busy[p] += t;
-        }
-    }
+    let mut levels = trace.window_by(0..trace.len(), None, true, |e| level_of(e.span));
+    levels.sort_by_key(|&(level, _)| level);
+    let outside = trace.len() - levels.iter().map(|(_, sums)| sums.events).sum::<usize>();
     if levels.is_empty() {
         return Err(ReportError::NoLevelSpans {
             events: trace.len(),
@@ -479,16 +448,12 @@ fn render_mg(trace: &Trace) -> Result<String, ReportError> {
         "{:<6} {:>7} {:>14} {:>12} {:>14} {:>10}\n",
         "level", "events", "seconds", "comm-words", "comm-s", "imbalance"
     ));
-    for (level, agg) in &levels {
-        let mean = agg.busy.iter().sum::<f64>() / agg.busy.len().max(1) as f64;
-        let imbalance = if mean > 0.0 {
-            agg.busy.iter().cloned().fold(0.0f64, f64::max) / mean
-        } else {
-            1.0
-        };
+    for (level, sums) in &levels {
+        // A level with no busy time reads 1.0.
+        let imbalance = hpf_machine::imbalance(sums.busy.iter().copied()).unwrap_or(1.0);
         out.push_str(&format!(
             "{:<6} {:>7} {:>14.6e} {:>12} {:>14.6e} {:>10.3}\n",
-            level, agg.events, agg.seconds, agg.comm_words, agg.comm_seconds, imbalance,
+            level, sums.events, sums.time, sums.comm_words, sums.comm_time, imbalance,
         ));
     }
     Ok(out)
@@ -1040,6 +1005,106 @@ mod tests {
         for level in ["0 ", "1 ", "2 "] {
             assert!(report.lines().any(|l| l.starts_with(level)), "{report}");
         }
+    }
+
+    /// Every reader of a load-imbalance ratio, given an empty set, an
+    /// all-zero set and a one-processor set: each keeps its own reading of
+    /// "no load to compare" (1.0, 0.0 or none), pinned here as a table.
+    #[test]
+    fn each_imbalance_reading_of_an_idle_set_is_pinned() {
+        use hpf_dist::atoms::{AtomAssignment, AtomSpec};
+        use hpf_dist::partition::imbalance;
+        use hpf_machine::{Event, EventKind};
+        let idle = |np: usize| Machine::new(np, Topology::Hypercube, CostModel::mpp_1995());
+        let mut one = idle(1);
+        one.compute_uniform(10, "w");
+        // `load_imbalance` of a traced run of `work` on `np` processors.
+        let traced = |np: usize, work: &dyn Fn(&mut Machine) -> f64| {
+            let mut m = idle(np);
+            m.set_tracing(true);
+            work(&mut m);
+            let li = hpf_obs::load_imbalance(m.trace());
+            format!("{:?}", li.map(|li| (li.ratio, li.busy.len())))
+        };
+        // The `mg` table's imbalance column of levels 0 (all-zero busy
+        // time), 1 (no busy time) and 2 (one processor).
+        let mut levels = Trace::new();
+        for (span, kind, proc_times) in [
+            ("mg/level=0", EventKind::Compute, vec![0.0, 0.0]),
+            ("mg/level=1", EventKind::AllReduce, vec![]),
+            ("mg/level=2", EventKind::Compute, vec![3.0]),
+        ] {
+            let time = proc_times.iter().cloned().fold(0.0, f64::max);
+            let (participants, span) = (proc_times.len().max(2), span.to_string());
+            let event = Event {
+                kind,
+                participants,
+                time,
+                span,
+                proc_times,
+                ..Event::default()
+            };
+            levels.record(event);
+        }
+        let mg = render_mg(&levels).unwrap();
+        let mg = |level: &str| {
+            let row = mg.lines().find(|r| r.starts_with(level)).unwrap();
+            row.split_whitespace().last().unwrap().to_string()
+        };
+        // An auto-repartitioned solve on a machine whose flops are free:
+        // every segment's busy time is zero.
+        let a = hpf_sparse::gen::poisson_2d(6, 6);
+        let spec = AtomSpec::from_pointer_array(a.row_ptr());
+        let free = CostModel {
+            t_flop: 0.0,
+            ..CostModel::mpp_1995()
+        };
+        let mut m = Machine::new(2, Topology::Hypercube, free);
+        let (b, start) = (vec![1.0; a.n_rows()], AtomAssignment::atom_block(&spec, 2));
+        let (to, obs) = (&hpf_partition::NnzBisection, &mut hpf_solvers::NullObserver);
+        let auto = hpf_partition::cg_auto_repartition(&mut m, &a, &b, 1e-8, 8, &start, to, obs);
+        let zero = AtomSpec::from_pointer_array(&[0, 0, 0]);
+        let atoms = |spec: &AtomSpec, np| AtomAssignment::atom_block(spec, np).imbalance(spec);
+        let table = [
+            ("Machine, idle", idle(4).imbalance().to_string(), "1"),
+            ("Machine, one idle", idle(1).imbalance().to_string(), "1"),
+            ("Machine, one", one.imbalance().to_string(), "1"),
+            ("partition, empty", imbalance(&[]).to_string(), "0"),
+            ("partition, zeros", imbalance(&[0, 0]).to_string(), "0"),
+            ("partition, one", imbalance(&[5]).to_string(), "1"),
+            ("atoms, zeros", atoms(&zero, 2).to_string(), "1"),
+            ("atoms, one", atoms(&spec, 1).to_string(), "1"),
+            ("load_imbalance, empty", traced(2, &|_| 0.0), "None"),
+            (
+                "load_imbalance, no compute",
+                traced(2, &|m| m.allreduce(1, "d")),
+                "None",
+            ),
+            (
+                "load_imbalance, zeros",
+                traced(2, &|m| m.compute_uniform(0, "w")),
+                "None",
+            ),
+            (
+                "load_imbalance, one",
+                traced(1, &|m| m.compute_uniform(9, "w")),
+                "Some((1.0, 1))",
+            ),
+            ("mg, zeros", mg("0 "), "1.000"),
+            ("mg, empty", mg("1 "), "1.000"),
+            ("mg, one", mg("2 "), "1.000"),
+            (
+                "auto, zeros",
+                format!("{:?}", auto.unwrap().segment_imbalances),
+                "[0.0, 0.0]",
+            ),
+        ];
+        let moved: Vec<String> = table
+            .iter()
+            .filter(|(_, now, read)| now != read)
+            .map(|(case, now, read)| format!("{case}: read {read}, now {now}"))
+            .collect();
+        assert!(moved.is_empty(), "{}", moved.join("\n"));
     }
 
     /// FNV-1a over the bytes, the digest `wire_formats.rs` pins with.

@@ -17,9 +17,8 @@ fn matvec_with_cuts(a: &CsrMatrix, np: usize, cuts: Vec<usize>) -> (f64, f64) {
     let p_desc = ArrayDescriptor::new(n, np, hpf_dist::DistSpec::IrregularCuts(cuts.clone()));
     let op = RowwiseCsr::with_row_cuts(a.clone(), np, cuts);
     let flops = op.flops_per_proc();
-    let max = *flops.iter().max().unwrap() as f64;
-    let mean = flops.iter().sum::<usize>() as f64 / np as f64;
-    let imb = if mean == 0.0 { 1.0 } else { max / mean };
+    // No flops at all read 1.0.
+    let imb = hpf_machine::imbalance(flops.iter().map(|&f| f as f64)).unwrap_or(1.0);
     let p = DistVector::constant(p_desc, 1.0);
     let mut m = Machine::hypercube(np);
     let (_, _) = op.matvec(&mut m, &p);

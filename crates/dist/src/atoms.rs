@@ -165,16 +165,11 @@ impl AtomAssignment {
         loads
     }
 
-    /// Load imbalance `max/mean` of element loads (1.0 = perfect).
+    /// Load imbalance, [`hpf_machine::imbalance`], of element loads (1.0
+    /// = perfect). No elements at all read 1.0.
     pub fn imbalance(&self, spec: &AtomSpec) -> f64 {
-        let loads = self.loads(spec);
-        let max = *loads.iter().max().unwrap() as f64;
-        let mean = loads.iter().sum::<usize>() as f64 / self.np as f64;
-        if mean == 0.0 {
-            1.0
-        } else {
-            max / mean
-        }
+        let loads = self.loads(spec).into_iter().map(|l| l as f64);
+        hpf_machine::imbalance(loads).unwrap_or(1.0)
     }
 
     /// Is the assignment contiguous in atom order (each processor owns a

@@ -84,23 +84,14 @@ pub fn loads(weights: &[usize], owners: &[usize], np: usize) -> Vec<usize> {
     l
 }
 
-/// `max/mean` imbalance of a load vector (1.0 = perfect balance).
+/// [`hpf_machine::imbalance`] of a load vector (1.0 = perfect balance).
 ///
 /// Degenerate inputs are defined, not errors: an empty or all-zero load
-/// vector has nothing out of balance, so the imbalance is 0.0 (there is
-/// no overloaded processor to speak of, and callers gating on
+/// vector has nothing out of balance, so it reads 0.0 (there is no
+/// overloaded processor to speak of, and callers gating on
 /// `imbalance > threshold` must not fire on idle machines).
 pub fn imbalance(loads: &[usize]) -> f64 {
-    if loads.is_empty() {
-        return 0.0;
-    }
-    let max = *loads.iter().max().unwrap() as f64;
-    let mean = loads.iter().sum::<usize>() as f64 / loads.len() as f64;
-    if mean == 0.0 {
-        0.0
-    } else {
-        max / mean
-    }
+    hpf_machine::imbalance(loads.iter().map(|&l| l as f64)).unwrap_or(0.0)
 }
 
 /// Can `weights` be split into `np` contiguous groups, each of total

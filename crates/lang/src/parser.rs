@@ -90,7 +90,10 @@ pub fn parse_directive(body: &str) -> Result<Directive, ParseError> {
 fn directive_body(raw: &str) -> Option<String> {
     let t = raw.trim_start();
     for sentinel in ["!HPF$", "!EXT$", "$HPF$", "$EXT$", "CHPF$", "CEXT$"] {
-        if t.len() >= sentinel.len() && t[..sentinel.len()].eq_ignore_ascii_case(sentinel) {
+        // Compared by bytes: a sentinel-long prefix may end inside a
+        // character.
+        let head = t.as_bytes().get(..sentinel.len());
+        if head.is_some_and(|head| head.eq_ignore_ascii_case(sentinel.as_bytes())) {
             return Some(t[sentinel.len()..].to_string());
         }
     }

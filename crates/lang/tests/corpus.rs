@@ -1,8 +1,9 @@
 //! The directive front-end on hostile input: every prefix of the paper's
-//! decks, arithmetic that leaves `i64`, literals too large for it and
-//! nesting deep enough to overflow an unbounded descent each end in `Ok`
-//! or a typed `Err`, in debug and in release, never in a panic, a wrapped
-//! value or an abort.
+//! decks, the decks with one byte replaced or one line duplicated,
+//! arithmetic that leaves `i64`, literals too large for it and nesting
+//! deep enough to overflow an unbounded descent each end in `Ok` or a
+//! typed `Err`, in debug and in release, never in a panic, a wrapped value
+//! or an abort.
 
 use hpf_lang::{elaborate, parse_directive, parse_program, ElabError, Elaboration, Env, EvalError};
 use std::collections::BTreeMap;
@@ -59,6 +60,38 @@ fn every_proper_prefix_of_a_deck_is_ok_or_an_error() {
     let text = program(&DECKS);
     for (end, _) in text.char_indices() {
         let _ = run(&text[..end]);
+    }
+}
+
+/// [`run`], or name the program it panicked on.
+fn run_unwound(src: &str) -> Result<Elaboration, String> {
+    match std::panic::catch_unwind(|| run(src)) {
+        Ok(run) => run,
+        Err(_) => panic!("the front-end panicked on {src:?}"),
+    }
+}
+
+/// The decks with each byte replaced by each of a set of bytes that mean
+/// something to the lexer, and with each line duplicated: `Ok` or a typed
+/// error, never a panic.
+#[test]
+fn every_damaged_deck_is_ok_or_an_error() {
+    let text = program(&DECKS);
+    let with = [
+        "(", ")", ",", ":", "+", "-", "*", "/", "!", "$", "0", "9", "A", "_", " ", "\n", "\u{1}",
+        "é",
+    ];
+    for at in (0..text.len()).filter(|&i| text.is_char_boundary(i)) {
+        let next = (at + 1..=text.len()).find(|&i| text.is_char_boundary(i));
+        for w in with {
+            let _ = run_unwound(&format!("{}{w}{}", &text[..at], &text[next.unwrap()..]));
+        }
+    }
+    let lines: Vec<&str> = text.lines().collect();
+    for at in 0..lines.len() {
+        let mut twice = lines.clone();
+        twice.insert(at, lines[at]);
+        let _ = run_unwound(&(twice.join("\n") + "\n"));
     }
 }
 

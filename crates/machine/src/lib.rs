@@ -37,4 +37,4 @@ pub use predict::{cg_iteration_seconds, predicted_time};
 pub use span::{level_of, trace_of, ScopeGuard};
 pub use spmd::{Comm, SpmdRun, SpmdStats, SpmdWorld};
 pub use topology::Topology;
-pub use trace::{Digest, Event, EventKind, LabelSummary, Trace, TraceParseError, Window};
+pub use trace::{imbalance, Digest, Event, EventKind, LabelSummary, Sums, Trace, TraceParseError};

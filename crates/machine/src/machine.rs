@@ -174,16 +174,10 @@ impl Machine {
         &self.clocks
     }
 
-    /// Load imbalance factor of the processor clocks: `max / mean`
-    /// (1.0 = perfectly balanced). Returns 1.0 on an idle machine.
+    /// Load imbalance factor of the processor clocks, [`crate::imbalance`]
+    /// (1.0 = perfectly balanced). An idle machine reads 1.0.
     pub fn imbalance(&self) -> f64 {
-        let max = self.elapsed();
-        let mean = self.clocks.iter().sum::<f64>() / self.np as f64;
-        if mean == 0.0 {
-            1.0
-        } else {
-            max / mean
-        }
+        crate::imbalance(self.clocks.iter().copied()).unwrap_or(1.0)
     }
 
     pub fn total_flops(&self) -> u64 {

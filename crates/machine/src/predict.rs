@@ -195,11 +195,11 @@ mod tests {
         assert!(predicted_time(&fault, Topology::Hypercube, m.cost_model()).is_none());
         assert!(predicted_time(&redist, Topology::Hypercube, m.cost_model()).is_none());
         // The lenient total counts both at their measured time.
-        let window = m
-            .trace()
-            .window(0, Topology::Hypercube, m.cost_model(), None);
-        assert_eq!(window.measured, m.trace().total_time());
-        assert!((window.predicted - window.measured).abs() < 1e-12 * window.predicted);
+        let (trace, price) = (m.trace(), Some((Topology::Hypercube, m.cost_model())));
+        let window = trace.window(0..trace.len(), price, false);
+        assert_eq!(window.time, trace.total_time());
+        assert_eq!(window.unpriced, 2);
+        assert!((window.predicted - window.time).abs() < 1e-12 * window.predicted);
     }
 
     /// The admission estimate is the same price the machine charges when

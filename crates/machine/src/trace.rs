@@ -10,9 +10,10 @@ use crate::cost::CostModel;
 use crate::recorder::EventRef;
 use crate::topology::Topology;
 use hpf_json::Obj;
+use std::ops::Range;
 
 /// The kind of a traced event.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum EventKind {
     /// Point-to-point message.
     Send,
@@ -201,13 +202,59 @@ impl Row {
     }
 }
 
-/// What [`Trace::window`] reads of a window of a trace.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct Window {
-    pub measured: f64,
-    /// Each event at [`crate::predicted_time`], or at its measured time
-    /// where no closed form prices it (no phantom drift).
+/// The topology and cost model a trace's rows are priced under, if any.
+pub type Price<'a> = Option<(Topology, &'a CostModel)>;
+
+/// What a set of a trace's rows adds up to, in record order from `0.0`:
+/// the one fold behind [`Trace::window`] and [`Trace::window_by`].
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Sums {
+    pub events: usize,
+    pub time: f64,
+    /// Time and words of every kind but `Compute`.
+    pub comm_time: f64,
+    pub comm_words: usize,
+    pub words: usize,
+    pub flops: usize,
+    /// Under a cost model, each row at [`crate::predicted_time`], or at
+    /// its measured time where no closed form prices it (`unpriced`).
     pub predicted: f64,
+    pub unpriced: usize,
+    /// When asked for, each compute phase's per-processor times added
+    /// up (grown to fit); empty otherwise, so nothing is allocated.
+    pub busy: Vec<f64>,
+}
+
+impl Sums {
+    fn add(&mut self, op: &EventRef<'_>, price: Price<'_>, busy: bool) {
+        self.events += 1;
+        self.time += op.time;
+        self.words += op.words;
+        self.flops += op.flops;
+        if op.kind != EventKind::Compute {
+            self.comm_time += op.time;
+            self.comm_words += op.words;
+        } else if busy {
+            let times = op.times();
+            self.busy.resize(self.busy.len().max(times.len()), 0.0);
+            self.busy.iter_mut().zip(times).for_each(|(b, t)| *b += t);
+        }
+        if let Some((topology, cost)) = price {
+            let predicted = crate::predicted_time(op, topology, cost);
+            self.unpriced += usize::from(predicted.is_none());
+            self.predicted += predicted.unwrap_or(op.time);
+        }
+    }
+}
+
+/// The load-imbalance ratio `max / mean` of per-processor loads (1.0 is
+/// perfect balance), or `None` for an empty or all-zero set, where there
+/// is no load to compare: each caller states what it reads there.
+pub fn imbalance(loads: impl IntoIterator<Item = f64>) -> Option<f64> {
+    let add = |(max, sum, n): (f64, f64, usize), load: f64| (max.max(load), sum + load, n + 1);
+    let (max, sum, n) = loads.into_iter().fold((0.0, 0.0, 0), add);
+    let mean = sum / n as f64;
+    (mean > 0.0).then(|| max / mean)
 }
 
 impl Trace {
@@ -315,11 +362,6 @@ impl Trace {
         self.sum(|k| k == kind, |_| 1)
     }
 
-    /// Total words moved by events of a given kind.
-    pub fn words(&self, kind: EventKind) -> usize {
-        self.sum(|k| k == kind, |e| e.words)
-    }
-
     /// Total words moved by all communication events.
     pub fn total_comm_words(&self) -> usize {
         self.sum(|k| k != EventKind::Compute, |e| e.words)
@@ -345,33 +387,36 @@ impl Trace {
         self.iter().filter(move |e| e.label == label)
     }
 
-    /// The measured and predicted time of the events from `from` on, and
-    /// with `busy`, each compute phase's per-processor times added into it
-    /// (grown to fit). Read from the rows: nothing decodes.
-    pub fn window(
-        &self,
-        from: usize,
-        topology: Topology,
-        cost: &CostModel,
-        mut busy: Option<&mut Vec<f64>>,
-    ) -> Window {
-        // From `-0.0`, as `Iterator::sum` adds: the sums of the decoded
-        // events, bit for bit.
-        let mut window = Window {
-            measured: -0.0,
-            predicted: -0.0,
-        };
-        for at in from..self.rows.len() {
-            let op = self.row(at);
-            window.measured += op.time;
-            window.predicted += crate::predicted_time(&op, topology, cost).unwrap_or(op.time);
-            if let (Some(busy), EventKind::Compute) = (busy.as_deref_mut(), op.kind) {
-                let times = op.times();
-                busy.resize(busy.len().max(times.len()), 0.0);
-                busy.iter_mut().zip(times).for_each(|(b, t)| *b += t);
-            }
+    /// The [`Sums`] of the rows in `rows`, priced under `price` if given,
+    /// with per-processor busy time if `busy`. Nothing decodes.
+    pub fn window(&self, rows: Range<usize>, price: Price<'_>, busy: bool) -> Sums {
+        let mut sums = Sums::default();
+        for at in rows {
+            sums.add(&self.row(at), price, busy);
         }
-        window
+        sums
+    }
+
+    /// [`Trace::window`] apart per key: each row of `rows` is added to
+    /// the sums of the key `key` gives it, and left out where that is
+    /// `None`. Keys come in the order their first rows appear.
+    pub fn window_by<'a, K: Copy + Eq + std::hash::Hash>(
+        &'a self,
+        rows: Range<usize>,
+        price: Price<'_>,
+        busy: bool,
+        mut key: impl FnMut(&EventRef<'a>) -> Option<K>,
+    ) -> Vec<(K, Sums)> {
+        let (mut groups, mut at) = (Vec::new(), std::collections::HashMap::new());
+        for op in rows.map(|at| self.row(at)) {
+            let Some(k) = key(&op) else { continue };
+            let group = *at.entry(k).or_insert_with(|| {
+                groups.push((k, Sums::default()));
+                groups.len() - 1
+            });
+            groups[group].1.add(&op, price, busy);
+        }
+        groups
     }
 
     /// Aggregate the trace per label, in first-appearance order. This is
@@ -702,11 +747,37 @@ mod tests {
         t.record(ev(EventKind::Compute, 0, 2000, 2.0, "local-matvec"));
         assert_eq!(t.len(), 3);
         assert_eq!(t.count(EventKind::AllGather), 1);
-        assert_eq!(t.words(EventKind::AllGather), 100);
+        let gathers = t.window_by(0..t.len(), None, false, |e| {
+            (e.kind == EventKind::AllGather).then_some(())
+        });
+        assert_eq!(gathers[0].1.words, 100);
         assert_eq!(t.total_comm_words(), 101);
         assert!((t.total_time() - 3.5).abs() < 1e-12);
         assert!((t.comm_time() - 1.5).abs() < 1e-12);
         assert!((t.compute_time() - 2.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_window_sums_its_rows_and_apart_per_key_in_first_seen_order() {
+        let mut t = Trace::new();
+        let mut skewed = ev(EventKind::Compute, 0, 30, 3.0, "local");
+        skewed.proc_times = vec![1.0, 3.0];
+        t.record(ev(EventKind::AllReduce, 2, 0, 0.5, "dot-merge"));
+        t.record(skewed);
+        t.record(ev(EventKind::AllGather, 8, 0, 0.25, "bcast-p"));
+        let all = t.window(0..t.len(), None, true);
+        assert_eq!(
+            (all.events, all.words, all.flops, all.comm_words),
+            (3, 10, 30, 10)
+        );
+        assert_eq!((all.time, all.comm_time, all.predicted), (3.75, 0.75, 0.0));
+        assert_eq!(all.busy, vec![1.0, 3.0]);
+        assert!(t.window(1..3, None, false).busy.is_empty());
+        let by_kind = t.window_by(0..t.len(), None, false, |e| {
+            (e.kind != EventKind::Compute).then_some(e.label)
+        });
+        let keys: Vec<(&str, usize)> = by_kind.iter().map(|(k, s)| (*k, s.events)).collect();
+        assert_eq!(keys, [("dot-merge", 1), ("bcast-p", 1)]);
     }
 
     #[test]

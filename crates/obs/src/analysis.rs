@@ -9,8 +9,7 @@
 //! path spends its time and how much of the compute time is wasted
 //! waiting for the most-loaded processor.
 
-use hpf_machine::{EventKind, Trace};
-use std::collections::HashMap;
+use hpf_machine::{EventKind, EventRef, Trace};
 
 /// One aggregated contributor to the critical path.
 #[derive(Debug, Clone, PartialEq)]
@@ -53,46 +52,43 @@ impl CriticalPathReport {
     }
 }
 
-/// Extract the critical path and its per-span decomposition.
+/// Extract the critical path and its per-span decomposition: every
+/// event at its `time`, already the synchronised (slowest-participant)
+/// duration the machine advanced its clocks by.
 pub fn critical_path(trace: &Trace) -> CriticalPathReport {
-    let mut report = CriticalPathReport::default();
-    for event in trace.iter() {
-        // `time` is already the synchronised (slowest-participant)
-        // duration the machine advanced its clocks by.
-        report.total_seconds += event.time;
-        match event.kind {
-            EventKind::Compute => report.compute_seconds += event.time,
-            EventKind::Fault => report.fault_seconds += event.time,
-            _ => report.comm_seconds += event.time,
-        }
+    let rows = 0..trace.len();
+    let mut report = CriticalPathReport {
+        total_seconds: trace.window(rows.clone(), None, false).time,
+        by_span: span_costs(trace),
+        ..CriticalPathReport::default()
+    };
+    // Compute and faults apart, every other kind as one (`None`).
+    let apart = |e: &EventRef<'_>| matches!(e.kind, EventKind::Compute | EventKind::Fault);
+    for (kind, sums) in trace.window_by(rows, None, false, |e| Some(apart(e).then_some(e.kind))) {
+        *match kind {
+            Some(EventKind::Compute) => &mut report.compute_seconds,
+            Some(_) => &mut report.fault_seconds,
+            None => &mut report.comm_seconds,
+        } = sums.time;
     }
-    report.by_span = span_costs(trace);
     report
 }
 
 /// Per-span cost attribution (the critical path's `by_span`, exposed
 /// directly for the `summary`/`csv` report views), by descending cost.
 pub fn span_costs(trace: &Trace) -> Vec<SpanCost> {
+    let spans = trace.window_by(0..trace.len(), None, false, |e| Some(e.span));
+    let mut costs: Vec<SpanCost> = spans
+        .into_iter()
+        .map(|(span, sums)| SpanCost {
+            key: span.to_string(),
+            count: sums.events,
+            seconds: sums.time,
+            words: sums.words as u64,
+            flops: sums.flops as u64,
+        })
+        .collect();
     // First-seen order, which the stable sort keeps among equal costs.
-    let mut costs: Vec<SpanCost> = Vec::new();
-    let mut at: HashMap<&str, usize> = HashMap::new();
-    for event in trace.iter() {
-        let i = *at.entry(event.span).or_insert_with(|| {
-            costs.push(SpanCost {
-                key: event.span.to_string(),
-                count: 0,
-                seconds: 0.0,
-                words: 0,
-                flops: 0,
-            });
-            costs.len() - 1
-        });
-        let entry = &mut costs[i];
-        entry.count += 1;
-        entry.seconds += event.time;
-        entry.words += event.words as u64;
-        entry.flops += event.flops as u64;
-    }
     costs.sort_by(|a, b| b.seconds.total_cmp(&a.seconds));
     costs
 }
@@ -109,31 +105,12 @@ pub struct LoadImbalance {
 
 /// Measure compute load imbalance from the trace's per-processor
 /// compute durations. Returns `None` when the trace has no compute
-/// events with per-processor timings (or all durations are zero).
+/// events with per-processor timings (or all durations are zero), where
+/// [`hpf_machine::imbalance`] has no load to compare.
 pub fn load_imbalance(trace: &Trace) -> Option<LoadImbalance> {
-    let np = trace.iter().map(|e| e.participants).max().unwrap_or(0);
-    if np == 0 {
-        return None;
-    }
-    let mut busy = vec![0.0f64; np];
-    let mut saw_compute = false;
-    for event in trace.iter() {
-        if event.kind == EventKind::Compute && event.times().len() == np {
-            saw_compute = true;
-            busy.iter_mut()
-                .zip(event.times())
-                .for_each(|(b, t)| *b += t);
-        }
-    }
-    let max = busy.iter().cloned().fold(0.0f64, f64::max);
-    let mean = busy.iter().sum::<f64>() / np as f64;
-    if !saw_compute || mean <= 0.0 {
-        return None;
-    }
-    Some(LoadImbalance {
-        busy,
-        ratio: max / mean,
-    })
+    let busy = trace.window(0..trace.len(), None, true).busy;
+    let ratio = hpf_machine::imbalance(busy.iter().copied())?;
+    Some(LoadImbalance { busy, ratio })
 }
 
 #[cfg(test)]

@@ -42,7 +42,7 @@ use crate::json::Obj;
 use hpf_machine::{predicted_time, CostModel, EventKind, EventRef, Topology, Trace};
 
 /// The analytic categories the oracle attributes events to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum DriftCategory {
     Saxpy,
     DotReduce,
@@ -224,62 +224,46 @@ impl DriftReport {
     /// ask "what does the model say this schedule *should* have cost
     /// elsewhere?".
     pub fn from_trace(trace: &Trace, topology: Topology, cost: &CostModel) -> DriftReport {
-        let mut cats: Vec<CategoryDrift> = DriftCategory::ALL
+        let (rows, price) = (0..trace.len(), Some((topology, cost)));
+        let mut by_category = trace.window_by(rows.clone(), price, false, |e| Some(classify(e)));
+        by_category.sort_by_key(|&(category, _)| category);
+        let categories: Vec<CategoryDrift> = by_category
             .iter()
-            .map(|&category| CategoryDrift {
-                category,
-                events: 0,
-                predicted_events: 0,
-                predicted_seconds: 0.0,
-                measured_seconds: 0.0,
-                words: 0,
+            .map(|(category, sums)| CategoryDrift {
+                category: *category,
+                events: sums.events,
+                predicted_events: sums.events - sums.unpriced,
+                predicted_seconds: sums.predicted,
+                measured_seconds: sums.time,
+                words: sums.words as u64,
             })
             .collect();
-        // `(event index, |measured − predicted|)` of the worst so far,
-        // worst first, ties to the earlier event.
-        let mut worst: Vec<(usize, f64)> = Vec::with_capacity(WORST + 1);
-        let mut iters: std::collections::BTreeMap<usize, IterDrift> =
-            std::collections::BTreeMap::new();
-        let mut unpredicted = 0usize;
-        let mut total_flops = 0u64;
+        let mut iterations: Vec<IterDrift> = trace
+            .window_by(rows, price, false, |e| iteration_of(e.span))
+            .into_iter()
+            .map(|(iteration, sums)| IterDrift {
+                iteration,
+                predicted_seconds: sums.predicted,
+                measured_seconds: sums.time,
+            })
+            .collect();
+        iterations.sort_by_key(|d| d.iteration);
+        // `(event index, |measured − predicted|, predicted)` of the worst
+        // so far, worst first, ties to the earlier event.
+        let mut worst: Vec<(usize, f64, f64)> = Vec::with_capacity(WORST + 1);
         for (i, event) in trace.iter().enumerate() {
-            total_flops += event.flops as u64;
-            let category = classify(&event);
-            let prediction = predicted_time(&event, topology, cost);
-            let predicted = prediction.unwrap_or(event.time);
-            if prediction.is_none() {
-                unpredicted += 1;
-            }
-            let slot = &mut cats[DriftCategory::ALL
-                .iter()
-                .position(|&c| c == category)
-                .expect("category table covers the enum")];
-            slot.events += 1;
-            slot.predicted_events += usize::from(prediction.is_some());
-            slot.predicted_seconds += predicted;
-            slot.measured_seconds += event.time;
-            slot.words += event.words as u64;
-            if prediction.is_some() {
+            if let Some(predicted) = predicted_time(&event, topology, cost) {
                 let drift = (event.time - predicted).abs();
-                let at = worst.partition_point(|&(_, worse)| worse >= drift);
+                let at = worst.partition_point(|&(_, worse, _)| worse >= drift);
                 if at < WORST {
-                    worst.insert(at, (i, drift));
+                    worst.insert(at, (i, drift, predicted));
                     worst.truncate(WORST);
                 }
-            }
-            if let Some(k) = iteration_of(event.span) {
-                let entry = iters.entry(k).or_insert(IterDrift {
-                    iteration: k,
-                    predicted_seconds: 0.0,
-                    measured_seconds: 0.0,
-                });
-                entry.predicted_seconds += predicted;
-                entry.measured_seconds += event.time;
             }
         }
         let worst = worst
             .into_iter()
-            .map(|(i, _)| {
+            .map(|(i, _, predicted_seconds)| {
                 let event = trace.row(i);
                 WorstOffender {
                     event: i,
@@ -287,21 +271,21 @@ impl DriftReport {
                     span: event.span.to_string(),
                     label: event.label.to_string(),
                     category: classify(&event),
-                    predicted_seconds: predicted_time(&event, topology, cost)
-                        .expect("only predicted events are ranked"),
+                    predicted_seconds,
                     measured_seconds: event.time,
                 }
             })
             .collect();
         DriftReport {
             topology,
-            total_predicted_seconds: cats.iter().map(|c| c.predicted_seconds).sum(),
-            total_measured_seconds: cats.iter().map(|c| c.measured_seconds).sum(),
-            total_flops,
-            unpredicted_events: unpredicted,
-            categories: cats.into_iter().filter(|c| c.events > 0).collect(),
+            // From 0.0, so that an empty trace totals 0, not -0.
+            total_predicted_seconds: categories.iter().fold(0.0, |t, c| t + c.predicted_seconds),
+            total_measured_seconds: categories.iter().fold(0.0, |t, c| t + c.measured_seconds),
+            total_flops: by_category.iter().map(|(_, s)| s.flops as u64).sum(),
+            unpredicted_events: by_category.iter().map(|(_, s)| s.unpriced).sum(),
+            categories,
             worst,
-            iterations: iters.into_values().collect(),
+            iterations,
         }
     }
 

@@ -652,15 +652,14 @@ fn detail(e: &ServiceEvent) -> String {
     }
 }
 
-/// An event's per-processor times summarised: `max / mean` (1.0 when the
-/// machine reported none) and the slowest processor.
+/// An event's per-processor times summarised: [`hpf_machine::imbalance`]
+/// (1.0 for none, or only zeros) and the slowest processor.
 fn proc_summary(t: &[f64]) -> (f64, Option<usize>) {
-    let Some(slowest) = (0..t.len()).reduce(|a, b| if t[b] > t[a] { b } else { a }) else {
-        return (1.0, None);
-    };
-    let mean = t.iter().sum::<f64>() / t.len() as f64;
-    let imbalance = if mean > 0.0 { t[slowest] / mean } else { 1.0 };
-    (imbalance, Some(slowest))
+    let imbalance = hpf_machine::imbalance(t.iter().copied()).unwrap_or(1.0);
+    (
+        imbalance,
+        (0..t.len()).reduce(|a, b| if t[b] > t[a] { b } else { a }),
+    )
 }
 
 /// Relative residual drop below which the tail counts as flat.

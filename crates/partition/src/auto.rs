@@ -4,9 +4,9 @@
 //! 4 iterations. After each segment it reads two signals off the machine
 //! trace:
 //!
-//! * **measured load imbalance** — `max/mean` per-processor busy time of
-//!   the segment's bulk-compute events (the same statistic
-//!   `hpf-obs::analysis::load_imbalance` reports);
+//! * **measured load imbalance** — [`hpf_machine::imbalance`] of the
+//!   per-processor busy time of the segment's bulk-compute events (the
+//!   same statistic `hpf-obs::analysis::load_imbalance` reports);
 //! * **oracle drift** — `(measured − predicted) / predicted` over the
 //!   segment, where predicted is `hpf-machine::predict`'s closed forms.
 //!   Because the oracle predicts the *balanced* compute time, drift is
@@ -28,7 +28,7 @@ use hpf_dist::atoms::{AtomAssignment, AtomSpec};
 use hpf_dist::partition::contiguous_projection;
 use hpf_dist::redistribute::redistribute_using;
 use hpf_dist::Partitioner;
-use hpf_machine::{Machine, Window};
+use hpf_machine::Machine;
 use hpf_solvers::{solve, IterObserver, Krylov, SolveStats, SolverError, StopCriterion};
 use hpf_sparse::CsrMatrix;
 use std::sync::Arc;
@@ -72,32 +72,6 @@ pub struct AutoRepartitionOutcome {
     pub segment_imbalances: Vec<f64>,
     /// Final atom assignment (the layout the solve finished on).
     pub assignment: AtomAssignment,
-}
-
-/// `max/mean` of per-processor busy times (what
-/// [`hpf_machine::Trace::window`] adds up over a window's bulk-compute
-/// events) — `None` when no event carried per-processor durations.
-pub fn segment_imbalance(busy: &[f64]) -> Option<f64> {
-    if busy.is_empty() {
-        return None;
-    }
-    let max = busy.iter().cloned().fold(0.0f64, f64::max);
-    let mean = busy.iter().sum::<f64>() / busy.len() as f64;
-    if mean <= 0.0 {
-        Some(0.0)
-    } else {
-        Some(max / mean)
-    }
-}
-
-/// Relative oracle drift `(measured − predicted) / predicted` of a
-/// trace window; 0.0 when the window predicts to zero time.
-pub fn segment_drift(window: &Window) -> f64 {
-    if window.predicted <= 0.0 {
-        0.0
-    } else {
-        (window.measured - window.predicted) / window.predicted
-    }
 }
 
 /// Distributed CG with mid-flight `REDISTRIBUTE USING <partitioner>`.
@@ -189,15 +163,17 @@ pub fn cg_auto_repartition(
         r_norm = r.iter().map(|v| v * v).sum::<f64>().sqrt();
         stats.residual_norm = r_norm;
 
-        let mut busy = Vec::new();
-        let window = machine.trace().window(
-            mark,
-            machine.topology(),
-            machine.cost_model(),
-            Some(&mut busy),
-        );
-        let imbalance = segment_imbalance(&busy).unwrap_or(0.0);
-        let drift = segment_drift(&window);
+        let trace = machine.trace();
+        let price = Some((machine.topology(), machine.cost_model()));
+        let window = trace.window(mark..trace.len(), price, true);
+        // A segment with no busy time reads 0.0, below the threshold.
+        let imbalance = hpf_machine::imbalance(window.busy).unwrap_or(0.0);
+        // Relative oracle drift; 0.0 when the segment predicts to zero time.
+        let drift = if window.predicted <= 0.0 {
+            0.0
+        } else {
+            (window.time - window.predicted) / window.predicted
+        };
         segment_imbalances.push(imbalance);
         if let Some(idx) = pending_after.take() {
             repartitions[idx].imbalance_after = imbalance;

@@ -26,9 +26,7 @@ pub mod auto;
 pub mod partitioners;
 pub mod volume;
 
-pub use auto::{
-    cg_auto_repartition, segment_drift, segment_imbalance, AutoRepartitionOutcome, RepartitionEvent,
-};
+pub use auto::{cg_auto_repartition, AutoRepartitionOutcome, RepartitionEvent};
 pub use hpf_dist::{comm_volume, cut_edges, ConnectivityGraph, PartitionError, Partitioner};
 pub use partitioners::{
     all_partitioners, by_name, connectivity_of, partitioner_names, BalancedContiguous,

@@ -184,15 +184,6 @@ impl AdmissionController {
         }
     }
 
-    /// Current predicted backlog in µs, all classes (for reports and
-    /// tests).
-    pub fn backlog_us(&self) -> u64 {
-        self.backlog_us
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .sum()
-    }
-
     /// Feed one completed solve back into the calibration: `n` matrix
     /// rows, mean `iterations` per right-hand side, the attempt's
     /// simulated seconds, and the job's wall execution time. Callers
@@ -236,6 +227,11 @@ mod tests {
     use crate::request::{QosClass, ServiceConfig};
     use hpf_sparse::gen;
     use std::sync::Arc;
+
+    /// The predicted backlog in µs, all classes.
+    fn backlog(c: &AdmissionController) -> u64 {
+        c.backlog_us.iter().map(|b| b.load(Ordering::Relaxed)).sum()
+    }
 
     fn controller() -> AdmissionController {
         AdmissionController::new(&ServiceConfig {
@@ -317,7 +313,7 @@ mod tests {
         assert!(matches!(c.decide(&req), AdmissionDecision::Admit { .. }));
         // Release saturates instead of wrapping.
         c.release(QosClass::Interactive, u64::MAX);
-        assert_eq!(c.backlog_us(), 0);
+        assert_eq!(backlog(&c), 0);
     }
 
     #[test]
@@ -347,7 +343,7 @@ mod tests {
             c.decide(&batch_req),
             AdmissionDecision::Shed { .. }
         ));
-        assert!(c.queue_ahead_us(QosClass::Batch) <= c.backlog_us());
+        assert!(c.queue_ahead_us(QosClass::Batch) <= backlog(&c));
     }
 
     #[test]

@@ -23,6 +23,8 @@ enum Feed {
     Live(Counter),
     /// The sum of the per-class intake queue depths.
     ClassDepths,
+    /// Accepted jobs less those that completed or failed.
+    InFlight,
 }
 
 /// One counter of the snapshot: its JSON key (also the name of its
@@ -40,35 +42,43 @@ struct Row {
 /// Declares [`Counter`] and [`ROWS`] from one row list. A row is what
 /// feeds it, its exposition type, its JSON key (`as` its exposition name
 /// where that differs) and its help text. Each row in braces declares the
-/// live counter that feeds it; the rows after them read another feed.
+/// live counter that feeds it; a row after braces reads another feed.
 macro_rules! table {
-    (
+    ($(
         { $($(#[$doc:meta])* $counter:ident => $kind:ident $key:literal $(as $name:literal)?,
             $help:literal;)+ }
-        $($feed:expr => $kind2:ident $key2:literal, $help2:literal;)+
-    ) => {
-        /// A live counter of [`Metrics`]: the index of its atomic and of the
-        /// `ROWS` row it declares. That row's help text says what it counts.
+        $($feed:ident $(($live:ident))? => $kind2:ident $key2:literal, $help2:literal;)*
+    )+) => {
+        /// A live counter of [`Metrics`]: the index of its atomic. The
+        /// `ROWS` row it declares says what it counts.
         #[derive(Debug, Clone, Copy, PartialEq, Eq)]
         pub(crate) enum Counter {
-            $($(#[$doc])* $counter,)+
+            $($($(#[$doc])* $counter,)+)+
         }
 
         /// How many live counters [`Metrics`] keeps.
-        const COUNTERS: usize = [$(Counter::$counter),+].len();
+        const COUNTERS: usize = [$($(Counter::$counter,)+)+].len();
 
         /// Every counter of the snapshot, one row each, in JSON order.
-        const ROWS: [Row; [$($key,)+ $($key2,)+].len()] = {
+        const ROWS: [Row; [$($($key,)+ $($key2,)*)+].len()] = {
             use Counter::*;
             use Feed::*;
-            [
+            [$(
                 $(Row { key: $key, name: { let [.., name] = [$key $(, $name)?]; name },
                     kind: stringify!($kind), help: $help, feed: Live($counter) },)+
                 $(Row { key: $key2, name: $key2, kind: stringify!($kind2), help: $help2,
-                    feed: $feed },)+
-            ]
+                    feed: $feed $(($live))? },)*
+            )+]
         };
     };
+}
+
+impl Counter {
+    /// The row this counter declares.
+    fn row(self) -> Row {
+        let at = ROWS.iter().position(|row| row.feed == Feed::Live(self));
+        ROWS[at.expect("a counter declares its row")]
+    }
 }
 
 // The table, in JSON order. The exposition walks the same rows in the
@@ -91,8 +101,9 @@ table! {
         BatchedJobs => counter "batched_jobs",
             "Jobs that shared a batch with at least one other job";
         RhsSolved => counter "rhs_solved", "Right-hand sides solved";
-        /// Jobs accepted but not yet finished (queued or executing).
-        InFlight => gauge "in_flight", "Jobs accepted but not yet finished";
+    }
+    InFlight => gauge "in_flight", "Jobs accepted but not yet finished";
+    {
         FaultsInjected => counter "faults_injected", "Faults the simulated machine injected";
         FaultsDetected => counter "faults_detected", "Corruption events protected solvers detected";
         Rollbacks => counter "rollbacks", "Checkpoint rollbacks performed";
@@ -160,11 +171,6 @@ impl Metrics {
     /// Count `n` more of `counter`.
     pub(crate) fn add(&self, counter: Counter, n: u64) {
         self.counters[counter as usize].fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Count `n` fewer of a gauge (`in_flight`).
-    pub(crate) fn sub(&self, counter: Counter, n: u64) {
-        self.counters[counter as usize].fetch_sub(n, Ordering::Relaxed);
     }
 
     /// `n` more jobs wait in the intake queue of class `class`.
@@ -265,9 +271,13 @@ impl Metrics {
                 .collect(),
             ..MetricsSnapshot::default()
         };
+        let count = |counter: Counter| g(&self.counters[counter as usize]);
+        // Read before `accepted`: a job is accepted before it finishes.
+        let finished = count(Counter::Completed) + count(Counter::Failed);
         snapshot.set_values(ROWS.map(|row| match row.feed {
-            Feed::Live(counter) => g(&self.counters[counter as usize]),
+            Feed::Live(counter) => count(counter),
             Feed::ClassDepths => class_queue_depth.iter().sum(),
+            Feed::InFlight => count(Counter::Accepted).saturating_sub(finished),
         }));
         snapshot
     }
@@ -418,8 +428,7 @@ impl MetricsSnapshot {
         }
         {
             // Each outcome splits the `completed` and `failed` rows by label.
-            let [completed, failed] =
-                [Counter::Completed, Counter::Failed].map(|c| ROWS[c as usize].key);
+            let [completed, failed] = [Counter::Completed, Counter::Failed].map(|c| c.row().key);
             let mut outcomes = o.arr("solve_outcomes");
             for oc in &self.solve_outcomes {
                 outcomes
@@ -467,8 +476,7 @@ impl MetricsSnapshot {
             .map(|d| d.as_u64().ok_or("bad class depth"))
             .collect::<Result<_, _>>()?;
         let outcomes = doc.items_of("solve_outcomes")?.iter();
-        let [completed, failed] =
-            [Counter::Completed, Counter::Failed].map(|c| ROWS[c as usize].key);
+        let [completed, failed] = [Counter::Completed, Counter::Failed].map(|c| c.row().key);
         // Older snapshot files predate the flight recorder; treat a missing
         // postmortems section as empty rather than a parse failure.
         let postmortems = match doc.get("postmortems") {
@@ -529,7 +537,7 @@ impl MetricsSnapshot {
         if !self.solve_outcomes.is_empty() {
             // The `completed` and `failed` counters, split by label.
             for counter in [Counter::Completed, Counter::Failed] {
-                let row = &ROWS[counter as usize];
+                let row = counter.row();
                 let name = format!("solve_{}_total", row.name);
                 let help = format!("{}, by solver and scenario", row.help);
                 let samples = self.solve_outcomes.iter().map(|o| {

@@ -301,7 +301,6 @@ impl SolverService {
         // the moment it is, and what it undoes must already be done.
         core.admission.admit(qos, predicted_us);
         metrics.add(Counter::Accepted, 1);
-        metrics.add(Counter::InFlight, 1);
         metrics.queued(class, 1);
         let wake = queues.parked > 0;
         drop(queues);

@@ -157,7 +157,6 @@ impl Core {
     ) {
         let metrics = &self.metrics;
         self.admission.release(job.request.qos, job.admission_us);
-        metrics.sub(Counter::InFlight, 1);
         let latency = job.submitted.elapsed();
         if let Ok(response) = &result {
             let solved = response.solutions.len() as u64;
@@ -613,8 +612,8 @@ mod tests {
     /// Hand `jobs` to `worker` as one batch, counted in flight as
     /// `submit` would have.
     fn execute(worker: &mut Worker, jobs: Vec<Job>) {
-        let in_flight = jobs.len() as u64;
-        worker.core.metrics.add(Counter::InFlight, in_flight);
+        let accepted = jobs.len() as u64;
+        worker.core.metrics.add(Counter::Accepted, accepted);
         worker.execute_batch(Batch { jobs });
     }
 

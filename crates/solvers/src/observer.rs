@@ -253,11 +253,10 @@ impl MachineMark {
         self.flops = flops;
         self.words = words;
         let trace = machine.trace();
-        if self.events < trace.len() {
-            let window = trace.window(self.events, machine.topology(), machine.cost_model(), None);
-            self.predicted += window.predicted;
-            self.events = trace.len();
-        }
+        let price = Some((machine.topology(), machine.cost_model()));
+        let window = trace.window(self.events..trace.len(), price, false);
+        self.predicted += window.predicted;
+        self.events = trace.len();
         d
     }
 

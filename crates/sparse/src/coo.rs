@@ -118,21 +118,6 @@ impl CooMatrix {
         &self.entries
     }
 
-    /// Drop explicit zeros.
-    pub fn prune_zeros(&mut self) {
-        self.entries.retain(|&(_, _, v)| v != 0.0);
-    }
-
-    /// Sort entries row-major (row, then column) in place.
-    pub fn sort_row_major(&mut self) {
-        self.entries.sort_unstable_by_key(|&(r, c, _)| (r, c));
-    }
-
-    /// Sort entries column-major (column, then row) in place.
-    pub fn sort_col_major(&mut self) {
-        self.entries.sort_unstable_by_key(|&(r, c, _)| (c, r));
-    }
-
     /// Convert to a dense matrix (summing duplicates).
     pub fn to_dense(&self) -> DenseMatrix {
         let mut d = DenseMatrix::zeros(self.n_rows, self.n_cols);
@@ -212,34 +197,5 @@ mod tests {
         assert_eq!(t.n_rows(), 3);
         assert_eq!(t.n_cols(), 2);
         assert_eq!(t.entries()[0], (2, 0, 7.0));
-    }
-
-    #[test]
-    fn prune_zeros_removes_explicit_zeros() {
-        let mut m = CooMatrix::from_triplets(2, 2, vec![(0, 0, 0.0), (1, 1, 1.0)]).unwrap();
-        m.prune_zeros();
-        assert_eq!(m.nnz(), 1);
-    }
-
-    #[test]
-    fn sorting_orders() {
-        let mut m =
-            CooMatrix::from_triplets(2, 2, vec![(1, 0, 1.0), (0, 1, 2.0), (0, 0, 3.0)]).unwrap();
-        m.sort_row_major();
-        assert_eq!(
-            m.entries()
-                .iter()
-                .map(|&(r, c, _)| (r, c))
-                .collect::<Vec<_>>(),
-            vec![(0, 0), (0, 1), (1, 0)]
-        );
-        m.sort_col_major();
-        assert_eq!(
-            m.entries()
-                .iter()
-                .map(|&(r, c, _)| (r, c))
-                .collect::<Vec<_>>(),
-            vec![(0, 0), (1, 0), (0, 1)]
-        );
     }
 }

@@ -7,7 +7,6 @@
 //! versus irregular structures needing a load-balancing partitioner.
 //! These metrics quantify that choice.
 
-use crate::csc::CscMatrix;
 use crate::csr::CsrMatrix;
 
 /// Summary statistics of a nonzero-count distribution.
@@ -58,19 +57,9 @@ pub fn row_nnz_counts(a: &CsrMatrix) -> Vec<usize> {
     (0..a.n_rows()).map(|i| a.row_nnz(i)).collect()
 }
 
-/// Per-column nonzero counts of a CSC matrix.
-pub fn col_nnz_counts(a: &CscMatrix) -> Vec<usize> {
-    (0..a.n_cols()).map(|j| a.col_nnz(j)).collect()
-}
-
 /// Row-count statistics of a CSR matrix.
 pub fn row_stats(a: &CsrMatrix) -> NnzStats {
     NnzStats::from_counts(&row_nnz_counts(a))
-}
-
-/// Column-count statistics of a CSC matrix.
-pub fn col_stats(a: &CscMatrix) -> NnzStats {
-    NnzStats::from_counts(&col_nnz_counts(a))
 }
 
 /// Matrix bandwidth: max |i - j| over stored entries.
@@ -82,30 +71,6 @@ pub fn bandwidth(a: &CsrMatrix) -> usize {
         }
     }
     bw
-}
-
-/// Density: nnz / (rows * cols).
-pub fn density(a: &CsrMatrix) -> f64 {
-    if a.n_rows() == 0 || a.n_cols() == 0 {
-        return 0.0;
-    }
-    a.nnz() as f64 / (a.n_rows() as f64 * a.n_cols() as f64)
-}
-
-/// Histogram of row nnz with `buckets` equal-width bins over
-/// `[0, max_nnz]`. Returns (bin upper bounds, counts).
-pub fn row_nnz_histogram(a: &CsrMatrix, buckets: usize) -> (Vec<usize>, Vec<usize>) {
-    assert!(buckets > 0);
-    let counts = row_nnz_counts(a);
-    let max = counts.iter().copied().max().unwrap_or(0).max(1);
-    let width = max.div_ceil(buckets);
-    let mut hist = vec![0usize; buckets];
-    for &c in &counts {
-        let b = (c / width).min(buckets - 1);
-        hist[b] += 1;
-    }
-    let bounds = (1..=buckets).map(|b| b * width).collect();
-    (bounds, hist)
 }
 
 #[cfg(test)]
@@ -146,31 +111,5 @@ mod tests {
         assert_eq!(bandwidth(&a), 1);
         let p = gen::poisson_2d(4, 4);
         assert_eq!(bandwidth(&p), 4); // ny = 4 stride
-    }
-
-    #[test]
-    fn density_of_identity() {
-        let a = gen::tridiagonal(1, 1.0, 0.0);
-        assert_eq!(density(&a), 1.0);
-        let p = gen::poisson_2d(10, 10);
-        assert!(density(&p) < 0.05);
-    }
-
-    #[test]
-    fn histogram_buckets_cover_all_rows() {
-        let a = gen::power_law_spd(100, 30, 0.8, 1);
-        let (_bounds, hist) = row_nnz_histogram(&a, 8);
-        assert_eq!(hist.iter().sum::<usize>(), 100);
-    }
-
-    #[test]
-    fn col_stats_match_row_stats_for_symmetric() {
-        let a = gen::random_spd(40, 3, 2);
-        let csc = crate::csc::CscMatrix::from_csr(&a);
-        let rs = row_stats(&a);
-        let cs = col_stats(&csc);
-        assert_eq!(rs.min, cs.min);
-        assert_eq!(rs.max, cs.max);
-        assert_eq!(rs.mean, cs.mean);
     }
 }

@@ -1,6 +1,7 @@
 //! The Matrix Market reader, fuzzed: what the writer writes it reads
-//! back, and no document — cut short anywhere, or carrying a hostile
-//! size line — panics it or has it reserve more than the text can hold.
+//! back, and no document — cut short anywhere, damaged by one replaced
+//! byte or one duplicated line, or carrying a hostile size line — panics
+//! it or has it reserve more than the text can hold.
 
 use hpf_sparse::io::{read_matrix_market, write_matrix_market};
 use hpf_sparse::CooMatrix;
@@ -80,6 +81,26 @@ proptest! {
             // anywhere else.
             let _ = read(&text[..end]);
         }
+    }
+
+    #[test]
+    fn a_document_with_a_byte_replaced_or_a_line_duplicated_is_read_without_panicking(
+        (n, entries) in entries(),
+        kind in 0usize..KINDS.len(),
+        at in any::<usize>(),
+        with in prop_oneof![
+            Just("0"), Just("9"), Just("-"), Just("+"), Just("."), Just("e"), Just("%"),
+            Just(" "), Just("\n"), Just("x"), Just("\u{1}"), Just("é"),
+        ],
+    ) {
+        let text = document(KINDS[kind], n, &entries);
+        // Every document is ASCII: each byte is a character.
+        let at = at % text.len();
+        let _ = read(&format!("{}{with}{}", &text[..at], &text[at + 1..]));
+        let lines: Vec<&str> = text.lines().collect();
+        let mut twice = lines.clone();
+        twice.insert(at % lines.len(), lines[at % lines.len()]);
+        let _ = read(&(twice.join("\n") + "\n"));
     }
 }
 

@@ -5,14 +5,14 @@ use std::fs;
 use std::path::Path;
 
 /// Line caps on `crates/{machine,obs}/src` and `crates/solvers/src`.
-const MACHINE_OBS_LINES: usize = 6_560;
-const SOLVERS_LINES: usize = 2_580;
+const MACHINE_OBS_LINES: usize = 6_544;
+const SOLVERS_LINES: usize = 2_579;
 /// And on `crates/{sparse,mg}/src`.
-const SPARSE_MG_LINES: usize = 4_186;
+const SPARSE_MG_LINES: usize = 4_136;
 /// And on `crates/bench/src`.
-const BENCH_LINES: usize = 4_759;
+const BENCH_LINES: usize = 4_721;
 /// And on `crates/service/src`.
-const SERVICE_LINES: usize = 3_793;
+const SERVICE_LINES: usize = 3_790;
 
 /// Every Rust source and manifest of the workspace and its stand-ins.
 const SOURCES: &str = "crates/**/*.rs,Cargo.toml compat/**/*.rs,Cargo.toml Cargo.toml";
@@ -258,6 +258,25 @@ fn the_tail_is_a_ring_of_slots() {
     rows.extend(hits("crates/machine/src/recorder.rs", r"fn next_rows\b"));
     let message = "the tail writes one slot an event: no Trace in EventTail, no fn next_rows";
     forbid(rows, message);
+}
+
+#[test]
+fn one_load_imbalance_ratio() {
+    let mut srcs = nontest(files("crates"));
+    srcs.retain(|(p, _)| p.ends_with(".rs") && p.split('/').nth(2) == Some("src"));
+    let ratio = matcher(r"/ mean\b");
+    let code = |l: &str| ratio(l.split("//").next().unwrap_or(l));
+    let mut copies = grep(&srcs, code);
+    for home in [
+        "crates/machine/src/trace.rs:",
+        "crates/sparse/src/stats.rs:",
+    ] {
+        if let Some(at) = copies.iter().position(|c| c.starts_with(home)) {
+            copies.remove(at);
+        }
+    }
+    let message = "max / mean is hpf_machine::imbalance, each caller stating what it reads where that is None; hpf-sparse's NnzStats, below hpf-machine, keeps the one other copy";
+    forbid(copies, message);
 }
 
 #[test]
