@@ -109,14 +109,17 @@ impl DistVector {
         &mut self.data[self.offsets[p]..self.offsets[p + 1]]
     }
 
-    /// The whole vector in global order, when that is how it is stored
-    /// (the contiguous layouts) — a replicated copy for free.
-    pub(crate) fn as_global(&self) -> Option<&[f64]> {
+    /// The whole vector in global order, read where it is stored, when
+    /// that is how it is stored (the contiguous layouts: `Block`,
+    /// `BlockK`, `IrregularCuts`); `None` when it is stored in another
+    /// order.
+    pub fn as_global(&self) -> Option<&[f64]> {
         self.global_order.then_some(&self.data[..])
     }
 
-    /// Mutable counterpart of `as_global`.
-    pub(crate) fn as_global_mut(&mut self) -> Option<&mut [f64]> {
+    /// Mutable counterpart of [`as_global`](Self::as_global): the vector
+    /// written in place, in global order.
+    pub fn as_global_mut(&mut self) -> Option<&mut [f64]> {
         self.global_order.then_some(&mut self.data[..])
     }
 

@@ -213,13 +213,14 @@ impl Axis {
 /// `vx · vy · vz`, the product of the three axes' weights, and its row
 /// lists the columns with `I` outermost. Both kernels form exactly those
 /// values and add them in the order the stored matrix's kernels did, so
-/// they return its bits (DESIGN §16).
+/// they return its bits (DESIGN §16). `fine` and `coarse` put the fine
+/// grid's one-point axes first; lines run along the z that leaves, whose
+/// weights the kernels take in closed form, and x and y keep their pairs.
 pub(crate) struct Transfer {
     fine: GridDims,
     coarse: GridDims,
     x: Axis,
     y: Axis,
-    z: Axis,
     /// `restrict_traffic[p][q]`: words processor `p` sends `q` so `q`
     /// can form its coarse entries of `rc = Pᵀ rr`.
     pub restrict_traffic: Vec<Vec<usize>>,
@@ -247,11 +248,10 @@ impl Transfer {
             for py in &self.y.to_fine {
                 let (xy, m) = line_weights::<9>(px, py, self.fine);
                 let line = lines.next().expect("a coarse line per (I, J)");
-                let z = &self.z.to_fine;
                 match m {
-                    1 => apply_line::<1, false>(&xy, z, rr, line),
-                    3 => apply_line::<3, false>(&xy, z, rr, line),
-                    9 => apply_line::<9, false>(&xy, z, rr, line),
+                    1 => restrict_line::<1>(&xy, rr, line),
+                    3 => restrict_line::<3>(&xy, rr, line),
+                    9 => restrict_line::<9>(&xy, rr, line),
                     m => unreachable!("{m} fine lines"),
                 }
             }
@@ -272,12 +272,11 @@ impl Transfer {
             for py in &self.y.to_coarse {
                 let (xy, m) = line_weights::<4>(px, py, self.coarse);
                 let line = lines.next().expect("a fine line per (i, j)");
-                let z = &self.z.to_coarse;
                 match m {
-                    0 => apply_line::<0, true>(&xy, z, zc, line),
-                    1 => apply_line::<1, true>(&xy, z, zc, line),
-                    2 => apply_line::<2, true>(&xy, z, zc, line),
-                    4 => apply_line::<4, true>(&xy, z, zc, line),
+                    0 => prolong_line::<0>(&xy, self.coarse.nz, zc, line),
+                    1 => prolong_line::<1>(&xy, self.coarse.nz, zc, line),
+                    2 => prolong_line::<2>(&xy, self.coarse.nz, zc, line),
+                    4 => prolong_line::<4>(&xy, self.coarse.nz, zc, line),
                     m => unreachable!("{m} coarse lines"),
                 }
             }
@@ -303,39 +302,73 @@ fn line_weights<const N: usize>(
     (xy, m)
 }
 
-/// One line of a transfer: `out[k] = acc` (or `+= acc` when `ADD`) with
-/// `acc = 0.0 + Σ (vx·vy)·vz · v[c]` over the first `M` lines of `xy`,
-/// outermost, and the z-axis pairs of index `k`. No trip count is the
-/// data's: `M` is a constant, and each count of z pairs has its own
-/// unrolled body.
-#[inline(always)]
-fn apply_line<const M: usize, const ADD: bool>(
-    xy: &[(usize, f64)],
-    z: &[Pairs],
-    v: &[f64],
-    out: &mut [f64],
-) {
-    let xy: &[(usize, f64); M] = xy[..M].try_into().expect("M lines");
-    for (out, pz) in out.iter_mut().zip(z) {
-        let acc = match pz.len {
-            1 => line_term::<M, 1>(xy, pz, v),
-            2 => line_term::<M, 2>(xy, pz, v),
-            3 => line_term::<M, 3>(xy, pz, v),
-            _ => line_term::<M, 0>(xy, pz, v),
-        };
-        *out = if ADD { *out + acc } else { acc };
+/// Restriction along one coarse line from the first `M` fine lines of
+/// `xy`: entry `K` is `0.0 + Σ c[m][d] · rr[s_m + 2K + d]`, line `m`
+/// outermost, `d = 0, 1, 2` inside, `c[m][d] = (vx·vy)·vz` for `vz = ½,
+/// 1, ½`: every fine point that names `K` (`weights_1d`), each present on
+/// a line of three or more, so one branch-free body serves the line. Out
+/// of line, so it has an address the build pins.
+#[inline(never)]
+fn restrict_line<const M: usize>(xy: &[(usize, f64)], rr: &[f64], out: &mut [f64]) {
+    let xy: [(usize, f64); M] = xy[..M].try_into().expect("M lines");
+    let nc = out.len();
+    let c = xy.map(|(_, vxy)| [vxy * 0.5, vxy * 1.0, vxy * 0.5]);
+    // Fine `(2K, 2K + 1)` and `(2K + 1, 2K + 2)`, `nc` pairs a line,
+    // sliced to length once so that the loop indexes without a check.
+    let lo = xy.map(|(s, _)| &rr[s..s + 2 * nc].as_chunks::<2>().0[..nc]);
+    let hi = xy.map(|(s, _)| &rr[s + 1..s + 2 * nc + 1].as_chunks::<2>().0[..nc]);
+    for k in 0..nc {
+        let mut acc = 0.0;
+        for m in 0..M {
+            acc += c[m][0] * lo[m][k][0];
+            acc += c[m][1] * lo[m][k][1];
+            acc += c[m][2] * hi[m][k][1];
+        }
+        out[k] = acc;
     }
 }
 
-/// `0.0 + Σ (vx·vy)·vz · v[start + k]` over the `M` lines, outermost,
-/// and the first `Z` z pairs.
-#[inline(always)]
-fn line_term<const M: usize, const Z: usize>(xy: &[(usize, f64); M], pz: &Pairs, v: &[f64]) -> f64 {
-    let mut acc = 0.0;
-    for &(start, vxy) in xy {
-        for &(k, vz) in &pz.at[..Z] {
-            acc += vxy * vz * v[start + k];
+/// Prolongation along one fine line from the first `M` coarse lines of
+/// `xy`, `nc` points each: `out[k] += 0.0 + Σ c[m] · zc[..]`, line `m`
+/// outermost. In the body (`K < nc − 1`) fine `2K + 1` reads coarse `K`
+/// at `vz = 1` and fine `2K + 2` reads `K`, then `K + 1`, at `½`. The
+/// ends take the short form: fine `0` and `2nc` read one point at `½`,
+/// an even extent's last point none.
+#[inline(never)]
+fn prolong_line<const M: usize>(xy: &[(usize, f64)], nc: usize, zc: &[f64], out: &mut [f64]) {
+    let xy: [(usize, f64); M] = xy[..M].try_into().expect("M lines");
+    let v = xy.map(|(s, _)| &zc[s..s + nc]);
+    let (one, half) = (xy.map(|(_, vxy)| vxy * 1.0), xy.map(|(_, vxy)| vxy * 0.5));
+    out[0] += one_sided(&half, &v, 0);
+    let (body, tail) = out[1..].split_at_mut(2 * (nc - 1));
+    // Fine `(2K + 1, 2K + 2)` and coarse `K`, `K + 1`, `nc − 1` of each,
+    // sliced to length once so that the loop indexes without a check.
+    let body = &mut body.as_chunks_mut::<2>().0[..nc - 1];
+    let (lo, hi) = (v.map(|v| &v[..nc - 1]), v.map(|v| &v[1..]));
+    for k in 0..nc - 1 {
+        let (mut odd, mut even) = (0.0, 0.0);
+        for m in 0..M {
+            odd += one[m] * lo[m][k];
+            even += half[m] * lo[m][k];
+            even += half[m] * hi[m][k];
         }
+        body[k][0] += odd;
+        body[k][1] += even;
+    }
+    tail[0] += one_sided(&one, &v, nc - 1);
+    tail[1] += one_sided(&half, &v, nc - 1);
+    // The empty sum `+0.0`, which turns a `−0.0` into `+0.0`.
+    for last in &mut tail[2..] {
+        *last += 0.0;
+    }
+}
+
+/// `0.0 + Σ c[m] · v[m][k]`, lines in order: an entry with one z term.
+#[inline(always)]
+fn one_sided<const M: usize>(c: &[f64; M], v: &[&[f64]; M], k: usize) -> f64 {
+    let mut acc = 0.0;
+    for m in 0..M {
+        acc += c[m] * v[m][k];
     }
     acc
 }
@@ -864,12 +897,20 @@ fn transfer(
             }
         }
     }
+    // The fine grid's one-point axes move to the front, where they change
+    // no index, so z has three fine points or more (a 2-D grid's y).
+    let lines_last = |g: GridDims| {
+        let (f, e) = ([fine.nx, fine.ny, fine.nz], [g.nx, g.ny, g.nz]);
+        let mut axes = [0, 1, 2];
+        axes.sort_by_key(|&a| f[a] > 1);
+        GridDims::d3(e[axes[0]], e[axes[1]], e[axes[2]])
+    };
+    let (fine, coarse) = (lines_last(fine), lines_last(coarse));
     Transfer {
         fine,
         coarse,
         x: Axis::new(fine.nx, coarse.nx),
         y: Axis::new(fine.ny, coarse.ny),
-        z: Axis::new(fine.nz, coarse.nz),
         restrict_traffic,
         prolong_traffic,
         restrict_flops,
@@ -1213,7 +1254,8 @@ mod tests {
         /// stored `P`'s scatter (`matvec_transpose_into`) and product
         /// (`matvec_rows_into`, then the add), on 2-D and 3-D grids with
         /// extents 1–17 — most not `2^k − 1`, so their last plane is
-        /// one-sided — and inputs holding `±0.0`, NaN and ±∞.
+        /// one-sided — and inputs holding `±0.0`, NaN and ±∞; every
+        /// shape of line the kernels take, named, below.
         #[test]
         fn tensor_transfers_match_the_stored_interpolation(
             three_d in any::<bool>(),
@@ -1224,39 +1266,93 @@ mod tests {
             specials in proptest::collection::vec((0usize..10_000, 0usize..5), 0..12),
         ) {
             let fine = if three_d { GridDims::d3(nx, ny, nz) } else { GridDims::d2(nx, ny) };
-            let Some(coarse) = fine.coarsen() else { continue };
-            let p = interpolation(fine, coarse);
-            let desc = |g: GridDims| ArrayDescriptor::block(g.n(), 2);
-            let t = transfer(&p, (fine, &desc(fine)), (coarse, &desc(coarse)));
-            let input = |n: usize| {
-                let mut v: Vec<f64> = (0..n)
-                    .map(|i| ((i * 7919 + seed * 104_729) % 2003) as f64 / 293.0 - 3.4)
-                    .collect();
-                for &(at, special) in &specials {
-                    v[at % n] = [0.0, -0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY][special];
-                }
-                v
-            };
-            let bits = |v: &[f64]| -> Vec<u64> {
-                v.iter().map(|x| if x.is_nan() { f64::NAN } else { *x }.to_bits()).collect()
-            };
-
-            let rr = input(fine.n());
-            let mut want = vec![f64::NAN; coarse.n()];
-            p.matvec_transpose_into(&rr, &mut want);
-            let mut got = vec![f64::NAN; coarse.n()];
-            t.restrict_into(&rr, &mut got);
-            prop_assert_eq!(bits(&got), bits(&want));
-
-            let zc = input(coarse.n());
-            let z = input(fine.n());
-            let mut dz = vec![f64::NAN; fine.n()];
-            p.matvec_rows_into(0..fine.n(), &zc, &mut dz);
-            let want: Vec<f64> = z.iter().zip(&dz).map(|(zi, di)| zi + di).collect();
-            let mut got = z.clone();
-            t.prolong_add(&zc, &mut got);
-            prop_assert_eq!(bits(&got), bits(&want));
+            assert_transfers_match_the_stored_interpolation(fine, seed, &specials);
         }
+    }
+
+    /// The line kernels against `P` on every shape of line they take,
+    /// each named: odd `2^k − 1` extents (the body runs the whole line),
+    /// even extents (a last fine point no coarse point names), one-point
+    /// axes and 2-D grids (lines of one point), and the benchmark's
+    /// `31³ → 15³ → 7³`. Inputs hold `±0.0`, NaN and ±∞ at both ends of
+    /// the first and last lines and in between.
+    #[test]
+    fn tensor_transfers_match_the_stored_interpolation_on_every_line_shape() {
+        let shapes = [
+            GridDims::d3(31, 31, 31), // benchmark 31³ → 15³
+            GridDims::d3(15, 15, 15), // benchmark 15³ → 7³
+            GridDims::d3(7, 7, 7),    // odd 7³
+            GridDims::d3(3, 3, 3),    // odd 3³, one coarse point
+            GridDims::d3(3, 15, 7),   // odd, mixed
+            GridDims::d3(8, 6, 10),   // even 8 × 6 × 10
+            GridDims::d3(4, 4, 4),    // even 4³
+            GridDims::d3(7, 8, 9),    // odd and even
+            GridDims::d3(1, 7, 9),    // one-point x
+            GridDims::d3(7, 1, 8),    // one-point y
+            GridDims::d3(1, 1, 15),   // one-point x and y
+            GridDims::d2(15, 15),     // 2-D odd
+            GridDims::d2(16, 10),     // 2-D even
+            GridDims::d2(1, 9),       // 2-D one-point x
+            GridDims::d2(9, 1),       // 2-D one-point y
+        ];
+        for fine in shapes {
+            let n = fine.n();
+            let ends = [0, fine.nz - 1, n / 2, n - fine.nz, n - 1, 1, n - 2];
+            let specials: Vec<(usize, usize)> = ends
+                .iter()
+                .enumerate()
+                .map(|(i, &at)| (at, i % 5))
+                .collect();
+            for seed in [0, 7, 419] {
+                assert_transfers_match_the_stored_interpolation(fine, seed, &specials);
+            }
+        }
+    }
+
+    /// Restriction against `P`'s scatter and prolongation against its
+    /// product plus the add, on `fine` and its coarsening (if any), from
+    /// inputs seeded by `seed` with `specials[i] = (at, which)` setting
+    /// `v[at % n]` to `+0.0`, `−0.0`, NaN, `+∞` or `−∞`. NaNs compare as
+    /// the one NaN: which payload an add of two keeps is the codegen's.
+    fn assert_transfers_match_the_stored_interpolation(
+        fine: GridDims,
+        seed: usize,
+        specials: &[(usize, usize)],
+    ) {
+        let Some(coarse) = fine.coarsen() else { return };
+        let p = interpolation(fine, coarse);
+        let desc = |g: GridDims| ArrayDescriptor::block(g.n(), 2);
+        let t = transfer(&p, (fine, &desc(fine)), (coarse, &desc(coarse)));
+        let input = |n: usize| {
+            let mut v: Vec<f64> = (0..n)
+                .map(|i| ((i * 7919 + seed * 104_729) % 2003) as f64 / 293.0 - 3.4)
+                .collect();
+            for &(at, special) in specials {
+                v[at % n] = [0.0, -0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY][special];
+            }
+            v
+        };
+        let bits = |v: &[f64]| -> Vec<u64> {
+            v.iter()
+                .map(|x| if x.is_nan() { f64::NAN } else { *x }.to_bits())
+                .collect()
+        };
+
+        let rr = input(fine.n());
+        let mut want = vec![f64::NAN; coarse.n()];
+        p.matvec_transpose_into(&rr, &mut want);
+        let mut got = vec![f64::NAN; coarse.n()];
+        t.restrict_into(&rr, &mut got);
+        assert_eq!(bits(&got), bits(&want), "restriction {fine} → {coarse}");
+
+        let zc = input(coarse.n());
+        let z = input(fine.n());
+        let mut dz = vec![f64::NAN; fine.n()];
+        p.matvec_rows_into(0..fine.n(), &zc, &mut dz);
+        let want: Vec<f64> = z.iter().zip(&dz).map(|(zi, di)| zi + di).collect();
+        let mut got = z.clone();
+        t.prolong_add(&zc, &mut got);
+        assert_eq!(bits(&got), bits(&want), "prolongation {coarse} → {fine}");
     }
 
     /// A value of a generated matrix: `+0.0`, `−0.0` or an arbitrary one.

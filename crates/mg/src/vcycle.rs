@@ -20,12 +20,14 @@
 //! convergence theory applies unchanged.
 //!
 //! Every vector a cycle touches lives in a `CycleWorkspace` sized at
-//! first use, and every kernel writes into it, so an application
-//! allocates nothing. The preconditioner is shared (`&self`, and as an
-//! `Arc` between the service's workers), so idle workspaces wait in a
-//! free list behind a mutex that is held to pop one and to push it back
-//! — never while a cycle runs, which also means a cycle that panics
-//! cannot poison it; it merely drops the workspace it had checked out.
+//! first use, or is the caller's — level 0 reads `r` where it is stored
+//! and writes `z + dz` straight into `z` — and every kernel writes into
+//! them, so an application allocates nothing. The preconditioner is
+//! shared (`&self`, and as an `Arc` between the service's workers), so
+//! idle workspaces wait in a free list behind a mutex that is held to
+//! pop one and to push it back — never while a cycle runs, which also
+//! means a cycle that panics cannot poison it; it merely drops the
+//! workspace it had checked out.
 
 use crate::hierarchy::{Level, MgHierarchy};
 use crate::smoother::SweepPlan;
@@ -34,15 +36,12 @@ use hpf_machine::{span, Machine};
 use hpf_solvers::{DistPreconditioner, Krylov, RecoveryConfig};
 use std::sync::Mutex;
 
-/// The vectors one level of a cycle works in, in global order. A swept
-/// level's `y`, `z` and `dz` hold one slot past its rows, the slot the
-/// sweep's padding reads; the coarsest level, solved directly, has only
-/// its `r` and `z`, and its `y`, `rr` and `dz` are empty.
+/// The vectors a swept level works in, in global order; `y`, `z` and `dz`
+/// hold one slot past its rows, which the sweep's padding reads. A level
+/// solves for the `rc` of the one above (level 0: the caller's `r`) into
+/// its `zc` (level 0: the caller's `z`); the coarsest needs nothing more.
 struct LevelWorkspace {
-    /// What this level is asked to solve for: the residual restricted
-    /// from above (on level 0, the cycle's input).
-    r: Vec<f64>,
-    /// This level's correction.
+    /// This level's correction, before post-smoothing.
     z: Vec<f64>,
     /// The smoother's forward-sweep intermediate.
     y: Vec<f64>,
@@ -50,6 +49,10 @@ struct LevelWorkspace {
     rr: Vec<f64>,
     /// The post-smoothing correction.
     dz: Vec<f64>,
+    /// `rr` restricted: the next-coarser level's `r`.
+    rc: Vec<f64>,
+    /// The next-coarser level's correction.
+    zc: Vec<f64>,
 }
 
 /// Every vector of one cycle, finest level first.
@@ -59,20 +62,19 @@ struct CycleWorkspace {
 
 impl CycleWorkspace {
     fn new(h: &MgHierarchy) -> Self {
-        let level = |l: &Level| {
-            let n = l.desc.len();
-            let swept = l.sweep.is_some();
-            let zeros = |len: usize| if swept { vec![0.0; len] } else { Vec::new() };
+        let level = |pair: &[Level]| {
+            let (n, nc) = (pair[0].desc.len(), pair[1].desc.len());
             LevelWorkspace {
-                r: vec![0.0; n],
-                z: vec![0.0; n + usize::from(swept)],
-                y: zeros(n + 1),
-                rr: zeros(n),
-                dz: zeros(n + 1),
+                z: vec![0.0; n + 1],
+                y: vec![0.0; n + 1],
+                rr: vec![0.0; n],
+                dz: vec![0.0; n + 1],
+                rc: vec![0.0; nc],
+                zc: vec![0.0; nc],
             }
         };
         CycleWorkspace {
-            levels: h.levels.iter().map(level).collect(),
+            levels: h.levels.windows(2).map(level).collect(),
         }
     }
 }
@@ -126,14 +128,14 @@ impl MgPreconditioner {
     /// `rr = r − A z` at one level, charging the boundary exchange and
     /// the matvec compute of the modelled CSR program; the host forms
     /// `A z` in the form the level's rows were found to have.
-    fn residual(&self, machine: &mut Machine, level: usize, w: &mut LevelWorkspace) {
+    fn residual(&self, machine: &mut Machine, level: usize, r: &[f64], w: &mut LevelWorkspace) {
         let lvl = &self.h.levels[level];
         let _s = span::enter("residual");
         machine.exchange(&lvl.halo, "mg-halo");
         machine.compute_all(&lvl.residual_flops, "mg-residual");
-        let n = w.r.len();
+        let n = r.len();
         self.h.product(level).matvec_into(&w.z[..n], &mut w.rr);
-        for (rri, ri) in w.rr.iter_mut().zip(&w.r) {
+        for (rri, ri) in w.rr.iter_mut().zip(r) {
             *rri = ri - *rri;
         }
     }
@@ -155,47 +157,53 @@ impl MgPreconditioner {
     /// Exact solve at the bottom: funnel the coarse residual to the
     /// root, back-substitute through the prebuilt Cholesky factor, fan
     /// the correction back out.
-    fn coarse_solve(&self, machine: &mut Machine, level: usize, w: &mut LevelWorkspace) {
+    fn coarse_solve(&self, machine: &mut Machine, level: usize, r: &[f64], z: &mut [f64]) {
         let _lv = span::enter(LEVEL_SPANS[level]);
         let _s = span::enter("coarse");
         let lens = &self.h.coarse_lens;
         machine.gather_varying(0, lens, "mg-coarse-gather");
         machine.compute_serial(self.h.coarse.solve_flops(), "mg-coarse-solve");
-        self.h.coarse.solve_into(&w.r, &mut w.z);
+        self.h.coarse.solve_into(r, z);
         machine.scatter_varying(0, lens, "mg-coarse-scatter");
     }
 
-    /// One cycle from `level` down and back: `ws` holds this level's
-    /// workspace and those below it; `ws[0].r` in, `ws[0].z` out.
-    fn cycle(&self, machine: &mut Machine, level: usize, ws: &mut [LevelWorkspace]) {
-        let (w, below) = ws.split_first_mut().expect("a workspace per level");
+    /// One cycle from `level` down and back, solving for `r` into `out`:
+    /// `ws` holds the workspaces of this level and those below it.
+    fn cycle(
+        &self,
+        machine: &mut Machine,
+        level: usize,
+        r: &[f64],
+        ws: &mut [LevelWorkspace],
+        out: &mut [f64],
+    ) {
         let lvl = &self.h.levels[level];
         let (Some(sweep), Some(t)) = (&lvl.sweep, &lvl.down) else {
-            return self.coarse_solve(machine, level, w);
+            return self.coarse_solve(machine, level, r, out);
         };
-        let n = w.r.len();
+        let (w, below) = ws.split_first_mut().expect("a workspace per swept level");
+        let n = r.len();
         {
             let _lv = span::enter(LEVEL_SPANS[level]);
-            Self::smooth(machine, lvl, sweep, &w.r, &mut w.y, &mut w.z);
-            self.residual(machine, level, w);
+            Self::smooth(machine, lvl, sweep, r, &mut w.y, &mut w.z);
+            self.residual(machine, level, r, w);
             let _s = span::enter("restrict");
             machine.exchange(&t.restrict_traffic, "mg-restrict");
             machine.compute_all(&t.restrict_flops, "mg-restrict-apply");
-            t.restrict_into(&w.rr, &mut below[0].r);
+            t.restrict_into(&w.rr, &mut w.rc);
         }
-        self.cycle(machine, level + 1, below);
+        self.cycle(machine, level + 1, &w.rc, below, &mut w.zc);
         let _lv = span::enter(LEVEL_SPANS[level]);
         {
             let _s = span::enter("prolong");
             machine.exchange(&t.prolong_traffic, "mg-prolong");
             machine.compute_all(&t.prolong_flops, "mg-prolong-apply");
-            let nc = below[0].r.len();
-            t.prolong_add(&below[0].z[..nc], &mut w.z[..n]);
+            t.prolong_add(&w.zc, &mut w.z[..n]);
         }
-        self.residual(machine, level, w);
+        self.residual(machine, level, r, w);
         Self::smooth(machine, lvl, sweep, &w.rr, &mut w.y, &mut w.dz);
-        for (zi, di) in w.z[..n].iter_mut().zip(&w.dz) {
-            *zi += di;
+        for ((oi, zi), di) in out.iter_mut().zip(&w.z).zip(&w.dz) {
+            *oi = zi + di;
         }
     }
 }
@@ -218,12 +226,23 @@ impl DistPreconditioner for MgPreconditioner {
     }
 
     fn apply_into(&self, machine: &mut Machine, r: &DistVector, z: &mut DistVector) {
+        // Both ends are read and written where they are stored, which is
+        // their global array on the hierarchy's own `(BLOCK)` descriptor.
+        let desc = &self.h.levels[0].desc;
+        for (what, v) in [("r", r), ("z", &*z)] {
+            assert!(
+                v.descriptor().same_layout(desc),
+                "mg-vcycle: {what} is laid out {:?}, not as the hierarchy's {desc:?}; realign it first",
+                v.descriptor()
+            );
+        }
+        let in_order = "a (BLOCK) vector is stored in global order";
+        let r = r.as_global().expect(in_order);
+        let z = z.as_global_mut().expect(in_order);
         let _v = span::enter("vcycle");
         let idle = self.idle.lock().expect("no cycle runs under it").pop();
         let mut ws = idle.unwrap_or_else(|| CycleWorkspace::new(&self.h));
-        r.copy_to_global(&mut ws.levels[0].r);
-        self.cycle(machine, 0, &mut ws.levels);
-        z.copy_from_global(&ws.levels[0].z[..r.len()]);
+        self.cycle(machine, 0, r, &mut ws.levels, z);
         self.idle.lock().expect("no cycle runs under it").push(ws);
     }
 
@@ -400,7 +419,9 @@ mod tests {
     }
 
     /// `apply` is `apply_into` on a fresh vector; a `z` full of garbage
-    /// and a workspace dirtied by another input change nothing.
+    /// and a workspace dirtied by another input, then filled with NaN in
+    /// every slot, padding included, change nothing: each buffer is
+    /// written before it is read, and the caller's `r` is only read.
     #[test]
     fn apply_and_apply_into_agree_bit_for_bit() {
         let np = 5;
@@ -410,18 +431,66 @@ mod tests {
         let r = input(&pre, 0, 0);
         let fresh = pre.apply(&mut m, &r);
         pre.apply(&mut m, &input(&pre, 1, 1));
+        for ws in pre.idle.lock().unwrap().iter_mut() {
+            for w in &mut ws.levels {
+                for v in [
+                    &mut w.z, &mut w.y, &mut w.rr, &mut w.dz, &mut w.rc, &mut w.zc,
+                ] {
+                    v.fill(f64::NAN);
+                }
+            }
+        }
         let mut z = DistVector::constant(r.descriptor().clone(), f64::NAN);
+        let r_before = bits(&r);
         pre.apply_into(&mut m, &r, &mut z);
         assert_eq!(bits(&z), bits(&fresh));
+        assert_eq!(bits(&r), r_before);
         assert_eq!(idle_workspaces(&pre), 1);
     }
 
-    /// Two workers sharing one preconditioner, as the service's do: 50
-    /// cycles each, released together cycle by cycle so applications
-    /// overlap, give the bits of the same cycles run alone, and leave at
-    /// most one workspace per worker behind.
+    /// The cycle reads `r` and writes `z` where they are stored, which
+    /// is their global array only on the hierarchy's `(BLOCK)` layout:
+    /// a vector of the right length on a cyclic descriptor is refused,
+    /// by name and layout, before anything is charged.
     #[test]
-    fn concurrent_applications_match_the_serial_ones() {
+    fn a_vector_off_the_hierarchys_layout_is_refused() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let np = 4;
+        let h = MgHierarchy::build(GridDims::d2(15, 15), 2, np).unwrap();
+        let pre = MgPreconditioner::new(h);
+        let r = input(&pre, 0, 0);
+        let cyclic = hpf_dist::ArrayDescriptor::cyclic(r.len(), np);
+        let mut m = machine(np);
+        let mut refused = |what: &str, r: &DistVector, z: &mut DistVector| {
+            let apply = AssertUnwindSafe(|| pre.apply_into(&mut m, r, z));
+            let panic = catch_unwind(apply).expect_err("a cyclic vector is refused");
+            let message = panic.downcast_ref::<String>().expect("a formatted message");
+            let want = format!(
+                "mg-vcycle: {what} is laid out {cyclic:?}, not as the hierarchy's {:?}",
+                pre.h.levels[0].desc
+            );
+            assert!(message.starts_with(&want), "{message}");
+            assert!(want.contains("spec: Cyclic") && want.contains("spec: Block"));
+        };
+        let r_cyclic = DistVector::from_global(cyclic.clone(), &r.to_global());
+        refused(
+            "r",
+            &r_cyclic,
+            &mut DistVector::zeros(r.descriptor().clone()),
+        );
+        refused("z", &r, &mut DistVector::zeros(cyclic.clone()));
+        assert!(
+            m.trace().is_empty(),
+            "a refused application charges nothing"
+        );
+        assert_eq!(idle_workspaces(&pre), 0);
+    }
+
+    /// `workers` threads sharing one preconditioner, as the service's
+    /// workers do: 50 cycles each, released together cycle by cycle so
+    /// applications overlap, give the bits of the same cycles run alone.
+    /// Returns how many workspaces they left behind.
+    fn run_concurrently(workers: usize) -> usize {
         const CYCLES: usize = 50;
         let np = 4;
         let h = MgHierarchy::build(GridDims::d3(7, 7, 7), 3, np).unwrap();
@@ -437,24 +506,45 @@ mod tests {
                 })
                 .collect()
         };
-        let serial = [run(0, &|| {}), run(1, &|| {})];
+        let serial: Vec<_> = (0..workers).map(|thread| run(thread, &|| {})).collect();
         assert_eq!(idle_workspaces(&pre), 1);
 
-        let barrier = std::sync::Barrier::new(2);
-        let concurrent = std::thread::scope(|scope| {
-            let workers = [0, 1].map(|thread| {
-                let (run, barrier) = (&run, &barrier);
-                scope.spawn(move || {
-                    run(thread, &|| {
-                        barrier.wait();
+        let barrier = std::sync::Barrier::new(workers);
+        let concurrent: Vec<_> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|thread| {
+                    let (run, barrier) = (&run, &barrier);
+                    scope.spawn(move || {
+                        run(thread, &|| {
+                            barrier.wait();
+                        })
                     })
                 })
-            });
-            workers.map(|w| w.join().expect("worker panicked"))
+                .collect();
+            handles
+                .into_iter()
+                .map(|w| w.join().expect("worker panicked"))
+                .collect()
         });
         assert!(concurrent == serial, "a concurrent cycle differs");
-        let idle = idle_workspaces(&pre);
+        idle_workspaces(&pre)
+    }
+
+    /// Two workers, as the service runs: the bits of the serial cycles,
+    /// and at most one workspace per worker left behind.
+    #[test]
+    fn concurrent_applications_match_the_serial_ones() {
+        let idle = run_concurrently(2);
         assert!((1..=2).contains(&idle), "{idle} idle workspaces");
+    }
+
+    /// With the cycle's ends in the caller's vectors, a workspace is
+    /// still checked out for a whole cycle and returned after it: three
+    /// workers leave at most three behind, never one per cycle.
+    #[test]
+    fn every_worker_leaves_at_most_one_workspace() {
+        let idle = run_concurrently(3);
+        assert!((1..=3).contains(&idle), "{idle} idle workspaces");
     }
 
     /// A cycle that panics half way — on a machine with the wrong

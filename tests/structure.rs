@@ -8,7 +8,7 @@ use std::path::Path;
 const MACHINE_OBS_LINES: usize = 6_544;
 const SOLVERS_LINES: usize = 2_579;
 /// And on `crates/{sparse,mg}/src`.
-const SPARSE_MG_LINES: usize = 4_136;
+const SPARSE_MG_LINES: usize = 4_196;
 /// And on `crates/bench/src`.
 const BENCH_LINES: usize = 4_721;
 /// And on `crates/service/src`.
