@@ -326,7 +326,7 @@ fn render_postmortem(pm: &hpf_obs::PostmortemSummary) -> String {
 }
 
 /// Label prefix every partitioner-driven redistribution carries (see
-/// `hpf_dist::redistribute_using` and the sparse trio directive).
+/// `hpf_dist::redistribute::redistribute_atoms`, its one writer).
 const REDISTRIBUTE_USING: &str = "REDISTRIBUTE USING ";
 
 /// One contiguous run of trace rows executed under a single

@@ -313,7 +313,7 @@ pub fn e20_condition_bound() -> Table {
 /// count.
 pub fn e21_redistribute_amortisation(n: usize, max_row_nnz: usize, np: usize) -> Table {
     use hpf_core::ext::{SparseFormat, SparseMatrixDirective};
-    use hpf_dist::partition;
+    use hpf_partition::{connectivity_of, BalancedContiguous};
 
     // A compute-capable machine: on a latency-bound network the matvec is
     // communication-dominated and no layout change can pay (the dual
@@ -345,16 +345,14 @@ pub fn e21_redistribute_amortisation(n: usize, max_row_nnz: usize, np: usize) ->
     let block_op = RowwiseCsr::block(a.clone(), np, DataArrayLayout::RowAligned);
     let t_block = per_iter(&block_op);
 
-    let weights: Vec<usize> = (0..n).map(|r| a.row_nnz(r)).collect();
-    let cuts = partition::balanced_contiguous(&weights, np).expect("np > 0");
-    let bal_op = RowwiseCsr::with_row_cuts(a.clone(), np, cuts);
-    let t_bal = per_iter(&bal_op);
-
     // One-time redistribution cost: the smA trio plus the five aligned
-    // vectors of Figure 2.
+    // vectors of Figure 2; the balanced operator runs on the trio's cuts.
     let mut m_move = Machine::new(np, Topology::Hypercube, model);
     let mut sm = SparseMatrixDirective::new(SparseFormat::Csr, a.row_ptr(), np);
-    sm.redistribute_balanced(&mut m_move);
+    sm.redistribute_using(&mut m_move, &BalancedContiguous, &connectivity_of(&a));
+    let cuts = sm.assignment().atom_cuts().expect("contiguous");
+    let bal_op = RowwiseCsr::with_row_cuts(a.clone(), np, cuts);
+    let t_bal = per_iter(&bal_op);
     let from = hpf_dist::ArrayDescriptor::block(n, np);
     for name in ["p", "q", "r", "x", "b"] {
         let mut v = DistVector::constant(from.clone(), 1.0);

@@ -13,12 +13,14 @@
 //!
 //! [`SparseMatrixDirective`] binds the pointer/index/value trio of a
 //! CSR or CSC matrix, derives consistent descriptors for all three
-//! arrays from a single atom assignment, and co-redistributes them (the
-//! `REDISTRIBUTE smA USING CG_BALANCED_PARTITIONER_1` extension).
+//! arrays from a single atom assignment, and co-redistributes them as one
+//! exchange (the `REDISTRIBUTE smA USING <partitioner>` extension, whose
+//! paper instance is `CG_BALANCED_PARTITIONER_1`).
 
 use hpf_dist::atoms::{AtomAssignment, AtomSpec};
 use hpf_dist::graph::ConnectivityGraph;
 use hpf_dist::partition;
+use hpf_dist::redistribute::redistribute_atoms;
 use hpf_dist::{ArrayDescriptor, DistSpec, Partitioner};
 use hpf_machine::Machine;
 
@@ -91,71 +93,35 @@ impl SparseMatrixDirective {
     /// Panics if the assignment is non-contiguous (cyclic atoms have no
     /// cut-point encoding).
     pub fn descriptors(&self) -> TrioDescriptors {
-        let cuts = self
-            .assignment
-            .element_cuts(&self.atoms)
-            .expect("contiguous assignment required for cut-point descriptors");
+        let contiguous = "contiguous assignment required for cut-point descriptors";
+        let mut atom_cuts = self.assignment.atom_cuts().expect(contiguous);
+        let cuts = self.assignment.element_cuts(&self.atoms).expect(contiguous);
         let n_atoms = self.atoms.n_atoms();
         // Pointer array: atom i's pointer lives with atom i; the final
         // (n+1)th pointer goes to the last processor — the paper
         // explicitly sizes BLOCK "to ensure that the (n+1)'th element of
         // row is placed in the last processor".
-        let mut atom_cuts = vec![0usize; self.np + 1];
-        {
-            let mut a = 0usize;
-            for p in 0..self.np {
-                atom_cuts[p] = a;
-                while a < n_atoms && self.assignment.atom_owner[a] == p {
-                    a += 1;
-                }
-            }
-            atom_cuts[self.np] = n_atoms + 1; // +1: the trailing pointer
-        }
+        atom_cuts[self.np] = n_atoms + 1;
         let ptr = ArrayDescriptor::new(n_atoms + 1, self.np, DistSpec::IrregularCuts(atom_cuts));
         let idx = ArrayDescriptor::new(
             self.atoms.total_elements(),
             self.np,
-            DistSpec::IrregularCuts(cuts.clone()),
-        );
-        let values = ArrayDescriptor::new(
-            self.atoms.total_elements(),
-            self.np,
             DistSpec::IrregularCuts(cuts),
         );
+        let values = idx.clone();
         TrioDescriptors { ptr, idx, values }
     }
 
-    /// `!EXT$ REDISTRIBUTE smA USING CG_BALANCED_PARTITIONER_1`: apply
-    /// the load-balancing partitioner, move all three arrays together,
-    /// and return the words moved. "The compiler generates code for
-    /// calling necessary partitioners to determine the new data
+    /// `!EXT$ REDISTRIBUTE smA USING <partitioner>`: run the partitioner
+    /// over the atom graph, move all three arrays together to the layout
+    /// it produces, and return the words moved. "The compiler generates
+    /// code for calling necessary partitioners to determine the new data
     /// distribution and arranging all dependent vectors accordingly."
-    pub fn redistribute_balanced(&mut self, machine: &mut Machine) -> usize {
-        let old = self.descriptors();
-        self.assignment = partition::cg_balanced_partitioner_1(&self.atoms, self.np);
-        let new = self.descriptors();
-        let mut total = 0usize;
-        // The trio moves as one: ptr + idx + a.
-        for (from, to, label) in [
-            (&old.ptr, &new.ptr, "smA-redist-ptr"),
-            (&old.idx, &new.idx, "smA-redist-idx"),
-            (&old.values, &new.values, "smA-redist-a"),
-        ] {
-            total += hpf_dist::redistribute::total_words(from, to);
-            hpf_dist::redistribute::redistribute(machine, from, to, label);
-        }
-        total
-    }
-
-    /// `!EXT$ REDISTRIBUTE smA USING <partitioner>` — the pluggable
-    /// generalisation of [`Self::redistribute_balanced`]: run any
-    /// registered partitioner over the atom graph, move the trio to the
-    /// layout it produces, and return the words moved. Scattered target
-    /// layouts are lowered to contiguous cut points first (the trio's
-    /// cut-point descriptors require contiguity), preserving the
-    /// partitioner's per-processor load profile. Traffic is charged at
-    /// atom granularity — `idx` + `a` per element plus the `ptr` entry
-    /// per atom — under one `REDISTRIBUTE USING <name>` trace event.
+    /// Scattered target layouts are lowered to contiguous cut points
+    /// first (the trio's cut-point descriptors require contiguity),
+    /// preserving the partitioner's per-processor load profile. Traffic
+    /// is charged at atom granularity — `idx` + `a` per element plus the
+    /// `ptr` entry per atom — as one `REDISTRIBUTE USING <name>` exchange.
     pub fn redistribute_using(
         &mut self,
         machine: &mut Machine,
@@ -165,18 +131,9 @@ impl SparseMatrixDirective {
         let target = partitioner.partition(&self.atoms, graph, self.np);
         let cuts = partition::contiguous_projection(&self.atoms, &target);
         let lowered = partition::assignment_from_cuts(&cuts, self.atoms.n_atoms());
-        let traffic = hpf_dist::redistribute::atom_traffic_matrix(
-            &self.atoms,
-            &self.assignment,
-            &lowered,
-            2,
-            1,
-        );
-        let words = traffic.iter().map(|row| row.iter().sum::<usize>()).sum();
-        let label = format!("REDISTRIBUTE USING {}", partitioner.name());
-        machine.exchange(&traffic, &label);
-        self.assignment = lowered;
-        words
+        let from = std::mem::replace(&mut self.assignment, lowered);
+        let to = &self.assignment;
+        redistribute_atoms(machine, &self.atoms, &from, to, partitioner.name(), 2, 1)
     }
 
     /// Locality rule: accessing pointer element `i` implies the
@@ -228,6 +185,24 @@ mod tests {
         assert_eq!(d.ptr.owner(16), 3);
     }
 
+    /// The paper's `CG_BALANCED_PARTITIONER_1`: contiguous cuts with the
+    /// minimal bottleneck nnz load (`hpf-partition`'s `balanced-rows`).
+    struct Balanced;
+    impl Partitioner for Balanced {
+        fn name(&self) -> &'static str {
+            "balanced-rows"
+        }
+        fn partition(
+            &self,
+            spec: &AtomSpec,
+            _graph: &ConnectivityGraph,
+            np: usize,
+        ) -> AtomAssignment {
+            let cuts = partition::balanced_contiguous(&spec.weights(), np).unwrap();
+            partition::assignment_from_cuts(&cuts, spec.n_atoms())
+        }
+    }
+
     #[test]
     fn balanced_redistribution_improves_imbalance() {
         let a = gen::power_law_spd(200, 60, 1.0, 8);
@@ -235,13 +210,15 @@ mod tests {
         let mut sm = SparseMatrixDirective::new(SparseFormat::Csc, csc.col_ptr(), 8);
         let before = sm.imbalance();
         let mut m = machine(8);
-        let moved = sm.redistribute_balanced(&mut m);
+        let graph = ConnectivityGraph::from_pattern(csc.n_cols(), csc.col_ptr(), csc.row_idx());
+        let moved = sm.redistribute_using(&mut m, &Balanced, &graph);
         let after = sm.imbalance();
         assert!(after <= before, "imbalance {before} -> {after}");
         assert!(sm.trio_is_consistent());
         assert!(moved > 0, "irregular matrix should move data");
-        // All three arrays moved together: 3 redistribute events.
-        assert_eq!(m.trace().count(hpf_machine::EventKind::Redistribute), 3);
+        // All three arrays moved together: one redistribute event.
+        assert_eq!(m.trace().count(hpf_machine::EventKind::Redistribute), 1);
+        assert_eq!(m.total_words_sent(), moved as u64);
     }
 
     #[test]

@@ -178,30 +178,35 @@ impl AtomAssignment {
         self.atom_owner.windows(2).all(|w| w[0] <= w[1])
     }
 
-    /// For a contiguous assignment, the element cut points (length np+1)
-    /// usable as [`DistSpec::IrregularCuts`]. "Since we still keep the
-    /// continuity of the column (or row) elements, the compiler avoids
-    /// generating a full distribution map of the size of the target
-    /// arrays. A small array in the size of the number of processors
-    /// keeps the cut-off points."
-    pub fn element_cuts(&self, spec: &AtomSpec) -> Option<Vec<usize>> {
+    /// For a contiguous assignment, the atom cut points (length np+1):
+    /// processor `p` owns atoms `cuts[p]..cuts[p+1]`. "Since we still
+    /// keep the continuity of the column (or row) elements, the compiler
+    /// avoids generating a full distribution map of the size of the
+    /// target arrays. A small array in the size of the number of
+    /// processors keeps the cut-off points." `None` when scattered.
+    pub fn atom_cuts(&self) -> Option<Vec<usize>> {
         if !self.is_contiguous() {
             return None;
         }
-        let mut cuts = vec![0usize; self.np + 1];
-        cuts[self.np] = spec.total_elements();
+        let n = self.n_atoms();
+        let mut cuts = Vec::with_capacity(self.np + 1);
         let mut atom = 0usize;
         for p in 0..self.np {
-            cuts[p] = if atom < self.n_atoms() {
-                spec.atom_range(atom).start
-            } else {
-                spec.total_elements()
-            };
-            while atom < self.n_atoms() && self.atom_owner[atom] == p {
+            cuts.push(atom);
+            while atom < n && self.atom_owner[atom] == p {
                 atom += 1;
             }
         }
+        cuts.push(n);
         Some(cuts)
+    }
+
+    /// [`Self::atom_cuts`] in elements, usable as
+    /// [`DistSpec::IrregularCuts`] for the underlying data array.
+    pub fn element_cuts(&self, spec: &AtomSpec) -> Option<Vec<usize>> {
+        assert_eq!(spec.n_atoms(), self.n_atoms(), "spec/assignment mismatch");
+        let cuts = self.atom_cuts()?;
+        Some(cuts.into_iter().map(|a| spec.boundaries[a]).collect())
     }
 
     /// Distribution spec for the underlying element array, if contiguous.
@@ -270,6 +275,26 @@ mod tests {
         assert!(!asg.is_contiguous());
         assert!(asg.element_cuts(&a).is_none());
         assert_eq!(asg.loads(&a), vec![4 + 1 + 2, 4 + 2 + 2]);
+    }
+
+    #[test]
+    fn atom_cuts_read_owner_runs() {
+        let a = figure1_atoms();
+        // Processors 2 and 3 own nothing: their runs are empty at the end.
+        let asg = AtomAssignment::from_owners(vec![0, 0, 0, 1, 1, 1], 4);
+        assert_eq!(asg.atom_cuts(), Some(vec![0, 3, 6, 6, 6]));
+        assert_eq!(asg.element_cuts(&a), Some(vec![0, 9, 15, 15, 15]));
+        // A leading processor that owns nothing starts where the next does.
+        let asg = AtomAssignment::from_owners(vec![1, 1, 2, 2, 2, 2], 3);
+        assert_eq!(asg.atom_cuts(), Some(vec![0, 0, 2, 6]));
+        // Scattered owners have no cut points.
+        assert_eq!(AtomAssignment::atom_cyclic(&a, 2).atom_cuts(), None);
+        // Element cuts are the atom cuts read through the pointer array.
+        let block = AtomAssignment::atom_block(&a, 3);
+        let atom_cuts = block.atom_cuts().unwrap();
+        let ptr = [0, 4, 8, 9, 11, 13, 15];
+        let via_ptr: Vec<usize> = atom_cuts.iter().map(|&c| ptr[c]).collect();
+        assert_eq!(block.element_cuts(&a), Some(via_ptr));
     }
 
     #[test]

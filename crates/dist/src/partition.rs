@@ -188,16 +188,6 @@ pub fn greedy_lpt(weights: &[usize], np: usize) -> Result<Vec<usize>, PartitionE
     Ok(owner)
 }
 
-/// Convenience: run `CG_BALANCED_PARTITIONER_1` over a sparse pointer
-/// array (atoms = columns/rows) and return the [`AtomAssignment`].
-///
-/// Panics on `np == 0`; use [`balanced_contiguous`] directly for the
-/// typed-error path.
-pub fn cg_balanced_partitioner_1(spec: &AtomSpec, np: usize) -> AtomAssignment {
-    let cuts = balanced_contiguous(&spec.weights(), np).expect("np must be > 0");
-    assignment_from_cuts(&cuts, spec.n_atoms())
-}
-
 /// Project an arbitrary (possibly scattered) atom assignment onto the
 /// contiguous cut-point form the cheap `O(NP)` descriptors and the
 /// rowwise distributed operator require. Returns *atom* cut points of
@@ -211,21 +201,11 @@ pub fn cg_balanced_partitioner_1(spec: &AtomSpec, np: usize) -> AtomAssignment {
 /// geometry), and atoms are then dealt out in order to match the targets.
 pub fn contiguous_projection(spec: &AtomSpec, asg: &AtomAssignment) -> Vec<usize> {
     assert_eq!(spec.n_atoms(), asg.n_atoms(), "spec/assignment mismatch");
-    let np = asg.np;
-    let n = spec.n_atoms();
-    if asg.is_contiguous() {
-        // Owner runs are already cuts.
-        let mut cuts = vec![0usize; np + 1];
-        cuts[np] = n;
-        let mut a = 0usize;
-        for (p, cut) in cuts.iter_mut().enumerate().take(np) {
-            *cut = a;
-            while a < n && asg.atom_owner[a] == p {
-                a += 1;
-            }
-        }
+    if let Some(cuts) = asg.atom_cuts() {
         return cuts;
     }
+    let np = asg.np;
+    let n = spec.n_atoms();
     // Order processors by the mean atom index they own.
     let mut centroid: Vec<(f64, usize)> = (0..np).map(|p| (f64::MAX, p)).collect();
     let mut sum = vec![0usize; np];
@@ -344,7 +324,8 @@ mod tests {
     #[test]
     fn cg_partitioner_over_atoms() {
         let spec = AtomSpec::from_pointer_array(&[0, 10, 11, 12, 22, 23, 24]);
-        let asg = cg_balanced_partitioner_1(&spec, 3);
+        let cuts = balanced_contiguous(&spec.weights(), 3).unwrap();
+        let asg = assignment_from_cuts(&cuts, spec.n_atoms());
         assert!(asg.is_contiguous());
         let imb = asg.imbalance(&spec);
         // Atom-count BLOCK would pair the two heavy atoms badly; the

@@ -5,9 +5,10 @@
 //! for putting the REDISTRIBUTE directive in the proper place to improve
 //! the performance." (Section 5.2.1)
 //!
-//! Given the old and new [`ArrayDescriptor`]s this module computes the
-//! exact processor-to-processor traffic matrix and charges it to the
-//! simulated [`Machine`] as an irregular exchange.
+//! Given the old and new [`ArrayDescriptor`]s, or for `REDISTRIBUTE ...
+//! USING <partitioner>` the old and new [`AtomAssignment`]s, this module
+//! computes the exact processor-to-processor traffic matrix and charges it
+//! to the simulated [`Machine`] as an irregular exchange.
 
 use crate::atoms::{AtomAssignment, AtomSpec};
 use crate::descriptor::ArrayDescriptor;
@@ -31,14 +32,6 @@ pub fn traffic_matrix(from: &ArrayDescriptor, to: &ArrayDescriptor) -> Vec<Vec<u
     m
 }
 
-/// Total words moved by a redistribution.
-pub fn total_words(from: &ArrayDescriptor, to: &ArrayDescriptor) -> usize {
-    traffic_matrix(from, to)
-        .iter()
-        .map(|row| row.iter().sum::<usize>())
-        .sum()
-}
-
 /// Execute the redistribution on the simulated machine (charging the
 /// modeled exchange cost) and return the simulated time.
 pub fn redistribute(
@@ -52,11 +45,35 @@ pub fn redistribute(
     machine.exchange(&m, label)
 }
 
-/// Processor-to-processor traffic for moving whole atoms between two
-/// atom assignments. Each moved atom carries `atom_size * words_per_element`
-/// words (e.g. 2 for a CSC/CSR trio's `idx` + `values` arrays) plus
-/// `words_per_atom` fixed words (pointer entry, per-row vector elements).
-pub fn atom_traffic_matrix(
+/// `REDISTRIBUTE ... USING <partitioner>` — charge the machine one
+/// exchange for moving every atom whose owner differs between `from` and
+/// `to`, and return the words moved. Each moved atom carries
+/// `atom_size * words_per_element` words (e.g. 2 for a CSC/CSR trio's
+/// `idx` + `values` arrays) plus `words_per_atom` fixed words (pointer
+/// entry, per-row vector elements). The trace event is labeled
+/// `REDISTRIBUTE USING <partitioner>` so observability tooling can
+/// attribute solve segments to the partitioner that laid them out.
+///
+/// Traffic is computed at atom granularity, so scattered layouts on
+/// either side need no contiguous descriptor.
+pub fn redistribute_atoms(
+    machine: &mut Machine,
+    spec: &AtomSpec,
+    from: &AtomAssignment,
+    to: &AtomAssignment,
+    partitioner: &str,
+    words_per_element: usize,
+    words_per_atom: usize,
+) -> usize {
+    assert_eq!(machine.np(), from.np, "machine size mismatch");
+    let m = atom_traffic_matrix(spec, from, to, words_per_element, words_per_atom);
+    machine.exchange(&m, &format!("REDISTRIBUTE USING {partitioner}"));
+    m.iter().flatten().sum()
+}
+
+/// The traffic [`redistribute_atoms`] charges: `matrix[s][d]` = words of
+/// the atoms `s` owns under `from` that `d` owns under `to`.
+fn atom_traffic_matrix(
     spec: &AtomSpec,
     from: &AtomAssignment,
     to: &AtomAssignment,
@@ -76,32 +93,6 @@ pub fn atom_traffic_matrix(
         }
     }
     m
-}
-
-/// `REDISTRIBUTE ... USING <partitioner>` — run a pluggable partitioner,
-/// charge the machine for moving every atom whose owner changes, and
-/// return the new assignment plus the words moved. The trace event is
-/// labeled `REDISTRIBUTE USING <name>` so observability tooling can
-/// attribute solve segments to the partitioner that laid them out.
-///
-/// Works for scattered target layouts too: traffic is computed at atom
-/// granularity, no contiguous descriptor is required.
-pub fn redistribute_using(
-    machine: &mut Machine,
-    spec: &AtomSpec,
-    graph: &crate::graph::ConnectivityGraph,
-    current: &AtomAssignment,
-    partitioner: &dyn crate::partition::Partitioner,
-    words_per_element: usize,
-    words_per_atom: usize,
-) -> (AtomAssignment, usize) {
-    assert_eq!(machine.np(), current.np, "machine size mismatch");
-    let next = partitioner.partition(spec, graph, current.np);
-    let m = atom_traffic_matrix(spec, current, &next, words_per_element, words_per_atom);
-    let words: usize = m.iter().map(|row| row.iter().sum::<usize>()).sum();
-    let label = format!("REDISTRIBUTE USING {}", partitioner.name());
-    machine.exchange(&m, &label);
-    (next, words)
 }
 
 /// Permute a globally-indexed data vector from one local layout to the
@@ -130,6 +121,10 @@ mod tests {
     use super::*;
     use crate::spec::DistSpec;
     use hpf_machine::{CostModel, Topology};
+
+    fn total_words(from: &ArrayDescriptor, to: &ArrayDescriptor) -> usize {
+        traffic_matrix(from, to).iter().flatten().sum()
+    }
 
     #[test]
     fn block_to_same_block_is_free() {
@@ -222,31 +217,14 @@ mod tests {
 
     #[test]
     fn redistribute_using_charges_machine_with_named_label() {
-        use crate::graph::ConnectivityGraph;
-        use crate::partition::Partitioner;
-
-        struct ToCyclic;
-        impl Partitioner for ToCyclic {
-            fn name(&self) -> &'static str {
-                "to-cyclic"
-            }
-            fn partition(
-                &self,
-                spec: &AtomSpec,
-                _graph: &ConnectivityGraph,
-                np: usize,
-            ) -> AtomAssignment {
-                AtomAssignment::atom_cyclic(spec, np)
-            }
-        }
-
         let mut machine = Machine::new(2, Topology::Hypercube, CostModel::mpp_1995());
         let spec = AtomSpec::uniform(8, 3);
-        let graph = ConnectivityGraph::from_edges(8, &[]);
         let from = AtomAssignment::atom_block(&spec, 2);
-        let (next, words) = redistribute_using(&mut machine, &spec, &graph, &from, &ToCyclic, 1, 0);
-        assert!(!next.is_contiguous());
-        assert!(words > 0);
+        let to = AtomAssignment::atom_cyclic(&spec, 2);
+        let words = redistribute_atoms(&mut machine, &spec, &from, &to, "to-cyclic", 1, 0);
+        // Atoms 1, 3 move 0 -> 1 and atoms 4, 6 move 1 -> 0, 3 words each.
+        assert_eq!(words, 12);
+        assert_eq!(machine.total_words_sent(), 12);
         let trace = machine.trace();
         assert_eq!(trace.count(hpf_machine::EventKind::Redistribute), 1);
         let ev = &trace.events()[0];

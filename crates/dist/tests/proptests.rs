@@ -174,7 +174,7 @@ proptest! {
         let back = redistribute::permute_local_data(&to, &from, &moved);
         prop_assert_eq!(back, local);
 
-        let words = redistribute::total_words(&from, &to);
+        let words: usize = redistribute::traffic_matrix(&from, &to).iter().flatten().sum();
         let changed = (0..n).filter(|&i| from.owner(i) != to.owner(i)).count();
         prop_assert_eq!(words, changed);
     }

@@ -214,6 +214,8 @@ pub struct Sums {
     /// Time and words of every kind but `Compute`.
     pub comm_time: f64,
     pub comm_words: usize,
+    /// Time of the `Compute` rows.
+    pub compute_time: f64,
     pub words: usize,
     pub flops: usize,
     /// Under a cost model, each row at [`crate::predicted_time`], or at
@@ -234,10 +236,13 @@ impl Sums {
         if op.kind != EventKind::Compute {
             self.comm_time += op.time;
             self.comm_words += op.words;
-        } else if busy {
-            let times = op.times();
-            self.busy.resize(self.busy.len().max(times.len()), 0.0);
-            self.busy.iter_mut().zip(times).for_each(|(b, t)| *b += t);
+        } else {
+            self.compute_time += op.time;
+            if busy {
+                let times = op.times();
+                self.busy.resize(self.busy.len().max(times.len()), 0.0);
+                self.busy.iter_mut().zip(times).for_each(|(b, t)| *b += t);
+            }
         }
         if let Some((topology, cost)) = price {
             let predicted = crate::predicted_time(op, topology, cost);
@@ -352,34 +357,29 @@ impl Trace {
         self.rows.is_empty()
     }
 
-    /// `of` summed over the rows whose kind `keep` accepts, in order.
-    fn sum<T: std::iter::Sum>(&self, keep: impl Fn(EventKind) -> bool, of: fn(&Row) -> T) -> T {
-        self.rows.iter().filter(|e| keep(e.kind)).map(of).sum()
-    }
-
     /// Count of events of a given kind.
     pub fn count(&self, kind: EventKind) -> usize {
-        self.sum(|k| k == kind, |_| 1)
+        self.rows.iter().filter(|e| e.kind == kind).count()
     }
 
     /// Total words moved by all communication events.
     pub fn total_comm_words(&self) -> usize {
-        self.sum(|k| k != EventKind::Compute, |e| e.words)
+        self.window(0..self.len(), None, false).comm_words
     }
 
     /// Total simulated time of all events (communication + compute).
     pub fn total_time(&self) -> f64 {
-        self.sum(|_| true, |e| e.time)
+        self.window(0..self.len(), None, false).time
     }
 
     /// Total simulated communication time.
     pub fn comm_time(&self) -> f64 {
-        self.sum(|k| k != EventKind::Compute, |e| e.time)
+        self.window(0..self.len(), None, false).comm_time
     }
 
     /// Total simulated computation time.
     pub fn compute_time(&self) -> f64 {
-        self.sum(|k| k == EventKind::Compute, |e| e.time)
+        self.window(0..self.len(), None, false).compute_time
     }
 
     /// Events carrying a given label.

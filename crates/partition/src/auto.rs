@@ -26,7 +26,7 @@ use crate::partitioners::connectivity_of;
 use hpf_core::matvec::RowwiseCsr;
 use hpf_dist::atoms::{AtomAssignment, AtomSpec};
 use hpf_dist::partition::contiguous_projection;
-use hpf_dist::redistribute::redistribute_using;
+use hpf_dist::redistribute::redistribute_atoms;
 use hpf_dist::Partitioner;
 use hpf_machine::Machine;
 use hpf_solvers::{solve, IterObserver, Krylov, SolveStats, SolverError, StopCriterion};
@@ -194,13 +194,14 @@ pub fn cg_auto_repartition(
             // Trio (idx + values per element, ptr entry per atom) plus
             // the x and r vector elements riding along: 2 words/element
             // + 3 words/atom.
-            let (next, words) =
-                redistribute_using(machine, &spec, &graph, &assignment, partitioner, 2, 3);
+            let next = partitioner.partition(&spec, &graph, np);
+            let name = partitioner.name();
+            let words = redistribute_atoms(machine, &spec, &assignment, &next, name, 2, 3);
             if next != assignment {
-                obs.on_repartition(stats.iterations, partitioner.name());
+                obs.on_repartition(stats.iterations, name);
                 repartitions.push(RepartitionEvent {
                     at_iteration: stats.iterations,
-                    partitioner: partitioner.name().to_string(),
+                    partitioner: name.to_string(),
                     words_moved: words,
                     imbalance_before: imbalance,
                     imbalance_after: f64::NAN,

@@ -100,16 +100,7 @@ impl SolvePlan {
         debug_assert!(directive.trio_is_consistent());
 
         // Contiguous atom assignment → row cut-points.
-        let owner = &directive.assignment().atom_owner;
-        let mut row_cuts = vec![0usize; np + 1];
-        row_cuts[np] = n;
-        let mut a = 0usize;
-        for (p, cut) in row_cuts.iter_mut().enumerate().take(np) {
-            *cut = a;
-            while a < n && owner[a] == p {
-                a += 1;
-            }
-        }
+        let row_cuts = directive.assignment().atom_cuts().expect("lowered to cuts");
 
         // Validation upstream guarantees the hierarchy builds; a failure
         // here panics into the worker's set-up catch site.

@@ -4,7 +4,8 @@
 //! have many neighbours, while others have very few"), declares it
 //! through the proposed `SPARSE_MATRIX` directive, and compares plain
 //! BLOCK row distribution against
-//! `REDISTRIBUTE smA USING CG_BALANCED_PARTITIONER_1` on a full CG
+//! `REDISTRIBUTE smA USING balanced-rows` (the paper's
+//! `CG_BALANCED_PARTITIONER_1`) on a full CG
 //! solve: nnz imbalance, redistribution traffic, and simulated time.
 //!
 //! ```text
@@ -12,7 +13,7 @@
 //! ```
 
 use hpf::core::ext::{SparseFormat, SparseMatrixDirective};
-use hpf::dist::partition;
+use hpf::partition::{connectivity_of, BalancedContiguous};
 use hpf::prelude::*;
 use hpf::sparse::{gen, stats};
 
@@ -53,16 +54,15 @@ fn main() {
     println!("\nSPARSE_MATRIX (CSR) :: smA(row, col, a)");
     println!("  initial ATOM:BLOCK imbalance: {:.2}", sm.imbalance());
     let mut m_bal = Machine::hypercube(np);
-    let moved = sm.redistribute_balanced(&mut m_bal);
+    let moved = sm.redistribute_using(&mut m_bal, &BalancedContiguous, &connectivity_of(&a));
     println!(
-        "  REDISTRIBUTE smA USING CG_BALANCED_PARTITIONER_1: moved {moved} words, imbalance -> {:.2}",
+        "  REDISTRIBUTE smA USING balanced-rows (the paper's CG_BALANCED_PARTITIONER_1): moved {moved} words, imbalance -> {:.2}",
         sm.imbalance()
     );
     assert!(sm.trio_is_consistent(), "trio must stay co-located");
 
-    // Row cuts from the partitioner drive the distributed operator.
-    let weights: Vec<usize> = (0..n).map(|r| a.row_nnz(r)).collect();
-    let cuts = partition::balanced_contiguous(&weights, np).expect("np > 0");
+    // The directive's row cuts drive the distributed operator.
+    let cuts = sm.assignment().atom_cuts().expect("contiguous");
     let op_bal = RowwiseCsr::with_row_cuts(a.clone(), np, cuts);
     let flops_b = op_bal.flops_per_proc();
     let imb_bal =

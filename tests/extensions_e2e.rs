@@ -60,23 +60,13 @@ fn sparse_directive_balanced_solve_end_to_end() {
     let mut sm = SparseMatrixDirective::new(SparseFormat::Csr, a.row_ptr(), np);
     let before = sm.imbalance();
     let mut machine = Machine::hypercube(np);
-    sm.redistribute_balanced(&mut machine);
+    let graph = hpf::partition::connectivity_of(&a);
+    sm.redistribute_using(&mut machine, &hpf::partition::BalancedContiguous, &graph);
     assert!(sm.imbalance() <= before);
     assert!(sm.trio_is_consistent());
 
-    // Atom cuts -> row cuts (atoms are rows for CSR).
-    let asg = sm.assignment();
-    let mut row_cuts = vec![0usize; np + 1];
-    row_cuts[np] = 300;
-    {
-        let mut atom = 0usize;
-        for p in 0..np {
-            row_cuts[p] = atom;
-            while atom < 300 && asg.atom_owner[atom] == p {
-                atom += 1;
-            }
-        }
-    }
+    // Atom cuts are row cuts (atoms are rows for CSR).
+    let row_cuts = sm.assignment().atom_cuts().unwrap();
     let op = RowwiseCsr::with_row_cuts(a.clone(), np, row_cuts);
     let (x, stats) = cg_distributed(
         &mut machine,
@@ -96,6 +86,49 @@ fn sparse_directive_balanced_solve_end_to_end() {
         .sqrt();
     let bn: f64 = b.iter().map(|v| v * v).sum::<f64>().sqrt();
     assert!(res / bn < 1e-8);
+}
+
+/// `REDISTRIBUTE smA USING balanced-rows` lays the trio out as the
+/// paper's `CG_BALANCED_PARTITIONER_1` does (the bottleneck-minimal
+/// contiguous cuts) and moves it as one atom-level exchange: `idx` + `a`
+/// per element and the `ptr` entry per atom.
+#[test]
+fn balanced_rows_moves_the_trio_as_one_exchange() {
+    use hpf::dist::partition::{assignment_from_cuts, balanced_contiguous};
+    use hpf::partition::{BalancedContiguous, ConnectivityGraph};
+
+    let e21 = gen::power_law_spd(1024, 128, 0.9, 23);
+    let e2e = gen::power_law_spd(300, 60, 1.0, 13);
+    let csc = CscMatrix::from_csr(&gen::power_law_spd(200, 60, 1.0, 8));
+    let cases = [
+        (SparseFormat::Csr, e21.row_ptr(), e21.col_idx(), 6_055),
+        (SparseFormat::Csr, e2e.row_ptr(), e2e.col_idx(), 1_803),
+        (SparseFormat::Csc, csc.col_ptr(), csc.row_idx(), 1_419),
+    ];
+    let np = 8;
+    for (format, ptr, idx, words) in cases {
+        let n = ptr.len() - 1;
+        let mut sm = SparseMatrixDirective::new(format, ptr, np);
+        let graph = ConnectivityGraph::from_pattern(n, ptr, idx);
+        let mut machine = Machine::hypercube(np);
+        let moved = sm.redistribute_using(&mut machine, &BalancedContiguous, &graph);
+
+        let cuts = balanced_contiguous(&sm.atoms().weights(), np).unwrap();
+        assert_eq!(sm.assignment(), &assignment_from_cuts(&cuts, n), "n = {n}");
+        assert_eq!(moved, words, "n = {n}");
+        assert_eq!(machine.total_words_sent(), words as u64);
+        let moves: Vec<_> = machine
+            .trace()
+            .iter()
+            .map(|e| e.label.to_string())
+            .collect();
+        assert_eq!(moves, ["REDISTRIBUTE USING balanced-rows"], "n = {n}");
+        assert_eq!(
+            machine.trace().count(hpf::machine::EventKind::Redistribute),
+            1
+        );
+        assert!(sm.trio_is_consistent());
+    }
 }
 
 #[test]

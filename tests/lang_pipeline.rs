@@ -196,7 +196,8 @@ fn sparse_directive_text_to_balanced_solve() {
     let mut sm = SparseMatrixDirective::new(SparseFormat::Csr, a.row_ptr(), elab.np);
     let before = sm.imbalance();
     let mut m = Machine::hypercube(elab.np);
-    sm.redistribute_balanced(&mut m);
+    let graph = hpf::partition::connectivity_of(&a);
+    sm.redistribute_using(&mut m, &hpf::partition::BalancedContiguous, &graph);
     assert!(sm.imbalance() <= before);
     assert!(sm.trio_is_consistent());
 }

@@ -12,7 +12,9 @@ const SPARSE_MG_LINES: usize = 4_196;
 /// And on `crates/bench/src`.
 const BENCH_LINES: usize = 4_721;
 /// And on `crates/service/src`.
-const SERVICE_LINES: usize = 3_790;
+const SERVICE_LINES: usize = 3_781;
+/// And on `crates/{core,dist}/src`.
+const CORE_DIST_LINES: usize = 3_713;
 
 /// Every Rust source and manifest of the workspace and its stand-ins.
 const SOURCES: &str = "crates/**/*.rs,Cargo.toml compat/**/*.rs,Cargo.toml Cargo.toml";
@@ -277,6 +279,29 @@ fn one_load_imbalance_ratio() {
     }
     let message = "max / mean is hpf_machine::imbalance, each caller stating what it reads where that is None; hpf-sparse's NnzStats, below hpf-machine, keeps the one other copy";
     forbid(copies, message);
+}
+
+#[test]
+fn one_redistribute_using_path() {
+    let mut srcs = nontest(files("crates"));
+    srcs.retain(|(p, _)| p.ends_with(".rs") && p.split('/').nth(2) == Some("src"));
+    let copies = matcher(r"fn redistribute_balanced\b|cg_balanced_partitioner_1");
+    let message = "REDISTRIBUTE ... USING is SparseMatrixDirective::redistribute_using with a Partitioner; balanced-rows is the paper's CG_BALANCED_PARTITIONER_1";
+    forbid(grep(&srcs, copies), message);
+    let mut moves = grep(
+        &srcs,
+        matcher(r#"atom_traffic_matrix\(|"REDISTRIBUTE USING {"#),
+    );
+    moves.retain(|l| !l.starts_with("crates/dist/src/redistribute.rs:"));
+    let message = "a move between two atom assignments is priced and labelled by hpf_dist::redistribute::redistribute_atoms alone";
+    forbid(moves, message);
+    let runs = grep(&srcs, |l| l.contains("owner[") && l.contains("] == p"));
+    let home = runs
+        .iter()
+        .all(|r| r.starts_with("crates/dist/src/atoms.rs:"));
+    let message = format!("{} owner-run loops; an assignment's cut points are read once, by AtomAssignment::atom_cuts", runs.len());
+    assert!(runs.len() == 1 && home, "{}\n{message}", runs.join("\n"));
+    cap("crates/core/src crates/dist/src", CORE_DIST_LINES);
 }
 
 #[test]
