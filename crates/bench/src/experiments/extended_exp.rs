@@ -328,7 +328,6 @@ pub fn e21_redistribute_amortisation(n: usize, max_row_nnz: usize, np: usize) ->
         &["quantity", "BLOCK (stay)", "balanced (redistribute)"],
     );
     let a = gen::power_law_spd(n, max_row_nnz, 0.9, 23);
-    let x = vec![1.0; n];
 
     // Per-iteration matvec time under each layout.
     let per_iter = |op: &RowwiseCsr| -> f64 {
@@ -338,7 +337,6 @@ pub fn e21_redistribute_amortisation(n: usize, max_row_nnz: usize, np: usize) ->
         );
         let mut m = Machine::new(np, Topology::Hypercube, model);
         op.matvec(&mut m, &p);
-        let _ = &x;
         m.elapsed()
     };
 

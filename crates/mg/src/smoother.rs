@@ -22,17 +22,19 @@
 //! the bit.
 //!
 //! A [`SweepPlan`] stores each direction's runs once, in the order its
-//! sweep reads them — step, then block — as `u32` columns and `f64`
-//! coefficients beside one diagonal array, so a sweep reads contiguous
-//! streams and never the matrix. Consecutive steps whose longest run has
-//! the same width `w` form a *segment*, and every row of a segment is
-//! padded at its front to `w` entries of column `n` and coefficient
-//! `+0.0`; the sweep sets slot `n` of `y` and `z` to `+0.0` itself. A
-//! padded term is `+0.0 · +0.0 = +0.0`, and `s − (+0.0)` is `s` for every
-//! `s`, `−0.0`, NaN and ±∞ included, so the row loop runs a constant
-//! number of terms per segment and computes the bits of the unpadded
-//! run. (A `−0.0` pad coefficient or slot would turn a forward chain's
-//! `−0.0` into `+0.0`; a non-finite slot would poison every padded row.)
+//! sweep reads them — step, then block — as `u32` columns and their
+//! coefficients beside the diagonals, so a sweep reads contiguous streams
+//! and never the matrix. Couplings that share one finite, nonzero bit
+//! pattern `c` (a Poisson level's `−1.0`), and diagonals that share one,
+//! are stored once; a row loop is generic over the [`Source`] of a value,
+//! so each direction has one. Consecutive steps whose longest run has the
+//! same width `w` form a *segment*, and every row of a segment is padded
+//! at its front to `w` entries of column `n` (coefficient `+0.0` when
+//! packed). *The slot's sign:* the sweep sets slot `n` of `y` and `z` to
+//! `+0.0` for a packed stream and to `0.0.copysign(c)` for a shared `c`,
+//! so a pad term is `+0.0`, and `s − (+0.0)` is `s` for every `s`, `−0.0`,
+//! NaN and ±∞ included. (A `−0.0` term would turn a forward chain's `−0.0`
+//! into `+0.0`; a non-finite `c` or slot would poison every padded row.)
 
 use crate::hierarchy::{proc_rows, MgError};
 use hpf_dist::ArrayDescriptor;
@@ -55,6 +57,64 @@ struct RowRuns {
     upper: usize,
 }
 
+/// A plan's coefficients or diagonals: one per entry, or the one all hold.
+#[derive(Debug, PartialEq)]
+enum Coefs {
+    Each(Vec<f64>),
+    Shared(f64),
+}
+
+/// The one bit pattern all of `values` hold, if there are any.
+fn shared(mut values: impl Iterator<Item = f64>) -> Option<f64> {
+    let first = values.next()?;
+    let same = values.all(|v| v.to_bits() == first.to_bits());
+    same.then_some(first)
+}
+
+/// Where a row loop reads its values — a window of [`Coefs::Each`], or
+/// [`Coefs::Shared`]'s one value at every entry — and the zero slot `n`
+/// holds so that a pad term `get(e) · slot` is `+0.0`.
+trait Source: Copy {
+    fn window(self, _at: usize, _len: usize) -> Self {
+        self
+    }
+    fn get(self, e: usize) -> f64;
+    fn slot(self) -> f64 {
+        0.0
+    }
+}
+
+impl Source for &[f64] {
+    fn window(self, at: usize, len: usize) -> Self {
+        &self[at..at + len]
+    }
+    fn get(self, e: usize) -> f64 {
+        self[e]
+    }
+}
+
+impl Source for f64 {
+    fn get(self, _: usize) -> f64 {
+        self
+    }
+    fn slot(self) -> f64 {
+        0.0f64.copysign(self)
+    }
+}
+
+/// `$body` with `$v` the [`Source`] that the [`Coefs`] `$coefs` reads as.
+macro_rules! with_source {
+    ($coefs:expr, |$v:ident| $body:expr) => {
+        match $coefs {
+            Coefs::Each(each) => {
+                let $v = each.as_slice();
+                $body
+            }
+            &Coefs::Shared($v) => $body,
+        }
+    };
+}
+
 /// One sweep direction's couplings, packed in the order it reads them.
 #[derive(Debug)]
 struct Stream {
@@ -64,8 +124,8 @@ struct Stream {
     rows: Vec<u32>,
     /// `width` columns a row, its padding (column `n`) first.
     cols: Vec<u32>,
-    /// The coefficients beside `cols`, the padding `+0.0`.
-    coefs: Vec<f64>,
+    /// The coefficients beside `cols`, or the one every real one holds.
+    coefs: Coefs,
 }
 
 impl Stream {
@@ -100,7 +160,9 @@ impl Stream {
             segments: Vec::new(),
             rows: Vec::with_capacity(a.n_rows()),
             cols: Vec::with_capacity(entries),
-            coefs: Vec::with_capacity(entries),
+            coefs: shared((0..a.n_rows()).flat_map(|i| a.values()[run(i)].iter().copied()))
+                .filter(|c| c.is_finite() && *c != 0.0)
+                .map_or_else(|| Coefs::Each(Vec::with_capacity(entries)), Coefs::Shared),
         };
         for (k, &w) in steps.zip(&widths) {
             match s.segments.last_mut() {
@@ -114,20 +176,22 @@ impl Stream {
                 s.cols.extend(repeat_n(pad, padding));
                 s.cols
                     .extend(a.col_idx()[run.clone()].iter().map(|&c| c as u32));
-                s.coefs.extend(repeat_n(0.0, padding));
-                s.coefs.extend_from_slice(&a.values()[run]);
+                if let Coefs::Each(coefs) = &mut s.coefs {
+                    coefs.extend(repeat_n(0.0, padding));
+                    coefs.extend_from_slice(&a.values()[run]);
+                }
             }
         }
         s
     }
 
-    /// Each segment as `(width, rows, cols, coefs)`, in sweep order.
-    fn segments(&self) -> impl Iterator<Item = (usize, &[u32], &[u32], &[f64])> {
+    /// Each segment as `(width, rows, cols, first entry)`, in sweep order.
+    fn segments(&self) -> impl Iterator<Item = (usize, &[u32], &[u32], usize)> {
         let (mut row, mut entry) = (0, 0);
         self.segments.iter().map(move |&(rows, width)| {
             let (r, e) = (row..row + rows, entry..entry + rows * width);
             (row, entry) = (r.end, e.end);
-            (width, &self.rows[r], &self.cols[e.clone()], &self.coefs[e])
+            (width, &self.rows[r], &self.cols[e.clone()], e.start)
         })
     }
 }
@@ -140,8 +204,8 @@ pub(crate) struct SweepPlan {
     forward: Stream,
     /// The runs above the diagonal, steps descending.
     backward: Stream,
-    /// Every row's diagonal entry.
-    diag: Vec<f64>,
+    /// Every row's diagonal entry, or the one they all hold.
+    diag: Coefs,
 }
 
 impl SweepPlan {
@@ -176,105 +240,100 @@ impl SweepPlan {
         let steps = 0..blocks.iter().map(Range::len).max().unwrap_or(0);
         let lower = |i: usize| runs[i].lower..runs[i].diag;
         let upper = |i: usize| runs[i].diag + 1..runs[i].upper;
+        let diag = runs.iter().map(|r| a.values()[r.diag]);
         Ok(SweepPlan {
             forward: Stream::pack(steps.clone(), &blocks, lower, a),
             backward: Stream::pack(steps.rev(), &blocks, upper, a),
-            diag: runs.iter().map(|r| a.values()[r.diag]).collect(),
+            diag: shared(diag.clone()).map_or_else(|| Coefs::Each(diag.collect()), Coefs::Shared),
         })
     }
 
     /// One symmetric Gauss-Seidel sweep pair over every processor's
     /// diagonal block: `z ≈ M⁻¹ r`, with the forward sweep's `y` left in
     /// its buffer. `y` and `z` hold one slot past the rows, which the
-    /// sweep sets to `+0.0` for the padding to read; they are overwritten
-    /// and need not be zeroed: a sweep reads only entries it has already
-    /// written.
+    /// sweep sets for the padding to read (module doc: the slot's sign);
+    /// they are overwritten and need not be zeroed: a sweep reads only
+    /// entries it has already written.
     pub fn symgs_into(&self, r: &[f64], y: &mut [f64], z: &mut [f64]) {
-        let n = self.diag.len();
+        let n = self.forward.rows.len();
         assert!(
             r.len() == n && y.len() == n + 1 && z.len() == n + 1,
             "symgs: vector lengths"
         );
-        // Forward: (D + L) y = r over each block.
-        y[n] = 0.0;
-        for (width, rows, cols, coefs) in self.forward.segments() {
-            forward(width, rows, cols, coefs, &self.diag, r, y);
-        }
-        // Backward: (D + U) z = D y over each block.
-        z[n] = 0.0;
-        for (width, rows, cols, coefs) in self.backward.segments() {
-            backward(width, rows, cols, coefs, &self.diag, y, z);
-        }
+        with_source!(&self.diag, |d| {
+            // Forward: (D + L) y = r over each block.
+            with_source!(&self.forward.coefs, |c| {
+                y[n] = c.slot();
+                for (width, rows, cols, at) in self.forward.segments() {
+                    forward(width, rows, cols, c.window(at, cols.len()), d, r, y);
+                }
+            });
+            // Backward: (D + U) z = D y over each block.
+            with_source!(&self.backward.coefs, |c| {
+                z[n] = c.slot();
+                for (width, rows, cols, at) in self.backward.segments() {
+                    backward(width, rows, cols, c.window(at, cols.len()), d, y, z);
+                }
+            });
+        })
     }
 }
 
-/// `$kernel::<W>(1, ..)` for the `W` a segment's `$width` is, up to
-/// [`MAX_WIDTH`]; a wider (padded) segment runs `width / MAX_WIDTH`
-/// passes of the widest instance.
+/// `$kernel::<W>($args)` for the `W` a segment's `$width` is, up to
+/// [`MAX_WIDTH`]; a wider (padded) segment runs the widest instance.
 macro_rules! by_width {
-    ($width:expr, $kernel:ident($($arg:expr),*)) => {
+    ($width:expr, $kernel:ident $args:tt) => {
+        by_width!($width, $kernel $args, 0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15)
+    };
+    ($width:expr, $kernel:ident $args:tt, $($w:literal)*) => {
         match $width {
-            0 => $kernel::<0>(1, $($arg),*),
-            1 => $kernel::<1>(1, $($arg),*),
-            2 => $kernel::<2>(1, $($arg),*),
-            3 => $kernel::<3>(1, $($arg),*),
-            4 => $kernel::<4>(1, $($arg),*),
-            5 => $kernel::<5>(1, $($arg),*),
-            6 => $kernel::<6>(1, $($arg),*),
-            7 => $kernel::<7>(1, $($arg),*),
-            8 => $kernel::<8>(1, $($arg),*),
-            9 => $kernel::<9>(1, $($arg),*),
-            10 => $kernel::<10>(1, $($arg),*),
-            11 => $kernel::<11>(1, $($arg),*),
-            12 => $kernel::<12>(1, $($arg),*),
-            13 => $kernel::<13>(1, $($arg),*),
-            14 => $kernel::<14>(1, $($arg),*),
-            15 => $kernel::<15>(1, $($arg),*),
-            16 => $kernel::<16>(1, $($arg),*),
-            w => $kernel::<MAX_WIDTH>(w / MAX_WIDTH, $($arg),*),
+            $($w => $kernel::<$w> $args,)*
+            _ => $kernel::<MAX_WIDTH> $args,
         }
     };
 }
 
 /// The forward sweep over one segment's rows, `width` entries each:
 /// `y[i] = (r[i] − Σ coef · y[col]) / d[i]`, the terms left to right.
-/// Out of line, so the row loops have an address the build pins.
+/// Out of line, one instance per pair of [`Source`]s, so the row loops
+/// have addresses the build pins.
 #[inline(never)]
 fn forward(
     width: usize,
     rows: &[u32],
     cols: &[u32],
-    coefs: &[f64],
-    diag: &[f64],
+    coefs: impl Source,
+    diag: impl Source,
     r: &[f64],
     y: &mut [f64],
 ) {
-    by_width!(width, forward_rows(rows, cols, coefs, diag, r, y))
+    by_width!(width, forward_rows(width, rows, cols, coefs, diag, r, y))
 }
 
-/// [`forward`] for rows of `passes` passes of exactly `W` entries: no
-/// trip count the data decides.
+/// [`forward`] for rows of `width / W` passes of exactly `W` entries,
+/// one pass below [`MAX_WIDTH`]: no trip count the data decides.
 #[inline(always)]
 fn forward_rows<const W: usize>(
-    passes: usize,
+    width: usize,
     rows: &[u32],
     cols: &[u32],
-    coefs: &[f64],
-    diag: &[f64],
+    coefs: impl Source,
+    diag: impl Source,
     r: &[f64],
     y: &mut [f64],
 ) {
+    let passes = if W < MAX_WIDTH { 1 } else { width / W };
     for (t, &i) in rows.iter().enumerate() {
         let i = i as usize;
         let mut s = r[i];
         for pass in 0..passes {
             let at = (t * passes + pass) * W;
-            let (c, v) = (&cols[at..at + W], &coefs[at..at + W]);
+            let (c, v) = (&cols[at..at + W], coefs.window(at, W));
             for e in 0..W {
-                s -= v[e] * y[c[e] as usize];
+                s -= v.get(e) * y[c[e] as usize];
             }
         }
-        y[i] = s / diag[i];
+        y[i] = s / diag.get(i);
     }
 }
 
@@ -286,34 +345,35 @@ fn backward(
     width: usize,
     rows: &[u32],
     cols: &[u32],
-    coefs: &[f64],
-    diag: &[f64],
+    coefs: impl Source,
+    diag: impl Source,
     y: &[f64],
     z: &mut [f64],
 ) {
-    by_width!(width, backward_rows(rows, cols, coefs, diag, y, z))
+    by_width!(width, backward_rows(width, rows, cols, coefs, diag, y, z))
 }
 
-/// [`backward`] for rows of `passes` passes of exactly `W` entries.
+/// [`backward`] for rows of `width / W` passes of exactly `W` entries.
 #[inline(always)]
 fn backward_rows<const W: usize>(
-    passes: usize,
+    width: usize,
     rows: &[u32],
     cols: &[u32],
-    coefs: &[f64],
-    diag: &[f64],
+    coefs: impl Source,
+    diag: impl Source,
     y: &[f64],
     z: &mut [f64],
 ) {
+    let passes = if W < MAX_WIDTH { 1 } else { width / W };
     for (t, &i) in rows.iter().enumerate() {
         let i = i as usize;
-        let d = diag[i];
+        let d = diag.get(i);
         let mut s = 0.0;
         for pass in 0..passes {
             let at = (t * passes + pass) * W;
-            let (c, v) = (&cols[at..at + W], &coefs[at..at + W]);
+            let (c, v) = (&cols[at..at + W], coefs.window(at, W));
             for e in 0..W {
-                s -= v[e] * z[c[e] as usize];
+                s -= v.get(e) * z[c[e] as usize];
             }
         }
         z[i] = (d * y[i] + s) / d;
@@ -522,6 +582,32 @@ mod tests {
         assert_eq!(level1.forward.segments.last().unwrap().1, 13);
     }
 
+    /// The 31³ benchmark's level 0 holds one coupling value in each
+    /// direction and one diagonal, so its plan stores each once; the
+    /// 27-point level 1 (15³) keeps its couplings packed beside one
+    /// diagonal.
+    #[test]
+    fn a_plan_stores_once_what_a_level_holds_once() {
+        let h = MgHierarchy::build(GridDims::d3(31, 31, 31), 2, 8).unwrap();
+        let plan = |l: usize| {
+            let desc = ArrayDescriptor::block(h.matrix(l).n_rows(), 8);
+            SweepPlan::plan(h.matrix(l), &desc, l).unwrap()
+        };
+        let level0 = plan(0);
+        for s in [&level0.forward, &level0.backward] {
+            assert_eq!(s.coefs, Coefs::Shared(-1.0));
+        }
+        assert_eq!(level0.diag, Coefs::Shared(6.0));
+        let level1 = plan(1);
+        for s in [&level1.forward, &level1.backward] {
+            assert!(
+                matches!(s.coefs, Coefs::Each(_)),
+                "level 1's couplings differ"
+            );
+        }
+        assert!(matches!(level1.diag, Coefs::Shared(_)), "{:?}", level1.diag);
+    }
+
     #[test]
     fn plan_rejects_rows_it_cannot_sweep() {
         let desc = ArrayDescriptor::block(2, 2);
@@ -569,6 +655,14 @@ mod tests {
         CsrMatrix::from_raw(n, n, ptr.to_vec(), cols.to_vec(), values).unwrap()
     }
 
+    /// `a` with each stored `v` at `(i, j)` replaced by `f(i, j, v)`.
+    fn map_values(a: &CsrMatrix, f: impl Fn(usize, usize, f64) -> f64) -> CsrMatrix {
+        let f = &f;
+        let (n, ptr, cols) = (a.n_rows(), a.row_ptr(), a.col_idx());
+        let values = (0..n).flat_map(|i| a.row(i).map(move |(j, v)| f(i, j, v)));
+        CsrMatrix::from_raw(n, n, ptr.to_vec(), cols.to_vec(), values.collect()).unwrap()
+    }
+
     const SPECIALS: [f64; 5] = [0.0, -0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
 
     proptest! {
@@ -576,12 +670,15 @@ mod tests {
 
         /// The packed, lock-step sweep gives the reference's `y` and `z`
         /// on every generator family and block count: rows wider than
-        /// the widest kernel instance (the wide band), stored `±0.0`
+        /// the widest kernel instance (the wide bands), stored `±0.0`
         /// coefficients, and right-hand sides of all `−0.0` or holding
-        /// `±0.0`, NaN and ±∞.
+        /// `±0.0`, NaN and ±∞. Families 0, 1 and 5–7 share one coupling
+        /// value (until a stored zero breaks it): `−1.0`, which makes
+        /// the slot `−0.0`, or `+1.0` (Poisson scaled by −1), which
+        /// keeps it `+0.0`, beside one diagonal or one that varies.
         #[test]
         fn planned_sweep_matches_the_reference_bit_for_bit(
-            family in 0usize..5,
+            family in 0usize..8,
             size in 2usize..9,
             np in 1usize..=9,
             seed in 0u64..1000,
@@ -594,7 +691,14 @@ mod tests {
                 1 => gen::poisson_3d(size.min(5), 3, size.min(4)),
                 2 => gen::banded_spd(size * 4, 1 + size % 4, seed),
                 3 => gen::random_spd(size * 4, 1 + size % 5, seed),
-                _ => gen::banded_spd(size * 8, 14 + 3 * size, seed),
+                4 => gen::banded_spd(size * 8, 14 + 3 * size, seed),
+                5 => map_values(&gen::poisson_2d(size, size + 1), |_, _, v| -v),
+                6 => map_values(&gen::poisson_3d(size.min(5), 3, size.min(4)), |i, j, v| {
+                    if i == j { v + (i % 3) as f64 } else { v }
+                }),
+                _ => map_values(&gen::banded_spd(size * 8, 14 + 3 * size, seed), |i, j, _| {
+                    if i == j { 64.0 } else { -0.5 }
+                }),
             };
             let a = with_stored_zeros(&a, &zeros);
             let n = a.n_rows();
